@@ -23,6 +23,9 @@ pub struct AnswerRecord {
 pub struct AnswerLog {
     records: Vec<AnswerRecord>,
     per_query: HashMap<QueryId, Vec<usize>>,
+    /// Rows delivered so far for the queries fed through
+    /// [`record_distinct`](Self::record_distinct); a query's answers all go
+    /// through one of the two `record*` calls, so `record` leaves it alone.
     seen_rows: HashMap<QueryId, HashSet<Vec<Value>>>,
 }
 
@@ -34,7 +37,6 @@ impl AnswerLog {
 
     /// Records one delivered answer.
     pub fn record(&mut self, record: AnswerRecord) {
-        self.seen_rows.entry(record.query).or_default().insert(record.row.clone());
         self.per_query.entry(record.query).or_default().push(self.records.len());
         self.records.push(record);
     }

@@ -29,6 +29,7 @@
 //! [`RingSet`] are the corresponding container aliases.
 
 use crate::id::Id;
+use serde::bin::{self, BinError};
 use serde::json::{JsonError, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -262,9 +263,10 @@ impl From<String> for HashedKey {
 /// never produces control characters, so the split form is unambiguous.
 const PARTITION_SEP: char = '\u{1f}';
 
-// Serialized as the bare canonical string (with a `\u{1f}p/s` suffix for
-// sub-keys of a split hot key); the ring identifier is re-derived on
-// deserialization, so the wire format carries no redundancy.
+// Serialized as the canonical text plus the partition coordinates — in JSON
+// the bare string with a `\u{1f}p/s` suffix for sub-keys of a split hot key,
+// in binary the string followed by an `Option<(p, s)>`. The ring identifier
+// is re-derived on deserialization, so neither form carries redundancy.
 impl Serialize for HashedKey {
     fn serialize_json(&self) -> JsonValue {
         match self.partition {
@@ -273,6 +275,11 @@ impl Serialize for HashedKey {
                 JsonValue::Str(format!("{}{PARTITION_SEP}{part}/{parts}", self.text))
             }
         }
+    }
+
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        bin::write_str(out, &self.text);
+        self.partition.serialize_bin(out);
     }
 }
 
@@ -293,6 +300,16 @@ impl Deserialize for HashedKey {
                 }
             },
             other => Err(JsonError::expected("string", other)),
+        }
+    }
+
+    fn deserialize_bin(input: &mut &[u8]) -> Result<Self, BinError> {
+        // Interned: a reader thread sees the same keys over and over.
+        let key = HashedKey::intern(bin::read_str(input)?);
+        match Option::<(u32, u32)>::deserialize_bin(input)? {
+            None => Ok(key),
+            Some((part, parts)) if parts >= 2 && part < parts => Ok(key.split_part(part, parts)),
+            Some(_) => Err(BinError::Invalid("key partition coordinates")),
         }
     }
 }
@@ -390,6 +407,12 @@ mod tests {
         assert_eq!(back, k);
         assert_eq!(back.id(), k.id());
         assert!(HashedKey::deserialize_json(&JsonValue::Int(3)).is_err());
+
+        let bytes = bin::to_vec(&k);
+        assert_eq!(bytes.len(), 1 + "R+A+s:x".len() + 1, "text and a `None` marker, no ring id");
+        let back: HashedKey = bin::from_slice(&bytes).unwrap();
+        assert_eq!(back, k);
+        assert_eq!(back.id(), k.id());
     }
 
     #[test]
@@ -440,6 +463,17 @@ mod tests {
         // A malformed partition suffix is rejected, not silently dropped.
         let bad = JsonValue::Str(format!("R+A{}9/2", '\u{1f}'));
         assert!(HashedKey::deserialize_json(&bad).is_err());
+
+        let back: HashedKey = bin::from_slice(&bin::to_vec(&k)).unwrap();
+        assert_eq!(back, k);
+        assert_eq!(back.ring(), k.ring());
+        assert_eq!(back.partition(), Some((2, 5)));
+        // Out-of-range coordinates are an error, not a `split_part` panic.
+        let bad = bin::to_vec(&("R+A", Some((9u32, 2u32))));
+        assert_eq!(
+            bin::from_slice::<HashedKey>(&bad),
+            Err(BinError::Invalid("key partition coordinates"))
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Per-key load counters.
 
+use serde::bin::BinError;
 use serde::json::{JsonError, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::RandomState;
@@ -29,11 +30,19 @@ impl<K: Eq + Hash + Serialize, S: BuildHasher + Default> Serialize for LoadMap<K
     fn serialize_json(&self) -> JsonValue {
         self.counts.serialize_json()
     }
+
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        self.counts.serialize_bin(out);
+    }
 }
 
 impl<K: Eq + Hash + Deserialize, S: BuildHasher + Default> Deserialize for LoadMap<K, S> {
     fn deserialize_json(v: &JsonValue) -> Result<Self, JsonError> {
         Ok(LoadMap { counts: HashMap::deserialize_json(v)? })
+    }
+
+    fn deserialize_bin(input: &mut &[u8]) -> Result<Self, BinError> {
+        Ok(LoadMap { counts: HashMap::deserialize_bin(input)? })
     }
 }
 
@@ -151,6 +160,8 @@ mod tests {
         assert_eq!(back.get(&3), 7);
         assert_eq!(back.get(&9), 1);
         assert_eq!(back.total(), 8);
+        let back: LoadMap<u64> = serde::bin::from_slice(&serde::bin::to_vec(&m)).unwrap();
+        assert_eq!((back.get(&3), back.get(&9), back.total()), (7, 1, 8));
 
         // A map with a different hasher merges into the default one.
         let mut custom: LoadMap<u64, std::hash::BuildHasherDefault<std::hash::DefaultHasher>> =

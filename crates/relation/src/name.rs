@@ -9,6 +9,7 @@
 //! full of stored queries) a refcount sweep rather than thousands of
 //! `free` calls.
 
+use serde::bin::{self, BinError};
 use serde::json::{JsonError, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
@@ -125,11 +126,19 @@ impl Serialize for Name {
     fn serialize_json(&self) -> JsonValue {
         self.0.serialize_json()
     }
+
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        self.0.serialize_bin(out);
+    }
 }
 
 impl Deserialize for Name {
     fn deserialize_json(v: &JsonValue) -> Result<Self, JsonError> {
         String::deserialize_json(v).map(Name::from)
+    }
+
+    fn deserialize_bin(input: &mut &[u8]) -> Result<Self, BinError> {
+        bin::read_str(input).map(Name::from)
     }
 }
 
@@ -161,5 +170,9 @@ mod tests {
         let v = n.serialize_json();
         assert_eq!(Name::deserialize_json(&v).unwrap(), n);
         assert_eq!(String::deserialize_json(&v).unwrap(), "R1");
+
+        let bytes = bin::to_vec(&n);
+        assert_eq!(bytes, bin::to_vec("R1"));
+        assert_eq!(bin::from_slice::<Name>(&bytes), Ok(n));
     }
 }

@@ -2,6 +2,7 @@
 
 use rjoin_core::EngineError;
 use rjoin_dht::Id;
+use serde::bin::BinError;
 use std::error::Error as StdError;
 use std::fmt;
 use std::io;
@@ -38,8 +39,9 @@ pub enum TransportError {
         /// The announced payload length.
         len: usize,
     },
-    /// A complete frame arrived but its payload was not a valid message.
-    Malformed(serde_json::Error),
+    /// A complete frame arrived but its payload was not a valid message
+    /// (the codec's own error says why).
+    Malformed(BinError),
     /// No address is known for the peer (it is in neither the ring view nor
     /// the client list).
     UnknownPeer {

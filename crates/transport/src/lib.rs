@@ -4,15 +4,18 @@
 //! trait was simulated until
 //! now — virtual queues, a virtual clock, one process. This crate lifts
 //! the algorithm onto `std::net` TCP with no async runtime: length-prefixed
-//! frames carry serde-encoded engine messages, one OS thread serves each
+//! frames carry binary-encoded service messages, one OS thread serves each
 //! connection, and real wall clocks (quantized into engine ticks, with a
 //! Lamport-style floor) replace virtual time.
 //!
 //! # Pieces
 //!
-//! - [`frame`]: the wire format — a 4-byte little-endian length prefix,
-//!   then a JSON-encoded [`ServiceMessage`]; truncation and garbage are
-//!   classified, not panicked on.
+//! - [`frame`]: the wire format — a 4-byte little-endian length prefix, a
+//!   format version byte, then the positional binary rendering of a
+//!   [`ServiceMessage`]; truncation and garbage are classified, not
+//!   panicked on.
+//! - [`peers`]: one outbound connection and byte buffer per peer, flushed
+//!   when the sender runs out of work.
 //! - [`ServiceClock`]: hybrid wall/logical ticks.
 //! - [`ClusterView`]: full-membership successor routing — the same
 //!   ownership function the simulated Chord ring converges to, proven

@@ -5,7 +5,11 @@
 //!
 //! Unlike the simulated runtimes, [`ServiceNet`] promises only what TCP
 //! promises: per-peer FIFO delivery and at-most-once semantics (a peer
-//! that dies loses whatever was in flight to it). There is no global
+//! that dies loses whatever was in flight to it). *Sending* means encoding
+//! the frame into the peer's outbound buffer ([`PeerLinks`]'s flush rule):
+//! [`ServiceNet::sent`] counts it from that moment, and it reaches the wire
+//! at the owner's next [`ServiceNet::flush`] — which every owner calls
+//! before it waits for anything. There is no global
 //! delivery order — cross-node interleaving is whatever the scheduler
 //! produces — which is exactly the nondeterminism the record/replay
 //! harness in the facade crate exercises. Routing is one hop: the full
@@ -45,7 +49,7 @@ pub struct ServiceNet {
     /// Local per-node traffic counters (the paper's cost model, accounted
     /// at the sender).
     pub traffic: TrafficStats,
-    /// Engine messages successfully sent (the quiescence counter).
+    /// Engine messages accepted for sending (the quiescence counter).
     pub sent: u64,
     /// Direct sends dropped because the peer was unreachable (answers lost
     /// to a dead client, exactly as in a real deployment).
@@ -76,16 +80,19 @@ impl ServiceNet {
         }
     }
 
-    /// Sends an uncounted control frame to an addressable process.
+    /// Queues an uncounted control frame for an addressable process.
     pub fn send_control(&mut self, to: Id, msg: &ServiceMessage) -> Result<(), TransportError> {
-        let addr = self.view.addr_of(to).ok_or(TransportError::UnknownPeer { id: to })?.to_string();
-        self.links.send_to(to, &addr, msg)
+        self.links.send_to(to, &self.view, msg)
     }
 
-    /// Delivers one engine message to `to`, stamped for `at`. Counted.
+    /// Writes every peer's buffered frames to its socket.
+    pub fn flush(&mut self) -> Result<(), TransportError> {
+        self.links.flush()
+    }
+
+    /// Queues one engine message for `to`, stamped for `at`. Counted.
     fn deliver(&mut self, to: Id, at: SimTime, msg: RJoinMessage) -> Result<(), TransportError> {
-        let addr = self.view.addr_of(to).ok_or(TransportError::UnknownPeer { id: to })?.to_string();
-        self.links.send_to(to, &addr, &ServiceMessage::Engine { at, msg })?;
+        self.links.send_to(to, &self.view, &ServiceMessage::Engine { at, msg })?;
         self.sent += 1;
         Ok(())
     }

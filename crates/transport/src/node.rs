@@ -7,17 +7,23 @@
 //! [`ServiceMessage::Configure`] frame).
 //!
 //! The structure mirrors the engine's drivers: per-connection reader
-//! threads parse frames and feed one mpsc inbox; a single worker thread
+//! threads decode frames ([`FrameReader`]: every complete frame of a `read`
+//! before the next one) and feed one mpsc inbox; a single worker thread
 //! owns the [`NodeState`](rjoin_core::NodeState) and runs the *same*
 //! node-local and effect phases the simulated engine runs
 //! ([`handle_node_msg`] + [`perform_actions_in`]), so
 //! the algorithm cannot drift between modes. The serial inbox gives each
 //! node a total arrival order — which is all the exactly-once machinery
 //! needs; no cross-node order is assumed anywhere.
+//!
+//! The worker's sends are buffered per peer and flushed when the inbox runs
+//! empty, before the worker blocks on it (and before it exits), so a burst
+//! of inbound messages turns into one write per peer — see
+//! [`peers`](crate::peers) for the rule.
 
 use crate::clock::ServiceClock;
 use crate::error::TransportError;
-use crate::frame::read_frame;
+use crate::frame::FrameReader;
 use crate::net::{NetEnv, ServiceNet};
 use crate::view::{ClusterView, Member};
 use crate::wire::{ServiceMessage, StateTransfer};
@@ -34,7 +40,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -155,8 +161,9 @@ fn spawn_acceptor(
 /// the stream ends.
 fn read_connection(mut conn: TcpStream, tx: Sender<ServiceMessage>, stats: Arc<NodeStats>) {
     let _ = conn.set_nodelay(true);
+    let mut frames = FrameReader::new();
     loop {
-        match read_frame::<_, ServiceMessage>(&mut conn) {
+        match frames.next_frame::<_, ServiceMessage>(&mut conn) {
             Ok(Some(msg)) => {
                 if tx.send(msg).is_err() {
                     return; // worker gone: shutdown
@@ -209,6 +216,14 @@ impl NodeRuntime {
         self.net.sent + self.extra_sent
     }
 
+    /// Writes the buffered frames out; a peer that hung up is a dispatch
+    /// error, as it would have been at send time.
+    fn flush(&mut self, stats: &NodeStats) {
+        if self.net.flush().is_err() {
+            stats.dispatch_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Splits drained buckets by current owner and ships each share as an
     /// `Absorb`. Returns the number of re-homed items.
     fn ship_drained(&mut self, drained: DrainedState, stats: &NodeStats) -> u64 {
@@ -256,7 +271,22 @@ fn run_worker(
     let mut runtime = boot.map(|b| NodeRuntime::new(id, b));
     let mut stash: Vec<ServiceMessage> = Vec::new();
 
-    while let Ok(msg) = rx.recv() {
+    loop {
+        let msg = match rx.try_recv() {
+            Ok(msg) => msg,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                // Nothing left to coalesce with: everything this turn
+                // queued goes out before the worker sleeps.
+                if let Some(rt) = runtime.as_mut() {
+                    rt.flush(&stats);
+                }
+                match rx.recv() {
+                    Ok(msg) => msg,
+                    Err(_) => break,
+                }
+            }
+        };
         match msg {
             ServiceMessage::Configure { config, catalog, mut view } => {
                 view.normalize();
@@ -277,6 +307,9 @@ fn run_worker(
                 None => stash.push(other),
             },
         }
+    }
+    if let Some(rt) = runtime.as_mut() {
+        rt.flush(&stats);
     }
     stopping.store(true, Ordering::Release);
     // Wake the acceptor out of its blocking accept.
@@ -334,6 +367,8 @@ fn handle_configured(rt: &mut NodeRuntime, id: Id, msg: ServiceMessage, stats: &
             if rt.net.send_control(reply_to, &ServiceMessage::DrainDone { moved }).is_err() {
                 stats.dispatch_errors.fetch_add(1, Ordering::Relaxed);
             }
+            // Do not hold the leaver's state behind whatever else is queued.
+            rt.flush(stats);
         }
         ServiceMessage::Ping { token, reply_to } => {
             let pong = ServiceMessage::Pong {

@@ -21,7 +21,15 @@
 //!
 //! and the totals are *stable across two consecutive probe rounds* (a
 //! single balanced round can race a frame that is buffered in a socket
-//! but not yet counted on either side).
+//! but not yet counted on either side). A frame still sitting in a sender's
+//! outbound buffer is already in its `sent`, so it unbalances the equation
+//! until it has been flushed, read and processed. Rounds are spaced by a
+//! bounded exponential back-off; the two-identical-rounds rule, not the
+//! pause, is what makes the barrier sound.
+//!
+//! The client flushes its own outbound buffers at the end of every
+//! `submit_query`, `publish_tuple` and control send, so nothing it was asked
+//! to send waits on a later call.
 //!
 //! # Scope
 //!
@@ -31,7 +39,7 @@
 
 use crate::clock::ServiceClock;
 use crate::error::TransportError;
-use crate::frame::read_frame;
+use crate::frame::FrameReader;
 use crate::net::{NetEnv, ServiceNet};
 use crate::node::{NodeBoot, NodeProcess, NodeStats};
 use crate::view::{ClusterView, Member};
@@ -51,6 +59,7 @@ use rjoin_query::{tuple_index_keys, JoinQuery, QueryError};
 use rjoin_relation::{Catalog, Tuple, Value};
 use std::collections::{HashMap, HashSet};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -100,6 +109,8 @@ pub struct Cluster {
     splits: SplitMap,
     nodes: HashMap<Id, NodeProcess>,
     node_seq: usize,
+    /// Tells the client's accept loop to exit (it holds the inbox alive).
+    stopping: Arc<AtomicBool>,
     inbox: Arc<Mutex<ClientInbox>>,
     pong_rx: Receiver<(u64, u64, u64)>,
     drain_rx: Receiver<u64>,
@@ -144,12 +155,14 @@ impl Cluster {
         let inbox = Arc::new(Mutex::new(ClientInbox::default()));
         let (pong_tx, pong_rx) = channel();
         let (drain_tx, drain_rx) = channel();
+        let stopping = Arc::new(AtomicBool::new(false));
         spawn_client_acceptor(
             client_listener,
             Arc::clone(&inbox),
             Arc::clone(&clock),
             pong_tx,
             drain_tx,
+            Arc::clone(&stopping),
         );
 
         let mut nodes = HashMap::new();
@@ -177,6 +190,7 @@ impl Cluster {
             splits: SplitMap::new(),
             nodes,
             node_seq: n,
+            stopping,
             inbox,
             pong_rx,
             drain_rx,
@@ -232,7 +246,10 @@ impl Cluster {
         let pending = PendingQuery::input(id, self.client_id, self.net.clock.now(), query);
         let mut env =
             NetEnv { net: &mut self.net, rng: &mut self.rng, splits: &self.splits, state: None };
-        dispatch_query_in(&mut env, &self.config, &self.catalog, self.client_id, pending, true)?;
+        let dispatched =
+            dispatch_query_in(&mut env, &self.config, &self.catalog, self.client_id, pending, true);
+        self.net.flush()?;
+        dispatched?;
         self.qids.push(id);
         Ok(id)
     }
@@ -253,18 +270,24 @@ impl Cluster {
             })
             .collect();
         let tuple = Arc::new(tuple);
-        for (key, level) in keys {
+        let sent = keys.into_iter().try_for_each(|(key, level)| {
+            let ring_id = key.id();
             let msg = RJoinMessage::NewTuple {
                 tuple: Arc::clone(&tuple),
-                key: key.clone(),
+                key,
                 level,
                 publisher: self.client_id,
             };
-            self.net
-                .send(self.client_id, key.id(), msg, traffic_class::TUPLE)
-                .map_err(EngineError::from)?;
-        }
-        Ok(())
+            self.net.send(self.client_id, ring_id, msg, traffic_class::TUPLE).map(drop)
+        });
+        self.net.flush()?;
+        Ok(sent.map_err(EngineError::from)?)
+    }
+
+    /// Sends one control frame and flushes it.
+    fn control(&mut self, to: Id, msg: &ServiceMessage) -> Result<(), TransportError> {
+        self.net.send_control(to, msg)?;
+        self.net.flush()
     }
 
     /// Blocks until the deployment is quiescent: every counted frame that
@@ -273,6 +296,7 @@ impl Cluster {
     pub fn settle(&mut self) -> Result<(), TransportError> {
         let deadline = Instant::now() + self.cluster_cfg.settle_timeout;
         let mut prev: Option<(u64, u64)> = None;
+        let mut pause = Duration::from_micros(100);
         loop {
             let (sent, processed) = self.probe(deadline)?;
             if sent == processed && prev == Some((sent, processed)) {
@@ -282,7 +306,8 @@ impl Cluster {
             if Instant::now() >= deadline {
                 return Err(TransportError::Timeout { what: "settle".to_string() });
             }
-            thread::sleep(Duration::from_millis(5));
+            thread::sleep(pause);
+            pause = (pause * 2).min(Duration::from_millis(5));
         }
     }
 
@@ -293,8 +318,7 @@ impl Cluster {
         self.next_token += 1;
         let ids: Vec<Id> = self.nodes.keys().copied().collect();
         for id in &ids {
-            self.net
-                .send_control(*id, &ServiceMessage::Ping { token, reply_to: self.client_id })?;
+            self.control(*id, &ServiceMessage::Ping { token, reply_to: self.client_id })?;
         }
         let mut sent = self.net.sent + self.departed_sent;
         let mut processed = self.departed_processed;
@@ -342,8 +366,8 @@ impl Cluster {
         self.nodes.insert(id, process);
         self.net.view = view.clone();
         for old in old_ids {
-            self.net.send_control(old, &ServiceMessage::View { view: view.clone() })?;
-            self.net.send_control(old, &ServiceMessage::Rehome)?;
+            self.control(old, &ServiceMessage::View { view: view.clone() })?;
+            self.control(old, &ServiceMessage::Rehome)?;
         }
         self.settle()?;
         Ok(NodeId(id))
@@ -370,9 +394,9 @@ impl Cluster {
         // until the handshake finishes.
         let all_ids: Vec<Id> = self.nodes.keys().copied().collect();
         for node in all_ids {
-            self.net.send_control(node, &ServiceMessage::View { view: view.clone() })?;
+            self.control(node, &ServiceMessage::View { view: view.clone() })?;
         }
-        self.net.send_control(id, &ServiceMessage::Drain { reply_to: self.client_id })?;
+        self.control(id, &ServiceMessage::Drain { reply_to: self.client_id })?;
         let deadline = Instant::now() + self.cluster_cfg.settle_timeout;
         let moved = self
             .drain_rx
@@ -383,7 +407,7 @@ impl Cluster {
         // so they move to the departed baseline.
         let token = self.next_token;
         self.next_token += 1;
-        self.net.send_control(id, &ServiceMessage::Ping { token, reply_to: self.client_id })?;
+        self.control(id, &ServiceMessage::Ping { token, reply_to: self.client_id })?;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
@@ -399,7 +423,7 @@ impl Cluster {
                 Err(_) => return Err(TransportError::Timeout { what: "leave".to_string() }),
             }
         }
-        self.net.send_control(id, &ServiceMessage::Shutdown)?;
+        self.control(id, &ServiceMessage::Shutdown)?;
         self.net.view = view;
         self.net.links.disconnect(id);
         if let Some(process) = self.nodes.remove(&id) {
@@ -421,26 +445,24 @@ impl Cluster {
         self.inbox.lock().expect("client inbox").answers.rows_for(query)
     }
 
-    /// Shuts every node down and waits for their workers to exit.
-    pub fn shutdown(mut self) {
-        let ids: Vec<Id> = self.nodes.keys().copied().collect();
-        for id in ids {
-            let _ = self.net.send_control(id, &ServiceMessage::Shutdown);
-        }
-        for (_, process) in self.nodes.drain() {
-            process.join();
-        }
-    }
+    /// Shuts every node down and waits for their workers to exit (what
+    /// dropping the handle does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Cluster {
     fn drop(&mut self) {
         let ids: Vec<Id> = self.nodes.keys().copied().collect();
         for id in ids {
-            let _ = self.net.send_control(id, &ServiceMessage::Shutdown);
+            let _ = self.control(id, &ServiceMessage::Shutdown);
         }
         for (_, process) in self.nodes.drain() {
             process.join();
+        }
+        self.stopping.store(true, Ordering::Release);
+        // Wake the acceptor out of its blocking accept.
+        if let Some(addr) = self.net.view.addr_of(self.client_id) {
+            let _ = TcpStream::connect(addr);
         }
     }
 }
@@ -453,9 +475,13 @@ fn spawn_client_acceptor(
     clock: Arc<ServiceClock>,
     pong_tx: Sender<(u64, u64, u64)>,
     drain_tx: Sender<u64>,
+    stopping: Arc<AtomicBool>,
 ) {
     thread::spawn(move || {
         for conn in listener.incoming() {
+            if stopping.load(Ordering::Acquire) {
+                break;
+            }
             let Ok(conn) = conn else { continue };
             let inbox = Arc::clone(&inbox);
             let clock = Arc::clone(&clock);
@@ -474,7 +500,8 @@ fn read_client_connection(
     drain_tx: Sender<u64>,
 ) {
     let _ = conn.set_nodelay(true);
-    while let Ok(Some(msg)) = read_frame::<_, ServiceMessage>(&mut conn) {
+    let mut frames = FrameReader::new();
+    while let Ok(Some(msg)) = frames.next_frame::<_, ServiceMessage>(&mut conn) {
         match msg {
             ServiceMessage::Engine { at, msg } => {
                 clock.observe(at);

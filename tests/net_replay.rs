@@ -89,3 +89,30 @@ fn tcp_replay_matches_the_simulated_oracle_under_graceful_churn() {
     assert!(report.total_sim_rows() > 0, "the workload should produce at least one answer");
     assert!(report.moved > 0, "the graceful leave should re-home live state");
 }
+
+/// A burst: 512 tuples published back to back — the client never waits, so
+/// every node's inbox stays busy and frames reach the wire many to a
+/// segment — then a single `settle`. Coalescing is at the byte level only:
+/// every per-query answer set must still equal the simulator's. The ALTT
+/// retains every tuple, so completeness does not depend on arrival order.
+#[test]
+fn tcp_replay_matches_the_simulated_oracle_after_a_burst() {
+    let spec = ReplaySpec {
+        // A wider domain than the other tests: 85 tuples per relation would
+        // otherwise complete ~10^5 answers per 4-way query.
+        scenario: Scenario { nodes: 4, domain: 48, ..net_scenario(12, 512) },
+        config: EngineConfig::default().with_altt(u64::MAX / 4),
+        churn: Vec::new(),
+        cluster: cluster_config(),
+    };
+    let report = replay_over_tcp(&spec).expect("replay");
+    report.write_csv(&csv_path("burst")).expect("csv artifact");
+    assert!(
+        report.all_equal(),
+        "answer sets diverge after a burst: sim={} tcp={} ({:?})",
+        report.total_sim_rows(),
+        report.total_tcp_rows(),
+        report.outcomes.iter().filter(|o| !o.equal).collect::<Vec<_>>(),
+    );
+    assert!(report.total_sim_rows() > 0, "the workload should produce at least one answer");
+}
