@@ -206,8 +206,8 @@ fn bench_probe(c: &mut Criterion) {
 /// Cyclic query shapes under the two-plan planner, in lockstep with
 /// `bench_json`'s `cyclic` group: the `pipeline` leg is the matched acyclic
 /// chain workload (cycle knob off, same schema and counts), the `hypercube`
-/// leg is the triangle workload evaluated as replicated cells with
-/// cell-local partials. The delta is the price of cyclic shapes.
+/// leg is the triangle workload evaluated as replicated cells with a
+/// cell-local indexed join. The delta is the price of cyclic shapes.
 fn bench_cyclic_shapes(c: &mut Criterion) {
     let scenario =
         |cycle: usize| Scenario { cycle, queries: 60, tuples: 120, ..Scenario::cyclic_test() };

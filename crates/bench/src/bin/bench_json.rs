@@ -289,8 +289,8 @@ fn main() {
     // Cyclic query shapes under the two-plan planner: the `pipeline` leg is
     // the matched acyclic chain workload (cycle knob off, same schema and
     // counts) evaluated by the rewrite pipeline; the `hypercube` leg is the
-    // triangle workload evaluated as replicated cells with cell-local
-    // partials. The cost model routes each leg to its plan automatically.
+    // triangle workload evaluated as replicated cells with a cell-local
+    // indexed join. The cost model routes each leg to its plan automatically.
     if want("cyclic") {
         results.push(measure("cyclic", "pipeline", iters, || {
             run(EngineConfig::default(), &cyclic_scenario(0))

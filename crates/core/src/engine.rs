@@ -45,21 +45,25 @@ pub(crate) type NodeMap = HashMap<Id, NodeState, RingBuildHasher>;
 const PARALLEL_TICK_MIN_DELIVERIES: usize = 24;
 
 /// One registered hypercube plan: the cell space of a hypercube-planned
-/// query and how tuples of each participating relation pin coordinates in
-/// it. Registered at submission (driver thread, between drains — the same
-/// discipline as [`SplitMap`]) and read-only afterwards, so publication-time
-/// routing is deterministic across drivers.
+/// query. Registered at submission (driver thread, between drains — the
+/// same discipline as [`SplitMap`]) and read-only afterwards, so
+/// publication-time routing is deterministic across drivers.
 #[derive(Debug)]
 struct HypercubePlacement {
     /// The plan's cell key space, as carried on its [`PendingQuery`].
     hcref: HypercubeRef,
     /// The share grid cells are linearized through.
     grid: HypercubeGrid,
-    /// Per `FROM` relation, the `(axis, column offset)` pairs a tuple of
-    /// that relation binds. A relation absent from this list does not
-    /// participate in the plan; one with an empty list replicates to every
-    /// cell (it pins no axis).
-    bindings: Vec<(Name, Vec<(usize, usize)>)>,
+}
+
+/// How tuples of one relation enter one hypercube plan: the plan's position
+/// in [`RJoinEngine::hypercubes`] and the `(axis, column offset)` pairs a
+/// tuple of the relation binds (none: it pins no axis and replicates to
+/// every cell).
+#[derive(Debug)]
+struct HypercubeRoute {
+    placement: usize,
+    binds: Vec<(usize, usize)>,
 }
 
 /// The query-processing / storage-load counter increments one delivery
@@ -215,6 +219,10 @@ pub struct RJoinEngine {
     /// mutated only on the driver thread (at query submission, between
     /// drains) and read-only during drains.
     hypercubes: Vec<HypercubePlacement>,
+    /// The plans each relation participates in, in submission order (which
+    /// is the order publication routes — and therefore sends — in), so a
+    /// published tuple touches only its own relation's plans.
+    hypercube_routes: HashMap<Name, Vec<HypercubeRoute>>,
     /// Cumulative two-plan planner counters. Updated only on the driver
     /// thread (plan choice at submission, tuple routing at publication), so
     /// no per-shard tally is needed.
@@ -304,6 +312,7 @@ impl RJoinEngine {
             splits: SplitMap::new(),
             split_counters: SplitCounters::new(),
             hypercubes: Vec::new(),
+            hypercube_routes: HashMap::new(),
             planner_counters: PlannerCounters::new(),
             programs,
         }
@@ -478,7 +487,14 @@ impl RJoinEngine {
         self.planner_counters.shares_allocated +=
             grid.shares().iter().map(|&s| u64::from(s)).sum::<u64>();
         self.planner_counters.replicated_evals += u64::from(grid.cells());
-        self.hypercubes.push(HypercubePlacement { hcref: hcref.clone(), grid, bindings });
+        let placement = self.hypercubes.len();
+        self.hypercubes.push(HypercubePlacement { hcref: hcref.clone(), grid });
+        for (relation, binds) in bindings {
+            self.hypercube_routes
+                .entry(relation)
+                .or_default()
+                .push(HypercubeRoute { placement, binds });
+        }
         Ok(Some(hcref))
     }
 
@@ -545,15 +561,12 @@ impl RJoinEngine {
         // participates in, hash its bound attributes to pin coordinates and
         // send one value-level copy to each cell of the resulting subcube
         // (replication across the axes the relation leaves unbound).
-        for placement in &self.hypercubes {
-            let Some((_, binds)) =
-                placement.bindings.iter().find(|(rel, _)| rel.as_str() == tuple.relation())
-            else {
-                continue;
-            };
+        let routes = self.hypercube_routes.get(tuple.relation()).map(Vec::as_slice);
+        for route in routes.unwrap_or_default() {
+            let placement = &self.hypercubes[route.placement];
             let mut bound: Vec<Option<u32>> = vec![None; placement.grid.dims()];
             let mut joinable = true;
-            for &(axis, col) in binds {
+            for &(axis, col) in &route.binds {
                 let coord =
                     partition_for_value(&tuple.values()[col], placement.grid.shares()[axis]);
                 match bound[axis] {
@@ -1402,10 +1415,10 @@ pub fn dispatch_query_in<E: EffectEnv>(
     // A hypercube-planned input query bypasses candidate placement
     // entirely: it registers one replicated copy at every cell of its plan
     // (the Eval side of the hypercube), and all further evaluation is
-    // cell-local. Rewritten descendants of such a query are stored in
-    // place by the node procedures and never come back through dispatch.
+    // cell-local: a cell joins over its own tuple store and its partials
+    // are transient, so nothing ever comes back through dispatch.
     if pending.hypercube.is_some() {
-        debug_assert!(is_input, "hypercube descendants are cell-local, never re-dispatched");
+        debug_assert!(is_input, "a hypercube cell joins locally, nothing is re-dispatched");
         let hc = pending.hypercube.clone().expect("checked above");
         let mut pending = Some(pending);
         for cell in 0..hc.cells {

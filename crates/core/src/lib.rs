@@ -121,9 +121,17 @@
 //! every cell at submission, and each published tuple is routed to the
 //! subcube fixed by hashing its bound attributes
 //! ([`split::partition_for_value`]) — so any joining combination meets in
-//! exactly one cell and completes exactly once. Cell-local evaluation keeps
-//! the partials in the cell (no `Eval` traffic); `DISTINCT` collapses at
-//! the owner. A cost model picks between the two plans for acyclic shapes
+//! exactly one cell and completes exactly once. Inside a cell the join is
+//! local and incremental (`cell` module): the cell keeps its replica and
+//! the tuples routed to it, hash-indexed by `(relation, join column,
+//! value)`; an arriving tuple rewrites the replica once and binds the
+//! remaining relations depth-first by probing that index on a column the
+//! partial rewrite has pinned, over the tuples that arrived before it — so
+//! partials live on the stack, nothing partial is stored, and there is no
+//! `Eval` traffic. Windowed cells evict tuples on the node's timer wheel
+//! once no future publication can share a window with them, which bounds a
+//! cell by the window rather than the stream; `DISTINCT` collapses at the
+//! owner. A cost model picks between the two plans for acyclic shapes
 //! (pipeline ≈ one hop per join; hypercube ≈ one registration per cell);
 //! cyclic shapes always take the hypercube, or are rejected with
 //! [`rjoin_query::QueryError::CyclicShape`] when the planner is disabled
@@ -150,7 +158,8 @@
 //!
 //! [`RJoinEngine::join_node`] and [`RJoinEngine::leave_node`] change ring
 //! membership mid-run, re-homing the application state (stored queries,
-//! value-level tuples, ALTT entries) to the nodes now responsible for the
+//! value-level tuples, hypercube cells, ALTT entries) to the nodes now
+//! responsible for the
 //! keys — the state handover a real DHT performs. Combined with the ALTT the
 //! engine keeps matching the centralized oracle while nodes come and go
 //! (`tests/oracle.rs`).
@@ -181,6 +190,7 @@
 //! ```
 
 mod answers;
+mod cell;
 mod config;
 mod dedup;
 mod engine;

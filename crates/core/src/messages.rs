@@ -54,8 +54,9 @@ pub struct Subscriber {
 /// key for it and every cell becomes one deterministic sub-key
 /// ([`HashedKey::split_part`]), reusing the hot-key splitting key space.
 /// Carrying the reference on the [`PendingQuery`] is what tells the node
-/// procedures to evaluate rewritten descendants *inside* the cell instead
-/// of re-indexing them across the network.
+/// procedures that the replica opens a cell: the join runs *inside* it,
+/// over the cell's own tuple store, and nothing is re-indexed across the
+/// network.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HypercubeRef {
     /// The per-query synthetic base key.
@@ -120,8 +121,9 @@ pub struct PendingQuery {
     pub extra_subscribers: Vec<Subscriber>,
     /// The hypercube cell space this query evaluates in, when the planner
     /// chose a hypercube plan over the rewrite pipeline. `None` for
-    /// pipeline-planned queries. Inherited by every rewritten descendant:
-    /// it marks the whole evaluation as cell-local.
+    /// pipeline-planned queries. It marks the whole evaluation as
+    /// cell-local: a cell's partials are transient, so only input-query
+    /// replicas ever carry it into a node's store.
     pub hypercube: Option<HypercubeRef>,
 }
 

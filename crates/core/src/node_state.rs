@@ -12,7 +12,19 @@
 //! would hand out stale handles and miss live entries. Bucket compaction
 //! is `swap_remove`-based; each removal site also fixes the moved entry's
 //! [`StoredQuery::bucket_pos`] so unlinking stays O(1).
+//!
+//! # Hypercube cells
+//!
+//! A ring that hosts the replica of a hypercube-planned query is a **cell**
+//! (see [`crate::cell`]): storing the replica opens it, and from then on
+//! [`NodeState::store_tuple`] files that ring's tuples in the cell's
+//! indexed store instead of the plain bucket. The replica itself stays an
+//! ordinary slab entry, so the storage counters, the trigger-index contract
+//! and churn treat it like any other stored input query; churn drains a
+//! cell as its replica plus its tuples in arrival order and the receiving
+//! node re-opens it from exactly those two.
 
+use crate::cell::Cell;
 use crate::dedup::DedupFilter;
 use crate::expiry::TimerWheel;
 use crate::messages::{PendingQuery, RicInfo};
@@ -90,6 +102,11 @@ pub(crate) enum ExpiryToken {
     Query(Handle),
     /// An ALTT entry; pops when its retention Δ has elapsed.
     Altt(Handle),
+    /// A tuple of the hypercube cell on this ring; pops when no future
+    /// publication can share a window with it. The token names the cell,
+    /// not the tuple: cells evict from the front, so a pop reclaims every
+    /// front tuple that is due (see [`Cell::evict_due`]).
+    Cell(u64),
 }
 
 /// The last publication time a tuple may carry and still fall inside the
@@ -123,6 +140,19 @@ pub(crate) fn last_window_pub(window: &WindowSpec, start: Timestamp) -> Option<T
 fn query_expiry_deadline(stored: &StoredQuery, slack: SimTime) -> Option<SimTime> {
     let start = stored.pending.window_start?;
     let last_pub = last_window_pub(stored.pending.query.window(), start)?;
+    Some(last_pub.saturating_add(1).saturating_add(slack))
+}
+
+/// The wheel deadline of a tuple stored in a hypercube cell, if it can be
+/// evicted at all — the stored-query deadline read from the tuple's side: a
+/// later publication can only share a window with a tuple published at
+/// `pub_time` up to `last_window_pub`, and arrives within δ of that.
+fn cell_tuple_deadline(
+    window: &WindowSpec,
+    pub_time: Timestamp,
+    slack: SimTime,
+) -> Option<SimTime> {
+    let last_pub = last_window_pub(window, pub_time)?;
     Some(last_pub.saturating_add(1).saturating_add(slack))
 }
 
@@ -190,6 +220,10 @@ pub struct NodeState {
     /// instead of walking the full bucket (see
     /// [`crate::trigger_index`] — the eval-side twin of the trigger index).
     pub(crate) stored_tuple_times: RingMap<Vec<(Timestamp, u32)>>,
+    /// Hypercube cells, by the ring id of the cell key: the indexed tuple
+    /// store and per-relation programs of each replica stored here. A ring
+    /// is either a cell or a plain bucket of `stored_tuples`, never both.
+    pub(crate) cells: RingMap<Cell>,
     /// Slab of attribute-level tuple table entries: tuples kept for Δ ticks
     /// so that input queries delayed in the network do not miss them
     /// (Section 4).
@@ -259,8 +293,11 @@ pub struct NodeState {
     query_count: usize,
     /// Incremental count of stored *rewritten* queries.
     rewritten_count: usize,
-    /// Incremental count of stored value-level tuples.
+    /// Incremental count of stored value-level tuples (plain buckets and
+    /// cells).
     tuple_count: usize,
+    /// Peak of `tuple_count`.
+    tuple_peak: usize,
 }
 
 /// Unlinks `handle` from its ring bucket in O(1): `expected_pos` is the
@@ -329,6 +366,7 @@ impl NodeState {
             tuples: Slab::new(),
             stored_tuples: RingMap::default(),
             stored_tuple_times: RingMap::default(),
+            cells: RingMap::default(),
             altt_entries: Slab::new(),
             altt: RingMap::default(),
             wheel: TimerWheel::new(),
@@ -348,6 +386,7 @@ impl NodeState {
             query_count: 0,
             rewritten_count: 0,
             tuple_count: 0,
+            tuple_peak: 0,
         }
     }
 
@@ -409,8 +448,10 @@ impl NodeState {
         let mut counters = self.state_counters;
         counters.query_slab_live = self.queries.len() as u64;
         counters.query_slab_high_water = self.queries.high_water() as u64;
-        counters.tuple_slab_live = self.tuples.len() as u64;
-        counters.tuple_slab_high_water = self.tuples.high_water() as u64;
+        // Cell tuples live outside the slab; the incremental count covers
+        // both stores.
+        counters.tuple_slab_live = self.tuple_count as u64;
+        counters.tuple_slab_high_water = self.tuple_peak as u64;
         counters.altt_slab_live = self.altt_entries.len() as u64;
         counters.altt_slab_high_water = self.altt_entries.high_water() as u64;
         counters.wheel_scheduled = self.wheel.len() as u64;
@@ -456,6 +497,7 @@ impl NodeState {
             match token {
                 ExpiryToken::Query(handle) => self.pop_expired_query(handle),
                 ExpiryToken::Altt(handle) => self.pop_expired_altt(handle),
+                ExpiryToken::Cell(ring) => self.evict_cell_tuples(ring),
             }
         }
         self.expiry_scratch = due;
@@ -501,6 +543,15 @@ impl NodeState {
             }
         }
         self.state_counters.wheel_pops += 1;
+    }
+
+    /// Applies one popped cell-tuple deadline: evicts the cell's due front
+    /// tuples (a token whose cell was drained by churn finds nothing).
+    fn evict_cell_tuples(&mut self, ring: u64) {
+        let Some(cell) = self.cells.get_mut(&ring) else { return };
+        let evicted = cell.evict_due(self.wheel.now());
+        self.tuple_count -= evicted;
+        self.state_counters.wheel_pops += evicted as u64;
     }
 
     /// Drops the registry slot of a removed entry, if it still points at it.
@@ -555,6 +606,10 @@ impl NodeState {
                 self.stored_queries.insert(ring, bucket);
             }
         }
+        let tuple_count = &mut self.tuple_count;
+        for cell in self.cells.values_mut() {
+            *tuple_count -= cell.evict_due(now);
+        }
         self.altt_gc(now);
     }
 
@@ -578,7 +633,14 @@ impl NodeState {
         stored.bucket_pos = bucket.len();
         let handle = self.queries.insert(stored);
         bucket.push(handle);
-        self.trigger_index.insert(ring, handle, self.queries.get(handle).expect("inserted above"));
+        let stored = self.queries.get(handle).expect("inserted above");
+        self.trigger_index.insert(ring, handle, stored);
+        if stored.pending.hypercube.is_some() {
+            // A hypercube replica opens its ring as a cell. Cell keys are
+            // per-query, so a cell never sees a second replica.
+            debug_assert!(!self.cells.contains_key(&ring), "one replica per hypercube cell");
+            self.cells.entry(ring).or_insert_with(|| Cell::new(handle, &stored.pending.query));
+        }
         if let Some(deadline) = deadline {
             self.wheel.insert(deadline, ExpiryToken::Query(handle));
         }
@@ -642,15 +704,27 @@ impl NodeState {
         self.rewritten_count -= rewritten;
     }
 
-    /// Stores a value-level tuple under the key with ring id `key`.
+    /// Stores a value-level tuple under the key with ring id `key` — in the
+    /// ring's hypercube cell when it hosts one, in the plain bucket
+    /// otherwise.
     ///
-    /// Buckets are append-only: tuples are only ever removed ring-at-a-time
-    /// ([`drain_misplaced`](Self::drain_misplaced)), so a tuple's bucket
-    /// position is stable for its lifetime and the publication-time sidecar
-    /// can refer to it by position.
+    /// Plain buckets are append-only: tuples are only ever removed
+    /// ring-at-a-time ([`drain_misplaced`](Self::drain_misplaced),
+    /// `take_stored_tuples`), so a tuple's bucket position is stable for
+    /// its lifetime and the publication-time sidecar can refer to it by
+    /// position.
     pub fn store_tuple(&mut self, key: u64, tuple: Arc<Tuple>) {
         self.tuple_count += 1;
+        self.tuple_peak = self.tuple_peak.max(self.tuple_count);
         let pub_time = tuple.pub_time();
+        if let Some(cell) = self.cells.get_mut(&key) {
+            let deadline = cell_tuple_deadline(&cell.window, pub_time, self.expiry_slack);
+            cell.push(tuple, deadline.unwrap_or(SimTime::MAX));
+            if let (true, Some(deadline)) = (self.wheel_enabled, deadline) {
+                self.wheel.insert(deadline, ExpiryToken::Cell(key));
+            }
+            return;
+        }
         let handle = self.tuples.insert(tuple);
         let bucket = self.stored_tuples.entry(key).or_default();
         let pos = bucket.len() as u32;
@@ -666,6 +740,20 @@ impl NodeState {
             }
             _ => times.push((pub_time, pos)),
         }
+    }
+
+    /// Removes and returns the plain tuple bucket of ring `key`, in arrival
+    /// order (a hypercube replica registering on the ring adopts the copies
+    /// that were routed here ahead of it).
+    pub(crate) fn take_stored_tuples(&mut self, key: u64) -> Vec<Arc<Tuple>> {
+        self.stored_tuple_times.remove(&key);
+        let bucket = self.stored_tuples.remove(&key).unwrap_or_default();
+        let tuples: Vec<Arc<Tuple>> = bucket
+            .into_iter()
+            .map(|h| self.tuples.remove(h).expect("bucket handles are live"))
+            .collect();
+        self.tuple_count -= tuples.len();
+        tuples
     }
 
     /// Inserts a tuple into the ALTT with the given expiry time.
@@ -811,12 +899,14 @@ impl NodeState {
         }
         let rings: Vec<u64> = self.stored_tuples.keys().copied().filter(|r| !keep(*r)).collect();
         for ring in rings {
-            let bucket = self.stored_tuples.remove(&ring).expect("ring collected above");
-            self.stored_tuple_times.remove(&ring);
-            let tuples: Vec<Arc<Tuple>> = bucket
-                .into_iter()
-                .map(|h| self.tuples.remove(h).expect("bucket handles are live"))
-                .collect();
+            drained.tuples.push((ring, self.take_stored_tuples(ring)));
+        }
+        // A cell re-homes as its replica (drained with the queries above)
+        // plus its tuples in arrival order; index and programs are rebuilt
+        // at the new owner, and this node's wheel tokens for it lapse.
+        let rings: Vec<u64> = self.cells.keys().copied().filter(|r| !keep(*r)).collect();
+        for ring in rings {
+            let tuples = self.cells.remove(&ring).expect("ring collected above").into_tuples();
             self.tuple_count -= tuples.len();
             drained.tuples.push((ring, tuples));
         }
@@ -843,8 +933,10 @@ impl NodeState {
 
     /// Absorbs re-homed state from another node. Queries go through the
     /// shared path when `share` is enabled, so structurally identical
-    /// entries re-merge at their new home; every windowed query and ALTT
-    /// entry is re-scheduled on this node's wheel.
+    /// entries re-merge at their new home; every windowed query, cell tuple
+    /// and ALTT entry is re-scheduled on this node's wheel. Queries are
+    /// absorbed first: a hypercube replica re-opens its cell, which the
+    /// cell's tuples then land in.
     pub fn absorb(&mut self, drained: DrainedState, share: bool) {
         for mut stored in drained.queries {
             // The fingerprint slot is tied to the previous node's slab
@@ -898,10 +990,11 @@ impl NodeState {
         };
         let queries = entries().count();
         let rewritten = entries().filter(|s| !s.pending.is_input()).count();
-        let tuples = self.stored_tuples.values().map(Vec::len).sum();
+        let plain: usize = self.stored_tuples.values().map(Vec::len).sum();
+        let in_cells: usize = self.cells.values().map(Cell::len).sum();
         assert_eq!(queries, self.queries.len(), "bucket handles and slab agree");
-        assert_eq!(tuples, self.tuples.len(), "tuple handles and slab agree");
-        (queries, rewritten, tuples)
+        assert_eq!(plain, self.tuples.len(), "tuple handles and slab agree");
+        (queries, rewritten, plain + in_cells)
     }
 }
 
@@ -1320,6 +1413,57 @@ mod tests {
         assert_eq!(receiver.altt_entries.len(), 0);
         assert_eq!(receiver.subjoins().len(), 0);
         assert_eq!(receiver.state_counters().wheel_pops, 2);
+    }
+
+    /// A hypercube replica opens its ring as a cell: the ring's tuples are
+    /// filed there (not in the slab-backed plain bucket), evicted by the
+    /// wheel at their window deadline, and re-homed with the replica.
+    #[test]
+    fn hypercube_replica_opens_a_cell_that_evicts_and_re_homes() {
+        use crate::messages::HypercubeRef;
+        let k = key("hcube+0000000000000001+0");
+        let mut replica = input_from(
+            1,
+            0,
+            "SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B AND T.C = R.C \
+             WINDOW SLIDING 8 TUPLES",
+        );
+        replica.hypercube = Some(HypercubeRef { base: k.clone(), cells: 1 });
+        let mut donor = NodeState::new(Id(1));
+        donor.store_tuple(k.ring(), tuple(3));
+        assert_eq!(donor.tuples.len(), 1, "no cell yet: a plain bucket");
+        assert_eq!(donor.take_stored_tuples(k.ring()).len(), 1);
+        assert_eq!(donor.recount(), (0, 0, 0));
+
+        donor.store_query(StoredQuery::new(replica, k.clone(), IndexLevel::Value));
+        for pub_time in [10, 11, 30] {
+            donor.store_tuple(k.ring(), tuple(pub_time));
+        }
+        assert_eq!(donor.tuples.len(), 0, "cell tuples stay out of the plain store");
+        assert_eq!(donor.cells[&k.ring()].len(), 3);
+        assert_eq!(donor.stored_tuple_count(), 3);
+        // Deadlines are pub + 8 + 1 (slack): 19, 20 and 39.
+        donor.advance_expiry(18);
+        assert_eq!(donor.stored_tuple_count(), 3);
+        donor.advance_expiry(20);
+        assert_eq!(donor.stored_tuple_count(), 1);
+        assert_eq!(donor.state_counters().wheel_pops, 2);
+        assert_eq!(donor.state_counters().tuple_slab_high_water, 3);
+        assert_eq!(donor.recount(), (1, 0, 1));
+
+        let drained = donor.drain_misplaced(|_| false);
+        assert_eq!((drained.queries.len(), drained.tuples.len()), (1, 1));
+        assert!(donor.cells.is_empty());
+        assert_eq!(donor.recount(), (0, 0, 0));
+        let mut receiver = NodeState::new(Id(2));
+        receiver.absorb(drained, true);
+        assert_eq!(receiver.cells[&k.ring()].len(), 1, "the cell re-opened around its replica");
+        assert_eq!(receiver.recount(), (1, 0, 1));
+        // The donor's tokens lapse; the receiver's wheel owns the deadline.
+        donor.advance_expiry(100);
+        receiver.advance_expiry(39);
+        assert_eq!(receiver.stored_tuple_count(), 0);
+        assert_eq!(receiver.stored_query_count(), 1, "the replica never expires");
     }
 
     #[test]

@@ -15,10 +15,20 @@
 //! the index's maintenance contract: it must unfile the removed entry
 //! (`TriggerIndex::remove`) and fix the moved entry's `bucket_pos`
 //! ([`unlink_from_bucket`]) like every other removal path.
+//!
+//! A ring that hosts a hypercube cell (see [`crate::cell`]) takes neither
+//! walk: its arrivals run the cell's **indexed probe cascade**
+//! ([`handle_cell_arrival`]) — the replica is rewritten once with the
+//! arriving tuple and every remaining relation is bound depth-first by
+//! probing the cell's `(relation, column, value)` index over the tuples
+//! that arrived before it. Partials live on the stack; the cell stores its
+//! replica and its tuples, nothing else.
 
+use crate::cell::{Cell, Probe};
 use crate::config::EngineConfig;
 use crate::messages::{PendingQuery, QueryId, Subscriber};
 use crate::node_state::{unlink_from_bucket, NodeState, ProgramCache, StoredQuery};
+use crate::trigger_index::TriggerIndex;
 use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
@@ -156,7 +166,10 @@ fn shared_child(
 ///
 /// Returns `None` when the query cannot be compiled — exactly the queries
 /// the interpreter would error on (unknown attribute, orphaned residue from
-/// unchecked construction), which map to "not triggered" either way.
+/// unchecked construction), which map to "not triggered" either way. A
+/// query that does not even reference the relation (a ring-collision
+/// contact) is turned away before it is fingerprinted or the engine-wide
+/// cache is locked, and a failed compile leaves no key behind in the cache.
 fn ensure_program<'a>(
     slot: &'a mut Option<CompiledTrigger>,
     query: &JoinQuery,
@@ -167,10 +180,15 @@ fn ensure_program<'a>(
 ) -> Option<&'a CompiledTrigger> {
     let cached = slot.as_ref().is_some_and(|p| p.relation() == schema.relation());
     if !cached {
+        if !query.references_relation(schema.relation()) {
+            return None;
+        }
         let fp = known_fp.unwrap_or_else(|| fingerprint(query));
         let mut cache = cache.lock().expect("program cache lock poisoned");
-        let bucket = cache.entry(fp.0).or_default();
-        let shared = match bucket.iter().find(|p| p.matches_source(query, schema.relation())) {
+        let hit = cache
+            .get(&fp.0)
+            .and_then(|bucket| bucket.iter().find(|p| p.matches_source(query, schema.relation())));
+        let shared = match hit {
             Some(shared) => {
                 counters.cache_hits += 1;
                 Arc::clone(shared)
@@ -178,7 +196,7 @@ fn ensure_program<'a>(
             None => {
                 let shared = Arc::new(compile_subjoin(query, schema).ok()?);
                 counters.programs_compiled += 1;
-                bucket.push(Arc::clone(&shared));
+                cache.entry(fp.0).or_default().push(Arc::clone(&shared));
                 shared
             }
         };
@@ -348,15 +366,14 @@ pub fn handle_new_tuple(
     let horizon = ctx.config.ric_window + 2 * ctx.config.network_delay.max(1);
     state.ric().record_arrival_bounded(ring, ctx.now, ctx.at, horizon);
 
+    if state.cells.contains_key(&ring) {
+        return handle_cell_arrival(state, ctx, tuple, ring);
+    }
+
     let mut actions = Vec::new();
     let mut removed = 0usize;
     let mut removed_rewritten = 0usize;
     let mut sharing: Vec<(QueryId, usize, usize)> = Vec::new();
-    // Children produced by hypercube-tagged entries stay in this cell: they
-    // are collected during the walk and stored afterwards, so a child never
-    // triggers on the tuple that created it (newest-tuple-drives: each tuple
-    // subset forms exactly one partial, at its latest member's arrival).
-    let mut cell_children: Vec<StoredQuery> = Vec::new();
     // The schema is resolved once per delivery, not once per stored query;
     // published tuples are catalog-validated, so a missing schema cannot
     // occur for tuples that entered through the engine.
@@ -388,8 +405,6 @@ pub fn handle_new_tuple(
         for handle in candidates.drain(..) {
             let Some(stored) = queries.get_mut(handle) else { continue };
             let primary = stored.pending.id;
-            let hypercube_parent =
-                stored.pending.hypercube.is_some().then(|| (stored.key.clone(), stored.level));
             let outcome = try_trigger(
                 stored,
                 tuple.as_ref(),
@@ -428,31 +443,7 @@ pub fn handle_new_tuple(
                     }
                     state_counters.contact_expirations += 1;
                 }
-                TriggerOutcome::Triggered(produced) => {
-                    let mut produced = match hypercube_parent {
-                        Some((key, level)) => {
-                            // A hypercube partial is cell-local: its child is
-                            // stored under the same cell key instead of being
-                            // re-indexed over the network, and duplicate
-                            // elimination for DISTINCT collapses owner-side
-                            // (the meeting property makes completions unique,
-                            // but equal *rows* can complete in other cells).
-                            let mut kept = Vec::with_capacity(produced.len());
-                            for action in produced {
-                                match action {
-                                    Action::Reindex { pending } => {
-                                        let mut child =
-                                            StoredQuery::new(*pending, key.clone(), level);
-                                        child.dedup = None;
-                                        cell_children.push(child);
-                                    }
-                                    deliver => kept.push(deliver),
-                                }
-                            }
-                            kept
-                        }
-                        None => produced,
-                    };
+                TriggerOutcome::Triggered(mut produced) => {
                     sharing.push((primary, actions.len(), produced.len()));
                     actions.append(&mut produced);
                 }
@@ -470,9 +461,6 @@ pub fn handle_new_tuple(
     }
     for (primary, start, len) in sharing {
         record_sharing(&mut state.sharing, primary, &actions[start..start + len]);
-    }
-    for child in cell_children {
-        state.store_query(child);
     }
 
     match level {
@@ -608,7 +596,7 @@ fn handle_query_arrival(
     }
     counters.eval_nanos += walk.elapsed().as_nanos() as u64;
     if indexed {
-        state.trigger_index.note_span_probe(bucket_len, probed);
+        state.trigger_index.note_tuple_probe(bucket_len, probed);
     } else {
         state.trigger_index.note_linear_walk();
     }
@@ -669,19 +657,172 @@ fn admissible_pub_span(pending: &PendingQuery) -> (Timestamp, Timestamp) {
     (lo, hi)
 }
 
-/// Registers a hypercube cell replica of an input query: the replica is
-/// cascaded over the tuples already stored in this cell (copies that were
-/// routed here before the registration arrived) and every partial the
-/// cascade builds is stored locally.
+/// The cell's compiled trigger program for the relation of `schema`,
+/// compiled (or fetched from the engine-wide cache) the first time a tuple
+/// of that relation reaches the cell: a replica triggers on every relation
+/// of its query, so it keeps one program per relation, not one slot.
+fn cell_program<'a>(
+    programs: &'a mut Vec<CompiledTrigger>,
+    query: &JoinQuery,
+    schema: &Schema,
+    cache: &Mutex<ProgramCache>,
+    counters: &mut CompileCounters,
+) -> Option<&'a CompiledTrigger> {
+    let pos = match programs.iter().position(|p| p.relation() == schema.relation()) {
+        Some(pos) => pos,
+        None => {
+            let mut slot = None;
+            ensure_program(&mut slot, query, None, schema, cache, counters)?;
+            programs.push(slot?);
+            programs.len() - 1
+        }
+    };
+    programs.get(pos)
+}
+
+/// One arrival's probe cascade over a hypercube cell: the borrowed pieces
+/// every extension step needs.
+struct CellJoin<'a> {
+    cell: &'a Cell,
+    catalog: &'a Catalog,
+    /// The cell's input-query replica (answers are addressed from it).
+    replica: &'a PendingQuery,
+    probes: &'a mut TriggerIndex,
+    counters: &'a mut CompileCounters,
+    actions: &'a mut Vec<Action>,
+}
+
+impl CellJoin<'_> {
+    /// Extends `partial` — the replica rewritten with tuples published over
+    /// `[lo, hi]` — by one more relation: probes the cell's index on a
+    /// column the partial pins and binds every candidate in turn.
+    fn extend(&mut self, partial: &JoinQuery, lo: Timestamp, hi: Timestamp) {
+        let cell = self.cell;
+        match cell.probe(partial) {
+            Probe::Empty => self.probes.note_tuple_probe(cell.len(), 0),
+            Probe::Indexed(arrivals) => {
+                self.probes.note_tuple_probe(cell.len(), arrivals.len());
+                for candidate in arrivals.iter().filter_map(|&arrival| cell.tuple(arrival)) {
+                    self.bind(partial, candidate, lo, hi);
+                }
+            }
+            Probe::Scan(relation) => {
+                // Finding the relation's tuples visits every stored one.
+                self.probes.note_tuple_probe(cell.len(), cell.len());
+                for candidate in cell.tuples_of(relation) {
+                    self.bind(partial, candidate, lo, hi);
+                }
+            }
+        }
+    }
+
+    /// Binds one stored tuple into `partial`: the window test first (the
+    /// whole combination must fit one window — Section 5's validity rule
+    /// applied to the exact contribution span, which only ever grows, so a
+    /// partial that already exceeds the window is cut here), then the
+    /// rewrite, which answers, recurses or rejects.
+    fn bind(&mut self, partial: &JoinQuery, candidate: &Tuple, lo: Timestamp, hi: Timestamp) {
+        let pub_time = candidate.pub_time();
+        let (lo, hi) = (lo.min(pub_time), hi.max(pub_time));
+        if !partial.window().within(lo, hi) {
+            return;
+        }
+        let Some(schema) = self.catalog.schema(candidate.relation()) else { return };
+        self.counters.interpreted_rewrites += 1;
+        match rewrite(partial, candidate, schema) {
+            Ok(RewriteResult::Complete(row)) => self.actions.push(Action::DeliverAnswer {
+                query: self.replica.id,
+                owner: self.replica.owner,
+                row,
+            }),
+            Ok(RewriteResult::Partial(next)) => self.extend(&next, lo, hi),
+            Ok(RewriteResult::Mismatch) | Err(_) => {}
+        }
+    }
+}
+
+/// A tuple copy arrives at a hypercube cell: the local join of the cell.
 ///
-/// The cascade replays the newest-tuple-drives discipline: walking the
-/// stored tuples in arrival order, each tuple triggers exactly the partials
-/// that existed *before* it was processed (`upto` snapshot), so every tuple
-/// subset forms exactly one partial — at its latest member's position — and
-/// a full combination completes exactly once. Combined with the meeting
-/// property of the grid (a joining combination co-occurs in exactly one
-/// cell) this yields bag-exact answers without any cross-cell coordination;
-/// `DISTINCT` collapses owner-side, so per-entry dedup filters are disabled.
+/// The replica is rewritten once with the arrival (its compiled program for
+/// the tuple's relation) and the result is extended depth-first over the
+/// cell's stored tuples by [`CellJoin`]; only then is the arrival itself
+/// stored. So the cascade only ever sees tuples that arrived *before* its
+/// driver — every tuple subset is assembled exactly once, at its latest
+/// member's arrival — and together with the meeting property of the grid (a
+/// joining combination co-occurs in exactly one cell) answers are bag-exact
+/// without cross-cell coordination. `DISTINCT` collapses owner-side: equal
+/// *rows* can complete in different cells.
+///
+/// A tuple that can never contribute — published before the query was
+/// submitted, of a relation the query does not join, or failing one of the
+/// replica's own constant selections — is neither joined nor stored.
+fn handle_cell_arrival(
+    state: &mut NodeState,
+    ctx: &ProcCtx<'_>,
+    tuple: &Arc<Tuple>,
+    ring: u64,
+) -> Vec<Action> {
+    let mut actions = Vec::new();
+    let programs = Arc::clone(&state.programs);
+    let (Some(cell), Some(schema)) =
+        (state.cells.get_mut(&ring), ctx.catalog.schema(tuple.relation()))
+    else {
+        return actions;
+    };
+    let Some(replica) = state.queries.get(cell.replica).map(|stored| &stored.pending) else {
+        return actions;
+    };
+    if tuple.pub_time() < replica.insert_time {
+        return actions;
+    }
+    let walk = Instant::now();
+    cell.index_pending(ctx.catalog);
+    let counters = &mut state.compile;
+    let rewritten = if ctx.config.compiled_predicates {
+        cell_program(&mut cell.programs, &replica.query, schema, &programs, counters).and_then(
+            |program| {
+                counters.compiled_rewrites += 1;
+                program.execute(tuple).ok()
+            },
+        )
+    } else {
+        counters.interpreted_rewrites += 1;
+        rewrite(&replica.query, tuple, schema).ok()
+    };
+    let joins = match rewritten {
+        Some(RewriteResult::Partial(partial)) => {
+            let pub_time = tuple.pub_time();
+            let mut join = CellJoin {
+                cell,
+                catalog: ctx.catalog,
+                replica,
+                probes: &mut state.trigger_index,
+                counters,
+                actions: &mut actions,
+            };
+            join.extend(&partial, pub_time, pub_time);
+            true
+        }
+        Some(RewriteResult::Complete(row)) => {
+            actions.push(Action::DeliverAnswer { query: replica.id, owner: replica.owner, row });
+            false
+        }
+        Some(RewriteResult::Mismatch) | None => false,
+    };
+    state.compile.eval_nanos += walk.elapsed().as_nanos() as u64;
+    if joins {
+        state.store_tuple(ring, Arc::clone(tuple));
+    }
+    actions
+}
+
+/// Registers a hypercube cell replica of an input query: storing the
+/// replica opens the cell, and the tuple copies that were routed to the
+/// ring ahead of the registration are moved into it one by one, in arrival
+/// order, each through the same cascade a live arrival runs
+/// ([`handle_cell_arrival`]) — so a late registration produces exactly the
+/// answers the cell would have produced had it been there first.
+/// `DISTINCT` collapses owner-side, so the replica carries no dedup filter.
 fn handle_hypercube_arrival(
     state: &mut NodeState,
     ctx: &ProcCtx<'_>,
@@ -690,74 +831,13 @@ fn handle_hypercube_arrival(
     level: IndexLevel,
 ) -> Vec<Action> {
     let ring = key.ring();
+    let mut replica = StoredQuery::new(pending, key.clone(), level);
+    replica.dedup = None;
+    let early = state.take_stored_tuples(ring);
+    state.store_query(replica);
     let mut actions = Vec::new();
-    // Snapshot the cell's stored tuples in arrival order. Payloads are
-    // shared `Arc` handles; the clone frees `state` for the partial store
-    // below without copying tuple data.
-    let tuples: Vec<Arc<Tuple>> = state
-        .stored_tuples
-        .get(&ring)
-        .map(Vec::as_slice)
-        .unwrap_or_default()
-        .iter()
-        .filter_map(|h| state.tuples.get(*h).cloned())
-        .collect();
-    let mut seed = StoredQuery::new(pending, key.clone(), level);
-    seed.dedup = None;
-    let mut partials: Vec<StoredQuery> = vec![seed];
-    let mut alive: Vec<bool> = vec![true];
-    let programs = Arc::clone(&state.programs);
-    let counters = &mut state.compile;
-    let walk = Instant::now();
-    for tuple in &tuples {
-        let Some(schema) = ctx.catalog.schema(tuple.relation()) else {
-            continue;
-        };
-        let upto = partials.len();
-        for idx in 0..upto {
-            if !alive[idx] {
-                continue;
-            }
-            let outcome = try_trigger(
-                &mut partials[idx],
-                tuple.as_ref(),
-                schema,
-                ctx,
-                &programs,
-                counters,
-                |start, pub_time| {
-                    // Procedure 3 rule, as in `handle_query_arrival`: the
-                    // arrival is matching tuples that were stored first.
-                    match start {
-                        None => Some(pub_time),
-                        Some(existing) => Some(existing.max(pub_time)),
-                    }
-                },
-            );
-            match outcome {
-                TriggerOutcome::Expired => alive[idx] = false,
-                TriggerOutcome::Triggered(produced) => {
-                    for action in produced {
-                        match action {
-                            Action::Reindex { pending } => {
-                                let mut child = StoredQuery::new(*pending, key.clone(), level);
-                                child.dedup = None;
-                                partials.push(child);
-                                alive.push(true);
-                            }
-                            deliver => actions.push(deliver),
-                        }
-                    }
-                }
-                TriggerOutcome::NotTriggered => {}
-            }
-        }
-    }
-    counters.eval_nanos += walk.elapsed().as_nanos() as u64;
-    for (stored, alive) in partials.into_iter().zip(alive) {
-        if alive {
-            state.store_query(stored);
-        }
+    for tuple in &early {
+        actions.append(&mut handle_cell_arrival(state, ctx, tuple, ring));
     }
     actions
 }
@@ -766,8 +846,8 @@ fn handle_hypercube_arrival(
 ///
 /// The base algorithm simply stores it; with the ALTT extension the node
 /// also searches the attribute-level tuple table for tuples that arrived
-/// before the query did (Section 4, rule 2). Hypercube cell replicas take
-/// the cascade path instead: their partials live and die inside the cell.
+/// before the query did (Section 4, rule 2). Hypercube cell replicas open
+/// a cell instead (see [`handle_hypercube_arrival`]).
 pub fn handle_index_query(
     state: &mut NodeState,
     ctx: &ProcCtx<'_>,
@@ -802,7 +882,7 @@ pub fn handle_eval(
     state.eval_ric.record_arrival_bounded(key.ring(), ctx.now, ctx.at, horizon);
     debug_assert!(
         pending.hypercube.is_none(),
-        "hypercube partials are cell-local and never travel as Eval messages"
+        "a hypercube cell joins locally and never emits Eval messages"
     );
     handle_query_arrival(state, ctx, pending, key, level)
 }
@@ -1607,6 +1687,47 @@ mod tests {
         assert_eq!(counters.cache_hits, 1, "{counters:?}");
         assert_eq!(counters.compiled_rewrites, 2, "{counters:?}");
         assert_eq!(counters.interpreted_rewrites, 0, "{counters:?}");
+    }
+
+    /// `ensure_program` keeps the engine-wide cache clean: a contact by a
+    /// relation the query does not reference returns before the cache is
+    /// touched at all (shown on a poisoned lock — taking it would panic),
+    /// and a failed compile leaves no empty bucket behind.
+    #[test]
+    fn irrelevant_contacts_and_failed_compiles_leave_the_program_cache_alone() {
+        let catalog = catalog();
+        let query = parse_query("SELECT R.B, S.B FROM R, S WHERE R.A = S.A").unwrap();
+        let mut counters = CompileCounters::new();
+
+        let poisoned = Arc::new(Mutex::new(ProgramCache::default()));
+        let holder = Arc::clone(&poisoned);
+        let _ = std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("poisoning the program cache lock on purpose");
+        })
+        .join();
+        assert!(poisoned.is_poisoned());
+        let mut slot = None;
+        let foreign = catalog.schema("M").unwrap();
+        assert!(
+            ensure_program(&mut slot, &query, None, foreign, &poisoned, &mut counters).is_none()
+        );
+        assert!(slot.is_none());
+
+        let cache = Mutex::new(ProgramCache::default());
+        let r = catalog.schema("R").unwrap();
+        assert!(ensure_program(&mut slot, &query, None, r, &cache, &mut counters).is_some());
+        assert_eq!(cache.lock().unwrap().len(), 1);
+        // `S.Z` does not exist: the query references S but cannot compile.
+        let broken = parse_query("SELECT S.Z FROM S, R WHERE S.Z = R.A").unwrap();
+        let s_schema = catalog.schema("S").unwrap();
+        let mut broken_slot = None;
+        assert!(ensure_program(&mut broken_slot, &broken, None, s_schema, &cache, &mut counters)
+            .is_none());
+        assert!(ensure_program(&mut slot, &query, None, foreign, &cache, &mut counters).is_none());
+        assert_eq!(cache.lock().unwrap().len(), 1, "no dead keys");
+        assert_eq!(slot.as_ref().map(|p| p.relation()), Some("R"), "the slot is not clobbered");
+        assert_eq!((counters.programs_compiled, counters.cache_hits), (1, 0));
     }
 
     /// With compiled predicates disabled every trigger takes the interpreter

@@ -66,7 +66,8 @@ pub struct ExperimentStats {
     /// How the compiled rewrite hot loop behaved: programs compiled, cache
     /// hits, per-path rewrite counts and per-delivery eval time
     /// (`interpreted_rewrites` counts triggers when compiled predicates are
-    /// disabled).
+    /// disabled, plus the transient binding steps of hypercube cell
+    /// cascades, which rewrite stack-local partials).
     pub compile: CompileCounters,
     /// How the O(active) state machinery behaved: live/peak slab occupancy
     /// per store, scheduled wheel deadlines, and reclamations split into

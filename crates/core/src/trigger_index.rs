@@ -6,9 +6,8 @@
 //! constant predicate of the original query or a join value already bound
 //! by an earlier rewrite — is filed under `(ring, column, value)`; queries
 //! with no such pin (no constants over the key relation, `DISTINCT`
-//! entries whose dedup filter mutates on contact, hypercube cell replicas
-//! that trigger on several relations) go to a per-ring **residual** list
-//! that is always walked. A tuple arrival then probes
+//! entries whose dedup filter mutates on contact) go to a per-ring
+//! **residual** list that is always walked. A tuple arrival then probes
 //! `residual ∪ index[(ring, column, tuple[column])]`: entries pinned to a
 //! different value of a column the tuple resolves would have rewritten to
 //! `Mismatch` anyway, so skipping them cannot change any answer.
@@ -20,10 +19,15 @@
 //! and every site that unlinks one (contact expiry in the trigger walk,
 //! timer-wheel pops, the sweep-mode collector, churn drains) must `remove`
 //! it with the same entry — the pin is a pure function of the entry's
-//! query, key text, dedup and hypercube state, none of which mutate while
-//! it is stored, so removal recomputes the pin and finds the one vector
-//! the insertion filed the handle under. Whole-ring teardown
+//! query, key text and dedup state, none of which mutate while it is
+//! stored, so removal recomputes the pin and finds the one vector the
+//! insertion filed the handle under. Whole-ring teardown
 //! (`drain_misplaced`) uses `remove_ring`.
+//!
+//! Hypercube cell replicas are filed like any other stored query (the
+//! contract has no exceptions) but never probed: a cell ring's arrivals
+//! are joined against the cell's own indexed tuple store (see
+//! [`crate::cell`]), not against a bucket of stored queries.
 //!
 //! Range and θ-predicates have no equality pin and would stay residual;
 //! the query model is pure equi-join today, so the residual list only
@@ -64,7 +68,7 @@ use std::hash::{Hash, Hasher};
 /// 64-bit digest a value is filed under. Within-column digest collisions
 /// are harmless: a colliding candidate's constant filter rejects the tuple
 /// during the trigger, exactly as the linear walk would have.
-fn value_digest(value: &Value) -> u64 {
+pub(crate) fn value_digest(value: &Value) -> u64 {
     let mut hasher = RingHasher::default();
     value.hash(&mut hasher);
     hasher.finish()
@@ -80,7 +84,7 @@ fn value_digest(value: &Value) -> u64 {
 /// it already — so a later constant is preferred and the vacuous pin is
 /// only the fallback (it still separates colliding key texts).
 fn entry_pin(stored: &StoredQuery) -> Option<(&Name, &Name, &Value)> {
-    if stored.pending.hypercube.is_some() || stored.dedup.is_some() {
+    if stored.dedup.is_some() {
         return None;
     }
     let mut parts = stored.key.as_str().splitn(3, '+');
@@ -310,11 +314,12 @@ impl TriggerIndex {
         self.counters.linear_walks += 1;
     }
 
-    /// Books one span-bounded eval walk: an arriving query probed `probed`
-    /// of the `bucket_len` tuples stored under its key (the eval-side twin
-    /// of [`collect_candidates`](Self::collect_candidates) — see the module
-    /// docs).
-    pub(crate) fn note_span_probe(&mut self, bucket_len: usize, probed: usize) {
+    /// Books one bounded walk over stored *tuples*: `probed` of the
+    /// `bucket_len` tuples stored under a key were contacted — an arriving
+    /// query's span-bounded eval walk (the eval-side twin of
+    /// [`collect_candidates`](Self::collect_candidates) — see the module
+    /// docs) or one index probe of a hypercube cell's join cascade.
+    pub(crate) fn note_tuple_probe(&mut self, bucket_len: usize, probed: usize) {
         self.counters.indexed_probes += 1;
         self.counters.bucket_len_total += bucket_len as u64;
         self.counters.candidates_probed += probed as u64;

@@ -56,6 +56,15 @@ impl LookupResult {
 /// repair-heavy walks).
 const PATH_CAPACITY: usize = 16;
 
+/// Entries the route cache may hold before it is dropped wholesale. On a
+/// stable ring nothing else ever evicts it, and a 256-node engine adds
+/// ≈ 880 `(node, key)` entries per published tuple (176 k after one
+/// 200-tuple `paper_4way` benchmark epoch), so a long-running engine would
+/// grow it without bound. The cache is a pure memo — dropping it only costs
+/// the next walks their splice — so the bound is a plain constant a few
+/// epochs wide rather than an eviction policy.
+const ROUTE_CACHE_LIMIT: usize = 1 << 19;
+
 /// A simulated Chord network.
 ///
 /// All nodes live in one process, mirroring the paper's Java simulator. The
@@ -80,7 +89,8 @@ pub struct ChordNetwork {
     /// walks splice onto a cached tail the moment they touch any
     /// previously visited node. The cache is cleared whenever anything
     /// that can change a path changes: membership (join/leave/fail/move)
-    /// and every stabilization or in-walk repair step.
+    /// and every stabilization or in-walk repair step — and whenever it
+    /// passes [`ROUTE_CACHE_LIMIT`] entries.
     route_cache: HashMap<(Id, Id), CachedRoute, RingBuildHasher>,
 }
 
@@ -424,6 +434,9 @@ impl ChordNetwork {
             // `Arc`'d path — no copies.
             let path = &result.path;
             let origins = path.len().max(2) - 1;
+            if self.route_cache.len() + origins > ROUTE_CACHE_LIMIT {
+                self.invalidate_routes();
+            }
             for start in 0..origins {
                 self.route_cache
                     .entry((path[start], key))
@@ -650,6 +663,51 @@ mod tests {
         // log2(256) = 8; allow a generous margin but rule out linear scans.
         assert!(avg <= 16.0, "average hops {avg} too high");
         assert!(avg >= 1.0, "average hops {avg} suspiciously low");
+    }
+
+    /// The route cache is a memo: dropping it — here by hand, in production
+    /// when it passes `ROUTE_CACHE_LIMIT` — never changes a path.
+    #[test]
+    fn lookups_are_identical_before_and_after_a_cache_clear() {
+        let (mut net, ids) = build(64);
+        let keys: Vec<Id> = (0..40).map(|i| Id::hash_key(&format!("memo-{i}"))).collect();
+        let walk = |net: &mut ChordNetwork| -> Vec<Vec<Id>> {
+            keys.iter()
+                .flat_map(|key| ids.iter().step_by(5).map(move |from| (*from, *key)))
+                .map(|(from, key)| net.lookup(from, key).unwrap().path().to_vec())
+                .collect()
+        };
+        let cold = walk(&mut net);
+        assert!(!net.route_cache.is_empty(), "walks on a stable ring are memoized");
+        let warm = walk(&mut net);
+        assert_eq!(warm, cold, "memoized routes equal the walks that seeded them");
+        net.invalidate_routes();
+        assert!(net.route_cache.is_empty());
+        assert_eq!(walk(&mut net), cold, "a cleared cache re-walks to identical paths");
+    }
+
+    /// On a stable ring only the size bound evicts: distinct keys keep
+    /// adding entries until the cache is dropped, never past the limit.
+    #[test]
+    fn route_cache_is_bounded_on_a_stable_ring() {
+        let (mut net, ids) = build(64);
+        let sample = Id::hash_key("bounded-sample");
+        let before = net.lookup(ids[0], sample).unwrap().path().to_vec();
+        let mut peak = 0usize;
+        let mut cleared = false;
+        let mut key = 0u64;
+        while !cleared {
+            let len = net.route_cache.len();
+            for from in &ids {
+                net.lookup(*from, Id(crate::key::mix64(key))).unwrap();
+            }
+            key += 1;
+            peak = peak.max(net.route_cache.len());
+            cleared = net.route_cache.len() < len;
+        }
+        assert!(peak <= ROUTE_CACHE_LIMIT, "the cache grew to {peak} entries");
+        assert!(peak > ROUTE_CACHE_LIMIT / 2, "the bound, not something else, cleared it");
+        assert_eq!(net.lookup(ids[0], sample).unwrap().path(), before.as_slice());
     }
 
     #[test]

@@ -11,9 +11,11 @@ use serde::{Deserialize, Serialize};
 /// index pays off exactly when the candidates it hands back are a small
 /// slice of the bucket the linear walk would have scanned. A high
 /// `residual_probed` share means most stored queries carry no
-/// tuple-resolvable equality pin (or are forced residual by DISTINCT or
-/// hypercube placement) and the index degenerates towards the linear
-/// walk it replaces.
+/// tuple-resolvable equality pin (or are forced residual by DISTINCT) and
+/// the index degenerates towards the linear walk it replaces. Hypercube
+/// cells book their join-index probes here too: the stored *tuples* a
+/// probe contacted against the cell's size, which a scan would have
+/// visited.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProbeCounters {
     /// Tuple arrivals answered through the trigger index.

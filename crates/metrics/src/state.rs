@@ -24,9 +24,10 @@ pub struct StateCounters {
     pub query_slab_live: u64,
     /// Peak simultaneously live stored queries.
     pub query_slab_high_water: u64,
-    /// Value-level tuples live in the slab right now.
+    /// Value-level tuples stored right now (slab-backed plain buckets plus
+    /// hypercube cell stores).
     pub tuple_slab_live: u64,
-    /// Peak simultaneously live value-level tuples.
+    /// Peak simultaneously stored value-level tuples.
     pub tuple_slab_high_water: u64,
     /// ALTT entries live in the slab right now.
     pub altt_slab_live: u64,
