@@ -25,8 +25,11 @@ use rjoin_metrics::{
 };
 use rjoin_net::{Delivery, KeyRouter, Network, NetworkConfig, SimTime, TrafficStats, Transport};
 use rjoin_query::plan::{self, QueryShape};
-use rjoin_query::{candidate_keys, tuple_index_keys, IndexKey, IndexLevel, JoinQuery, QueryError};
+use rjoin_query::{
+    candidate_keys, tuple_index_keys, IndexKey, IndexLevel, JoinQuery, KeyTemplate, QueryError,
+};
 use rjoin_relation::{Catalog, Name, Tuple};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -151,7 +154,7 @@ pub fn handle_node_msg(
             // tuples; SL: the rewritten query is stored.
             let load = LoadDelta { key: key.ring(), sl: true };
             if config.reuse_ric {
-                state.merge_ric(&carried_ric);
+                state.merge_ric(&carried_ric, now);
             }
             let actions = procedures::handle_eval(state, &ctx, pending, &key, level);
             (Some(load), actions)
@@ -173,6 +176,7 @@ pub fn standalone_node_state(id: Id, config: &EngineConfig) -> NodeState {
     let mut state = NodeState::new(id);
     state.configure_expiry(config.wheel_expiry, config.network_delay);
     state.configure_trigger_index(config.trigger_index);
+    state.configure_ric_validity(config.ct_validity);
     state
 }
 
@@ -286,10 +290,8 @@ impl RJoinEngine {
         let nodes = node_ids
             .iter()
             .map(|id| {
-                let mut state = NodeState::new(*id);
+                let mut state = standalone_node_state(*id, &config);
                 state.share_programs(Arc::clone(&programs));
-                state.configure_expiry(config.wheel_expiry, config.network_delay);
-                state.configure_trigger_index(config.trigger_index);
                 (*id, state)
             })
             .collect();
@@ -770,10 +772,8 @@ impl RJoinEngine {
         let id = Id::hash_key(label);
         self.network.dht_mut().join(id)?;
         self.network.dht_mut().full_stabilize();
-        let mut state = NodeState::new(id);
+        let mut state = standalone_node_state(id, &self.config);
         state.share_programs(Arc::clone(&self.programs));
-        state.configure_expiry(self.config.wheel_expiry, self.config.network_delay);
-        state.configure_trigger_index(self.config.trigger_index);
         self.nodes.insert(id, state);
         self.node_ids.push(id);
         self.rehome_misplaced_state()?;
@@ -1298,7 +1298,7 @@ pub trait EffectEnv {
     /// this environment's randomness source.
     fn choose(
         &mut self,
-        candidates: &[IndexKey],
+        candidates: &[IndexLevel],
         rates: &[u64],
         strategy: PlacementStrategy,
     ) -> usize;
@@ -1344,7 +1344,7 @@ impl EffectEnv for SeqEnv<'_> {
 
     fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry) {
         if let Some(state) = self.nodes.get_mut(&node) {
-            state.candidate_table.insert(ring, entry);
+            state.cache_ric(ring, entry);
         }
     }
 
@@ -1354,7 +1354,7 @@ impl EffectEnv for SeqEnv<'_> {
 
     fn choose(
         &mut self,
-        candidates: &[IndexKey],
+        candidates: &[IndexLevel],
         rates: &[u64],
         strategy: PlacementStrategy,
     ) -> usize {
@@ -1436,50 +1436,105 @@ pub fn dispatch_query_in<E: EffectEnv>(
         }
         return Ok(());
     }
-    let mut candidates = candidate_keys(&pending.query);
-    if candidates.is_empty() {
-        // A query with no conjuncts left but remaining relations (e.g. a
-        // single-relation scan): fall back to an attribute-level key of
-        // the first remaining relation.
-        if let Some(rel) = pending.query.relations().first() {
-            if let Ok(schema) = catalog.require_schema(rel) {
-                if let Some(attr) = schema.attribute(0) {
-                    candidates.push(IndexKey::attribute(rel.clone(), attr));
+    DISPATCH_SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        place_and_send(env, config, catalog, from, pending, is_input, &mut scratch)
+    })
+}
+
+/// The buffers one dispatch fills and the next one reuses: the candidates'
+/// levels, their interned keys and their rates, position for position.
+#[derive(Default)]
+struct DispatchScratch {
+    levels: Vec<IndexLevel>,
+    hashed: Vec<HashedKey>,
+    rates: Vec<u64>,
+}
+
+thread_local! {
+    static DISPATCH_SCRATCH: RefCell<DispatchScratch> = RefCell::new(DispatchScratch::default());
+}
+
+impl DispatchScratch {
+    /// Loads the candidate keys of `query` in [`candidate_keys`] order: from
+    /// the templates of the program that emitted it when it still carries
+    /// them, from the query itself otherwise (input queries, queries that
+    /// crossed a wire or were rewritten by the interpreter).
+    fn load_candidates(
+        &mut self,
+        query: &JoinQuery,
+        templates: Option<&[KeyTemplate]>,
+        catalog: &Catalog,
+    ) -> Result<(), EngineError> {
+        self.levels.clear();
+        self.hashed.clear();
+        if let Some(keys) = templates {
+            self.hashed.extend(keys.iter().map_while(|key| key.hashed(query)));
+            // No templates at all: the fallback below applies. A template
+            // that found no constant: the hint is not this query's.
+            if !keys.is_empty() && self.hashed.len() == keys.len() {
+                self.levels.extend(keys.iter().map(KeyTemplate::level));
+                return Ok(());
+            }
+            self.hashed.clear();
+        }
+        let mut candidates = candidate_keys(query);
+        if candidates.is_empty() {
+            // A query with no conjuncts left but remaining relations (e.g. a
+            // single-relation scan): fall back to an attribute-level key of
+            // the first remaining relation.
+            if let Some(rel) = query.relations().first() {
+                if let Ok(schema) = catalog.require_schema(rel) {
+                    if let Some(attr) = schema.attribute(0) {
+                        candidates.push(IndexKey::attribute(rel.clone(), attr));
+                    }
                 }
             }
         }
+        if candidates.is_empty() {
+            return Err(EngineError::NoCandidateKey);
+        }
+        self.levels.extend(candidates.iter().map(IndexKey::level));
+        self.hashed.extend(candidates.iter().map(IndexKey::hashed));
+        Ok(())
     }
-    if candidates.is_empty() {
-        return Err(EngineError::NoCandidateKey);
-    }
-    if !is_input && config.rewritten_value_level_only {
+}
+
+/// [`dispatch_query_in`] for a pipeline-planned query: candidate keys, RIC
+/// collection and caching, placement, piggy-backing, send.
+fn place_and_send<E: EffectEnv>(
+    env: &mut E,
+    config: &EngineConfig,
+    catalog: &Catalog,
+    from: Id,
+    mut pending: PendingQuery,
+    is_input: bool,
+    scratch: &mut DispatchScratch,
+) -> Result<(), EngineError> {
+    // Each candidate is interned exactly once: the ring identifier computed
+    // here serves the rates loop, the candidate table, the piggy-backed RIC
+    // information *and* the final send — no key is hashed twice.
+    let emitted_by = std::mem::take(&mut pending.emitted_by);
+    scratch.load_candidates(&pending.query, emitted_by.child_keys(), catalog)?;
+    let DispatchScratch { levels, hashed, rates } = scratch;
+    if !is_input && config.rewritten_value_level_only && levels.contains(&IndexLevel::Value) {
         // Section 3 base algorithm: rewritten queries always go to the
         // value level (each rewrite introduces at least one value-level
         // candidate, so the filtered list is non-empty for chain joins).
-        let value_only: Vec<IndexKey> =
-            candidates.iter().filter(|c| c.level() == IndexLevel::Value).cloned().collect();
-        if !value_only.is_empty() {
-            candidates = value_only;
-        }
+        let mut at_value_level = levels.iter().map(|level| *level == IndexLevel::Value);
+        hashed.retain(|_| at_value_level.next().expect("levels and keys are parallel"));
+        levels.retain(|level| *level == IndexLevel::Value);
     }
 
     let strategy = config.placement;
-    let needs_rates = matches!(strategy, PlacementStrategy::RicAware | PlacementStrategy::Worst);
     let now = env.now();
-    let mut rates = vec![0u64; candidates.len()];
+    rates.clear();
+    rates.resize(hashed.len(), 0);
 
-    // Rate-less strategies never look at the non-chosen candidates, so
-    // only rate-driven ones pay to intern the whole list. When they do,
-    // each key is interned exactly once: the ring identifier computed
-    // here serves the rates loop, the candidate table, the piggy-backed
-    // RIC information *and* the final send — no key is hashed twice.
-    let hashed: Vec<HashedKey> =
-        if needs_rates { candidates.iter().map(IndexKey::hashed).collect() } else { Vec::new() };
-
-    if needs_rates {
+    if matches!(strategy, PlacementStrategy::RicAware | PlacementStrategy::Worst) {
         let mut prev_hop = from;
         let mut requests = 0usize;
-        for (i, hkey) in hashed.iter().enumerate() {
+        for (hkey, slot) in hashed.iter().zip(rates.iter_mut()) {
             // Reuse cached RIC information when allowed (Section 7). Cached
             // entries for split candidates are always split-aware: both
             // paths cache under the base ring identifier, and activation
@@ -1487,7 +1542,7 @@ pub fn dispatch_query_in<E: EffectEnv>(
             // cached here was computed from the per-cell rates below.
             if strategy == PlacementStrategy::RicAware && config.reuse_ric {
                 if let Some(entry) = env.cached_ric(from, hkey.ring(), now, config.ct_validity) {
-                    rates[i] = entry.rate;
+                    *slot = entry.rate;
                     continue;
                 }
             }
@@ -1500,17 +1555,17 @@ pub fn dispatch_query_in<E: EffectEnv>(
             let parts = env.splits().get(hkey.ring()).map(|e| e.grid.cells());
             let rate = match parts {
                 None => {
-                    let owner = env.net().owner_of(hkey.id())?;
-                    let rate = env.observed_rate(owner, hkey.ring(), now, config.ric_window);
-                    if strategy == PlacementStrategy::RicAware {
+                    let owner = if strategy == PlacementStrategy::RicAware {
                         // Chained RIC request: previous hop forwards the
                         // request to the next candidate (k * O(log N)
-                        // messages total).
-                        env.net().charge_route(prev_hop, hkey.id(), traffic_class::RIC)?;
-                        prev_hop = owner;
+                        // messages total); the route ends at its owner.
                         requests += 1;
-                    }
-                    rate
+                        env.net().charge_route(prev_hop, hkey.id(), traffic_class::RIC)?.owner
+                    } else {
+                        env.net().owner_of(hkey.id())?
+                    };
+                    prev_hop = owner;
+                    env.observed_rate(owner, hkey.ring(), now, config.ric_window)
                 }
                 Some(parts) => {
                     let mut partition_rates = Vec::with_capacity(parts as usize);
@@ -1532,7 +1587,7 @@ pub fn dispatch_query_in<E: EffectEnv>(
                     crate::placement::split_effective_rate(&partition_rates)
                 }
             };
-            rates[i] = rate;
+            *slot = rate;
             if strategy == PlacementStrategy::RicAware && config.reuse_ric {
                 env.cache_ric(from, hkey.ring(), RicEntry { rate, observed_at: now });
             }
@@ -1546,60 +1601,28 @@ pub fn dispatch_query_in<E: EffectEnv>(
         }
     }
 
-    let chosen = env.choose(&candidates, &rates, strategy);
-    let level = candidates[chosen].level();
-    // Under rate-driven strategies the chosen key was already interned
-    // above (no re-derive, no second SHA-1); otherwise intern just the
-    // winner now.
-    let key = match hashed.get(chosen) {
-        Some(h) => h.clone(),
-        None => candidates[chosen].hashed(),
-    };
+    let chosen = env.choose(levels, rates, strategy);
+    let level = levels[chosen];
+    let key = hashed[chosen].clone();
     let class = if is_input { traffic_class::QUERY_INDEX } else { traffic_class::EVAL };
 
     let carried_ric: Vec<RicInfo> =
         if !is_input && config.reuse_ric && strategy == PlacementStrategy::RicAware {
             hashed
                 .iter()
-                .zip(&rates)
+                .zip(rates.iter())
                 .map(|(k, r)| RicInfo { key: k.clone(), rate: *r, observed_at: now })
                 .collect()
         } else {
             Vec::new()
         };
 
-    // Share routing for split keys: the query registers at its identity
-    // column's cells (tuples visit their content row's cells, and the two
-    // sets intersect in exactly one sub-key), so every (query, tuple) pair
-    // still meets exactly once and the answer stream is identical to the
-    // unsplit run. Replicated copies are the split's cost, booked as
-    // fan-out.
-    let targets: Vec<HashedKey> = match env.splits().route_query(&key, pending.id) {
-        Some(cells) => {
-            env.note_query_fanout(cells.len() as u64 - 1);
-            cells
-        }
-        None => vec![key],
-    };
-    let last = targets.len() - 1;
-    let mut pending = Some(pending);
-    let mut carried_ric = Some(carried_ric);
-    for (t, sub) in targets.into_iter().enumerate() {
+    let send_copy = |env: &mut E, sub: HashedKey, pending: PendingQuery, ric: Vec<RicInfo>| {
         let sub_id = sub.id();
-        // The last copy moves the pending query; earlier ones clone it
-        // (the unsplit common case never clones).
-        let (p, ric) = if t == last {
-            (pending.take().expect("taken once"), carried_ric.take().expect("taken once"))
-        } else {
-            (
-                pending.as_ref().expect("taken only on the last copy").clone(),
-                carried_ric.as_ref().expect("taken only on the last copy").clone(),
-            )
-        };
         let msg = if is_input {
-            RJoinMessage::IndexQuery { pending: p, key: sub, level }
+            RJoinMessage::IndexQuery { pending, key: sub, level }
         } else {
-            RJoinMessage::Eval { pending: p, key: sub, level, carried_ric: ric }
+            RJoinMessage::Eval { pending, key: sub, level, carried_ric: ric }
         };
         if strategy == PlacementStrategy::RicAware {
             // After the RIC exchange the chooser knows the address of every
@@ -1610,8 +1633,22 @@ pub fn dispatch_query_in<E: EffectEnv>(
         } else {
             env.net().send(from, sub_id, msg, class)?;
         }
+        Ok::<(), EngineError>(())
+    };
+    // Share routing for split keys: the query registers at its identity
+    // column's cells (tuples visit their content row's cells, and the two
+    // sets intersect in exactly one sub-key), so every (query, tuple) pair
+    // still meets exactly once and the answer stream is identical to the
+    // unsplit run. Replicated copies are the split's cost, booked as
+    // fan-out. The last copy moves the pending query; earlier ones clone it
+    // (the unsplit common case never clones).
+    let mut cells = env.splits().route_query(&key, pending.id).unwrap_or_default();
+    env.note_query_fanout(cells.len().saturating_sub(1) as u64);
+    let last = cells.pop().unwrap_or(key);
+    for sub in cells {
+        send_copy(env, sub, pending.clone(), carried_ric.clone())?;
     }
-    Ok(())
+    send_copy(env, last, pending, carried_ric)
 }
 
 /// Number of worker threads the parallel driver may use.

@@ -214,10 +214,12 @@ pub use config::{EngineConfig, PlacementStrategy};
 pub use dedup::DedupFilter;
 pub use engine::RJoinEngine;
 pub use error::EngineError;
-pub use messages::{HypercubeRef, PendingQuery, QueryId, RJoinMessage, RicInfo, Subscriber};
+pub use messages::{
+    EmittedBy, HypercubeRef, PendingQuery, QueryId, RJoinMessage, RicInfo, Subscriber,
+};
 pub use node_id::NodeId;
 pub use node_state::{DrainedAlttBucket, DrainedState, NodeState, RicEntry, StoredQuery};
-pub use ric::RicTracker;
+pub use ric::{ArrivalLog, RicTracker};
 pub use shared::SubJoinRegistry;
 pub use split::{partition_for_tuple, partition_for_value, HypercubeGrid, SplitEntry, SplitMap};
 pub use stats::ExperimentStats;

@@ -2,8 +2,10 @@
 
 use rjoin_dht::{HashedKey, Id};
 use rjoin_net::SimTime;
-use rjoin_query::{IndexLevel, JoinQuery, SelectItem};
+use rjoin_query::{IndexLevel, JoinQuery, KeyTemplate, SelectItem, SubJoinProgram};
 use rjoin_relation::{Timestamp, Tuple, Value};
+use serde::bin::BinError;
+use serde::json::{JsonError, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -78,6 +80,56 @@ impl HypercubeRef {
     }
 }
 
+/// The compiled program that emitted a rewritten query, for as long as the
+/// query stays inside the process that rewrote it: the program knows the
+/// candidate keys of its children as templates, so re-indexing the query
+/// instantiates them instead of deriving its candidates from scratch.
+///
+/// A hint, not part of the query: it always compares equal, is never
+/// serialized (a query that crossed a wire re-derives its candidates) and is
+/// dropped once the query has been dispatched.
+#[derive(Debug, Clone, Default)]
+pub struct EmittedBy(Option<Arc<SubJoinProgram>>);
+
+impl EmittedBy {
+    /// Marks a child `program` emitted.
+    pub fn program(program: &Arc<SubJoinProgram>) -> Self {
+        EmittedBy(Some(Arc::clone(program)))
+    }
+
+    /// The candidate-key templates of the marked query (see
+    /// [`SubJoinProgram::child_keys`]), if it carries its emitter.
+    pub fn child_keys(&self) -> Option<&[KeyTemplate]> {
+        self.0.as_deref().map(SubJoinProgram::child_keys)
+    }
+}
+
+impl PartialEq for EmittedBy {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for EmittedBy {}
+
+impl Serialize for EmittedBy {
+    fn serialize_json(&self) -> JsonValue {
+        JsonValue::Null
+    }
+
+    fn serialize_bin(&self, _: &mut Vec<u8>) {}
+}
+
+impl Deserialize for EmittedBy {
+    fn deserialize_json(_: &JsonValue) -> Result<Self, JsonError> {
+        Ok(EmittedBy::default())
+    }
+
+    fn deserialize_bin(_: &mut &[u8]) -> Result<Self, BinError> {
+        Ok(EmittedBy::default())
+    }
+}
+
 /// A query in flight: an input query or one of its rewritten descendants,
 /// together with the metadata RJoin needs to evaluate it.
 ///
@@ -125,6 +177,9 @@ pub struct PendingQuery {
     /// cell-local: a cell's partials are transient, so only input-query
     /// replicas ever carry it into a node's store.
     pub hypercube: Option<HypercubeRef>,
+    /// The program that emitted this rewritten query (a process-local
+    /// dispatch hint; empty for input queries and after any wire hop).
+    pub emitted_by: EmittedBy,
 }
 
 impl PendingQuery {
@@ -141,6 +196,7 @@ impl PendingQuery {
             query,
             extra_subscribers: Vec::new(),
             hypercube: None,
+            emitted_by: EmittedBy::default(),
         }
     }
 
@@ -170,6 +226,7 @@ impl PendingQuery {
             query,
             extra_subscribers: Vec::new(),
             hypercube: self.hypercube.clone(),
+            emitted_by: EmittedBy::default(),
         }
     }
 

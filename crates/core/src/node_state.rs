@@ -2,16 +2,17 @@
 //!
 //! # Trigger-index maintenance contract
 //!
-//! The stored-query buckets are shadowed by a value-partitioned
-//! [`TriggerIndex`] (see [`crate::trigger_index`]): every site that links
-//! a handle into a bucket must file it in the index, and **every** site
-//! that unlinks one — wheel pops ([`NodeState::advance_expiry`]), the
-//! sweep-mode collector ([`NodeState::sweep_expired`]), churn drains
-//! ([`NodeState::drain_misplaced`]) and the procedures' contact-expiry
+//! Each stored-query [`Bucket`] carries the partition a value-partitioned
+//! [`TriggerIndex`] keeps over its handles (see [`crate::trigger_index`]):
+//! every site that links a handle into a bucket must file it in the index,
+//! and **every** site that unlinks one — wheel pops
+//! ([`NodeState::advance_expiry`]), the sweep-mode collector
+//! ([`NodeState::sweep_expired`]) and the procedures' contact-expiry
 //! removals — must unfile it with the removed entry, or indexed probes
-//! would hand out stale handles and miss live entries. Bucket compaction
-//! is `swap_remove`-based; each removal site also fixes the moved entry's
-//! [`StoredQuery::bucket_pos`] so unlinking stays O(1).
+//! would hand out stale handles and miss live entries (churn drains,
+//! [`NodeState::drain_misplaced`], drop the bucket whole). Bucket
+//! compaction is `swap_remove`-based; each removal site also fixes the
+//! moved entry's [`StoredQuery::bucket_pos`] so unlinking stays O(1).
 //!
 //! # Hypercube cells
 //!
@@ -30,8 +31,8 @@ use crate::expiry::TimerWheel;
 use crate::messages::{PendingQuery, RicInfo};
 use crate::shared::SubJoinRegistry;
 use crate::slab::{Handle, Slab};
-use crate::trigger_index::TriggerIndex;
-use crate::RicTracker;
+use crate::trigger_index::{Bucket, TriggerIndex};
+use crate::{ArrivalLog, RicTracker};
 use rjoin_dht::{HashedKey, Id, RingMap};
 use rjoin_metrics::{CompileCounters, ProbeCounters, SharingCounters, StateCounters};
 use rjoin_net::SimTime;
@@ -156,11 +157,12 @@ fn cell_tuple_deadline(
     Some(last_pub.saturating_add(1).saturating_add(slack))
 }
 
-/// Node-level cache of compiled `WHERE`-side programs, keyed by sub-join
-/// fingerprint (the same abstraction shared sub-join entries merge under).
-/// A fingerprint hit is a candidate only — entries confirm structural
-/// equality via [`SubJoinProgram::matches_source`] before reuse, so a hash
-/// collision costs one extra compile, never a wrong program.
+/// Cache of compiled `WHERE`-side programs, keyed by
+/// [`shape_fingerprint`](rjoin_query::shape_fingerprint): the sub-join with
+/// its constants erased, so every rewritten query of one shape finds one
+/// program. A fingerprint hit is a candidate only — entries confirm
+/// structural equality via [`SubJoinProgram::matches_source`] before reuse,
+/// so a hash collision costs one extra compile, never a wrong program.
 pub(crate) type ProgramCache = RingMap<Vec<Arc<SubJoinProgram>>>;
 
 /// A cached RIC observation (an entry of the candidate table of Section 7).
@@ -206,8 +208,8 @@ pub struct NodeState {
     /// Slab of queries stored at this node.
     pub(crate) queries: Slab<StoredQuery>,
     /// Handles of stored queries, grouped by the ring id of the key they
-    /// are indexed under.
-    pub(crate) stored_queries: RingMap<Vec<Handle>>,
+    /// are indexed under, each group with its trigger-index partition.
+    pub(crate) stored_queries: RingMap<Bucket>,
     /// Slab of value-level tuples stored at this node.
     pub(crate) tuples: Slab<Arc<Tuple>>,
     /// Handles of stored value-level tuples, grouped by index-key ring id.
@@ -246,6 +248,10 @@ pub struct NodeState {
     pub(crate) state_counters: StateCounters,
     /// Candidate table: cached RIC information per candidate-key ring id.
     pub(crate) candidate_table: RingMap<RicEntry>,
+    /// How long a candidate-table entry stays usable (`ct_validity`), and
+    /// the clock at which the table is next swept for entries past it.
+    ric_validity: Option<SimTime>,
+    ric_sweep_at: SimTime,
     /// Tracker of tuple arrivals used to answer RIC requests.
     ///
     /// Behind a shared lock because it is the one piece of node state read
@@ -257,18 +263,18 @@ pub struct NodeState {
     /// every node's tracker without aliasing the rest of the state; the
     /// uncontended lock costs a few nanoseconds on the sequential path.
     pub(crate) ric: Arc<Mutex<RicTracker>>,
-    /// Tracker of rewritten-query (`Eval`) arrivals, the query-side twin of
+    /// Log of rewritten-query (`Eval`) arrivals, the query-side twin of
     /// [`ric`](Self::ric): hot-key splitting compares the two streams to
     /// decide which side of a heavy hitter to partition. Only read by the
     /// driver thread between drains (never across shards), so it needs no
     /// lock.
-    pub(crate) eval_ric: RicTracker,
+    pub(crate) eval_ric: ArrivalLog,
     /// Sub-join registry: index from canonical sub-join identity to the
     /// stored entry sharing it (see [`crate::SubJoinRegistry`]).
     pub(crate) subjoins: SubJoinRegistry,
     /// Counters of the work the sub-join registry saved on this node.
     pub(crate) sharing: SharingCounters,
-    /// Cache of compiled `WHERE`-side programs, keyed by fingerprint.
+    /// Cache of compiled `WHERE`-side programs, keyed by shape fingerprint.
     /// Shared engine-wide (every node of one engine holds a handle to the
     /// same cache): programs are pure functions of the sub-join structure
     /// and the trigger relation's schema, both of which are identical on
@@ -374,8 +380,10 @@ impl NodeState {
             expiry_slack: 1,
             state_counters: StateCounters::new(),
             candidate_table: RingMap::default(),
+            ric_validity: None,
+            ric_sweep_at: 0,
             ric: Arc::new(Mutex::new(RicTracker::new())),
-            eval_ric: RicTracker::new(),
+            eval_ric: ArrivalLog::default(),
             subjoins: SubJoinRegistry::new(),
             sharing: SharingCounters::new(),
             programs: Arc::new(Mutex::new(ProgramCache::default())),
@@ -395,6 +403,12 @@ impl NodeState {
     pub(crate) fn configure_expiry(&mut self, wheel: bool, slack: SimTime) {
         self.wheel_enabled = wheel;
         self.expiry_slack = slack;
+    }
+
+    /// Sets the validity horizon of cached RIC estimates (`ct_validity`):
+    /// entries older than it are never served, so the table reclaims them.
+    pub(crate) fn configure_ric_validity(&mut self, validity: Option<SimTime>) {
+        self.ric_validity = validity;
     }
 
     /// Selects indexed tuple-arrival probing or the linear-walk oracle.
@@ -427,9 +441,9 @@ impl NodeState {
         self.programs = cache;
     }
 
-    /// Read access to this node's `Eval`-arrival tracker (the query-side
-    /// heat signal of hot-key splitting).
-    pub fn eval_ric(&self) -> &RicTracker {
+    /// Read access to this node's `Eval`-arrival log (the query-side heat
+    /// signal of hot-key splitting).
+    pub fn eval_ric(&self) -> &ArrivalLog {
         &self.eval_ric
     }
 
@@ -510,12 +524,12 @@ impl NodeState {
         let Some(expired) = self.queries.remove(handle) else { return };
         let ring = expired.key.ring();
         if let Some(bucket) = self.stored_queries.get_mut(&ring) {
-            unlink_from_bucket(bucket, &mut self.queries, handle, expired.bucket_pos);
-            if bucket.is_empty() {
+            unlink_from_bucket(&mut bucket.handles, &mut self.queries, handle, expired.bucket_pos);
+            self.trigger_index.remove(bucket, handle, &expired);
+            if bucket.handles.is_empty() {
                 self.stored_queries.remove(&ring);
             }
         }
-        self.trigger_index.remove(ring, handle, &expired);
         self.unregister_subjoin(ring, &expired, handle);
         self.query_count -= 1;
         if !expired.pending.is_input() {
@@ -577,8 +591,8 @@ impl NodeState {
         for ring in rings {
             let mut bucket = self.stored_queries.remove(&ring).expect("ring collected above");
             let mut idx = 0;
-            while idx < bucket.len() {
-                let handle = bucket[idx];
+            while idx < bucket.handles.len() {
+                let handle = bucket.handles[idx];
                 let expired = self
                     .queries
                     .get(handle)
@@ -588,21 +602,21 @@ impl NodeState {
                     idx += 1;
                     continue;
                 }
-                bucket.swap_remove(idx);
-                if let Some(&moved) = bucket.get(idx) {
+                bucket.handles.swap_remove(idx);
+                if let Some(&moved) = bucket.handles.get(idx) {
                     if let Some(entry) = self.queries.get_mut(moved) {
                         entry.bucket_pos = idx;
                     }
                 }
                 let removed = self.queries.remove(handle).expect("entry resolved above");
-                self.trigger_index.remove(ring, handle, &removed);
+                self.trigger_index.remove(&mut bucket, handle, &removed);
                 self.unregister_subjoin(ring, &removed, handle);
                 self.query_count -= 1;
                 if !removed.pending.is_input() {
                     self.rewritten_count -= 1;
                 }
             }
-            if !bucket.is_empty() {
+            if !bucket.handles.is_empty() {
                 self.stored_queries.insert(ring, bucket);
             }
         }
@@ -630,11 +644,11 @@ impl NodeState {
             None
         };
         let bucket = self.stored_queries.entry(ring).or_default();
-        stored.bucket_pos = bucket.len();
+        stored.bucket_pos = bucket.handles.len();
         let handle = self.queries.insert(stored);
-        bucket.push(handle);
+        bucket.handles.push(handle);
+        self.trigger_index.insert(bucket, handle, &self.queries);
         let stored = self.queries.get(handle).expect("inserted above");
-        self.trigger_index.insert(ring, handle, stored);
         if stored.pending.hypercube.is_some() {
             // A hypercube replica opens its ring as a cell. Cell keys are
             // per-query, so a cell never sees a second replica.
@@ -827,25 +841,28 @@ impl NodeState {
         self.altt.len()
     }
 
-    /// Merges piggy-backed RIC observations into the candidate table,
-    /// keeping the most recent estimate per key (Section 7).
-    pub fn merge_ric(&mut self, infos: &[RicInfo]) {
+    /// Drops every candidate-table entry past the validity horizon, once
+    /// per horizon: an entry no [`cached_ric`](Self::cached_ric) call at or
+    /// after `now` would serve again. Between sweeps the table holds at most
+    /// two horizons' worth of observations.
+    fn reclaim_stale_ric(&mut self, now: SimTime) {
+        let Some(validity) = self.ric_validity else { return };
+        if now >= self.ric_sweep_at {
+            self.candidate_table.retain(|_, e| now.saturating_sub(e.observed_at) <= validity);
+            self.ric_sweep_at = now.saturating_add(validity).saturating_add(1);
+        }
+    }
+
+    /// Merges the RIC observations piggy-backed on a message handled at
+    /// clock `now` into the candidate table, keeping the most recent
+    /// estimate per key (Section 7).
+    pub fn merge_ric(&mut self, infos: &[RicInfo], now: SimTime) {
+        self.reclaim_stale_ric(now);
         for info in infos {
-            // Probe with `get_mut` first: the common case is a key that is
-            // already cached, which must not pay an insert.
-            match self.candidate_table.get_mut(&info.key.ring()) {
-                Some(entry) => {
-                    if info.observed_at >= entry.observed_at {
-                        entry.rate = info.rate;
-                        entry.observed_at = info.observed_at;
-                    }
-                }
-                None => {
-                    self.candidate_table.insert(
-                        info.key.ring(),
-                        RicEntry { rate: info.rate, observed_at: info.observed_at },
-                    );
-                }
+            let fresh = RicEntry { rate: info.rate, observed_at: info.observed_at };
+            let entry = self.candidate_table.entry(info.key.ring()).or_insert(fresh);
+            if info.observed_at >= entry.observed_at {
+                *entry = fresh;
             }
         }
     }
@@ -865,10 +882,9 @@ impl NodeState {
         }
     }
 
-    /// Caches one RIC estimate for a candidate key. Out-of-crate runtimes
-    /// (the networked transport) cache through this; in-crate runtimes
-    /// write the candidate table directly.
+    /// Caches one RIC estimate, just observed, for a candidate key.
     pub fn cache_ric(&mut self, ring: u64, entry: RicEntry) {
+        self.reclaim_stale_ric(entry.observed_at);
         self.candidate_table.insert(ring, entry);
     }
 
@@ -886,8 +902,8 @@ impl NodeState {
         let rings: Vec<u64> = self.stored_queries.keys().copied().filter(|r| !keep(*r)).collect();
         for ring in rings {
             let bucket = self.stored_queries.remove(&ring).expect("ring collected above");
-            self.trigger_index.remove_ring(ring);
-            for handle in bucket {
+            self.trigger_index.forget(&bucket);
+            for handle in bucket.handles {
                 let stored = self.queries.remove(handle).expect("bucket handles are live");
                 self.unregister_subjoin(ring, &stored, handle);
                 self.query_count -= 1;
@@ -985,7 +1001,7 @@ impl NodeState {
         let entries = || {
             self.stored_queries
                 .values()
-                .flat_map(|v| v.iter())
+                .flat_map(|bucket| bucket.handles.iter())
                 .map(|h| self.queries.get(*h).expect("bucket handles are live"))
         };
         let queries = entries().count();
@@ -1063,11 +1079,11 @@ mod tests {
         state.store_query(StoredQuery::new(pending(false), k.clone(), IndexLevel::Value));
         // Simulate the procedures' expiry removal of the rewritten one: drop
         // its handle from the bucket, its entry from the slab, then debit.
-        let handles = state.stored_queries.get(&k.ring()).unwrap().clone();
+        let handles = state.stored_queries.get(&k.ring()).unwrap().handles.clone();
         for handle in handles {
             if !state.queries.get(handle).unwrap().pending.is_input() {
                 state.queries.remove(handle);
-                let bucket = state.stored_queries.get_mut(&k.ring()).unwrap();
+                let bucket = &mut state.stored_queries.get_mut(&k.ring()).unwrap().handles;
                 let pos = bucket.iter().position(|h| *h == handle).unwrap();
                 bucket.swap_remove(pos);
             }
@@ -1111,7 +1127,7 @@ mod tests {
 
         // One stored copy carrying both subscribers.
         assert_eq!(state.stored_query_count(), 1);
-        let bucket = state.stored_queries.get(&k.ring()).unwrap();
+        let bucket = &state.stored_queries.get(&k.ring()).unwrap().handles;
         assert_eq!(bucket.len(), 1);
         let entry = state.queries.get(bucket[0]).unwrap();
         assert_eq!(entry.pending.subscriber_count(), 2);
@@ -1341,7 +1357,7 @@ mod tests {
         ));
         // Contact expiry got there first: the entry leaves through the
         // bucket path, as the procedures' trigger walk would remove it.
-        let handle = state.stored_queries.get(&k.ring()).unwrap()[0];
+        let handle = state.stored_queries.get(&k.ring()).unwrap().handles[0];
         state.queries.remove(handle);
         state.stored_queries.remove(&k.ring());
         state.debit_removed_queries(1, 1);
@@ -1470,9 +1486,9 @@ mod tests {
     fn candidate_table_keeps_most_recent_and_respects_validity() {
         let mut state = NodeState::new(Id(7));
         let k = key("R+A");
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 5, observed_at: 10 }]);
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 9, observed_at: 20 }]);
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 1, observed_at: 15 }]); // older, ignored
+        state.merge_ric(&[RicInfo { key: k.clone(), rate: 5, observed_at: 10 }], 10);
+        state.merge_ric(&[RicInfo { key: k.clone(), rate: 9, observed_at: 20 }], 20);
+        state.merge_ric(&[RicInfo { key: k.clone(), rate: 1, observed_at: 15 }], 21); // older, ignored
         let entry = state.cached_ric(k.ring(), 25, None).unwrap();
         assert_eq!(entry.rate, 9);
         assert_eq!(entry.observed_at, 20);
@@ -1480,5 +1496,35 @@ mod tests {
         assert!(state.cached_ric(k.ring(), 200, Some(50)).is_none());
         assert!(state.cached_ric(k.ring(), 60, Some(50)).is_some());
         assert!(state.cached_ric(key("unknown").ring(), 0, None).is_none());
+    }
+
+    /// Entries past the validity horizon are reclaimed by later touches of
+    /// the table: over three horizons of one fresh key per tick it never
+    /// holds more than two horizons' worth, and every read answers as if
+    /// nothing had been dropped.
+    #[test]
+    fn candidate_table_reclaims_entries_past_validity() {
+        const VALIDITY: SimTime = 50;
+        let mut state = NodeState::new(Id(7));
+        state.configure_ric_validity(Some(VALIDITY));
+        let fresh = |tick: SimTime| key(&format!("R+A+i:{tick}"));
+        for now in 1..=3 * VALIDITY {
+            if now % 2 == 0 {
+                state.cache_ric(fresh(now).ring(), RicEntry { rate: now, observed_at: now });
+            } else {
+                state.merge_ric(&[RicInfo { key: fresh(now), rate: now, observed_at: now }], now);
+            }
+            assert!(state.candidate_table.len() as u64 <= 2 * VALIDITY + 1, "at {now}");
+            for seen in 1..=now {
+                let cached = state.cached_ric(fresh(seen).ring(), now, Some(VALIDITY));
+                assert_eq!(cached.map(|e| e.rate), (now - seen <= VALIDITY).then_some(seen));
+            }
+        }
+        // Without a horizon nothing is ever stale, so nothing is dropped.
+        let mut unbounded = NodeState::new(Id(8));
+        for now in 1..=3 * VALIDITY {
+            unbounded.cache_ric(fresh(now).ring(), RicEntry { rate: now, observed_at: now });
+        }
+        assert_eq!(unbounded.candidate_table.len() as u64, 3 * VALIDITY);
     }
 }

@@ -35,7 +35,7 @@
 use crate::PlacementStrategy;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rjoin_query::IndexKey;
+use rjoin_query::IndexLevel;
 
 /// The effective rate of a split candidate key, given the observed rates of
 /// its partitions: the maximum — the per-node burden a query copy stored at
@@ -48,8 +48,9 @@ pub fn split_effective_rate(partition_rates: &[u64]) -> u64 {
 /// Chooses which candidate key a query should be indexed under, given the
 /// (estimated) rate of incoming tuples of each candidate.
 ///
-/// `candidates` and `rates` are parallel slices. Returns the index of the
-/// chosen candidate.
+/// `candidates` (the level of each candidate key — all a strategy looks at)
+/// and `rates` are parallel slices. Returns the index of the chosen
+/// candidate.
 ///
 /// * [`PlacementStrategy::RicAware`] — lowest rate wins; ties are broken in
 ///   favour of *value-level* candidates (Section 3 indexes rewritten queries
@@ -71,7 +72,7 @@ pub fn split_effective_rate(partition_rates: &[u64]) -> u64 {
 /// # Panics
 /// Panics if `candidates` is empty or the slices have different lengths.
 pub fn choose_candidate(
-    candidates: &[IndexKey],
+    candidates: &[IndexLevel],
     rates: &[u64],
     strategy: PlacementStrategy,
     rng: &mut StdRng,
@@ -81,7 +82,6 @@ pub fn choose_candidate(
     match strategy {
         PlacementStrategy::RicAware => {
             let min_rate = *rates.iter().min().expect("non-empty rates");
-            let minima: Vec<usize> = (0..rates.len()).filter(|&i| rates[i] == min_rate).collect();
             // Prefer value-level candidates among the minima (Section 3
             // indexes rewritten queries at the value level by default: it
             // spreads load better and lets the query find tuples that were
@@ -90,13 +90,13 @@ pub fn choose_candidate(
             // a deterministic "first" rule would systematically favour the
             // lexicographically first relation, which under the Zipf
             // workload is also the hottest one.
-            let value_minima: Vec<usize> = minima
-                .iter()
-                .copied()
-                .filter(|&i| candidates[i].level() == rjoin_query::IndexLevel::Value)
-                .collect();
-            let pool = if value_minima.is_empty() { &minima } else { &value_minima };
-            pool[rng.gen_range(0..pool.len())]
+            let at_value_level = |i: usize| candidates[i] == IndexLevel::Value;
+            let value_minima = (0..rates.len()).any(|i| rates[i] == min_rate && at_value_level(i));
+            let in_pool =
+                |i: &usize| rates[*i] == min_rate && (!value_minima || at_value_level(*i));
+            let pool = (0..rates.len()).filter(in_pool).count();
+            let pick = rng.gen_range(0..pool);
+            (0..rates.len()).filter(in_pool).nth(pick).expect("pick < pool size")
         }
         PlacementStrategy::Worst => {
             let mut worst = 0;
@@ -116,14 +116,9 @@ pub fn choose_candidate(
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rjoin_relation::Value;
 
-    fn candidates() -> Vec<IndexKey> {
-        vec![
-            IndexKey::attribute("R", "A"),
-            IndexKey::attribute("S", "B"),
-            IndexKey::value("S", "C", Value::from(3)),
-        ]
+    fn candidates() -> Vec<IndexLevel> {
+        vec![IndexLevel::Attribute, IndexLevel::Attribute, IndexLevel::Value]
     }
 
     #[test]
@@ -153,11 +148,7 @@ mod tests {
         // Among equal-rate attribute-level candidates the choice is random,
         // so over many draws every candidate must be picked at least once.
         let mut rng = StdRng::seed_from_u64(1);
-        let attrs = vec![
-            IndexKey::attribute("R", "A"),
-            IndexKey::attribute("S", "B"),
-            IndexKey::attribute("P", "C"),
-        ];
+        let attrs = [IndexLevel::Attribute; 3];
         let mut seen = [false; 3];
         for _ in 0..200 {
             seen[choose_candidate(&attrs, &[3, 3, 3], PlacementStrategy::RicAware, &mut rng)] =

@@ -26,15 +26,15 @@
 
 use crate::cell::{Cell, Probe};
 use crate::config::EngineConfig;
-use crate::messages::{PendingQuery, QueryId, Subscriber};
+use crate::messages::{EmittedBy, PendingQuery, QueryId, Subscriber};
 use crate::node_state::{unlink_from_bucket, NodeState, ProgramCache, StoredQuery};
 use crate::trigger_index::TriggerIndex;
 use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
 use rjoin_query::{
-    compile_subjoin, fingerprint, resolve_select_items, rewrite, CompiledTrigger, Fingerprint,
-    IndexLevel, JoinQuery, RewriteResult, SelectItem,
+    compile_subjoin, resolve_select_items, rewrite, shape_fingerprint, CompiledTrigger, IndexLevel,
+    JoinQuery, RewriteResult, SelectItem,
 };
 use rjoin_relation::{Catalog, Schema, Timestamp, Tuple, Value};
 use std::sync::{Arc, Mutex};
@@ -83,10 +83,10 @@ enum TriggerOutcome {
     Expired,
     /// The tuple did not trigger the query (mismatch, dedup or time filter).
     NotTriggered,
-    /// The tuple triggered the query. Unshared entries produce exactly one
-    /// action; shared entries can fan a completion out into one answer per
-    /// subscriber.
-    Triggered(Vec<Action>),
+    /// The tuple triggered the query and its actions were appended to the
+    /// caller's list. Unshared entries produce exactly one action; shared
+    /// entries can fan a completion out into one answer per subscriber.
+    Triggered,
 }
 
 /// Resolves a subscriber's `SELECT` continuation with the completing tuple
@@ -153,6 +153,7 @@ fn shared_child(
             query,
             extra_subscribers: extras.collect(),
             hypercube: pending.hypercube.clone(),
+            emitted_by: EmittedBy::default(),
         }
     };
     child.note_contribution(tuple.pub_time());
@@ -160,9 +161,10 @@ fn shared_child(
 }
 
 /// Returns the stored entry's compiled trigger program for the schema's
-/// relation, compiling (or fetching from the engine-wide fingerprint-keyed
-/// cache) on first use. `slot`/`query`/`known_fp` are disjoint borrows of
-/// one [`StoredQuery`].
+/// relation, compiling (or fetching from the engine-wide cache, keyed by
+/// the query's shape fingerprint — constants erased, so every rewritten
+/// query of one shape finds the same program) on first use. `slot`/`query`
+/// are disjoint borrows of one [`StoredQuery`].
 ///
 /// Returns `None` when the query cannot be compiled — exactly the queries
 /// the interpreter would error on (unknown attribute, orphaned residue from
@@ -173,7 +175,6 @@ fn shared_child(
 fn ensure_program<'a>(
     slot: &'a mut Option<CompiledTrigger>,
     query: &JoinQuery,
-    known_fp: Option<Fingerprint>,
     schema: &Schema,
     cache: &Mutex<ProgramCache>,
     counters: &mut CompileCounters,
@@ -183,7 +184,7 @@ fn ensure_program<'a>(
         if !query.references_relation(schema.relation()) {
             return None;
         }
-        let fp = known_fp.unwrap_or_else(|| fingerprint(query));
+        let fp = shape_fingerprint(query);
         let mut cache = cache.lock().expect("program cache lock poisoned");
         let hit = cache
             .get(&fp.0)
@@ -220,7 +221,8 @@ fn ensure_program<'a>(
 /// by the caller (not per stored query). `programs` is the engine-wide
 /// compiled-program cache; `counters` are the node's compile counters,
 /// threaded in as a split borrow so the caller can keep iterating its
-/// stored-query bucket.
+/// stored-query bucket. Produced actions go straight onto `actions`.
+#[allow(clippy::too_many_arguments)]
 fn try_trigger(
     stored: &mut StoredQuery,
     tuple: &Tuple,
@@ -228,6 +230,7 @@ fn try_trigger(
     ctx: &ProcCtx<'_>,
     programs: &Mutex<ProgramCache>,
     counters: &mut CompileCounters,
+    actions: &mut Vec<Action>,
     start_rule: impl Fn(Option<Timestamp>, Timestamp) -> Option<Timestamp>,
 ) -> TriggerOutcome {
     let pending = &stored.pending;
@@ -269,20 +272,14 @@ fn try_trigger(
         }
     }
     let result = if ctx.config.compiled_predicates {
-        // `program`, `pending` and `fingerprint` are disjoint fields of
-        // `stored`, so the compiled program can be cached on the entry while
-        // its query is borrowed.
-        match ensure_program(
-            &mut stored.program,
-            &stored.pending.query,
-            stored.fingerprint,
-            schema,
-            programs,
-            counters,
-        ) {
+        // `program` and `pending` are disjoint fields of `stored`, so the
+        // compiled program can be cached on the entry while its query is
+        // borrowed.
+        let query = &stored.pending.query;
+        match ensure_program(&mut stored.program, query, schema, programs, counters) {
             Some(program) => {
                 counters.compiled_rewrites += 1;
-                program.execute(tuple)
+                program.execute(query, tuple)
             }
             None => return TriggerOutcome::NotTriggered,
         }
@@ -293,7 +290,7 @@ fn try_trigger(
     let pending = &stored.pending;
     match result {
         Ok(RewriteResult::Complete(row)) => {
-            let mut actions = Vec::with_capacity(pending.subscriber_count());
+            let before = actions.len();
             if tuple.pub_time() >= pending.insert_time {
                 actions.push(Action::DeliverAnswer {
                     query: pending.id,
@@ -309,17 +306,21 @@ fn try_trigger(
                     actions.push(Action::DeliverAnswer { query: sub.id, owner: sub.owner, row });
                 }
             }
-            if actions.is_empty() {
+            if actions.len() == before {
                 TriggerOutcome::NotTriggered
             } else {
-                TriggerOutcome::Triggered(actions)
+                TriggerOutcome::Triggered
             }
         }
         Ok(RewriteResult::Partial(q1)) => {
             let new_start = start_rule(pending.window_start, tuple.pub_time());
             match shared_child(pending, q1, new_start, tuple, schema) {
-                Some(child) => {
-                    TriggerOutcome::Triggered(vec![Action::Reindex { pending: Box::new(child) }])
+                Some(mut child) => {
+                    if let Some(program) = &stored.program {
+                        child.emitted_by = EmittedBy::program(program.shared());
+                    }
+                    actions.push(Action::Reindex { pending: Box::new(child) });
+                    TriggerOutcome::Triggered
                 }
                 None => TriggerOutcome::NotTriggered,
             }
@@ -395,16 +396,17 @@ pub fn handle_new_tuple(
         // (entries skipped here would have rewritten to `Mismatch` — see
         // the `trigger_index` module docs for the soundness argument); with
         // it off, a snapshot of the whole bucket (the linear-walk oracle).
-        let mut candidates = tindex.take_scratch();
+        let mut candidates = std::mem::take(&mut tindex.scratch);
         if tindex.enabled() {
-            tindex.collect_candidates(ring, tuple.as_ref(), schema, bucket.len(), &mut candidates);
+            tindex.collect_candidates(bucket, tuple.as_ref(), schema, &mut candidates);
         } else {
             tindex.note_linear_walk();
-            candidates.extend_from_slice(bucket);
+            candidates.extend_from_slice(&bucket.handles);
         }
         for handle in candidates.drain(..) {
             let Some(stored) = queries.get_mut(handle) else { continue };
             let primary = stored.pending.id;
+            let before = actions.len();
             let outcome = try_trigger(
                 stored,
                 tuple.as_ref(),
@@ -412,6 +414,7 @@ pub fn handle_new_tuple(
                 ctx,
                 &programs,
                 counters,
+                &mut actions,
                 |start, pub_time| {
                     // Procedure 2 rules (Section 5): a rewritten query created
                     // by triggering an *input* query records the tuple's
@@ -427,8 +430,8 @@ pub fn handle_new_tuple(
             match outcome {
                 TriggerOutcome::Expired => {
                     let expired = queries.remove(handle).expect("resolved above");
-                    unlink_from_bucket(bucket, queries, handle, expired.bucket_pos);
-                    tindex.remove(ring, handle, &expired);
+                    unlink_from_bucket(&mut bucket.handles, queries, handle, expired.bucket_pos);
+                    tindex.remove(bucket, handle, &expired);
                     removed += 1;
                     if !expired.pending.is_input() {
                         removed_rewritten += 1;
@@ -443,16 +446,15 @@ pub fn handle_new_tuple(
                     }
                     state_counters.contact_expirations += 1;
                 }
-                TriggerOutcome::Triggered(mut produced) => {
-                    sharing.push((primary, actions.len(), produced.len()));
-                    actions.append(&mut produced);
+                TriggerOutcome::Triggered => {
+                    sharing.push((primary, before, actions.len() - before));
                 }
                 TriggerOutcome::NotTriggered => {}
             }
         }
-        tindex.put_scratch(candidates);
+        tindex.scratch = candidates;
         counters.eval_nanos += walk.elapsed().as_nanos() as u64;
-        if bucket.is_empty() {
+        if bucket.handles.is_empty() {
             stored_map.remove(&ring);
         }
     }
@@ -569,6 +571,7 @@ fn handle_query_arrival(
         let Some(schema) = ctx.catalog.schema(tuple.relation()) else {
             continue;
         };
+        let before = actions.len();
         let outcome = try_trigger(
             &mut stored,
             tuple.as_ref(),
@@ -576,6 +579,7 @@ fn handle_query_arrival(
             ctx,
             &programs,
             counters,
+            &mut actions,
             |start, pub_time| {
                 // Procedure 3 rule (Section 5): the produced rewritten query's
                 // start is the *maximum* of the stored query's start and the
@@ -587,9 +591,8 @@ fn handle_query_arrival(
                 }
             },
         );
-        if let TriggerOutcome::Triggered(mut produced) = outcome {
-            record_sharing(sharing, stored.pending.id, &produced);
-            actions.append(&mut produced);
+        if let TriggerOutcome::Triggered = outcome {
+            record_sharing(sharing, stored.pending.id, &actions[before..]);
         }
         // A stored tuple outside the window simply does not trigger; the
         // query itself stays, waiting for newer tuples.
@@ -672,7 +675,7 @@ fn cell_program<'a>(
         Some(pos) => pos,
         None => {
             let mut slot = None;
-            ensure_program(&mut slot, query, None, schema, cache, counters)?;
+            ensure_program(&mut slot, query, schema, cache, counters)?;
             programs.push(slot?);
             programs.len() - 1
         }
@@ -782,7 +785,7 @@ fn handle_cell_arrival(
         cell_program(&mut cell.programs, &replica.query, schema, &programs, counters).and_then(
             |program| {
                 counters.compiled_rewrites += 1;
-                program.execute(tuple).ok()
+                program.execute(&replica.query, tuple).ok()
             },
         )
     } else {
@@ -879,7 +882,7 @@ pub fn handle_eval(
     // tracked per key exactly like tuple arrivals, bounded by the same
     // retention horizon.
     let horizon = ctx.config.ric_window + 2 * ctx.config.network_delay.max(1);
-    state.eval_ric.record_arrival_bounded(key.ring(), ctx.now, ctx.at, horizon);
+    state.eval_ric.record(key.ring(), ctx.now, ctx.at, horizon);
     debug_assert!(
         pending.hypercube.is_none(),
         "a hypercube cell joins locally and never emits Eval messages"
@@ -1649,7 +1652,7 @@ mod tests {
             );
             assert_eq!(state.stored_query_count(), 1);
             for bucket in state.stored_queries.values() {
-                for handle in bucket {
+                for handle in &bucket.handles {
                     let stored = state.queries.get(*handle).unwrap();
                     assert!(
                         !stored.pending.query.relations().is_empty(),
@@ -1689,6 +1692,136 @@ mod tests {
         assert_eq!(counters.interpreted_rewrites, 0, "{counters:?}");
     }
 
+    /// Programs are cached by shape: two rewritten queries that bound the same
+    /// relation to different values hold the very same program, yet each
+    /// emits its own child — and each child names that program, so dispatch
+    /// can instantiate its candidate keys instead of deriving them.
+    #[test]
+    fn rewritten_queries_of_one_shape_share_one_program_and_emit_their_own_children() {
+        let catalog = catalog();
+        let config = config();
+        let mut state = NodeState::new(Id(1));
+        let input = pending("SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B", 0);
+        let rewritten = |bound: i64| {
+            let sql = format!("SELECT 9, J.A FROM S, J WHERE S.A = {bound} AND S.B = J.B");
+            input.child(parse_query(&sql).unwrap(), Some(1))
+        };
+        let mut children = Vec::new();
+        for (bound, joined) in [(7, 3), (8, 4)] {
+            let key = IndexKey::value("S", "A", Value::from(bound));
+            let p = rewritten(bound);
+            handle_eval(&mut state, &ctx(&catalog, &config, 2), p, &key.hashed(), key.level());
+            let s_tuple = tuple("S", [bound, joined, 0], 5);
+            let actions = handle_new_tuple(
+                &mut state,
+                &ctx(&catalog, &config, 5),
+                &s_tuple,
+                &key.hashed(),
+                IndexLevel::Value,
+            );
+            let [Action::Reindex { pending: child }] = actions.as_slice() else {
+                panic!("one child expected, got {actions:?}");
+            };
+            let expected = rewrite(&rewritten(bound).query, &s_tuple, catalog.schema("S").unwrap());
+            assert_eq!(expected.unwrap(), RewriteResult::Partial(child.query.clone()));
+            children.push(child.clone());
+        }
+        assert_ne!(children[0].query, children[1].query, "each emits its own child");
+
+        let programs: Vec<_> = state
+            .stored_queries
+            .values()
+            .flat_map(|bucket| &bucket.handles)
+            .map(|handle| state.queries.get(*handle).unwrap().program.as_ref().unwrap().shared())
+            .collect();
+        assert_eq!(programs.len(), 2);
+        assert!(Arc::ptr_eq(programs[0], programs[1]), "one shape, one program");
+        let counters = state.compile_counters();
+        assert_eq!((counters.programs_compiled, counters.cache_hits), (1, 1), "{counters:?}");
+
+        for child in &children {
+            let templates = child.emitted_by.child_keys().expect("the child names its emitter");
+            let instantiated: Vec<_> =
+                templates.iter().map(|key| key.instantiate(&child.query).unwrap()).collect();
+            assert_eq!(instantiated, rjoin_query::candidate_keys(&child.query));
+        }
+    }
+
+    /// Differential: one value-level key whose bucket grows from a single
+    /// vacuously pinned entry past the point a discriminating column appears
+    /// (the bucket is partitioned), then shrinks back to nothing through
+    /// window expiry — probed by tuples all along. Every arrival must
+    /// produce exactly the actions of the linear bucket walk.
+    #[test]
+    fn a_growing_and_shrinking_bucket_matches_the_linear_walk() {
+        let catalog = catalog();
+        let config = config();
+        let key = IndexKey::value("S", "A", Value::from(7));
+        let input = pending(
+            "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
+            0,
+        );
+        let eval = |state: &mut NodeState, pinned_c: Option<i64>, start: u64| {
+            let pin = pinned_c.map(|c| format!(" AND S.C = {c}")).unwrap_or_default();
+            let sql = format!(
+                "SELECT 9, J.A FROM S, J WHERE S.A = 7{pin} AND S.B = J.B WINDOW SLIDING 8 TUPLES"
+            );
+            let mut child = input.child(parse_query(&sql).unwrap(), Some(start));
+            child.note_contribution(start);
+            handle_eval(state, &ctx(&catalog, &config, start), child, &key.hashed(), key.level());
+        };
+        // `(c, pub_time)` of an S tuple `(7, 3, c)` sent to both nodes.
+        let probe = |indexed: &mut NodeState, linear: &mut NodeState, c: i64, pub_time: u64| {
+            let rendered = |state: &mut NodeState| {
+                state.advance_expiry(pub_time);
+                let arrival = tuple("S", [7, 3, c], pub_time);
+                let actions = handle_new_tuple(
+                    state,
+                    &ctx(&catalog, &config, pub_time),
+                    &arrival,
+                    &key.hashed(),
+                    IndexLevel::Value,
+                );
+                let mut rendered: Vec<String> = actions.iter().map(|a| format!("{a:?}")).collect();
+                rendered.sort();
+                rendered
+            };
+            let expected = rendered(linear);
+            assert_eq!(rendered(indexed), expected, "tuple C = {c} published at {pub_time}");
+            expected.len()
+        };
+        let mut indexed = NodeState::new(Id(1));
+        let mut linear = NodeState::new(Id(2));
+        linear.configure_trigger_index(false);
+        let both = |indexed: &mut NodeState, linear: &mut NodeState, c: Option<i64>, start: u64| {
+            eval(indexed, c, start);
+            eval(linear, c, start);
+        };
+
+        both(&mut indexed, &mut linear, None, 10);
+        assert_eq!(probe(&mut indexed, &mut linear, 5, 11), 1, "the lone entry fires");
+        both(&mut indexed, &mut linear, None, 11);
+        assert_eq!(indexed.probe_counters().index_entries_high_water, 0, "nothing filed so far");
+        both(&mut indexed, &mut linear, Some(5), 12);
+        both(&mut indexed, &mut linear, Some(6), 13);
+        assert_eq!(indexed.probe_counters().index_entries_high_water, 4, "partitioned");
+        assert_eq!(probe(&mut indexed, &mut linear, 5, 14), 3, "two vacuous pins and C = 5");
+        assert_eq!(probe(&mut indexed, &mut linear, 6, 15), 3, "two vacuous pins and C = 6");
+        assert_eq!(probe(&mut indexed, &mut linear, 1, 16), 2, "no pinned slice matches");
+        both(&mut indexed, &mut linear, None, 16);
+        // The window (8 ticks from each entry's start) closes entry by entry.
+        assert_eq!(probe(&mut indexed, &mut linear, 5, 19), 2, "starts 10 and 11 are out");
+        assert_eq!(probe(&mut indexed, &mut linear, 6, 21), 1, "only start 16 is left");
+        assert_eq!(probe(&mut indexed, &mut linear, 5, 40), 0, "everything expired");
+        for state in [&mut indexed, &mut linear] {
+            state.advance_expiry(100);
+            assert_eq!(state.stored_query_count(), 0);
+            assert!(state.stored_queries.is_empty(), "the bucket went with its last entry");
+        }
+        both(&mut indexed, &mut linear, None, 100);
+        assert_eq!(probe(&mut indexed, &mut linear, 5, 101), 1, "the key starts over");
+    }
+
     /// `ensure_program` keeps the engine-wide cache clean: a contact by a
     /// relation the query does not reference returns before the cache is
     /// touched at all (shown on a poisoned lock — taking it would panic),
@@ -1709,22 +1842,21 @@ mod tests {
         assert!(poisoned.is_poisoned());
         let mut slot = None;
         let foreign = catalog.schema("M").unwrap();
-        assert!(
-            ensure_program(&mut slot, &query, None, foreign, &poisoned, &mut counters).is_none()
-        );
+        assert!(ensure_program(&mut slot, &query, foreign, &poisoned, &mut counters).is_none());
         assert!(slot.is_none());
 
         let cache = Mutex::new(ProgramCache::default());
         let r = catalog.schema("R").unwrap();
-        assert!(ensure_program(&mut slot, &query, None, r, &cache, &mut counters).is_some());
+        assert!(ensure_program(&mut slot, &query, r, &cache, &mut counters).is_some());
         assert_eq!(cache.lock().unwrap().len(), 1);
         // `S.Z` does not exist: the query references S but cannot compile.
         let broken = parse_query("SELECT S.Z FROM S, R WHERE S.Z = R.A").unwrap();
         let s_schema = catalog.schema("S").unwrap();
         let mut broken_slot = None;
-        assert!(ensure_program(&mut broken_slot, &broken, None, s_schema, &cache, &mut counters)
-            .is_none());
-        assert!(ensure_program(&mut slot, &query, None, foreign, &cache, &mut counters).is_none());
+        assert!(
+            ensure_program(&mut broken_slot, &broken, s_schema, &cache, &mut counters).is_none()
+        );
+        assert!(ensure_program(&mut slot, &query, foreign, &cache, &mut counters).is_none());
         assert_eq!(cache.lock().unwrap().len(), 1, "no dead keys");
         assert_eq!(slot.as_ref().map(|p| p.relation()), Some("R"), "the slot is not clobbered");
         assert_eq!((counters.programs_compiled, counters.cache_hits), (1, 0));

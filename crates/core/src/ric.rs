@@ -75,7 +75,8 @@ impl RicTracker {
     }
 
     /// Number of tuples that arrived under `key` during `(now - window, now]`.
-    /// Also prunes arrivals that fell out of the window.
+    /// Also prunes arrivals that fell out of the window, and forgets a key
+    /// whose last arrival did.
     ///
     /// This is the sequential driver's read: pruning is lossy on purpose
     /// (the tracker only keeps what the most recent window retained), which
@@ -89,6 +90,10 @@ impl RicTracker {
             } else {
                 break;
             }
+        }
+        if times.is_empty() {
+            self.arrivals.remove(&key);
+            return 0;
         }
         times.len() as u64
     }
@@ -125,9 +130,49 @@ impl RicTracker {
         self.total_arrivals
     }
 
-    /// Number of distinct keys with at least one recorded arrival.
+    /// Number of distinct keys with at least one retained arrival.
     pub fn tracked_keys(&self) -> usize {
         self.arrivals.len()
+    }
+}
+
+/// The arrival history of one node's `Eval` messages: the query-side heat
+/// signal of hot-key splitting, the twin of the [`RicTracker`] that counts
+/// tuple arrivals.
+///
+/// Nothing on the delivery path ever reads it — its only readers are the
+/// split decisions the driver takes at quiescent points — and most keys
+/// receive one rewritten query and never another. So instead of a deque per
+/// key it is one log per node in arrival order: recording is a push, nothing
+/// is allocated or probed per key, and a read scans the retention horizon.
+#[derive(Debug, Clone, Default)]
+pub struct ArrivalLog {
+    /// `(key, clock, delivery tick)`, clock and tick non-decreasing.
+    arrivals: VecDeque<(u64, SimTime, SimTime)>,
+}
+
+impl ArrivalLog {
+    /// Records one arrival under `key` at clock time `now`, delivered at
+    /// tick `at`, after dropping arrivals more than `horizon` ticks older
+    /// than it. As with [`RicTracker::record_arrival_bounded`], a horizon of
+    /// `window + 2δ` makes the pruning invisible: readers are never behind
+    /// the node's own clock.
+    pub fn record(&mut self, key: u64, now: SimTime, at: SimTime, horizon: SimTime) {
+        let cutoff = now.saturating_sub(horizon);
+        while self.arrivals.front().is_some_and(|&(_, clock, _)| clock < cutoff) {
+            self.arrivals.pop_front();
+        }
+        self.arrivals.push_back((key, now, at));
+    }
+
+    /// Arrivals under `key` during `(now - window, now]` that were delivered
+    /// at tick `max_tick` or earlier — [`RicTracker::rate_at`]'s answer.
+    pub fn rate_at(&self, key: u64, now: SimTime, window: SimTime, max_tick: SimTime) -> u64 {
+        let lower = now.saturating_sub(window).saturating_add(1).min(now);
+        self.arrivals
+            .iter()
+            .filter(|&&(k, clock, at)| k == key && (lower..=now).contains(&clock) && at <= max_tick)
+            .count() as u64
     }
 }
 
@@ -164,6 +209,29 @@ mod tests {
         assert_eq!(t.rate(k("k"), 100, 1000), 1);
         assert_eq!(t.total_arrivals(), 2);
         assert_eq!(t.tracked_keys(), 1);
+    }
+
+    /// A key whose window rolled over completely leaves nothing behind —
+    /// neither a deque nor its map slot — and answers exactly as before.
+    #[test]
+    fn a_key_is_forgotten_when_its_last_arrival_is_pruned() {
+        let mut t = RicTracker::new();
+        t.record_arrival(k("cold"), 10, 10);
+        t.record_arrival(k("warm"), 10, 10);
+        t.record_arrival(k("warm"), 95, 95);
+        assert_eq!(t.tracked_keys(), 2);
+        // At 100 with a 20-tick window "cold" has rolled over, "warm" has not.
+        assert_eq!(t.rate(k("cold"), 100, 20), 0);
+        assert_eq!(t.rate(k("warm"), 100, 20), 1);
+        assert_eq!(t.tracked_keys(), 1, "the emptied key is dropped, not kept as an empty deque");
+        assert_eq!(t.rate(k("cold"), 100, 1000), 0);
+        assert_eq!(t.rate_at(k("cold"), 100, 1000, 100), 0);
+        // A later arrival re-opens the key like any first arrival.
+        t.record_arrival_bounded(k("cold"), 101, 101, 40);
+        assert_eq!(t.tracked_keys(), 2);
+        assert_eq!(t.rate(k("cold"), 101, 20), 1);
+        assert_eq!(t.rate_at(k("warm"), 101, 20, 101), 1);
+        assert_eq!(t.total_arrivals(), 4);
     }
 
     #[test]
@@ -206,6 +274,29 @@ mod tests {
         assert_eq!(t.rate_at(k("k"), 60, 5, 60), 1);
         // rate_at never pruned anything.
         assert_eq!(t.rate(k("k"), 60, 1000), 4);
+    }
+
+    /// The per-node log answers every read the way per-key deques did
+    /// (reads are never behind the node's latest arrival).
+    #[test]
+    fn arrival_log_agrees_with_a_tracker_per_key() {
+        let mut log = ArrivalLog::default();
+        let mut tracker = RicTracker::new();
+        let arrivals = [("a", 10, 10), ("b", 10, 10), ("a", 50, 11), ("a", 50, 12), ("b", 60, 60)];
+        for (key, now, at) in arrivals {
+            log.record(k(key), now, at, 45);
+            tracker.record_arrival_bounded(k(key), now, at, 45);
+        }
+        for key in ["a", "b", "never"] {
+            for (now, window, max_tick) in [(60, 20, 60), (60, 0, 60), (60, 43, 11), (75, 43, 75)] {
+                assert_eq!(
+                    log.rate_at(k(key), now, window, max_tick),
+                    tracker.rate_at(k(key), now, window, max_tick),
+                    "{key} at {now} over {window} up to tick {max_tick}"
+                );
+            }
+        }
+        assert_eq!(log.arrivals.len(), 3, "arrivals before 60 - 45 left with the horizon");
     }
 
     #[test]

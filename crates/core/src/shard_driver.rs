@@ -93,7 +93,7 @@ use rjoin_net::{
     lineage_seed, Lineage, ShardDelivery, ShardHandle, ShardLocal, ShardPoll, ShardedNetwork,
     SimTime, Transport,
 };
-use rjoin_query::IndexKey;
+use rjoin_query::IndexLevel;
 use rjoin_relation::Catalog;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -149,7 +149,7 @@ impl<'n, 'a> EffectEnv for ShardEnv<'_, 'n, 'a> {
 
     fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry) {
         if let Some(state) = self.nodes.get_mut(&node) {
-            state.candidate_table.insert(ring, entry);
+            state.cache_ric(ring, entry);
         }
     }
 
@@ -167,7 +167,7 @@ impl<'n, 'a> EffectEnv for ShardEnv<'_, 'n, 'a> {
 
     fn choose(
         &mut self,
-        candidates: &[IndexKey],
+        candidates: &[IndexLevel],
         rates: &[u64],
         strategy: PlacementStrategy,
     ) -> usize {

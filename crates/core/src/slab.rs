@@ -38,10 +38,18 @@ enum Slot<T> {
     Vacant { generation: u32 },
 }
 
+/// Slots per chunk of the arena.
+const CHUNK: usize = 64;
+
 /// A generational arena with O(1) insert/remove and stable handles.
+///
+/// The arena grows a chunk of [`CHUNK`] slots at a time and never moves a
+/// slot: entries are wide (a stored query is several hundred bytes) and
+/// mostly written once, so doubling one contiguous vector would copy every
+/// entry again each time a node's store grew.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
-    slots: Vec<Slot<T>>,
+    chunks: Vec<Vec<Slot<T>>>,
     free: Vec<u32>,
     len: usize,
     high_water: usize,
@@ -49,7 +57,7 @@ pub struct Slab<T> {
 
 impl<T> Default for Slab<T> {
     fn default() -> Self {
-        Slab { slots: Vec::new(), free: Vec::new(), len: 0, high_water: 0 }
+        Slab { chunks: Vec::new(), free: Vec::new(), len: 0, high_water: 0 }
     }
 }
 
@@ -75,13 +83,21 @@ impl<T> Slab<T> {
         self.high_water
     }
 
+    fn slot(&self, index: u32) -> Option<&Slot<T>> {
+        self.chunks.get(index as usize / CHUNK)?.get(index as usize % CHUNK)
+    }
+
+    fn slot_mut(&mut self, index: u32) -> Option<&mut Slot<T>> {
+        self.chunks.get_mut(index as usize / CHUNK)?.get_mut(index as usize % CHUNK)
+    }
+
     /// Inserts a value and returns its stable handle.
     pub fn insert(&mut self, value: T) -> Handle {
         self.len += 1;
         self.high_water = self.high_water.max(self.len);
         match self.free.pop() {
             Some(index) => {
-                let slot = &mut self.slots[index as usize];
+                let slot = self.slot_mut(index).expect("free list points inside the arena");
                 let generation = match slot {
                     Slot::Vacant { generation } => *generation,
                     Slot::Occupied { .. } => unreachable!("free list points at occupied slot"),
@@ -90,9 +106,14 @@ impl<T> Slab<T> {
                 Handle { index, generation }
             }
             None => {
-                let index =
-                    u32::try_from(self.slots.len()).expect("slab capacity exceeds u32 indices");
-                self.slots.push(Slot::Occupied { generation: 0, value });
+                if self.chunks.last().is_none_or(|chunk| chunk.len() == CHUNK) {
+                    self.chunks.push(Vec::with_capacity(CHUNK));
+                }
+                let full_chunks = self.chunks.len() - 1;
+                let chunk = self.chunks.last_mut().expect("pushed above");
+                let index = u32::try_from(full_chunks * CHUNK + chunk.len())
+                    .expect("slab capacity exceeds u32 indices");
+                chunk.push(Slot::Occupied { generation: 0, value });
                 Handle { index, generation: 0 }
             }
         }
@@ -100,7 +121,7 @@ impl<T> Slab<T> {
 
     /// The entry behind `handle`, if it is still live.
     pub fn get(&self, handle: Handle) -> Option<&T> {
-        match self.slots.get(handle.index as usize) {
+        match self.slot(handle.index) {
             Some(Slot::Occupied { generation, value }) if *generation == handle.generation => {
                 Some(value)
             }
@@ -110,7 +131,7 @@ impl<T> Slab<T> {
 
     /// Mutable access to the entry behind `handle`, if it is still live.
     pub fn get_mut(&mut self, handle: Handle) -> Option<&mut T> {
-        match self.slots.get_mut(handle.index as usize) {
+        match self.slot_mut(handle.index) {
             Some(Slot::Occupied { generation, value }) if *generation == handle.generation => {
                 Some(value)
             }
@@ -128,7 +149,7 @@ impl<T> Slab<T> {
     /// is bumped, so every outstanding copy of the handle goes stale
     /// atomically — including after the slot is reused.
     pub fn remove(&mut self, handle: Handle) -> Option<T> {
-        let slot = self.slots.get_mut(handle.index as usize)?;
+        let slot = self.slot_mut(handle.index)?;
         match slot {
             Slot::Occupied { generation, .. } if *generation == handle.generation => {
                 let next_generation = generation.wrapping_add(1);
@@ -212,5 +233,23 @@ mod tests {
         }
         assert_eq!(slab.len(), 100);
         assert_eq!(slab.high_water(), 100, "reuse must not grow the arena");
+    }
+
+    /// Handles stay valid — and entries stay put — while the arena grows
+    /// chunk after chunk.
+    #[test]
+    fn growth_across_chunks_keeps_entries_in_place() {
+        let mut slab = Slab::new();
+        let handles: Vec<_> = (0..5 * CHUNK + 3).map(|i| slab.insert(i)).collect();
+        let first: *const usize = slab.get(handles[0]).unwrap();
+        for i in 0..10 * CHUNK {
+            slab.insert(i);
+        }
+        assert!(std::ptr::eq(first, slab.get(handles[0]).unwrap()));
+        for (i, handle) in handles.iter().enumerate() {
+            assert_eq!(slab.get(*handle), Some(&i));
+        }
+        assert_eq!(slab.remove(handles[CHUNK]), Some(CHUNK));
+        assert_eq!(slab.insert(7), Handle { index: CHUNK as u32, generation: 1 });
     }
 }

@@ -1,4 +1,19 @@
 //! The Chord ring: membership, maintenance and lookups.
+//!
+//! # Routes depend on the key only through its owner
+//!
+//! Lookups are memoized per `(from, Successor(key))`, not per `(from, key)`.
+//! A greedy Chord walk consults the key in two tests only — "is the key in
+//! `(current, successor]`" and "does this finger lie in `(current, key)`" —
+//! and both compare the key against *live node identifiers*. No live node
+//! lies strictly between two keys of one owner (both sit in
+//! `(Predecessor(owner), owner]`), so as long as every pointer a walk
+//! consults is live, every such test gives the same answer for both keys
+//! and the two walks are the same walk. That precondition is the stabilized
+//! ring the engine drains on; whenever it may stop holding — membership
+//! changes, stabilization steps, a walk that trips over a dead pointer and
+//! repairs it — the memo is dropped wholesale. It holds at most one entry
+//! per ordered pair of nodes.
 
 use crate::key::RingBuildHasher;
 use crate::{ChordNode, DhtError, Id, ID_BITS, SUCCESSOR_LIST_LEN};
@@ -15,14 +30,14 @@ use std::sync::Arc;
 pub struct LookupResult {
     /// The node responsible for the key (`Successor(key)`).
     pub owner: Id,
-    path: Arc<Vec<Id>>,
+    path: Arc<[Id]>,
     start: usize,
 }
 
 impl LookupResult {
     fn from_walk(path: Vec<Id>) -> Self {
         let owner = *path.last().expect("walked paths are non-empty");
-        LookupResult { owner, path: Arc::new(path), start: 0 }
+        LookupResult { owner, path: path.into(), start: 0 }
     }
 
     /// A single-hop result: `from` resolved `owner` without walking the
@@ -56,15 +71,6 @@ impl LookupResult {
 /// repair-heavy walks).
 const PATH_CAPACITY: usize = 16;
 
-/// Entries the route cache may hold before it is dropped wholesale. On a
-/// stable ring nothing else ever evicts it, and a 256-node engine adds
-/// ≈ 880 `(node, key)` entries per published tuple (176 k after one
-/// 200-tuple `paper_4way` benchmark epoch), so a long-running engine would
-/// grow it without bound. The cache is a pure memo — dropping it only costs
-/// the next walks their splice — so the bound is a plain constant a few
-/// epochs wide rather than an eviction policy.
-const ROUTE_CACHE_LIMIT: usize = 1 << 19;
-
 /// A simulated Chord network.
 ///
 /// All nodes live in one process, mirroring the paper's Java simulator. The
@@ -80,34 +86,18 @@ pub struct ChordNetwork {
     /// Upper bound on lookup path length before declaring the routing state
     /// broken.
     max_hops: usize,
-    /// Memoized `(from, key)` lookup routes. On a stable ring the walk is
-    /// a pure function of the routing state, and greedy routing is
+    /// Memoized lookup routes, keyed `(from, owner of the key)` (the module
+    /// docs say why the owner stands in for the key). On a stable ring the
+    /// walk is a pure function of the routing state, and greedy routing is
     /// *memoryless* — each hop depends only on the current node and the
     /// key — so every proper suffix of a walked path is exactly the walk
     /// its first node would produce. One walk therefore seeds an entry for
     /// every node it visited (all sharing one `Arc`'d path), and later
-    /// walks splice onto a cached tail the moment they touch any
-    /// previously visited node. The cache is cleared whenever anything
-    /// that can change a path changes: membership (join/leave/fail/move)
-    /// and every stabilization or in-walk repair step — and whenever it
-    /// passes [`ROUTE_CACHE_LIMIT`] entries.
-    route_cache: HashMap<(Id, Id), CachedRoute, RingBuildHasher>,
-}
-
-/// One memoized route: a shared full walk plus the offset this entry's
-/// suffix starts at (`path[start]` is the entry's origin node, the final
-/// element is the owner).
-#[derive(Debug, Clone)]
-struct CachedRoute {
-    path: Arc<Vec<Id>>,
-    start: usize,
-}
-
-impl CachedRoute {
-    fn result(&self) -> LookupResult {
-        let owner = *self.path.last().expect("cached paths are non-empty");
-        LookupResult { owner, path: Arc::clone(&self.path), start: self.start }
-    }
+    /// walks splice onto a cached tail the moment they touch any previously
+    /// visited node. The cache is cleared whenever anything that can change
+    /// a path changes: membership (join/leave/fail/move) and every
+    /// stabilization or in-walk repair step.
+    route_cache: HashMap<(Id, Id), LookupResult, RingBuildHasher>,
 }
 
 impl ChordNetwork {
@@ -413,11 +403,15 @@ impl ChordNetwork {
     /// Returns the owner plus the full path taken, which the network layer
     /// uses to account routed messages per node.
     pub fn lookup(&mut self, from: Id, key: Id) -> Result<LookupResult, DhtError> {
-        if let Some(hit) = self.route_cache.get(&(from, key)) {
-            return Ok(hit.result());
+        let Ok(owner) = self.successor_of(key) else {
+            // An empty ring has no `from` either.
+            return Err(DhtError::UnknownNode { id: from });
+        };
+        if let Some(hit) = self.route_cache.get(&(from, owner)) {
+            return Ok(hit.clone());
         }
         let mut repaired = false;
-        let result = self.lookup_walk(from, key, &mut repaired);
+        let result = self.lookup_walk(from, key, owner, &mut repaired);
         if repaired {
             // The walk repaired routing pointers: every memoized path may
             // now be stale, including the one just computed (its early hops
@@ -433,23 +427,24 @@ impl ChordNetwork {
             // was walked from that node. The entries share the result's own
             // `Arc`'d path — no copies.
             let path = &result.path;
-            let origins = path.len().max(2) - 1;
-            if self.route_cache.len() + origins > ROUTE_CACHE_LIMIT {
-                self.invalidate_routes();
-            }
-            for start in 0..origins {
-                self.route_cache
-                    .entry((path[start], key))
-                    .or_insert_with(|| CachedRoute { path: Arc::clone(path), start });
+            for start in 0..path.len().max(2) - 1 {
+                self.route_cache.entry((path[start], owner)).or_insert_with(|| LookupResult {
+                    owner: result.owner,
+                    path: Arc::clone(path),
+                    start,
+                });
             }
         }
         result
     }
 
+    /// The cold walk behind [`lookup`](Self::lookup). `memo_owner` is the
+    /// ground-truth owner of `key`, the memo's key component.
     fn lookup_walk(
         &mut self,
         from: Id,
         key: Id,
+        memo_owner: Id,
         repaired: &mut bool,
     ) -> Result<LookupResult, DhtError> {
         if !self.nodes.contains_key(&from) {
@@ -519,7 +514,7 @@ impl ChordNetwork {
             // Skipped once a repair happened — the cache is stale then and
             // is about to be dropped wholesale.
             if !*repaired {
-                if let Some(hit) = self.route_cache.get(&(current, key)) {
+                if let Some(hit) = self.route_cache.get(&(current, memo_owner)) {
                     path.extend_from_slice(&hit.path[hit.start + 1..]);
                     return Ok(LookupResult::from_walk(path));
                 }
@@ -665,8 +660,7 @@ mod tests {
         assert!(avg >= 1.0, "average hops {avg} suspiciously low");
     }
 
-    /// The route cache is a memo: dropping it — here by hand, in production
-    /// when it passes `ROUTE_CACHE_LIMIT` — never changes a path.
+    /// The route cache is a memo: dropping it never changes a path.
     #[test]
     fn lookups_are_identical_before_and_after_a_cache_clear() {
         let (mut net, ids) = build(64);
@@ -679,35 +673,12 @@ mod tests {
         };
         let cold = walk(&mut net);
         assert!(!net.route_cache.is_empty(), "walks on a stable ring are memoized");
+        assert!(net.route_cache.len() <= 64 * 64, "one entry per ordered pair of nodes at most");
         let warm = walk(&mut net);
         assert_eq!(warm, cold, "memoized routes equal the walks that seeded them");
         net.invalidate_routes();
         assert!(net.route_cache.is_empty());
         assert_eq!(walk(&mut net), cold, "a cleared cache re-walks to identical paths");
-    }
-
-    /// On a stable ring only the size bound evicts: distinct keys keep
-    /// adding entries until the cache is dropped, never past the limit.
-    #[test]
-    fn route_cache_is_bounded_on_a_stable_ring() {
-        let (mut net, ids) = build(64);
-        let sample = Id::hash_key("bounded-sample");
-        let before = net.lookup(ids[0], sample).unwrap().path().to_vec();
-        let mut peak = 0usize;
-        let mut cleared = false;
-        let mut key = 0u64;
-        while !cleared {
-            let len = net.route_cache.len();
-            for from in &ids {
-                net.lookup(*from, Id(crate::key::mix64(key))).unwrap();
-            }
-            key += 1;
-            peak = peak.max(net.route_cache.len());
-            cleared = net.route_cache.len() < len;
-        }
-        assert!(peak <= ROUTE_CACHE_LIMIT, "the cache grew to {peak} entries");
-        assert!(peak > ROUTE_CACHE_LIMIT / 2, "the bound, not something else, cleared it");
-        assert_eq!(net.lookup(ids[0], sample).unwrap().path(), before.as_slice());
     }
 
     #[test]

@@ -2,7 +2,31 @@
 //! and lookup correctness on random rings.
 
 use proptest::prelude::*;
-use rjoin_dht::{ChordNetwork, Id};
+use rjoin_dht::{ChordNetwork, Id, ID_BITS};
+
+/// For every `(from, key)` pick: the memoized `lookup` equals a cold
+/// `lookup_stable` walk, and so do the lookups of two other keys of the same
+/// owner — the owner's own identifier and the first identifier of its arc.
+fn assert_routes_depend_on_the_owner_only(
+    net: &mut ChordNetwork,
+    picks: &[(usize, u64)],
+) -> Result<(), TestCaseError> {
+    let ids: Vec<Id> = net.node_ids().collect();
+    for &(from_pick, key) in picks {
+        let (from, key) = (ids[from_pick % ids.len()], Id(key));
+        let owner = net.successor_of(key).unwrap();
+        let arc_start = Id(net.predecessor_of(owner).unwrap().0.wrapping_add(1));
+        let cold = net.lookup_stable(from, key).unwrap();
+        for same_owner in [key, owner, arc_start] {
+            prop_assert_eq!(net.successor_of(same_owner).unwrap(), owner);
+            let memoized = net.lookup(from, same_owner).unwrap();
+            prop_assert_eq!(memoized.path(), cold.path());
+            let walked = net.lookup_stable(from, same_owner).unwrap();
+            prop_assert_eq!(walked.path(), cold.path());
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     /// `in_open_closed_interval` partitions the ring: for any `from != to`,
@@ -66,6 +90,33 @@ proptest! {
         prop_assert!(result.hops() <= nodes, "hops {} exceed ring size {}", result.hops(), nodes);
         prop_assert_eq!(result.path().first().copied(), Some(from));
         prop_assert_eq!(result.path().last().copied(), Some(expected));
+    }
+
+    /// Routes are memoized per `(from, owner)`: on stabilized rings of every
+    /// size class the memo never disagrees with a cold walk and keys of one
+    /// owner share one path — before and after joins, a graceful leave and a
+    /// crash, once the protocol's own stabilization rounds repaired the ring.
+    #[test]
+    fn memoized_routes_depend_on_the_key_through_its_owner_only(
+        size_class in 0usize..6,
+        picks in proptest::collection::vec((any::<usize>(), any::<u64>()), 24),
+    ) {
+        let nodes = [1usize, 2, 3, 17, 64, 256][size_class];
+        let mut net = ChordNetwork::new(4);
+        let ids: Vec<Id> = (0..nodes).map(|i| Id::hash_key(&format!("memo-node-{i}"))).collect();
+        for id in &ids {
+            net.join(*id).unwrap();
+        }
+        net.full_stabilize();
+        assert_routes_depend_on_the_owner_only(&mut net, &picks)?;
+        net.join(Id::hash_key("memo-late")).unwrap();
+        net.join(Id::hash_key("memo-later")).unwrap();
+        net.leave(ids[nodes / 2]).unwrap();
+        net.fail(Id::hash_key("memo-late")).unwrap();
+        for _ in 0..ID_BITS {
+            net.stabilize_round();
+        }
+        assert_routes_depend_on_the_owner_only(&mut net, &picks)?;
     }
 
     /// Every key is owned by exactly one node, and ownership moves to the

@@ -8,9 +8,10 @@ use serde::{Deserialize, Serialize};
 /// statistics snapshot. All counters are cumulative over a run:
 ///
 /// * `programs_compiled` — `WHERE`-side programs compiled from scratch (one
-///   per distinct sub-join shape × trigger relation seen on the node),
+///   per distinct sub-join shape × trigger relation seen on the node; a
+///   shape is the sub-join with its constants erased),
 /// * `cache_hits` — stored queries that reused a program already in the
-///   node's fingerprint-keyed cache instead of compiling their own,
+///   shape-keyed cache instead of compiling their own,
 /// * `compiled_rewrites` — per-tuple rewrites executed by a compiled
 ///   program,
 /// * `interpreted_rewrites` — per-tuple rewrites that ran the AST
@@ -22,7 +23,7 @@ use serde::{Deserialize, Serialize};
 pub struct CompileCounters {
     /// Predicate programs compiled from scratch.
     pub programs_compiled: u64,
-    /// Program reuses served by the fingerprint-keyed cache.
+    /// Program reuses served by the shape-keyed cache.
     pub cache_hits: u64,
     /// Per-tuple rewrites executed by compiled programs.
     pub compiled_rewrites: u64,

@@ -96,12 +96,14 @@ impl fmt::Display for Conjunct {
 /// a tuple of the trigger relation does to it: constant and self-join
 /// conjuncts over the trigger relation become up-front filters (they never
 /// reach the emitted child), and everything else becomes one `EmitStep` in
-/// source order.
+/// source order. Steps name source conjuncts by **slot** (their position in
+/// the stored query's `WHERE` clause), never by value, so one template
+/// serves every query of the same shape whatever constants it carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EmitStep {
-    /// Re-emit this conjunct unchanged — it does not mention the trigger
-    /// relation, so the rewrite cannot touch it.
-    Keep(Conjunct),
+    /// Re-emit the stored query's conjunct at this slot unchanged — it does
+    /// not mention the trigger relation, so the rewrite cannot touch it.
+    Keep(usize),
     /// A join conjunct with exactly one side on the trigger relation: emit
     /// `ConstEq(attr, tuple[offset])`, folding the trigger side to the
     /// constant carried by the tuple.
@@ -117,9 +119,9 @@ pub enum EmitStep {
 /// One step of a compiled `SELECT` resolution plan (see [`crate::compile_subjoin`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SelectStep {
-    /// Re-emit this item unchanged (a constant, or an attribute of another
-    /// relation).
-    Keep(SelectItem),
+    /// Re-emit the stored query's `SELECT` item at this slot unchanged (a
+    /// constant, or an attribute of another relation).
+    Keep(usize),
     /// An attribute of the trigger relation: resolve it to
     /// `tuple[offset]`.
     Resolve(AttrIndex),

@@ -14,19 +14,34 @@
 //! [`compile_subjoin`] precomputes that shape once into a [`SubJoinProgram`]:
 //!
 //! * constant selections over the trigger relation become
-//!   [`const_filters`](SubJoinProgram) — offset/value pairs checked first,
-//!   so a non-matching tuple is rejected before any allocation,
+//!   [`const_filters`](SubJoinProgram) — column offset / conjunct slot pairs
+//!   checked first, so a non-matching tuple is rejected before any
+//!   allocation,
 //! * self-join conjuncts (`R.A = R.B`, from unchecked construction) become
 //!   offset/offset `self_filters`,
 //! * every surviving conjunct becomes an [`EmitStep`] and every `SELECT`
 //!   item a [`SelectStep`], so executing a tuple is a linear scan over flat
 //!   vectors instead of an AST walk.
 //!
-//! The `WHERE`-side program is `SELECT`-agnostic, mirroring the fingerprint
-//! abstraction of shared sub-joins: all subscribers of a structurally
-//! identical sub-join share one `SubJoinProgram` (cached by fingerprint in
-//! the node state), and each stored query pairs it with its own cheap
-//! [`CompiledTrigger`] select plan.
+//! # Programs are per shape, not per query
+//!
+//! Nothing above depends on the *constants* of the query: a program names
+//! the conjuncts and `SELECT` items it keeps or compares against by their
+//! **slot** in the stored query and reads the values out of that query when
+//! it runs ([`CompiledTrigger::execute`] takes the query next to the tuple).
+//! Every rewritten query an input query ever spawns by binding the same
+//! relations in the same order — whatever values the tuples carried — is
+//! therefore served by one `Arc<SubJoinProgram>`:
+//! [`matches_source`](SubJoinProgram::matches_source) compares `FROM`, the
+//! window, the semantics flag and the conjuncts **with their constants
+//! erased**, and [`shape_fingerprint`](crate::shape_fingerprint) hashes
+//! exactly that. The `WHERE`-side program is also `SELECT`-agnostic,
+//! mirroring the fingerprint abstraction of shared sub-joins; each stored
+//! query pairs it with its own cheap [`CompiledTrigger`] select plan.
+//!
+//! A program also knows what is static about the **children** it emits:
+//! their candidate index keys, as [`KeyTemplate`]s in [`candidate_keys`]
+//! order ([`SubJoinProgram::child_keys`]).
 //!
 //! Compilation also validates what unchecked construction (deserialization,
 //! the rewriting engine itself) cannot: every attribute reference must
@@ -34,21 +49,61 @@
 //! item over a relation absent from `FROM` — is rejected with
 //! [`QueryError::UnknownQueryRelation`] instead of being dragged along as a
 //! child query that can never complete.
+//!
+//! [`candidate_keys`]: crate::candidate_keys
 
 use crate::ast::{Conjunct, EmitStep, JoinQuery, QualifiedAttr, SelectItem, SelectStep};
+use crate::keys::{key_templates, KeyTemplate};
 use crate::rewrite::RewriteResult;
 use crate::{QueryError, WindowSpec};
 use rjoin_relation::{AttrIndex, Name, Schema, Tuple, Value};
 use std::sync::Arc;
 
-/// The `SELECT`-agnostic half of a compiled trigger: the rewrite template
-/// for tuples of one relation against one sub-join shape.
+/// A source conjunct with its constant erased: what a program remembers of
+/// the query it was compiled from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum ConjunctShape {
+    Join(QualifiedAttr, QualifiedAttr),
+    Const(QualifiedAttr),
+}
+
+impl ConjunctShape {
+    fn of(conjunct: &Conjunct) -> Self {
+        match conjunct {
+            Conjunct::JoinEq(a, b) => ConjunctShape::Join(a.clone(), b.clone()),
+            Conjunct::ConstEq(a, _) => ConjunctShape::Const(a.clone()),
+        }
+    }
+
+    fn matches(&self, conjunct: &Conjunct) -> bool {
+        match (self, conjunct) {
+            (ConjunctShape::Join(a, b), Conjunct::JoinEq(x, y)) => a == x && b == y,
+            (ConjunctShape::Const(a), Conjunct::ConstEq(x, _)) => a == x,
+            _ => false,
+        }
+    }
+}
+
+/// The constant of the `ConstEq` conjunct at `slot` of `query`.
 ///
-/// Cacheable by fingerprint (see `rjoin_core`): fingerprints abstract the
-/// `SELECT` list exactly like this program does, so all subscribers of a
-/// shared sub-join reuse one program. Fingerprint hits are candidates only —
-/// use [`matches_source`](SubJoinProgram::matches_source) to confirm
-/// structural equality before reuse.
+/// # Panics
+/// Panics when the slot holds no `ConstEq`: `query` is not of the shape the
+/// calling program was compiled from, which its caller must have confirmed
+/// ([`SubJoinProgram::matches_source`]).
+fn constant_at(query: &JoinQuery, slot: usize) -> &Value {
+    match &query.conjuncts()[slot] {
+        Conjunct::ConstEq(_, value) => value,
+        Conjunct::JoinEq(..) => panic!("program run against a query of another shape"),
+    }
+}
+
+/// The `SELECT`-agnostic, constant-agnostic half of a compiled trigger: the
+/// rewrite template for tuples of one relation against one sub-join shape.
+///
+/// Cacheable by [`shape_fingerprint`](crate::shape_fingerprint) (see
+/// `rjoin_core`). Fingerprint hits are candidates only — use
+/// [`matches_source`](SubJoinProgram::matches_source) to confirm structural
+/// equality before reuse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubJoinProgram {
     relation: String,
@@ -56,9 +111,10 @@ pub struct SubJoinProgram {
     /// with the attribute reference that demands it (for error reporting).
     min_arity: usize,
     widest: Option<QualifiedAttr>,
-    /// `ConstEq` conjuncts over the trigger relation, pre-resolved to
-    /// column offsets. Checked before anything is allocated.
-    const_filters: Vec<(AttrIndex, Value)>,
+    /// `ConstEq` conjuncts over the trigger relation: the column offset of
+    /// the attribute and the slot of the conjunct that holds the expected
+    /// value. Checked before anything is allocated.
+    const_filters: Vec<(AttrIndex, usize)>,
     /// Self-join conjuncts over the trigger relation (offset pairs).
     self_filters: Vec<(AttrIndex, AttrIndex)>,
     /// Surviving conjuncts in source order.
@@ -71,7 +127,9 @@ pub struct SubJoinProgram {
     /// Source identity, retained so a fingerprint-cache hit can be
     /// confirmed by direct comparison instead of re-walking signatures.
     source_relations: Vec<Name>,
-    source_conjuncts: Vec<Conjunct>,
+    source_conjuncts: Vec<ConjunctShape>,
+    /// Candidate index keys of the emitted children.
+    child_keys: Vec<KeyTemplate>,
 }
 
 impl SubJoinProgram {
@@ -80,37 +138,50 @@ impl SubJoinProgram {
         &self.relation
     }
 
-    /// The program's discriminating probe key, if it has one: the first
-    /// pre-folded constant filter, as a (column offset, expected value)
-    /// pair. A tuple whose column `offset` differs from `value` is rejected
-    /// by [`execute`](CompiledTrigger::execute) before anything else runs,
-    /// so a trigger index that partitions stored entries by this pin only
-    /// has to probe the entries whose pin matches the arriving tuple.
-    /// `None` for unpinned programs (no tuple-resolvable equality over the
-    /// trigger relation) — those must still be walked.
+    /// The discriminating probe key `query` has under this program, if any:
+    /// the first pre-folded constant filter, as a (column offset, expected
+    /// value) pair. A tuple whose column `offset` differs from `value` is
+    /// rejected by [`execute`](CompiledTrigger::execute) before anything
+    /// else runs, so a trigger index that partitions stored entries by this
+    /// pin only has to probe the entries whose pin matches the arriving
+    /// tuple. `None` for unpinned programs (no tuple-resolvable equality
+    /// over the trigger relation) — those must still be walked.
     ///
     /// Agrees with [`probe_pins`] by construction: [`compile_subjoin`]
     /// folds exactly the `ConstEq` conjuncts over the trigger relation into
     /// `const_filters`, in conjunct source order, so the first filter here
     /// is the first pin there resolved against the schema.
-    pub fn probe_key(&self) -> Option<(AttrIndex, &Value)> {
-        self.const_filters.first().map(|(offset, value)| (*offset, value))
+    pub fn probe_key<'q>(&self, query: &'q JoinQuery) -> Option<(AttrIndex, &'q Value)> {
+        self.const_filters.first().map(|&(offset, slot)| (offset, constant_at(query, slot)))
     }
 
     /// Whether this program was compiled from exactly this sub-join shape
-    /// for `relation`. `SELECT` lists are deliberately ignored — the
-    /// `WHERE`-side template is projection-agnostic.
+    /// for `relation`: same `FROM`, window and semantics flag, and the same
+    /// conjuncts slot for slot **up to their constants**. `SELECT` lists are
+    /// deliberately ignored — the `WHERE`-side template is
+    /// projection-agnostic.
     pub fn matches_source(&self, query: &JoinQuery, relation: &str) -> bool {
         self.relation == relation
             && self.distinct == query.distinct()
             && self.window == *query.window()
             && self.source_relations == query.relations()
-            && self.source_conjuncts == query.conjuncts()
+            && self.source_conjuncts.len() == query.conjuncts().len()
+            && self.source_conjuncts.iter().zip(query.conjuncts()).all(|(s, c)| s.matches(c))
+    }
+
+    /// The candidate index keys of every child this program emits
+    /// ([`RewriteResult::Partial`]), position for position what
+    /// [`candidate_keys`](crate::candidate_keys) derives from the child:
+    /// instantiate each template with the child itself.
+    pub fn child_keys(&self) -> &[KeyTemplate] {
+        &self.child_keys
     }
 }
 
 /// Compiles the `WHERE`-side rewrite template of `query` for tuples whose
-/// schema is `schema`.
+/// schema is `schema`. The result serves every query
+/// [`matches_source`](SubJoinProgram::matches_source) accepts, not just
+/// `query`.
 ///
 /// Fails with the same errors the interpreter would raise on the first
 /// matching tuple ([`QueryError::IrrelevantTuple`],
@@ -145,31 +216,35 @@ pub fn compile_subjoin(query: &JoinQuery, schema: &Schema) -> Result<SubJoinProg
     let mut const_filters = Vec::new();
     let mut self_filters = Vec::new();
     let mut emit = Vec::new();
-    for conjunct in query.conjuncts() {
+    // The child's `WHERE` clause (constants are placeholders: only its
+    // shape feeds the key templates).
+    let mut child_where = Vec::new();
+    for (slot, conjunct) in query.conjuncts().iter().enumerate() {
         match conjunct {
             Conjunct::JoinEq(a, b) => {
                 let a_here = a.relation == relation;
                 let b_here = b.relation == relation;
                 if a_here && b_here {
                     self_filters.push((resolve(a)?, resolve(b)?));
-                } else if a_here {
-                    check_in_from(b)?;
-                    emit.push(EmitStep::ConstFrom { attr: b.clone(), offset: resolve(a)? });
-                } else if b_here {
-                    check_in_from(a)?;
-                    emit.push(EmitStep::ConstFrom { attr: a.clone(), offset: resolve(b)? });
+                } else if a_here || b_here {
+                    let (here, there) = if a_here { (a, b) } else { (b, a) };
+                    check_in_from(there)?;
+                    emit.push(EmitStep::ConstFrom { attr: there.clone(), offset: resolve(here)? });
+                    child_where.push(Conjunct::ConstEq(there.clone(), Value::from(0)));
                 } else {
                     check_in_from(a)?;
                     check_in_from(b)?;
-                    emit.push(EmitStep::Keep(conjunct.clone()));
+                    emit.push(EmitStep::Keep(slot));
+                    child_where.push(conjunct.clone());
                 }
             }
-            Conjunct::ConstEq(a, expected) => {
+            Conjunct::ConstEq(a, _) => {
                 if a.relation == relation {
-                    const_filters.push((resolve(a)?, expected.clone()));
+                    const_filters.push((resolve(a)?, slot));
                 } else {
                     check_in_from(a)?;
-                    emit.push(EmitStep::Keep(conjunct.clone()));
+                    emit.push(EmitStep::Keep(slot));
+                    child_where.push(conjunct.clone());
                 }
             }
         }
@@ -189,7 +264,8 @@ pub fn compile_subjoin(query: &JoinQuery, schema: &Schema) -> Result<SubJoinProg
         distinct: query.distinct(),
         window: *query.window(),
         source_relations: query.relations().to_vec(),
-        source_conjuncts: query.conjuncts().to_vec(),
+        source_conjuncts: query.conjuncts().iter().map(ConjunctShape::of).collect(),
+        child_keys: key_templates(&child_where),
     })
 }
 
@@ -215,7 +291,8 @@ pub fn probe_pins<'a>(
 }
 
 /// A complete compiled trigger: a shared [`SubJoinProgram`] plus the
-/// per-query `SELECT` resolution plan.
+/// `SELECT` resolution plan of one stored query. Like the shared half, the
+/// plan refers to the query's items by slot and holds none of its values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTrigger {
     shared: Arc<SubJoinProgram>,
@@ -240,7 +317,7 @@ impl CompiledTrigger {
         let mut min_arity = shared.min_arity;
         let mut widest = shared.widest.clone();
         let mut select = Vec::with_capacity(query.select().len());
-        for item in query.select() {
+        for (slot, item) in query.select().iter().enumerate() {
             match item {
                 SelectItem::Attr(a) if a.relation == relation => {
                     let idx = schema
@@ -256,9 +333,9 @@ impl CompiledTrigger {
                     if !query.references_relation(&a.relation) {
                         return Err(QueryError::UnknownQueryRelation { attr: a.clone() });
                     }
-                    select.push(SelectStep::Keep(item.clone()));
+                    select.push(SelectStep::Keep(slot));
                 }
-                SelectItem::Const(_) => select.push(SelectStep::Keep(item.clone())),
+                SelectItem::Const(_) => select.push(SelectStep::Keep(slot)),
             }
         }
         Ok(CompiledTrigger { shared, select, min_arity, widest })
@@ -274,7 +351,10 @@ impl CompiledTrigger {
         &self.shared
     }
 
-    /// Executes the program against one tuple of the trigger relation.
+    /// Executes the program for `query` — the stored query this trigger was
+    /// [built for](CompiledTrigger::new), which supplies every constant the
+    /// program compares against or re-emits — against one tuple of the
+    /// trigger relation.
     ///
     /// Produces the same [`RewriteResult`] as the AST interpreter
     /// ([`rewrite`](crate::rewrite())) on every valid (query, tuple) pair:
@@ -282,8 +362,12 @@ impl CompiledTrigger {
     /// only divergence is on arity-short tuples, where the interpreter
     /// reports the first out-of-range reference in conjunct order while the
     /// compiled program reports the widest one.
-    pub fn execute(&self, tuple: &Tuple) -> Result<RewriteResult, QueryError> {
+    ///
+    /// # Panics
+    /// May panic when `query` is not of the shape the trigger was built for.
+    pub fn execute(&self, query: &JoinQuery, tuple: &Tuple) -> Result<RewriteResult, QueryError> {
         let p = &*self.shared;
+        debug_assert!(p.matches_source(query, tuple.relation()), "trigger run for a foreign query");
         let vals = tuple.values();
         if vals.len() < self.min_arity {
             let attr = self.widest.clone().expect("min_arity > 0 implies a widest reference");
@@ -293,8 +377,8 @@ impl CompiledTrigger {
                 arity: vals.len(),
             });
         }
-        for (idx, expected) in &p.const_filters {
-            if vals[*idx] != *expected {
+        for &(idx, slot) in &p.const_filters {
+            if vals[idx] != *constant_at(query, slot) {
                 return Ok(RewriteResult::Mismatch);
             }
         }
@@ -311,10 +395,12 @@ impl CompiledTrigger {
             for step in &self.select {
                 match step {
                     SelectStep::Resolve(idx) => row.push(vals[*idx].clone()),
-                    SelectStep::Keep(SelectItem::Const(v)) => row.push(v.clone()),
-                    SelectStep::Keep(SelectItem::Attr(a)) => {
-                        return Err(QueryError::UnresolvedSelect { attr: a.clone() });
-                    }
+                    SelectStep::Keep(slot) => match &query.select()[*slot] {
+                        SelectItem::Const(v) => row.push(v.clone()),
+                        SelectItem::Attr(a) => {
+                            return Err(QueryError::UnresolvedSelect { attr: a.clone() });
+                        }
+                    },
                 }
             }
             return Ok(RewriteResult::Complete(row));
@@ -324,7 +410,7 @@ impl CompiledTrigger {
             .emit
             .iter()
             .map(|step| match step {
-                EmitStep::Keep(c) => c.clone(),
+                EmitStep::Keep(slot) => query.conjuncts()[*slot].clone(),
                 EmitStep::ConstFrom { attr, offset } => {
                     Conjunct::ConstEq(attr.clone(), vals[*offset].clone())
                 }
@@ -334,7 +420,7 @@ impl CompiledTrigger {
             .select
             .iter()
             .map(|step| match step {
-                SelectStep::Keep(item) => item.clone(),
+                SelectStep::Keep(slot) => query.select()[*slot].clone(),
                 SelectStep::Resolve(idx) => SelectItem::Const(vals[*idx].clone()),
             })
             .collect();
@@ -389,7 +475,7 @@ mod tests {
         for t in steps {
             let s = schema(t.relation());
             let interpreted = rewrite(&q, &t, &s).unwrap();
-            let compiled = compile_trigger(&q, &s).unwrap().execute(&t).unwrap();
+            let compiled = compile_trigger(&q, &s).unwrap().execute(&q, &t).unwrap();
             assert_eq!(compiled, interpreted);
             match interpreted {
                 RewriteResult::Partial(child) => q = child,
@@ -407,8 +493,8 @@ mod tests {
     fn const_filter_short_circuits_to_mismatch() {
         let q = parse_query("SELECT S.B FROM S, R WHERE S.A = 2 AND S.B = R.B").unwrap();
         let program = compile_trigger(&q, &schema("S")).unwrap();
-        assert_eq!(program.execute(&tuple("S", [3, 6, 3])).unwrap(), RewriteResult::Mismatch);
-        match program.execute(&tuple("S", [2, 6, 3])).unwrap() {
+        assert_eq!(program.execute(&q, &tuple("S", [3, 6, 3])).unwrap(), RewriteResult::Mismatch);
+        match program.execute(&q, &tuple("S", [2, 6, 3])).unwrap() {
             RewriteResult::Partial(child) => {
                 assert_eq!(child.conjuncts(), &[Conjunct::ConstEq(attr("R", "B"), Value::from(6))]);
                 assert_eq!(child.relations(), &["R".to_string()]);
@@ -430,9 +516,9 @@ mod tests {
             WindowSpec::None,
         );
         let program = compile_trigger(&q, &schema("R")).unwrap();
-        assert_eq!(program.execute(&tuple("R", [7, 8, 3])).unwrap(), RewriteResult::Mismatch);
+        assert_eq!(program.execute(&q, &tuple("R", [7, 8, 3])).unwrap(), RewriteResult::Mismatch);
         assert_eq!(
-            program.execute(&tuple("R", [7, 7, 3])).unwrap(),
+            program.execute(&q, &tuple("R", [7, 7, 3])).unwrap(),
             rewrite(&q, &tuple("R", [7, 7, 3]), &schema("R")).unwrap()
         );
     }
@@ -483,7 +569,7 @@ mod tests {
         let q = parse_query("SELECT S.B FROM S, R WHERE S.C = R.A").unwrap();
         let program = compile_trigger(&q, &schema("S")).unwrap();
         let short = Tuple::new("S", vec![Value::from(1), Value::from(2)], 0);
-        let err = program.execute(&short).unwrap_err();
+        let err = program.execute(&q, &short).unwrap_err();
         assert!(matches!(err, QueryError::ArityMismatch { index: 2, arity: 2, .. }));
     }
 
@@ -533,7 +619,7 @@ mod tests {
         assert_eq!(pins[0], (&attr("S", "A"), &Value::from(2)));
         assert_eq!(pins[1], (&attr("S", "C"), &Value::from(7)));
         let program = compile_subjoin(&q, &s).unwrap();
-        let (offset, value) = program.probe_key().expect("pinned program");
+        let (offset, value) = program.probe_key(&q).expect("pinned program");
         assert_eq!(offset, s.index_of(&pins[0].0.attribute).unwrap());
         assert_eq!(value, pins[0].1);
         // The R-side pin belongs to R-triggered programs only.
@@ -542,7 +628,7 @@ mod tests {
         // A pure join query has no pins and an unpinned program.
         let unpinned = parse_query("SELECT S.B FROM S, R WHERE S.A = R.A").unwrap();
         assert_eq!(probe_pins(&unpinned, "S").count(), 0);
-        assert!(compile_subjoin(&unpinned, &s).unwrap().probe_key().is_none());
+        assert!(compile_subjoin(&unpinned, &s).unwrap().probe_key(&unpinned).is_none());
     }
 
     #[test]
@@ -550,7 +636,7 @@ mod tests {
         let q = parse_query("SELECT S.B, S.A FROM S WHERE S.A = 2").unwrap();
         let program = compile_trigger(&q, &schema("S")).unwrap();
         assert_eq!(
-            program.execute(&tuple("S", [2, 6, 3])).unwrap(),
+            program.execute(&q, &tuple("S", [2, 6, 3])).unwrap(),
             RewriteResult::Complete(vec![Value::from(6), Value::from(2)])
         );
     }

@@ -144,6 +144,51 @@ pub fn subjoin_signature_eq(a: &JoinQuery, b: &JoinQuery) -> bool {
     })
 }
 
+/// FNV-1a over whatever is written to it; no per-process randomness.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::hash::Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A digest of a query's sub-join **shape**: `FROM`, window, semantics flag
+/// and the `WHERE` conjuncts in source order with every constant erased —
+/// exactly what [`SubJoinProgram::matches_source`] compares, which makes it
+/// the key compiled programs are cached under. Unlike [`fingerprint`] it is
+/// order-sensitive (a program's slots are positional) and value-blind (all
+/// rewritten queries that bound the same relations in the same order share
+/// one program), and it never renders the query to text.
+///
+/// [`SubJoinProgram::matches_source`]: crate::SubJoinProgram::matches_source
+pub fn shape_fingerprint(query: &JoinQuery) -> Fingerprint {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = Fnv::default();
+    query.distinct().hash(&mut hasher);
+    query.window().hash(&mut hasher);
+    query.relations().hash(&mut hasher);
+    for conjunct in query.conjuncts() {
+        match conjunct {
+            Conjunct::JoinEq(a, b) => (a, b).hash(&mut hasher),
+            Conjunct::ConstEq(a, _) => a.hash(&mut hasher),
+        }
+    }
+    Fingerprint(hasher.finish())
+}
+
 /// Computes the sub-join [`Fingerprint`] of a query: an FNV-1a 64-bit hash
 /// of [`subjoin_signature`]. Deterministic across processes and runs (no
 /// per-process hasher randomness), so fingerprints can travel in messages
@@ -155,18 +200,14 @@ pub fn fingerprint(query: &JoinQuery) -> Fingerprint {
     thread_local! {
         static SIG_BUF: RefCell<String> = const { RefCell::new(String::new()) };
     }
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     SIG_BUF.with(|buf| {
+        use std::hash::Hasher;
         let mut buf = buf.borrow_mut();
         buf.clear();
         write_signature(query, &mut buf);
-        let mut hash = FNV_OFFSET;
-        for byte in buf.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        Fingerprint(hash)
+        let mut hasher = Fnv::default();
+        hasher.write(buf.as_bytes());
+        Fingerprint(hasher.finish())
     })
 }
 
@@ -216,6 +257,23 @@ mod tests {
         let c = parse_query("SELECT R.A FROM R WHERE R.A = 6").unwrap();
         assert_ne!(fingerprint(&a), fingerprint(&b));
         assert_ne!(fingerprint(&a), fingerprint(&c));
+    }
+
+    #[test]
+    fn shape_fingerprint_erases_constants_but_not_structure() {
+        let a = parse_query("SELECT R.A FROM R, S WHERE R.A = S.B AND S.C = 5").unwrap();
+        let other_constant = parse_query("SELECT S.B FROM R, S WHERE R.A = S.B AND S.C = 'x'");
+        assert_eq!(shape_fingerprint(&a), shape_fingerprint(&other_constant.unwrap()));
+        for different in [
+            "SELECT R.A FROM R, S WHERE S.C = 5 AND R.A = S.B",
+            "SELECT R.A FROM R, S WHERE R.A = S.B AND S.B = 5",
+            "SELECT R.A FROM R, S WHERE R.A = S.B AND R.C = S.C",
+            "SELECT R.A FROM S, R WHERE R.A = S.B AND S.C = 5",
+            "SELECT DISTINCT R.A FROM R, S WHERE R.A = S.B AND S.C = 5",
+            "SELECT R.A FROM R, S WHERE R.A = S.B AND S.C = 5 WINDOW SLIDING 10 TUPLES",
+        ] {
+            assert_ne!(shape_fingerprint(&a), shape_fingerprint(&parse_query(different).unwrap()));
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   query, a complete answer, or a mismatch,
 //! * [`compile_trigger`] / [`compile_subjoin`] — compilation of that
 //!   rewriting step into flat predicate programs,
-//! * [`IndexKey`] / [`candidate_keys`] — derivation of the attribute-level
-//!   and value-level DHT keys under which queries and tuples are indexed
-//!   (Sections 3 and 6 of the paper),
+//! * [`IndexKey`] / [`candidate_keys`] / [`KeyTemplate`] — derivation of the
+//!   attribute-level and value-level DHT keys under which queries and
+//!   tuples are indexed (Sections 3 and 6 of the paper), per query or once
+//!   per query shape,
 //! * [`plan`] — join-graph shape classification (GYO
 //!   ear-removal, acyclic vs cyclic) and the per-query cost model choosing
 //!   between the paper's pipeline-of-rewrites and a one-shot hypercube
@@ -38,13 +39,15 @@
 //!    checked against the `FROM` list (orphaned residue from unchecked
 //!    construction is rejected) and resolved to a column offset against the
 //!    catalog schema, yielding flat [`EmitStep`]/[`SelectStep`] sequences.
-//! 3. **Program** — a [`SubJoinProgram`] (the projection-agnostic `WHERE`
-//!    rewrite template, shareable across all subscribers of a fingerprinted
-//!    sub-join) paired with a per-query `SELECT` plan in a
-//!    [`CompiledTrigger`]. Executing a tuple is then a linear scan:
-//!    pre-folded constant filters first, then self-join filters, then
-//!    template emission — no AST walk, no string comparison, no schema
-//!    lookup.
+//! 3. **Program** — a [`SubJoinProgram`] (the projection-agnostic and
+//!    constant-agnostic `WHERE` rewrite template: one per sub-join *shape*,
+//!    shared by every query that differs only in the values it was
+//!    rewritten with — see [`shape_fingerprint`]) paired with a per-query
+//!    `SELECT` plan in a [`CompiledTrigger`]. Executing a tuple for a
+//!    stored query is then a linear scan: pre-folded constant filters
+//!    first, then self-join filters, then template emission — no AST walk,
+//!    no string comparison, no schema lookup. The program also carries the
+//!    candidate index keys of the children it emits as [`KeyTemplate`]s.
 //!
 //! The AST interpreter ([`rewrite`]) remains the semantics oracle: engines
 //! run it when compiled predicates are disabled (`rjoin_core`'s
@@ -86,8 +89,10 @@ mod window;
 pub use ast::{Conjunct, EmitStep, JoinQuery, QualifiedAttr, SelectItem, SelectStep};
 pub use compile::{compile_subjoin, compile_trigger, probe_pins, CompiledTrigger, SubJoinProgram};
 pub use error::QueryError;
-pub use fingerprint::{fingerprint, subjoin_signature, subjoin_signature_eq, Fingerprint};
-pub use keys::{candidate_keys, tuple_index_keys, IndexKey, IndexLevel};
+pub use fingerprint::{
+    fingerprint, shape_fingerprint, subjoin_signature, subjoin_signature_eq, Fingerprint,
+};
+pub use keys::{candidate_keys, tuple_index_keys, IndexKey, IndexLevel, KeyTemplate};
 pub use parser::parse_query;
 pub use plan::{
     allocate_shares, classify_shape, plan_query, HypercubeAxis, HypercubePlan, JoinGraph,

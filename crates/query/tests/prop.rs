@@ -3,10 +3,12 @@
 
 use proptest::prelude::*;
 use rjoin_query::{
-    candidate_keys, compile_trigger, parse_query, rewrite, Conjunct, IndexLevel, JoinQuery,
-    QualifiedAttr, RewriteResult, SelectItem, WindowSpec,
+    candidate_keys, compile_subjoin, compile_trigger, parse_query, rewrite, shape_fingerprint,
+    CompiledTrigger, Conjunct, IndexLevel, JoinQuery, QualifiedAttr, RewriteResult, SelectItem,
+    WindowSpec,
 };
 use rjoin_relation::{Schema, Tuple, Value};
+use std::sync::Arc;
 
 /// Strategy producing random chain-join queries over relations `R0..R5` with
 /// attributes `A0..A3`.
@@ -45,6 +47,53 @@ fn arb_chain_query() -> impl Strategy<Value = JoinQuery> {
             ];
             JoinQuery::new(distinct, select, rels, conjuncts, window).expect("well-formed chain")
         })
+}
+
+/// Strategy producing random star-join queries: `R0` joined to each of
+/// `R1..R4` on randomly picked attributes (so one centre attribute can sit in
+/// several join conjuncts), plus up to two constant predicates anywhere.
+fn arb_star_query() -> impl Strategy<Value = JoinQuery> {
+    (
+        2usize..=5,
+        proptest::collection::vec(0usize..4, 10),
+        proptest::collection::vec((0usize..5, 0usize..4, 0i64..5), 0..3),
+    )
+        .prop_map(|(relations, attrs, consts)| {
+            let rels: Vec<rjoin_relation::Name> =
+                (0..relations).map(|i| rjoin_relation::Name::from(format!("R{i}"))).collect();
+            let attr = |i: usize| format!("A{}", attrs[i % attrs.len()]);
+            let mut conjuncts: Vec<Conjunct> = (1..relations)
+                .map(|i| {
+                    Conjunct::JoinEq(
+                        QualifiedAttr::new(rels[0].clone(), attr(2 * i)),
+                        QualifiedAttr::new(rels[i].clone(), attr(2 * i + 1)),
+                    )
+                })
+                .collect();
+            for (rel, a, v) in consts {
+                let attr = QualifiedAttr::new(rels[rel % relations].clone(), format!("A{a}"));
+                conjuncts.push(Conjunct::ConstEq(attr, Value::from(v)));
+            }
+            let select = rels
+                .iter()
+                .enumerate()
+                .map(|(i, rel)| SelectItem::Attr(QualifiedAttr::new(rel.clone(), attr(i))))
+                .collect();
+            JoinQuery::new(false, select, rels, conjuncts, WindowSpec::None).expect("star")
+        })
+}
+
+fn arb_query() -> impl Strategy<Value = JoinQuery> {
+    prop_oneof![arb_chain_query(), arb_star_query()]
+}
+
+/// A stream of `(relation pick, tuple values)` steps.
+fn arb_steps() -> impl Strategy<Value = Vec<(usize, Vec<i64>)>> {
+    proptest::collection::vec((0usize..5, proptest::collection::vec(0i64..5, 4)), 1..12)
+}
+
+fn tuple_of(relation: &str, values: &[i64]) -> Tuple {
+    Tuple::new(relation, values.iter().copied().map(Value::from).collect(), 0)
 }
 
 fn schema_for(relation: &str) -> Schema {
@@ -167,12 +216,96 @@ proptest! {
             );
             let interpreted = rewrite(&current, &tuple, &schema).unwrap();
             let program = compile_trigger(&current, &schema).unwrap();
-            let compiled = program.execute(&tuple).unwrap();
+            let compiled = program.execute(&current, &tuple).unwrap();
             prop_assert_eq!(&compiled, &interpreted);
             match interpreted {
                 RewriteResult::Partial(next) => current = next,
                 RewriteResult::Complete(_) | RewriteResult::Mismatch => break,
             }
+        }
+    }
+
+    /// Programs are per shape: driving two copies of one query through the
+    /// same relations but **different tuples** yields, step by step, two
+    /// queries of one shape with different constants. A program compiled
+    /// from the first serves the second — `matches_source` and the shape
+    /// fingerprint agree they are the same — and, run for the second, it
+    /// produces exactly what the interpreter produces for the second: the
+    /// same mismatches, byte-identical children and answer rows.
+    #[test]
+    fn a_program_serves_every_query_of_its_shape(
+        query in arb_query(),
+        steps in arb_steps(),
+        other_values in proptest::collection::vec(proptest::collection::vec(0i64..5, 4), 12),
+    ) {
+        let (mut ours, mut theirs) = (query.clone(), query);
+        for (step, (rel_pick, values)) in steps.into_iter().enumerate() {
+            prop_assert_eq!(shape_fingerprint(&ours), shape_fingerprint(&theirs));
+            let relation = ours.relations()[rel_pick % ours.relations().len()].clone();
+            let schema = schema_for(&relation);
+            let shared = Arc::new(compile_subjoin(&ours, &schema).unwrap());
+            prop_assert!(shared.matches_source(&theirs, &relation));
+            for (query, tuple) in [
+                (&ours, tuple_of(&relation, &values)),
+                (&theirs, tuple_of(&relation, &values)),
+                (&theirs, tuple_of(&relation, &other_values[step])),
+            ] {
+                let trigger = CompiledTrigger::new(Arc::clone(&shared), query, &schema).unwrap();
+                let compiled = trigger.execute(query, &tuple).unwrap();
+                prop_assert_eq!(compiled, rewrite(query, &tuple, &schema).unwrap());
+            }
+            // Advance both copies over the same relation with their own
+            // tuples; stop as soon as either leaves the common shape.
+            let ours_next = rewrite(&ours, &tuple_of(&relation, &values), &schema).unwrap();
+            let theirs_next =
+                rewrite(&theirs, &tuple_of(&relation, &other_values[step]), &schema).unwrap();
+            match (ours_next, theirs_next) {
+                (RewriteResult::Partial(a), RewriteResult::Partial(b)) => (ours, theirs) = (a, b),
+                _ => break,
+            }
+        }
+    }
+
+    /// The key templates a program carries for its children are
+    /// `candidate_keys(child)`, element for element and in the same order,
+    /// and interning through the template equals interning the key.
+    #[test]
+    fn child_key_templates_equal_candidate_keys_of_the_child(
+        query in arb_query(),
+        steps in arb_steps(),
+    ) {
+        let mut current = query;
+        for (rel_pick, values) in steps {
+            let relation = current.relations()[rel_pick % current.relations().len()].clone();
+            let schema = schema_for(&relation);
+            let program = compile_trigger(&current, &schema).unwrap();
+            let tuple = tuple_of(&relation, &values);
+            let RewriteResult::Partial(child) = program.execute(&current, &tuple).unwrap() else {
+                break;
+            };
+            let expected = candidate_keys(&child);
+            let templates = program.shared().child_keys();
+            prop_assert_eq!(templates.len(), expected.len());
+            for (template, key) in templates.iter().zip(&expected) {
+                prop_assert_eq!(template.level(), key.level());
+                prop_assert_eq!(template.instantiate(&child), Some(key.clone()));
+                prop_assert_eq!(template.hashed(&child), Some(key.hashed()));
+            }
+            // A value-level template finds nothing in a query without the
+            // constant it names.
+            let bare = JoinQuery::new(
+                false,
+                child.select().to_vec(),
+                child.relations().to_vec(),
+                Vec::new(),
+                WindowSpec::None,
+            )
+            .unwrap();
+            for template in templates.iter().filter(|t| t.level() == IndexLevel::Value) {
+                prop_assert_eq!(template.instantiate(&bare), None);
+                prop_assert_eq!(template.hashed(&bare), None);
+            }
+            current = child;
         }
     }
 

@@ -43,14 +43,41 @@ impl Value {
         out
     }
 
+    /// Whether `fragment` renders this value the way
+    /// [`key_fragment`](Self::key_fragment) does, decided without rendering
+    /// anything (any decimal spelling of an integer is accepted, not just
+    /// the canonical one).
+    pub fn is_key_fragment(&self, fragment: &str) -> bool {
+        match self {
+            Value::Int(v) => {
+                fragment.strip_prefix("i:").is_some_and(|digits| digits.parse() == Ok(*v))
+            }
+            Value::Str(s) => fragment.strip_prefix("s:") == Some(s.as_str()),
+        }
+    }
+
     /// Appends the canonical key fragment to `out` — the allocation-free
     /// core of [`Value::key_fragment`] for callers that assemble full index
     /// keys into a reused buffer.
     pub fn write_key_fragment(&self, out: &mut String) {
-        use std::fmt::Write;
         match self {
             Value::Int(v) => {
-                let _ = write!(out, "i:{v}");
+                // Decimal digits by hand: key strings are built for every
+                // candidate of every dispatched query, and `fmt` costs more
+                // than the rest of the key put together.
+                let mut digits = [0u8; 20];
+                let mut at = digits.len();
+                let mut rest = v.unsigned_abs();
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (rest % 10) as u8;
+                    rest /= 10;
+                    if rest == 0 {
+                        break;
+                    }
+                }
+                out.push_str(if *v < 0 { "i:-" } else { "i:" });
+                out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
             }
             Value::Str(s) => {
                 out.push_str("s:");
@@ -127,6 +154,24 @@ mod tests {
     fn key_fragments_distinguish_types() {
         // The integer 5 and the string "5" must not collide in index keys.
         assert_ne!(Value::from(5).key_fragment(), Value::from("5").key_fragment());
+    }
+
+    #[test]
+    fn integer_key_fragments_are_plain_decimal() {
+        for v in [0, 7, -7, 10, 1234567890123, i64::MAX, i64::MIN] {
+            assert_eq!(Value::from(v).key_fragment(), format!("i:{v}"));
+        }
+    }
+
+    #[test]
+    fn key_fragments_are_recognised_without_rendering() {
+        for value in [Value::from(5), Value::from(-17), Value::from("5"), Value::from("a+b")] {
+            assert!(value.is_key_fragment(&value.key_fragment()));
+        }
+        assert!(!Value::from(5).is_key_fragment("s:5"));
+        assert!(!Value::from("5").is_key_fragment("i:5"));
+        assert!(!Value::from(5).is_key_fragment("i:50"));
+        assert!(!Value::from("ab").is_key_fragment("s:a"));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use rjoin_core::split::SplitMap;
 use rjoin_core::{NodeState, PlacementStrategy, RJoinMessage, RicEntry};
 use rjoin_dht::{DhtError, Id, LookupResult};
 use rjoin_net::{account_route, KeyRouter, SimTime, TrafficClass, TrafficStats, Transport};
-use rjoin_query::IndexKey;
+use rjoin_query::IndexLevel;
 use std::sync::Arc;
 
 /// The networked transport of one process: a membership view to route by,
@@ -227,7 +227,7 @@ impl EffectEnv for NetEnv<'_> {
 
     fn choose(
         &mut self,
-        candidates: &[IndexKey],
+        candidates: &[IndexLevel],
         rates: &[u64],
         strategy: PlacementStrategy,
     ) -> usize {
