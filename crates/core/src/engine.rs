@@ -26,7 +26,7 @@ use rjoin_metrics::{
 use rjoin_net::{Delivery, KeyRouter, Network, NetworkConfig, SimTime, TrafficStats, Transport};
 use rjoin_query::plan::{self, QueryShape};
 use rjoin_query::{
-    candidate_keys, tuple_index_keys, IndexKey, IndexLevel, JoinQuery, KeyTemplate, QueryError,
+    candidate_keys, tuple_index_key_iter, IndexKey, IndexLevel, JoinQuery, KeyTemplate, QueryError,
 };
 use rjoin_relation::{Catalog, Name, Tuple};
 use std::cell::RefCell;
@@ -528,35 +528,26 @@ impl RJoinEngine {
         // windows and window joins see consistent time.
         self.network.advance_to(tuple.pub_time());
         let schema = self.catalog.require_schema(tuple.relation())?;
-        let keys: Vec<(HashedKey, IndexLevel)> = tuple_index_keys(&tuple, schema)
-            .into_iter()
-            .map(|key| {
-                let level = key.level();
-                (key.hashed(), level)
-            })
-            .collect();
+        let mut keys: Vec<(HashedKey, IndexLevel)> = Vec::with_capacity(tuple.arity() * 2);
+        keys.extend(tuple_index_key_iter(&tuple, schema).map(|key| (key.hashed(), key.level())));
         self.maybe_split_hot_keys(&keys)?;
         let tuple = Arc::new(tuple);
         let mut items: Vec<(Id, RJoinMessage)> = Vec::with_capacity(keys.len());
         for (key, level) in keys {
-            let targets = match self.splits.route_tuple(&key, &tuple) {
-                None => vec![key],
+            let mut send = |key: HashedKey| {
+                let tuple = Arc::clone(&tuple);
+                items.push((
+                    key.id(),
+                    RJoinMessage::NewTuple { tuple, key, level, publisher: origin },
+                ));
+            };
+            match self.splits.route_tuple(&key, &tuple) {
+                None => send(key),
                 Some(cells) => {
                     self.split_counters.tuples_routed += 1;
                     self.split_counters.tuple_fanout += cells.len() as u64 - 1;
-                    cells
+                    cells.into_iter().for_each(send);
                 }
-            };
-            for key in targets {
-                items.push((
-                    key.id(),
-                    RJoinMessage::NewTuple {
-                        tuple: Arc::clone(&tuple),
-                        key,
-                        level,
-                        publisher: origin,
-                    },
-                ));
             }
         }
         // Hypercube routing: for every registered plan this tuple's relation

@@ -144,15 +144,20 @@
 //! [`SubJoinRegistry`]: queries whose canonical sub-join structure
 //! ([`rjoin_query::fingerprint`] — `FROM` + `WHERE` + window, `SELECT`
 //! abstracted) matches an entry already stored under the same key are merged
-//! into it as extra [`Subscriber`]s instead of being stored separately. The
-//! shared entry is rewritten and re-indexed **once** per triggering tuple —
-//! subscribers' `SELECT` continuations are resolved in lockstep — and a
-//! completed `WHERE` clause fans one answer out to every subscriber. On
-//! overlapping workloads this cuts stored-query load and `Eval`/RIC traffic
-//! roughly by the overlap factor while producing the same per-query answers
-//! as the unshared engine (`DISTINCT` queries are never shared; the
-//! insertion-time filter is enforced per subscriber). Savings are reported
-//! in [`ExperimentStats::sharing`].
+//! into it as [`Subscriber`]s of its [`SubscriberTable`] instead of being
+//! stored separately. The shared entry is rewritten and re-indexed **once**
+//! per triggering tuple, at a cost that does not depend on how many
+//! subscribers ride on it: the table is a handful of `Arc`-shared
+//! [`SubscriberGroup`]s that only bind the triggering tuple, no subscriber's
+//! `SELECT` list is rewritten on the way. When the `WHERE` clause completes,
+//! one answer per subscriber fans back out, projected then and there from
+//! the tuples its group bound. On overlapping workloads this cuts
+//! stored-query load and `Eval`/RIC traffic roughly by the overlap factor
+//! while producing the same per-query answers as the unshared engine
+//! (`DISTINCT` queries are never shared; the insertion-time filter is
+//! enforced per subscriber at fan-out, against the earliest publication
+//! time of the whole combination — the module docs of `shared.rs` give the
+//! argument). Savings are reported in [`ExperimentStats::sharing`].
 //!
 //! # Churn
 //!
@@ -216,6 +221,7 @@ pub use engine::RJoinEngine;
 pub use error::EngineError;
 pub use messages::{
     EmittedBy, HypercubeRef, PendingQuery, QueryId, RJoinMessage, RicInfo, Subscriber,
+    SubscriberGroup, SubscriberTable,
 };
 pub use node_id::NodeId;
 pub use node_state::{DrainedAlttBucket, DrainedState, NodeState, RicEntry, StoredQuery};

@@ -28,24 +28,165 @@ impl fmt::Display for QueryId {
     }
 }
 
-/// One continuation riding on a shared sub-join: the identity of an input
-/// query whose evaluation has been merged into another, structurally
-/// identical query, together with everything needed to fan a completed
-/// answer back out to it — its owner node, its own insertion-time filter and
-/// its (progressively resolved) `SELECT` list.
+/// One input query riding on a shared sub-join: its identity, its owner node,
+/// its insertion-time filter and its `SELECT` list **as it stood when the
+/// query merged** into the shared entry.
+///
+/// A subscriber is immutable from the merge on: the shared `WHERE` clause is
+/// rewritten step by step, the subscriber's `SELECT` list is not — it is
+/// projected once, when the `WHERE` clause completes, from the tuples its
+/// [`SubscriberGroup`] has bound since the merge.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Subscriber {
     /// Identifier of the subscriber's original input query.
     pub id: QueryId,
     /// Node that submitted the subscriber's query (answers are sent here).
     pub owner: Id,
-    /// Insertion time of the subscriber's query: tuples published earlier
-    /// must not contribute to *this* subscriber's answers even when they
-    /// trigger the shared entry for another subscriber.
+    /// Insertion time of the subscriber's query: a combination containing a
+    /// tuple published earlier is not an answer of *this* subscriber, even
+    /// when the tuple triggers the shared entry for another one.
     pub insert_time: Timestamp,
-    /// The subscriber's `SELECT` list, resolved in lockstep with the shared
-    /// query's rewriting (its select-resolution continuation).
+    /// The subscriber's `SELECT` list at the merge: items of relations the
+    /// query consumed on its own way to the merge site are constants, the
+    /// rest are attribute references the group's bound tuples resolve.
     pub select: Vec<SelectItem>,
+}
+
+/// Subscribers that merged into one stored entry, together with the tuples
+/// the shared `WHERE` clause has consumed since — everything their `SELECT`
+/// lists still need.
+///
+/// The subscriber set is immutable and `Arc`-shared by every descendant of
+/// the entry; only the bound-tuple row (at most `joins − 1` handles) is
+/// per-descendant, so deriving a child costs a few reference counts per
+/// *group*, whatever the number of subscribers. Subscribers are kept in
+/// insertion-time order, which makes the ones still served by a combination
+/// a prefix (see [`eligible`](Self::eligible)).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SubscriberGroup {
+    subscribers: Arc<Vec<Subscriber>>,
+    bound: Vec<Arc<Tuple>>,
+}
+
+impl SubscriberGroup {
+    /// A group of `subscribers` that has bound `bound` since they merged.
+    pub fn new(mut subscribers: Vec<Subscriber>, bound: Vec<Arc<Tuple>>) -> Self {
+        subscribers.sort_by_key(|s| s.insert_time);
+        SubscriberGroup { subscribers: Arc::new(subscribers), bound }
+    }
+
+    /// Every subscriber of the group, earliest insertion time first.
+    pub fn subscribers(&self) -> &[Subscriber] {
+        &self.subscribers
+    }
+
+    /// The tuples bound since the subscribers merged, in trigger order.
+    pub fn bound(&self) -> &[Arc<Tuple>] {
+        &self.bound
+    }
+
+    /// The subscribers a combination serves whose earliest contributing
+    /// tuple was published at `earliest`: those submitted no later.
+    pub fn eligible(&self, earliest: Timestamp) -> &[Subscriber] {
+        let end = self.subscribers.partition_point(|s| s.insert_time <= earliest);
+        &self.subscribers[..end]
+    }
+
+    /// The group as carried by a child that `tuple` produced.
+    fn bound_with(&self, tuple: &Arc<Tuple>) -> Self {
+        let mut bound = Vec::with_capacity(self.bound.len() + 1);
+        bound.extend(self.bound.iter().cloned());
+        bound.push(Arc::clone(tuple));
+        SubscriberGroup { subscribers: Arc::clone(&self.subscribers), bound }
+    }
+
+    /// Adds a subscriber that merges now, keeping insertion-time order (the
+    /// set is copied first if a descendant already shares it).
+    fn insert(&mut self, subscriber: Subscriber) {
+        let subscribers = Arc::make_mut(&mut self.subscribers);
+        let at = subscribers.partition_point(|s| s.insert_time <= subscriber.insert_time);
+        subscribers.insert(at, subscriber);
+    }
+}
+
+/// The subscribers riding on a shared sub-join besides its primary: a list
+/// of [`SubscriberGroup`]s and the earliest insertion time among them.
+///
+/// Empty (one null pointer, nothing allocated) whenever sharing is disabled
+/// or nothing merged. The cost of carrying the table through a trigger
+/// depends on the number of groups — one per merge site on the way, plus
+/// one per merged twin that brought bound tuples of its own — never on the
+/// number of subscribers.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SubscriberTable(Option<Box<TableGroups>>);
+
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct TableGroups {
+    groups: Vec<SubscriberGroup>,
+    /// Earliest insertion time over every subscriber of every group,
+    /// maintained by [`SubscriberTable::merge`].
+    min_insert: Timestamp,
+}
+
+impl SubscriberTable {
+    /// A table of `groups` (empty groups are dropped).
+    pub fn from_groups(groups: impl IntoIterator<Item = SubscriberGroup>) -> Self {
+        let groups: Vec<_> = groups.into_iter().filter(|g| !g.subscribers.is_empty()).collect();
+        let min_insert = groups.iter().map(|g| g.subscribers[0].insert_time).min();
+        SubscriberTable(min_insert.map(|min_insert| Box::new(TableGroups { groups, min_insert })))
+    }
+
+    /// Whether nobody rides besides the primary.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    /// The groups of the table.
+    pub fn groups(&self) -> &[SubscriberGroup] {
+        self.0.as_deref().map_or(&[], |t| &t.groups)
+    }
+
+    /// Earliest insertion time among the table's subscribers.
+    pub fn min_insert_time(&self) -> Option<Timestamp> {
+        self.0.as_deref().map(|t| t.min_insert)
+    }
+
+    /// Number of subscribers a combination serves whose earliest
+    /// contributing tuple was published at `earliest`.
+    fn eligible_count(&self, earliest: Timestamp) -> usize {
+        self.groups().iter().map(|g| g.eligible(earliest).len()).sum()
+    }
+
+    /// The table as carried by a child that `tuple` produced: every group
+    /// binds the tuple, no subscriber is touched.
+    fn bound_with(&self, tuple: &Arc<Tuple>) -> Self {
+        SubscriberTable(self.0.as_deref().map(|t| {
+            Box::new(TableGroups {
+                groups: t.groups.iter().map(|g| g.bound_with(tuple)).collect(),
+                min_insert: t.min_insert,
+            })
+        }))
+    }
+
+    /// Merges a twin into the entry this table belongs to: `newcomer` (the
+    /// twin's primary) joins the group of subscribers that merged here and
+    /// have bound nothing yet, the twin's own `riders` keep their groups —
+    /// their bound tuples can differ from this entry's even though both
+    /// reached the same key, signature and window state.
+    fn merge(&mut self, newcomer: Subscriber, riders: SubscriberTable) {
+        let table = self.0.get_or_insert_with(|| {
+            Box::new(TableGroups { groups: Vec::new(), min_insert: Timestamp::MAX })
+        });
+        table.min_insert = table.min_insert.min(newcomer.insert_time);
+        match table.groups.iter_mut().find(|g| g.bound.is_empty()) {
+            Some(group) => group.insert(newcomer),
+            None => table.groups.push(SubscriberGroup::new(vec![newcomer], Vec::new())),
+        }
+        if let Some(riders) = riders.0 {
+            table.min_insert = table.min_insert.min(riders.min_insert);
+            table.groups.extend(riders.groups);
+        }
+    }
 }
 
 /// A hypercube-planned query's cell space: the synthetic base key its cells
@@ -133,12 +274,15 @@ impl Deserialize for EmittedBy {
 /// A query in flight: an input query or one of its rewritten descendants,
 /// together with the metadata RJoin needs to evaluate it.
 ///
-/// With shared sub-join evaluation enabled, one `PendingQuery` can carry the
-/// continuations of several input queries whose sub-join structure is
-/// identical: the fields below describe the *primary* subscriber (the first
-/// query to claim the shared entry, whose `SELECT` list lives in `query`),
-/// and `extra_subscribers` lists the others. The shared `WHERE` clause is
-/// rewritten and re-indexed once; answers fan back out to every subscriber.
+/// With shared sub-join evaluation enabled, one `PendingQuery` can serve
+/// several input queries whose sub-join structure is identical: the fields
+/// below describe the *primary* subscriber (the first query to claim the
+/// shared entry, whose `SELECT` list lives in `query` and is rewritten with
+/// it), and `subscribers` is the table of the others. The shared `WHERE`
+/// clause is rewritten and re-indexed once; when it completes, answers fan
+/// back out to every subscriber submitted no later than the combination's
+/// earliest tuple was published — [`window_min`](Self::window_min), so
+/// nothing is filtered or copied per subscriber on the way.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PendingQuery {
     /// Identifier of the (primary) original input query.
@@ -170,7 +314,7 @@ pub struct PendingQuery {
     pub query: JoinQuery,
     /// Additional input queries sharing this sub-join (empty when sharing is
     /// disabled or no structurally identical query was merged).
-    pub extra_subscribers: Vec<Subscriber>,
+    pub subscribers: SubscriberTable,
     /// The hypercube cell space this query evaluates in, when the planner
     /// chose a hypercube plan over the rewrite pipeline. `None` for
     /// pipeline-planned queries. It marks the whole evaluation as
@@ -194,7 +338,7 @@ impl PendingQuery {
             window_min: None,
             window_max: None,
             query,
-            extra_subscribers: Vec::new(),
+            subscribers: SubscriberTable::default(),
             hypercube: None,
             emitted_by: EmittedBy::default(),
         }
@@ -205,15 +349,13 @@ impl PendingQuery {
         self.window_start.is_none() && self.query.join_count() == self.original_joins
     }
 
-    /// Derives the pending metadata for a rewritten descendant created by a
-    /// tuple published at `tuple_pub_time`, following the inheritance rules
-    /// of Section 5 (`start` inheritance is handled by the caller because it
-    /// differs between Procedure 2 and Procedure 3).
+    /// Derives the pending metadata for a rewritten descendant, following the
+    /// inheritance rules of Section 5 (`start` inheritance is handled by the
+    /// caller because it differs between Procedure 2 and Procedure 3).
     ///
-    /// Extra subscribers do **not** carry over: the rewriting procedures
-    /// re-attach the subscribers that remain eligible for the triggering
-    /// tuple (see `Procedures` — a subscriber whose query was submitted
-    /// after the tuple's publication must not ride on the child).
+    /// The subscriber table does **not** carry over: its groups have to bind
+    /// the tuple that produced the descendant, which
+    /// [`triggered_child`](Self::triggered_child) does.
     pub fn child(&self, query: JoinQuery, window_start: Option<Timestamp>) -> Self {
         PendingQuery {
             id: self.id,
@@ -224,10 +366,27 @@ impl PendingQuery {
             window_min: self.window_min,
             window_max: self.window_max,
             query,
-            extra_subscribers: Vec::new(),
+            subscribers: SubscriberTable::default(),
             hypercube: self.hypercube.clone(),
             emitted_by: EmittedBy::default(),
         }
+    }
+
+    /// The descendant `tuple` produced by rewriting this query into `query`:
+    /// [`child`](Self::child) plus the tuple's contribution — the span grows
+    /// by its publication time and every subscriber group binds it. Whoever
+    /// was submitted after the tuple was published stops being served from
+    /// here on, which takes no work here: `window_min` is the whole filter.
+    pub fn triggered_child(
+        &self,
+        query: JoinQuery,
+        window_start: Option<Timestamp>,
+        tuple: &Arc<Tuple>,
+    ) -> Self {
+        let mut child = self.child(query, window_start);
+        child.subscribers = self.subscribers.bound_with(tuple);
+        child.note_contribution(tuple.pub_time());
+        child
     }
 
     /// Records one more contributing tuple's publication time, keeping the
@@ -238,28 +397,33 @@ impl PendingQuery {
         self.window_max = Some(self.window_max.map_or(pub_time, |m| m.max(pub_time)));
     }
 
-    /// The primary subscriber's view of this query, in [`Subscriber`] form
-    /// (used when this query is merged into an existing shared entry).
-    pub fn primary_subscriber(&self) -> Subscriber {
-        Subscriber {
-            id: self.id,
-            owner: self.owner,
-            insert_time: self.insert_time,
-            select: self.query.select().to_vec(),
-        }
+    /// Merges a structurally identical `twin` — same key, signature and
+    /// window state, confirmed by the caller — into this query: the twin's
+    /// primary and everyone riding on it become subscribers here.
+    pub fn merge_twin(&mut self, twin: PendingQuery) {
+        let newcomer = Subscriber {
+            id: twin.id,
+            owner: twin.owner,
+            insert_time: twin.insert_time,
+            select: twin.query.select().to_vec(),
+        };
+        self.subscribers.merge(newcomer, twin.subscribers);
     }
 
-    /// The earliest insertion time across the primary and every extra
-    /// subscriber: the publication-time filter of the *shared entry* (a
-    /// tuple older than every subscriber triggers nothing; per-subscriber
-    /// eligibility is re-checked when answers or children are produced).
+    /// The earliest insertion time across the primary and the subscriber
+    /// table: the publication-time filter of the *shared entry* (a tuple
+    /// older than every subscriber triggers nothing). O(1) — the table
+    /// caches its minimum.
     pub fn min_insert_time(&self) -> Timestamp {
-        self.extra_subscribers.iter().map(|s| s.insert_time).fold(self.insert_time, Timestamp::min)
+        self.subscribers.min_insert_time().map_or(self.insert_time, |t| t.min(self.insert_time))
     }
 
-    /// Total number of subscribers (primary + extras).
+    /// Number of subscribers (primary included) this query still serves:
+    /// those submitted no later than its earliest contributing tuple was
+    /// published. Everyone, for an input query.
     pub fn subscriber_count(&self) -> usize {
-        1 + self.extra_subscribers.len()
+        let earliest = self.window_min.unwrap_or(Timestamp::MAX);
+        usize::from(self.insert_time <= earliest) + self.subscribers.eligible_count(earliest)
     }
 }
 
@@ -377,33 +541,94 @@ mod tests {
         assert_eq!(child.query, rewritten);
     }
 
+    fn twin(owner: u64, insert_time: Timestamp) -> PendingQuery {
+        let q = parse_query("SELECT S.B FROM R, S WHERE R.A = S.A").unwrap();
+        PendingQuery::input(QueryId { owner: Id(owner), seq: 0 }, Id(owner), insert_time, q)
+    }
+
+    fn r_tuple(pub_time: Timestamp) -> Arc<Tuple> {
+        Arc::new(Tuple::new("R", vec![Value::from(5), Value::from(6)], pub_time))
+    }
+
     #[test]
     fn subscriber_helpers_track_min_insert_time() {
         let mut p = pending();
         assert_eq!(p.subscriber_count(), 1);
         assert_eq!(p.min_insert_time(), 10);
-        let primary = p.primary_subscriber();
-        assert_eq!(primary.id, p.id);
-        assert_eq!(primary.insert_time, 10);
-        assert_eq!(primary.select.len(), 2);
+        assert!(p.subscribers.is_empty());
 
-        p.extra_subscribers.push(Subscriber {
-            id: QueryId { owner: Id(2), seq: 0 },
-            owner: Id(2),
-            insert_time: 4,
-            select: vec![],
-        });
-        p.extra_subscribers.push(Subscriber {
-            id: QueryId { owner: Id(3), seq: 0 },
-            owner: Id(3),
-            insert_time: 25,
-            select: vec![],
-        });
+        p.merge_twin(twin(2, 4));
+        p.merge_twin(twin(3, 25));
         assert_eq!(p.subscriber_count(), 3);
         assert_eq!(p.min_insert_time(), 4);
-        // Children never inherit extras implicitly.
-        let child = p.child(parse_query("SELECT 5, S.B FROM S WHERE S.A = 5").unwrap(), Some(1));
-        assert!(child.extra_subscribers.is_empty());
+        // Both merged here with nothing bound: one group, in insertion-time
+        // order, each with its SELECT list as merged.
+        let [group] = p.subscribers.groups() else { panic!("one merge site, one group") };
+        assert!(group.bound().is_empty());
+        let times: Vec<_> = group.subscribers().iter().map(|s| s.insert_time).collect();
+        assert_eq!(times, [4, 25]);
+        assert_eq!(group.subscribers()[0].select.len(), 1);
+        // `child` alone never carries the table over.
+        let rewritten = parse_query("SELECT 5, S.B FROM S WHERE S.A = 5").unwrap();
+        assert!(p.child(rewritten, Some(1)).subscribers.is_empty());
+    }
+
+    #[test]
+    fn a_triggered_child_binds_the_tuple_and_shares_the_subscriber_sets() {
+        let mut p = pending();
+        p.merge_twin(twin(2, 4));
+        p.merge_twin(twin(3, 25));
+        let rewritten = parse_query("SELECT 5, S.B FROM S WHERE S.A = 5").unwrap();
+        let tuple = r_tuple(12);
+        let child = p.triggered_child(rewritten.clone(), Some(12), &tuple);
+        assert_eq!((child.window_min, child.window_max), (Some(12), Some(12)));
+        let [parent_group] = p.subscribers.groups() else { panic!("one group") };
+        let [group] = child.subscribers.groups() else { panic!("one group") };
+        assert!(Arc::ptr_eq(&group.subscribers, &parent_group.subscribers), "nothing is copied");
+        assert!(Arc::ptr_eq(&group.bound()[0], &tuple));
+        // Everyone still rides, but the one submitted after the tuple was
+        // published is no longer served: eligibility is a prefix.
+        assert_eq!(group.subscribers().len(), 2);
+        assert_eq!(group.eligible(12).len(), 1);
+        assert_eq!(child.subscriber_count(), 2, "primary (10) and the subscriber of time 4");
+        assert_eq!(child.min_insert_time(), 4);
+
+        // A later merge into the parent copies the shared set first: the
+        // child in flight must not see the latecomer.
+        p.merge_twin(twin(4, 7));
+        assert_eq!(p.subscribers.groups()[0].subscribers().len(), 3);
+        assert_eq!(child.subscribers.groups()[0].subscribers().len(), 2);
+
+        // Merging a twin that carries riders of its own appends their groups
+        // (different bound tuples) and opens a group for the twin's primary.
+        let mut stored = pending().triggered_child(rewritten.clone(), Some(12), &r_tuple(12));
+        assert!(stored.subscribers.is_empty());
+        stored.merge_twin(child);
+        let bound: Vec<_> = stored.subscribers.groups().iter().map(|g| g.bound().len()).collect();
+        assert_eq!(bound, [0, 1], "the twin's primary unbound, its riders with their tuple");
+        assert_eq!(stored.min_insert_time(), 4);
+        assert_eq!(stored.subscriber_count(), 3);
+    }
+
+    #[test]
+    fn tables_built_from_groups_cache_their_minimum_and_drop_empty_groups() {
+        let sub = |owner: u64, insert_time| Subscriber {
+            id: QueryId { owner: Id(owner), seq: 1 },
+            owner: Id(owner),
+            insert_time,
+            select: vec![],
+        };
+        assert!(SubscriberTable::from_groups([SubscriberGroup::new(vec![], vec![])]).is_empty());
+        let table = SubscriberTable::from_groups([
+            SubscriberGroup::new(vec![sub(1, 9), sub(2, 3)], vec![r_tuple(8)]),
+            SubscriberGroup::new(vec![], vec![]),
+            SubscriberGroup::new(vec![sub(3, 5)], vec![]),
+        ]);
+        assert_eq!(table.groups().len(), 2);
+        assert_eq!(table.min_insert_time(), Some(3));
+        assert_eq!(table.groups()[0].subscribers()[0].insert_time, 3, "sorted on construction");
+        assert_eq!((table.eligible_count(2), table.eligible_count(5)), (0, 2));
+        assert_eq!(table.eligible_count(Timestamp::MAX), 3);
     }
 
     #[test]

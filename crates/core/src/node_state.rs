@@ -41,6 +41,7 @@ use rjoin_query::{
     WindowSpec,
 };
 use rjoin_relation::{Timestamp, Tuple};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -670,8 +671,10 @@ impl NodeState {
     /// (`start` plus the exact `window_min`/`window_max` span);
     /// `DISTINCT` queries never merge (their duplicate-elimination filter
     /// depends on the `SELECT` list). On a merge the incoming query's
-    /// subscribers join the entry's subscriber list and **no** new stored
-    /// copy is created. Returns whether the query was merged.
+    /// subscribers join the entry's subscriber table — O(groups), see
+    /// [`PendingQuery::merge_twin`](crate::PendingQuery::merge_twin) — and
+    /// **no** new stored copy is created. Returns whether the query was
+    /// merged.
     pub fn store_query_shared(&mut self, mut stored: StoredQuery, share: bool) -> bool {
         if !share || stored.pending.query.distinct() {
             self.store_query(stored);
@@ -681,33 +684,44 @@ impl NodeState {
         let fp = fingerprint(&stored.pending.query);
         let ws = stored.pending.window_start;
         let window = (ws, stored.pending.window_min, stored.pending.window_max);
-        if let Some(handle) = self.subjoins.candidate(ring, fp, window) {
-            if let Some(entry) = self.queries.get_mut(handle) {
-                // A fingerprint hit is only a candidate: confirm structural
-                // equality so a hash collision can never corrupt answers.
-                // The full window state must match too — `window_start`
-                // drives expiry and `window_min`/`window_max` drive the
-                // sliding-window span gate, so twins created by tuples with
-                // different publication times must not share one entry.
-                let mergeable = entry.level == stored.level
-                    && entry.pending.window_start == ws
-                    && entry.pending.window_min == stored.pending.window_min
-                    && entry.pending.window_max == stored.pending.window_max
-                    && !entry.pending.query.distinct()
-                    && subjoin_signature_eq(&entry.pending.query, &stored.pending.query);
-                if mergeable {
-                    let added = stored.pending.subscriber_count() as u64;
-                    entry.pending.extra_subscribers.push(stored.pending.primary_subscriber());
-                    entry.pending.extra_subscribers.append(&mut stored.pending.extra_subscribers);
-                    self.sharing.merged_queries += added;
-                    return true;
-                }
-            }
+        // One probe: the slot is held across the store (which never touches
+        // the registry), so the registry is moved out while it is borrowed.
+        let mut subjoins = std::mem::take(&mut self.subjoins);
+        let slot = subjoins.slot(ring, fp, window);
+        let twin = match &slot {
+            Entry::Occupied(slot) => self.queries.get_mut(*slot.get()),
+            Entry::Vacant(_) => None,
         }
-        stored.fingerprint = Some(fp);
-        let handle = self.store_query_handle(stored);
-        self.subjoins.register(ring, fp, window, handle);
-        false
+        // A fingerprint hit is only a candidate: confirm structural
+        // equality so a hash collision can never corrupt answers. The full
+        // window state must match too — `window_start` drives expiry and
+        // `window_min`/`window_max` drive the sliding-window span gate and
+        // subscriber eligibility, so twins created by tuples with different
+        // publication times must not share one entry.
+        .filter(|entry| {
+            entry.level == stored.level
+                && entry.pending.window_start == ws
+                && entry.pending.window_min == stored.pending.window_min
+                && entry.pending.window_max == stored.pending.window_max
+                && !entry.pending.query.distinct()
+                && subjoin_signature_eq(&entry.pending.query, &stored.pending.query)
+        });
+        let merged = match twin {
+            Some(entry) => {
+                self.sharing.merged_queries += stored.pending.subscriber_count() as u64;
+                entry.pending.merge_twin(stored.pending);
+                true
+            }
+            None => {
+                stored.fingerprint = Some(fp);
+                // (Re-)points the slot: a structurally distinct entry that
+                // collided on the fingerprint loses it to the newcomer.
+                slot.insert_entry(self.store_query_handle(stored));
+                false
+            }
+        };
+        self.subjoins = subjoins;
+        merged
     }
 
     /// Debits the storage counters after queries were removed directly from
@@ -1132,7 +1146,7 @@ mod tests {
         let entry = state.queries.get(bucket[0]).unwrap();
         assert_eq!(entry.pending.subscriber_count(), 2);
         assert_eq!(entry.pending.min_insert_time(), 0);
-        assert_eq!(entry.pending.extra_subscribers[0].insert_time, 5);
+        assert_eq!(entry.pending.subscribers.groups()[0].subscribers()[0].insert_time, 5);
         assert_eq!(state.sharing().merged_queries, 1);
         assert_eq!(state.subjoins().len(), 1);
     }

@@ -26,15 +26,15 @@
 
 use crate::cell::{Cell, Probe};
 use crate::config::EngineConfig;
-use crate::messages::{EmittedBy, PendingQuery, QueryId, Subscriber};
+use crate::messages::{EmittedBy, PendingQuery, QueryId};
 use crate::node_state::{unlink_from_bucket, NodeState, ProgramCache, StoredQuery};
 use crate::trigger_index::TriggerIndex;
 use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
 use rjoin_query::{
-    compile_subjoin, resolve_select_items, rewrite, shape_fingerprint, CompiledTrigger, IndexLevel,
-    JoinQuery, RewriteResult, SelectItem,
+    compile_subjoin, project_select, rewrite, shape_fingerprint, CompiledTrigger, IndexLevel,
+    JoinQuery, RewriteResult,
 };
 use rjoin_relation::{Catalog, Schema, Timestamp, Tuple, Value};
 use std::sync::{Arc, Mutex};
@@ -89,75 +89,29 @@ enum TriggerOutcome {
     Triggered,
 }
 
-/// Resolves a subscriber's `SELECT` continuation with the completing tuple
-/// and extracts the answer row. Returns `None` if any item is still
-/// unresolved, which cannot happen for subscribers merged on an identical
-/// sub-join structure (defensive: an unresolved item must not produce a
-/// malformed answer).
-fn subscriber_row(select: &[SelectItem], tuple: &Tuple, schema: &Schema) -> Option<Vec<Value>> {
-    let resolved = resolve_select_items(select, tuple, schema).ok()?;
-    resolved
-        .into_iter()
-        .map(|item| match item {
-            SelectItem::Const(v) => Some(v),
-            SelectItem::Attr(_) => None,
-        })
-        .collect()
-}
-
-/// Builds the rewritten descendant of a (possibly shared) triggered query.
-///
-/// Subscribers only ride on the child if the triggering tuple was published
-/// at or after their own insertion time, and their `SELECT` continuations
-/// are resolved with the tuple in lockstep with the shared `WHERE` rewrite.
-/// When the primary subscriber itself is ineligible, the first eligible
-/// extra subscriber is promoted to primary (its resolved `SELECT` list
-/// becomes the representative one). Returns `None` when no subscriber is
-/// eligible.
-fn shared_child(
+/// Fans a completed shared `WHERE` clause out to the subscriber table: one
+/// answer per subscriber submitted no later than `earliest`, the publication
+/// time of the combination's earliest tuple. This is the only place a
+/// subscriber's `SELECT` list is looked at between its merge and its answer:
+/// it is projected straight into the row from the tuples its group bound
+/// since the merge plus the completing `tuple`. (An item no tuple resolves
+/// cannot occur for subscribers merged on an identical sub-join structure;
+/// such a row is dropped rather than delivered malformed.)
+fn fan_out(
     pending: &PendingQuery,
-    rewritten: rjoin_query::JoinQuery,
-    new_start: Option<Timestamp>,
+    earliest: Timestamp,
     tuple: &Tuple,
-    schema: &Schema,
-) -> Option<PendingQuery> {
-    let eligible_extras: Vec<Subscriber> = pending
-        .extra_subscribers
-        .iter()
-        .filter(|s| tuple.pub_time() >= s.insert_time)
-        .filter_map(|s| {
-            Some(Subscriber {
-                id: s.id,
-                owner: s.owner,
-                insert_time: s.insert_time,
-                select: resolve_select_items(&s.select, tuple, schema).ok()?,
-            })
-        })
-        .collect();
-    let mut child = if tuple.pub_time() >= pending.insert_time {
-        let mut child = pending.child(rewritten, new_start);
-        child.extra_subscribers = eligible_extras;
-        child
-    } else {
-        let mut extras = eligible_extras.into_iter();
-        let promoted = extras.next()?;
-        let query = rewritten.with_select(promoted.select).ok()?;
-        PendingQuery {
-            id: promoted.id,
-            owner: promoted.owner,
-            insert_time: promoted.insert_time,
-            original_joins: pending.original_joins,
-            window_start: new_start,
-            window_min: pending.window_min,
-            window_max: pending.window_max,
-            query,
-            extra_subscribers: extras.collect(),
-            hypercube: pending.hypercube.clone(),
-            emitted_by: EmittedBy::default(),
+    catalog: &Catalog,
+    actions: &mut Vec<Action>,
+) {
+    for group in pending.subscribers.groups() {
+        let tuples = group.bound().iter().map(Arc::as_ref).chain(std::iter::once(tuple));
+        for sub in group.eligible(earliest) {
+            if let Ok(row) = project_select(&sub.select, tuples.clone(), catalog) {
+                actions.push(Action::DeliverAnswer { query: sub.id, owner: sub.owner, row });
+            }
         }
-    };
-    child.note_contribution(tuple.pub_time());
-    Some(child)
+    }
 }
 
 /// Returns the stored entry's compiled trigger program for the schema's
@@ -214,8 +168,12 @@ fn ensure_program<'a>(
 /// query from the stored query's own `start` and the tuple's publication
 /// time (the rule differs between Procedure 2 and Procedure 3).
 ///
-/// For shared entries (subscriber count > 1) the `WHERE` clause is rewritten
-/// **once**; eligibility and `SELECT` resolution are applied per subscriber.
+/// For shared entries (a non-empty subscriber table) the `WHERE` clause is
+/// rewritten **once** and the table rides along untouched: a child is
+/// produced whenever the entry triggers (passing the entry's time filter
+/// means at least one subscriber is served), and eligibility and `SELECT`
+/// projection are applied per subscriber only when the clause completes
+/// ([`fan_out`]).
 ///
 /// `schema` is the schema of `tuple`'s relation, resolved once per delivery
 /// by the caller (not per stored query). `programs` is the engine-wide
@@ -225,7 +183,7 @@ fn ensure_program<'a>(
 #[allow(clippy::too_many_arguments)]
 fn try_trigger(
     stored: &mut StoredQuery,
-    tuple: &Tuple,
+    tuple: &Arc<Tuple>,
     schema: &Schema,
     ctx: &ProcCtx<'_>,
     programs: &Mutex<ProgramCache>,
@@ -291,21 +249,18 @@ fn try_trigger(
     match result {
         Ok(RewriteResult::Complete(row)) => {
             let before = actions.len();
-            if tuple.pub_time() >= pending.insert_time {
+            // The primary rode every earlier step whatever its insertion
+            // time (nothing is filtered on the way), so it is checked
+            // against the whole combination like any other subscriber.
+            let earliest = pending.window_min.map_or(tuple.pub_time(), |m| m.min(tuple.pub_time()));
+            if earliest >= pending.insert_time {
                 actions.push(Action::DeliverAnswer {
                     query: pending.id,
                     owner: pending.owner,
                     row,
                 });
             }
-            for sub in &pending.extra_subscribers {
-                if tuple.pub_time() < sub.insert_time {
-                    continue;
-                }
-                if let Some(row) = subscriber_row(&sub.select, tuple, schema) {
-                    actions.push(Action::DeliverAnswer { query: sub.id, owner: sub.owner, row });
-                }
-            }
+            fan_out(pending, earliest, tuple, ctx.catalog, actions);
             if actions.len() == before {
                 TriggerOutcome::NotTriggered
             } else {
@@ -314,31 +269,29 @@ fn try_trigger(
         }
         Ok(RewriteResult::Partial(q1)) => {
             let new_start = start_rule(pending.window_start, tuple.pub_time());
-            match shared_child(pending, q1, new_start, tuple, schema) {
-                Some(mut child) => {
-                    if let Some(program) = &stored.program {
-                        child.emitted_by = EmittedBy::program(program.shared());
-                    }
-                    actions.push(Action::Reindex { pending: Box::new(child) });
-                    TriggerOutcome::Triggered
-                }
-                None => TriggerOutcome::NotTriggered,
+            let mut child = pending.triggered_child(q1, new_start, tuple);
+            if let Some(program) = &stored.program {
+                child.emitted_by = EmittedBy::program(program.shared());
             }
+            actions.push(Action::Reindex { pending: Box::new(child) });
+            TriggerOutcome::Triggered
         }
         Ok(RewriteResult::Mismatch) | Err(_) => TriggerOutcome::NotTriggered,
     }
 }
 
 /// Books the savings a shared trigger realized into the node's counters:
-/// each extra subscriber riding on a re-indexed child is one `Eval` message
-/// that was not sent, and each answer delivered to a non-primary subscriber
-/// is a fanned-out answer.
+/// each subscriber a re-indexed child serves beyond the first is one `Eval`
+/// message that was not sent (counted off the table, a binary search per
+/// group), and each answer delivered to a non-primary subscriber is a
+/// fanned-out answer.
 fn record_sharing(sharing: &mut SharingCounters, primary: QueryId, actions: &[Action]) {
     for action in actions {
         match action {
-            Action::Reindex { pending } => {
-                sharing.evals_saved += pending.extra_subscribers.len() as u64;
+            Action::Reindex { pending } if !pending.subscribers.is_empty() => {
+                sharing.evals_saved += (pending.subscriber_count() as u64).saturating_sub(1);
             }
+            Action::Reindex { .. } => {}
             Action::DeliverAnswer { query, .. } if *query != primary => {
                 sharing.fanout_answers += 1;
             }
@@ -409,7 +362,7 @@ pub fn handle_new_tuple(
             let before = actions.len();
             let outcome = try_trigger(
                 stored,
-                tuple.as_ref(),
+                tuple,
                 schema,
                 ctx,
                 &programs,
@@ -574,7 +527,7 @@ fn handle_query_arrival(
         let before = actions.len();
         let outcome = try_trigger(
             &mut stored,
-            tuple.as_ref(),
+            tuple,
             schema,
             ctx,
             &programs,
@@ -1303,8 +1256,9 @@ mod tests {
 
     /// Two overlapping input queries merge at the node; a triggering tuple
     /// rewrites the shared entry once and the single produced `Eval` carries
-    /// both subscribers with their SELECT continuations resolved in
-    /// lockstep.
+    /// both subscribers: the primary's SELECT list rewritten with the query,
+    /// the other one's untouched, next to the tuple it will be projected
+    /// from.
     #[test]
     fn shared_entry_reindexes_once_with_subscribers() {
         let catalog = catalog();
@@ -1313,14 +1267,16 @@ mod tests {
         let key = IndexKey::attribute("R", "A");
         let a = pending_from(10, "SELECT R.B, S.B FROM R, S WHERE R.A = S.A", 0);
         let b = pending_from(20, "SELECT S.C, R.C FROM R, S WHERE R.A = S.A", 0);
+        let b_select = b.query.select().to_vec();
         handle_index_query(&mut state, &ctx(&catalog, &config, 0), a, &key.hashed(), key.level());
         handle_index_query(&mut state, &ctx(&catalog, &config, 1), b, &key.hashed(), key.level());
         assert_eq!(state.stored_query_count(), 1, "the twin must merge, not stack");
 
+        let r_tuple = tuple("R", [7, 9, 2], 5);
         let actions = handle_new_tuple(
             &mut state,
             &ctx(&catalog, &config, 5),
-            &tuple("R", [7, 9, 2], 5),
+            &r_tuple,
             &key.hashed(),
             IndexLevel::Attribute,
         );
@@ -1335,10 +1291,13 @@ mod tests {
                     pending.query.select()[0],
                     rjoin_query::SelectItem::Const(Value::from(9))
                 );
-                // Subscriber continuation: S.C untouched, R.C resolved to 2.
-                let sub = &pending.extra_subscribers[0];
+                // The subscriber rides as merged; R.C is still an attribute
+                // reference, resolved from the bound tuple at fan-out.
+                let [group] = pending.subscribers.groups() else { panic!("one group") };
+                let [sub] = group.subscribers() else { panic!("one subscriber") };
                 assert_eq!(sub.id, QueryId { owner: Id(20), seq: 20 });
-                assert_eq!(sub.select[1], rjoin_query::SelectItem::Const(Value::from(2)));
+                assert_eq!(sub.select, b_select);
+                assert!(Arc::ptr_eq(&group.bound()[0], &r_tuple));
             }
             other => panic!("unexpected action {other:?}"),
         }
@@ -1417,8 +1376,10 @@ mod tests {
     }
 
     /// A tuple published before the primary subscriber's insertion time but
-    /// after an extra subscriber's still triggers the shared entry: the
-    /// eligible subscriber is promoted to primary on the child.
+    /// after another subscriber's still triggers the shared entry. Nobody is
+    /// promoted or filtered on the way: the child keeps its primary, and the
+    /// completion serves exactly the subscriber the whole combination is
+    /// eligible for.
     #[test]
     fn ineligible_primary_is_not_served_but_extras_are() {
         let catalog = catalog();
@@ -1446,7 +1407,7 @@ mod tests {
         assert_eq!(state.stored_query_count(), 1);
 
         // Published at time 5: before the primary's submission, after the
-        // extra subscriber's.
+        // other subscriber's.
         let actions = handle_new_tuple(
             &mut state,
             &ctx(&catalog, &config, 11),
@@ -1454,24 +1415,40 @@ mod tests {
             &key.hashed(),
             IndexLevel::Attribute,
         );
-        assert_eq!(actions.len(), 1);
-        match &actions[0] {
-            Action::Reindex { pending } => {
-                assert_eq!(
-                    pending.id,
-                    QueryId { owner: Id(20), seq: 20 },
-                    "eligible extra promoted"
-                );
-                assert_eq!(pending.subscriber_count(), 1, "the ineligible primary must not ride");
-                assert_eq!(pending.insert_time, 0);
-                // The promoted SELECT (R.C, S.C) is the representative one.
-                assert_eq!(
-                    pending.query.select()[0],
-                    rjoin_query::SelectItem::Const(Value::from(2))
-                );
-            }
-            other => panic!("unexpected action {other:?}"),
-        }
+        let [Action::Reindex { pending: child }] = actions.as_slice() else {
+            panic!("one child expected, got {actions:?}");
+        };
+        assert_eq!(child.subscriber_count(), 1, "the ineligible primary is no longer served");
+        assert_eq!(child.window_min, Some(5));
+        assert_eq!(state.sharing().evals_saved, 0, "one subscriber served, nothing saved");
+
+        // An S tuple published at 12 completes the join — after *both*
+        // submissions, yet only the early subscriber gets the answer: the
+        // combination contains the tuple of time 5.
+        let vkey = IndexKey::value("S", "A", Value::from(7));
+        let mut state2 = NodeState::new(Id(2));
+        handle_eval(
+            &mut state2,
+            &ctx(&catalog, &config, 11),
+            (**child).clone(),
+            &vkey.hashed(),
+            vkey.level(),
+        );
+        let answers = handle_new_tuple(
+            &mut state2,
+            &ctx(&catalog, &config, 12),
+            &tuple("S", [7, 3, 4], 12),
+            &vkey.hashed(),
+            IndexLevel::Value,
+        );
+        assert_eq!(
+            answers,
+            vec![Action::DeliverAnswer {
+                query: QueryId { owner: Id(20), seq: 20 },
+                owner: Id(20),
+                row: vec![Value::from(2), Value::from(4)],
+            }]
+        );
     }
 
     /// Regression for the stale-slot-after-expiry path: when a contact

@@ -157,16 +157,27 @@ impl fmt::Display for IndexKey {
     }
 }
 
-/// Computes the full set of keys under which a tuple must be indexed
-/// (Procedure 1): for each attribute, one attribute-level key and one
+/// The keys under which a tuple must be indexed (Procedure 1), one at a
+/// time: for each attribute, one attribute-level key and then one
 /// value-level key.
+pub fn tuple_index_key_iter<'t>(
+    tuple: &'t Tuple,
+    schema: &'t Schema,
+) -> impl Iterator<Item = IndexKey> + 't {
+    tuple.values().iter().enumerate().flat_map(move |(i, value)| {
+        let attribute = schema.attribute(i).unwrap_or("_unknown");
+        [
+            IndexKey::attribute(tuple.relation(), attribute),
+            IndexKey::value(tuple.relation(), attribute, value.clone()),
+        ]
+    })
+}
+
+/// Computes the full set of keys under which a tuple must be indexed
+/// ([`tuple_index_key_iter`], collected).
 pub fn tuple_index_keys(tuple: &Tuple, schema: &Schema) -> Vec<IndexKey> {
     let mut keys = Vec::with_capacity(tuple.arity() * 2);
-    for (i, value) in tuple.values().iter().enumerate() {
-        let attribute = schema.attribute(i).unwrap_or("_unknown");
-        keys.push(IndexKey::attribute(tuple.relation(), attribute));
-        keys.push(IndexKey::value(tuple.relation(), attribute, value.clone()));
-    }
+    keys.extend(tuple_index_key_iter(tuple, schema));
     keys
 }
 

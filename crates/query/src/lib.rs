@@ -52,9 +52,9 @@
 //! The AST interpreter ([`rewrite`]) remains the semantics oracle: engines
 //! run it when compiled predicates are disabled (`rjoin_core`'s
 //! `with_compiled_predicates(false)`), differential tests assert program
-//! results are byte-identical to it, and shared sub-join evaluation still
-//! uses the name-based [`resolve_select_items`] for per-subscriber
-//! projections.
+//! results are byte-identical to it, and shared sub-join evaluation
+//! projects each subscriber's `SELECT` list with the name-based
+//! [`project_select`] once, when the shared `WHERE` clause completes.
 //!
 //! # Example
 //!
@@ -92,11 +92,13 @@ pub use error::QueryError;
 pub use fingerprint::{
     fingerprint, shape_fingerprint, subjoin_signature, subjoin_signature_eq, Fingerprint,
 };
-pub use keys::{candidate_keys, tuple_index_keys, IndexKey, IndexLevel, KeyTemplate};
+pub use keys::{
+    candidate_keys, tuple_index_key_iter, tuple_index_keys, IndexKey, IndexLevel, KeyTemplate,
+};
 pub use parser::parse_query;
 pub use plan::{
     allocate_shares, classify_shape, plan_query, HypercubeAxis, HypercubePlan, JoinGraph,
     QueryPlan, QueryShape,
 };
-pub use rewrite::{resolve_select_items, rewrite, RewriteResult};
+pub use rewrite::{project_select, rewrite, RewriteResult};
 pub use window::{WindowKind, WindowSpec};

@@ -13,7 +13,7 @@
 
 use crate::ast::{Conjunct, JoinQuery, SelectItem};
 use crate::QueryError;
-use rjoin_relation::{Name, Schema, Tuple, Value};
+use rjoin_relation::{Catalog, Name, Schema, Tuple, Value};
 
 /// Result of rewriting a query with an incoming tuple.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,13 +165,9 @@ pub fn rewrite(
 }
 
 /// Resolves every `SELECT` item referring to the tuple's relation to the
-/// constant carried by the tuple, leaving all other items untouched.
-///
-/// This is the `SELECT`-resolution half of [`rewrite`], exposed separately so
-/// shared sub-join evaluation can resolve the *per-subscriber* `SELECT` lists
-/// of a shared query with the same tuple that rewrote the shared `WHERE`
-/// clause once.
-pub fn resolve_select_items(
+/// constant carried by the tuple, leaving all other items untouched (the
+/// `SELECT`-resolution half of [`rewrite`]).
+fn resolve_select_items(
     items: &[SelectItem],
     tuple: &Tuple,
     schema: &Schema,
@@ -188,6 +184,38 @@ pub fn resolve_select_items(
         }
     }
     Ok(resolved)
+}
+
+/// Projects a `SELECT` list straight into its answer row from the tuples
+/// that completed the `WHERE` clause: every attribute item takes its value
+/// from the tuple of its relation (a `FROM` list names each relation once),
+/// constants pass through.
+///
+/// This is what shared sub-join evaluation runs per subscriber when a shared
+/// `WHERE` clause completes: the subscriber's `SELECT` list is never
+/// rewritten step by step, only projected once from the combination's
+/// tuples. Equals the row [`rewrite`] would have reached by resolving the
+/// same list with the same tuples one at a time.
+pub fn project_select<'t>(
+    items: &[SelectItem],
+    tuples: impl Iterator<Item = &'t Tuple> + Clone,
+    catalog: &Catalog,
+) -> Result<Vec<Value>, QueryError> {
+    // Sized exactly: answer rows are kept for as long as their log is.
+    let mut row = Vec::with_capacity(items.len());
+    for item in items {
+        row.push(match item {
+            SelectItem::Const(v) => v.clone(),
+            SelectItem::Attr(a) => {
+                let unresolved = || QueryError::UnresolvedSelect { attr: a.clone() };
+                let tuple =
+                    tuples.clone().find(|t| t.relation() == a.relation).ok_or_else(unresolved)?;
+                let schema = catalog.schema(tuple.relation()).ok_or_else(unresolved)?;
+                tuple_value(tuple, schema, &a.attribute)?.clone()
+            }
+        });
+    }
+    Ok(row)
 }
 
 #[cfg(test)]
@@ -384,6 +412,38 @@ mod tests {
                 SelectItem::Attr(crate::ast::QualifiedAttr::new("S", "A")),
                 SelectItem::Const(Value::from(42)),
             ]
+        );
+    }
+
+    #[test]
+    fn project_select_reaches_the_row_of_the_stepwise_rewrite() {
+        let mut catalog = Catalog::new();
+        for rel in ["R", "S", "M"] {
+            catalog.register(schema(rel)).unwrap();
+        }
+        let q =
+            parse_query("SELECT S.B, M.A, R.C FROM R, S, M WHERE R.A = S.A AND S.B = M.B").unwrap();
+        let tuples = [tuple("R", [2, 5, 8]), tuple("S", [2, 6, 3]), tuple("M", [7, 6, 1])];
+        let mut stepwise = q.clone();
+        let mut row = None;
+        for t in &tuples {
+            match rewrite(&stepwise, t, &schema(t.relation())).unwrap() {
+                RewriteResult::Partial(next) => stepwise = next,
+                RewriteResult::Complete(done) => row = Some(done),
+                RewriteResult::Mismatch => panic!("the combination joins"),
+            }
+        }
+        assert_eq!(project_select(q.select(), tuples.iter(), &catalog).unwrap(), row.unwrap());
+        // A partly resolved list projects from the tuples it still needs.
+        let partly = [SelectItem::Const(Value::from(6)), q.select()[1].clone()];
+        assert_eq!(
+            project_select(&partly, tuples[2..].iter(), &catalog).unwrap(),
+            vec![Value::from(6), Value::from(7)]
+        );
+        // A relation that no tuple covers is an unresolved item, not a panic.
+        assert_eq!(
+            project_select(q.select(), tuples[..1].iter(), &catalog).unwrap_err(),
+            QueryError::UnresolvedSelect { attr: crate::ast::QualifiedAttr::new("S", "B") }
         );
     }
 

@@ -51,7 +51,13 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// First payload byte of every frame: the revision of the positional
 /// format, i.e. of the type declarations behind `ServiceMessage`.
-pub const FORMAT_VERSION: u8 = 1;
+///
+/// * 1 — the first binary format.
+/// * 2 — a `PendingQuery` carries its subscribers as a table (groups of an
+///   immutable subscriber set plus the tuples bound since the merge)
+///   instead of a list of per-subscriber `SELECT` continuations, so a shared
+///   `Eval` or a re-homed shared entry renders differently.
+pub const FORMAT_VERSION: u8 = 2;
 
 /// Bytes of the length prefix.
 const PREFIX_LEN: usize = 4;

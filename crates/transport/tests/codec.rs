@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rjoin_core::{
     EngineConfig, HypercubeRef, PendingQuery, PlacementStrategy, QueryId, RJoinMessage, RicInfo,
-    Subscriber,
+    Subscriber, SubscriberGroup, SubscriberTable,
 };
 use rjoin_dht::{HashedKey, Id};
 use rjoin_query::{
@@ -152,12 +152,34 @@ fn arb_query_id() -> impl Strategy<Value = QueryId> {
     (any::<u64>(), 0u64..1_000).prop_map(|(owner, seq)| QueryId { owner: Id(owner), seq })
 }
 
+/// A subscriber table of up to three groups: subscribers submitted before
+/// and after any `window_min` the pending query may carry (insertion times
+/// straddle its `0..50` range), each group with up to three bound tuples.
+fn arb_subscribers() -> impl Strategy<Value = SubscriberTable> {
+    let subscriber =
+        (arb_query_id(), 0u64..100, arb_value(), 0usize..4).prop_map(|(id, insert_time, v, a)| {
+            Subscriber {
+                id,
+                owner: id.owner,
+                insert_time,
+                select: vec![
+                    SelectItem::Const(v),
+                    SelectItem::Attr(QualifiedAttr::new("R1", format!("A{a}"))),
+                ],
+            }
+        });
+    let group =
+        (proptest::collection::vec(subscriber, 1..4), proptest::collection::vec(arb_tuple(), 0..4))
+            .prop_map(|(subscribers, bound)| SubscriberGroup::new(subscribers, bound));
+    proptest::collection::vec(group, 0..4).prop_map(SubscriberTable::from_groups)
+}
+
 fn arb_pending() -> impl Strategy<Value = PendingQuery> {
     (
         arb_query_id(),
         arb_query(),
         (any::<u64>(), proptest::option::of(any::<u64>()), proptest::option::of(0u64..50)),
-        proptest::collection::vec((arb_query_id(), any::<u64>(), arb_value()), 0..3),
+        arb_subscribers(),
         proptest::option::of((arb_key(), 0u32..64)),
     )
         .prop_map(|(id, query, (insert_time, start, min), subscribers, cube)| {
@@ -165,15 +187,7 @@ fn arb_pending() -> impl Strategy<Value = PendingQuery> {
             pending.window_start = start;
             pending.window_min = min;
             pending.window_max = min.map(|m| m + 3);
-            pending.extra_subscribers = subscribers
-                .into_iter()
-                .map(|(id, insert_time, v)| Subscriber {
-                    id,
-                    owner: id.owner,
-                    insert_time,
-                    select: vec![SelectItem::Const(v)],
-                })
-                .collect();
+            pending.subscribers = subscribers;
             pending.hypercube = cube.map(|(base, cells)| HypercubeRef { base, cells });
             pending
         })

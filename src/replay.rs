@@ -23,6 +23,7 @@
 use crate::error::Error;
 use rjoin_core::{EngineConfig, RJoinEngine};
 use rjoin_dht::Id;
+use rjoin_metrics::SharingCounters;
 use rjoin_relation::Value;
 use rjoin_transport::{Cluster, ClusterConfig};
 use rjoin_workload::Scenario;
@@ -54,6 +55,10 @@ pub struct ChurnEvent {
 pub struct ReplaySpec {
     /// The recorded workload.
     pub scenario: Scenario,
+    /// `Some(k)`: the queries share `k` sub-join patterns
+    /// ([`Scenario::generate_overlapping_queries`]) — the workload shared
+    /// sub-join evaluation merges.
+    pub patterns: Option<usize>,
     /// Engine configuration, shared by both runs.
     pub config: EngineConfig,
     /// Membership changes applied (identically placed) in both runs.
@@ -82,6 +87,9 @@ pub struct ReplayReport {
     pub outcomes: Vec<QueryOutcome>,
     /// Items re-homed by graceful leaves on the TCP side.
     pub moved: u64,
+    /// What shared sub-join evaluation saved on the simulated side (the TCP
+    /// nodes run the same pipeline but report no counters).
+    pub sim_sharing: SharingCounters,
 }
 
 impl ReplayReport {
@@ -135,7 +143,10 @@ fn pick_leaver(ids: &[Id], protect: Id) -> Option<Id> {
 pub fn replay_over_tcp(spec: &ReplaySpec) -> Result<ReplayReport, Error> {
     let scenario = &spec.scenario;
     let catalog = scenario.workload_schema().build_catalog();
-    let queries = scenario.generate_queries();
+    let queries = match spec.patterns {
+        Some(patterns) => scenario.generate_overlapping_queries(patterns),
+        None => scenario.generate_queries(),
+    };
 
     // ---- Record: the simulated oracle run -------------------------------
     let mut engine = RJoinEngine::simulated(spec.config.clone(), catalog.clone(), scenario.nodes);
@@ -211,5 +222,5 @@ pub fn replay_over_tcp(spec: &ReplaySpec) -> Result<ReplayReport, Error> {
         });
     }
     cluster.shutdown();
-    Ok(ReplayReport { outcomes, moved })
+    Ok(ReplayReport { outcomes, moved, sim_sharing: engine.sharing_counters() })
 }

@@ -47,6 +47,7 @@ fn csv_path(name: &str) -> PathBuf {
 fn tcp_replay_matches_the_simulated_oracle_four_way() {
     let spec = ReplaySpec {
         scenario: net_scenario(12, 48),
+        patterns: None,
         config: EngineConfig::default().with_value_level_only(true),
         churn: Vec::new(),
         cluster: cluster_config(),
@@ -70,6 +71,7 @@ fn tcp_replay_matches_the_simulated_oracle_four_way() {
 fn tcp_replay_matches_the_simulated_oracle_under_graceful_churn() {
     let spec = ReplaySpec {
         scenario: net_scenario(15, 40),
+        patterns: None,
         config: EngineConfig::default().with_value_level_only(true),
         churn: vec![
             ChurnEvent { after_tuple: 13, op: ChurnOp::Join },
@@ -101,6 +103,7 @@ fn tcp_replay_matches_the_simulated_oracle_after_a_burst() {
         // A wider domain than the other tests: 85 tuples per relation would
         // otherwise complete ~10^5 answers per 4-way query.
         scenario: Scenario { nodes: 4, domain: 48, ..net_scenario(12, 512) },
+        patterns: None,
         config: EngineConfig::default().with_altt(u64::MAX / 4),
         churn: Vec::new(),
         cluster: cluster_config(),
@@ -115,4 +118,33 @@ fn tcp_replay_matches_the_simulated_oracle_after_a_burst() {
         report.outcomes.iter().filter(|o| !o.equal).collect::<Vec<_>>(),
     );
     assert!(report.total_sim_rows() > 0, "the workload should produce at least one answer");
+}
+
+/// Shared sub-join evaluation over real sockets: 16 window-less queries over
+/// 4 sub-join patterns merge at their nodes, so the `Eval`s between node
+/// processes carry subscriber tables (immutable subscriber sets plus the
+/// tuples bound so far) through the binary codec, and the receiving node
+/// projects every subscriber's answer from what came off the wire.
+#[test]
+fn tcp_replay_matches_the_simulated_oracle_with_shared_subjoins() {
+    let spec = ReplaySpec {
+        scenario: net_scenario(16, 48),
+        patterns: Some(4),
+        config: EngineConfig::default().with_value_level_only(true).with_subjoin_sharing(true),
+        churn: Vec::new(),
+        cluster: cluster_config(),
+    };
+    let report = replay_over_tcp(&spec).expect("replay");
+    report.write_csv(&csv_path("shared")).expect("csv artifact");
+    assert!(
+        report.all_equal(),
+        "answer sets diverge with sharing on: sim={} tcp={} ({:?})",
+        report.total_sim_rows(),
+        report.total_tcp_rows(),
+        report.outcomes.iter().filter(|o| !o.equal).collect::<Vec<_>>(),
+    );
+    assert!(report.total_sim_rows() > 0, "the workload should produce at least one answer");
+    let saved = report.sim_sharing;
+    assert!(saved.evals_saved > 0, "shared Evals must have carried subscribers: {saved:?}");
+    assert!(saved.fanout_answers > 0, "completions must have fanned out: {saved:?}");
 }
