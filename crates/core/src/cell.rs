@@ -1,92 +1,75 @@
-//! The tuple store of one hypercube cell: arrival-ordered tuples with a
-//! `(relation, column, value)` hash index over the join columns.
+//! The local join of one hypercube cell: the replica compiled into a
+//! positional [`JoinPlan`], the tuples routed to the cell in arrival order,
+//! and a `(slot, column, value)` hash index over the plan's join columns.
 //!
 //! A hypercube-planned query trades replicated communication (every tuple
 //! is copied to the subcube its bound attributes pin) for one-round
 //! placement: a joining combination co-occurs in exactly one cell. That
 //! trade only pays if what is left inside the cell is an efficient local
 //! join, so a cell stores nothing but its input-query replica and the
-//! tuples routed to it, and the join itself is an **index-probe cascade**
-//! driven by each arriving tuple (see `procedures::handle_new_tuple`):
-//! the replica is rewritten once with the arrival, and every remaining
-//! relation is bound by probing this index on a column the partial rewrite
-//! has pinned to a value. Only tuples that arrived *earlier* are in the
-//! store while an arrival drives its cascade (it is filed afterwards), so
-//! every combination is assembled exactly once — at its latest member's
-//! arrival — and no partial result is ever stored.
+//! tuples routed to it, and the join itself is an **index-probe cascade
+//! over tuple references**, driven by each arriving tuple ([`Cell::join`]):
+//!
+//! * **The plan.** At the cell's first arrival the replica is compiled once
+//!   into a [`JoinPlan`] — a slot per relation, constant filters and join
+//!   edges as column offsets, the `SELECT` list as columns or constants.
+//!   No query AST is built, cloned or dropped per tuple afterwards.
+//! * **The probe.** An arrival that passes its slot's constant filters is
+//!   bound to its slot, and every remaining slot is bound depth-first by
+//!   probing the index with the [pins](JoinPlan::pins) the bound tuples
+//!   force: the shortest pinned list over all unbound slots (a pinned value
+//!   no stored tuple carries ends the branch), or a scan of one slot's
+//!   tuples when no indexed column is pinned. A candidate is checked by
+//!   offset against every join edge into the bound slots and against the
+//!   window span; a full binding is projected straight into the answer row.
+//! * **Exactly once.** Only tuples that arrived *earlier* are in the store
+//!   while an arrival drives its cascade (it is filed afterwards), so every
+//!   combination is assembled exactly once — at its latest member's
+//!   arrival — and no partial result is ever stored.
 //!
 //! # Layout
 //!
 //! Tuples sit in a `VecDeque` in arrival order and are named by their
-//! **arrival number** (`base` + position). The index files arrival numbers
-//! per join column and value digest, in ascending order. Windowed cells
-//! evict from the front only ([`Cell::evict_due`]), which keeps both sides
-//! O(1): the evicted tuple is the front of the deque *and* the front of
-//! each of its index lists. A tuple whose deadline passed while an older
-//! tuple with a later deadline still heads the deque simply waits for it —
-//! physical removal never decides an answer (the cascade tests the window
-//! on every candidate), it only bounds state by the window instead of the
-//! epoch.
+//! **arrival number** (`base` + position). A tuple is filed only under its
+//! own slot's join columns, at the offsets the plan resolved once; each
+//! column keeps arrival numbers per value digest, in ascending order.
+//! Windowed cells evict from the front only ([`Cell::evict_due`]), which
+//! keeps both sides O(1): the evicted tuple is the front of the deque *and*
+//! the front of each of its index lists. A tuple whose deadline passed
+//! while an older tuple with a later deadline still heads the deque simply
+//! waits for it — physical removal never decides an answer (the cascade
+//! tests the window on every candidate), it only bounds state by the window
+//! instead of the epoch.
 //!
-//! Column offsets are resolved against the catalog lazily
-//! ([`Cell::index_pending`]): churn re-homes a cell through
-//! `NodeState::absorb`, which has no catalog at hand, so absorbed tuples
-//! are appended un-indexed and filed at the cell's next arrival.
+//! The plan needs the catalog, so it is compiled at the first arrival, not
+//! when the cell opens: churn re-homes a cell through `NodeState::absorb`,
+//! which has no catalog at hand, so absorbed tuples are appended un-filed
+//! and filed at the cell's next arrival.
 
 use crate::slab::Handle;
-use crate::trigger_index::value_digest;
+use crate::trigger_index::{value_digest, TriggerIndex};
 use rjoin_dht::RingMap;
 use rjoin_net::SimTime;
-use rjoin_query::{CompiledTrigger, Conjunct, JoinQuery, QualifiedAttr, WindowSpec};
-use rjoin_relation::{Catalog, Name, Tuple, Value};
+use rjoin_query::{JoinPlan, JoinQuery, SlotColumn, WindowSpec};
+use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One stored tuple copy and the tick from which its removal is
-/// unobservable (`SimTime::MAX` for unwindowed queries).
+/// One stored tuple copy, the tick from which its removal is unobservable
+/// (`SimTime::MAX` for unwindowed queries), and the plan slot it is filed
+/// under (`None` until filed, and for a tuple the plan does not admit).
 #[derive(Debug, Clone)]
 struct Entry {
     tuple: Arc<Tuple>,
     deadline: SimTime,
+    slot: Option<usize>,
 }
 
 /// The index of one join column: arrival numbers by value digest.
 #[derive(Debug, Clone)]
 struct Column {
-    relation: Name,
-    attribute: Name,
-    /// The attribute's offset in the relation's schema, resolved when the
-    /// first tuple of the relation is filed.
-    offset: Option<usize>,
+    at: SlotColumn,
     by_value: RingMap<VecDeque<u64>>,
-}
-
-impl Column {
-    fn indexes(&self, attr: &QualifiedAttr) -> bool {
-        self.relation == attr.relation && self.attribute == attr.attribute
-    }
-
-    /// The value `tuple` is filed under in this column: `None` for tuples
-    /// of other relations (and until the offset is resolved).
-    fn value_in<'t>(&self, tuple: &'t Tuple) -> Option<&'t Value> {
-        if self.relation != tuple.relation() {
-            return None;
-        }
-        tuple.value(self.offset?)
-    }
-}
-
-/// What a partial rewrite should be extended over.
-pub(crate) enum Probe<'a> {
-    /// The arrival numbers filed under a pinned column value — the
-    /// shortest such list over all pins of the partial.
-    Indexed(&'a VecDeque<u64>),
-    /// No remaining relation is pinned on an indexed column (the next
-    /// relation shares no join attribute with the ones bound so far): fall
-    /// back to every stored tuple of this relation.
-    Scan(&'a Name),
-    /// A pinned value no stored tuple carries: the branch is dead.
-    Empty,
 }
 
 /// The state of one hypercube cell besides the replica itself (which is an
@@ -95,46 +78,32 @@ pub(crate) enum Probe<'a> {
 pub(crate) struct Cell {
     /// The input-query replica's handle in the node's query slab.
     pub(crate) replica: Handle,
-    /// The replica's compiled trigger programs, one per trigger relation
-    /// (a cell triggers on every relation of its query), built lazily.
-    pub(crate) programs: Vec<CompiledTrigger>,
     /// The replica's window: what a stored tuple's eviction deadline is
     /// derived from.
     pub(crate) window: WindowSpec,
+    /// The replica's join plan, compiled at the cell's first arrival.
+    plan: Option<JoinPlan>,
     entries: VecDeque<Entry>,
     /// Arrival number of `entries.front()`.
     base: u64,
     /// How many entries, from the front, are filed in `columns`.
     indexed: usize,
+    /// One index per join column of the plan (empty until it is compiled).
     columns: Vec<Column>,
 }
 
 impl Cell {
-    /// An empty cell for the replica `query`: one index column per distinct
-    /// join attribute (both sides of every `JoinEq` conjunct).
+    /// An empty cell for the replica `query` (its plan and index columns are
+    /// built at the first arrival).
     pub(crate) fn new(replica: Handle, query: &JoinQuery) -> Self {
-        let mut columns: Vec<Column> = Vec::with_capacity(2 * query.join_count());
-        for conjunct in query.conjuncts() {
-            let Conjunct::JoinEq(a, b) = conjunct else { continue };
-            for attr in [a, b] {
-                if !columns.iter().any(|c| c.indexes(attr)) {
-                    columns.push(Column {
-                        relation: attr.relation.clone(),
-                        attribute: attr.attribute.clone(),
-                        offset: None,
-                        by_value: RingMap::default(),
-                    });
-                }
-            }
-        }
         Cell {
             replica,
-            programs: Vec::new(),
             window: *query.window(),
+            plan: None,
             entries: VecDeque::new(),
             base: 0,
             indexed: 0,
-            columns,
+            columns: Vec::new(),
         }
     }
 
@@ -143,27 +112,79 @@ impl Cell {
         self.entries.len()
     }
 
-    /// Appends a tuple (un-indexed until [`index_pending`] runs).
-    ///
-    /// [`index_pending`]: Cell::index_pending
-    pub(crate) fn push(&mut self, tuple: Arc<Tuple>, deadline: SimTime) {
-        self.entries.push_back(Entry { tuple, deadline });
+    /// The eviction deadline of the oldest stored tuple, the only one
+    /// eviction ever looks at.
+    pub(crate) fn front_deadline(&self) -> Option<SimTime> {
+        self.entries.front().map(|e| e.deadline)
     }
 
-    /// Files every appended-but-unfiled tuple under its join-column values.
-    /// A no-op when the index is current.
-    pub(crate) fn index_pending(&mut self, catalog: &Catalog) {
+    /// Appends a tuple (un-filed until the cell's next arrival).
+    pub(crate) fn push(&mut self, tuple: Arc<Tuple>, deadline: SimTime) {
+        self.entries.push_back(Entry { tuple, deadline, slot: None });
+    }
+
+    /// Joins an arriving copy of `replica`'s cell with every combination of
+    /// the tuples stored before it, handing each answer row to `emit` and
+    /// booking each index probe in `probes`. Returns whether the copy must
+    /// be stored for later arrivals: it was admitted to a slot of a plan with
+    /// more than one (a one-relation replica answers on arrival).
+    ///
+    /// A tuple the plan does not admit — of a relation the replica does not
+    /// join, or failing one of its constant selections — and every tuple of
+    /// a replica that does not compile against `catalog` joins nothing.
+    pub(crate) fn join(
+        &mut self,
+        replica: &JoinQuery,
+        catalog: &Catalog,
+        tuple: &Tuple,
+        probes: &mut TriggerIndex,
+        emit: impl FnMut(Vec<Value>),
+    ) -> bool {
+        if !self.compile(replica, catalog) {
+            return false;
+        }
+        self.index_pending();
+        let plan = self.plan.as_ref().expect("compiled above");
+        let Some(slot) = plan.admit(tuple) else { return false };
+        let mut bound = vec![None; plan.relations().len()];
+        bound[slot] = Some(tuple);
+        let unbound = bound.len() - 1;
+        let mut cascade = Cascade { cell: &*self, plan, bound, unbound, probes, emit };
+        if unbound == 0 {
+            (cascade.emit)(plan.project(&cascade.bound));
+            return false;
+        }
+        cascade.extend(tuple.pub_time(), tuple.pub_time());
+        true
+    }
+
+    /// Compiles the replica's plan and opens one index column per join
+    /// column, once; `false` when the replica does not compile.
+    fn compile(&mut self, replica: &JoinQuery, catalog: &Catalog) -> bool {
+        if self.plan.is_none() {
+            let Ok(plan) = JoinPlan::new(replica, catalog) else { return false };
+            self.columns = plan
+                .join_columns()
+                .into_iter()
+                .map(|at| Column { at, by_value: RingMap::default() })
+                .collect();
+            self.plan = Some(plan);
+        }
+        true
+    }
+
+    /// Files every appended-but-unfiled tuple under its slot's join columns.
+    /// A no-op when the index is current or the plan is not compiled yet.
+    fn index_pending(&mut self) {
+        let Some(plan) = &self.plan else { return };
         while self.indexed < self.entries.len() {
             let arrival = self.base + self.indexed as u64;
-            let tuple = &self.entries[self.indexed].tuple;
-            for column in &mut self.columns {
-                if column.offset.is_none() && column.relation == tuple.relation() {
-                    column.offset = catalog
-                        .schema(tuple.relation())
-                        .and_then(|s| s.index_of(&column.attribute));
-                }
-                if let Some(value) = column.value_in(tuple) {
-                    column.by_value.entry(value_digest(value)).or_default().push_back(arrival);
+            let entry = &mut self.entries[self.indexed];
+            entry.slot = plan.admit(&entry.tuple);
+            if let Some(slot) = entry.slot {
+                for column in self.columns.iter_mut().filter(|c| c.at.slot == slot) {
+                    let digest = value_digest(&entry.tuple.values()[column.at.offset]);
+                    column.by_value.entry(digest).or_default().push_back(arrival);
                 }
             }
             self.indexed += 1;
@@ -178,7 +199,7 @@ impl Cell {
             let entry = self.entries.pop_front().expect("front checked above");
             if self.indexed > 0 {
                 self.indexed -= 1;
-                self.unfile(&entry.tuple);
+                self.unfile(&entry);
             }
             self.base += 1;
             evicted += 1;
@@ -186,12 +207,12 @@ impl Cell {
         evicted
     }
 
-    /// Unfiles the front tuple (arrival number `base`): index lists are in
+    /// Unfiles the front entry (arrival number `base`): index lists are in
     /// ascending arrival order, so it heads every list it is filed in.
-    fn unfile(&mut self, tuple: &Tuple) {
-        for column in &mut self.columns {
-            let Some(value) = column.value_in(tuple) else { continue };
-            let digest = value_digest(value);
+    fn unfile(&mut self, entry: &Entry) {
+        let Some(slot) = entry.slot else { return };
+        for column in self.columns.iter_mut().filter(|c| c.at.slot == slot) {
+            let digest = value_digest(&entry.tuple.values()[column.at.offset]);
             if let Some(list) = column.by_value.get_mut(&digest) {
                 let front = list.pop_front();
                 debug_assert_eq!(front, Some(self.base), "eviction is in arrival order");
@@ -209,39 +230,82 @@ impl Cell {
     }
 
     /// The stored tuple with arrival number `arrival`.
-    pub(crate) fn tuple(&self, arrival: u64) -> Option<&Arc<Tuple>> {
+    fn tuple(&self, arrival: u64) -> Option<&Tuple> {
         let pos = arrival.checked_sub(self.base)?;
-        self.entries.get(pos as usize).map(|e| &e.tuple)
+        self.entries.get(pos as usize).map(|e| &*e.tuple)
     }
+}
 
-    /// Every stored tuple of `relation`, in arrival order.
-    pub(crate) fn tuples_of<'a>(
-        &'a self,
-        relation: &'a str,
-    ) -> impl Iterator<Item = &'a Arc<Tuple>> + 'a {
-        self.entries.iter().map(|e| &e.tuple).filter(move |t| t.relation() == relation)
-    }
+/// One arrival's probe cascade: the bound tuple of every slot so far (the
+/// arrival's and the candidates' on the current branch), on the stack.
+struct Cascade<'a, F> {
+    cell: &'a Cell,
+    plan: &'a JoinPlan,
+    bound: Vec<Option<&'a Tuple>>,
+    /// Slots still unbound on this branch.
+    unbound: usize,
+    probes: &'a mut TriggerIndex,
+    emit: F,
+}
 
-    /// Chooses how to extend `partial`: every `ConstEq` conjunct over an
-    /// indexed column is a pin — any tuple completing the partial must carry
-    /// that value — so the shortest pinned list bounds the candidates (the
-    /// other pins are re-checked by the rewrite).
-    pub(crate) fn probe<'a>(&'a self, partial: &'a JoinQuery) -> Probe<'a> {
-        let mut best: Option<&VecDeque<u64>> = None;
-        for conjunct in partial.conjuncts() {
-            let Conjunct::ConstEq(attr, value) = conjunct else { continue };
-            let Some(column) = self.columns.iter().find(|c| c.indexes(attr)) else { continue };
+impl<'a, F: FnMut(Vec<Value>)> Cascade<'a, F> {
+    /// Binds one more slot of a combination whose tuples were published over
+    /// `[lo, hi]`: every pin on an indexed column is a necessary value, so
+    /// the shortest pinned list bounds the candidates (the other pins are
+    /// re-checked as join edges); with no indexed column pinned (the next
+    /// slot shares no join attribute with the bound ones) the first unbound
+    /// slot's tuples are scanned.
+    fn extend(&mut self, lo: Timestamp, hi: Timestamp) {
+        let cell = self.cell;
+        let mut best: Option<(usize, &'a VecDeque<u64>)> = None;
+        for (at, value) in self.plan.pins(&self.bound) {
+            let Some(column) = cell.columns.iter().find(|c| c.at == at) else { continue };
             match column.by_value.get(&value_digest(value)) {
-                None => return Probe::Empty,
-                Some(list) if best.is_none_or(|b| list.len() < b.len()) => best = Some(list),
+                None => return self.probes.note_tuple_probe(cell.len(), 0),
+                Some(list) if best.is_none_or(|(_, b)| list.len() < b.len()) => {
+                    best = Some((at.slot, list));
+                }
                 Some(_) => {}
             }
         }
-        match (best, partial.relations().first()) {
-            (Some(list), _) => Probe::Indexed(list),
-            (None, Some(relation)) => Probe::Scan(relation),
-            (None, None) => Probe::Empty,
+        match best {
+            Some((slot, arrivals)) => {
+                self.probes.note_tuple_probe(cell.len(), arrivals.len());
+                for candidate in arrivals.iter().filter_map(|&arrival| cell.tuple(arrival)) {
+                    self.bind(slot, candidate, lo, hi);
+                }
+            }
+            None => {
+                let slot = self.bound.iter().position(Option::is_none).expect("a slot is unbound");
+                // Finding the slot's tuples visits every stored one.
+                self.probes.note_tuple_probe(cell.len(), cell.len());
+                for entry in cell.entries.iter().filter(|e| e.slot == Some(slot)) {
+                    self.bind(slot, &entry.tuple, lo, hi);
+                }
+            }
         }
+    }
+
+    /// Binds one stored tuple to `slot`: the window test first (the whole
+    /// combination must fit one window — Section 5's validity rule applied
+    /// to the exact contribution span, which only ever grows, so a branch
+    /// that already exceeds the window is cut here), then the join edges
+    /// into the bound slots; a full binding is an answer.
+    fn bind(&mut self, slot: usize, candidate: &'a Tuple, lo: Timestamp, hi: Timestamp) {
+        let pub_time = candidate.pub_time();
+        let (lo, hi) = (lo.min(pub_time), hi.max(pub_time));
+        if !self.plan.window().within(lo, hi) || !self.plan.joins(slot, candidate, &self.bound) {
+            return;
+        }
+        self.bound[slot] = Some(candidate);
+        if self.unbound == 1 {
+            (self.emit)(self.plan.project(&self.bound));
+        } else {
+            self.unbound -= 1;
+            self.extend(lo, hi);
+            self.unbound += 1;
+        }
+        self.bound[slot] = None;
     }
 }
 
@@ -263,94 +327,122 @@ mod tests {
         Arc::new(Tuple::new(rel, values.iter().map(|v| Value::from(*v)).collect(), pub_time))
     }
 
-    fn triangle_cell() -> Cell {
-        let q = parse_query("SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B AND T.C = R.C")
-            .unwrap();
-        let handle = crate::slab::Slab::new().insert(());
-        Cell::new(handle, &q)
+    const TRIANGLE: &str = "SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B AND T.C = R.C";
+
+    /// A cell of `sql` with its plan compiled and nothing stored yet.
+    fn compiled_cell(sql: &str) -> (Cell, JoinQuery) {
+        let q = parse_query(sql).unwrap();
+        let mut cell = Cell::new(crate::slab::Slab::new().insert(()), &q);
+        assert!(cell.compile(&q, &catalog()));
+        (cell, q)
     }
 
-    fn arrivals(probe: Probe<'_>) -> Vec<u64> {
-        match probe {
-            Probe::Indexed(list) => list.iter().copied().collect(),
-            Probe::Scan(_) => panic!("expected an indexed probe"),
-            Probe::Empty => Vec::new(),
-        }
+    fn at(slot: usize, offset: usize) -> SlotColumn {
+        SlotColumn { slot, offset }
+    }
+
+    /// The arrival numbers filed under `value` in the index column `at`.
+    fn filed(cell: &Cell, at: SlotColumn, value: i64) -> Vec<u64> {
+        let column = cell.columns.iter().find(|c| c.at == at).expect("an index column");
+        let list = column.by_value.get(&value_digest(&Value::from(value)));
+        list.map(|l| l.iter().copied().collect()).unwrap_or_default()
+    }
+
+    /// Drives one arrival through the cell's join; returns the answer rows
+    /// and `(probes, candidates)` booked by it.
+    fn arrive(cell: &mut Cell, q: &JoinQuery, t: &Tuple) -> (Vec<Vec<Value>>, u64, u64) {
+        let mut probes = TriggerIndex::new();
+        let mut rows = Vec::new();
+        cell.join(q, &catalog(), t, &mut probes, |row| rows.push(row));
+        let counters = probes.counters();
+        (rows, counters.indexed_probes, counters.candidates_probed)
     }
 
     #[test]
     fn one_column_per_join_attribute() {
-        let cell = triangle_cell();
-        let names: Vec<(&str, &str)> =
-            cell.columns.iter().map(|c| (c.relation.as_str(), c.attribute.as_str())).collect();
-        assert_eq!(names, [("R", "A"), ("S", "A"), ("S", "B"), ("T", "B"), ("T", "C"), ("R", "C")]);
+        let (cell, _) = compiled_cell(TRIANGLE);
+        let columns: Vec<SlotColumn> = cell.columns.iter().map(|c| c.at).collect();
+        // R.A, S.A, S.B, T.B, T.C, R.C as (slot, offset).
+        assert_eq!(columns, [at(0, 0), at(1, 0), at(1, 1), at(2, 1), at(2, 2), at(0, 2)]);
     }
 
     #[test]
     fn probe_picks_the_shortest_pinned_list() {
-        let catalog = catalog();
-        let mut cell = triangle_cell();
+        let (mut cell, q) = compiled_cell(TRIANGLE);
         cell.push(tuple("T", [0, 5, 9], 1), SimTime::MAX);
         cell.push(tuple("T", [0, 5, 8], 2), SimTime::MAX);
         cell.push(tuple("T", [0, 6, 9], 3), SimTime::MAX);
-        cell.push(tuple("T", [0, 5, 7], 4), SimTime::MAX);
-        cell.index_pending(&catalog);
-        // T.B = 5 holds three tuples, T.C = 9 two: probe the shorter list.
-        let both = parse_query("SELECT 1 FROM T WHERE T.B = 5 AND T.C = 9").unwrap();
-        assert_eq!(arrivals(cell.probe(&both)), [0, 2]);
-        // A pinned value nobody carries kills the branch.
-        let dead = parse_query("SELECT 1 FROM T WHERE T.B = 5 AND T.C = 1").unwrap();
-        assert!(matches!(cell.probe(&dead), Probe::Empty));
-        // A pin on a non-join column is not indexed; with no other pin the
-        // probe falls back to the relation's tuples.
-        let unpinned = parse_query("SELECT 1 FROM T WHERE T.A = 0").unwrap();
-        assert!(matches!(cell.probe(&unpinned), Probe::Scan(rel) if rel == "T"));
-        assert_eq!(cell.tuples_of("T").count(), 4);
-        assert_eq!(cell.tuples_of("S").count(), 0);
+        for pub_time in 4..7 {
+            cell.push(tuple("S", [1, 5, 0], pub_time), SimTime::MAX);
+        }
+        // R(1, _, 9) pins S.A = 1 (three tuples) and T.C = 9 (two): the T
+        // list is probed first. T.B = 5 then pins S.B = 5 next to S.A = 1
+        // (three each, the first pin wins), T.B = 6 pins S.B = 6, which no
+        // tuple carries: that branch ends without candidates.
+        let (rows, probes, candidates) = arrive(&mut cell, &q, &tuple("R", [1, 0, 9], 7));
+        assert_eq!(rows, vec![vec![Value::from(1)]; 3]);
+        assert_eq!((probes, candidates), (3, 2 + 3));
+        assert_eq!(filed(&cell, at(2, 2), 9), [0, 2], "T.C = 9");
+        // A pinned value nobody carries kills the arrival's only branch.
+        let (rows, probes, candidates) = arrive(&mut cell, &q, &tuple("R", [2, 0, 9], 8));
+        assert!(rows.is_empty());
+        assert_eq!((probes, candidates), (1, 0));
+
+        // A slot no join edge reaches from the bound ones is scanned: its
+        // own tuples are the candidates, but finding them visits the store.
+        let (mut cell, q) = compiled_cell("SELECT R.A, T.C FROM R, S, T WHERE R.A = S.A");
+        cell.push(tuple("T", [0, 0, 3], 1), SimTime::MAX);
+        cell.push(tuple("R", [1, 0, 0], 2), SimTime::MAX);
+        cell.push(tuple("T", [0, 0, 4], 3), SimTime::MAX);
+        let (rows, probes, candidates) = arrive(&mut cell, &q, &tuple("S", [1, 0, 0], 4));
+        assert_eq!(rows.len(), 2);
+        assert_eq!((probes, candidates), (2, 1 + 3));
     }
 
     #[test]
     fn eviction_pops_store_and_index_from_the_front() {
-        let catalog = catalog();
-        let mut cell = triangle_cell();
+        let (mut cell, _) = compiled_cell(TRIANGLE);
         cell.push(tuple("S", [1, 2, 0], 1), 10);
         cell.push(tuple("S", [1, 3, 0], 2), 30);
         cell.push(tuple("S", [1, 2, 0], 3), 20);
-        cell.index_pending(&catalog);
-        let pinned = parse_query("SELECT 1 FROM S WHERE S.A = 1").unwrap();
-        assert_eq!(arrivals(cell.probe(&pinned)), [0, 1, 2]);
+        cell.index_pending();
+        let s_a = at(1, 0);
+        assert_eq!(filed(&cell, s_a, 1), [0, 1, 2]);
 
         assert_eq!(cell.evict_due(9), 0);
         assert_eq!(cell.evict_due(10), 1);
-        assert_eq!(arrivals(cell.probe(&pinned)), [1, 2]);
+        assert_eq!(filed(&cell, s_a, 1), [1, 2]);
+        assert_eq!(cell.front_deadline(), Some(30));
         assert!(cell.tuple(0).is_none(), "evicted arrival numbers stop resolving");
         assert_eq!(cell.tuple(1).unwrap().pub_time(), 2);
         // Arrival 2 is due at 20 but waits behind arrival 1 (due at 30).
         assert_eq!(cell.evict_due(25), 0);
         assert_eq!(cell.evict_due(30), 2);
         assert_eq!(cell.len(), 0);
+        assert_eq!(cell.front_deadline(), None);
         assert!(cell.columns.iter().all(|c| c.by_value.is_empty()), "empty lists are dropped");
         // Arrival numbers keep counting after the store drained.
         cell.push(tuple("S", [1, 2, 0], 40), SimTime::MAX);
-        cell.index_pending(&catalog);
-        assert_eq!(arrivals(cell.probe(&pinned)), [3]);
+        cell.index_pending();
+        assert_eq!(filed(&cell, s_a, 1), [3]);
     }
 
     #[test]
     fn unindexed_tuples_survive_eviction_and_re_homing() {
-        let catalog = catalog();
-        let mut cell = triangle_cell();
+        let (mut cell, _) = compiled_cell(TRIANGLE);
         cell.push(tuple("R", [1, 0, 2], 1), 5);
-        cell.index_pending(&catalog);
+        cell.index_pending();
         // Appended without a catalog at hand (the absorb path).
         cell.push(tuple("R", [1, 0, 3], 2), 6);
         assert_eq!(cell.evict_due(6), 2, "an unfiled tuple is evicted without touching the index");
         cell.push(tuple("R", [4, 0, 2], 7), SimTime::MAX);
         cell.push(tuple("S", [4, 1, 0], 8), SimTime::MAX);
-        let pinned = parse_query("SELECT 1 FROM R WHERE R.A = 4").unwrap();
-        assert!(matches!(cell.probe(&pinned), Probe::Empty), "not filed yet");
-        cell.index_pending(&catalog);
-        assert_eq!(arrivals(cell.probe(&pinned)), [2]);
+        let (r_a, s_a) = (at(0, 0), at(1, 0));
+        assert!(filed(&cell, r_a, 4).is_empty(), "not filed yet");
+        cell.index_pending();
+        // Each tuple is filed under its own slot's columns only.
+        assert_eq!(filed(&cell, r_a, 4), [2]);
+        assert_eq!(filed(&cell, s_a, 4), [3]);
         let moved: Vec<u64> = cell.into_tuples().iter().map(|t| t.pub_time()).collect();
         assert_eq!(moved, [7, 8], "re-homed in arrival order");
     }

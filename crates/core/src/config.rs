@@ -121,7 +121,8 @@ pub struct EngineConfig {
     /// `false`, every trigger walks the query AST through the
     /// `rjoin_query::rewrite` interpreter — the semantics oracle the
     /// differential tests compare against. Both paths produce byte-identical
-    /// answers.
+    /// answers. Only the rewrite pipeline's trigger path is selected here:
+    /// hypercube cells always join through their compiled join plan.
     pub compiled_predicates: bool,
     /// When `true` (the default), each node indexes every windowed stored
     /// query and ALTT entry by its deadline on a per-node timer wheel, and
@@ -304,6 +305,11 @@ impl EngineConfig {
     /// every trigger. Results are byte-identical either way; the
     /// interpreter is retained as the oracle for differential tests and the
     /// `compiled` bench ablation.
+    ///
+    /// This selects the rewrite pipeline's trigger path only. Hypercube
+    /// cells have one join path — the replica compiled once into a
+    /// positional `rjoin_query::JoinPlan` — whatever this flag says, and
+    /// book neither rewrite counter.
     pub fn with_compiled_predicates(mut self, compiled: bool) -> Self {
         self.compiled_predicates = compiled;
         self

@@ -122,12 +122,14 @@
 //! subcube fixed by hashing its bound attributes
 //! ([`split::partition_for_value`]) — so any joining combination meets in
 //! exactly one cell and completes exactly once. Inside a cell the join is
-//! local and incremental (`cell` module): the cell keeps its replica and
-//! the tuples routed to it, hash-indexed by `(relation, join column,
-//! value)`; an arriving tuple rewrites the replica once and binds the
-//! remaining relations depth-first by probing that index on a column the
-//! partial rewrite has pinned, over the tuples that arrived before it — so
-//! partials live on the stack, nothing partial is stored, and there is no
+//! local and incremental (`cell` module): the cell compiles its replica
+//! once into a positional [`rjoin_query::JoinPlan`] (slots, column offsets,
+//! constant filters, join edges) and keeps the tuples routed to it,
+//! hash-indexed by `(slot, join column, value)`; an arriving tuple is bound
+//! to its slot and the remaining slots are bound depth-first by probing
+//! that index with the values the bound tuples pin, over the tuples that
+//! arrived before it — so bindings are tuple references on the stack, no
+//! rewritten query is built, nothing partial is stored, and there is no
 //! `Eval` traffic. Windowed cells evict tuples on the node's timer wheel
 //! once no future publication can share a window with them, which bounds a
 //! cell by the window rather than the stream; `DISTINCT` collapses at the

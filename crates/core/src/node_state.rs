@@ -104,10 +104,12 @@ pub(crate) enum ExpiryToken {
     Query(Handle),
     /// An ALTT entry; pops when its retention Δ has elapsed.
     Altt(Handle),
-    /// A tuple of the hypercube cell on this ring; pops when no future
-    /// publication can share a window with it. The token names the cell,
-    /// not the tuple: cells evict from the front, so a pop reclaims every
-    /// front tuple that is due (see [`Cell::evict_due`]).
+    /// The front tuple of the hypercube cell on this ring; pops when no
+    /// future publication can share a window with it. Cells evict from the
+    /// front only, so a cell has one token at a time: scheduled when a tuple
+    /// becomes the front (pushed into an empty cell, or left in front by an
+    /// eviction), and a pop reclaims every front tuple that is due (see
+    /// [`Cell::evict_due`]).
     Cell(u64),
 }
 
@@ -223,9 +225,9 @@ pub struct NodeState {
     /// instead of walking the full bucket (see
     /// [`crate::trigger_index`] — the eval-side twin of the trigger index).
     pub(crate) stored_tuple_times: RingMap<Vec<(Timestamp, u32)>>,
-    /// Hypercube cells, by the ring id of the cell key: the indexed tuple
-    /// store and per-relation programs of each replica stored here. A ring
-    /// is either a cell or a plain bucket of `stored_tuples`, never both.
+    /// Hypercube cells, by the ring id of the cell key: the join plan and
+    /// indexed tuple store of each replica stored here. A ring is either a
+    /// cell or a plain bucket of `stored_tuples`, never both.
     pub(crate) cells: RingMap<Cell>,
     /// Slab of attribute-level tuple table entries: tuples kept for Δ ticks
     /// so that input queries delayed in the network do not miss them
@@ -512,7 +514,10 @@ impl NodeState {
             match token {
                 ExpiryToken::Query(handle) => self.pop_expired_query(handle),
                 ExpiryToken::Altt(handle) => self.pop_expired_altt(handle),
-                ExpiryToken::Cell(ring) => self.evict_cell_tuples(ring),
+                ExpiryToken::Cell(ring) => {
+                    let evicted = self.evict_cell_front(ring, self.wheel.now());
+                    self.state_counters.wheel_pops += evicted as u64;
+                }
             }
         }
         self.expiry_scratch = due;
@@ -560,13 +565,19 @@ impl NodeState {
         self.state_counters.wheel_pops += 1;
     }
 
-    /// Applies one popped cell-tuple deadline: evicts the cell's due front
-    /// tuples (a token whose cell was drained by churn finds nothing).
-    fn evict_cell_tuples(&mut self, ring: u64) {
-        let Some(cell) = self.cells.get_mut(&ring) else { return };
-        let evicted = cell.evict_due(self.wheel.now());
+    /// Evicts the due front tuples of the cell on `ring` (a popped token
+    /// whose cell was drained by churn finds nothing) and, when the front
+    /// moved, arms the wheel for the new one: a token per cell front, not
+    /// per stored tuple. Returns how many tuples were evicted.
+    fn evict_cell_front(&mut self, ring: u64, now: SimTime) -> usize {
+        let Some(cell) = self.cells.get_mut(&ring) else { return 0 };
+        let evicted = cell.evict_due(now);
+        let next = cell.front_deadline().filter(|&deadline| deadline != SimTime::MAX);
+        if let (true, true, Some(deadline)) = (self.wheel_enabled, evicted > 0, next) {
+            self.wheel.insert(deadline, ExpiryToken::Cell(ring));
+        }
         self.tuple_count -= evicted;
-        self.state_counters.wheel_pops += evicted as u64;
+        evicted
     }
 
     /// Drops the registry slot of a removed entry, if it still points at it.
@@ -621,9 +632,9 @@ impl NodeState {
                 self.stored_queries.insert(ring, bucket);
             }
         }
-        let tuple_count = &mut self.tuple_count;
-        for cell in self.cells.values_mut() {
-            *tuple_count -= cell.evict_due(now);
+        let rings: Vec<u64> = self.cells.keys().copied().collect();
+        for ring in rings {
+            self.evict_cell_front(ring, now);
         }
         self.altt_gc(now);
     }
@@ -747,8 +758,11 @@ impl NodeState {
         let pub_time = tuple.pub_time();
         if let Some(cell) = self.cells.get_mut(&key) {
             let deadline = cell_tuple_deadline(&cell.window, pub_time, self.expiry_slack);
+            let becomes_front = cell.len() == 0;
             cell.push(tuple, deadline.unwrap_or(SimTime::MAX));
-            if let (true, Some(deadline)) = (self.wheel_enabled, deadline) {
+            // Eviction is front-only: one token for the front, re-armed by
+            // `evict_cell_front` for each new front.
+            if let (true, true, Some(deadline)) = (self.wheel_enabled, becomes_front, deadline) {
                 self.wheel.insert(deadline, ExpiryToken::Cell(key));
             }
             return;
@@ -932,7 +946,7 @@ impl NodeState {
             drained.tuples.push((ring, self.take_stored_tuples(ring)));
         }
         // A cell re-homes as its replica (drained with the queries above)
-        // plus its tuples in arrival order; index and programs are rebuilt
+        // plus its tuples in arrival order; plan and index are rebuilt
         // at the new owner, and this node's wheel tokens for it lapse.
         let rings: Vec<u64> = self.cells.keys().copied().filter(|r| !keep(*r)).collect();
         for ring in rings {
@@ -1494,6 +1508,42 @@ mod tests {
         receiver.advance_expiry(39);
         assert_eq!(receiver.stored_tuple_count(), 0);
         assert_eq!(receiver.stored_query_count(), 1, "the replica never expires");
+    }
+
+    /// A windowed cell keeps one wheel token, for its front tuple, however
+    /// many tuples it stores: each eviction re-arms it for the new front,
+    /// and every evicted tuple still counts as a wheel pop.
+    #[test]
+    fn a_cell_keeps_one_wheel_token_for_its_front() {
+        use crate::messages::HypercubeRef;
+        let k = key("hcube+0000000000000001+0");
+        let mut replica = input_from(
+            1,
+            0,
+            "SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B AND T.C = R.C \
+             WINDOW SLIDING 8 TUPLES",
+        );
+        replica.hypercube = Some(HypercubeRef { base: k.clone(), cells: 1 });
+        let mut node = NodeState::new(Id(1));
+        node.store_query(StoredQuery::new(replica, k.clone(), IndexLevel::Value));
+        let scheduled = |node: &NodeState| node.state_counters().wheel_scheduled;
+        assert_eq!(scheduled(&node), 0, "an input replica never expires");
+        for pub_time in [10, 11, 12, 30] {
+            node.store_tuple(k.ring(), tuple(pub_time));
+        }
+        assert_eq!(scheduled(&node), 1, "one token for four tuples");
+        // Deadlines 19, 20, 21 and 39: the front's token pops at 19 and
+        // re-arms at 20, whose pop at 25 takes 21 along.
+        node.advance_expiry(19);
+        assert_eq!((node.stored_tuple_count(), scheduled(&node)), (3, 1));
+        node.advance_expiry(25);
+        assert_eq!((node.stored_tuple_count(), scheduled(&node)), (1, 1));
+        node.advance_expiry(39);
+        assert_eq!((node.stored_tuple_count(), scheduled(&node)), (0, 0));
+        assert_eq!(node.state_counters().wheel_pops, 4);
+        // An emptied cell arms a token again at its next push.
+        node.store_tuple(k.ring(), tuple(50));
+        assert_eq!(scheduled(&node), 1);
     }
 
     #[test]

@@ -17,18 +17,21 @@
 //! ([`unlink_from_bucket`]) like every other removal path.
 //!
 //! A ring that hosts a hypercube cell (see [`crate::cell`]) takes neither
-//! walk: its arrivals run the cell's **indexed probe cascade**
-//! ([`handle_cell_arrival`]) — the replica is rewritten once with the
-//! arriving tuple and every remaining relation is bound depth-first by
-//! probing the cell's `(relation, column, value)` index over the tuples
-//! that arrived before it. Partials live on the stack; the cell stores its
-//! replica and its tuples, nothing else.
+//! walk, and is not recorded for RIC: its arrivals run the cell's
+//! **indexed probe cascade** ([`handle_cell_arrival`]). The cell compiles
+//! its replica once, at its first arrival, into a positional
+//! [`JoinPlan`](rjoin_query::JoinPlan) — a slot per relation, constant
+//! filters and join edges as column offsets; an arriving tuple that passes
+//! its slot's filters is bound to its slot, and every remaining slot is
+//! bound depth-first by probing the cell's `(slot, column, value)` index
+//! with the values the bound tuples pin (the shortest pinned list, or a
+//! scan when nothing is pinned) over the tuples that arrived before it.
+//! Bindings are tuple references on the stack — no rewritten query is
+//! built — and the cell stores its replica and its tuples, nothing else.
 
-use crate::cell::{Cell, Probe};
 use crate::config::EngineConfig;
 use crate::messages::{EmittedBy, PendingQuery, QueryId};
 use crate::node_state::{unlink_from_bucket, NodeState, ProgramCache, StoredQuery};
-use crate::trigger_index::TriggerIndex;
 use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
@@ -313,16 +316,18 @@ pub fn handle_new_tuple(
     level: IndexLevel,
 ) -> Vec<Action> {
     let ring = key.ring();
+    // A cell ring is never a placement candidate, and hot-key splitting
+    // only reads a publication's index keys, so nothing would ever read a
+    // RIC entry for it.
+    if state.cells.contains_key(&ring) {
+        return handle_cell_arrival(state, ctx, tuple, ring);
+    }
     // The node observes the arrival for RIC purposes regardless of level;
     // the retention horizon keeps the per-key history bounded without being
     // observable by any rate read (sequential reads never use an older
     // clock, sharded remote readers lag by at most the δ lookahead).
     let horizon = ctx.config.ric_window + 2 * ctx.config.network_delay.max(1);
     state.ric().record_arrival_bounded(ring, ctx.now, ctx.at, horizon);
-
-    if state.cells.contains_key(&ring) {
-        return handle_cell_arrival(state, ctx, tuple, ring);
-    }
 
     let mut actions = Vec::new();
     let mut removed = 0usize;
@@ -613,101 +618,23 @@ fn admissible_pub_span(pending: &PendingQuery) -> (Timestamp, Timestamp) {
     (lo, hi)
 }
 
-/// The cell's compiled trigger program for the relation of `schema`,
-/// compiled (or fetched from the engine-wide cache) the first time a tuple
-/// of that relation reaches the cell: a replica triggers on every relation
-/// of its query, so it keeps one program per relation, not one slot.
-fn cell_program<'a>(
-    programs: &'a mut Vec<CompiledTrigger>,
-    query: &JoinQuery,
-    schema: &Schema,
-    cache: &Mutex<ProgramCache>,
-    counters: &mut CompileCounters,
-) -> Option<&'a CompiledTrigger> {
-    let pos = match programs.iter().position(|p| p.relation() == schema.relation()) {
-        Some(pos) => pos,
-        None => {
-            let mut slot = None;
-            ensure_program(&mut slot, query, schema, cache, counters)?;
-            programs.push(slot?);
-            programs.len() - 1
-        }
-    };
-    programs.get(pos)
-}
-
-/// One arrival's probe cascade over a hypercube cell: the borrowed pieces
-/// every extension step needs.
-struct CellJoin<'a> {
-    cell: &'a Cell,
-    catalog: &'a Catalog,
-    /// The cell's input-query replica (answers are addressed from it).
-    replica: &'a PendingQuery,
-    probes: &'a mut TriggerIndex,
-    counters: &'a mut CompileCounters,
-    actions: &'a mut Vec<Action>,
-}
-
-impl CellJoin<'_> {
-    /// Extends `partial` — the replica rewritten with tuples published over
-    /// `[lo, hi]` — by one more relation: probes the cell's index on a
-    /// column the partial pins and binds every candidate in turn.
-    fn extend(&mut self, partial: &JoinQuery, lo: Timestamp, hi: Timestamp) {
-        let cell = self.cell;
-        match cell.probe(partial) {
-            Probe::Empty => self.probes.note_tuple_probe(cell.len(), 0),
-            Probe::Indexed(arrivals) => {
-                self.probes.note_tuple_probe(cell.len(), arrivals.len());
-                for candidate in arrivals.iter().filter_map(|&arrival| cell.tuple(arrival)) {
-                    self.bind(partial, candidate, lo, hi);
-                }
-            }
-            Probe::Scan(relation) => {
-                // Finding the relation's tuples visits every stored one.
-                self.probes.note_tuple_probe(cell.len(), cell.len());
-                for candidate in cell.tuples_of(relation) {
-                    self.bind(partial, candidate, lo, hi);
-                }
-            }
-        }
-    }
-
-    /// Binds one stored tuple into `partial`: the window test first (the
-    /// whole combination must fit one window — Section 5's validity rule
-    /// applied to the exact contribution span, which only ever grows, so a
-    /// partial that already exceeds the window is cut here), then the
-    /// rewrite, which answers, recurses or rejects.
-    fn bind(&mut self, partial: &JoinQuery, candidate: &Tuple, lo: Timestamp, hi: Timestamp) {
-        let pub_time = candidate.pub_time();
-        let (lo, hi) = (lo.min(pub_time), hi.max(pub_time));
-        if !partial.window().within(lo, hi) {
-            return;
-        }
-        let Some(schema) = self.catalog.schema(candidate.relation()) else { return };
-        self.counters.interpreted_rewrites += 1;
-        match rewrite(partial, candidate, schema) {
-            Ok(RewriteResult::Complete(row)) => self.actions.push(Action::DeliverAnswer {
-                query: self.replica.id,
-                owner: self.replica.owner,
-                row,
-            }),
-            Ok(RewriteResult::Partial(next)) => self.extend(&next, lo, hi),
-            Ok(RewriteResult::Mismatch) | Err(_) => {}
-        }
-    }
-}
-
 /// A tuple copy arrives at a hypercube cell: the local join of the cell.
 ///
-/// The replica is rewritten once with the arrival (its compiled program for
-/// the tuple's relation) and the result is extended depth-first over the
-/// cell's stored tuples by [`CellJoin`]; only then is the arrival itself
-/// stored. So the cascade only ever sees tuples that arrived *before* its
-/// driver — every tuple subset is assembled exactly once, at its latest
-/// member's arrival — and together with the meeting property of the grid (a
-/// joining combination co-occurs in exactly one cell) answers are bag-exact
-/// without cross-cell coordination. `DISTINCT` collapses owner-side: equal
-/// *rows* can complete in different cells.
+/// The cell joins the arrival with the tuples stored before it through the
+/// replica's compiled [`JoinPlan`](rjoin_query::JoinPlan)
+/// ([`Cell::join`](crate::cell::Cell::join));
+/// only then is the arrival itself stored. So the cascade only ever sees
+/// tuples that arrived *before* its driver — every tuple subset is
+/// assembled exactly once, at its latest member's arrival — and together
+/// with the meeting property of the grid (a joining combination co-occurs
+/// in exactly one cell) answers are bag-exact without cross-cell
+/// coordination. `DISTINCT` collapses owner-side: equal *rows* can complete
+/// in different cells.
+///
+/// Cells have one join path whatever `compiled_predicates` selects, and it
+/// runs neither a trigger program nor the interpreter, so it books neither
+/// rewrite counter; its time goes to `eval_nanos` and its index probes to
+/// the probe counters.
 ///
 /// A tuple that can never contribute — published before the query was
 /// submitted, of a relation the query does not join, or failing one of the
@@ -719,12 +646,7 @@ fn handle_cell_arrival(
     ring: u64,
 ) -> Vec<Action> {
     let mut actions = Vec::new();
-    let programs = Arc::clone(&state.programs);
-    let (Some(cell), Some(schema)) =
-        (state.cells.get_mut(&ring), ctx.catalog.schema(tuple.relation()))
-    else {
-        return actions;
-    };
+    let Some(cell) = state.cells.get_mut(&ring) else { return actions };
     let Some(replica) = state.queries.get(cell.replica).map(|stored| &stored.pending) else {
         return actions;
     };
@@ -732,41 +654,12 @@ fn handle_cell_arrival(
         return actions;
     }
     let walk = Instant::now();
-    cell.index_pending(ctx.catalog);
-    let counters = &mut state.compile;
-    let rewritten = if ctx.config.compiled_predicates {
-        cell_program(&mut cell.programs, &replica.query, schema, &programs, counters).and_then(
-            |program| {
-                counters.compiled_rewrites += 1;
-                program.execute(&replica.query, tuple).ok()
-            },
-        )
-    } else {
-        counters.interpreted_rewrites += 1;
-        rewrite(&replica.query, tuple, schema).ok()
-    };
-    let joins = match rewritten {
-        Some(RewriteResult::Partial(partial)) => {
-            let pub_time = tuple.pub_time();
-            let mut join = CellJoin {
-                cell,
-                catalog: ctx.catalog,
-                replica,
-                probes: &mut state.trigger_index,
-                counters,
-                actions: &mut actions,
-            };
-            join.extend(&partial, pub_time, pub_time);
-            true
-        }
-        Some(RewriteResult::Complete(row)) => {
-            actions.push(Action::DeliverAnswer { query: replica.id, owner: replica.owner, row });
-            false
-        }
-        Some(RewriteResult::Mismatch) | None => false,
-    };
+    let (query, owner) = (replica.id, replica.owner);
+    let stores = cell.join(&replica.query, ctx.catalog, tuple, &mut state.trigger_index, |row| {
+        actions.push(Action::DeliverAnswer { query, owner, row })
+    });
     state.compile.eval_nanos += walk.elapsed().as_nanos() as u64;
-    if joins {
+    if stores {
         state.store_tuple(ring, Arc::clone(tuple));
     }
     actions
@@ -917,6 +810,80 @@ mod tests {
         assert_eq!(state.stored_tuple_count(), 0);
         // The input query remains stored for future tuples.
         assert_eq!(state.stored_query_count(), 1);
+    }
+
+    /// Cell arrivals skip the RIC tracker — nothing reads a cell ring's
+    /// rate — without changing the cell's answers: two triangles among
+    /// noise at one node, then a whole triangle run on the engine.
+    #[test]
+    fn cell_arrivals_are_not_tracked_for_ric() {
+        let catalog = catalog();
+        let config = config();
+        let mut state = NodeState::new(Id(1));
+        let cell = HashedKey::new("hcube+0000000000000001+0");
+        let mut replica = pending(
+            "SELECT R.B, S.B, J.B FROM R, S, J WHERE R.A = S.A AND S.C = J.C AND J.A = R.C",
+            0,
+        );
+        replica.hypercube = Some(crate::HypercubeRef { base: cell.clone(), cells: 1 });
+        handle_index_query(
+            &mut state,
+            &ctx(&catalog, &config, 1),
+            replica,
+            &cell,
+            IndexLevel::Value,
+        );
+        let arrivals = [
+            tuple("R", [1, 10, 5], 2),
+            tuple("S", [1, 20, 7], 3),
+            tuple("S", [2, 21, 7], 4),
+            tuple("J", [5, 30, 7], 5),
+            tuple("R", [1, 11, 5], 6),
+            tuple("J", [6, 31, 7], 7),
+        ];
+        let mut rows = Vec::new();
+        for t in &arrivals {
+            let c = ctx(&catalog, &config, t.pub_time());
+            for action in handle_new_tuple(&mut state, &c, t, &cell, IndexLevel::Value) {
+                let Action::DeliverAnswer { row, .. } = action else {
+                    panic!("cells never re-index")
+                };
+                rows.push(row);
+            }
+        }
+        rows.sort();
+        assert_eq!(rows, [[10, 20, 30], [11, 20, 30]].map(|r| r.map(Value::from).to_vec()));
+        assert_eq!(state.ric().tracked_keys(), 0, "no cell arrival is recorded");
+        let plain = IndexKey::attribute("R", "A").hashed();
+        handle_new_tuple(
+            &mut state,
+            &ctx(&catalog, &config, 8),
+            &arrivals[0],
+            &plain,
+            IndexLevel::Attribute,
+        );
+        assert!(state.ric().tracks(plain.ring()), "plain arrivals still are");
+
+        let scenario = rjoin_workload::Scenario::cyclic_test();
+        let catalog = scenario.workload_schema().build_catalog();
+        let mut engine = crate::RJoinEngine::new(config, catalog, scenario.nodes);
+        let origins = engine.node_ids().to_vec();
+        for (i, q) in scenario.generate_queries().into_iter().enumerate() {
+            engine.submit_query(origins[i % origins.len()], q).unwrap();
+        }
+        engine.run_until_quiescent().unwrap();
+        for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
+            engine.publish_tuple(origins[i % origins.len()], t).unwrap();
+        }
+        engine.run_until_quiescent().unwrap();
+        assert!(!engine.answers().is_empty());
+        let states: Vec<&NodeState> =
+            origins.iter().map(|id| engine.node_state(*id).unwrap()).collect();
+        assert!(states.iter().any(|s| !s.cells.is_empty()));
+        for state in states {
+            let ric = state.ric();
+            assert!(state.cells.keys().all(|ring| !ric.tracks(*ring)), "node {}", state.id);
+        }
     }
 
     #[test]

@@ -134,6 +134,11 @@ impl RicTracker {
     pub fn tracked_keys(&self) -> usize {
         self.arrivals.len()
     }
+
+    /// Whether any arrival under `key` is retained (diagnostic).
+    pub fn tracks(&self, key: u64) -> bool {
+        self.arrivals.contains_key(&key)
+    }
 }
 
 /// The arrival history of one node's `Eval` messages: the query-side heat

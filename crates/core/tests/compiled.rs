@@ -107,12 +107,53 @@ fn compiled_answers_are_byte_identical_to_the_interpreter() {
     }
 }
 
+/// Triangle queries, which the planner sends to hypercube cells, published
+/// and drained under the given predicate path.
+fn run_triangles(shards: usize, compiled: bool) -> RJoinEngine {
+    let scenario = Scenario::cyclic_test();
+    let config = EngineConfig::default().with_shards(shards).with_compiled_predicates(compiled);
+    let catalog = scenario.workload_schema().build_catalog();
+    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let origins: Vec<_> = engine.node_ids().to_vec();
+    for (i, q) in scenario.generate_queries().into_iter().enumerate() {
+        engine.submit_query(origins[i % origins.len()], q).unwrap();
+    }
+    engine.run_until_quiescent().unwrap();
+    for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
+        engine.publish_tuple(origins[i % origins.len()], t).unwrap();
+    }
+    if shards > 1 {
+        engine.run_until_quiescent_parallel().unwrap();
+    } else {
+        engine.run_until_quiescent().unwrap();
+    }
+    engine
+}
+
 /// Each run takes the path its configuration claims: compiled runs compile
 /// programs and never fall back to the interpreter, interpreted runs never
 /// compile. The fingerprint cache must see hits on the overlapping
-/// workload, and the per-delivery timer must have accumulated.
+/// workload, and the per-delivery timer must have accumulated. Hypercube
+/// cells have one join path under either configuration — their compiled
+/// join plan — so a triangle workload books neither rewrite counter and
+/// compiles no program, while the timer and the probe counters cover it.
 #[test]
 fn compile_counters_reflect_the_configured_path() {
+    for shards in shard_counts() {
+        for compiled in [true, false] {
+            let cells = run_triangles(shards, compiled);
+            assert!(cells.planner_counters().any_hypercube());
+            assert!(!cells.answers().is_empty(), "triangles must answer (shards={shards})");
+            let c = cells.compile_counters();
+            let tag = format!("shards={shards} compiled={compiled}: {c:?}");
+            assert_eq!(c.programs_compiled, 0, "{tag}");
+            assert_eq!(c.compiled_rewrites, 0, "{tag}");
+            assert_eq!(c.interpreted_rewrites, 0, "{tag}");
+            assert!(c.eval_nanos > 0, "the cell joins must be timed: {tag}");
+            assert!(cells.probe_counters().candidates_probed > 0, "{tag}");
+        }
+    }
+
     for shards in shard_counts() {
         let (compiled, _) = run(EngineConfig::default(), shards, true);
         let c = compiled.compile_counters();

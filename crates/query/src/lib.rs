@@ -14,6 +14,9 @@
 //!   query, a complete answer, or a mismatch,
 //! * [`compile_trigger`] / [`compile_subjoin`] — compilation of that
 //!   rewriting step into flat predicate programs,
+//! * [`JoinPlan`] — a whole query compiled into slots and column offsets,
+//!   for joins that bind tuple references inside one node (hypercube
+//!   cells) instead of rewriting the query once per bound tuple,
 //! * [`IndexKey`] / [`candidate_keys`] / [`KeyTemplate`] — derivation of the
 //!   attribute-level and value-level DHT keys under which queries and
 //!   tuples are indexed (Sections 3 and 6 of the paper), per query or once
@@ -80,6 +83,7 @@ mod ast;
 mod compile;
 mod error;
 mod fingerprint;
+mod join_plan;
 mod keys;
 mod parser;
 pub mod plan;
@@ -92,6 +96,7 @@ pub use error::QueryError;
 pub use fingerprint::{
     fingerprint, shape_fingerprint, subjoin_signature, subjoin_signature_eq, Fingerprint,
 };
+pub use join_plan::{JoinPlan, SlotColumn};
 pub use keys::{
     candidate_keys, tuple_index_key_iter, tuple_index_keys, IndexKey, IndexLevel, KeyTemplate,
 };
