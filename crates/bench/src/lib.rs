@@ -24,10 +24,8 @@
 //! node/query/tuple counts by roughly 10 while preserving every trend).
 
 pub mod figures;
-pub mod report;
 pub mod runner;
 pub mod scale;
 
-pub use report::{compare_reports, BenchReport, BenchResult, CaseDelta};
 pub use runner::{run_experiment, RunResult};
 pub use scale::Scale;

@@ -43,7 +43,7 @@ pub fn run_experiment(
     checkpoints: &[usize],
 ) -> RunResult {
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(engine_config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(engine_config, catalog, scenario.nodes);
     let origins: Vec<Id> = engine.node_ids().to_vec();
 
     let queries = scenario.generate_queries();

@@ -81,8 +81,8 @@ pub struct EngineConfig {
     /// Number of event-queue shards used by
     /// [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel).
     ///
-    /// With `1` (the default) the driver uses the single global event queue
-    /// and is byte-identical to the sequential driver. With `n > 1` the
+    /// With `1` (the default) that call is the sequential drain,
+    /// [`run_until_quiescent`](crate::RJoinEngine::run_until_quiescent). With `n > 1` the
     /// ring's nodes are split into `n` contiguous identifier ranges, each
     /// owning its own bucket queue, local virtual clock and worker thread,
     /// synchronized only through the conservative watermark protocol of
@@ -112,18 +112,6 @@ pub struct EngineConfig {
     /// Afrati et al.'s terms). Ignored while
     /// [`hot_key_threshold`](Self::hot_key_threshold) is `None`.
     pub hot_key_partitions: u32,
-    /// When `true` (the default), per-tuple rewriting runs compiled
-    /// predicate programs: at first trigger the stored query's sub-join is
-    /// compiled into a flat rewrite template (attribute references resolved
-    /// to column offsets, constant filters pre-folded and hoisted before
-    /// join-residue emission), cached per node keyed by the sub-join
-    /// fingerprint so all subscribers of a shared shape compile once. When
-    /// `false`, every trigger walks the query AST through the
-    /// `rjoin_query::rewrite` interpreter — the semantics oracle the
-    /// differential tests compare against. Both paths produce byte-identical
-    /// answers. Only the rewrite pipeline's trigger path is selected here:
-    /// hypercube cells always join through their compiled join plan.
-    pub compiled_predicates: bool,
     /// When `true` (the default), each node indexes every windowed stored
     /// query and ALTT entry by its deadline on a per-node timer wheel, and
     /// the drivers pop expired entries as the clock crosses their deadline —
@@ -138,29 +126,9 @@ pub struct EngineConfig {
     /// back-dates tuples behind the clock stretches delivery lag beyond the
     /// delay bound the deadlines account for and should run in sweep mode.
     pub wheel_expiry: bool,
-    /// When `true` (the default), submitted queries go through the two-plan
-    /// cost model (`rjoin_query::plan`): cyclic join graphs are placed as a
-    /// replicated hypercube of cells, acyclic ones stay on the paper's
-    /// rewrite pipeline unless the hypercube is strictly cheaper. When
-    /// `false`, cyclic queries are rejected with
-    /// `QueryError::CyclicShape` — the rewrite pipeline cannot express
-    /// them, and silently dropping the cycle-closing conjunct would change
-    /// answers.
-    pub hypercube_planner: bool,
     /// Cell budget of a hypercube plan: the planner allocates per-axis
     /// shares `s_1 × … × s_k` with `∏ s_i` at most this value.
     pub hypercube_cells: u32,
-    /// When `true` (the default), each node partitions its stored-query
-    /// buckets by the entries' discriminating probe value (the first
-    /// tuple-resolvable constant equality of the compiled rewrite) and a
-    /// tuple arrival contacts only the residual entries plus its own value
-    /// slice — O(matching) instead of O(bucket). When `false`, every
-    /// arrival walks the whole bucket (the linear-walk oracle the
-    /// differential suite compares against). Answers are byte-identical
-    /// either way: skipped entries would have rewritten to `Mismatch`, and
-    /// skipped contact-expiry removals are provably unobservable (see
-    /// `trigger_index` module docs).
-    pub trigger_index: bool,
 }
 
 impl Default for EngineConfig {
@@ -180,11 +148,8 @@ impl Default for EngineConfig {
             workers: None,
             hot_key_threshold: None,
             hot_key_partitions: 8,
-            compiled_predicates: true,
             wheel_expiry: true,
-            hypercube_planner: true,
             hypercube_cells: 8,
-            trigger_index: true,
         }
     }
 }
@@ -222,13 +187,12 @@ impl EngineConfig {
     }
 
     /// Sets the number of event-queue shards the parallel driver uses
-    /// (clamped to at least 1). `with_shards(1)` keeps the single global
-    /// queue and is byte-identical to the sequential driver.
+    /// (clamped to at least 1). `with_shards(1)` keeps the sequential drain.
     ///
     /// The sharded runtime's conservative synchronization uses the delay
     /// bound δ as its lookahead, so it requires `network_delay >= 1`; with
-    /// a zero-delay configuration the parallel driver falls back to the
-    /// single-queue tick-batched path regardless of the shard count.
+    /// a zero-delay configuration the parallel driver runs the sequential
+    /// drain regardless of the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -265,11 +229,15 @@ impl EngineConfig {
 
 /// # Features
 ///
-/// Every boolean feature toggle has the same shape: `with_<feature>(bool)`,
-/// where `true` enables the feature and `false` selects the baseline the
-/// differential suites compare against. Each setter documents which of the
-/// two is the default; chaining setters is order-independent because each
-/// writes exactly one field.
+/// Every boolean toggle has the same shape: `with_<feature>(bool)`, each
+/// setter documents which value is the default, and chaining setters is
+/// order-independent because each writes exactly one field. Three toggles
+/// choose between variants of the protocol the paper itself compares (RIC
+/// reuse, value-level-only placement) or a workload-level optimization
+/// (sub-join sharing). The fourth, [`with_wheel_expiry`](Self::with_wheel_expiry),
+/// is the one remaining implementation choice: its sweep mode is the only
+/// one that stays correct when a publisher back-dates tuples behind the
+/// clock.
 impl EngineConfig {
     /// Selects RIC reuse (Section 7): `true` (the default) piggy-backs RIC
     /// information on rewritten queries and caches it in each node's
@@ -300,74 +268,14 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the per-tuple rewrite path: `true` (the default) executes
-    /// compiled predicate programs, `false` runs the AST interpreter on
-    /// every trigger. Results are byte-identical either way; the
-    /// interpreter is retained as the oracle for differential tests and the
-    /// `compiled` bench ablation.
-    ///
-    /// This selects the rewrite pipeline's trigger path only. Hypercube
-    /// cells have one join path — the replica compiled once into a
-    /// positional `rjoin_query::JoinPlan` — whatever this flag says, and
-    /// book neither rewrite counter.
-    pub fn with_compiled_predicates(mut self, compiled: bool) -> Self {
-        self.compiled_predicates = compiled;
-        self
-    }
-
     /// Selects the expiry machinery: `true` (the default) pops expired
     /// windowed queries and ALTT entries from each node's timer wheel at
     /// their deadline, `false` leaves dead state in place until a bucket
-    /// walk contacts it (the legacy sweep, retained as the oracle for
-    /// differential tests and the `scale/sweep` bench ablation).
+    /// walk contacts it (the contact-driven sweep: the mode for publishers
+    /// that back-date tuples, and the oracle of the expiry suites).
     pub fn with_wheel_expiry(mut self, wheel: bool) -> Self {
         self.wheel_expiry = wheel;
         self
-    }
-
-    /// Selects the tuple-arrival probe path: `true` (the default) probes
-    /// the value-partitioned trigger index, `false` walks the whole stored-
-    /// query bucket on every arrival (the linear-walk oracle, retained for
-    /// differential tests and the `probe/linear` bench ablation).
-    pub fn with_trigger_index(mut self, enabled: bool) -> Self {
-        self.trigger_index = enabled;
-        self
-    }
-
-    /// Selects whether the hypercube planner is available: `true` (the
-    /// default) lets the cost model place cyclic queries as replicated
-    /// hypercube cells, `false` rejects cyclic shapes at submission with
-    /// `QueryError::CyclicShape` (the paper's pipeline-only system).
-    pub fn with_hypercube_planner(mut self, enabled: bool) -> Self {
-        self.hypercube_planner = enabled;
-        self
-    }
-}
-
-/// # Deprecated setter shims
-///
-/// Earlier revisions grew feature toggles by accretion, so some took no
-/// argument (`with_shared_subjoins()`) while others took an explicit
-/// `bool` (`with_compiled_predicates(false)`). The argument-less shapes
-/// survive here as shims over the consolidated
-/// [Features](#features) setters.
-impl EngineConfig {
-    /// Disables RIC reuse (piggy-backing and candidate-table caching).
-    #[deprecated(note = "use `with_ric_reuse(false)`")]
-    pub fn without_ric_reuse(self) -> Self {
-        self.with_ric_reuse(false)
-    }
-
-    /// Restricts rewritten queries to value-level placement.
-    #[deprecated(note = "use `with_value_level_only(true)`")]
-    pub fn with_value_level_rewrites(self) -> Self {
-        self.with_value_level_only(true)
-    }
-
-    /// Enables shared sub-join evaluation.
-    #[deprecated(note = "use `with_subjoin_sharing(true)`")]
-    pub fn with_shared_subjoins(self) -> Self {
-        self.with_subjoin_sharing(true)
     }
 }
 
@@ -390,15 +298,9 @@ mod tests {
         assert_eq!(EngineConfig::default().with_workers(3).workers, Some(3));
         assert_eq!(EngineConfig::default().with_workers(0).workers, Some(1));
         assert!(c.hot_key_threshold.is_none(), "splitting is opt-in: the default is the paper");
-        assert!(c.compiled_predicates, "compiled predicate programs are the default hot path");
-        assert!(!EngineConfig::default().with_compiled_predicates(false).compiled_predicates);
         assert!(c.wheel_expiry, "timer-wheel expiry is the default");
         assert!(!EngineConfig::default().with_wheel_expiry(false).wheel_expiry);
-        assert!(c.trigger_index, "indexed tuple-arrival probing is the default");
-        assert!(!EngineConfig::default().with_trigger_index(false).trigger_index);
-        assert!(c.hypercube_planner, "cyclic shapes are a supported workload by default");
         assert_eq!(c.hypercube_cells, 8);
-        assert!(!EngineConfig::default().with_hypercube_planner(false).hypercube_planner);
         assert_eq!(EngineConfig::default().with_hypercube_cells(16).hypercube_cells, 16);
         assert_eq!(
             EngineConfig::default().with_hypercube_cells(0).hypercube_cells,
@@ -420,18 +322,6 @@ mod tests {
         assert!(back.reuse_ric);
         assert!(!back.rewritten_value_level_only);
         assert!(!back.share_subjoins);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_bool_setters() {
-        let c = EngineConfig::default()
-            .without_ric_reuse()
-            .with_value_level_rewrites()
-            .with_shared_subjoins();
-        assert!(!c.reuse_ric);
-        assert!(c.rewritten_value_level_only);
-        assert!(c.share_subjoins);
     }
 
     #[test]

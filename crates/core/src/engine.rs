@@ -24,9 +24,9 @@ use rjoin_metrics::{
     SharingCounters, SplitCounters, StateCounters,
 };
 use rjoin_net::{Delivery, KeyRouter, Network, NetworkConfig, SimTime, TrafficStats, Transport};
-use rjoin_query::plan::{self, QueryShape};
+use rjoin_query::plan;
 use rjoin_query::{
-    candidate_keys, tuple_index_key_iter, IndexKey, IndexLevel, JoinQuery, KeyTemplate, QueryError,
+    candidate_keys, tuple_index_key_iter, IndexKey, IndexLevel, JoinQuery, KeyTemplate,
 };
 use rjoin_relation::{Catalog, Name, Tuple};
 use std::cell::RefCell;
@@ -41,11 +41,6 @@ pub(crate) type KeyLoadMap = LoadMap<u64, RingBuildHasher>;
 /// identifiers, which are ring identifiers too — same cheap hasher.
 pub(crate) type NodeLoadMap = LoadMap<Id, RingBuildHasher>;
 pub(crate) type NodeMap = HashMap<Id, NodeState, RingBuildHasher>;
-
-/// Minimum number of node-bound deliveries in one tick before the parallel
-/// driver spawns worker threads; smaller ticks are processed inline because
-/// thread startup would dominate.
-const PARALLEL_TICK_MIN_DELIVERIES: usize = 24;
 
 /// One registered hypercube plan: the cell space of a hypercube-planned
 /// query. Registered at submission (driver thread, between drains — the
@@ -81,7 +76,7 @@ pub struct LoadDelta {
 }
 
 /// The deferred, engine-global effect of one delivery. Produced during the
-/// node-local phase (possibly on a worker thread), applied strictly in
+/// node-local phase (possibly on a shard worker), applied strictly in
 /// `(at, seq)` order afterwards (per shard, in `(at, lineage)` order under
 /// the sharded driver) so all drivers observe the same event order.
 pub enum TickEffect {
@@ -93,35 +88,10 @@ pub enum TickEffect {
     Node { node: Id, load: Option<LoadDelta>, actions: Vec<Action> },
 }
 
-/// All deliveries of one tick addressed to one node, bundled with that
-/// node's state (temporarily taken out of the engine's node map so groups
-/// can be processed on independent threads without aliasing).
-struct NodeGroup {
-    node: Id,
-    state: NodeState,
-    /// `(position in the tick batch, arrival tick, message)` in `(at, seq)`
-    /// order.
-    items: Vec<(usize, SimTime, RJoinMessage)>,
-    /// Effects produced by the handlers, same positions as `items`.
-    effects: Vec<(usize, TickEffect)>,
-}
-
-impl NodeGroup {
-    /// Runs every handler of this group in sequence-number order. Touches
-    /// only this group's [`NodeState`] plus the shared read-only context,
-    /// which is what makes whole groups safe to run concurrently.
-    fn run(&mut self, catalog: &Catalog, config: &EngineConfig, now: SimTime) {
-        self.effects.reserve(self.items.len());
-        for (pos, at, msg) in self.items.drain(..) {
-            let effect = handle_node_msg(&mut self.state, catalog, config, now, at, self.node, msg);
-            self.effects.push((pos, effect));
-        }
-    }
-}
-
 /// Runs the node-local part of one delivery (Procedures 1–3): mutates only
-/// `state`, reads only the shared catalog/config. Shared by the serial, the
-/// tick-parallel and the sharded drivers so all produce identical effects.
+/// `state`, reads only the shared catalog/config. Shared by the sequential
+/// and the sharded drivers and by the TCP node process, so all produce
+/// identical effects.
 pub fn handle_node_msg(
     state: &mut NodeState,
     catalog: &Catalog,
@@ -167,7 +137,7 @@ pub fn handle_node_msg(
 }
 
 /// Builds a [`NodeState`] configured the way the engine constructors
-/// configure theirs — expiry machinery and trigger index per the config,
+/// configure theirs — expiry machinery and RIC validity per the config,
 /// with a node-private compiled-program cache — for out-of-process drivers
 /// (such as `rjoin_transport`'s node processes) that run
 /// [`handle_node_msg`] themselves. Nodes built this way do not share a
@@ -175,7 +145,6 @@ pub fn handle_node_msg(
 pub fn standalone_node_state(id: Id, config: &EngineConfig) -> NodeState {
     let mut state = NodeState::new(id);
     state.configure_expiry(config.wheel_expiry, config.network_delay);
-    state.configure_trigger_index(config.trigger_index);
     state.configure_ric_validity(config.ct_validity);
     state
 }
@@ -237,14 +206,6 @@ pub struct RJoinEngine {
 }
 
 impl RJoinEngine {
-    /// Creates an engine with `num_nodes` Chord nodes, all fully stabilized.
-    ///
-    /// Equivalent to [`simulated`](Self::simulated); kept as the historical
-    /// name so existing drivers keep compiling.
-    pub fn new(config: EngineConfig, catalog: Catalog, num_nodes: usize) -> Self {
-        Self::simulated(config, catalog, num_nodes)
-    }
-
     /// The embedded-simulation convenience constructor: builds a simulated
     /// network from the configuration (delay bound, successor-list length),
     /// bootstraps `num_nodes` fully stabilized Chord nodes named
@@ -402,11 +363,6 @@ impl RJoinEngine {
     /// against the catalog, planned (pipeline of rewrites vs hypercube
     /// placement, `rjoin_query::plan`) and indexed in the network; returns
     /// its id.
-    ///
-    /// A query with a cyclic join graph is rejected with
-    /// [`QueryError::CyclicShape`] when the hypercube planner is disabled
-    /// ([`EngineConfig::with_hypercube_planner`]) — the rewrite pipeline
-    /// cannot express cyclic shapes.
     pub fn submit_query(
         &mut self,
         origin: impl Into<NodeId>,
@@ -445,13 +401,6 @@ impl RJoinEngine {
             return Ok(None);
         }
         let shape = graph.shape();
-        if !self.config.hypercube_planner {
-            if shape == QueryShape::Cyclic {
-                return Err(EngineError::Query(QueryError::CyclicShape));
-            }
-            self.planner_counters.pipeline_plans += 1;
-            return Ok(None);
-        }
         let hc_plan = graph.hypercube_plan(self.config.hypercube_cells.max(2));
         let take_hypercube = match plan::pipeline_cost(query, shape) {
             None => true,
@@ -855,7 +804,7 @@ impl RJoinEngine {
     pub fn step(&mut self) -> Result<bool, EngineError> {
         match self.network.pop_next() {
             Some(delivery) => {
-                self.process_batch(vec![delivery], false)?;
+                self.process_batch(vec![delivery])?;
                 Ok(true)
             }
             None => Ok(false),
@@ -866,18 +815,14 @@ impl RJoinEngine {
     /// time, on the calling thread. Returns the number of messages
     /// processed.
     pub fn run_until_quiescent(&mut self) -> Result<u64, EngineError> {
-        self.drain(false)
+        self.drain()
     }
 
     /// Like [`run_until_quiescent`](Self::run_until_quiescent), but
     /// parallelized according to [`EngineConfig::shards`]:
     ///
-    /// * **`shards == 1`** (default): the single global event queue is
-    ///   drained tick by tick and each fat tick's node-local handler work is
-    ///   fanned out across CPU cores under [`std::thread::scope`], with all
-    ///   engine-global effects applied on the calling thread in `(at, seq)`
-    ///   order. This is **byte-identical** to the sequential driver: same
-    ///   answers, same loads, same traffic, same RNG stream.
+    /// * **`shards == 1`** (default): the sequential drain,
+    ///   [`run_until_quiescent`](Self::run_until_quiescent).
     /// * **`shards > 1`**: the drain runs on the sharded event-queue
     ///   runtime — one persistent worker per shard, each owning a contiguous
     ///   range of ring nodes, its own bucket queue and local virtual clock,
@@ -894,20 +839,20 @@ impl RJoinEngine {
     pub fn run_until_quiescent_parallel(&mut self) -> Result<u64, EngineError> {
         // The watermark protocol's lookahead is the delay bound δ, so the
         // sharded runtime requires δ >= 1; a zero-delay configuration (legal
-        // for the single queue) falls back to the tick-batched driver
-        // rather than silently changing delivery timing.
+        // for the single queue) runs the sequential drain rather than
+        // silently changing delivery timing.
         if self.config.shards > 1 && self.network.delay() >= 1 {
             crate::shard_driver::drain_sharded(self)
         } else {
-            self.drain(true)
+            self.drain()
         }
     }
 
-    fn drain(&mut self, parallel: bool) -> Result<u64, EngineError> {
+    fn drain(&mut self) -> Result<u64, EngineError> {
         let mut processed = 0u64;
         while let Some((_, batch)) = self.network.pop_tick() {
             processed += batch.len() as u64;
-            self.process_batch(batch, parallel)?;
+            self.process_batch(batch)?;
         }
         self.flush_expiry();
         Ok(processed)
@@ -939,22 +884,13 @@ impl RJoinEngine {
         }
     }
 
-    /// Processes one tick's deliveries: node-local phase (serial, or across
-    /// threads for fat ticks), then the deterministic effect phase in
-    /// `(at, seq)` order. The two drivers run the handlers against each
-    /// node's state in the same per-node order and apply effects in the same
-    /// global order, so their results are identical by construction.
-    fn process_batch(
-        &mut self,
-        batch: Vec<Delivery<RJoinMessage>>,
-        parallel: bool,
-    ) -> Result<(), EngineError> {
+    /// Processes one tick's deliveries: every handler of the tick first (the
+    /// node-local phase), then the effect phase in `(at, seq)` order — so a
+    /// RIC rate read during placement sees every arrival of its tick, the
+    /// same two-phase tick each shard of the sharded driver runs.
+    fn process_batch(&mut self, batch: Vec<Delivery<RJoinMessage>>) -> Result<(), EngineError> {
         let now = self.network.now();
-        let effects = if parallel && batch.len() >= PARALLEL_TICK_MIN_DELIVERIES {
-            self.node_local_phase_parallel(batch, now)
-        } else {
-            self.node_local_phase_serial(batch, now)
-        };
+        let effects = self.node_local_phase(batch, now);
 
         // Effect phase: strictly in (at, seq) order, on the calling thread.
         for effect in effects {
@@ -983,10 +919,9 @@ impl RJoinEngine {
         Ok(())
     }
 
-    /// Serial node-local phase: handlers run in `(at, seq)` order directly
-    /// against the node map — no grouping machinery, which keeps the common
-    /// small-tick case as lean as single-stepping.
-    fn node_local_phase_serial(
+    /// The node-local phase: handlers run in `(at, seq)` order directly
+    /// against the node map.
+    fn node_local_phase(
         &mut self,
         batch: Vec<Delivery<RJoinMessage>>,
         now: SimTime,
@@ -1023,81 +958,6 @@ impl RJoinEngine {
         effects
     }
 
-    /// Threaded node-local phase: deliveries are grouped by destination node
-    /// (handlers are purely node-local), whole groups run concurrently under
-    /// `std::thread::scope`, and the effects are stitched back into the
-    /// original `(at, seq)` positions.
-    fn node_local_phase_parallel(
-        &mut self,
-        batch: Vec<Delivery<RJoinMessage>>,
-        now: SimTime,
-    ) -> Vec<TickEffect> {
-        let mut slots: Vec<Option<TickEffect>> = Vec::with_capacity(batch.len());
-        slots.resize_with(batch.len(), || None);
-        let mut groups: Vec<NodeGroup> = Vec::new();
-        let mut group_of: HashMap<Id, usize, RingBuildHasher> = HashMap::default();
-
-        for (pos, delivery) in batch.into_iter().enumerate() {
-            // A node already pulled into a group this tick is no longer in
-            // `self.nodes`, but it is very much alive.
-            if !group_of.contains_key(&delivery.to) && !self.nodes.contains_key(&delivery.to) {
-                slots[pos] = Some(TickEffect::Lost);
-                continue;
-            }
-            match delivery.msg {
-                RJoinMessage::Answer { query, row, produced_at } => {
-                    let record = AnswerRecord { query, row, produced_at, received_at: delivery.at };
-                    slots[pos] = Some(TickEffect::Answer(record));
-                }
-                msg => {
-                    let group = *group_of.entry(delivery.to).or_insert_with(|| {
-                        let state =
-                            self.nodes.remove(&delivery.to).expect("membership checked above");
-                        groups.push(NodeGroup {
-                            node: delivery.to,
-                            state,
-                            items: Vec::new(),
-                            effects: Vec::new(),
-                        });
-                        groups.len() - 1
-                    });
-                    groups[group].items.push((pos, delivery.at, msg));
-                }
-            }
-        }
-
-        let catalog = &self.catalog;
-        let config = &self.config;
-        let workers = available_workers().min(groups.len());
-        if workers > 1 {
-            let chunk_size = groups.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for chunk in groups.chunks_mut(chunk_size) {
-                    scope.spawn(move || {
-                        for group in chunk {
-                            group.run(catalog, config, now);
-                        }
-                    });
-                }
-            });
-        } else {
-            for group in &mut groups {
-                group.run(catalog, config, now);
-            }
-        }
-
-        for group in groups {
-            self.nodes.insert(group.node, group.state);
-            for (pos, effect) in group.effects {
-                slots[pos] = Some(effect);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every delivery resolves to exactly one effect"))
-            .collect()
-    }
-
     /// Cumulative shared sub-join savings across all live nodes.
     pub fn sharing_counters(&self) -> SharingCounters {
         let mut total = SharingCounters::new();
@@ -1108,9 +968,8 @@ impl RJoinEngine {
     }
 
     /// Cumulative compiled-predicate counters across all live nodes:
-    /// programs compiled, fingerprint-cache hits, how many triggers ran on
-    /// the compiled vs the interpreted path, and nanoseconds spent in the
-    /// per-delivery trigger walks.
+    /// programs compiled, shape-cache hits, triggers run by a program, and
+    /// nanoseconds spent in the per-delivery trigger walks.
     pub fn compile_counters(&self) -> CompileCounters {
         let mut total = CompileCounters::new();
         for state in self.nodes.values() {
@@ -1131,9 +990,9 @@ impl RJoinEngine {
     }
 
     /// Trigger-index probe counters summed across all live nodes: how many
-    /// arrivals probed the index vs walked linearly, candidates handed out
-    /// vs the bucket lengths a linear walk would have scanned, the residual
-    /// share, and the peak number of indexed handles.
+    /// arrivals probed the index, candidates handed out vs the bucket
+    /// lengths those probes covered, the residual share, and the peak number
+    /// of indexed handles.
     pub fn probe_counters(&self) -> ProbeCounters {
         let mut total = ProbeCounters::new();
         for state in self.nodes.values() {
@@ -1449,8 +1308,8 @@ thread_local! {
 impl DispatchScratch {
     /// Loads the candidate keys of `query` in [`candidate_keys`] order: from
     /// the templates of the program that emitted it when it still carries
-    /// them, from the query itself otherwise (input queries, queries that
-    /// crossed a wire or were rewritten by the interpreter).
+    /// them, from the query itself otherwise (input queries, and queries
+    /// that crossed a wire, which drops the program reference).
     fn load_candidates(
         &mut self,
         query: &JoinQuery,
@@ -1640,9 +1499,4 @@ fn place_and_send<E: EffectEnv>(
         send_copy(env, sub, pending.clone(), carried_ric.clone())?;
     }
     send_copy(env, last, pending, carried_ric)
-}
-
-/// Number of worker threads the parallel driver may use.
-fn available_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

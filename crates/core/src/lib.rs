@@ -48,19 +48,16 @@
 //!   instead of rebuilding indexes. The legacy contact-driven sweep
 //!   remains available as a differential oracle via
 //!   [`EngineConfig::with_wheel_expiry`]`(false)`.
-//! * **Tick-batched delivery loop** — the network's event queue is a
-//!   constant-δ bucket queue ([`rjoin_net::Network::pop_tick`]); the engine
-//!   drains one tick at a time, runs the purely node-local Procedures 1–3
-//!   per destination node (optionally across cores via
-//!   [`RJoinEngine::run_until_quiescent_parallel`], which uses
-//!   `std::thread::scope` over per-node delivery groups), and then applies
-//!   all global effects — load counters, answer recording, RIC-aware
-//!   placement and sends — in deterministic `(at, seq)` order. Sequential
-//!   and parallel driving are byte-identical by construction.
+//! * **Two-phase ticks** — the network's event queue is a constant-δ bucket
+//!   queue ([`rjoin_net::Network::pop_tick`]); the engine drains one tick
+//!   at a time, runs the purely node-local Procedures 1–3 for every
+//!   delivery of the tick, and then applies all global effects — load
+//!   counters, answer recording, RIC-aware placement and sends — in
+//!   deterministic `(at, seq)` order.
 //!
 //! # Sharded event-queue runtime
 //!
-//! The tick-batched loop still serializes every cascade through one global
+//! The sequential drain serializes every cascade through one global
 //! queue: a chain of Eval/Index hops advances one tick at a time no matter
 //! how many independent cascades are in flight. With
 //! [`EngineConfig::with_shards`]`(n > 1)`,
@@ -135,10 +132,8 @@
 //! cell by the window rather than the stream; `DISTINCT` collapses at the
 //! owner. A cost model picks between the two plans for acyclic shapes
 //! (pipeline ≈ one hop per join; hypercube ≈ one registration per cell);
-//! cyclic shapes always take the hypercube, or are rejected with
-//! [`rjoin_query::QueryError::CyclicShape`] when the planner is disabled
-//! ([`EngineConfig::with_hypercube_planner`]`(false)`). Planner decisions
-//! and replication costs are reported in [`ExperimentStats::planner`].
+//! cyclic shapes always take the hypercube. Planner decisions and
+//! replication costs are reported in [`ExperimentStats::planner`].
 //!
 //! # Shared sub-join evaluation (multi-query optimization)
 //!
@@ -182,7 +177,7 @@
 //! catalog.register(Schema::new("R", ["A", "B"]).unwrap()).unwrap();
 //! catalog.register(Schema::new("S", ["A", "B"]).unwrap()).unwrap();
 //!
-//! let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, 32);
+//! let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, 32);
 //! let origin = engine.node_ids()[0];
 //! let q = parse_query("SELECT R.B, S.B FROM R, S WHERE R.A = S.A").unwrap();
 //! let qid = engine.submit_query(origin, q).unwrap();

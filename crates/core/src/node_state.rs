@@ -414,13 +414,6 @@ impl NodeState {
         self.ric_validity = validity;
     }
 
-    /// Selects indexed tuple-arrival probing or the linear-walk oracle.
-    /// The engine calls this on every node it creates, before any state is
-    /// stored.
-    pub(crate) fn configure_trigger_index(&mut self, enabled: bool) {
-        self.trigger_index.configure(enabled);
-    }
-
     /// Snapshot of this node's trigger-index probe counters.
     pub fn probe_counters(&self) -> ProbeCounters {
         self.trigger_index.counters()

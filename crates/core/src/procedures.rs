@@ -8,16 +8,17 @@
 //! paper.
 //!
 //! Tuple arrivals ([`handle_new_tuple`]) contact stored queries through the
-//! node's value-partitioned trigger index by default (`O(matching)` probes;
-//! see [`crate::trigger_index`]), falling back to the linear bucket walk
-//! when `EngineConfig::with_trigger_index(false)` selects the oracle mode.
-//! Either way, a contact-expiry removal here is a handle-unlink site under
-//! the index's maintenance contract: it must unfile the removed entry
+//! node's value-partitioned trigger index (`O(matching)` probes; see
+//! [`crate::trigger_index`]) and rewrite each contacted entry with its
+//! compiled trigger program; query arrivals walk only the publication span
+//! of stored tuples they could combine with ([`admissible_pub_span`]). A
+//! contact-expiry removal here is a handle-unlink site under the index's
+//! maintenance contract: it must unfile the removed entry
 //! (`TriggerIndex::remove`) and fix the moved entry's `bucket_pos`
 //! ([`unlink_from_bucket`]) like every other removal path.
 //!
 //! A ring that hosts a hypercube cell (see [`crate::cell`]) takes neither
-//! walk, and is not recorded for RIC: its arrivals run the cell's
+//! path, and is not recorded for RIC: its arrivals run the cell's
 //! **indexed probe cascade** ([`handle_cell_arrival`]). The cell compiles
 //! its replica once, at its first arrival, into a positional
 //! [`JoinPlan`](rjoin_query::JoinPlan) — a slot per relation, constant
@@ -36,8 +37,8 @@ use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
 use rjoin_query::{
-    compile_subjoin, project_select, rewrite, shape_fingerprint, CompiledTrigger, IndexLevel,
-    JoinQuery, RewriteResult,
+    compile_subjoin, project_select, shape_fingerprint, CompiledTrigger, IndexLevel, JoinQuery,
+    RewriteResult,
 };
 use rjoin_relation::{Catalog, Schema, Timestamp, Tuple, Value};
 use std::sync::{Arc, Mutex};
@@ -124,8 +125,8 @@ fn fan_out(
 /// are disjoint borrows of one [`StoredQuery`].
 ///
 /// Returns `None` when the query cannot be compiled — exactly the queries
-/// the interpreter would error on (unknown attribute, orphaned residue from
-/// unchecked construction), which map to "not triggered" either way. A
+/// `rjoin_query::rewrite` would error on (unknown attribute, orphaned
+/// residue from unchecked construction), which map to "not triggered". A
 /// query that does not even reference the relation (a ring-collision
 /// contact) is turned away before it is fingerprinted or the engine-wide
 /// cache is locked, and a failed compile leaves no key behind in the cache.
@@ -232,24 +233,17 @@ fn try_trigger(
             return TriggerOutcome::NotTriggered;
         }
     }
-    let result = if ctx.config.compiled_predicates {
-        // `program` and `pending` are disjoint fields of `stored`, so the
-        // compiled program can be cached on the entry while its query is
-        // borrowed.
-        let query = &stored.pending.query;
-        match ensure_program(&mut stored.program, query, schema, programs, counters) {
-            Some(program) => {
-                counters.compiled_rewrites += 1;
-                program.execute(query, tuple)
-            }
-            None => return TriggerOutcome::NotTriggered,
-        }
-    } else {
-        counters.interpreted_rewrites += 1;
-        rewrite(&stored.pending.query, tuple, schema)
+    // `program` and `pending` are disjoint fields of `stored`, so the
+    // compiled program can be cached on the entry while its query is
+    // borrowed.
+    let query = &stored.pending.query;
+    let Some(program) = ensure_program(&mut stored.program, query, schema, programs, counters)
+    else {
+        return TriggerOutcome::NotTriggered;
     };
+    counters.compiled_rewrites += 1;
     let pending = &stored.pending;
-    match result {
+    match program.execute(query, tuple) {
         Ok(RewriteResult::Complete(row)) => {
             let before = actions.len();
             // The primary rode every earlier step whatever its insertion
@@ -273,9 +267,7 @@ fn try_trigger(
         Ok(RewriteResult::Partial(q1)) => {
             let new_start = start_rule(pending.window_start, tuple.pub_time());
             let mut child = pending.triggered_child(q1, new_start, tuple);
-            if let Some(program) = &stored.program {
-                child.emitted_by = EmittedBy::program(program.shared());
-            }
+            child.emitted_by = EmittedBy::program(program.shared());
             actions.push(Action::Reindex { pending: Box::new(child) });
             TriggerOutcome::Triggered
         }
@@ -349,18 +341,12 @@ pub fn handle_new_tuple(
     let counters = &mut state.compile;
     if let (Some(schema), Some(bucket)) = (schema, stored_map.get_mut(&ring)) {
         let walk = Instant::now();
-        // The contact set of this arrival: with the trigger index on, the
-        // residual list plus the tuple's value slice of every pinned column
-        // (entries skipped here would have rewritten to `Mismatch` — see
-        // the `trigger_index` module docs for the soundness argument); with
-        // it off, a snapshot of the whole bucket (the linear-walk oracle).
+        // The contact set of this arrival: the residual list plus the
+        // tuple's value slice of every pinned column (entries skipped here
+        // would have rewritten to `Mismatch` — see the `trigger_index`
+        // module docs for the soundness argument).
         let mut candidates = std::mem::take(&mut tindex.scratch);
-        if tindex.enabled() {
-            tindex.collect_candidates(bucket, tuple.as_ref(), schema, &mut candidates);
-        } else {
-            tindex.note_linear_walk();
-            candidates.extend_from_slice(&bucket.handles);
-        }
+        tindex.collect_candidates(bucket, tuple.as_ref(), schema, &mut candidates);
         for handle in candidates.drain(..) {
             let Some(stored) = queries.get_mut(handle) else { continue };
             let primary = stored.pending.id;
@@ -478,7 +464,6 @@ fn handle_query_arrival(
     // local clock can run ahead of `at`), while the delivery tick is part of
     // the deterministic message schedule.
     let programs = Arc::clone(&state.programs);
-    let indexed = state.trigger_index.enabled();
     let mut span = std::mem::take(&mut state.span_scratch);
     span.clear();
     let counters = &mut state.compile;
@@ -487,22 +472,20 @@ fn handle_query_arrival(
     let stored_here = state.stored_tuples.get(&ring).map(Vec::as_slice).unwrap_or_default();
     let bucket_len = stored_here.len();
     let min_insert = stored.pending.min_insert_time();
-    if indexed {
-        // Bound the stored-tuple walk to the publication span the arriving
-        // query could possibly combine with (see [`admissible_pub_span`]):
-        // binary-search the publication-sorted sidecar, then restore bucket
-        // (arrival) order so answers and partials come out exactly as the
-        // linear oracle's would.
-        let (lo, hi) = admissible_pub_span(&stored.pending);
-        if lo <= hi {
-            let times = state.stored_tuple_times.get(&ring).map(Vec::as_slice).unwrap_or_default();
-            let from = times.partition_point(|&(t, _)| t < lo);
-            let to = times.partition_point(|&(t, _)| t <= hi);
-            span.extend(times[from..to].iter().map(|&(_, pos)| pos));
-            span.sort_unstable();
-        }
+    // Bound the stored-tuple walk to the publication span the arriving
+    // query could possibly combine with (see [`admissible_pub_span`]):
+    // binary-search the publication-sorted sidecar, then restore bucket
+    // (arrival) order so answers and partials come out in arrival order.
+    let (lo, hi) = admissible_pub_span(&stored.pending);
+    if lo <= hi {
+        let times = state.stored_tuple_times.get(&ring).map(Vec::as_slice).unwrap_or_default();
+        let from = times.partition_point(|&(t, _)| t < lo);
+        let to = times.partition_point(|&(t, _)| t <= hi);
+        span.extend(times[from..to].iter().map(|&(_, pos)| pos));
+        span.sort_unstable();
     }
     let probed = span.len();
+    let value_tuples = span.iter().filter_map(|&pos| tuples.get(stored_here[pos as usize]));
     let retained = state
         .altt
         .get(&ring)
@@ -512,15 +495,6 @@ fn handle_query_arrival(
         .filter_map(|h| state.altt_entries.get(*h))
         .filter(|e| e.expires_at >= ctx.at && e.tuple.pub_time() >= min_insert)
         .map(|e| &e.tuple);
-    let mut bounded_tuples;
-    let mut all_tuples;
-    let value_tuples: &mut dyn Iterator<Item = &Arc<Tuple>> = if indexed {
-        bounded_tuples = span.iter().filter_map(|&pos| tuples.get(stored_here[pos as usize]));
-        &mut bounded_tuples
-    } else {
-        all_tuples = stored_here.iter().filter_map(|h| tuples.get(*h));
-        &mut all_tuples
-    };
     let walk = Instant::now();
     for tuple in value_tuples.chain(retained) {
         // Stored tuples under one ring key can come from different
@@ -556,11 +530,7 @@ fn handle_query_arrival(
         // query itself stays, waiting for newer tuples.
     }
     counters.eval_nanos += walk.elapsed().as_nanos() as u64;
-    if indexed {
-        state.trigger_index.note_tuple_probe(bucket_len, probed);
-    } else {
-        state.trigger_index.note_linear_walk();
-    }
+    state.trigger_index.note_tuple_probe(bucket_len, probed);
     span.clear();
     state.span_scratch = span;
 
@@ -631,10 +601,8 @@ fn admissible_pub_span(pending: &PendingQuery) -> (Timestamp, Timestamp) {
 /// coordination. `DISTINCT` collapses owner-side: equal *rows* can complete
 /// in different cells.
 ///
-/// Cells have one join path whatever `compiled_predicates` selects, and it
-/// runs neither a trigger program nor the interpreter, so it books neither
-/// rewrite counter; its time goes to `eval_nanos` and its index probes to
-/// the probe counters.
+/// A cell runs no trigger program, so it books no rewrite counter; its time
+/// goes to `eval_nanos` and its index probes to the probe counters.
 ///
 /// A tuple that can never contribute — published before the query was
 /// submitted, of a relation the query does not join, or failing one of the
@@ -741,7 +709,7 @@ mod tests {
     use super::*;
     use crate::messages::QueryId;
     use rjoin_dht::Id;
-    use rjoin_query::{parse_query, IndexKey};
+    use rjoin_query::{parse_query, rewrite, IndexKey};
     use rjoin_relation::Schema;
 
     fn catalog() -> Catalog {
@@ -866,7 +834,7 @@ mod tests {
 
         let scenario = rjoin_workload::Scenario::cyclic_test();
         let catalog = scenario.workload_schema().build_catalog();
-        let mut engine = crate::RJoinEngine::new(config, catalog, scenario.nodes);
+        let mut engine = crate::RJoinEngine::simulated(config, catalog, scenario.nodes);
         let origins = engine.node_ids().to_vec();
         for (i, q) in scenario.generate_queries().into_iter().enumerate() {
             engine.submit_query(origins[i % origins.len()], q).unwrap();
@@ -1562,47 +1530,36 @@ mod tests {
     /// Regression for the `Partial`-with-empty-`FROM` wart: a trigger that
     /// resolves the whole `WHERE` clause but leaves a `SELECT` attribute
     /// unresolvable must not re-index (and thus never store) an empty-`FROM`
-    /// child — on the interpreted *and* the compiled path.
+    /// child.
     #[test]
     fn orphan_select_never_stores_an_empty_from_child() {
-        for compiled in [true, false] {
-            let catalog = catalog();
-            let config = EngineConfig::default().with_compiled_predicates(compiled);
-            let mut state = NodeState::new(Id(1));
-            let key = IndexKey::attribute("R", "A");
-            let p = PendingQuery::input(
-                QueryId { owner: Id(42), seq: 9 },
-                Id(42),
-                0,
-                orphan_select_query(),
-            );
-            handle_index_query(
-                &mut state,
-                &ctx(&catalog, &config, 0),
-                p,
-                &key.hashed(),
-                key.level(),
-            );
-            let actions = handle_new_tuple(
-                &mut state,
-                &ctx(&catalog, &config, 5),
-                &tuple("R", [7, 9, 0], 5),
-                &key.hashed(),
-                IndexLevel::Attribute,
-            );
-            assert!(
-                actions.is_empty(),
-                "an unresolvable SELECT must not trigger (compiled={compiled}): {actions:?}"
-            );
-            assert_eq!(state.stored_query_count(), 1);
-            for bucket in state.stored_queries.values() {
-                for handle in &bucket.handles {
-                    let stored = state.queries.get(*handle).unwrap();
-                    assert!(
-                        !stored.pending.query.relations().is_empty(),
-                        "no empty-FROM query may ever be stored (compiled={compiled})"
-                    );
-                }
+        let catalog = catalog();
+        let config = config();
+        let mut state = NodeState::new(Id(1));
+        let key = IndexKey::attribute("R", "A");
+        let p = PendingQuery::input(
+            QueryId { owner: Id(42), seq: 9 },
+            Id(42),
+            0,
+            orphan_select_query(),
+        );
+        handle_index_query(&mut state, &ctx(&catalog, &config, 0), p, &key.hashed(), key.level());
+        let actions = handle_new_tuple(
+            &mut state,
+            &ctx(&catalog, &config, 5),
+            &tuple("R", [7, 9, 0], 5),
+            &key.hashed(),
+            IndexLevel::Attribute,
+        );
+        assert!(actions.is_empty(), "an unresolvable SELECT must not trigger: {actions:?}");
+        assert_eq!(state.stored_query_count(), 1);
+        for bucket in state.stored_queries.values() {
+            for handle in &bucket.handles {
+                let stored = state.queries.get(*handle).unwrap();
+                assert!(
+                    !stored.pending.query.relations().is_empty(),
+                    "no empty-FROM query may ever be stored"
+                );
             }
         }
     }
@@ -1610,7 +1567,7 @@ mod tests {
     /// The program cache is keyed by sub-join fingerprint and confirmed
     /// structurally: two stored queries that differ only in `SELECT` share
     /// one compiled program (one compile, one cache hit, two compiled
-    /// rewrites — and no interpreted ones).
+    /// rewrites).
     #[test]
     fn fingerprint_twins_share_one_compiled_program() {
         let catalog = catalog();
@@ -1633,7 +1590,6 @@ mod tests {
         assert_eq!(counters.programs_compiled, 1, "{counters:?}");
         assert_eq!(counters.cache_hits, 1, "{counters:?}");
         assert_eq!(counters.compiled_rewrites, 2, "{counters:?}");
-        assert_eq!(counters.interpreted_rewrites, 0, "{counters:?}");
     }
 
     /// Programs are cached by shape: two rewritten queries that bound the same
@@ -1691,79 +1647,95 @@ mod tests {
         }
     }
 
-    /// Differential: one value-level key whose bucket grows from a single
-    /// vacuously pinned entry past the point a discriminating column appears
-    /// (the bucket is partitioned), then shrinks back to nothing through
-    /// window expiry — probed by tuples all along. Every arrival must
-    /// produce exactly the actions of the linear bucket walk.
+    /// One value-level key whose bucket grows from a single vacuously pinned
+    /// entry past the point a discriminating column appears (the bucket is
+    /// partitioned), then shrinks back to nothing through window expiry —
+    /// probed by tuples all along. Every arrival must emit exactly the
+    /// children of a linear walk over the bucket's live entries, each
+    /// rewritten by the reference `rjoin_query::rewrite`.
     #[test]
     fn a_growing_and_shrinking_bucket_matches_the_linear_walk() {
         let catalog = catalog();
         let config = config();
+        let schema = catalog.schema("S").unwrap();
         let key = IndexKey::value("S", "A", Value::from(7));
         let input = pending(
             "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
             0,
         );
-        let eval = |state: &mut NodeState, pinned_c: Option<i64>, start: u64| {
+        let window = *input.query.window();
+        // The live entries a linear walk would contact: `(query, window start)`.
+        type Walked = Vec<(JoinQuery, u64)>;
+        let eval = |state: &mut NodeState, walked: &mut Walked, pinned_c: Option<i64>, start| {
             let pin = pinned_c.map(|c| format!(" AND S.C = {c}")).unwrap_or_default();
             let sql = format!(
                 "SELECT 9, J.A FROM S, J WHERE S.A = 7{pin} AND S.B = J.B WINDOW SLIDING 8 TUPLES"
             );
-            let mut child = input.child(parse_query(&sql).unwrap(), Some(start));
+            let query = parse_query(&sql).unwrap();
+            let mut child = input.child(query.clone(), Some(start));
             child.note_contribution(start);
             handle_eval(state, &ctx(&catalog, &config, start), child, &key.hashed(), key.level());
+            walked.push((query, start));
         };
-        // `(c, pub_time)` of an S tuple `(7, 3, c)` sent to both nodes.
-        let probe = |indexed: &mut NodeState, linear: &mut NodeState, c: i64, pub_time: u64| {
-            let rendered = |state: &mut NodeState| {
-                state.advance_expiry(pub_time);
-                let arrival = tuple("S", [7, 3, c], pub_time);
-                let actions = handle_new_tuple(
-                    state,
-                    &ctx(&catalog, &config, pub_time),
-                    &arrival,
-                    &key.hashed(),
-                    IndexLevel::Value,
-                );
-                let mut rendered: Vec<String> = actions.iter().map(|a| format!("{a:?}")).collect();
-                rendered.sort();
-                rendered
-            };
-            let expected = rendered(linear);
-            assert_eq!(rendered(indexed), expected, "tuple C = {c} published at {pub_time}");
-            expected.len()
+        // An S tuple `(7, 3, c)` published at `pub_time`: the node's children
+        // against the walk's, as `(query, window start)`; returns how many.
+        let probe = |state: &mut NodeState, walked: &mut Walked, c: i64, pub_time: u64| {
+            state.advance_expiry(pub_time);
+            let arrival = tuple("S", [7, 3, c], pub_time);
+            let actions = handle_new_tuple(
+                state,
+                &ctx(&catalog, &config, pub_time),
+                &arrival,
+                &key.hashed(),
+                IndexLevel::Value,
+            );
+            let mut emitted: Vec<(String, Option<u64>)> = actions
+                .iter()
+                .map(|action| match action {
+                    Action::Reindex { pending } => {
+                        (pending.query.to_string(), pending.window_start)
+                    }
+                    other => panic!("a partial join only re-indexes, got {other:?}"),
+                })
+                .collect();
+            walked.retain(|(_, start)| window.within(*start, pub_time));
+            let mut expected: Vec<(String, Option<u64>)> = walked
+                .iter()
+                .filter_map(|(query, start)| match rewrite(query, &arrival, schema) {
+                    Ok(RewriteResult::Partial(child)) => Some((child.to_string(), Some(*start))),
+                    _ => None,
+                })
+                .collect();
+            emitted.sort();
+            expected.sort();
+            assert_eq!(emitted, expected, "tuple C = {c} published at {pub_time}");
+            emitted.len()
         };
-        let mut indexed = NodeState::new(Id(1));
-        let mut linear = NodeState::new(Id(2));
-        linear.configure_trigger_index(false);
-        let both = |indexed: &mut NodeState, linear: &mut NodeState, c: Option<i64>, start: u64| {
-            eval(indexed, c, start);
-            eval(linear, c, start);
-        };
+        let mut state = NodeState::new(Id(1));
+        let mut walked = Walked::new();
+        let (s, w) = (&mut state, &mut walked);
 
-        both(&mut indexed, &mut linear, None, 10);
-        assert_eq!(probe(&mut indexed, &mut linear, 5, 11), 1, "the lone entry fires");
-        both(&mut indexed, &mut linear, None, 11);
-        assert_eq!(indexed.probe_counters().index_entries_high_water, 0, "nothing filed so far");
-        both(&mut indexed, &mut linear, Some(5), 12);
-        both(&mut indexed, &mut linear, Some(6), 13);
-        assert_eq!(indexed.probe_counters().index_entries_high_water, 4, "partitioned");
-        assert_eq!(probe(&mut indexed, &mut linear, 5, 14), 3, "two vacuous pins and C = 5");
-        assert_eq!(probe(&mut indexed, &mut linear, 6, 15), 3, "two vacuous pins and C = 6");
-        assert_eq!(probe(&mut indexed, &mut linear, 1, 16), 2, "no pinned slice matches");
-        both(&mut indexed, &mut linear, None, 16);
+        eval(s, w, None, 10);
+        assert_eq!(probe(s, w, 5, 11), 1, "the lone entry fires");
+        eval(s, w, None, 11);
+        assert_eq!(s.probe_counters().index_entries_high_water, 0, "nothing filed so far");
+        eval(s, w, Some(5), 12);
+        eval(s, w, Some(6), 13);
+        assert_eq!(s.probe_counters().index_entries_high_water, 4, "partitioned");
+        assert_eq!(probe(s, w, 5, 14), 3, "two vacuous pins and C = 5");
+        assert_eq!(probe(s, w, 6, 15), 3, "two vacuous pins and C = 6");
+        assert_eq!(probe(s, w, 1, 16), 2, "no pinned slice matches");
+        eval(s, w, None, 16);
         // The window (8 ticks from each entry's start) closes entry by entry.
-        assert_eq!(probe(&mut indexed, &mut linear, 5, 19), 2, "starts 10 and 11 are out");
-        assert_eq!(probe(&mut indexed, &mut linear, 6, 21), 1, "only start 16 is left");
-        assert_eq!(probe(&mut indexed, &mut linear, 5, 40), 0, "everything expired");
-        for state in [&mut indexed, &mut linear] {
-            state.advance_expiry(100);
-            assert_eq!(state.stored_query_count(), 0);
-            assert!(state.stored_queries.is_empty(), "the bucket went with its last entry");
-        }
-        both(&mut indexed, &mut linear, None, 100);
-        assert_eq!(probe(&mut indexed, &mut linear, 5, 101), 1, "the key starts over");
+        assert_eq!(probe(s, w, 5, 19), 2, "starts 10 and 11 are out");
+        assert_eq!(probe(s, w, 6, 21), 1, "only start 16 is left");
+        assert_eq!(probe(s, w, 5, 40), 0, "everything expired");
+        assert!(w.is_empty(), "the walk has nothing left to contact");
+        s.advance_expiry(100);
+        assert_eq!(s.stored_query_count(), 0);
+        assert!(s.stored_queries.is_empty(), "the bucket went with its last entry");
+        eval(s, w, None, 100);
+        assert_eq!(probe(s, w, 5, 101), 1, "the key starts over");
     }
 
     /// `ensure_program` keeps the engine-wide cache clean: a contact by a
@@ -1804,29 +1776,5 @@ mod tests {
         assert_eq!(cache.lock().unwrap().len(), 1, "no dead keys");
         assert_eq!(slot.as_ref().map(|p| p.relation()), Some("R"), "the slot is not clobbered");
         assert_eq!((counters.programs_compiled, counters.cache_hits), (1, 0));
-    }
-
-    /// With compiled predicates disabled every trigger takes the interpreter
-    /// path and no program is ever compiled.
-    #[test]
-    fn interpreter_config_never_compiles() {
-        let catalog = catalog();
-        let config = EngineConfig::default().with_compiled_predicates(false);
-        let mut state = NodeState::new(Id(1));
-        let key = IndexKey::attribute("R", "A");
-        let p = pending("SELECT R.B, S.B FROM R, S WHERE R.A = S.A", 0);
-        handle_index_query(&mut state, &ctx(&catalog, &config, 0), p, &key.hashed(), key.level());
-        let actions = handle_new_tuple(
-            &mut state,
-            &ctx(&catalog, &config, 5),
-            &tuple("R", [7, 9, 0], 5),
-            &key.hashed(),
-            IndexLevel::Attribute,
-        );
-        assert_eq!(actions.len(), 1);
-        let counters = state.compile_counters();
-        assert_eq!(counters.programs_compiled, 0, "{counters:?}");
-        assert_eq!(counters.compiled_rewrites, 0, "{counters:?}");
-        assert!(counters.interpreted_rewrites >= 1, "{counters:?}");
     }
 }

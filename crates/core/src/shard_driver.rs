@@ -2,24 +2,23 @@
 //! clock synchronization.
 //!
 //! [`drain_sharded`] is the `shards > 1` implementation behind
-//! [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel).
-//! Where the tick-parallel driver of PR 2 fans *one global tick* out across
-//! threads and re-synchronizes at a barrier, this driver partitions the ring
+//! [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel)
+//! (at one shard that call is the sequential drain). It partitions the ring
 //! into contiguous identifier ranges and gives each range a persistent
 //! worker with its own [`rjoin_net::ShardedNetwork`] queue and local clock;
 //! shards only coordinate through the conservative watermark protocol, so
 //! independent cascades on different shards proceed concurrently even when
-//! every tick is thin.
+//! every tick is thin — there is no global tick barrier.
 //!
-//! Each shard runs the same two-phase tick the other drivers use:
+//! Each shard runs the same two-phase tick the sequential drain uses:
 //!
 //! 1. **handler phase** — Procedures 1–3 against the shard's own
 //!    [`NodeState`](crate::NodeState)s, in ascending lineage order; then the
 //!    shard publishes its `handled_through` watermark,
 //! 2. **effect phase** — load accounting, answer buffering and the full
 //!    Sections 6–7 dispatch pipeline ([`dispatch_query_in`] via
-//!    [`perform_actions_in`]), shared verbatim with the single-queue
-//!    drivers through the [`EffectEnv`] trait.
+//!    [`perform_actions_in`]), shared verbatim with the sequential drain
+//!    through the [`EffectEnv`] trait.
 //!
 //! Engine-global observations are funneled through per-shard buffers —
 //! answers tagged `(at, lineage)`, per-shard load maps and traffic stats —
@@ -28,9 +27,9 @@
 //! count.
 //!
 //! The handler phase runs the compiled predicate-program hot loop
-//! unchanged: each shard's `NodeState`s carry their own program caches and
-//! [`CompileCounters`](rjoin_metrics::CompileCounters), so compiled batch
-//! execution needs no cross-shard coordination and the engine's
+//! unchanged: each shard's `NodeState`s carry their own
+//! [`CompileCounters`](rjoin_metrics::CompileCounters) (the program cache
+//! is one engine-wide `Mutex`), so the engine's
 //! [`compile_counters`](crate::RJoinEngine::compile_counters) aggregate is
 //! a plain per-node merge after the drain, exactly like the sequential
 //! driver.
@@ -607,6 +606,9 @@ fn resolve_workers(config: &EngineConfig) -> usize {
 pub(crate) fn drain_sharded(engine: &mut RJoinEngine) -> Result<u64, EngineError> {
     let pending = engine.network.drain_in_flight();
     if pending.is_empty() {
+        // Nothing to deliver, but the clock may have moved since the last
+        // drain (`advance_time`): flush like the sequential drain does.
+        engine.flush_expiry();
         return Ok(0);
     }
 

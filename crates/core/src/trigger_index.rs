@@ -41,15 +41,16 @@
 //!
 //! # Why skipping is sound
 //!
-//! The linear walk (kept as a differential oracle behind
-//! [`crate::EngineConfig::with_trigger_index`]`(false)`) contacts every
-//! entry of the bucket. A skipped entry differs from a contacted one in
-//! two ways only:
+//! The answer of a tuple arrival is defined entry by entry: every stored
+//! query of the bucket rewritten with the tuple by `rjoin_query::rewrite`,
+//! the reference semantics the compiled trigger programs are tested
+//! against. A skipped entry differs from a contacted one in two ways only:
 //!
 //! * **No `Mismatch` rewrite** — by construction the skipped entry's
-//!   pinned constant filter rejects the tuple, so the contact would have
-//!   produced no action and mutated nothing (entries whose contact *can*
-//!   mutate state — `DISTINCT` dedup admission — are residual).
+//!   pinned constant filter rejects the tuple, so `rewrite` returns
+//!   `Mismatch`: the contact would have produced no action and mutated
+//!   nothing (entries whose contact *can* mutate state — `DISTINCT` dedup
+//!   admission — are residual).
 //! * **No contact expiry** — the network's constant delay δ makes per-ring
 //!   tuple publication times monotone in delivery order, so an entry whose
 //!   window already expired against a skipped tuple can never trigger on
@@ -73,7 +74,7 @@ use std::hash::{Hash, Hasher};
 
 /// 64-bit digest a value is filed under. Within-column digest collisions
 /// are harmless: a colliding candidate's constant filter rejects the tuple
-/// during the trigger, exactly as the linear walk would have.
+/// during the trigger, exactly as if it had been contacted unfiled.
 pub(crate) fn value_digest(value: &Value) -> u64 {
     let mut hasher = RingHasher::default();
     value.hash(&mut hasher);
@@ -152,9 +153,6 @@ pub(crate) struct Bucket {
 /// docs for the maintenance contract and the soundness argument.
 #[derive(Debug, Clone)]
 pub(crate) struct TriggerIndex {
-    /// Disabled instances no-op on every call (the linear-walk oracle
-    /// mode). Selected once at node creation, before anything is stored.
-    enabled: bool,
     /// Handles currently filed across all partitions.
     live: usize,
     counters: ProbeCounters,
@@ -164,20 +162,7 @@ pub(crate) struct TriggerIndex {
 
 impl TriggerIndex {
     pub(crate) fn new() -> Self {
-        TriggerIndex { enabled: true, live: 0, counters: ProbeCounters::new(), scratch: Vec::new() }
-    }
-
-    /// Selects indexed probing or the linear-walk oracle. Must be called
-    /// before any query is stored (the engine configures nodes at
-    /// creation): enabling an index that missed earlier insertions would
-    /// skip live entries.
-    pub(crate) fn configure(&mut self, enabled: bool) {
-        debug_assert!(self.live == 0, "trigger index reconfigured with entries filed");
-        self.enabled = enabled;
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
+        TriggerIndex { live: 0, counters: ProbeCounters::new(), scratch: Vec::new() }
     }
 
     /// Snapshot of the probe counters.
@@ -195,9 +180,6 @@ impl TriggerIndex {
         handle: Handle,
         queries: &Slab<StoredQuery>,
     ) {
-        if !self.enabled {
-            return;
-        }
         let mut newcomers = std::slice::from_ref(&handle);
         if bucket.partition.is_none() {
             // `None`: not pinned; `Some(vacuous)`: pinned.
@@ -327,11 +309,6 @@ impl TriggerIndex {
             out.extend_from_slice(vacuous);
         }
         self.counters.candidates_probed += out.len() as u64;
-    }
-
-    /// Books one linear bucket walk (oracle mode).
-    pub(crate) fn note_linear_walk(&mut self) {
-        self.counters.linear_walks += 1;
     }
 
     /// Books one bounded walk over stored *tuples*: `probed` of the
@@ -509,16 +486,5 @@ mod tests {
         // An unpinned entry and a vacuously pinned one differ too.
         let (u, v) = (ring.store(UNPINNED, "R+A+i:2"), ring.store(PINNED_A2, "R+A+i:2"));
         assert_eq!((ring.index.live(), ring.probe("R", [2, 0, 0])), (2, sorted([u, v])));
-    }
-
-    #[test]
-    fn disabled_index_noops() {
-        let mut ring = Ring::new();
-        ring.index.configure(false);
-        let handle = ring.store(PINNED_A2_B7, "R+A+i:2");
-        assert!(ring.bucket.partition.is_none());
-        ring.index.forget(&ring.bucket);
-        ring.unlink(handle);
-        assert_eq!(ring.index.counters(), ProbeCounters::default());
     }
 }

@@ -14,96 +14,20 @@
 //! `tests/cyclic.rs` keeps the oracle suite for the planner and placement;
 //! this file is about what happens inside the cells.
 
+mod common;
+
+use common::{drain, oracle_answers, shard_counts, sorted};
 use proptest::prelude::*;
 use rjoin_core::pipeline::{handle_node_msg, standalone_node_state, Action, TickEffect};
 use rjoin_core::{
     EngineConfig, HypercubeRef, NodeState, PendingQuery, QueryId, RJoinEngine, RJoinMessage,
 };
 use rjoin_dht::{HashedKey, Id};
-use rjoin_query::{parse_query, Conjunct, IndexLevel, JoinQuery, QualifiedAttr, SelectItem};
+use rjoin_query::{parse_query, IndexLevel, JoinQuery};
 use rjoin_query::{QueryShape, WindowSpec};
 use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
 use rjoin_workload::{Scenario, WorkloadSchema};
 use std::sync::Arc;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`), exactly
-/// like the cyclic suite.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).filter(|&n| n >= 1).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
-
-/// Brute-force reference: every combination of one tuple per `FROM`
-/// relation, published at or after `insert_time`, whose publication span
-/// fits the window and which satisfies the whole `WHERE` clause, projected
-/// on `SELECT`. Shape-agnostic (no join order, no index).
-fn reference(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    insert_time: Timestamp,
-    tuples: &[Tuple],
-) -> Vec<Vec<Value>> {
-    fn value<'a>(catalog: &Catalog, combo: &[&'a Tuple], attr: &QualifiedAttr) -> &'a Value {
-        let tuple = combo.iter().find(|t| t.relation() == attr.relation.as_str()).unwrap();
-        let schema = catalog.schema(&attr.relation).unwrap();
-        tuple.value(schema.index_of(&attr.attribute).unwrap()).unwrap()
-    }
-    fn extend<'a>(
-        catalog: &Catalog,
-        query: &JoinQuery,
-        candidates: &[Vec<&'a Tuple>],
-        combo: &mut Vec<&'a Tuple>,
-        out: &mut Vec<Vec<Value>>,
-    ) {
-        if let Some(next) = candidates.get(combo.len()) {
-            for tuple in next {
-                combo.push(tuple);
-                extend(catalog, query, candidates, combo, out);
-                combo.pop();
-            }
-            return;
-        }
-        let earliest = combo.iter().map(|t| t.pub_time()).min().unwrap();
-        let latest = combo.iter().map(|t| t.pub_time()).max().unwrap();
-        let joins = query.conjuncts().iter().all(|conjunct| match conjunct {
-            Conjunct::JoinEq(a, b) => value(catalog, combo, a) == value(catalog, combo, b),
-            Conjunct::ConstEq(a, v) => value(catalog, combo, a) == v,
-        });
-        if joins && query.window().within(earliest, latest) {
-            out.push(
-                query
-                    .select()
-                    .iter()
-                    .map(|item| match item {
-                        SelectItem::Const(v) => v.clone(),
-                        SelectItem::Attr(a) => value(catalog, combo, a).clone(),
-                    })
-                    .collect(),
-            );
-        }
-    }
-    let candidates: Vec<Vec<&Tuple>> = query
-        .relations()
-        .iter()
-        .map(|r| {
-            tuples
-                .iter()
-                .filter(|t| t.relation() == r.as_str() && t.pub_time() >= insert_time)
-                .collect()
-        })
-        .collect();
-    let mut out = Vec::new();
-    extend(catalog, query, &candidates, &mut Vec::new(), &mut out);
-    out
-}
 
 // ---- one cell, by hand ------------------------------------------------------
 
@@ -240,7 +164,6 @@ proptest! {
         shuffle in proptest::collection::vec(0u32..1_000, 16),
         register_after in 0usize..17,
         insert_offset in 0u64..3,
-        compiled in proptest::bool::ANY,
     ) {
         let query = parse_query(SHAPES[shape]).unwrap().with_window(window);
         let base = 100;
@@ -252,16 +175,15 @@ proptest! {
         let mut order: Vec<usize> = (0..tuples.len()).collect();
         order.sort_by_key(|&i| (shuffle[i], i));
         let insert_time = base + insert_offset;
-        let config = EngineConfig::default().with_compiled_predicates(compiled);
         let (actual, state) = run_one_cell(
             &query,
             insert_time,
             &tuples,
             &order,
             register_after % (tuples.len() + 1),
-            config,
+            EngineConfig::default(),
         );
-        let expected = sorted(reference(&schema().build_catalog(), &query, insert_time, &tuples));
+        let expected = sorted(oracle_answers(&schema().build_catalog(), &query, insert_time, &tuples));
         prop_assert_eq!(actual, expected);
         prop_assert_eq!(state.stored_query_count(), 1, "the cell holds its replica");
         prop_assert_eq!(state.stored_rewritten_count(), 0, "and never a partial");
@@ -287,7 +209,7 @@ fn hand_placed_four_cycle_and_four_clique_complete_every_combination() {
     for (sql, at_least) in [(FOUR_CYCLE, 16), (FOUR_CLIQUE, 16)] {
         let query = parse_query(sql).unwrap();
         assert_eq!(rjoin_query::classify_shape(&query), QueryShape::Cyclic);
-        let expected = sorted(reference(&catalog, &query, 0, &tuples));
+        let expected = sorted(oracle_answers(&catalog, &query, 0, &tuples));
         assert!(expected.len() >= at_least, "{sql}: only {} reference answers", expected.len());
         for register_after in [0, 7, tuples.len()] {
             let (actual, state) = run_one_cell(
@@ -319,7 +241,6 @@ fn hand_placed_four_cycle_and_four_clique_complete_every_combination() {
 /// published.
 fn publish_in_segments(
     engine: &mut RJoinEngine,
-    shards: usize,
     tuples: &[Tuple],
     segments: usize,
     mut between: impl FnMut(&mut RJoinEngine, usize),
@@ -333,18 +254,10 @@ fn publish_in_segments(
             engine.publish_tuple(origin, stamped.clone()).unwrap();
             published.push(stamped);
         }
-        drain(engine, shards);
+        drain(engine);
         between(engine, part);
     }
     published
-}
-
-fn drain(engine: &mut RJoinEngine, shards: usize) {
-    if shards > 1 {
-        engine.run_until_quiescent_parallel().unwrap();
-    } else {
-        engine.run_until_quiescent().unwrap();
-    }
 }
 
 fn submit_all(engine: &mut RJoinEngine, queries: &[JoinQuery]) -> Vec<QueryId> {
@@ -367,7 +280,7 @@ fn assert_matches_reference(
 ) -> usize {
     let mut total = 0;
     for (query, qid) in queries.iter().zip(qids) {
-        let expected = sorted(reference(catalog, query, 0, published));
+        let expected = sorted(oracle_answers(catalog, query, 0, published));
         assert_eq!(sorted(engine.answers().rows_for(*qid)), expected, "{tag}: {query}");
         total += expected.len();
     }
@@ -387,11 +300,11 @@ fn cells_hold_their_replica_and_a_window_of_tuples() {
     };
     let catalog = scenario.workload_schema().build_catalog();
     let queries = scenario.generate_queries();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog.clone(), scenario.nodes);
+    let mut engine =
+        RJoinEngine::simulated(EngineConfig::default(), catalog.clone(), scenario.nodes);
     let qids = submit_all(&mut engine, &queries);
     engine.run_until_quiescent().unwrap();
-    let published =
-        publish_in_segments(&mut engine, 1, &scenario.generate_tuples(0), 10, |_, _| {});
+    let published = publish_in_segments(&mut engine, &scenario.generate_tuples(0), 10, |_, _| {});
     let answers = assert_matches_reference("state", &engine, &catalog, &queries, &qids, &published);
     assert!(answers > 0, "the windowed workload must produce answers");
 
@@ -428,11 +341,11 @@ fn four_cliques_match_the_reference() {
     let queries: Vec<JoinQuery> = (0..6).map(|_| generator.generate_clique(4)).collect();
     for shards in shard_counts() {
         let config = EngineConfig::default().with_shards(shards);
-        let mut engine = RJoinEngine::new(config, catalog.clone(), scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
         let qids = submit_all(&mut engine, &queries);
-        drain(&mut engine, shards);
+        drain(&mut engine);
         let published =
-            publish_in_segments(&mut engine, shards, &scenario.generate_tuples(0), 1, |_, _| {});
+            publish_in_segments(&mut engine, &scenario.generate_tuples(0), 1, |_, _| {});
         assert!(engine.planner_counters().any_hypercube());
         let answers =
             assert_matches_reference("clique", &engine, &catalog, &queries, &qids, &published);
@@ -451,12 +364,12 @@ fn windowed_triangles_survive_mid_stream_churn() {
     let queries = scenario.generate_queries();
     for shards in shard_counts() {
         let config = EngineConfig::default().with_shards(shards);
-        let mut engine = RJoinEngine::new(config, catalog.clone(), scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
         let qids = submit_all(&mut engine, &queries);
-        drain(&mut engine, shards);
+        drain(&mut engine);
         let owners: Vec<_> = qids.iter().map(|q| q.owner).collect();
         let tuples = scenario.generate_tuples(0);
-        let published = publish_in_segments(&mut engine, shards, &tuples, 3, |engine, part| {
+        let published = publish_in_segments(&mut engine, &tuples, 3, |engine, part| {
             if part == 0 {
                 engine.join_node("cell-churn-join-a").unwrap();
                 engine.join_node("cell-churn-join-b").unwrap();
@@ -475,7 +388,8 @@ fn windowed_triangles_survive_mid_stream_churn() {
         let unwindowed: usize = queries
             .iter()
             .map(|q| {
-                reference(&catalog, &q.clone().with_window(WindowSpec::None), 0, &published).len()
+                oracle_answers(&catalog, &q.clone().with_window(WindowSpec::None), 0, &published)
+                    .len()
             })
             .sum();
         assert!(unwindowed > answers, "the window must exclude some combination");

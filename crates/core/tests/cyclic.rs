@@ -3,125 +3,15 @@
 //! the centralized windowed oracle's — under every driver the
 //! `RJOIN_SHARDS` matrix selects, under graceful churn, and byte-identical
 //! across shard counts. The suite also pins the two-plan cost model
-//! (acyclic stays on the rewrite pipeline) and the fail-fast
-//! `CyclicShape` rejection when the hypercube planner is disabled.
+//! (acyclic stays on the rewrite pipeline).
 
-use rjoin_core::{EngineConfig, EngineError, QueryId, RJoinEngine};
-use rjoin_query::{parse_query, Conjunct, JoinQuery, QueryError, SelectItem};
-use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
+mod common;
+
+use common::{drain, oracle_answers, shard_counts, sorted};
+use rjoin_core::{EngineConfig, QueryId, RJoinEngine};
+use rjoin_query::parse_query;
+use rjoin_relation::{Timestamp, Tuple, Value};
 use rjoin_workload::Scenario;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`), exactly
-/// like the sharding suite.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
-
-fn attr_value<'a>(
-    catalog: &Catalog,
-    relations: &[rjoin_relation::Name],
-    combo: &[&'a Tuple],
-    relation: &str,
-    attribute: &str,
-) -> Option<&'a Value> {
-    let idx = relations.iter().position(|r| r == relation)?;
-    let schema = catalog.schema(relation)?;
-    combo[idx].value(schema.index_of(attribute)?)
-}
-
-fn satisfies(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    relations: &[rjoin_relation::Name],
-    combo: &[&Tuple],
-) -> bool {
-    query.conjuncts().iter().all(|conjunct| match conjunct {
-        Conjunct::JoinEq(a, b) => {
-            attr_value(catalog, relations, combo, &a.relation, &a.attribute)
-                == attr_value(catalog, relations, combo, &b.relation, &b.attribute)
-        }
-        Conjunct::ConstEq(a, v) => {
-            attr_value(catalog, relations, combo, &a.relation, &a.attribute) == Some(v)
-        }
-    })
-}
-
-fn project(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    relations: &[rjoin_relation::Name],
-    combo: &[&Tuple],
-) -> Vec<Value> {
-    query
-        .select()
-        .iter()
-        .map(|item| match item {
-            SelectItem::Const(v) => v.clone(),
-            SelectItem::Attr(a) => attr_value(catalog, relations, combo, &a.relation, &a.attribute)
-                .cloned()
-                .expect("valid queries only reference existing attributes"),
-        })
-        .collect()
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
-
-/// Brute-force windowed evaluation (Definition 1 + the Section 5 validity
-/// test applied to the whole combination) — shape-agnostic, so it covers
-/// cyclic `WHERE` clauses that the rewrite pipeline cannot run.
-fn windowed_oracle_answers(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    insert_time: Timestamp,
-    tuples: &[Tuple],
-) -> Vec<Vec<Value>> {
-    let window = *query.window();
-    let relations = query.relations();
-    let per_relation: Vec<Vec<&Tuple>> = relations
-        .iter()
-        .map(|r| {
-            tuples.iter().filter(|t| t.relation() == r && t.pub_time() >= insert_time).collect()
-        })
-        .collect();
-    if per_relation.iter().any(|v| v.is_empty()) {
-        return Vec::new();
-    }
-
-    let mut results = Vec::new();
-    let mut indices = vec![0usize; relations.len()];
-    loop {
-        let combo: Vec<&Tuple> = indices.iter().zip(&per_relation).map(|(&i, v)| v[i]).collect();
-        let earliest = combo.iter().map(|t| t.pub_time()).min().expect("non-empty combo");
-        let latest = combo.iter().map(|t| t.pub_time()).max().expect("non-empty combo");
-        if window.within(earliest, latest) && satisfies(catalog, query, relations, &combo) {
-            results.push(project(catalog, query, relations, &combo));
-        }
-        let mut pos = 0;
-        loop {
-            indices[pos] += 1;
-            if indices[pos] < per_relation[pos].len() {
-                break;
-            }
-            indices[pos] = 0;
-            pos += 1;
-            if pos == relations.len() {
-                return results;
-            }
-        }
-    }
-}
 
 /// Per-query sorted answer rows, in query-submission order.
 type AnswersByQuery = Vec<(QueryId, Vec<Vec<Value>>)>;
@@ -141,17 +31,9 @@ fn run(
     config: EngineConfig,
     churn: bool,
 ) -> (RJoinEngine, AnswersByQuery, Vec<Tuple>) {
-    let shards = config.shards;
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
-    let drain = |engine: &mut RJoinEngine| {
-        if shards > 1 {
-            engine.run_until_quiescent_parallel().unwrap()
-        } else {
-            engine.run_until_quiescent().unwrap()
-        }
-    };
 
     let mut qids = Vec::new();
     let mut owners = Vec::new();
@@ -205,7 +87,7 @@ fn check_against_oracle(scenario: &Scenario, shards: usize, churn: bool) -> Answ
     );
     let mut total = 0usize;
     for ((qid, actual), query) in answers.iter().zip(&queries) {
-        let expected = sorted(windowed_oracle_answers(&catalog, query, 0, &tuples));
+        let expected = sorted(oracle_answers(&catalog, query, 0, &tuples));
         assert_eq!(
             actual, &expected,
             "cyclic query {qid} diverges from the centralized oracle \
@@ -257,15 +139,8 @@ fn explicit_triangle_matches_oracle_and_is_shard_deterministic() {
     let mut per_shards: Vec<Vec<Vec<Value>>> = Vec::new();
     for shards in [1usize, 2, 4] {
         let config = EngineConfig::default().with_shards(shards);
-        let mut engine = RJoinEngine::new(config, catalog.clone(), 24);
+        let mut engine = RJoinEngine::simulated(config, catalog.clone(), 24);
         let origin = engine.node_ids()[0];
-        let drain = |engine: &mut RJoinEngine| {
-            if shards > 1 {
-                engine.run_until_quiescent_parallel().unwrap()
-            } else {
-                engine.run_until_quiescent().unwrap()
-            }
-        };
         let qid = engine.submit_query(origin, query.clone()).unwrap();
         drain(&mut engine);
         let tuples = make_tuples(engine.now() + 1);
@@ -275,7 +150,7 @@ fn explicit_triangle_matches_oracle_and_is_shard_deterministic() {
         }
         drain(&mut engine);
 
-        let expected = sorted(windowed_oracle_answers(&catalog, &query, 0, &tuples));
+        let expected = sorted(oracle_answers(&catalog, &query, 0, &tuples));
         assert_eq!(expected.len(), 2, "the hand-placed workload forms exactly two triangles");
         let actual = sorted(engine.answers().rows_for(qid));
         assert_eq!(actual, expected, "triangle answers diverge from the oracle at {shards} shards");
@@ -340,11 +215,11 @@ fn windowed_triangles_match_windowed_oracle() {
     let mut windowed_total = 0usize;
     let mut unwindowed_total = 0usize;
     for ((qid, actual), query) in answers.iter().zip(&queries) {
-        let expected = sorted(windowed_oracle_answers(&catalog, query, 0, &tuples));
+        let expected = sorted(oracle_answers(&catalog, query, 0, &tuples));
         assert_eq!(actual, &expected, "windowed cyclic query {qid} diverges from the oracle");
         windowed_total += expected.len();
         let unwindowed = query.clone().with_window(rjoin_query::WindowSpec::None);
-        unwindowed_total += windowed_oracle_answers(&catalog, &unwindowed, 0, &tuples).len();
+        unwindowed_total += oracle_answers(&catalog, &unwindowed, 0, &tuples).len();
     }
     assert!(windowed_total > 0, "the windowed cyclic workload must produce answers");
     assert!(
@@ -364,32 +239,6 @@ fn cyclic_answers_survive_churn() {
     }
 }
 
-/// Satellite regression: with the hypercube planner disabled, submitting a
-/// cyclic query fails fast with `QueryError::CyclicShape` instead of
-/// entering a rewrite pipeline that cannot finish; acyclic queries are
-/// unaffected.
-#[test]
-fn cyclic_shape_is_rejected_when_planner_disabled() {
-    let scenario = Scenario::cyclic_test();
-    let catalog = scenario.workload_schema().build_catalog();
-    let config = EngineConfig::default().with_hypercube_planner(false);
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
-    let origin = engine.node_ids()[0];
-
-    let triangle = scenario.generate_queries().remove(0);
-    let err = engine.submit_query(origin, triangle).unwrap_err();
-    assert!(
-        matches!(err, EngineError::Query(QueryError::CyclicShape)),
-        "expected CyclicShape, got {err:?}"
-    );
-    assert_eq!(engine.planner_counters().hypercube_plans, 0);
-
-    // Acyclic submissions still go through on the pipeline.
-    let chain = parse_query("SELECT R0.A1, R1.A1 FROM R0, R1 WHERE R0.A0 = R1.A0").unwrap();
-    engine.submit_query(origin, chain).unwrap();
-    assert_eq!(engine.planner_counters().pipeline_plans, 1);
-}
-
 /// The cost model's two legs, observable through the planner counters: an
 /// acyclic chain stays on the pipeline (one hop per join beats a cell
 /// budget's worth of replicas), a cyclic triangle must take the hypercube.
@@ -397,7 +246,7 @@ fn cyclic_shape_is_rejected_when_planner_disabled() {
 fn cost_model_picks_pipeline_for_acyclic_and_hypercube_for_cyclic() {
     let scenario = Scenario::cyclic_test();
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let origin = engine.node_ids()[0];
 
     let chain =

@@ -6,28 +6,15 @@
 //! sweep-driven engine it replaces.
 //!
 //! The shard counts exercised honor the `RJOIN_SHARDS` environment variable
-//! (comma-separated, e.g. `RJOIN_SHARDS=1,4`), which is what the CI
-//! shard-count matrix sets; the default covers `1,4`.
+//! (see `common::shard_counts`).
 
+mod common;
+
+use common::{drain, shard_counts};
 use rjoin_core::{EngineConfig, QueryId, RJoinEngine};
 use rjoin_query::WindowSpec;
 use rjoin_relation::Tuple;
 use rjoin_workload::Scenario;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`). A count
-/// of 1 runs the single-queue driver, larger counts the sharded runtime.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
 
 fn scenario(window: WindowSpec) -> Scenario {
     Scenario {
@@ -40,14 +27,6 @@ fn scenario(window: WindowSpec) -> Scenario {
         domain: 6,
         window,
         ..Scenario::small_test()
-    }
-}
-
-fn drain(engine: &mut RJoinEngine, shards: usize) {
-    if shards > 1 {
-        engine.run_until_quiescent_parallel().unwrap();
-    } else {
-        engine.run_until_quiescent().unwrap();
     }
 }
 
@@ -64,13 +43,13 @@ fn run(
     let queries = scenario.generate_overlapping_queries(5);
     let config = base.with_shards(shards).with_wheel_expiry(wheel);
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     let mut qids = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
         qids.push(engine.submit_query(origins[i % origins.len()], q.clone()).unwrap());
     }
-    drain(&mut engine, shards);
+    drain(&mut engine);
 
     // Two tuple waves, each generated at the then-current clock: tuples
     // enter the network at their publication time, the contract wheel-mode
@@ -78,20 +57,20 @@ fn run(
     // so both engines see identical waves).
     let half = Scenario { tuples: scenario.tuples / 2, ..scenario.clone() };
     let second = Scenario { seed: scenario.seed ^ 0x9E37, ..half.clone() };
-    let publish = |engine: &mut RJoinEngine, wave: &[Tuple], shards: usize| {
+    let publish = |engine: &mut RJoinEngine, wave: &[Tuple]| {
         for (i, t) in wave.iter().enumerate() {
             engine.publish_tuple(origins[i % origins.len()], t.clone()).unwrap();
         }
-        drain(engine, shards);
+        drain(engine);
     };
     let wave = half.generate_tuples(engine.now() + 1);
-    publish(&mut engine, &wave, shards);
+    publish(&mut engine, &wave);
     // Churn at the quiescent points: a joiner steals buckets mid-run (their
     // wheel tokens on the donor go stale; the joiner re-schedules), then
     // leaves again, re-homing its state a second time.
     let joined = engine.join_node("expiry-churn").unwrap();
     let wave = second.generate_tuples(engine.now() + 1);
-    publish(&mut engine, &wave, shards);
+    publish(&mut engine, &wave);
     engine.leave_node(joined).unwrap();
     (engine, qids)
 }
@@ -168,7 +147,7 @@ fn forced_split_and_churn_rehome_wheel_deadlines() {
             .with_altt(64)
             .with_wheel_expiry(wheel);
         let catalog = scenario.workload_schema().build_catalog();
-        let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
         let origins: Vec<_> = engine.node_ids().to_vec();
         let mut qids = Vec::new();
         for (i, q) in scenario.generate_overlapping_queries(5).into_iter().enumerate() {

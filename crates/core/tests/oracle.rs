@@ -3,77 +3,13 @@
 //! paper (the bag union of the instantaneous query results over tuples
 //! published at or after query submission).
 
+mod common;
+
+use common::{assert_sub_bag, oracle_answers, sorted};
 use rjoin_core::{EngineConfig, PlacementStrategy, RJoinEngine};
 use rjoin_query::{Conjunct, JoinQuery, SelectItem};
-use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
+use rjoin_relation::{Timestamp, Tuple, Value};
 use rjoin_workload::{Scenario, WorkloadSchema};
-
-/// Brute-force evaluation of a multi-way equi-join over a set of published
-/// tuples: every combination of one tuple per `FROM` relation (published at
-/// or after `insert_time`) that satisfies all conjuncts contributes one
-/// answer row.
-fn oracle_answers(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    insert_time: Timestamp,
-    tuples: &[Tuple],
-) -> Vec<Vec<Value>> {
-    // `WindowSpec::None.within()` accepts everything, so the windowed oracle
-    // degenerates to the plain Definition 1 evaluation for unwindowed queries.
-    windowed_oracle_answers(catalog, query, insert_time, tuples)
-}
-
-fn attr_value<'a>(
-    catalog: &Catalog,
-    relations: &[rjoin_relation::Name],
-    combo: &[&'a Tuple],
-    relation: &str,
-    attribute: &str,
-) -> Option<&'a Value> {
-    let idx = relations.iter().position(|r| r == relation)?;
-    let schema = catalog.schema(relation)?;
-    combo[idx].value(schema.index_of(attribute)?)
-}
-
-fn satisfies(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    relations: &[rjoin_relation::Name],
-    combo: &[&Tuple],
-) -> bool {
-    query.conjuncts().iter().all(|conjunct| match conjunct {
-        Conjunct::JoinEq(a, b) => {
-            attr_value(catalog, relations, combo, &a.relation, &a.attribute)
-                == attr_value(catalog, relations, combo, &b.relation, &b.attribute)
-        }
-        Conjunct::ConstEq(a, v) => {
-            attr_value(catalog, relations, combo, &a.relation, &a.attribute) == Some(v)
-        }
-    })
-}
-
-fn project(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    relations: &[rjoin_relation::Name],
-    combo: &[&Tuple],
-) -> Vec<Value> {
-    query
-        .select()
-        .iter()
-        .map(|item| match item {
-            SelectItem::Const(v) => v.clone(),
-            SelectItem::Attr(a) => attr_value(catalog, relations, combo, &a.relation, &a.attribute)
-                .cloned()
-                .expect("valid queries only reference existing attributes"),
-        })
-        .collect()
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
 
 /// Runs a scenario through the engine and returns (engine, query ids,
 /// queries, tuples).
@@ -83,7 +19,7 @@ fn run_scenario(
 ) -> (RJoinEngine, Vec<rjoin_core::QueryId>, Vec<JoinQuery>, Vec<Tuple>) {
     let schema = scenario.workload_schema();
     let catalog = schema.build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
 
     let queries = scenario.generate_queries();
@@ -186,15 +122,9 @@ fn sound_and_duplicate_free_under_all_strategies() {
         let catalog = scenario.workload_schema().build_catalog();
 
         for (qid, query) in qids.iter().zip(&queries) {
-            let mut expected = sorted(oracle_answers(&catalog, query, 0, &tuples));
-            let actual = sorted(engine.answers().rows_for(*qid));
-            // Multiset inclusion: every delivered row consumes one oracle row.
-            for row in &actual {
-                let pos = expected.iter().position(|e| e == row).unwrap_or_else(|| {
-                    panic!("unsound or duplicate answer {row:?} ({placement:?})")
-                });
-                expected.remove(pos);
-            }
+            let expected = oracle_answers(&catalog, query, 0, &tuples);
+            let what = format!("{qid} under {placement:?}");
+            assert_sub_bag(expected, engine.answers().rows_for(*qid), &what);
         }
     }
 }
@@ -206,7 +136,7 @@ fn earlier_tuples_do_not_count() {
     let schema = WorkloadSchema::new(4, 3, 5);
     let catalog = schema.build_catalog();
     let config = EngineConfig::default().with_value_level_only(true);
-    let mut engine = RJoinEngine::new(config, catalog.clone(), 16);
+    let mut engine = RJoinEngine::simulated(config, catalog.clone(), 16);
     let origin = engine.node_ids()[0];
 
     // Publish a batch of tuples first.
@@ -274,52 +204,6 @@ fn distinct_queries_deliver_set_semantics() {
     assert!(any_duplicates_avoided, "the workload should contain at least one potential duplicate");
 }
 
-/// Windowed oracle: brute-force evaluation where a combination only counts
-/// if the publication times of all participating tuples fit in one sliding
-/// window (`max - min + 1 <= duration`, the Section 5 validity test applied
-/// to the whole combination).
-fn windowed_oracle_answers(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    insert_time: Timestamp,
-    tuples: &[Tuple],
-) -> Vec<Vec<Value>> {
-    let window = *query.window();
-    let relations = query.relations();
-    let per_relation: Vec<Vec<&Tuple>> = relations
-        .iter()
-        .map(|r| {
-            tuples.iter().filter(|t| t.relation() == r && t.pub_time() >= insert_time).collect()
-        })
-        .collect();
-    if per_relation.iter().any(|v| v.is_empty()) {
-        return Vec::new();
-    }
-
-    let mut results = Vec::new();
-    let mut indices = vec![0usize; relations.len()];
-    loop {
-        let combo: Vec<&Tuple> = indices.iter().zip(&per_relation).map(|(&i, v)| v[i]).collect();
-        let earliest = combo.iter().map(|t| t.pub_time()).min().expect("non-empty combo");
-        let latest = combo.iter().map(|t| t.pub_time()).max().expect("non-empty combo");
-        if window.within(earliest, latest) && satisfies(catalog, query, relations, &combo) {
-            results.push(project(catalog, query, relations, &combo));
-        }
-        let mut pos = 0;
-        loop {
-            indices[pos] += 1;
-            if indices[pos] < per_relation[pos].len() {
-                break;
-            }
-            indices[pos] = 0;
-            pos += 1;
-            if pos == relations.len() {
-                return results;
-            }
-        }
-    }
-}
-
 /// A 4-way `SELECT DISTINCT` join under a sliding window, checked against
 /// the centralized windowed oracle.
 ///
@@ -340,7 +224,7 @@ fn four_way_distinct_sliding_window_matches_windowed_oracle() {
     let schema = WorkloadSchema::new(4, 3, 64);
     let catalog = schema.build_catalog();
     let config = EngineConfig::default().with_value_level_only(true);
-    let mut engine = RJoinEngine::new(config, catalog.clone(), 24);
+    let mut engine = RJoinEngine::simulated(config, catalog.clone(), 24);
     let origin = engine.node_ids()[0];
 
     // Chain: R0.A0 = R1.A0 (constant 1), R1.A1 = R2.A1 (burst marker),
@@ -399,7 +283,7 @@ fn four_way_distinct_sliding_window_matches_windowed_oracle() {
 
     // The windowed bag oracle must see duplicates (the scenario exercises
     // DISTINCT), and its deduplicated form is the expected answer set.
-    let bag = windowed_oracle_answers(&catalog, &query, 0, &published);
+    let bag = oracle_answers(&catalog, &query, 0, &published);
     let mut expected = sorted(bag.clone());
     expected.dedup();
     assert!(bag.len() > expected.len(), "the scenario must produce bag-duplicates");
@@ -427,7 +311,7 @@ fn three_way_tumbling_window_matches_windowed_oracle() {
     let schema = WorkloadSchema::new(3, 3, 64);
     let catalog = schema.build_catalog();
     let config = EngineConfig::default().with_value_level_only(true);
-    let mut engine = RJoinEngine::new(config, catalog.clone(), 24);
+    let mut engine = RJoinEngine::simulated(config, catalog.clone(), 24);
     let origin = engine.node_ids()[0];
 
     let parts = |window| {
@@ -482,11 +366,10 @@ fn three_way_tumbling_window_matches_windowed_oracle() {
     }
     engine.run_until_quiescent().unwrap();
 
-    let expected = sorted(windowed_oracle_answers(&catalog, &query, 0, &published));
+    let expected = sorted(oracle_answers(&catalog, &query, 0, &published));
     // Sanity: without the window the constant join values join across
     // bursts, so the tumbling buckets must have excluded combinations.
-    let unwindowed =
-        windowed_oracle_answers(&catalog, &parts(rjoin_query::WindowSpec::None), 0, &published);
+    let unwindowed = oracle_answers(&catalog, &parts(rjoin_query::WindowSpec::None), 0, &published);
     assert!(
         unwindowed.len() > expected.len(),
         "the scenario must contain cross-bucket combinations for the window to exclude"
@@ -519,7 +402,7 @@ fn altt_under_churn_matches_windowed_oracle() {
     // rests on the ALTT (retention far beyond the run length) — exactly the
     // Section 4 configuration the churn must not break.
     let config = EngineConfig::default().with_altt(100_000).with_delay(2);
-    let mut engine = RJoinEngine::new(config, catalog.clone(), 20);
+    let mut engine = RJoinEngine::simulated(config, catalog.clone(), 20);
     let origin = engine.node_ids()[0];
 
     let mut qgen = rjoin_workload::QueryGenerator::new(schema.clone(), 2, 11)
@@ -557,7 +440,7 @@ fn altt_under_churn_matches_windowed_oracle() {
 
     let mut total = 0usize;
     for (qid, query) in qids.iter().zip(&queries) {
-        let expected = sorted(windowed_oracle_answers(&catalog, query, 0, &published));
+        let expected = sorted(oracle_answers(&catalog, query, 0, &published));
         let actual = sorted(engine.answers().rows_for(*qid));
         assert_eq!(
             actual, expected,
@@ -576,7 +459,7 @@ fn shared_subjoins_survive_churn() {
     let schema = WorkloadSchema::new(4, 3, 6);
     let catalog = schema.build_catalog();
     let config = EngineConfig::default().with_value_level_only(true).with_subjoin_sharing(true);
-    let mut engine = RJoinEngine::new(config, catalog.clone(), 20);
+    let mut engine = RJoinEngine::simulated(config, catalog.clone(), 20);
     let origin = engine.node_ids()[0];
 
     // 12 queries over 3 shared sub-join patterns.
@@ -629,7 +512,7 @@ fn altt_recovers_from_message_delays() {
     let run = |altt: Option<u64>| -> usize {
         let mut config = EngineConfig::default().with_value_level_only(true).with_delay(5);
         config.altt_delta = altt;
-        let mut engine = RJoinEngine::new(config, catalog.clone(), 12);
+        let mut engine = RJoinEngine::simulated(config, catalog.clone(), 12);
         let origin = engine.node_ids()[0];
         // Publish the tuple and submit the query in the same tick: both are
         // in flight together and the tuple is processed first (it was sent

@@ -4,98 +4,15 @@
 //! shard-aware accounting.
 //!
 //! The shard counts exercised honor the `RJOIN_SHARDS` environment
-//! variable (comma-separated, e.g. `RJOIN_SHARDS=1,4`), which is what the
-//! CI shard-count matrix sets; the default covers `1,4`.
+//! variable (see `common::shard_counts`).
 
+mod common;
+
+use common::{assert_sub_bag, drain, oracle_answers, shard_counts};
 use rjoin_core::{EngineConfig, PlacementStrategy, QueryId, RJoinEngine};
-use rjoin_query::{Conjunct, JoinQuery, SelectItem};
-use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
+use rjoin_query::{JoinQuery, WindowSpec};
+use rjoin_relation::{Catalog, Timestamp, Tuple};
 use rjoin_workload::Scenario;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`). A count
-/// of 1 runs the single-queue driver, larger counts the sharded runtime.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
-
-fn attr_value<'a>(
-    catalog: &Catalog,
-    relations: &[rjoin_relation::Name],
-    combo: &[&'a Tuple],
-    relation: &str,
-    attribute: &str,
-) -> Option<&'a Value> {
-    let idx = relations.iter().position(|r| r == relation)?;
-    let schema = catalog.schema(relation)?;
-    combo[idx].value(schema.index_of(attribute)?)
-}
-
-/// Brute-force evaluation of one query over the published tuples
-/// (Definition 1: one answer per combination of tuples published at or
-/// after the query's submission that satisfies every conjunct).
-fn oracle_answers(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    insert_time: Timestamp,
-    tuples: &[Tuple],
-) -> Vec<Vec<Value>> {
-    let relations = query.relations().to_vec();
-    let pools: Vec<Vec<&Tuple>> = relations
-        .iter()
-        .map(|rel| {
-            tuples.iter().filter(|t| t.relation() == rel && t.pub_time() >= insert_time).collect()
-        })
-        .collect();
-    let mut combos: Vec<Vec<&Tuple>> = vec![Vec::new()];
-    for pool in &pools {
-        let mut next = Vec::new();
-        for combo in &combos {
-            for tuple in pool {
-                let mut extended = combo.clone();
-                extended.push(*tuple);
-                next.push(extended);
-            }
-        }
-        combos = next;
-    }
-    combos
-        .into_iter()
-        .filter(|combo| {
-            query.conjuncts().iter().all(|conjunct| match conjunct {
-                Conjunct::JoinEq(a, b) => {
-                    attr_value(catalog, &relations, combo, &a.relation, &a.attribute)
-                        == attr_value(catalog, &relations, combo, &b.relation, &b.attribute)
-                }
-                Conjunct::ConstEq(a, v) => {
-                    attr_value(catalog, &relations, combo, &a.relation, &a.attribute) == Some(v)
-                }
-            })
-        })
-        .map(|combo| {
-            query
-                .select()
-                .iter()
-                .map(|item| match item {
-                    SelectItem::Const(v) => v.clone(),
-                    SelectItem::Attr(a) => {
-                        attr_value(catalog, &relations, &combo, &a.relation, &a.attribute)
-                            .cloned()
-                            .expect("valid queries only reference existing attributes")
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
 
 fn churn_scenario() -> Scenario {
     Scenario {
@@ -124,7 +41,7 @@ fn run_churn(shards: usize) -> ChurnRun {
     let config = EngineConfig::with_placement(PlacementStrategy::FirstInClause)
         .with_altt(200)
         .with_shards(shards);
-    let mut engine = RJoinEngine::new(config, catalog.clone(), scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
 
     let mut submitted = Vec::new();
@@ -154,11 +71,7 @@ fn run_churn(shards: usize) -> ChurnRun {
     engine.leave_node(leaver).unwrap();
     assert!(engine.in_flight() > 0, "messages must still be in flight after churn");
 
-    if shards > 1 {
-        engine.run_until_quiescent_parallel().unwrap();
-    } else {
-        engine.run_until_quiescent().unwrap();
-    }
+    drain(&mut engine);
     (engine, submitted, tuples, catalog)
 }
 
@@ -179,21 +92,9 @@ fn mid_flight_churn_answers_stay_sound_under_all_drivers() {
             // Bag inclusion: every delivered row must appear in the oracle's
             // bag at most as often as the oracle derives it (bag semantics —
             // distinct tuple combinations may project to equal rows).
-            let mut allowed = oracle_answers(&catalog, query, *insert_time, &tuples);
-            allowed.sort();
-            let mut delivered = engine.answers().rows_for(*qid);
-            delivered.sort();
-            let mut cursor = 0usize;
-            for row in &delivered {
-                while cursor < allowed.len() && allowed[cursor] < *row {
-                    cursor += 1;
-                }
-                assert!(
-                    cursor < allowed.len() && allowed[cursor] == *row,
-                    "unsound or over-delivered answer {row:?} for {qid} under shards={shards}"
-                );
-                cursor += 1;
-            }
+            let allowed = oracle_answers(&catalog, query, *insert_time, &tuples);
+            let what = format!("{qid} under shards={shards}");
+            assert_sub_bag(allowed, engine.answers().rows_for(*qid), &what);
         }
     }
 }
@@ -217,8 +118,8 @@ fn mid_flight_churn_is_deterministic() {
 }
 
 /// A zero-delay configuration (legal for the single queue) cannot run the
-/// watermark protocol (lookahead = δ): the parallel driver must fall back
-/// to the tick-batched path and stay byte-identical to sequential.
+/// watermark protocol (lookahead = δ): the parallel driver must run the
+/// sequential drain instead and stay byte-identical to it.
 #[test]
 fn zero_delay_falls_back_to_the_single_queue_driver() {
     let scenario = churn_scenario();
@@ -226,7 +127,7 @@ fn zero_delay_falls_back_to_the_single_queue_driver() {
         let catalog = scenario.workload_schema().build_catalog();
         let mut config = EngineConfig::default().with_shards(4);
         config.network_delay = 0;
-        let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
         let origins: Vec<_> = engine.node_ids().to_vec();
         for (i, q) in scenario.generate_queries().into_iter().enumerate() {
             engine.submit_query(origins[i % origins.len()], q).unwrap();
@@ -263,7 +164,7 @@ fn sharded_runtime_counters_are_observable() {
     let scenario = churn_scenario();
     let catalog = scenario.workload_schema().build_catalog();
     let mut engine =
-        RJoinEngine::new(EngineConfig::default().with_shards(4), catalog, scenario.nodes);
+        RJoinEngine::simulated(EngineConfig::default().with_shards(4), catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         engine.submit_query(origins[i % origins.len()], q).unwrap();
@@ -294,7 +195,7 @@ fn sharded_runtime_counters_are_observable() {
 
     // The sequential driver leaves all sharded counters untouched.
     let catalog = scenario.workload_schema().build_catalog();
-    let mut sequential = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut sequential = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let origins: Vec<_> = sequential.node_ids().to_vec();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         sequential.submit_query(origins[i % origins.len()], q).unwrap();
@@ -303,4 +204,47 @@ fn sharded_runtime_counters_are_observable() {
     let stats = sequential.stats();
     assert_eq!(stats.shard_runtime.drains, 0);
     assert_eq!(stats.intra_shard_messages + stats.cross_shard_messages, 0);
+}
+
+/// An idle drain flushes expiry under every driver: after `advance_time`
+/// moves the clock past every window, a drain with nothing in flight must
+/// leave only the input queries stored — sequentially and sharded alike.
+#[test]
+fn an_idle_drain_flushes_expired_state_under_every_driver() {
+    let scenario = Scenario {
+        nodes: 24,
+        queries: 30,
+        tuples: 60,
+        joins: 2,
+        relations: 6,
+        attributes: 4,
+        domain: 6,
+        window: WindowSpec::sliding_tuples(16),
+        ..Scenario::small_test()
+    };
+    let stored_after_idle_drain = |shards: usize| {
+        let catalog = scenario.workload_schema().build_catalog();
+        let config = EngineConfig::default().with_altt(32).with_shards(shards);
+        let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
+        let origins: Vec<_> = engine.node_ids().to_vec();
+        for (i, q) in scenario.generate_overlapping_queries(5).into_iter().enumerate() {
+            engine.submit_query(origins[i % origins.len()], q).unwrap();
+        }
+        drain(&mut engine);
+        for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
+            engine.publish_tuple(origins[i % origins.len()], t).unwrap();
+        }
+        drain(&mut engine);
+        let live = engine.stored_queries_current();
+        engine.advance_time(1_000);
+        assert_eq!(drain(&mut engine), 0, "nothing is in flight (shards={shards})");
+        (live, engine.stored_queries_current())
+    };
+    let (live, sequential) = stored_after_idle_drain(1);
+    assert!(live > sequential, "the run must leave windowed rewritten queries ({live})");
+    assert_eq!(sequential, scenario.queries as u64, "only the input queries never expire");
+    for shards in [2, 4] {
+        let (_, sharded) = stored_after_idle_drain(shards);
+        assert_eq!(sharded, sequential, "an idle drain at {shards} shards must flush expiry");
+    }
 }

@@ -13,6 +13,9 @@
 //! merge of children from different tuples, churn, and two cost guards (no
 //! growth of a stored query, no per-subscriber allocation on a trigger).
 
+mod common;
+
+use common::{assert_sub_bag, oracle_answers, shard_counts, sorted};
 use proptest::prelude::*;
 use rjoin_core::pipeline::{handle_node_msg, standalone_node_state, Action, TickEffect};
 use rjoin_core::{
@@ -27,86 +30,6 @@ use rjoin_workload::Scenario;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
-
-/// Brute-force centralized evaluation (Definition 1, window-aware): every
-/// combination of one tuple per `FROM` relation satisfying all conjuncts —
-/// with all publication times inside one window — contributes one row.
-fn oracle_answers(catalog: &Catalog, query: &JoinQuery, tuples: &[Tuple]) -> Vec<Vec<Value>> {
-    oracle_answers_since(catalog, query, 0, tuples)
-}
-
-/// [`oracle_answers`] for a query submitted at `insert_time`: only tuples
-/// published at or after it count.
-fn oracle_answers_since(
-    catalog: &Catalog,
-    query: &JoinQuery,
-    insert_time: Timestamp,
-    tuples: &[Tuple],
-) -> Vec<Vec<Value>> {
-    let window = *query.window();
-    let relations = query.relations();
-    let per_relation: Vec<Vec<&Tuple>> = relations
-        .iter()
-        .map(|r| {
-            tuples.iter().filter(|t| t.relation() == r && t.pub_time() >= insert_time).collect()
-        })
-        .collect();
-    if per_relation.iter().any(|v| v.is_empty()) {
-        return Vec::new();
-    }
-    let attr_value = |combo: &[&Tuple], relation: &str, attribute: &str| -> Option<Value> {
-        let idx = relations.iter().position(|r| r == relation)?;
-        let schema = catalog.schema(relation)?;
-        combo[idx].value(schema.index_of(attribute)?).cloned()
-    };
-    let mut results = Vec::new();
-    let mut indices = vec![0usize; relations.len()];
-    loop {
-        let combo: Vec<&Tuple> = indices.iter().zip(&per_relation).map(|(&i, v)| v[i]).collect();
-        let earliest = combo.iter().map(|t| t.pub_time()).min().expect("non-empty combo");
-        let latest = combo.iter().map(|t| t.pub_time()).max().expect("non-empty combo");
-        let ok = window.within(earliest, latest)
-            && query.conjuncts().iter().all(|c| match c {
-                Conjunct::JoinEq(a, b) => {
-                    attr_value(&combo, &a.relation, &a.attribute)
-                        == attr_value(&combo, &b.relation, &b.attribute)
-                }
-                Conjunct::ConstEq(a, v) => {
-                    attr_value(&combo, &a.relation, &a.attribute).as_ref() == Some(v)
-                }
-            });
-        if ok {
-            results.push(
-                query
-                    .select()
-                    .iter()
-                    .map(|item| match item {
-                        SelectItem::Const(v) => v.clone(),
-                        SelectItem::Attr(a) => attr_value(&combo, &a.relation, &a.attribute)
-                            .expect("valid queries reference existing attributes"),
-                    })
-                    .collect(),
-            );
-        }
-        let mut pos = 0;
-        loop {
-            indices[pos] += 1;
-            if indices[pos] < per_relation[pos].len() {
-                break;
-            }
-            indices[pos] = 0;
-            pos += 1;
-            if pos == relations.len() {
-                return results;
-            }
-        }
-    }
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
 
 /// 40 input queries sharing 5 sub-join patterns (8 queries per pattern) over
 /// a small, dense domain so joins actually complete.
@@ -138,7 +61,7 @@ fn run(share: bool) -> (RJoinEngine, Vec<QueryId>, Vec<JoinQuery>, Vec<Tuple>) {
         config = config.with_subjoin_sharing(true);
     }
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     let mut qids = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
@@ -165,7 +88,7 @@ fn shared_registry_reduces_load_with_identical_answers() {
     let catalog = overlap_workload().0.workload_schema().build_catalog();
     let mut total_answers = 0usize;
     for (qid, query) in qids_a.iter().zip(&queries) {
-        let expected = sorted(oracle_answers(&catalog, query, &tuples));
+        let expected = sorted(oracle_answers(&catalog, query, 0, &tuples));
         let base = sorted(unshared.answers().rows_for(*qid));
         let opt = sorted(shared.answers().rows_for(*qid));
         assert_eq!(base, expected, "unshared engine diverges from the oracle for {qid}");
@@ -229,7 +152,7 @@ fn shared_registry_matches_windowed_oracle() {
         if share {
             config = config.with_subjoin_sharing(true);
         }
-        let mut engine = RJoinEngine::new(config, catalog.clone(), scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
         let origins: Vec<_> = engine.node_ids().to_vec();
         let mut qids = Vec::new();
         for (i, q) in queries.iter().enumerate() {
@@ -248,7 +171,7 @@ fn shared_registry_matches_windowed_oracle() {
 
     let mut total = 0usize;
     for (qid, query) in qids.iter().zip(&queries) {
-        let expected = sorted(oracle_answers(&catalog, query, &tuples));
+        let expected = sorted(oracle_answers(&catalog, query, 0, &tuples));
         assert_eq!(
             sorted(unshared.answers().rows_for(*qid)),
             expected,
@@ -277,7 +200,7 @@ fn shared_registry_is_sound_under_default_placement() {
             config = config.with_subjoin_sharing(true);
         }
         let catalog = scenario.workload_schema().build_catalog();
-        let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+        let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
         let origins: Vec<_> = engine.node_ids().to_vec();
         let mut qids = Vec::new();
         for (i, q) in queries.iter().enumerate() {
@@ -296,14 +219,8 @@ fn shared_registry_is_sound_under_default_placement() {
     // Soundness versus the oracle: every delivered row consumes one oracle
     // row (no unsound answers, no duplicates).
     for (qid, query) in qids.iter().zip(&queries) {
-        let mut expected = sorted(oracle_answers(&catalog, query, &tuples));
-        for row in sorted(shared.answers().rows_for(*qid)) {
-            let pos = expected
-                .iter()
-                .position(|e| e == &row)
-                .unwrap_or_else(|| panic!("unsound or duplicate shared answer {row:?}"));
-            expected.remove(pos);
-        }
+        let expected = oracle_answers(&catalog, query, 0, &tuples);
+        assert_sub_bag(expected, shared.answers().rows_for(*qid), &format!("shared {qid}"));
     }
     assert!(shared.sharing_counters().any_sharing());
     // Sharing must not eat into recall: the shared run delivers at least as
@@ -320,21 +237,6 @@ fn shared_registry_is_sound_under_default_placement() {
 }
 
 // ------------------------------------------------------ the subscriber table
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`), exactly
-/// like the sharding suite.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
 
 const RELATIONS: [&str; 4] = ["R0", "R1", "R2", "R3"];
 const ATTRIBUTES: [&str; 3] = ["A0", "A1", "A2"];
@@ -444,7 +346,7 @@ fn run_table_case(case: &TableCase, share: bool, shards: usize, churn: usize) ->
         .with_value_level_only(case.value_level_only)
         .with_subjoin_sharing(share)
         .with_shards(shards);
-    let mut engine = RJoinEngine::new(config, table_catalog(), 48);
+    let mut engine = RJoinEngine::simulated(config, table_catalog(), 48);
     // Everything enters at sixteen nodes that never leave.
     let origins = engine.node_ids()[..16].to_vec();
     let mut submitted = Vec::with_capacity(case.queries.len());
@@ -507,7 +409,7 @@ fn assert_same_bags(case: &TableCase, base: &TableRun, run: &TableRun, what: &st
         let got = sorted(run.engine.answers().rows_for(qid));
         let want = sorted(base.engine.answers().rows_for(qid));
         assert_eq!(got, want, "{what}: query {i} ({query}) diverges from the unshared engine");
-        let expected = sorted(oracle_answers_since(&catalog, query, insert_time, &run.published));
+        let expected = sorted(oracle_answers(&catalog, query, insert_time, &run.published));
         assert_eq!(got, expected, "{what}: query {i} ({query}) diverges from the oracle");
     }
 }
@@ -550,7 +452,7 @@ fn merged_children_of_different_tuples_project_their_own_values() {
             .with_subjoin_sharing(share)
             .with_shards(shards);
         config.seed = seed;
-        let mut engine = RJoinEngine::new(config, catalog.clone(), 12);
+        let mut engine = RJoinEngine::simulated(config, catalog.clone(), 12);
         let origin = engine.node_ids()[0];
         let p = "SELECT R.B, T.B FROM R, S, T WHERE R.A = S.A AND S.B = T.A";
         let q = "SELECT T.B, S.B, R.B FROM R, S, T WHERE R.A = S.A AND S.B = T.A";

@@ -9,25 +9,13 @@
 //! rates and therefore placement choices; without the ALTT the answer set
 //! of deep joins is placement-dependent, see ROADMAP).
 
+mod common;
+
+use common::{drain, shard_counts};
 use rjoin_core::{EngineConfig, QueryId, RJoinEngine};
 use rjoin_relation::Value;
 use rjoin_workload::Scenario;
 use std::collections::BTreeMap;
-
-/// Shard counts to exercise, from `RJOIN_SHARDS` (default `1,4`), exactly
-/// like the sharding suite.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
-}
 
 /// Heavy-hitter threshold used throughout the suite: low enough that the
 /// skew scenarios' hot keys cross it midway through the run, so the suite
@@ -53,17 +41,9 @@ fn run(
     config: EngineConfig,
     churn: bool,
 ) -> (RJoinEngine, BTreeMap<QueryId, Vec<Vec<Value>>>) {
-    let shards = config.shards;
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
-    let drain = |engine: &mut RJoinEngine| {
-        if shards > 1 {
-            engine.run_until_quiescent_parallel().unwrap()
-        } else {
-            engine.run_until_quiescent().unwrap()
-        }
-    };
 
     let mut qids = Vec::new();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
@@ -258,7 +238,7 @@ fn forced_split_key_is_answer_neutral() {
 
     let catalog = scenario.workload_schema().build_catalog();
     let mut engine =
-        RJoinEngine::new(EngineConfig::default().with_altt(2_000), catalog, scenario.nodes);
+        RJoinEngine::simulated(EngineConfig::default().with_altt(2_000), catalog, scenario.nodes);
     let origins: Vec<_> = engine.node_ids().to_vec();
     let mut qids = Vec::new();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {

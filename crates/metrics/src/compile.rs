@@ -14,11 +14,9 @@ use serde::{Deserialize, Serialize};
 ///   shape-keyed cache instead of compiling their own,
 /// * `compiled_rewrites` — per-tuple rewrites executed by a compiled
 ///   program,
-/// * `interpreted_rewrites` — per-tuple rewrites that ran the AST
-///   interpreter (compiled predicates disabled),
 /// * `eval_nanos` — wall-clock nanoseconds spent walking stored-query
-///   buckets per delivery (rewrites plus trigger bookkeeping), whichever
-///   evaluation path ran.
+///   buckets per delivery (rewrites plus trigger bookkeeping) and joining
+///   inside hypercube cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompileCounters {
     /// Predicate programs compiled from scratch.
@@ -27,8 +25,6 @@ pub struct CompileCounters {
     pub cache_hits: u64,
     /// Per-tuple rewrites executed by compiled programs.
     pub compiled_rewrites: u64,
-    /// Per-tuple rewrites executed by the AST interpreter.
-    pub interpreted_rewrites: u64,
     /// Nanoseconds spent in per-delivery evaluation walks.
     pub eval_nanos: u64,
 }
@@ -39,17 +35,11 @@ impl CompileCounters {
         Self::default()
     }
 
-    /// Whether any compiled program ever ran.
-    pub fn any_compiled(&self) -> bool {
-        self.programs_compiled > 0 || self.cache_hits > 0 || self.compiled_rewrites > 0
-    }
-
     /// Adds another instance's counts into this one (per-node → run totals).
     pub fn merge(&mut self, other: &CompileCounters) {
         self.programs_compiled += other.programs_compiled;
         self.cache_hits += other.cache_hits;
         self.compiled_rewrites += other.compiled_rewrites;
-        self.interpreted_rewrites += other.interpreted_rewrites;
         self.eval_nanos += other.eval_nanos;
     }
 }
@@ -64,14 +54,12 @@ mod tests {
             programs_compiled: 1,
             cache_hits: 2,
             compiled_rewrites: 3,
-            interpreted_rewrites: 4,
             eval_nanos: 5,
         };
         let b = CompileCounters {
             programs_compiled: 10,
             cache_hits: 20,
             compiled_rewrites: 30,
-            interpreted_rewrites: 40,
             eval_nanos: 50,
         };
         a.merge(&b);
@@ -81,12 +69,9 @@ mod tests {
                 programs_compiled: 11,
                 cache_hits: 22,
                 compiled_rewrites: 33,
-                interpreted_rewrites: 44,
                 eval_nanos: 55,
             }
         );
-        assert!(a.any_compiled());
-        assert!(!CompileCounters::new().any_compiled());
     }
 
     #[test]
@@ -95,7 +80,6 @@ mod tests {
             programs_compiled: 4,
             cache_hits: 5,
             compiled_rewrites: 6,
-            interpreted_rewrites: 7,
             eval_nanos: 8,
         };
         let v = c.serialize_json();

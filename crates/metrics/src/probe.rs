@@ -9,10 +9,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The ratio to watch is `candidates_probed` vs `bucket_len_total`: the
 /// index pays off exactly when the candidates it hands back are a small
-/// slice of the bucket the linear walk would have scanned. A high
-/// `residual_probed` share means most stored queries carry no
-/// tuple-resolvable equality pin (or are forced residual by DISTINCT) and
-/// the index degenerates towards the linear walk it replaces. Hypercube
+/// slice of the bucket. A high `residual_probed` share means most stored
+/// queries carry no tuple-resolvable equality pin (or are forced residual
+/// by DISTINCT) and every probe contacts most of its bucket. Hypercube
 /// cells book their join-index probes here too: the stored *tuples* a
 /// probe contacted against the cell's size, which a scan would have
 /// visited.
@@ -20,13 +19,11 @@ use serde::{Deserialize, Serialize};
 pub struct ProbeCounters {
     /// Tuple arrivals answered through the trigger index.
     pub indexed_probes: u64,
-    /// Tuple arrivals answered by the linear bucket walk (index disabled).
-    pub linear_walks: u64,
     /// Stored-query candidates handed to the trigger loop by the index.
     pub candidates_probed: u64,
     /// Candidates that came from the residual (unpinned) list.
     pub residual_probed: u64,
-    /// Total bucket length the linear walk would have scanned instead.
+    /// Total length of the buckets the probes covered.
     pub bucket_len_total: u64,
     /// Peak number of handles held by the index at once.
     pub index_entries_high_water: u64,
@@ -43,7 +40,6 @@ impl ProbeCounters {
     /// across nodes).
     pub fn merge(&mut self, other: &ProbeCounters) {
         self.indexed_probes += other.indexed_probes;
-        self.linear_walks += other.linear_walks;
         self.candidates_probed += other.candidates_probed;
         self.residual_probed += other.residual_probed;
         self.bucket_len_total += other.bucket_len_total;
@@ -74,7 +70,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let c = ProbeCounters { residual_probed: 9, linear_walks: 3, ..Default::default() };
+        let c = ProbeCounters { residual_probed: 9, indexed_probes: 3, ..Default::default() };
         let json = serde_json::to_string(&c).unwrap();
         let back: ProbeCounters = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);

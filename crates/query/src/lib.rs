@@ -52,10 +52,10 @@
 //!    no string comparison, no schema lookup. The program also carries the
 //!    candidate index keys of the children it emits as [`KeyTemplate`]s.
 //!
-//! The AST interpreter ([`rewrite`]) remains the semantics oracle: engines
-//! run it when compiled predicates are disabled (`rjoin_core`'s
-//! `with_compiled_predicates(false)`), differential tests assert program
-//! results are byte-identical to it, and shared sub-join evaluation
+//! The AST interpreter ([`rewrite`]) remains the semantics oracle: the
+//! engine never runs it, property tests assert program results (and the
+//! hypercube cells' [`JoinPlan`] bindings) are byte-identical to it, and
+//! shared sub-join evaluation
 //! projects each subscriber's `SELECT` list with the name-based
 //! [`project_select`] once, when the shared `WHERE` clause completes.
 //!

@@ -57,7 +57,9 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 ///   immutable subscriber set plus the tuples bound since the merge)
 ///   instead of a list of per-subscriber `SELECT` continuations, so a shared
 ///   `Eval` or a re-homed shared entry renders differently.
-pub const FORMAT_VERSION: u8 = 2;
+/// * 3 — `EngineConfig`, carried by the `Configure` frame, lost its
+///   `compiled_predicates`, `hypercube_planner` and `trigger_index` fields.
+pub const FORMAT_VERSION: u8 = 3;
 
 /// Bytes of the length prefix.
 const PREFIX_LEN: usize = 4;

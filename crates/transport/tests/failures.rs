@@ -2,10 +2,10 @@
 //! hang up mid-frame, or send garbage — and the one failure that must
 //! *not* happen: losing answers across a graceful leave.
 
-use rjoin_core::{traffic_class, EngineConfig, RJoinMessage};
+use rjoin_core::{traffic_class, EngineConfig, EngineError, RJoinMessage};
 use rjoin_dht::{DhtError, Id};
 use rjoin_net::Transport;
-use rjoin_query::parse_query;
+use rjoin_query::{parse_query, QueryError};
 use rjoin_relation::{Catalog, Schema, Tuple, Value};
 use rjoin_transport::{
     Cluster, ClusterConfig, ClusterView, Member, NodeProcess, ServiceClock, ServiceNet,
@@ -158,6 +158,35 @@ fn graceful_leave_drains_state_without_losing_answers() {
         .map(|i| vec![Value::from(format!("row{i}")), Value::from(format!("c{i}"))])
         .collect();
     assert_eq!(rows, expected, "answers lost or duplicated across graceful leaves");
+    cluster.shutdown();
+}
+
+/// The cluster client plans on the rewrite pipeline only, so a cyclic query
+/// is refused with `CyclicShape` before anything is sent — and the refusal
+/// leaves the cluster serving the acyclic query submitted after it.
+#[test]
+fn cyclic_query_is_rejected_and_the_cluster_keeps_answering() {
+    let mut catalog = test_catalog();
+    catalog.register(Schema::new("t", ["c", "a"]).expect("schema")).expect("register");
+    let mut cluster =
+        Cluster::launch(EngineConfig::default(), catalog, 2, ClusterConfig::default())
+            .expect("launch");
+    let triangle =
+        parse_query("SELECT r.a FROM r, s, t WHERE r.b = s.b AND s.c = t.c AND t.a = r.a")
+            .expect("parse");
+    match cluster.submit_query(triangle) {
+        Err(TransportError::Engine(EngineError::Query(QueryError::CyclicShape))) => {}
+        other => panic!("expected CyclicShape, got {other:?}"),
+    }
+    assert!(cluster.query_ids().is_empty(), "a refused query gets no id");
+
+    let chain = parse_query("SELECT r.a, s.c FROM r, s WHERE r.b = s.b").expect("parse");
+    let qid = cluster.submit_query(chain).expect("submit");
+    cluster.settle().expect("settle after submit");
+    cluster.publish_tuple(Tuple::new("r", vec![Value::from("x"), Value::from("k")], 1)).expect("r");
+    cluster.publish_tuple(Tuple::new("s", vec![Value::from("k"), Value::from("y")], 2)).expect("s");
+    cluster.settle().expect("settle after tuples");
+    assert_eq!(cluster.rows_for(qid), vec![vec![Value::from("x"), Value::from("y")]]);
     cluster.shutdown();
 }
 

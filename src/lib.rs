@@ -27,7 +27,7 @@
 //!
 //! // Build the paper's default 10x10x100 schema and a small network.
 //! let schema = WorkloadSchema::paper_default();
-//! let mut engine = RJoinEngine::new(EngineConfig::default(), schema.build_catalog(), 32);
+//! let mut engine = RJoinEngine::simulated(EngineConfig::default(), schema.build_catalog(), 32);
 //! let node = engine.node_ids()[0];
 //!
 //! // Register a continuous 3-way join and stream a few tuples through it.

@@ -51,36 +51,25 @@ fn tuple_generator_is_byte_identical_across_runs() {
     assert_eq!(serde_json::to_string(&batch_a).unwrap(), serde_json::to_string(&batch_b).unwrap());
 }
 
-fn run_engine_with(scenario: &Scenario, parallel: bool) -> (u64, u64, u64, Vec<Vec<Value>>) {
+fn run_engine(scenario: &Scenario) -> (u64, u64, u64, Vec<Vec<Value>>) {
     let catalog = scenario.workload_schema().build_catalog();
-    let mut engine = RJoinEngine::new(EngineConfig::default(), catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
     let nodes = engine.node_ids().to_vec();
-    let drain = |engine: &mut RJoinEngine| {
-        if parallel {
-            engine.run_until_quiescent_parallel().unwrap();
-        } else {
-            engine.run_until_quiescent().unwrap();
-        }
-    };
     let mut qids = Vec::new();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         qids.push(engine.submit_query(nodes[i % nodes.len()], q).unwrap());
     }
-    drain(&mut engine);
+    engine.run_until_quiescent().unwrap();
     for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
         engine.publish_tuple(nodes[i % nodes.len()], t).unwrap();
     }
-    drain(&mut engine);
+    engine.run_until_quiescent().unwrap();
 
     let stats = engine.stats();
     let mut all_rows: Vec<Vec<Value>> =
         qids.iter().flat_map(|qid| engine.answers().rows_for(*qid)).collect();
     all_rows.sort();
     (stats.answers, stats.qpl_total, stats.traffic_total, all_rows)
-}
-
-fn run_engine(scenario: &Scenario) -> (u64, u64, u64, Vec<Vec<Value>>) {
-    run_engine_with(scenario, false)
 }
 
 /// Two engine runs over the same scenario agree on answer counts, load and
@@ -98,28 +87,6 @@ fn same_seed_produces_identical_engine_results() {
     assert_eq!(rows_a, rows_b, "delivered rows must match across runs");
 }
 
-/// The tick-parallel engine driver is byte-identical to the sequential one:
-/// every observable — answer count, loads, traffic, and the serialized JSON
-/// of the full delivered-row multiset — matches exactly. Node-local handler
-/// work is fanned out across threads, but all global effects are applied in
-/// deterministic `(at, seq)` order, so parallelism must be invisible.
-#[test]
-fn parallel_mode_is_byte_identical_to_sequential_mode() {
-    let scenario = test_scenario();
-    let sequential = run_engine_with(&scenario, false);
-    let parallel = run_engine_with(&scenario, true);
-
-    assert!(sequential.0 > 0, "the determinism scenario should produce answers");
-    assert_eq!(sequential.0, parallel.0, "answer counts must match across modes");
-    assert_eq!(sequential.1, parallel.1, "query processing load must match across modes");
-    assert_eq!(sequential.2, parallel.2, "traffic totals must match across modes");
-    assert_eq!(
-        serde_json::to_string(&sequential.3).unwrap(),
-        serde_json::to_string(&parallel.3).unwrap(),
-        "delivered rows must be byte-identical across modes"
-    );
-}
-
 /// One engine run with a caller-chosen driver: `shards == 0` uses the
 /// sequential driver, any other count drains through
 /// `run_until_quiescent_parallel` with that shard count. Returns every
@@ -132,7 +99,7 @@ fn run_observables(
 ) -> (u64, u64, u64, Vec<u64>, Vec<u64>, String) {
     let catalog = scenario.workload_schema().build_catalog();
     let config = if shards == 0 { config } else { config.with_shards(shards) };
-    let mut engine = RJoinEngine::new(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
     let nodes = engine.node_ids().to_vec();
     let drain = |engine: &mut RJoinEngine| {
         if shards == 0 {
