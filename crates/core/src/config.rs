@@ -84,22 +84,20 @@ pub struct EngineConfig {
     /// With `1` (the default) that call is the sequential drain,
     /// [`run_until_quiescent`](crate::RJoinEngine::run_until_quiescent). With `n > 1` the
     /// ring's nodes are split into `n` contiguous identifier ranges, each
-    /// owning its own bucket queue, local virtual clock and worker thread,
-    /// synchronized only through the conservative watermark protocol of
+    /// owning its own bucket queue and local virtual clock, and all ranges
+    /// advance together in the global tick rounds of
     /// [`rjoin_net::ShardedNetwork`]. Sharded runs are deterministic and
     /// produce identical answers/loads/traffic for every `n > 1`; they can
     /// differ from the `n = 1` trace only through placement-RNG draws
     /// (derived per decision instead of from one global stream) and the
     /// pruning-free RIC reads.
     pub shards: usize,
-    /// Number of worker threads the sharded drain may use, decoupled from
-    /// the shard count. `None` (the default) resolves at drain time: the
-    /// `RJOIN_WORKERS` environment variable if set, otherwise the machine's
-    /// available parallelism. `1` forces the cooperative single-threaded
-    /// scheduler; values between `2` and `shards - 1` drive the shards with
-    /// a phase-parallel worker pool; values `>= shards` give every shard
-    /// its own persistent worker. The choice never changes results — only
-    /// how the same deterministic schedule is executed.
+    /// Number of threads that run the sharded drain's rounds, decoupled
+    /// from the shard count. `None` (the default) resolves at drain time to
+    /// the machine's available parallelism. The shards are dealt into that
+    /// many contiguous chunks (never more than one per shard), one per
+    /// thread; `1` runs every round on the calling thread. The choice never
+    /// changes results — only how many threads run the same schedule.
     pub workers: Option<usize>,
     /// Heavy-hitter threshold for hot-key splitting: when a tuple
     /// publication observes that one of its index keys received at least
@@ -189,19 +187,18 @@ impl EngineConfig {
     /// Sets the number of event-queue shards the parallel driver uses
     /// (clamped to at least 1). `with_shards(1)` keeps the sequential drain.
     ///
-    /// The sharded runtime's conservative synchronization uses the delay
-    /// bound δ as its lookahead, so it requires `network_delay >= 1`; with
-    /// a zero-delay configuration the parallel driver runs the sequential
+    /// The sharded runtime's rounds need every send to land after the tick
+    /// that made it, so it requires `network_delay >= 1`; with a
+    /// zero-delay configuration the parallel driver runs the sequential
     /// drain regardless of the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Pins the number of worker threads the sharded drain uses (clamped to
-    /// at least 1), independent of the shard count. Without this the drain
-    /// honours the `RJOIN_WORKERS` environment variable, falling back to
-    /// the machine's available parallelism.
+    /// Pins the number of threads the sharded drain's rounds run on
+    /// (clamped to at least 1), independent of the shard count. Without
+    /// this the drain uses the machine's available parallelism.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self

@@ -11,8 +11,7 @@ use crate::node_state::{NodeState, ProgramCache, RicEntry};
 use crate::placement::choose_candidate;
 use crate::procedures::{self, Action, ProcCtx};
 use crate::split::{
-    choose_grid, partition_for_query, partition_for_tuple, partition_for_value, HypercubeGrid,
-    SplitGrid, SplitMap,
+    choose_grid, partition_for_value, query_route, tuple_route, HypercubeGrid, SplitMap,
 };
 use crate::stats::ExperimentStats;
 use crate::traffic_class;
@@ -576,8 +575,8 @@ impl RJoinEngine {
             let owner = self.network.owner_of(key.id())?;
             let Some((tuple_rate, eval_rate)) = self.nodes.get(&owner).map(|s| {
                 (
-                    s.ric().rate_at(key.ring(), now, window, now),
-                    s.eval_ric().rate_at(key.ring(), now, window, now),
+                    s.ric().rate_at(key.ring(), now, window),
+                    s.eval_ric().rate_at(key.ring(), now, window),
                 )
             }) else {
                 continue;
@@ -601,9 +600,9 @@ impl RJoinEngine {
     ///
     /// Exposed for harnesses via [`RJoinEngine::split_key`]; the engine
     /// itself calls it from the publication-time heat check.
-    fn activate_split(&mut self, key: HashedKey, grid: SplitGrid) -> Result<(), EngineError> {
+    fn activate_split(&mut self, key: HashedKey, grid: HypercubeGrid) -> Result<(), EngineError> {
         let now = self.network.now();
-        if !self.splits.insert(key.clone(), grid, now) {
+        if !self.splits.insert(key.clone(), grid.clone(), now) {
             return Ok(());
         }
         self.split_counters.keys_split += 1;
@@ -624,11 +623,8 @@ impl RJoinEngine {
         };
         let drained = state.drain_misplaced(|ring| ring != base_ring);
         let share = self.config.share_subjoins;
-        let cells = grid.cells();
         for stored in drained.queries {
-            let col = partition_for_query(stored.pending.id, grid.cols);
-            for row in 0..grid.rows {
-                let sub = key.split_part(row * grid.cols + col, cells);
+            for sub in query_route(&key, &grid, stored.pending.id) {
                 let new_owner = self.network.owner_of(sub.id())?;
                 let mut replica = stored.clone();
                 replica.key = sub;
@@ -641,9 +637,7 @@ impl RJoinEngine {
         }
         for (_, bucket) in drained.tuples {
             for tuple in bucket {
-                let row = partition_for_tuple(&tuple, grid.rows);
-                for col in 0..grid.cols {
-                    let sub = key.split_part(row * grid.cols + col, cells);
+                for sub in tuple_route(&key, &grid, &tuple) {
                     let new_owner = self.network.owner_of(sub.id())?;
                     if let Some(target) = self.nodes.get_mut(&new_owner) {
                         target.store_tuple(sub.ring(), Arc::clone(&tuple));
@@ -654,9 +648,7 @@ impl RJoinEngine {
         }
         for (_, bucket) in drained.altt {
             for (tuple, expires_at) in bucket {
-                let row = partition_for_tuple(&tuple, grid.rows);
-                for col in 0..grid.cols {
-                    let sub = key.split_part(row * grid.cols + col, cells);
+                for sub in tuple_route(&key, &grid, &tuple) {
                     let new_owner = self.network.owner_of(sub.id())?;
                     if let Some(target) = self.nodes.get_mut(&new_owner) {
                         target.altt_insert(sub.ring(), Arc::clone(&tuple), expires_at);
@@ -673,13 +665,18 @@ impl RJoinEngine {
     /// threshold-driven activation uses the same machinery). The share grid
     /// is chosen from the key's current telemetry exactly like the
     /// automatic path. Requires a quiescent network — like churn, splitting
-    /// re-homes stored state and must not race in-flight messages.
+    /// re-homes stored state and must not race in-flight messages — and
+    /// otherwise returns [`EngineError::NotQuiescent`] without changing
+    /// anything.
     pub fn split_key(
         &mut self,
         key: &rjoin_query::IndexKey,
         partitions: u32,
     ) -> Result<(), EngineError> {
-        assert_eq!(self.network.in_flight(), 0, "split_key requires a quiescent network");
+        let in_flight = self.network.in_flight();
+        if in_flight > 0 {
+            return Err(EngineError::NotQuiescent { in_flight });
+        }
         let hashed = key.hashed();
         let now = self.network.now();
         let window = self.config.ric_window;
@@ -689,8 +686,8 @@ impl RJoinEngine {
             .get(&owner)
             .map(|s| {
                 (
-                    s.ric().rate_at(hashed.ring(), now, window, now),
-                    s.eval_ric().rate_at(hashed.ring(), now, window, now),
+                    s.ric().rate_at(hashed.ring(), now, window),
+                    s.eval_ric().rate_at(hashed.ring(), now, window),
                 )
             })
             .unwrap_or((0, 0));
@@ -824,11 +821,11 @@ impl RJoinEngine {
     /// * **`shards == 1`** (default): the sequential drain,
     ///   [`run_until_quiescent`](Self::run_until_quiescent).
     /// * **`shards > 1`**: the drain runs on the sharded event-queue
-    ///   runtime — one persistent worker per shard, each owning a contiguous
-    ///   range of ring nodes, its own bucket queue and local virtual clock,
-    ///   synchronized only through [`rjoin_net::ShardedNetwork`]'s
-    ///   conservative watermark protocol. Long cascades that touch few
-    ///   shards no longer serialize through a global tick barrier. Sharded
+    ///   runtime ([`rjoin_net::ShardedNetwork`]) — each shard owns a
+    ///   contiguous range of ring nodes, its own bucket queue and local
+    ///   virtual clock, and all shards advance together in global tick
+    ///   rounds (every shard's handlers for the tick, then every shard's
+    ///   effects) on [`EngineConfig::workers`] threads. Sharded
     ///   runs are deterministic, and their answers/loads/traffic are
     ///   identical for **every** shard count `> 1`; they may differ from
     ///   the single-queue trace only through placement-RNG draws (derived
@@ -837,10 +834,10 @@ impl RJoinEngine {
     ///   workload the sharded trace is byte-identical to the sequential one
     ///   too (see `tests/determinism.rs`).
     pub fn run_until_quiescent_parallel(&mut self) -> Result<u64, EngineError> {
-        // The watermark protocol's lookahead is the delay bound δ, so the
-        // sharded runtime requires δ >= 1; a zero-delay configuration (legal
-        // for the single queue) runs the sequential drain rather than
-        // silently changing delivery timing.
+        // A round's sends must land after its tick, so the sharded runtime
+        // requires δ >= 1; a zero-delay configuration (legal for the single
+        // queue) runs the sequential drain rather than silently changing
+        // delivery timing.
         if self.config.shards > 1 && self.network.delay() >= 1 {
             crate::shard_driver::drain_sharded(self)
         } else {
@@ -1010,8 +1007,8 @@ impl RJoinEngine {
     }
 
     /// Cumulative sharded-runtime observability counters: shard count of
-    /// the latest sharded drain, per-shard tick activations, deliveries
-    /// processed on shard workers, and blocked remote RIC reads. All zero
+    /// the latest sharded drain, per-shard tick activations and deliveries
+    /// processed by the shards. All zero
     /// until [`run_until_quiescent_parallel`](Self::run_until_quiescent_parallel)
     /// runs with `shards > 1`.
     pub fn shard_runtime_stats(&self) -> &ShardRuntimeStats {
@@ -1112,9 +1109,9 @@ impl RJoinEngine {
 /// placement decisions draw from.
 ///
 /// Two implementations exist: `SeqEnv` (the single-queue drivers — global
-/// RNG stream, lossy in-place RIC reads) and the sharded driver's per-worker
+/// RNG stream, lossy in-place RIC reads) and the sharded driver's per-shard
 /// environment (per-decision RNG derived from the triggering message's
-/// lineage, pure watermark-synchronized RIC reads). Keeping the *entire*
+/// lineage, pure RIC reads). Keeping the *entire*
 /// Sections 6–7 dispatch logic in [`dispatch_query_in`], generic over this
 /// trait, is what guarantees the drivers can never drift apart in cost
 /// accounting or placement rules.

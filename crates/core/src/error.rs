@@ -24,6 +24,12 @@ pub enum EngineError {
     /// The underlying DHT reported an error (e.g. lookup failure after
     /// massive un-repaired churn).
     Dht(DhtError),
+    /// The operation re-homes stored state and needs a quiescent network,
+    /// but messages are still in flight.
+    NotQuiescent {
+        /// Messages in flight when the operation was refused.
+        in_flight: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -36,6 +42,9 @@ impl fmt::Display for EngineError {
             }
             EngineError::Relation(e) => write!(f, "invalid tuple: {e}"),
             EngineError::Dht(e) => write!(f, "DHT error: {e}"),
+            EngineError::NotQuiescent { in_flight } => {
+                write!(f, "{in_flight} messages in flight; drain the network first")
+            }
         }
     }
 }

@@ -64,23 +64,22 @@
 //! [`RJoinEngine::run_until_quiescent_parallel`] instead drains on the
 //! **sharded runtime** ([`rjoin_net::ShardedNetwork`]): the ring's nodes
 //! are split into `n` contiguous identifier ranges, each owning its own
-//! bucket queue, local virtual clock, per-shard `NodeState` slice and
-//! persistent worker. Intra-shard messages never leave their shard;
-//! cross-shard messages go through inbox handoff under a conservative
-//! watermark protocol (lookahead = δ ≥ 1, provably deadlock-free — see the
-//! `rjoin_net` docs), so independent cascades on different shards advance
-//! concurrently with no global barrier. Determinism is preserved by
-//! construction: intra-tick delivery order comes from hash-chained message
-//! *lineages* instead of a global sequence counter, placement randomness
-//! is derived per decision from the triggering lineage, and remote RIC
-//! reads are watermark-synchronized pure snapshots — making every
-//! observable (answers, loads, traffic) identical across shard counts
-//! `> 1` and across repeated runs (`tests/determinism.rs` additionally
-//! pins an exact-identity configuration where sharded equals sequential
-//! byte for byte). On a single-core host the same shard structures are
-//! driven cooperatively by the calling thread, so results never depend on
-//! the machine. Shard-aware accounting (intra/cross-shard deliveries,
-//! tick activations, blocked remote reads) is reported through
+//! bucket queue, local virtual clock and per-shard `NodeState` slice.
+//! Intra-shard messages never leave their shard; cross-shard messages go
+//! through the receiving shard's inbox. All shards advance together in
+//! global tick rounds — every shard's handlers for the earliest pending
+//! tick, then every shard's effects (see the `rjoin_net` docs) — on
+//! [`EngineConfig::workers`] threads, one of them the caller's.
+//! Determinism is preserved by construction: intra-tick delivery order
+//! comes from hash-chained message *lineages* instead of a global sequence
+//! counter, placement randomness is derived per decision from the
+//! triggering lineage, and remote RIC reads are pure snapshots taken after
+//! every handler of the tick — making every observable (answers, loads,
+//! traffic) identical across shard counts `> 1`, thread counts and
+//! repeated runs (`tests/determinism.rs` additionally pins an
+//! exact-identity configuration where sharded equals sequential byte for
+//! byte). Shard-aware accounting (intra/cross-shard deliveries, tick
+//! activations) is reported through
 //! [`ExperimentStats`] and [`RJoinEngine::shard_runtime_stats`].
 //!
 //! # Hot-key splitting (share-based partitioning)
@@ -93,8 +92,8 @@
 //! per-node `Eval` twin) at publication time, and a key crossing the
 //! heavy-hitter threshold is split into `s` deterministic sub-keys salted
 //! onto the ring ([`rjoin_dht::HashedKey::split_part`]). The sub-keys form
-//! an `r × c` share grid ([`split::SplitGrid`], shaped by the observed
-//! tuple/`Eval` ratio): tuples route to one row, queries register at one
+//! an `r × c` share grid (a two-axis [`HypercubeGrid`], shaped by the
+//! observed tuple/`Eval` ratio): tuples route to one row, queries register at one
 //! column, and the two meet in exactly one cell — so the answer stream is
 //! **identical** to the unsplit run (oracle-checked under churn and under
 //! every sharded driver in `tests/split.rs`) while the hot key's load

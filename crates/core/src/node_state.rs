@@ -258,13 +258,15 @@ pub struct NodeState {
     /// Tracker of tuple arrivals used to answer RIC requests.
     ///
     /// Behind a shared lock because it is the one piece of node state read
-    /// *across* shard workers: under the sharded runtime, another shard's
-    /// effect phase resolves an RIC rate request against this node while
-    /// this node's own shard may concurrently be recording arrivals for
-    /// later ticks. All other tables are only ever touched by the shard
-    /// that owns the node. The `Arc` lets the engine keep a directory of
-    /// every node's tracker without aliasing the rest of the state; the
-    /// uncontended lock costs a few nanoseconds on the sequential path.
+    /// *across* shards: under the sharded runtime, another shard's effect
+    /// phase resolves an RIC rate request against this node, possibly on
+    /// another thread while this node's own shard runs effects. Arrivals
+    /// are only recorded in the handler phase, which a round finishes on
+    /// every shard before any effect phase starts. All other tables are
+    /// only ever touched by the shard that owns the node. The `Arc` lets
+    /// the engine keep a directory of every node's tracker without aliasing
+    /// the rest of the state; the uncontended lock costs a few nanoseconds
+    /// on the sequential path.
     pub(crate) ric: Arc<Mutex<RicTracker>>,
     /// Log of rewritten-query (`Eval`) arrivals, the query-side twin of
     /// [`ric`](Self::ric): hot-key splitting compares the two streams to

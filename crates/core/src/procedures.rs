@@ -316,10 +316,10 @@ pub fn handle_new_tuple(
     }
     // The node observes the arrival for RIC purposes regardless of level;
     // the retention horizon keeps the per-key history bounded without being
-    // observable by any rate read (sequential reads never use an older
-    // clock, sharded remote readers lag by at most the δ lookahead).
+    // observable by any rate read (no read uses a clock older than the
+    // node's own).
     let horizon = ctx.config.ric_window + 2 * ctx.config.network_delay.max(1);
-    state.ric().record_arrival_bounded(ring, ctx.now, ctx.at, horizon);
+    state.ric().record_arrival_bounded(ring, ctx.now, horizon);
 
     let mut actions = Vec::new();
     let mut removed = 0usize;
@@ -696,7 +696,7 @@ pub fn handle_eval(
     // tracked per key exactly like tuple arrivals, bounded by the same
     // retention horizon.
     let horizon = ctx.config.ric_window + 2 * ctx.config.network_delay.max(1);
-    state.eval_ric.record(key.ring(), ctx.now, ctx.at, horizon);
+    state.eval_ric.record(key.ring(), ctx.now, horizon);
     debug_assert!(
         pending.hypercube.is_none(),
         "a hypercube cell joins locally and never emits Eval messages"

@@ -14,13 +14,14 @@ use std::collections::VecDeque;
 /// enters the system, so the tracker never hashes strings on the arrival
 /// path.
 ///
-/// Each arrival is recorded as `(now, tick)`: `now` is the node's clock at
-/// arrival (the timestamp the rate window is measured against) and `tick`
-/// is the raw delivery tick. The two differ only when the driver advanced
-/// the global clock past still-pending deliveries; the sharded runtime
-/// needs the raw tick to answer a remote rate request *as of* the reader's
-/// tick ([`rate_at`](RicTracker::rate_at)), because under a compressed
-/// clock several ticks share one `now`.
+/// Each arrival is recorded at `now`, the node's clock at arrival: the
+/// timestamp the rate window is measured against. Two reads exist: the
+/// sequential drain's pruning [`rate`](RicTracker::rate) and the pure
+/// [`rate_at`](RicTracker::rate_at) that the sharded runtime's effect
+/// phases call concurrently on a remote node's tracker. A sharded round runs
+/// every handler of its tick before any effect, and no shard has handled a
+/// later tick, so a remote read sees exactly the arrivals the node recorded
+/// up to and including the reader's tick, whichever thread reads it.
 ///
 /// The paper's prediction model is deliberately simple ("we observe what has
 /// happened during the last time window and assume a similar behaviour for
@@ -28,7 +29,7 @@ use std::collections::VecDeque;
 /// which is why this tracker is a standalone component.
 #[derive(Debug, Clone, Default)]
 pub struct RicTracker {
-    arrivals: RingMap<VecDeque<(SimTime, SimTime)>>,
+    arrivals: RingMap<VecDeque<SimTime>>,
     total_arrivals: u64,
 }
 
@@ -39,9 +40,9 @@ impl RicTracker {
     }
 
     /// Records the arrival of one tuple under the key with ring identifier
-    /// `key` at clock time `now`, delivered at tick `at`.
-    pub fn record_arrival(&mut self, key: u64, now: SimTime, at: SimTime) {
-        self.arrivals.entry(key).or_default().push_back((now, at));
+    /// `key` at clock time `now`.
+    pub fn record_arrival(&mut self, key: u64, now: SimTime) {
+        self.arrivals.entry(key).or_default().push_back(now);
         self.total_arrivals += 1;
     }
 
@@ -51,26 +52,15 @@ impl RicTracker {
     ///
     /// With `horizon >= window + 2δ` this is invisible to every read: a
     /// dropped entry is strictly below the cutoff of any [`rate`](Self::rate)
-    /// call (reads never use a clock older than the recording node's), and
-    /// remote [`rate_at`](Self::rate_at) readers lag the owner by at most
-    /// the shard lookahead δ.
-    pub fn record_arrival_bounded(
-        &mut self,
-        key: u64,
-        now: SimTime,
-        at: SimTime,
-        horizon: SimTime,
-    ) {
+    /// call or [`rate_at`](Self::rate_at) call (reads never use a clock
+    /// older than the recording node's).
+    pub fn record_arrival_bounded(&mut self, key: u64, now: SimTime, horizon: SimTime) {
         let times = self.arrivals.entry(key).or_default();
         let cutoff = now.saturating_sub(horizon);
-        while let Some(&(front, _)) = times.front() {
-            if front < cutoff {
-                times.pop_front();
-            } else {
-                break;
-            }
+        while times.front().is_some_and(|&front| front < cutoff) {
+            times.pop_front();
         }
-        times.push_back((now, at));
+        times.push_back(now);
         self.total_arrivals += 1;
     }
 
@@ -84,12 +74,8 @@ impl RicTracker {
     pub fn rate(&mut self, key: u64, now: SimTime, window: SimTime) -> u64 {
         let Some(times) = self.arrivals.get_mut(&key) else { return 0 };
         let cutoff = now.saturating_sub(window);
-        while let Some(&(front, _)) = times.front() {
-            if front <= cutoff && front != now {
-                times.pop_front();
-            } else {
-                break;
-            }
+        while times.front().is_some_and(|&front| front <= cutoff && front != now) {
+            times.pop_front();
         }
         if times.is_empty() {
             self.arrivals.remove(&key);
@@ -99,30 +85,20 @@ impl RicTracker {
     }
 
     /// Pure (non-pruning) twin of [`rate`](Self::rate) used by the sharded
-    /// runtime: counts the arrivals in `(now - window, now]` that were
-    /// delivered at tick `max_tick` or earlier, without mutating anything.
-    ///
-    /// The tick bound makes a remote read exact under shard lookahead: the
-    /// owning shard may already have processed deliveries *beyond* the
-    /// reader's tick, and when a driver compressed the clock several of
-    /// those share the reader's `now` — filtering by raw tick reproduces
-    /// exactly the arrivals a sequential `(at, seq)`-ordered run would have
-    /// observed at the reader's position. Being read-only it is also
-    /// insensitive to the (non-deterministic) wall-clock order in which
+    /// runtime and the split decisions: counts the arrivals in
+    /// `(now - window, now]` without mutating anything. Being read-only it
+    /// is insensitive to the (non-deterministic) wall-clock order in which
     /// concurrent readers arrive, which the lossy pruning of
     /// [`rate`](Self::rate) is not.
-    pub fn rate_at(&self, key: u64, now: SimTime, window: SimTime, max_tick: SimTime) -> u64 {
+    pub fn rate_at(&self, key: u64, now: SimTime, window: SimTime) -> u64 {
         let Some(times) = self.arrivals.get(&key) else { return 0 };
-        // Entries are appended with non-decreasing clock *and* tick, so all
-        // three bounds are prefix/suffix boundaries: count entries with
-        // `clock in (now - window, now]` (the `== now` window-0 exception
-        // collapses into the lower bound) and `tick <= max_tick`.
-        let cutoff = now.saturating_sub(window);
-        let lower = cutoff.saturating_add(1).min(now);
-        let lo = times.partition_point(|&(t, _)| t < lower);
-        let hi_now = times.partition_point(|&(t, _)| t <= now);
-        let hi_tick = times.partition_point(|&(_, at)| at <= max_tick);
-        (hi_now.min(hi_tick).saturating_sub(lo)) as u64
+        // Entries are appended with non-decreasing clock, so both bounds are
+        // partition points: count entries in `(now - window, now]` (the
+        // `== now` window-0 exception collapses into the lower bound).
+        let lower = now.saturating_sub(window).saturating_add(1).min(now);
+        let lo = times.partition_point(|&t| t < lower);
+        let hi = times.partition_point(|&t| t <= now);
+        hi.saturating_sub(lo) as u64
     }
 
     /// Total arrivals ever recorded (diagnostic).
@@ -152,31 +128,30 @@ impl RicTracker {
 /// is allocated or probed per key, and a read scans the retention horizon.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalLog {
-    /// `(key, clock, delivery tick)`, clock and tick non-decreasing.
-    arrivals: VecDeque<(u64, SimTime, SimTime)>,
+    /// `(key, clock)`, clock non-decreasing.
+    arrivals: VecDeque<(u64, SimTime)>,
 }
 
 impl ArrivalLog {
-    /// Records one arrival under `key` at clock time `now`, delivered at
-    /// tick `at`, after dropping arrivals more than `horizon` ticks older
-    /// than it. As with [`RicTracker::record_arrival_bounded`], a horizon of
+    /// Records one arrival under `key` at clock time `now`, after dropping
+    /// arrivals more than `horizon` ticks older than it. As with [`RicTracker::record_arrival_bounded`], a horizon of
     /// `window + 2δ` makes the pruning invisible: readers are never behind
     /// the node's own clock.
-    pub fn record(&mut self, key: u64, now: SimTime, at: SimTime, horizon: SimTime) {
+    pub fn record(&mut self, key: u64, now: SimTime, horizon: SimTime) {
         let cutoff = now.saturating_sub(horizon);
-        while self.arrivals.front().is_some_and(|&(_, clock, _)| clock < cutoff) {
+        while self.arrivals.front().is_some_and(|&(_, clock)| clock < cutoff) {
             self.arrivals.pop_front();
         }
-        self.arrivals.push_back((key, now, at));
+        self.arrivals.push_back((key, now));
     }
 
-    /// Arrivals under `key` during `(now - window, now]` that were delivered
-    /// at tick `max_tick` or earlier — [`RicTracker::rate_at`]'s answer.
-    pub fn rate_at(&self, key: u64, now: SimTime, window: SimTime, max_tick: SimTime) -> u64 {
+    /// Arrivals under `key` during `(now - window, now]` —
+    /// [`RicTracker::rate_at`]'s answer.
+    pub fn rate_at(&self, key: u64, now: SimTime, window: SimTime) -> u64 {
         let lower = now.saturating_sub(window).saturating_add(1).min(now);
         self.arrivals
             .iter()
-            .filter(|&&(k, clock, at)| k == key && (lower..=now).contains(&clock) && at <= max_tick)
+            .filter(|&&(k, clock)| k == key && (lower..=now).contains(&clock))
             .count() as u64
     }
 }
@@ -194,7 +169,7 @@ mod tests {
     fn counts_arrivals_within_window() {
         let mut t = RicTracker::new();
         for time in [10, 20, 30, 40] {
-            t.record_arrival(k("R+A"), time, time);
+            t.record_arrival(k("R+A"), time);
         }
         assert_eq!(t.rate(k("R+A"), 40, 100), 4);
         assert_eq!(t.rate(k("R+A"), 40, 15), 2); // 30 and 40 are within (25, 40]
@@ -205,8 +180,8 @@ mod tests {
     #[test]
     fn pruning_is_permanent() {
         let mut t = RicTracker::new();
-        t.record_arrival(k("k"), 1, 1);
-        t.record_arrival(k("k"), 100, 100);
+        t.record_arrival(k("k"), 1);
+        t.record_arrival(k("k"), 100);
         // A narrow window at t=100 prunes the old arrival...
         assert_eq!(t.rate(k("k"), 100, 10), 1);
         // ...so a later wide query no longer sees it (the tracker only keeps
@@ -221,30 +196,30 @@ mod tests {
     #[test]
     fn a_key_is_forgotten_when_its_last_arrival_is_pruned() {
         let mut t = RicTracker::new();
-        t.record_arrival(k("cold"), 10, 10);
-        t.record_arrival(k("warm"), 10, 10);
-        t.record_arrival(k("warm"), 95, 95);
+        t.record_arrival(k("cold"), 10);
+        t.record_arrival(k("warm"), 10);
+        t.record_arrival(k("warm"), 95);
         assert_eq!(t.tracked_keys(), 2);
         // At 100 with a 20-tick window "cold" has rolled over, "warm" has not.
         assert_eq!(t.rate(k("cold"), 100, 20), 0);
         assert_eq!(t.rate(k("warm"), 100, 20), 1);
         assert_eq!(t.tracked_keys(), 1, "the emptied key is dropped, not kept as an empty deque");
         assert_eq!(t.rate(k("cold"), 100, 1000), 0);
-        assert_eq!(t.rate_at(k("cold"), 100, 1000, 100), 0);
+        assert_eq!(t.rate_at(k("cold"), 100, 1000), 0);
         // A later arrival re-opens the key like any first arrival.
-        t.record_arrival_bounded(k("cold"), 101, 101, 40);
+        t.record_arrival_bounded(k("cold"), 101, 40);
         assert_eq!(t.tracked_keys(), 2);
         assert_eq!(t.rate(k("cold"), 101, 20), 1);
-        assert_eq!(t.rate_at(k("warm"), 101, 20, 101), 1);
+        assert_eq!(t.rate_at(k("warm"), 101, 20), 1);
         assert_eq!(t.total_arrivals(), 4);
     }
 
     #[test]
     fn distinct_keys_are_independent() {
         let mut t = RicTracker::new();
-        t.record_arrival(k("a"), 5, 5);
-        t.record_arrival(k("b"), 5, 5);
-        t.record_arrival(k("b"), 6, 6);
+        t.record_arrival(k("a"), 5);
+        t.record_arrival(k("b"), 5);
+        t.record_arrival(k("b"), 6);
         assert_eq!(t.rate(k("a"), 10, 100), 1);
         assert_eq!(t.rate(k("b"), 10, 100), 2);
         assert_eq!(t.tracked_keys(), 2);
@@ -253,30 +228,25 @@ mod tests {
     #[test]
     fn rate_at_same_tick_counts_current_arrival() {
         let mut t = RicTracker::new();
-        t.record_arrival(k("k"), 50, 50);
+        t.record_arrival(k("k"), 50);
         // window of zero ticks still counts the arrival at `now` itself.
         assert_eq!(t.rate(k("k"), 50, 0), 1);
-        assert_eq!(t.rate_at(k("k"), 50, 0, 50), 1);
+        assert_eq!(t.rate_at(k("k"), 50, 0), 1);
     }
 
     #[test]
-    fn rate_at_is_pure_and_filters_by_tick() {
+    fn rate_at_is_pure() {
         let mut t = RicTracker::new();
-        // Three arrivals sharing one compressed clock (`now`=50) but
-        // delivered at ticks 10, 11 and 12, plus one genuinely later.
-        t.record_arrival(k("k"), 50, 10);
-        t.record_arrival(k("k"), 50, 11);
-        t.record_arrival(k("k"), 50, 12);
-        t.record_arrival(k("k"), 60, 60);
-        // A reader at tick 11 sees only the first two, whatever the owner
-        // has processed since.
-        assert_eq!(t.rate_at(k("k"), 50, 100, 11), 2);
-        // A reader at tick 12 sees all three compressed arrivals but not
-        // the future one (now-bounded).
-        assert_eq!(t.rate_at(k("k"), 50, 100, 12), 3);
-        assert_eq!(t.rate_at(k("k"), 60, 100, 60), 4);
-        // Narrow windows apply to the recorded clock, not the tick.
-        assert_eq!(t.rate_at(k("k"), 60, 5, 60), 1);
+        // Three arrivals sharing one clock, plus one genuinely later.
+        t.record_arrival(k("k"), 50);
+        t.record_arrival(k("k"), 50);
+        t.record_arrival(k("k"), 50);
+        t.record_arrival(k("k"), 60);
+        // A reader at 50 does not see the later arrival (now-bounded).
+        assert_eq!(t.rate_at(k("k"), 50, 100), 3);
+        assert_eq!(t.rate_at(k("k"), 60, 100), 4);
+        // Narrow windows apply to the recorded clock.
+        assert_eq!(t.rate_at(k("k"), 60, 5), 1);
         // rate_at never pruned anything.
         assert_eq!(t.rate(k("k"), 60, 1000), 4);
     }
@@ -287,17 +257,17 @@ mod tests {
     fn arrival_log_agrees_with_a_tracker_per_key() {
         let mut log = ArrivalLog::default();
         let mut tracker = RicTracker::new();
-        let arrivals = [("a", 10, 10), ("b", 10, 10), ("a", 50, 11), ("a", 50, 12), ("b", 60, 60)];
-        for (key, now, at) in arrivals {
-            log.record(k(key), now, at, 45);
-            tracker.record_arrival_bounded(k(key), now, at, 45);
+        let arrivals = [("a", 10), ("b", 10), ("a", 50), ("a", 50), ("b", 60)];
+        for (key, now) in arrivals {
+            log.record(k(key), now, 45);
+            tracker.record_arrival_bounded(k(key), now, 45);
         }
         for key in ["a", "b", "never"] {
-            for (now, window, max_tick) in [(60, 20, 60), (60, 0, 60), (60, 43, 11), (75, 43, 75)] {
+            for (now, window) in [(60, 20), (60, 0), (60, 43), (75, 43)] {
                 assert_eq!(
-                    log.rate_at(k(key), now, window, max_tick),
-                    tracker.rate_at(k(key), now, window, max_tick),
-                    "{key} at {now} over {window} up to tick {max_tick}"
+                    log.rate_at(k(key), now, window),
+                    tracker.rate_at(k(key), now, window),
+                    "{key} at {now} over {window}"
                 );
             }
         }
@@ -307,14 +277,14 @@ mod tests {
     #[test]
     fn bounded_recording_drops_only_out_of_horizon_entries() {
         let mut t = RicTracker::new();
-        t.record_arrival_bounded(k("k"), 10, 10, 20);
-        t.record_arrival_bounded(k("k"), 25, 25, 20);
+        t.record_arrival_bounded(k("k"), 10, 20);
+        t.record_arrival_bounded(k("k"), 25, 20);
         // horizon 20 at now=35 drops the arrival at 10 (< 15), keeps 25.
-        t.record_arrival_bounded(k("k"), 35, 35, 20);
-        assert_eq!(t.rate_at(k("k"), 35, 1000, 35), 2);
+        t.record_arrival_bounded(k("k"), 35, 20);
+        assert_eq!(t.rate_at(k("k"), 35, 1000), 2);
         assert_eq!(t.total_arrivals(), 3, "totals count every arrival ever");
         // Reads inside the horizon are unaffected by the pruning.
-        assert_eq!(t.rate_at(k("k"), 35, 20, 35), 2);
+        assert_eq!(t.rate_at(k("k"), 35, 20), 2);
         assert_eq!(t.rate(k("k"), 35, 20), 2);
     }
 }

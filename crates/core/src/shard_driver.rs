@@ -1,20 +1,17 @@
-//! The sharded drain: persistent per-shard workers with conservative
-//! clock synchronization.
+//! The sharded drain: per-shard queues advanced together in global tick
+//! rounds.
 //!
 //! [`drain_sharded`] is the `shards > 1` implementation behind
 //! [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel)
 //! (at one shard that call is the sequential drain). It partitions the ring
-//! into contiguous identifier ranges and gives each range a persistent
-//! worker with its own [`rjoin_net::ShardedNetwork`] queue and local clock;
-//! shards only coordinate through the conservative watermark protocol, so
-//! independent cascades on different shards proceed concurrently even when
-//! every tick is thin — there is no global tick barrier.
+//! into contiguous identifier ranges, each with its own
+//! [`rjoin_net::ShardedNetwork`] queue, local clock and slice of the
+//! engine's [`NodeState`](crate::NodeState)s, and advances all of them one
+//! global-minimum tick per round. A round runs the same two phases the
+//! sequential drain runs per tick, each on every shard due at the tick:
 //!
-//! Each shard runs the same two-phase tick the sequential drain uses:
-//!
-//! 1. **handler phase** — Procedures 1–3 against the shard's own
-//!    [`NodeState`](crate::NodeState)s, in ascending lineage order; then the
-//!    shard publishes its `handled_through` watermark,
+//! 1. **handler phase** — Procedures 1–3 against the shard's own node
+//!    states, in ascending lineage order;
 //! 2. **effect phase** — load accounting, answer buffering and the full
 //!    Sections 6–7 dispatch pipeline ([`dispatch_query_in`] via
 //!    [`perform_actions_in`]), shared verbatim with the sequential drain
@@ -22,9 +19,8 @@
 //!
 //! Engine-global observations are funneled through per-shard buffers —
 //! answers tagged `(at, lineage)`, per-shard load maps and traffic stats —
-//! and merged deterministically after the workers finish, so the drain's
-//! observable results are a pure function of the workload for every shard
-//! count.
+//! and merged deterministically after the drain, so the drain's observable
+//! results are a pure function of the workload for every shard count.
 //!
 //! The handler phase runs the compiled predicate-program hot loop
 //! unchanged: each shard's `NodeState`s carry their own
@@ -41,37 +37,24 @@
 //!   RNG seeded by `(engine seed, triggering lineage, decision index)`
 //!   instead of one global stream, making every decision independent of
 //!   execution order and shard count;
-//! * **watermark-synchronized RIC reads** — a rate request for a key owned
-//!   by another shard blocks until that shard's handlers have run through
-//!   the reader's tick, then reads the pure
-//!   [`RicTracker::rate_at`](crate::RicTracker::rate_at) snapshot bounded
-//!   by the reader's tick. Handlers never block on remote state and
-//!   `handled_through` is published *before* each effect phase, so these
-//!   reads cannot deadlock (see the protocol notes on
-//!   [`rjoin_net::ShardedNetwork`]).
+//! * **pure RIC reads** — a rate request for a key owned by another shard
+//!   reads the owner's tracker through the non-pruning
+//!   [`RicTracker::rate_at`](crate::RicTracker::rate_at). Every handler of
+//!   the round's tick has run on every shard before any effect phase
+//!   starts, and no shard has handled a later tick, so the read never
+//!   waits and returns the same count whichever thread makes it.
 //!
-//! # Execution modes
+//! # One schedule, a thread count
 //!
-//! The **worker count** is decoupled from the shard count: it comes from
-//! [`EngineConfig::workers`], falling back to the `RJOIN_WORKERS`
-//! environment variable and then to the machine's available parallelism.
-//!
-//! * `workers >= shards` — every shard gets its own persistent worker
-//!   thread under [`std::thread::scope`], coordinated purely through the
-//!   watermark protocol (the fully concurrent mode).
-//! * `1 < workers < shards` — a **pooled** scheduler drives the shards
-//!   global-minimum tick by tick, fanning each tick's handler phases and
-//!   then its effect phases across the worker pool; `mark_all_handled`
-//!   between the phases keeps remote RIC reads non-blocking.
-//! * `workers == 1` — the same tick loop runs **cooperatively** on the
-//!   calling thread, preserving the sharded semantics bit for bit while
-//!   paying no context-switch or condvar cost (the right mode for
-//!   single-core hosts).
-//!
-//! All three modes produce identical results by construction (the
-//! per-shard effect phases of one tick touch disjoint state and only
-//! perform pure watermark-gated reads), so a workload's outputs depend
-//! neither on the machine nor on the worker count.
+//! [`EngineConfig::workers`] (default: the machine's available
+//! parallelism) only says how many threads run the rounds. The shards are
+//! dealt into that many contiguous chunks, at most one per shard; the
+//! calling thread drives the first chunk and a scoped thread each of the
+//! others, and a [`Barrier`] separates the round's tick choice, its handler
+//! phase and its effect phase. A pool of one is the calling thread alone.
+//! The phases of a round touch disjoint shard state and only perform pure
+//! remote reads, so a workload's outputs depend neither on the machine nor
+//! on the thread count.
 
 use crate::answers::AnswerRecord;
 use crate::config::{EngineConfig, PlacementStrategy};
@@ -89,8 +72,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rjoin_dht::{Id, RingBuildHasher};
 use rjoin_net::{
-    lineage_seed, Lineage, ShardDelivery, ShardHandle, ShardLocal, ShardPoll, ShardedNetwork,
-    SimTime, Transport,
+    lineage_seed, Lineage, ShardHandle, ShardLocal, ShardedNetwork, SimTime, Transport,
 };
 use rjoin_query::IndexLevel;
 use rjoin_relation::Catalog;
@@ -99,18 +81,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// Shared directory of every node's RIC tracker, the one piece of node
-/// state readable across shard workers (each tracker behind its own lock).
+/// state readable across shards (each tracker behind its own lock).
 type RicDirectory = HashMap<Id, Arc<Mutex<RicTracker>>, RingBuildHasher>;
 
 /// The sharded driver's [`EffectEnv`]: shard-local transport and node
-/// states, watermark-synchronized remote RIC reads, per-decision RNG.
+/// states, pure remote RIC reads, per-decision RNG.
 struct ShardEnv<'e, 'n, 'a> {
     handle: &'e mut ShardHandle<'n, 'a, RJoinMessage>,
     nodes: &'e mut NodeMap,
     ric_dir: &'e RicDirectory,
     /// The engine's hot-key split registry — frozen for the whole drain
     /// (splits only activate between drains), so shared read-only access
-    /// across workers is race-free and deterministic.
+    /// across threads is race-free and deterministic.
     splits: &'e SplitMap,
     /// This shard's share of the query fan-out counter (merged after the
     /// drain).
@@ -120,8 +102,6 @@ struct ShardEnv<'e, 'n, 'a> {
     lineage: Lineage,
     /// Placement decisions made so far within this effect.
     decisions: u64,
-    /// The tick being processed (the bound for remote RIC reads).
-    tick: SimTime,
 }
 
 impl<'n, 'a> EffectEnv for ShardEnv<'_, 'n, 'a> {
@@ -142,7 +122,7 @@ impl<'n, 'a> EffectEnv for ShardEnv<'_, 'n, 'a> {
         now: SimTime,
         validity: Option<SimTime>,
     ) -> Option<RicEntry> {
-        // The dispatching node always lives on this worker's shard.
+        // The dispatching node always lives on this shard.
         self.nodes.get(&node).and_then(|s| s.cached_ric(ring, now, validity))
     }
 
@@ -153,14 +133,9 @@ impl<'n, 'a> EffectEnv for ShardEnv<'_, 'n, 'a> {
     }
 
     fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime, window: SimTime) -> u64 {
-        let shard = self.handle.shard_of(owner);
-        if !self.handle.wait_handled(shard, self.tick) {
-            // Aborted while waiting; the run's results are discarded.
-            return 0;
-        }
         self.ric_dir
             .get(&owner)
-            .map(|tracker| tracker.lock().expect("ric lock").rate_at(ring, now, window, self.tick))
+            .map(|tracker| tracker.lock().expect("ric lock").rate_at(ring, now, window))
             .unwrap_or(0)
     }
 
@@ -201,402 +176,155 @@ struct ShardTally {
     error: Option<EngineError>,
 }
 
-/// Everything one shard hands back after the drain.
-struct WorkerOutcome {
-    local: ShardLocal<RJoinMessage>,
+/// What every shard reads and none writes during a drain.
+#[derive(Clone, Copy)]
+struct DrainCtx<'e> {
+    catalog: &'e Catalog,
+    config: &'e EngineConfig,
+    ric_dir: &'e RicDirectory,
+    splits: &'e SplitMap,
+}
+
+/// One shard as the rounds drive it.
+struct RoundShard<'n, 'a> {
+    handle: ShardHandle<'n, 'a, RJoinMessage>,
     nodes: NodeMap,
     tally: ShardTally,
+    /// Handler-phase output awaiting this round's effect phase.
+    staged: Vec<(Lineage, TickEffect)>,
 }
 
-/// Handler phase of one tick on one shard: Procedures 1–3 in lineage
-/// order, purely node-local.
-fn run_handlers(
-    nodes: &mut NodeMap,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    now: SimTime,
-    deliveries: Vec<ShardDelivery<RJoinMessage>>,
-) -> Vec<(Lineage, TickEffect)> {
-    let mut effects: Vec<(Lineage, TickEffect)> = Vec::with_capacity(deliveries.len());
-    for d in deliveries {
-        if !nodes.contains_key(&d.to) {
-            // The node left after the message was sent: lost, exactly as
-            // under the single-queue drivers.
-            effects.push((d.lineage, TickEffect::Lost));
-            continue;
+impl RoundShard<'_, '_> {
+    /// Handler phase: Procedures 1–3 for this shard's deliveries due at
+    /// `tick`, in lineage order, purely node-local.
+    fn handle_tick(&mut self, ctx: DrainCtx<'_>, tick: SimTime) {
+        let Some((now, deliveries)) = self.handle.try_take_tick(tick) else { return };
+        self.tally.processed += deliveries.len() as u64;
+        for d in deliveries {
+            if !self.nodes.contains_key(&d.to) {
+                // The node left after the message was sent: lost, exactly as
+                // under the single-queue drivers.
+                self.staged.push((d.lineage, TickEffect::Lost));
+                continue;
+            }
+            let effect = match d.msg {
+                RJoinMessage::Answer { query, row, produced_at } => {
+                    TickEffect::Answer(AnswerRecord { query, row, produced_at, received_at: d.at })
+                }
+                msg => {
+                    let state = self.nodes.get_mut(&d.to).expect("membership checked above");
+                    handle_node_msg(state, ctx.catalog, ctx.config, now, d.at, d.to, msg)
+                }
+            };
+            self.staged.push((d.lineage, effect));
         }
-        let effect = match d.msg {
-            RJoinMessage::Answer { query, row, produced_at } => {
-                TickEffect::Answer(AnswerRecord { query, row, produced_at, received_at: d.at })
-            }
-            msg => {
-                let state = nodes.get_mut(&d.to).expect("membership checked above");
-                handle_node_msg(state, catalog, config, now, d.at, d.to, msg)
-            }
-        };
-        effects.push((d.lineage, effect));
     }
-    effects
-}
 
-/// Effect phase of one tick on one shard, in lineage order. Returns `false`
-/// after signalling an abort if a dispatch failed.
-#[allow(clippy::too_many_arguments)]
-fn apply_effects(
-    handle: &mut ShardHandle<'_, '_, RJoinMessage>,
-    nodes: &mut NodeMap,
-    tally: &mut ShardTally,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    ric_dir: &RicDirectory,
-    splits: &SplitMap,
-    tick: SimTime,
-    effects: Vec<(Lineage, TickEffect)>,
-) -> bool {
-    for (lineage, effect) in effects {
-        match effect {
-            TickEffect::Lost => {}
-            TickEffect::Answer(record) => {
-                tally.answers.push((record.received_at, lineage, record));
-            }
-            TickEffect::Node { node, load, actions } => {
-                if let Some(load) = load {
-                    tally.qpl.incr(node);
-                    tally.qpl_by_key.incr(load.key);
-                    if load.sl {
-                        tally.sl.incr(node);
-                        tally.sl_by_key.incr(load.key);
+    /// Effect phase: applies the staged effects in lineage order. Returns
+    /// `false` once a dispatch failed (the error is kept in the tally).
+    fn apply_effects(&mut self, ctx: DrainCtx<'_>) -> bool {
+        let tally = &mut self.tally;
+        for (lineage, effect) in self.staged.drain(..) {
+            match effect {
+                TickEffect::Lost => {}
+                TickEffect::Answer(record) => {
+                    tally.answers.push((record.received_at, lineage, record));
+                }
+                TickEffect::Node { node, load, actions } => {
+                    if let Some(load) = load {
+                        tally.qpl.incr(node);
+                        tally.qpl_by_key.incr(load.key);
+                        if load.sl {
+                            tally.sl.incr(node);
+                            tally.sl_by_key.incr(load.key);
+                        }
+                    }
+                    if actions.is_empty() {
+                        continue;
+                    }
+                    self.handle.begin_effect(lineage);
+                    let mut env = ShardEnv {
+                        handle: &mut self.handle,
+                        nodes: &mut self.nodes,
+                        ric_dir: ctx.ric_dir,
+                        splits: ctx.splits,
+                        query_fanout: &mut tally.query_fanout,
+                        engine_seed: ctx.config.seed,
+                        lineage,
+                        decisions: 0,
+                    };
+                    if let Err(e) =
+                        perform_actions_in(&mut env, ctx.config, ctx.catalog, node, actions)
+                    {
+                        tally.error = Some(e);
+                        return false;
                     }
                 }
-                if actions.is_empty() {
-                    continue;
-                }
-                handle.begin_effect(lineage);
-                let mut env = ShardEnv {
-                    handle,
-                    nodes,
-                    ric_dir,
-                    splits,
-                    query_fanout: &mut tally.query_fanout,
-                    engine_seed: config.seed,
-                    lineage,
-                    decisions: 0,
-                    tick,
+            }
+        }
+        true
+    }
+}
+
+/// The rendezvous of the threads that run one drain's rounds.
+struct Rounds {
+    barrier: Barrier,
+    /// Each chunk's earliest pending tick (`u64::MAX`: none).
+    chunk_mins: Vec<AtomicU64>,
+    /// The round's tick as the barrier leader chose it (`u64::MAX`: stop).
+    next_tick: AtomicU64,
+    failed: AtomicBool,
+}
+
+impl Rounds {
+    /// Drives `chunk` (chunk number `i`) through every round of the drain:
+    /// publish the chunk's earliest tick, let the leader pick the global
+    /// minimum, run the chunk's handlers, then its effects. A barrier
+    /// separates each step, and the last one makes every send of a round
+    /// visible to the next round's inbox drain.
+    fn drive(&self, i: usize, chunk: &mut [RoundShard<'_, '_>], ctx: DrainCtx<'_>) {
+        loop {
+            let earliest = chunk.iter_mut().filter_map(|s| s.handle.next_event_time()).min();
+            self.chunk_mins[i].store(earliest.unwrap_or(u64::MAX), Ordering::SeqCst);
+            if self.barrier.wait().is_leader() {
+                let tick = if self.failed.load(Ordering::SeqCst) {
+                    u64::MAX
+                } else {
+                    self.chunk_mins
+                        .iter()
+                        .map(|m| m.load(Ordering::SeqCst))
+                        .min()
+                        .unwrap_or(u64::MAX)
                 };
-                if let Err(e) = perform_actions_in(&mut env, config, catalog, node, actions) {
-                    tally.error = Some(e);
-                    return false;
+                self.next_tick.store(tick, Ordering::SeqCst);
+            }
+            self.barrier.wait();
+            let tick = self.next_tick.load(Ordering::SeqCst);
+            if tick == u64::MAX {
+                return;
+            }
+            for shard in chunk.iter_mut() {
+                shard.handle_tick(ctx, tick);
+            }
+            self.barrier.wait();
+            for shard in chunk.iter_mut() {
+                if !shard.apply_effects(ctx) {
+                    self.failed.store(true, Ordering::SeqCst);
                 }
             }
+            self.barrier.wait();
         }
     }
-    true
 }
 
-/// One shard's threaded worker loop: poll → handler phase → publish
-/// handled → effect phase → finish tick, until global quiescence (or
-/// abort).
-fn run_worker(
-    snet: &ShardedNetwork<'_, RJoinMessage>,
-    local: ShardLocal<RJoinMessage>,
-    mut nodes: NodeMap,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    ric_dir: &RicDirectory,
-    splits: &SplitMap,
-) -> WorkerOutcome {
-    let mut handle = ShardHandle::new(snet, local);
-    let mut tally = ShardTally::default();
-
-    loop {
-        match handle.poll() {
-            ShardPoll::Quiescent | ShardPoll::Aborted => break,
-            ShardPoll::Tick { tick, now, deliveries } => {
-                let count = deliveries.len();
-                tally.processed += count as u64;
-                let effects = run_handlers(&mut nodes, catalog, config, now, deliveries);
-                // Unblock remote readers before running our own effects.
-                handle.mark_handled(tick);
-                let ok = apply_effects(
-                    &mut handle,
-                    &mut nodes,
-                    &mut tally,
-                    catalog,
-                    config,
-                    ric_dir,
-                    splits,
-                    tick,
-                    effects,
-                );
-                handle.finish_tick(count, now);
-                if !ok {
-                    snet.abort();
-                    break;
-                }
-            }
-        }
-    }
-
-    WorkerOutcome { local: handle.into_local(), nodes, tally }
-}
-
-/// Cooperative single-threaded scheduler: drives every shard from the
-/// calling thread, one global-minimum tick at a time — all shards' handler
-/// phases first, then all effect phases. Semantically identical to the
-/// threaded mode (per-tick effect phases touch disjoint state), but pays
-/// no thread or wakeup cost, which matters on single-core hosts.
-fn run_cooperative(
-    snet: &ShardedNetwork<'_, RJoinMessage>,
-    locals: Vec<ShardLocal<RJoinMessage>>,
-    parts: Vec<NodeMap>,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    ric_dir: &RicDirectory,
-    splits: &SplitMap,
-) -> Vec<WorkerOutcome> {
-    struct CoopShard<'n, 'a> {
-        handle: ShardHandle<'n, 'a, RJoinMessage>,
-        nodes: NodeMap,
-        tally: ShardTally,
-    }
-    snet.set_cooperative(true);
-    let mut shards: Vec<CoopShard<'_, '_>> = locals
-        .into_iter()
-        .zip(parts)
-        .map(|(local, nodes)| CoopShard {
-            handle: ShardHandle::new(snet, local),
-            nodes,
-            tally: ShardTally::default(),
-        })
-        .collect();
-
-    // Handler-phase output of one cooperative round: the shard index, its
-    // floor-clamped clock, the delivery count and the staged effects.
-    type Staged = (usize, SimTime, usize, Vec<(Lineage, TickEffect)>);
-    // Runs until all queues are empty: quiescent.
-    'drain: while let Some(tick) =
-        shards.iter_mut().filter_map(|s| s.handle.next_event_time()).min()
-    {
-        // Handler phase on every shard holding deliveries at `tick`.
-        let mut staged: Vec<Staged> = Vec::new();
-        for (i, shard) in shards.iter_mut().enumerate() {
-            if let Some((now, deliveries)) = shard.handle.try_take_tick(tick) {
-                let count = deliveries.len();
-                shard.tally.processed += count as u64;
-                let effects = run_handlers(&mut shard.nodes, catalog, config, now, deliveries);
-                staged.push((i, now, count, effects));
-            }
-        }
-        // All handlers of `tick` ran; remote rate reads must never block.
-        snet.mark_all_handled(tick);
-        // Effect phase, shard by shard (the order is immaterial: effects
-        // touch disjoint shard state and only perform pure remote reads).
-        for (i, now, count, effects) in staged {
-            let shard = &mut shards[i];
-            let ok = apply_effects(
-                &mut shard.handle,
-                &mut shard.nodes,
-                &mut shard.tally,
-                catalog,
-                config,
-                ric_dir,
-                splits,
-                tick,
-                effects,
-            );
-            shard.handle.finish_tick(count, now);
-            if !ok {
-                snet.abort();
-                break 'drain;
-            }
-        }
-    }
-
-    shards
-        .into_iter()
-        .map(|s| WorkerOutcome { local: s.handle.into_local(), nodes: s.nodes, tally: s.tally })
-        .collect()
-}
-
-/// Pooled scheduler for `1 < workers < shards`: the cooperative
-/// global-minimum tick loop, executed by a pool of **persistent** worker
-/// threads (spawned once per drain, not per tick — per-tick spawn/join
-/// would dominate thin-tick workloads). Each worker owns a static chunk of
-/// shards; the rounds are coordinated by a reusable [`Barrier`]:
-///
-/// 1. every worker publishes its chunk's earliest event time, the barrier
-///    leader reduces them to the global minimum tick (or termination),
-/// 2. handler phase on every chunk, then `mark_all_handled(tick)` behind a
-///    barrier — so the concurrent effect phases' remote RIC reads never
-///    block,
-/// 3. effect phase + `finish_tick` on every chunk, and a final barrier so
-///    the next round's inbox drain observes every send of this tick.
-///
-/// Workers only touch their own shards and the schedule is the same
-/// global-minimum order the cooperative scheduler runs, so the results are
-/// byte-identical to every other execution mode.
-#[allow(clippy::too_many_arguments)]
-fn run_pooled(
-    snet: &ShardedNetwork<'_, RJoinMessage>,
-    locals: Vec<ShardLocal<RJoinMessage>>,
-    parts: Vec<NodeMap>,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    ric_dir: &RicDirectory,
-    splits: &SplitMap,
-    workers: usize,
-) -> Vec<WorkerOutcome> {
-    /// Handler-phase output staged for this round's effect phase:
-    /// `(floor-clamped clock, delivery count, effects)`.
-    type StagedTick = (SimTime, usize, Vec<(Lineage, TickEffect)>);
-    struct PoolShard<'n, 'a> {
-        handle: ShardHandle<'n, 'a, RJoinMessage>,
-        nodes: NodeMap,
-        tally: ShardTally,
-        staged: Option<StagedTick>,
-        ok: bool,
-    }
-    // Nobody parks on the progress condvar: rounds are coordinated by the
-    // barrier alone, exactly like the cooperative scheduler.
-    snet.set_cooperative(true);
-    let shards: Vec<PoolShard<'_, '_>> = locals
-        .into_iter()
-        .zip(parts)
-        .map(|(local, nodes)| PoolShard {
-            handle: ShardHandle::new(snet, local),
-            nodes,
-            tally: ShardTally::default(),
-            staged: None,
-            ok: true,
-        })
-        .collect();
-    let chunk_size = shards.len().div_ceil(workers).max(1);
-    let mut chunks: Vec<Vec<PoolShard<'_, '_>>> = Vec::new();
-    {
-        let mut shards = shards;
-        while !shards.is_empty() {
-            let rest = shards.split_off(chunk_size.min(shards.len()));
-            chunks.push(shards);
-            shards = rest;
-        }
-    }
-    let pool = chunks.len();
-    let barrier = Barrier::new(pool);
-    // Per-worker earliest event times, reduced by the barrier leader into
-    // the shared next-tick word (`u64::MAX` = quiescent, stop).
-    let chunk_mins: Vec<AtomicU64> = (0..pool).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let next_tick = AtomicU64::new(u64::MAX);
-    let failed = AtomicBool::new(false);
-
-    let outcomes: Vec<Vec<WorkerOutcome>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut chunk)| {
-                let (barrier, chunk_mins, next_tick, failed) =
-                    (&barrier, &chunk_mins, &next_tick, &failed);
-                scope.spawn(move || {
-                    loop {
-                        // Round start: publish this chunk's earliest event
-                        // time; the leader reduces to the global minimum.
-                        let local_min = chunk
-                            .iter_mut()
-                            .filter_map(|s| s.handle.next_event_time())
-                            .min()
-                            .unwrap_or(u64::MAX);
-                        chunk_mins[i].store(local_min, Ordering::SeqCst);
-                        if barrier.wait().is_leader() {
-                            let global = chunk_mins
-                                .iter()
-                                .map(|m| m.load(Ordering::SeqCst))
-                                .min()
-                                .unwrap_or(u64::MAX);
-                            let stop = failed.load(Ordering::SeqCst) || snet.is_aborted();
-                            next_tick.store(if stop { u64::MAX } else { global }, Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                        let tick = next_tick.load(Ordering::SeqCst);
-                        if tick == u64::MAX {
-                            break;
-                        }
-                        // Handler phase on this chunk's shards at `tick`.
-                        for shard in chunk.iter_mut() {
-                            if let Some((now, deliveries)) = shard.handle.try_take_tick(tick) {
-                                let count = deliveries.len();
-                                shard.tally.processed += count as u64;
-                                let effects = run_handlers(
-                                    &mut shard.nodes,
-                                    catalog,
-                                    config,
-                                    now,
-                                    deliveries,
-                                );
-                                shard.staged = Some((now, count, effects));
-                            }
-                        }
-                        // All handlers of `tick` ran: remote rate reads in
-                        // the concurrent effect phases below never block.
-                        if barrier.wait().is_leader() {
-                            snet.mark_all_handled(tick);
-                        }
-                        barrier.wait();
-                        for shard in chunk.iter_mut() {
-                            if let Some((now, count, effects)) = shard.staged.take() {
-                                let ok = apply_effects(
-                                    &mut shard.handle,
-                                    &mut shard.nodes,
-                                    &mut shard.tally,
-                                    catalog,
-                                    config,
-                                    ric_dir,
-                                    splits,
-                                    tick,
-                                    effects,
-                                );
-                                shard.handle.finish_tick(count, now);
-                                if !ok {
-                                    shard.ok = false;
-                                    failed.store(true, Ordering::SeqCst);
-                                    snet.abort();
-                                }
-                            }
-                        }
-                        // Close the round: the next inbox drain must observe
-                        // every send of this tick.
-                        barrier.wait();
-                    }
-                    chunk
-                        .into_iter()
-                        .map(|s| WorkerOutcome {
-                            local: s.handle.into_local(),
-                            nodes: s.nodes,
-                            tally: s.tally,
-                        })
-                        .collect::<Vec<WorkerOutcome>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("pool worker must not panic")).collect()
-    });
-    outcomes.into_iter().flatten().collect()
-}
-
-/// Resolves how many worker threads a sharded drain may use: the explicit
-/// [`EngineConfig::workers`] pin, else the `RJOIN_WORKERS` environment
-/// variable, else the machine's available parallelism. Purely an execution
-/// choice — results are identical for every value.
+/// The thread count of a sharded drain: [`EngineConfig::workers`], else the
+/// machine's available parallelism. Purely an execution choice — results
+/// are identical for every value.
 fn resolve_workers(config: &EngineConfig) -> usize {
-    if let Some(workers) = config.workers {
-        return workers.max(1);
-    }
-    if let Some(workers) =
-        std::env::var("RJOIN_WORKERS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        if workers >= 1 {
-            return workers;
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    config
+        .workers
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .max(1)
 }
 
 /// Drains the engine's event queue on the sharded runtime. See the module
@@ -638,33 +366,41 @@ pub(crate) fn drain_sharded(engine: &mut RJoinEngine) -> Result<u64, EngineError
     let locals: Vec<ShardLocal<RJoinMessage>> =
         (0..shard_count).map(|i| snet.take_local(i)).collect();
 
-    let catalog = &engine.catalog;
-    let config = &engine.config;
-    let snet_ref = &snet;
-    let ric_dir_ref = &ric_dir;
-    let splits_ref = &engine.splits;
-
-    let workers = resolve_workers(config);
-    let outcomes: Vec<WorkerOutcome> = if workers <= 1 {
-        run_cooperative(snet_ref, locals, parts, catalog, config, ric_dir_ref, splits_ref)
-    } else if workers < shard_count {
-        run_pooled(snet_ref, locals, parts, catalog, config, ric_dir_ref, splits_ref, workers)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = locals
-                .into_iter()
-                .zip(parts)
-                .map(|(local, part)| {
-                    scope.spawn(move || {
-                        run_worker(snet_ref, local, part, catalog, config, ric_dir_ref, splits_ref)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker must not panic")).collect()
-        })
+    let ctx = DrainCtx {
+        catalog: &engine.catalog,
+        config: &engine.config,
+        ric_dir: &ric_dir,
+        splits: &engine.splits,
     };
-
-    let final_clock = snet.final_clock();
+    let mut shards: Vec<RoundShard<'_, '_>> = locals
+        .into_iter()
+        .zip(parts)
+        .map(|(local, nodes)| RoundShard {
+            handle: ShardHandle::new(&snet, local),
+            nodes,
+            tally: ShardTally::default(),
+            staged: Vec::new(),
+        })
+        .collect();
+    let chunk_size = shard_count.div_ceil(resolve_workers(ctx.config));
+    let pool = shard_count.div_ceil(chunk_size);
+    let rounds = Rounds {
+        barrier: Barrier::new(pool),
+        chunk_mins: (0..pool).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        next_tick: AtomicU64::new(u64::MAX),
+        failed: AtomicBool::new(false),
+    };
+    std::thread::scope(|scope| {
+        let mut chunks = shards.chunks_mut(chunk_size).enumerate();
+        let (_, first) = chunks.next().expect("a sharded drain has at least one shard");
+        for (i, chunk) in chunks {
+            let rounds = &rounds;
+            scope.spawn(move || rounds.drive(i, chunk, ctx));
+        }
+        rounds.drive(0, first, ctx);
+    });
+    let outcomes: Vec<(ShardLocal<RJoinMessage>, NodeMap, ShardTally)> =
+        shards.into_iter().map(|s| (s.handle.into_local(), s.nodes, s.tally)).collect();
     drop(snet);
     drop(ric_dir);
 
@@ -673,32 +409,32 @@ pub(crate) fn drain_sharded(engine: &mut RJoinEngine) -> Result<u64, EngineError
     let mut processed = 0u64;
     let mut ticks = 0u64;
     let mut deliveries = 0u64;
-    let mut blocked = 0u64;
+    let mut final_clock = engine.network.now();
     let mut error: Option<EngineError> = None;
-    for outcome in outcomes {
-        engine.nodes.extend(outcome.nodes);
-        engine.network.traffic_mut().merge(outcome.local.traffic());
-        engine.qpl.merge(&outcome.tally.qpl);
-        engine.sl.merge(&outcome.tally.sl);
-        engine.qpl_by_key.merge(&outcome.tally.qpl_by_key);
-        engine.sl_by_key.merge(&outcome.tally.sl_by_key);
-        engine.split_counters.query_fanout += outcome.tally.query_fanout;
-        processed += outcome.tally.processed;
-        ticks += outcome.local.ticks;
-        deliveries += outcome.local.deliveries;
-        blocked += outcome.local.blocked_reads;
-        raw_answers.extend(outcome.tally.answers);
+    for (local, nodes, tally) in outcomes {
+        engine.nodes.extend(nodes);
+        engine.network.traffic_mut().merge(local.traffic());
+        engine.qpl.merge(&tally.qpl);
+        engine.sl.merge(&tally.sl);
+        engine.qpl_by_key.merge(&tally.qpl_by_key);
+        engine.sl_by_key.merge(&tally.sl_by_key);
+        engine.split_counters.query_fanout += tally.query_fanout;
+        processed += tally.processed;
+        ticks += local.ticks;
+        deliveries += local.deliveries;
+        final_clock = final_clock.max(local.clock());
+        raw_answers.extend(tally.answers);
         if error.is_none() {
             // Shards are visited in index order, so the reported error is
             // the lowest-shard one — deterministic.
-            error = outcome.tally.error;
+            error = tally.error;
         }
     }
     engine.network.advance_to(final_clock);
     // Same post-drain expiry flush as the single-queue driver, so state
     // snapshots are identical across drivers at quiescence.
     engine.flush_expiry();
-    engine.shard_runtime.absorb_drain(shard_count, ticks, deliveries, blocked);
+    engine.shard_runtime.absorb_drain(shard_count, ticks, deliveries);
 
     // Answers enter the global log in (arrival tick, lineage) order — the
     // sharded counterpart of the single queue's (at, seq) order.

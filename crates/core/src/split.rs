@@ -12,14 +12,15 @@
 //! is **replicated** to all of them.
 //!
 //! The share assignment follows the Shares/hypercube idea: a split key's
-//! `s` sub-keys form an `r × c` **grid** ([`SplitGrid`]). A tuple routes to
-//! one *row* by content hash ([`partition_for_tuple`]) and is indexed at
-//! that row's `c` cells; a query routes to one *column* by identity hash
-//! ([`partition_for_query`]) and registers at that column's `r` cells. The
-//! two sets intersect in exactly one cell, so every `(stored query, tuple)`
-//! pair still meets exactly once — the one rewrite/completion the unsplit
-//! run would have performed at the base key happens at exactly one
-//! sub-key, and the answer stream is the same multiset as the unsplit run
+//! `s` sub-keys form a two-axis `r × c` [`HypercubeGrid`]. A tuple routes
+//! to one *row* (axis 0) by content hash ([`partition_for_tuple`]) and is
+//! indexed at that row's `c` cells; a query routes to one *column* (the
+//! second axis) by identity hash ([`partition_for_query`]) and registers
+//! at that column's `r` cells. The two sets intersect in exactly one cell, so
+//! every `(stored query, tuple)` pair still meets exactly once — the one
+//! rewrite/completion the unsplit run would have performed at the base key
+//! happens at exactly one sub-key, and the answer stream is the same
+//! multiset as the unsplit run
 //! (`DISTINCT` duplicates are removed by the owner-side filter as before).
 //! What changes is *where the work lands*: per cell, tuple deliveries
 //! divide by `r` and `Eval` deliveries divide by `c`.
@@ -40,9 +41,9 @@
 //!
 //! # From 2-D grids to N-dimensional hypercubes
 //!
-//! [`SplitGrid`] is the degenerate two-axis case of the general **shares**
-//! model. [`HypercubeGrid`] lifts it to `k` axes for the hypercube query
-//! plan (`rjoin_query::plan`): each axis is one join-attribute equivalence
+//! A split key's grid is the two-axis case of the general **shares**
+//! model. The hypercube query plan uses the same [`HypercubeGrid`] with `k`
+//! axes (`rjoin_query::plan`): each axis is one join-attribute equivalence
 //! class with share `s_i`, the grid spans `s_1 × … × s_k` cells, and the
 //! share vector comes from the planner's `allocate_shares` — the
 //! k-dimensional generalization of [`choose_grid`]'s rule of minimizing the
@@ -65,58 +66,12 @@ use rjoin_dht::{HashedKey, RingMap};
 use rjoin_net::SimTime;
 use rjoin_relation::Tuple;
 
-/// The share grid of one split key: `rows × cols` sub-keys, tuples
-/// partitioned over rows, queries over columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitGrid {
-    /// Tuple-side partition count `r`.
-    pub rows: u32,
-    /// Query-side partition count `c`.
-    pub cols: u32,
-}
-
-impl SplitGrid {
-    /// A grid with the given dimensions.
-    ///
-    /// # Panics
-    /// Panics unless the grid has at least two cells (a 1×1 grid is not a
-    /// split) and both dimensions are non-zero.
-    pub fn new(rows: u32, cols: u32) -> Self {
-        assert!(rows >= 1 && cols >= 1, "grid dimensions must be non-zero");
-        assert!(rows * cols >= 2, "a split needs at least two cells");
-        SplitGrid { rows, cols }
-    }
-
-    /// Pure tuple partitioning: tuples route to one of `s` sub-keys,
-    /// queries register at all of them.
-    pub fn tuples(s: u32) -> Self {
-        SplitGrid::new(s, 1)
-    }
-
-    /// Pure query partitioning: queries route to one of `s` sub-keys,
-    /// tuples are indexed at all of them.
-    pub fn queries(s: u32) -> Self {
-        SplitGrid::new(1, s)
-    }
-
-    /// Total number of cells (sub-keys).
-    pub fn cells(&self) -> u32 {
-        self.rows * self.cols
-    }
-
-    /// The linear sub-key index of cell `(row, col)`.
-    fn cell(&self, row: u32, col: u32) -> u32 {
-        row * self.cols + col
-    }
-}
-
 /// An N-dimensional share grid: the cell space of a hypercube-planned
-/// query, one axis per join-attribute equivalence class.
-///
-/// [`SplitGrid`] is the two-axis special case (`rows × cols` with tuples
-/// pinned on axis 0 and queries on axis 1); `HypercubeGrid` carries an
-/// arbitrary share vector `s_1 … s_k` and linearizes cells in row-major
-/// (mixed-radix, last axis fastest) order, matching `SplitGrid::cell`.
+/// query, one axis per join-attribute equivalence class, or of a split hot
+/// key, two axes (`rows × cols`, tuples pinned on axis 0, queries on axis
+/// 1). It carries the share vector `s_1 … s_k` and linearizes cells in
+/// row-major (mixed-radix, last axis fastest) order, so a split key's cell
+/// `(row, col)` is `row · cols + col`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HypercubeGrid {
     shares: Vec<u32>,
@@ -212,8 +167,8 @@ pub type SplitRoute = Vec<HashedKey>;
 pub struct SplitEntry {
     /// The (unsplit) base key.
     pub key: HashedKey,
-    /// The share grid.
-    pub grid: SplitGrid,
+    /// The two-axis share grid: tuple-side rows × query-side columns.
+    pub grid: HypercubeGrid,
     /// Simulation time at which the split was activated.
     pub split_at: SimTime,
 }
@@ -223,11 +178,12 @@ pub struct SplitEntry {
 /// `(r, c)` with `r · c = s`, picks the one minimizing the dominant
 /// per-cell stream `max(tuple_rate / r, eval_rate / c)`; ties break toward
 /// the tuple side (larger `r`), whose stream is unbounded in a continuous
-/// system. With a zero `Eval` rate this degenerates to [`SplitGrid::tuples`],
-/// with a zero tuple rate to [`SplitGrid::queries`].
-pub fn choose_grid(s: u32, tuple_rate: u64, eval_rate: u64) -> SplitGrid {
+/// system. With a zero `Eval` rate this degenerates to `(s, 1)` (pure tuple
+/// partitioning: queries register at every cell), with a zero tuple rate to
+/// `(1, s)` (pure query partitioning).
+pub fn choose_grid(s: u32, tuple_rate: u64, eval_rate: u64) -> HypercubeGrid {
     let s = s.max(2);
-    let mut best: Option<(u64, SplitGrid)> = None;
+    let mut best: Option<(u64, u32)> = None;
     for rows in (1..=s).rev() {
         if !s.is_multiple_of(rows) {
             continue;
@@ -235,10 +191,30 @@ pub fn choose_grid(s: u32, tuple_rate: u64, eval_rate: u64) -> SplitGrid {
         let cols = s / rows;
         let cost = (tuple_rate / rows as u64).max(eval_rate / cols as u64);
         if best.is_none_or(|(c, _)| cost < c) {
-            best = Some((cost, SplitGrid::new(rows, cols)));
+            best = Some((cost, rows));
         }
     }
-    best.expect("s >= 2 always has the (s, 1) factorization").1
+    let rows = best.expect("s >= 2 always has the (s, 1) factorization").1;
+    HypercubeGrid::new(vec![rows, s / rows])
+}
+
+/// The sub-keys of split key `key` (share grid `grid`) a tuple reaches:
+/// its content row.
+pub(crate) fn tuple_route(key: &HashedKey, grid: &HypercubeGrid, tuple: &Tuple) -> SplitRoute {
+    let row = partition_for_tuple(tuple, grid.shares()[0]);
+    sub_keys(key, grid, &[Some(row), None])
+}
+
+/// The sub-keys of split key `key` (share grid `grid`) a query registers
+/// at: its identity column.
+pub(crate) fn query_route(key: &HashedKey, grid: &HypercubeGrid, id: QueryId) -> SplitRoute {
+    let col = partition_for_query(id, grid.shares()[1]);
+    sub_keys(key, grid, &[None, Some(col)])
+}
+
+/// The sub-keys of `key` on the subcube of `grid` fixed by `bound`.
+fn sub_keys(key: &HashedKey, grid: &HypercubeGrid, bound: &[Option<u32>]) -> SplitRoute {
+    grid.subcube(bound).into_iter().map(|cell| key.split_part(cell, grid.cells())).collect()
 }
 
 /// The engine-global registry of split hot keys, indexed by the base key's
@@ -266,11 +242,12 @@ impl SplitMap {
 
     /// Registers a split of `key` over the given share grid. Returns
     /// `false` (and changes nothing) if the key was already split.
-    pub fn insert(&mut self, key: HashedKey, grid: SplitGrid, split_at: SimTime) -> bool {
+    pub fn insert(&mut self, key: HashedKey, grid: HypercubeGrid, split_at: SimTime) -> bool {
         if self.entries.contains_key(&key.ring()) {
             return false;
         }
         assert!(key.partition().is_none(), "sub-keys cannot be split again");
+        assert!(grid.dims() == 2 && grid.cells() >= 2, "a split grid has two axes and two cells");
         self.entries.insert(key.ring(), SplitEntry { key, grid, split_at });
         true
     }
@@ -294,19 +271,13 @@ impl SplitMap {
     /// content row's `c` cells. Returns `None` in the unsplit case so
     /// callers pay nothing on the (overwhelmingly common) cold path.
     pub fn route_tuple(&self, key: &HashedKey, tuple: &Tuple) -> Option<SplitRoute> {
-        let entry = self.entries.get(&key.ring())?;
-        let grid = entry.grid;
-        let row = partition_for_tuple(tuple, grid.rows);
-        Some((0..grid.cols).map(|col| key.split_part(grid.cell(row, col), grid.cells())).collect())
+        Some(tuple_route(key, &self.entries.get(&key.ring())?.grid, tuple))
     }
 
     /// The cells a **query** (input or rewritten) dispatched to `key` must
     /// register at: its identity column's `r` cells. `None` when unsplit.
     pub fn route_query(&self, key: &HashedKey, id: QueryId) -> Option<SplitRoute> {
-        let entry = self.entries.get(&key.ring())?;
-        let grid = entry.grid;
-        let col = partition_for_query(id, grid.cols);
-        Some((0..grid.rows).map(|row| key.split_part(grid.cell(row, col), grid.cells())).collect())
+        Some(query_route(key, &self.entries.get(&key.ring())?.grid, id))
     }
 }
 
@@ -427,8 +398,11 @@ mod tests {
         let mut splits = SplitMap::new();
         let hot = HashedKey::new("R+A");
         let cold = HashedKey::new("S+B");
-        assert!(splits.insert(hot.clone(), SplitGrid::tuples(4), 10));
-        assert!(!splits.insert(hot.clone(), SplitGrid::queries(8), 11), "double split is refused");
+        assert!(splits.insert(hot.clone(), HypercubeGrid::new(vec![4, 1]), 10));
+        assert!(
+            !splits.insert(hot.clone(), HypercubeGrid::new(vec![1, 8]), 11),
+            "double split is refused"
+        );
         assert_eq!(splits.len(), 1);
         assert!(splits.is_split(hot.ring()));
         assert!(!splits.is_split(cold.ring()));
@@ -454,7 +428,7 @@ mod tests {
     fn query_grid_routes_queries_single_and_replicates_tuples() {
         let mut splits = SplitMap::new();
         let hot = HashedKey::new("R+A+i:0");
-        assert!(splits.insert(hot.clone(), SplitGrid::queries(4), 3));
+        assert!(splits.insert(hot.clone(), HypercubeGrid::new(vec![1, 4]), 3));
 
         let query_route = splits.route_query(&hot, qid(7, 2)).unwrap();
         assert_eq!(query_route.len(), 1);
@@ -469,7 +443,7 @@ mod tests {
     fn rectangular_grid_meets_exactly_once() {
         let mut splits = SplitMap::new();
         let hot = HashedKey::new("R+A");
-        assert!(splits.insert(hot.clone(), SplitGrid::new(4, 2), 0));
+        assert!(splits.insert(hot.clone(), HypercubeGrid::new(vec![4, 2]), 0));
         for i in 0..24 {
             let t = tuple([i, i * 7, 3], 50 + i as u64);
             let t_cells = splits.route_tuple(&hot, &t).unwrap();
@@ -496,21 +470,23 @@ mod tests {
 
     #[test]
     fn choose_grid_apportions_shares_by_rate() {
+        let grid = |rows, cols| HypercubeGrid::new(vec![rows, cols]);
         // Pure tuple heat: all cells to the tuple side.
-        assert_eq!(choose_grid(8, 100, 0), SplitGrid::tuples(8));
+        assert_eq!(choose_grid(8, 100, 0), grid(8, 1));
         // Pure Eval heat: all cells to the query side.
-        assert_eq!(choose_grid(8, 0, 100), SplitGrid::queries(8));
+        assert_eq!(choose_grid(8, 0, 100), grid(1, 8));
         // Balanced heat: a balanced rectangle.
         let g = choose_grid(8, 100, 100);
-        assert!(g.cells() == 8 && g.rows >= 2 && g.cols >= 2, "balanced heat gets a rectangle");
-        assert_eq!(g.rows, 4, "ties break toward the tuple side");
+        let (rows, cols) = (g.shares()[0], g.shares()[1]);
+        assert!(g.cells() == 8 && rows >= 2 && cols >= 2, "balanced heat gets a rectangle");
+        assert_eq!(rows, 4, "ties break toward the tuple side");
         // Lopsided heat leans the grid accordingly.
-        assert_eq!(choose_grid(8, 400, 90), SplitGrid::new(8, 1));
-        assert_eq!(choose_grid(16, 400, 100), SplitGrid::new(8, 2));
+        assert_eq!(choose_grid(8, 400, 90), grid(8, 1));
+        assert_eq!(choose_grid(16, 400, 100), grid(8, 2));
         // A prime cell count still has the two pure factorizations.
-        assert_eq!(choose_grid(7, 10, 1000), SplitGrid::queries(7));
+        assert_eq!(choose_grid(7, 10, 1000), grid(1, 7));
         // The clamp: s < 2 is raised to 2.
-        assert_eq!(choose_grid(1, 5, 0), SplitGrid::tuples(2));
+        assert_eq!(choose_grid(1, 5, 0), grid(2, 1));
     }
 
     #[test]
@@ -526,19 +502,33 @@ mod tests {
 
     #[test]
     fn hypercube_grid_matches_split_grid_linearization() {
-        // A two-axis hypercube is exactly a SplitGrid: same cell numbering.
-        let sg = SplitGrid::new(4, 2);
-        let hg = HypercubeGrid::new(vec![4, 2]);
-        assert_eq!(sg.cells(), hg.cells());
+        // A split key's two-axis grid numbers cell (row, col) as
+        // row * cols + col.
+        let g = HypercubeGrid::new(vec![4, 2]);
         for row in 0..4 {
             for col in 0..2 {
-                assert_eq!(sg.cell(row, col), hg.cell_of(&[row, col]));
+                assert_eq!(g.cell_of(&[row, col]), row * 2 + col);
             }
         }
-        // A tuple pinned on axis 0 covers the same cells as its grid row;
-        // a query pinned on axis 1 covers the same cells as its column.
-        assert_eq!(hg.subcube(&[Some(2), None]), vec![4, 5]);
-        assert_eq!(hg.subcube(&[None, Some(1)]), vec![1, 3, 5, 7]);
+        // A tuple pinned on axis 0 covers its grid row; a query pinned on
+        // axis 1 covers its column.
+        assert_eq!(g.subcube(&[Some(2), None]), vec![4, 5]);
+        assert_eq!(g.subcube(&[None, Some(1)]), vec![1, 3, 5, 7]);
+        // The split routes address exactly those cells as sub-keys.
+        let mut splits = SplitMap::new();
+        let hot = HashedKey::new("R+A");
+        splits.insert(hot.clone(), g.clone(), 0);
+        let t = tuple([1, 2, 3], 5);
+        let cells = |route: SplitRoute| -> Vec<u32> {
+            route.iter().map(|sub| sub.partition().expect("a sub-key").0).collect()
+        };
+        let row = partition_for_tuple(&t, 4);
+        assert_eq!(cells(splits.route_tuple(&hot, &t).unwrap()), g.subcube(&[Some(row), None]));
+        let col = partition_for_query(qid(5, 1), 2);
+        assert_eq!(
+            cells(splits.route_query(&hot, qid(5, 1)).unwrap()),
+            g.subcube(&[None, Some(col)])
+        );
     }
 
     #[test]
@@ -601,6 +591,6 @@ mod tests {
     fn split_map_rejects_sub_keys() {
         let mut splits = SplitMap::new();
         let sub = HashedKey::new("R+A").split_part(0, 2);
-        splits.insert(sub, SplitGrid::tuples(2), 0);
+        splits.insert(sub, HypercubeGrid::new(vec![2, 1]), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Behavioural tests of the engine: traffic accounting, RIC reuse, window
 //! kinds, and robustness to node churn.
 
-use rjoin_core::{traffic_class, EngineConfig, PlacementStrategy, RJoinEngine};
+use rjoin_core::{traffic_class, EngineConfig, EngineError, PlacementStrategy, RJoinEngine};
 use rjoin_query::parse_query;
 use rjoin_relation::{Catalog, Schema, Tuple, Value};
 use rjoin_workload::Scenario;
@@ -244,6 +244,51 @@ fn parallel_tick_loop_matches_sequential_loop() {
     let parallel = run(true);
     assert!(sequential.1 > 0, "the scenario should produce answers");
     assert_eq!(sequential, parallel, "the one-shard parallel drain diverged from the sequential");
+}
+
+/// `split_key` re-homes stored state, so with messages in flight it refuses
+/// with a typed error and changes nothing: the drain that follows answers
+/// exactly like an engine that never made the call.
+#[test]
+fn split_key_with_messages_in_flight_is_refused_and_changes_nothing() {
+    let scenario = Scenario { nodes: 32, queries: 60, tuples: 40, ..Scenario::small_test() };
+    let run = |attempt_split: bool| {
+        let catalog = scenario.workload_schema().build_catalog();
+        let config = EngineConfig::default().with_altt(1_000);
+        let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
+        let nodes = engine.node_ids().to_vec();
+        let mut qids = Vec::new();
+        for (i, q) in scenario.generate_queries().into_iter().enumerate() {
+            qids.push(engine.submit_query(nodes[i % nodes.len()], q).unwrap());
+        }
+        engine.run_until_quiescent().unwrap();
+        for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
+            engine.publish_tuple(nodes[i % nodes.len()], t).unwrap();
+        }
+        let in_flight = engine.in_flight();
+        assert!(in_flight > 0, "the publications must leave messages in flight");
+        if attempt_split {
+            let key = rjoin_query::IndexKey::attribute("R0", "A0");
+            assert_eq!(engine.split_key(&key, 4), Err(EngineError::NotQuiescent { in_flight }));
+            assert!(engine.split_map().is_empty(), "a refused split registers nothing");
+            assert_eq!(engine.in_flight(), in_flight, "a refused split sends nothing");
+        }
+        engine.run_until_quiescent().unwrap();
+        let rows: Vec<Vec<Vec<Value>>> = qids
+            .iter()
+            .map(|qid| {
+                let mut rows = engine.answers().rows_for(*qid);
+                rows.sort();
+                rows
+            })
+            .collect();
+        let stats = engine.stats();
+        assert_eq!(stats.splits, Default::default());
+        (rows, stats.answers, stats.qpl_total, stats.traffic_total)
+    };
+    let untouched = run(false);
+    assert!(untouched.1 > 0, "the scenario should produce answers");
+    assert_eq!(run(true), untouched);
 }
 
 #[test]

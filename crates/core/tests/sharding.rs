@@ -118,8 +118,9 @@ fn mid_flight_churn_is_deterministic() {
 }
 
 /// A zero-delay configuration (legal for the single queue) cannot run the
-/// watermark protocol (lookahead = δ): the parallel driver must run the
-/// sequential drain instead and stay byte-identical to it.
+/// sharded rounds (a round's sends must land after its tick): the parallel
+/// driver must run the sequential drain instead and stay byte-identical to
+/// it.
 #[test]
 fn zero_delay_falls_back_to_the_single_queue_driver() {
     let scenario = churn_scenario();

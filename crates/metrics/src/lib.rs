@@ -22,7 +22,7 @@
 //! * [`CompileCounters`] — how the compiled predicate-program hot loop
 //!   behaved (compiles, cache hits, per-path rewrite counts, eval time),
 //! * [`ShardRuntimeStats`] — how a sharded event-queue drain executed
-//!   (shard count, per-shard tick activations, blocked cross-shard reads),
+//!   (shard count, per-shard tick activations, deliveries),
 //! * [`SplitCounters`] — what the hot-key splitting subsystem did
 //!   (heavy hitters split, state migrated, routing/fan-out overhead),
 //! * [`PlannerCounters`] — what the two-plan query planner decided

@@ -2,9 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Counters describing how a sharded drain executed: how many shards ran,
-/// how much work each kind of shard activity performed, and how often
-/// cross-shard synchronization actually blocked. Complements the
+/// Counters describing how a sharded drain executed: how many shards ran
+/// and how much work they performed. Complements the
 /// intra/cross-shard message counts the traffic layer records per
 /// scheduled delivery.
 ///
@@ -16,16 +15,11 @@ pub struct ShardRuntimeStats {
     pub shards: usize,
     /// Number of sharded drains executed.
     pub drains: u64,
-    /// Tick activations summed over all shard workers (one worker
-    /// processing one tick bucket = one activation).
+    /// Tick activations summed over all shards (one shard processing one
+    /// tick bucket = one activation).
     pub ticks: u64,
-    /// Deliveries processed on shard workers.
+    /// Deliveries processed by the shards.
     pub deliveries: u64,
-    /// Times an effect phase had to block on a peer shard's handled
-    /// watermark to answer an RIC rate request. High values mean the
-    /// placement strategy's remote reads, not the event flow, limit
-    /// shard independence.
-    pub blocked_rate_reads: u64,
 }
 
 impl ShardRuntimeStats {
@@ -35,22 +29,15 @@ impl ShardRuntimeStats {
     }
 
     /// Folds the counters of one drain into the cumulative totals.
-    pub fn absorb_drain(
-        &mut self,
-        shards: usize,
-        ticks: u64,
-        deliveries: u64,
-        blocked_rate_reads: u64,
-    ) {
+    pub fn absorb_drain(&mut self, shards: usize, ticks: u64, deliveries: u64) {
         self.shards = shards;
         self.drains += 1;
         self.ticks += ticks;
         self.deliveries += deliveries;
-        self.blocked_rate_reads += blocked_rate_reads;
     }
 
     /// Average deliveries per tick activation — the effective batch size a
-    /// shard worker sees (1.0 means purely thin cascades).
+    /// shard sees (1.0 means purely thin cascades).
     pub fn deliveries_per_tick(&self) -> f64 {
         if self.ticks == 0 {
             0.0
@@ -68,20 +55,19 @@ mod tests {
     fn absorb_accumulates_and_tracks_latest_shard_count() {
         let mut s = ShardRuntimeStats::new();
         assert_eq!(s.deliveries_per_tick(), 0.0);
-        s.absorb_drain(4, 10, 40, 2);
-        s.absorb_drain(8, 5, 20, 1);
+        s.absorb_drain(4, 10, 40);
+        s.absorb_drain(8, 5, 20);
         assert_eq!(s.shards, 8);
         assert_eq!(s.drains, 2);
         assert_eq!(s.ticks, 15);
         assert_eq!(s.deliveries, 60);
-        assert_eq!(s.blocked_rate_reads, 3);
         assert!((s.deliveries_per_tick() - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn serde_round_trip() {
         let mut s = ShardRuntimeStats::new();
-        s.absorb_drain(2, 3, 9, 0);
+        s.absorb_drain(2, 3, 9);
         let json = serde_json::to_string(&s).unwrap();
         let back: ShardRuntimeStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);

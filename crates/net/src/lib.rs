@@ -37,19 +37,18 @@
 //!
 //! # The sharded runtime ([`ShardedNetwork`])
 //!
-//! N per-shard bucket queues, each with its own local virtual clock, each
-//! driven by a persistent worker thread. Shards own disjoint, contiguous
-//! ranges of the ring ([`ShardMap`]); intra-shard messages never leave
-//! their shard's queue, cross-shard messages go through a bounded
-//! outbox/inbox handoff. Instead of a global tick barrier, shards obey a
-//! conservative **watermark protocol** (documented on [`ShardedNetwork`]): a
-//! shard processes its next tick `t` only once every peer's published low
-//! watermark proves that no message arriving at or before `t` can still be
-//! produced. With the uniform link delay δ ≥ 1 this is deadlock-free — the
-//! shard holding the minimal watermark can always run, and by running it
-//! releases its peers — so independent event cascades on different shards
-//! proceed concurrently with no synchronization beyond a few atomic
-//! watermark updates per tick.
+//! N per-shard bucket queues, each with its own local virtual clock. Shards
+//! own disjoint, contiguous ranges of the ring ([`ShardMap`]); intra-shard
+//! messages never leave their shard's queue, cross-shard messages go
+//! through the receiving shard's inbox. The driver advances every shard in
+//! **tick rounds** (documented on [`ShardedNetwork`]): drain the inboxes and
+//! take the global minimum tick, run every shard's handlers for it, then
+//! every shard's effects. With the uniform link delay δ ≥ 1 no effect can
+//! land at or before the round's tick, so the round order is the single
+//! queue's tick order; and since every handler of a tick runs before any of
+//! its effects, an effect reads remote node state without waiting. A round's
+//! phases touch disjoint shard state, so a driver may spread them over
+//! threads.
 //!
 //! Intra-tick determinism under sharding comes from **lineages**
 //! ([`root_lineage`]/[`child_lineage`]): 128-bit causal identities chained
@@ -71,7 +70,7 @@ pub use network::{Delivery, Network, NetworkConfig};
 pub use queue::BucketQueue;
 pub use shard::{
     child_lineage, lineage_seed, root_lineage, Lineage, ShardDelivery, ShardHandle, ShardLocal,
-    ShardMap, ShardPoll, ShardedNetwork,
+    ShardMap, ShardedNetwork,
 };
 pub use time::SimTime;
 pub use traffic::{account_route, TrafficClass, TrafficStats};

@@ -1,44 +1,33 @@
-//! The sharded event-queue runtime: N per-shard clocks with conservative
-//! cross-shard synchronization.
+//! The sharded event-queue runtime: N per-shard queues advanced together,
+//! one global tick round at a time.
 //!
 //! [`ShardedNetwork`] partitions the ring's nodes into `n` **shards** by
 //! contiguous ring-identifier range. Each shard owns its own constant-δ
-//! [`BucketQueue`], its own local virtual clock and its own traffic buffer,
-//! and is driven by one persistent worker thread. Intra-shard messages are
-//! scheduled straight into the shard's own queue; cross-shard messages go
-//! through a per-shard inbox (the outbox/inbox exchange) and lower the
-//! receiving shard's published event watermark.
+//! [`BucketQueue`], its own local virtual clock and its own traffic buffer.
+//! Intra-shard messages are scheduled straight into the shard's own queue;
+//! cross-shard messages go through the receiving shard's inbox.
 //!
-//! # The watermark protocol
+//! # The round
 //!
-//! Every shard publishes a **low watermark** `low_s`: the smallest tick it
-//! might still process (its current tick while mid-tick, else the earliest
-//! arrival in its queue/inbox, else `∞`). Because every link has the same
-//! constant delay δ ≥ 1, a shard processing tick `t` can only produce
-//! arrivals at `max(clock, t) + δ > t` — so a shard may safely process its
-//! next tick `t` as soon as
+//! The driver advances all shards together. One round
 //!
-//! ```text
-//! t  <  min over all shards of low  +  δ
-//! ```
+//! 1. drains every shard's inbox into its queue and takes the smallest
+//!    pending arrival tick `t` over all shards
+//!    ([`ShardHandle::next_event_time`]); when no shard has one, the drain is
+//!    quiescent;
+//! 2. pops every shard's bucket due at `t` ([`ShardHandle::try_take_tick`])
+//!    and runs its handlers;
+//! 3. runs every shard's effects, whose sends arrive at `clock + δ`.
 //!
-//! holds: no shard will ever emit a message arriving at or before `t`
-//! again. This is the classic conservative (Chandy–Misra–Bryant) null-
-//! message rule with lookahead δ, collapsed into shared-memory atomics: the
-//! "null messages" are `fetch_max`/`fetch_min` updates of per-shard
-//! watermark words, so synchronization costs a few atomic operations per
-//! tick instead of a global barrier. δ ≥ 1 makes the protocol deadlock-free:
-//! the shard holding the globally minimal watermark always satisfies the
-//! rule for its own next tick (its own `low` *is* the minimum), processes
-//! it, and thereby raises the minimum for everyone else.
-//!
-//! A second per-shard word, `handled_through`, records the last tick whose
-//! **handlers** have all run. It is published *before* the shard applies the
-//! tick's effects, which lets another shard's effect phase perform a
-//! blocking-but-deadlock-free remote state read (the engine's RIC rate
-//! lookups): a reader mid-tick `t` waits for `handled_through ≥ t`, and the
-//! provider can always reach that point because running handlers never
-//! blocks on remote state.
+//! Every link has the same delay δ ≥ 1, so no effect of round `t` can
+//! produce an arrival at or before `t`: the global minimum is exactly the
+//! tick the single queue would pop next. Every handler of tick `t` has run
+//! on every shard before any effect of tick `t`, and no shard has handled a
+//! later tick, so an effect may read another shard's node state (the
+//! engine's RIC rate lookups) without waiting and sees the same state
+//! whichever thread reads it. The phases of one round touch disjoint shard
+//! state, so a driver may spread each phase over as many threads as it
+//! likes, provided it separates the phases and the rounds.
 //!
 //! # Determinism
 //!
@@ -56,9 +45,7 @@
 use crate::queue::BucketQueue;
 use crate::{KeyRouter, SimTime, TrafficClass, Transport};
 use rjoin_dht::{ChordNetwork, DhtError, Id, LookupResult};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// The causal identity of one in-flight message under the sharded runtime:
 /// a 128-bit hash chained from the message's parent. Within one tick,
@@ -185,16 +172,7 @@ impl ShardMap {
     }
 }
 
-/// Published synchronization state of one shard.
-#[derive(Debug)]
-struct ShardSync {
-    /// Low watermark: smallest tick this shard might still process.
-    low: AtomicU64,
-    /// Handlers of all deliveries with `at <=` this value have run.
-    handled_through: AtomicU64,
-}
-
-/// The per-worker (thread-owned) half of one shard.
+/// The per-shard (driver-owned) half of one shard.
 #[derive(Debug)]
 pub struct ShardLocal<M> {
     shard: usize,
@@ -203,54 +181,24 @@ pub struct ShardLocal<M> {
     /// are scheduled `clock + δ`, exactly as under the single queue.
     clock: SimTime,
     traffic: crate::TrafficStats,
-    /// Ticks this worker processed.
+    /// Ticks this shard processed.
     pub ticks: u64,
-    /// Deliveries this worker processed.
+    /// Deliveries this shard processed.
     pub deliveries: u64,
-    /// Times this worker's effect phase blocked on a remote watermark.
-    pub blocked_reads: u64,
-}
-
-/// Outcome of one [`ShardHandle::poll`] call.
-#[derive(Debug)]
-pub enum ShardPoll<M> {
-    /// The next safe tick of this shard, with its deliveries sorted by
-    /// lineage and the shard's (floor-clamped) clock after advancing to it.
-    Tick {
-        /// The arrival tick being processed.
-        tick: SimTime,
-        /// The shard clock, i.e. `max(floor, tick)`.
-        now: SimTime,
-        /// The tick's deliveries in ascending lineage order.
-        deliveries: Vec<ShardDelivery<M>>,
-    },
-    /// No message is in flight anywhere: the drain is complete.
-    Quiescent,
-    /// Another worker aborted the run.
-    Aborted,
 }
 
 /// The sharded event-queue runtime for one drain.
 ///
 /// Built from the shared Chord ring plus the global queue's in-flight
-/// messages; per-shard state is handed to worker threads via
-/// [`take_local`](Self::take_local) and driven through [`ShardHandle`]s.
+/// messages; per-shard state is handed out via
+/// [`take_local`](Self::take_local) and driven in rounds through
+/// [`ShardHandle`]s.
 #[derive(Debug)]
 pub struct ShardedNetwork<'a, M> {
     dht: &'a ChordNetwork,
     delay: SimTime,
-    floor: SimTime,
     map: ShardMap,
-    sync: Vec<ShardSync>,
     inboxes: Vec<Mutex<Vec<ShardDelivery<M>>>>,
-    inflight: AtomicU64,
-    max_now: AtomicU64,
-    aborted: AtomicBool,
-    /// Set by the cooperative (single-threaded) scheduler: nobody ever
-    /// sleeps on the progress condvar, so wakeups are skipped entirely.
-    cooperative: AtomicBool,
-    progress: Mutex<u64>,
-    progress_cv: Condvar,
     locals: Vec<Option<ShardLocal<M>>>,
     roots: u64,
 }
@@ -271,21 +219,8 @@ impl<'a, M> ShardedNetwork<'a, M> {
         ShardedNetwork {
             dht,
             delay: delay.max(1),
-            floor,
             map,
-            sync: (0..n)
-                .map(|_| ShardSync {
-                    low: AtomicU64::new(u64::MAX),
-                    handled_through: AtomicU64::new(0),
-                })
-                .collect(),
             inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            inflight: AtomicU64::new(0),
-            max_now: AtomicU64::new(floor),
-            aborted: AtomicBool::new(false),
-            cooperative: AtomicBool::new(false),
-            progress: Mutex::new(0),
-            progress_cv: Condvar::new(),
             locals: (0..n)
                 .map(|shard| {
                     Some(ShardLocal {
@@ -295,7 +230,6 @@ impl<'a, M> ShardedNetwork<'a, M> {
                         traffic: crate::TrafficStats::new(),
                         ticks: 0,
                         deliveries: 0,
-                        blocked_reads: 0,
                     })
                 })
                 .collect(),
@@ -313,23 +247,7 @@ impl<'a, M> ShardedNetwork<'a, M> {
         self.map.shard_of(id)
     }
 
-    /// The shard-range map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// The drain's starting clock.
-    pub fn floor(&self) -> SimTime {
-        self.floor
-    }
-
-    /// The highest clock value any shard reached (the global clock after the
-    /// drain).
-    pub fn final_clock(&self) -> SimTime {
-        self.max_now.load(Ordering::SeqCst)
-    }
-
-    /// Seeds one already-in-flight message (called before the workers start,
+    /// Seeds one already-in-flight message (called before the first round,
     /// in the global `(at, seq)` pop order of the single queue so root
     /// lineages are shard-count-invariant).
     pub fn seed(&mut self, at: SimTime, to: Id, from: Id, msg: M) {
@@ -338,87 +256,16 @@ impl<'a, M> ShardedNetwork<'a, M> {
         let shard = self.map.shard_of(to);
         let local = self.locals[shard].as_mut().expect("seeding happens before take_local");
         local.queue.push(at, ShardDelivery { at, lineage, to, from, msg });
-        let low = local.queue.next_time().unwrap_or(u64::MAX);
-        self.sync[shard].low.store(low, Ordering::SeqCst);
-        *self.inflight.get_mut() += 1;
     }
 
-    /// Hands out shard `i`'s thread-owned state. Panics if taken twice.
+    /// Hands out shard `i`'s driver-owned state. Panics if taken twice.
     pub fn take_local(&mut self, shard: usize) -> ShardLocal<M> {
         self.locals[shard].take().expect("each shard's local state is taken exactly once")
     }
-
-    /// Marks the run aborted (a worker hit an error); all other workers see
-    /// [`ShardPoll::Aborted`] on their next poll and blocked waits return.
-    pub fn abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
-        self.bump();
-    }
-
-    /// Whether the run was aborted.
-    pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
-    }
-
-    /// Declares that a single thread drives every shard (the cooperative
-    /// scheduler): condvar wakeups become no-ops.
-    pub fn set_cooperative(&self, on: bool) {
-        self.cooperative.store(on, Ordering::SeqCst);
-    }
-
-    fn bump(&self) {
-        if self.cooperative.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut gen = self.progress.lock().expect("progress lock");
-        *gen = gen.wrapping_add(1);
-        self.progress_cv.notify_all();
-    }
-
-    /// Spins briefly, then parks on the progress condvar until `pred` holds.
-    /// A 1 ms timeout re-checks the predicate unconditionally, so no lost
-    /// wakeup can hang the run.
-    fn wait_until(&self, pred: impl Fn() -> bool) {
-        for _ in 0..128 {
-            if pred() {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        loop {
-            if pred() {
-                return;
-            }
-            let gen = self.progress.lock().expect("progress lock");
-            if pred() {
-                return;
-            }
-            let start = *gen;
-            let (gen, _) = self
-                .progress_cv
-                .wait_timeout_while(gen, Duration::from_millis(1), |g| *g == start)
-                .expect("progress lock");
-            drop(gen);
-        }
-    }
-
-    fn global_min_low(&self) -> u64 {
-        self.sync.iter().map(|s| s.low.load(Ordering::SeqCst)).min().unwrap_or(u64::MAX)
-    }
-
-    /// Publishes that *every* shard's handlers have run through tick `t`.
-    /// Called by the cooperative scheduler after it finished tick `t`'s
-    /// handler phase on every shard, so effect-phase remote reads never
-    /// block (there is no second thread to unblock them).
-    pub fn mark_all_handled(&self, t: SimTime) {
-        for sync in &self.sync {
-            sync.handled_through.fetch_max(t, Ordering::SeqCst);
-        }
-    }
 }
 
-/// One worker's view of the sharded runtime: its owned [`ShardLocal`] plus
-/// the shared fabric. Implements [`Transport`] for the effect phase.
+/// The driver's view of one shard: its owned [`ShardLocal`] plus the shared
+/// fabric. Implements [`Transport`] for the effect phase.
 #[derive(Debug)]
 pub struct ShardHandle<'n, 'a, M> {
     net: &'n ShardedNetwork<'a, M>,
@@ -430,22 +277,12 @@ pub struct ShardHandle<'n, 'a, M> {
 }
 
 impl<'n, 'a, M> ShardHandle<'n, 'a, M> {
-    /// Wraps a taken [`ShardLocal`] for use on a worker thread.
+    /// Wraps a taken [`ShardLocal`].
     pub fn new(net: &'n ShardedNetwork<'a, M>, local: ShardLocal<M>) -> Self {
         ShardHandle { net, local, parent: 0, children: 0 }
     }
 
-    /// This worker's shard index.
-    pub fn shard(&self) -> usize {
-        self.local.shard
-    }
-
-    /// The shard that owns node `id`.
-    pub fn shard_of(&self, id: Id) -> usize {
-        self.net.map.shard_of(id)
-    }
-
-    /// Returns the thread-owned state (after the drain, for merging).
+    /// Returns the driver-owned state (after the drain, for merging).
     pub fn into_local(self) -> ShardLocal<M> {
         self.local
     }
@@ -463,42 +300,23 @@ impl<'n, 'a, M> ShardHandle<'n, 'a, M> {
         self.children = 0;
     }
 
-    /// Drains the inbox into the local queue and publishes the shard's low
-    /// watermark. Loops until the inbox is observed empty *after* the
-    /// publish, so a racing cross-shard push can never be missed.
-    fn sync_low(&mut self) {
-        loop {
-            let drained: Vec<ShardDelivery<M>> = {
-                let mut inbox = self.net.inboxes[self.local.shard].lock().expect("inbox lock");
-                std::mem::take(&mut *inbox)
-            };
-            for d in drained {
-                self.local.queue.push(d.at, d);
-            }
-            let low = self.local.queue.next_time().unwrap_or(u64::MAX);
-            self.net.sync[self.local.shard].low.store(low, Ordering::SeqCst);
-            if self.net.inboxes[self.local.shard].lock().expect("inbox lock").is_empty() {
-                return;
-            }
-        }
-    }
-
-    /// The arrival time of this shard's earliest pending delivery (after
-    /// draining the inbox), or `None` when the shard is empty. Used by the
-    /// cooperative single-threaded scheduler.
+    /// Round start: moves the inbox into the local queue and returns the
+    /// arrival time of this shard's earliest pending delivery, or `None`
+    /// when the shard is empty. Call it only once every effect phase of the
+    /// previous round has finished, so no cross-shard send is missed.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        self.sync_low();
+        let inbox = std::mem::take(&mut *self.net.inboxes[self.local.shard].lock().expect("inbox"));
+        for d in inbox {
+            self.local.queue.push(d.at, d);
+        }
         self.local.queue.next_time()
     }
 
-    /// Pops this shard's next bucket **iff** it is scheduled exactly at
-    /// `tick`, without any watermark waiting — the cooperative scheduler
-    /// has already established that `tick` is the global minimum, which is
-    /// a stronger guarantee than the watermark rule. The inbox is *not*
-    /// re-drained: the scheduler runs on one thread and has already synced
-    /// via [`next_event_time`](Self::next_event_time) this round, and no
-    /// send can have happened since. Returns the floor-clamped clock and
-    /// the lineage-sorted deliveries.
+    /// Handler phase: pops this shard's next bucket **iff** it is due
+    /// exactly at `tick`, the round's global minimum. The inbox is not
+    /// re-drained: [`next_event_time`](Self::next_event_time) already did
+    /// this round, and no send happens before the effect phase. Returns the
+    /// floor-clamped clock and the lineage-sorted deliveries.
     pub fn try_take_tick(&mut self, tick: SimTime) -> Option<(SimTime, Vec<ShardDelivery<M>>)> {
         if self.local.queue.next_time() != Some(tick) {
             return None;
@@ -512,91 +330,6 @@ impl<'n, 'a, M> ShardHandle<'n, 'a, M> {
         Some((self.local.clock, deliveries))
     }
 
-    /// Blocks until the next safe tick for this shard, global quiescence, or
-    /// an abort. The returned deliveries are sorted by lineage.
-    pub fn poll(&mut self) -> ShardPoll<M> {
-        loop {
-            if self.net.is_aborted() {
-                return ShardPoll::Aborted;
-            }
-            self.sync_low();
-            let next = self.local.queue.next_time();
-            let g = self.net.global_min_low();
-            if let Some(t) = next {
-                if t < g.saturating_add(self.net.delay) {
-                    let (at, bucket) =
-                        self.local.queue.pop_bucket().expect("next_time returned Some");
-                    debug_assert_eq!(at, t);
-                    let deliveries = sort_by_lineage(bucket);
-                    self.local.clock = self.local.clock.max(t);
-                    self.local.ticks += 1;
-                    self.local.deliveries += deliveries.len() as u64;
-                    // `low` stays at `t` (published by sync_low) while this
-                    // tick is being processed: peers may not run past it.
-                    return ShardPoll::Tick { tick: t, now: self.local.clock, deliveries };
-                }
-            }
-            if self.net.inflight.load(Ordering::SeqCst) == 0 {
-                return ShardPoll::Quiescent;
-            }
-            // Idle: nothing processable below the global bound. Everything
-            // strictly below min(next, g + δ) is settled — raise the handled
-            // watermark so remote readers blocked on this shard make
-            // progress, then sleep until the picture changes.
-            let bound = next.unwrap_or(u64::MAX).min(g.saturating_add(self.net.delay));
-            if bound > 0 {
-                let prev = self.net.sync[self.local.shard]
-                    .handled_through
-                    .fetch_max(bound - 1, Ordering::SeqCst);
-                if prev < bound - 1 {
-                    self.net.bump();
-                }
-            }
-            let net = self.net;
-            let shard = self.local.shard;
-            net.wait_until(|| {
-                net.is_aborted()
-                    || net.inflight.load(Ordering::SeqCst) == 0
-                    || net.global_min_low() != g
-                    || !net.inboxes[shard].lock().expect("inbox lock").is_empty()
-            });
-        }
-    }
-
-    /// Publishes that every handler of tick `t` has run on this shard.
-    /// Must be called between the handler phase and the effect phase, so
-    /// remote readers can proceed while this shard applies effects.
-    pub fn mark_handled(&self, t: SimTime) {
-        self.net.sync[self.local.shard].handled_through.fetch_max(t, Ordering::SeqCst);
-        self.net.bump();
-    }
-
-    /// Completes the current tick: `n` deliveries leave the in-flight set
-    /// and the global clock high-water mark advances to `now`.
-    pub fn finish_tick(&mut self, n: usize, now: SimTime) {
-        self.net.max_now.fetch_max(now, Ordering::SeqCst);
-        self.net.inflight.fetch_sub(n as u64, Ordering::SeqCst);
-        self.net.bump();
-    }
-
-    /// Blocks until shard `shard`'s handlers have run through tick `t`.
-    /// Returns `false` if the run was aborted while waiting. Deadlock-free:
-    /// providers publish `handled_through` before their own effect phase,
-    /// and idle shards keep raising it as the global watermark advances.
-    pub fn wait_handled(&mut self, shard: usize, t: SimTime) -> bool {
-        if shard == self.local.shard
-            || self.net.sync[shard].handled_through.load(Ordering::SeqCst) >= t
-        {
-            return true;
-        }
-        self.local.blocked_reads += 1;
-        let net = self.net;
-        net.wait_until(|| {
-            net.is_aborted() || net.sync[shard].handled_through.load(Ordering::SeqCst) >= t
-        });
-        !net.is_aborted()
-    }
-
     /// Schedules `msg` for delivery to node `to` one delay bound from now.
     fn schedule(&mut self, to: Id, from: Id, msg: M) {
         let at = self.local.clock + self.net.delay;
@@ -604,14 +337,12 @@ impl<'n, 'a, M> ShardHandle<'n, 'a, M> {
         self.children += 1;
         let delivery = ShardDelivery { at, lineage, to, from, msg };
         let target = self.net.map.shard_of(to);
-        self.net.inflight.fetch_add(1, Ordering::SeqCst);
         if target == self.local.shard {
             self.local.traffic.record_shard_hop(false);
             self.local.queue.push(at, delivery);
         } else {
             self.local.traffic.record_shard_hop(true);
             self.net.inboxes[target].lock().expect("inbox lock").push(delivery);
-            self.net.sync[target].low.fetch_min(at, Ordering::SeqCst);
         }
     }
 }
@@ -668,15 +399,17 @@ impl<M> Transport<M> for ShardHandle<'_, '_, M> {
 }
 
 impl<M> ShardLocal<M> {
-    /// This shard's index.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// The shard's traffic buffer (merged into the global stats after the
     /// drain).
     pub fn traffic(&self) -> &crate::TrafficStats {
         &self.traffic
+    }
+
+    /// The shard's clock: the floor, or the last tick it processed if
+    /// later. The largest over all shards is the global clock after the
+    /// drain.
+    pub fn clock(&self) -> SimTime {
+        self.clock
     }
 }
 
@@ -733,27 +466,57 @@ mod tests {
         let local = net.take_local(0);
         let mut handle = ShardHandle::new(&net, local);
 
-        let ShardPoll::Tick { tick, deliveries, .. } = handle.poll() else {
-            panic!("expected a tick");
-        };
-        assert_eq!(tick, 1);
+        assert_eq!(handle.next_event_time(), Some(1));
+        assert!(handle.try_take_tick(0).is_none(), "nothing is due before the earliest tick");
+        let (now, deliveries) = handle.try_take_tick(1).expect("the seeded tick");
+        assert_eq!(now, 1);
         assert_eq!(deliveries.len(), 2);
         assert!(deliveries[0].lineage < deliveries[1].lineage);
-        handle.mark_handled(tick);
-        // Send a child during the effect phase, then finish the tick.
+        // Send a child during the effect phase: it lands one δ later.
         handle.begin_effect(deliveries[0].lineage);
         handle.send_direct(a, b, "child", 0);
-        handle.finish_tick(deliveries.len(), 1);
 
-        let ShardPoll::Tick { tick, deliveries, .. } = handle.poll() else {
-            panic!("expected the child tick");
-        };
-        assert_eq!(tick, 2);
+        assert_eq!(handle.next_event_time(), Some(2));
+        let (now, deliveries) = handle.try_take_tick(2).expect("the child tick");
+        assert_eq!(now, 2);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].msg, "child");
-        handle.mark_handled(tick);
-        handle.finish_tick(1, 2);
-        assert!(matches!(handle.poll(), ShardPoll::Quiescent));
-        assert_eq!(net.final_clock(), 2);
+        assert_eq!(deliveries[0].lineage, child_lineage(root_lineage(0).min(root_lineage(1)), 0));
+        assert_eq!(handle.next_event_time(), None, "quiescent");
+        let local = handle.into_local();
+        assert_eq!((local.clock(), local.ticks, local.deliveries), (2, 2, 3));
+    }
+
+    #[test]
+    fn cross_shard_sends_wait_in_the_inbox_until_the_next_round() {
+        let mut dht = ChordNetwork::new(4);
+        let ids: Vec<Id> = (0..4).map(|i| Id::hash_key(&format!("shard-test-{i}"))).collect();
+        for id in &ids {
+            dht.join(*id).unwrap();
+        }
+        dht.full_stabilize();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        let (near, far) = (sorted[0], sorted[3]);
+
+        let mut net: ShardedNetwork<'_, &str> = ShardedNetwork::new(&dht, 3, 10, &ids, 2);
+        assert_ne!(net.shard_of(near), net.shard_of(far));
+        net.seed(11, near, far, "root");
+        let (from, to) = (net.take_local(net.shard_of(near)), net.take_local(net.shard_of(far)));
+        let mut sender = ShardHandle::new(&net, from);
+        let mut receiver = ShardHandle::new(&net, to);
+
+        assert_eq!(sender.next_event_time(), Some(11));
+        assert_eq!(receiver.next_event_time(), None);
+        let (now, root) = sender.try_take_tick(11).expect("the seeded tick");
+        sender.begin_effect(root[0].lineage);
+        sender.send_direct(near, far, "hop", 0);
+        assert_eq!(sender.traffic().cross_shard_sent(), 1);
+        assert!(receiver.try_take_tick(now + 3).is_none(), "the send is still in the inbox");
+
+        assert_eq!(sender.next_event_time(), None);
+        assert_eq!(receiver.next_event_time(), Some(now + 3));
+        let (_, hop) = receiver.try_take_tick(now + 3).expect("the hop arrives one δ later");
+        assert_eq!((hop[0].to, hop[0].msg), (far, "hop"));
     }
 }

@@ -20,7 +20,7 @@
 //! | impl | clock | ordering | routing |
 //! |------|-------|----------|---------|
 //! | [`Network`](crate::Network) | virtual ticks, one global monotone clock | total `(at, seq)` order: every delivery of a run is totally ordered and replayed identically | Chord lookups over per-node routing state (`O(log N)` hops, each hop accounted) |
-//! | [`ShardedNetwork`](crate::ShardedNetwork) handles | virtual ticks, one clock per shard under conservative watermark sync | total `(at, lineage)` order, identical across shard counts | same Chord lookups (stable ground-truth membership) |
+//! | [`ShardedNetwork`](crate::ShardedNetwork) handles | virtual ticks, one clock per shard, advanced in global tick rounds | total `(at, lineage)` order, identical across shard counts | same Chord lookups (stable ground-truth membership) |
 //! | `rjoin_transport::TcpTransport` (separate crate) | real wall clock, coarse ticks, monotone via high-water marking | per-peer FIFO only (TCP streams); *no* global order — cross-node interleaving is nondeterministic | one hop to the owner from a full-membership view (no overlay hops) |
 //!
 //! The simulated runtimes deliver every message exactly once and in a

@@ -105,7 +105,7 @@ impl NodeProcess {
         let worker_stopping = Arc::clone(&stopping);
         let worker = thread::Builder::new()
             .name(format!("rjoin-node-worker-{label}"))
-            .spawn(move || run_worker(worker_member, boot, rx, worker_stats, worker_stopping))?;
+            .spawn(move || work_loop(worker_member, boot, rx, worker_stats, worker_stopping))?;
 
         Ok(NodeProcess { member, stats, worker: Some(worker), stopping })
     }
@@ -260,7 +260,7 @@ impl NodeRuntime {
 
 /// The worker loop: total arrival order per node, exactly like the
 /// engine's per-node delivery groups.
-fn run_worker(
+fn work_loop(
     member: Member,
     boot: Option<NodeBoot>,
     rx: Receiver<ServiceMessage>,

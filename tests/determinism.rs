@@ -199,18 +199,27 @@ fn with_shards_one_is_the_sequential_driver() {
     assert_eq!(sequential, one_shard);
 }
 
-/// The worker count is purely an execution choice: a 4-shard drain produces
-/// byte-identical observables whether it runs on the cooperative scheduler
-/// (1 worker), the pooled phase-parallel scheduler (2 or 3 workers — fewer
-/// workers than shards) or one persistent thread per shard (4 workers).
+/// The thread count is purely an execution choice: for every shard count,
+/// a drain produces byte-identical observables whether its rounds run on
+/// the calling thread alone (1 worker), on fewer threads than shards
+/// (uneven chunks included), on one thread per shard, or with more workers
+/// than shards.
 #[test]
 fn worker_count_never_changes_sharded_results() {
     let scenario = test_scenario();
-    let reference = run_observables(&scenario, EngineConfig::default().with_workers(1), 4);
-    assert!(reference.0 > 0, "the determinism scenario should produce answers");
-    for workers in [2usize, 3, 4, 16] {
-        let run = run_observables(&scenario, EngineConfig::default().with_workers(workers), 4);
-        assert_eq!(reference, run, "worker count {workers} must not change any observable");
+    for shards in [2usize, 4, 8] {
+        let run = |workers| {
+            run_observables(&scenario, EngineConfig::default().with_workers(workers), shards)
+        };
+        let reference = run(1);
+        assert!(reference.0 > 0, "the determinism scenario should produce answers");
+        for workers in [2usize, 3, 4, 16] {
+            assert_eq!(
+                reference,
+                run(workers),
+                "{workers} workers must not change any observable at {shards} shards"
+            );
+        }
     }
 }
 
