@@ -118,6 +118,11 @@ impl Cell {
         self.entries.front().map(|e| e.deadline)
     }
 
+    /// The eviction deadlines of the stored tuples, in arrival order.
+    pub(crate) fn deadlines(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.entries.iter().map(|e| e.deadline)
+    }
+
     /// Appends a tuple (un-filed until the cell's next arrival).
     pub(crate) fn push(&mut self, tuple: Arc<Tuple>, deadline: SimTime) {
         self.entries.push_back(Entry { tuple, deadline, slot: None });

@@ -28,6 +28,11 @@ pub enum PlacementStrategy {
 }
 
 /// Configuration of an [`RJoinEngine`](crate::RJoinEngine) run.
+///
+/// The fields describe the workload, the protocol variant and the
+/// resources, never which implementation runs: windowed state always
+/// expires on publication time (each node's timer wheel, advanced by the
+/// node's publication watermark), so no field selects an expiry mechanism.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Placement strategy for input and rewritten queries.
@@ -110,20 +115,6 @@ pub struct EngineConfig {
     /// Afrati et al.'s terms). Ignored while
     /// [`hot_key_threshold`](Self::hot_key_threshold) is `None`.
     pub hot_key_partitions: u32,
-    /// When `true` (the default), each node indexes every windowed stored
-    /// query and ALTT entry by its deadline on a per-node timer wheel, and
-    /// the drivers pop expired entries as the clock crosses their deadline —
-    /// O(expired) reclamation, independent of how much state is stored.
-    /// When `false`, dead state is only reclaimed when a later arrival walks
-    /// the bucket it sits in (the legacy contact-driven sweep, retained as a
-    /// differential oracle). Answer streams are identical either way —
-    /// wheel deadlines are provably past the last tick at which an entry
-    /// could still trigger, **provided tuples enter the network at their
-    /// publication time** (`pub_time >= engine clock` when published, which
-    /// is how every driver in this workspace publishes). A publisher that
-    /// back-dates tuples behind the clock stretches delivery lag beyond the
-    /// delay bound the deadlines account for and should run in sweep mode.
-    pub wheel_expiry: bool,
     /// Cell budget of a hypercube plan: the planner allocates per-axis
     /// shares `s_1 × … × s_k` with `∏ s_i` at most this value.
     pub hypercube_cells: u32,
@@ -146,7 +137,6 @@ impl Default for EngineConfig {
             workers: None,
             hot_key_threshold: None,
             hot_key_partitions: 8,
-            wheel_expiry: true,
             hypercube_cells: 8,
         }
     }
@@ -228,13 +218,11 @@ impl EngineConfig {
 ///
 /// Every boolean toggle has the same shape: `with_<feature>(bool)`, each
 /// setter documents which value is the default, and chaining setters is
-/// order-independent because each writes exactly one field. Three toggles
+/// order-independent because each writes exactly one field. The toggles
 /// choose between variants of the protocol the paper itself compares (RIC
 /// reuse, value-level-only placement) or a workload-level optimization
-/// (sub-join sharing). The fourth, [`with_wheel_expiry`](Self::with_wheel_expiry),
-/// is the one remaining implementation choice: its sweep mode is the only
-/// one that stays correct when a publisher back-dates tuples behind the
-/// clock.
+/// (sub-join sharing); none selects among implementations of the same
+/// behaviour.
 impl EngineConfig {
     /// Selects RIC reuse (Section 7): `true` (the default) piggy-backs RIC
     /// information on rewritten queries and caches it in each node's
@@ -264,16 +252,6 @@ impl EngineConfig {
         self.share_subjoins = enabled;
         self
     }
-
-    /// Selects the expiry machinery: `true` (the default) pops expired
-    /// windowed queries and ALTT entries from each node's timer wheel at
-    /// their deadline, `false` leaves dead state in place until a bucket
-    /// walk contacts it (the contact-driven sweep: the mode for publishers
-    /// that back-date tuples, and the oracle of the expiry suites).
-    pub fn with_wheel_expiry(mut self, wheel: bool) -> Self {
-        self.wheel_expiry = wheel;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -295,8 +273,6 @@ mod tests {
         assert_eq!(EngineConfig::default().with_workers(3).workers, Some(3));
         assert_eq!(EngineConfig::default().with_workers(0).workers, Some(1));
         assert!(c.hot_key_threshold.is_none(), "splitting is opt-in: the default is the paper");
-        assert!(c.wheel_expiry, "timer-wheel expiry is the default");
-        assert!(!EngineConfig::default().with_wheel_expiry(false).wheel_expiry);
         assert_eq!(c.hypercube_cells, 8);
         assert_eq!(EngineConfig::default().with_hypercube_cells(16).hypercube_cells, 16);
         assert_eq!(

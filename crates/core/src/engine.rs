@@ -27,7 +27,7 @@ use rjoin_query::plan;
 use rjoin_query::{
     candidate_keys, tuple_index_key_iter, IndexKey, IndexLevel, JoinQuery, KeyTemplate,
 };
-use rjoin_relation::{Catalog, Name, Tuple};
+use rjoin_relation::{Catalog, Name, Timestamp, Tuple};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -101,10 +101,15 @@ pub fn handle_node_msg(
     msg: RJoinMessage,
 ) -> TickEffect {
     // Pop expired state before the message is handled. The target is the
-    // delivery tick `at`, never the clock: a sharded handler's clock can run
-    // ahead of `at`, and a deadline is only provably unobservable for
-    // deliveries strictly after it.
-    state.advance_expiry_batched(at);
+    // node's publication watermark, never a clock: the clock can run ahead
+    // of publication (per-tuple drains of pre-stamped tuples, a sharded
+    // handler's local clock), while no tuple still to be delivered was
+    // published before the watermark.
+    let tuple_pub = match &msg {
+        RJoinMessage::NewTuple { tuple, .. } => Some(tuple.pub_time()),
+        _ => None,
+    };
+    state.expire_for_delivery(at, tuple_pub);
     let ctx = ProcCtx { catalog, config, now, at };
     let (load, actions) = match msg {
         RJoinMessage::NewTuple { tuple, key, level, .. } => {
@@ -136,14 +141,13 @@ pub fn handle_node_msg(
 }
 
 /// Builds a [`NodeState`] configured the way the engine constructors
-/// configure theirs — expiry machinery and RIC validity per the config,
-/// with a node-private compiled-program cache — for out-of-process drivers
+/// configure theirs — RIC validity per the config, with a node-private
+/// compiled-program cache — for out-of-process drivers
 /// (such as `rjoin_transport`'s node processes) that run
 /// [`handle_node_msg`] themselves. Nodes built this way do not share a
 /// program cache; each compiles its own rewrite templates on first trigger.
 pub fn standalone_node_state(id: Id, config: &EngineConfig) -> NodeState {
     let mut state = NodeState::new(id);
-    state.configure_expiry(config.wheel_expiry, config.network_delay);
     state.configure_ric_validity(config.ct_validity);
     state
 }
@@ -202,50 +206,30 @@ pub struct RJoinEngine {
     /// The engine-wide compiled-program cache every [`NodeState`] holds a
     /// handle to (kept here so nodes joining through churn adopt it too).
     programs: Arc<Mutex<ProgramCache>>,
+    /// The engine's publication watermark: the highest publication time
+    /// published so far, raised to the clock by
+    /// [`advance_time`](Self::advance_time). No tuple published later may
+    /// carry an earlier time, so at quiescence every node's wheel advances
+    /// to it.
+    pub_watermark: Timestamp,
 }
 
 impl RJoinEngine {
     /// The embedded-simulation convenience constructor: builds a simulated
     /// network from the configuration (delay bound, successor-list length),
     /// bootstraps `num_nodes` fully stabilized Chord nodes named
-    /// `rjoin-node-{i}`, and hands it to
-    /// [`with_transport`](Self::with_transport).
+    /// `rjoin-node-{i}`, and gives each one a configured [`NodeState`], all
+    /// sharing one compiled-program cache.
+    ///
+    /// Real networked deployments run the same per-node pipeline out of
+    /// process instead — see the [`pipeline`](crate::pipeline) module,
+    /// which `rjoin_transport` drives over TCP.
     pub fn simulated(config: EngineConfig, catalog: Catalog, num_nodes: usize) -> Self {
         let mut network = Network::new(NetworkConfig {
             delay: config.network_delay,
             successor_list_len: config.successor_list_len,
         });
         let node_ids = network.bootstrap(num_nodes, "rjoin-node");
-        Self::with_transport_and_nodes(config, catalog, network, node_ids)
-    }
-
-    /// Creates an engine over an injected transport. The caller builds and
-    /// configures the network (membership, delay bound) however it likes —
-    /// the engine adopts the ring's current members as its nodes, in ring
-    /// order, and the transport's clock/delay govern delivery from then on.
-    ///
-    /// The embedded-simulation path ([`simulated`](Self::simulated)) is a
-    /// thin wrapper over this constructor. Real networked deployments run
-    /// the same per-node pipeline out of process instead — see the
-    /// [`pipeline`](crate::pipeline) module, which `rjoin_transport` drives
-    /// over TCP; both modes are served through one facade surface.
-    pub fn with_transport(
-        config: EngineConfig,
-        catalog: Catalog,
-        network: Network<RJoinMessage>,
-    ) -> Self {
-        let node_ids: Vec<Id> = network.dht().node_ids().collect();
-        Self::with_transport_and_nodes(config, catalog, network, node_ids)
-    }
-
-    /// Shared tail of the constructors: one program cache and one configured
-    /// [`NodeState`] per member, adopting `node_ids` in the given order.
-    fn with_transport_and_nodes(
-        config: EngineConfig,
-        catalog: Catalog,
-        network: Network<RJoinMessage>,
-        node_ids: Vec<Id>,
-    ) -> Self {
         let programs = Arc::new(Mutex::new(ProgramCache::default()));
         let nodes = node_ids
             .iter()
@@ -277,6 +261,7 @@ impl RJoinEngine {
             hypercube_routes: HashMap::new(),
             planner_counters: PlannerCounters::new(),
             programs,
+            pub_watermark: 0,
         }
     }
 
@@ -301,9 +286,15 @@ impl RJoinEngine {
     }
 
     /// Advances the simulation clock (models idle time between events).
+    ///
+    /// This is also a promise about publication: no tuple published from
+    /// now on carries a publication time earlier than the new clock. The
+    /// engine's publication watermark rises to it, so the next quiescent
+    /// flush retires every windowed entry whose window closed before it.
     pub fn advance_time(&mut self, ticks: SimTime) {
         let target = self.network.now() + ticks;
         self.network.advance_to(target);
+        self.pub_watermark = self.pub_watermark.max(target);
     }
 
     /// Read access to the network-level traffic counters.
@@ -462,6 +453,16 @@ impl RJoinEngine {
     /// against the threshold and crossing keys are split before this tuple
     /// is routed. Index copies for a split key go to exactly one sub-key,
     /// chosen by a deterministic content hash of the tuple.
+    ///
+    /// # Publication contract
+    ///
+    /// Publication times never decrease across calls, and none is earlier
+    /// than a clock promised by [`advance_time`](Self::advance_time): windows
+    /// (Section 5) and their expiry run on publication time, and each node
+    /// retires windowed state once a tuple published after the window has
+    /// reached it. A tuple published later with an earlier time is *late*:
+    /// it is routed and answered like any other, but it may miss windowed
+    /// state that was already retired.
     pub fn publish_tuple(
         &mut self,
         origin: impl Into<NodeId>,
@@ -475,6 +476,7 @@ impl RJoinEngine {
         // The simulation clock never runs behind publication times, so RIC
         // windows and window joins see consistent time.
         self.network.advance_to(tuple.pub_time());
+        self.pub_watermark = self.pub_watermark.max(tuple.pub_time());
         let schema = self.catalog.require_schema(tuple.relation())?;
         let mut keys: Vec<(HashedKey, IndexLevel)> = Vec::with_capacity(tuple.arity() * 2);
         keys.extend(tuple_index_key_iter(&tuple, schema).map(|key| (key.hashed(), key.level())));
@@ -788,20 +790,13 @@ impl RJoinEngine {
         Ok(())
     }
 
-    /// Processes a single delivery from the network. Returns `false` when no
-    /// message was in flight.
-    ///
-    /// Single-stepping interleaves each delivery's effects (RIC-aware
-    /// placement, sends) before the next delivery's handler, whereas the
-    /// tick-draining drivers run *all* handlers of a tick before any
-    /// effects. Within one tick a RIC rate read can therefore observe one
-    /// arrival more under tick draining than under stepping, so don't mix
-    /// the two drivers in a run whose exact placement/traffic trace matters.
-    /// (Answer *soundness* is unaffected — only placement choices shift.)
+    /// Processes the deliveries of the earliest pending tick — one tick of
+    /// the sequential drain, handlers first, then effects. Returns `false`
+    /// when no message was in flight.
     pub fn step(&mut self) -> Result<bool, EngineError> {
-        match self.network.pop_next() {
-            Some(delivery) => {
-                self.process_batch(vec![delivery])?;
+        match self.network.pop_tick() {
+            Some((_, batch)) => {
+                self.process_batch(batch)?;
                 Ok(true)
             }
             None => Ok(false),
@@ -855,30 +850,24 @@ impl RJoinEngine {
         Ok(processed)
     }
 
-    /// Advances every node's timer wheel to the quiescent clock, so state
-    /// snapshots taken between drains (stats, stored-query counts) reflect
-    /// expiry up to now even on nodes the drained tick never delivered to.
-    /// Safe at quiescence: the clock is monotonic, so no delivery at or
-    /// before the current tick can still arrive.
+    /// Advances every node's timer wheel to the engine's publication
+    /// watermark, so state snapshots taken between drains (stats,
+    /// stored-query counts) reflect expiry even on nodes whose own
+    /// watermark lags. Safe at quiescence: nothing is in flight, and no
+    /// tuple published later may be earlier than the watermark.
     pub(crate) fn flush_expiry(&mut self) {
-        let now = self.network.now();
         for state in self.nodes.values_mut() {
-            state.advance_expiry(now);
+            state.advance_expiry(self.pub_watermark);
         }
     }
 
-    /// Removes every expired stored query and ALTT entry across all nodes,
-    /// regardless of expiry mode: wheel-mode nodes advance to the current
-    /// clock (normally a no-op after a drain), sweep-mode nodes run the full
-    /// O(stored) scan the wheel replaces. Differential harnesses call this
-    /// on both engines before comparing stored-state counts; like churn it
-    /// requires a quiescent network.
-    pub fn gc_expired_state(&mut self) {
-        let now = self.network.now();
-        for state in self.nodes.values_mut() {
-            state.advance_expiry(now);
-            state.sweep_expired(now);
-        }
+    /// The engine's publication watermark: the highest publication time
+    /// published so far, or the latest clock promised by
+    /// [`advance_time`](Self::advance_time) if that is higher. Windowed
+    /// state whose window closed before it is retired at the next quiescent
+    /// point.
+    pub fn pub_watermark(&self) -> Timestamp {
+        self.pub_watermark
     }
 
     /// Processes one tick's deliveries: every handler of the tick first (the
@@ -977,7 +966,8 @@ impl RJoinEngine {
 
     /// Slab/wheel gauges and expiry counters summed across all live nodes:
     /// live and peak slab occupancy per store, scheduled wheel entries, and
-    /// how many reclamations were wheel pops vs contact expirations.
+    /// how many reclamations were wheel pops (the only reclamation path:
+    /// `contact_expirations` is always 0).
     pub fn state_counters(&self) -> StateCounters {
         let mut total = StateCounters::new();
         for state in self.nodes.values() {
@@ -1108,10 +1098,11 @@ impl RJoinEngine {
 /// sends through, the RIC information it reads, and the randomness its
 /// placement decisions draw from.
 ///
-/// Two implementations exist: `SeqEnv` (the single-queue drivers — global
-/// RNG stream, lossy in-place RIC reads) and the sharded driver's per-shard
+/// Two implementations exist in this crate: `SeqEnv` (the single-queue
+/// drain — global RNG stream) and the sharded driver's per-shard
 /// environment (per-decision RNG derived from the triggering message's
-/// lineage, pure RIC reads). Keeping the *entire*
+/// lineage). Both read RIC rates through the pure
+/// [`RicTracker::rate_at`](crate::RicTracker::rate_at). Keeping the *entire*
 /// Sections 6–7 dispatch logic in [`dispatch_query_in`], generic over this
 /// trait, is what guarantees the drivers can never drift apart in cost
 /// accounting or placement rules.
@@ -1196,7 +1187,7 @@ impl EffectEnv for SeqEnv<'_> {
     }
 
     fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime, window: SimTime) -> u64 {
-        self.nodes.get(&owner).map(|s| s.ric().rate(ring, now, window)).unwrap_or(0)
+        self.nodes.get(&owner).map(|s| s.ric().rate_at(ring, now, window)).unwrap_or(0)
     }
 
     fn choose(

@@ -10,8 +10,9 @@
 //! all state is dead state, and the engine pays for it on every trigger.
 //!
 //! The wheel inverts the direction: every deadline-bearing entry is indexed
-//! by *when it dies*, and advancing the clock pops exactly the entries
-//! whose deadline passed — O(pops + slots crossed), independent of how much
+//! by *when it dies*, and advancing the wheel's time (for a node's wheel:
+//! its publication watermark, see [`crate::node_state`]) pops exactly the
+//! entries whose deadline passed — O(pops + slots crossed), independent of how much
 //! live or dead state exists elsewhere. Combined with the generational slab
 //! ([`crate::slab`]), cancellation is free: a popped token whose slab
 //! generation no longer matches is simply skipped, so removals never search

@@ -39,15 +39,15 @@
 //!   tuples and ALTT entries live in generational slabs with stable
 //!   handles (`slab` module), and every windowed query and ALTT entry is
 //!   additionally indexed by its deadline on a per-node hierarchical timer
-//!   wheel (`expiry` module). The drivers advance each node's wheel to the
-//!   delivery tick before handling a message, popping exactly the entries
-//!   whose window can no longer admit any future tuple — so expiry costs
-//!   O(popped), bucket walks only ever visit live entries, and removals
+//!   wheel (`expiry` module) that runs on publication time. Before handling
+//!   a message a node advances its wheel to its publication watermark (the
+//!   highest publication time among the tuples it received in earlier
+//!   ticks), popping exactly the entries whose window can no longer admit
+//!   any tuple still to come — so expiry costs O(popped), is complete
+//!   however far the clock runs ahead of publication, and removals
 //!   (expiry, churn drains) invalidate external references (wheel tokens,
 //!   sub-join registry slots) for free via the slab generation check
-//!   instead of rebuilding indexes. The legacy contact-driven sweep
-//!   remains available as a differential oracle via
-//!   [`EngineConfig::with_wheel_expiry`]`(false)`.
+//!   instead of rebuilding indexes.
 //! * **Two-phase ticks** — the network's event queue is a constant-δ bucket
 //!   queue ([`rjoin_net::Network::pop_tick`]); the engine drains one tick
 //!   at a time, runs the purely node-local Procedures 1–3 for every

@@ -5,14 +5,28 @@
 //! Each stored-query [`Bucket`] carries the partition a value-partitioned
 //! [`TriggerIndex`] keeps over its handles (see [`crate::trigger_index`]):
 //! every site that links a handle into a bucket must file it in the index,
-//! and **every** site that unlinks one — wheel pops
-//! ([`NodeState::advance_expiry`]), the sweep-mode collector
-//! ([`NodeState::sweep_expired`]) and the procedures' contact-expiry
-//! removals — must unfile it with the removed entry, or indexed probes
-//! would hand out stale handles and miss live entries (churn drains,
-//! [`NodeState::drain_misplaced`], drop the bucket whole). Bucket
-//! compaction is `swap_remove`-based; each removal site also fixes the
-//! moved entry's [`StoredQuery::bucket_pos`] so unlinking stays O(1).
+//! and the one site that unlinks a single handle — the wheel pop
+//! ([`NodeState::advance_expiry`]) — must unfile it with the removed entry,
+//! or indexed probes would hand out stale handles and miss live entries
+//! (churn drains, [`NodeState::drain_misplaced`], drop the bucket whole).
+//! Bucket compaction is `swap_remove`-based; the pop also fixes the moved
+//! entry's [`StoredQuery::bucket_pos`] so unlinking stays O(1).
+//!
+//! # Expiry on publication time
+//!
+//! Section 5 deletes a rewritten query whose window a tuple exceeds. Here
+//! the timer wheel carries that rule out: every windowed stored query,
+//! cell tuple and ALTT entry is filed under a deadline in *publication*
+//! time, and the wheel is advanced to the node's **publication
+//! watermark** — the highest publication time among the tuples this node
+//! received in an earlier delivery tick
+//! ([`NodeState::expire_for_delivery`]). Tuples enter the network in
+//! publication order and every message takes the same delay, so a tuple
+//! delivered in a later tick was published no earlier than the watermark:
+//! a deadline the watermark has passed can no longer be met, whichever
+//! clock the driver runs. Deliveries of the *same* tick are excluded,
+//! because their handling order (the sharded runtime's lineage order) need
+//! not be publication order.
 //!
 //! # Hypercube cells
 //!
@@ -45,12 +59,12 @@ use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// How many ticks the per-delivery wheel advance may lag behind the
-/// delivery clock (see [`NodeState::advance_expiry_batched`]). Physical
-/// removal timing never decides an answer, so the stride only trades a few
-/// ticks of extra retained state for one slot crossing per stride instead
-/// of one per delivery tick.
-const EXPIRY_STRIDE: SimTime = 32;
+/// How far (in publication time) the per-delivery wheel advance may lag
+/// behind the node's publication watermark (see
+/// [`NodeState::expire_for_delivery`]). Physical removal timing never
+/// decides an answer, so the stride only trades a little extra retained
+/// state for one slot crossing per stride instead of one per delivery.
+const EXPIRY_STRIDE: Timestamp = 32;
 
 /// A query (input or rewritten) stored at a node, waiting for tuples.
 #[derive(Debug, Clone)]
@@ -95,14 +109,14 @@ pub(crate) struct AlttEntry {
 }
 
 /// A deadline token on the node's timer wheel. Tokens carry slab handles,
-/// so a popped token whose entry was already removed (contact expiry,
-/// churn migration) fails the generation check and is skipped for free.
+/// so a popped token whose entry was already removed (churn migration)
+/// fails the generation check and is skipped for free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum ExpiryToken {
-    /// A windowed stored query; pops when no future tuple can be inside its
-    /// window anymore.
+    /// A windowed stored query; pops once the publication watermark has
+    /// passed its window, which is Section 5's window-exceeded deletion.
     Query(Handle),
-    /// An ALTT entry; pops when its retention Δ has elapsed.
+    /// An ALTT entry; pops once the watermark passes its retention Δ.
     Altt(Handle),
     /// The front tuple of the hypercube cell on this ring; pops when no
     /// future publication can share a window with it. Cells evict from the
@@ -136,28 +150,22 @@ pub(crate) fn last_window_pub(window: &WindowSpec, start: Timestamp) -> Option<T
     }
 }
 
-/// The wheel deadline of a stored query, if it can expire at all: the tick
-/// by which every tuple still able to trigger it has been delivered.
-/// Publication happens at `pub_time` and every message arrives within the
-/// network's delay bound, so `last admissible pub + 1 + slack` (slack = δ)
-/// is the first tick at which removal is provably unobservable.
-fn query_expiry_deadline(stored: &StoredQuery, slack: SimTime) -> Option<SimTime> {
+/// The wheel deadline of a stored query, if it can expire at all: the first
+/// publication time its window does not admit. Once the node's publication
+/// watermark reaches it, no tuple still to be delivered can trigger the
+/// query.
+fn query_expiry_deadline(stored: &StoredQuery) -> Option<Timestamp> {
     let start = stored.pending.window_start?;
     let last_pub = last_window_pub(stored.pending.query.window(), start)?;
-    Some(last_pub.saturating_add(1).saturating_add(slack))
+    Some(last_pub.saturating_add(1))
 }
 
 /// The wheel deadline of a tuple stored in a hypercube cell, if it can be
 /// evicted at all — the stored-query deadline read from the tuple's side: a
 /// later publication can only share a window with a tuple published at
-/// `pub_time` up to `last_window_pub`, and arrives within δ of that.
-fn cell_tuple_deadline(
-    window: &WindowSpec,
-    pub_time: Timestamp,
-    slack: SimTime,
-) -> Option<SimTime> {
-    let last_pub = last_window_pub(window, pub_time)?;
-    Some(last_pub.saturating_add(1).saturating_add(slack))
+/// `pub_time` up to `last_window_pub`.
+fn cell_tuple_deadline(window: &WindowSpec, pub_time: Timestamp) -> Option<Timestamp> {
+    Some(last_window_pub(window, pub_time)?.saturating_add(1))
 }
 
 /// Cache of compiled `WHERE`-side programs, keyed by
@@ -236,16 +244,25 @@ pub struct NodeState {
     /// ALTT bucket order (insertion order per ring id, which is expiry
     /// order — retention Δ is constant).
     pub(crate) altt: RingMap<VecDeque<Handle>>,
-    /// The node's timer wheel: every windowed stored query and every ALTT
-    /// entry, indexed by the tick its removal becomes unobservable.
+    /// The node's timer wheel, in publication time: every windowed stored
+    /// query, cell front and ALTT entry, indexed by the publication time
+    /// from which its removal is unobservable.
     pub(crate) wheel: TimerWheel<ExpiryToken>,
-    /// Whether wheel-driven expiry is active (`false` runs the legacy
-    /// contact-sweep oracle: state is only reclaimed when a walk touches
-    /// it).
-    pub(crate) wheel_enabled: bool,
-    /// The network's delivery-delay bound δ: a tuple published at `p` can
-    /// arrive up to `p + slack`, so wheel deadlines are pushed out by it.
-    pub(crate) expiry_slack: SimTime,
+    /// Tokens filed at a deadline the wheel had already passed (a rewritten
+    /// query that arrives after its window closed): the next
+    /// [`advance_expiry`](Self::advance_expiry) pops them, whatever its
+    /// target.
+    overdue: Vec<ExpiryToken>,
+    /// The publication watermark the wheel is advanced to: the highest
+    /// publication time among tuples delivered here before
+    /// `watermark_tick` (see the module docs).
+    pub_watermark: Timestamp,
+    /// The delivery tick of the latest delivery handled here.
+    watermark_tick: SimTime,
+    /// The highest publication time among all tuples delivered here,
+    /// including the current tick's; it becomes the watermark when a later
+    /// tick starts.
+    latest_pub: Timestamp,
     /// Counters of the slab/wheel machinery (slab gauges are filled in at
     /// snapshot time by [`state_counters`](Self::state_counters)).
     pub(crate) state_counters: StateCounters,
@@ -381,8 +398,10 @@ impl NodeState {
             altt_entries: Slab::new(),
             altt: RingMap::default(),
             wheel: TimerWheel::new(),
-            wheel_enabled: true,
-            expiry_slack: 1,
+            overdue: Vec::new(),
+            pub_watermark: 0,
+            watermark_tick: 0,
+            latest_pub: 0,
             state_counters: StateCounters::new(),
             candidate_table: RingMap::default(),
             ric_validity: None,
@@ -401,13 +420,6 @@ impl NodeState {
             tuple_count: 0,
             tuple_peak: 0,
         }
-    }
-
-    /// Selects the expiry mode and the deadline slack (the network's delay
-    /// bound δ). The engine calls this on every node it creates.
-    pub(crate) fn configure_expiry(&mut self, wheel: bool, slack: SimTime) {
-        self.wheel_enabled = wheel;
-        self.expiry_slack = slack;
     }
 
     /// Sets the validity horizon of cached RIC estimates (`ct_validity`):
@@ -466,7 +478,7 @@ impl NodeState {
         counters.tuple_slab_high_water = self.tuple_peak as u64;
         counters.altt_slab_live = self.altt_entries.len() as u64;
         counters.altt_slab_high_water = self.altt_entries.high_water() as u64;
-        counters.wheel_scheduled = self.wheel.len() as u64;
+        counters.wheel_scheduled = (self.wheel.len() + self.overdue.len()) as u64;
         counters
     }
 
@@ -475,35 +487,40 @@ impl NodeState {
         &self.subjoins
     }
 
-    /// Per-delivery wheel advance, batched: deadline pops only reclaim
-    /// memory early — answer validity is decided by the explicit window and
-    /// retention filters on every walk (sweep mode never pops at all and is
-    /// differentially verified equivalent) — so the delivery hot path lets
-    /// the wheel lag up to [`EXPIRY_STRIDE`] ticks and pays the slot
-    /// crossing once per stride instead of once per delivery tick.
-    /// Drain-end flushes and the differential GC advance fully via
-    /// [`advance_expiry`](Self::advance_expiry).
-    pub(crate) fn advance_expiry_batched(&mut self, target: SimTime) {
-        if target.saturating_sub(self.wheel.now()) < EXPIRY_STRIDE {
-            return;
+    /// Expires state ahead of one delivery at tick `at`: when `at` starts a
+    /// new tick, the tuples of the earlier ticks become the publication
+    /// watermark, and the wheel advances to it (stride-batched, see
+    /// [`EXPIRY_STRIDE`]). `tuple_pub` is the publication time of the
+    /// delivered tuple, if the delivery is one; it only counts from the next
+    /// tick on, so a later-published tuple handled first within a tick
+    /// cannot retire state an earlier-published one of the same tick still
+    /// matches.
+    pub(crate) fn expire_for_delivery(&mut self, at: SimTime, tuple_pub: Option<Timestamp>) {
+        if at > self.watermark_tick {
+            self.watermark_tick = at;
+            self.pub_watermark = self.latest_pub;
         }
-        self.advance_expiry(target);
+        if self.pub_watermark.saturating_sub(self.wheel.now()) >= EXPIRY_STRIDE {
+            self.advance_expiry(self.pub_watermark);
+        }
+        if let Some(pub_time) = tuple_pub {
+            self.latest_pub = self.latest_pub.max(pub_time);
+        }
     }
 
-    /// Advances the node's timer wheel to `target` and removes every stored
-    /// query and ALTT entry whose deadline passed. Called by the drivers at
-    /// each delivery's tick (idempotent per tick) and once more at the end
-    /// of a drain; no-op in sweep mode.
+    /// Advances the node's timer wheel to the publication time `target` and
+    /// removes every stored query, cell tuple and ALTT entry whose deadline
+    /// it reached, along with the overdue ones filed since the last
+    /// advance. Called per delivery with the node's publication
+    /// watermark ([`expire_for_delivery`](Self::expire_for_delivery)) and,
+    /// at quiescence, with the engine's.
     ///
-    /// The target must never exceed the earliest tick of a delivery still
-    /// to be handled at this node: deadlines guarantee unobservability only
-    /// for deliveries strictly after them (which is why the drivers pass
-    /// the delivery tick `at`, not a clock that may run ahead of it).
-    pub(crate) fn advance_expiry(&mut self, target: SimTime) {
-        if !self.wheel_enabled || target <= self.wheel.now() {
-            return;
-        }
+    /// The target must never exceed the publication time of a tuple still
+    /// to be delivered here: the deadlines guarantee unobservability only
+    /// for tuples published at or after them.
+    pub(crate) fn advance_expiry(&mut self, target: Timestamp) {
         let mut due = std::mem::take(&mut self.expiry_scratch);
+        due.append(&mut self.overdue);
         self.wheel.advance(target, &mut due);
         for token in due.drain(..) {
             match token {
@@ -519,8 +536,8 @@ impl NodeState {
     }
 
     /// Applies one popped query deadline. A stale token (entry already
-    /// removed by contact expiry or churn migration) fails the slab's
-    /// generation check and costs nothing further.
+    /// removed by churn migration) fails the slab's generation check and
+    /// costs nothing further.
     fn pop_expired_query(&mut self, handle: Handle) {
         let Some(expired) = self.queries.remove(handle) else { return };
         let ring = expired.key.ring();
@@ -568,11 +585,21 @@ impl NodeState {
         let Some(cell) = self.cells.get_mut(&ring) else { return 0 };
         let evicted = cell.evict_due(now);
         let next = cell.front_deadline().filter(|&deadline| deadline != SimTime::MAX);
-        if let (true, true, Some(deadline)) = (self.wheel_enabled, evicted > 0, next) {
-            self.wheel.insert(deadline, ExpiryToken::Cell(ring));
+        if let (true, Some(deadline)) = (evicted > 0, next) {
+            self.schedule(deadline, ExpiryToken::Cell(ring));
         }
         self.tuple_count -= evicted;
         evicted
+    }
+
+    /// Files `token` under `deadline`: on the wheel, or on the overdue list
+    /// when the wheel has already passed it.
+    fn schedule(&mut self, deadline: Timestamp, token: ExpiryToken) {
+        if deadline <= self.wheel.now() {
+            self.overdue.push(token);
+        } else {
+            self.wheel.insert(deadline, token);
+        }
     }
 
     /// Drops the registry slot of a removed entry, if it still points at it.
@@ -587,53 +614,6 @@ impl NodeState {
         }
     }
 
-    /// Removes every expired stored query and ALTT entry by scanning the
-    /// full tables — the O(stored) sweep the timer wheel replaces. Kept as
-    /// the sweep-mode garbage collector so differential harnesses can bring
-    /// a sweep-mode engine to the same post-expiry state a wheel-mode
-    /// engine maintains continuously (where it is a no-op after
-    /// [`advance_expiry`](Self::advance_expiry)).
-    pub(crate) fn sweep_expired(&mut self, now: SimTime) {
-        let rings: Vec<u64> = self.stored_queries.keys().copied().collect();
-        for ring in rings {
-            let mut bucket = self.stored_queries.remove(&ring).expect("ring collected above");
-            let mut idx = 0;
-            while idx < bucket.handles.len() {
-                let handle = bucket.handles[idx];
-                let expired = self
-                    .queries
-                    .get(handle)
-                    .and_then(|entry| query_expiry_deadline(entry, self.expiry_slack))
-                    .is_some_and(|deadline| deadline <= now);
-                if !expired {
-                    idx += 1;
-                    continue;
-                }
-                bucket.handles.swap_remove(idx);
-                if let Some(&moved) = bucket.handles.get(idx) {
-                    if let Some(entry) = self.queries.get_mut(moved) {
-                        entry.bucket_pos = idx;
-                    }
-                }
-                let removed = self.queries.remove(handle).expect("entry resolved above");
-                self.trigger_index.remove(&mut bucket, handle, &removed);
-                self.unregister_subjoin(ring, &removed, handle);
-                self.query_count -= 1;
-                if !removed.pending.is_input() {
-                    self.rewritten_count -= 1;
-                }
-            }
-            if !bucket.handles.is_empty() {
-                self.stored_queries.insert(ring, bucket);
-            }
-        }
-        let rings: Vec<u64> = self.cells.keys().copied().collect();
-        for ring in rings {
-            self.evict_cell_front(ring, now);
-        }
-        self.altt_gc(now);
-    }
-
     /// Stores a query under its key.
     pub fn store_query(&mut self, stored: StoredQuery) {
         self.store_query_handle(stored);
@@ -645,11 +625,7 @@ impl NodeState {
             self.rewritten_count += 1;
         }
         let ring = stored.key.ring();
-        let deadline = if self.wheel_enabled {
-            query_expiry_deadline(&stored, self.expiry_slack)
-        } else {
-            None
-        };
+        let deadline = query_expiry_deadline(&stored);
         let bucket = self.stored_queries.entry(ring).or_default();
         stored.bucket_pos = bucket.handles.len();
         let handle = self.queries.insert(stored);
@@ -663,7 +639,7 @@ impl NodeState {
             self.cells.entry(ring).or_insert_with(|| Cell::new(handle, &stored.pending.query));
         }
         if let Some(deadline) = deadline {
-            self.wheel.insert(deadline, ExpiryToken::Query(handle));
+            self.schedule(deadline, ExpiryToken::Query(handle));
         }
         handle
     }
@@ -730,14 +706,6 @@ impl NodeState {
         merged
     }
 
-    /// Debits the storage counters after queries were removed directly from
-    /// a bucket obtained via `stored_queries` (window-expiry removals in the
-    /// procedures' trigger walks).
-    pub(crate) fn debit_removed_queries(&mut self, total: usize, rewritten: usize) {
-        self.query_count -= total;
-        self.rewritten_count -= rewritten;
-    }
-
     /// Stores a value-level tuple under the key with ring id `key` — in the
     /// ring's hypercube cell when it hosts one, in the plain bucket
     /// otherwise.
@@ -752,13 +720,13 @@ impl NodeState {
         self.tuple_peak = self.tuple_peak.max(self.tuple_count);
         let pub_time = tuple.pub_time();
         if let Some(cell) = self.cells.get_mut(&key) {
-            let deadline = cell_tuple_deadline(&cell.window, pub_time, self.expiry_slack);
+            let deadline = cell_tuple_deadline(&cell.window, pub_time);
             let becomes_front = cell.len() == 0;
             cell.push(tuple, deadline.unwrap_or(SimTime::MAX));
             // Eviction is front-only: one token for the front, re-armed by
             // `evict_cell_front` for each new front.
-            if let (true, true, Some(deadline)) = (self.wheel_enabled, becomes_front, deadline) {
-                self.wheel.insert(deadline, ExpiryToken::Cell(key));
+            if let (true, Some(deadline)) = (becomes_front, deadline) {
+                self.schedule(deadline, ExpiryToken::Cell(key));
             }
             return;
         }
@@ -793,70 +761,53 @@ impl NodeState {
         tuples
     }
 
-    /// Inserts a tuple into the ALTT with the given expiry time.
+    /// Inserts a tuple into the ALTT with the given expiry time (its
+    /// publication time plus Δ). The entry pops once the publication
+    /// watermark passes `expires_at`; until then the walks filter it by the
+    /// delivery tick (`expires_at >= at`).
     pub fn altt_insert(&mut self, key: u64, tuple: Arc<Tuple>, expires_at: SimTime) {
         let handle = self.altt_entries.insert(AlttEntry { ring: key, tuple, expires_at });
         self.altt.entry(key).or_default().push_back(handle);
-        if self.wheel_enabled {
-            // `expiry < now` is the removal rule: the first advance target
-            // past `expires_at` pops the entry, exactly when the legacy
-            // front-pop would have dropped it on contact.
-            self.wheel.insert(expires_at.saturating_add(1), ExpiryToken::Altt(handle));
-        }
+        self.schedule(expires_at.saturating_add(1), ExpiryToken::Altt(handle));
     }
 
-    /// Drops expired ALTT entries at the front of `key`'s bucket (entries
-    /// are in expiry order — retention Δ is constant). This is the legacy
-    /// contact-driven reclamation; under wheel expiry the same entries pop
-    /// at their deadline and this becomes a cheap no-op.
-    pub(crate) fn altt_prune(&mut self, key: u64, now: SimTime) {
-        let Some(entries) = self.altt.get_mut(&key) else { return };
-        while let Some(&handle) = entries.front() {
-            match self.altt_entries.get(handle) {
-                Some(entry) if entry.expires_at >= now => break,
-                _ => {
-                    entries.pop_front();
-                    self.altt_entries.remove(handle);
-                }
-            }
-        }
-    }
-
-    /// Drops expired ALTT entries for `key` and returns the tuples that are
-    /// still retained and were published at or after `min_pub_time`.
-    pub fn altt_matching(
-        &mut self,
-        key: u64,
-        now: SimTime,
-        min_pub_time: Timestamp,
-    ) -> Vec<Arc<Tuple>> {
-        self.altt_prune(key, now);
+    /// The tuples retained in `key`'s ALTT bucket that a query delivered at
+    /// tick `at` may still match (`expires_at >= at`) and that were
+    /// published at or after `min_pub_time`.
+    pub fn altt_matching(&self, key: u64, at: SimTime, min_pub_time: Timestamp) -> Vec<Arc<Tuple>> {
         let Some(entries) = self.altt.get(&key) else { return Vec::new() };
         entries
             .iter()
             .filter_map(|h| self.altt_entries.get(*h))
-            .filter(|e| e.tuple.pub_time() >= min_pub_time)
+            .filter(|e| e.expires_at >= at && e.tuple.pub_time() >= min_pub_time)
             .map(|e| Arc::clone(&e.tuple))
             .collect()
     }
 
-    /// Garbage-collects every expired ALTT entry by scanning all buckets
-    /// (the sweep-mode collector; a wheel-mode node reclaims the same
-    /// entries at their deadlines).
-    pub fn altt_gc(&mut self, now: SimTime) {
-        let slab = &mut self.altt_entries;
-        for entries in self.altt.values_mut() {
-            while let Some(&handle) = entries.front() {
-                match slab.get(handle) {
-                    Some(entry) if entry.expires_at >= now => break,
-                    _ => {
-                        entries.pop_front();
-                        slab.remove(handle);
-                    }
-                }
-            }
-        }
-        self.altt.retain(|_, v| !v.is_empty());
+    /// Number of live windowed entries — stored queries, cell tuples and
+    /// ALTT entries — whose wheel deadline the publication time `watermark`
+    /// has reached (diagnostic). Zero on every node after the engine's
+    /// quiescent flush to its publication watermark: the wheel leaves no
+    /// expired entry behind.
+    pub fn overdue_entries(&self, watermark: Timestamp) -> usize {
+        let overdue = |deadline: Option<Timestamp>| deadline.is_some_and(|d| d <= watermark);
+        let queries = self
+            .stored_queries
+            .values()
+            .flat_map(|bucket| &bucket.handles)
+            .filter_map(|h| self.queries.get(*h))
+            .filter(|stored| overdue(query_expiry_deadline(stored)))
+            .count();
+        let in_cells =
+            self.cells.values().flat_map(Cell::deadlines).filter(|&d| d <= watermark).count();
+        let retained = self
+            .altt
+            .values()
+            .flatten()
+            .filter_map(|h| self.altt_entries.get(*h))
+            .filter(|e| e.expires_at < watermark)
+            .count();
+        queries + in_cells + retained
     }
 
     /// Number of ALTT buckets currently retained (diagnostic).
@@ -1092,26 +1043,16 @@ mod tests {
         );
     }
 
+    /// A wheel pop debits the storage counters of exactly the entry it
+    /// removes: a windowed rewritten query expiring out of a bucket it
+    /// shares with a never-expiring input query.
     #[test]
     fn debit_keeps_counters_consistent_with_tables() {
         let mut state = NodeState::new(Id(7));
-        let rewritten =
-            pending(false).child(parse_query("SELECT 5 FROM S WHERE S.A = 5").unwrap(), Some(3));
-        let k = key("S+A+i:5");
-        state.store_query(StoredQuery::new(rewritten, k.clone(), IndexLevel::Value));
+        let k = key("J+B+i:3");
+        state.store_query(StoredQuery::new(windowed_rewritten(1, 3), k.clone(), IndexLevel::Value));
         state.store_query(StoredQuery::new(pending(false), k.clone(), IndexLevel::Value));
-        // Simulate the procedures' expiry removal of the rewritten one: drop
-        // its handle from the bucket, its entry from the slab, then debit.
-        let handles = state.stored_queries.get(&k.ring()).unwrap().handles.clone();
-        for handle in handles {
-            if !state.queries.get(handle).unwrap().pending.is_input() {
-                state.queries.remove(handle);
-                let bucket = &mut state.stored_queries.get_mut(&k.ring()).unwrap().handles;
-                let pos = bucket.iter().position(|h| *h == handle).unwrap();
-                bucket.swap_remove(pos);
-            }
-        }
-        state.debit_removed_queries(1, 1);
+        state.advance_expiry(100);
 
         assert_eq!(state.stored_query_count(), 1);
         assert_eq!(state.stored_rewritten_count(), 0);
@@ -1293,12 +1234,12 @@ mod tests {
         let k = key("R+A").ring();
         state.altt_insert(k, tuple(5), 10);
         state.altt_insert(k, tuple(6), 20);
-        // At time 15 the first entry has expired.
+        // A query delivered at tick 15 no longer sees the first entry.
         let matching = state.altt_matching(k, 15, 0);
         assert_eq!(matching.len(), 1);
         assert_eq!(matching[0].pub_time(), 6);
-        // GC removes empty buckets.
-        state.altt_gc(100);
+        // The wheel removes both entries and the emptied bucket.
+        state.advance_expiry(100);
         assert_eq!(state.altt_len(), 0);
         assert_eq!(state.altt_entries.len(), 0, "slab reclaimed too");
     }
@@ -1316,7 +1257,7 @@ mod tests {
 
     /// A rewritten query with a sliding window anchored at `start`
     /// (`WINDOW SLIDING 8 TUPLES`, so `last_window_pub = start + 7` and the
-    /// wheel deadline is `start + 8 + slack`).
+    /// wheel deadline is `start + 8`).
     fn windowed_rewritten(owner: u64, start: u64) -> PendingQuery {
         input_from(
             owner,
@@ -1339,10 +1280,10 @@ mod tests {
         );
         assert_eq!(state.stored_query_count(), 1);
         assert_eq!(state.subjoins().len(), 1);
-        // Deadline is 10 + 8 + 1 (slack): one tick earlier nothing pops.
-        state.advance_expiry(18);
+        // Deadline is 10 + 8: one tick earlier nothing pops.
+        state.advance_expiry(17);
         assert_eq!(state.stored_query_count(), 1);
-        state.advance_expiry(19);
+        state.advance_expiry(18);
         assert_eq!(state.stored_query_count(), 0);
         assert_eq!(state.stored_rewritten_count(), 0);
         assert_eq!(state.queries.len(), 0, "slab entry reclaimed");
@@ -1350,6 +1291,45 @@ mod tests {
         assert_eq!(state.subjoins().len(), 0, "registry slot unregistered");
         assert_eq!(state.state_counters().wheel_pops, 1);
         assert_eq!(state.recount(), (0, 0, 0));
+    }
+
+    /// Two tuples delivered in the same tick, the later-published one
+    /// handled first (the sharded runtime's lineage order need not be
+    /// publication order): the later one must not retire a stored query the
+    /// earlier one still completes. It counts toward the publication
+    /// watermark from the next tick on, which retires the query.
+    #[test]
+    fn a_later_published_tuple_of_the_same_tick_does_not_retire_state() {
+        use crate::engine::{handle_node_msg, TickEffect};
+        use crate::messages::RJoinMessage;
+        let mut catalog = rjoin_relation::Catalog::new();
+        catalog.register(rjoin_relation::Schema::new("J", ["A", "B"]).unwrap()).unwrap();
+        let config = crate::EngineConfig::default();
+        let k = key("J+B+i:3");
+        let mut state = NodeState::new(Id(7));
+        // Window [10, 17]: the wheel deadline is publication time 18.
+        state.store_query(StoredQuery::new(
+            windowed_rewritten(1, 10),
+            k.clone(),
+            IndexLevel::Value,
+        ));
+        let mut deliver = |at: SimTime, pub_time: Timestamp| {
+            let values = vec![Value::from(pub_time as i64), Value::from(3)];
+            let tuple = Arc::new(Tuple::new("J", values, pub_time));
+            let level = IndexLevel::Value;
+            let msg = RJoinMessage::NewTuple { tuple, key: k.clone(), level, publisher: Id(1) };
+            match handle_node_msg(&mut state, &catalog, &config, at, at, Id(7), msg) {
+                TickEffect::Node { actions, .. } => (actions.len(), state.stored_query_count()),
+                _ => unreachable!("a tuple delivery yields a node effect"),
+            }
+        };
+        // Published at 50 (past the window and the expiry stride), handled
+        // first in tick 60...
+        assert_eq!(deliver(60, 50), (0, 1), "outside the window, and no removal yet");
+        // ...so the tuple published at 12 in the same tick still completes it.
+        assert_eq!(deliver(60, 12), (1, 1), "the earlier-published tuple still matches");
+        // The next tick's delivery advances the wheel to 50 and retires it.
+        assert_eq!(deliver(61, 51), (0, 0));
     }
 
     #[test]
@@ -1378,49 +1358,13 @@ mod tests {
             k.clone(),
             IndexLevel::Value,
         ));
-        // Contact expiry got there first: the entry leaves through the
-        // bucket path, as the procedures' trigger walk would remove it.
-        let handle = state.stored_queries.get(&k.ring()).unwrap().handles[0];
-        state.queries.remove(handle);
-        state.stored_queries.remove(&k.ring());
-        state.debit_removed_queries(1, 1);
+        // Churn got there first: the entry leaves with its drained bucket.
+        let drained = state.drain_misplaced(|_| false);
+        assert_eq!(drained.queries.len(), 1);
         // The wheel still holds the token; popping it must be a no-op.
         state.advance_expiry(100);
         assert_eq!(state.stored_query_count(), 0);
         assert_eq!(state.state_counters().wheel_pops, 0, "stale tokens do not count as pops");
-    }
-
-    #[test]
-    fn sweep_mode_matches_wheel_after_gc() {
-        let build = |wheel: bool| {
-            let mut state = NodeState::new(Id(7));
-            state.configure_expiry(wheel, 1);
-            let k = key("J+B+i:3");
-            state.store_query_shared(
-                StoredQuery::new(windowed_rewritten(1, 10), k.clone(), IndexLevel::Value),
-                true,
-            );
-            state.store_query_shared(
-                StoredQuery::new(windowed_rewritten(2, 40), k.clone(), IndexLevel::Value),
-                true,
-            );
-            state.altt_insert(k.ring(), tuple(5), 12);
-            state.altt_insert(k.ring(), tuple(6), 60);
-            // Advance + sweep: in wheel mode the sweep is a no-op after the
-            // advance; in sweep mode the sweep does all the work.
-            state.advance_expiry(30);
-            state.sweep_expired(30);
-            state
-        };
-        let wheel = build(true);
-        let sweep = build(false);
-        assert_eq!(wheel.stored_query_count(), 1);
-        assert_eq!(sweep.stored_query_count(), wheel.stored_query_count());
-        assert_eq!(sweep.stored_rewritten_count(), wheel.stored_rewritten_count());
-        assert_eq!(sweep.altt_entries.len(), wheel.altt_entries.len());
-        assert_eq!(wheel.state_counters().wheel_pops, 2, "one query + one ALTT entry popped");
-        assert_eq!(sweep.state_counters().wheel_pops, 0);
-        assert_eq!(sweep.state_counters().wheel_scheduled, 0, "sweep mode schedules nothing");
     }
 
     /// Churn re-homing through the slab: the donor's wheel tokens go stale
@@ -1481,10 +1425,10 @@ mod tests {
         assert_eq!(donor.tuples.len(), 0, "cell tuples stay out of the plain store");
         assert_eq!(donor.cells[&k.ring()].len(), 3);
         assert_eq!(donor.stored_tuple_count(), 3);
-        // Deadlines are pub + 8 + 1 (slack): 19, 20 and 39.
-        donor.advance_expiry(18);
+        // Deadlines are pub + 8: 18, 19 and 38.
+        donor.advance_expiry(17);
         assert_eq!(donor.stored_tuple_count(), 3);
-        donor.advance_expiry(20);
+        donor.advance_expiry(19);
         assert_eq!(donor.stored_tuple_count(), 1);
         assert_eq!(donor.state_counters().wheel_pops, 2);
         assert_eq!(donor.state_counters().tuple_slab_high_water, 3);
@@ -1500,7 +1444,7 @@ mod tests {
         assert_eq!(receiver.recount(), (1, 0, 1));
         // The donor's tokens lapse; the receiver's wheel owns the deadline.
         donor.advance_expiry(100);
-        receiver.advance_expiry(39);
+        receiver.advance_expiry(38);
         assert_eq!(receiver.stored_tuple_count(), 0);
         assert_eq!(receiver.stored_query_count(), 1, "the replica never expires");
     }
@@ -1527,13 +1471,13 @@ mod tests {
             node.store_tuple(k.ring(), tuple(pub_time));
         }
         assert_eq!(scheduled(&node), 1, "one token for four tuples");
-        // Deadlines 19, 20, 21 and 39: the front's token pops at 19 and
-        // re-arms at 20, whose pop at 25 takes 21 along.
-        node.advance_expiry(19);
+        // Deadlines 18, 19, 20 and 38: the front's token pops at 18 and
+        // re-arms at 19, whose pop at 25 takes 20 along.
+        node.advance_expiry(18);
         assert_eq!((node.stored_tuple_count(), scheduled(&node)), (3, 1));
         node.advance_expiry(25);
         assert_eq!((node.stored_tuple_count(), scheduled(&node)), (1, 1));
-        node.advance_expiry(39);
+        node.advance_expiry(38);
         assert_eq!((node.stored_tuple_count(), scheduled(&node)), (0, 0));
         assert_eq!(node.state_counters().wheel_pops, 4);
         // An emptied cell arms a token again at its next push.

@@ -11,11 +11,15 @@
 //! node's value-partitioned trigger index (`O(matching)` probes; see
 //! [`crate::trigger_index`]) and rewrite each contacted entry with its
 //! compiled trigger program; query arrivals walk only the publication span
-//! of stored tuples they could combine with ([`admissible_pub_span`]). A
-//! contact-expiry removal here is a handle-unlink site under the index's
-//! maintenance contract: it must unfile the removed entry
-//! (`TriggerIndex::remove`) and fix the moved entry's `bucket_pos`
-//! ([`unlink_from_bucket`]) like every other removal path.
+//! of stored tuples they could combine with ([`admissible_pub_span`]).
+//!
+//! The handlers never remove a stored query. Section 5's rule — a rewritten
+//! query whose window a tuple exceeds is deleted — is carried out by the
+//! node's timer wheel, which files every windowed entry under the first
+//! publication time its window does not admit and pops it once the node's
+//! publication watermark passes that time (see [`crate::node_state`]): one
+//! delivery tick after the exceeding tuple arrives. Until then an
+//! out-of-window tuple simply does not trigger the entry.
 //!
 //! A ring that hosts a hypercube cell (see [`crate::cell`]) takes neither
 //! path, and is not recorded for RIC: its arrivals run the cell's
@@ -32,7 +36,7 @@
 
 use crate::config::EngineConfig;
 use crate::messages::{EmittedBy, PendingQuery, QueryId};
-use crate::node_state::{unlink_from_bucket, NodeState, ProgramCache, StoredQuery};
+use crate::node_state::{NodeState, ProgramCache, StoredQuery};
 use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
@@ -83,9 +87,8 @@ pub struct ProcCtx<'a> {
 
 /// Outcome of attempting to trigger one stored query with one tuple.
 enum TriggerOutcome {
-    /// The stored query expired (window violation) and must be deleted.
-    Expired,
-    /// The tuple did not trigger the query (mismatch, dedup or time filter).
+    /// The tuple did not trigger the query (mismatch, dedup, time or window
+    /// filter).
     NotTriggered,
     /// The tuple triggered the query and its actions were appended to the
     /// caller's list. Unshared entries produce exactly one action; shared
@@ -202,13 +205,14 @@ fn try_trigger(
     if tuple.pub_time() < pending.min_insert_time() {
         return TriggerOutcome::NotTriggered;
     }
-    // Window validity (Section 5): a rewritten query whose window has been
-    // exceeded is deleted; input queries (start = None) never expire.
+    // Window validity (Section 5): a tuple outside a rewritten query's
+    // window does not trigger it (the wheel deletes the query once no tuple
+    // can fit anymore); input queries (start = None) never expire.
     let window = *pending.query.window();
     if window.use_windows() {
         if let Some(start) = pending.window_start {
             if !window.within(start, tuple.pub_time()) {
-                return TriggerOutcome::Expired;
+                return TriggerOutcome::NotTriggered;
             }
         }
         // Exact sliding-window span: the paper's pairwise `|start - now|`
@@ -298,8 +302,8 @@ fn record_sharing(sharing: &mut SharingCounters, primary: QueryId, actions: &[Ac
 /// Procedure 2: a node receives a new tuple (at the attribute or value
 /// level).
 ///
-/// Returns the actions to perform. Window-expired rewritten queries are
-/// removed from the node's store as a side effect.
+/// Returns the actions to perform. The stored queries stay as they are:
+/// window-expired ones leave through the node's timer wheel.
 pub fn handle_new_tuple(
     state: &mut NodeState,
     ctx: &ProcCtx<'_>,
@@ -322,24 +326,19 @@ pub fn handle_new_tuple(
     state.ric().record_arrival_bounded(ring, ctx.now, horizon);
 
     let mut actions = Vec::new();
-    let mut removed = 0usize;
-    let mut removed_rewritten = 0usize;
-    let mut sharing: Vec<(QueryId, usize, usize)> = Vec::new();
     // The schema is resolved once per delivery, not once per stored query;
     // published tuples are catalog-validated, so a missing schema cannot
     // occur for tuples that entered through the engine.
     let schema = ctx.catalog.schema(tuple.relation());
     // Disjoint field borrows: the walk resolves candidate handles against
-    // the query slab while expiry removals unlink their bucket slot, unfile
-    // their index entry and unregister their registry slot, all in one pass.
-    let stored_map = &mut state.stored_queries;
+    // the query slab while the trigger index hands them out and the sharing
+    // counters book what each trigger saved.
     let queries = &mut state.queries;
-    let subjoins = &mut state.subjoins;
-    let state_counters = &mut state.state_counters;
+    let sharing = &mut state.sharing;
     let tindex = &mut state.trigger_index;
     let programs = Arc::clone(&state.programs);
     let counters = &mut state.compile;
-    if let (Some(schema), Some(bucket)) = (schema, stored_map.get_mut(&ring)) {
+    if let (Some(schema), Some(bucket)) = (schema, state.stored_queries.get(&ring)) {
         let walk = Instant::now();
         // The contact set of this arrival: the residual list plus the
         // tuple's value slice of every pinned column (entries skipped here
@@ -371,44 +370,13 @@ pub fn handle_new_tuple(
                     }
                 },
             );
-            match outcome {
-                TriggerOutcome::Expired => {
-                    let expired = queries.remove(handle).expect("resolved above");
-                    unlink_from_bucket(&mut bucket.handles, queries, handle, expired.bucket_pos);
-                    tindex.remove(bucket, handle, &expired);
-                    removed += 1;
-                    if !expired.pending.is_input() {
-                        removed_rewritten += 1;
-                    }
-                    if let Some(fp) = expired.fingerprint {
-                        let window = (
-                            expired.pending.window_start,
-                            expired.pending.window_min,
-                            expired.pending.window_max,
-                        );
-                        subjoins.unregister(ring, fp, window, handle);
-                    }
-                    state_counters.contact_expirations += 1;
-                }
-                TriggerOutcome::Triggered => {
-                    sharing.push((primary, before, actions.len() - before));
-                }
-                TriggerOutcome::NotTriggered => {}
+            if let TriggerOutcome::Triggered = outcome {
+                record_sharing(sharing, primary, &actions[before..]);
             }
         }
         tindex.scratch = candidates;
         counters.eval_nanos += walk.elapsed().as_nanos() as u64;
-        if bucket.handles.is_empty() {
-            stored_map.remove(&ring);
-        }
     }
-    if removed > 0 {
-        state.debit_removed_queries(removed, removed_rewritten);
-    }
-    for (primary, start, len) in sharing {
-        record_sharing(&mut state.sharing, primary, &actions[start..start + len]);
-    }
-
     match level {
         IndexLevel::Value => {
             // Value-level copies are stored so future rewritten queries can
@@ -449,20 +417,15 @@ fn handle_query_arrival(
     let mut stored = StoredQuery::new(pending, key.clone(), level);
     let mut actions = Vec::new();
 
-    if ctx.config.altt_delta.is_some() {
-        // Reclaim expired front entries before the walk (under wheel expiry
-        // they were already popped at their deadline and this is a no-op).
-        state.altt_prune(ring, ctx.at);
-    }
-
     // Both walks run in place over slab handles by shared reference — the
     // arrival allocates nothing per stored or retained tuple. The explicit
-    // `expires_at >= at` filter stays even under wheel expiry (physical
-    // removal timing must never decide an answer), and it is checked against
-    // the delivery tick, never the clock: the clock is driver-dependent (a
-    // burst publish parks it at the last publication; a sharded handler's
-    // local clock can run ahead of `at`), while the delivery tick is part of
-    // the deterministic message schedule.
+    // `expires_at >= at` filter decides ALTT visibility (the wheel pops an
+    // entry only once the publication watermark passes it, so physical
+    // removal never decides an answer), and it is checked against the
+    // delivery tick, never the clock: the clock is driver-dependent (a burst
+    // publish parks it at the last publication; a sharded handler's local
+    // clock can run ahead of `at`), while the delivery tick is part of the
+    // deterministic message schedule.
     let programs = Arc::clone(&state.programs);
     let mut span = std::mem::take(&mut state.span_scratch);
     span.clear();
@@ -728,6 +691,40 @@ mod tests {
         ProcCtx { catalog, config, now, at: now }
     }
 
+    /// Delivers `msg` at tick `at` through the drivers' entry point, which
+    /// first advances the node's wheel to its publication watermark.
+    fn deliver(
+        state: &mut NodeState,
+        catalog: &Catalog,
+        config: &EngineConfig,
+        at: SimTime,
+        msg: crate::RJoinMessage,
+    ) -> Vec<Action> {
+        let node = state.id;
+        match crate::engine::handle_node_msg(state, catalog, config, at, at, node, msg) {
+            crate::engine::TickEffect::Node { actions, .. } => actions,
+            _ => unreachable!("a node message yields node effects"),
+        }
+    }
+
+    fn new_tuple(tuple: Arc<Tuple>, key: &IndexKey) -> crate::RJoinMessage {
+        crate::RJoinMessage::NewTuple {
+            tuple,
+            key: key.hashed(),
+            level: key.level(),
+            publisher: Id(0),
+        }
+    }
+
+    fn eval(pending: PendingQuery, key: &IndexKey) -> crate::RJoinMessage {
+        crate::RJoinMessage::Eval {
+            pending,
+            key: key.hashed(),
+            level: key.level(),
+            carried_ric: Vec::new(),
+        }
+    }
+
     fn pending(sql: &str, insert_time: u64) -> PendingQuery {
         PendingQuery::input(
             QueryId { owner: Id(42), seq: 1 },
@@ -927,20 +924,20 @@ mod tests {
             parse_query("SELECT 9, S.B FROM S WHERE S.A = 7 WINDOW SLIDING 10 TUPLES").unwrap(),
             Some(5),
         );
-        handle_eval(&mut state, &ctx(&catalog, &config, 6), rewritten, &key.hashed(), key.level());
+        deliver(&mut state, &catalog, &config, 6, eval(rewritten, &key));
         assert_eq!(state.stored_rewritten_count(), 1);
 
-        // A tuple far outside the window arrives: the query is deleted, not
-        // triggered.
-        let actions = handle_new_tuple(
-            &mut state,
-            &ctx(&catalog, &config, 100),
-            &tuple("S", [7, 3, 0], 100),
-            &key.hashed(),
-            IndexLevel::Value,
-        );
-        assert!(actions.is_empty());
+        // A tuple far outside the window arrives: the query is not
+        // triggered...
+        let late = new_tuple(tuple("S", [7, 3, 0], 100), &key);
+        assert!(deliver(&mut state, &catalog, &config, 100, late).is_empty());
+        assert_eq!(state.stored_rewritten_count(), 1, "a contact never removes");
+        // ...and the next delivery tick's wheel advance deletes it: the
+        // tuple lifted the node's publication watermark past the window.
+        let next = new_tuple(tuple("S", [8, 3, 0], 101), &key);
+        deliver(&mut state, &catalog, &config, 101, next);
         assert_eq!(state.stored_rewritten_count(), 0);
+        assert_eq!(state.state_counters().wheel_pops, 1);
     }
 
     #[test]
@@ -1386,14 +1383,15 @@ mod tests {
         );
     }
 
-    /// Regression for the stale-slot-after-expiry path: when a contact
-    /// expiry removes one of several registered entries from a bucket, the
-    /// dying entry's registry slot must be unregistered (and only its own),
-    /// so a later twin of the survivor still merges and a twin of the
-    /// expired entry re-registers cleanly instead of resolving a dangling
-    /// reference. With positional slots this required revalidating every
-    /// slot on use; with slab handles the single `unregister` in the expiry
-    /// path is sufficient — which is exactly what this test pins.
+    /// Regression for the stale-slot-after-expiry path: when a tuple exceeds
+    /// the window of one of several registered entries of a bucket and the
+    /// wheel then removes it, the dying entry's registry slot must be
+    /// unregistered (and only its own), so a later twin of the survivor
+    /// still merges and a twin of the expired entry re-registers cleanly
+    /// instead of resolving a dangling reference. With positional slots
+    /// this required revalidating every slot on use; with slab handles the
+    /// single `unregister` in the wheel pop is sufficient — which is
+    /// exactly what this test pins.
     #[test]
     fn contact_expiry_unregisters_only_its_own_slot() {
         let catalog = catalog();
@@ -1416,53 +1414,27 @@ mod tests {
         };
         // Two structurally identical entries with different window starts:
         // they register two distinct slots under the same ring key.
-        handle_eval(
-            &mut state,
-            &ctx(&catalog, &config, 11),
-            rewritten(10, 10),
-            &key.hashed(),
-            key.level(),
-        );
-        handle_eval(
-            &mut state,
-            &ctx(&catalog, &config, 51),
-            rewritten(20, 50),
-            &key.hashed(),
-            key.level(),
-        );
+        deliver(&mut state, &catalog, &config, 11, eval(rewritten(10, 10), &key));
+        deliver(&mut state, &catalog, &config, 51, eval(rewritten(20, 50), &key));
         assert_eq!(state.stored_query_count(), 2);
         assert_eq!(state.subjoins().len(), 2);
 
-        // A tuple at 55 contact-expires the start-10 entry (|10-55|+1 > 8)
+        // A tuple at 55 exceeds the start-10 entry's window (|10-55|+1 > 8)
         // while the start-50 entry stays within its window.
-        handle_new_tuple(
-            &mut state,
-            &ctx(&catalog, &config, 55),
-            &tuple("J", [1, 3, 0], 55),
-            &key.hashed(),
-            IndexLevel::Value,
-        );
-        assert_eq!(state.stored_query_count(), 1, "the start-10 entry expired by contact");
-        assert_eq!(state.subjoins().len(), 1, "the expired entry's slot was unregistered");
+        let exceeding = new_tuple(tuple("J", [1, 3, 0], 55), &key);
+        deliver(&mut state, &catalog, &config, 55, exceeding);
+        assert_eq!(state.stored_query_count(), 2, "a contact never removes");
 
-        // A twin of the survivor still merges into it...
-        handle_eval(
-            &mut state,
-            &ctx(&catalog, &config, 56),
-            rewritten(30, 50),
-            &key.hashed(),
-            key.level(),
-        );
+        // A twin of the survivor, delivered at the next tick: the wheel
+        // first deletes the start-10 entry, then the twin still merges into
+        // the survivor...
+        deliver(&mut state, &catalog, &config, 56, eval(rewritten(30, 50), &key));
+        assert_eq!(state.state_counters().wheel_pops, 1, "the start-10 entry left by the wheel");
         assert_eq!(state.stored_query_count(), 1, "the survivor's slot must still resolve");
+        assert_eq!(state.subjoins().len(), 1, "the expired entry's slot was unregistered");
         assert_eq!(state.sharing().merged_queries, 1);
         // ...and a twin of the expired entry re-registers a fresh slot.
-        handle_eval(
-            &mut state,
-            &ctx(&catalog, &config, 56),
-            rewritten(40, 10),
-            &key.hashed(),
-            key.level(),
-        );
+        deliver(&mut state, &catalog, &config, 56, eval(rewritten(40, 10), &key));
         assert_eq!(state.stored_query_count(), 2);
         assert_eq!(state.subjoins().len(), 2);
     }

@@ -15,13 +15,14 @@ use std::collections::VecDeque;
 /// path.
 ///
 /// Each arrival is recorded at `now`, the node's clock at arrival: the
-/// timestamp the rate window is measured against. Two reads exist: the
-/// sequential drain's pruning [`rate`](RicTracker::rate) and the pure
-/// [`rate_at`](RicTracker::rate_at) that the sharded runtime's effect
-/// phases call concurrently on a remote node's tracker. A sharded round runs
-/// every handler of its tick before any effect, and no shard has handled a
-/// later tick, so a remote read sees exactly the arrivals the node recorded
-/// up to and including the reader's tick, whichever thread reads it.
+/// timestamp the rate window is measured against. Recording drops what fell
+/// behind a retention horizon, and the one read,
+/// [`rate_at`](RicTracker::rate_at), is pure — so every driver reads rates
+/// the same way, and the sharded runtime's effect phases can call it
+/// concurrently on a remote node's tracker. A sharded round runs every
+/// handler of its tick before any effect, and no shard has handled a later
+/// tick, so a remote read sees exactly the arrivals the node recorded up to
+/// and including the reader's tick, whichever thread reads it.
 ///
 /// The paper's prediction model is deliberately simple ("we observe what has
 /// happened during the last time window and assume a similar behaviour for
@@ -40,20 +41,14 @@ impl RicTracker {
     }
 
     /// Records the arrival of one tuple under the key with ring identifier
-    /// `key` at clock time `now`.
-    pub fn record_arrival(&mut self, key: u64, now: SimTime) {
-        self.arrivals.entry(key).or_default().push_back(now);
-        self.total_arrivals += 1;
-    }
-
-    /// Like [`record_arrival`](Self::record_arrival), but first drops
-    /// arrivals recorded more than `horizon` ticks before `now`, keeping
-    /// the per-key deque bounded by the arrival rate times the horizon.
+    /// `key` at clock time `now`, after dropping arrivals recorded more than
+    /// `horizon` ticks before `now`: the per-key deque stays bounded by the
+    /// arrival rate times the horizon.
     ///
     /// With `horizon >= window + 2δ` this is invisible to every read: a
-    /// dropped entry is strictly below the cutoff of any [`rate`](Self::rate)
-    /// call or [`rate_at`](Self::rate_at) call (reads never use a clock
-    /// older than the recording node's).
+    /// dropped entry is strictly below the cutoff of any
+    /// [`rate_at`](Self::rate_at) call (reads never use a clock older than
+    /// the recording node's).
     pub fn record_arrival_bounded(&mut self, key: u64, now: SimTime, horizon: SimTime) {
         let times = self.arrivals.entry(key).or_default();
         let cutoff = now.saturating_sub(horizon);
@@ -64,32 +59,10 @@ impl RicTracker {
         self.total_arrivals += 1;
     }
 
-    /// Number of tuples that arrived under `key` during `(now - window, now]`.
-    /// Also prunes arrivals that fell out of the window, and forgets a key
-    /// whose last arrival did.
-    ///
-    /// This is the sequential driver's read: pruning is lossy on purpose
-    /// (the tracker only keeps what the most recent window retained), which
-    /// keeps the arrival deques short on the hot path.
-    pub fn rate(&mut self, key: u64, now: SimTime, window: SimTime) -> u64 {
-        let Some(times) = self.arrivals.get_mut(&key) else { return 0 };
-        let cutoff = now.saturating_sub(window);
-        while times.front().is_some_and(|&front| front <= cutoff && front != now) {
-            times.pop_front();
-        }
-        if times.is_empty() {
-            self.arrivals.remove(&key);
-            return 0;
-        }
-        times.len() as u64
-    }
-
-    /// Pure (non-pruning) twin of [`rate`](Self::rate) used by the sharded
-    /// runtime and the split decisions: counts the arrivals in
-    /// `(now - window, now]` without mutating anything. Being read-only it
-    /// is insensitive to the (non-deterministic) wall-clock order in which
-    /// concurrent readers arrive, which the lossy pruning of
-    /// [`rate`](Self::rate) is not.
+    /// Number of tuples that arrived under `key` during `(now - window, now]`
+    /// (a zero window still counts the arrivals at `now`). Pure: being
+    /// read-only it is insensitive to the (non-deterministic) wall-clock
+    /// order in which concurrent readers arrive.
     pub fn rate_at(&self, key: u64, now: SimTime, window: SimTime) -> u64 {
         let Some(times) = self.arrivals.get(&key) else { return 0 };
         // Entries are appended with non-decreasing clock, so both bounds are
@@ -165,72 +138,52 @@ mod tests {
         HashedKey::new(text).ring()
     }
 
+    /// Records every arrival with a horizon no read reaches past.
+    fn record_all(t: &mut RicTracker, arrivals: &[(&str, SimTime)]) {
+        for &(key, now) in arrivals {
+            t.record_arrival_bounded(k(key), now, 1_000);
+        }
+    }
+
     #[test]
     fn counts_arrivals_within_window() {
         let mut t = RicTracker::new();
-        for time in [10, 20, 30, 40] {
-            t.record_arrival(k("R+A"), time);
-        }
-        assert_eq!(t.rate(k("R+A"), 40, 100), 4);
-        assert_eq!(t.rate(k("R+A"), 40, 15), 2); // 30 and 40 are within (25, 40]
-        assert_eq!(t.rate(k("R+A"), 40, 5), 1); // only 40
-        assert_eq!(t.rate(k("S+B"), 40, 100), 0);
+        record_all(&mut t, &[("R+A", 10), ("R+A", 20), ("R+A", 30), ("R+A", 40)]);
+        assert_eq!(t.rate_at(k("R+A"), 40, 100), 4);
+        assert_eq!(t.rate_at(k("R+A"), 40, 15), 2); // 30 and 40 are within (25, 40]
+        assert_eq!(t.rate_at(k("R+A"), 40, 5), 1); // only 40
+        assert_eq!(t.rate_at(k("S+B"), 40, 100), 0);
     }
 
+    /// What the recording horizon drops is gone for every later read, and
+    /// a key stays tracked as long as it keeps arriving.
     #[test]
     fn pruning_is_permanent() {
         let mut t = RicTracker::new();
-        t.record_arrival(k("k"), 1);
-        t.record_arrival(k("k"), 100);
-        // A narrow window at t=100 prunes the old arrival...
-        assert_eq!(t.rate(k("k"), 100, 10), 1);
-        // ...so a later wide query no longer sees it (the tracker only keeps
-        // what the most recent window retained).
-        assert_eq!(t.rate(k("k"), 100, 1000), 1);
+        t.record_arrival_bounded(k("k"), 1, 10);
+        t.record_arrival_bounded(k("k"), 100, 10);
+        // The arrival at 100 dropped the one at 1 (behind 100 - 10)...
+        assert_eq!(t.rate_at(k("k"), 100, 10), 1);
+        // ...so a later wide read no longer sees it.
+        assert_eq!(t.rate_at(k("k"), 100, 1000), 1);
         assert_eq!(t.total_arrivals(), 2);
         assert_eq!(t.tracked_keys(), 1);
-    }
-
-    /// A key whose window rolled over completely leaves nothing behind —
-    /// neither a deque nor its map slot — and answers exactly as before.
-    #[test]
-    fn a_key_is_forgotten_when_its_last_arrival_is_pruned() {
-        let mut t = RicTracker::new();
-        t.record_arrival(k("cold"), 10);
-        t.record_arrival(k("warm"), 10);
-        t.record_arrival(k("warm"), 95);
-        assert_eq!(t.tracked_keys(), 2);
-        // At 100 with a 20-tick window "cold" has rolled over, "warm" has not.
-        assert_eq!(t.rate(k("cold"), 100, 20), 0);
-        assert_eq!(t.rate(k("warm"), 100, 20), 1);
-        assert_eq!(t.tracked_keys(), 1, "the emptied key is dropped, not kept as an empty deque");
-        assert_eq!(t.rate(k("cold"), 100, 1000), 0);
-        assert_eq!(t.rate_at(k("cold"), 100, 1000), 0);
-        // A later arrival re-opens the key like any first arrival.
-        t.record_arrival_bounded(k("cold"), 101, 40);
-        assert_eq!(t.tracked_keys(), 2);
-        assert_eq!(t.rate(k("cold"), 101, 20), 1);
-        assert_eq!(t.rate_at(k("warm"), 101, 20), 1);
-        assert_eq!(t.total_arrivals(), 4);
     }
 
     #[test]
     fn distinct_keys_are_independent() {
         let mut t = RicTracker::new();
-        t.record_arrival(k("a"), 5);
-        t.record_arrival(k("b"), 5);
-        t.record_arrival(k("b"), 6);
-        assert_eq!(t.rate(k("a"), 10, 100), 1);
-        assert_eq!(t.rate(k("b"), 10, 100), 2);
+        record_all(&mut t, &[("a", 5), ("b", 5), ("b", 6)]);
+        assert_eq!(t.rate_at(k("a"), 10, 100), 1);
+        assert_eq!(t.rate_at(k("b"), 10, 100), 2);
         assert_eq!(t.tracked_keys(), 2);
     }
 
     #[test]
     fn rate_at_same_tick_counts_current_arrival() {
         let mut t = RicTracker::new();
-        t.record_arrival(k("k"), 50);
+        record_all(&mut t, &[("k", 50)]);
         // window of zero ticks still counts the arrival at `now` itself.
-        assert_eq!(t.rate(k("k"), 50, 0), 1);
         assert_eq!(t.rate_at(k("k"), 50, 0), 1);
     }
 
@@ -238,17 +191,14 @@ mod tests {
     fn rate_at_is_pure() {
         let mut t = RicTracker::new();
         // Three arrivals sharing one clock, plus one genuinely later.
-        t.record_arrival(k("k"), 50);
-        t.record_arrival(k("k"), 50);
-        t.record_arrival(k("k"), 50);
-        t.record_arrival(k("k"), 60);
+        record_all(&mut t, &[("k", 50), ("k", 50), ("k", 50), ("k", 60)]);
         // A reader at 50 does not see the later arrival (now-bounded).
         assert_eq!(t.rate_at(k("k"), 50, 100), 3);
         assert_eq!(t.rate_at(k("k"), 60, 100), 4);
         // Narrow windows apply to the recorded clock.
         assert_eq!(t.rate_at(k("k"), 60, 5), 1);
         // rate_at never pruned anything.
-        assert_eq!(t.rate(k("k"), 60, 1000), 4);
+        assert_eq!(t.rate_at(k("k"), 60, 1000), 4);
     }
 
     /// The per-node log answers every read the way per-key deques did
@@ -285,6 +235,5 @@ mod tests {
         assert_eq!(t.total_arrivals(), 3, "totals count every arrival ever");
         // Reads inside the horizon are unaffected by the pruning.
         assert_eq!(t.rate_at(k("k"), 35, 20), 2);
-        assert_eq!(t.rate(k("k"), 35, 20), 2);
     }
 }

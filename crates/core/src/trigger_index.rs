@@ -26,12 +26,11 @@
 //!
 //! **Every** site that pushes a stored-query handle onto a bucket of
 //! `NodeState::stored_queries` must `insert` it here, and every site that
-//! unlinks one (contact expiry in the trigger walk, timer-wheel pops, the
-//! sweep-mode collector) must `remove` it with the same entry — the pin is
-//! a pure function of the entry's query, key text and dedup state, none of
-//! which mutate while it is stored, so removal recomputes the pin and
-//! finds the one vector the insertion filed the handle under (or an
-//! unpartitioned bucket, and nothing to unfile). Whole-ring teardown
+//! unlinks one (the timer-wheel pop) must `remove` it with the same entry —
+//! the pin is a pure function of the entry's query, key text and dedup
+//! state, none of which mutate while it is stored, so removal recomputes
+//! the pin and finds the one vector the insertion filed the handle under
+//! (or an unpartitioned bucket, and nothing to unfile). Whole-ring teardown
 //! (`drain_misplaced`) drops the bucket and tells the index with `forget`.
 //!
 //! Hypercube cell replicas are filed like any other stored query (the
@@ -44,18 +43,12 @@
 //! The answer of a tuple arrival is defined entry by entry: every stored
 //! query of the bucket rewritten with the tuple by `rjoin_query::rewrite`,
 //! the reference semantics the compiled trigger programs are tested
-//! against. A skipped entry differs from a contacted one in two ways only:
-//!
-//! * **No `Mismatch` rewrite** — by construction the skipped entry's
-//!   pinned constant filter rejects the tuple, so `rewrite` returns
-//!   `Mismatch`: the contact would have produced no action and mutated
-//!   nothing (entries whose contact *can* mutate state — `DISTINCT` dedup
-//!   admission — are residual).
-//! * **No contact expiry** — the network's constant delay δ makes per-ring
-//!   tuple publication times monotone in delivery order, so an entry whose
-//!   window already expired against a skipped tuple can never trigger on
-//!   any later tuple either; its removal shifts to its wheel deadline (or
-//!   a later contact) without affecting any answer.
+//! against. A skipped entry differs from a contacted one in one way only:
+//! no `Mismatch` rewrite runs. By construction the skipped entry's pinned
+//! constant filter rejects the tuple, so `rewrite` returns `Mismatch`: the
+//! contact would have produced no action and mutated nothing (entries
+//! whose contact *can* mutate state — `DISTINCT` dedup admission — are
+//! residual; a contact never removes an entry, the timer wheel does).
 //!
 //! Ring identifiers are 64-bit digests of the key text, so two key texts
 //! may collide onto one ring and a bucket may mix entries of several keys.

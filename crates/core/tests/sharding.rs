@@ -30,8 +30,8 @@ fn churn_scenario() -> Scenario {
 
 /// Drives the churn workload: queries indexed, tuples published, then —
 /// **while the tuple/Eval cascade is still in flight** — the sequential
-/// driver single-steps partway into the cascade, two nodes join and one
-/// leaves, and the remaining drain runs under the requested driver.
+/// driver steps tick by tick partway into the cascade, two nodes join and
+/// one leaves, and the remaining drain runs under the requested driver.
 /// Returns the engine plus everything the oracle needs.
 type ChurnRun = (RJoinEngine, Vec<(QueryId, JoinQuery, Timestamp)>, Vec<Tuple>, Catalog);
 
@@ -57,8 +57,9 @@ fn run_churn(shards: usize) -> ChurnRun {
         engine.publish_tuple(origins[i % origins.len()], t.clone()).unwrap();
     }
 
-    // Step into the middle of the cascade: Eval/Index/NewTuple messages are
-    // in flight when the membership changes below happen.
+    // Step into the middle of the cascade, one delivery tick at a time:
+    // Eval/Index/NewTuple messages are in flight when the membership
+    // changes below happen.
     for _ in 0..40 {
         if !engine.step().unwrap() {
             break;

@@ -28,7 +28,7 @@
 //! * [`PlannerCounters`] — what the two-plan query planner decided
 //!   (pipeline vs hypercube plans, shares allocated, replication cost),
 //! * [`StateCounters`] — how the slab-backed stores and timer-wheel expiry
-//!   behaved (slab occupancy and high water, wheel pops vs contact expiry),
+//!   behaved (slab occupancy and high water, wheel pops),
 //! * [`ProbeCounters`] — how the value-partitioned trigger index narrowed
 //!   tuple-arrival probes (candidates vs bucket length, residual share,
 //!   index size high water).

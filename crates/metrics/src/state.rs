@@ -9,13 +9,10 @@ use serde::{Deserialize, Serialize};
 /// the slabs at read time, the pop counters accumulate); the engine sums
 /// them into the run-level statistics snapshot.
 ///
-/// The pair to watch is `wheel_pops` vs `contact_expirations`: with the
-/// timer wheel on, almost every dead entry is reclaimed by a wheel pop at
-/// its deadline, and contact expiry only catches entries the wheel's
-/// conservative deadline (`+ δ` network slack) has not reached yet. In
-/// sweep mode `wheel_pops` is zero and every reclamation waits for a bucket
-/// walk to stumble over the corpse — the O(stored) regime the wheel
-/// replaces. The `*_high_water` gauges bound peak state: with expiry
+/// Every dead entry is reclaimed by a wheel pop once the node's publication
+/// watermark passes its deadline; nothing else reclaims, so
+/// `contact_expirations` is always 0 (the field stays for readers of the
+/// counter set). The `*_high_water` gauges bound peak state: with expiry
 /// working, high water tracks the *active* working set rather than the
 /// run's cumulative volume.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,7 +36,8 @@ pub struct StateCounters {
     /// Entries reclaimed by a wheel pop at their deadline.
     pub wheel_pops: u64,
     /// Entries reclaimed because a bucket walk contacted them after their
-    /// window had closed (the only reclamation path in sweep mode).
+    /// window had closed. Always 0: the timer wheel is the only reclamation
+    /// path. Kept so existing readers of the counter set keep compiling.
     pub contact_expirations: u64,
 }
 

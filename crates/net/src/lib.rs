@@ -30,10 +30,10 @@
 //! One global event queue driven by one thread. Because the delay bound δ
 //! is a constant and the clock is monotone, arrival times are scheduled in
 //! non-decreasing order, so the in-flight queue is a *bucket queue* — one
-//! FIFO bucket per delivery tick — with O(1) push and pop. Two drain APIs
-//! expose the same total `(at, seq)` order: [`Network::pop_next`] (single
-//! stepping) and [`Network::pop_tick`] (a whole tick at once, which lets a
-//! driver fan one tick's handlers out across cores).
+//! FIFO bucket per delivery tick — with O(1) push and pop.
+//! [`Network::pop_tick`] drains it a whole tick at a time, in the total
+//! `(at, seq)` order, so a driver runs every handler of a tick before any
+//! of its effects.
 //!
 //! # The sharded runtime ([`ShardedNetwork`])
 //!

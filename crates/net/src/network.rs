@@ -219,27 +219,16 @@ impl<M> Network<M> {
         self.traffic.record_sent(from, class);
     }
 
-    /// Pops the next delivery, advancing the clock to its arrival time.
-    /// Returns `None` when no messages are in flight.
-    pub fn pop_next(&mut self) -> Option<Delivery<M>> {
-        let (at, next) = self.queue.pop_front()?;
-        self.clock = self.clock.max(at);
-        Some(Delivery { at, seq: next.seq, to: next.to, from: next.from, msg: next.msg })
-    }
-
     /// The arrival tick of the earliest in-flight message, if any.
     pub fn next_delivery_time(&self) -> Option<SimTime> {
         self.queue.next_time()
     }
 
     /// Drains *every* delivery of the earliest occupied tick at once,
-    /// advancing the clock to that tick. The returned deliveries are in
-    /// `(at, seq)` order — exactly the order repeated [`pop_next`] calls
-    /// would have produced — so a driver can batch-process one tick (e.g.
-    /// fan the deliveries out across cores) without changing the event
-    /// order.
-    ///
-    /// [`pop_next`]: Self::pop_next
+    /// advancing the clock to that tick. Returns `None` when no messages are
+    /// in flight. The returned deliveries are in `(at, seq)` order, so
+    /// repeated calls yield the queue's total delivery order one tick at a
+    /// time.
     pub fn pop_tick(&mut self) -> Option<(SimTime, Vec<Delivery<M>>)> {
         let (at, bucket) = self.queue.pop_bucket()?;
         self.clock = self.clock.max(at);
@@ -326,6 +315,11 @@ mod tests {
         (net, ids)
     }
 
+    /// Every pending delivery, one tick at a time.
+    fn pop_all<M>(net: &mut Network<M>) -> Vec<Delivery<M>> {
+        std::iter::from_fn(|| net.pop_tick()).flat_map(|(_, batch)| batch).collect()
+    }
+
     #[test]
     fn bootstrap_creates_requested_nodes() {
         let (net, ids) = network(50);
@@ -342,13 +336,14 @@ mod tests {
         assert_eq!(result.owner, expected_owner);
         assert_eq!(net.in_flight(), 1);
 
-        let delivery = net.pop_next().unwrap();
+        let (at, batch) = net.pop_tick().unwrap();
+        let [delivery] = batch.as_slice() else { panic!("one delivery, got {}", batch.len()) };
         assert_eq!(delivery.to, expected_owner);
         assert_eq!(delivery.from, ids[0]);
         assert_eq!(delivery.msg, "hello");
-        assert_eq!(delivery.at, 5);
+        assert_eq!((at, delivery.at), (5, 5));
         assert_eq!(net.now(), 5);
-        assert!(net.pop_next().is_none());
+        assert!(net.pop_tick().is_none());
     }
 
     #[test]
@@ -384,10 +379,7 @@ mod tests {
         ];
         net.multi_send(ids[2], items, CLASS_A).unwrap();
         assert_eq!(net.in_flight(), 3);
-        let mut seen = Vec::new();
-        while let Some(d) = net.pop_next() {
-            seen.push(d.msg);
-        }
+        let mut seen: Vec<&str> = pop_all(&mut net).into_iter().map(|d| d.msg).collect();
         seen.sort();
         assert_eq!(seen, vec!["to-x", "to-y", "to-z"]);
     }
@@ -398,9 +390,10 @@ mod tests {
         net.send_direct(ids[0], ids[5], "direct", CLASS_B);
         assert_eq!(net.traffic().sent_by(ids[0]), 1);
         assert_eq!(net.traffic().total_sent(), 1);
-        let d = net.pop_next().unwrap();
-        assert_eq!(d.to, ids[5]);
-        assert_eq!(d.msg, "direct");
+        let (_, batch) = net.pop_tick().unwrap();
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch[0].to, ids[5]);
+        assert_eq!(batch[0].msg, "direct");
     }
 
     #[test]
@@ -410,7 +403,7 @@ mod tests {
         net.send_direct(ids[0], ids[2], "second", CLASS_A);
         net.advance_to(100);
         net.send_direct(ids[0], ids[3], "third", CLASS_A);
-        let order: Vec<&str> = std::iter::from_fn(|| net.pop_next().map(|d| d.msg)).collect();
+        let order: Vec<&str> = pop_all(&mut net).into_iter().map(|d| d.msg).collect();
         assert_eq!(order, vec!["first", "second", "third"]);
     }
 
@@ -438,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_tick_and_pop_next_agree_on_order() {
+    fn pop_tick_and_drain_in_flight_agree_on_order() {
         let build = |n: usize| {
             let mut net = Network::new(NetworkConfig { delay: 3, successor_list_len: 4 });
             let ids = net.bootstrap(n, "order-test");
@@ -450,17 +443,17 @@ mod tests {
             }
             net
         };
-        let mut by_pop = build(8);
+        let mut by_drain = build(8);
         let mut by_tick = build(8);
-        let singles: Vec<(SimTime, u64, (u64, usize))> =
-            std::iter::from_fn(|| by_pop.pop_next().map(|d| (d.at, d.seq, d.msg))).collect();
+        let drained: Vec<(SimTime, u64, (u64, usize))> =
+            by_drain.drain_in_flight().into_iter().map(|d| (d.at, d.seq, d.msg)).collect();
         let mut batched = Vec::new();
         while let Some((at, batch)) = by_tick.pop_tick() {
             for d in batch {
                 batched.push((at, d.seq, d.msg));
             }
         }
-        assert_eq!(singles, batched);
+        assert_eq!(drained, batched);
     }
 
     #[test]
@@ -514,8 +507,8 @@ mod tests {
         net.send_direct(ids[0], ids[1], "late", CLASS_A);
         net.advance_to(10); // no-op
         assert_eq!(net.now(), 50);
-        let d = net.pop_next().unwrap();
-        assert_eq!(d.at, 55);
+        let (at, _) = net.pop_tick().unwrap();
+        assert_eq!(at, 55);
         assert_eq!(net.now(), 55);
     }
 }

@@ -9,8 +9,8 @@ const CLASS: TrafficClass = 0;
 
 proptest! {
     /// Every routed message is delivered to the ground-truth owner of its
-    /// key, the hop count equals the accounted messages, and deliveries come
-    /// out in non-decreasing time order.
+    /// key, the hop count equals the accounted messages, and ticks come out
+    /// in increasing time order, their deliveries in send order.
     #[test]
     fn routing_and_accounting_are_consistent(
         nodes in 2usize..40,
@@ -35,13 +35,19 @@ proptest! {
         prop_assert_eq!(net.in_flight(), keys.len());
 
         let mut last_time = 0;
+        let mut last_seq = None;
         let mut delivered = 0usize;
-        while let Some(delivery) = net.pop_next() {
-            prop_assert!(delivery.at >= last_time);
-            last_time = delivery.at;
-            prop_assert_eq!(delivery.to, expected_owners[delivery.msg]);
-            prop_assert_eq!(delivery.from, from);
-            delivered += 1;
+        while let Some((at, batch)) = net.pop_tick() {
+            prop_assert!(at > last_time || delivered == 0);
+            last_time = at;
+            for delivery in batch {
+                prop_assert_eq!(delivery.at, at);
+                prop_assert!(last_seq < Some(delivery.seq), "FIFO within and across ticks");
+                last_seq = Some(delivery.seq);
+                prop_assert_eq!(delivery.to, expected_owners[delivery.msg]);
+                prop_assert_eq!(delivery.from, from);
+                delivered += 1;
+            }
         }
         prop_assert_eq!(delivered, keys.len());
         prop_assert_eq!(net.now(), last_time);
@@ -57,11 +63,10 @@ proptest! {
             net.send_direct(ids[i % ids.len()], ids[(i + 1) % ids.len()], i as u32, CLASS);
         }
         prop_assert_eq!(net.traffic().total_sent(), count as u64);
-        let mut seen = 0;
-        while let Some(delivery) = net.pop_next() {
-            prop_assert_eq!(delivery.at, delay);
-            seen += 1;
-        }
-        prop_assert_eq!(seen, count);
+        let (at, batch) = net.pop_tick().expect("every direct send lands in one tick");
+        prop_assert_eq!(at, delay);
+        prop_assert!(batch.iter().all(|d| d.at == delay));
+        prop_assert_eq!(batch.len(), count);
+        prop_assert!(net.pop_tick().is_none());
     }
 }

@@ -7,11 +7,14 @@
 //! message or published tuple (a Lamport-style floor). The floor is what
 //! keeps causality intact — a node whose wall lags still never handles a
 //! delivery at a tick before the sender stamped it — and the wall
-//! component is what drives delay and expiry deadlines forward in real
-//! time even when no messages arrive.
+//! component is what drives delays and RIC windows forward in real time
+//! even when no messages arrive. Windowed-state expiry does not read this
+//! clock: a node's timer wheel runs on the publication times of the
+//! tuples it received, and the clock only tells one delivery tick from
+//! the next.
 //!
-//! Ticks are deliberately coarse (the default is 100 ms): window joins and
-//! ALTT retention are expressed in ticks, and a coarse tick keeps the
+//! Ticks are deliberately coarse (the default is 100 ms): ALTT retention
+//! is expressed in delivery ticks, and a coarse tick keeps the
 //! wall-clock drift accumulated over a run small relative to the window
 //! sizes recorded scenarios use, so a replay over TCP sees the same
 //! window admissions as the simulated oracle run.

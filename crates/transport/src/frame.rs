@@ -59,7 +59,8 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 ///   `Eval` or a re-homed shared entry renders differently.
 /// * 3 — `EngineConfig`, carried by the `Configure` frame, lost its
 ///   `compiled_predicates`, `hypercube_planner` and `trigger_index` fields.
-pub const FORMAT_VERSION: u8 = 3;
+/// * 4 — `EngineConfig` lost its expiry-mode selector (the sweep mode).
+pub const FORMAT_VERSION: u8 = 4;
 
 /// Bytes of the length prefix.
 const PREFIX_LEN: usize = 4;

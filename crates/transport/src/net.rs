@@ -220,7 +220,7 @@ impl EffectEnv for NetEnv<'_> {
 
     fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime, window: SimTime) -> u64 {
         match &self.state {
-            Some(state) if state.id == owner => state.ric().rate(ring, now, window),
+            Some(state) if state.id == owner => state.ric().rate_at(ring, now, window),
             _ => 0,
         }
     }

@@ -61,7 +61,6 @@ fn main() {
     println!("altt_slab_high_water,{}", state.altt_slab_high_water);
     println!("wheel_scheduled,{}", state.wheel_scheduled);
     println!("wheel_pops,{}", state.wheel_pops);
-    println!("contact_expirations,{}", state.contact_expirations);
     let probe = stats.probe;
     println!("indexed_probes,{}", probe.indexed_probes);
     println!("candidates_probed,{}", probe.candidates_probed);
@@ -69,9 +68,9 @@ fn main() {
     println!("bucket_len_total,{}", probe.bucket_len_total);
     println!("index_entries_high_water,{}", probe.index_entries_high_water);
 
-    // The point of the machinery, asserted where CI will trip on it: with
-    // the wheel on, reclamation is deadline pops, and peak live state stays
-    // a fraction of the run's cumulative volume.
+    // The point of the machinery, asserted where CI will trip on it:
+    // reclamation is the wheel's deadline pops, and peak live state stays a
+    // fraction of the run's cumulative volume.
     assert!(state.wheel_pops > 0, "the wheel must pop on a windowed long-horizon run");
     assert!(
         state.query_slab_high_water < stats.qpl_total,
@@ -83,12 +82,7 @@ fn main() {
         "the index must never hand out more candidates than its buckets hold"
     );
     eprintln!(
-        "scale smoke ok: {} answers, {} wheel pops vs {} contact expirations, \
-         {} candidates probed of {} bucket entries",
-        stats.answers,
-        state.wheel_pops,
-        state.contact_expirations,
-        probe.candidates_probed,
-        probe.bucket_len_total
+        "scale smoke ok: {} answers, {} wheel pops, {} candidates probed of {} bucket entries",
+        stats.answers, state.wheel_pops, probe.candidates_probed, probe.bucket_len_total
     );
 }
