@@ -8,10 +8,13 @@
 mod common;
 
 use common::{drain, oracle_answers, shard_counts, sorted};
-use rjoin_core::{EngineConfig, QueryId, RJoinEngine};
+use rjoin_core::{traffic_class, EngineConfig, QueryId, RJoinEngine};
+use rjoin_dht::{ChordNetwork, Id};
+use rjoin_net::{Network, NetworkConfig};
 use rjoin_query::parse_query;
 use rjoin_relation::{Timestamp, Tuple, Value};
 use rjoin_workload::Scenario;
+use std::collections::BTreeMap;
 
 /// Per-query sorted answer rows, in query-submission order.
 type AnswersByQuery = Vec<(QueryId, Vec<Vec<Value>>)>;
@@ -98,6 +101,11 @@ fn check_against_oracle(scenario: &Scenario, shards: usize, churn: bool) -> Answ
     assert!(total > 0, "the cyclic workload must produce at least one answer");
     answers
 }
+
+/// `(tuples_routed, tuple_copies)` of `Scenario::cyclic_test()`'s stream:
+/// how many tuples entered a hypercube and how many cell copies they made —
+/// the same counts one unicast route per copy produced.
+const TUPLE_COPIES: (u64, u64) = (563, 1126);
 
 /// The acceptance triangle, end to end: `R.A = S.A AND S.B = T.B AND
 /// T.C = R.C` with hand-placed tuples whose joining combinations are known,
@@ -266,4 +274,99 @@ fn cost_model_picks_pipeline_for_acyclic_and_hypercube_for_cyclic() {
     // The planner's decisions surface through the stats snapshot too.
     engine.run_until_quiescent().unwrap();
     assert_eq!(engine.stats().planner, after_triangle);
+}
+
+/// The messages each node sends when items for `owners` leave `origin` as
+/// one `multiSend` forwarded hop by hop: a node that received items keeps
+/// the ones it owns, groups the rest by next hop (its successor when it
+/// owns the key's predecessor interval, else its closest preceding node)
+/// and sends one message per group.
+fn reference_tree(dht: &ChordNetwork, origin: Id, owners: &[Id]) -> BTreeMap<Id, u64> {
+    let mut sent = BTreeMap::new();
+    let mut messages = vec![(origin, owners.to_vec(), false)];
+    while let Some((node, owners, received)) = messages.pop() {
+        let chord = dht.node(node).expect("a live node");
+        let successor = chord.successor();
+        let mut groups: BTreeMap<Id, Vec<Id>> = BTreeMap::new();
+        for owner in owners.into_iter().filter(|owner| !(received && *owner == node)) {
+            let next = if owner.in_open_closed_interval(node, successor) {
+                successor
+            } else {
+                chord.closest_preceding_node(owner).filter(|n| *n != node).unwrap_or(successor)
+            };
+            groups.entry(next).or_default().push(owner);
+        }
+        for (next, owners) in groups {
+            *sent.entry(node).or_insert(0) += 1;
+            messages.push((next, owners, true));
+        }
+    }
+    sent
+}
+
+/// A published tuple's index keys and hypercube cell copies leave as one
+/// `multiSend`: the TUPLE-class messages each node sends equal the
+/// hop-by-hop reference forwarder's for the items the tuple delivered,
+/// while the copies themselves and the answers stay what they were.
+#[test]
+fn tuple_copies_travel_as_one_forwarding_tree() {
+    let scenario = Scenario::cyclic_test();
+    let catalog = scenario.workload_schema().build_catalog();
+    let config = EngineConfig::default();
+    // `simulated` bootstraps its ring from the `rjoin-node` label; the same
+    // bootstrap rebuilds it for the reference forwarder.
+    let mut ring: Network<()> = Network::new(NetworkConfig {
+        delay: config.network_delay,
+        successor_list_len: config.successor_list_len,
+    });
+    let ids = ring.bootstrap(scenario.nodes, "rjoin-node");
+    let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
+    assert_eq!(engine.node_ids(), ids.as_slice());
+
+    let queries = scenario.generate_queries();
+    let qids: Vec<QueryId> =
+        queries.iter().map(|q| engine.submit_query(ids[0], q.clone()).unwrap()).collect();
+    drain(&mut engine);
+    let tuples = scenario.generate_tuples(engine.now() + 1);
+    let tuple_sent = |engine: &RJoinEngine| -> Vec<u64> {
+        ids.iter().map(|id| engine.traffic().sent_by_class(*id, traffic_class::TUPLE)).collect()
+    };
+    for (i, tuple) in tuples.iter().enumerate() {
+        let origin = ids[i % ids.len()];
+        let sent_before = tuple_sent(&engine);
+        let received_before: Vec<u64> =
+            ids.iter().map(|id| engine.traffic().received_by(*id)).collect();
+        engine.publish_tuple(origin, tuple.clone()).unwrap();
+        // Each delivered item is one reception at its owner.
+        let owners: Vec<Id> = ids
+            .iter()
+            .zip(received_before)
+            .flat_map(|(id, before)| {
+                std::iter::repeat_n(*id, (engine.traffic().received_by(*id) - before) as usize)
+            })
+            .collect();
+        let tree = reference_tree(ring.dht(), origin, &owners);
+        let sent: Vec<u64> = tuple_sent(&engine)
+            .iter()
+            .zip(sent_before)
+            .map(|(after, before)| after - before)
+            .collect();
+        let expected: Vec<u64> = ids.iter().map(|id| tree.get(id).copied().unwrap_or(0)).collect();
+        assert_eq!(sent, expected, "tuple {i}: TUPLE traffic is the forwarding tree's");
+    }
+    drain(&mut engine);
+
+    let planner = engine.planner_counters();
+    assert_eq!(
+        (planner.tuples_routed, planner.tuple_copies),
+        TUPLE_COPIES,
+        "the tree moves messages, not copies"
+    );
+    let mut answers = 0;
+    for (qid, query) in qids.iter().zip(&queries) {
+        let expected = sorted(oracle_answers(&catalog, query, 0, &tuples));
+        answers += expected.len();
+        assert_eq!(sorted(engine.answers().rows_for(*qid)), expected, "query {qid}: {query}");
+    }
+    assert!(answers > 0, "the stream must produce answers");
 }

@@ -82,6 +82,9 @@ const PATH_CAPACITY: usize = 16;
 #[derive(Debug, Clone)]
 pub struct ChordNetwork {
     nodes: BTreeMap<Id, ChordNode>,
+    /// The keys of `nodes` in ascending order: ownership is resolved by a
+    /// binary search over it, every lookup's first step.
+    ring: Vec<Id>,
     successor_list_len: usize,
     /// Upper bound on lookup path length before declaring the routing state
     /// broken.
@@ -106,9 +109,17 @@ impl ChordNetwork {
     pub fn new(successor_list_len: usize) -> Self {
         ChordNetwork {
             nodes: BTreeMap::new(),
+            ring: Vec::new(),
             successor_list_len: successor_list_len.clamp(1, SUCCESSOR_LIST_LEN),
             max_hops: 4 * ID_BITS as usize,
             route_cache: HashMap::default(),
+        }
+    }
+
+    /// Removes a departed node from the sorted identifier list.
+    fn forget_ring_member(&mut self, id: Id) {
+        if let Ok(at) = self.ring.binary_search(&id) {
+            self.ring.remove(at);
         }
     }
 
@@ -146,16 +157,8 @@ impl ChordNetwork {
     /// Ground-truth owner of `key`: the first live node whose identifier is
     /// equal to or follows `key` clockwise.
     pub fn successor_of(&self, key: Id) -> Result<Id, DhtError> {
-        if self.nodes.is_empty() {
-            return Err(DhtError::EmptyRing);
-        }
-        Ok(self
-            .nodes
-            .range(key..)
-            .next()
-            .or_else(|| self.nodes.iter().next())
-            .map(|(id, _)| *id)
-            .expect("non-empty ring"))
+        let at = self.ring.partition_point(|id| *id < key);
+        self.ring.get(at).or(self.ring.first()).copied().ok_or(DhtError::EmptyRing)
     }
 
     /// Ground-truth predecessor of `id` on the ring (the closest live node
@@ -204,6 +207,8 @@ impl ChordNetwork {
         } else {
             self.nodes.insert(id, node);
         }
+        let at = self.ring.partition_point(|n| *n < id);
+        self.ring.insert(at, id);
         Ok(())
     }
 
@@ -215,6 +220,7 @@ impl ChordNetwork {
         }
         self.invalidate_routes();
         self.nodes.remove(&id);
+        self.forget_ring_member(id);
         if self.nodes.is_empty() {
             return Ok(());
         }
@@ -244,6 +250,7 @@ impl ChordNetwork {
         if self.nodes.remove(&id).is_none() {
             return Err(DhtError::UnknownNode { id });
         }
+        self.forget_ring_member(id);
         self.invalidate_routes();
         Ok(())
     }
@@ -633,6 +640,29 @@ mod tests {
         assert_eq!(net.successor_of(Id(sorted[3].0 + 1)).unwrap(), sorted[4]);
         // Wrap-around: a key after the last node is owned by the first.
         assert_eq!(net.successor_of(Id(sorted.last().unwrap().0 + 1)).unwrap(), sorted[0]);
+    }
+
+    #[test]
+    fn successor_of_tracks_membership() {
+        let (mut net, ids) = build(16);
+        net.leave(ids[2]).unwrap();
+        net.fail(ids[5]).unwrap();
+        net.move_node(ids[7], Id::hash_key("moved")).unwrap();
+        let late = Id::hash_key("late");
+        net.join(late).unwrap();
+        let next = net.successor_of(Id(late.0.wrapping_add(1))).unwrap();
+        assert_ne!(next, late);
+        assert_eq!(net.node(late).unwrap().successor(), next, "a joiner points past itself");
+        let members: Vec<Id> = net.node_ids().collect();
+        for i in 0..64 {
+            let key = Id::hash_key(&format!("owner-{i}"));
+            let expected = members.iter().copied().find(|id| *id >= key).unwrap_or(members[0]);
+            assert_eq!(net.successor_of(key).unwrap(), expected);
+        }
+        for id in net.node_ids().collect::<Vec<_>>() {
+            net.leave(id).unwrap();
+        }
+        assert_eq!(net.successor_of(Id(1)), Err(DhtError::EmptyRing));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! * `send(msg, id)` — deliver `msg` to `Successor(id)` in `O(log N)` hops,
 //! * `multiSend(msg, I)` / `multiSend(M, I)` — deliver one or more messages
-//!   to the successors of a set of identifiers,
+//!   to the successors of a set of identifiers; the simulated runtimes route
+//!   them as one forwarding tree, the union of the items' unicast routes,
+//!   so shared hops are paid once ([`account_multicast`]),
 //! * `sendDirect(msg, addr)` — deliver `msg` to a known address in one hop.
 //!
 //! Two traits capture the messaging surface. [`KeyRouter`] is the *pure
@@ -17,7 +19,8 @@
 //! synchronous request/response exchanges, accounting **network traffic the
 //! way the paper measures it**: every hop of a routed message is one
 //! message sent by the node at the start of the hop, attributed to a
-//! caller-chosen [`TrafficClass`]. The split exists because a real
+//! caller-chosen [`TrafficClass`] ([`account_route`]; a `multiSend` tree
+//! pays each of its edges once, [`account_multicast`]). The split exists because a real
 //! deployment resolves ownership from a membership view (no event queue in
 //! sight) while re-homing state or placing queries — see the [`transport`
 //! module](crate::Transport) docs for the per-implementation guarantee
@@ -73,5 +76,5 @@ pub use shard::{
     ShardMap, ShardedNetwork,
 };
 pub use time::SimTime;
-pub use traffic::{account_route, TrafficClass, TrafficStats};
+pub use traffic::{account_multicast, account_route, TrafficClass, TrafficStats};
 pub use transport::{KeyRouter, Transport};

@@ -173,19 +173,35 @@ impl<M> Network<M> {
         Ok(result)
     }
 
-    /// `multiSend(M, I)`: routes each `(key_id, msg)` pair independently, as
-    /// the paper's API does (cost `h * O(log N)` hops).
+    /// `multiSend(M, I)`: delivers each `(key_id, msg)` pair to
+    /// `Successor(key_id)` through one forwarding tree rooted at `from` —
+    /// the union of the items' unicast routes, one message per edge
+    /// ([`account_multicast`](crate::account_multicast)), so items sharing
+    /// their first hops share those messages and items for one owner share
+    /// their whole route. Each item is still one delivery, scheduled in item
+    /// order exactly as independent [`send`](Self::send)s would be. Every
+    /// owner is resolved before anything is accounted or scheduled: a failed
+    /// lookup sends nothing.
     pub fn multi_send(
         &mut self,
         from: Id,
         items: Vec<(Id, M)>,
         class: TrafficClass,
-    ) -> Result<Vec<LookupResult>, DhtError> {
-        let mut results = Vec::with_capacity(items.len());
-        for (key_id, msg) in items {
-            results.push(self.send(from, key_id, msg, class)?);
+    ) -> Result<(), DhtError> {
+        let Multicast { targets, mut routes } = resolve_multicast(
+            &mut self.dht,
+            from,
+            &items,
+            |dht, key| dht.successor_of(key),
+            |dht, key| dht.lookup(from, key),
+        )?;
+        crate::traffic::account_multicast(&mut self.traffic, &mut routes, class);
+        let at = self.clock + self.config.delay;
+        for ((_, msg), to) in items.into_iter().zip(targets) {
+            self.traffic.record_received(to);
+            self.schedule(at, to, from, msg);
         }
-        Ok(results)
+        Ok(())
     }
 
     /// `sendDirect(msg, addr)`: delivers `msg` to a node whose address is
@@ -259,6 +275,51 @@ impl<M> Network<M> {
     }
 }
 
+/// One `multiSend`, resolved before anything is sent.
+pub(crate) struct Multicast {
+    /// The node each item is delivered to (its route's end), in item order.
+    pub(crate) targets: Vec<Id>,
+    /// One route per distinct owner, paired with the number of items it
+    /// carries — the input of [`account_multicast`](crate::account_multicast).
+    pub(crate) routes: Vec<(LookupResult, u64)>,
+}
+
+/// Resolves one `multiSend` from `from` over `dht`: the ground-truth owner
+/// of every item's key (`owner_of`), then one route per *distinct* owner
+/// (`route`, walked for the owner's first item) — on a stable ring a route
+/// depends on the key only through its owner. The routes come out with
+/// their owners in clockwise order from `from`, the order
+/// [`account_multicast`](crate::account_multicast) sorts them into. Fails
+/// on the first failed resolution, before the caller has sent anything.
+pub(crate) fn resolve_multicast<D, M>(
+    dht: &mut D,
+    from: Id,
+    items: &[(Id, M)],
+    owner_of: impl Fn(&D, Id) -> Result<Id, DhtError>,
+    mut route: impl FnMut(&mut D, Id) -> Result<LookupResult, DhtError>,
+) -> Result<Multicast, DhtError> {
+    // (clockwise distance from just past `from` to the item's owner, item
+    // index): a key `from` owns sorts last, as its route goes round the ring.
+    let mut by_owner = Vec::with_capacity(items.len());
+    for (i, (key, _)) in items.iter().enumerate() {
+        by_owner.push((owner_of(dht, *key)?.0.wrapping_sub(from.0).wrapping_sub(1), i));
+    }
+    by_owner.sort_unstable();
+    let mut targets = vec![Id(0); items.len()];
+    let mut routes: Vec<(LookupResult, u64)> = Vec::new();
+    let mut last_owner = None;
+    for (owner, i) in by_owner {
+        if last_owner != Some(owner) {
+            last_owner = Some(owner);
+            routes.push((route(dht, items[i].0)?, 0));
+        }
+        let (route, count) = routes.last_mut().expect("pushed for this owner");
+        *count += 1;
+        targets[i] = route.owner;
+    }
+    Ok(Multicast { targets, routes })
+}
+
 impl<M> KeyRouter for Network<M> {
     fn owner_of(&self, key_id: Id) -> Result<Id, DhtError> {
         Network::owner_of(self, key_id)
@@ -282,6 +343,15 @@ impl<M> Transport<M> for Network<M> {
         class: TrafficClass,
     ) -> Result<LookupResult, DhtError> {
         Network::send(self, from, key_id, msg, class)
+    }
+
+    fn multi_send(
+        &mut self,
+        from: Id,
+        items: Vec<(Id, M)>,
+        class: TrafficClass,
+    ) -> Result<(), DhtError> {
+        Network::multi_send(self, from, items, class)
     }
 
     fn send_direct(&mut self, from: Id, to: Id, msg: M, class: TrafficClass) {

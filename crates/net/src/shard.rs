@@ -376,6 +376,32 @@ impl<M> Transport<M> for ShardHandle<'_, '_, M> {
         Ok(result)
     }
 
+    /// The same forwarding tree as
+    /// [`Network::multi_send`](crate::Network::multi_send), routed over the
+    /// shared ring without mutating it; deliveries get consecutive child
+    /// lineages in item order, exactly as independent sends would.
+    fn multi_send(
+        &mut self,
+        from: Id,
+        items: Vec<(Id, M)>,
+        class: TrafficClass,
+    ) -> Result<(), DhtError> {
+        let mut dht = self.net.dht;
+        let crate::network::Multicast { targets, mut routes } = crate::network::resolve_multicast(
+            &mut dht,
+            from,
+            &items,
+            |dht, key| dht.successor_of(key),
+            |dht, key| dht.lookup_stable(from, key),
+        )?;
+        crate::traffic::account_multicast(&mut self.local.traffic, &mut routes, class);
+        for ((_, msg), to) in items.into_iter().zip(targets) {
+            self.local.traffic.record_received(to);
+            self.schedule(to, from, msg);
+        }
+        Ok(())
+    }
+
     fn send_direct(&mut self, from: Id, to: Id, msg: M, class: TrafficClass) {
         self.local.traffic.record_sent(from, class);
         self.local.traffic.record_received(to);

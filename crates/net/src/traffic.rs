@@ -1,6 +1,6 @@
 //! Per-node traffic accounting.
 
-use rjoin_dht::{Id, RingBuildHasher};
+use rjoin_dht::{Id, LookupResult, RingBuildHasher};
 use std::collections::HashMap;
 
 /// A caller-defined class of traffic.
@@ -43,9 +43,10 @@ impl ClassCounts {
 /// for creating + sending the message, each intermediate node for routing
 /// it); a purely local delivery still counts as one message created.
 ///
-/// This is the single definition of the paper's per-hop cost model, shared
-/// by the single-queue [`Network`](crate::Network) and the per-shard senders
-/// of [`ShardedNetwork`](crate::ShardedNetwork) so the two transports are
+/// This and [`account_multicast`] are the two definitions of the paper's
+/// per-hop cost model — unicast and `multiSend` — shared by the
+/// single-queue [`Network`](crate::Network) and the per-shard senders of
+/// [`ShardedNetwork`](crate::ShardedNetwork) so the two transports are
 /// accounting-identical by construction.
 pub fn account_route(traffic: &mut TrafficStats, path: &[Id], class: TrafficClass) {
     if path.len() >= 2 {
@@ -54,6 +55,51 @@ pub fn account_route(traffic: &mut TrafficStats, path: &[Id], class: TrafficClas
         }
     } else if let Some(only) = path.first() {
         traffic.record_sent(*only, class);
+    }
+}
+
+/// Accounts one `multiSend` as a forwarding tree: the origin sends one
+/// message per distinct next hop, carrying every item routed behind it, and
+/// each node on the way keeps the items it owns and forwards the rest the
+/// same way. The tree is the union of the items' unicast routes, so it
+/// costs one message — charged to its sender — per edge of their prefix
+/// trie.
+///
+/// `routes` holds one route per distinct owner, paired with the number of
+/// items delivered along it. The slice is sorted in place, lexicographically;
+/// each route is then charged only past its longest common prefix with the
+/// route before it, which counts every trie edge exactly once without
+/// building the trie. Any fixed order of nodes makes the routes below each
+/// shared prefix adjacent; the one used — clockwise distance from the first
+/// route's origin — is the order greedy routes from one origin already come
+/// in when listed by owner clockwise, so for a resolved `multiSend` the
+/// (adaptive) sort is one pass.
+///
+/// A single-node route (on a one-node ring the origin owns every key and
+/// walks nowhere) keeps [`account_route`]'s convention: one message created
+/// per item; on a larger ring a key the origin owns is routed round the
+/// ring like any other. A single
+/// route of one item costs exactly what [`account_route`] charges for it.
+pub fn account_multicast(
+    traffic: &mut TrafficStats,
+    routes: &mut [(LookupResult, u64)],
+    class: TrafficClass,
+) {
+    let origin = routes.first().map_or(Id(0), |(route, _)| route.path()[0]);
+    let clockwise = |id: &Id| id.0.wrapping_sub(origin.0);
+    routes.sort_by(|a, b| a.0.path().iter().map(clockwise).cmp(b.0.path().iter().map(clockwise)));
+    let mut prev: &[Id] = &[];
+    for (route, items) in routes.iter() {
+        let path = route.path();
+        if let [only] = path {
+            traffic.record_sent_n(*only, class, *items);
+            continue;
+        }
+        let shared = prev.iter().zip(path).take_while(|(a, b)| a == b).count().max(1);
+        for sender in &path[shared - 1..path.len() - 1] {
+            traffic.record_sent(*sender, class);
+        }
+        prev = path;
     }
 }
 
@@ -100,7 +146,9 @@ impl TrafficStats {
         }
     }
 
-    /// Records one message received by `node`.
+    /// Records one message received by `node`. Under `multiSend` this
+    /// counts delivered items: a forwarding-tree message that carries three
+    /// items for `node` records three receptions, one per delivery.
     pub fn record_received(&mut self, node: Id) {
         *self.received.entry(node).or_insert(0) += 1;
     }
@@ -272,6 +320,34 @@ mod tests {
         assert_eq!(stats.sent_by(Id(3)), 0, "the final receiver sends nothing");
         account_route(&mut stats, &[Id(9)], B);
         assert_eq!(stats.sent_by_class(Id(9), B), 1, "local delivery is one created message");
+    }
+
+    #[test]
+    fn account_multicast_charges_each_tree_edge_once() {
+        let mut ring = rjoin_dht::ChordNetwork::new(4);
+        for i in 0..32 {
+            ring.join(Id::hash_key(&format!("tree-{i}"))).unwrap();
+        }
+        ring.full_stabilize();
+        let ids: Vec<Id> = ring.node_ids().collect();
+        let origin = ids[0];
+        let mut routes: Vec<(LookupResult, u64)> =
+            ids[1..].iter().map(|owner| (ring.lookup(origin, *owner).unwrap(), 2)).collect();
+        let mut edges = std::collections::BTreeSet::new();
+        let mut unicast = 0;
+        for (route, _) in &routes {
+            let path = route.path();
+            unicast += path.len() - 1;
+            edges.extend((2..=path.len()).map(|end| path[..end].to_vec()));
+        }
+        let mut stats = TrafficStats::new();
+        account_multicast(&mut stats, &mut routes, A);
+        assert_eq!(stats.total_sent(), edges.len() as u64, "one message per trie edge");
+        assert!(edges.len() < unicast, "routes from one origin share their first hops");
+
+        let mut local = [(LookupResult::direct(origin, origin), 3)];
+        account_multicast(&mut stats, &mut local, B);
+        assert_eq!(stats.sent_by_class(origin, B), 3, "a local delivery is one message per item");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!
 //! | impl | clock | ordering | routing |
 //! |------|-------|----------|---------|
-//! | [`Network`](crate::Network) | virtual ticks, one global monotone clock | total `(at, seq)` order: every delivery of a run is totally ordered and replayed identically | Chord lookups over per-node routing state (`O(log N)` hops, each hop accounted) |
-//! | [`ShardedNetwork`](crate::ShardedNetwork) handles | virtual ticks, one clock per shard, advanced in global tick rounds | total `(at, lineage)` order, identical across shard counts | same Chord lookups (stable ground-truth membership) |
-//! | `rjoin_transport::TcpTransport` (separate crate) | real wall clock, coarse ticks, monotone via high-water marking | per-peer FIFO only (TCP streams); *no* global order — cross-node interleaving is nondeterministic | one hop to the owner from a full-membership view (no overlay hops) |
+//! | [`Network`](crate::Network) | virtual ticks, one global monotone clock | total `(at, seq)` order: every delivery of a run is totally ordered and replayed identically | Chord lookups over per-node routing state (`O(log N)` hops, each hop accounted); `multiSend` as one forwarding tree |
+//! | [`ShardedNetwork`](crate::ShardedNetwork) handles | virtual ticks, one clock per shard, advanced in global tick rounds | total `(at, lineage)` order, identical across shard counts | same Chord lookups (stable ground-truth membership); the same `multiSend` tree |
+//! | `rjoin_transport::TcpTransport` (separate crate) | real wall clock, coarse ticks, monotone via high-water marking | per-peer FIFO only (TCP streams); *no* global order — cross-node interleaving is nondeterministic | one hop to the owner from a full-membership view (no overlay hops); `multiSend` is one frame per item (the trait default) |
 //!
 //! The simulated runtimes deliver every message exactly once and in a
 //! deterministic global order, which is what makes them usable as
@@ -50,7 +50,9 @@ pub trait KeyRouter {
 /// All implementations share the same cost model: a routed message is one
 /// message sent per hop of its lookup path (creation + routing), a direct
 /// message is one message, and every delivery is scheduled the delay bound
-/// δ after the sender's current clock.
+/// δ after the sender's current clock. A `multiSend` costs one message per
+/// hop of the transport's wire: one forwarding tree over the overlay in the
+/// simulated runtimes, one frame per item on a transport without one.
 pub trait Transport<M>: KeyRouter {
     /// The sender-side clock: the time deliveries are scheduled relative
     /// to. Virtual ticks under simulation, a coarse-ticked wall clock on a
@@ -71,19 +73,25 @@ pub trait Transport<M>: KeyRouter {
         class: TrafficClass,
     ) -> Result<LookupResult, DhtError>;
 
-    /// `multiSend(M, I)`: routes each `(key_id, msg)` pair independently, as
-    /// the paper's API does (cost `h * O(log N)` hops).
+    /// `multiSend(M, I)`: delivers each `(key_id, msg)` pair to
+    /// `Successor(key_id)`.
+    ///
+    /// The simulated runtimes override it with one forwarding tree
+    /// ([`account_multicast`](crate::account_multicast)): items whose routes
+    /// share hops share those messages, and every owner is resolved before
+    /// anything is sent. This default — one independent
+    /// [`send`](Self::send) per item, stopping at the first failure — is
+    /// only for transports that really write one frame per item.
     fn multi_send(
         &mut self,
         from: Id,
         items: Vec<(Id, M)>,
         class: TrafficClass,
-    ) -> Result<Vec<LookupResult>, DhtError> {
-        let mut results = Vec::with_capacity(items.len());
+    ) -> Result<(), DhtError> {
         for (key_id, msg) in items {
-            results.push(self.send(from, key_id, msg, class)?);
+            self.send(from, key_id, msg, class)?;
         }
-        Ok(results)
+        Ok(())
     }
 
     /// `sendDirect(msg, addr)`: delivers `msg` to a known address in one

@@ -2,10 +2,64 @@
 //! ownership and traffic accounting.
 
 use proptest::prelude::*;
-use rjoin_dht::Id;
-use rjoin_net::{Network, NetworkConfig, TrafficClass};
+use rjoin_dht::{ChordNetwork, Id};
+use rjoin_net::{
+    root_lineage, Network, NetworkConfig, ShardHandle, ShardedNetwork, TrafficClass, TrafficStats,
+    Transport,
+};
+use std::collections::BTreeMap;
 
 const CLASS: TrafficClass = 0;
+
+/// The messages each node sends when `keys` leave `origin` as one
+/// `multiSend` and every node forwards hop by hop from its own routing
+/// state: a node that received items keeps the ones it owns, groups the
+/// rest by next hop (`successor()` when the key falls in `(node,
+/// successor]`, else `closest_preceding_node(key)`) and sends one message
+/// per group. The origin holds its items before any was routed, so a key it
+/// owns goes the greedy walk's way round the ring, as a unicast `send`
+/// does.
+fn reference_tree(dht: &ChordNetwork, origin: Id, keys: &[Id]) -> BTreeMap<Id, u64> {
+    let mut sent = BTreeMap::new();
+    let mut messages = vec![(origin, keys.to_vec(), false)];
+    while let Some((node, keys, received)) = messages.pop() {
+        let chord = dht.node(node).expect("a live node");
+        let successor = chord.successor();
+        let mut groups: BTreeMap<Id, Vec<Id>> = BTreeMap::new();
+        for key in keys {
+            if received && dht.successor_of(key).unwrap() == node {
+                continue;
+            }
+            let next = if key.in_open_closed_interval(node, successor) {
+                successor
+            } else {
+                chord.closest_preceding_node(key).filter(|n| *n != node).unwrap_or(successor)
+            };
+            groups.entry(next).or_default().push(key);
+        }
+        for (next, keys) in groups {
+            *sent.entry(node).or_insert(0) += 1;
+            messages.push((next, keys, true));
+        }
+    }
+    sent
+}
+
+/// Messages of [`CLASS`] each of `nodes` sent, in `nodes` order.
+fn charges(traffic: &TrafficStats, nodes: &[Id]) -> Vec<u64> {
+    nodes.iter().map(|id| traffic.sent_by_class(*id, CLASS)).collect()
+}
+
+/// `keys` plus duplicates of some of them and `owned` keys the origin owns
+/// (just below its identifier), in a deterministic order.
+fn multicast_keys(keys: &[u64], duplicates: &[usize], owned: u64, origin: Id) -> Vec<Id> {
+    let mut all: Vec<Id> = keys.iter().map(|k| Id(*k)).collect();
+    for d in duplicates {
+        all.push(all[d % all.len()]);
+    }
+    all.extend((0..owned).map(|j| Id(origin.0.wrapping_sub(j))));
+    all
+}
 
 proptest! {
     /// Every routed message is delivered to the ground-truth owner of its
@@ -68,5 +122,118 @@ proptest! {
         prop_assert!(batch.iter().all(|d| d.at == delay));
         prop_assert_eq!(batch.len(), count);
         prop_assert!(net.pop_tick().is_none());
+    }
+
+    /// `multiSend` on the single-queue network: every item is delivered
+    /// once, to its owner, at the same `(at, seq)` as independent sends;
+    /// each node pays what the hop-by-hop reference forwarder pays; the
+    /// tree never costs more than the unicast routes; and one key costs
+    /// exactly one `send`.
+    #[test]
+    fn network_multi_send_is_one_forwarding_tree(
+        nodes in 2usize..64,
+        delay in 1u64..20,
+        keys in proptest::collection::vec(any::<u64>(), 1..40),
+        duplicates in proptest::collection::vec(any::<usize>(), 0..8),
+        owned in 0u64..3,
+    ) {
+        let build = || {
+            let mut net: Network<usize> =
+                Network::new(NetworkConfig { delay, successor_list_len: 4 });
+            let ids = net.bootstrap(nodes, "prop-multi");
+            (net, ids)
+        };
+        let (mut multi, ids) = build();
+        let (mut unicast, _) = build();
+        let (mut single, _) = build();
+        let (mut single_send, _) = build();
+        let from = ids[0];
+        let keys = multicast_keys(&keys, &duplicates, owned, from);
+        let expected = reference_tree(multi.dht(), from, &keys);
+
+        let mut unicast_hops = 0u64;
+        for (i, key) in keys.iter().enumerate() {
+            unicast_hops += unicast.send(from, *key, i, CLASS).unwrap().hops().max(1) as u64;
+        }
+        multi.multi_send(from, keys.iter().copied().zip(0..).collect(), CLASS).unwrap();
+
+        let deliveries = |net: &mut Network<usize>| {
+            std::iter::from_fn(|| net.pop_tick())
+                .flat_map(|(_, batch)| batch)
+                .map(|d| (d.at, d.seq, d.to, d.from, d.msg))
+                .collect::<Vec<_>>()
+        };
+        let delivered = deliveries(&mut multi);
+        prop_assert_eq!(&delivered, &deliveries(&mut unicast));
+        prop_assert_eq!(delivered.len(), keys.len());
+        for (_, _, to, _, item) in &delivered {
+            prop_assert_eq!(*to, multi.owner_of(keys[*item]).unwrap());
+        }
+        let per_node = charges(multi.traffic(), &ids);
+        let reference: Vec<u64> =
+            ids.iter().map(|id| expected.get(id).copied().unwrap_or(0)).collect();
+        prop_assert_eq!(per_node, reference);
+        prop_assert!(multi.traffic().total_sent() <= unicast_hops);
+
+        single.multi_send(from, vec![(keys[0], 0)], CLASS).unwrap();
+        single_send.send(from, keys[0], 0, CLASS).unwrap();
+        prop_assert_eq!(charges(single.traffic(), &ids), charges(single_send.traffic(), &ids));
+    }
+
+    /// The same properties on a shard's handle, whose deliveries are
+    /// ordered by lineage instead of sequence number.
+    #[test]
+    fn shard_multi_send_is_one_forwarding_tree(
+        nodes in 2usize..64,
+        delay in 1u64..20,
+        keys in proptest::collection::vec(any::<u64>(), 1..40),
+        duplicates in proptest::collection::vec(any::<usize>(), 0..8),
+        owned in 0u64..3,
+    ) {
+        let mut net: Network<usize> = Network::new(NetworkConfig { delay, successor_list_len: 4 });
+        let ids = net.bootstrap(nodes, "prop-shard-multi");
+        let from = ids[nodes / 2];
+        let keys = multicast_keys(&keys, &duplicates, owned, from);
+        let expected = reference_tree(net.dht(), from, &keys);
+
+        // One fabric per run, each a single shard: a handle's first send
+        // after `begin_effect` gets the same lineage in every run.
+        let run = |send: &dyn Fn(&mut ShardHandle<'_, '_, usize>)| {
+            let mut fabric = ShardedNetwork::new(net.dht(), delay, 0, &ids, 1);
+            let local = fabric.take_local(0);
+            let mut handle = ShardHandle::new(&fabric, local);
+            handle.begin_effect(root_lineage(7));
+            send(&mut handle);
+            let tick = handle.next_event_time().expect("items in flight");
+            let (_, batch) = handle.try_take_tick(tick).expect("all due at one tick");
+            prop_assert!(handle.next_event_time().is_none());
+            let delivered: Vec<_> =
+                batch.into_iter().map(|d| (d.at, d.lineage, d.to, d.from, d.msg)).collect();
+            let traffic = handle.traffic().clone();
+            Ok((delivered, traffic))
+        };
+        let (delivered, traffic) = run(&|h| {
+            h.multi_send(from, keys.iter().copied().zip(0..).collect(), CLASS).unwrap()
+        })?;
+        let (unicast_delivered, unicast_traffic) = run(&|h| {
+            for (i, key) in keys.iter().enumerate() {
+                h.send(from, *key, i, CLASS).unwrap();
+            }
+        })?;
+        prop_assert_eq!(&delivered, &unicast_delivered);
+        prop_assert_eq!(delivered.len(), keys.len());
+        for (_, _, to, _, item) in &delivered {
+            prop_assert_eq!(*to, net.owner_of(keys[*item]).unwrap());
+        }
+        let reference: Vec<u64> =
+            ids.iter().map(|id| expected.get(id).copied().unwrap_or(0)).collect();
+        prop_assert_eq!(charges(&traffic, &ids), reference);
+        prop_assert!(traffic.total_sent() <= unicast_traffic.total_sent());
+
+        let (_, single) = run(&|h| h.multi_send(from, vec![(keys[0], 0)], CLASS).unwrap())?;
+        let (_, single_send) = run(&|h| {
+            h.send(from, keys[0], 0, CLASS).unwrap();
+        })?;
+        prop_assert_eq!(charges(&single, &ids), charges(&single_send, &ids));
     }
 }
