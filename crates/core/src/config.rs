@@ -78,31 +78,27 @@ pub struct EngineConfig {
     /// unshared path reproduces the paper's per-query accounting exactly.
     pub share_subjoins: bool,
     /// Per-message delivery delay bound δ of the simulated network.
+    /// [`RJoinEngine::simulated`](crate::RJoinEngine::simulated) clamps it
+    /// to at least 1: a round's sends must land after its tick.
     pub network_delay: SimTime,
     /// Successor-list length of the Chord nodes.
     pub successor_list_len: usize,
     /// Seed for the engine's internal randomness (random placement).
     pub seed: u64,
-    /// Number of event-queue shards used by
-    /// [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel).
-    ///
-    /// With `1` (the default) that call is the sequential drain,
-    /// [`run_until_quiescent`](crate::RJoinEngine::run_until_quiescent). With `n > 1` the
-    /// ring's nodes are split into `n` contiguous identifier ranges, each
-    /// owning its own bucket queue and local virtual clock, and all ranges
-    /// advance together in the global tick rounds of
-    /// [`rjoin_net::ShardedNetwork`]. Sharded runs are deterministic and
-    /// produce identical answers/loads/traffic for every `n > 1`; they can
-    /// differ from the `n = 1` trace only through placement-RNG draws
-    /// (derived per decision instead of from one global stream) and the
-    /// pruning-free RIC reads.
+    /// Number of shards the engine's network is cut into at construction:
+    /// contiguous identifier ranges, each with its own event queue and
+    /// node states for the engine's lifetime. Shards are the unit of
+    /// parallelism — [`workers`](Self::workers) threads each drive a
+    /// contiguous chunk of them — and never change results.
     pub shards: usize,
-    /// Number of threads that run the sharded drain's rounds, decoupled
-    /// from the shard count. `None` (the default) resolves at drain time to
-    /// the machine's available parallelism. The shards are dealt into that
-    /// many contiguous chunks (never more than one per shard), one per
-    /// thread; `1` runs every round on the calling thread. The choice never
-    /// changes results — only how many threads run the same schedule.
+    /// Number of threads that run the rounds of
+    /// [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel),
+    /// decoupled from the shard count. `None` (the default) resolves at
+    /// drain time to the machine's available parallelism. The shards are
+    /// dealt into that many contiguous chunks (never more than one per
+    /// shard), one per thread; `1` runs every round on the calling thread.
+    /// The choice never changes results — only how many threads run the
+    /// same schedule.
     pub workers: Option<usize>,
     /// Heavy-hitter threshold for hot-key splitting: when a tuple
     /// publication observes that one of its index keys received at least
@@ -168,25 +164,20 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the network delay bound δ.
+    /// Sets the network delay bound δ (the engine runs on at least 1).
     pub fn with_delay(mut self, delay: SimTime) -> Self {
         self.network_delay = delay;
         self
     }
 
-    /// Sets the number of event-queue shards the parallel driver uses
-    /// (clamped to at least 1). `with_shards(1)` keeps the sequential drain.
-    ///
-    /// The sharded runtime's rounds need every send to land after the tick
-    /// that made it, so it requires `network_delay >= 1`; with a
-    /// zero-delay configuration the parallel driver runs the sequential
-    /// drain regardless of the shard count.
+    /// Sets the number of shards the network is cut into (clamped to at
+    /// least 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Pins the number of threads the sharded drain's rounds run on
+    /// Pins the number of threads the parallel drain's rounds run on
     /// (clamped to at least 1), independent of the shard count. Without
     /// this the drain uses the machine's available parallelism.
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -266,7 +257,7 @@ mod tests {
         assert!(c.altt_delta.is_none());
         assert!(!c.share_subjoins, "sharing is opt-in: the default reproduces the paper");
         assert!(EngineConfig::default().with_subjoin_sharing(true).share_subjoins);
-        assert_eq!(c.shards, 1, "the default driver is the single-queue one");
+        assert_eq!(c.shards, 1, "the default network is one shard");
         assert_eq!(EngineConfig::default().with_shards(8).shards, 8);
         assert_eq!(EngineConfig::default().with_shards(0).shards, 1, "shards clamp to >= 1");
         assert_eq!(c.workers, None, "worker count resolves at drain time by default");

@@ -8,21 +8,21 @@ use crate::messages::{HypercubeRef, PendingQuery, QueryId, RJoinMessage, RicInfo
 use crate::node_id::NodeId;
 use crate::node_state::DrainedState;
 use crate::node_state::{NodeState, ProgramCache, RicEntry};
-use crate::placement::choose_candidate;
 use crate::procedures::{self, Action, ProcCtx};
+use crate::shard_driver::{resolve_workers, run_rounds, EngineShard, RicDirectory, ShardEnv};
 use crate::split::{
     choose_grid, partition_for_value, query_route, tuple_route, HypercubeGrid, SplitMap,
 };
 use crate::stats::ExperimentStats;
 use crate::traffic_class;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rjoin_dht::{HashedKey, Id, RingBuildHasher};
 use rjoin_metrics::{
     CompileCounters, Distribution, LoadMap, PlannerCounters, ProbeCounters, ShardRuntimeStats,
     SharingCounters, SplitCounters, StateCounters,
 };
-use rjoin_net::{Delivery, KeyRouter, Network, NetworkConfig, SimTime, TrafficStats, Transport};
+use rjoin_net::{
+    root_lineage, KeyRouter, Network, NetworkConfig, SimTime, TrafficStats, Transport,
+};
 use rjoin_query::plan;
 use rjoin_query::{
     candidate_keys, tuple_index_key_iter, IndexKey, IndexLevel, JoinQuery, KeyTemplate,
@@ -64,8 +64,9 @@ struct HypercubeRoute {
 }
 
 /// The query-processing / storage-load counter increments one delivery
-/// charges, resolved during the node-local phase and applied in the
+/// charges, resolved during the handler phase and applied in the
 /// deterministic effect phase.
+#[derive(Debug)]
 pub struct LoadDelta {
     /// Ring id of the index key the delivery was addressed to.
     pub key: u64,
@@ -74,10 +75,11 @@ pub struct LoadDelta {
     pub sl: bool,
 }
 
-/// The deferred, engine-global effect of one delivery. Produced during the
-/// node-local phase (possibly on a shard worker), applied strictly in
-/// `(at, seq)` order afterwards (per shard, in `(at, lineage)` order under
-/// the sharded driver) so all drivers observe the same event order.
+/// The deferred, engine-global effect of one delivery. Produced during a
+/// round's handler phase (possibly on a worker thread), applied in the
+/// effect phase afterwards, each node's in lineage order, so every shard
+/// and thread count observes the same event order.
+#[derive(Debug)]
 pub enum TickEffect {
     /// The destination node left the ring; the message is lost.
     Lost,
@@ -88,9 +90,8 @@ pub enum TickEffect {
 }
 
 /// Runs the node-local part of one delivery (Procedures 1–3): mutates only
-/// `state`, reads only the shared catalog/config. Shared by the sequential
-/// and the sharded drivers and by the TCP node process, so all produce
-/// identical effects.
+/// `state`, reads only the shared catalog/config. Shared by the simulator's
+/// rounds and the TCP node process, so both produce identical effects.
 pub fn handle_node_msg(
     state: &mut NodeState,
     catalog: &Catalog,
@@ -102,8 +103,8 @@ pub fn handle_node_msg(
 ) -> TickEffect {
     // Pop expired state before the message is handled. The target is the
     // node's publication watermark, never a clock: the clock can run ahead
-    // of publication (per-tuple drains of pre-stamped tuples, a sharded
-    // handler's local clock), while no tuple still to be delivered was
+    // of publication (per-tuple drains of pre-stamped tuples, a shard's
+    // clock), while no tuple still to be delivered was
     // published before the watermark.
     let tuple_pub = match &msg {
         RJoinMessage::NewTuple { tuple, .. } => Some(tuple.pub_time()),
@@ -154,20 +155,24 @@ pub fn standalone_node_state(id: Id, config: &EngineConfig) -> NodeState {
 
 /// The RJoin engine.
 ///
-/// It owns a simulated Chord network (via [`rjoin_net::Network`]), one
-/// [`NodeState`] per node, and the metric counters the paper's experiments
-/// report. Drivers submit continuous queries, publish tuples and then drain
-/// the event queue with [`run_until_quiescent`](Self::run_until_quiescent)
-/// (or its multicore twin,
+/// It owns a simulated Chord network (via [`rjoin_net::Network`]),
+/// partitioned into [`EngineConfig::shards`] shards for the engine's
+/// lifetime, one [`NodeState`] per node kept with its shard, and the metric
+/// counters the paper's experiments report. Drivers submit continuous
+/// queries, publish tuples and then drain the network with
+/// [`run_until_quiescent`](Self::run_until_quiescent) (or the same rounds
+/// on several threads,
 /// [`run_until_quiescent_parallel`](Self::run_until_quiescent_parallel)).
 #[derive(Debug)]
 pub struct RJoinEngine {
     pub(crate) config: EngineConfig,
     pub(crate) catalog: Catalog,
     pub(crate) network: Network<RJoinMessage>,
-    pub(crate) nodes: NodeMap,
+    /// One entry per network shard: its node states and per-key loads.
+    pub(crate) shards: Vec<EngineShard>,
     pub(crate) node_ids: Vec<Id>,
-    pub(crate) rng: StdRng,
+    /// Every node's RIC tracker, readable from any shard.
+    pub(crate) ric_dir: RicDirectory,
     next_query_seq: u64,
     pub(crate) answers: AnswerLog,
     /// Queries submitted with `SELECT DISTINCT`: their answers pass through
@@ -177,16 +182,11 @@ pub struct RJoinEngine {
     pub(crate) qpl: NodeLoadMap,
     /// Cumulative storage-load additions per node (paper definition).
     pub(crate) sl: NodeLoadMap,
-    /// The same loads broken down by index key (ring identifier), used for
-    /// identifier-movement load-balancing analysis (Figure 9).
-    pub(crate) qpl_by_key: KeyLoadMap,
-    pub(crate) sl_by_key: KeyLoadMap,
-    /// Cumulative sharded-runtime observability counters (all zero until a
-    /// sharded drain runs).
+    /// Cumulative drive-loop counters (all zero until a drain runs a round).
     pub(crate) shard_runtime: ShardRuntimeStats,
     /// Active hot-key splits. Mutated only between drains (split activation
     /// is a quiescent-point operation, like membership churn); read-only
-    /// during drains, which keeps the sharded driver's concurrent dispatch
+    /// during drains, which keeps the rounds' concurrent dispatch
     /// deterministic.
     pub(crate) splits: SplitMap,
     /// Cumulative hot-key splitting counters.
@@ -218,51 +218,81 @@ impl RJoinEngine {
     /// The embedded-simulation convenience constructor: builds a simulated
     /// network from the configuration (delay bound, successor-list length),
     /// bootstraps `num_nodes` fully stabilized Chord nodes named
-    /// `rjoin-node-{i}`, and gives each one a configured [`NodeState`], all
-    /// sharing one compiled-program cache.
+    /// `rjoin-node-{i}`, partitions them into [`EngineConfig::shards`]
+    /// shards, and gives each node a configured [`NodeState`] on its shard,
+    /// all sharing one compiled-program cache.
+    ///
+    /// The delay bound is clamped to δ ≥ 1 — whether `network_delay` came
+    /// from [`EngineConfig::with_delay`] or a direct field write — and
+    /// [`config`](Self::config) reports the clamped value. A round handles
+    /// one tick and then applies its effects, so a round's sends must land
+    /// after its tick.
     ///
     /// Real networked deployments run the same per-node pipeline out of
     /// process instead — see the [`pipeline`](crate::pipeline) module,
     /// which `rjoin_transport` drives over TCP.
-    pub fn simulated(config: EngineConfig, catalog: Catalog, num_nodes: usize) -> Self {
+    pub fn simulated(mut config: EngineConfig, catalog: Catalog, num_nodes: usize) -> Self {
+        config.network_delay = config.network_delay.max(1);
         let mut network = Network::new(NetworkConfig {
             delay: config.network_delay,
             successor_list_len: config.successor_list_len,
         });
         let node_ids = network.bootstrap(num_nodes, "rjoin-node");
-        let programs = Arc::new(Mutex::new(ProgramCache::default()));
-        let nodes = node_ids
-            .iter()
-            .map(|id| {
-                let mut state = standalone_node_state(*id, &config);
-                state.share_programs(Arc::clone(&programs));
-                (*id, state)
-            })
-            .collect();
-        let rng = StdRng::seed_from_u64(config.seed);
-        RJoinEngine {
+        network.partition(config.shards);
+        let shards = (0..network.shards()).map(|_| EngineShard::default()).collect();
+        let mut engine = RJoinEngine {
             config,
             catalog,
             network,
-            nodes,
-            node_ids,
-            rng,
+            shards,
+            node_ids: Vec::with_capacity(node_ids.len()),
+            ric_dir: RicDirectory::default(),
             next_query_seq: 0,
             answers: AnswerLog::new(),
             distinct_queries: HashSet::new(),
             qpl: NodeLoadMap::new(),
             sl: NodeLoadMap::new(),
-            qpl_by_key: KeyLoadMap::new(),
-            sl_by_key: KeyLoadMap::new(),
             shard_runtime: ShardRuntimeStats::default(),
             splits: SplitMap::new(),
             split_counters: SplitCounters::new(),
             hypercubes: Vec::new(),
             hypercube_routes: HashMap::new(),
             planner_counters: PlannerCounters::new(),
-            programs,
+            programs: Arc::new(Mutex::new(ProgramCache::default())),
             pub_watermark: 0,
+        };
+        for id in node_ids {
+            engine.add_node_state(id);
         }
+        engine
+    }
+
+    /// Gives node `id` a configured [`NodeState`] on its shard, sharing the
+    /// engine's program cache, and lists its RIC tracker in the directory.
+    fn add_node_state(&mut self, id: Id) {
+        let mut state = standalone_node_state(id, &self.config);
+        state.share_programs(Arc::clone(&self.programs));
+        self.ric_dir.insert(id, state.ric_handle());
+        self.shards[self.network.shard_of(id)].nodes.insert(id, state);
+        self.node_ids.push(id);
+    }
+
+    fn node_mut(&mut self, id: Id) -> Option<&mut NodeState> {
+        self.shards[self.network.shard_of(id)].nodes.get_mut(&id)
+    }
+
+    /// Every node's state, shard by shard.
+    fn nodes(&self) -> impl Iterator<Item = &NodeState> {
+        self.shards.iter().flat_map(|shard| shard.nodes.values())
+    }
+
+    /// The per-key loads of every shard, summed.
+    fn key_loads(&self, of: impl Fn(&EngineShard) -> &KeyLoadMap) -> KeyLoadMap {
+        let mut total = KeyLoadMap::new();
+        for shard in &self.shards {
+            total.merge(of(shard));
+        }
+        total
     }
 
     /// The identifiers of all nodes, in join order.
@@ -320,13 +350,13 @@ impl RJoinEngine {
     /// Query-processing load per index key, keyed by the ring identifier the
     /// key hashes to (input for identifier-movement rebalancing).
     pub fn qpl_by_key_id(&self) -> BTreeMap<Id, u64> {
-        self.qpl_by_key.iter().map(|(k, v)| (Id(*k), v)).collect()
+        self.key_loads(|s| &s.qpl_by_key).iter().map(|(k, v)| (Id(*k), v)).collect()
     }
 
     /// Storage load per index key, keyed by the ring identifier the key
     /// hashes to.
     pub fn sl_by_key_id(&self) -> BTreeMap<Id, u64> {
-        self.sl_by_key.iter().map(|(k, v)| (Id(*k), v)).collect()
+        self.key_loads(|s| &s.sl_by_key).iter().map(|(k, v)| (Id(*k), v)).collect()
     }
 
     /// Total query-processing load across all nodes.
@@ -341,7 +371,7 @@ impl RJoinEngine {
 
     /// Read access to a node's RJoin state (used by tests and examples).
     pub fn node_state(&self, id: Id) -> Option<&NodeState> {
-        self.nodes.get(&id)
+        self.shards[self.network.shard_of(id)].nodes.get(&id)
     }
 
     /// Number of messages currently in flight.
@@ -359,7 +389,7 @@ impl RJoinEngine {
         query: JoinQuery,
     ) -> Result<QueryId, EngineError> {
         let origin = origin.into().id();
-        if !self.nodes.contains_key(&origin) {
+        if self.node_state(origin).is_none() {
             return Err(EngineError::UnknownNode { id: origin });
         }
         query.validate(&self.catalog)?;
@@ -371,7 +401,21 @@ impl RJoinEngine {
         }
         let mut pending = PendingQuery::input(id, origin, self.network.now(), query);
         pending.hypercube = hypercube;
-        self.dispatch_query(origin, pending, true)?;
+        // Outside any round, the query's messages are roots, and its
+        // placement draws from the lineage of the first of them.
+        let lineage = root_lineage(self.network.next_root());
+        let shard = self.network.shard_of(origin);
+        let mut env = ShardEnv {
+            handle: &mut self.network.root_handle(origin),
+            nodes: &mut self.shards[shard].nodes,
+            ric_dir: &self.ric_dir,
+            splits: &self.splits,
+            query_fanout: &mut self.split_counters.query_fanout,
+            engine_seed: self.config.seed,
+            lineage,
+            decisions: 0,
+        };
+        dispatch_query_in(&mut env, &self.config, &self.catalog, origin, pending, true)?;
         Ok(id)
     }
 
@@ -472,7 +516,7 @@ impl RJoinEngine {
         tuple: Tuple,
     ) -> Result<(), EngineError> {
         let origin = origin.into().id();
-        if !self.nodes.contains_key(&origin) {
+        if self.node_state(origin).is_none() {
             return Err(EngineError::UnknownNode { id: origin });
         }
         self.catalog.validate_tuple(&tuple)?;
@@ -578,7 +622,7 @@ impl RJoinEngine {
                 continue;
             }
             let owner = self.network.owner_of(key.id())?;
-            let Some((tuple_rate, eval_rate)) = self.nodes.get(&owner).map(|s| {
+            let Some((tuple_rate, eval_rate)) = self.node_state(owner).map(|s| {
                 (
                     s.ric().rate_at(key.ring(), now, window),
                     s.eval_ric().rate_at(key.ring(), now, window),
@@ -619,11 +663,13 @@ impl RJoinEngine {
         // table would keep serving them for up to `ct_validity` ticks,
         // shunning the freshly split key. Activation is a quiescent-point
         // operation, so walking the node map here is safe and cheap.
-        for state in self.nodes.values_mut() {
-            state.candidate_table.remove(&base_ring);
+        for shard in &mut self.shards {
+            for state in shard.nodes.values_mut() {
+                state.candidate_table.remove(&base_ring);
+            }
         }
         let owner = self.network.owner_of(key.id())?;
-        let Some(state) = self.nodes.get_mut(&owner) else {
+        let Some(state) = self.node_mut(owner) else {
             return Ok(());
         };
         let drained = state.drain_misplaced(|ring| ring != base_ring);
@@ -634,7 +680,7 @@ impl RJoinEngine {
                 let mut replica = stored.clone();
                 replica.key = sub;
                 replica.fingerprint = None;
-                if let Some(target) = self.nodes.get_mut(&new_owner) {
+                if let Some(target) = self.node_mut(new_owner) {
                     target.store_query_shared(replica, share);
                     self.split_counters.migrated_queries += 1;
                 }
@@ -644,7 +690,7 @@ impl RJoinEngine {
             for tuple in bucket {
                 for sub in tuple_route(&key, &grid, &tuple) {
                     let new_owner = self.network.owner_of(sub.id())?;
-                    if let Some(target) = self.nodes.get_mut(&new_owner) {
+                    if let Some(target) = self.node_mut(new_owner) {
                         target.store_tuple(sub.ring(), Arc::clone(&tuple));
                         self.split_counters.migrated_tuples += 1;
                     }
@@ -655,7 +701,7 @@ impl RJoinEngine {
             for (tuple, expires_at) in bucket {
                 for sub in tuple_route(&key, &grid, &tuple) {
                     let new_owner = self.network.owner_of(sub.id())?;
-                    if let Some(target) = self.nodes.get_mut(&new_owner) {
+                    if let Some(target) = self.node_mut(new_owner) {
                         target.altt_insert(sub.ring(), Arc::clone(&tuple), expires_at);
                         self.split_counters.migrated_tuples += 1;
                     }
@@ -687,8 +733,7 @@ impl RJoinEngine {
         let window = self.config.ric_window;
         let owner = self.network.owner_of(hashed.id())?;
         let (tuple_rate, eval_rate) = self
-            .nodes
-            .get(&owner)
+            .node_state(owner)
             .map(|s| {
                 (
                     s.ric().rate_at(hashed.ring(), now, window),
@@ -706,18 +751,19 @@ impl RJoinEngine {
     /// its previous owner — the state transfer a real DHT performs when a
     /// node joins. Returns the new node's identifier.
     ///
+    /// The new node's state goes to the shard whose identifier range its
+    /// identifier falls in; no other node state moves between shards.
+    ///
     /// Membership changes are driver-level operations: call them between
-    /// [`run_until_quiescent`](Self::run_until_quiescent) phases. A message
+    /// rounds (between drains, or between [`step`](Self::step)s). A message
     /// already in flight to a node that subsequently leaves is lost, exactly
     /// as in a real deployment.
     pub fn join_node(&mut self, label: &str) -> Result<NodeId, EngineError> {
         let id = Id::hash_key(label);
-        self.network.dht_mut().join(id)?;
-        self.network.dht_mut().full_stabilize();
-        let mut state = standalone_node_state(id, &self.config);
-        state.share_programs(Arc::clone(&self.programs));
-        self.nodes.insert(id, state);
-        self.node_ids.push(id);
+        let dht = self.network.dht_mut();
+        dht.join(id)?;
+        dht.full_stabilize();
+        self.add_node_state(id);
         self.rehome_misplaced_state()?;
         Ok(NodeId(id))
     }
@@ -731,12 +777,15 @@ impl RJoinEngine {
     /// re-homed items.
     pub fn leave_node(&mut self, id: impl Into<NodeId>) -> Result<usize, EngineError> {
         let id = id.into().id();
-        if !self.nodes.contains_key(&id) {
+        if self.node_state(id).is_none() {
             return Err(EngineError::UnknownNode { id });
         }
-        self.network.dht_mut().leave(id)?;
-        self.network.dht_mut().full_stabilize();
-        let state = self.nodes.remove(&id).expect("membership checked above");
+        let dht = self.network.dht_mut();
+        dht.leave(id)?;
+        dht.full_stabilize();
+        let shard = self.network.shard_of(id);
+        let state = self.shards[shard].nodes.remove(&id).expect("membership checked above");
+        self.ric_dir.remove(&id);
         self.node_ids.retain(|n| *n != id);
         let drained = state.into_drained();
         let moved = drained.len();
@@ -764,7 +813,7 @@ impl RJoinEngine {
             per_owner.entry(owner).or_default().altt.push((ring, bucket));
         }
         for (owner, share_of_owner) in per_owner {
-            if let Some(state) = self.nodes.get_mut(&owner) {
+            if let Some(state) = self.node_mut(owner) {
                 state.absorb(share_of_owner, share);
             }
         }
@@ -777,7 +826,7 @@ impl RJoinEngine {
     fn rehome_misplaced_state(&mut self) -> Result<(), EngineError> {
         let network = &self.network;
         let mut moved: Vec<DrainedState> = Vec::new();
-        for (node, state) in self.nodes.iter_mut() {
+        for (node, state) in self.shards.iter_mut().flat_map(|s| s.nodes.iter_mut()) {
             let drained = state.drain_misplaced(|ring| {
                 // On a lookup failure, keep the bucket where it is rather
                 // than dropping state.
@@ -793,64 +842,37 @@ impl RJoinEngine {
         Ok(())
     }
 
-    /// Processes the deliveries of the earliest pending tick — one tick of
-    /// the sequential drain, handlers first, then effects. Returns `false`
-    /// when no message was in flight.
+    /// Runs one round on the calling thread: the deliveries of the earliest
+    /// pending tick on every shard, handlers first, then effects. Returns
+    /// `false` when no message was in flight.
     pub fn step(&mut self) -> Result<bool, EngineError> {
-        match self.network.pop_tick() {
-            Some((_, batch)) => {
-                self.process_batch(batch)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let (rounds, _) = run_rounds(self, 1, 1)?;
+        Ok(rounds > 0)
     }
 
-    /// Drains the event queue until no message is in flight, one tick at a
-    /// time, on the calling thread. Returns the number of messages
-    /// processed.
+    /// Runs rounds on the calling thread until no message is in flight.
+    /// Returns the number of messages processed.
     pub fn run_until_quiescent(&mut self) -> Result<u64, EngineError> {
-        self.drain()
+        self.quiesce(1)
     }
 
-    /// Like [`run_until_quiescent`](Self::run_until_quiescent), but
-    /// parallelized according to [`EngineConfig::shards`]:
-    ///
-    /// * **`shards == 1`** (default): the sequential drain,
-    ///   [`run_until_quiescent`](Self::run_until_quiescent).
-    /// * **`shards > 1`**: the drain runs on the sharded event-queue
-    ///   runtime ([`rjoin_net::ShardedNetwork`]) — each shard owns a
-    ///   contiguous range of ring nodes, its own bucket queue and local
-    ///   virtual clock, and all shards advance together in global tick
-    ///   rounds (every shard's handlers for the tick, then every shard's
-    ///   effects) on [`EngineConfig::workers`] threads. Sharded
-    ///   runs are deterministic, and their answers/loads/traffic are
-    ///   identical for **every** shard count `> 1`; they may differ from
-    ///   the single-queue trace only through placement-RNG draws (derived
-    ///   per decision instead of from one global stream) and pruning-free
-    ///   RIC reads — with an RNG-free placement strategy on an unwindowed
-    ///   workload the sharded trace is byte-identical to the sequential one
-    ///   too (see `tests/determinism.rs`).
+    /// Like [`run_until_quiescent`](Self::run_until_quiescent), with the
+    /// rounds spread over [`EngineConfig::workers`] threads, each driving a
+    /// contiguous chunk of the shards (at most one thread per shard). The
+    /// thread count is an execution choice only: every observable — answers,
+    /// loads, traffic — is identical for every shard and thread count.
     pub fn run_until_quiescent_parallel(&mut self) -> Result<u64, EngineError> {
-        // A round's sends must land after its tick, so the sharded runtime
-        // requires δ >= 1; a zero-delay configuration (legal for the single
-        // queue) runs the sequential drain rather than silently changing
-        // delivery timing.
-        if self.config.shards > 1 && self.network.delay() >= 1 {
-            crate::shard_driver::drain_sharded(self)
-        } else {
-            self.drain()
-        }
+        self.quiesce(resolve_workers(&self.config))
     }
 
-    fn drain(&mut self) -> Result<u64, EngineError> {
-        let mut processed = 0u64;
-        while let Some((_, batch)) = self.network.pop_tick() {
-            processed += batch.len() as u64;
-            self.process_batch(batch)?;
-        }
+    /// Runs rounds on `workers` threads until nothing is in flight, then
+    /// flushes expiry.
+    fn quiesce(&mut self, workers: usize) -> Result<u64, EngineError> {
+        let drained = run_rounds(self, workers, u64::MAX);
+        // Even a drain with nothing in flight flushes: the clock may have
+        // moved since the last one (`advance_time`).
         self.flush_expiry();
-        Ok(processed)
+        Ok(drained?.1)
     }
 
     /// Advances every node's timer wheel to the engine's publication
@@ -858,9 +880,11 @@ impl RJoinEngine {
     /// stored-query counts) reflect expiry even on nodes whose own
     /// watermark lags. Safe at quiescence: nothing is in flight, and no
     /// tuple published later may be earlier than the watermark.
-    pub(crate) fn flush_expiry(&mut self) {
-        for state in self.nodes.values_mut() {
-            state.advance_expiry(self.pub_watermark);
+    fn flush_expiry(&mut self) {
+        for shard in &mut self.shards {
+            for state in shard.nodes.values_mut() {
+                state.advance_expiry(self.pub_watermark);
+            }
         }
     }
 
@@ -873,84 +897,10 @@ impl RJoinEngine {
         self.pub_watermark
     }
 
-    /// Processes one tick's deliveries: every handler of the tick first (the
-    /// node-local phase), then the effect phase in `(at, seq)` order — so a
-    /// RIC rate read during placement sees every arrival of its tick, the
-    /// same two-phase tick each shard of the sharded driver runs.
-    fn process_batch(&mut self, batch: Vec<Delivery<RJoinMessage>>) -> Result<(), EngineError> {
-        let now = self.network.now();
-        let effects = self.node_local_phase(batch, now);
-
-        // Effect phase: strictly in (at, seq) order, on the calling thread.
-        for effect in effects {
-            match effect {
-                TickEffect::Lost => {}
-                TickEffect::Answer(record) => {
-                    if self.distinct_queries.contains(&record.query) {
-                        self.answers.record_distinct(record);
-                    } else {
-                        self.answers.record(record);
-                    }
-                }
-                TickEffect::Node { node, load, actions } => {
-                    if let Some(load) = load {
-                        self.qpl.incr(node);
-                        self.qpl_by_key.incr(load.key);
-                        if load.sl {
-                            self.sl.incr(node);
-                            self.sl_by_key.incr(load.key);
-                        }
-                    }
-                    self.perform_actions(node, actions)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The node-local phase: handlers run in `(at, seq)` order directly
-    /// against the node map.
-    fn node_local_phase(
-        &mut self,
-        batch: Vec<Delivery<RJoinMessage>>,
-        now: SimTime,
-    ) -> Vec<TickEffect> {
-        let mut effects = Vec::with_capacity(batch.len());
-        for delivery in batch {
-            let Some(state) = self.nodes.get_mut(&delivery.to) else {
-                // The node left or failed after the message was sent: the
-                // message is lost, exactly as in a real deployment.
-                effects.push(TickEffect::Lost);
-                continue;
-            };
-            let effect = match delivery.msg {
-                RJoinMessage::Answer { query, row, produced_at } => {
-                    TickEffect::Answer(AnswerRecord {
-                        query,
-                        row,
-                        produced_at,
-                        received_at: delivery.at,
-                    })
-                }
-                msg => handle_node_msg(
-                    state,
-                    &self.catalog,
-                    &self.config,
-                    now,
-                    delivery.at,
-                    delivery.to,
-                    msg,
-                ),
-            };
-            effects.push(effect);
-        }
-        effects
-    }
-
     /// Cumulative shared sub-join savings across all live nodes.
     pub fn sharing_counters(&self) -> SharingCounters {
         let mut total = SharingCounters::new();
-        for state in self.nodes.values() {
+        for state in self.nodes() {
             total.merge(state.sharing());
         }
         total
@@ -961,7 +911,7 @@ impl RJoinEngine {
     /// nanoseconds spent in the per-delivery trigger walks.
     pub fn compile_counters(&self) -> CompileCounters {
         let mut total = CompileCounters::new();
-        for state in self.nodes.values() {
+        for state in self.nodes() {
             total.merge(state.compile_counters());
         }
         total
@@ -973,7 +923,7 @@ impl RJoinEngine {
     /// `contact_expirations` is always 0).
     pub fn state_counters(&self) -> StateCounters {
         let mut total = StateCounters::new();
-        for state in self.nodes.values() {
+        for state in self.nodes() {
             total.merge(&state.state_counters());
         }
         total
@@ -985,7 +935,7 @@ impl RJoinEngine {
     /// of indexed handles.
     pub fn probe_counters(&self) -> ProbeCounters {
         let mut total = ProbeCounters::new();
-        for state in self.nodes.values() {
+        for state in self.nodes() {
             total.merge(&state.probe_counters());
         }
         total
@@ -996,14 +946,12 @@ impl RJoinEngine {
     /// subscribers ride on it — this is the stored-query load that sharing
     /// reduces.
     pub fn stored_queries_current(&self) -> u64 {
-        self.nodes.values().map(|s| s.stored_query_count() as u64).sum()
+        self.nodes().map(|s| s.stored_query_count() as u64).sum()
     }
 
-    /// Cumulative sharded-runtime observability counters: shard count of
-    /// the latest sharded drain, per-shard tick activations and deliveries
-    /// processed by the shards. All zero
-    /// until [`run_until_quiescent_parallel`](Self::run_until_quiescent_parallel)
-    /// runs with `shards > 1`.
+    /// Cumulative drive-loop counters: the shard count, the drains and
+    /// steps that ran at least one round, per-shard tick activations and
+    /// deliveries processed.
     pub fn shard_runtime_stats(&self) -> &ShardRuntimeStats {
         &self.shard_runtime
     }
@@ -1036,8 +984,11 @@ impl RJoinEngine {
             self.node_ids.iter().map(|id| traffic.sent_by(*id)).collect();
         let qpl_values: Vec<u64> = self.node_ids.iter().map(|id| self.qpl.get(id)).collect();
         let sl_values: Vec<u64> = self.node_ids.iter().map(|id| self.sl.get(id)).collect();
-        let storage_values: Vec<u64> =
-            self.node_ids.iter().map(|id| self.nodes[id].current_storage_load()).collect();
+        let storage_values: Vec<u64> = self
+            .node_ids
+            .iter()
+            .map(|id| self.node_state(*id).expect("a live node").current_storage_load())
+            .collect();
         let qpl_dist = Distribution::from_values(qpl_values);
         let sl_dist = Distribution::from_values(sl_values);
         ExperimentStats {
@@ -1058,7 +1009,7 @@ impl RJoinEngine {
             intra_shard_messages: traffic.intra_shard_sent(),
             cross_shard_messages: traffic.cross_shard_sent(),
             shard_runtime: self.shard_runtime.clone(),
-            key_heat: Distribution::from_values(self.qpl_by_key.values()),
+            key_heat: Distribution::from_values(self.key_loads(|s| &s.qpl_by_key).values()),
             splits: self.split_counters,
             planner: self.planner_counters,
             compile: self.compile_counters(),
@@ -1066,49 +1017,19 @@ impl RJoinEngine {
             probe: self.probe_counters(),
         }
     }
-
-    fn perform_actions(&mut self, from: Id, actions: Vec<Action>) -> Result<(), EngineError> {
-        let mut env = SeqEnv {
-            network: &mut self.network,
-            nodes: &mut self.nodes,
-            rng: &mut self.rng,
-            splits: &self.splits,
-            split_counters: &mut self.split_counters,
-        };
-        perform_actions_in(&mut env, &self.config, &self.catalog, from, actions)
-    }
-
-    /// Chooses the index key for a query (input or rewritten) and sends it
-    /// there, charging RIC traffic according to Sections 6 and 7.
-    fn dispatch_query(
-        &mut self,
-        from: Id,
-        pending: PendingQuery,
-        is_input: bool,
-    ) -> Result<(), EngineError> {
-        let mut env = SeqEnv {
-            network: &mut self.network,
-            nodes: &mut self.nodes,
-            rng: &mut self.rng,
-            splits: &self.splits,
-            split_counters: &mut self.split_counters,
-        };
-        dispatch_query_in(&mut env, &self.config, &self.catalog, from, pending, is_input)
-    }
 }
 
 /// The engine-global context an effect phase runs against: the transport it
 /// sends through, the RIC information it reads, and the randomness its
 /// placement decisions draw from.
 ///
-/// Two implementations exist in this crate: `SeqEnv` (the single-queue
-/// drain — global RNG stream) and the sharded driver's per-shard
-/// environment (per-decision RNG derived from the triggering message's
-/// lineage). Both read RIC rates through the pure
-/// [`RicTracker::rate_at`](crate::RicTracker::rate_at). Keeping the *entire*
-/// Sections 6–7 dispatch logic in [`dispatch_query_in`], generic over this
-/// trait, is what guarantees the drivers can never drift apart in cost
-/// accounting or placement rules.
+/// The simulator's implementation is one shard's environment (per-decision
+/// RNG derived from the triggering message's lineage, RIC rates read
+/// through the pure [`RicTracker::rate_at`](crate::RicTracker::rate_at));
+/// the TCP node process supplies its own. Keeping the *entire* Sections 6–7
+/// dispatch logic in [`dispatch_query_in`], generic over this trait, is
+/// what guarantees the two can never drift apart in cost accounting or
+/// placement rules.
 pub trait EffectEnv {
     /// The transport this environment sends through.
     type Net: Transport<RJoinMessage>;
@@ -1152,69 +1073,10 @@ pub trait EffectEnv {
     fn note_query_fanout(&mut self, extra: u64);
 }
 
-/// The single-queue environment: global network, global node map, global
-/// RNG stream drawn in `(at, seq)` effect order.
-pub(crate) struct SeqEnv<'a> {
-    pub(crate) network: &'a mut Network<RJoinMessage>,
-    pub(crate) nodes: &'a mut NodeMap,
-    pub(crate) rng: &'a mut StdRng,
-    pub(crate) splits: &'a SplitMap,
-    pub(crate) split_counters: &'a mut SplitCounters,
-}
-
-impl EffectEnv for SeqEnv<'_> {
-    type Net = Network<RJoinMessage>;
-
-    fn net(&mut self) -> &mut Network<RJoinMessage> {
-        self.network
-    }
-
-    fn now(&self) -> SimTime {
-        self.network.now()
-    }
-
-    fn cached_ric(
-        &self,
-        node: Id,
-        ring: u64,
-        now: SimTime,
-        validity: Option<SimTime>,
-    ) -> Option<RicEntry> {
-        self.nodes.get(&node).and_then(|s| s.cached_ric(ring, now, validity))
-    }
-
-    fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry) {
-        if let Some(state) = self.nodes.get_mut(&node) {
-            state.cache_ric(ring, entry);
-        }
-    }
-
-    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime, window: SimTime) -> u64 {
-        self.nodes.get(&owner).map(|s| s.ric().rate_at(ring, now, window)).unwrap_or(0)
-    }
-
-    fn choose(
-        &mut self,
-        candidates: &[IndexLevel],
-        rates: &[u64],
-        strategy: PlacementStrategy,
-    ) -> usize {
-        choose_candidate(candidates, rates, strategy, self.rng)
-    }
-
-    fn splits(&self) -> &SplitMap {
-        self.splits
-    }
-
-    fn note_query_fanout(&mut self, extra: u64) {
-        self.split_counters.query_fanout += extra;
-    }
-}
-
 /// Applies the actions a node handler produced: answers travel by
 /// `sendDirect`, rewritten queries are re-indexed through the full
-/// placement pipeline. Generic over [`EffectEnv`] so the single-queue and
-/// sharded drivers share it verbatim.
+/// placement pipeline. Generic over [`EffectEnv`] so the simulator and the
+/// TCP node process share it verbatim.
 pub fn perform_actions_in<E: EffectEnv>(
     env: &mut E,
     config: &EngineConfig,
@@ -1549,7 +1411,11 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             let owner = engine.network.owner_of(key.id()).unwrap();
             for _ in 0..i % 3 {
-                engine.nodes[&owner].ric().record_arrival_bounded(key.ring(), now, 1_000);
+                engine.node_state(owner).unwrap().ric().record_arrival_bounded(
+                    key.ring(),
+                    now,
+                    1_000,
+                );
             }
         }
         let from = engine.node_ids()[from_index];
@@ -1559,16 +1425,35 @@ mod tests {
         let mut visit = Vec::new();
         order(from, keys, &mut visit);
         let mut rates = vec![0; keys.len()];
-        let mut env = SeqEnv {
-            network: &mut engine.network,
-            nodes: &mut engine.nodes,
-            rng: &mut engine.rng,
+        let shard = engine.network.shard_of(from);
+        let mut env = ShardEnv {
+            handle: &mut engine.network.root_handle(from),
+            nodes: &mut engine.shards[shard].nodes,
+            ric_dir: &engine.ric_dir,
             splits: &engine.splits,
-            split_counters: &mut engine.split_counters,
+            query_fanout: &mut engine.split_counters.query_fanout,
+            engine_seed: config.seed,
+            lineage: root_lineage(0),
+            decisions: 0,
         };
         collect_rates(&mut env, &config, from, keys, &mut rates, &visit).unwrap();
         let chosen = env.choose(&levels, &rates, config.placement);
         (rates, chosen, engine.traffic().total_sent_class(traffic_class::RIC))
+    }
+
+    /// δ ≥ 1 is a construction rule: a zero delay, set through the builder
+    /// or by a direct field write, runs — and reports — one tick.
+    #[test]
+    fn simulated_clamps_the_delay_bound_to_one_tick() {
+        let direct = EngineConfig { network_delay: 0, ..EngineConfig::default() };
+        for config in [EngineConfig::default().with_delay(0), direct] {
+            let engine = RJoinEngine::simulated(config, Catalog::new(), 4);
+            assert_eq!(engine.config().network_delay, 1);
+            assert_eq!(engine.network.delay(), 1);
+        }
+        let engine =
+            RJoinEngine::simulated(EngineConfig::default().with_delay(3), Catalog::new(), 4);
+        assert_eq!((engine.config().network_delay, engine.network.delay()), (3, 3));
     }
 
     /// Visiting the candidates clockwise from the dispatcher collects the

@@ -32,8 +32,7 @@
 //!
 //! [`TimerWheel::advance`] returns due tokens sorted by `(deadline,
 //! token)`. Pop order is therefore a pure function of wheel content and
-//! target time — identical across the sequential and sharded drivers and
-//! any shard/worker count.
+//! target time — identical for any shard or worker count.
 
 const SLOT_BITS: u32 = 6;
 /// Slots per level.

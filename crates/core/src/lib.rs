@@ -48,39 +48,35 @@
 //!   (expiry, churn drains) invalidate external references (wheel tokens,
 //!   sub-join registry slots) for free via the slab generation check
 //!   instead of rebuilding indexes.
-//! * **Two-phase ticks** — the network's event queue is a constant-δ bucket
-//!   queue ([`rjoin_net::Network::pop_tick`]); the engine drains one tick
-//!   at a time, runs the purely node-local Procedures 1–3 for every
-//!   delivery of the tick, and then applies all global effects — load
-//!   counters, answer recording, RIC-aware placement and sends — in
-//!   deterministic `(at, seq)` order.
+//! * **Two-phase rounds** — each shard of the network owns a constant-δ
+//!   bucket queue; the engine drains one global tick per round, runs the
+//!   purely node-local Procedures 1–3 for every delivery of the tick, and
+//!   then applies all global effects — load counters, answer recording,
+//!   RIC-aware placement and sends — each node's in lineage order.
 //!
-//! # Sharded event-queue runtime
+//! # Shards
 //!
-//! The sequential drain serializes every cascade through one global
-//! queue: a chain of Eval/Index hops advances one tick at a time no matter
-//! how many independent cascades are in flight. With
-//! [`EngineConfig::with_shards`]`(n > 1)`,
-//! [`RJoinEngine::run_until_quiescent_parallel`] instead drains on the
-//! **sharded runtime** ([`rjoin_net::ShardedNetwork`]): the ring's nodes
-//! are split into `n` contiguous identifier ranges, each owning its own
-//! bucket queue, local virtual clock and per-shard `NodeState` slice.
-//! Intra-shard messages never leave their shard; cross-shard messages go
-//! through the receiving shard's inbox. All shards advance together in
-//! global tick rounds — every shard's handlers for the earliest pending
-//! tick, then every shard's effects (see the `rjoin_net` docs) — on
-//! [`EngineConfig::workers`] threads, one of them the caller's.
-//! Determinism is preserved by construction: intra-tick delivery order
-//! comes from hash-chained message *lineages* instead of a global sequence
-//! counter, placement randomness is derived per decision from the
-//! triggering lineage, and remote RIC reads are pure snapshots taken after
-//! every handler of the tick — making every observable (answers, loads,
-//! traffic) identical across shard counts `> 1`, thread counts and
-//! repeated runs (`tests/determinism.rs` additionally pins an
-//! exact-identity configuration where sharded equals sequential byte for
-//! byte). Shard-aware accounting (intra/cross-shard deliveries, tick
-//! activations) is reported through
-//! [`ExperimentStats`] and [`RJoinEngine::shard_runtime_stats`].
+//! The engine's network is cut once, at construction, into
+//! [`EngineConfig::with_shards`] contiguous identifier ranges, each with
+//! its own bucket queue, clock, traffic buffer and route memo
+//! ([`rjoin_net::Network`]); the engine keeps each range's `NodeState`s
+//! with it for its lifetime, moving a node's state only when the node joins
+//! or leaves. Intra-shard messages never leave their shard; cross-shard
+//! messages go through the receiving shard's inbox. Every drain —
+//! [`RJoinEngine::run_until_quiescent`], [`RJoinEngine::step`] and
+//! [`RJoinEngine::run_until_quiescent_parallel`] — runs the same global
+//! tick rounds: every shard's handlers for the earliest pending tick, then
+//! every shard's effects (see the `rjoin_net` docs); the parallel drain
+//! spreads them over [`EngineConfig::workers`] threads, one of them the
+//! caller's. Determinism holds by construction: each node's intra-tick
+//! delivery order comes from hash-chained message *lineages*, placement
+//! randomness is
+//! derived per decision from the triggering lineage, and remote RIC reads
+//! are pure snapshots taken after every handler of the tick — so every
+//! observable (answers, loads, traffic) is identical across shard counts,
+//! thread counts and repeated runs (`tests/determinism.rs`). Shard-aware
+//! accounting (intra/cross-shard deliveries, tick activations) is reported
+//! through [`ExperimentStats`] and [`RJoinEngine::shard_runtime_stats`].
 //!
 //! # Hot-key splitting (share-based partitioning)
 //!
@@ -96,7 +92,7 @@
 //! observed tuple/`Eval` ratio): tuples route to one row, queries register at one
 //! column, and the two meet in exactly one cell — so the answer stream is
 //! **identical** to the unsplit run (oracle-checked under churn and under
-//! every sharded driver in `tests/split.rs`) while the hot key's load
+//! every shard count in `tests/split.rs`) while the hot key's load
 //! spreads over `s` nodes. Activation is a quiescent-point operation like
 //! churn: stored state migrates to the cells where future arrivals will
 //! look for it. This is the first optimization that changes *where work

@@ -25,7 +25,7 @@
 //! delivered in a later tick was published no earlier than the watermark:
 //! a deadline the watermark has passed can no longer be met, whichever
 //! clock the driver runs. Deliveries of the *same* tick are excluded,
-//! because their handling order (the sharded runtime's lineage order) need
+//! because their handling order (the rounds' lineage order) need
 //! not be publication order.
 //!
 //! # Hypercube cells
@@ -275,15 +275,14 @@ pub struct NodeState {
     /// Tracker of tuple arrivals used to answer RIC requests.
     ///
     /// Behind a shared lock because it is the one piece of node state read
-    /// *across* shards: under the sharded runtime, another shard's effect
-    /// phase resolves an RIC rate request against this node, possibly on
+    /// *across* shards: another shard's effect phase resolves an RIC rate
+    /// request against this node, possibly on
     /// another thread while this node's own shard runs effects. Arrivals
     /// are only recorded in the handler phase, which a round finishes on
     /// every shard before any effect phase starts. All other tables are
     /// only ever touched by the shard that owns the node. The `Arc` lets
     /// the engine keep a directory of every node's tracker without aliasing
-    /// the rest of the state; the uncontended lock costs a few nanoseconds
-    /// on the sequential path.
+    /// the rest of the state; an uncontended lock costs a few nanoseconds.
     pub(crate) ric: Arc<Mutex<RicTracker>>,
     /// Log of rewritten-query (`Eval`) arrivals, the query-side twin of
     /// [`ric`](Self::ric): hot-key splitting compares the two streams to
@@ -438,8 +437,8 @@ impl NodeState {
         self.ric.lock().expect("ric lock poisoned")
     }
 
-    /// A shared handle to this node's RIC tracker (used by the sharded
-    /// runtime's rate directory).
+    /// A shared handle to this node's RIC tracker (for the engine's
+    /// cross-shard rate directory).
     pub(crate) fn ric_handle(&self) -> Arc<Mutex<RicTracker>> {
         Arc::clone(&self.ric)
     }
@@ -1294,7 +1293,7 @@ mod tests {
     }
 
     /// Two tuples delivered in the same tick, the later-published one
-    /// handled first (the sharded runtime's lineage order need not be
+    /// handled first (the rounds' lineage order need not be
     /// publication order): the later one must not retire a stored query the
     /// earlier one still completes. It counts toward the publication
     /// watermark from the next tick on, which retires the query.

@@ -80,7 +80,7 @@ pub struct ProcCtx<'a> {
     /// the clock past pending deliveries).
     pub now: SimTime,
     /// The raw delivery tick of the message being handled. Recorded next to
-    /// `now` for RIC arrivals so the sharded runtime can answer remote rate
+    /// `now` for RIC arrivals so other shards can answer remote rate
     /// reads exactly as of a reader's tick.
     pub at: SimTime,
 }
@@ -423,8 +423,8 @@ fn handle_query_arrival(
     // entry only once the publication watermark passes it, so physical
     // removal never decides an answer), and it is checked against the
     // delivery tick, never the clock: the clock is driver-dependent (a burst
-    // publish parks it at the last publication; a sharded handler's local
-    // clock can run ahead of `at`), while the delivery tick is part of the
+    // publish parks it at the last publication; a shard's clock can run
+    // ahead of `at`), while the delivery tick is part of the
     // deterministic message schedule.
     let programs = Arc::clone(&state.programs);
     let mut span = std::mem::take(&mut state.span_scratch);

@@ -18,8 +18,8 @@ use std::collections::VecDeque;
 /// timestamp the rate window is measured against. Recording drops what fell
 /// behind a retention horizon, and the one read,
 /// [`rate_at`](RicTracker::rate_at), is pure — so every driver reads rates
-/// the same way, and the sharded runtime's effect phases can call it
-/// concurrently on a remote node's tracker. A sharded round runs every
+/// the same way, and the simulator's effect phases can call it
+/// concurrently on a remote node's tracker. A round runs every
 /// handler of its tick before any effect, and no shard has handled a later
 /// tick, so a remote read sees exactly the arrivals the node recorded up to
 /// and including the reader's tick, whichever thread reads it.

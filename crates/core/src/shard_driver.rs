@@ -1,60 +1,50 @@
-//! The sharded drain: per-shard queues advanced together in global tick
+//! The drive loop: the network's shards advanced together in global tick
 //! rounds.
 //!
-//! [`drain_sharded`] is the `shards > 1` implementation behind
-//! [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel)
-//! (at one shard that call is the sequential drain). It partitions the ring
-//! into contiguous identifier ranges, each with its own
-//! [`rjoin_net::ShardedNetwork`] queue, local clock and slice of the
-//! engine's [`NodeState`](crate::NodeState)s, and advances all of them one
-//! global-minimum tick per round. A round runs the same two phases the
-//! sequential drain runs per tick, each on every shard due at the tick:
+//! [`run_rounds`] is the one simulator drive loop behind
+//! [`RJoinEngine::run_until_quiescent`](crate::RJoinEngine::run_until_quiescent),
+//! [`run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel)
+//! and [`step`](crate::RJoinEngine::step). The engine's
+//! [`rjoin_net::Network`] is partitioned once, at construction, into
+//! [`EngineConfig::shards`] contiguous identifier ranges, and the engine
+//! keeps one [`EngineShard`] — the range's [`NodeState`](crate::NodeState)s
+//! and per-key loads — next to each for its lifetime. A round takes the
+//! global minimum pending tick and runs two phases, each on every shard due
+//! at the tick:
 //!
 //! 1. **handler phase** — Procedures 1–3 against the shard's own node
 //!    states, in ascending lineage order;
 //! 2. **effect phase** — load accounting, answer buffering and the full
 //!    Sections 6–7 dispatch pipeline ([`dispatch_query_in`] via
-//!    [`perform_actions_in`]), shared verbatim with the sequential drain
+//!    [`perform_actions_in`]), shared verbatim with the TCP node process
 //!    through the [`EffectEnv`] trait.
 //!
 //! Engine-global observations are funneled through per-shard buffers —
-//! answers tagged `(at, lineage)`, per-shard load maps and traffic stats —
-//! and merged deterministically after the drain, so the drain's observable
-//! results are a pure function of the workload for every shard count.
+//! answers tagged `(at, node, lineage)`, per-node loads, traffic — and folded
+//! after the rounds, so a drain's observable results are a pure function of
+//! the workload for every shard count. Per-key loads stay with their shard
+//! and are summed when read.
 //!
-//! The handler phase runs the compiled predicate-program hot loop
-//! unchanged: each shard's `NodeState`s carry their own
-//! [`CompileCounters`](rjoin_metrics::CompileCounters) (the program cache
-//! is one engine-wide `Mutex`), so the engine's
-//! [`compile_counters`](crate::RJoinEngine::compile_counters) aggregate is
-//! a plain per-node merge after the drain, exactly like the sequential
-//! driver.
-//!
-//! Two ingredients replace the global mutable state of the sequential
-//! effect phase:
+//! Two ingredients keep effects independent of execution order:
 //!
 //! * **per-decision randomness** — placement tie-breaks draw from a fresh
-//!   RNG seeded by `(engine seed, triggering lineage, decision index)`
-//!   instead of one global stream, making every decision independent of
-//!   execution order and shard count;
-//! * **pure RIC reads** — a rate request for a key owned by another shard
-//!   reads the owner's tracker through the non-pruning
-//!   [`RicTracker::rate_at`](crate::RicTracker::rate_at). Every handler of
-//!   the round's tick has run on every shard before any effect phase
-//!   starts, and no shard has handled a later tick, so the read never
-//!   waits and returns the same count whichever thread makes it.
+//!   RNG seeded by `(engine seed, triggering lineage, decision index)`;
+//! * **pure RIC reads** — a rate request reads the owner's tracker through
+//!   the non-pruning [`RicTracker::rate_at`](crate::RicTracker::rate_at).
+//!   Every handler of the round's tick has run on every shard before any
+//!   effect phase starts, and no shard has handled a later tick, so the
+//!   read never waits and returns the same count whichever thread makes it.
 //!
 //! # One schedule, a thread count
 //!
-//! [`EngineConfig::workers`] (default: the machine's available
-//! parallelism) only says how many threads run the rounds. The shards are
-//! dealt into that many contiguous chunks, at most one per shard; the
+//! The thread count only says how many threads run the rounds. The shards
+//! are dealt into that many contiguous chunks, at most one per shard; the
 //! calling thread drives the first chunk and a scoped thread each of the
 //! others, and a [`Barrier`] separates the round's tick choice, its handler
-//! phase and its effect phase. A pool of one is the calling thread alone.
-//! The phases of a round touch disjoint shard state and only perform pure
-//! remote reads, so a workload's outputs depend neither on the machine nor
-//! on the thread count.
+//! phase and its effect phase. A pool of one is the calling thread alone,
+//! with no barrier. The phases of a round touch disjoint shard state and
+//! only perform pure remote reads, so a workload's outputs depend neither
+//! on the machine nor on the thread count.
 
 use crate::answers::AnswerRecord;
 use crate::config::{EngineConfig, PlacementStrategy};
@@ -71,41 +61,41 @@ use crate::RicTracker;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rjoin_dht::{Id, RingBuildHasher};
-use rjoin_net::{
-    lineage_seed, Lineage, ShardHandle, ShardLocal, ShardedNetwork, SimTime, Transport,
-};
+use rjoin_net::{lineage_seed, Lineage, ShardHandle, SimTime, Transport};
 use rjoin_query::IndexLevel;
 use rjoin_relation::Catalog;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-/// Shared directory of every node's RIC tracker, the one piece of node
-/// state readable across shards (each tracker behind its own lock).
-type RicDirectory = HashMap<Id, Arc<Mutex<RicTracker>>, RingBuildHasher>;
+/// Directory of every node's RIC tracker, the one piece of node state
+/// readable across shards (each tracker behind its own lock). Built at
+/// construction and kept in step with membership.
+pub(crate) type RicDirectory = HashMap<Id, Arc<Mutex<RicTracker>>, RingBuildHasher>;
 
-/// The sharded driver's [`EffectEnv`]: shard-local transport and node
-/// states, pure remote RIC reads, per-decision RNG.
-struct ShardEnv<'e, 'n, 'a> {
-    handle: &'e mut ShardHandle<'n, 'a, RJoinMessage>,
-    nodes: &'e mut NodeMap,
-    ric_dir: &'e RicDirectory,
-    /// The engine's hot-key split registry — frozen for the whole drain
-    /// (splits only activate between drains), so shared read-only access
+/// The [`EffectEnv`] of the simulator: one shard's transport handle and
+/// node states, pure RIC reads through the directory, per-decision RNG.
+pub(crate) struct ShardEnv<'e, 'n> {
+    pub(crate) handle: &'e mut ShardHandle<'n, RJoinMessage>,
+    pub(crate) nodes: &'e mut NodeMap,
+    pub(crate) ric_dir: &'e RicDirectory,
+    /// The engine's hot-key split registry — frozen while the rounds run
+    /// (splits only activate at quiescence), so shared read-only access
     /// across threads is race-free and deterministic.
-    splits: &'e SplitMap,
-    /// This shard's share of the query fan-out counter (merged after the
-    /// drain).
-    query_fanout: &'e mut u64,
-    engine_seed: u64,
-    /// Lineage of the delivery whose effects are being applied.
-    lineage: Lineage,
+    pub(crate) splits: &'e SplitMap,
+    /// Where the extra query copies sent to partitions of split keys are
+    /// counted.
+    pub(crate) query_fanout: &'e mut u64,
+    pub(crate) engine_seed: u64,
+    /// Lineage of the delivery whose effects are being applied (of the
+    /// submission's first root, outside a round).
+    pub(crate) lineage: Lineage,
     /// Placement decisions made so far within this effect.
-    decisions: u64,
+    pub(crate) decisions: u64,
 }
 
-impl<'n, 'a> EffectEnv for ShardEnv<'_, 'n, 'a> {
-    type Net = ShardHandle<'n, 'a, RJoinMessage>;
+impl<'n> EffectEnv for ShardEnv<'_, 'n> {
+    type Net = ShardHandle<'n, RJoinMessage>;
 
     fn net(&mut self) -> &mut Self::Net {
         self.handle
@@ -160,23 +150,39 @@ impl<'n, 'a> EffectEnv for ShardEnv<'_, 'n, 'a> {
     }
 }
 
-/// Per-shard buffers of engine-global observations, merged after the drain.
-#[derive(Default)]
-struct ShardTally {
-    /// Raw answer deliveries tagged with `(arrival tick, lineage)` for the
+/// What the engine keeps next to one shard of its network, for its
+/// lifetime: the shard's node states (moved only when a node joins or
+/// leaves) and per-key loads, plus the buffers of the drain in progress.
+#[derive(Debug, Default)]
+pub(crate) struct EngineShard {
+    pub(crate) nodes: NodeMap,
+    /// This shard's share of the per-key loads; the engine sums the shards'
+    /// maps when asked.
+    pub(crate) qpl_by_key: KeyLoadMap,
+    pub(crate) sl_by_key: KeyLoadMap,
+    tally: DrainTally,
+    /// Handler-phase output awaiting this round's effect phase.
+    staged: Vec<(Lineage, TickEffect)>,
+}
+
+/// One drain's engine-global observations on one shard, folded after the
+/// rounds.
+#[derive(Debug, Default)]
+struct DrainTally {
+    /// Raw answer deliveries tagged with `(arrival tick, receiving node,
+    /// lineage)` — the order this shard handles them in — for the
     /// deterministic global merge.
-    answers: Vec<(SimTime, Lineage, AnswerRecord)>,
+    answers: Vec<((SimTime, Id, Lineage), AnswerRecord)>,
     qpl: NodeLoadMap,
     sl: NodeLoadMap,
-    qpl_by_key: KeyLoadMap,
-    sl_by_key: KeyLoadMap,
     /// Extra query copies this shard sent to partitions of split hot keys.
     query_fanout: u64,
+    ticks: u64,
     processed: u64,
     error: Option<EngineError>,
 }
 
-/// What every shard reads and none writes during a drain.
+/// What every shard reads and none writes during the rounds.
 #[derive(Clone, Copy)]
 struct DrainCtx<'e> {
     catalog: &'e Catalog,
@@ -186,12 +192,9 @@ struct DrainCtx<'e> {
 }
 
 /// One shard as the rounds drive it.
-struct RoundShard<'n, 'a> {
-    handle: ShardHandle<'n, 'a, RJoinMessage>,
-    nodes: NodeMap,
-    tally: ShardTally,
-    /// Handler-phase output awaiting this round's effect phase.
-    staged: Vec<(Lineage, TickEffect)>,
+struct RoundShard<'e, 'n> {
+    handle: ShardHandle<'n, RJoinMessage>,
+    shard: &'e mut EngineShard,
 }
 
 impl RoundShard<'_, '_> {
@@ -199,44 +202,44 @@ impl RoundShard<'_, '_> {
     /// `tick`, in lineage order, purely node-local.
     fn handle_tick(&mut self, ctx: DrainCtx<'_>, tick: SimTime) {
         let Some((now, deliveries)) = self.handle.try_take_tick(tick) else { return };
-        self.tally.processed += deliveries.len() as u64;
+        let shard = &mut *self.shard;
+        shard.tally.ticks += 1;
+        shard.tally.processed += deliveries.len() as u64;
         for d in deliveries {
-            if !self.nodes.contains_key(&d.to) {
-                // The node left after the message was sent: lost, exactly as
-                // under the single-queue drivers.
-                self.staged.push((d.lineage, TickEffect::Lost));
+            let Some(state) = shard.nodes.get_mut(&d.to) else {
+                // The node left after the message was sent: the message is
+                // lost, exactly as in a real deployment.
+                shard.staged.push((d.lineage, TickEffect::Lost));
                 continue;
-            }
+            };
             let effect = match d.msg {
                 RJoinMessage::Answer { query, row, produced_at } => {
                     TickEffect::Answer(AnswerRecord { query, row, produced_at, received_at: d.at })
                 }
-                msg => {
-                    let state = self.nodes.get_mut(&d.to).expect("membership checked above");
-                    handle_node_msg(state, ctx.catalog, ctx.config, now, d.at, d.to, msg)
-                }
+                msg => handle_node_msg(state, ctx.catalog, ctx.config, now, d.at, d.to, msg),
             };
-            self.staged.push((d.lineage, effect));
+            shard.staged.push((d.lineage, effect));
         }
     }
 
     /// Effect phase: applies the staged effects in lineage order. Returns
     /// `false` once a dispatch failed (the error is kept in the tally).
     fn apply_effects(&mut self, ctx: DrainCtx<'_>) -> bool {
-        let tally = &mut self.tally;
-        for (lineage, effect) in self.staged.drain(..) {
+        let EngineShard { nodes, qpl_by_key, sl_by_key, tally, staged } = &mut *self.shard;
+        for (lineage, effect) in staged.drain(..) {
             match effect {
                 TickEffect::Lost => {}
                 TickEffect::Answer(record) => {
-                    tally.answers.push((record.received_at, lineage, record));
+                    let owner = record.query.owner;
+                    tally.answers.push(((record.received_at, owner, lineage), record));
                 }
                 TickEffect::Node { node, load, actions } => {
                     if let Some(load) = load {
                         tally.qpl.incr(node);
-                        tally.qpl_by_key.incr(load.key);
+                        qpl_by_key.incr(load.key);
                         if load.sl {
                             tally.sl.incr(node);
-                            tally.sl_by_key.incr(load.key);
+                            sl_by_key.incr(load.key);
                         }
                     }
                     if actions.is_empty() {
@@ -245,7 +248,7 @@ impl RoundShard<'_, '_> {
                     self.handle.begin_effect(lineage);
                     let mut env = ShardEnv {
                         handle: &mut self.handle,
-                        nodes: &mut self.nodes,
+                        nodes,
                         ric_dir: ctx.ric_dir,
                         splits: ctx.splits,
                         query_fanout: &mut tally.query_fanout,
@@ -268,26 +271,35 @@ impl RoundShard<'_, '_> {
 
 /// The rendezvous of the threads that run one drain's rounds.
 struct Rounds {
-    barrier: Barrier,
+    /// `None` for a pool of one: the calling thread needs no rendezvous.
+    barrier: Option<Barrier>,
     /// Each chunk's earliest pending tick (`u64::MAX`: none).
     chunk_mins: Vec<AtomicU64>,
-    /// The round's tick as the barrier leader chose it (`u64::MAX`: stop).
+    /// The round's tick as the leader chose it (`u64::MAX`: stop).
     next_tick: AtomicU64,
     failed: AtomicBool,
+    /// Most rounds to run.
+    limit: u64,
 }
 
 impl Rounds {
+    /// Waits for every thread of the pool; `true` on exactly one of them.
+    fn wait(&self) -> bool {
+        self.barrier.as_ref().is_none_or(|b| b.wait().is_leader())
+    }
+
     /// Drives `chunk` (chunk number `i`) through every round of the drain:
     /// publish the chunk's earliest tick, let the leader pick the global
-    /// minimum, run the chunk's handlers, then its effects. A barrier
+    /// minimum, run the chunk's handlers, then its effects. A rendezvous
     /// separates each step, and the last one makes every send of a round
-    /// visible to the next round's inbox drain.
-    fn drive(&self, i: usize, chunk: &mut [RoundShard<'_, '_>], ctx: DrainCtx<'_>) {
+    /// visible to the next round's inbox drain. Returns the rounds run.
+    fn drive(&self, i: usize, chunk: &mut [RoundShard<'_, '_>], ctx: DrainCtx<'_>) -> u64 {
+        let mut rounds = 0;
         loop {
             let earliest = chunk.iter_mut().filter_map(|s| s.handle.next_event_time()).min();
             self.chunk_mins[i].store(earliest.unwrap_or(u64::MAX), Ordering::SeqCst);
-            if self.barrier.wait().is_leader() {
-                let tick = if self.failed.load(Ordering::SeqCst) {
+            if self.wait() {
+                let tick = if self.failed.load(Ordering::SeqCst) || rounds == self.limit {
                     u64::MAX
                 } else {
                     self.chunk_mins
@@ -298,157 +310,116 @@ impl Rounds {
                 };
                 self.next_tick.store(tick, Ordering::SeqCst);
             }
-            self.barrier.wait();
+            self.wait();
             let tick = self.next_tick.load(Ordering::SeqCst);
             if tick == u64::MAX {
-                return;
+                return rounds;
             }
             for shard in chunk.iter_mut() {
                 shard.handle_tick(ctx, tick);
             }
-            self.barrier.wait();
+            self.wait();
             for shard in chunk.iter_mut() {
                 if !shard.apply_effects(ctx) {
                     self.failed.store(true, Ordering::SeqCst);
                 }
             }
-            self.barrier.wait();
+            self.wait();
+            rounds += 1;
         }
     }
 }
 
-/// The thread count of a sharded drain: [`EngineConfig::workers`], else the
-/// machine's available parallelism. Purely an execution choice — results
-/// are identical for every value.
-fn resolve_workers(config: &EngineConfig) -> usize {
+/// The thread count of a parallel drain: [`EngineConfig::workers`], else
+/// the machine's available parallelism. Purely an execution choice —
+/// results are identical for every value.
+pub(crate) fn resolve_workers(config: &EngineConfig) -> usize {
     config
         .workers
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .max(1)
 }
 
-/// Drains the engine's event queue on the sharded runtime. See the module
-/// docs for the architecture; the observable results (answers, loads,
-/// traffic) are deterministic and shard-count-invariant for every
-/// `shards > 1`.
-pub(crate) fn drain_sharded(engine: &mut RJoinEngine) -> Result<u64, EngineError> {
-    let pending = engine.network.drain_in_flight();
-    if pending.is_empty() {
-        // Nothing to deliver, but the clock may have moved since the last
-        // drain (`advance_time`): flush like the sequential drain does.
-        engine.flush_expiry();
-        return Ok(0);
-    }
-
-    // Shared directory of RIC trackers (the only cross-shard node state).
-    let ric_dir: RicDirectory =
-        engine.nodes.iter().map(|(id, state)| (*id, state.ric_handle())).collect();
-
-    let mut snet = ShardedNetwork::new(
-        engine.network.dht(),
-        engine.network.delay(),
-        engine.network.now(),
-        &engine.node_ids,
-        engine.config.shards,
-    );
-    // Seed in global (at, seq) order: root lineages are numbered by the
-    // position in this order, which no shard count can change.
-    for d in pending {
-        snet.seed(d.at, d.to, d.from, d.msg);
-    }
-    let shard_count = snet.shards();
-
-    // Partition the node states by shard.
-    let mut parts: Vec<NodeMap> = (0..shard_count).map(|_| NodeMap::default()).collect();
-    for (id, state) in engine.nodes.drain() {
-        parts[snet.shard_of(id)].insert(id, state);
-    }
-    let locals: Vec<ShardLocal<RJoinMessage>> =
-        (0..shard_count).map(|i| snet.take_local(i)).collect();
-
+/// Runs at most `limit` global tick rounds of the engine's shards on
+/// `workers` threads — stopping early at quiescence or after a failed
+/// dispatch — then folds the drain into the engine: traffic and clock
+/// ([`Network::settle`](rjoin_net::Network::settle)), per-node loads, split
+/// fan-out, runtime counters, and the answers in `(arrival tick, receiving
+/// node, lineage)` order. Returns the rounds run and the deliveries processed.
+pub(crate) fn run_rounds(
+    engine: &mut RJoinEngine,
+    workers: usize,
+    limit: u64,
+) -> Result<(u64, u64), EngineError> {
     let ctx = DrainCtx {
         catalog: &engine.catalog,
         config: &engine.config,
-        ric_dir: &ric_dir,
+        ric_dir: &engine.ric_dir,
         splits: &engine.splits,
     };
-    let mut shards: Vec<RoundShard<'_, '_>> = locals
+    let mut shards: Vec<RoundShard<'_, '_>> = engine
+        .network
+        .handles()
         .into_iter()
-        .zip(parts)
-        .map(|(local, nodes)| RoundShard {
-            handle: ShardHandle::new(&snet, local),
-            nodes,
-            tally: ShardTally::default(),
-            staged: Vec::new(),
-        })
+        .zip(engine.shards.iter_mut())
+        .map(|(handle, shard)| RoundShard { handle, shard })
         .collect();
-    let chunk_size = shard_count.div_ceil(resolve_workers(ctx.config));
+    let shard_count = shards.len();
+    let chunk_size = shard_count.div_ceil(workers.max(1));
     let pool = shard_count.div_ceil(chunk_size);
     let rounds = Rounds {
-        barrier: Barrier::new(pool),
+        barrier: (pool > 1).then(|| Barrier::new(pool)),
         chunk_mins: (0..pool).map(|_| AtomicU64::new(u64::MAX)).collect(),
         next_tick: AtomicU64::new(u64::MAX),
         failed: AtomicBool::new(false),
+        limit,
     };
-    std::thread::scope(|scope| {
+    let ran = std::thread::scope(|scope| {
         let mut chunks = shards.chunks_mut(chunk_size).enumerate();
-        let (_, first) = chunks.next().expect("a sharded drain has at least one shard");
+        let (_, first) = chunks.next().expect("a network has at least one shard");
         for (i, chunk) in chunks {
             let rounds = &rounds;
             scope.spawn(move || rounds.drive(i, chunk, ctx));
         }
-        rounds.drive(0, first, ctx);
+        rounds.drive(0, first, ctx)
     });
-    let outcomes: Vec<(ShardLocal<RJoinMessage>, NodeMap, ShardTally)> =
-        shards.into_iter().map(|s| (s.handle.into_local(), s.nodes, s.tally)).collect();
-    drop(snet);
-    drop(ric_dir);
+    drop(shards);
+    engine.network.settle();
 
-    // Deterministic merge: states and order-insensitive counters first.
-    let mut raw_answers: Vec<(SimTime, Lineage, AnswerRecord)> = Vec::new();
-    let mut processed = 0u64;
-    let mut ticks = 0u64;
-    let mut deliveries = 0u64;
-    let mut final_clock = engine.network.now();
+    let mut answers: Vec<((SimTime, Id, Lineage), AnswerRecord)> = Vec::new();
+    let (mut ticks, mut processed) = (0u64, 0u64);
     let mut error: Option<EngineError> = None;
-    for (local, nodes, tally) in outcomes {
-        engine.nodes.extend(nodes);
-        engine.network.traffic_mut().merge(local.traffic());
+    for shard in &mut engine.shards {
+        // Emptied, not dropped: the buffers keep their capacity for the
+        // next drain.
+        let tally = &mut shard.tally;
         engine.qpl.merge(&tally.qpl);
         engine.sl.merge(&tally.sl);
-        engine.qpl_by_key.merge(&tally.qpl_by_key);
-        engine.sl_by_key.merge(&tally.sl_by_key);
-        engine.split_counters.query_fanout += tally.query_fanout;
-        processed += tally.processed;
-        ticks += local.ticks;
-        deliveries += local.deliveries;
-        final_clock = final_clock.max(local.clock());
-        raw_answers.extend(tally.answers);
-        if error.is_none() {
-            // Shards are visited in index order, so the reported error is
-            // the lowest-shard one — deterministic.
-            error = tally.error;
-        }
+        tally.qpl.reset();
+        tally.sl.reset();
+        engine.split_counters.query_fanout += std::mem::take(&mut tally.query_fanout);
+        ticks += std::mem::take(&mut tally.ticks);
+        processed += std::mem::take(&mut tally.processed);
+        answers.append(&mut tally.answers);
+        // Shards are visited in index order, so the reported error is the
+        // lowest-shard one — deterministic.
+        error = error.or(tally.error.take());
     }
-    engine.network.advance_to(final_clock);
-    // Same post-drain expiry flush as the single-queue driver, so state
-    // snapshots are identical across drivers at quiescence.
-    engine.flush_expiry();
-    engine.shard_runtime.absorb_drain(shard_count, ticks, deliveries);
-
-    // Answers enter the global log in (arrival tick, lineage) order — the
-    // sharded counterpart of the single queue's (at, seq) order.
-    raw_answers.sort_unstable_by_key(|(at, lineage, _)| (*at, *lineage));
-    for (_, _, record) in raw_answers {
+    if ran > 0 {
+        engine.shard_runtime.absorb_drain(shard_count, ticks, processed);
+    }
+    // Each shard's answers are already in order: a stable sort merges the
+    // runs.
+    answers.sort_by_key(|(key, _)| *key);
+    for (_, record) in answers {
         if engine.distinct_queries.contains(&record.query) {
             engine.answers.record_distinct(record);
         } else {
             engine.answers.record(record);
         }
     }
-
     match error {
         Some(e) => Err(e),
-        None => Ok(processed),
+        None => Ok((ran, processed)),
     }
 }

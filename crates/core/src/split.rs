@@ -37,7 +37,7 @@
 //! mutated only between drains (split activation happens on the driver
 //! thread, when a publication observes that a key's rate crossed the
 //! configured threshold) and read-only during drains, which is what makes
-//! the sharded driver's concurrent dispatch safe and deterministic.
+//! the rounds' concurrent dispatch safe and deterministic.
 //!
 //! # From 2-D grids to N-dimensional hypercubes
 //!

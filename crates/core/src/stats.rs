@@ -43,12 +43,12 @@ pub struct ExperimentStats {
     pub stored_queries_current: u64,
     /// Cumulative shared sub-join savings (zero when sharing is disabled).
     pub sharing: SharingCounters,
-    /// Deliveries that stayed inside their source shard (sharded drains
-    /// only; zero under the single-queue driver).
+    /// Deliveries that stayed inside their sender's shard (all of them on a
+    /// one-shard network).
     pub intra_shard_messages: u64,
-    /// Deliveries that crossed a shard boundary (sharded drains only).
+    /// Deliveries that crossed a shard boundary.
     pub cross_shard_messages: u64,
-    /// How the sharded runtime executed (zeroed for single-queue runs).
+    /// How the drive loop's rounds executed.
     pub shard_runtime: ShardRuntimeStats,
     /// Per-key heat: the query-processing load of every index key that
     /// received at least one delivery, ranked. `key_heat.max()` is the

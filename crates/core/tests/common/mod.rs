@@ -1,6 +1,6 @@
 //! What the engine-level suites share: the shard counts a run exercises, the
-//! drain those select, and the centralized brute-force evaluator every
-//! suite checks the engine's answers against.
+//! drain, and the centralized brute-force evaluator every suite checks the
+//! engine's answers against.
 
 // Each suite compiles its own copy of this module and uses part of it.
 #![allow(dead_code)]
@@ -9,20 +9,13 @@ use rjoin_core::RJoinEngine;
 use rjoin_query::{Conjunct, JoinQuery, QualifiedAttr, SelectItem};
 use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
 
-/// Shard counts to exercise, from the `RJOIN_SHARDS` environment variable
-/// (comma-separated, e.g. `RJOIN_SHARDS=1,4`, which is what the CI
-/// shard-count matrix sets; default `1,4`). A count of 1 runs the
-/// sequential drain, larger counts the sharded runtime.
-pub fn shard_counts() -> Vec<usize> {
-    std::env::var("RJOIN_SHARDS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).filter(|&n| n >= 1).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 4])
+/// Shard counts to exercise: every count runs the same rounds, so one and
+/// four cover the single range and shards exchanging cross-shard messages.
+pub fn shard_counts() -> [usize; 2] {
+    [1, 4]
 }
 
-/// Drains `engine` with the driver its configured shard count selects: the
-/// sequential drain at one shard, the sharded runtime above.
+/// Drains `engine` with its rounds spread over the worker pool.
 pub fn drain(engine: &mut RJoinEngine) -> u64 {
     engine.run_until_quiescent_parallel().unwrap()
 }

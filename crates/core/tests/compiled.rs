@@ -5,8 +5,7 @@
 //! duplicate-free sub-bag elsewhere — while the compile counters show the
 //! programs and their shape cache at work.
 //!
-//! The shard counts exercised honor the `RJOIN_SHARDS` environment variable
-//! (see `common::shard_counts`).
+//! Every run is repeated at each of `common::shard_counts()`.
 
 mod common;
 

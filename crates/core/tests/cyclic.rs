@@ -1,7 +1,7 @@
 //! Oracle suite for cyclic query shapes: triangles, 4-cycles and cliques
 //! are planned as replicated hypercubes, and their answers must be exactly
-//! the centralized windowed oracle's — under every driver the
-//! `RJOIN_SHARDS` matrix selects, under graceful churn, and byte-identical
+//! the centralized windowed oracle's — at every shard count of
+//! `common::shard_counts()`, under graceful churn, and byte-identical
 //! across shard counts. The suite also pins the two-plan cost model
 //! (acyclic stays on the rewrite pipeline).
 
@@ -109,8 +109,8 @@ const TUPLE_COPIES: (u64, u64) = (563, 1126);
 
 /// The acceptance triangle, end to end: `R.A = S.A AND S.B = T.B AND
 /// T.C = R.C` with hand-placed tuples whose joining combinations are known,
-/// answers checked against the oracle under every shard count in the
-/// matrix and required to be identical across them.
+/// answers checked against the oracle at every shard count and required to
+/// be identical across them.
 #[test]
 fn explicit_triangle_matches_oracle_and_is_shard_deterministic() {
     let schema = rjoin_workload::WorkloadSchema::new(3, 3, 16);
@@ -176,8 +176,8 @@ fn explicit_triangle_matches_oracle_and_is_shard_deterministic() {
     );
 }
 
-/// The cyclic preset (random triangles) against the oracle, per shard-count
-/// matrix leg, with the answer maps identical across legs.
+/// The cyclic preset (random triangles) against the oracle, per shard
+/// count, with the answer maps identical across shard counts.
 #[test]
 fn cyclic_preset_matches_oracle_across_shard_counts() {
     let scenario = Scenario::cyclic_test();
@@ -185,7 +185,7 @@ fn cyclic_preset_matches_oracle_across_shard_counts() {
         shard_counts().into_iter().map(|s| check_against_oracle(&scenario, s, false)).collect();
     assert!(
         runs.windows(2).all(|w| w[0] == w[1]),
-        "cyclic answers must be identical across the shard-count matrix"
+        "cyclic answers must be identical across shard counts"
     );
 }
 

@@ -195,9 +195,10 @@ fn node_failure_after_indexing_loses_messages_but_not_the_engine() {
     assert!(engine.total_qpl() > 0);
 }
 
-/// At one shard the parallel entry point is the sequential drain: same
-/// answers (values and multiplicities), same loads, same traffic, on a
-/// seeded scenario whose publication piles up into fat ticks.
+/// At one shard, the rounds spread over the worker pool and the rounds on
+/// the calling thread agree: same answers (values and multiplicities), same
+/// loads, same traffic, on a seeded scenario whose publication piles up
+/// into fat ticks.
 #[test]
 fn parallel_tick_loop_matches_sequential_loop() {
     let scenario = Scenario { nodes: 32, queries: 150, tuples: 80, ..Scenario::small_test() };
@@ -240,10 +241,10 @@ fn parallel_tick_loop_matches_sequential_loop() {
         )
     };
 
-    let sequential = run(false);
-    let parallel = run(true);
-    assert!(sequential.1 > 0, "the scenario should produce answers");
-    assert_eq!(sequential, parallel, "the one-shard parallel drain diverged from the sequential");
+    let calling_thread = run(false);
+    let pool = run(true);
+    assert!(calling_thread.1 > 0, "the scenario should produce answers");
+    assert_eq!(calling_thread, pool, "the one-shard drain diverged between the two entry points");
 }
 
 /// `split_key` re-homes stored state, so with messages in flight it refuses

@@ -7,8 +7,7 @@
 //! stored query, cell tuple or ALTT entry may be past its deadline at the
 //! engine's publication watermark: the wheel leaves nothing expired behind.
 //!
-//! The shard counts exercised honor the `RJOIN_SHARDS` environment variable
-//! (see `common::shard_counts`).
+//! Every run is repeated at each of `common::shard_counts()`.
 
 mod common;
 

@@ -1,15 +1,14 @@
-//! Engine-level tests of the sharded event-queue runtime: mid-flight
-//! membership churn checked against a brute-force oracle under both the
-//! sequential and the sharded drivers, plus observability of the
-//! shard-aware accounting.
-//!
-//! The shard counts exercised honor the `RJOIN_SHARDS` environment
-//! variable (see `common::shard_counts`).
+//! Engine-level tests of the drive loop's shards: membership churn between
+//! rounds, mid-cascade, checked against a brute-force oracle at every shard
+//! count of `common::shard_counts()`, plus observability of the shard-aware
+//! accounting.
 
 mod common;
 
 use common::{assert_sub_bag, drain, oracle_answers, shard_counts};
 use rjoin_core::{EngineConfig, PlacementStrategy, QueryId, RJoinEngine};
+use rjoin_dht::Id;
+use rjoin_net::ShardMap;
 use rjoin_query::{JoinQuery, WindowSpec};
 use rjoin_relation::{Catalog, Timestamp, Tuple};
 use rjoin_workload::Scenario;
@@ -29,11 +28,27 @@ fn churn_scenario() -> Scenario {
 }
 
 /// Drives the churn workload: queries indexed, tuples published, then —
-/// **while the tuple/Eval cascade is still in flight** — the sequential
-/// driver steps tick by tick partway into the cascade, two nodes join and
-/// one leaves, and the remaining drain runs under the requested driver.
-/// Returns the engine plus everything the oracle needs.
+/// **while the tuple/Eval cascade is still in flight** — the engine steps
+/// round by round partway into the cascade, three nodes join and one
+/// leaves, and the rest drains. The third joiner's identifier lies below
+/// every initial node's, so it falls before the first shard's range and
+/// wraps to the last shard. Returns the engine plus everything the oracle
+/// needs.
 type ChurnRun = (RJoinEngine, Vec<(QueryId, JoinQuery, Timestamp)>, Vec<Tuple>, Catalog);
+
+/// The first `churn-low-{i}` label whose identifier lies below every one
+/// of `nodes`, with that identifier.
+fn below_every(nodes: &[Id]) -> (String, Id) {
+    let first = nodes.iter().min().copied().expect("a populated ring");
+    (0..)
+        .map(|i| format!("churn-low-{i}"))
+        .map(|label| {
+            let id = Id::hash_key(&label);
+            (label, id)
+        })
+        .find(|(_, id)| *id < first)
+        .expect("some label hashes below the first node")
+}
 
 fn run_churn(shards: usize) -> ChurnRun {
     let scenario = churn_scenario();
@@ -57,7 +72,7 @@ fn run_churn(shards: usize) -> ChurnRun {
         engine.publish_tuple(origins[i % origins.len()], t.clone()).unwrap();
     }
 
-    // Step into the middle of the cascade, one delivery tick at a time:
+    // Step into the middle of the cascade, one round at a time:
     // Eval/Index/NewTuple messages are in flight when the membership
     // changes below happen.
     for _ in 0..40 {
@@ -68,6 +83,14 @@ fn run_churn(shards: usize) -> ChurnRun {
     assert!(engine.in_flight() > 0, "churn must happen while messages are in flight");
     engine.join_node("churn-join-a").unwrap();
     engine.join_node("churn-join-b").unwrap();
+    let (low_label, low) = below_every(&origins);
+    assert_eq!(
+        ShardMap::new(&origins, 4).shard_of(low),
+        3,
+        "an identifier below the first range start wraps to the last shard"
+    );
+    assert_eq!(engine.join_node(&low_label).unwrap().id(), low);
+    assert!(engine.node_state(low).is_some(), "the joiner's state lives on its shard");
     let leaver = engine.node_ids()[3];
     engine.leave_node(leaver).unwrap();
     assert!(engine.in_flight() > 0, "messages must still be in flight after churn");
@@ -76,11 +99,11 @@ fn run_churn(shards: usize) -> ChurnRun {
     (engine, submitted, tuples, catalog)
 }
 
-/// Mid-tick churn soundness oracle: with join/leave happening while
+/// Mid-cascade churn soundness oracle: with join/leave happening while
 /// Eval/Index messages are in flight, every delivered answer must still be
-/// an answer of the centralized oracle — under the sequential *and* the
-/// sharded drivers. (Completeness may legitimately degrade: messages in
-/// flight to a departed node are lost, exactly as in a real deployment.)
+/// an answer of the centralized oracle, at one shard and at four.
+/// (Completeness may legitimately degrade: messages in flight to a
+/// departed node are lost, exactly as in a real deployment.)
 #[test]
 fn mid_flight_churn_answers_stay_sound_under_all_drivers() {
     for shards in shard_counts() {
@@ -100,8 +123,8 @@ fn mid_flight_churn_answers_stay_sound_under_all_drivers() {
     }
 }
 
-/// The mid-flight churn run is deterministic under the sharded driver:
-/// repeating it yields the identical answer log.
+/// The mid-flight churn run is deterministic: repeating it yields the
+/// identical answer log, at every shard count.
 #[test]
 fn mid_flight_churn_is_deterministic() {
     for shards in shard_counts() {
@@ -118,49 +141,10 @@ fn mid_flight_churn_is_deterministic() {
     }
 }
 
-/// A zero-delay configuration (legal for the single queue) cannot run the
-/// sharded rounds (a round's sends must land after its tick): the parallel
-/// driver must run the sequential drain instead and stay byte-identical to
-/// it.
-#[test]
-fn zero_delay_falls_back_to_the_single_queue_driver() {
-    let scenario = churn_scenario();
-    let run = |parallel: bool| {
-        let catalog = scenario.workload_schema().build_catalog();
-        let mut config = EngineConfig::default().with_shards(4);
-        config.network_delay = 0;
-        let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
-        let origins: Vec<_> = engine.node_ids().to_vec();
-        for (i, q) in scenario.generate_queries().into_iter().enumerate() {
-            engine.submit_query(origins[i % origins.len()], q).unwrap();
-        }
-        if parallel {
-            engine.run_until_quiescent_parallel().unwrap();
-        } else {
-            engine.run_until_quiescent().unwrap();
-        }
-        for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
-            engine.publish_tuple(origins[i % origins.len()], t).unwrap();
-        }
-        if parallel {
-            engine.run_until_quiescent_parallel().unwrap();
-        } else {
-            engine.run_until_quiescent().unwrap();
-        }
-        let stats = engine.stats();
-        (stats.answers, stats.qpl_total, stats.traffic_total, stats.shard_runtime.drains)
-    };
-    let sequential = run(false);
-    let parallel = run(true);
-    assert_eq!(sequential.0, parallel.0, "answers must match under the fallback");
-    assert_eq!(sequential.1, parallel.1, "QPL must match under the fallback");
-    assert_eq!(sequential.2, parallel.2, "traffic must match under the fallback");
-    assert_eq!(parallel.3, 0, "no sharded drain may run at zero delay");
-}
-
-/// The shard-aware accounting is observable: a sharded drain reports its
-/// shard count, tick activations and intra/cross-shard delivery split, and
-/// the split covers exactly the messages scheduled during sharded drains.
+/// The shard-aware accounting is observable: a drain reports its shard
+/// count, tick activations and intra/cross-shard delivery split, and the
+/// split covers exactly the messages delivered — at four shards and at
+/// one, which runs the same rounds and crosses no boundary.
 #[test]
 fn sharded_runtime_counters_are_observable() {
     let scenario = churn_scenario();
@@ -190,27 +174,24 @@ fn sharded_runtime_counters_are_observable() {
         stats.cross_shard_messages > 0,
         "a 24-node ring at 4 shards must exchange cross-shard messages"
     );
-    assert!(
-        scheduled <= runtime.deliveries,
-        "every scheduled message is eventually delivered or counted as seeded"
-    );
+    assert_eq!(scheduled, runtime.deliveries, "every scheduled message is delivered");
 
-    // The sequential driver leaves all sharded counters untouched.
     let catalog = scenario.workload_schema().build_catalog();
-    let mut sequential = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
-    let origins: Vec<_> = sequential.node_ids().to_vec();
+    let mut one_shard = RJoinEngine::simulated(EngineConfig::default(), catalog, scenario.nodes);
+    let origins: Vec<_> = one_shard.node_ids().to_vec();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
-        sequential.submit_query(origins[i % origins.len()], q).unwrap();
+        one_shard.submit_query(origins[i % origins.len()], q).unwrap();
     }
-    sequential.run_until_quiescent().unwrap();
-    let stats = sequential.stats();
-    assert_eq!(stats.shard_runtime.drains, 0);
-    assert_eq!(stats.intra_shard_messages + stats.cross_shard_messages, 0);
+    one_shard.run_until_quiescent().unwrap();
+    let stats = one_shard.stats();
+    assert_eq!((stats.shard_runtime.shards, stats.shard_runtime.drains), (1, 1));
+    assert_eq!(stats.cross_shard_messages, 0, "one shard crosses no boundary");
+    assert_eq!(stats.intra_shard_messages, stats.shard_runtime.deliveries);
 }
 
-/// An idle drain flushes expiry under every driver: after `advance_time`
+/// An idle drain flushes expiry at every shard count: after `advance_time`
 /// moves the clock past every window, a drain with nothing in flight must
-/// leave only the input queries stored — sequentially and sharded alike.
+/// leave only the input queries stored.
 #[test]
 fn an_idle_drain_flushes_expired_state_under_every_driver() {
     let scenario = Scenario {
@@ -242,11 +223,11 @@ fn an_idle_drain_flushes_expired_state_under_every_driver() {
         assert_eq!(drain(&mut engine), 0, "nothing is in flight (shards={shards})");
         (live, engine.stored_queries_current())
     };
-    let (live, sequential) = stored_after_idle_drain(1);
-    assert!(live > sequential, "the run must leave windowed rewritten queries ({live})");
-    assert_eq!(sequential, scenario.queries as u64, "only the input queries never expire");
+    let (live, one_shard) = stored_after_idle_drain(1);
+    assert!(live > one_shard, "the run must leave windowed rewritten queries ({live})");
+    assert_eq!(one_shard, scenario.queries as u64, "only the input queries never expire");
     for shards in [2, 4] {
         let (_, sharded) = stored_after_idle_drain(shards);
-        assert_eq!(sharded, sequential, "an idle drain at {shards} shards must flush expiry");
+        assert_eq!(sharded, one_shard, "an idle drain at {shards} shards must flush expiry");
     }
 }

@@ -1,7 +1,7 @@
 //! Oracle suite for hot-key splitting: the split engine must deliver the
 //! **identical answer set** to the unsplit engine on skewed workloads —
-//! under both skew levels, under graceful churn and under every driver the
-//! `RJOIN_SHARDS` matrix selects — while demonstrably moving the hot key's
+//! under both skew levels, under graceful churn and at every shard count of
+//! `common::shard_counts()` — while demonstrably moving the hot key's
 //! load off the busiest node.
 //!
 //! All runs enable the ALTT with a retention covering the whole run, which
@@ -97,8 +97,8 @@ fn assert_answer_sets_equal(
 }
 
 /// The tentpole soundness property: at θ ∈ {{0.5, 0.9}} the split engine's
-/// per-query answer sets are identical to the unsplit engine's, under every
-/// shard count of the CI matrix.
+/// per-query answer sets are identical to the unsplit engine's, at every
+/// shard count.
 #[test]
 fn split_answers_identical_to_unsplit_across_skews_and_drivers() {
     for shards in shard_counts() {

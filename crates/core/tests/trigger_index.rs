@@ -6,8 +6,7 @@
 //! covers its windows, which makes it complete — and must never hand out
 //! more candidates than its buckets hold.
 //!
-//! The shard counts exercised honor the `RJOIN_SHARDS` environment variable
-//! (see `common::shard_counts`).
+//! Every run is repeated at each of `common::shard_counts()`.
 
 mod common;
 

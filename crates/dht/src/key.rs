@@ -77,7 +77,7 @@ thread_local! {
     /// Per-thread memo of canonical key text → ring identifier, so repeated
     /// hashes of the same key skip both the SHA-1 digest and the `Arc<str>`
     /// allocation. Thread-local (rather than shared) keeps the lookup
-    /// lock-free under the sharded runtime's worker threads.
+    /// lock-free under the simulator's worker threads.
     static INTERN_TABLE: RefCell<HashMap<Arc<str>, Id, BuildHasherDefault<StrHasher>>> =
         RefCell::new(HashMap::default());
 }

@@ -45,7 +45,7 @@ pub use error::DhtError;
 pub use id::Id;
 pub use key::{mix64, HashedKey, RingBuildHasher, RingHasher, RingMap, RingSet};
 pub use node::{ChordNode, FingerTable, SUCCESSOR_LIST_LEN};
-pub use ring::{ChordNetwork, LookupResult};
+pub use ring::{ChordNetwork, LookupResult, RouteMemo};
 
 /// Number of bits in ring identifiers (`m` in the Chord paper).
 pub const ID_BITS: u32 = 64;

@@ -100,7 +100,55 @@ pub struct ChordNetwork {
     /// visited node. The cache is cleared whenever anything that can change
     /// a path changes: membership (join/leave/fail/move) and every
     /// stabilization or in-walk repair step.
-    route_cache: HashMap<(Id, Id), LookupResult, RingBuildHasher>,
+    route_cache: RouteMemo,
+}
+
+/// Memoized lookup routes, keyed `(from, owner of the key)` (the module
+/// docs say why the owner stands in for the key). Valid only while the
+/// ring it was filled on is stable and unchanged: its owner drops it on
+/// every change. [`ChordNetwork`] keeps one for [`lookup`](ChordNetwork::lookup);
+/// callers that route over a shared `&ChordNetwork` keep their own for
+/// [`lookup_memoized`](ChordNetwork::lookup_memoized).
+#[derive(Debug, Clone, Default)]
+pub struct RouteMemo(HashMap<(Id, Id), LookupResult, RingBuildHasher>);
+
+impl RouteMemo {
+    /// Drops every memoized route.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Number of memoized `(from, owner)` routes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no route is memoized.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn get(&self, from: Id, owner: Id) -> Option<&LookupResult> {
+        self.0.get(&(from, owner))
+    }
+
+    /// Memoizes every proper suffix of a walked `result` under its first
+    /// node: greedy routing is memoryless, so the tail starting at any
+    /// visited node is exactly the walk that node would produce. The final
+    /// element (the owner) is *not* a valid origin — a walk from the owner
+    /// circles the ring rather than returning itself — except in the
+    /// degenerate single-element path, which really was walked from that
+    /// node. The entries share the result's own `Arc`'d path — no copies.
+    fn seed(&mut self, result: &LookupResult) {
+        let path = &result.path;
+        for start in result.start..path.len().max(result.start + 2) - 1 {
+            self.0.entry((path[start], result.owner)).or_insert_with(|| LookupResult {
+                owner: result.owner,
+                path: Arc::clone(path),
+                start,
+            });
+        }
+    }
 }
 
 impl ChordNetwork {
@@ -112,7 +160,7 @@ impl ChordNetwork {
             ring: Vec::new(),
             successor_list_len: successor_list_len.clamp(1, SUCCESSOR_LIST_LEN),
             max_hops: 4 * ID_BITS as usize,
-            route_cache: HashMap::default(),
+            route_cache: RouteMemo::default(),
         }
     }
 
@@ -414,7 +462,7 @@ impl ChordNetwork {
             // An empty ring has no `from` either.
             return Err(DhtError::UnknownNode { id: from });
         };
-        if let Some(hit) = self.route_cache.get(&(from, owner)) {
+        if let Some(hit) = self.route_cache.get(from, owner) {
             return Ok(hit.clone());
         }
         let mut repaired = false;
@@ -425,22 +473,7 @@ impl ChordNetwork {
             // predate the repair). Drop them all; subsequent walks re-fill.
             self.invalidate_routes();
         } else if let Ok(result) = &result {
-            // Memoize every proper suffix of the walk under its first node:
-            // greedy routing is memoryless, so the tail starting at any
-            // visited node is exactly the walk that node would produce. The
-            // final element (the owner) is *not* a valid origin — a walk
-            // from the owner circles the ring rather than returning itself
-            // — except in the degenerate single-element path, which really
-            // was walked from that node. The entries share the result's own
-            // `Arc`'d path — no copies.
-            let path = &result.path;
-            for start in 0..path.len().max(2) - 1 {
-                self.route_cache.entry((path[start], owner)).or_insert_with(|| LookupResult {
-                    owner: result.owner,
-                    path: Arc::clone(path),
-                    start,
-                });
-            }
+            self.route_cache.seed(result);
         }
         result
     }
@@ -521,7 +554,7 @@ impl ChordNetwork {
             // Skipped once a repair happened — the cache is stale then and
             // is about to be dropped wholesale.
             if !*repaired {
-                if let Some(hit) = self.route_cache.get(&(current, memo_owner)) {
+                if let Some(hit) = self.route_cache.get(current, memo_owner) {
                     path.extend_from_slice(&hit.path[hit.start + 1..]);
                     return Ok(LookupResult::from_walk(path));
                 }
@@ -532,8 +565,8 @@ impl ChordNetwork {
 
     /// Routes a lookup for `key` starting at node `from` **without mutating
     /// any routing state** — the shared-reference twin of
-    /// [`lookup`](Self::lookup), used by the sharded runtime where many
-    /// worker threads route concurrently over one ring.
+    /// [`lookup`](Self::lookup), for the simulated network's shards, which
+    /// route concurrently over one ring from many worker threads.
     ///
     /// On a fully stabilized ring (no dead pointers) the walk, path and
     /// owner are identical to [`lookup`](Self::lookup) — this is the only
@@ -542,6 +575,19 @@ impl ChordNetwork {
     /// it (modelling timeout-and-retry) but, unlike the `&mut` version,
     /// leaves the repair to the next stabilization round.
     pub fn lookup_stable(&self, from: Id, key: Id) -> Result<LookupResult, DhtError> {
+        self.walk_stable(from, key, None)
+    }
+
+    /// The walk behind [`lookup_stable`](Self::lookup_stable), splicing onto
+    /// a route of `splice` (a memo and the key's owner) the moment it
+    /// reaches a node the memo has walked from (routing is memoryless, so
+    /// the concatenation equals the full walk).
+    fn walk_stable(
+        &self,
+        from: Id,
+        key: Id,
+        splice: Option<(&RouteMemo, Id)>,
+    ) -> Result<LookupResult, DhtError> {
         if !self.nodes.contains_key(&from) {
             return Err(DhtError::UnknownNode { id: from });
         }
@@ -580,8 +626,35 @@ impl ChordNetwork {
             };
             path.push(next);
             current = next;
+            if let Some(hit) = splice.and_then(|(memo, owner)| memo.get(current, owner)) {
+                path.extend_from_slice(&hit.path()[1..]);
+                return Ok(LookupResult::from_walk(path));
+            }
         }
         Err(DhtError::LookupStuck { at: current, key })
+    }
+
+    /// [`lookup_stable`](Self::lookup_stable) through a caller-owned
+    /// [`RouteMemo`]: a route already walked from `from` to the key's owner
+    /// is handed out without walking, and a fresh walk seeds the memo with
+    /// every suffix of its path. The caller drops the memo whenever the
+    /// ring changes (membership, stabilization), exactly as
+    /// [`lookup`](Self::lookup) drops its own.
+    pub fn lookup_memoized(
+        &self,
+        from: Id,
+        key: Id,
+        memo: &mut RouteMemo,
+    ) -> Result<LookupResult, DhtError> {
+        let Ok(owner) = self.successor_of(key) else {
+            return Err(DhtError::UnknownNode { id: from });
+        };
+        if let Some(hit) = memo.get(from, owner) {
+            return Ok(hit.clone());
+        }
+        let result = self.walk_stable(from, key, Some((memo, owner)))?;
+        memo.seed(&result);
+        Ok(result)
     }
 
     /// Moves a node from `old_id` to `new_id` on the ring (identifier
@@ -709,6 +782,18 @@ mod tests {
         net.invalidate_routes();
         assert!(net.route_cache.is_empty());
         assert_eq!(walk(&mut net), cold, "a cleared cache re-walks to identical paths");
+
+        let mut memo = RouteMemo::default();
+        let mut memoized = |net: &ChordNetwork| -> Vec<Vec<Id>> {
+            keys.iter()
+                .flat_map(|key| ids.iter().step_by(5).map(move |from| (*from, *key)))
+                .map(|(from, key)| {
+                    net.lookup_memoized(from, key, &mut memo).unwrap().path().to_vec()
+                })
+                .collect()
+        };
+        assert_eq!(memoized(&net), cold, "a caller-owned memo fills with the same walks");
+        assert_eq!(memoized(&net), cold, "and hands them out unchanged");
     }
 
     #[test]

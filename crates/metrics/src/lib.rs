@@ -21,7 +21,7 @@
 //!   sub-join registry saved (multi-query optimization),
 //! * [`CompileCounters`] — how the compiled predicate-program hot loop
 //!   behaved (compiles, cache hits, per-path rewrite counts, eval time),
-//! * [`ShardRuntimeStats`] — how a sharded event-queue drain executed
+//! * [`ShardRuntimeStats`] — how the drive loop's rounds executed
 //!   (shard count, per-shard tick activations, deliveries),
 //! * [`SplitCounters`] — what the hot-key splitting subsystem did
 //!   (heavy hitters split, state migrated, routing/fan-out overhead),

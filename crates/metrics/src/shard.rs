@@ -1,19 +1,19 @@
-//! Observability counters for the sharded event-queue runtime.
+//! Observability counters for the drive loop's shards.
 
 use serde::{Deserialize, Serialize};
 
-/// Counters describing how a sharded drain executed: how many shards ran
-/// and how much work they performed. Complements the
+/// Counters describing how the drive loop's rounds executed: how many
+/// shards ran and how much work they performed. Complements the
 /// intra/cross-shard message counts the traffic layer records per
 /// scheduled delivery.
 ///
-/// All counters are cumulative over every sharded drain of an engine run
-/// and stay zero for single-queue runs.
+/// All counters are cumulative over every drain (and step) of an engine
+/// run that ran at least one round; they stay zero until one does.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardRuntimeStats {
-    /// Shard count of the most recent sharded drain (0 = never sharded).
+    /// Shard count of the most recent drain (0 = none ran a round yet).
     pub shards: usize,
-    /// Number of sharded drains executed.
+    /// Number of drains (and steps) that ran at least one round.
     pub drains: u64,
     /// Tick activations summed over all shards (one shard processing one
     /// tick bucket = one activation).

@@ -6,7 +6,7 @@
 //!
 //! * `send(msg, id)` — deliver `msg` to `Successor(id)` in `O(log N)` hops,
 //! * `multiSend(msg, I)` / `multiSend(M, I)` — deliver one or more messages
-//!   to the successors of a set of identifiers; the simulated runtimes route
+//!   to the successors of a set of identifiers; the simulated runtime routes
 //!   them as one forwarding tree, the union of the items' unicast routes,
 //!   so shared hops are paid once ([`account_multicast`]),
 //! * `sendDirect(msg, addr)` — deliver `msg` to a known address in one hop.
@@ -24,43 +24,36 @@
 //! deployment resolves ownership from a membership view (no event queue in
 //! sight) while re-homing state or placing queries — see the [`transport`
 //! module](crate::Transport) docs for the per-implementation guarantee
-//! table (ordering, clocks). Two simulated runtimes implement the full
+//! table (ordering, clocks). The simulated runtime implements the full
 //! trait in this crate; the `rjoin_transport` crate adds the real one over
-//! TCP:
+//! TCP.
 //!
-//! # The single-queue runtime ([`Network`])
+//! # The runtime ([`Network`])
 //!
-//! One global event queue driven by one thread. Because the delay bound δ
-//! is a constant and the clock is monotone, arrival times are scheduled in
-//! non-decreasing order, so the in-flight queue is a *bucket queue* — one
-//! FIFO bucket per delivery tick — with O(1) push and pop.
-//! [`Network::pop_tick`] drains it a whole tick at a time, in the total
-//! `(at, seq)` order, so a driver runs every handler of a tick before any
-//! of its effects.
+//! The ring's nodes are partitioned into shards by contiguous identifier
+//! range ([`ShardMap`], fixed for the network's lifetime; one shard unless
+//! a driver asks for more). Each shard owns a constant-δ bucket queue — one
+//! FIFO bucket per delivery tick, O(1) push and pop, since every message
+//! lands δ after a monotone clock — its clock, a traffic buffer and a route
+//! memo; cross-shard messages go through the receiving shard's inbox. A
+//! driver advances every shard in **tick rounds** (documented on
+//! [`ShardHandle`]): take the global minimum tick, run every shard's
+//! handlers for it, then every shard's effects. With the uniform link
+//! delay δ ≥ 1 no effect can land at or before the round's tick, and since
+//! every handler of a tick runs before any of its effects, an effect reads
+//! remote node state without waiting. A round's phases touch disjoint
+//! shard state, so a driver may spread them over threads.
+//! [`Network::pop_tick`] is the round-less way out: every shard's earliest
+//! bucket at once.
 //!
-//! # The sharded runtime ([`ShardedNetwork`])
-//!
-//! N per-shard bucket queues, each with its own local virtual clock. Shards
-//! own disjoint, contiguous ranges of the ring ([`ShardMap`]); intra-shard
-//! messages never leave their shard's queue, cross-shard messages go
-//! through the receiving shard's inbox. The driver advances every shard in
-//! **tick rounds** (documented on [`ShardedNetwork`]): drain the inboxes and
-//! take the global minimum tick, run every shard's handlers for it, then
-//! every shard's effects. With the uniform link delay δ ≥ 1 no effect can
-//! land at or before the round's tick, so the round order is the single
-//! queue's tick order; and since every handler of a tick runs before any of
-//! its effects, an effect reads remote node state without waiting. A round's
-//! phases touch disjoint shard state, so a driver may spread them over
-//! threads.
-//!
-//! Intra-tick determinism under sharding comes from **lineages**
+//! Within a tick, deliveries are ordered by **lineage**
 //! ([`root_lineage`]/[`child_lineage`]): 128-bit causal identities chained
 //! from each message's parent, invariant across shard counts and thread
-//! interleavings, which replace the single queue's global sequence numbers
-//! as the intra-tick order key.
+//! interleavings. Messages sent from outside any round are roots, numbered
+//! in send order.
 //!
 //! Message payloads are generic: the RJoin engine defines its own message
-//! enum and drives the simulation by draining the queue(s).
+//! enum and drives the simulation in rounds over the shards' queues.
 
 mod network;
 mod queue;
@@ -71,10 +64,7 @@ mod transport;
 
 pub use network::{Delivery, Network, NetworkConfig};
 pub use queue::BucketQueue;
-pub use shard::{
-    child_lineage, lineage_seed, root_lineage, Lineage, ShardDelivery, ShardHandle, ShardLocal,
-    ShardMap, ShardedNetwork,
-};
+pub use shard::{child_lineage, lineage_seed, root_lineage, Lineage, ShardHandle, ShardMap};
 pub use time::SimTime;
 pub use traffic::{account_multicast, account_route, TrafficClass, TrafficStats};
 pub use transport::{KeyRouter, Transport};

@@ -1,15 +1,19 @@
 //! The simulated network: DHT-routed delivery with bounded delay.
 
-use crate::queue::BucketQueue;
-use crate::{KeyRouter, SimTime, TrafficClass, TrafficStats, Transport};
+use crate::shard::{sorted_by, Fabric, ShardLocal};
+use crate::{
+    KeyRouter, Lineage, ShardHandle, ShardMap, SimTime, TrafficClass, TrafficStats, Transport,
+};
 use rjoin_dht::{ChordNetwork, DhtError, Id, LookupResult};
+use std::sync::Mutex;
 
 /// Configuration of the simulated network.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
-    /// Upper bound δ on the delivery delay of a single message, in ticks.
-    /// Every routed or direct message is delivered `delay` ticks after it is
-    /// sent (the worst case allowed by the paper's system model).
+    /// Upper bound δ on the delivery delay of a single message, in ticks
+    /// (at least 1). Every routed or direct message is delivered `delay`
+    /// ticks after it is sent (the worst case allowed by the paper's system
+    /// model).
     pub delay: SimTime,
     /// Length of the successor lists maintained by the Chord nodes.
     pub successor_list_len: usize,
@@ -26,10 +30,10 @@ impl Default for NetworkConfig {
 pub struct Delivery<M> {
     /// Simulation time at which the message arrives.
     pub at: SimTime,
-    /// Scheduling sequence number: deliveries at the same tick are ordered
-    /// by it (FIFO in send order), and `(at, seq)` is a unique, totally
-    /// ordered identity for every delivery of a run.
-    pub seq: u64,
+    /// Causal identity: deliveries at the same tick are handled in
+    /// ascending lineage order (see the [`shard`](crate::ShardHandle)
+    /// docs).
+    pub lineage: Lineage,
     /// The node receiving the message.
     pub to: Id,
     /// The node that originally sent the message.
@@ -38,60 +42,90 @@ pub struct Delivery<M> {
     pub msg: M,
 }
 
-/// Internal queue entry; buckets keep entries in (time, sequence) order.
+/// The simulated network: a Chord ring, its partition into shards, one
+/// event queue per shard and per-node traffic accounting.
 ///
-/// Every message is scheduled `δ` ticks after the (monotone) clock, so
-/// arrival times enter the [`BucketQueue`] in non-decreasing order and
-/// entries within a bucket are FIFO by sequence number: draining a whole
-/// bucket yields exactly the global `(at, seq)` order a binary heap would
-/// have produced, at O(1) per event.
-#[derive(Debug)]
-struct Scheduled<M> {
-    seq: u64,
-    to: Id,
-    from: Id,
-    msg: M,
-}
-
-/// The simulated network: a Chord ring plus an event queue of in-flight
-/// messages and per-node traffic accounting.
+/// A network starts as one shard; [`partition`](Self::partition) splits the
+/// ring once, before anything is in flight, and the shards then live as
+/// long as the network. Sends from outside any round — this type's own
+/// [`Transport`] methods — are roots ([`root_lineage`](crate::root_lineage)),
+/// accounted straight into [`traffic`](Self::traffic). A driver runs rounds
+/// through [`handles`](Self::handles) (see the [`shard`](crate::ShardHandle)
+/// docs) and folds them back with [`settle`](Self::settle);
+/// [`pop_tick`](Self::pop_tick) is the round-less way to take deliveries
+/// out, one tick at a time.
 #[derive(Debug)]
 pub struct Network<M> {
-    dht: ChordNetwork,
-    config: NetworkConfig,
-    clock: SimTime,
-    seq: u64,
-    queue: BucketQueue<Scheduled<M>>,
+    fabric: Fabric<M>,
+    shards: Vec<ShardLocal<M>>,
+    /// Each shard's traffic during rounds, folded into `traffic` by
+    /// [`settle`](Self::settle).
+    buffers: Vec<TrafficStats>,
     traffic: TrafficStats,
+    clock: SimTime,
+    /// Roots sent so far: the next root's number.
+    roots: u64,
 }
 
 impl<M> Network<M> {
-    /// Creates an empty network.
+    /// Creates an empty network of one shard. The delay bound is clamped to
+    /// δ ≥ 1: a round's sends must land after its tick.
     pub fn new(config: NetworkConfig) -> Self {
         Network {
-            dht: ChordNetwork::new(config.successor_list_len),
-            config,
-            clock: 0,
-            seq: 0,
-            queue: BucketQueue::new(),
+            fabric: Fabric {
+                dht: ChordNetwork::new(config.successor_list_len),
+                delay: config.delay.max(1),
+                map: ShardMap::new(&[], 1),
+                inboxes: vec![Mutex::new(Vec::new())],
+            },
+            shards: vec![ShardLocal::new(0)],
+            buffers: vec![TrafficStats::new()],
             traffic: TrafficStats::new(),
+            clock: 0,
+            roots: 0,
         }
     }
 
     /// Adds `n` nodes with deterministic identifiers derived from `label`
     /// and fully stabilizes the ring. Returns the node identifiers.
     pub fn bootstrap(&mut self, n: usize, label: &str) -> Vec<Id> {
+        let dht = self.dht_mut();
         let mut ids = Vec::with_capacity(n);
         let mut i = 0u64;
         while ids.len() < n {
             let id = Id::hash_key(&format!("{label}-{i}"));
             i += 1;
-            if self.dht.join(id).is_ok() {
+            if dht.join(id).is_ok() {
                 ids.push(id);
             }
         }
-        self.dht.full_stabilize();
+        dht.full_stabilize();
         ids
+    }
+
+    /// Splits the current ring into `shards` contiguous identifier ranges
+    /// of near-equal node count ([`ShardMap::new`]), each with its own
+    /// queue, clock, traffic buffer and route memo. The partition stays
+    /// fixed from then on: nodes that join later belong to the range their
+    /// identifier falls in. Call it while nothing is in flight.
+    pub fn partition(&mut self, shards: usize) {
+        assert_eq!(self.in_flight(), 0, "partition before anything is sent");
+        let ids: Vec<Id> = self.fabric.dht.node_ids().collect();
+        self.fabric.map = ShardMap::new(&ids, shards);
+        let n = self.fabric.map.shards();
+        self.fabric.inboxes = (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        self.shards = (0..n).map(|_| ShardLocal::new(self.clock)).collect();
+        self.buffers = (0..n).map(|_| TrafficStats::new()).collect();
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.fabric.map.shards()
+    }
+
+    /// The shard that owns ring identifier `id`.
+    pub fn shard_of(&self, id: Id) -> usize {
+        self.fabric.map.shard_of(id)
     }
 
     /// The current simulation time.
@@ -101,25 +135,29 @@ impl<M> Network<M> {
 
     /// Advances the clock (used by drivers to model idle periods).
     pub fn advance_to(&mut self, t: SimTime) {
-        if t > self.clock {
-            self.clock = t;
+        self.clock = self.clock.max(t);
+        for shard in &mut self.shards {
+            shard.clock = self.clock;
         }
     }
 
-    /// The configured per-message delay bound δ.
+    /// The per-message delay bound δ.
     pub fn delay(&self) -> SimTime {
-        self.config.delay
+        self.fabric.delay
     }
 
     /// Read access to the underlying Chord ring.
     pub fn dht(&self) -> &ChordNetwork {
-        &self.dht
+        &self.fabric.dht
     }
 
     /// Write access to the underlying Chord ring (node churn, identifier
-    /// movement).
+    /// movement). Drops every shard's route memo: the ring may change.
     pub fn dht_mut(&mut self) -> &mut ChordNetwork {
-        &mut self.dht
+        for shard in &mut self.shards {
+            shard.routes.clear();
+        }
+        &mut self.fabric.dht
     }
 
     /// Read access to the traffic counters.
@@ -134,24 +172,41 @@ impl<M> Network<M> {
 
     /// Number of messages currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.queue.len()
+        let queued: usize = self.shards.iter().map(|s| s.queue.len()).sum();
+        let inboxed: usize =
+            self.fabric.inboxes.iter().map(|i| i.lock().expect("inbox lock").len()).sum();
+        queued + inboxed
     }
 
     /// Resolves the node currently responsible for `key_id` without sending
     /// anything and without accounting traffic (an oracle used by tests and
     /// by the engine for ownership checks).
     pub fn owner_of(&self, key_id: Id) -> Result<Id, DhtError> {
-        self.dht.successor_of(key_id)
+        self.fabric.dht.successor_of(key_id)
     }
 
-    fn account_path(&mut self, path: &[Id], class: TrafficClass) {
-        crate::traffic::account_route(&mut self.traffic, path, class);
+    /// The handle of `from`'s shard for sends from outside any round: each
+    /// message is a root, accounted straight into
+    /// [`traffic`](Self::traffic). This type's own [`Transport`] methods go
+    /// through it; a driver that needs the handle itself (as an effect
+    /// environment's transport) takes it here.
+    pub fn root_handle(&mut self, from: Id) -> ShardHandle<'_, M> {
+        let shard = self.fabric.map.shard_of(from);
+        ShardHandle::new(
+            &self.fabric,
+            shard,
+            &mut self.shards[shard],
+            &mut self.traffic,
+            Some(&mut self.roots),
+        )
     }
 
-    fn schedule(&mut self, at: SimTime, to: Id, from: Id, msg: M) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at, Scheduled { seq, to, from, msg });
+    /// The number the next root will carry. A driver that draws randomness
+    /// for a decision made outside any round seeds it from
+    /// [`root_lineage`](crate::root_lineage) of this number, as a round
+    /// seeds it from the delivery being handled.
+    pub fn next_root(&self) -> u64 {
+        self.roots
     }
 
     /// `send(msg, id)`: routes `msg` from node `from` to `Successor(key_id)`
@@ -165,52 +220,25 @@ impl<M> Network<M> {
         msg: M,
         class: TrafficClass,
     ) -> Result<LookupResult, DhtError> {
-        let result = self.dht.lookup(from, key_id)?;
-        self.account_path(result.path(), class);
-        self.traffic.record_received(result.owner);
-        let at = self.clock + self.config.delay;
-        self.schedule(at, result.owner, from, msg);
-        Ok(result)
+        self.root_handle(from).send(from, key_id, msg, class)
     }
 
     /// `multiSend(M, I)`: delivers each `(key_id, msg)` pair to
-    /// `Successor(key_id)` through one forwarding tree rooted at `from` —
-    /// the union of the items' unicast routes, one message per edge
-    /// ([`account_multicast`](crate::account_multicast)), so items sharing
-    /// their first hops share those messages and items for one owner share
-    /// their whole route. Each item is still one delivery, scheduled in item
-    /// order exactly as independent [`send`](Self::send)s would be. Every
-    /// owner is resolved before anything is accounted or scheduled: a failed
-    /// lookup sends nothing.
+    /// `Successor(key_id)` through one forwarding tree rooted at `from`
+    /// ([`ShardHandle`]'s `multi_send`).
     pub fn multi_send(
         &mut self,
         from: Id,
         items: Vec<(Id, M)>,
         class: TrafficClass,
     ) -> Result<(), DhtError> {
-        let Multicast { targets, mut routes } = resolve_multicast(
-            &mut self.dht,
-            from,
-            &items,
-            |dht, key| dht.successor_of(key),
-            |dht, key| dht.lookup(from, key),
-        )?;
-        crate::traffic::account_multicast(&mut self.traffic, &mut routes, class);
-        let at = self.clock + self.config.delay;
-        for ((_, msg), to) in items.into_iter().zip(targets) {
-            self.traffic.record_received(to);
-            self.schedule(at, to, from, msg);
-        }
-        Ok(())
+        self.root_handle(from).multi_send(from, items, class)
     }
 
     /// `sendDirect(msg, addr)`: delivers `msg` to a node whose address is
     /// already known, in one hop.
     pub fn send_direct(&mut self, from: Id, to: Id, msg: M, class: TrafficClass) {
-        self.traffic.record_sent(from, class);
-        self.traffic.record_received(to);
-        let at = self.clock + self.config.delay;
-        self.schedule(at, to, from, msg);
+        self.root_handle(from).send_direct(from, to, msg, class)
     }
 
     /// Accounts the traffic of routing one message from `from` to
@@ -224,9 +252,7 @@ impl<M> Network<M> {
         key_id: Id,
         class: TrafficClass,
     ) -> Result<LookupResult, DhtError> {
-        let result = self.dht.lookup(from, key_id)?;
-        self.account_path(result.path(), class);
-        Ok(result)
+        self.root_handle(from).charge_route(from, key_id, class)
     }
 
     /// Accounts one direct (single-hop) message from `from` without
@@ -235,89 +261,55 @@ impl<M> Network<M> {
         self.traffic.record_sent(from, class);
     }
 
-    /// The arrival tick of the earliest in-flight message, if any.
-    pub fn next_delivery_time(&self) -> Option<SimTime> {
-        self.queue.next_time()
+    /// One handle per shard, in shard order, for a driver's rounds: sends
+    /// are chained from the delivery set by
+    /// [`begin_effect`](ShardHandle::begin_effect) and accounted into the
+    /// shard's buffer. Call [`settle`](Self::settle) once the handles are
+    /// dropped.
+    pub fn handles(&mut self) -> Vec<ShardHandle<'_, M>> {
+        let fabric = &self.fabric;
+        self.shards
+            .iter_mut()
+            .zip(&mut self.buffers)
+            .enumerate()
+            .map(|(shard, (local, traffic))| ShardHandle::new(fabric, shard, local, traffic, None))
+            .collect()
     }
 
-    /// Drains *every* delivery of the earliest occupied tick at once,
-    /// advancing the clock to that tick. Returns `None` when no messages are
-    /// in flight. The returned deliveries are in `(at, seq)` order, so
-    /// repeated calls yield the queue's total delivery order one tick at a
-    /// time.
+    /// Ends a driver's rounds: folds every shard's traffic buffer into
+    /// [`traffic`](Self::traffic) and moves the clock to the last tick any
+    /// shard processed.
+    pub fn settle(&mut self) {
+        for buffer in &mut self.buffers {
+            buffer.drain_into(&mut self.traffic);
+        }
+        let last = self.shards.iter().map(|s| s.clock).max().unwrap_or(self.clock);
+        self.advance_to(last);
+    }
+
+    /// Drains *every* delivery of the earliest occupied tick at once, over
+    /// all shards, advancing the clock to that tick. Returns `None` when no
+    /// messages are in flight. The returned deliveries are in lineage
+    /// order, so roots come out in send order.
     pub fn pop_tick(&mut self) -> Option<(SimTime, Vec<Delivery<M>>)> {
-        let (at, bucket) = self.queue.pop_bucket()?;
-        self.clock = self.clock.max(at);
-        let deliveries = bucket
-            .into_iter()
-            .map(|s| Delivery { at, seq: s.seq, to: s.to, from: s.from, msg: s.msg })
-            .collect();
-        Some((at, deliveries))
-    }
-
-    /// Removes *every* in-flight message in `(at, seq)` order **without**
-    /// advancing the clock. Used to hand the pending event set over to a
-    /// [`ShardedNetwork`](crate::ShardedNetwork) drain: the sharded runtime
-    /// re-schedules the messages into its per-shard queues and reports the
-    /// final clock back via [`advance_to`](Self::advance_to).
-    pub fn drain_in_flight(&mut self) -> Vec<Delivery<M>> {
-        let mut drained = Vec::with_capacity(self.queue.len());
-        while let Some((at, bucket)) = self.queue.pop_bucket() {
-            drained.extend(bucket.into_iter().map(|s| Delivery {
-                at,
-                seq: s.seq,
-                to: s.to,
-                from: s.from,
-                msg: s.msg,
-            }));
+        for (shard, local) in self.shards.iter_mut().enumerate() {
+            self.fabric.collect_inbox(shard, &mut local.queue);
         }
-        drained
-    }
-}
-
-/// One `multiSend`, resolved before anything is sent.
-pub(crate) struct Multicast {
-    /// The node each item is delivered to (its route's end), in item order.
-    pub(crate) targets: Vec<Id>,
-    /// One route per distinct owner, paired with the number of items it
-    /// carries — the input of [`account_multicast`](crate::account_multicast).
-    pub(crate) routes: Vec<(LookupResult, u64)>,
-}
-
-/// Resolves one `multiSend` from `from` over `dht`: the ground-truth owner
-/// of every item's key (`owner_of`), then one route per *distinct* owner
-/// (`route`, walked for the owner's first item) — on a stable ring a route
-/// depends on the key only through its owner. The routes come out with
-/// their owners in clockwise order from `from`, the order
-/// [`account_multicast`](crate::account_multicast) sorts them into. Fails
-/// on the first failed resolution, before the caller has sent anything.
-pub(crate) fn resolve_multicast<D, M>(
-    dht: &mut D,
-    from: Id,
-    items: &[(Id, M)],
-    owner_of: impl Fn(&D, Id) -> Result<Id, DhtError>,
-    mut route: impl FnMut(&mut D, Id) -> Result<LookupResult, DhtError>,
-) -> Result<Multicast, DhtError> {
-    // (clockwise distance from just past `from` to the item's owner, item
-    // index): a key `from` owns sorts last, as its route goes round the ring.
-    let mut by_owner = Vec::with_capacity(items.len());
-    for (i, (key, _)) in items.iter().enumerate() {
-        by_owner.push((owner_of(dht, *key)?.0.wrapping_sub(from.0).wrapping_sub(1), i));
-    }
-    by_owner.sort_unstable();
-    let mut targets = vec![Id(0); items.len()];
-    let mut routes: Vec<(LookupResult, u64)> = Vec::new();
-    let mut last_owner = None;
-    for (owner, i) in by_owner {
-        if last_owner != Some(owner) {
-            last_owner = Some(owner);
-            routes.push((route(dht, items[i].0)?, 0));
+        let at = self.shards.iter().filter_map(|s| s.queue.next_time()).min()?;
+        let mut due: Vec<Delivery<M>> = Vec::new();
+        for local in &mut self.shards {
+            if local.queue.next_time() == Some(at) {
+                let bucket = local.queue.pop_bucket().expect("due at this tick").1;
+                if due.is_empty() {
+                    due = bucket.into();
+                } else {
+                    due.extend(bucket);
+                }
+            }
         }
-        let (route, count) = routes.last_mut().expect("pushed for this owner");
-        *count += 1;
-        targets[i] = route.owner;
+        self.advance_to(at);
+        Some((at, sorted_by(due, |d| d.lineage).collect()))
     }
-    Ok(Multicast { targets, routes })
 }
 
 impl<M> KeyRouter for Network<M> {
@@ -375,6 +367,7 @@ impl<M> Transport<M> for Network<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{root_lineage, BucketQueue};
 
     const CLASS_A: TrafficClass = 0;
     const CLASS_B: TrafficClass = 1;
@@ -483,7 +476,6 @@ mod tests {
         net.send_direct(ids[0], ids[1], "a", CLASS_A);
         net.send_direct(ids[0], ids[2], "b", CLASS_A);
 
-        assert_eq!(net.next_delivery_time(), Some(5));
         let (at, batch) = net.pop_tick().unwrap();
         assert_eq!(at, 5);
         assert_eq!(net.now(), 5);
@@ -491,7 +483,8 @@ mod tests {
         net.send_direct(ids[0], ids[3], "later", CLASS_A);
         let msgs: Vec<&str> = batch.iter().map(|d| d.msg).collect();
         assert_eq!(msgs, vec!["a", "b"]);
-        assert!(batch.windows(2).all(|w| w[0].seq < w[1].seq), "FIFO by seq");
+        let lineages: Vec<_> = batch.iter().map(|d| d.lineage).collect();
+        assert_eq!(lineages, vec![root_lineage(0), root_lineage(1)], "roots in send order");
 
         let (at, batch) = net.pop_tick().unwrap();
         assert_eq!(at, 105);
@@ -501,29 +494,22 @@ mod tests {
     }
 
     #[test]
-    fn pop_tick_and_drain_in_flight_agree_on_order() {
-        let build = |n: usize| {
-            let mut net = Network::new(NetworkConfig { delay: 3, successor_list_len: 4 });
-            let ids = net.bootstrap(n, "order-test");
-            for round in 0..4u64 {
-                net.advance_to(round * 2);
-                for i in 0..5 {
-                    net.send_direct(ids[i], ids[(i + 1) % n], (round, i), CLASS_A);
-                }
-            }
-            net
-        };
-        let mut by_drain = build(8);
-        let mut by_tick = build(8);
-        let drained: Vec<(SimTime, u64, (u64, usize))> =
-            by_drain.drain_in_flight().into_iter().map(|d| (d.at, d.seq, d.msg)).collect();
-        let mut batched = Vec::new();
-        while let Some((at, batch)) = by_tick.pop_tick() {
-            for d in batch {
-                batched.push((at, d.seq, d.msg));
-            }
+    fn pop_tick_takes_a_tick_from_every_shard() {
+        let mut net = Network::new(NetworkConfig { delay: 2, successor_list_len: 4 });
+        let ids = net.bootstrap(16, "pop-shards");
+        net.partition(4);
+        assert_eq!(net.shards(), 4);
+        for (i, id) in ids.iter().enumerate() {
+            net.send_direct(ids[0], *id, i, CLASS_A);
         }
-        assert_eq!(drained, batched);
+        assert_eq!(net.in_flight(), ids.len(), "cross-shard roots wait in inboxes");
+        let (at, batch) = net.pop_tick().unwrap();
+        assert_eq!(at, 2);
+        assert_eq!(
+            batch.iter().map(|d| d.msg).collect::<Vec<_>>(),
+            (0..ids.len()).collect::<Vec<_>>()
+        );
+        assert!(net.pop_tick().is_none());
     }
 
     #[test]
@@ -531,32 +517,18 @@ mod tests {
         // No current caller schedules behind the queue tail (δ is constant
         // and the clock is monotone), but the bucket queue must stay correct
         // if one ever does.
-        let mut q: BucketQueue<Scheduled<&str>> = BucketQueue::new();
-        q.push(10, Scheduled { seq: 0, to: Id(1), from: Id(2), msg: "late" });
-        q.push(5, Scheduled { seq: 1, to: Id(1), from: Id(2), msg: "early" });
-        q.push(5, Scheduled { seq: 2, to: Id(1), from: Id(2), msg: "early2" });
-        q.push(7, Scheduled { seq: 3, to: Id(1), from: Id(2), msg: "mid" });
+        let delivery =
+            |at, msg| Delivery { at, lineage: root_lineage(at), to: Id(1), from: Id(2), msg };
+        let mut q: BucketQueue<Delivery<&str>> = BucketQueue::new();
+        q.push(10, delivery(10, "late"));
+        q.push(5, delivery(5, "early"));
+        q.push(5, delivery(5, "early2"));
+        q.push(7, delivery(7, "mid"));
         assert_eq!(q.len(), 4);
         let order: Vec<(SimTime, &str)> =
-            std::iter::from_fn(|| q.pop_front().map(|(at, s)| (at, s.msg))).collect();
+            std::iter::from_fn(|| q.pop_front().map(|(at, d)| (at, d.msg))).collect();
         assert_eq!(order, vec![(5, "early"), (5, "early2"), (7, "mid"), (10, "late")]);
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn drain_in_flight_empties_the_queue_without_advancing_the_clock() {
-        let (mut net, ids) = network(10);
-        net.send_direct(ids[0], ids[1], "a", CLASS_A);
-        net.advance_to(40);
-        net.send_direct(ids[0], ids[2], "b", CLASS_A);
-        let drained = net.drain_in_flight();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].msg, "a");
-        assert_eq!(drained[0].at, 5);
-        assert_eq!(drained[1].at, 45);
-        assert!(drained[0].seq < drained[1].seq);
-        assert_eq!(net.in_flight(), 0);
-        assert_eq!(net.now(), 40, "draining must not move the clock");
     }
 
     #[test]

@@ -1,21 +1,17 @@
-//! The constant-δ bucket queue shared by both transports.
+//! The constant-δ bucket queue every shard of the network owns.
 //!
 //! Because every message is delivered a fixed δ after a monotone clock,
 //! arrival times are pushed in (almost always) non-decreasing order; one
 //! FIFO bucket per delivery tick gives O(1) push and pop where a binary
-//! heap would pay O(log n) comparisons per event. The queue is entry-type
-//! generic so the single-queue [`Network`](crate::Network) and the
-//! per-shard queues of [`ShardedNetwork`](crate::ShardedNetwork) share the
-//! exact same scheduling structure.
+//! heap would pay O(log n) comparisons per event.
 
 use crate::SimTime;
 use std::collections::VecDeque;
 
 /// A bucket queue of scheduled entries, one bucket per delivery tick.
 ///
-/// Entries within a bucket are kept in push order (FIFO); callers that need
-/// a different intra-tick order (the sharded transport orders by lineage)
-/// sort the drained bucket themselves. Out-of-order pushes (not produced by
+/// Entries within a bucket are kept in push order (FIFO); the network sorts
+/// a drained bucket into lineage order itself. Out-of-order pushes (not produced by
 /// any current caller) are still handled correctly via binary search.
 #[derive(Debug)]
 pub struct BucketQueue<E> {

@@ -1,15 +1,17 @@
-//! The sharded event-queue runtime: N per-shard queues advanced together,
-//! one global tick round at a time.
+//! Shards: lineages, the ring partition, and one shard's view of the
+//! [`Network`](crate::Network) while a driver runs its rounds.
 //!
-//! [`ShardedNetwork`] partitions the ring's nodes into `n` **shards** by
-//! contiguous ring-identifier range. Each shard owns its own constant-δ
-//! [`BucketQueue`], its own local virtual clock and its own traffic buffer.
-//! Intra-shard messages are scheduled straight into the shard's own queue;
-//! cross-shard messages go through the receiving shard's inbox.
+//! The network partitions the ring's nodes into **shards** by contiguous
+//! ring-identifier range ([`ShardMap`], fixed when the network is
+//! partitioned). Each shard owns, for the network's lifetime, its own
+//! constant-δ [`BucketQueue`], clock, traffic buffer and `(from, owner)`
+//! route memo. A [`ShardHandle`] is one shard's view during a round:
+//! intra-shard sends go straight into the shard's own queue, cross-shard
+//! sends into the receiving shard's inbox.
 //!
 //! # The round
 //!
-//! The driver advances all shards together. One round
+//! A driver advances all shards together. One round
 //!
 //! 1. drains every shard's inbox into its queue and takes the smallest
 //!    pending arrival tick `t` over all shards
@@ -17,64 +19,56 @@
 //!    quiescent;
 //! 2. pops every shard's bucket due at `t` ([`ShardHandle::try_take_tick`])
 //!    and runs its handlers;
-//! 3. runs every shard's effects, whose sends arrive at `clock + δ`.
+//! 3. runs every shard's effects, whose sends arrive at `t + δ`.
 //!
 //! Every link has the same delay δ ≥ 1, so no effect of round `t` can
-//! produce an arrival at or before `t`: the global minimum is exactly the
-//! tick the single queue would pop next. Every handler of tick `t` has run
-//! on every shard before any effect of tick `t`, and no shard has handled a
-//! later tick, so an effect may read another shard's node state (the
-//! engine's RIC rate lookups) without waiting and sees the same state
-//! whichever thread reads it. The phases of one round touch disjoint shard
-//! state, so a driver may spread each phase over as many threads as it
-//! likes, provided it separates the phases and the rounds.
+//! produce an arrival at or before `t`: rounds visit the ticks in order.
+//! Every handler of tick `t` has run on every shard before any effect of
+//! tick `t`, and no shard has handled a later tick, so an effect may read
+//! another shard's node state (the engine's RIC rate lookups) without
+//! waiting and sees the same state whichever thread reads it. The phases of
+//! one round touch disjoint shard state, so a driver may spread each phase
+//! over as many threads as it likes, provided it separates the phases and
+//! the rounds.
 //!
 //! # Determinism
 //!
-//! The global `(at, seq)` order of the single-queue [`Network`] cannot be
-//! reproduced without serializing the run, so the sharded runtime replaces
-//! the sequence counter with a **lineage**: a 128-bit identity derived by
-//! hash-chaining from the message's causal parent ([`root_lineage`] /
-//! [`child_lineage`]). Lineages are a pure function of the dataflow — they
-//! do not depend on the shard count or on thread interleaving — so sorting
-//! each tick's bucket by lineage gives every node a delivery order that is
-//! identical across shard counts and across repeated runs.
-//!
-//! [`Network`]: crate::Network
+//! Every delivery carries a **lineage**, a 128-bit causal identity, and
+//! each tick's deliveries are handled in ascending lineage order. A message
+//! sent while a round applies a delivery's effects gets a hash chained from
+//! that delivery's lineage ([`child_lineage`]); a message sent from outside
+//! any round — a driver's submissions and publications, a bare
+//! [`Network::send`](crate::Network::send) — is a root, numbered in send
+//! order by the network ([`root_lineage`]). Lineages are a pure function of
+//! the dataflow: they depend neither on the shard count nor on thread
+//! interleaving, so every node sees the same delivery order whatever the
+//! shard and thread counts.
 
+use crate::network::Delivery;
 use crate::queue::BucketQueue;
-use crate::{KeyRouter, SimTime, TrafficClass, Transport};
-use rjoin_dht::{ChordNetwork, DhtError, Id, LookupResult};
+use crate::{KeyRouter, SimTime, TrafficClass, TrafficStats, Transport};
+use rjoin_dht::{ChordNetwork, DhtError, Id, LookupResult, RouteMemo};
 use std::sync::Mutex;
 
-/// The causal identity of one in-flight message under the sharded runtime:
-/// a 128-bit hash chained from the message's parent. Within one tick,
+/// The causal identity of one in-flight message: within one tick,
 /// deliveries are processed in ascending lineage order.
 pub type Lineage = u128;
 
-/// Sorts one drained bucket into ascending lineage order.
+/// One tick's deliveries in ascending `key` order (keys are distinct).
 ///
 /// Message payloads are large (a pending query carries its whole rewritten
 /// AST), so rather than letting a comparison sort shuffle them `n log n`
-/// times, the 24-byte `(lineage, index)` pairs are sorted and the payloads
-/// gathered once.
-fn sort_by_lineage<M>(
-    bucket: std::collections::VecDeque<ShardDelivery<M>>,
-) -> Vec<ShardDelivery<M>> {
-    if bucket.len() <= 1 {
-        return bucket.into_iter().collect();
-    }
-    let mut slots: Vec<Option<ShardDelivery<M>>> = bucket.into_iter().map(Some).collect();
-    let mut order: Vec<(Lineage, u32)> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (d.as_ref().expect("freshly filled").lineage, i as u32))
-        .collect();
-    order.sort_unstable();
-    order
-        .into_iter()
-        .map(|(_, i)| slots[i as usize].take().expect("each index gathered once"))
-        .collect()
+/// times, the `(key, index)` pairs are sorted and each payload is moved
+/// out of its slot once, as the iterator reaches it.
+pub(crate) fn sorted_by<M, K: Ord>(
+    deliveries: Vec<Delivery<M>>,
+    key: impl Fn(&Delivery<M>) -> K,
+) -> impl ExactSizeIterator<Item = Delivery<M>> {
+    let mut order: Vec<(K, u32)> =
+        deliveries.iter().enumerate().map(|(i, d)| (key(d), i as u32)).collect();
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut slots: Vec<Option<Delivery<M>>> = deliveries.into_iter().map(Some).collect();
+    order.into_iter().map(move |(_, i)| slots[i as usize].take().expect("each slot taken once"))
 }
 
 #[inline]
@@ -85,14 +79,12 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Lineage of the `i`-th root message of a drain (the messages already in
-/// flight when the sharded run starts, numbered in their global `(at, seq)`
-/// order). Roots are numbered identically whatever the shard count, so root
-/// lineages are shard-count-invariant by construction.
+/// Lineage of the `i`-th root message: one sent from outside any round,
+/// numbered in send order by the network. The number is the high half, so
+/// roots of one tick are handled in send order; the low half is a hash of
+/// it, so the lineages chained from different roots differ in both halves.
 pub fn root_lineage(i: u64) -> Lineage {
-    let lo = mix64(i ^ 0xA076_1D64_78BD_642F);
-    let hi = mix64(i ^ 0xE703_7ED1_A0B4_28DB);
-    ((hi as u128) << 64) | (lo as u128)
+    ((i as u128) << 64) | (mix64(i ^ 0xA076_1D64_78BD_642F) as u128)
 }
 
 /// Lineage of the `k`-th message sent while processing the delivery with
@@ -117,21 +109,6 @@ pub fn lineage_seed(base: u64, lineage: Lineage, k: u64) -> u64 {
     let lo = lineage as u64;
     let hi = (lineage >> 64) as u64;
     mix64(base ^ mix64(lo ^ mix64(hi ^ mix64(k))))
-}
-
-/// A delivery scheduled under the sharded runtime.
-#[derive(Debug)]
-pub struct ShardDelivery<M> {
-    /// Arrival tick.
-    pub at: SimTime,
-    /// Causal identity; the intra-tick order key.
-    pub lineage: Lineage,
-    /// Receiving node.
-    pub to: Id,
-    /// Originating node.
-    pub from: Id,
-    /// The payload.
-    pub msg: M,
 }
 
 /// Assignment of ring nodes to shards by contiguous identifier range.
@@ -160,8 +137,10 @@ impl ShardMap {
         self.starts.len()
     }
 
-    /// The shard responsible for ring identifier `id`. Identifiers below the
-    /// first range start wrap to the last shard (ring order).
+    /// The shard responsible for ring identifier `id` — any identifier,
+    /// including those of nodes that join after the map was built.
+    /// Identifiers below the first range start wrap to the last shard (ring
+    /// order).
     pub fn shard_of(&self, id: Id) -> usize {
         let idx = self.starts.partition_point(|s| *s <= id);
         if idx == 0 {
@@ -172,124 +151,73 @@ impl ShardMap {
     }
 }
 
-/// The per-shard (driver-owned) half of one shard.
+/// What every shard reads and none owns: the ring, δ, the partition and the
+/// inboxes cross-shard sends land in.
 #[derive(Debug)]
-pub struct ShardLocal<M> {
-    shard: usize,
-    queue: BucketQueue<ShardDelivery<M>>,
-    /// Sequential-semantics clock: `max(floor, last processed tick)`. Sends
-    /// are scheduled `clock + δ`, exactly as under the single queue.
-    clock: SimTime,
-    traffic: crate::TrafficStats,
-    /// Ticks this shard processed.
-    pub ticks: u64,
-    /// Deliveries this shard processed.
-    pub deliveries: u64,
+pub(crate) struct Fabric<M> {
+    pub(crate) dht: ChordNetwork,
+    pub(crate) delay: SimTime,
+    pub(crate) map: ShardMap,
+    pub(crate) inboxes: Vec<Mutex<Vec<Delivery<M>>>>,
 }
 
-/// The sharded event-queue runtime for one drain.
-///
-/// Built from the shared Chord ring plus the global queue's in-flight
-/// messages; per-shard state is handed out via
-/// [`take_local`](Self::take_local) and driven in rounds through
-/// [`ShardHandle`]s.
-#[derive(Debug)]
-pub struct ShardedNetwork<'a, M> {
-    dht: &'a ChordNetwork,
-    delay: SimTime,
-    map: ShardMap,
-    inboxes: Vec<Mutex<Vec<ShardDelivery<M>>>>,
-    locals: Vec<Option<ShardLocal<M>>>,
-    roots: u64,
-}
-
-impl<'a, M> ShardedNetwork<'a, M> {
-    /// Creates the runtime: `shards` per-shard queues over the nodes of
-    /// `node_ids`, message delay `delay`, all clocks starting at `floor`
-    /// (the global clock when the drain begins).
-    pub fn new(
-        dht: &'a ChordNetwork,
-        delay: SimTime,
-        floor: SimTime,
-        node_ids: &[Id],
-        shards: usize,
-    ) -> Self {
-        let map = ShardMap::new(node_ids, shards);
-        let n = map.shards();
-        ShardedNetwork {
-            dht,
-            delay: delay.max(1),
-            map,
-            inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            locals: (0..n)
-                .map(|shard| {
-                    Some(ShardLocal {
-                        shard,
-                        queue: BucketQueue::new(),
-                        clock: floor,
-                        traffic: crate::TrafficStats::new(),
-                        ticks: 0,
-                        deliveries: 0,
-                    })
-                })
-                .collect(),
-            roots: 0,
+impl<M> Fabric<M> {
+    /// Moves shard `shard`'s inbox into `queue`.
+    pub(crate) fn collect_inbox(&self, shard: usize, queue: &mut BucketQueue<Delivery<M>>) {
+        let inbox = std::mem::take(&mut *self.inboxes[shard].lock().expect("inbox lock"));
+        for d in inbox {
+            queue.push(d.at, d);
         }
     }
+}
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.map.shards()
-    }
+/// The state one shard owns for the network's lifetime.
+#[derive(Debug)]
+pub(crate) struct ShardLocal<M> {
+    pub(crate) queue: BucketQueue<Delivery<M>>,
+    /// `max(the network clock when the round began, the last tick this
+    /// shard processed)`. Sends are scheduled `clock + δ`.
+    pub(crate) clock: SimTime,
+    /// Routes walked from this shard's nodes; dropped whenever the ring
+    /// changes.
+    pub(crate) routes: RouteMemo,
+}
 
-    /// The shard that owns node `id`.
-    pub fn shard_of(&self, id: Id) -> usize {
-        self.map.shard_of(id)
-    }
-
-    /// Seeds one already-in-flight message (called before the first round,
-    /// in the global `(at, seq)` pop order of the single queue so root
-    /// lineages are shard-count-invariant).
-    pub fn seed(&mut self, at: SimTime, to: Id, from: Id, msg: M) {
-        let lineage = root_lineage(self.roots);
-        self.roots += 1;
-        let shard = self.map.shard_of(to);
-        let local = self.locals[shard].as_mut().expect("seeding happens before take_local");
-        local.queue.push(at, ShardDelivery { at, lineage, to, from, msg });
-    }
-
-    /// Hands out shard `i`'s driver-owned state. Panics if taken twice.
-    pub fn take_local(&mut self, shard: usize) -> ShardLocal<M> {
-        self.locals[shard].take().expect("each shard's local state is taken exactly once")
+impl<M> ShardLocal<M> {
+    pub(crate) fn new(clock: SimTime) -> Self {
+        ShardLocal { queue: BucketQueue::new(), clock, routes: RouteMemo::default() }
     }
 }
 
-/// The driver's view of one shard: its owned [`ShardLocal`] plus the shared
-/// fabric. Implements [`Transport`] for the effect phase.
+/// One shard's view of the [`Network`](crate::Network): its own queue,
+/// clock and route memo, a traffic counter, and the shared fabric.
+/// Implements [`Transport`] for the sends of a round's effect phase — and,
+/// numbering every message as a root, for the network's own sends from
+/// outside any round.
 #[derive(Debug)]
-pub struct ShardHandle<'n, 'a, M> {
-    net: &'n ShardedNetwork<'a, M>,
-    local: ShardLocal<M>,
+pub struct ShardHandle<'n, M> {
+    fabric: &'n Fabric<M>,
+    shard: usize,
+    local: &'n mut ShardLocal<M>,
+    traffic: &'n mut TrafficStats,
+    /// `Some` outside a round: every message is a root, numbered by this
+    /// counter.
+    roots: Option<&'n mut u64>,
     /// Lineage of the delivery whose effects are being applied.
     parent: Lineage,
     /// Sends performed while applying the current delivery's effects.
     children: u64,
 }
 
-impl<'n, 'a, M> ShardHandle<'n, 'a, M> {
-    /// Wraps a taken [`ShardLocal`].
-    pub fn new(net: &'n ShardedNetwork<'a, M>, local: ShardLocal<M>) -> Self {
-        ShardHandle { net, local, parent: 0, children: 0 }
-    }
-
-    /// Returns the driver-owned state (after the drain, for merging).
-    pub fn into_local(self) -> ShardLocal<M> {
-        self.local
-    }
-
-    /// Read access to this shard's traffic buffer.
-    pub fn traffic(&self) -> &crate::TrafficStats {
-        &self.local.traffic
+impl<'n, M> ShardHandle<'n, M> {
+    pub(crate) fn new(
+        fabric: &'n Fabric<M>,
+        shard: usize,
+        local: &'n mut ShardLocal<M>,
+        traffic: &'n mut TrafficStats,
+        roots: Option<&'n mut u64>,
+    ) -> Self {
+        ShardHandle { fabric, shard, local, traffic, roots, parent: 0, children: 0 }
     }
 
     /// Sets the causal parent for subsequent sends: every message scheduled
@@ -305,10 +233,7 @@ impl<'n, 'a, M> ShardHandle<'n, 'a, M> {
     /// when the shard is empty. Call it only once every effect phase of the
     /// previous round has finished, so no cross-shard send is missed.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
-        let inbox = std::mem::take(&mut *self.net.inboxes[self.local.shard].lock().expect("inbox"));
-        for d in inbox {
-            self.local.queue.push(d.at, d);
-        }
+        self.fabric.collect_inbox(self.shard, &mut self.local.queue);
         self.local.queue.next_time()
     }
 
@@ -316,50 +241,64 @@ impl<'n, 'a, M> ShardHandle<'n, 'a, M> {
     /// exactly at `tick`, the round's global minimum. The inbox is not
     /// re-drained: [`next_event_time`](Self::next_event_time) already did
     /// this round, and no send happens before the effect phase. Returns the
-    /// floor-clamped clock and the lineage-sorted deliveries.
-    pub fn try_take_tick(&mut self, tick: SimTime) -> Option<(SimTime, Vec<ShardDelivery<M>>)> {
+    /// shard's clock and the deliveries node by node, each node's in
+    /// ascending lineage order. Which node comes first is immaterial: a
+    /// handler touches only its own node, and the effects of different
+    /// nodes commute.
+    pub fn try_take_tick(
+        &mut self,
+        tick: SimTime,
+    ) -> Option<(SimTime, impl ExactSizeIterator<Item = Delivery<M>>)> {
         if self.local.queue.next_time() != Some(tick) {
             return None;
         }
-        let (at, bucket) = self.local.queue.pop_bucket().expect("next_time returned Some");
-        debug_assert_eq!(at, tick);
-        let deliveries = sort_by_lineage(bucket);
+        let (_, bucket) = self.local.queue.pop_bucket().expect("next_time returned Some");
         self.local.clock = self.local.clock.max(tick);
-        self.local.ticks += 1;
-        self.local.deliveries += deliveries.len() as u64;
-        Some((self.local.clock, deliveries))
+        Some((self.local.clock, sorted_by(bucket.into(), |d| (d.to, d.lineage))))
+    }
+
+    /// Routes from `from` to the owner of `key` through this shard's memo.
+    fn route(&mut self, from: Id, key: Id) -> Result<LookupResult, DhtError> {
+        self.fabric.dht.lookup_memoized(from, key, &mut self.local.routes)
     }
 
     /// Schedules `msg` for delivery to node `to` one delay bound from now.
     fn schedule(&mut self, to: Id, from: Id, msg: M) {
-        let at = self.local.clock + self.net.delay;
-        let lineage = child_lineage(self.parent, self.children);
-        self.children += 1;
-        let delivery = ShardDelivery { at, lineage, to, from, msg };
-        let target = self.net.map.shard_of(to);
-        if target == self.local.shard {
-            self.local.traffic.record_shard_hop(false);
+        let at = self.local.clock + self.fabric.delay;
+        let lineage = match self.roots.as_deref_mut() {
+            Some(next) => {
+                *next += 1;
+                root_lineage(*next - 1)
+            }
+            None => {
+                self.children += 1;
+                child_lineage(self.parent, self.children - 1)
+            }
+        };
+        let delivery = Delivery { at, lineage, to, from, msg };
+        let target = self.fabric.map.shard_of(to);
+        self.traffic.record_shard_hop(target != self.shard);
+        if target == self.shard {
             self.local.queue.push(at, delivery);
         } else {
-            self.local.traffic.record_shard_hop(true);
-            self.net.inboxes[target].lock().expect("inbox lock").push(delivery);
+            self.fabric.inboxes[target].lock().expect("inbox lock").push(delivery);
         }
     }
 }
 
-impl<M> KeyRouter for ShardHandle<'_, '_, M> {
+impl<M> KeyRouter for ShardHandle<'_, M> {
     fn owner_of(&self, key_id: Id) -> Result<Id, DhtError> {
-        self.net.dht.successor_of(key_id)
+        self.fabric.dht.successor_of(key_id)
     }
 }
 
-impl<M> Transport<M> for ShardHandle<'_, '_, M> {
+impl<M> Transport<M> for ShardHandle<'_, M> {
     fn now(&self) -> SimTime {
         self.local.clock
     }
 
     fn delay(&self) -> SimTime {
-        self.net.delay
+        self.fabric.delay
     }
 
     fn send(
@@ -369,42 +308,41 @@ impl<M> Transport<M> for ShardHandle<'_, '_, M> {
         msg: M,
         class: TrafficClass,
     ) -> Result<LookupResult, DhtError> {
-        let result = self.net.dht.lookup_stable(from, key_id)?;
-        crate::traffic::account_route(&mut self.local.traffic, result.path(), class);
-        self.local.traffic.record_received(result.owner);
+        let result = self.route(from, key_id)?;
+        crate::traffic::account_route(self.traffic, result.path(), class);
+        self.traffic.record_received(result.owner);
         self.schedule(result.owner, from, msg);
         Ok(result)
     }
 
-    /// The same forwarding tree as
-    /// [`Network::multi_send`](crate::Network::multi_send), routed over the
-    /// shared ring without mutating it; deliveries get consecutive child
-    /// lineages in item order, exactly as independent sends would.
+    /// Delivers each `(key_id, msg)` pair to `Successor(key_id)` through
+    /// one forwarding tree rooted at `from` — the union of the items'
+    /// unicast routes, one message per edge
+    /// ([`account_multicast`](crate::account_multicast)), so items sharing
+    /// their first hops share those messages and items for one owner share
+    /// their whole route. Each item is still one delivery, scheduled in item
+    /// order exactly as independent [`send`](Self::send)s would be. Every
+    /// owner is resolved before anything is accounted or scheduled: a failed
+    /// lookup sends nothing.
     fn multi_send(
         &mut self,
         from: Id,
         items: Vec<(Id, M)>,
         class: TrafficClass,
     ) -> Result<(), DhtError> {
-        let mut dht = self.net.dht;
-        let crate::network::Multicast { targets, mut routes } = crate::network::resolve_multicast(
-            &mut dht,
-            from,
-            &items,
-            |dht, key| dht.successor_of(key),
-            |dht, key| dht.lookup_stable(from, key),
-        )?;
-        crate::traffic::account_multicast(&mut self.local.traffic, &mut routes, class);
+        let Multicast { targets, mut routes } =
+            Multicast::resolve(&self.fabric.dht, &mut self.local.routes, from, &items)?;
+        crate::traffic::account_multicast(self.traffic, &mut routes, class);
         for ((_, msg), to) in items.into_iter().zip(targets) {
-            self.local.traffic.record_received(to);
+            self.traffic.record_received(to);
             self.schedule(to, from, msg);
         }
         Ok(())
     }
 
     fn send_direct(&mut self, from: Id, to: Id, msg: M, class: TrafficClass) {
-        self.local.traffic.record_sent(from, class);
-        self.local.traffic.record_received(to);
+        self.traffic.record_sent(from, class);
+        self.traffic.record_received(to);
         self.schedule(to, from, msg);
     }
 
@@ -414,39 +352,74 @@ impl<M> Transport<M> for ShardHandle<'_, '_, M> {
         key_id: Id,
         class: TrafficClass,
     ) -> Result<LookupResult, DhtError> {
-        let result = self.net.dht.lookup_stable(from, key_id)?;
-        crate::traffic::account_route(&mut self.local.traffic, result.path(), class);
+        let result = self.route(from, key_id)?;
+        crate::traffic::account_route(self.traffic, result.path(), class);
         Ok(result)
     }
 
     fn charge_direct(&mut self, from: Id, class: TrafficClass) {
-        self.local.traffic.record_sent(from, class);
+        self.traffic.record_sent(from, class);
     }
 }
 
-impl<M> ShardLocal<M> {
-    /// The shard's traffic buffer (merged into the global stats after the
-    /// drain).
-    pub fn traffic(&self) -> &crate::TrafficStats {
-        &self.traffic
-    }
+/// One `multiSend`, resolved before anything is sent.
+struct Multicast {
+    /// The node each item is delivered to (its route's end), in item order.
+    targets: Vec<Id>,
+    /// One route per distinct owner, paired with the number of items it
+    /// carries — the input of [`account_multicast`](crate::account_multicast).
+    routes: Vec<(LookupResult, u64)>,
+}
 
-    /// The shard's clock: the floor, or the last tick it processed if
-    /// later. The largest over all shards is the global clock after the
-    /// drain.
-    pub fn clock(&self) -> SimTime {
-        self.clock
+impl Multicast {
+    /// Resolves one `multiSend` from `from` over `dht`: the ground-truth
+    /// owner of every item's key, then one route per *distinct* owner
+    /// (through `memo`, walked for the owner's first item) — on a stable
+    /// ring a route depends on the key only through its owner. The routes
+    /// come out with their owners in clockwise order from `from`, the order
+    /// [`account_multicast`](crate::account_multicast) sorts them into.
+    /// Fails on the first failed resolution, before the caller has sent
+    /// anything.
+    fn resolve<M>(
+        dht: &ChordNetwork,
+        memo: &mut RouteMemo,
+        from: Id,
+        items: &[(Id, M)],
+    ) -> Result<Multicast, DhtError> {
+        // (clockwise distance from just past `from` to the item's owner,
+        // item index): a key `from` owns sorts last, as its route goes
+        // round the ring.
+        let mut by_owner = Vec::with_capacity(items.len());
+        for (i, (key, _)) in items.iter().enumerate() {
+            by_owner.push((dht.successor_of(*key)?.0.wrapping_sub(from.0).wrapping_sub(1), i));
+        }
+        by_owner.sort_unstable();
+        let mut targets = vec![Id(0); items.len()];
+        let mut routes: Vec<(LookupResult, u64)> = Vec::new();
+        let mut last_owner = None;
+        for (owner, i) in by_owner {
+            if last_owner != Some(owner) {
+                last_owner = Some(owner);
+                routes.push((dht.lookup_memoized(from, items[i].0, memo)?, 0));
+            }
+            let (route, count) = routes.last_mut().expect("pushed for this owner");
+            *count += 1;
+            targets[i] = route.owner;
+        }
+        Ok(Multicast { targets, routes })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Network, NetworkConfig};
 
     #[test]
     fn lineages_are_stable_and_distinct() {
         assert_eq!(root_lineage(7), root_lineage(7));
         assert_ne!(root_lineage(7), root_lineage(8));
+        assert!(root_lineage(7) < root_lineage(8), "roots ascend in send order");
         let p = root_lineage(3);
         assert_eq!(child_lineage(p, 0), child_lineage(p, 0));
         assert_ne!(child_lineage(p, 0), child_lineage(p, 1));
@@ -479,70 +452,68 @@ mod tests {
 
     #[test]
     fn single_shard_drain_delivers_in_lineage_order() {
-        let mut dht = ChordNetwork::new(4);
-        let a = Id::hash_key("shard-test-a");
-        let b = Id::hash_key("shard-test-b");
-        dht.join(a).unwrap();
-        dht.join(b).unwrap();
-        dht.full_stabilize();
-
-        let mut net: ShardedNetwork<'_, &str> = ShardedNetwork::new(&dht, 1, 0, &[a, b], 1);
-        net.seed(1, a, b, "r1");
-        net.seed(1, b, a, "r0");
-        let local = net.take_local(0);
-        let mut handle = ShardHandle::new(&net, local);
+        let mut net: Network<&str> = Network::new(NetworkConfig::default());
+        let ids = net.bootstrap(2, "shard-test");
+        let (a, b) = (ids[0], ids[1]);
+        net.send_direct(b, a, "r0", 0);
+        net.send_direct(a, b, "r1", 0);
+        let mut handles = net.handles();
+        let handle = &mut handles[0];
 
         assert_eq!(handle.next_event_time(), Some(1));
         assert!(handle.try_take_tick(0).is_none(), "nothing is due before the earliest tick");
-        let (now, deliveries) = handle.try_take_tick(1).expect("the seeded tick");
+        let (now, deliveries) = handle.try_take_tick(1).expect("the roots' tick");
+        let deliveries: Vec<_> = deliveries.collect();
         assert_eq!(now, 1);
-        assert_eq!(deliveries.len(), 2);
-        assert!(deliveries[0].lineage < deliveries[1].lineage);
+        let order: Vec<_> = deliveries.iter().map(|d| (d.lineage, d.msg)).collect();
+        assert_eq!(order, vec![(root_lineage(0), "r0"), (root_lineage(1), "r1")]);
         // Send a child during the effect phase: it lands one δ later.
         handle.begin_effect(deliveries[0].lineage);
         handle.send_direct(a, b, "child", 0);
 
         assert_eq!(handle.next_event_time(), Some(2));
         let (now, deliveries) = handle.try_take_tick(2).expect("the child tick");
+        let deliveries: Vec<_> = deliveries.collect();
         assert_eq!(now, 2);
         assert_eq!(deliveries.len(), 1);
         assert_eq!(deliveries[0].msg, "child");
-        assert_eq!(deliveries[0].lineage, child_lineage(root_lineage(0).min(root_lineage(1)), 0));
+        assert_eq!(deliveries[0].lineage, child_lineage(root_lineage(0), 0));
         assert_eq!(handle.next_event_time(), None, "quiescent");
-        let local = handle.into_local();
-        assert_eq!((local.clock(), local.ticks, local.deliveries), (2, 2, 3));
+        drop(handles);
+        net.settle();
+        assert_eq!(net.now(), 2);
+        assert_eq!(net.traffic().total_sent(), 3, "the round's traffic is folded in");
     }
 
     #[test]
     fn cross_shard_sends_wait_in_the_inbox_until_the_next_round() {
-        let mut dht = ChordNetwork::new(4);
-        let ids: Vec<Id> = (0..4).map(|i| Id::hash_key(&format!("shard-test-{i}"))).collect();
-        for id in &ids {
-            dht.join(*id).unwrap();
-        }
-        dht.full_stabilize();
-        let mut sorted = ids.clone();
-        sorted.sort_unstable();
-        let (near, far) = (sorted[0], sorted[3]);
-
-        let mut net: ShardedNetwork<'_, &str> = ShardedNetwork::new(&dht, 3, 10, &ids, 2);
+        let mut net: Network<&str> =
+            Network::new(NetworkConfig { delay: 3, successor_list_len: 4 });
+        let mut ids = net.bootstrap(4, "shard-test");
+        net.partition(2);
+        ids.sort_unstable();
+        let (near, far) = (ids[0], ids[3]);
         assert_ne!(net.shard_of(near), net.shard_of(far));
-        net.seed(11, near, far, "root");
-        let (from, to) = (net.take_local(net.shard_of(near)), net.take_local(net.shard_of(far)));
-        let mut sender = ShardHandle::new(&net, from);
-        let mut receiver = ShardHandle::new(&net, to);
+        net.advance_to(8);
+        net.send_direct(far, near, "root", 0);
+        let (from, to) = (net.shard_of(near), net.shard_of(far));
+        let mut handles = net.handles();
 
-        assert_eq!(sender.next_event_time(), Some(11));
-        assert_eq!(receiver.next_event_time(), None);
-        let (now, root) = sender.try_take_tick(11).expect("the seeded tick");
-        sender.begin_effect(root[0].lineage);
-        sender.send_direct(near, far, "hop", 0);
-        assert_eq!(sender.traffic().cross_shard_sent(), 1);
-        assert!(receiver.try_take_tick(now + 3).is_none(), "the send is still in the inbox");
+        assert_eq!(handles[from].next_event_time(), Some(11));
+        assert_eq!(handles[to].next_event_time(), None);
+        let (now, mut root) = handles[from].try_take_tick(11).expect("the root's tick");
+        let root = root.next().expect("one root");
+        handles[from].begin_effect(root.lineage);
+        handles[from].send_direct(near, far, "hop", 0);
+        assert!(handles[to].try_take_tick(now + 3).is_none(), "the send is still in the inbox");
 
-        assert_eq!(sender.next_event_time(), None);
-        assert_eq!(receiver.next_event_time(), Some(now + 3));
-        let (_, hop) = receiver.try_take_tick(now + 3).expect("the hop arrives one δ later");
-        assert_eq!((hop[0].to, hop[0].msg), (far, "hop"));
+        assert_eq!(handles[from].next_event_time(), None);
+        assert_eq!(handles[to].next_event_time(), Some(now + 3));
+        let (_, mut hop) = handles[to].try_take_tick(now + 3).expect("the hop arrives one δ later");
+        let hop = hop.next().expect("one hop");
+        assert_eq!((hop.to, hop.msg), (far, "hop"));
+        drop(handles);
+        net.settle();
+        assert_eq!(net.traffic().cross_shard_sent(), 2, "the root crossed too");
     }
 }

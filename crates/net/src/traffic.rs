@@ -44,10 +44,8 @@ impl ClassCounts {
 /// it); a purely local delivery still counts as one message created.
 ///
 /// This and [`account_multicast`] are the two definitions of the paper's
-/// per-hop cost model — unicast and `multiSend` — shared by the
-/// single-queue [`Network`](crate::Network) and the per-shard senders of
-/// [`ShardedNetwork`](crate::ShardedNetwork) so the two transports are
-/// accounting-identical by construction.
+/// per-hop cost model — unicast and `multiSend` — for every sender of the
+/// simulated [`Network`](crate::Network).
 pub fn account_route(traffic: &mut TrafficStats, path: &[Id], class: TrafficClass) {
     if path.len() >= 2 {
         for sender in &path[..path.len() - 1] {
@@ -116,10 +114,10 @@ pub fn account_multicast(
 /// uniform), so the maps use the cheap [`RingBuildHasher`] instead of
 /// SipHash.
 ///
-/// Under the sharded runtime the stats additionally record, per scheduled
-/// delivery, whether the message stayed inside its source shard or crossed
-/// a shard boundary — the shard-locality signal the sharded drain is tuned
-/// by. The single-queue transport leaves both counters at zero.
+/// The stats additionally record, per scheduled delivery, whether the
+/// message stayed inside its sender's shard or crossed a shard boundary —
+/// the shard-locality signal a multi-shard drain is tuned by (at one shard
+/// nothing crosses).
 #[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     sent: HashMap<Id, ClassCounts, RingBuildHasher>,
@@ -188,8 +186,8 @@ impl TrafficStats {
         self.sent.values().filter(|m| m.total() > 0).count()
     }
 
-    /// Records one delivery scheduled by the sharded runtime, tagged by
-    /// whether it crossed a shard boundary.
+    /// Records one scheduled delivery, tagged by whether it crossed a shard
+    /// boundary.
     pub fn record_shard_hop(&mut self, cross_shard: bool) {
         if cross_shard {
             self.cross_shard += 1;
@@ -198,13 +196,12 @@ impl TrafficStats {
         }
     }
 
-    /// Deliveries that stayed within their source shard (sharded runtime
-    /// only; zero under the single-queue transport).
+    /// Deliveries that stayed within their sender's shard.
     pub fn intra_shard_sent(&self) -> u64 {
         self.intra_shard
     }
 
-    /// Deliveries that crossed a shard boundary (sharded runtime only).
+    /// Deliveries that crossed a shard boundary.
     pub fn cross_shard_sent(&self) -> u64 {
         self.cross_shard
     }
@@ -213,6 +210,18 @@ impl TrafficStats {
     pub fn reset(&mut self) {
         self.sent.clear();
         self.received.clear();
+        self.intra_shard = 0;
+        self.cross_shard = 0;
+    }
+
+    /// Adds every counter into `total` and zeroes this set, keeping its
+    /// per-node entries allocated: for a buffer folded over and over.
+    pub fn drain_into(&mut self, total: &mut TrafficStats) {
+        total.merge(self);
+        for classes in self.sent.values_mut() {
+            classes.0.fill(0);
+        }
+        self.received.values_mut().for_each(|count| *count = 0);
         self.intra_shard = 0;
         self.cross_shard = 0;
     }
@@ -291,6 +300,23 @@ mod tests {
         assert_eq!(a.sent_by(Id(1)), 2);
         assert_eq!(a.sent_by(Id(2)), 1);
         assert_eq!(a.received_by(Id(1)), 1);
+    }
+
+    #[test]
+    fn drain_into_moves_every_count_and_keeps_nothing() {
+        let mut buffer = TrafficStats::new();
+        buffer.record_sent(Id(1), B);
+        buffer.record_received(Id(2));
+        buffer.record_shard_hop(true);
+        let mut total = TrafficStats::new();
+        total.record_sent(Id(1), B);
+        buffer.drain_into(&mut total);
+        assert_eq!((total.sent_by_class(Id(1), B), total.received_by(Id(2))), (2, 1));
+        assert_eq!(total.cross_shard_sent(), 1);
+        assert_eq!((buffer.total_sent(), buffer.received_by(Id(2))), (0, 0));
+        assert_eq!((buffer.active_nodes(), buffer.cross_shard_sent()), (0, 0));
+        buffer.drain_into(&mut total);
+        assert_eq!(total.total_sent(), 2, "a drained buffer adds nothing");
     }
 
     #[test]

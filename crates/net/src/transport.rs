@@ -19,11 +19,10 @@
 //!
 //! | impl | clock | ordering | routing |
 //! |------|-------|----------|---------|
-//! | [`Network`](crate::Network) | virtual ticks, one global monotone clock | total `(at, seq)` order: every delivery of a run is totally ordered and replayed identically | Chord lookups over per-node routing state (`O(log N)` hops, each hop accounted); `multiSend` as one forwarding tree |
-//! | [`ShardedNetwork`](crate::ShardedNetwork) handles | virtual ticks, one clock per shard, advanced in global tick rounds | total `(at, lineage)` order, identical across shard counts | same Chord lookups (stable ground-truth membership); the same `multiSend` tree |
+//! | [`Network`](crate::Network) and its [`ShardHandle`](crate::ShardHandle)s | virtual ticks, one clock per shard, advanced in global tick rounds | total `(at, lineage)` order: every delivery of a run is totally ordered and replayed identically, whatever the shard and thread counts | Chord lookups over per-node routing state (`O(log N)` hops, each hop accounted); `multiSend` as one forwarding tree |
 //! | `rjoin_transport::TcpTransport` (separate crate) | real wall clock, coarse ticks, monotone via high-water marking | per-peer FIFO only (TCP streams); *no* global order — cross-node interleaving is nondeterministic | one hop to the owner from a full-membership view (no overlay hops); `multiSend` is one frame per item (the trait default) |
 //!
-//! The simulated runtimes deliver every message exactly once and in a
+//! The simulated runtime delivers every message exactly once and in a
 //! deterministic global order, which is what makes them usable as
 //! correctness oracles. A real transport only guarantees per-connection
 //! FIFO and at-most-once delivery (a crashed peer loses messages), so
@@ -52,7 +51,7 @@ pub trait KeyRouter {
 /// message is one message, and every delivery is scheduled the delay bound
 /// δ after the sender's current clock. A `multiSend` costs one message per
 /// hop of the transport's wire: one forwarding tree over the overlay in the
-/// simulated runtimes, one frame per item on a transport without one.
+/// simulated runtime, one frame per item on a transport without one.
 pub trait Transport<M>: KeyRouter {
     /// The sender-side clock: the time deliveries are scheduled relative
     /// to. Virtual ticks under simulation, a coarse-ticked wall clock on a
@@ -76,7 +75,7 @@ pub trait Transport<M>: KeyRouter {
     /// `multiSend(M, I)`: delivers each `(key_id, msg)` pair to
     /// `Successor(key_id)`.
     ///
-    /// The simulated runtimes override it with one forwarding tree
+    /// The simulated runtime overrides it with one forwarding tree
     /// ([`account_multicast`](crate::account_multicast)): items whose routes
     /// share hops share those messages, and every owner is resolved before
     /// anything is sent. This default — one independent

@@ -3,10 +3,7 @@
 
 use proptest::prelude::*;
 use rjoin_dht::{ChordNetwork, Id};
-use rjoin_net::{
-    root_lineage, Network, NetworkConfig, ShardHandle, ShardedNetwork, TrafficClass, TrafficStats,
-    Transport,
-};
+use rjoin_net::{root_lineage, Network, NetworkConfig, TrafficClass, TrafficStats, Transport};
 use std::collections::BTreeMap;
 
 const CLASS: TrafficClass = 0;
@@ -89,15 +86,15 @@ proptest! {
         prop_assert_eq!(net.in_flight(), keys.len());
 
         let mut last_time = 0;
-        let mut last_seq = None;
+        let mut last_lineage = None;
         let mut delivered = 0usize;
         while let Some((at, batch)) = net.pop_tick() {
             prop_assert!(at > last_time || delivered == 0);
             last_time = at;
             for delivery in batch {
                 prop_assert_eq!(delivery.at, at);
-                prop_assert!(last_seq < Some(delivery.seq), "FIFO within and across ticks");
-                last_seq = Some(delivery.seq);
+                prop_assert!(last_lineage < Some(delivery.lineage), "FIFO within and across ticks");
+                last_lineage = Some(delivery.lineage);
                 prop_assert_eq!(delivery.to, expected_owners[delivery.msg]);
                 prop_assert_eq!(delivery.from, from);
                 delivered += 1;
@@ -124,8 +121,8 @@ proptest! {
         prop_assert!(net.pop_tick().is_none());
     }
 
-    /// `multiSend` on the single-queue network: every item is delivered
-    /// once, to its owner, at the same `(at, seq)` as independent sends;
+    /// `multiSend` from outside a round: every item is delivered once, to
+    /// its owner, at the same `(at, lineage)` as independent sends;
     /// each node pays what the hop-by-hop reference forwarder pays; the
     /// tree never costs more than the unicast routes; and one key costs
     /// exactly one `send`.
@@ -160,7 +157,7 @@ proptest! {
         let deliveries = |net: &mut Network<usize>| {
             std::iter::from_fn(|| net.pop_tick())
                 .flat_map(|(_, batch)| batch)
-                .map(|d| (d.at, d.seq, d.to, d.from, d.msg))
+                .map(|d| (d.at, d.lineage, d.to, d.from, d.msg))
                 .collect::<Vec<_>>()
         };
         let delivered = deliveries(&mut multi);
@@ -180,8 +177,8 @@ proptest! {
         prop_assert_eq!(charges(single.traffic(), &ids), charges(single_send.traffic(), &ids));
     }
 
-    /// The same properties on a shard's handle, whose deliveries are
-    /// ordered by lineage instead of sequence number.
+    /// The same properties inside a round, on a shard's handle, whose sends
+    /// are chained from the delivery whose effects it applies.
     #[test]
     fn shard_multi_send_is_one_forwarding_tree(
         nodes in 2usize..64,
@@ -196,21 +193,24 @@ proptest! {
         let keys = multicast_keys(&keys, &duplicates, owned, from);
         let expected = reference_tree(net.dht(), from, &keys);
 
-        // One fabric per run, each a single shard: a handle's first send
+        // One network per run, each a single shard: a handle's first send
         // after `begin_effect` gets the same lineage in every run.
-        let run = |send: &dyn Fn(&mut ShardHandle<'_, '_, usize>)| {
-            let mut fabric = ShardedNetwork::new(net.dht(), delay, 0, &ids, 1);
-            let local = fabric.take_local(0);
-            let mut handle = ShardHandle::new(&fabric, local);
+        type Sender<'a> = dyn Fn(&mut rjoin_net::ShardHandle<'_, usize>) + 'a;
+        let run = |send: &Sender<'_>| {
+            let mut fabric: Network<usize> =
+                Network::new(NetworkConfig { delay, successor_list_len: 4 });
+            fabric.bootstrap(nodes, "prop-shard-multi");
+            let mut handles = fabric.handles();
+            let handle = &mut handles[0];
             handle.begin_effect(root_lineage(7));
-            send(&mut handle);
+            send(handle);
             let tick = handle.next_event_time().expect("items in flight");
             let (_, batch) = handle.try_take_tick(tick).expect("all due at one tick");
             prop_assert!(handle.next_event_time().is_none());
-            let delivered: Vec<_> =
-                batch.into_iter().map(|d| (d.at, d.lineage, d.to, d.from, d.msg)).collect();
-            let traffic = handle.traffic().clone();
-            Ok((delivered, traffic))
+            let delivered: Vec<_> = batch.map(|d| (d.at, d.lineage, d.to, d.from, d.msg)).collect();
+            drop(handles);
+            fabric.settle();
+            Ok((delivered, fabric.traffic().clone()))
         };
         let (delivered, traffic) = run(&|h| {
             h.multi_send(from, keys.iter().copied().zip(0..).collect(), CLASS).unwrap()

@@ -87,115 +87,135 @@ fn same_seed_produces_identical_engine_results() {
     assert_eq!(rows_a, rows_b, "delivered rows must match across runs");
 }
 
-/// One engine run with a caller-chosen driver: `shards == 0` uses the
-/// sequential driver, any other count drains through
-/// `run_until_quiescent_parallel` with that shard count. Returns every
-/// observable the suite compares: answer count, loads, traffic, the sorted
-/// per-node load/traffic vectors and the sorted delivered-row multiset.
-fn run_observables(
+/// Every observable the suite compares, from one engine run: the answer
+/// log in delivery order, QPL and SL (total and per node), traffic per node
+/// and per class, and the sorted delivered-row multiset.
+#[derive(Debug, PartialEq)]
+struct Observables {
+    answers: String,
+    qpl_total: u64,
+    sl_total: u64,
+    qpl_per_node: Vec<u64>,
+    sl_per_node: Vec<u64>,
+    /// `traffic[class][node]`, nodes in join order.
+    traffic: Vec<Vec<u64>>,
+    rows: String,
+}
+
+/// One engine run at `shards` shards: queries installed and drained, then
+/// every tuple published and drained, both drains through
+/// `run_until_quiescent_parallel` on the configured worker count.
+fn run_observables(scenario: &Scenario, config: EngineConfig, shards: usize) -> Observables {
+    run_observables_with(scenario, config, shards, RJoinEngine::run_until_quiescent_parallel)
+}
+
+/// [`run_observables`] with a caller-chosen drain.
+fn run_observables_with(
     scenario: &Scenario,
     config: EngineConfig,
     shards: usize,
-) -> (u64, u64, u64, Vec<u64>, Vec<u64>, String) {
+    drain: fn(&mut RJoinEngine) -> Result<u64, rjoin::core::EngineError>,
+) -> Observables {
     let catalog = scenario.workload_schema().build_catalog();
-    let config = if shards == 0 { config } else { config.with_shards(shards) };
-    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
+    let mut engine = RJoinEngine::simulated(config.with_shards(shards), catalog, scenario.nodes);
     let nodes = engine.node_ids().to_vec();
-    let drain = |engine: &mut RJoinEngine| {
-        if shards == 0 {
-            engine.run_until_quiescent().unwrap();
-        } else {
-            engine.run_until_quiescent_parallel().unwrap();
-        }
-    };
     let mut qids = Vec::new();
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         qids.push(engine.submit_query(nodes[i % nodes.len()], q).unwrap());
     }
-    drain(&mut engine);
+    drain(&mut engine).unwrap();
     for (i, t) in scenario.generate_tuples(engine.now() + 1).into_iter().enumerate() {
         engine.publish_tuple(nodes[i % nodes.len()], t).unwrap();
     }
-    drain(&mut engine);
+    drain(&mut engine).unwrap();
 
-    let stats = engine.stats();
-    let mut qpl_per_node: Vec<u64> = nodes.iter().map(|id| engine.qpl_per_node().get(id)).collect();
-    qpl_per_node.sort_unstable();
-    let mut traffic_per_node: Vec<u64> =
-        nodes.iter().map(|id| engine.traffic().sent_by(*id)).collect();
-    traffic_per_node.sort_unstable();
-    let mut all_rows: Vec<Vec<Value>> =
+    use rjoin::core::traffic_class::{ANSWER, EVAL, QUERY_INDEX, RIC, TUPLE};
+    let traffic = [TUPLE, QUERY_INDEX, EVAL, ANSWER, RIC]
+        .iter()
+        .map(|class| nodes.iter().map(|id| engine.traffic().sent_by_class(*id, *class)).collect())
+        .collect();
+    let mut rows: Vec<Vec<Value>> =
         qids.iter().flat_map(|qid| engine.answers().rows_for(*qid)).collect();
-    all_rows.sort();
-    (
-        stats.answers,
-        stats.qpl_total,
-        stats.traffic_total,
-        qpl_per_node,
-        traffic_per_node,
-        serde_json::to_string(&all_rows).unwrap(),
-    )
-}
-
-/// The sharded event-queue runtime is **byte-identical across shard counts
-/// {1, 2, 4, 8}** — answers, QPL (total and per node), traffic (total and
-/// per node) and the delivered-row multiset all match exactly, with shard
-/// count 1 being the plain sequential driver.
-///
-/// The config pins down the two legitimate sources of divergence so the
-/// identity is exact: `FirstInClause` placement consumes no randomness
-/// (the sharded driver derives placement RNG per decision instead of from
-/// the sequential global stream), and the ALTT makes same-tick
-/// query/attribute-tuple arrivals order-symmetric (without it, an
-/// attribute-level tuple is discarded by its handler, so whether a query
-/// arriving in the *same tick* sees it depends on intra-tick order — the
-/// exact completeness hole under delays that Section 4 introduces the ALTT
-/// to close).
-#[test]
-fn sharded_driver_is_byte_identical_across_shard_counts() {
-    let scenario = test_scenario();
-    let config = || EngineConfig::with_placement(PlacementStrategy::FirstInClause).with_altt(100);
-    let reference = run_observables(&scenario, config(), 0);
-    assert!(reference.0 > 0, "the determinism scenario should produce answers");
-    for shards in [1usize, 2, 4, 8] {
-        let sharded = run_observables(&scenario, config(), shards);
-        assert_eq!(
-            reference, sharded,
-            "shard count {shards} must be byte-identical to the sequential driver"
-        );
+    rows.sort();
+    Observables {
+        answers: format!("{:?}", engine.answers().records()),
+        qpl_total: engine.total_qpl(),
+        sl_total: engine.total_sl(),
+        qpl_per_node: nodes.iter().map(|id| engine.qpl_per_node().get(id)).collect(),
+        sl_per_node: nodes.iter().map(|id| engine.sl_per_node().get(id)).collect(),
+        traffic,
+        rows: serde_json::to_string(&rows).unwrap(),
     }
 }
 
-/// Under the default configuration (RIC-aware placement), sharded runs are
-/// deterministic and **identical for every shard count > 1**, and their
-/// answer multiset matches the sequential driver's (the RNG-stream and
-/// RIC-pruning differences shift placement choices, i.e. traffic, but never
-/// answers).
+/// The sharded runtime is **byte-identical across shard counts**: under
+/// every placement strategy, with and without the ALTT, shards {1, 2, 4, 8}
+/// × workers {1, 2, 4} produce byte-identical observables. Placement
+/// randomness is drawn per decision from the triggering message's lineage,
+/// RIC reads are pure, and each node handles a tick's deliveries in lineage
+/// order, so nothing the engine reports depends on how the ring is cut or
+/// how many threads run the rounds.
+#[test]
+fn sharded_driver_is_byte_identical_across_shard_counts() {
+    let scenario = test_scenario();
+    let strategies = [
+        PlacementStrategy::RicAware,
+        PlacementStrategy::Random,
+        PlacementStrategy::Worst,
+        PlacementStrategy::FirstInClause,
+    ];
+    for strategy in strategies {
+        for altt in [None, Some(100)] {
+            let config = || {
+                let config = EngineConfig::with_placement(strategy);
+                altt.map_or(config.clone(), |retention| config.with_altt(retention))
+            };
+            let reference = run_observables(&scenario, config().with_workers(1), 1);
+            assert!(!reference.rows.is_empty(), "the determinism scenario should answer");
+            for shards in [1usize, 2, 4, 8] {
+                for workers in [1usize, 2, 4] {
+                    assert_eq!(
+                        reference,
+                        run_observables(&scenario, config().with_workers(workers), shards),
+                        "{strategy:?}, ALTT {altt:?}: {shards} shards on {workers} workers \
+                         must reproduce the one-shard trace"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Under the default configuration (RIC-aware placement, no ALTT), sharded
+/// runs are repeatable and byte-identical to the one-shard run for every
+/// shard count.
 #[test]
 fn sharded_default_config_agrees_across_shard_counts() {
     let scenario = test_scenario();
-    let reference = run_observables(&scenario, EngineConfig::default(), 2);
-    assert!(reference.0 > 0, "the determinism scenario should produce answers");
+    let reference = run_observables(&scenario, EngineConfig::default(), 1);
+    assert!(!reference.rows.is_empty(), "the determinism scenario should answer");
     for shards in [2usize, 4, 8] {
         let run_a = run_observables(&scenario, EngineConfig::default(), shards);
         let run_b = run_observables(&scenario, EngineConfig::default(), shards);
         assert_eq!(run_a, run_b, "repeated sharded runs at {shards} shards must be identical");
-        assert_eq!(run_a, reference, "shard counts 2 and {shards} must agree exactly");
+        assert_eq!(run_a, reference, "{shards} shards must reproduce the one-shard trace");
     }
-    let sequential = run_observables(&scenario, EngineConfig::default(), 0);
-    assert_eq!(
-        sequential.5, reference.5,
-        "sharded and sequential drivers must deliver the same answer multiset"
-    );
 }
 
-/// `with_shards(1)` routes through the single-queue driver and stays
-/// byte-identical to the plain sequential drain under the default config.
+/// `with_shards(1)` drained by `run_until_quiescent_parallel` is the plain
+/// sequential drain: byte-identical to `run_until_quiescent` on the calling
+/// thread under the default config.
 #[test]
 fn with_shards_one_is_the_sequential_driver() {
     let scenario = test_scenario();
-    let sequential = run_observables(&scenario, EngineConfig::default(), 0);
+    let sequential = run_observables_with(
+        &scenario,
+        EngineConfig::default(),
+        1,
+        RJoinEngine::run_until_quiescent,
+    );
     let one_shard = run_observables(&scenario, EngineConfig::default(), 1);
+    assert!(!sequential.rows.is_empty(), "the determinism scenario should answer");
     assert_eq!(sequential, one_shard);
 }
 
@@ -212,7 +232,7 @@ fn worker_count_never_changes_sharded_results() {
             run_observables(&scenario, EngineConfig::default().with_workers(workers), shards)
         };
         let reference = run(1);
-        assert!(reference.0 > 0, "the determinism scenario should produce answers");
+        assert!(reference.qpl_total > 0, "the determinism scenario should do work");
         for workers in [2usize, 3, 4, 16] {
             assert_eq!(
                 reference,
