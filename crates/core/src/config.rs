@@ -38,20 +38,11 @@ pub struct EngineConfig {
     /// Placement strategy for input and rewritten queries.
     pub placement: PlacementStrategy,
     /// Whether RIC information is piggy-backed on rewritten queries and
-    /// cached in each node's candidate table (Section 7). When disabled,
+    /// cached in each node's candidate table for
+    /// [`RIC_VALIDITY`](crate::RIC_VALIDITY) ticks (Section 7). When disabled,
     /// every (re-)indexing decision under [`PlacementStrategy::RicAware`]
     /// pays the full RIC-request cost again.
     pub reuse_ric: bool,
-    /// Length of the observation window (in ticks) used to estimate the
-    /// rate of incoming tuples: the estimate for a key is the number of
-    /// tuples that arrived under that key during the last `ric_window`
-    /// ticks ("we observe what has happened during the last time window and
-    /// assume a similar behaviour for the future", Section 6).
-    pub ric_window: SimTime,
-    /// Validity horizon of cached RIC information in the candidate table:
-    /// entries older than this are refreshed (one extra direct hop), as
-    /// described at the end of Section 7. `None` disables expiry.
-    pub ct_validity: Option<SimTime>,
     /// Retention time Δ of the attribute-level tuple table (ALTT,
     /// Section 4): a retained tuple stays matchable until Δ ticks past its
     /// *publication* time, so a query delivered at tick `a` sees exactly the
@@ -102,7 +93,7 @@ pub struct EngineConfig {
     pub workers: Option<usize>,
     /// Heavy-hitter threshold for hot-key splitting: when a tuple
     /// publication observes that one of its index keys received at least
-    /// this many tuples during the last [`ric_window`](Self::ric_window)
+    /// this many tuples during the last [`RIC_WINDOW`](crate::RIC_WINDOW)
     /// ticks (read from the owning node's RIC tracker), the key is split
     /// into [`hot_key_partitions`](Self::hot_key_partitions) sub-keys.
     /// `None` (the default) disables splitting: the paper's base system.
@@ -121,8 +112,6 @@ impl Default for EngineConfig {
         EngineConfig {
             placement: PlacementStrategy::RicAware,
             reuse_ric: true,
-            ric_window: 200,
-            ct_validity: Some(500),
             altt_delta: None,
             rewritten_value_level_only: false,
             share_subjoins: false,
@@ -315,6 +304,6 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: EngineConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.placement, c.placement);
-        assert_eq!(back.ric_window, c.ric_window);
+        assert_eq!(back.network_delay, c.network_delay);
     }
 }

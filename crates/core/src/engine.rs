@@ -9,6 +9,7 @@ use crate::node_id::NodeId;
 use crate::node_state::DrainedState;
 use crate::node_state::{NodeState, ProgramCache, RicEntry};
 use crate::procedures::{self, Action, ProcCtx};
+use crate::ric::RIC_WINDOW;
 use crate::shard_driver::{resolve_workers, run_rounds, EngineShard, RicDirectory, ShardEnv};
 use crate::split::{
     choose_grid, partition_for_value, query_route, tuple_route, HypercubeGrid, SplitMap,
@@ -141,16 +142,15 @@ pub fn handle_node_msg(
     TickEffect::Node { node, load, actions }
 }
 
-/// Builds a [`NodeState`] configured the way the engine constructors
-/// configure theirs — RIC validity per the config, with a node-private
-/// compiled-program cache — for out-of-process drivers
-/// (such as `rjoin_transport`'s node processes) that run
-/// [`handle_node_msg`] themselves. Nodes built this way do not share a
-/// program cache; each compiles its own rewrite templates on first trigger.
-pub fn standalone_node_state(id: Id, config: &EngineConfig) -> NodeState {
-    let mut state = NodeState::new(id);
-    state.configure_ric_validity(config.ct_validity);
-    state
+/// Builds a [`NodeState`] the way the engine constructors build theirs,
+/// but with a node-private compiled-program cache, for out-of-process
+/// drivers (such as `rjoin_transport`'s node processes) that run
+/// [`handle_node_msg`] themselves with `config`. Nodes built this way do
+/// not share a program cache; each compiles its own rewrite templates on
+/// first trigger. No field of the configuration shapes a node's state
+/// today; a driver passes the one it runs the handlers with.
+pub fn standalone_node_state(id: Id, _config: &EngineConfig) -> NodeState {
+    NodeState::new(id)
 }
 
 /// The RJoin engine.
@@ -616,7 +616,7 @@ impl RJoinEngine {
         }
         let partitions = self.config.hot_key_partitions.max(2);
         let now = self.network.now();
-        let window = self.config.ric_window;
+        let window = RIC_WINDOW;
         for (key, _) in keys {
             if self.splits.is_split(key.ring()) {
                 continue;
@@ -660,7 +660,7 @@ impl RJoinEngine {
         let base_ring = key.ring();
         // Drop every cached RIC estimate for the base key: entries cached
         // before the split hold the pre-split hot rate, and the candidate
-        // table would keep serving them for up to `ct_validity` ticks,
+        // table would keep serving them for up to `RIC_VALIDITY` ticks,
         // shunning the freshly split key. Activation is a quiescent-point
         // operation, so walking the node map here is safe and cheap.
         for shard in &mut self.shards {
@@ -730,7 +730,7 @@ impl RJoinEngine {
         }
         let hashed = key.hashed();
         let now = self.network.now();
-        let window = self.config.ric_window;
+        let window = RIC_WINDOW;
         let owner = self.network.owner_of(hashed.id())?;
         let (tuple_rate, eval_rate) = self
             .node_state(owner)
@@ -799,18 +799,9 @@ impl RJoinEngine {
     /// so structurally identical entries re-merge at their new home).
     fn absorb_drained(&mut self, drained: DrainedState) -> Result<(), EngineError> {
         let share = self.config.share_subjoins;
-        let mut per_owner: HashMap<Id, DrainedState, RingBuildHasher> = HashMap::default();
-        for stored in drained.queries {
-            let owner = self.network.owner_of(stored.key.id())?;
-            per_owner.entry(owner).or_default().queries.push(stored);
-        }
-        for (ring, bucket) in drained.tuples {
-            let owner = self.network.owner_of(Id(ring))?;
-            per_owner.entry(owner).or_default().tuples.push((ring, bucket));
-        }
-        for (ring, bucket) in drained.altt {
-            let owner = self.network.owner_of(Id(ring))?;
-            per_owner.entry(owner).or_default().altt.push((ring, bucket));
+        let (per_owner, errors) = drained.group_by_owner(|id| self.network.owner_of(id));
+        if let Some(error) = errors.into_iter().next() {
+            return Err(error.into());
         }
         for (owner, share_of_owner) in per_owner {
             if let Some(state) = self.node_mut(owner) {
@@ -917,8 +908,8 @@ impl RJoinEngine {
         total
     }
 
-    /// Slab/wheel gauges and expiry counters summed across all live nodes:
-    /// live and peak slab occupancy per store, scheduled wheel entries, and
+    /// Store/wheel gauges and expiry counters summed across all live nodes:
+    /// live and peak occupancy per store, scheduled wheel entries, and
     /// how many reclamations were wheel pops (the only reclamation path:
     /// `contact_expirations` is always 0).
     pub fn state_counters(&self) -> StateCounters {
@@ -1041,20 +1032,15 @@ pub trait EffectEnv {
     fn now(&self) -> SimTime;
 
     /// A still-valid cached RIC estimate from `node`'s candidate table.
-    fn cached_ric(
-        &self,
-        node: Id,
-        ring: u64,
-        now: SimTime,
-        validity: Option<SimTime>,
-    ) -> Option<RicEntry>;
+    fn cached_ric(&self, node: Id, ring: u64, now: SimTime) -> Option<RicEntry>;
 
     /// Caches an RIC observation in `node`'s candidate table.
     fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry);
 
     /// The rate of incoming tuples `owner` observed for key `ring` during
-    /// the window ending at `now` (the content of one RIC request).
-    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime, window: SimTime) -> u64;
+    /// the [`RIC_WINDOW`] ticks ending at `now` (the content of one RIC
+    /// request).
+    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime) -> u64;
 
     /// Applies the placement strategy, drawing any random tie-breaks from
     /// this environment's randomness source.
@@ -1329,7 +1315,7 @@ fn collect_rates<E: EffectEnv>(
         // purges every pre-split entry for the key, so whatever is
         // cached here was computed from the per-cell rates below.
         if strategy == PlacementStrategy::RicAware && config.reuse_ric {
-            if let Some(entry) = env.cached_ric(from, hkey.ring(), now, config.ct_validity) {
+            if let Some(entry) = env.cached_ric(from, hkey.ring(), now) {
                 *slot = entry.rate;
                 continue;
             }
@@ -1353,19 +1339,14 @@ fn collect_rates<E: EffectEnv>(
                     env.net().owner_of(hkey.id())?
                 };
                 prev_hop = owner;
-                env.observed_rate(owner, hkey.ring(), now, config.ric_window)
+                env.observed_rate(owner, hkey.ring(), now)
             }
             Some(parts) => {
                 let mut partition_rates = Vec::with_capacity(parts as usize);
                 for p in 0..parts {
                     let sub = hkey.split_part(p, parts);
                     let owner = env.net().owner_of(sub.id())?;
-                    partition_rates.push(env.observed_rate(
-                        owner,
-                        sub.ring(),
-                        now,
-                        config.ric_window,
-                    ));
+                    partition_rates.push(env.observed_rate(owner, sub.ring(), now));
                     if strategy == PlacementStrategy::RicAware {
                         env.net().charge_route(prev_hop, sub.id(), traffic_class::RIC)?;
                         prev_hop = owner;

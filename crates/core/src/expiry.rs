@@ -13,10 +13,11 @@
 //! by *when it dies*, and advancing the wheel's time (for a node's wheel:
 //! its publication watermark, see [`crate::node_state`]) pops exactly the
 //! entries whose deadline passed — O(pops + slots crossed), independent of how much
-//! live or dead state exists elsewhere. Combined with the generational slab
-//! ([`crate::slab`]), cancellation is free: a popped token whose slab
-//! generation no longer matches is simply skipped, so removals never search
-//! the wheel.
+//! live or dead state exists elsewhere. Cancellation is free: a stored
+//! query's token whose generational-slab ([`crate::slab`]) handle no longer
+//! matches is simply skipped, and a token for the front of a ring that has
+//! since been drained finds nothing to evict, so removals never search the
+//! wheel.
 //!
 //! # Shape
 //!

@@ -35,12 +35,14 @@
 //!   `2 × arity` keys; the payload travels as one shared `Arc<Tuple>` and
 //!   value-level stores/ALTT retain `Arc` handles, so publication performs a
 //!   single allocation regardless of arity.
-//! * **O(active) node state** — each node's stored queries, value-level
-//!   tuples and ALTT entries live in generational slabs with stable
-//!   handles (`slab` module), and every windowed query and ALTT entry is
-//!   additionally indexed by its deadline on a per-node hierarchical timer
-//!   wheel (`expiry` module) that runs on publication time. Before handling
-//!   a message a node advances its wheel to its publication watermark (the
+//! * **O(active) node state** — each node's stored queries live in a
+//!   generational slab with stable handles (`slab` module); its value-level
+//!   tuples and ALTT entries live once, per ring, in publication order, so
+//!   an arriving query walks one binary-searched run of each bucket. Every
+//!   windowed query, and the front of every ALTT bucket and hypercube cell,
+//!   is indexed by its deadline on a per-node hierarchical timer wheel
+//!   (`expiry` module) that runs on publication time. Before handling a
+//!   message a node advances its wheel to its publication watermark (the
 //!   highest publication time among the tuples it received in earlier
 //!   ticks), popping exactly the entries whose window can no longer admit
 //!   any tuple still to come — so expiry costs O(popped), is complete
@@ -217,7 +219,7 @@ pub use messages::{
 };
 pub use node_id::NodeId;
 pub use node_state::{DrainedAlttBucket, DrainedState, NodeState, RicEntry, StoredQuery};
-pub use ric::{ArrivalLog, RicTracker};
+pub use ric::{ArrivalLog, RicTracker, RIC_VALIDITY, RIC_WINDOW};
 pub use shared::SubJoinRegistry;
 pub use split::{partition_for_tuple, partition_for_value, HypercubeGrid, SplitEntry, SplitMap};
 pub use stats::ExperimentStats;

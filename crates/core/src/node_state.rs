@@ -12,12 +12,28 @@
 //! Bucket compaction is `swap_remove`-based; the pop also fixes the moved
 //! entry's [`StoredQuery::bucket_pos`] so unlinking stays O(1).
 //!
+//! # Tuples in publication order
+//!
+//! Value-level tuples and ALTT entries are stored once, per ring, in one
+//! shape: a [`TupleList`] ordered by a key carried inline — the publication
+//! time of a value-level tuple, the retention deadline `pub + Δ` of an ALTT
+//! entry (Δ is one per engine, so both keys order by publication). A ring
+//! receives its tuples in publication order (publications enter in order
+//! and every message takes δ), so an insert is an append; a late tuple goes
+//! after the entries with an equal key, and an absorbed bucket is merged
+//! in. An arriving query walks one binary-searched run of each bucket.
+//! Tuples never leave alone, so they need no handles: value-level tuples
+//! leave ring-at-a-time (churn drains, a hypercube replica adopting its
+//! ring), ALTT entries from the front.
+//!
 //! # Expiry on publication time
 //!
 //! Section 5 deletes a rewritten query whose window a tuple exceeds. Here
 //! the timer wheel carries that rule out: every windowed stored query,
 //! cell tuple and ALTT entry is filed under a deadline in *publication*
-//! time, and the wheel is advanced to the node's **publication
+//! time (cells and ALTT buckets through one token for their front, as
+//! they evict from the front only), and the wheel is advanced to the
+//! node's **publication
 //! watermark** — the highest publication time among the tuples this node
 //! received in an earlier delivery tick
 //! ([`NodeState::expire_for_delivery`]). Tuples enter the network in
@@ -43,11 +59,12 @@ use crate::cell::Cell;
 use crate::dedup::DedupFilter;
 use crate::expiry::TimerWheel;
 use crate::messages::{PendingQuery, RicInfo};
+use crate::ric::RIC_VALIDITY;
 use crate::shared::SubJoinRegistry;
 use crate::slab::{Handle, Slab};
 use crate::trigger_index::{Bucket, TriggerIndex};
 use crate::{ArrivalLog, RicTracker};
-use rjoin_dht::{HashedKey, Id, RingMap};
+use rjoin_dht::{HashedKey, Id, RingBuildHasher, RingMap};
 use rjoin_metrics::{CompileCounters, ProbeCounters, SharingCounters, StateCounters};
 use rjoin_net::SimTime;
 use rjoin_query::{
@@ -56,7 +73,8 @@ use rjoin_query::{
 };
 use rjoin_relation::{Timestamp, Tuple};
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// How far (in publication time) the per-delivery wheel advance may lag
@@ -99,25 +117,55 @@ impl StoredQuery {
     }
 }
 
-/// One retained attribute-level tuple: its bucket's ring id (so a wheel pop
-/// can find the bucket), the shared payload and the retention deadline.
-#[derive(Debug, Clone)]
-pub(crate) struct AlttEntry {
-    pub(crate) ring: u64,
-    pub(crate) tuple: Arc<Tuple>,
-    pub(crate) expires_at: SimTime,
+/// A ring's tuples, ordered by the key each entry carries inline: the
+/// publication time of a value-level tuple, the retention deadline
+/// `pub + Δ` of an ALTT entry (see the module docs).
+pub(crate) type TupleList = VecDeque<(Arc<Tuple>, Timestamp)>;
+
+/// Files `tuple` under `key`: appended when it is in order, otherwise
+/// after the entries with an equal key. Returns whether it became the
+/// front.
+fn insert_ordered(list: &mut TupleList, tuple: Arc<Tuple>, key: Timestamp) -> bool {
+    let at = match list.back() {
+        Some(&(_, last)) if last > key => list.partition_point(|&(_, k)| k <= key),
+        _ => list.len(),
+    };
+    list.insert(at, (tuple, key));
+    at == 0
 }
 
-/// A deadline token on the node's timer wheel. Tokens carry slab handles,
-/// so a popped token whose entry was already removed (churn migration)
-/// fails the generation check and is skipped for free.
+/// Merges `incoming` into `list` in key order, `list`'s entries first among
+/// equal keys. Both are ordered, so the stable sort is one linear merge of
+/// two runs.
+fn merge_ordered(
+    list: &mut TupleList,
+    incoming: impl IntoIterator<Item = (Arc<Tuple>, Timestamp)>,
+) {
+    list.extend(incoming);
+    list.make_contiguous().sort_by_key(|&(_, key)| key);
+}
+
+/// The positions of `list` whose key lies in `[lo, hi]`: one run, found by
+/// two binary searches (empty when `lo > hi`).
+pub(crate) fn key_run(list: &TupleList, lo: Timestamp, hi: Timestamp) -> Range<usize> {
+    let from = list.partition_point(|&(_, key)| key < lo);
+    from..list.partition_point(|&(_, key)| key <= hi).max(from)
+}
+
+/// A deadline token on the node's timer wheel. Query tokens carry slab
+/// handles, so a popped token whose entry was already removed (churn
+/// migration) fails the generation check and is skipped for free; the
+/// other two name a ring whose front is due, and find nothing once the
+/// ring has been drained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum ExpiryToken {
     /// A windowed stored query; pops once the publication watermark has
     /// passed its window, which is Section 5's window-exceeded deletion.
     Query(Handle),
-    /// An ALTT entry; pops once the watermark passes its retention Δ.
-    Altt(Handle),
+    /// The front entry of the ALTT bucket on this ring; pops once the
+    /// watermark passes its retention Δ, and reclaims every front entry
+    /// that is due. One token per bucket front, armed as for cells.
+    Altt(u64),
     /// The front tuple of the hypercube cell on this ring; pops when no
     /// future publication can share a window with it. Cells evict from the
     /// front only, so a cell has one token at a time: scheduled when a tuple
@@ -194,17 +242,12 @@ pub struct RicEntry {
 ///
 /// # O(active) storage layout
 ///
-/// The three mutable tuple/query stores are **slab-backed**: entries live in
-/// per-node generational slabs (`crate::slab::Slab`) and the per-ring
-/// buckets hold stable `Handle`s. Removing one entry is O(1) in the slab
-/// plus O(bucket) to drop its handle — never O(all stored state): the
-/// sub-join registry points at handles (no positional re-registration when
-/// a bucket compacts) and the per-node **timer wheel** indexes every
-/// windowed query and ALTT entry by its deadline, so expiry pops exactly
-/// the dead entries instead of waiting for a walk to stumble over them.
-/// External references to removed entries (wheel tokens, registry slots)
-/// go stale atomically through the slab's generation counter and are
-/// skipped for free.
+/// Stored queries live in a generational slab (`crate::slab::Slab`) and
+/// the per-ring buckets hold stable `Handle`s: a windowed query leaves
+/// alone, when its wheel token pops, in O(1) — the sub-join registry and
+/// the trigger index point at handles, and references to a removed entry
+/// go stale through the slab's generation counter. Tuples sit in
+/// publication-ordered `TupleList`s (see the module docs).
 ///
 /// All tables are keyed by the 64-bit **ring identifier** of the index key
 /// (precomputed once in [`HashedKey`]), so the delivery hot path performs no
@@ -221,32 +264,21 @@ pub struct NodeState {
     /// Handles of stored queries, grouped by the ring id of the key they
     /// are indexed under, each group with its trigger-index partition.
     pub(crate) stored_queries: RingMap<Bucket>,
-    /// Slab of value-level tuples stored at this node.
-    pub(crate) tuples: Slab<Arc<Tuple>>,
-    /// Handles of stored value-level tuples, grouped by index-key ring id.
-    pub(crate) stored_tuples: RingMap<Vec<Handle>>,
-    /// Publication-time sidecar of `stored_tuples`: per ring, the bucket
-    /// positions sorted by `(pub_time, position)`. Tuple buckets are
-    /// append-only between whole-ring drains (see
-    /// [`store_tuple`](Self::store_tuple)), so positions are stable and an
-    /// arriving query can binary-search the admissible publication span
-    /// instead of walking the full bucket (see
-    /// [`crate::trigger_index`] — the eval-side twin of the trigger index).
-    pub(crate) stored_tuple_times: RingMap<Vec<(Timestamp, u32)>>,
+    /// Stored value-level tuples by index-key ring id, each bucket in
+    /// publication order (keyed by publication time).
+    pub(crate) stored_tuples: RingMap<TupleList>,
     /// Hypercube cells, by the ring id of the cell key: the join plan and
     /// indexed tuple store of each replica stored here. A ring is either a
     /// cell or a plain bucket of `stored_tuples`, never both.
     pub(crate) cells: RingMap<Cell>,
-    /// Slab of attribute-level tuple table entries: tuples kept for Δ ticks
-    /// so that input queries delayed in the network do not miss them
-    /// (Section 4).
-    pub(crate) altt_entries: Slab<AlttEntry>,
-    /// ALTT bucket order (insertion order per ring id, which is expiry
-    /// order — retention Δ is constant).
-    pub(crate) altt: RingMap<VecDeque<Handle>>,
+    /// The attribute-level tuple table: tuples kept until Δ ticks past
+    /// their publication so that input queries delayed in the network do
+    /// not miss them (Section 4), by ring id, each bucket keyed by that
+    /// retention deadline.
+    pub(crate) altt: RingMap<TupleList>,
     /// The node's timer wheel, in publication time: every windowed stored
-    /// query, cell front and ALTT entry, indexed by the publication time
-    /// from which its removal is unobservable.
+    /// query, cell front and ALTT bucket front, indexed by the publication
+    /// time from which its removal is unobservable.
     pub(crate) wheel: TimerWheel<ExpiryToken>,
     /// Tokens filed at a deadline the wheel had already passed (a rewritten
     /// query that arrives after its window closed): the next
@@ -263,14 +295,13 @@ pub struct NodeState {
     /// including the current tick's; it becomes the watermark when a later
     /// tick starts.
     latest_pub: Timestamp,
-    /// Counters of the slab/wheel machinery (slab gauges are filled in at
-    /// snapshot time by [`state_counters`](Self::state_counters)).
+    /// Counters of the store/wheel machinery (occupancy gauges are filled
+    /// in at snapshot time by [`state_counters`](Self::state_counters)).
     pub(crate) state_counters: StateCounters,
     /// Candidate table: cached RIC information per candidate-key ring id.
     pub(crate) candidate_table: RingMap<RicEntry>,
-    /// How long a candidate-table entry stays usable (`ct_validity`), and
-    /// the clock at which the table is next swept for entries past it.
-    ric_validity: Option<SimTime>,
+    /// The clock at which the candidate table is next swept for entries
+    /// past [`RIC_VALIDITY`].
     ric_sweep_at: SimTime,
     /// Tracker of tuple arrivals used to answer RIC requests.
     ///
@@ -313,9 +344,6 @@ pub struct NodeState {
     pub(crate) trigger_index: TriggerIndex,
     /// Scratch buffer reused by [`advance_expiry`](Self::advance_expiry).
     expiry_scratch: Vec<ExpiryToken>,
-    /// Scratch buffer reused by the span-bounded eval walk in
-    /// [`crate::procedures`] (bucket positions inside the admissible span).
-    pub(crate) span_scratch: Vec<u32>,
     /// Incremental count of stored queries (input + rewritten).
     query_count: usize,
     /// Incremental count of stored *rewritten* queries.
@@ -325,6 +353,9 @@ pub struct NodeState {
     tuple_count: usize,
     /// Peak of `tuple_count`.
     tuple_peak: usize,
+    /// Incremental count of ALTT entries, and its peak.
+    altt_count: usize,
+    altt_peak: usize,
 }
 
 /// Unlinks `handle` from its ring bucket in O(1): `expected_pos` is the
@@ -381,6 +412,34 @@ impl DrainedState {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Splits the drained items by the node `owner_of` names for each key
+    /// (a query's key identifier, a bucket's ring id). An item whose lookup
+    /// fails is left out; the lookup errors are returned alongside.
+    pub fn group_by_owner<E>(
+        self,
+        mut owner_of: impl FnMut(Id) -> Result<Id, E>,
+    ) -> (HashMap<Id, DrainedState, RingBuildHasher>, Vec<E>) {
+        let mut shares: HashMap<Id, DrainedState, RingBuildHasher> = HashMap::default();
+        let mut errors = Vec::new();
+        let mut owner = |id: Id| owner_of(id).map_err(|e| errors.push(e)).ok();
+        for stored in self.queries {
+            if let Some(owner) = owner(stored.key.id()) {
+                shares.entry(owner).or_default().queries.push(stored);
+            }
+        }
+        for (ring, bucket) in self.tuples {
+            if let Some(owner) = owner(Id(ring)) {
+                shares.entry(owner).or_default().tuples.push((ring, bucket));
+            }
+        }
+        for (ring, bucket) in self.altt {
+            if let Some(owner) = owner(Id(ring)) {
+                shares.entry(owner).or_default().altt.push((ring, bucket));
+            }
+        }
+        (shares, errors)
+    }
 }
 
 impl NodeState {
@@ -390,11 +449,8 @@ impl NodeState {
             id,
             queries: Slab::new(),
             stored_queries: RingMap::default(),
-            tuples: Slab::new(),
             stored_tuples: RingMap::default(),
-            stored_tuple_times: RingMap::default(),
             cells: RingMap::default(),
-            altt_entries: Slab::new(),
             altt: RingMap::default(),
             wheel: TimerWheel::new(),
             overdue: Vec::new(),
@@ -403,7 +459,6 @@ impl NodeState {
             latest_pub: 0,
             state_counters: StateCounters::new(),
             candidate_table: RingMap::default(),
-            ric_validity: None,
             ric_sweep_at: 0,
             ric: Arc::new(Mutex::new(RicTracker::new())),
             eval_ric: ArrivalLog::default(),
@@ -413,18 +468,13 @@ impl NodeState {
             compile: CompileCounters::new(),
             trigger_index: TriggerIndex::new(),
             expiry_scratch: Vec::new(),
-            span_scratch: Vec::new(),
             query_count: 0,
             rewritten_count: 0,
             tuple_count: 0,
             tuple_peak: 0,
+            altt_count: 0,
+            altt_peak: 0,
         }
-    }
-
-    /// Sets the validity horizon of cached RIC estimates (`ct_validity`):
-    /// entries older than it are never served, so the table reclaims them.
-    pub(crate) fn configure_ric_validity(&mut self, validity: Option<SimTime>) {
-        self.ric_validity = validity;
     }
 
     /// Snapshot of this node's trigger-index probe counters.
@@ -466,17 +516,16 @@ impl NodeState {
         &self.compile
     }
 
-    /// Snapshot of this node's slab/wheel gauges and expiry counters.
+    /// Snapshot of this node's store/wheel gauges and expiry counters.
     pub fn state_counters(&self) -> StateCounters {
         let mut counters = self.state_counters;
         counters.query_slab_live = self.queries.len() as u64;
         counters.query_slab_high_water = self.queries.high_water() as u64;
-        // Cell tuples live outside the slab; the incremental count covers
-        // both stores.
+        // The tuple count covers plain buckets and cells.
         counters.tuple_slab_live = self.tuple_count as u64;
         counters.tuple_slab_high_water = self.tuple_peak as u64;
-        counters.altt_slab_live = self.altt_entries.len() as u64;
-        counters.altt_slab_high_water = self.altt_entries.high_water() as u64;
+        counters.altt_slab_live = self.altt_count as u64;
+        counters.altt_slab_high_water = self.altt_peak as u64;
         counters.wheel_scheduled = (self.wheel.len() + self.overdue.len()) as u64;
         counters
     }
@@ -522,23 +571,22 @@ impl NodeState {
         due.append(&mut self.overdue);
         self.wheel.advance(target, &mut due);
         for token in due.drain(..) {
-            match token {
+            let now = self.wheel.now();
+            let evicted = match token {
                 ExpiryToken::Query(handle) => self.pop_expired_query(handle),
-                ExpiryToken::Altt(handle) => self.pop_expired_altt(handle),
-                ExpiryToken::Cell(ring) => {
-                    let evicted = self.evict_cell_front(ring, self.wheel.now());
-                    self.state_counters.wheel_pops += evicted as u64;
-                }
-            }
+                ExpiryToken::Altt(ring) => self.evict_altt_front(ring, now),
+                ExpiryToken::Cell(ring) => self.evict_cell_front(ring, now),
+            };
+            self.state_counters.wheel_pops += evicted as u64;
         }
         self.expiry_scratch = due;
     }
 
-    /// Applies one popped query deadline. A stale token (entry already
-    /// removed by churn migration) fails the slab's generation check and
-    /// costs nothing further.
-    fn pop_expired_query(&mut self, handle: Handle) {
-        let Some(expired) = self.queries.remove(handle) else { return };
+    /// Applies one popped query deadline and returns how many entries it
+    /// removed. A stale token (entry already removed by churn migration)
+    /// fails the slab's generation check and costs nothing further.
+    fn pop_expired_query(&mut self, handle: Handle) -> usize {
+        let Some(expired) = self.queries.remove(handle) else { return 0 };
         let ring = expired.key.ring();
         if let Some(bucket) = self.stored_queries.get_mut(&ring) {
             unlink_from_bucket(&mut bucket.handles, &mut self.queries, handle, expired.bucket_pos);
@@ -552,28 +600,26 @@ impl NodeState {
         if !expired.pending.is_input() {
             self.rewritten_count -= 1;
         }
-        self.state_counters.wheel_pops += 1;
+        1
     }
 
-    /// Applies one popped ALTT deadline (stale tokens skipped as above).
-    fn pop_expired_altt(&mut self, handle: Handle) {
-        let Some(entry) = self.altt_entries.remove(handle) else { return };
-        if let Some(bucket) = self.altt.get_mut(&entry.ring) {
-            // Deadlines are monotone per bucket (retention Δ is constant)
-            // and the wheel pops in deadline order, so the handle is the
-            // front entry in all but pathological interleavings: pop it in
-            // O(1) instead of scanning the bucket. The positional scan
-            // stays as the fallback for out-of-order pops.
-            if bucket.front() == Some(&handle) {
-                bucket.pop_front();
-            } else if let Some(pos) = bucket.iter().position(|h| *h == handle) {
-                bucket.remove(pos);
+    /// Evicts the due front entries of the ALTT bucket on `ring` — those
+    /// whose retention deadline lies before `now` — and, when the front
+    /// moved, arms the wheel for the new one. Returns how many entries were
+    /// evicted.
+    fn evict_altt_front(&mut self, ring: u64, now: SimTime) -> usize {
+        let Some(bucket) = self.altt.get_mut(&ring) else { return 0 };
+        let due = bucket.partition_point(|&(_, expires_at)| expires_at < now);
+        bucket.drain(..due);
+        match bucket.front().map(|&(_, expires_at)| expires_at) {
+            None => {
+                self.altt.remove(&ring);
             }
-            if bucket.is_empty() {
-                self.altt.remove(&entry.ring);
-            }
+            Some(next) if due > 0 => self.schedule(next.saturating_add(1), ExpiryToken::Altt(ring)),
+            Some(_) => {}
         }
-        self.state_counters.wheel_pops += 1;
+        self.altt_count -= due;
+        due
     }
 
     /// Evicts the due front tuples of the cell on `ring` (a popped token
@@ -706,14 +752,8 @@ impl NodeState {
     }
 
     /// Stores a value-level tuple under the key with ring id `key` — in the
-    /// ring's hypercube cell when it hosts one, in the plain bucket
-    /// otherwise.
-    ///
-    /// Plain buckets are append-only: tuples are only ever removed
-    /// ring-at-a-time ([`drain_misplaced`](Self::drain_misplaced),
-    /// `take_stored_tuples`), so a tuple's bucket position is stable for
-    /// its lifetime and the publication-time sidecar can refer to it by
-    /// position.
+    /// ring's hypercube cell when it hosts one, otherwise in the plain
+    /// bucket, in publication order.
     pub fn store_tuple(&mut self, key: u64, tuple: Arc<Tuple>) {
         self.tuple_count += 1;
         self.tuple_peak = self.tuple_peak.max(self.tuple_count);
@@ -729,58 +769,28 @@ impl NodeState {
             }
             return;
         }
-        let handle = self.tuples.insert(tuple);
-        let bucket = self.stored_tuples.entry(key).or_default();
-        let pos = bucket.len() as u32;
-        bucket.push(handle);
-        let times = self.stored_tuple_times.entry(key).or_default();
-        // Publications usually arrive in publication order, so appending is
-        // the common case; a late tuple is binary-inserted. Equal pub_times
-        // stay in position order because the new position is the largest.
-        match times.last() {
-            Some(&(t, _)) if t > pub_time => {
-                let at = times.partition_point(|&(t2, _)| t2 <= pub_time);
-                times.insert(at, (pub_time, pos));
-            }
-            _ => times.push((pub_time, pos)),
-        }
+        insert_ordered(self.stored_tuples.entry(key).or_default(), tuple, pub_time);
     }
 
-    /// Removes and returns the plain tuple bucket of ring `key`, in arrival
-    /// order (a hypercube replica registering on the ring adopts the copies
-    /// that were routed here ahead of it).
+    /// Removes and returns the plain tuple bucket of ring `key`, in
+    /// publication order (a hypercube replica registering on the ring
+    /// adopts the copies that were routed here ahead of it).
     pub(crate) fn take_stored_tuples(&mut self, key: u64) -> Vec<Arc<Tuple>> {
-        self.stored_tuple_times.remove(&key);
         let bucket = self.stored_tuples.remove(&key).unwrap_or_default();
-        let tuples: Vec<Arc<Tuple>> = bucket
-            .into_iter()
-            .map(|h| self.tuples.remove(h).expect("bucket handles are live"))
-            .collect();
-        self.tuple_count -= tuples.len();
-        tuples
+        self.tuple_count -= bucket.len();
+        bucket.into_iter().map(|(tuple, _)| tuple).collect()
     }
 
     /// Inserts a tuple into the ALTT with the given expiry time (its
-    /// publication time plus Δ). The entry pops once the publication
-    /// watermark passes `expires_at`; until then the walks filter it by the
-    /// delivery tick (`expires_at >= at`).
+    /// publication time plus Δ). The entry is evicted once the publication
+    /// watermark passes `expires_at`; until then an arriving query sees it
+    /// if it is delivered no later than `expires_at`.
     pub fn altt_insert(&mut self, key: u64, tuple: Arc<Tuple>, expires_at: SimTime) {
-        let handle = self.altt_entries.insert(AlttEntry { ring: key, tuple, expires_at });
-        self.altt.entry(key).or_default().push_back(handle);
-        self.schedule(expires_at.saturating_add(1), ExpiryToken::Altt(handle));
-    }
-
-    /// The tuples retained in `key`'s ALTT bucket that a query delivered at
-    /// tick `at` may still match (`expires_at >= at`) and that were
-    /// published at or after `min_pub_time`.
-    pub fn altt_matching(&self, key: u64, at: SimTime, min_pub_time: Timestamp) -> Vec<Arc<Tuple>> {
-        let Some(entries) = self.altt.get(&key) else { return Vec::new() };
-        entries
-            .iter()
-            .filter_map(|h| self.altt_entries.get(*h))
-            .filter(|e| e.expires_at >= at && e.tuple.pub_time() >= min_pub_time)
-            .map(|e| Arc::clone(&e.tuple))
-            .collect()
+        self.altt_count += 1;
+        self.altt_peak = self.altt_peak.max(self.altt_count);
+        if insert_ordered(self.altt.entry(key).or_default(), tuple, expires_at) {
+            self.schedule(expires_at.saturating_add(1), ExpiryToken::Altt(key));
+        }
     }
 
     /// Number of live windowed entries — stored queries, cell tuples and
@@ -799,30 +809,19 @@ impl NodeState {
             .count();
         let in_cells =
             self.cells.values().flat_map(Cell::deadlines).filter(|&d| d <= watermark).count();
-        let retained = self
-            .altt
-            .values()
-            .flatten()
-            .filter_map(|h| self.altt_entries.get(*h))
-            .filter(|e| e.expires_at < watermark)
-            .count();
+        let retained =
+            self.altt.values().flatten().filter(|&&(_, expires_at)| expires_at < watermark).count();
         queries + in_cells + retained
     }
 
-    /// Number of ALTT buckets currently retained (diagnostic).
-    pub fn altt_len(&self) -> usize {
-        self.altt.len()
-    }
-
-    /// Drops every candidate-table entry past the validity horizon, once
-    /// per horizon: an entry no [`cached_ric`](Self::cached_ric) call at or
+    /// Drops every candidate-table entry past [`RIC_VALIDITY`], once per
+    /// horizon: an entry no [`cached_ric`](Self::cached_ric) call at or
     /// after `now` would serve again. Between sweeps the table holds at most
     /// two horizons' worth of observations.
     fn reclaim_stale_ric(&mut self, now: SimTime) {
-        let Some(validity) = self.ric_validity else { return };
         if now >= self.ric_sweep_at {
-            self.candidate_table.retain(|_, e| now.saturating_sub(e.observed_at) <= validity);
-            self.ric_sweep_at = now.saturating_add(validity).saturating_add(1);
+            self.candidate_table.retain(|_, e| now.saturating_sub(e.observed_at) <= RIC_VALIDITY);
+            self.ric_sweep_at = now.saturating_add(RIC_VALIDITY).saturating_add(1);
         }
     }
 
@@ -840,19 +839,11 @@ impl NodeState {
         }
     }
 
-    /// Looks up a cached RIC estimate that is still valid at `now` given the
-    /// configured validity horizon.
-    pub fn cached_ric(
-        &self,
-        key: u64,
-        now: SimTime,
-        validity: Option<SimTime>,
-    ) -> Option<RicEntry> {
+    /// Looks up a cached RIC estimate that is still valid at `now`: observed
+    /// no more than [`RIC_VALIDITY`] ticks earlier.
+    pub fn cached_ric(&self, key: u64, now: SimTime) -> Option<RicEntry> {
         let entry = self.candidate_table.get(&key)?;
-        match validity {
-            Some(v) if now.saturating_sub(entry.observed_at) > v => None,
-            _ => Some(*entry),
-        }
+        (now.saturating_sub(entry.observed_at) <= RIC_VALIDITY).then_some(*entry)
     }
 
     /// Caches one RIC estimate, just observed, for a candidate key.
@@ -866,10 +857,11 @@ impl NodeState {
     /// storage counters and the sub-join registry. The drained state is
     /// returned so the engine can hand it to the new owners.
     ///
-    /// Wheel tokens of drained entries are left to lapse: the slab removal
-    /// bumps each entry's generation, so the tokens are skipped for free at
-    /// their deadline and can never touch the re-homed copies (which are
-    /// re-scheduled by their new node's [`absorb`](Self::absorb)).
+    /// Wheel tokens of drained entries are left to lapse: a query's slab
+    /// removal bumps its generation, and a drained ring's front token finds
+    /// no bucket, so the tokens are skipped for free at their deadline and
+    /// can never touch the re-homed copies (which are re-scheduled by their
+    /// new node's [`absorb`](Self::absorb)).
     pub fn drain_misplaced(&mut self, mut keep: impl FnMut(u64) -> bool) -> DrainedState {
         let mut drained = DrainedState::default();
         let rings: Vec<u64> = self.stored_queries.keys().copied().filter(|r| !keep(*r)).collect();
@@ -902,14 +894,8 @@ impl NodeState {
         let rings: Vec<u64> = self.altt.keys().copied().filter(|r| !keep(*r)).collect();
         for ring in rings {
             let bucket = self.altt.remove(&ring).expect("ring collected above");
-            let entries: VecDeque<(Arc<Tuple>, SimTime)> = bucket
-                .into_iter()
-                .map(|h| {
-                    let e = self.altt_entries.remove(h).expect("bucket handles are live");
-                    (e.tuple, e.expires_at)
-                })
-                .collect();
-            drained.altt.push((ring, entries));
+            self.altt_count -= bucket.len();
+            drained.altt.push((ring, bucket));
         }
         drained
     }
@@ -923,9 +909,10 @@ impl NodeState {
     /// Absorbs re-homed state from another node. Queries go through the
     /// shared path when `share` is enabled, so structurally identical
     /// entries re-merge at their new home; every windowed query, cell tuple
-    /// and ALTT entry is re-scheduled on this node's wheel. Queries are
-    /// absorbed first: a hypercube replica re-opens its cell, which the
-    /// cell's tuples then land in.
+    /// and ALTT bucket front is re-scheduled on this node's wheel. Queries
+    /// are absorbed first: a hypercube replica re-opens its cell, which the
+    /// cell's tuples then land in. Every other bucket is merged into the
+    /// ring's own in publication order.
     pub fn absorb(&mut self, drained: DrainedState, share: bool) {
         for mut stored in drained.queries {
             // The fingerprint slot is tied to the previous node's slab
@@ -934,13 +921,29 @@ impl NodeState {
             self.store_query_shared(stored, share);
         }
         for (ring, bucket) in drained.tuples {
-            for tuple in bucket {
-                self.store_tuple(ring, tuple);
+            if self.cells.contains_key(&ring) {
+                for tuple in bucket {
+                    self.store_tuple(ring, tuple);
+                }
+                continue;
             }
+            self.tuple_count += bucket.len();
+            self.tuple_peak = self.tuple_peak.max(self.tuple_count);
+            let keyed = bucket.into_iter().map(|tuple| {
+                let pub_time = tuple.pub_time();
+                (tuple, pub_time)
+            });
+            merge_ordered(self.stored_tuples.entry(ring).or_default(), keyed);
         }
         for (ring, bucket) in drained.altt {
-            for (tuple, expires_at) in bucket {
-                self.altt_insert(ring, tuple, expires_at);
+            self.altt_count += bucket.len();
+            self.altt_peak = self.altt_peak.max(self.altt_count);
+            let list = self.altt.entry(ring).or_default();
+            merge_ordered(list, bucket);
+            // The merged front may be older than the old one: arm for it (a
+            // surplus token finds nothing due when it pops).
+            if let Some(&(_, front)) = list.front() {
+                self.schedule(front.saturating_add(1), ExpiryToken::Altt(ring));
             }
         }
     }
@@ -968,9 +971,12 @@ impl NodeState {
     }
 
     /// Recomputes the storage counters from the tables (test support: the
-    /// incremental counters must always agree with a full scan).
+    /// incremental counters must always agree with a full scan). Also
+    /// asserts that every tuple bucket is publication-ordered, that a
+    /// value-level entry's key is its publication time, and that the
+    /// incremental ALTT count and peak agree with the tables.
     #[cfg(test)]
-    fn recount(&self) -> (usize, usize, usize) {
+    pub(crate) fn recount(&self) -> (usize, usize, usize) {
         let entries = || {
             self.stored_queries
                 .values()
@@ -979,10 +985,19 @@ impl NodeState {
         };
         let queries = entries().count();
         let rewritten = entries().filter(|s| !s.pending.is_input()).count();
-        let plain: usize = self.stored_tuples.values().map(Vec::len).sum();
+        let ordered = |list: &TupleList| {
+            list.iter()
+                .zip(list.iter().skip(1))
+                .all(|((a, ka), (b, kb))| ka <= kb && a.pub_time() <= b.pub_time())
+        };
+        assert!(self.stored_tuples.values().chain(self.altt.values()).all(ordered));
+        assert!(self.stored_tuples.values().flatten().all(|(t, key)| t.pub_time() == *key));
+        let plain: usize = self.stored_tuples.values().map(VecDeque::len).sum();
         let in_cells: usize = self.cells.values().map(Cell::len).sum();
+        let retained: usize = self.altt.values().map(VecDeque::len).sum();
         assert_eq!(queries, self.queries.len(), "bucket handles and slab agree");
-        assert_eq!(plain, self.tuples.len(), "tuple handles and slab agree");
+        assert_eq!(retained, self.altt_count, "ALTT count and tables agree");
+        assert!(self.altt_peak >= self.altt_count, "ALTT peak bounds the count");
         (queries, rewritten, plain + in_cells)
     }
 }
@@ -1175,6 +1190,11 @@ mod tests {
         assert_eq!(state.stored_query_count(), 2);
     }
 
+    /// The publication times retained in `ring`'s ALTT bucket, front first.
+    fn retained(state: &NodeState, ring: u64) -> Vec<u64> {
+        state.altt.get(&ring).map_or(Vec::new(), |b| b.iter().map(|(t, _)| t.pub_time()).collect())
+    }
+
     #[test]
     fn drain_and_absorb_keep_counters_consistent() {
         let mut donor = NodeState::new(Id(1));
@@ -1212,13 +1232,22 @@ mod tests {
         assert_eq!(rest.queries[0].pending.subscriber_count(), 2);
         assert_eq!(rest.altt.len(), 1);
 
+        // The receiver already holds newer tuples on both rings, one of
+        // them late: the absorbed buckets are older than what it holds.
         let mut receiver = NodeState::new(Id(2));
+        receiver.store_tuple(k_t.ring(), tuple(8));
+        receiver.store_tuple(k_t.ring(), tuple(5));
+        receiver.altt_insert(k_q.ring(), tuple(9), 104);
+        receiver.altt_insert(k_q.ring(), tuple(6), 101);
+        assert_eq!(receiver.recount(), (0, 0, 2));
         receiver.absorb(partial, true);
         receiver.absorb(rest, true);
         assert_eq!(receiver.stored_query_count(), 1);
-        assert_eq!(receiver.stored_tuple_count(), 1);
-        assert_eq!(receiver.altt_len(), 1);
-        assert_eq!(receiver.current_storage_load(), 1);
+        assert_eq!(receiver.stored_tuple_count(), 3);
+        assert_eq!(retained(&receiver, k_q.ring()), [4, 6, 9]);
+        assert_eq!(receiver.current_storage_load(), 3);
+        assert_eq!(receiver.recount(), (1, 0, 3));
+        assert_eq!(receiver.state_counters().altt_slab_high_water, 3);
         // The re-homed shared entry is registered again: a structurally
         // identical newcomer merges into it at the new home.
         let late = input_from(9, 2, "SELECT S.A FROM R, S WHERE R.A = S.A");
@@ -1233,25 +1262,66 @@ mod tests {
         let k = key("R+A").ring();
         state.altt_insert(k, tuple(5), 10);
         state.altt_insert(k, tuple(6), 20);
-        // A query delivered at tick 15 no longer sees the first entry.
-        let matching = state.altt_matching(k, 15, 0);
-        assert_eq!(matching.len(), 1);
-        assert_eq!(matching[0].pub_time(), 6);
+        // A query delivered at tick 15 no longer sees the first entry: its
+        // run starts at the first deadline not before 15.
+        let bucket = &state.altt[&k];
+        assert_eq!(key_run(bucket, 15, Timestamp::MAX), 1..2);
         // The wheel removes both entries and the emptied bucket.
         state.advance_expiry(100);
-        assert_eq!(state.altt_len(), 0);
-        assert_eq!(state.altt_entries.len(), 0, "slab reclaimed too");
+        assert!(state.altt.is_empty());
+        assert_eq!(state.state_counters().altt_slab_live, 0);
+        assert_eq!(state.recount(), (0, 0, 0));
     }
 
+    /// The ALTT run of a query with publication floor 6, delivered at tick
+    /// 10 with Δ = 90, starts at deadline `6 + Δ` (the later of that and
+    /// the delivery tick): the entry published at 5 lies before it.
     #[test]
     fn altt_matching_respects_min_pub_time() {
         let mut state = NodeState::new(Id(7));
         let k = key("R+A").ring();
-        state.altt_insert(k, tuple(5), 100);
-        state.altt_insert(k, tuple(9), 100);
-        let matching = state.altt_matching(k, 10, 6);
-        assert_eq!(matching.len(), 1);
-        assert_eq!(matching[0].pub_time(), 9);
+        state.altt_insert(k, tuple(5), 95);
+        state.altt_insert(k, tuple(9), 99);
+        assert_eq!(key_run(&state.altt[&k], 6 + 90, Timestamp::MAX), 1..2);
+    }
+
+    /// Late inserts land after the entries with an equal deadline and an
+    /// absorbed bucket merges in order. A late front arms its own token,
+    /// so every entry still leaves once the watermark passes its deadline.
+    #[test]
+    fn late_and_absorbed_altt_entries_keep_publication_order() {
+        let mut state = NodeState::new(Id(7));
+        let k = key("R+A").ring();
+        for pub_time in [5, 9, 7, 2] {
+            state.altt_insert(k, tuple(pub_time), pub_time + 10);
+        }
+        let (late_twin, absorbed_twin) = (tuple(7), tuple(7));
+        state.altt_insert(k, Arc::clone(&late_twin), 17);
+        assert_eq!(retained(&state, k), [2, 5, 7, 7, 9]);
+        // The late front armed its own token.
+        state.advance_expiry(13);
+        assert_eq!(retained(&state, k), [5, 7, 7, 9]);
+        assert_eq!(state.overdue_entries(13), 0);
+        let mut donor = NodeState::new(Id(1));
+        for pub_time in [1, 12] {
+            donor.altt_insert(k, tuple(pub_time), pub_time + 10);
+        }
+        donor.altt_insert(k, Arc::clone(&absorbed_twin), 17);
+        state.absorb(donor.into_drained(), false);
+        assert_eq!(retained(&state, k), [1, 5, 7, 7, 7, 9, 12]);
+        // Equal deadlines keep arrival order: the held 7s, then the absorbed.
+        let bucket = &state.altt[&k];
+        assert!(Arc::ptr_eq(&bucket[3].0, &late_twin) && Arc::ptr_eq(&bucket[4].0, &absorbed_twin));
+        assert_eq!(state.recount(), (0, 0, 0));
+        // Deadlines before 16 are those of 1 (already overdue) and 5.
+        state.advance_expiry(16);
+        assert_eq!(retained(&state, k), [7, 7, 7, 9, 12]);
+        assert_eq!(state.overdue_entries(16), 0);
+        state.advance_expiry(23);
+        assert!(state.altt.is_empty());
+        let counters = state.state_counters();
+        assert_eq!((counters.wheel_pops, counters.altt_slab_high_water), (8, 7));
+        assert_eq!(state.recount(), (0, 0, 0));
     }
 
     /// A rewritten query with a sliding window anchored at `start`
@@ -1339,13 +1409,13 @@ mod tests {
         state.altt_insert(k, tuple(6), 20);
         // `expiry < now` is the removal rule: at 10 both entries survive.
         state.advance_expiry(10);
-        assert_eq!(state.altt_entries.len(), 2);
+        assert_eq!(retained(&state, k), [5, 6]);
         state.advance_expiry(11);
-        assert_eq!(state.altt_entries.len(), 1);
+        assert_eq!(retained(&state, k), [6]);
         state.advance_expiry(21);
-        assert_eq!(state.altt_entries.len(), 0);
-        assert_eq!(state.altt_len(), 0, "empty bucket dropped");
+        assert!(state.altt.is_empty(), "empty bucket dropped");
         assert_eq!(state.state_counters().wheel_pops, 2);
+        assert_eq!(state.state_counters().wheel_scheduled, 0);
     }
 
     #[test]
@@ -1366,7 +1436,7 @@ mod tests {
         assert_eq!(state.state_counters().wheel_pops, 0, "stale tokens do not count as pops");
     }
 
-    /// Churn re-homing through the slab: the donor's wheel tokens go stale
+    /// Churn re-homing: the donor's wheel tokens go stale
     /// with the drain, and the receiver re-schedules the absorbed state on
     /// its own wheel.
     #[test]
@@ -1386,19 +1456,19 @@ mod tests {
         assert_eq!(receiver.stored_query_count(), 1);
         assert_eq!(receiver.subjoins().len(), 1, "re-registered at the new home");
         // The donor's wheel still holds tokens for the migrated entries;
-        // advancing it must not disturb anything (the slabs are empty).
+        // advancing it must not disturb anything (its stores are empty).
         donor.advance_expiry(1000);
         assert_eq!(donor.state_counters().wheel_pops, 0);
         // The receiver's wheel owns the deadlines now.
         receiver.advance_expiry(1000);
         assert_eq!(receiver.stored_query_count(), 0);
-        assert_eq!(receiver.altt_entries.len(), 0);
+        assert!(receiver.altt.is_empty());
         assert_eq!(receiver.subjoins().len(), 0);
         assert_eq!(receiver.state_counters().wheel_pops, 2);
     }
 
     /// A hypercube replica opens its ring as a cell: the ring's tuples are
-    /// filed there (not in the slab-backed plain bucket), evicted by the
+    /// filed there (not in the plain bucket), evicted by the
     /// wheel at their window deadline, and re-homed with the replica.
     #[test]
     fn hypercube_replica_opens_a_cell_that_evicts_and_re_homes() {
@@ -1413,7 +1483,7 @@ mod tests {
         replica.hypercube = Some(HypercubeRef { base: k.clone(), cells: 1 });
         let mut donor = NodeState::new(Id(1));
         donor.store_tuple(k.ring(), tuple(3));
-        assert_eq!(donor.tuples.len(), 1, "no cell yet: a plain bucket");
+        assert_eq!(donor.stored_tuples[&k.ring()].len(), 1, "no cell yet: a plain bucket");
         assert_eq!(donor.take_stored_tuples(k.ring()).len(), 1);
         assert_eq!(donor.recount(), (0, 0, 0));
 
@@ -1421,7 +1491,7 @@ mod tests {
         for pub_time in [10, 11, 30] {
             donor.store_tuple(k.ring(), tuple(pub_time));
         }
-        assert_eq!(donor.tuples.len(), 0, "cell tuples stay out of the plain store");
+        assert!(donor.stored_tuples.is_empty(), "cell tuples stay out of the plain store");
         assert_eq!(donor.cells[&k.ring()].len(), 3);
         assert_eq!(donor.stored_tuple_count(), 3);
         // Deadlines are pub + 8: 18, 19 and 38.
@@ -1491,13 +1561,13 @@ mod tests {
         state.merge_ric(&[RicInfo { key: k.clone(), rate: 5, observed_at: 10 }], 10);
         state.merge_ric(&[RicInfo { key: k.clone(), rate: 9, observed_at: 20 }], 20);
         state.merge_ric(&[RicInfo { key: k.clone(), rate: 1, observed_at: 15 }], 21); // older, ignored
-        let entry = state.cached_ric(k.ring(), 25, None).unwrap();
+        let entry = state.cached_ric(k.ring(), 25).unwrap();
         assert_eq!(entry.rate, 9);
         assert_eq!(entry.observed_at, 20);
-        // Validity horizon rejects stale entries.
-        assert!(state.cached_ric(k.ring(), 200, Some(50)).is_none());
-        assert!(state.cached_ric(k.ring(), 60, Some(50)).is_some());
-        assert!(state.cached_ric(key("unknown").ring(), 0, None).is_none());
+        // The validity horizon rejects stale entries.
+        assert!(state.cached_ric(k.ring(), 20 + RIC_VALIDITY).is_some());
+        assert!(state.cached_ric(k.ring(), 21 + RIC_VALIDITY).is_none());
+        assert!(state.cached_ric(key("unknown").ring(), 0).is_none());
     }
 
     /// Entries past the validity horizon are reclaimed by later touches of
@@ -1506,27 +1576,22 @@ mod tests {
     /// nothing had been dropped.
     #[test]
     fn candidate_table_reclaims_entries_past_validity() {
-        const VALIDITY: SimTime = 50;
         let mut state = NodeState::new(Id(7));
-        state.configure_ric_validity(Some(VALIDITY));
-        let fresh = |tick: SimTime| key(&format!("R+A+i:{tick}"));
-        for now in 1..=3 * VALIDITY {
+        let keys: Vec<HashedKey> =
+            (0..=3 * RIC_VALIDITY).map(|t| key(&format!("R+A+i:{t}"))).collect();
+        for now in 1..=3 * RIC_VALIDITY {
+            let fresh = &keys[now as usize];
             if now % 2 == 0 {
-                state.cache_ric(fresh(now).ring(), RicEntry { rate: now, observed_at: now });
+                state.cache_ric(fresh.ring(), RicEntry { rate: now, observed_at: now });
             } else {
-                state.merge_ric(&[RicInfo { key: fresh(now), rate: now, observed_at: now }], now);
+                state
+                    .merge_ric(&[RicInfo { key: fresh.clone(), rate: now, observed_at: now }], now);
             }
-            assert!(state.candidate_table.len() as u64 <= 2 * VALIDITY + 1, "at {now}");
+            assert!(state.candidate_table.len() as u64 <= 2 * RIC_VALIDITY + 1, "at {now}");
             for seen in 1..=now {
-                let cached = state.cached_ric(fresh(seen).ring(), now, Some(VALIDITY));
-                assert_eq!(cached.map(|e| e.rate), (now - seen <= VALIDITY).then_some(seen));
+                let cached = state.cached_ric(keys[seen as usize].ring(), now);
+                assert_eq!(cached.map(|e| e.rate), (now - seen <= RIC_VALIDITY).then_some(seen));
             }
         }
-        // Without a horizon nothing is ever stale, so nothing is dropped.
-        let mut unbounded = NodeState::new(Id(8));
-        for now in 1..=3 * VALIDITY {
-            unbounded.cache_ric(fresh(now).ring(), RicEntry { rate: now, observed_at: now });
-        }
-        assert_eq!(unbounded.candidate_table.len() as u64, 3 * VALIDITY);
     }
 }

@@ -10,8 +10,9 @@
 //! Tuple arrivals ([`handle_new_tuple`]) contact stored queries through the
 //! node's value-partitioned trigger index (`O(matching)` probes; see
 //! [`crate::trigger_index`]) and rewrite each contacted entry with its
-//! compiled trigger program; query arrivals walk only the publication span
-//! of stored tuples they could combine with ([`admissible_pub_span`]).
+//! compiled trigger program; query arrivals walk one binary-searched run of
+//! the publication-ordered stored and retained tuples, the publication span
+//! they could combine with ([`admissible_pub_span`]).
 //!
 //! The handlers never remove a stored query. Section 5's rule — a rewritten
 //! query whose window a tuple exceeds is deleted — is carried out by the
@@ -36,7 +37,8 @@
 
 use crate::config::EngineConfig;
 use crate::messages::{EmittedBy, PendingQuery, QueryId};
-use crate::node_state::{NodeState, ProgramCache, StoredQuery};
+use crate::node_state::{key_run, NodeState, ProgramCache, StoredQuery};
+use crate::ric::RIC_WINDOW;
 use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
@@ -79,9 +81,9 @@ pub struct ProcCtx<'a> {
     /// Current simulation time (the clock, `>= at` when the driver advanced
     /// the clock past pending deliveries).
     pub now: SimTime,
-    /// The raw delivery tick of the message being handled. Recorded next to
-    /// `now` for RIC arrivals so other shards can answer remote rate
-    /// reads exactly as of a reader's tick.
+    /// The raw delivery tick of the message being handled. It bounds ALTT
+    /// visibility: a query delivered at `at` sees the retained tuples with
+    /// `pub + Δ >= at`.
     pub at: SimTime,
 }
 
@@ -322,7 +324,7 @@ pub fn handle_new_tuple(
     // the retention horizon keeps the per-key history bounded without being
     // observable by any rate read (no read uses a clock older than the
     // node's own).
-    let horizon = ctx.config.ric_window + 2 * ctx.config.network_delay.max(1);
+    let horizon = RIC_WINDOW + 2 * ctx.config.network_delay.max(1);
     state.ric().record_arrival_bounded(ring, ctx.now, horizon);
 
     let mut actions = Vec::new();
@@ -417,49 +419,33 @@ fn handle_query_arrival(
     let mut stored = StoredQuery::new(pending, key.clone(), level);
     let mut actions = Vec::new();
 
-    // Both walks run in place over slab handles by shared reference — the
-    // arrival allocates nothing per stored or retained tuple. The explicit
-    // `expires_at >= at` filter decides ALTT visibility (the wheel pops an
-    // entry only once the publication watermark passes it, so physical
-    // removal never decides an answer), and it is checked against the
-    // delivery tick, never the clock: the clock is driver-dependent (a burst
-    // publish parks it at the last publication; a shard's clock can run
-    // ahead of `at`), while the delivery tick is part of the
-    // deterministic message schedule.
+    // Both buckets are publication-ordered with their keys inline, so each
+    // walk is one binary-searched run over the publication span the query
+    // could combine with (see [`admissible_pub_span`]), walked in place in
+    // publication order — the arrival allocates nothing per tuple. An ALTT
+    // entry is keyed by its deadline `pub + Δ` (one Δ per engine), so the
+    // same span shifted by Δ bounds its run, and the run starts no earlier
+    // than the delivery tick: that decides ALTT visibility (the wheel
+    // evicts an entry only once the publication watermark passes it, so
+    // physical removal never decides an answer). It is the delivery tick,
+    // never the clock: the clock is driver-dependent (a burst publish parks
+    // it at the last publication; a shard's clock can run ahead of `at`),
+    // while the delivery tick is part of the deterministic message schedule.
     let programs = Arc::clone(&state.programs);
-    let mut span = std::mem::take(&mut state.span_scratch);
-    span.clear();
     let counters = &mut state.compile;
     let sharing = &mut state.sharing;
-    let tuples = &state.tuples;
-    let stored_here = state.stored_tuples.get(&ring).map(Vec::as_slice).unwrap_or_default();
-    let bucket_len = stored_here.len();
-    let min_insert = stored.pending.min_insert_time();
-    // Bound the stored-tuple walk to the publication span the arriving
-    // query could possibly combine with (see [`admissible_pub_span`]):
-    // binary-search the publication-sorted sidecar, then restore bucket
-    // (arrival) order so answers and partials come out in arrival order.
     let (lo, hi) = admissible_pub_span(&stored.pending);
-    if lo <= hi {
-        let times = state.stored_tuple_times.get(&ring).map(Vec::as_slice).unwrap_or_default();
-        let from = times.partition_point(|&(t, _)| t < lo);
-        let to = times.partition_point(|&(t, _)| t <= hi);
-        span.extend(times[from..to].iter().map(|&(_, pos)| pos));
-        span.sort_unstable();
-    }
-    let probed = span.len();
-    let value_tuples = span.iter().filter_map(|&pos| tuples.get(stored_here[pos as usize]));
-    let retained = state
-        .altt
-        .get(&ring)
-        .filter(|_| ctx.config.altt_delta.is_some())
-        .into_iter()
-        .flatten()
-        .filter_map(|h| state.altt_entries.get(*h))
-        .filter(|e| e.expires_at >= ctx.at && e.tuple.pub_time() >= min_insert)
-        .map(|e| &e.tuple);
+    let value_run = state.stored_tuples.get(&ring).map(|bucket| (bucket, key_run(bucket, lo, hi)));
+    let (bucket_len, probed) = value_run.as_ref().map_or((0, 0), |(b, run)| (b.len(), run.len()));
+    state.trigger_index.note_tuple_probe(bucket_len, probed);
+    let retained_run = ctx.config.altt_delta.and_then(|delta| {
+        let bucket = state.altt.get(&ring)?;
+        let from = lo.saturating_add(delta).max(ctx.at);
+        Some((bucket, key_run(bucket, from, hi.saturating_add(delta))))
+    });
     let walk = Instant::now();
-    for tuple in value_tuples.chain(retained) {
+    let runs = value_run.into_iter().chain(retained_run);
+    for (tuple, _) in runs.flat_map(|(bucket, run)| bucket.range(run)) {
         // Stored tuples under one ring key can come from different
         // relations, so the schema lookup cannot be hoisted out of the
         // loop the way the tuple-delivery walk hoists it.
@@ -493,9 +479,6 @@ fn handle_query_arrival(
         // query itself stays, waiting for newer tuples.
     }
     counters.eval_nanos += walk.elapsed().as_nanos() as u64;
-    state.trigger_index.note_tuple_probe(bucket_len, probed);
-    span.clear();
-    state.span_scratch = span;
 
     // Stored for future tuples — merged into a structurally identical entry
     // instead when the shared sub-join path is enabled and a twin exists.
@@ -512,8 +495,8 @@ fn handle_query_arrival(
 /// `[window_min, window_max]`. Every gate ahead of the dedup admission is a
 /// pure predicate over the tuple's publication time — nothing before
 /// `dedup.admit` mutates the entry — so skipping out-of-span tuples is
-/// unobservable, which is what lets an arriving query binary-search the
-/// publication-sorted sidecar instead of scanning its whole bucket. The
+/// unobservable, which is what lets an arriving query binary-search its
+/// publication-ordered buckets instead of scanning them whole. The
 /// span is a *superset* of what the gates admit (they still run for every
 /// walked tuple); `lo > hi` means no stored tuple can trigger.
 fn admissible_pub_span(pending: &PendingQuery) -> (Timestamp, Timestamp) {
@@ -658,7 +641,7 @@ pub fn handle_eval(
     // The query-side heat signal of hot-key splitting: `Eval` arrivals are
     // tracked per key exactly like tuple arrivals, bounded by the same
     // retention horizon.
-    let horizon = ctx.config.ric_window + 2 * ctx.config.network_delay.max(1);
+    let horizon = RIC_WINDOW + 2 * ctx.config.network_delay.max(1);
     state.eval_ric.record(key.ring(), ctx.now, horizon);
     debug_assert!(
         pending.hypercube.is_none(),
@@ -1708,6 +1691,118 @@ mod tests {
         assert!(s.stored_queries.is_empty(), "the bucket went with its last entry");
         eval(s, w, None, 100);
         assert_eq!(probe(s, w, 5, 101), 1, "the key starts over");
+    }
+
+    /// A query arrives at a node whose value-level and ALTT buckets were
+    /// filled out of publication order — a late tuple each, then a bucket
+    /// absorbed from another node that is older than what the node holds —
+    /// with ALTT deadlines on both sides of the delivery tick. For an
+    /// unwindowed, a sliding and a tumbling query, completing and partial
+    /// alike, the arrival must emit exactly the answers and children of a
+    /// linear walk over every stored and every still-visible retained
+    /// tuple, each rewritten by the reference `rjoin_query::rewrite`. The
+    /// wheel then leaves nothing overdue.
+    #[test]
+    fn a_query_over_out_of_order_buckets_matches_the_linear_walk() {
+        const DELTA: u64 = 10;
+        const AT: u64 = 30;
+        const START: u64 = 25;
+        let catalog = catalog();
+        let config = EngineConfig::default().with_altt(DELTA);
+        let schema = catalog.schema("S").unwrap();
+        let ring = IndexKey::value("S", "A", Value::from(7)).hashed().ring();
+        let s_tuple = |pub_time: u64| tuple("S", [7, pub_time as i64, 0], pub_time);
+        // Held in order, then one late arrival, then an older absorbed bucket.
+        let (stored, late_stored, absorbed_stored) = ([20, 24, 30], 22, [12, 15]);
+        // Retained until pub + Δ: 14 and 18 are past the delivery tick.
+        let (retained, late_retained, absorbed_retained) = ([21, 26, 33], 23, [14, 18]);
+        let build = || {
+            let mut state = NodeState::new(Id(1));
+            let mut donor = NodeState::new(Id(2));
+            for p in stored.into_iter().chain([late_stored]) {
+                state.store_tuple(ring, s_tuple(p));
+            }
+            for p in retained.into_iter().chain([late_retained]) {
+                state.altt_insert(ring, s_tuple(p), p + DELTA);
+            }
+            state.recount();
+            for p in absorbed_stored {
+                donor.store_tuple(ring, s_tuple(p));
+            }
+            for p in absorbed_retained {
+                donor.altt_insert(ring, s_tuple(p), p + DELTA);
+            }
+            state.absorb(donor.into_drained(), false);
+            state.recount();
+            state
+        };
+        let all_retained = retained.into_iter().chain([late_retained]).chain(absorbed_retained);
+        let visible: Vec<u64> = stored
+            .into_iter()
+            .chain([late_stored])
+            .chain(absorbed_stored)
+            .chain(all_retained.filter(|p| p + DELTA >= AT))
+            .collect();
+        assert_eq!(visible.len(), 10, "the retained 14 and 18 expired before tick {AT}");
+
+        for window in ["", " WINDOW SLIDING 8 TUPLES", " WINDOW TUMBLING 10 TUPLES"] {
+            let shapes = [
+                ("SELECT R.B, S.B FROM R, S WHERE R.A = S.A", "SELECT 9, S.B FROM S WHERE S.A = 7"),
+                (
+                    "SELECT R.B, S.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B",
+                    "SELECT 9, S.B, J.A FROM S, J WHERE S.A = 7 AND S.B = J.B",
+                ),
+            ];
+            for (input_sql, sql) in shapes {
+                let input = pending(&format!("{input_sql}{window}"), 13);
+                let query = parse_query(&format!("{sql}{window}")).unwrap();
+                let mut child = input.child(query.clone(), Some(START));
+                child.note_contribution(START);
+                let window_spec = *query.window();
+                let mut expected: Vec<String> = visible
+                    .iter()
+                    .filter(|&&p| p >= input.insert_time && window_spec.within(START, p))
+                    .filter_map(|&p| match rewrite(&query, &s_tuple(p), schema).unwrap() {
+                        RewriteResult::Complete(row) => Some(format!("answer {row:?}")),
+                        RewriteResult::Partial(q1) => {
+                            Some(format!("child {q1} from {}", START.max(p)))
+                        }
+                        RewriteResult::Mismatch => None,
+                    })
+                    .collect();
+                let mut state = build();
+                let key = IndexKey::value("S", "A", Value::from(7)).hashed();
+                let actions = handle_eval(
+                    &mut state,
+                    &ctx(&catalog, &config, AT),
+                    child,
+                    &key,
+                    IndexLevel::Value,
+                );
+                let mut emitted: Vec<String> = actions
+                    .iter()
+                    .map(|action| match action {
+                        Action::DeliverAnswer { row, .. } => format!("answer {row:?}"),
+                        Action::Reindex { pending } => format!(
+                            "child {} from {}",
+                            pending.query,
+                            pending.window_start.unwrap()
+                        ),
+                    })
+                    .collect();
+                emitted.sort();
+                expected.sort();
+                assert!(!expected.is_empty());
+                assert_eq!(emitted, expected, "{sql}{window}");
+
+                for target in [AT, 100] {
+                    state.advance_expiry(target);
+                    assert_eq!(state.overdue_entries(target), 0, "{sql}{window} at {target}");
+                    state.recount();
+                }
+                assert!(state.altt.is_empty(), "every retention ended before 100");
+            }
+        }
     }
 
     /// `ensure_program` keeps the engine-wide cache clean: a contact by a

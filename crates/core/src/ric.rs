@@ -4,6 +4,18 @@ use rjoin_dht::RingMap;
 use rjoin_net::SimTime;
 use std::collections::VecDeque;
 
+/// Length (in ticks) of the observation window behind every rate estimate:
+/// the estimate for a key is the number of tuples that arrived under it
+/// during the last `RIC_WINDOW` ticks ("we observe what has happened during
+/// the last time window and assume a similar behaviour for the future",
+/// Section 6).
+pub const RIC_WINDOW: SimTime = 200;
+
+/// Validity horizon (in ticks) of cached RIC information in a node's
+/// candidate table: an older entry is refreshed with a new RIC request, as
+/// described at the end of Section 7.
+pub const RIC_VALIDITY: SimTime = 500;
+
 /// Tracks, per index key, the arrival times of recent tuples so that a node
 /// can answer "how many tuples arrived under this key during the last
 /// observation window?" — the RIC information used to choose where to index

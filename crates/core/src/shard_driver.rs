@@ -57,7 +57,7 @@ use crate::messages::RJoinMessage;
 use crate::node_state::RicEntry;
 use crate::placement::choose_candidate;
 use crate::split::SplitMap;
-use crate::RicTracker;
+use crate::{RicTracker, RIC_WINDOW};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rjoin_dht::{Id, RingBuildHasher};
@@ -105,15 +105,9 @@ impl<'n> EffectEnv for ShardEnv<'_, 'n> {
         Transport::<RJoinMessage>::now(&*self.handle)
     }
 
-    fn cached_ric(
-        &self,
-        node: Id,
-        ring: u64,
-        now: SimTime,
-        validity: Option<SimTime>,
-    ) -> Option<RicEntry> {
+    fn cached_ric(&self, node: Id, ring: u64, now: SimTime) -> Option<RicEntry> {
         // The dispatching node always lives on this shard.
-        self.nodes.get(&node).and_then(|s| s.cached_ric(ring, now, validity))
+        self.nodes.get(&node).and_then(|s| s.cached_ric(ring, now))
     }
 
     fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry) {
@@ -122,10 +116,10 @@ impl<'n> EffectEnv for ShardEnv<'_, 'n> {
         }
     }
 
-    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime, window: SimTime) -> u64 {
+    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime) -> u64 {
         self.ric_dir
             .get(&owner)
-            .map(|tracker| tracker.lock().expect("ric lock").rate_at(ring, now, window))
+            .map(|tracker| tracker.lock().expect("ric lock").rate_at(ring, now, RIC_WINDOW))
             .unwrap_or(0)
     }
 

@@ -2,14 +2,16 @@
 //!
 //! # Why a slab
 //!
-//! `NodeState`'s hot tables used to store entries *inline* in per-ring
-//! `Vec` buckets. That layout makes every structural change positional:
-//! removing an expired entry (`swap_remove`) shuffles the positions of the
-//! survivors, so anything that referred to an entry by position — the
-//! sub-join registry, a would-be expiry index — had to be revalidated or
-//! rebuilt (`O(bucket)` re-registration plus an `O(all slots)` retain per
-//! expiring walk). The cost of *one* removal scaled with *total* stored
-//! state.
+//! A node's stored queries are the one store whose entries leave one at a
+//! time — a windowed query when its wheel deadline pops — while other
+//! structures refer to them: the sub-join registry, the trigger index and
+//! the timer wheel. Stored inline in per-ring `Vec` buckets, every removal
+//! would be positional: `swap_remove` shuffles the positions of the
+//! survivors, so anything that referred to an entry by position had to be
+//! revalidated or rebuilt, and the cost of *one* removal scaled with
+//! *total* stored state. (Tuples need none of this: they leave a ring all
+//! at once or from the front, so `NodeState` keeps them in
+//! publication-ordered lists without handles.)
 //!
 //! With a slab, entries live at a fixed index for their whole lifetime and
 //! buckets hold copyable [`Handle`]s. Removing an entry is `O(1)` in the

@@ -67,8 +67,8 @@ pub struct ExperimentStats {
     /// hits, rewrites run by a program and per-delivery eval time (hypercube
     /// cells add their join time to the latter and nothing to the rest).
     pub compile: CompileCounters,
-    /// How the O(active) state machinery behaved: live/peak slab occupancy
-    /// per store, scheduled wheel deadlines, and reclamations, all of them
+    /// How the O(active) state machinery behaved: live/peak occupancy per
+    /// store, scheduled wheel deadlines, and reclamations, all of them
     /// wheel pops (`contact_expirations` is always 0).
     pub state: StateCounters,
     /// How tuple-arrival probing behaved: indexed probes, candidates handed

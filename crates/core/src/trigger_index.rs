@@ -306,9 +306,9 @@ impl TriggerIndex {
 
     /// Books one bounded walk over stored *tuples*: `probed` of the
     /// `bucket_len` tuples stored under a key were contacted — an arriving
-    /// query's span-bounded eval walk (the eval-side twin of
-    /// [`collect_candidates`](Self::collect_candidates) — see the module
-    /// docs) or one index probe of a hypercube cell's join cascade.
+    /// query's binary-searched run over the publication-ordered bucket (the
+    /// query-side twin of [`collect_candidates`](Self::collect_candidates))
+    /// or one index probe of a hypercube cell's join cascade.
     pub(crate) fn note_tuple_probe(&mut self, bucket_len: usize, probed: usize) {
         self.counters.indexed_probes += 1;
         self.counters.bucket_len_total += bucket_len as u64;

@@ -255,7 +255,7 @@ fn forced_split_key_is_answer_neutral() {
         // from the freshly split key for the cache-validity horizon.
         let ring = key.hashed().ring();
         for id in engine.node_ids().to_vec() {
-            let cached = engine.node_state(id).and_then(|s| s.cached_ric(ring, 0, None));
+            let cached = engine.node_state(id).and_then(|s| s.cached_ric(ring, 0));
             assert!(cached.is_none(), "split activation must purge cached RIC for {attr}");
         }
     }

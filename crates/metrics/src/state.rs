@@ -1,13 +1,14 @@
-//! Gauges and counters of the slab-backed node stores and timer-wheel
-//! expiry.
+//! Gauges and counters of the node stores and timer-wheel expiry. The
+//! `*_slab_*` names are historical: only stored queries live in a slab;
+//! tuples and ALTT entries are counted as they are stored and reclaimed.
 
 use serde::{Deserialize, Serialize};
 
 /// How the O(active) state machinery behaved.
 ///
-/// Each node maintains one instance (the slab gauges are snapshotted from
-/// the slabs at read time, the pop counters accumulate); the engine sums
-/// them into the run-level statistics snapshot.
+/// Each node maintains one instance (the occupancy gauges are snapshotted
+/// from the node's stores at read time, the pop counters accumulate); the
+/// engine sums them into the run-level statistics snapshot.
 ///
 /// Every dead entry is reclaimed by a wheel pop once the node's publication
 /// watermark passes its deadline; nothing else reclaims, so
@@ -17,16 +18,16 @@ use serde::{Deserialize, Serialize};
 /// run's cumulative volume.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateCounters {
-    /// Stored queries live in the slab right now.
+    /// Stored queries live right now.
     pub query_slab_live: u64,
     /// Peak simultaneously live stored queries.
     pub query_slab_high_water: u64,
-    /// Value-level tuples stored right now (slab-backed plain buckets plus
-    /// hypercube cell stores).
+    /// Value-level tuples stored right now (plain buckets plus hypercube
+    /// cell stores).
     pub tuple_slab_live: u64,
     /// Peak simultaneously stored value-level tuples.
     pub tuple_slab_high_water: u64,
-    /// ALTT entries live in the slab right now.
+    /// ALTT entries retained right now.
     pub altt_slab_live: u64,
     /// Peak simultaneously live ALTT entries.
     pub altt_slab_high_water: u64,

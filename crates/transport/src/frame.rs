@@ -60,7 +60,9 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// * 3 — `EngineConfig`, carried by the `Configure` frame, lost its
 ///   `compiled_predicates`, `hypercube_planner` and `trigger_index` fields.
 /// * 4 — `EngineConfig` lost its expiry-mode selector (the sweep mode).
-pub const FORMAT_VERSION: u8 = 4;
+/// * 5 — `Configure` carries `EngineConfig`, which lost `ric_window` and
+///   `ct_validity` (both are constants now).
+pub const FORMAT_VERSION: u8 = 5;
 
 /// Bytes of the length prefix.
 const PREFIX_LEN: usize = 4;

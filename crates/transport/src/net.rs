@@ -25,7 +25,7 @@ use crate::wire::ServiceMessage;
 use rand::rngs::StdRng;
 use rjoin_core::pipeline::{choose_candidate, EffectEnv};
 use rjoin_core::split::SplitMap;
-use rjoin_core::{NodeState, PlacementStrategy, RJoinMessage, RicEntry};
+use rjoin_core::{NodeState, PlacementStrategy, RJoinMessage, RicEntry, RIC_WINDOW};
 use rjoin_dht::{DhtError, Id, LookupResult};
 use rjoin_net::{account_route, KeyRouter, SimTime, TrafficClass, TrafficStats, Transport};
 use rjoin_query::IndexLevel;
@@ -197,15 +197,9 @@ impl EffectEnv for NetEnv<'_> {
         self.net.clock.now()
     }
 
-    fn cached_ric(
-        &self,
-        node: Id,
-        ring: u64,
-        now: SimTime,
-        validity: Option<SimTime>,
-    ) -> Option<RicEntry> {
+    fn cached_ric(&self, node: Id, ring: u64, now: SimTime) -> Option<RicEntry> {
         match &self.state {
-            Some(state) if state.id == node => state.cached_ric(ring, now, validity),
+            Some(state) if state.id == node => state.cached_ric(ring, now),
             _ => None,
         }
     }
@@ -218,9 +212,9 @@ impl EffectEnv for NetEnv<'_> {
         }
     }
 
-    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime, window: SimTime) -> u64 {
+    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime) -> u64 {
         match &self.state {
-            Some(state) if state.id == owner => state.ric().rate_at(ring, now, window),
+            Some(state) if state.id == owner => state.ric().rate_at(ring, now, RIC_WINDOW),
             _ => 0,
         }
     }

@@ -36,7 +36,6 @@ use rjoin_core::split::SplitMap;
 use rjoin_core::{DrainedState, EngineConfig, RJoinMessage};
 use rjoin_dht::Id;
 use rjoin_relation::Catalog;
-use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -225,25 +224,12 @@ impl NodeRuntime {
     }
 
     /// Splits drained buckets by current owner and ships each share as an
-    /// `Absorb`. Returns the number of re-homed items.
+    /// `Absorb`; an item whose owner lookup fails is a dispatch error.
+    /// Returns the number of re-homed items.
     fn ship_drained(&mut self, drained: DrainedState, stats: &NodeStats) -> u64 {
         let moved = drained.len() as u64;
-        let mut per_owner: HashMap<Id, DrainedState> = HashMap::new();
-        for sq in drained.queries {
-            if let Ok(owner) = self.net.view.successor_of(sq.key.id()) {
-                per_owner.entry(owner).or_default().queries.push(sq);
-            }
-        }
-        for (ring, bucket) in drained.tuples {
-            if let Ok(owner) = self.net.view.successor_of(Id(ring)) {
-                per_owner.entry(owner).or_default().tuples.push((ring, bucket));
-            }
-        }
-        for (ring, bucket) in drained.altt {
-            if let Ok(owner) = self.net.view.successor_of(Id(ring)) {
-                per_owner.entry(owner).or_default().altt.push((ring, bucket));
-            }
-        }
+        let (per_owner, errors) = drained.group_by_owner(|id| self.net.view.successor_of(id));
+        stats.dispatch_errors.fetch_add(errors.len() as u64, Ordering::Relaxed);
         for (owner, share) in per_owner {
             let transfer = StateTransfer::from_drained(share);
             let msg = ServiceMessage::Absorb { transfer };

@@ -1,10 +1,11 @@
 //! Scale smoke run: the long-horizon windowed workload at CI-friendly size.
 //!
 //! [`Scenario::scale_test`] is the ≥512-node / 10⁴-query / 10⁵-tuple
-//! generator the O(active) state machinery (slab-backed stores + timer-wheel
-//! expiry) is sized for. Running it in full takes minutes; this example runs
-//! a reduced cut end-to-end and prints the run's statistics as CSV — answer
-//! and traffic totals plus the slab/wheel gauges and the trigger-index
+//! generator the O(active) state machinery (a query slab, publication-ordered
+//! tuple buckets and timer-wheel expiry) is sized for. Running it in full
+//! takes minutes; this example runs a reduced cut end-to-end and prints the
+//! run's statistics as CSV — answer and traffic totals plus the store/wheel
+//! gauges and the trigger-index
 //! probe counters — so CI can archive the state-machinery trajectory next
 //! to the bench numbers.
 //!
