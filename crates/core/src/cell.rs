@@ -45,15 +45,32 @@
 //! when the cell opens: churn re-homes a cell through `NodeState::absorb`,
 //! which has no catalog at hand, so absorbed tuples are appended un-filed
 //! and filed at the cell's next arrival.
+//!
+//! # A cell in its node
+//!
+//! A ring that hosts the replica of a hypercube-planned query is a **cell**:
+//! storing the replica ([`handle_hypercube_arrival`]) opens it, and from
+//! then on the ring's tuple arrivals run the cell's join
+//! ([`handle_cell_arrival`]) instead of Procedure 2, and
+//! [`NodeState::store_tuple`] files them in the cell's indexed store
+//! instead of the plain bucket. The replica itself stays an ordinary slab
+//! entry, so the storage counters, the trigger-index contract and churn
+//! treat it like any other stored input query; churn drains a cell as its
+//! replica plus its tuples in arrival order and the receiving node re-opens
+//! it from exactly those two.
 
+use crate::messages::PendingQuery;
+use crate::node_state::{NodeState, StoredQuery};
+use crate::procedures::{Action, ProcCtx};
 use crate::slab::Handle;
 use crate::trigger_index::{value_digest, TriggerIndex};
-use rjoin_dht::RingMap;
+use rjoin_dht::{HashedKey, RingMap};
 use rjoin_net::SimTime;
-use rjoin_query::{JoinPlan, JoinQuery, SlotColumn, WindowSpec};
+use rjoin_query::{IndexLevel, JoinPlan, JoinQuery, SlotColumn, WindowSpec};
 use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One stored tuple copy, the tick from which its removal is unobservable
 /// (`SimTime::MAX` for unwindowed queries), and the plan slot it is filed
@@ -314,6 +331,76 @@ impl<'a, F: FnMut(Vec<Value>)> Cascade<'a, F> {
     }
 }
 
+/// A tuple copy arrives at a hypercube cell: the local join of the cell.
+///
+/// The cell joins the arrival with the tuples stored before it through the
+/// replica's compiled [`JoinPlan`] ([`Cell::join`]); only then is the
+/// arrival itself stored. So the cascade only ever sees
+/// tuples that arrived *before* its driver — every tuple subset is
+/// assembled exactly once, at its latest member's arrival — and together
+/// with the meeting property of the grid (a joining combination co-occurs
+/// in exactly one cell) answers are bag-exact without cross-cell
+/// coordination. `DISTINCT` collapses owner-side: equal *rows* can complete
+/// in different cells.
+///
+/// A cell runs no trigger program, so it books no rewrite counter; its time
+/// goes to `eval_nanos` and its index probes to the probe counters.
+///
+/// A tuple that can never contribute — published before the query was
+/// submitted, of a relation the query does not join, or failing one of the
+/// replica's own constant selections — is neither joined nor stored.
+pub(crate) fn handle_cell_arrival(
+    state: &mut NodeState,
+    ctx: &ProcCtx<'_>,
+    tuple: &Arc<Tuple>,
+    ring: u64,
+) -> Vec<Action> {
+    let mut actions = Vec::new();
+    let Some(cell) = state.cells.get_mut(&ring) else { return actions };
+    let Some(replica) = state.queries.get(cell.replica).map(|stored| &stored.pending) else {
+        return actions;
+    };
+    if tuple.pub_time() < replica.insert_time {
+        return actions;
+    }
+    let walk = Instant::now();
+    let (query, owner) = (replica.id, replica.owner);
+    let stores = cell.join(&replica.query, ctx.catalog, tuple, &mut state.trigger_index, |row| {
+        actions.push(Action::DeliverAnswer { query, owner, row })
+    });
+    state.compile.eval_nanos += walk.elapsed().as_nanos() as u64;
+    if stores {
+        state.store_tuple(ring, Arc::clone(tuple));
+    }
+    actions
+}
+
+/// Registers a hypercube cell replica of an input query: storing the
+/// replica opens the cell, and the tuple copies that were routed to the
+/// ring ahead of the registration are moved into it one by one, in arrival
+/// order, each through the same cascade a live arrival runs
+/// ([`handle_cell_arrival`]) — so a late registration produces exactly the
+/// answers the cell would have produced had it been there first.
+/// `DISTINCT` collapses owner-side, so the replica carries no dedup filter.
+pub(crate) fn handle_hypercube_arrival(
+    state: &mut NodeState,
+    ctx: &ProcCtx<'_>,
+    pending: PendingQuery,
+    key: &HashedKey,
+    level: IndexLevel,
+) -> Vec<Action> {
+    let ring = key.ring();
+    let mut replica = StoredQuery::new(pending, key.clone(), level);
+    replica.dedup = None;
+    let early = state.take_stored_tuples(ring);
+    state.store_query(replica);
+    let mut actions = Vec::new();
+    for tuple in &early {
+        actions.append(&mut handle_cell_arrival(state, ctx, tuple, ring));
+    }
+    actions
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +424,7 @@ mod tests {
     /// A cell of `sql` with its plan compiled and nothing stored yet.
     fn compiled_cell(sql: &str) -> (Cell, JoinQuery) {
         let q = parse_query(sql).unwrap();
-        let mut cell = Cell::new(crate::slab::Slab::new().insert(()), &q);
+        let mut cell = Cell::new(crate::slab::Slab::default().insert(()), &q);
         assert!(cell.compile(&q, &catalog()));
         (cell, q)
     }
@@ -356,7 +443,7 @@ mod tests {
     /// Drives one arrival through the cell's join; returns the answer rows
     /// and `(probes, candidates)` booked by it.
     fn arrive(cell: &mut Cell, q: &JoinQuery, t: &Tuple) -> (Vec<Vec<Value>>, u64, u64) {
-        let mut probes = TriggerIndex::new();
+        let mut probes = TriggerIndex::default();
         let mut rows = Vec::new();
         cell.join(q, &catalog(), t, &mut probes, |row| rows.push(row));
         let counters = probes.counters();

@@ -1,19 +1,16 @@
 //! The RJoin engine: the simulation driver tying nodes, network and the
 //! algorithm together.
 
-use crate::answers::{AnswerLog, AnswerRecord};
-use crate::config::{EngineConfig, PlacementStrategy};
+use crate::answers::AnswerLog;
+use crate::config::EngineConfig;
+use crate::delivery::standalone_node_state;
 use crate::error::EngineError;
-use crate::messages::{HypercubeRef, PendingQuery, QueryId, RJoinMessage, RicInfo};
+use crate::messages::{HypercubeRef, PendingQuery, QueryId, RJoinMessage};
 use crate::node_id::NodeId;
-use crate::node_state::DrainedState;
-use crate::node_state::{NodeState, ProgramCache, RicEntry};
-use crate::procedures::{self, Action, ProcCtx};
-use crate::ric::RIC_WINDOW;
+use crate::node_state::{NodeState, ProgramCache};
+use crate::placement::dispatch_query_in;
 use crate::shard_driver::{resolve_workers, run_rounds, EngineShard, RicDirectory, ShardEnv};
-use crate::split::{
-    choose_grid, partition_for_value, query_route, tuple_route, HypercubeGrid, SplitMap,
-};
+use crate::split::{HypercubeMap, SplitMap};
 use crate::stats::ExperimentStats;
 use crate::traffic_class;
 use rjoin_dht::{HashedKey, Id, RingBuildHasher};
@@ -21,15 +18,10 @@ use rjoin_metrics::{
     CompileCounters, Distribution, LoadMap, PlannerCounters, ProbeCounters, ShardRuntimeStats,
     SharingCounters, SplitCounters, StateCounters,
 };
-use rjoin_net::{
-    root_lineage, KeyRouter, Network, NetworkConfig, SimTime, TrafficStats, Transport,
-};
+use rjoin_net::{root_lineage, Network, NetworkConfig, SimTime, TrafficStats};
 use rjoin_query::plan;
-use rjoin_query::{
-    candidate_keys, tuple_index_key_iter, IndexKey, IndexLevel, JoinQuery, KeyTemplate,
-};
-use rjoin_relation::{Catalog, Name, Timestamp, Tuple};
-use std::cell::RefCell;
+use rjoin_query::{tuple_index_key_iter, IndexLevel, JoinQuery};
+use rjoin_relation::{Catalog, Timestamp, Tuple};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -41,117 +33,6 @@ pub(crate) type KeyLoadMap = LoadMap<u64, RingBuildHasher>;
 /// identifiers, which are ring identifiers too — same cheap hasher.
 pub(crate) type NodeLoadMap = LoadMap<Id, RingBuildHasher>;
 pub(crate) type NodeMap = HashMap<Id, NodeState, RingBuildHasher>;
-
-/// One registered hypercube plan: the cell space of a hypercube-planned
-/// query. Registered at submission (driver thread, between drains — the
-/// same discipline as [`SplitMap`]) and read-only afterwards, so
-/// publication-time routing is deterministic across drivers.
-#[derive(Debug)]
-struct HypercubePlacement {
-    /// The plan's cell key space, as carried on its [`PendingQuery`].
-    hcref: HypercubeRef,
-    /// The share grid cells are linearized through.
-    grid: HypercubeGrid,
-}
-
-/// How tuples of one relation enter one hypercube plan: the plan's position
-/// in [`RJoinEngine::hypercubes`] and the `(axis, column offset)` pairs a
-/// tuple of the relation binds (none: it pins no axis and replicates to
-/// every cell).
-#[derive(Debug)]
-struct HypercubeRoute {
-    placement: usize,
-    binds: Vec<(usize, usize)>,
-}
-
-/// The query-processing / storage-load counter increments one delivery
-/// charges, resolved during the handler phase and applied in the
-/// deterministic effect phase.
-#[derive(Debug)]
-pub struct LoadDelta {
-    /// Ring id of the index key the delivery was addressed to.
-    pub key: u64,
-    /// Whether the delivery also adds storage load (value-level tuple copy
-    /// or a rewritten query being stored).
-    pub sl: bool,
-}
-
-/// The deferred, engine-global effect of one delivery. Produced during a
-/// round's handler phase (possibly on a worker thread), applied in the
-/// effect phase afterwards, each node's in lineage order, so every shard
-/// and thread count observes the same event order.
-#[derive(Debug)]
-pub enum TickEffect {
-    /// The destination node left the ring; the message is lost.
-    Lost,
-    /// An answer reached the node that submitted the query.
-    Answer(AnswerRecord),
-    /// A node-local handler ran: apply its load counters and actions.
-    Node { node: Id, load: Option<LoadDelta>, actions: Vec<Action> },
-}
-
-/// Runs the node-local part of one delivery (Procedures 1–3): mutates only
-/// `state`, reads only the shared catalog/config. Shared by the simulator's
-/// rounds and the TCP node process, so both produce identical effects.
-pub fn handle_node_msg(
-    state: &mut NodeState,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    now: SimTime,
-    at: SimTime,
-    node: Id,
-    msg: RJoinMessage,
-) -> TickEffect {
-    // Pop expired state before the message is handled. The target is the
-    // node's publication watermark, never a clock: the clock can run ahead
-    // of publication (per-tuple drains of pre-stamped tuples, a shard's
-    // clock), while no tuple still to be delivered was
-    // published before the watermark.
-    let tuple_pub = match &msg {
-        RJoinMessage::NewTuple { tuple, .. } => Some(tuple.pub_time()),
-        _ => None,
-    };
-    state.expire_for_delivery(at, tuple_pub);
-    let ctx = ProcCtx { catalog, config, now, at };
-    let (load, actions) = match msg {
-        RJoinMessage::NewTuple { tuple, key, level, .. } => {
-            // QPL: a tuple received in order to search for matching stored
-            // queries; SL: value-level copies are stored.
-            let load = LoadDelta { key: key.ring(), sl: level == IndexLevel::Value };
-            let actions = procedures::handle_new_tuple(state, &ctx, &tuple, &key, level);
-            (Some(load), actions)
-        }
-        RJoinMessage::IndexQuery { pending, key, level } => {
-            let actions = procedures::handle_index_query(state, &ctx, pending, &key, level);
-            (None, actions)
-        }
-        RJoinMessage::Eval { pending, key, level, carried_ric } => {
-            // QPL: a rewritten query received in order to search stored
-            // tuples; SL: the rewritten query is stored.
-            let load = LoadDelta { key: key.ring(), sl: true };
-            if config.reuse_ric {
-                state.merge_ric(&carried_ric, now);
-            }
-            let actions = procedures::handle_eval(state, &ctx, pending, &key, level);
-            (Some(load), actions)
-        }
-        RJoinMessage::Answer { .. } => {
-            unreachable!("answers are engine-global and never reach a node handler")
-        }
-    };
-    TickEffect::Node { node, load, actions }
-}
-
-/// Builds a [`NodeState`] the way the engine constructors build theirs,
-/// but with a node-private compiled-program cache, for out-of-process
-/// drivers (such as `rjoin_transport`'s node processes) that run
-/// [`handle_node_msg`] themselves with `config`. Nodes built this way do
-/// not share a program cache; each compiles its own rewrite templates on
-/// first trigger. No field of the configuration shapes a node's state
-/// today; a driver passes the one it runs the handlers with.
-pub fn standalone_node_state(id: Id, _config: &EngineConfig) -> NodeState {
-    NodeState::new(id)
-}
 
 /// The RJoin engine.
 ///
@@ -191,14 +72,9 @@ pub struct RJoinEngine {
     pub(crate) splits: SplitMap,
     /// Cumulative hot-key splitting counters.
     pub(crate) split_counters: SplitCounters,
-    /// Active hypercube plans, in submission order. Like [`SplitMap`],
-    /// mutated only on the driver thread (at query submission, between
-    /// drains) and read-only during drains.
-    hypercubes: Vec<HypercubePlacement>,
-    /// The plans each relation participates in, in submission order (which
-    /// is the order publication routes — and therefore sends — in), so a
-    /// published tuple touches only its own relation's plans.
-    hypercube_routes: HashMap<Name, Vec<HypercubeRoute>>,
+    /// Active hypercube plans (written at query submission, read-only
+    /// during drains, like [`SplitMap`]).
+    hypercubes: HypercubeMap,
     /// Cumulative two-plan planner counters. Updated only on the driver
     /// thread (plan choice at submission, tuple routing at publication), so
     /// no per-shard tally is needed.
@@ -255,8 +131,7 @@ impl RJoinEngine {
             shard_runtime: ShardRuntimeStats::default(),
             splits: SplitMap::new(),
             split_counters: SplitCounters::new(),
-            hypercubes: Vec::new(),
-            hypercube_routes: HashMap::new(),
+            hypercubes: HypercubeMap::default(),
             planner_counters: PlannerCounters::new(),
             programs: Arc::new(Mutex::new(ProgramCache::default())),
             pub_watermark: 0,
@@ -277,7 +152,7 @@ impl RJoinEngine {
         self.node_ids.push(id);
     }
 
-    fn node_mut(&mut self, id: Id) -> Option<&mut NodeState> {
+    pub(crate) fn node_mut(&mut self, id: Id) -> Option<&mut NodeState> {
         self.shards[self.network.shard_of(id)].nodes.get_mut(&id)
     }
 
@@ -430,57 +305,21 @@ impl RJoinEngine {
         id: QueryId,
     ) -> Result<Option<HypercubeRef>, EngineError> {
         let graph = plan::JoinGraph::build(query);
-        if graph.classes.is_empty() {
+        // A shape the pipeline cannot run (no pipeline cost) always takes
+        // the hypercube; otherwise the cheaper plan wins.
+        let hc_plan = (!graph.classes.is_empty())
+            .then(|| graph.hypercube_plan(self.config.hypercube_cells.max(2)))
+            .filter(|hc| {
+                let pipe = plan::pipeline_cost(query, graph.shape());
+                pipe.is_none_or(|pipe| plan::hypercube_cost(hc) < pipe)
+            });
+        let Some(hc_plan) = hc_plan else {
             self.planner_counters.pipeline_plans += 1;
             return Ok(None);
-        }
-        let shape = graph.shape();
-        let hc_plan = graph.hypercube_plan(self.config.hypercube_cells.max(2));
-        let take_hypercube = match plan::pipeline_cost(query, shape) {
-            None => true,
-            Some(pipe) => plan::hypercube_cost(&hc_plan) < pipe,
         };
-        if !take_hypercube {
-            self.planner_counters.pipeline_plans += 1;
-            return Ok(None);
-        }
-
-        let grid = HypercubeGrid::new(hc_plan.shares());
-        // A per-query synthetic base key: the `+` separator and hex owner
-        // id keep it disjoint from every relation-derived index key.
-        let base = HashedKey::new(format!("hcube+{:016x}+{}", id.owner.0, id.seq));
-        let hcref = HypercubeRef { base, cells: grid.cells() };
-        let mut bindings: Vec<(Name, Vec<(usize, usize)>)> =
-            query.relations().iter().map(|rel| (rel.clone(), Vec::new())).collect();
-        for (axis, hc_axis) in hc_plan.axes.iter().enumerate() {
-            for member in &hc_axis.members {
-                let schema = self.catalog.require_schema(&member.relation)?;
-                let Some(col) = schema.index_of(&member.attribute) else {
-                    // `validate` checked every attribute, so this is
-                    // unreachable; losing one binding only costs replication.
-                    continue;
-                };
-                if let Some((_, binds)) =
-                    bindings.iter_mut().find(|(rel, _)| *rel == member.relation)
-                {
-                    binds.push((axis, col));
-                }
-            }
-        }
-        self.planner_counters.hypercube_plans += 1;
-        self.planner_counters.cells_allocated += u64::from(grid.cells());
-        self.planner_counters.shares_allocated +=
-            grid.shares().iter().map(|&s| u64::from(s)).sum::<u64>();
-        self.planner_counters.replicated_evals += u64::from(grid.cells());
-        let placement = self.hypercubes.len();
-        self.hypercubes.push(HypercubePlacement { hcref: hcref.clone(), grid });
-        for (relation, binds) in bindings {
-            self.hypercube_routes
-                .entry(relation)
-                .or_default()
-                .push(HypercubeRoute { placement, binds });
-        }
-        Ok(Some(hcref))
+        self.hypercubes
+            .register(id, query, &hc_plan, &self.catalog, &mut self.planner_counters)
+            .map(Some)
     }
 
     /// Publishes a tuple from node `origin`: the tuple is validated and
@@ -530,219 +369,26 @@ impl RJoinEngine {
         self.maybe_split_hot_keys(&keys)?;
         let tuple = Arc::new(tuple);
         let mut items: Vec<(Id, RJoinMessage)> = Vec::with_capacity(keys.len());
+        let mut send = |key: HashedKey, level: IndexLevel| {
+            let (id, tuple) = (key.id(), Arc::clone(&tuple));
+            items.push((id, RJoinMessage::NewTuple { tuple, key, level, publisher: origin }));
+        };
         for (key, level) in keys {
-            let mut send = |key: HashedKey| {
-                let tuple = Arc::clone(&tuple);
-                items.push((
-                    key.id(),
-                    RJoinMessage::NewTuple { tuple, key, level, publisher: origin },
-                ));
-            };
             match self.splits.route_tuple(&key, &tuple) {
-                None => send(key),
+                None => send(key, level),
                 Some(cells) => {
                     self.split_counters.tuples_routed += 1;
                     self.split_counters.tuple_fanout += cells.len() as u64 - 1;
-                    cells.into_iter().for_each(send);
+                    cells.into_iter().for_each(|cell| send(cell, level));
                 }
             }
         }
-        // Hypercube routing: for every registered plan this tuple's relation
-        // participates in, hash its bound attributes to pin coordinates and
-        // send one value-level copy to each cell of the resulting subcube
-        // (replication across the axes the relation leaves unbound).
-        let routes = self.hypercube_routes.get(tuple.relation()).map(Vec::as_slice);
-        for route in routes.unwrap_or_default() {
-            let placement = &self.hypercubes[route.placement];
-            let mut bound: Vec<Option<u32>> = vec![None; placement.grid.dims()];
-            let mut joinable = true;
-            for &(axis, col) in &route.binds {
-                let coord =
-                    partition_for_value(&tuple.values()[col], placement.grid.shares()[axis]);
-                match bound[axis] {
-                    None => bound[axis] = Some(coord),
-                    Some(c) if c == coord => {}
-                    Some(_) => {
-                        // Two attributes of this tuple sit on one axis with
-                        // different values: the closure forces them equal in
-                        // any answer, so the tuple can never join this plan.
-                        joinable = false;
-                        break;
-                    }
-                }
-            }
-            if !joinable {
-                continue;
-            }
-            let cells = placement.grid.subcube(&bound);
-            self.planner_counters.tuples_routed += 1;
-            self.planner_counters.tuple_copies += cells.len() as u64;
-            for cell in cells {
-                let key = placement.hcref.cell_key(cell);
-                items.push((
-                    key.id(),
-                    RJoinMessage::NewTuple {
-                        tuple: Arc::clone(&tuple),
-                        key,
-                        level: IndexLevel::Value,
-                        publisher: origin,
-                    },
-                ));
-            }
-        }
+        // Hypercube routing: one value-level copy to each cell of the
+        // subcube the tuple pins in every plan its relation joins.
+        let planner = &mut self.planner_counters;
+        self.hypercubes.route_tuple(&tuple, planner, |cell| send(cell, IndexLevel::Value));
         self.network.multi_send(origin, items, traffic_class::TUPLE)?;
         Ok(())
-    }
-
-    /// Heavy-hitter detection: splits every not-yet-split key in `keys`
-    /// whose observed tuple rate over the last RIC window (read pure from
-    /// the owning node's tracker) has reached the configured threshold.
-    ///
-    /// Runs only while the network is quiescent: like membership churn, a
-    /// split re-homes stored state, and messages already in flight to the
-    /// base key must not race the migration. Between drains every message
-    /// referencing the base key has been delivered, so gating on
-    /// `in_flight == 0` makes activation exact — and deterministic, because
-    /// quiescence points and RIC state are identical across drivers.
-    fn maybe_split_hot_keys(
-        &mut self,
-        keys: &[(HashedKey, IndexLevel)],
-    ) -> Result<(), EngineError> {
-        let Some(threshold) = self.config.hot_key_threshold else {
-            return Ok(());
-        };
-        if self.network.in_flight() > 0 {
-            return Ok(());
-        }
-        let partitions = self.config.hot_key_partitions.max(2);
-        let now = self.network.now();
-        let window = RIC_WINDOW;
-        for (key, _) in keys {
-            if self.splits.is_split(key.ring()) {
-                continue;
-            }
-            let owner = self.network.owner_of(key.id())?;
-            let Some((tuple_rate, eval_rate)) = self.node_state(owner).map(|s| {
-                (
-                    s.ric().rate_at(key.ring(), now, window),
-                    s.eval_ric().rate_at(key.ring(), now, window),
-                )
-            }) else {
-                continue;
-            };
-            if tuple_rate.max(eval_rate) >= threshold {
-                // The share grid apportions the cells between the two
-                // streams in proportion to their observed rates (Afrati's
-                // shares applied to RJoin's two delivery streams).
-                let grid = choose_grid(partitions, tuple_rate, eval_rate);
-                self.activate_split(key.clone(), grid)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Activates a split of `key` over the share grid and migrates the base
-    /// key's stored state: each stored query moves to its identity
-    /// column's cells, each stored value-level tuple and ALTT entry to its
-    /// content row's cells — exactly where future arrivals will look for
-    /// them. No-op if the key is already split.
-    ///
-    /// Exposed for harnesses via [`RJoinEngine::split_key`]; the engine
-    /// itself calls it from the publication-time heat check.
-    fn activate_split(&mut self, key: HashedKey, grid: HypercubeGrid) -> Result<(), EngineError> {
-        let now = self.network.now();
-        if !self.splits.insert(key.clone(), grid.clone(), now) {
-            return Ok(());
-        }
-        self.split_counters.keys_split += 1;
-        self.split_counters.partitions_created += grid.cells() as u64;
-
-        let base_ring = key.ring();
-        // Drop every cached RIC estimate for the base key: entries cached
-        // before the split hold the pre-split hot rate, and the candidate
-        // table would keep serving them for up to `RIC_VALIDITY` ticks,
-        // shunning the freshly split key. Activation is a quiescent-point
-        // operation, so walking the node map here is safe and cheap.
-        for shard in &mut self.shards {
-            for state in shard.nodes.values_mut() {
-                state.candidate_table.remove(&base_ring);
-            }
-        }
-        let owner = self.network.owner_of(key.id())?;
-        let Some(state) = self.node_mut(owner) else {
-            return Ok(());
-        };
-        let drained = state.drain_misplaced(|ring| ring != base_ring);
-        let share = self.config.share_subjoins;
-        for stored in drained.queries {
-            for sub in query_route(&key, &grid, stored.pending.id) {
-                let new_owner = self.network.owner_of(sub.id())?;
-                let mut replica = stored.clone();
-                replica.key = sub;
-                replica.fingerprint = None;
-                if let Some(target) = self.node_mut(new_owner) {
-                    target.store_query_shared(replica, share);
-                    self.split_counters.migrated_queries += 1;
-                }
-            }
-        }
-        for (_, bucket) in drained.tuples {
-            for tuple in bucket {
-                for sub in tuple_route(&key, &grid, &tuple) {
-                    let new_owner = self.network.owner_of(sub.id())?;
-                    if let Some(target) = self.node_mut(new_owner) {
-                        target.store_tuple(sub.ring(), Arc::clone(&tuple));
-                        self.split_counters.migrated_tuples += 1;
-                    }
-                }
-            }
-        }
-        for (_, bucket) in drained.altt {
-            for (tuple, expires_at) in bucket {
-                for sub in tuple_route(&key, &grid, &tuple) {
-                    let new_owner = self.network.owner_of(sub.id())?;
-                    if let Some(target) = self.node_mut(new_owner) {
-                        target.altt_insert(sub.ring(), Arc::clone(&tuple), expires_at);
-                        self.split_counters.migrated_tuples += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Splits `key` over `partitions` sub-keys right now, regardless of its
-    /// observed rate (harness/experiment entry point; the engine's own
-    /// threshold-driven activation uses the same machinery). The share grid
-    /// is chosen from the key's current telemetry exactly like the
-    /// automatic path. Requires a quiescent network — like churn, splitting
-    /// re-homes stored state and must not race in-flight messages — and
-    /// otherwise returns [`EngineError::NotQuiescent`] without changing
-    /// anything.
-    pub fn split_key(
-        &mut self,
-        key: &rjoin_query::IndexKey,
-        partitions: u32,
-    ) -> Result<(), EngineError> {
-        let in_flight = self.network.in_flight();
-        if in_flight > 0 {
-            return Err(EngineError::NotQuiescent { in_flight });
-        }
-        let hashed = key.hashed();
-        let now = self.network.now();
-        let window = RIC_WINDOW;
-        let owner = self.network.owner_of(hashed.id())?;
-        let (tuple_rate, eval_rate) = self
-            .node_state(owner)
-            .map(|s| {
-                (
-                    s.ric().rate_at(hashed.ring(), now, window),
-                    s.eval_ric().rate_at(hashed.ring(), now, window),
-                )
-            })
-            .unwrap_or((0, 0));
-        let grid = choose_grid(partitions.max(2), tuple_rate, eval_rate);
-        self.activate_split(hashed, grid)
     }
 
     /// Adds a node to the running network (churn): the identifier is derived
@@ -791,46 +437,6 @@ impl RJoinEngine {
         let moved = drained.len();
         self.absorb_drained(drained)?;
         Ok(moved)
-    }
-
-    /// Splits the drained state by current key owner and hands each share to
-    /// that node via [`NodeState::absorb`] (the single place that knows how
-    /// re-homed state re-enters a node — queries go through the shared path,
-    /// so structurally identical entries re-merge at their new home).
-    fn absorb_drained(&mut self, drained: DrainedState) -> Result<(), EngineError> {
-        let share = self.config.share_subjoins;
-        let (per_owner, errors) = drained.group_by_owner(|id| self.network.owner_of(id));
-        if let Some(error) = errors.into_iter().next() {
-            return Err(error.into());
-        }
-        for (owner, share_of_owner) in per_owner {
-            if let Some(state) = self.node_mut(owner) {
-                state.absorb(share_of_owner, share);
-            }
-        }
-        Ok(())
-    }
-
-    /// After a membership change, moves every bucket that is no longer owned
-    /// by the node holding it to the current owner (the handover a real DHT
-    /// performs on join).
-    fn rehome_misplaced_state(&mut self) -> Result<(), EngineError> {
-        let network = &self.network;
-        let mut moved: Vec<DrainedState> = Vec::new();
-        for (node, state) in self.shards.iter_mut().flat_map(|s| s.nodes.iter_mut()) {
-            let drained = state.drain_misplaced(|ring| {
-                // On a lookup failure, keep the bucket where it is rather
-                // than dropping state.
-                network.owner_of(Id(ring)).map(|owner| owner == *node).unwrap_or(true)
-            });
-            if !drained.is_empty() {
-                moved.push(drained);
-            }
-        }
-        for drained in moved {
-            self.absorb_drained(drained)?;
-        }
-        Ok(())
     }
 
     /// Runs one round on the calling thread: the deliveries of the earliest
@@ -1010,417 +616,9 @@ impl RJoinEngine {
     }
 }
 
-/// The engine-global context an effect phase runs against: the transport it
-/// sends through, the RIC information it reads, and the randomness its
-/// placement decisions draw from.
-///
-/// The simulator's implementation is one shard's environment (per-decision
-/// RNG derived from the triggering message's lineage, RIC rates read
-/// through the pure [`RicTracker::rate_at`](crate::RicTracker::rate_at));
-/// the TCP node process supplies its own. Keeping the *entire* Sections 6–7
-/// dispatch logic in [`dispatch_query_in`], generic over this trait, is
-/// what guarantees the two can never drift apart in cost accounting or
-/// placement rules.
-pub trait EffectEnv {
-    /// The transport this environment sends through.
-    type Net: Transport<RJoinMessage>;
-
-    /// The transport handle.
-    fn net(&mut self) -> &mut Self::Net;
-
-    /// The clock placement decisions and answers are stamped with.
-    fn now(&self) -> SimTime;
-
-    /// A still-valid cached RIC estimate from `node`'s candidate table.
-    fn cached_ric(&self, node: Id, ring: u64, now: SimTime) -> Option<RicEntry>;
-
-    /// Caches an RIC observation in `node`'s candidate table.
-    fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry);
-
-    /// The rate of incoming tuples `owner` observed for key `ring` during
-    /// the [`RIC_WINDOW`] ticks ending at `now` (the content of one RIC
-    /// request).
-    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime) -> u64;
-
-    /// Applies the placement strategy, drawing any random tie-breaks from
-    /// this environment's randomness source.
-    fn choose(
-        &mut self,
-        candidates: &[IndexLevel],
-        rates: &[u64],
-        strategy: PlacementStrategy,
-    ) -> usize;
-
-    /// The engine's hot-key split registry (read-only during drains).
-    fn splits(&self) -> &SplitMap;
-
-    /// Books `extra` additional query copies sent because the chosen key
-    /// was split (a query registers at every partition).
-    fn note_query_fanout(&mut self, extra: u64);
-}
-
-/// Applies the actions a node handler produced: answers travel by
-/// `sendDirect`, rewritten queries are re-indexed through the full
-/// placement pipeline. Generic over [`EffectEnv`] so the simulator and the
-/// TCP node process share it verbatim.
-pub fn perform_actions_in<E: EffectEnv>(
-    env: &mut E,
-    config: &EngineConfig,
-    catalog: &Catalog,
-    from: Id,
-    actions: Vec<Action>,
-) -> Result<(), EngineError> {
-    for action in actions {
-        match action {
-            Action::DeliverAnswer { query, owner, row } => {
-                let produced_at = env.now();
-                env.net().send_direct(
-                    from,
-                    owner,
-                    RJoinMessage::Answer { query, row, produced_at },
-                    traffic_class::ANSWER,
-                );
-            }
-            Action::Reindex { pending } => {
-                dispatch_query_in(env, config, catalog, from, *pending, false)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Chooses the index key for a query (input or rewritten) and sends it
-/// there, charging RIC traffic according to Sections 6 and 7. The complete
-/// dispatch pipeline — candidate derivation, RIC collection and caching,
-/// placement, piggy-backing, send — shared by every driver.
-pub fn dispatch_query_in<E: EffectEnv>(
-    env: &mut E,
-    config: &EngineConfig,
-    catalog: &Catalog,
-    from: Id,
-    pending: PendingQuery,
-    is_input: bool,
-) -> Result<(), EngineError> {
-    // A hypercube-planned input query bypasses candidate placement
-    // entirely: it registers one replicated copy at every cell of its plan
-    // (the Eval side of the hypercube), and all further evaluation is
-    // cell-local: a cell joins over its own tuple store and its partials
-    // are transient, so nothing ever comes back through dispatch.
-    if pending.hypercube.is_some() {
-        debug_assert!(is_input, "a hypercube cell joins locally, nothing is re-dispatched");
-        let hc = pending.hypercube.clone().expect("checked above");
-        let mut pending = Some(pending);
-        let copies = (0..hc.cells)
-            .map(|cell| {
-                let key = hc.cell_key(cell);
-                let p = if cell + 1 == hc.cells {
-                    pending.take().expect("taken once, on the last cell")
-                } else {
-                    pending.as_ref().expect("taken only on the last cell").clone()
-                };
-                (key.id(), RJoinMessage::IndexQuery { pending: p, key, level: IndexLevel::Value })
-            })
-            .collect();
-        // No RIC exchange happens for cell placement, so the copies travel
-        // by `multiSend` to the cell owners. The simulated transports
-        // resolve every owner before sending, so a failed lookup installs
-        // no cell rather than a partial cube, which would under-answer.
-        env.net().multi_send(from, copies, traffic_class::QUERY_INDEX)?;
-        return Ok(());
-    }
-    DISPATCH_SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        place_and_send(env, config, catalog, from, pending, is_input, &mut scratch)
-    })
-}
-
-/// The buffers one dispatch fills and the next one reuses: the candidates'
-/// levels, their interned keys and their rates, position for position, and
-/// the order the RIC chain visits them in.
-#[derive(Default)]
-struct DispatchScratch {
-    levels: Vec<IndexLevel>,
-    hashed: Vec<HashedKey>,
-    rates: Vec<u64>,
-    ric_order: Vec<(u64, usize)>,
-}
-
-thread_local! {
-    static DISPATCH_SCRATCH: RefCell<DispatchScratch> = RefCell::new(DispatchScratch::default());
-}
-
-impl DispatchScratch {
-    /// Loads the candidate keys of `query` in [`candidate_keys`] order: from
-    /// the templates of the program that emitted it when it still carries
-    /// them, from the query itself otherwise (input queries, and queries
-    /// that crossed a wire, which drops the program reference).
-    fn load_candidates(
-        &mut self,
-        query: &JoinQuery,
-        templates: Option<&[KeyTemplate]>,
-        catalog: &Catalog,
-    ) -> Result<(), EngineError> {
-        self.levels.clear();
-        self.hashed.clear();
-        if let Some(keys) = templates {
-            self.hashed.extend(keys.iter().map_while(|key| key.hashed(query)));
-            // No templates at all: the fallback below applies. A template
-            // that found no constant: the hint is not this query's.
-            if !keys.is_empty() && self.hashed.len() == keys.len() {
-                self.levels.extend(keys.iter().map(KeyTemplate::level));
-                return Ok(());
-            }
-            self.hashed.clear();
-        }
-        let mut candidates = candidate_keys(query);
-        if candidates.is_empty() {
-            // A query with no conjuncts left but remaining relations (e.g. a
-            // single-relation scan): fall back to an attribute-level key of
-            // the first remaining relation.
-            if let Some(rel) = query.relations().first() {
-                if let Ok(schema) = catalog.require_schema(rel) {
-                    if let Some(attr) = schema.attribute(0) {
-                        candidates.push(IndexKey::attribute(rel.clone(), attr));
-                    }
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return Err(EngineError::NoCandidateKey);
-        }
-        self.levels.extend(candidates.iter().map(IndexKey::level));
-        self.hashed.extend(candidates.iter().map(IndexKey::hashed));
-        Ok(())
-    }
-}
-
-/// [`dispatch_query_in`] for a pipeline-planned query: candidate keys, RIC
-/// collection and caching, placement, piggy-backing, send.
-fn place_and_send<E: EffectEnv>(
-    env: &mut E,
-    config: &EngineConfig,
-    catalog: &Catalog,
-    from: Id,
-    mut pending: PendingQuery,
-    is_input: bool,
-    scratch: &mut DispatchScratch,
-) -> Result<(), EngineError> {
-    // Each candidate is interned exactly once: the ring identifier computed
-    // here serves the rates loop, the candidate table, the piggy-backed RIC
-    // information *and* the final send — no key is hashed twice.
-    let emitted_by = std::mem::take(&mut pending.emitted_by);
-    scratch.load_candidates(&pending.query, emitted_by.child_keys(), catalog)?;
-    let DispatchScratch { levels, hashed, rates, ric_order } = scratch;
-    if !is_input && config.rewritten_value_level_only && levels.contains(&IndexLevel::Value) {
-        // Section 3 base algorithm: rewritten queries always go to the
-        // value level (each rewrite introduces at least one value-level
-        // candidate, so the filtered list is non-empty for chain joins).
-        let mut at_value_level = levels.iter().map(|level| *level == IndexLevel::Value);
-        hashed.retain(|_| at_value_level.next().expect("levels and keys are parallel"));
-        levels.retain(|level| *level == IndexLevel::Value);
-    }
-
-    let strategy = config.placement;
-    let now = env.now();
-    rates.clear();
-    rates.resize(hashed.len(), 0);
-
-    if matches!(strategy, PlacementStrategy::RicAware | PlacementStrategy::Worst) {
-        clockwise_from(from, hashed, ric_order);
-        collect_rates(env, config, from, hashed, rates, ric_order)?;
-    }
-
-    let chosen = env.choose(levels, rates, strategy);
-    let level = levels[chosen];
-    let key = hashed[chosen].clone();
-    let class = if is_input { traffic_class::QUERY_INDEX } else { traffic_class::EVAL };
-
-    let carried_ric: Vec<RicInfo> =
-        if !is_input && config.reuse_ric && strategy == PlacementStrategy::RicAware {
-            hashed
-                .iter()
-                .zip(rates.iter())
-                .map(|(k, r)| RicInfo { key: k.clone(), rate: *r, observed_at: now })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-    let send_copy = |env: &mut E, sub: HashedKey, pending: PendingQuery, ric: Vec<RicInfo>| {
-        let sub_id = sub.id();
-        let msg = if is_input {
-            RJoinMessage::IndexQuery { pending, key: sub, level }
-        } else {
-            RJoinMessage::Eval { pending, key: sub, level, carried_ric: ric }
-        };
-        if strategy == PlacementStrategy::RicAware {
-            // After the RIC exchange the chooser knows the address of every
-            // candidate node (for split candidates: of every partition
-            // owner), so each copy travels in one hop.
-            let owner = env.net().owner_of(sub_id)?;
-            env.net().send_direct(from, owner, msg, class);
-        } else {
-            env.net().send(from, sub_id, msg, class)?;
-        }
-        Ok::<(), EngineError>(())
-    };
-    // Share routing for split keys: the query registers at its identity
-    // column's cells (tuples visit their content row's cells, and the two
-    // sets intersect in exactly one sub-key), so every (query, tuple) pair
-    // still meets exactly once and the answer stream is identical to the
-    // unsplit run. Replicated copies are the split's cost, booked as
-    // fan-out. The last copy moves the pending query; earlier ones clone it
-    // (the unsplit common case never clones).
-    let mut cells = env.splits().route_query(&key, pending.id).unwrap_or_default();
-    env.note_query_fanout(cells.len().saturating_sub(1) as u64);
-    let last = cells.pop().unwrap_or(key);
-    for sub in cells {
-        send_copy(env, sub, pending.clone(), carried_ric.clone())?;
-    }
-    send_copy(env, last, pending, carried_ric)
-}
-
-/// Orders the candidates clockwise from `from` into `order` (`(distance,
-/// index)` pairs), the order the chained RIC request visits them in: a
-/// chain that follows the ring goes round it at most once, where one in
-/// candidate order wraps it between candidates.
-fn clockwise_from(from: Id, hashed: &[HashedKey], order: &mut Vec<(u64, usize)>) {
-    order.clear();
-    order.extend(hashed.iter().enumerate().map(|(i, hkey)| (hkey.id().0.wrapping_sub(from.0), i)));
-    order.sort_unstable();
-}
-
-/// Fills `rates` with every candidate's rate (Sections 6 and 7): cached RIC
-/// information where the candidate table allows it, otherwise one chained
-/// RIC request that visits the candidates in `order` (`(_, index)` pairs
-/// into `hashed` and `rates`). Each rate lands in its candidate's slot, so
-/// the order moves RIC messages, never the rates or the placement.
-fn collect_rates<E: EffectEnv>(
-    env: &mut E,
-    config: &EngineConfig,
-    from: Id,
-    hashed: &[HashedKey],
-    rates: &mut [u64],
-    order: &[(u64, usize)],
-) -> Result<(), EngineError> {
-    let strategy = config.placement;
-    let now = env.now();
-    let mut prev_hop = from;
-    let mut requests = 0usize;
-    for &(_, i) in order {
-        let (hkey, slot) = (&hashed[i], &mut rates[i]);
-        // Reuse cached RIC information when allowed (Section 7). Cached
-        // entries for split candidates are always split-aware: both
-        // paths cache under the base ring identifier, and activation
-        // purges every pre-split entry for the key, so whatever is
-        // cached here was computed from the per-cell rates below.
-        if strategy == PlacementStrategy::RicAware && config.reuse_ric {
-            if let Some(entry) = env.cached_ric(from, hkey.ring(), now) {
-                *slot = entry.rate;
-                continue;
-            }
-        }
-        // Split-aware candidate rate: for a split hot key the unit that
-        // carries load is one *cell*, so the candidate's effective
-        // rate is the maximum over its sub-keys (see
-        // `placement::split_effective_rate`) — which is what makes a
-        // freshly split key attractive again. Each cell owner is one
-        // more chained RIC hop.
-        let parts = env.splits().get(hkey.ring()).map(|e| e.grid.cells());
-        let rate = match parts {
-            None => {
-                let owner = if strategy == PlacementStrategy::RicAware {
-                    // Chained RIC request: previous hop forwards the
-                    // request to the next candidate (k * O(log N)
-                    // messages total); the route ends at its owner.
-                    requests += 1;
-                    env.net().charge_route(prev_hop, hkey.id(), traffic_class::RIC)?.owner
-                } else {
-                    env.net().owner_of(hkey.id())?
-                };
-                prev_hop = owner;
-                env.observed_rate(owner, hkey.ring(), now)
-            }
-            Some(parts) => {
-                let mut partition_rates = Vec::with_capacity(parts as usize);
-                for p in 0..parts {
-                    let sub = hkey.split_part(p, parts);
-                    let owner = env.net().owner_of(sub.id())?;
-                    partition_rates.push(env.observed_rate(owner, sub.ring(), now));
-                    if strategy == PlacementStrategy::RicAware {
-                        env.net().charge_route(prev_hop, sub.id(), traffic_class::RIC)?;
-                        prev_hop = owner;
-                        requests += 1;
-                    }
-                }
-                crate::placement::split_effective_rate(&partition_rates)
-            }
-        };
-        *slot = rate;
-        if strategy == PlacementStrategy::RicAware && config.reuse_ric {
-            env.cache_ric(from, hkey.ring(), RicEntry { rate, observed_at: now });
-        }
-        // The Worst baseline uses oracle knowledge: no traffic is
-        // charged for it (it exists only to bound the design space).
-    }
-    if strategy == PlacementStrategy::RicAware && requests > 0 {
-        // The last contacted candidate returns the collected RIC
-        // information (and every candidate's address) in one hop.
-        env.net().charge_direct(prev_hop, traffic_class::RIC);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// One dispatch's rate collection on a fresh 64-node engine in which
-    /// every candidate's owner has seen `i % 3` arrivals under candidate
-    /// `i`: the rates, the candidate the placement chooses and the RIC
-    /// messages charged, with the chain visiting the candidates in the
-    /// order `order` builds.
-    fn ric_walk(
-        from_index: usize,
-        keys: &[HashedKey],
-        order: impl Fn(Id, &[HashedKey], &mut Vec<(u64, usize)>),
-    ) -> (Vec<u64>, usize, u64) {
-        let config = EngineConfig::default();
-        let mut engine = RJoinEngine::simulated(config.clone(), Catalog::new(), 64);
-        engine.advance_time(10);
-        let now = engine.now();
-        for (i, key) in keys.iter().enumerate() {
-            let owner = engine.network.owner_of(key.id()).unwrap();
-            for _ in 0..i % 3 {
-                engine.node_state(owner).unwrap().ric().record_arrival_bounded(
-                    key.ring(),
-                    now,
-                    1_000,
-                );
-            }
-        }
-        let from = engine.node_ids()[from_index];
-        let levels: Vec<IndexLevel> = (0..keys.len())
-            .map(|i| if i % 2 == 0 { IndexLevel::Value } else { IndexLevel::Attribute })
-            .collect();
-        let mut visit = Vec::new();
-        order(from, keys, &mut visit);
-        let mut rates = vec![0; keys.len()];
-        let shard = engine.network.shard_of(from);
-        let mut env = ShardEnv {
-            handle: &mut engine.network.root_handle(from),
-            nodes: &mut engine.shards[shard].nodes,
-            ric_dir: &engine.ric_dir,
-            splits: &engine.splits,
-            query_fanout: &mut engine.split_counters.query_fanout,
-            engine_seed: config.seed,
-            lineage: root_lineage(0),
-            decisions: 0,
-        };
-        collect_rates(&mut env, &config, from, keys, &mut rates, &visit).unwrap();
-        let chosen = env.choose(&levels, &rates, config.placement);
-        (rates, chosen, engine.traffic().total_sent_class(traffic_class::RIC))
-    }
 
     /// δ ≥ 1 is a construction rule: a zero delay, set through the builder
     /// or by a direct field write, runs — and reports — one tick.
@@ -1435,35 +633,5 @@ mod tests {
         let engine =
             RJoinEngine::simulated(EngineConfig::default().with_delay(3), Catalog::new(), 4);
         assert_eq!((engine.config().network_delay, engine.network.delay()), (3, 3));
-    }
-
-    /// Visiting the candidates clockwise from the dispatcher collects the
-    /// same rates and leads to the same placement as visiting them in
-    /// candidate order, and charges fewer RIC messages over the sixteen
-    /// dispatches. Chord hop counts are not monotone in ring distance, so
-    /// one dispatch may pay a hop more than the candidate-order chain; the
-    /// saving is in the total.
-    #[test]
-    fn ring_order_ric_walk_moves_messages_not_placement() {
-        let (mut ring_total, mut listed_total) = (0, 0);
-        for round in 0..16 {
-            let keys: Vec<HashedKey> =
-                (0..2 + round % 7).map(|i| HashedKey::new(format!("R{round}+A+{i}"))).collect();
-            let from_index = round * 5 % 64;
-            let (ring_rates, ring_chosen, ring_msgs) = ric_walk(from_index, &keys, clockwise_from);
-            let (listed_rates, listed_chosen, listed_msgs) =
-                ric_walk(from_index, &keys, |_, keys, order| {
-                    order.extend((0..keys.len()).map(|i| (0, i)));
-                });
-            assert_eq!(ring_rates, listed_rates, "round {round}: the order moves no rate");
-            assert!(ring_rates.iter().any(|&rate| rate > 0), "round {round}: rates are observed");
-            assert_eq!(ring_chosen, listed_chosen, "round {round}: the order moves no placement");
-            ring_total += ring_msgs;
-            listed_total += listed_msgs;
-        }
-        assert!(
-            ring_total < listed_total,
-            "the clockwise chain charged {ring_total} RIC messages, candidate order {listed_total}"
-        );
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! # Hot-path architecture
 //!
-//! Three design decisions keep the per-message cost flat:
+//! Four design decisions keep the per-message cost flat:
 //!
 //! * **Interned key identities** — every index key is converted once into a
 //!   [`rjoin_dht::HashedKey`] (canonical string as `Arc<str>` plus the ring
@@ -55,6 +55,19 @@
 //!   purely node-local Procedures 1–3 for every delivery of the tick, and
 //!   then applies all global effects — load counters, answer recording,
 //!   RIC-aware placement and sends — each node's in lineage order.
+//!
+//! # One delivery, one module per stage
+//!
+//! The modules follow one delivery through the engine. In the handler
+//! phase, `delivery` is the node-local entry every driver calls; it
+//! advances the node's timer wheel first (`expiry`), then runs the trigger
+//! and query-arrival walks of Procedures 2–3 (`procedures`) — or, on a
+//! hypercube cell's ring, the cell's local join (`cell`) — against the
+//! node's stores (`node_state`). In the effect phase, `placement` runs the
+//! Sections 6–7 dispatch of every rewritten query, reading rates and the
+//! candidate table from `ric`. Between drains, `rehome` moves state on
+//! membership changes and `split` activates hot-key splits and keeps the
+//! hypercube plans; `engine` is the driver, and `shard_driver` its rounds.
 //!
 //! # Shards
 //!
@@ -192,6 +205,7 @@ mod answers;
 mod cell;
 mod config;
 mod dedup;
+mod delivery;
 mod engine;
 mod error;
 mod expiry;
@@ -200,6 +214,7 @@ mod node_id;
 mod node_state;
 mod placement;
 mod procedures;
+mod rehome;
 mod ric;
 mod shard_driver;
 mod shared;
@@ -218,8 +233,9 @@ pub use messages::{
     SubscriberGroup, SubscriberTable,
 };
 pub use node_id::NodeId;
-pub use node_state::{DrainedAlttBucket, DrainedState, NodeState, RicEntry, StoredQuery};
-pub use ric::{ArrivalLog, RicTracker, RIC_VALIDITY, RIC_WINDOW};
+pub use node_state::{NodeState, StoredQuery};
+pub use rehome::{DrainedAlttBucket, DrainedState};
+pub use ric::{ArrivalLog, RicEntry, RicTracker, RIC_VALIDITY, RIC_WINDOW};
 pub use shared::SubJoinRegistry;
 pub use split::{partition_for_tuple, partition_for_value, HypercubeGrid, SplitEntry, SplitMap};
 pub use stats::ExperimentStats;
@@ -227,24 +243,23 @@ pub use stats::ExperimentStats;
 /// The per-node processing pipeline, exposed for out-of-process drivers.
 ///
 /// The engine's delivery loop is split into a *node-local* phase
-/// ([`handle_node_msg`](pipeline::handle_node_msg): Procedures 1–3 against
-/// one [`NodeState`]) and an *effect* phase
-/// ([`perform_actions_in`](pipeline::perform_actions_in) /
-/// [`dispatch_query_in`](pipeline::dispatch_query_in): answer delivery and
-/// the complete Sections 6–7 placement pipeline, generic over an
-/// [`EffectEnv`](pipeline::EffectEnv) that supplies the transport, clock,
-/// RIC reads and randomness). The embedded engine drives both phases over
-/// the simulated network; a networked deployment (the `rjoin_transport`
-/// crate) drives the *same* functions over TCP — one node process per
-/// [`NodeState`] built with
+/// ([`handle_node_msg`](pipeline::handle_node_msg), from the `delivery`
+/// module: expiry, then Procedures 1–3 against one [`NodeState`]) and an
+/// *effect* phase ([`perform_actions_in`](pipeline::perform_actions_in) /
+/// [`dispatch_query_in`](pipeline::dispatch_query_in), from the
+/// `placement` module: answer delivery and the complete Sections 6–7
+/// placement pipeline, generic over an [`EffectEnv`](pipeline::EffectEnv)
+/// that supplies the transport, clock, RIC reads and randomness). The
+/// embedded engine drives both phases over the simulated network; a
+/// networked deployment (the `rjoin_transport` crate) drives the *same*
+/// functions over TCP — one node process per [`NodeState`] built with
 /// [`standalone_node_state`](pipeline::standalone_node_state), so the two
 /// modes can never drift apart in algorithm or cost accounting.
 pub mod pipeline {
-    pub use crate::engine::{
-        dispatch_query_in, handle_node_msg, perform_actions_in, standalone_node_state, EffectEnv,
-        LoadDelta, TickEffect,
+    pub use crate::delivery::{handle_node_msg, standalone_node_state, LoadDelta, TickEffect};
+    pub use crate::placement::{
+        choose_candidate, dispatch_query_in, perform_actions_in, EffectEnv,
     };
-    pub use crate::placement::choose_candidate;
     pub use crate::procedures::Action;
 }
 

@@ -1,16 +1,11 @@
-//! Per-node RJoin state.
+//! Per-node RJoin state: the stores one delivery reads and writes.
 //!
-//! # Trigger-index maintenance contract
-//!
-//! Each stored-query [`Bucket`] carries the partition a value-partitioned
-//! [`TriggerIndex`] keeps over its handles (see [`crate::trigger_index`]):
-//! every site that links a handle into a bucket must file it in the index,
-//! and the one site that unlinks a single handle — the wheel pop
-//! ([`NodeState::advance_expiry`]) — must unfile it with the removed entry,
-//! or indexed probes would hand out stale handles and miss live entries
-//! (churn drains, [`NodeState::drain_misplaced`], drop the bucket whole).
-//! Bucket compaction is `swap_remove`-based; the pop also fixes the moved
-//! entry's [`StoredQuery::bucket_pos`] so unlinking stays O(1).
+//! A node's stored queries, value-level tuples, hypercube cells and ALTT
+//! entries, with the counters kept alongside them. The other stages keep
+//! their part of a node's state next to their code: expiry on the node's
+//! timer wheel in [`crate::expiry`], the candidate table of cached RIC
+//! observations in [`crate::ric`], cells' local joins in [`crate::cell`],
+//! and draining and absorbing re-homed state in [`crate::rehome`].
 //!
 //! # Tuples in publication order
 //!
@@ -25,64 +20,27 @@
 //! Tuples never leave alone, so they need no handles: value-level tuples
 //! leave ring-at-a-time (churn drains, a hypercube replica adopting its
 //! ring), ALTT entries from the front.
-//!
-//! # Expiry on publication time
-//!
-//! Section 5 deletes a rewritten query whose window a tuple exceeds. Here
-//! the timer wheel carries that rule out: every windowed stored query,
-//! cell tuple and ALTT entry is filed under a deadline in *publication*
-//! time (cells and ALTT buckets through one token for their front, as
-//! they evict from the front only), and the wheel is advanced to the
-//! node's **publication
-//! watermark** — the highest publication time among the tuples this node
-//! received in an earlier delivery tick
-//! ([`NodeState::expire_for_delivery`]). Tuples enter the network in
-//! publication order and every message takes the same delay, so a tuple
-//! delivered in a later tick was published no earlier than the watermark:
-//! a deadline the watermark has passed can no longer be met, whichever
-//! clock the driver runs. Deliveries of the *same* tick are excluded,
-//! because their handling order (the rounds' lineage order) need
-//! not be publication order.
-//!
-//! # Hypercube cells
-//!
-//! A ring that hosts the replica of a hypercube-planned query is a **cell**
-//! (see [`crate::cell`]): storing the replica opens it, and from then on
-//! [`NodeState::store_tuple`] files that ring's tuples in the cell's
-//! indexed store instead of the plain bucket. The replica itself stays an
-//! ordinary slab entry, so the storage counters, the trigger-index contract
-//! and churn treat it like any other stored input query; churn drains a
-//! cell as its replica plus its tuples in arrival order and the receiving
-//! node re-opens it from exactly those two.
 
 use crate::cell::Cell;
 use crate::dedup::DedupFilter;
-use crate::expiry::TimerWheel;
-use crate::messages::{PendingQuery, RicInfo};
-use crate::ric::RIC_VALIDITY;
+use crate::expiry::{query_expiry_deadline, window_deadline, ExpiryToken, TimerWheel};
+use crate::messages::PendingQuery;
+use crate::ric::RicEntry;
 use crate::shared::SubJoinRegistry;
 use crate::slab::{Handle, Slab};
 use crate::trigger_index::{Bucket, TriggerIndex};
 use crate::{ArrivalLog, RicTracker};
-use rjoin_dht::{HashedKey, Id, RingBuildHasher, RingMap};
+use rjoin_dht::{HashedKey, Id, RingMap};
 use rjoin_metrics::{CompileCounters, ProbeCounters, SharingCounters, StateCounters};
 use rjoin_net::SimTime;
 use rjoin_query::{
     fingerprint, subjoin_signature_eq, CompiledTrigger, Fingerprint, IndexLevel, SubJoinProgram,
-    WindowSpec,
 };
 use rjoin_relation::{Timestamp, Tuple};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// How far (in publication time) the per-delivery wheel advance may lag
-/// behind the node's publication watermark (see
-/// [`NodeState::expire_for_delivery`]). Physical removal timing never
-/// decides an answer, so the stride only trades a little extra retained
-/// state for one slot crossing per stride instead of one per delivery.
-const EXPIRY_STRIDE: Timestamp = 32;
 
 /// A query (input or rewritten) stored at a node, waiting for tuples.
 #[derive(Debug, Clone)]
@@ -137,7 +95,7 @@ fn insert_ordered(list: &mut TupleList, tuple: Arc<Tuple>, key: Timestamp) -> bo
 /// Merges `incoming` into `list` in key order, `list`'s entries first among
 /// equal keys. Both are ordered, so the stable sort is one linear merge of
 /// two runs.
-fn merge_ordered(
+pub(crate) fn merge_ordered(
     list: &mut TupleList,
     incoming: impl IntoIterator<Item = (Arc<Tuple>, Timestamp)>,
 ) {
@@ -152,70 +110,6 @@ pub(crate) fn key_run(list: &TupleList, lo: Timestamp, hi: Timestamp) -> Range<u
     from..list.partition_point(|&(_, key)| key <= hi).max(from)
 }
 
-/// A deadline token on the node's timer wheel. Query tokens carry slab
-/// handles, so a popped token whose entry was already removed (churn
-/// migration) fails the generation check and is skipped for free; the
-/// other two name a ring whose front is due, and find nothing once the
-/// ring has been drained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum ExpiryToken {
-    /// A windowed stored query; pops once the publication watermark has
-    /// passed its window, which is Section 5's window-exceeded deletion.
-    Query(Handle),
-    /// The front entry of the ALTT bucket on this ring; pops once the
-    /// watermark passes its retention Δ, and reclaims every front entry
-    /// that is due. One token per bucket front, armed as for cells.
-    Altt(u64),
-    /// The front tuple of the hypercube cell on this ring; pops when no
-    /// future publication can share a window with it. Cells evict from the
-    /// front only, so a cell has one token at a time: scheduled when a tuple
-    /// becomes the front (pushed into an empty cell, or left in front by an
-    /// eviction), and a pop reclaims every front tuple that is due (see
-    /// [`Cell::evict_due`]).
-    Cell(u64),
-}
-
-/// The last publication time a tuple may carry and still fall inside the
-/// window anchored at `start` — the wheel's expiry anchor. `None` for
-/// unwindowed queries (they never expire).
-pub(crate) fn last_window_pub(window: &WindowSpec, start: Timestamp) -> Option<Timestamp> {
-    match window {
-        WindowSpec::None => None,
-        // `within(start, p)` holds for p up to start + duration - 1.
-        WindowSpec::Sliding { duration, .. } => {
-            Some(start.saturating_add(duration.saturating_sub(1)))
-        }
-        // A tumbling window admits exactly `start`'s bucket: publications up
-        // to the bucket's last tick. Zero-length windows admit nothing; any
-        // deadline at or before `start` retires the dead entry promptly.
-        WindowSpec::Tumbling { duration, .. } => {
-            if *duration == 0 {
-                Some(start)
-            } else {
-                Some((start / duration + 1).saturating_mul(*duration).saturating_sub(1))
-            }
-        }
-    }
-}
-
-/// The wheel deadline of a stored query, if it can expire at all: the first
-/// publication time its window does not admit. Once the node's publication
-/// watermark reaches it, no tuple still to be delivered can trigger the
-/// query.
-fn query_expiry_deadline(stored: &StoredQuery) -> Option<Timestamp> {
-    let start = stored.pending.window_start?;
-    let last_pub = last_window_pub(stored.pending.query.window(), start)?;
-    Some(last_pub.saturating_add(1))
-}
-
-/// The wheel deadline of a tuple stored in a hypercube cell, if it can be
-/// evicted at all — the stored-query deadline read from the tuple's side: a
-/// later publication can only share a window with a tuple published at
-/// `pub_time` up to `last_window_pub`.
-fn cell_tuple_deadline(window: &WindowSpec, pub_time: Timestamp) -> Option<Timestamp> {
-    Some(last_window_pub(window, pub_time)?.saturating_add(1))
-}
-
 /// Cache of compiled `WHERE`-side programs, keyed by
 /// [`shape_fingerprint`](rjoin_query::shape_fingerprint): the sub-join with
 /// its constants erased, so every rewritten query of one shape finds one
@@ -223,15 +117,6 @@ fn cell_tuple_deadline(window: &WindowSpec, pub_time: Timestamp) -> Option<Times
 /// structural equality via [`SubJoinProgram::matches_source`] before reuse,
 /// so a hash collision costs one extra compile, never a wrong program.
 pub(crate) type ProgramCache = RingMap<Vec<Arc<SubJoinProgram>>>;
-
-/// A cached RIC observation (an entry of the candidate table of Section 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RicEntry {
-    /// Estimated arrivals per RIC window.
-    pub rate: u64,
-    /// When the estimate was taken.
-    pub observed_at: SimTime,
-}
 
 /// The complete RJoin-level state of one network node.
 ///
@@ -255,7 +140,7 @@ pub struct RicEntry {
 /// incrementally by the mutating methods, which is why the tables themselves
 /// are crate-private: [`current_storage_load`](Self::current_storage_load)
 /// and friends are O(1) snapshots, not map scans.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeState {
     /// The node's identifier.
     pub id: Id,
@@ -284,17 +169,17 @@ pub struct NodeState {
     /// query that arrives after its window closed): the next
     /// [`advance_expiry`](Self::advance_expiry) pops them, whatever its
     /// target.
-    overdue: Vec<ExpiryToken>,
+    pub(crate) overdue: Vec<ExpiryToken>,
     /// The publication watermark the wheel is advanced to: the highest
     /// publication time among tuples delivered here before
-    /// `watermark_tick` (see the module docs).
-    pub_watermark: Timestamp,
+    /// `watermark_tick` (see the [`crate::expiry`] docs).
+    pub(crate) pub_watermark: Timestamp,
     /// The delivery tick of the latest delivery handled here.
-    watermark_tick: SimTime,
+    pub(crate) watermark_tick: SimTime,
     /// The highest publication time among all tuples delivered here,
     /// including the current tick's; it becomes the watermark when a later
     /// tick starts.
-    latest_pub: Timestamp,
+    pub(crate) latest_pub: Timestamp,
     /// Counters of the store/wheel machinery (occupancy gauges are filled
     /// in at snapshot time by [`state_counters`](Self::state_counters)).
     pub(crate) state_counters: StateCounters,
@@ -302,7 +187,7 @@ pub struct NodeState {
     pub(crate) candidate_table: RingMap<RicEntry>,
     /// The clock at which the candidate table is next swept for entries
     /// past [`RIC_VALIDITY`].
-    ric_sweep_at: SimTime,
+    pub(crate) ric_sweep_at: SimTime,
     /// Tracker of tuple arrivals used to answer RIC requests.
     ///
     /// Behind a shared lock because it is the one piece of node state read
@@ -343,138 +228,25 @@ pub struct NodeState {
     /// tuple arrival probes O(matching) entries instead of O(bucket).
     pub(crate) trigger_index: TriggerIndex,
     /// Scratch buffer reused by [`advance_expiry`](Self::advance_expiry).
-    expiry_scratch: Vec<ExpiryToken>,
+    pub(crate) expiry_scratch: Vec<ExpiryToken>,
     /// Incremental count of stored queries (input + rewritten).
-    query_count: usize,
+    pub(crate) query_count: usize,
     /// Incremental count of stored *rewritten* queries.
-    rewritten_count: usize,
+    pub(crate) rewritten_count: usize,
     /// Incremental count of stored value-level tuples (plain buckets and
     /// cells).
-    tuple_count: usize,
+    pub(crate) tuple_count: usize,
     /// Peak of `tuple_count`.
-    tuple_peak: usize,
+    pub(crate) tuple_peak: usize,
     /// Incremental count of ALTT entries, and its peak.
-    altt_count: usize,
-    altt_peak: usize,
-}
-
-/// Unlinks `handle` from its ring bucket in O(1): `expected_pos` is the
-/// entry's maintained [`StoredQuery::bucket_pos`], verified before use (a
-/// positional scan remains as a defensive fallback for externally mutated
-/// buckets). The entry `swap_remove` moves into the freed slot gets its
-/// `bucket_pos` fixed up, preserving the invariant for later unlinks.
-pub(crate) fn unlink_from_bucket(
-    bucket: &mut Vec<Handle>,
-    queries: &mut Slab<StoredQuery>,
-    handle: Handle,
-    expected_pos: usize,
-) {
-    let pos = match bucket.get(expected_pos) {
-        Some(h) if *h == handle => Some(expected_pos),
-        _ => bucket.iter().position(|h| *h == handle),
-    };
-    let Some(pos) = pos else { return };
-    bucket.swap_remove(pos);
-    if let Some(&moved) = bucket.get(pos) {
-        if let Some(entry) = queries.get_mut(moved) {
-            entry.bucket_pos = pos;
-        }
-    }
-}
-
-/// One drained ALTT bucket: the key ring id and its retained
-/// `(tuple, expiry)` entries.
-pub type DrainedAlttBucket = (u64, VecDeque<(Arc<Tuple>, SimTime)>);
-
-/// Node state drained for re-homing during churn: the buckets a node no
-/// longer owns (or all of them, when the node leaves), ready to be absorbed
-/// by the nodes now responsible for the keys.
-#[derive(Debug, Default)]
-pub struct DrainedState {
-    /// Stored queries (each carries its interned key, so the new owner can
-    /// be resolved from `key.id()`).
-    pub queries: Vec<StoredQuery>,
-    /// Value-level tuple buckets, by key ring id.
-    pub tuples: Vec<(u64, Vec<Arc<Tuple>>)>,
-    /// ALTT buckets (tuple + expiry time), by key ring id.
-    pub altt: Vec<DrainedAlttBucket>,
-}
-
-impl DrainedState {
-    /// Total number of drained items (queries + tuples + ALTT entries).
-    pub fn len(&self) -> usize {
-        self.queries.len()
-            + self.tuples.iter().map(|(_, b)| b.len()).sum::<usize>()
-            + self.altt.iter().map(|(_, b)| b.len()).sum::<usize>()
-    }
-
-    /// Whether nothing was drained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Splits the drained items by the node `owner_of` names for each key
-    /// (a query's key identifier, a bucket's ring id). An item whose lookup
-    /// fails is left out; the lookup errors are returned alongside.
-    pub fn group_by_owner<E>(
-        self,
-        mut owner_of: impl FnMut(Id) -> Result<Id, E>,
-    ) -> (HashMap<Id, DrainedState, RingBuildHasher>, Vec<E>) {
-        let mut shares: HashMap<Id, DrainedState, RingBuildHasher> = HashMap::default();
-        let mut errors = Vec::new();
-        let mut owner = |id: Id| owner_of(id).map_err(|e| errors.push(e)).ok();
-        for stored in self.queries {
-            if let Some(owner) = owner(stored.key.id()) {
-                shares.entry(owner).or_default().queries.push(stored);
-            }
-        }
-        for (ring, bucket) in self.tuples {
-            if let Some(owner) = owner(Id(ring)) {
-                shares.entry(owner).or_default().tuples.push((ring, bucket));
-            }
-        }
-        for (ring, bucket) in self.altt {
-            if let Some(owner) = owner(Id(ring)) {
-                shares.entry(owner).or_default().altt.push((ring, bucket));
-            }
-        }
-        (shares, errors)
-    }
+    pub(crate) altt_count: usize,
+    pub(crate) altt_peak: usize,
 }
 
 impl NodeState {
     /// Creates the empty state of node `id`.
     pub fn new(id: Id) -> Self {
-        NodeState {
-            id,
-            queries: Slab::new(),
-            stored_queries: RingMap::default(),
-            stored_tuples: RingMap::default(),
-            cells: RingMap::default(),
-            altt: RingMap::default(),
-            wheel: TimerWheel::new(),
-            overdue: Vec::new(),
-            pub_watermark: 0,
-            watermark_tick: 0,
-            latest_pub: 0,
-            state_counters: StateCounters::new(),
-            candidate_table: RingMap::default(),
-            ric_sweep_at: 0,
-            ric: Arc::new(Mutex::new(RicTracker::new())),
-            eval_ric: ArrivalLog::default(),
-            subjoins: SubJoinRegistry::new(),
-            sharing: SharingCounters::new(),
-            programs: Arc::new(Mutex::new(ProgramCache::default())),
-            compile: CompileCounters::new(),
-            trigger_index: TriggerIndex::new(),
-            expiry_scratch: Vec::new(),
-            query_count: 0,
-            rewritten_count: 0,
-            tuple_count: 0,
-            tuple_peak: 0,
-            altt_count: 0,
-            altt_peak: 0,
-        }
+        NodeState { id, ..NodeState::default() }
     }
 
     /// Snapshot of this node's trigger-index probe counters.
@@ -535,120 +307,10 @@ impl NodeState {
         &self.subjoins
     }
 
-    /// Expires state ahead of one delivery at tick `at`: when `at` starts a
-    /// new tick, the tuples of the earlier ticks become the publication
-    /// watermark, and the wheel advances to it (stride-batched, see
-    /// [`EXPIRY_STRIDE`]). `tuple_pub` is the publication time of the
-    /// delivered tuple, if the delivery is one; it only counts from the next
-    /// tick on, so a later-published tuple handled first within a tick
-    /// cannot retire state an earlier-published one of the same tick still
-    /// matches.
-    pub(crate) fn expire_for_delivery(&mut self, at: SimTime, tuple_pub: Option<Timestamp>) {
-        if at > self.watermark_tick {
-            self.watermark_tick = at;
-            self.pub_watermark = self.latest_pub;
-        }
-        if self.pub_watermark.saturating_sub(self.wheel.now()) >= EXPIRY_STRIDE {
-            self.advance_expiry(self.pub_watermark);
-        }
-        if let Some(pub_time) = tuple_pub {
-            self.latest_pub = self.latest_pub.max(pub_time);
-        }
-    }
-
-    /// Advances the node's timer wheel to the publication time `target` and
-    /// removes every stored query, cell tuple and ALTT entry whose deadline
-    /// it reached, along with the overdue ones filed since the last
-    /// advance. Called per delivery with the node's publication
-    /// watermark ([`expire_for_delivery`](Self::expire_for_delivery)) and,
-    /// at quiescence, with the engine's.
-    ///
-    /// The target must never exceed the publication time of a tuple still
-    /// to be delivered here: the deadlines guarantee unobservability only
-    /// for tuples published at or after them.
-    pub(crate) fn advance_expiry(&mut self, target: Timestamp) {
-        let mut due = std::mem::take(&mut self.expiry_scratch);
-        due.append(&mut self.overdue);
-        self.wheel.advance(target, &mut due);
-        for token in due.drain(..) {
-            let now = self.wheel.now();
-            let evicted = match token {
-                ExpiryToken::Query(handle) => self.pop_expired_query(handle),
-                ExpiryToken::Altt(ring) => self.evict_altt_front(ring, now),
-                ExpiryToken::Cell(ring) => self.evict_cell_front(ring, now),
-            };
-            self.state_counters.wheel_pops += evicted as u64;
-        }
-        self.expiry_scratch = due;
-    }
-
-    /// Applies one popped query deadline and returns how many entries it
-    /// removed. A stale token (entry already removed by churn migration)
-    /// fails the slab's generation check and costs nothing further.
-    fn pop_expired_query(&mut self, handle: Handle) -> usize {
-        let Some(expired) = self.queries.remove(handle) else { return 0 };
-        let ring = expired.key.ring();
-        if let Some(bucket) = self.stored_queries.get_mut(&ring) {
-            unlink_from_bucket(&mut bucket.handles, &mut self.queries, handle, expired.bucket_pos);
-            self.trigger_index.remove(bucket, handle, &expired);
-            if bucket.handles.is_empty() {
-                self.stored_queries.remove(&ring);
-            }
-        }
-        self.unregister_subjoin(ring, &expired, handle);
-        self.query_count -= 1;
-        if !expired.pending.is_input() {
-            self.rewritten_count -= 1;
-        }
-        1
-    }
-
-    /// Evicts the due front entries of the ALTT bucket on `ring` — those
-    /// whose retention deadline lies before `now` — and, when the front
-    /// moved, arms the wheel for the new one. Returns how many entries were
-    /// evicted.
-    fn evict_altt_front(&mut self, ring: u64, now: SimTime) -> usize {
-        let Some(bucket) = self.altt.get_mut(&ring) else { return 0 };
-        let due = bucket.partition_point(|&(_, expires_at)| expires_at < now);
-        bucket.drain(..due);
-        match bucket.front().map(|&(_, expires_at)| expires_at) {
-            None => {
-                self.altt.remove(&ring);
-            }
-            Some(next) if due > 0 => self.schedule(next.saturating_add(1), ExpiryToken::Altt(ring)),
-            Some(_) => {}
-        }
-        self.altt_count -= due;
-        due
-    }
-
-    /// Evicts the due front tuples of the cell on `ring` (a popped token
-    /// whose cell was drained by churn finds nothing) and, when the front
-    /// moved, arms the wheel for the new one: a token per cell front, not
-    /// per stored tuple. Returns how many tuples were evicted.
-    fn evict_cell_front(&mut self, ring: u64, now: SimTime) -> usize {
-        let Some(cell) = self.cells.get_mut(&ring) else { return 0 };
-        let evicted = cell.evict_due(now);
-        let next = cell.front_deadline().filter(|&deadline| deadline != SimTime::MAX);
-        if let (true, Some(deadline)) = (evicted > 0, next) {
-            self.schedule(deadline, ExpiryToken::Cell(ring));
-        }
-        self.tuple_count -= evicted;
-        evicted
-    }
-
-    /// Files `token` under `deadline`: on the wheel, or on the overdue list
-    /// when the wheel has already passed it.
-    fn schedule(&mut self, deadline: Timestamp, token: ExpiryToken) {
-        if deadline <= self.wheel.now() {
-            self.overdue.push(token);
-        } else {
-            self.wheel.insert(deadline, token);
-        }
-    }
-
-    /// Drops the registry slot of a removed entry, if it still points at it.
-    fn unregister_subjoin(&mut self, ring: u64, removed: &StoredQuery, handle: Handle) {
+    /// Books the removal of the stored query `removed` (slab handle
+    /// `handle`, on ring `ring`): drops its registry slot, if that still
+    /// points at it, and debits the query counts.
+    pub(crate) fn unregister_query(&mut self, ring: u64, removed: &StoredQuery, handle: Handle) {
         if let Some(fp) = removed.fingerprint {
             let window = (
                 removed.pending.window_start,
@@ -656,6 +318,10 @@ impl NodeState {
                 removed.pending.window_max,
             );
             self.subjoins.unregister(ring, fp, window, handle);
+        }
+        self.query_count -= 1;
+        if !removed.pending.is_input() {
+            self.rewritten_count -= 1;
         }
     }
 
@@ -759,7 +425,7 @@ impl NodeState {
         self.tuple_peak = self.tuple_peak.max(self.tuple_count);
         let pub_time = tuple.pub_time();
         if let Some(cell) = self.cells.get_mut(&key) {
-            let deadline = cell_tuple_deadline(&cell.window, pub_time);
+            let deadline = window_deadline(&cell.window, pub_time);
             let becomes_front = cell.len() == 0;
             cell.push(tuple, deadline.unwrap_or(SimTime::MAX));
             // Eviction is front-only: one token for the front, re-armed by
@@ -790,161 +456,6 @@ impl NodeState {
         self.altt_peak = self.altt_peak.max(self.altt_count);
         if insert_ordered(self.altt.entry(key).or_default(), tuple, expires_at) {
             self.schedule(expires_at.saturating_add(1), ExpiryToken::Altt(key));
-        }
-    }
-
-    /// Number of live windowed entries — stored queries, cell tuples and
-    /// ALTT entries — whose wheel deadline the publication time `watermark`
-    /// has reached (diagnostic). Zero on every node after the engine's
-    /// quiescent flush to its publication watermark: the wheel leaves no
-    /// expired entry behind.
-    pub fn overdue_entries(&self, watermark: Timestamp) -> usize {
-        let overdue = |deadline: Option<Timestamp>| deadline.is_some_and(|d| d <= watermark);
-        let queries = self
-            .stored_queries
-            .values()
-            .flat_map(|bucket| &bucket.handles)
-            .filter_map(|h| self.queries.get(*h))
-            .filter(|stored| overdue(query_expiry_deadline(stored)))
-            .count();
-        let in_cells =
-            self.cells.values().flat_map(Cell::deadlines).filter(|&d| d <= watermark).count();
-        let retained =
-            self.altt.values().flatten().filter(|&&(_, expires_at)| expires_at < watermark).count();
-        queries + in_cells + retained
-    }
-
-    /// Drops every candidate-table entry past [`RIC_VALIDITY`], once per
-    /// horizon: an entry no [`cached_ric`](Self::cached_ric) call at or
-    /// after `now` would serve again. Between sweeps the table holds at most
-    /// two horizons' worth of observations.
-    fn reclaim_stale_ric(&mut self, now: SimTime) {
-        if now >= self.ric_sweep_at {
-            self.candidate_table.retain(|_, e| now.saturating_sub(e.observed_at) <= RIC_VALIDITY);
-            self.ric_sweep_at = now.saturating_add(RIC_VALIDITY).saturating_add(1);
-        }
-    }
-
-    /// Merges the RIC observations piggy-backed on a message handled at
-    /// clock `now` into the candidate table, keeping the most recent
-    /// estimate per key (Section 7).
-    pub fn merge_ric(&mut self, infos: &[RicInfo], now: SimTime) {
-        self.reclaim_stale_ric(now);
-        for info in infos {
-            let fresh = RicEntry { rate: info.rate, observed_at: info.observed_at };
-            let entry = self.candidate_table.entry(info.key.ring()).or_insert(fresh);
-            if info.observed_at >= entry.observed_at {
-                *entry = fresh;
-            }
-        }
-    }
-
-    /// Looks up a cached RIC estimate that is still valid at `now`: observed
-    /// no more than [`RIC_VALIDITY`] ticks earlier.
-    pub fn cached_ric(&self, key: u64, now: SimTime) -> Option<RicEntry> {
-        let entry = self.candidate_table.get(&key)?;
-        (now.saturating_sub(entry.observed_at) <= RIC_VALIDITY).then_some(*entry)
-    }
-
-    /// Caches one RIC estimate, just observed, for a candidate key.
-    pub fn cache_ric(&mut self, ring: u64, entry: RicEntry) {
-        self.reclaim_stale_ric(entry.observed_at);
-        self.candidate_table.insert(ring, entry);
-    }
-
-    /// Drains every bucket whose key ring id fails `keep` (the node is no
-    /// longer responsible for it after a membership change), adjusting the
-    /// storage counters and the sub-join registry. The drained state is
-    /// returned so the engine can hand it to the new owners.
-    ///
-    /// Wheel tokens of drained entries are left to lapse: a query's slab
-    /// removal bumps its generation, and a drained ring's front token finds
-    /// no bucket, so the tokens are skipped for free at their deadline and
-    /// can never touch the re-homed copies (which are re-scheduled by their
-    /// new node's [`absorb`](Self::absorb)).
-    pub fn drain_misplaced(&mut self, mut keep: impl FnMut(u64) -> bool) -> DrainedState {
-        let mut drained = DrainedState::default();
-        let rings: Vec<u64> = self.stored_queries.keys().copied().filter(|r| !keep(*r)).collect();
-        for ring in rings {
-            let bucket = self.stored_queries.remove(&ring).expect("ring collected above");
-            self.trigger_index.forget(&bucket);
-            for handle in bucket.handles {
-                let stored = self.queries.remove(handle).expect("bucket handles are live");
-                self.unregister_subjoin(ring, &stored, handle);
-                self.query_count -= 1;
-                if !stored.pending.is_input() {
-                    self.rewritten_count -= 1;
-                }
-                drained.queries.push(stored);
-            }
-        }
-        let rings: Vec<u64> = self.stored_tuples.keys().copied().filter(|r| !keep(*r)).collect();
-        for ring in rings {
-            drained.tuples.push((ring, self.take_stored_tuples(ring)));
-        }
-        // A cell re-homes as its replica (drained with the queries above)
-        // plus its tuples in arrival order; plan and index are rebuilt
-        // at the new owner, and this node's wheel tokens for it lapse.
-        let rings: Vec<u64> = self.cells.keys().copied().filter(|r| !keep(*r)).collect();
-        for ring in rings {
-            let tuples = self.cells.remove(&ring).expect("ring collected above").into_tuples();
-            self.tuple_count -= tuples.len();
-            drained.tuples.push((ring, tuples));
-        }
-        let rings: Vec<u64> = self.altt.keys().copied().filter(|r| !keep(*r)).collect();
-        for ring in rings {
-            let bucket = self.altt.remove(&ring).expect("ring collected above");
-            self.altt_count -= bucket.len();
-            drained.altt.push((ring, bucket));
-        }
-        drained
-    }
-
-    /// Consumes the node's entire application state (graceful leave: the
-    /// departing node hands everything to its successors).
-    pub fn into_drained(mut self) -> DrainedState {
-        self.drain_misplaced(|_| false)
-    }
-
-    /// Absorbs re-homed state from another node. Queries go through the
-    /// shared path when `share` is enabled, so structurally identical
-    /// entries re-merge at their new home; every windowed query, cell tuple
-    /// and ALTT bucket front is re-scheduled on this node's wheel. Queries
-    /// are absorbed first: a hypercube replica re-opens its cell, which the
-    /// cell's tuples then land in. Every other bucket is merged into the
-    /// ring's own in publication order.
-    pub fn absorb(&mut self, drained: DrainedState, share: bool) {
-        for mut stored in drained.queries {
-            // The fingerprint slot is tied to the previous node's slab
-            // handle; the shared path recomputes and re-registers it here.
-            stored.fingerprint = None;
-            self.store_query_shared(stored, share);
-        }
-        for (ring, bucket) in drained.tuples {
-            if self.cells.contains_key(&ring) {
-                for tuple in bucket {
-                    self.store_tuple(ring, tuple);
-                }
-                continue;
-            }
-            self.tuple_count += bucket.len();
-            self.tuple_peak = self.tuple_peak.max(self.tuple_count);
-            let keyed = bucket.into_iter().map(|tuple| {
-                let pub_time = tuple.pub_time();
-                (tuple, pub_time)
-            });
-            merge_ordered(self.stored_tuples.entry(ring).or_default(), keyed);
-        }
-        for (ring, bucket) in drained.altt {
-            self.altt_count += bucket.len();
-            self.altt_peak = self.altt_peak.max(self.altt_count);
-            let list = self.altt.entry(ring).or_default();
-            merge_ordered(list, bucket);
-            // The merged front may be older than the old one: arm for it (a
-            // surplus token finds nothing due when it pops).
-            if let Some(&(_, front)) = list.front() {
-                self.schedule(front.saturating_add(1), ExpiryToken::Altt(ring));
-            }
         }
     }
 
@@ -1325,8 +836,8 @@ mod tests {
     }
 
     /// A rewritten query with a sliding window anchored at `start`
-    /// (`WINDOW SLIDING 8 TUPLES`, so `last_window_pub = start + 7` and the
-    /// wheel deadline is `start + 8`).
+    /// (`WINDOW SLIDING 8 TUPLES`: it admits publications up to `start + 7`,
+    /// and the wheel deadline is `start + 8`).
     fn windowed_rewritten(owner: u64, start: u64) -> PendingQuery {
         input_from(
             owner,
@@ -1369,7 +880,7 @@ mod tests {
     /// watermark from the next tick on, which retires the query.
     #[test]
     fn a_later_published_tuple_of_the_same_tick_does_not_retire_state() {
-        use crate::engine::{handle_node_msg, TickEffect};
+        use crate::delivery::{handle_node_msg, TickEffect};
         use crate::messages::RJoinMessage;
         let mut catalog = rjoin_relation::Catalog::new();
         catalog.register(rjoin_relation::Schema::new("J", ["A", "B"]).unwrap()).unwrap();
@@ -1552,46 +1063,5 @@ mod tests {
         // An emptied cell arms a token again at its next push.
         node.store_tuple(k.ring(), tuple(50));
         assert_eq!(scheduled(&node), 1);
-    }
-
-    #[test]
-    fn candidate_table_keeps_most_recent_and_respects_validity() {
-        let mut state = NodeState::new(Id(7));
-        let k = key("R+A");
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 5, observed_at: 10 }], 10);
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 9, observed_at: 20 }], 20);
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 1, observed_at: 15 }], 21); // older, ignored
-        let entry = state.cached_ric(k.ring(), 25).unwrap();
-        assert_eq!(entry.rate, 9);
-        assert_eq!(entry.observed_at, 20);
-        // The validity horizon rejects stale entries.
-        assert!(state.cached_ric(k.ring(), 20 + RIC_VALIDITY).is_some());
-        assert!(state.cached_ric(k.ring(), 21 + RIC_VALIDITY).is_none());
-        assert!(state.cached_ric(key("unknown").ring(), 0).is_none());
-    }
-
-    /// Entries past the validity horizon are reclaimed by later touches of
-    /// the table: over three horizons of one fresh key per tick it never
-    /// holds more than two horizons' worth, and every read answers as if
-    /// nothing had been dropped.
-    #[test]
-    fn candidate_table_reclaims_entries_past_validity() {
-        let mut state = NodeState::new(Id(7));
-        let keys: Vec<HashedKey> =
-            (0..=3 * RIC_VALIDITY).map(|t| key(&format!("R+A+i:{t}"))).collect();
-        for now in 1..=3 * RIC_VALIDITY {
-            let fresh = &keys[now as usize];
-            if now % 2 == 0 {
-                state.cache_ric(fresh.ring(), RicEntry { rate: now, observed_at: now });
-            } else {
-                state
-                    .merge_ric(&[RicInfo { key: fresh.clone(), rate: now, observed_at: now }], now);
-            }
-            assert!(state.candidate_table.len() as u64 <= 2 * RIC_VALIDITY + 1, "at {now}");
-            for seen in 1..=now {
-                let cached = state.cached_ric(keys[seen as usize].ring(), now);
-                assert_eq!(cached.map(|e| e.rate), (now - seen <= RIC_VALIDITY).then_some(seen));
-            }
-        }
     }
 }

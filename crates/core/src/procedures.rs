@@ -3,9 +3,9 @@
 //! These functions operate on a single node's [`NodeState`] and return the
 //! list of [`Action`]s the node wants to perform (answers to deliver,
 //! rewritten queries to re-index). Sending those actions through the network
-//! — including the RIC-aware placement decision — is the engine's job, which
-//! keeps these handlers purely local, exactly like the pseudo-code in the
-//! paper.
+//! — including the RIC-aware placement decision, [`crate::placement`] — is
+//! the effect phase's job, which keeps these handlers purely local, exactly
+//! like the pseudo-code in the paper.
 //!
 //! Tuple arrivals ([`handle_new_tuple`]) contact stored queries through the
 //! node's value-partitioned trigger index (`O(matching)` probes; see
@@ -18,23 +18,15 @@
 //! query whose window a tuple exceeds is deleted — is carried out by the
 //! node's timer wheel, which files every windowed entry under the first
 //! publication time its window does not admit and pops it once the node's
-//! publication watermark passes that time (see [`crate::node_state`]): one
+//! publication watermark passes that time (see [`crate::expiry`]): one
 //! delivery tick after the exceeding tuple arrives. Until then an
 //! out-of-window tuple simply does not trigger the entry.
 //!
-//! A ring that hosts a hypercube cell (see [`crate::cell`]) takes neither
-//! path, and is not recorded for RIC: its arrivals run the cell's
-//! **indexed probe cascade** ([`handle_cell_arrival`]). The cell compiles
-//! its replica once, at its first arrival, into a positional
-//! [`JoinPlan`](rjoin_query::JoinPlan) — a slot per relation, constant
-//! filters and join edges as column offsets; an arriving tuple that passes
-//! its slot's filters is bound to its slot, and every remaining slot is
-//! bound depth-first by probing the cell's `(slot, column, value)` index
-//! with the values the bound tuples pin (the shortest pinned list, or a
-//! scan when nothing is pinned) over the tuples that arrived before it.
-//! Bindings are tuple references on the stack — no rewritten query is
-//! built — and the cell stores its replica and its tuples, nothing else.
+//! A ring that hosts a hypercube cell takes neither path, and is not
+//! recorded for RIC: its arrivals run the cell's indexed probe cascade
+//! ([`cell::handle_cell_arrival`], see [`crate::cell`]).
 
+use crate::cell;
 use crate::config::EngineConfig;
 use crate::messages::{EmittedBy, PendingQuery, QueryId};
 use crate::node_state::{key_run, NodeState, ProgramCache, StoredQuery};
@@ -318,7 +310,7 @@ pub fn handle_new_tuple(
     // only reads a publication's index keys, so nothing would ever read a
     // RIC entry for it.
     if state.cells.contains_key(&ring) {
-        return handle_cell_arrival(state, ctx, tuple, ring);
+        return cell::handle_cell_arrival(state, ctx, tuple, ring);
     }
     // The node observes the arrival for RIC purposes regardless of level;
     // the retention horizon keeps the per-key history bounded without being
@@ -534,83 +526,12 @@ fn admissible_pub_span(pending: &PendingQuery) -> (Timestamp, Timestamp) {
     (lo, hi)
 }
 
-/// A tuple copy arrives at a hypercube cell: the local join of the cell.
-///
-/// The cell joins the arrival with the tuples stored before it through the
-/// replica's compiled [`JoinPlan`](rjoin_query::JoinPlan)
-/// ([`Cell::join`](crate::cell::Cell::join));
-/// only then is the arrival itself stored. So the cascade only ever sees
-/// tuples that arrived *before* its driver — every tuple subset is
-/// assembled exactly once, at its latest member's arrival — and together
-/// with the meeting property of the grid (a joining combination co-occurs
-/// in exactly one cell) answers are bag-exact without cross-cell
-/// coordination. `DISTINCT` collapses owner-side: equal *rows* can complete
-/// in different cells.
-///
-/// A cell runs no trigger program, so it books no rewrite counter; its time
-/// goes to `eval_nanos` and its index probes to the probe counters.
-///
-/// A tuple that can never contribute — published before the query was
-/// submitted, of a relation the query does not join, or failing one of the
-/// replica's own constant selections — is neither joined nor stored.
-fn handle_cell_arrival(
-    state: &mut NodeState,
-    ctx: &ProcCtx<'_>,
-    tuple: &Arc<Tuple>,
-    ring: u64,
-) -> Vec<Action> {
-    let mut actions = Vec::new();
-    let Some(cell) = state.cells.get_mut(&ring) else { return actions };
-    let Some(replica) = state.queries.get(cell.replica).map(|stored| &stored.pending) else {
-        return actions;
-    };
-    if tuple.pub_time() < replica.insert_time {
-        return actions;
-    }
-    let walk = Instant::now();
-    let (query, owner) = (replica.id, replica.owner);
-    let stores = cell.join(&replica.query, ctx.catalog, tuple, &mut state.trigger_index, |row| {
-        actions.push(Action::DeliverAnswer { query, owner, row })
-    });
-    state.compile.eval_nanos += walk.elapsed().as_nanos() as u64;
-    if stores {
-        state.store_tuple(ring, Arc::clone(tuple));
-    }
-    actions
-}
-
-/// Registers a hypercube cell replica of an input query: storing the
-/// replica opens the cell, and the tuple copies that were routed to the
-/// ring ahead of the registration are moved into it one by one, in arrival
-/// order, each through the same cascade a live arrival runs
-/// ([`handle_cell_arrival`]) — so a late registration produces exactly the
-/// answers the cell would have produced had it been there first.
-/// `DISTINCT` collapses owner-side, so the replica carries no dedup filter.
-fn handle_hypercube_arrival(
-    state: &mut NodeState,
-    ctx: &ProcCtx<'_>,
-    pending: PendingQuery,
-    key: &HashedKey,
-    level: IndexLevel,
-) -> Vec<Action> {
-    let ring = key.ring();
-    let mut replica = StoredQuery::new(pending, key.clone(), level);
-    replica.dedup = None;
-    let early = state.take_stored_tuples(ring);
-    state.store_query(replica);
-    let mut actions = Vec::new();
-    for tuple in &early {
-        actions.append(&mut handle_cell_arrival(state, ctx, tuple, ring));
-    }
-    actions
-}
-
 /// Handles the arrival of an *input* query at the node it was indexed at.
 ///
 /// The base algorithm simply stores it; with the ALTT extension the node
 /// also searches the attribute-level tuple table for tuples that arrived
 /// before the query did (Section 4, rule 2). Hypercube cell replicas open
-/// a cell instead (see [`handle_hypercube_arrival`]).
+/// a cell instead (see [`cell::handle_hypercube_arrival`]).
 pub fn handle_index_query(
     state: &mut NodeState,
     ctx: &ProcCtx<'_>,
@@ -619,7 +540,7 @@ pub fn handle_index_query(
     level: IndexLevel,
 ) -> Vec<Action> {
     if pending.hypercube.is_some() {
-        return handle_hypercube_arrival(state, ctx, pending, key, level);
+        return cell::handle_hypercube_arrival(state, ctx, pending, key, level);
     }
     handle_query_arrival(state, ctx, pending, key, level)
 }
@@ -684,8 +605,8 @@ mod tests {
         msg: crate::RJoinMessage,
     ) -> Vec<Action> {
         let node = state.id;
-        match crate::engine::handle_node_msg(state, catalog, config, at, at, node, msg) {
-            crate::engine::TickEffect::Node { actions, .. } => actions,
+        match crate::delivery::handle_node_msg(state, catalog, config, at, at, node, msg) {
+            crate::delivery::TickEffect::Node { actions, .. } => actions,
             _ => unreachable!("a node message yields node effects"),
         }
     }

@@ -1,5 +1,8 @@
-//! RIC (Rate of Incoming tuple Count) tracking (Section 6).
+//! RIC (Rate of Incoming tuple Count) tracking (Section 6), and each
+//! node's candidate table of cached RIC observations (Section 7).
 
+use crate::messages::RicInfo;
+use crate::node_state::NodeState;
 use rjoin_dht::RingMap;
 use rjoin_net::SimTime;
 use std::collections::VecDeque;
@@ -141,10 +144,59 @@ impl ArrivalLog {
     }
 }
 
+/// A cached RIC observation (an entry of the candidate table of Section 7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RicEntry {
+    /// Estimated arrivals per RIC window.
+    pub rate: u64,
+    /// When the estimate was taken.
+    pub observed_at: SimTime,
+}
+
+impl NodeState {
+    /// Drops every candidate-table entry past [`RIC_VALIDITY`], once per
+    /// horizon: an entry no [`cached_ric`](Self::cached_ric) call at or
+    /// after `now` would serve again. Between sweeps the table holds at most
+    /// two horizons' worth of observations.
+    fn reclaim_stale_ric(&mut self, now: SimTime) {
+        if now >= self.ric_sweep_at {
+            self.candidate_table.retain(|_, e| now.saturating_sub(e.observed_at) <= RIC_VALIDITY);
+            self.ric_sweep_at = now.saturating_add(RIC_VALIDITY).saturating_add(1);
+        }
+    }
+
+    /// Merges the RIC observations piggy-backed on a message handled at
+    /// clock `now` into the candidate table, keeping the most recent
+    /// estimate per key (Section 7).
+    pub fn merge_ric(&mut self, infos: &[RicInfo], now: SimTime) {
+        self.reclaim_stale_ric(now);
+        for info in infos {
+            let fresh = RicEntry { rate: info.rate, observed_at: info.observed_at };
+            let entry = self.candidate_table.entry(info.key.ring()).or_insert(fresh);
+            if info.observed_at >= entry.observed_at {
+                *entry = fresh;
+            }
+        }
+    }
+
+    /// Looks up a cached RIC estimate that is still valid at `now`: observed
+    /// no more than [`RIC_VALIDITY`] ticks earlier.
+    pub fn cached_ric(&self, key: u64, now: SimTime) -> Option<RicEntry> {
+        let entry = self.candidate_table.get(&key)?;
+        (now.saturating_sub(entry.observed_at) <= RIC_VALIDITY).then_some(*entry)
+    }
+
+    /// Caches one RIC estimate, just observed, for a candidate key.
+    pub fn cache_ric(&mut self, ring: u64, entry: RicEntry) {
+        self.reclaim_stale_ric(entry.observed_at);
+        self.candidate_table.insert(ring, entry);
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rjoin_dht::HashedKey;
+    use crate::messages::RicInfo;
+    use rjoin_dht::{HashedKey, Id};
 
     fn k(text: &str) -> u64 {
         HashedKey::new(text).ring()
@@ -247,5 +299,46 @@ mod tests {
         assert_eq!(t.total_arrivals(), 3, "totals count every arrival ever");
         // Reads inside the horizon are unaffected by the pruning.
         assert_eq!(t.rate_at(k("k"), 35, 20), 2);
+    }
+
+    #[test]
+    fn candidate_table_keeps_most_recent_and_respects_validity() {
+        let mut state = NodeState::new(Id(7));
+        let k = HashedKey::new("R+A");
+        state.merge_ric(&[RicInfo { key: k.clone(), rate: 5, observed_at: 10 }], 10);
+        state.merge_ric(&[RicInfo { key: k.clone(), rate: 9, observed_at: 20 }], 20);
+        state.merge_ric(&[RicInfo { key: k.clone(), rate: 1, observed_at: 15 }], 21); // older, ignored
+        let entry = state.cached_ric(k.ring(), 25).unwrap();
+        assert_eq!(entry.rate, 9);
+        assert_eq!(entry.observed_at, 20);
+        // The validity horizon rejects stale entries.
+        assert!(state.cached_ric(k.ring(), 20 + RIC_VALIDITY).is_some());
+        assert!(state.cached_ric(k.ring(), 21 + RIC_VALIDITY).is_none());
+        assert!(state.cached_ric(HashedKey::new("unknown").ring(), 0).is_none());
+    }
+
+    /// Entries past the validity horizon are reclaimed by later touches of
+    /// the table: over three horizons of one fresh key per tick it never
+    /// holds more than two horizons' worth, and every read answers as if
+    /// nothing had been dropped.
+    #[test]
+    fn candidate_table_reclaims_entries_past_validity() {
+        let mut state = NodeState::new(Id(7));
+        let keys: Vec<HashedKey> =
+            (0..=3 * RIC_VALIDITY).map(|t| HashedKey::new(format!("R+A+i:{t}"))).collect();
+        for now in 1..=3 * RIC_VALIDITY {
+            let fresh = &keys[now as usize];
+            if now % 2 == 0 {
+                state.cache_ric(fresh.ring(), RicEntry { rate: now, observed_at: now });
+            } else {
+                state
+                    .merge_ric(&[RicInfo { key: fresh.clone(), rate: now, observed_at: now }], now);
+            }
+            assert!(state.candidate_table.len() as u64 <= 2 * RIC_VALIDITY + 1, "at {now}");
+            for seen in 1..=now {
+                let cached = state.cached_ric(keys[seen as usize].ring(), now);
+                assert_eq!(cached.map(|e| e.rate), (now - seen <= RIC_VALIDITY).then_some(seen));
+            }
+        }
     }
 }

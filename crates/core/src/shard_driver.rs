@@ -48,16 +48,13 @@
 
 use crate::answers::AnswerRecord;
 use crate::config::{EngineConfig, PlacementStrategy};
-use crate::engine::{
-    handle_node_msg, perform_actions_in, EffectEnv, KeyLoadMap, NodeLoadMap, NodeMap, RJoinEngine,
-    TickEffect,
-};
+use crate::delivery::{handle_node_msg, TickEffect};
+use crate::engine::{KeyLoadMap, NodeLoadMap, NodeMap, RJoinEngine};
 use crate::error::EngineError;
 use crate::messages::RJoinMessage;
-use crate::node_state::RicEntry;
-use crate::placement::choose_candidate;
+use crate::placement::{choose_candidate, perform_actions_in, EffectEnv};
+use crate::ric::{RicEntry, RicTracker, RIC_WINDOW};
 use crate::split::SplitMap;
-use crate::{RicTracker, RIC_WINDOW};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rjoin_dht::{Id, RingBuildHasher};

@@ -159,7 +159,7 @@ mod tests {
     const WINDOW: WindowState = (Some(3), Some(3), Some(5));
 
     fn two_handles() -> (Handle, Handle) {
-        let mut slab = Slab::new();
+        let mut slab = Slab::default();
         (slab.insert(()), slab.insert(()))
     }
 

@@ -64,11 +64,6 @@ impl<T> Default for Slab<T> {
 }
 
 impl<T> Slab<T> {
-    /// Creates an empty slab.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.len
@@ -174,7 +169,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_round_trip() {
-        let mut slab = Slab::new();
+        let mut slab = Slab::default();
         let a = slab.insert("a");
         let b = slab.insert("b");
         assert_eq!(slab.len(), 2);
@@ -188,7 +183,7 @@ mod tests {
 
     #[test]
     fn stale_handles_never_alias_reused_slots() {
-        let mut slab = Slab::new();
+        let mut slab = Slab::default();
         let a = slab.insert(1);
         slab.remove(a);
         let b = slab.insert(2);
@@ -202,7 +197,7 @@ mod tests {
 
     #[test]
     fn get_mut_updates_in_place() {
-        let mut slab = Slab::new();
+        let mut slab = Slab::default();
         let h = slab.insert(vec![1]);
         slab.get_mut(h).unwrap().push(2);
         assert_eq!(slab.get(h), Some(&vec![1, 2]));
@@ -210,7 +205,7 @@ mod tests {
 
     #[test]
     fn high_water_tracks_peak_occupancy() {
-        let mut slab = Slab::new();
+        let mut slab = Slab::default();
         let handles: Vec<_> = (0..5).map(|i| slab.insert(i)).collect();
         assert_eq!(slab.high_water(), 5);
         for h in &handles {
@@ -225,7 +220,7 @@ mod tests {
 
     #[test]
     fn free_slots_are_reused() {
-        let mut slab = Slab::new();
+        let mut slab = Slab::default();
         let handles: Vec<_> = (0..100).map(|i| slab.insert(i)).collect();
         for h in handles {
             slab.remove(h);
@@ -241,7 +236,7 @@ mod tests {
     /// chunk after chunk.
     #[test]
     fn growth_across_chunks_keeps_entries_in_place() {
-        let mut slab = Slab::new();
+        let mut slab = Slab::default();
         let handles: Vec<_> = (0..5 * CHUNK + 3).map(|i| slab.insert(i)).collect();
         let first: *const usize = slab.get(handles[0]).unwrap();
         for i in 0..10 * CHUNK {

@@ -36,8 +36,12 @@
 //! [`SplitMap`] is the engine-global registry of active splits. It is
 //! mutated only between drains (split activation happens on the driver
 //! thread, when a publication observes that a key's rate crossed the
-//! configured threshold) and read-only during drains, which is what makes
-//! the rounds' concurrent dispatch safe and deterministic.
+//! configured threshold, or when a harness calls
+//! [`RJoinEngine::split_key`]) and read-only during drains, which is what
+//! makes the rounds' concurrent dispatch safe and deterministic. Activation
+//! moves the base key's stored state to the sub-keys where future arrivals
+//! will look for it, through the drain-and-absorb path churn uses (the
+//! `rehome` module).
 //!
 //! # From 2-D grids to N-dimensional hypercubes
 //!
@@ -59,12 +63,24 @@
 //! set. Any full joining combination agrees on every class value, so it
 //! pins every coordinate and its tuples co-occur in **exactly one** cell:
 //! each answer is produced once globally, with no cross-cell coordination
-//! and no per-cell dedup (`DISTINCT` still collapses owner-side).
+//! and no per-cell dedup (`DISTINCT` still collapses owner-side). The
+//! engine's registry of hypercube plans follows [`SplitMap`]'s discipline:
+//! written at query submission, read-only while tuples are routed.
 
-use crate::messages::QueryId;
+use crate::engine::RJoinEngine;
+use crate::error::EngineError;
+use crate::messages::{HypercubeRef, QueryId};
+use crate::node_state::StoredQuery;
+use crate::rehome::DrainedState;
+use crate::ric::RIC_WINDOW;
 use rjoin_dht::{HashedKey, RingMap};
+use rjoin_metrics::PlannerCounters;
 use rjoin_net::SimTime;
-use rjoin_relation::Tuple;
+use rjoin_query::plan::HypercubePlan;
+use rjoin_query::{IndexKey, IndexLevel, JoinQuery};
+use rjoin_relation::{Catalog, Name, Tuple, Value};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// An N-dimensional share grid: the cell space of a hypercube-planned
 /// query, one axis per join-attribute equivalence class, or of a split hot
@@ -198,20 +214,6 @@ pub fn choose_grid(s: u32, tuple_rate: u64, eval_rate: u64) -> HypercubeGrid {
     HypercubeGrid::new(vec![rows, s / rows])
 }
 
-/// The sub-keys of split key `key` (share grid `grid`) a tuple reaches:
-/// its content row.
-pub(crate) fn tuple_route(key: &HashedKey, grid: &HypercubeGrid, tuple: &Tuple) -> SplitRoute {
-    let row = partition_for_tuple(tuple, grid.shares()[0]);
-    sub_keys(key, grid, &[Some(row), None])
-}
-
-/// The sub-keys of split key `key` (share grid `grid`) a query registers
-/// at: its identity column.
-pub(crate) fn query_route(key: &HashedKey, grid: &HypercubeGrid, id: QueryId) -> SplitRoute {
-    let col = partition_for_query(id, grid.shares()[1]);
-    sub_keys(key, grid, &[None, Some(col)])
-}
-
 /// The sub-keys of `key` on the subcube of `grid` fixed by `bound`.
 fn sub_keys(key: &HashedKey, grid: &HypercubeGrid, bound: &[Option<u32>]) -> SplitRoute {
     grid.subcube(bound).into_iter().map(|cell| key.split_part(cell, grid.cells())).collect()
@@ -271,13 +273,111 @@ impl SplitMap {
     /// content row's `c` cells. Returns `None` in the unsplit case so
     /// callers pay nothing on the (overwhelmingly common) cold path.
     pub fn route_tuple(&self, key: &HashedKey, tuple: &Tuple) -> Option<SplitRoute> {
-        Some(tuple_route(key, &self.entries.get(&key.ring())?.grid, tuple))
+        let grid = &self.entries.get(&key.ring())?.grid;
+        let row = partition_for_tuple(tuple, grid.shares()[0]);
+        Some(sub_keys(key, grid, &[Some(row), None]))
     }
 
     /// The cells a **query** (input or rewritten) dispatched to `key` must
     /// register at: its identity column's `r` cells. `None` when unsplit.
     pub fn route_query(&self, key: &HashedKey, id: QueryId) -> Option<SplitRoute> {
-        Some(query_route(key, &self.entries.get(&key.ring())?.grid, id))
+        let grid = &self.entries.get(&key.ring())?.grid;
+        let col = partition_for_query(id, grid.shares()[1]);
+        Some(sub_keys(key, grid, &[None, Some(col)]))
+    }
+}
+
+/// The engine-global registry of hypercube plans: each plan's cell key
+/// space and share grid, and the plans every relation joins. Like
+/// [`SplitMap`], it is mutated only on the driver thread (at query
+/// submission, between drains) and read-only afterwards, so
+/// publication-time routing is deterministic across drivers.
+#[derive(Debug, Default)]
+pub(crate) struct HypercubeMap {
+    /// The registered plans, in submission order.
+    plans: Vec<(HypercubeRef, HypercubeGrid)>,
+    /// Per relation, the plans it participates in, in submission order
+    /// (which is the order publication routes — and therefore sends — in):
+    /// the plan's position in `plans` and the `(axis, column offset)` pairs
+    /// a tuple of the relation binds (none: it pins no axis and replicates
+    /// to every cell).
+    routes: HashMap<Name, Vec<(usize, AxisBinds)>>,
+}
+
+/// The `(axis, column offset)` pairs a relation's tuples bind in one plan.
+type AxisBinds = Vec<(usize, usize)>;
+
+impl HypercubeMap {
+    /// Registers `plan`, the hypercube plan chosen for query `id`: resolves
+    /// each axis member to its column offset, books the plan's cells and
+    /// shares in `counters`, and returns the cell key space the query's
+    /// replicas carry.
+    pub(crate) fn register(
+        &mut self,
+        id: QueryId,
+        query: &JoinQuery,
+        plan: &HypercubePlan,
+        catalog: &Catalog,
+        counters: &mut PlannerCounters,
+    ) -> Result<HypercubeRef, EngineError> {
+        // Per relation, the `(axis, column)` pairs its attributes bind, axis
+        // by axis (`validate` checked every attribute).
+        let mut bindings = Vec::with_capacity(query.relations().len());
+        for relation in query.relations() {
+            let schema = catalog.require_schema(relation)?;
+            let members = plan.axes.iter().enumerate().flat_map(|(axis, hc_axis)| {
+                hc_axis.members.iter().map(move |member| (axis, member))
+            });
+            let binds: AxisBinds = members
+                .filter(|(_, member)| member.relation == *relation)
+                .filter_map(|(axis, member)| Some((axis, schema.index_of(&member.attribute)?)))
+                .collect();
+            bindings.push((relation.clone(), binds));
+        }
+        let grid = HypercubeGrid::new(plan.shares());
+        // A per-query synthetic base key: the `+` separator and hex owner
+        // id keep it disjoint from every relation-derived index key.
+        let base = HashedKey::new(format!("hcube+{:016x}+{}", id.owner.0, id.seq));
+        let hcref = HypercubeRef { base, cells: grid.cells() };
+        counters.hypercube_plans += 1;
+        counters.cells_allocated += u64::from(grid.cells());
+        counters.shares_allocated += grid.shares().iter().map(|&s| u64::from(s)).sum::<u64>();
+        counters.replicated_evals += u64::from(grid.cells());
+        for (relation, binds) in bindings {
+            self.routes.entry(relation).or_default().push((self.plans.len(), binds));
+        }
+        self.plans.push((hcref.clone(), grid));
+        Ok(hcref)
+    }
+
+    /// Routes `tuple` into every registered plan its relation joins, in
+    /// submission order: its bound attributes are hashed to pin
+    /// coordinates, and `send` gets the key of each cell of the resulting
+    /// subcube (replication across the axes the relation leaves unbound).
+    pub(crate) fn route_tuple(
+        &self,
+        tuple: &Tuple,
+        counters: &mut PlannerCounters,
+        mut send: impl FnMut(HashedKey),
+    ) {
+        for (plan, binds) in self.routes.get(tuple.relation()).into_iter().flatten() {
+            let (hcref, grid) = &self.plans[*plan];
+            let mut bound: Vec<Option<u32>> = vec![None; grid.dims()];
+            // Two attributes of this tuple on one axis with different values
+            // can never join this plan: the closure forces them equal in any
+            // answer.
+            let joinable = binds.iter().all(|&(axis, col)| {
+                let coord = partition_for_value(&tuple.values()[col], grid.shares()[axis]);
+                *bound[axis].get_or_insert(coord) == coord
+            });
+            if !joinable {
+                continue;
+            }
+            let cells = grid.subcube(&bound);
+            counters.tuples_routed += 1;
+            counters.tuple_copies += cells.len() as u64;
+            cells.into_iter().for_each(|cell| send(hcref.cell_key(cell)));
+        }
     }
 }
 
@@ -292,30 +392,9 @@ impl SplitMap {
 /// is a pure content hash — independent of drivers, shard counts and
 /// arrival order — so routing is deterministic everywhere.
 pub fn partition_for_tuple(tuple: &Tuple, parts: u32) -> u32 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(tuple.relation().as_bytes());
-    for value in tuple.values() {
-        match value {
-            rjoin_relation::Value::Int(v) => {
-                eat(&[0x01]);
-                eat(&v.to_le_bytes());
-            }
-            rjoin_relation::Value::Str(s) => {
-                eat(&[0x02]);
-                eat(s.as_bytes());
-            }
-        }
-    }
-    eat(&tuple.pub_time().to_le_bytes());
-    (h % parts as u64) as u32
+    let h = fnv1a(FNV_OFFSET, tuple.relation().as_bytes());
+    let h = tuple.values().iter().fold(h, fnv1a_value);
+    (fnv1a(h, &tuple.pub_time().to_le_bytes()) % parts as u64) as u32
 }
 
 /// The axis coordinate a single attribute value pins among `share`
@@ -325,27 +404,24 @@ pub fn partition_for_tuple(tuple: &Tuple, parts: u32) -> u32 {
 /// axis, whatever relation they come from, which is what makes a joining
 /// combination meet in exactly one cell. Pure content hash: deterministic
 /// across drivers, shard counts and arrival order.
-pub fn partition_for_value(value: &rjoin_relation::Value, share: u32) -> u32 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+pub fn partition_for_value(value: &Value, share: u32) -> u32 {
+    (fnv1a_value(FNV_OFFSET, value) % share as u64) as u32
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from the hash state `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// FNV-1a over one value, continuing from `h`: a type tag byte, then the
+/// value's bytes.
+fn fnv1a_value(h: u64, value: &Value) -> u64 {
     match value {
-        rjoin_relation::Value::Int(v) => {
-            eat(&[0x01]);
-            eat(&v.to_le_bytes());
-        }
-        rjoin_relation::Value::Str(s) => {
-            eat(&[0x02]);
-            eat(s.as_bytes());
-        }
+        Value::Int(v) => fnv1a(fnv1a(h, &[0x01]), &v.to_le_bytes()),
+        Value::Str(s) => fnv1a(fnv1a(h, &[0x02]), s.as_bytes()),
     }
-    (h % share as u64) as u32
 }
 
 /// The partition a query belongs to among `parts` sub-keys of a
@@ -357,6 +433,137 @@ pub fn partition_for_value(value: &rjoin_relation::Value, share: u32) -> u32 {
 pub fn partition_for_query(id: QueryId, parts: u32) -> u32 {
     (rjoin_dht::mix64(id.owner.0 ^ id.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % parts as u64)
         as u32
+}
+
+impl RJoinEngine {
+    /// Heavy-hitter detection: splits every not-yet-split key in `keys`
+    /// whose observed tuple rate over the last RIC window (read pure from
+    /// the owning node's tracker) has reached the configured threshold.
+    ///
+    /// Runs only while the network is quiescent: like membership churn, a
+    /// split re-homes stored state, and messages already in flight to the
+    /// base key must not race the migration. Between drains every message
+    /// referencing the base key has been delivered, so gating on
+    /// `in_flight == 0` makes activation exact — and deterministic, because
+    /// quiescence points and RIC state are identical across drivers.
+    pub(crate) fn maybe_split_hot_keys(
+        &mut self,
+        keys: &[(HashedKey, IndexLevel)],
+    ) -> Result<(), EngineError> {
+        let Some(threshold) = self.config.hot_key_threshold else {
+            return Ok(());
+        };
+        if self.network.in_flight() > 0 {
+            return Ok(());
+        }
+        for (key, _) in keys {
+            if self.splits.is_split(key.ring()) {
+                continue;
+            }
+            let (rate, grid) = self.split_grid(key, self.config.hot_key_partitions)?;
+            if rate >= threshold {
+                self.activate_split(key.clone(), grid)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The share grid that splits `key` over `partitions` cells, and the
+    /// rate of the key's hotter stream: the owning node's tuple and `Eval`
+    /// arrival rates over the last RIC window (read pure from its trackers)
+    /// apportion the cells between the two streams in proportion (Afrati's
+    /// shares applied to RJoin's two delivery streams, [`choose_grid`]).
+    fn split_grid(
+        &self,
+        key: &HashedKey,
+        partitions: u32,
+    ) -> Result<(u64, HypercubeGrid), EngineError> {
+        let owner = self.network.owner_of(key.id())?;
+        let now = self.network.now();
+        let (tuple_rate, eval_rate) = self.node_state(owner).map_or((0, 0), |s| {
+            (
+                s.ric().rate_at(key.ring(), now, RIC_WINDOW),
+                s.eval_ric().rate_at(key.ring(), now, RIC_WINDOW),
+            )
+        });
+        Ok((tuple_rate.max(eval_rate), choose_grid(partitions, tuple_rate, eval_rate)))
+    }
+
+    /// Activates a split of `key` over the share grid and migrates the base
+    /// key's stored state: each stored query moves to its identity
+    /// column's cells, each stored value-level tuple and ALTT entry to its
+    /// content row's cells — exactly where future arrivals will look for
+    /// them. The base key's buckets are drained, re-keyed by sub-key and
+    /// absorbed by the sub-keys' owners, the re-homing path churn uses
+    /// ([`crate::rehome`]). No-op if the key is already split.
+    ///
+    /// Exposed for harnesses via [`RJoinEngine::split_key`]; the engine
+    /// itself calls it from the publication-time heat check.
+    fn activate_split(&mut self, key: HashedKey, grid: HypercubeGrid) -> Result<(), EngineError> {
+        if !self.splits.insert(key.clone(), grid.clone(), self.network.now()) {
+            return Ok(());
+        }
+        self.split_counters.keys_split += 1;
+        self.split_counters.partitions_created += grid.cells() as u64;
+
+        let base_ring = key.ring();
+        // Drop every cached RIC estimate for the base key: entries cached
+        // before the split hold the pre-split hot rate, and the candidate
+        // table would keep serving them for up to `RIC_VALIDITY` ticks,
+        // shunning the freshly split key. Activation is a quiescent-point
+        // operation, so walking the node map here is safe and cheap.
+        for shard in &mut self.shards {
+            for state in shard.nodes.values_mut() {
+                state.candidate_table.remove(&base_ring);
+            }
+        }
+        let owner = self.network.owner_of(key.id())?;
+        let Some(state) = self.node_mut(owner) else {
+            return Ok(());
+        };
+        let drained = state.drain_misplaced(|ring| ring != base_ring);
+        let (splits, mut moved) = (&self.splits, DrainedState::default());
+        for stored in drained.queries {
+            for sub in splits.route_query(&key, stored.pending.id).into_iter().flatten() {
+                moved.queries.push(StoredQuery { key: sub, ..stored.clone() });
+            }
+        }
+        let mut tuples: BTreeMap<u64, Vec<Arc<Tuple>>> = BTreeMap::new();
+        for tuple in drained.tuples.into_iter().flat_map(|(_, bucket)| bucket) {
+            for sub in splits.route_tuple(&key, &tuple).into_iter().flatten() {
+                tuples.entry(sub.ring()).or_default().push(Arc::clone(&tuple));
+            }
+        }
+        let mut altt: BTreeMap<u64, VecDeque<(Arc<Tuple>, SimTime)>> = BTreeMap::new();
+        for (tuple, expires_at) in drained.altt.into_iter().flat_map(|(_, bucket)| bucket) {
+            for sub in splits.route_tuple(&key, &tuple).into_iter().flatten() {
+                altt.entry(sub.ring()).or_default().push_back((Arc::clone(&tuple), expires_at));
+            }
+        }
+        moved.tuples.extend(tuples);
+        moved.altt.extend(altt);
+        self.split_counters.migrated_queries += moved.queries.len() as u64;
+        self.split_counters.migrated_tuples += (moved.len() - moved.queries.len()) as u64;
+        self.absorb_drained(moved)
+    }
+
+    /// Splits `key` over `partitions` sub-keys right now, regardless of its
+    /// observed rate (harness/experiment entry point; the engine's own
+    /// threshold-driven activation uses the same machinery). The share grid
+    /// is chosen from the key's current telemetry exactly like the
+    /// automatic path. Requires a quiescent network — like churn, splitting
+    /// re-homes stored state and must not race in-flight messages — and
+    /// otherwise returns [`EngineError::NotQuiescent`] without changing
+    /// anything.
+    pub fn split_key(&mut self, key: &IndexKey, partitions: u32) -> Result<(), EngineError> {
+        let in_flight = self.network.in_flight();
+        if in_flight > 0 {
+            return Err(EngineError::NotQuiescent { in_flight });
+        }
+        let hashed = key.hashed();
+        let (_, grid) = self.split_grid(&hashed, partitions)?;
+        self.activate_split(hashed, grid)
+    }
 }
 
 #[cfg(test)]

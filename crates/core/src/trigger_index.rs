@@ -32,6 +32,8 @@
 //! the pin and finds the one vector the insertion filed the handle under
 //! (or an unpartitioned bucket, and nothing to unfile). Whole-ring teardown
 //! (`drain_misplaced`) drops the bucket and tells the index with `forget`.
+//! Bucket compaction is `swap_remove`-based; the pop also fixes the moved
+//! entry's `StoredQuery::bucket_pos`, so unlinking one handle stays O(1).
 //!
 //! Hypercube cell replicas are filed like any other stored query (the
 //! contract has no exceptions) but never probed: a cell ring's arrivals
@@ -144,7 +146,7 @@ pub(crate) struct Bucket {
 
 /// Per-node trigger index over the stored-query buckets. See the module
 /// docs for the maintenance contract and the soundness argument.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TriggerIndex {
     /// Handles currently filed across all partitions.
     live: usize,
@@ -154,10 +156,6 @@ pub(crate) struct TriggerIndex {
 }
 
 impl TriggerIndex {
-    pub(crate) fn new() -> Self {
-        TriggerIndex { live: 0, counters: ProbeCounters::new(), scratch: Vec::new() }
-    }
-
     /// Snapshot of the probe counters.
     pub(crate) fn counters(&self) -> ProbeCounters {
         self.counters
@@ -362,7 +360,11 @@ mod tests {
 
     impl Ring {
         fn new() -> Self {
-            Ring { queries: Slab::new(), bucket: Bucket::default(), index: TriggerIndex::new() }
+            Ring {
+                queries: Slab::default(),
+                bucket: Bucket::default(),
+                index: TriggerIndex::default(),
+            }
         }
 
         fn store(&mut self, sql: &str, key: &str) -> Handle {

@@ -13,6 +13,7 @@ mod common;
 
 use common::{drain, shard_counts};
 use rjoin_core::{EngineConfig, QueryId, RJoinEngine};
+use rjoin_query::WindowSpec;
 use rjoin_relation::Value;
 use rjoin_workload::Scenario;
 use std::collections::BTreeMap;
@@ -29,6 +30,16 @@ fn config(split: bool, shards: usize) -> EngineConfig {
         config.with_hot_key_splitting(THRESHOLD, PARTITIONS)
     } else {
         config
+    }
+}
+
+/// Drains `engine` and checks that the wheel left no node holding a
+/// windowed entry past its deadline.
+fn drain_checked(engine: &mut RJoinEngine) {
+    drain(engine);
+    for id in engine.node_ids() {
+        let overdue = engine.node_state(*id).unwrap().overdue_entries(engine.pub_watermark());
+        assert_eq!(overdue, 0, "node {id} holds entries past their deadline");
     }
 }
 
@@ -49,7 +60,7 @@ fn run(
     for (i, q) in scenario.generate_queries().into_iter().enumerate() {
         qids.push(engine.submit_query(origins[i % origins.len()], q).unwrap());
     }
-    drain(&mut engine);
+    drain_checked(&mut engine);
 
     let tuples = scenario.generate_tuples(engine.now() + 1);
     let churn_points = [tuples.len() / 3, 2 * tuples.len() / 3];
@@ -64,7 +75,7 @@ fn run(
         }
         let origin = engine.node_ids()[i % engine.node_ids().len()];
         engine.publish_tuple(origin, t).unwrap();
-        drain(&mut engine);
+        drain_checked(&mut engine);
     }
 
     let answers = qids
@@ -115,6 +126,11 @@ fn split_answers_identical_to_unsplit_across_skews_and_drivers() {
                 0,
                 "the control run must not split"
             );
+            // Stored queries and tuples (value-level and ALTT) re-homed onto
+            // sub-keys at activation, per sub-key copy.
+            let counters = split_engine.split_counters();
+            let migrated = (counters.migrated_queries, counters.migrated_tuples);
+            assert_eq!(migrated, if theta == 0.5 { (2345, 600) } else { (2259, 544) });
             assert_answer_sets_equal(&unsplit, &split, &format!("theta={theta}, shards={shards}"));
         }
     }
@@ -130,12 +146,35 @@ fn split_answers_identical_to_unsplit_under_churn() {
             let (_, unsplit) = run(&scenario, config(false, shards), true);
             let (split_engine, split) = run(&scenario, config(true, shards), true);
             assert!(split_engine.split_counters().keys_split > 0);
+            let counters = split_engine.split_counters();
+            let migrated = (counters.migrated_queries, counters.migrated_tuples);
+            assert_eq!(migrated, if theta == 0.5 { (2346, 600) } else { (2259, 544) });
             assert_answer_sets_equal(
                 &unsplit,
                 &split,
                 &format!("churn, theta={theta}, shards={shards}"),
             );
         }
+    }
+}
+
+/// Split activation over windowed state: on the θ = 0.9 skew scenario with
+/// a sliding window, the splitter migrates windowed stored queries and ALTT
+/// entries, and the sub-key owners that absorb them must arm their
+/// deadlines on their own wheels. The answers equal the unsplit run's, and
+/// after every drain no node holds an entry past its deadline (checked in
+/// `run`).
+#[test]
+fn split_activation_over_windowed_state_rearms_every_deadline() {
+    let scenario = Scenario { window: WindowSpec::sliding_tuples(16), ..Scenario::skew_test(0.9) };
+    for shards in shard_counts() {
+        let (_, unsplit) = run(&scenario, config(false, shards), false);
+        let (split_engine, split) = run(&scenario, config(true, shards), false);
+        let counters = split_engine.split_counters();
+        assert!(counters.keys_split > 0, "the windowed run must trip the splitter");
+        assert!(counters.migrated_queries > 0 && counters.migrated_tuples > 0);
+        assert!(split_engine.state_counters().wheel_pops > 0, "windowed state must expire");
+        assert_answer_sets_equal(&unsplit, &split, &format!("windowed, shards={shards}"));
     }
 }
 

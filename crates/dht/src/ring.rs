@@ -451,9 +451,11 @@ impl ChordNetwork {
     }
 
     /// Routes a lookup for `key` starting at node `from`, following finger
-    /// tables exactly as Chord's iterative lookup does, and repairing
-    /// pointers to dead nodes it encounters along the way (modelling the
-    /// timeout-and-retry behaviour of a real deployment).
+    /// tables exactly as Chord's iterative lookup does, through the ring's
+    /// own route memo. The walk routes around pointers to dead nodes
+    /// (modelling the timeout-and-retry behaviour of a real deployment);
+    /// afterwards every node that held one forgets it, and the memo is
+    /// dropped, since the repair may change any memoized path.
     ///
     /// Returns the owner plus the full path taken, which the network layer
     /// uses to account routed messages per node.
@@ -465,165 +467,76 @@ impl ChordNetwork {
         if let Some(hit) = self.route_cache.get(from, owner) {
             return Ok(hit.clone());
         }
-        let mut repaired = false;
-        let result = self.lookup_walk(from, key, owner, &mut repaired);
-        if repaired {
-            // The walk repaired routing pointers: every memoized path may
-            // now be stale, including the one just computed (its early hops
-            // predate the repair). Drop them all; subsequent walks re-fill.
+        let mut skipped = Vec::new();
+        let result = self.walk(from, key, Some((&self.route_cache, owner)), &mut skipped);
+        if skipped.is_empty() {
+            if let Ok(result) = &result {
+                self.route_cache.seed(result);
+            }
+        } else {
+            for (node, dead) in skipped {
+                if let Some(node) = self.nodes.get_mut(&node) {
+                    node.forget(dead);
+                }
+            }
             self.invalidate_routes();
-        } else if let Ok(result) = &result {
-            self.route_cache.seed(result);
         }
         result
     }
 
-    /// The cold walk behind [`lookup`](Self::lookup). `memo_owner` is the
-    /// ground-truth owner of `key`, the memo's key component.
-    fn lookup_walk(
-        &mut self,
-        from: Id,
-        key: Id,
-        memo_owner: Id,
-        repaired: &mut bool,
-    ) -> Result<LookupResult, DhtError> {
-        if !self.nodes.contains_key(&from) {
-            return Err(DhtError::UnknownNode { id: from });
-        }
-        let mut path = Vec::with_capacity(PATH_CAPACITY);
-        path.push(from);
-        let mut current = from;
-        for _ in 0..self.max_hops {
-            let node = self.nodes.get(&current).expect("current node is live");
-            let successor = node.successor();
-
-            // Am I (or my successor) responsible for the key?
-            if current == successor || key.in_open_closed_interval(current, successor) {
-                let owner = if self.nodes.contains_key(&successor) {
-                    successor
-                } else {
-                    // Successor died and has not been repaired yet: fall back
-                    // to the ground truth after repairing the pointer.
-                    *repaired = true;
-                    self.nodes.get_mut(&current).expect("live").forget(successor);
-                    self.successor_of(key)?
-                };
-                if owner != current {
-                    path.push(owner);
-                }
-                return Ok(LookupResult::from_walk(path));
-            }
-
-            // Forward to the closest preceding live node.
-            let mut next = None;
-            loop {
-                let candidate = self
-                    .nodes
-                    .get(&current)
-                    .expect("current node is live")
-                    .closest_preceding_node(key);
-                match candidate {
-                    Some(c) if self.nodes.contains_key(&c) => {
-                        next = Some(c);
-                        break;
-                    }
-                    Some(dead) => {
-                        // Detected a failure: repair and retry.
-                        *repaired = true;
-                        self.nodes.get_mut(&current).expect("live").forget(dead);
-                    }
-                    None => break,
-                }
-            }
-            let next = match next {
-                Some(n) if n != current => n,
-                _ => {
-                    // No useful finger: fall back to the successor.
-                    let succ = self.nodes.get(&current).expect("live").successor();
-                    if succ == current || !self.nodes.contains_key(&succ) {
-                        return Err(DhtError::LookupStuck { at: current, key });
-                    }
-                    succ
-                }
-            };
-            path.push(next);
-            current = next;
-            // Splice onto a memoized tail: a cached entry for the node just
-            // reached is exactly the remainder of this walk (routing is
-            // memoryless), so the concatenation equals the full cold walk.
-            // Skipped once a repair happened — the cache is stale then and
-            // is about to be dropped wholesale.
-            if !*repaired {
-                if let Some(hit) = self.route_cache.get(current, memo_owner) {
-                    path.extend_from_slice(&hit.path[hit.start + 1..]);
-                    return Ok(LookupResult::from_walk(path));
-                }
-            }
-        }
-        Err(DhtError::LookupStuck { at: current, key })
-    }
-
     /// Routes a lookup for `key` starting at node `from` **without mutating
-    /// any routing state** — the shared-reference twin of
-    /// [`lookup`](Self::lookup), for the simulated network's shards, which
-    /// route concurrently over one ring from many worker threads.
-    ///
-    /// On a fully stabilized ring (no dead pointers) the walk, path and
-    /// owner are identical to [`lookup`](Self::lookup) — this is the only
-    /// regime the engine drains in, since membership changes re-stabilize
-    /// the ring first. When a dead pointer *is* encountered, the walk skips
-    /// it (modelling timeout-and-retry) but, unlike the `&mut` version,
-    /// leaves the repair to the next stabilization round.
+    /// any routing state**, for the simulated network's shards, which route
+    /// concurrently over one ring from many worker threads. The walk is
+    /// [`lookup`](Self::lookup)'s; it only leaves the dead pointers it routes
+    /// around to the next stabilization round.
     pub fn lookup_stable(&self, from: Id, key: Id) -> Result<LookupResult, DhtError> {
-        self.walk_stable(from, key, None)
+        self.walk(from, key, None, &mut Vec::new())
     }
 
-    /// The walk behind [`lookup_stable`](Self::lookup_stable), splicing onto
-    /// a route of `splice` (a memo and the key's owner) the moment it
-    /// reaches a node the memo has walked from (routing is memoryless, so
-    /// the concatenation equals the full walk).
-    fn walk_stable(
+    /// The greedy walk behind every lookup. A node's successor is the first
+    /// *live* entry of its successor list, and dead fingers are skipped;
+    /// each dead pointer routed around is appended to `skipped` as `(node,
+    /// dead)`. The walk splices onto a route of `splice` (a memo and the
+    /// key's owner) the moment it reaches a node the memo has walked from
+    /// (routing is memoryless, so the concatenation equals the full walk).
+    fn walk(
         &self,
         from: Id,
         key: Id,
         splice: Option<(&RouteMemo, Id)>,
+        skipped: &mut Vec<(Id, Id)>,
     ) -> Result<LookupResult, DhtError> {
         if !self.nodes.contains_key(&from) {
             return Err(DhtError::UnknownNode { id: from });
         }
+        let mut live = |at: Id, id: Id| {
+            let alive = self.nodes.contains_key(&id);
+            if !alive {
+                skipped.push((at, id));
+            }
+            alive
+        };
         let mut path = Vec::with_capacity(PATH_CAPACITY);
         path.push(from);
         let mut current = from;
         for _ in 0..self.max_hops {
             let node = self.nodes.get(&current).expect("current node is live");
-            let successor = node.successor();
-
+            let Some(successor) = node.successor_list().iter().copied().find(|&s| live(current, s))
+            else {
+                return Err(DhtError::LookupStuck { at: current, key });
+            };
+            // Am I (or my successor) responsible for the key?
             if current == successor || key.in_open_closed_interval(current, successor) {
-                let owner = if self.nodes.contains_key(&successor) {
-                    successor
-                } else {
-                    // Successor died and has not been repaired yet: fall
-                    // back to the ground truth (without repairing).
-                    self.successor_of(key)?
-                };
-                if owner != current {
-                    path.push(owner);
+                if successor != current {
+                    path.push(successor);
                 }
                 return Ok(LookupResult::from_walk(path));
             }
-
-            // Forward to the closest preceding *live* node, skipping (but
-            // not repairing) dead fingers.
+            // Forward to the closest preceding live node, else the successor.
             let next = node
-                .closest_preceding_live_node(key, |c| self.nodes.contains_key(&c))
+                .closest_preceding_live_node(key, |c| live(current, c))
                 .filter(|n| *n != current)
-                .or_else(|| {
-                    let succ = node.successor();
-                    (succ != current && self.nodes.contains_key(&succ)).then_some(succ)
-                });
-            let Some(next) = next else {
-                return Err(DhtError::LookupStuck { at: current, key });
-            };
+                .unwrap_or(successor);
             path.push(next);
             current = next;
             if let Some(hit) = splice.and_then(|(memo, owner)| memo.get(current, owner)) {
@@ -652,7 +565,7 @@ impl ChordNetwork {
         if let Some(hit) = memo.get(from, owner) {
             return Ok(hit.clone());
         }
-        let result = self.walk_stable(from, key, Some((memo, owner)))?;
+        let result = self.walk(from, key, Some((memo, owner)), &mut Vec::new())?;
         memo.seed(&result);
         Ok(result)
     }
@@ -846,6 +759,26 @@ mod tests {
             let result = net.lookup(from, key).unwrap();
             assert_eq!(result.owner, net.successor_of(key).unwrap());
         }
+    }
+
+    /// A node whose immediate successor crashed treats the next live entry
+    /// of its successor list as its successor: a lookup for that entry's
+    /// own identifier takes one hop, through the shared walk and the
+    /// repairing one alike, and the repair forgets the dead pointer.
+    #[test]
+    fn a_dead_successor_is_skipped_for_the_next_live_one() {
+        let (mut net, _) = build(64);
+        let sorted: Vec<Id> = net.node_ids().collect();
+        let (pred, dead, next) = (sorted[10], sorted[11], sorted[12]);
+        net.fail(dead).unwrap();
+        let stable = net.lookup_stable(pred, next).unwrap();
+        assert_eq!((stable.owner, stable.path()), (next, &[pred, next][..]));
+        assert!(net.node(pred).unwrap().successor_list().contains(&dead), "nothing repaired");
+        let repaired = net.lookup(pred, next).unwrap();
+        assert_eq!((repaired.owner, repaired.hops()), (next, 1));
+        assert_eq!(net.node(pred).unwrap().successor(), next, "the dead pointer is forgotten");
+        assert!(net.route_cache.is_empty(), "a repair drops the memo");
+        assert_eq!(net.lookup(pred, next).unwrap().path(), stable.path());
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! sight) while re-homing state or placing queries — see the [`transport`
 //! module](crate::Transport) docs for the per-implementation guarantee
 //! table (ordering, clocks). The simulated runtime implements the full
-//! trait in this crate; the `rjoin_transport` crate adds the real one over
-//! TCP.
+//! trait on its [`ShardHandle`]s; the `rjoin_transport` crate adds the real
+//! one over TCP.
 //!
 //! # The runtime ([`Network`])
 //!

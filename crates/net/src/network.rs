@@ -1,9 +1,7 @@
 //! The simulated network: DHT-routed delivery with bounded delay.
 
 use crate::shard::{sorted_by, Fabric, ShardLocal};
-use crate::{
-    KeyRouter, Lineage, ShardHandle, ShardMap, SimTime, TrafficClass, TrafficStats, Transport,
-};
+use crate::{Lineage, ShardHandle, ShardMap, SimTime, TrafficClass, TrafficStats, Transport};
 use rjoin_dht::{ChordNetwork, DhtError, Id, LookupResult};
 use std::sync::Mutex;
 
@@ -48,7 +46,7 @@ pub struct Delivery<M> {
 /// A network starts as one shard; [`partition`](Self::partition) splits the
 /// ring once, before anything is in flight, and the shards then live as
 /// long as the network. Sends from outside any round — this type's own
-/// [`Transport`] methods — are roots ([`root_lineage`](crate::root_lineage)),
+/// send methods — are roots ([`root_lineage`](crate::root_lineage)),
 /// accounted straight into [`traffic`](Self::traffic). A driver runs rounds
 /// through [`handles`](Self::handles) (see the [`shard`](crate::ShardHandle)
 /// docs) and folds them back with [`settle`](Self::settle);
@@ -187,8 +185,8 @@ impl<M> Network<M> {
 
     /// The handle of `from`'s shard for sends from outside any round: each
     /// message is a root, accounted straight into
-    /// [`traffic`](Self::traffic). This type's own [`Transport`] methods go
-    /// through it; a driver that needs the handle itself (as an effect
+    /// [`traffic`](Self::traffic). This type's own send methods go through
+    /// it; a driver that needs the [`Transport`] itself (as an effect
     /// environment's transport) takes it here.
     pub fn root_handle(&mut self, from: Id) -> ShardHandle<'_, M> {
         let shard = self.fabric.map.shard_of(from);
@@ -309,58 +307,6 @@ impl<M> Network<M> {
         }
         self.advance_to(at);
         Some((at, sorted_by(due, |d| d.lineage).collect()))
-    }
-}
-
-impl<M> KeyRouter for Network<M> {
-    fn owner_of(&self, key_id: Id) -> Result<Id, DhtError> {
-        Network::owner_of(self, key_id)
-    }
-}
-
-impl<M> Transport<M> for Network<M> {
-    fn now(&self) -> SimTime {
-        Network::now(self)
-    }
-
-    fn delay(&self) -> SimTime {
-        Network::delay(self)
-    }
-
-    fn send(
-        &mut self,
-        from: Id,
-        key_id: Id,
-        msg: M,
-        class: TrafficClass,
-    ) -> Result<LookupResult, DhtError> {
-        Network::send(self, from, key_id, msg, class)
-    }
-
-    fn multi_send(
-        &mut self,
-        from: Id,
-        items: Vec<(Id, M)>,
-        class: TrafficClass,
-    ) -> Result<(), DhtError> {
-        Network::multi_send(self, from, items, class)
-    }
-
-    fn send_direct(&mut self, from: Id, to: Id, msg: M, class: TrafficClass) {
-        Network::send_direct(self, from, to, msg, class)
-    }
-
-    fn charge_route(
-        &mut self,
-        from: Id,
-        key_id: Id,
-        class: TrafficClass,
-    ) -> Result<LookupResult, DhtError> {
-        Network::charge_route(self, from, key_id, class)
-    }
-
-    fn charge_direct(&mut self, from: Id, class: TrafficClass) {
-        Network::charge_direct(self, from, class)
     }
 }
 

@@ -19,8 +19,8 @@
 //!
 //! | impl | clock | ordering | routing |
 //! |------|-------|----------|---------|
-//! | [`Network`](crate::Network) and its [`ShardHandle`](crate::ShardHandle)s | virtual ticks, one clock per shard, advanced in global tick rounds | total `(at, lineage)` order: every delivery of a run is totally ordered and replayed identically, whatever the shard and thread counts | Chord lookups over per-node routing state (`O(log N)` hops, each hop accounted); `multiSend` as one forwarding tree |
-//! | `rjoin_transport::TcpTransport` (separate crate) | real wall clock, coarse ticks, monotone via high-water marking | per-peer FIFO only (TCP streams); *no* global order — cross-node interleaving is nondeterministic | one hop to the owner from a full-membership view (no overlay hops); `multiSend` is one frame per item (the trait default) |
+//! | [`ShardHandle`](crate::ShardHandle) (one per shard of a [`Network`](crate::Network)) | virtual ticks, one clock per shard, advanced in global tick rounds | total `(at, lineage)` order: every delivery of a run is totally ordered and replayed identically, whatever the shard and thread counts | Chord lookups over per-node routing state (`O(log N)` hops, each hop accounted); `multiSend` as one forwarding tree |
+//! | `rjoin_transport::ServiceNet` (separate crate) | real wall clock, coarse ticks, monotone via high-water marking | per-peer FIFO only (TCP streams); *no* global order — cross-node interleaving is nondeterministic | one hop to the owner from a full-membership view (no overlay hops); `multiSend` is one frame per item (the trait default) |
 //!
 //! The simulated runtime delivers every message exactly once and in a
 //! deterministic global order, which is what makes them usable as
