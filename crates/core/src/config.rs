@@ -31,7 +31,7 @@ pub enum PlacementStrategy {
 ///
 /// The fields describe the workload, the protocol variant and the
 /// resources, never which implementation runs: windowed state always
-/// expires on publication time (each node's timer wheel, advanced by the
+/// expires on publication time (each node's deadline heap, advanced by the
 /// node's publication watermark), so no field selects an expiry mechanism.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineConfig {
@@ -72,8 +72,6 @@ pub struct EngineConfig {
     /// [`RJoinEngine::simulated`](crate::RJoinEngine::simulated) clamps it
     /// to at least 1: a round's sends must land after its tick.
     pub network_delay: SimTime,
-    /// Successor-list length of the Chord nodes.
-    pub successor_list_len: usize,
     /// Seed for the engine's internal randomness (random placement).
     pub seed: u64,
     /// Number of shards the engine's network is cut into at construction:
@@ -116,7 +114,6 @@ impl Default for EngineConfig {
             rewritten_value_level_only: false,
             share_subjoins: false,
             network_delay: 1,
-            successor_list_len: 4,
             seed: 0x8101_2008,
             shards: 1,
             workers: None,

@@ -85,8 +85,8 @@ pub struct RJoinEngine {
     /// The engine's publication watermark: the highest publication time
     /// published so far, raised to the clock by
     /// [`advance_time`](Self::advance_time). No tuple published later may
-    /// carry an earlier time, so at quiescence every node's wheel advances
-    /// to it.
+    /// carry an earlier time, so at quiescence every node's deadline heap
+    /// advances to it.
     pub_watermark: Timestamp,
 }
 
@@ -109,10 +109,7 @@ impl RJoinEngine {
     /// which `rjoin_transport` drives over TCP.
     pub fn simulated(mut config: EngineConfig, catalog: Catalog, num_nodes: usize) -> Self {
         config.network_delay = config.network_delay.max(1);
-        let mut network = Network::new(NetworkConfig {
-            delay: config.network_delay,
-            successor_list_len: config.successor_list_len,
-        });
+        let mut network = Network::new(NetworkConfig { delay: config.network_delay });
         let node_ids = network.bootstrap(num_nodes, "rjoin-node");
         network.partition(config.shards);
         let shards = (0..network.shards()).map(|_| EngineShard::default()).collect();
@@ -472,7 +469,7 @@ impl RJoinEngine {
         Ok(drained?.1)
     }
 
-    /// Advances every node's timer wheel to the engine's publication
+    /// Advances every node's deadline heap to the engine's publication
     /// watermark, so state snapshots taken between drains (stats,
     /// stored-query counts) reflect expiry even on nodes whose own
     /// watermark lags. Safe at quiescence: nothing is in flight, and no
@@ -514,9 +511,9 @@ impl RJoinEngine {
         total
     }
 
-    /// Store/wheel gauges and expiry counters summed across all live nodes:
-    /// live and peak occupancy per store, scheduled wheel entries, and
-    /// how many reclamations were wheel pops (the only reclamation path:
+    /// Store gauges and expiry counters summed across all live nodes:
+    /// live and peak occupancy per store, scheduled expiry deadlines, and
+    /// how many reclamations were expiry pops (the only reclamation path:
     /// `contact_expirations` is always 0).
     pub fn state_counters(&self) -> StateCounters {
         let mut total = StateCounters::new();

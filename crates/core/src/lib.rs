@@ -40,14 +40,14 @@
 //!   tuples and ALTT entries live once, per ring, in publication order, so
 //!   an arriving query walks one binary-searched run of each bucket. Every
 //!   windowed query, and the front of every ALTT bucket and hypercube cell,
-//!   is indexed by its deadline on a per-node hierarchical timer wheel
-//!   (`expiry` module) that runs on publication time. Before handling a
-//!   message a node advances its wheel to its publication watermark (the
+//!   is filed under its deadline on a per-node binary heap (`expiry`
+//!   module) that runs on publication time. Before handling a message a
+//!   node advances its heap to its publication watermark (the
 //!   highest publication time among the tuples it received in earlier
 //!   ticks), popping exactly the entries whose window can no longer admit
 //!   any tuple still to come — so expiry costs O(popped), is complete
 //!   however far the clock runs ahead of publication, and removals
-//!   (expiry, churn drains) invalidate external references (wheel tokens,
+//!   (expiry, churn drains) invalidate external references (expiry tokens,
 //!   sub-join registry slots) for free via the slab generation check
 //!   instead of rebuilding indexes.
 //! * **Two-phase rounds** — each shard of the network owns a constant-δ
@@ -60,7 +60,7 @@
 //!
 //! The modules follow one delivery through the engine. In the handler
 //! phase, `delivery` is the node-local entry every driver calls; it
-//! advances the node's timer wheel first (`expiry`), then runs the trigger
+//! advances the node's deadline heap first (`expiry`), then runs the trigger
 //! and query-arrival walks of Procedures 2–3 (`procedures`) — or, on a
 //! hypercube cell's ring, the cell's local join (`cell`) — against the
 //! node's stores (`node_state`). In the effect phase, `placement` runs the
@@ -137,7 +137,7 @@
 //! that index with the values the bound tuples pin, over the tuples that
 //! arrived before it — so bindings are tuple references on the stack, no
 //! rewritten query is built, nothing partial is stored, and there is no
-//! `Eval` traffic. Windowed cells evict tuples on the node's timer wheel
+//! `Eval` traffic. Windowed cells evict tuples on the node's deadline heap
 //! once no future publication can share a window with them, which bounds a
 //! cell by the window rather than the stream; `DISTINCT` collapses at the
 //! owner. A cost model picks between the two plans for acyclic shapes

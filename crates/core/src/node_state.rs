@@ -3,7 +3,7 @@
 //! A node's stored queries, value-level tuples, hypercube cells and ALTT
 //! entries, with the counters kept alongside them. The other stages keep
 //! their part of a node's state next to their code: expiry on the node's
-//! timer wheel in [`crate::expiry`], the candidate table of cached RIC
+//! deadline heap in [`crate::expiry`], the candidate table of cached RIC
 //! observations in [`crate::ric`], cells' local joins in [`crate::cell`],
 //! and draining and absorbing re-homed state in [`crate::rehome`].
 //!
@@ -23,7 +23,7 @@
 
 use crate::cell::Cell;
 use crate::dedup::DedupFilter;
-use crate::expiry::{query_expiry_deadline, window_deadline, ExpiryToken, TimerWheel};
+use crate::expiry::{query_expiry_deadline, window_deadline, DeadlineHeap, ExpiryToken};
 use crate::messages::PendingQuery;
 use crate::ric::RicEntry;
 use crate::shared::SubJoinRegistry;
@@ -129,7 +129,7 @@ pub(crate) type ProgramCache = RingMap<Vec<Arc<SubJoinProgram>>>;
 ///
 /// Stored queries live in a generational slab (`crate::slab::Slab`) and
 /// the per-ring buckets hold stable `Handle`s: a windowed query leaves
-/// alone, when its wheel token pops, in O(1) — the sub-join registry and
+/// alone, when its expiry token pops, in O(1) — the sub-join registry and
 /// the trigger index point at handles, and references to a removed entry
 /// go stale through the slab's generation counter. Tuples sit in
 /// publication-ordered `TupleList`s (see the module docs).
@@ -161,16 +161,14 @@ pub struct NodeState {
     /// not miss them (Section 4), by ring id, each bucket keyed by that
     /// retention deadline.
     pub(crate) altt: RingMap<TupleList>,
-    /// The node's timer wheel, in publication time: every windowed stored
-    /// query, cell front and ALTT bucket front, indexed by the publication
-    /// time from which its removal is unobservable.
-    pub(crate) wheel: TimerWheel<ExpiryToken>,
-    /// Tokens filed at a deadline the wheel had already passed (a rewritten
-    /// query that arrives after its window closed): the next
-    /// [`advance_expiry`](Self::advance_expiry) pops them, whatever its
-    /// target.
-    pub(crate) overdue: Vec<ExpiryToken>,
-    /// The publication watermark the wheel is advanced to: the highest
+    /// The node's deadline heap, in publication time: every windowed stored
+    /// query, cell front and ALTT bucket front, filed under the publication
+    /// time from which its removal is unobservable. A token filed at or
+    /// before the heap's time (a rewritten query that arrives after its
+    /// window closed) pops at the next
+    /// [`advance_expiry`](Self::advance_expiry), whatever its target.
+    pub(crate) deadlines: DeadlineHeap<ExpiryToken>,
+    /// The publication watermark the deadline heap is advanced to: the highest
     /// publication time among tuples delivered here before
     /// `watermark_tick` (see the [`crate::expiry`] docs).
     pub(crate) pub_watermark: Timestamp,
@@ -180,7 +178,7 @@ pub struct NodeState {
     /// including the current tick's; it becomes the watermark when a later
     /// tick starts.
     pub(crate) latest_pub: Timestamp,
-    /// Counters of the store/wheel machinery (occupancy gauges are filled
+    /// Counters of the stores and their expiry (occupancy gauges are filled
     /// in at snapshot time by [`state_counters`](Self::state_counters)).
     pub(crate) state_counters: StateCounters,
     /// Candidate table: cached RIC information per candidate-key ring id.
@@ -229,8 +227,6 @@ pub struct NodeState {
     pub(crate) trigger_index: TriggerIndex,
     /// Scratch buffer reused by [`advance_expiry`](Self::advance_expiry).
     pub(crate) expiry_scratch: Vec<ExpiryToken>,
-    /// Incremental count of stored queries (input + rewritten).
-    pub(crate) query_count: usize,
     /// Incremental count of stored *rewritten* queries.
     pub(crate) rewritten_count: usize,
     /// Incremental count of stored value-level tuples (plain buckets and
@@ -288,7 +284,7 @@ impl NodeState {
         &self.compile
     }
 
-    /// Snapshot of this node's store/wheel gauges and expiry counters.
+    /// Snapshot of this node's store gauges and expiry counters.
     pub fn state_counters(&self) -> StateCounters {
         let mut counters = self.state_counters;
         counters.query_slab_live = self.queries.len() as u64;
@@ -298,7 +294,7 @@ impl NodeState {
         counters.tuple_slab_high_water = self.tuple_peak as u64;
         counters.altt_slab_live = self.altt_count as u64;
         counters.altt_slab_high_water = self.altt_peak as u64;
-        counters.wheel_scheduled = (self.wheel.len() + self.overdue.len()) as u64;
+        counters.wheel_scheduled = self.deadlines.len() as u64;
         counters
     }
 
@@ -309,7 +305,7 @@ impl NodeState {
 
     /// Books the removal of the stored query `removed` (slab handle
     /// `handle`, on ring `ring`): drops its registry slot, if that still
-    /// points at it, and debits the query counts.
+    /// points at it, and debits the rewritten-query count.
     pub(crate) fn unregister_query(&mut self, ring: u64, removed: &StoredQuery, handle: Handle) {
         if let Some(fp) = removed.fingerprint {
             let window = (
@@ -319,7 +315,6 @@ impl NodeState {
             );
             self.subjoins.unregister(ring, fp, window, handle);
         }
-        self.query_count -= 1;
         if !removed.pending.is_input() {
             self.rewritten_count -= 1;
         }
@@ -331,7 +326,6 @@ impl NodeState {
     }
 
     fn store_query_handle(&mut self, mut stored: StoredQuery) -> Handle {
-        self.query_count += 1;
         if !stored.pending.is_input() {
             self.rewritten_count += 1;
         }
@@ -350,7 +344,7 @@ impl NodeState {
             self.cells.entry(ring).or_insert_with(|| Cell::new(handle, &stored.pending.query));
         }
         if let Some(deadline) = deadline {
-            self.schedule(deadline, ExpiryToken::Query(handle));
+            self.deadlines.insert(deadline, ExpiryToken::Query(handle));
         }
         handle
     }
@@ -431,7 +425,7 @@ impl NodeState {
             // Eviction is front-only: one token for the front, re-armed by
             // `evict_cell_front` for each new front.
             if let (true, Some(deadline)) = (becomes_front, deadline) {
-                self.schedule(deadline, ExpiryToken::Cell(key));
+                self.deadlines.insert(deadline, ExpiryToken::Cell(key));
             }
             return;
         }
@@ -455,13 +449,13 @@ impl NodeState {
         self.altt_count += 1;
         self.altt_peak = self.altt_peak.max(self.altt_count);
         if insert_ordered(self.altt.entry(key).or_default(), tuple, expires_at) {
-            self.schedule(expires_at.saturating_add(1), ExpiryToken::Altt(key));
+            self.deadlines.insert(expires_at.saturating_add(1), ExpiryToken::Altt(key));
         }
     }
 
     /// Number of queries currently stored (input + rewritten). O(1).
     pub fn stored_query_count(&self) -> usize {
-        self.query_count
+        self.queries.len()
     }
 
     /// Number of *rewritten* queries currently stored. O(1).
@@ -568,7 +562,7 @@ mod tests {
         );
     }
 
-    /// A wheel pop debits the storage counters of exactly the entry it
+    /// An expiry pop debits the storage counters of exactly the entry it
     /// removes: a windowed rewritten query expiring out of a bucket it
     /// shares with a never-expiring input query.
     #[test]
@@ -777,7 +771,7 @@ mod tests {
         // run starts at the first deadline not before 15.
         let bucket = &state.altt[&k];
         assert_eq!(key_run(bucket, 15, Timestamp::MAX), 1..2);
-        // The wheel removes both entries and the emptied bucket.
+        // Expiry removes both entries and the emptied bucket.
         state.advance_expiry(100);
         assert!(state.altt.is_empty());
         assert_eq!(state.state_counters().altt_slab_live, 0);
@@ -837,7 +831,7 @@ mod tests {
 
     /// A rewritten query with a sliding window anchored at `start`
     /// (`WINDOW SLIDING 8 TUPLES`: it admits publications up to `start + 7`,
-    /// and the wheel deadline is `start + 8`).
+    /// and the expiry deadline is `start + 8`).
     fn windowed_rewritten(owner: u64, start: u64) -> PendingQuery {
         input_from(
             owner,
@@ -873,6 +867,23 @@ mod tests {
         assert_eq!(state.recount(), (0, 0, 0));
     }
 
+    /// A rewritten query that arrives after the heap has passed its
+    /// deadline is filed at or before the heap's time: the next advance
+    /// pops it even when its target does not move the heap (the engine's
+    /// quiescent flush at an unchanged watermark).
+    #[test]
+    fn a_query_filed_past_its_deadline_pops_at_the_next_advance() {
+        let mut state = NodeState::new(Id(7));
+        state.advance_expiry(40);
+        let k = key("J+B+i:3");
+        state.store_query(StoredQuery::new(windowed_rewritten(1, 10), k, IndexLevel::Value));
+        assert_eq!((state.stored_query_count(), state.overdue_entries(40)), (1, 1));
+        state.advance_expiry(40);
+        assert_eq!((state.stored_query_count(), state.overdue_entries(40)), (0, 0));
+        assert_eq!(state.state_counters().wheel_pops, 1);
+        assert_eq!(state.recount(), (0, 0, 0));
+    }
+
     /// Two tuples delivered in the same tick, the later-published one
     /// handled first (the rounds' lineage order need not be
     /// publication order): the later one must not retire a stored query the
@@ -887,7 +898,7 @@ mod tests {
         let config = crate::EngineConfig::default();
         let k = key("J+B+i:3");
         let mut state = NodeState::new(Id(7));
-        // Window [10, 17]: the wheel deadline is publication time 18.
+        // Window [10, 17]: the expiry deadline is publication time 18.
         state.store_query(StoredQuery::new(
             windowed_rewritten(1, 10),
             k.clone(),
@@ -908,7 +919,7 @@ mod tests {
         assert_eq!(deliver(60, 50), (0, 1), "outside the window, and no removal yet");
         // ...so the tuple published at 12 in the same tick still completes it.
         assert_eq!(deliver(60, 12), (1, 1), "the earlier-published tuple still matches");
-        // The next tick's delivery advances the wheel to 50 and retires it.
+        // The next tick's delivery advances the heap to 50 and retires it.
         assert_eq!(deliver(61, 51), (0, 0));
     }
 
@@ -941,15 +952,15 @@ mod tests {
         // Churn got there first: the entry leaves with its drained bucket.
         let drained = state.drain_misplaced(|_| false);
         assert_eq!(drained.queries.len(), 1);
-        // The wheel still holds the token; popping it must be a no-op.
+        // The heap still holds the token; popping it must be a no-op.
         state.advance_expiry(100);
         assert_eq!(state.stored_query_count(), 0);
         assert_eq!(state.state_counters().wheel_pops, 0, "stale tokens do not count as pops");
     }
 
-    /// Churn re-homing: the donor's wheel tokens go stale
+    /// Churn re-homing: the donor's expiry tokens go stale
     /// with the drain, and the receiver re-schedules the absorbed state on
-    /// its own wheel.
+    /// its own deadline heap.
     #[test]
     fn absorbed_state_expires_on_the_receivers_wheel() {
         let mut donor = NodeState::new(Id(1));
@@ -966,11 +977,11 @@ mod tests {
         receiver.absorb(drained, true);
         assert_eq!(receiver.stored_query_count(), 1);
         assert_eq!(receiver.subjoins().len(), 1, "re-registered at the new home");
-        // The donor's wheel still holds tokens for the migrated entries;
+        // The donor's heap still holds tokens for the migrated entries;
         // advancing it must not disturb anything (its stores are empty).
         donor.advance_expiry(1000);
         assert_eq!(donor.state_counters().wheel_pops, 0);
-        // The receiver's wheel owns the deadlines now.
+        // The receiver's heap owns the deadlines now.
         receiver.advance_expiry(1000);
         assert_eq!(receiver.stored_query_count(), 0);
         assert!(receiver.altt.is_empty());
@@ -980,7 +991,7 @@ mod tests {
 
     /// A hypercube replica opens its ring as a cell: the ring's tuples are
     /// filed there (not in the plain bucket), evicted by the
-    /// wheel at their window deadline, and re-homed with the replica.
+    /// deadline heap at their window deadline, and re-homed with the replica.
     #[test]
     fn hypercube_replica_opens_a_cell_that_evicts_and_re_homes() {
         use crate::messages::HypercubeRef;
@@ -1022,16 +1033,16 @@ mod tests {
         receiver.absorb(drained, true);
         assert_eq!(receiver.cells[&k.ring()].len(), 1, "the cell re-opened around its replica");
         assert_eq!(receiver.recount(), (1, 0, 1));
-        // The donor's tokens lapse; the receiver's wheel owns the deadline.
+        // The donor's tokens lapse; the receiver's heap owns the deadline.
         donor.advance_expiry(100);
         receiver.advance_expiry(38);
         assert_eq!(receiver.stored_tuple_count(), 0);
         assert_eq!(receiver.stored_query_count(), 1, "the replica never expires");
     }
 
-    /// A windowed cell keeps one wheel token, for its front tuple, however
+    /// A windowed cell keeps one expiry token, for its front tuple, however
     /// many tuples it stores: each eviction re-arms it for the new front,
-    /// and every evicted tuple still counts as a wheel pop.
+    /// and every evicted tuple still counts as a pop (`wheel_pops`).
     #[test]
     fn a_cell_keeps_one_wheel_token_for_its_front() {
         use crate::messages::HypercubeRef;

@@ -16,7 +16,7 @@
 //!
 //! The handlers never remove a stored query. Section 5's rule — a rewritten
 //! query whose window a tuple exceeds is deleted — is carried out by the
-//! node's timer wheel, which files every windowed entry under the first
+//! node's deadline heap, which files every windowed entry under the first
 //! publication time its window does not admit and pops it once the node's
 //! publication watermark passes that time (see [`crate::expiry`]): one
 //! delivery tick after the exceeding tuple arrives. Until then an
@@ -200,7 +200,7 @@ fn try_trigger(
         return TriggerOutcome::NotTriggered;
     }
     // Window validity (Section 5): a tuple outside a rewritten query's
-    // window does not trigger it (the wheel deletes the query once no tuple
+    // window does not trigger it (expiry deletes the query once no tuple
     // can fit anymore); input queries (start = None) never expire.
     let window = *pending.query.window();
     if window.use_windows() {
@@ -297,7 +297,7 @@ fn record_sharing(sharing: &mut SharingCounters, primary: QueryId, actions: &[Ac
 /// level).
 ///
 /// Returns the actions to perform. The stored queries stay as they are:
-/// window-expired ones leave through the node's timer wheel.
+/// window-expired ones leave through the node's deadline heap.
 pub fn handle_new_tuple(
     state: &mut NodeState,
     ctx: &ProcCtx<'_>,
@@ -417,7 +417,7 @@ fn handle_query_arrival(
     // publication order — the arrival allocates nothing per tuple. An ALTT
     // entry is keyed by its deadline `pub + Δ` (one Δ per engine), so the
     // same span shifted by Δ bounds its run, and the run starts no earlier
-    // than the delivery tick: that decides ALTT visibility (the wheel
+    // than the delivery tick: that decides ALTT visibility (expiry
     // evicts an entry only once the publication watermark passes it, so
     // physical removal never decides an answer). It is the delivery tick,
     // never the clock: the clock is driver-dependent (a burst publish parks
@@ -596,7 +596,7 @@ mod tests {
     }
 
     /// Delivers `msg` at tick `at` through the drivers' entry point, which
-    /// first advances the node's wheel to its publication watermark.
+    /// first advances the node's deadline heap to its publication watermark.
     fn deliver(
         state: &mut NodeState,
         catalog: &Catalog,
@@ -836,7 +836,7 @@ mod tests {
         let late = new_tuple(tuple("S", [7, 3, 0], 100), &key);
         assert!(deliver(&mut state, &catalog, &config, 100, late).is_empty());
         assert_eq!(state.stored_rewritten_count(), 1, "a contact never removes");
-        // ...and the next delivery tick's wheel advance deletes it: the
+        // ...and the next delivery tick's expiry advance deletes it: the
         // tuple lifted the node's publication watermark past the window.
         let next = new_tuple(tuple("S", [8, 3, 0], 101), &key);
         deliver(&mut state, &catalog, &config, 101, next);
@@ -1289,12 +1289,12 @@ mod tests {
 
     /// Regression for the stale-slot-after-expiry path: when a tuple exceeds
     /// the window of one of several registered entries of a bucket and the
-    /// wheel then removes it, the dying entry's registry slot must be
+    /// heap then removes it, the dying entry's registry slot must be
     /// unregistered (and only its own), so a later twin of the survivor
     /// still merges and a twin of the expired entry re-registers cleanly
     /// instead of resolving a dangling reference. With positional slots
     /// this required revalidating every slot on use; with slab handles the
-    /// single `unregister` in the wheel pop is sufficient — which is
+    /// single `unregister` in the expiry pop is sufficient — which is
     /// exactly what this test pins.
     #[test]
     fn contact_expiry_unregisters_only_its_own_slot() {
@@ -1329,11 +1329,11 @@ mod tests {
         deliver(&mut state, &catalog, &config, 55, exceeding);
         assert_eq!(state.stored_query_count(), 2, "a contact never removes");
 
-        // A twin of the survivor, delivered at the next tick: the wheel
+        // A twin of the survivor, delivered at the next tick: expiry
         // first deletes the start-10 entry, then the twin still merges into
         // the survivor...
         deliver(&mut state, &catalog, &config, 56, eval(rewritten(30, 50), &key));
-        assert_eq!(state.state_counters().wheel_pops, 1, "the start-10 entry left by the wheel");
+        assert_eq!(state.state_counters().wheel_pops, 1, "the start-10 entry left by expiry");
         assert_eq!(state.stored_query_count(), 1, "the survivor's slot must still resolve");
         assert_eq!(state.subjoins().len(), 1, "the expired entry's slot was unregistered");
         assert_eq!(state.sharing().merged_queries, 1);
@@ -1622,7 +1622,7 @@ mod tests {
     /// alike, the arrival must emit exactly the answers and children of a
     /// linear walk over every stored and every still-visible retained
     /// tuple, each rewritten by the reference `rjoin_query::rewrite`. The
-    /// wheel then leaves nothing overdue.
+    /// heap then leaves nothing overdue.
     #[test]
     fn a_query_over_out_of_order_buckets_matches_the_linear_walk() {
         const DELTA: u64 = 10;

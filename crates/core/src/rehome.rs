@@ -108,7 +108,7 @@ impl NodeState {
         }
         // A cell re-homes as its replica (drained with the queries above)
         // plus its tuples in arrival order; plan and index are rebuilt
-        // at the new owner, and this node's wheel tokens for it lapse.
+        // at the new owner, and this node's expiry tokens for it lapse.
         for (ring, cell) in self.cells.extract_if(|ring, _| !keep(*ring)) {
             let tuples = cell.into_tuples();
             self.tuple_count -= tuples.len();
@@ -130,7 +130,7 @@ impl NodeState {
     /// Absorbs re-homed state from another node. Queries go through the
     /// shared path when `share` is enabled, so structurally identical
     /// entries re-merge at their new home; every windowed query, cell tuple
-    /// and ALTT bucket front is re-scheduled on this node's wheel. Queries
+    /// and ALTT bucket front is re-scheduled on this node's deadline heap. Queries
     /// are absorbed first: a hypercube replica re-opens its cell, which the
     /// cell's tuples then land in. Every other bucket is merged into the
     /// ring's own in publication order.
@@ -164,7 +164,7 @@ impl NodeState {
             // The merged front may be older than the old one: arm for it (a
             // surplus token finds nothing due when it pops).
             if let Some(&(_, front)) = list.front() {
-                self.schedule(front.saturating_add(1), ExpiryToken::Altt(ring));
+                self.deadlines.insert(front.saturating_add(1), ExpiryToken::Altt(ring));
             }
         }
     }

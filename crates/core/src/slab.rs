@@ -3,9 +3,9 @@
 //! # Why a slab
 //!
 //! A node's stored queries are the one store whose entries leave one at a
-//! time — a windowed query when its wheel deadline pops — while other
+//! time — a windowed query when its expiry deadline pops — while other
 //! structures refer to them: the sub-join registry, the trigger index and
-//! the timer wheel. Stored inline in per-ring `Vec` buckets, every removal
+//! the node's deadline heap. Stored inline in per-ring `Vec` buckets, every removal
 //! would be positional: `swap_remove` shuffles the positions of the
 //! survivors, so anything that referred to an entry by position had to be
 //! revalidated or rebuilt, and the cost of *one* removal scaled with
@@ -16,7 +16,7 @@
 //! With a slab, entries live at a fixed index for their whole lifetime and
 //! buckets hold copyable [`Handle`]s. Removing an entry is `O(1)` in the
 //! slab, the bucket fix-up touches only that bucket, and every external
-//! reference (registry slot, timer-wheel deadline) can be kept as a handle
+//! reference (registry slot, expiry deadline) can be kept as a handle
 //! that is *checked*, not maintained: each slot carries a generation
 //! counter bumped on removal, so a stale handle reliably resolves to
 //! `None` instead of aliasing whatever reused the slot. Deferred

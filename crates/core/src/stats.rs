@@ -68,8 +68,8 @@ pub struct ExperimentStats {
     /// cells add their join time to the latter and nothing to the rest).
     pub compile: CompileCounters,
     /// How the O(active) state machinery behaved: live/peak occupancy per
-    /// store, scheduled wheel deadlines, and reclamations, all of them
-    /// wheel pops (`contact_expirations` is always 0).
+    /// store, scheduled expiry deadlines, and reclamations, all of them
+    /// expiry pops (`contact_expirations` is always 0).
     pub state: StateCounters,
     /// How tuple-arrival probing behaved: indexed probes, candidates handed
     /// out vs the bucket lengths those probes covered, the residual share,

@@ -26,7 +26,7 @@
 //!
 //! **Every** site that pushes a stored-query handle onto a bucket of
 //! `NodeState::stored_queries` must `insert` it here, and every site that
-//! unlinks one (the timer-wheel pop) must `remove` it with the same entry —
+//! unlinks one (the expiry pop) must `remove` it with the same entry —
 //! the pin is a pure function of the entry's query, key text and dedup
 //! state, none of which mutate while it is stored, so removal recomputes
 //! the pin and finds the one vector the insertion filed the handle under
@@ -50,7 +50,7 @@
 //! constant filter rejects the tuple, so `rewrite` returns `Mismatch`: the
 //! contact would have produced no action and mutated nothing (entries
 //! whose contact *can* mutate state — `DISTINCT` dedup admission — are
-//! residual; a contact never removes an entry, the timer wheel does).
+//! residual; a contact never removes an entry, expiry does).
 //!
 //! Ring identifiers are 64-bit digests of the key text, so two key texts
 //! may collide onto one ring and a bucket may mix entries of several keys.

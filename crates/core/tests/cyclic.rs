@@ -27,7 +27,7 @@ type AnswersByQuery = Vec<(QueryId, Vec<Vec<Value>>)>;
 /// excepted — membership changes require a quiescent network): draining
 /// after every tuple races the simulation clock arbitrarily far ahead of
 /// publication times, which breaks the engine's delivery-slack contract —
-/// windowed state would wheel-expire before in-window tuples are even
+/// windowed state would expire before in-window tuples are even
 /// delivered.
 fn run(
     scenario: &Scenario,
@@ -315,10 +315,7 @@ fn tuple_copies_travel_as_one_forwarding_tree() {
     let config = EngineConfig::default();
     // `simulated` bootstraps its ring from the `rjoin-node` label; the same
     // bootstrap rebuilds it for the reference forwarder.
-    let mut ring: Network<()> = Network::new(NetworkConfig {
-        delay: config.network_delay,
-        successor_list_len: config.successor_list_len,
-    });
+    let mut ring: Network<()> = Network::new(NetworkConfig { delay: config.network_delay });
     let ids = ring.bootstrap(scenario.nodes, "rjoin-node");
     let mut engine = RJoinEngine::simulated(config, catalog.clone(), scenario.nodes);
     assert_eq!(engine.node_ids(), ids.as_slice());

@@ -1,11 +1,11 @@
-//! Timer-wheel expiry on publication time, checked against the brute-force
+//! Deadline-heap expiry on publication time, checked against the brute-force
 //! oracle: for sliding and tumbling windows, with shared sub-joins, the
 //! ALTT, hot-key splitting and membership churn in the mix, every query
 //! must receive exactly the answers `common::oracle_answers` derives — also
 //! when tuples are stamped ahead of time and drained one at a time, so the
 //! simulated clock runs far ahead of publication. After every drain no live
 //! stored query, cell tuple or ALTT entry may be past its deadline at the
-//! engine's publication watermark: the wheel leaves nothing expired behind.
+//! engine's publication watermark: expiry leaves nothing expired behind.
 //!
 //! Every run is repeated at each of `common::shard_counts()`.
 
@@ -109,7 +109,7 @@ fn run_with_churn(window: WindowSpec, config: EngineConfig) -> Run {
     let wave = half.generate_tuples(run.engine.now() + 1);
     run.publish(wave, false, "first wave");
     // Churn at the quiescent points: a joiner steals buckets mid-run (their
-    // wheel tokens on the donor go stale; the joiner re-schedules), then
+    // expiry tokens on the donor go stale; the joiner re-schedules), then
     // leaves again, re-homing its state a second time.
     let joined = run.engine.join_node("expiry-churn").unwrap();
     let wave = second.generate_tuples(run.engine.now() + 1);
@@ -133,15 +133,15 @@ fn windowed_answers_match_the_oracle_under_churn() {
                 let run = run_with_churn(window, config.with_shards(shards));
                 run.assert_matches_oracle(&tag);
                 let counters = run.engine.state_counters();
-                assert!(counters.wheel_pops > 0, "{tag}: the wheel never popped");
-                assert_eq!(counters.contact_expirations, 0, "{tag}: only the wheel reclaims");
+                assert!(counters.wheel_pops > 0, "{tag}: expiry never popped");
+                assert_eq!(counters.contact_expirations, 0, "{tag}: only expiry reclaims");
             }
         }
     }
 }
 
 /// Forced splitting interacting with churn: `split_key` re-homes stored
-/// windowed state to the sub-key owners mid-run (the donor's wheel tokens
+/// windowed state to the sub-key owners mid-run (the donor's expiry tokens
 /// go stale, the receivers re-schedule), a joining node steals some of it
 /// again, and the leave re-homes it a third time. No deadline may be
 /// orphaned along the way (no overdue state after any drain) and no answer
@@ -174,7 +174,7 @@ fn forced_split_and_churn_rehome_wheel_deadlines() {
     }
 }
 
-/// The wheel is the only reclamation path, and a complete one: once the
+/// The deadline heap is the only reclamation path, and a complete one: once the
 /// clock is advanced past every window and ALTT retention, an idle drain
 /// leaves no rewritten query and no ALTT entry on any node.
 #[test]

@@ -33,7 +33,7 @@ fn config(split: bool, shards: usize) -> EngineConfig {
     }
 }
 
-/// Drains `engine` and checks that the wheel left no node holding a
+/// Drains `engine` and checks that expiry left no node holding a
 /// windowed entry past its deadline.
 fn drain_checked(engine: &mut RJoinEngine) {
     drain(engine);
@@ -161,7 +161,7 @@ fn split_answers_identical_to_unsplit_under_churn() {
 /// Split activation over windowed state: on the θ = 0.9 skew scenario with
 /// a sliding window, the splitter migrates windowed stored queries and ALTT
 /// entries, and the sub-key owners that absorb them must arm their
-/// deadlines on their own wheels. The answers equal the unsplit run's, and
+/// deadlines on their own deadline heaps. The answers equal the unsplit run's, and
 /// after every drain no node holds an entry past its deadline (checked in
 /// `run`).
 #[test]

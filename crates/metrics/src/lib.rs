@@ -27,8 +27,8 @@
 //!   (heavy hitters split, state migrated, routing/fan-out overhead),
 //! * [`PlannerCounters`] — what the two-plan query planner decided
 //!   (pipeline vs hypercube plans, shares allocated, replication cost),
-//! * [`StateCounters`] — how the node stores and timer-wheel expiry
-//!   behaved (occupancy and high water per store, wheel pops),
+//! * [`StateCounters`] — how the node stores and their deadline expiry
+//!   behaved (occupancy and high water per store, expiry pops),
 //! * [`ProbeCounters`] — how the value-partitioned trigger index narrowed
 //!   tuple-arrival probes (candidates vs bucket length, residual share,
 //!   index size high water).

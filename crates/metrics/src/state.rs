@@ -1,6 +1,8 @@
-//! Gauges and counters of the node stores and timer-wheel expiry. The
-//! `*_slab_*` names are historical: only stored queries live in a slab;
-//! tuples and ALTT entries are counted as they are stored and reclaimed.
+//! Gauges and counters of the node stores and their expiry. The
+//! `*_slab_*` and `wheel_*` names are historical: only stored queries live
+//! in a slab, tuples and ALTT entries are counted as they are stored and
+//! reclaimed, and each node's deadlines sit in a binary heap, not a timer
+//! wheel.
 
 use serde::{Deserialize, Serialize};
 
@@ -10,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// from the node's stores at read time, the pop counters accumulate); the
 /// engine sums them into the run-level statistics snapshot.
 ///
-/// Every dead entry is reclaimed by a wheel pop once the node's publication
+/// Every dead entry is reclaimed by an expiry pop once the node's publication
 /// watermark passes its deadline; nothing else reclaims, so
 /// `contact_expirations` is always 0 (the field stays for readers of the
 /// counter set). The `*_high_water` gauges bound peak state: with expiry
@@ -31,13 +33,14 @@ pub struct StateCounters {
     pub altt_slab_live: u64,
     /// Peak simultaneously live ALTT entries.
     pub altt_slab_high_water: u64,
-    /// Deadline entries currently scheduled on the timer wheel (including
-    /// stale tokens of already-removed entries, skipped for free at pop).
+    /// Deadline entries currently scheduled on the node's deadline heap
+    /// (including stale tokens of already-removed entries, skipped for free
+    /// at pop).
     pub wheel_scheduled: u64,
-    /// Entries reclaimed by a wheel pop at their deadline.
+    /// Entries reclaimed by an expiry pop at their deadline.
     pub wheel_pops: u64,
     /// Entries reclaimed because a bucket walk contacted them after their
-    /// window had closed. Always 0: the timer wheel is the only reclamation
+    /// window had closed. Always 0: the deadline heap is the only reclamation
     /// path. Kept so existing readers of the counter set keep compiling.
     pub contact_expirations: u64,
 }

@@ -5,6 +5,9 @@ use crate::{Lineage, ShardHandle, ShardMap, SimTime, TrafficClass, TrafficStats,
 use rjoin_dht::{ChordNetwork, DhtError, Id, LookupResult};
 use std::sync::Mutex;
 
+/// Length of the successor lists maintained by the simulated Chord nodes.
+const SUCCESSOR_LIST_LEN: usize = 4;
+
 /// Configuration of the simulated network.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
@@ -13,13 +16,11 @@ pub struct NetworkConfig {
     /// ticks after it is sent (the worst case allowed by the paper's system
     /// model).
     pub delay: SimTime,
-    /// Length of the successor lists maintained by the Chord nodes.
-    pub successor_list_len: usize,
 }
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        NetworkConfig { delay: 1, successor_list_len: 4 }
+        NetworkConfig { delay: 1 }
     }
 }
 
@@ -71,7 +72,7 @@ impl<M> Network<M> {
     pub fn new(config: NetworkConfig) -> Self {
         Network {
             fabric: Fabric {
-                dht: ChordNetwork::new(config.successor_list_len),
+                dht: ChordNetwork::new(SUCCESSOR_LIST_LEN),
                 delay: config.delay.max(1),
                 map: ShardMap::new(&[], 1),
                 inboxes: vec![Mutex::new(Vec::new())],
@@ -319,7 +320,7 @@ mod tests {
     const CLASS_B: TrafficClass = 1;
 
     fn network(n: usize) -> (Network<&'static str>, Vec<Id>) {
-        let mut net = Network::new(NetworkConfig { delay: 5, successor_list_len: 4 });
+        let mut net = Network::new(NetworkConfig { delay: 5 });
         let ids = net.bootstrap(n, "net-test");
         (net, ids)
     }
@@ -441,7 +442,7 @@ mod tests {
 
     #[test]
     fn pop_tick_takes_a_tick_from_every_shard() {
-        let mut net = Network::new(NetworkConfig { delay: 2, successor_list_len: 4 });
+        let mut net = Network::new(NetworkConfig { delay: 2 });
         let ids = net.bootstrap(16, "pop-shards");
         net.partition(4);
         assert_eq!(net.shards(), 4);

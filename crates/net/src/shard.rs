@@ -487,8 +487,7 @@ mod tests {
 
     #[test]
     fn cross_shard_sends_wait_in_the_inbox_until_the_next_round() {
-        let mut net: Network<&str> =
-            Network::new(NetworkConfig { delay: 3, successor_list_len: 4 });
+        let mut net: Network<&str> = Network::new(NetworkConfig { delay: 3 });
         let mut ids = net.bootstrap(4, "shard-test");
         net.partition(2);
         ids.sort_unstable();

@@ -68,7 +68,7 @@ proptest! {
         delay in 1u64..20,
         keys in proptest::collection::vec(any::<u64>(), 1..20),
     ) {
-        let mut net: Network<usize> = Network::new(NetworkConfig { delay, successor_list_len: 4 });
+        let mut net: Network<usize> = Network::new(NetworkConfig { delay });
         let ids = net.bootstrap(nodes, "prop-net");
         let from = ids[0];
 
@@ -108,7 +108,7 @@ proptest! {
     /// size, and are delivered after exactly the delay bound.
     #[test]
     fn direct_sends_cost_one_message(nodes in 2usize..40, delay in 1u64..50, count in 1usize..30) {
-        let mut net: Network<u32> = Network::new(NetworkConfig { delay, successor_list_len: 4 });
+        let mut net: Network<u32> = Network::new(NetworkConfig { delay });
         let ids = net.bootstrap(nodes, "prop-direct");
         for i in 0..count {
             net.send_direct(ids[i % ids.len()], ids[(i + 1) % ids.len()], i as u32, CLASS);
@@ -136,7 +136,7 @@ proptest! {
     ) {
         let build = || {
             let mut net: Network<usize> =
-                Network::new(NetworkConfig { delay, successor_list_len: 4 });
+                Network::new(NetworkConfig { delay });
             let ids = net.bootstrap(nodes, "prop-multi");
             (net, ids)
         };
@@ -187,7 +187,7 @@ proptest! {
         duplicates in proptest::collection::vec(any::<usize>(), 0..8),
         owned in 0u64..3,
     ) {
-        let mut net: Network<usize> = Network::new(NetworkConfig { delay, successor_list_len: 4 });
+        let mut net: Network<usize> = Network::new(NetworkConfig { delay });
         let ids = net.bootstrap(nodes, "prop-shard-multi");
         let from = ids[nodes / 2];
         let keys = multicast_keys(&keys, &duplicates, owned, from);
@@ -198,7 +198,7 @@ proptest! {
         type Sender<'a> = dyn Fn(&mut rjoin_net::ShardHandle<'_, usize>) + 'a;
         let run = |send: &Sender<'_>| {
             let mut fabric: Network<usize> =
-                Network::new(NetworkConfig { delay, successor_list_len: 4 });
+                Network::new(NetworkConfig { delay });
             fabric.bootstrap(nodes, "prop-shard-multi");
             let mut handles = fabric.handles();
             let handle = &mut handles[0];

@@ -9,7 +9,7 @@
 //! delivery at a tick before the sender stamped it — and the wall
 //! component is what drives delays and RIC windows forward in real time
 //! even when no messages arrive. Windowed-state expiry does not read this
-//! clock: a node's timer wheel runs on the publication times of the
+//! clock: a node's deadline heap runs on the publication times of the
 //! tuples it received, and the clock only tells one delivery tick from
 //! the next.
 //!

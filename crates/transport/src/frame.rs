@@ -62,7 +62,9 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// * 4 — `EngineConfig` lost its expiry-mode selector (the sweep mode).
 /// * 5 — `Configure` carries `EngineConfig`, which lost `ric_window` and
 ///   `ct_validity` (both are constants now).
-pub const FORMAT_VERSION: u8 = 5;
+/// * 6 — `Configure` carries `EngineConfig`, which lost
+///   `successor_list_len` (the simulated Chord ring's is a constant now).
+pub const FORMAT_VERSION: u8 = 6;
 
 /// Bytes of the length prefix.
 const PREFIX_LEN: usize = 4;

@@ -2,10 +2,10 @@
 //!
 //! [`Scenario::scale_test`] is the ≥512-node / 10⁴-query / 10⁵-tuple
 //! generator the O(active) state machinery (a query slab, publication-ordered
-//! tuple buckets and timer-wheel expiry) is sized for. Running it in full
+//! tuple buckets and a deadline heap per node) is sized for. Running it in full
 //! takes minutes; this example runs a reduced cut end-to-end and prints the
-//! run's statistics as CSV — answer and traffic totals plus the store/wheel
-//! gauges and the trigger-index
+//! run's statistics as CSV — answer and traffic totals plus the store and
+//! expiry gauges (`wheel_*` keeps its historical name) and the trigger-index
 //! probe counters — so CI can archive the state-machinery trajectory next
 //! to the bench numbers.
 //!
@@ -70,9 +70,9 @@ fn main() {
     println!("index_entries_high_water,{}", probe.index_entries_high_water);
 
     // The point of the machinery, asserted where CI will trip on it:
-    // reclamation is the wheel's deadline pops, and peak live state stays a
+    // reclamation is the deadline heap's pops, and peak live state stays a
     // fraction of the run's cumulative volume.
-    assert!(state.wheel_pops > 0, "the wheel must pop on a windowed long-horizon run");
+    assert!(state.wheel_pops > 0, "expiry must pop on a windowed long-horizon run");
     assert!(
         state.query_slab_high_water < stats.qpl_total,
         "peak live stored queries must stay below cumulative processing volume"
@@ -83,7 +83,7 @@ fn main() {
         "the index must never hand out more candidates than its buckets hold"
     );
     eprintln!(
-        "scale smoke ok: {} answers, {} wheel pops, {} candidates probed of {} bucket entries",
+        "scale smoke ok: {} answers, {} expiry pops, {} candidates probed of {} bucket entries",
         stats.answers, state.wheel_pops, probe.candidates_probed, probe.bucket_len_total
     );
 }
