@@ -1,5 +1,5 @@
-//! The local join of one hypercube cell: the replica compiled into a
-//! positional [`JoinPlan`], the tuples routed to the cell in arrival order,
+//! The local join of one hypercube cell: the replica's positional
+//! [`JoinPlan`], the tuples routed to the cell in arrival order,
 //! and a `(slot, column, value)` hash index over the plan's join columns.
 //!
 //! A hypercube-planned query trades replicated communication (every tuple
@@ -10,10 +10,12 @@
 //! tuples routed to it, and the join itself is an **index-probe cascade
 //! over tuple references**, driven by each arriving tuple ([`Cell::join`]):
 //!
-//! * **The plan.** At the cell's first arrival the replica is compiled once
-//!   into a [`JoinPlan`] — a slot per relation, constant filters and join
-//!   edges as column offsets, the `SELECT` list as columns or constants.
-//!   No query AST is built, cloned or dropped per tuple afterwards.
+//! * **The plan.** At the cell's first arrival the cell takes its
+//!   replica's plan — the input query's [`RewritePlan`], compiled once per
+//!   query on each node like any pipeline query's — whose [`JoinPlan`] has
+//!   a slot per relation, constant filters and join edges as column
+//!   offsets, the `SELECT` list as columns or constants. No query AST is
+//!   built, cloned or dropped per tuple afterwards.
 //! * **The probe.** An arrival that passes its slot's constant filters is
 //!   bound to its slot, and every remaining slot is bound depth-first by
 //!   probing the index with the [pins](JoinPlan::pins) the bound tuples
@@ -41,7 +43,7 @@
 //! tests the window on every candidate), it only bounds state by the window
 //! instead of the epoch.
 //!
-//! The plan needs the catalog, so it is compiled at the first arrival, not
+//! The plan needs the catalog, so it is attached at the first arrival, not
 //! when the cell opens: churn re-homes a cell through `NodeState::absorb`,
 //! which has no catalog at hand, so absorbed tuples are appended un-filed
 //! and filed at the cell's next arrival.
@@ -60,14 +62,15 @@
 //! it from exactly those two.
 
 use crate::messages::PendingQuery;
+use crate::node_state::ensure_plan;
 use crate::node_state::{NodeState, StoredQuery};
 use crate::procedures::{Action, ProcCtx};
 use crate::slab::Handle;
 use crate::trigger_index::{value_digest, TriggerIndex};
 use rjoin_dht::{HashedKey, RingMap};
 use rjoin_net::SimTime;
-use rjoin_query::{IndexLevel, JoinPlan, JoinQuery, SlotColumn, WindowSpec};
-use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
+use rjoin_query::{IndexLevel, JoinPlan, JoinQuery, RewritePlan, SlotColumn, WindowSpec};
+use rjoin_relation::{Timestamp, Tuple, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -98,8 +101,8 @@ pub(crate) struct Cell {
     /// The replica's window: what a stored tuple's eviction deadline is
     /// derived from.
     pub(crate) window: WindowSpec,
-    /// The replica's join plan, compiled at the cell's first arrival.
-    plan: Option<JoinPlan>,
+    /// The replica's plan, attached at the cell's first arrival.
+    plan: Option<Arc<RewritePlan>>,
     entries: VecDeque<Entry>,
     /// Arrival number of `entries.front()`.
     base: u64,
@@ -145,28 +148,25 @@ impl Cell {
         self.entries.push_back(Entry { tuple, deadline, slot: None });
     }
 
-    /// Joins an arriving copy of `replica`'s cell with every combination of
-    /// the tuples stored before it, handing each answer row to `emit` and
-    /// booking each index probe in `probes`. Returns whether the copy must
-    /// be stored for later arrivals: it was admitted to a slot of a plan with
-    /// more than one (a one-relation replica answers on arrival).
+    /// Joins an arriving copy of the cell with every combination of the
+    /// tuples stored before it, through the replica's `plan`, handing each
+    /// answer row to `emit` and booking each index probe in `probes`.
+    /// Returns whether the copy must be stored for later arrivals: it was
+    /// admitted to a slot of a plan with more than one (a one-relation
+    /// replica answers on arrival).
     ///
     /// A tuple the plan does not admit — of a relation the replica does not
-    /// join, or failing one of its constant selections — and every tuple of
-    /// a replica that does not compile against `catalog` joins nothing.
+    /// join, or failing one of its constant selections — joins nothing.
     pub(crate) fn join(
         &mut self,
-        replica: &JoinQuery,
-        catalog: &Catalog,
+        plan: &Arc<RewritePlan>,
         tuple: &Tuple,
         probes: &mut TriggerIndex,
         emit: impl FnMut(Vec<Value>),
     ) -> bool {
-        if !self.compile(replica, catalog) {
-            return false;
-        }
+        self.open(plan);
         self.index_pending();
-        let plan = self.plan.as_ref().expect("compiled above");
+        let plan = self.plan.as_deref().expect("opened above").plan();
         let Some(slot) = plan.admit(tuple) else { return false };
         let mut bound = vec![None; plan.relations().len()];
         bound[slot] = Some(tuple);
@@ -180,25 +180,24 @@ impl Cell {
         true
     }
 
-    /// Compiles the replica's plan and opens one index column per join
-    /// column, once; `false` when the replica does not compile.
-    fn compile(&mut self, replica: &JoinQuery, catalog: &Catalog) -> bool {
+    /// Keeps the replica's plan and opens one index column per join column,
+    /// once.
+    fn open(&mut self, plan: &Arc<RewritePlan>) {
         if self.plan.is_none() {
-            let Ok(plan) = JoinPlan::new(replica, catalog) else { return false };
             self.columns = plan
+                .plan()
                 .join_columns()
                 .into_iter()
                 .map(|at| Column { at, by_value: RingMap::default() })
                 .collect();
-            self.plan = Some(plan);
+            self.plan = Some(Arc::clone(plan));
         }
-        true
     }
 
     /// Files every appended-but-unfiled tuple under its slot's join columns.
     /// A no-op when the index is current or the plan is not compiled yet.
     fn index_pending(&mut self) {
-        let Some(plan) = &self.plan else { return };
+        let Some(plan) = self.plan.as_deref().map(RewritePlan::plan) else { return };
         while self.indexed < self.entries.len() {
             let arrival = self.base + self.indexed as u64;
             let entry = &mut self.entries[self.indexed];
@@ -316,7 +315,8 @@ impl<'a, F: FnMut(Vec<Value>)> Cascade<'a, F> {
     fn bind(&mut self, slot: usize, candidate: &'a Tuple, lo: Timestamp, hi: Timestamp) {
         let pub_time = candidate.pub_time();
         let (lo, hi) = (lo.min(pub_time), hi.max(pub_time));
-        if !self.plan.window().within(lo, hi) || !self.plan.joins(slot, candidate, &self.bound) {
+        let fits = self.plan.window().within(lo, hi);
+        if !fits || !self.plan.joins(slot, candidate, &self.bound) {
             return;
         }
         self.bound[slot] = Some(candidate);
@@ -334,7 +334,7 @@ impl<'a, F: FnMut(Vec<Value>)> Cascade<'a, F> {
 /// A tuple copy arrives at a hypercube cell: the local join of the cell.
 ///
 /// The cell joins the arrival with the tuples stored before it through the
-/// replica's compiled [`JoinPlan`] ([`Cell::join`]); only then is the
+/// replica's plan ([`Cell::join`]); only then is the
 /// arrival itself stored. So the cascade only ever sees
 /// tuples that arrived *before* its driver — every tuple subset is
 /// assembled exactly once, at its latest member's arrival — and together
@@ -343,8 +343,9 @@ impl<'a, F: FnMut(Vec<Value>)> Cascade<'a, F> {
 /// coordination. `DISTINCT` collapses owner-side: equal *rows* can complete
 /// in different cells.
 ///
-/// A cell runs no trigger program, so it books no rewrite counter; its time
-/// goes to `eval_nanos` and its index probes to the probe counters.
+/// A cell runs no trigger, so it books no rewrite counter; attaching the
+/// replica's plan books a compile or a reuse, its time goes to
+/// `eval_nanos` and its index probes to the probe counters.
 ///
 /// A tuple that can never contribute — published before the query was
 /// submitted, of a relation the query does not join, or failing one of the
@@ -360,14 +361,16 @@ pub(crate) fn handle_cell_arrival(
     let Some(replica) = state.queries.get(cell.replica).map(|stored| &stored.pending) else {
         return actions;
     };
-    if tuple.pub_time() < replica.insert_time {
+    if tuple.pub_time() < replica.query.insert_time {
         return actions;
     }
     let walk = Instant::now();
-    let (query, owner) = (replica.id, replica.owner);
-    let stores = cell.join(&replica.query, ctx.catalog, tuple, &mut state.trigger_index, |row| {
-        actions.push(Action::DeliverAnswer { query, owner, row })
-    });
+    let (query, owner) = (replica.query.id, replica.query.owner);
+    // A replica that does not compile joins nothing.
+    let stores = ensure_plan(replica, ctx.catalog, &mut state.compile)
+        && cell.join(replica.plan().expect("attached"), tuple, &mut state.trigger_index, |row| {
+            actions.push(Action::DeliverAnswer { query, owner, row })
+        });
     state.compile.eval_nanos += walk.elapsed().as_nanos() as u64;
     if stores {
         state.store_tuple(ring, Arc::clone(tuple));
@@ -385,11 +388,12 @@ pub(crate) fn handle_cell_arrival(
 pub(crate) fn handle_hypercube_arrival(
     state: &mut NodeState,
     ctx: &ProcCtx<'_>,
-    pending: PendingQuery,
+    mut pending: PendingQuery,
     key: &HashedKey,
     level: IndexLevel,
 ) -> Vec<Action> {
     let ring = key.ring();
+    state.adopt(&mut pending, ctx.catalog);
     let mut replica = StoredQuery::new(pending, key.clone(), level);
     replica.dedup = None;
     let early = state.take_stored_tuples(ring);
@@ -405,7 +409,7 @@ pub(crate) fn handle_hypercube_arrival(
 mod tests {
     use super::*;
     use rjoin_query::parse_query;
-    use rjoin_relation::{Schema, Value};
+    use rjoin_relation::{Catalog, Schema, Value};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -421,12 +425,13 @@ mod tests {
 
     const TRIANGLE: &str = "SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B AND T.C = R.C";
 
-    /// A cell of `sql` with its plan compiled and nothing stored yet.
-    fn compiled_cell(sql: &str) -> (Cell, JoinQuery) {
+    /// A cell of `sql` with its plan attached and nothing stored yet.
+    fn compiled_cell(sql: &str) -> (Cell, Arc<RewritePlan>) {
         let q = parse_query(sql).unwrap();
         let mut cell = Cell::new(crate::slab::Slab::default().insert(()), &q);
-        assert!(cell.compile(&q, &catalog()));
-        (cell, q)
+        let plan = Arc::new(RewritePlan::new(Arc::new(q), &catalog()).unwrap());
+        cell.open(&plan);
+        (cell, plan)
     }
 
     fn at(slot: usize, offset: usize) -> SlotColumn {
@@ -442,10 +447,10 @@ mod tests {
 
     /// Drives one arrival through the cell's join; returns the answer rows
     /// and `(probes, candidates)` booked by it.
-    fn arrive(cell: &mut Cell, q: &JoinQuery, t: &Tuple) -> (Vec<Vec<Value>>, u64, u64) {
+    fn arrive(cell: &mut Cell, q: &Arc<RewritePlan>, t: &Tuple) -> (Vec<Vec<Value>>, u64, u64) {
         let mut probes = TriggerIndex::default();
         let mut rows = Vec::new();
-        cell.join(q, &catalog(), t, &mut probes, |row| rows.push(row));
+        cell.join(q, t, &mut probes, |row| rows.push(row));
         let counters = probes.counters();
         (rows, counters.indexed_probes, counters.candidates_probed)
     }

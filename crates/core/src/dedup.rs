@@ -36,7 +36,13 @@ impl DedupFilter {
     /// before; returns `false` if it is a duplicate and must not trigger the
     /// query again.
     pub fn admit(&mut self, query: &JoinQuery, tuple: &Tuple, schema: &Schema) -> bool {
-        let projection = projection(query, tuple, schema);
+        self.admit_projection(projection(query, tuple, schema))
+    }
+
+    /// [`admit`](Self::admit) for a projection already taken — by the
+    /// engine, on the offsets the query's plan fixes per relation
+    /// ([`RewritePlan::dedup_offsets`](rjoin_query::RewritePlan::dedup_offsets)).
+    pub fn admit_projection(&mut self, projection: Vec<Option<Value>>) -> bool {
         self.seen.insert(projection)
     }
 }

@@ -96,12 +96,11 @@ pub fn handle_node_msg(
 }
 
 /// Builds a [`NodeState`] the way the engine constructors build theirs,
-/// but with a node-private compiled-program cache, for out-of-process
-/// drivers (such as `rjoin_transport`'s node processes) that run
-/// [`handle_node_msg`] themselves with `config`. Nodes built this way do
-/// not share a program cache; each compiles its own rewrite templates on
-/// first trigger. No field of the configuration shapes a node's state
-/// today; a driver passes the one it runs the handlers with.
+/// for out-of-process drivers (such as `rjoin_transport`'s node processes)
+/// that run [`handle_node_msg`] themselves with `config`. Queries reach such
+/// a node over a wire, without their plans; it compiles one per query
+/// ([`NodeState::adopt`]). No field of the configuration shapes a
+/// node's state today; a driver passes the one it runs the handlers with.
 pub fn standalone_node_state(id: Id, _config: &EngineConfig) -> NodeState {
     NodeState::new(id)
 }

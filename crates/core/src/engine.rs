@@ -7,7 +7,7 @@ use crate::delivery::standalone_node_state;
 use crate::error::EngineError;
 use crate::messages::{HypercubeRef, PendingQuery, QueryId, RJoinMessage};
 use crate::node_id::NodeId;
-use crate::node_state::{NodeState, ProgramCache};
+use crate::node_state::NodeState;
 use crate::placement::dispatch_query_in;
 use crate::shard_driver::{resolve_workers, run_rounds, EngineShard, RicDirectory, ShardEnv};
 use crate::split::{HypercubeMap, SplitMap};
@@ -23,7 +23,7 @@ use rjoin_query::plan;
 use rjoin_query::{tuple_index_key_iter, IndexLevel, JoinQuery};
 use rjoin_relation::{Catalog, Timestamp, Tuple};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Per-key load maps are keyed by precomputed ring identifiers, so they use
 /// the cheap ring-id hasher instead of SipHash.
@@ -79,9 +79,6 @@ pub struct RJoinEngine {
     /// thread (plan choice at submission, tuple routing at publication), so
     /// no per-shard tally is needed.
     planner_counters: PlannerCounters,
-    /// The engine-wide compiled-program cache every [`NodeState`] holds a
-    /// handle to (kept here so nodes joining through churn adopt it too).
-    programs: Arc<Mutex<ProgramCache>>,
     /// The engine's publication watermark: the highest publication time
     /// published so far, raised to the clock by
     /// [`advance_time`](Self::advance_time). No tuple published later may
@@ -95,8 +92,7 @@ impl RJoinEngine {
     /// network from the configuration (delay bound, successor-list length),
     /// bootstraps `num_nodes` fully stabilized Chord nodes named
     /// `rjoin-node-{i}`, partitions them into [`EngineConfig::shards`]
-    /// shards, and gives each node a configured [`NodeState`] on its shard,
-    /// all sharing one compiled-program cache.
+    /// shards, and gives each node a configured [`NodeState`] on its shard.
     ///
     /// The delay bound is clamped to δ ≥ 1 — whether `network_delay` came
     /// from [`EngineConfig::with_delay`] or a direct field write — and
@@ -130,7 +126,6 @@ impl RJoinEngine {
             split_counters: SplitCounters::new(),
             hypercubes: HypercubeMap::default(),
             planner_counters: PlannerCounters::new(),
-            programs: Arc::new(Mutex::new(ProgramCache::default())),
             pub_watermark: 0,
         };
         for id in node_ids {
@@ -139,11 +134,10 @@ impl RJoinEngine {
         engine
     }
 
-    /// Gives node `id` a configured [`NodeState`] on its shard, sharing the
-    /// engine's program cache, and lists its RIC tracker in the directory.
+    /// Gives node `id` a configured [`NodeState`] on its shard and lists
+    /// its RIC tracker in the directory.
     fn add_node_state(&mut self, id: Id) {
-        let mut state = standalone_node_state(id, &self.config);
-        state.share_programs(Arc::clone(&self.programs));
+        let state = standalone_node_state(id, &self.config);
         self.ric_dir.insert(id, state.ric_handle());
         self.shards[self.network.shard_of(id)].nodes.insert(id, state);
         self.node_ids.push(id);
@@ -271,8 +265,8 @@ impl RJoinEngine {
         if query.distinct() {
             self.distinct_queries.insert(id);
         }
-        let mut pending = PendingQuery::input(id, origin, self.network.now(), query);
-        pending.hypercube = hypercube;
+        let pending =
+            PendingQuery::input(id, origin, self.network.now(), query).with_hypercube(hypercube);
         // Outside any round, the query's messages are roots, and its
         // placement draws from the lineage of the first of them.
         let lineage = root_lineage(self.network.next_root());
@@ -500,9 +494,9 @@ impl RJoinEngine {
         total
     }
 
-    /// Cumulative compiled-predicate counters across all live nodes:
-    /// programs compiled, shape-cache hits, triggers run by a program, and
-    /// nanoseconds spent in the per-delivery trigger walks.
+    /// Cumulative plan counters across all live nodes: plans compiled, plan
+    /// reuses, triggers run on a plan, and nanoseconds spent in the
+    /// per-delivery trigger walks and cell joins.
     pub fn compile_counters(&self) -> CompileCounters {
         let mut total = CompileCounters::new();
         for state in self.nodes() {

@@ -159,7 +159,7 @@ pub(crate) fn window_deadline(window: &WindowSpec, start: Timestamp) -> Option<T
 
 /// The expiry deadline of a stored query, if it can expire at all.
 pub(crate) fn query_expiry_deadline(stored: &StoredQuery) -> Option<Timestamp> {
-    window_deadline(stored.pending.query.window(), stored.pending.window_start?)
+    window_deadline(stored.pending.query.window(), stored.pending.window_start()?)
 }
 
 /// Unlinks `handle` from its ring bucket in O(1): `expected_pos` is the
@@ -181,7 +181,7 @@ fn unlink_from_bucket(
     bucket.swap_remove(pos);
     if let Some(&moved) = bucket.get(pos) {
         if let Some(entry) = queries.get_mut(moved) {
-            entry.bucket_pos = pos;
+            entry.bucket_pos = pos as u32;
         }
     }
 }
@@ -241,7 +241,8 @@ impl NodeState {
         let Some(expired) = self.queries.remove(handle) else { return 0 };
         let ring = expired.key.ring();
         if let Some(bucket) = self.stored_queries.get_mut(&ring) {
-            unlink_from_bucket(&mut bucket.handles, &mut self.queries, handle, expired.bucket_pos);
+            let pos = expired.bucket_pos as usize;
+            unlink_from_bucket(&mut bucket.handles, &mut self.queries, handle, pos);
             self.trigger_index.remove(bucket, handle, &expired);
             if bucket.handles.is_empty() {
                 self.stored_queries.remove(&ring);

@@ -22,11 +22,26 @@
 //!
 //! # Hot-path architecture
 //!
-//! Four design decisions keep the per-message cost flat:
+//! Five design decisions keep the per-message cost flat:
 //!
+//! * **A rewritten query is its input query plus bound tuples** — a
+//!   [`PendingQuery`] holds the input query ([`InputQuery`], one `Arc`
+//!   shared by every query it spawns), one `Arc<Tuple>` per bound `FROM`
+//!   slot ([`rjoin_query::Bindings`], one allocation) and its window span.
+//!   Everything a rewritten `JoinQuery` used to be built for is read
+//!   through the input query's [`rjoin_query::RewritePlan`], compiled once
+//!   per query at its first trigger (never at submission) and carried by
+//!   every descendant: a trigger is the plan's `admit` + `joins` on the
+//!   tuple's slot, a complete binding is projected into the answer row, a
+//!   partial one becomes a child with one more bound slot, and a child's
+//!   candidate keys come from the plan's memo for its bound mask. The plan
+//!   never travels: a node that receives a query over a wire compiles it
+//!   once per query ([`NodeState::adopt`]). A stored query is under a
+//!   hundred bytes plus its bindings, where a rewritten `JoinQuery` was
+//!   close to a kilobyte.
 //! * **Interned key identities** — every index key is converted once into a
-//!   [`rjoin_dht::HashedKey`] (canonical string as `Arc<str>` plus the ring
-//!   identifier from a single SHA-1). Messages carry the interned key, and
+//!   [`rjoin_dht::HashedKey`] (one pointer to the canonical string and the
+//!   ring identifier from a single SHA-1). Messages carry the interned key, and
 //!   all per-node tables ([`NodeState`]'s stored queries/tuples, ALTT,
 //!   candidate table, RIC tracker) and per-key load maps are keyed by the
 //!   precomputed `u64` ring id, so the delivery path performs no string
@@ -129,9 +144,10 @@
 //! subcube fixed by hashing its bound attributes
 //! ([`split::partition_for_value`]) — so any joining combination meets in
 //! exactly one cell and completes exactly once. Inside a cell the join is
-//! local and incremental (`cell` module): the cell compiles its replica
-//! once into a positional [`rjoin_query::JoinPlan`] (slots, column offsets,
-//! constant filters, join edges) and keeps the tuples routed to it,
+//! local and incremental (`cell` module): the cell reads its replica
+//! through the input query's plan, a positional [`rjoin_query::JoinPlan`]
+//! (slots, column offsets, constant filters, join edges), and keeps the
+//! tuples routed to it,
 //! hash-indexed by `(slot, join column, value)`; an arriving tuple is bound
 //! to its slot and the remaining slots are bound depth-first by probing
 //! that index with the values the bound tuples pin, over the tuples that
@@ -229,7 +245,7 @@ pub use dedup::DedupFilter;
 pub use engine::RJoinEngine;
 pub use error::EngineError;
 pub use messages::{
-    EmittedBy, HypercubeRef, PendingQuery, QueryId, RJoinMessage, RicInfo, Subscriber,
+    HypercubeRef, InputQuery, PendingQuery, PlanRef, QueryId, RJoinMessage, RicInfo, Subscriber,
     SubscriberGroup, SubscriberTable,
 };
 pub use node_id::NodeId;

@@ -2,13 +2,13 @@
 
 use rjoin_dht::{HashedKey, Id};
 use rjoin_net::SimTime;
-use rjoin_query::{IndexLevel, JoinQuery, KeyTemplate, SelectItem, SubJoinProgram};
-use rjoin_relation::{Timestamp, Tuple, Value};
+use rjoin_query::{Bindings, IndexLevel, JoinQuery, RewritePlan, SelectItem, SubJoin};
+use rjoin_relation::{write_prefixed, DecodedTable, Timestamp, Tuple, Value};
 use serde::bin::BinError;
 use serde::json::{JsonError, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A unique identifier for a submitted continuous query.
 ///
@@ -221,169 +221,270 @@ impl HypercubeRef {
     }
 }
 
-/// The compiled program that emitted a rewritten query, for as long as the
-/// query stays inside the process that rewrote it: the program knows the
-/// candidate keys of its children as templates, so re-indexing the query
-/// instantiates them instead of deriving its candidates from scratch.
+/// The compiled plan of an input query, for as long as the query stays
+/// inside one process: every descendant of an input query shares it.
 ///
-/// A hint, not part of the query: it always compares equal, is never
-/// serialized (a query that crossed a wire re-derives its candidates) and is
-/// dropped once the query has been dispatched.
+/// A cache, not part of the query: it always compares equal and is never
+/// serialized. A query that crossed a wire arrives without it, and the
+/// receiving node attaches its own (compiled once per [`QueryId`], see
+/// [`NodeState::adopt`](crate::NodeState::adopt)).
 #[derive(Debug, Clone, Default)]
-pub struct EmittedBy(Option<Arc<SubJoinProgram>>);
+pub struct PlanRef(OnceLock<Arc<RewritePlan>>);
 
-impl EmittedBy {
-    /// Marks a child `program` emitted.
-    pub fn program(program: &Arc<SubJoinProgram>) -> Self {
-        EmittedBy(Some(Arc::clone(program)))
+impl PlanRef {
+    /// The plan, once attached.
+    pub fn get(&self) -> Option<&Arc<RewritePlan>> {
+        self.0.get()
     }
 
-    /// The candidate-key templates of the marked query (see
-    /// [`SubJoinProgram::child_keys`]), if it carries its emitter.
-    pub fn child_keys(&self) -> Option<&[KeyTemplate]> {
-        self.0.as_deref().map(SubJoinProgram::child_keys)
+    /// Attaches `plan` (a no-op when one is attached already: every plan
+    /// of one query is the same).
+    pub(crate) fn set(&self, plan: Arc<RewritePlan>) {
+        let _ = self.0.set(plan);
     }
 }
 
-impl PartialEq for EmittedBy {
+impl PartialEq for PlanRef {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl Eq for EmittedBy {}
+impl Eq for PlanRef {}
 
-impl Serialize for EmittedBy {
-    fn serialize_json(&self) -> JsonValue {
-        JsonValue::Null
-    }
-
-    fn serialize_bin(&self, _: &mut Vec<u8>) {}
-}
-
-impl Deserialize for EmittedBy {
-    fn deserialize_json(_: &JsonValue) -> Result<Self, JsonError> {
-        Ok(EmittedBy::default())
-    }
-
-    fn deserialize_bin(_: &mut &[u8]) -> Result<Self, BinError> {
-        Ok(EmittedBy::default())
-    }
-}
-
-/// A query in flight: an input query or one of its rewritten descendants,
-/// together with the metadata RJoin needs to evaluate it.
+/// A submitted query and what every query it spawns shares with it: its
+/// identity, owner and insertion time, its hypercube cell space and its
+/// plan. Dereferences to the [`JoinQuery`] itself.
 ///
-/// With shared sub-join evaluation enabled, one `PendingQuery` can serve
-/// several input queries whose sub-join structure is identical: the fields
-/// below describe the *primary* subscriber (the first query to claim the
-/// shared entry, whose `SELECT` list lives in `query` and is rewritten with
-/// it), and `subscribers` is the table of the others. The shared `WHERE`
-/// clause is rewritten and re-indexed once; when it completes, answers fan
-/// back out to every subscriber submitted no later than the combination's
-/// earliest tuple was published — [`window_min`](Self::window_min), so
-/// nothing is filtered or copied per subscriber on the way.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingQuery {
-    /// Identifier of the (primary) original input query.
+/// Every `Eval` of a descendant carries it. In the binary rendering the
+/// query travels length-prefixed, so a receiver that decoded the same bytes
+/// before, and still holds the result, shares that instead of decoding
+/// them again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InputQuery {
+    /// Identifier of the input query.
     pub id: QueryId,
-    /// Node that submitted the (primary) query (answers are sent here).
+    /// Node that submitted the query (answers are sent here).
     pub owner: Id,
-    /// Insertion time `insT(q)` of the (primary) original query; only tuples
-    /// published at or after this time may contribute to answers.
+    /// Insertion time `insT(q)`; only tuples published at or after this
+    /// time may contribute to its answers.
     pub insert_time: Timestamp,
-    /// Number of join conjuncts in the original input query (used for
-    /// reporting; the remaining joins are visible in `query`).
-    pub original_joins: usize,
-    /// The window `start` parameter (Section 5): publication time of the
-    /// tuple that created this rewritten query. `None` for input queries.
-    pub window_start: Option<Timestamp>,
-    /// Earliest publication time among the tuples that contributed to this
-    /// rewritten query. Together with [`window_max`](Self::window_max) this
-    /// tracks the exact span of the partial combination, which the Section 5
-    /// `start` parameter alone cannot: `start` follows the *first* (Proc. 2)
-    /// or *latest* (Proc. 3) contribution, so a combination that picks up an
-    /// older stored/ALTT tuple late would pass the pairwise `|start - now|`
-    /// test while its true span already exceeds the window. `None` until a
-    /// tuple contributes.
-    pub window_min: Option<Timestamp>,
-    /// Latest publication time among the contributing tuples (see
-    /// [`window_min`](Self::window_min)).
-    pub window_max: Option<Timestamp>,
-    /// The (possibly already rewritten) query itself.
-    pub query: JoinQuery,
-    /// Additional input queries sharing this sub-join (empty when sharing is
-    /// disabled or no structurally identical query was merged).
-    pub subscribers: SubscriberTable,
-    /// The hypercube cell space this query evaluates in, when the planner
+    /// The query as submitted.
+    pub query: Arc<JoinQuery>,
+    /// The hypercube cell space the query evaluates in, when the planner
     /// chose a hypercube plan over the rewrite pipeline. `None` for
     /// pipeline-planned queries. It marks the whole evaluation as
     /// cell-local: a cell's partials are transient, so only input-query
     /// replicas ever carry it into a node's store.
     pub hypercube: Option<HypercubeRef>,
-    /// The program that emitted this rewritten query (a process-local
-    /// dispatch hint; empty for input queries and after any wire hop).
-    pub emitted_by: EmittedBy,
+    /// The plan of `query` (a process-local cache; empty until the first
+    /// trigger and after any wire hop).
+    pub plan: PlanRef,
+}
+
+impl std::ops::Deref for InputQuery {
+    type Target = JoinQuery;
+
+    fn deref(&self) -> &JoinQuery {
+        &self.query
+    }
+}
+
+/// An [`InputQuery`]'s fields as JSON renders them.
+#[derive(Serialize, Deserialize)]
+struct InputFields {
+    id: QueryId,
+    owner: Id,
+    insert_time: Timestamp,
+    query: Arc<JoinQuery>,
+    hypercube: Option<HypercubeRef>,
+}
+
+impl Serialize for InputQuery {
+    fn serialize_json(&self) -> JsonValue {
+        let InputQuery { id, owner, insert_time, query, hypercube, plan: _ } = self;
+        let (query, hypercube) = (Arc::clone(query), hypercube.clone());
+        InputFields { id: *id, owner: *owner, insert_time: *insert_time, query, hypercube }
+            .serialize_json()
+    }
+
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        self.id.serialize_bin(out);
+        self.owner.serialize_bin(out);
+        self.insert_time.serialize_bin(out);
+        write_prefixed(out, &*self.query);
+        self.hypercube.serialize_bin(out);
+    }
+}
+
+impl Deserialize for InputQuery {
+    fn deserialize_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let InputFields { id, owner, insert_time, query, hypercube } =
+            InputFields::deserialize_json(v)?;
+        Ok(InputQuery { id, owner, insert_time, query, hypercube, plan: PlanRef::default() })
+    }
+
+    fn deserialize_bin(input: &mut &[u8]) -> Result<Self, BinError> {
+        let id = QueryId::deserialize_bin(input)?;
+        let owner = Id::deserialize_bin(input)?;
+        let insert_time = Timestamp::deserialize_bin(input)?;
+        let query = DECODED_QUERIES.read(input)?;
+        let hypercube = Option::<HypercubeRef>::deserialize_bin(input)?;
+        Ok(InputQuery { id, owner, insert_time, query, hypercube, plan: PlanRef::default() })
+    }
+}
+
+/// The input queries this process decoded (see [`DecodedTable`]): a node
+/// receives its input query with every `Eval` of every descendant, and
+/// decoding it would be most of decoding the `Eval`.
+static DECODED_QUERIES: DecodedTable<JoinQuery, 4096> = DecodedTable::new();
+
+/// A query in flight: an input query or one of its rewritten descendants,
+/// together with the metadata RJoin needs to evaluate it.
+///
+/// A rewritten query is never built: it is its input query
+/// ([`query`](Self::query), shared by every descendant) plus the tuples
+/// bound so far ([`bound`](Self::bound), one per bound `FROM` slot), read
+/// through the input query's [`RewritePlan`].
+/// [`rewritten`](Self::rewritten) builds the [`JoinQuery`] it denotes.
+///
+/// With shared sub-join evaluation enabled, one `PendingQuery` can serve
+/// several input queries whose rewritten sub-join structure is identical:
+/// `query` is the *primary* subscriber's (the first query to claim the
+/// shared entry), and `subscribers` is the table of the others. The shared
+/// `WHERE` clause is evaluated and re-indexed once; when it completes,
+/// answers fan back out to every subscriber submitted no later than the
+/// combination's earliest tuple was published —
+/// [`window_min`](Self::window_min), so nothing is filtered or copied per
+/// subscriber on the way.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PendingQuery {
+    /// The (primary) input query, shared by every descendant.
+    pub query: Arc<InputQuery>,
+    /// The window state: [`window_start`](Self::window_start),
+    /// [`window_min`](Self::window_min) and
+    /// [`window_max`](Self::window_max), stored without `Option` tags (a
+    /// stored query is mostly this struct).
+    span: Span,
+    /// The tuples bound to the input query's `FROM` slots so far (none for
+    /// an input query).
+    pub bound: Bindings,
+    /// Additional input queries sharing this sub-join (empty when sharing is
+    /// disabled or no structurally identical query was merged).
+    pub subscribers: SubscriberTable,
 }
 
 impl PendingQuery {
     /// Wraps a freshly submitted input query.
     pub fn input(id: QueryId, owner: Id, insert_time: Timestamp, query: JoinQuery) -> Self {
         PendingQuery {
-            id,
-            owner,
-            insert_time,
-            original_joins: query.join_count(),
-            window_start: None,
-            window_min: None,
-            window_max: None,
-            query,
+            query: Arc::new(InputQuery {
+                id,
+                owner,
+                insert_time,
+                query: Arc::new(query),
+                hypercube: None,
+                plan: PlanRef::default(),
+            }),
+            span: Span::NONE,
+            bound: Bindings::default(),
             subscribers: SubscriberTable::default(),
-            hypercube: None,
-            emitted_by: EmittedBy::default(),
         }
+    }
+
+    /// The input query planned into `hypercube`'s cells (see
+    /// [`InputQuery::hypercube`]).
+    pub fn with_hypercube(mut self, hypercube: Option<HypercubeRef>) -> Self {
+        Arc::make_mut(&mut self.query).hypercube = hypercube;
+        self
     }
 
     /// Whether this is an input query (never rewritten yet).
     pub fn is_input(&self) -> bool {
-        self.window_start.is_none() && self.query.join_count() == self.original_joins
+        self.bound.is_empty()
     }
 
-    /// Derives the pending metadata for a rewritten descendant, following the
-    /// inheritance rules of Section 5 (`start` inheritance is handled by the
-    /// caller because it differs between Procedure 2 and Procedure 3).
-    ///
-    /// The subscriber table does **not** carry over: its groups have to bind
-    /// the tuple that produced the descendant, which
-    /// [`triggered_child`](Self::triggered_child) does.
-    pub fn child(&self, query: JoinQuery, window_start: Option<Timestamp>) -> Self {
-        PendingQuery {
-            id: self.id,
-            owner: self.owner,
-            insert_time: self.insert_time,
-            original_joins: self.original_joins,
-            window_start,
-            window_min: self.window_min,
-            window_max: self.window_max,
-            query,
-            subscribers: SubscriberTable::default(),
-            hypercube: self.hypercube.clone(),
-            emitted_by: EmittedBy::default(),
+    /// The plan this query is read through, once attached.
+    pub fn plan(&self) -> Option<&Arc<RewritePlan>> {
+        self.query.plan.get()
+    }
+
+    /// The rewritten query this one denotes, built (the input query itself
+    /// when nothing is bound); `None` when tuples are bound but no plan is
+    /// attached to read them through.
+    pub fn rewritten(&self) -> Option<JoinQuery> {
+        match self.plan() {
+            _ if self.bound.is_empty() => Some(JoinQuery::clone(&self.query)),
+            Some(plan) => Some(plan.materialize(&self.bound)),
+            None => None,
         }
     }
 
-    /// The descendant `tuple` produced by rewriting this query into `query`:
-    /// [`child`](Self::child) plus the tuple's contribution — the span grows
-    /// by its publication time and every subscriber group binds it. Whoever
-    /// was submitted after the tuple was published stops being served from
-    /// here on, which takes no work here: `window_min` is the whole filter.
+    /// The rewritten sub-join, for signatures (`None` as for
+    /// [`rewritten`](Self::rewritten)).
+    pub fn subjoin(&self) -> Option<SubJoin<'_>> {
+        match self.plan() {
+            _ if self.bound.is_empty() => Some(SubJoin::Query(&self.query)),
+            Some(plan) => Some(SubJoin::Bound(plan, &self.bound)),
+            None => None,
+        }
+    }
+
+    /// The `SELECT` list of the rewritten query (`None` as for
+    /// [`rewritten`](Self::rewritten)).
+    pub fn select_items(&self) -> Option<Vec<SelectItem>> {
+        match self.plan() {
+            _ if self.bound.is_empty() => Some(self.query.select().to_vec()),
+            Some(plan) => Some(plan.select_at(&self.bound)),
+            None => None,
+        }
+    }
+
+    /// Derives the pending metadata of the descendant that binds `tuple` to
+    /// `slot`, following the inheritance rules of Section 5 (`start`
+    /// inheritance is handled by the caller because it differs between
+    /// Procedure 2 and Procedure 3). The subscriber table does **not**
+    /// carry over: its groups have to bind the tuple too, which
+    /// [`triggered_child`](Self::triggered_child) does.
+    ///
+    /// # Panics
+    /// Panics when `slot` is bound already.
+    pub fn child_at(
+        &self,
+        slot: usize,
+        tuple: &Arc<Tuple>,
+        window_start: Option<Timestamp>,
+    ) -> Self {
+        PendingQuery {
+            query: Arc::clone(&self.query),
+            span: Span { start: window_start.unwrap_or(Span::ABSENT), ..self.span },
+            bound: self.bound.with(slot, tuple),
+            subscribers: SubscriberTable::default(),
+        }
+    }
+
+    /// [`child_at`](Self::child_at) the slot of `tuple`'s relation.
+    ///
+    /// # Panics
+    /// Panics when the relation is not in `FROM`, or bound already.
+    pub fn child(&self, tuple: &Arc<Tuple>, window_start: Option<Timestamp>) -> Self {
+        let slot = self.query.relations().iter().position(|r| *r == *tuple.relation());
+        self.child_at(slot.expect("the tuple's relation is in FROM"), tuple, window_start)
+    }
+
+    /// The descendant `tuple` produced by binding it to `slot`:
+    /// [`child_at`](Self::child_at) plus the tuple's contribution — the span
+    /// grows by its publication time and every subscriber group binds it.
+    /// Whoever was submitted after the tuple was published stops being
+    /// served from here on, which takes no work here: `window_min` is the
+    /// whole filter.
     pub fn triggered_child(
         &self,
-        query: JoinQuery,
-        window_start: Option<Timestamp>,
+        slot: usize,
         tuple: &Arc<Tuple>,
+        window_start: Option<Timestamp>,
     ) -> Self {
-        let mut child = self.child(query, window_start);
+        let mut child = self.child_at(slot, tuple, window_start);
         child.subscribers = self.subscribers.bound_with(tuple);
         child.note_contribution(tuple.pub_time());
         child
@@ -393,19 +494,53 @@ impl PendingQuery {
     /// exact `[window_min, window_max]` span of the partial combination up
     /// to date (called on every child the rewriting procedures produce).
     pub fn note_contribution(&mut self, pub_time: Timestamp) {
-        self.window_min = Some(self.window_min.map_or(pub_time, |m| m.min(pub_time)));
-        self.window_max = Some(self.window_max.map_or(pub_time, |m| m.max(pub_time)));
+        let span = &mut self.span;
+        span.max = if span.min == Span::ABSENT { pub_time } else { span.max.max(pub_time) };
+        span.min = span.min.min(pub_time);
+    }
+
+    /// The window `start` parameter (Section 5): publication time of the
+    /// tuple that created this rewritten query. `None` for input queries.
+    pub fn window_start(&self) -> Option<Timestamp> {
+        (self.span.start != Span::ABSENT).then_some(self.span.start)
+    }
+
+    /// Earliest publication time among the tuples that contributed to this
+    /// rewritten query. Together with [`window_max`](Self::window_max) this
+    /// tracks the exact span of the partial combination, which the Section 5
+    /// `start` parameter alone cannot: `start` follows the *first* (Proc. 2)
+    /// or *latest* (Proc. 3) contribution, so a combination that picks up an
+    /// older stored/ALTT tuple late would pass the pairwise `|start - now|`
+    /// test while its true span already exceeds the window. `None` until a
+    /// tuple contributes.
+    pub fn window_min(&self) -> Option<Timestamp> {
+        (self.span.min != Span::ABSENT).then_some(self.span.min)
+    }
+
+    /// Latest publication time among the contributing tuples (see
+    /// [`window_min`](Self::window_min)).
+    pub fn window_max(&self) -> Option<Timestamp> {
+        (self.span.min != Span::ABSENT).then_some(self.span.max)
+    }
+
+    /// Sets the window state outright: `start`, and the `(min, max)`
+    /// contribution span (`None` before any contribution).
+    pub fn set_window(&mut self, start: Option<Timestamp>, span: Option<(Timestamp, Timestamp)>) {
+        let (min, max) = span.unwrap_or((Span::ABSENT, 0));
+        self.span = Span { start: start.unwrap_or(Span::ABSENT), min, max };
     }
 
     /// Merges a structurally identical `twin` — same key, signature and
     /// window state, confirmed by the caller — into this query: the twin's
-    /// primary and everyone riding on it become subscribers here.
+    /// primary and everyone riding on it become subscribers here. The
+    /// twin's `SELECT` list is taken as it stands (its bound slots resolved):
+    /// the caller confirmed the signature, which needs what this needs.
     pub fn merge_twin(&mut self, twin: PendingQuery) {
         let newcomer = Subscriber {
-            id: twin.id,
-            owner: twin.owner,
-            insert_time: twin.insert_time,
-            select: twin.query.select().to_vec(),
+            id: twin.query.id,
+            owner: twin.query.owner,
+            insert_time: twin.query.insert_time,
+            select: twin.select_items().expect("a confirmed twin reads through its plan"),
         };
         self.subscribers.merge(newcomer, twin.subscribers);
     }
@@ -415,16 +550,33 @@ impl PendingQuery {
     /// older than every subscriber triggers nothing). O(1) — the table
     /// caches its minimum.
     pub fn min_insert_time(&self) -> Timestamp {
-        self.subscribers.min_insert_time().map_or(self.insert_time, |t| t.min(self.insert_time))
+        let primary = self.query.insert_time;
+        self.subscribers.min_insert_time().map_or(primary, |t| t.min(primary))
     }
 
     /// Number of subscribers (primary included) this query still serves:
     /// those submitted no later than its earliest contributing tuple was
     /// published. Everyone, for an input query.
     pub fn subscriber_count(&self) -> usize {
-        let earliest = self.window_min.unwrap_or(Timestamp::MAX);
-        usize::from(self.insert_time <= earliest) + self.subscribers.eligible_count(earliest)
+        let earliest = self.window_min().unwrap_or(Timestamp::MAX);
+        usize::from(self.query.insert_time <= earliest) + self.subscribers.eligible_count(earliest)
     }
+}
+
+/// A pending query's window state, `Span::ABSENT` standing for "none" (no
+/// publication reaches it): the `start` parameter, and the publication span
+/// `[min, max]` of the contributing tuples (`max` is meaningful only once
+/// `min` is present).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct Span {
+    start: Timestamp,
+    min: Timestamp,
+    max: Timestamp,
+}
+
+impl Span {
+    const ABSENT: Timestamp = Timestamp::MAX;
+    const NONE: Span = Span { start: Span::ABSENT, min: Span::ABSENT, max: 0 };
 }
 
 /// A cached or piggy-backed RIC observation about one candidate key.
@@ -509,7 +661,18 @@ mod tests {
 
     fn pending() -> PendingQuery {
         let q = parse_query("SELECT R.A, S.B FROM R, S WHERE R.A = S.A").unwrap();
-        PendingQuery::input(QueryId { owner: Id(1), seq: 3 }, Id(1), 10, q)
+        planned(PendingQuery::input(QueryId { owner: Id(1), seq: 3 }, Id(1), 10, q))
+    }
+
+    /// `pending` with its input query's plan attached.
+    fn planned(pending: PendingQuery) -> PendingQuery {
+        let mut catalog = rjoin_relation::Catalog::new();
+        for rel in ["R", "S"] {
+            catalog.register(rjoin_relation::Schema::new(rel, ["A", "B"]).unwrap()).unwrap();
+        }
+        let plan = RewritePlan::new(Arc::clone(&pending.query.query), &catalog).unwrap();
+        pending.query.plan.set(Arc::new(plan));
+        pending
     }
 
     #[test]
@@ -522,23 +685,24 @@ mod tests {
     fn input_query_metadata() {
         let p = pending();
         assert!(p.is_input());
-        assert_eq!(p.original_joins, 1);
-        assert_eq!(p.insert_time, 10);
-        assert_eq!(p.window_start, None);
+        assert!(p.bound.is_empty());
+        assert_eq!(p.query.insert_time, 10);
+        assert_eq!(p.window_start(), None);
     }
 
     #[test]
     fn child_preserves_identity_and_times() {
         let p = pending();
         let rewritten = parse_query("SELECT 5, S.B FROM S WHERE S.A = 5").unwrap();
-        let child = p.child(rewritten.clone(), Some(42));
-        assert_eq!(child.id, p.id);
-        assert_eq!(child.owner, p.owner);
-        assert_eq!(child.insert_time, p.insert_time);
-        assert_eq!(child.original_joins, 1);
-        assert_eq!(child.window_start, Some(42));
+        let child = p.child(&r_tuple(42), Some(42));
+        assert_eq!(child.query.id, p.query.id);
+        assert_eq!(child.query.owner, p.query.owner);
+        assert_eq!(child.query.insert_time, p.query.insert_time);
+        assert_eq!(child.window_start(), Some(42));
         assert!(!child.is_input());
-        assert_eq!(child.query, rewritten);
+        assert!(Arc::ptr_eq(&child.query, &p.query), "the input query is shared");
+        assert_eq!(child.bound.mask(), 0b01);
+        assert_eq!(child.rewritten(), Some(rewritten));
     }
 
     fn twin(owner: u64, insert_time: Timestamp) -> PendingQuery {
@@ -569,8 +733,7 @@ mod tests {
         assert_eq!(times, [4, 25]);
         assert_eq!(group.subscribers()[0].select.len(), 1);
         // `child` alone never carries the table over.
-        let rewritten = parse_query("SELECT 5, S.B FROM S WHERE S.A = 5").unwrap();
-        assert!(p.child(rewritten, Some(1)).subscribers.is_empty());
+        assert!(p.child(&r_tuple(1), Some(1)).subscribers.is_empty());
     }
 
     #[test]
@@ -578,10 +741,9 @@ mod tests {
         let mut p = pending();
         p.merge_twin(twin(2, 4));
         p.merge_twin(twin(3, 25));
-        let rewritten = parse_query("SELECT 5, S.B FROM S WHERE S.A = 5").unwrap();
         let tuple = r_tuple(12);
-        let child = p.triggered_child(rewritten.clone(), Some(12), &tuple);
-        assert_eq!((child.window_min, child.window_max), (Some(12), Some(12)));
+        let child = p.triggered_child(0, &tuple, Some(12));
+        assert_eq!((child.window_min(), child.window_max()), (Some(12), Some(12)));
         let [parent_group] = p.subscribers.groups() else { panic!("one group") };
         let [group] = child.subscribers.groups() else { panic!("one group") };
         assert!(Arc::ptr_eq(&group.subscribers, &parent_group.subscribers), "nothing is copied");
@@ -601,7 +763,7 @@ mod tests {
 
         // Merging a twin that carries riders of its own appends their groups
         // (different bound tuples) and opens a group for the twin's primary.
-        let mut stored = pending().triggered_child(rewritten.clone(), Some(12), &r_tuple(12));
+        let mut stored = pending().triggered_child(0, &r_tuple(12), Some(12));
         assert!(stored.subscribers.is_empty());
         stored.merge_twin(child);
         let bound: Vec<_> = stored.subscribers.groups().iter().map(|g| g.bound().len()).collect();
@@ -647,11 +809,12 @@ mod tests {
 
     #[test]
     fn children_inherit_the_hypercube_reference() {
-        let mut p = pending();
-        assert!(p.hypercube.is_none());
-        p.hypercube = Some(HypercubeRef { base: HashedKey::new("hcube+x+1"), cells: 4 });
-        let child = p.child(parse_query("SELECT 5, S.B FROM S WHERE S.A = 5").unwrap(), Some(2));
-        assert_eq!(child.hypercube, p.hypercube);
+        let p = pending();
+        assert!(p.query.hypercube.is_none());
+        let cube = HypercubeRef { base: HashedKey::new("hcube+x+1"), cells: 4 };
+        let p = p.with_hypercube(Some(cube));
+        let child = p.child(&r_tuple(2), Some(2));
+        assert_eq!(child.query.hypercube, p.query.hypercube);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::cell::Cell;
 use crate::dedup::DedupFilter;
 use crate::expiry::{query_expiry_deadline, window_deadline, DeadlineHeap, ExpiryToken};
-use crate::messages::PendingQuery;
+use crate::messages::{InputQuery, PendingQuery, QueryId};
 use crate::ric::RicEntry;
 use crate::shared::SubJoinRegistry;
 use crate::slab::{Handle, Slab};
@@ -33,12 +33,10 @@ use crate::{ArrivalLog, RicTracker};
 use rjoin_dht::{HashedKey, Id, RingMap};
 use rjoin_metrics::{CompileCounters, ProbeCounters, SharingCounters, StateCounters};
 use rjoin_net::SimTime;
-use rjoin_query::{
-    fingerprint, subjoin_signature_eq, CompiledTrigger, Fingerprint, IndexLevel, SubJoinProgram,
-};
-use rjoin_relation::{Timestamp, Tuple};
+use rjoin_query::{subjoin_eq, subjoin_fingerprint, IndexLevel, RewritePlan};
+use rjoin_relation::{Catalog, Timestamp, Tuple};
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -52,26 +50,21 @@ pub struct StoredQuery {
     /// Whether the key is attribute-level or value-level.
     pub level: IndexLevel,
     /// Duplicate-elimination filter, present for `SELECT DISTINCT` queries.
-    pub dedup: Option<DedupFilter>,
-    /// The sub-join fingerprint, computed when the entry was stored through
-    /// the shared path (`None` for unshared or `DISTINCT` entries).
-    pub(crate) fingerprint: Option<Fingerprint>,
-    /// The compiled trigger program for this entry, built lazily at first
-    /// trigger (the trigger relation is only known once a tuple arrives).
-    /// Stays valid for the entry's lifetime: nothing mutates the stored
-    /// query in place (merges only touch subscriber lists).
-    pub(crate) program: Option<CompiledTrigger>,
+    pub dedup: Option<Box<DedupFilter>>,
+    /// Whether the entry was filed in the sub-join registry (stored through
+    /// the shared path); its fingerprint is recomputed to unfile it.
+    pub(crate) registered: bool,
     /// The entry's current position in its ring bucket, kept up to date by
     /// every bucket mutation (`swap_remove` sites fix the moved entry), so
     /// unlinking one handle is O(1) instead of an O(bucket) rescan.
-    pub(crate) bucket_pos: usize,
+    pub(crate) bucket_pos: u32,
 }
 
 impl StoredQuery {
     /// Wraps a pending query for local storage.
     pub fn new(pending: PendingQuery, key: HashedKey, level: IndexLevel) -> Self {
-        let dedup = if pending.query.distinct() { Some(DedupFilter::new()) } else { None };
-        StoredQuery { pending, key, level, dedup, fingerprint: None, program: None, bucket_pos: 0 }
+        let dedup = pending.query.distinct().then(Box::default);
+        StoredQuery { pending, key, level, dedup, registered: false, bucket_pos: 0 }
     }
 }
 
@@ -110,13 +103,32 @@ pub(crate) fn key_run(list: &TupleList, lo: Timestamp, hi: Timestamp) -> Range<u
     from..list.partition_point(|&(_, key)| key <= hi).max(from)
 }
 
-/// Cache of compiled `WHERE`-side programs, keyed by
-/// [`shape_fingerprint`](rjoin_query::shape_fingerprint): the sub-join with
-/// its constants erased, so every rewritten query of one shape finds one
-/// program. A fingerprint hit is a candidate only — entries confirm
-/// structural equality via [`SubJoinProgram::matches_source`] before reuse,
-/// so a hash collision costs one extra compile, never a wrong program.
-pub(crate) type ProgramCache = RingMap<Vec<Arc<SubJoinProgram>>>;
+/// The input queries of the queries a node holds, by id (see
+/// [`NodeState::adopt`]).
+pub(crate) type InputRegistry = HashMap<QueryId, Arc<InputQuery>>;
+
+/// Makes sure `pending` carries the plan it is read through: compiled
+/// against `catalog` at first use (counted in `counters`; every other use
+/// counts as a reuse) and kept by its input query for every query that
+/// shares it. `false` when the query does not compile — one
+/// `rjoin_query::rewrite` would fail on for every tuple.
+pub(crate) fn ensure_plan(
+    pending: &PendingQuery,
+    catalog: &Catalog,
+    counters: &mut CompileCounters,
+) -> bool {
+    let input = &pending.query;
+    if input.plan.get().is_some() {
+        counters.cache_hits += 1;
+        return true;
+    }
+    let Ok(plan) = RewritePlan::new(Arc::clone(&input.query), catalog) else {
+        return false;
+    };
+    counters.programs_compiled += 1;
+    input.plan.set(Arc::new(plan));
+    true
+}
 
 /// The complete RJoin-level state of one network node.
 ///
@@ -209,16 +221,10 @@ pub struct NodeState {
     pub(crate) subjoins: SubJoinRegistry,
     /// Counters of the work the sub-join registry saved on this node.
     pub(crate) sharing: SharingCounters,
-    /// Cache of compiled `WHERE`-side programs, keyed by shape fingerprint.
-    /// Shared engine-wide (every node of one engine holds a handle to the
-    /// same cache): programs are pure functions of the sub-join structure
-    /// and the trigger relation's schema, both of which are identical on
-    /// every node of an engine, so a twin stored on another node reuses the
-    /// program instead of recompiling. The lock is only taken when a stored
-    /// entry's per-entry trigger slot misses — first trigger of an entry per
-    /// relation — so contention between shard workers is negligible.
-    pub(crate) programs: Arc<Mutex<ProgramCache>>,
-    /// Counters of the compiled-rewrite hot loop on this node.
+    /// The input queries of the queries that reached this node over a
+    /// wire or as input queries, by id (see [`adopt`](Self::adopt)).
+    pub(crate) inputs: InputRegistry,
+    /// Counters of the plan-driven trigger loop on this node.
     pub(crate) compile: CompileCounters,
     /// Value-partitioned trigger index over `stored_queries` (see
     /// [`crate::trigger_index`] for the maintenance contract): every site
@@ -261,11 +267,29 @@ impl NodeState {
         Arc::clone(&self.ric)
     }
 
-    /// Points this node at `cache` as its compiled-program cache. The engine
-    /// calls this on every node it creates so the whole ring shares one
-    /// cache (see the field docs on [`programs`](Self::programs)).
-    pub(crate) fn share_programs(&mut self, cache: Arc<Mutex<ProgramCache>>) {
-        self.programs = cache;
+    /// Takes in a query that arrived here: one without its plan (an input
+    /// query, or any query that crossed a wire) is pointed at this node's
+    /// copy of its input query, registered by the first to arrive, so every
+    /// query of one input query on the node shares one `JoinQuery` and one
+    /// plan, however many copies the wire delivers. A rewritten query also
+    /// gets its plan, compiled against `catalog` if it is the first: its
+    /// trigger-index pin and signature read its bound tuples through it.
+    /// Returns `false` for a rewritten query that can never trigger: its
+    /// plan does not compile, or — for one that came without its plan — a
+    /// bound tuple does not fit its slot.
+    pub fn adopt(&mut self, pending: &mut PendingQuery, catalog: &Catalog) -> bool {
+        let foreign = pending.plan().is_none();
+        if foreign {
+            match self.inputs.entry(pending.query.id) {
+                Entry::Occupied(known) => pending.query = Arc::clone(known.get()),
+                Entry::Vacant(slot) => {
+                    slot.insert(Arc::clone(&pending.query));
+                }
+            }
+        }
+        pending.is_input()
+            || (ensure_plan(pending, catalog, &mut self.compile)
+                && (!foreign || pending.plan().is_some_and(|plan| plan.holds(&pending.bound))))
     }
 
     /// Read access to this node's `Eval`-arrival log (the query-side heat
@@ -279,7 +303,7 @@ impl NodeState {
         &self.sharing
     }
 
-    /// Read access to this node's compiled-rewrite counters.
+    /// Read access to this node's plan and trigger counters.
     pub fn compile_counters(&self) -> &CompileCounters {
         &self.compile
     }
@@ -307,11 +331,13 @@ impl NodeState {
     /// `handle`, on ring `ring`): drops its registry slot, if that still
     /// points at it, and debits the rewritten-query count.
     pub(crate) fn unregister_query(&mut self, ring: u64, removed: &StoredQuery, handle: Handle) {
-        if let Some(fp) = removed.fingerprint {
+        if let Some(fp) =
+            removed.pending.subjoin().filter(|_| removed.registered).map(subjoin_fingerprint)
+        {
             let window = (
-                removed.pending.window_start,
-                removed.pending.window_min,
-                removed.pending.window_max,
+                removed.pending.window_start(),
+                removed.pending.window_min(),
+                removed.pending.window_max(),
             );
             self.subjoins.unregister(ring, fp, window, handle);
         }
@@ -332,12 +358,12 @@ impl NodeState {
         let ring = stored.key.ring();
         let deadline = query_expiry_deadline(&stored);
         let bucket = self.stored_queries.entry(ring).or_default();
-        stored.bucket_pos = bucket.handles.len();
+        stored.bucket_pos = bucket.handles.len() as u32;
         let handle = self.queries.insert(stored);
         bucket.handles.push(handle);
         self.trigger_index.insert(bucket, handle, &self.queries);
         let stored = self.queries.get(handle).expect("inserted above");
-        if stored.pending.hypercube.is_some() {
+        if stored.pending.query.hypercube.is_some() {
             // A hypercube replica opens its ring as a cell. Cell keys are
             // per-query, so a cell never sees a second replica.
             debug_assert!(!self.cells.contains_key(&ring), "one replica per hypercube cell");
@@ -363,14 +389,17 @@ impl NodeState {
     /// **no** new stored copy is created. Returns whether the query was
     /// merged.
     pub fn store_query_shared(&mut self, mut stored: StoredQuery, share: bool) -> bool {
-        if !share || stored.pending.query.distinct() {
-            self.store_query(stored);
-            return false;
-        }
+        // Bound tuples with no plan to read them through have no signature.
+        let fp = match stored.pending.subjoin() {
+            Some(sub) if share && !stored.pending.query.distinct() => subjoin_fingerprint(sub),
+            _ => {
+                self.store_query(stored);
+                return false;
+            }
+        };
         let ring = stored.key.ring();
-        let fp = fingerprint(&stored.pending.query);
-        let ws = stored.pending.window_start;
-        let window = (ws, stored.pending.window_min, stored.pending.window_max);
+        let ws = stored.pending.window_start();
+        let window = (ws, stored.pending.window_min(), stored.pending.window_max());
         // One probe: the slot is held across the store (which never touches
         // the registry), so the registry is moved out while it is borrowed.
         let mut subjoins = std::mem::take(&mut self.subjoins);
@@ -387,11 +416,15 @@ impl NodeState {
         // publication times must not share one entry.
         .filter(|entry| {
             entry.level == stored.level
-                && entry.pending.window_start == ws
-                && entry.pending.window_min == stored.pending.window_min
-                && entry.pending.window_max == stored.pending.window_max
+                && entry.pending.window_start() == ws
+                && entry.pending.window_min() == stored.pending.window_min()
+                && entry.pending.window_max() == stored.pending.window_max()
                 && !entry.pending.query.distinct()
-                && subjoin_signature_eq(&entry.pending.query, &stored.pending.query)
+                && entry
+                    .pending
+                    .subjoin()
+                    .zip(stored.pending.subjoin())
+                    .is_some_and(|(a, b)| subjoin_eq(a, b))
         });
         let merged = match twin {
             Some(entry) => {
@@ -400,7 +433,7 @@ impl NodeState {
                 true
             }
             None => {
-                stored.fingerprint = Some(fp);
+                stored.registered = true;
                 // (Re-)points the slot: a structurally distinct entry that
                 // collided on the fingerprint loses it to the newcomer.
                 slot.insert_entry(self.store_query_handle(stored));
@@ -531,6 +564,23 @@ mod tests {
         Arc::new(Tuple::new("R", vec![Value::from(1), Value::from(2)], pub_time))
     }
 
+    /// `input` with its plan attached and `tuples` bound, in order, each
+    /// published at `start` (the rewritten query the rewrite cascade would
+    /// reach by triggering `input` with them).
+    fn bound(mut input: PendingQuery, tuples: &[(&str, [i64; 3])], start: u64) -> PendingQuery {
+        let mut catalog = Catalog::new();
+        for rel in ["R", "S", "J", "T"] {
+            catalog.register(rjoin_relation::Schema::new(rel, ["A", "B", "C"]).unwrap()).unwrap();
+        }
+        let plan = RewritePlan::new(Arc::clone(&input.query.query), &catalog).unwrap();
+        input.query.plan.set(Arc::new(plan));
+        for (relation, values) in tuples {
+            let tuple = Tuple::new(*relation, values.map(Value::from).to_vec(), start);
+            input = input.child(&Arc::new(tuple), Some(start));
+        }
+        input
+    }
+
     #[test]
     fn stored_query_gets_dedup_only_when_distinct() {
         let s = StoredQuery::new(pending(false), key("R+A"), IndexLevel::Attribute);
@@ -543,8 +593,7 @@ mod tests {
     fn storage_counts_exclude_input_queries() {
         let mut state = NodeState::new(Id(7));
         state.store_query(StoredQuery::new(pending(false), key("R+A"), IndexLevel::Attribute));
-        let rewritten =
-            pending(false).child(parse_query("SELECT 5 FROM S WHERE S.A = 5").unwrap(), Some(3));
+        let rewritten = bound(pending(false), &[("R", [5, 0, 0])], 3);
         state.store_query(StoredQuery::new(rewritten, key("S+A+i:5"), IndexLevel::Value));
         state.store_tuple(key("R+A+i:1").ring(), tuple(0));
 
@@ -639,12 +688,9 @@ mod tests {
             true
         ));
         // Different window start: no merge (expiry would diverge).
-        let rewritten_a =
-            input_from(4, 0, "SELECT R.A, S.B FROM R, S, J WHERE R.A = S.A AND S.B = J.B")
-                .child(parse_query("SELECT R.A, 9 FROM R, S WHERE R.A = S.A").unwrap(), Some(3));
-        let rewritten_b =
-            input_from(5, 0, "SELECT R.A, S.B FROM R, S, J WHERE R.A = S.A AND S.B = J.B")
-                .child(parse_query("SELECT R.A, 8 FROM R, S WHERE R.A = S.A").unwrap(), Some(4));
+        let sql = "SELECT R.A, S.B FROM R, S, J WHERE R.A = S.A AND S.B = J.B";
+        let rewritten_a = bound(input_from(4, 0, sql), &[("J", [0, 9, 0])], 3);
+        let rewritten_b = bound(input_from(5, 0, sql), &[("J", [0, 9, 0])], 4);
         assert!(!state
             .store_query_shared(StoredQuery::new(rewritten_a, k.clone(), IndexLevel::Value), true));
         assert!(!state
@@ -672,10 +718,7 @@ mod tests {
             "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
         );
         let rewritten = |pub_time: u64| {
-            let mut child = input.child(
-                parse_query("SELECT 9, J.A FROM J WHERE J.B = 3 WINDOW SLIDING 8 TUPLES").unwrap(),
-                Some(10),
-            );
+            let mut child = bound(input.clone(), &[("R", [1, 9, 0]), ("S", [1, 3, 0])], 10);
             child.note_contribution(pub_time);
             child.note_contribution(10);
             child
@@ -833,15 +876,12 @@ mod tests {
     /// (`WINDOW SLIDING 8 TUPLES`: it admits publications up to `start + 7`,
     /// and the expiry deadline is `start + 8`).
     fn windowed_rewritten(owner: u64, start: u64) -> PendingQuery {
-        input_from(
+        let input = input_from(
             owner,
             0,
             "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
-        )
-        .child(
-            parse_query("SELECT 9, J.A FROM J WHERE J.B = 3 WINDOW SLIDING 8 TUPLES").unwrap(),
-            Some(start),
-        )
+        );
+        bound(input, &[("R", [1, 9, 0]), ("S", [1, 3, 0])], start)
     }
 
     #[test]
@@ -996,13 +1036,13 @@ mod tests {
     fn hypercube_replica_opens_a_cell_that_evicts_and_re_homes() {
         use crate::messages::HypercubeRef;
         let k = key("hcube+0000000000000001+0");
-        let mut replica = input_from(
+        let replica = input_from(
             1,
             0,
             "SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B AND T.C = R.C \
              WINDOW SLIDING 8 TUPLES",
         );
-        replica.hypercube = Some(HypercubeRef { base: k.clone(), cells: 1 });
+        let replica = replica.with_hypercube(Some(HypercubeRef { base: k.clone(), cells: 1 }));
         let mut donor = NodeState::new(Id(1));
         donor.store_tuple(k.ring(), tuple(3));
         assert_eq!(donor.stored_tuples[&k.ring()].len(), 1, "no cell yet: a plain bucket");
@@ -1047,13 +1087,13 @@ mod tests {
     fn a_cell_keeps_one_wheel_token_for_its_front() {
         use crate::messages::HypercubeRef;
         let k = key("hcube+0000000000000001+0");
-        let mut replica = input_from(
+        let replica = input_from(
             1,
             0,
             "SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B AND T.C = R.C \
              WINDOW SLIDING 8 TUPLES",
         );
-        replica.hypercube = Some(HypercubeRef { base: k.clone(), cells: 1 });
+        let replica = replica.with_hypercube(Some(HypercubeRef { base: k.clone(), cells: 1 }));
         let mut node = NodeState::new(Id(1));
         node.store_query(StoredQuery::new(replica, k.clone(), IndexLevel::Value));
         let scheduled = |node: &NodeState| node.state_counters().wheel_scheduled;

@@ -50,9 +50,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rjoin_dht::{HashedKey, Id};
 use rjoin_net::{KeyRouter, SimTime, Transport};
-use rjoin_query::{candidate_keys, IndexKey, IndexLevel, JoinQuery, KeyTemplate};
+use rjoin_query::{candidate_keys, IndexKey, IndexLevel, RewritePlan};
 use rjoin_relation::Catalog;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// The effective rate of a split candidate key, given the observed rates of
 /// its partitions: the maximum — the per-node burden a query copy stored at
@@ -225,9 +226,9 @@ pub fn dispatch_query_in<E: EffectEnv>(
     // (the Eval side of the hypercube), and all further evaluation is
     // cell-local: a cell joins over its own tuple store and its partials
     // are transient, so nothing ever comes back through dispatch.
-    if pending.hypercube.is_some() {
+    if pending.query.hypercube.is_some() {
         debug_assert!(is_input, "a hypercube cell joins locally, nothing is re-dispatched");
-        let hc = pending.hypercube.clone().expect("checked above");
+        let hc = pending.query.hypercube.clone().expect("checked above");
         let mut pending = Some(pending);
         let copies = (0..hc.cells)
             .map(|cell| {
@@ -269,46 +270,49 @@ thread_local! {
 }
 
 impl DispatchScratch {
-    /// Loads the candidate keys of `query` in [`candidate_keys`] order: from
-    /// the templates of the program that emitted it when it still carries
-    /// them, from the query itself otherwise (input queries, and queries
-    /// that crossed a wire, which drops the program reference).
+    /// Loads the candidate keys of `pending`'s rewritten query in
+    /// [`candidate_keys`] order: from its plan's per-mask memo once tuples
+    /// are bound (a plan is compiled here only for a query that crossed a
+    /// wire and was dispatched without being stored), from the input query
+    /// itself otherwise — input queries are dispatched before any plan
+    /// exists.
     fn load_candidates(
         &mut self,
-        query: &JoinQuery,
-        templates: Option<&[KeyTemplate]>,
+        pending: &PendingQuery,
         catalog: &Catalog,
     ) -> Result<(), EngineError> {
         self.levels.clear();
         self.hashed.clear();
-        if let Some(keys) = templates {
-            self.hashed.extend(keys.iter().map_while(|key| key.hashed(query)));
-            // No templates at all: the fallback below applies. A template
-            // that found no constant: the hint is not this query's.
-            if !keys.is_empty() && self.hashed.len() == keys.len() {
-                self.levels.extend(keys.iter().map(KeyTemplate::level));
-                return Ok(());
+        let compiled;
+        let first_relation = if pending.is_input() {
+            let candidates = candidate_keys(&pending.query);
+            self.levels.extend(candidates.iter().map(IndexKey::level));
+            self.hashed.extend(candidates.iter().map(IndexKey::hashed));
+            pending.query.relations().first()
+        } else {
+            let plan = match pending.plan() {
+                Some(plan) => plan,
+                None => {
+                    compiled = RewritePlan::new(Arc::clone(&pending.query.query), catalog)?;
+                    &compiled
+                }
+            };
+            for key in plan.keys(pending.bound.mask()).iter() {
+                self.levels.push(key.level());
+                self.hashed.push(key.hashed(plan, &pending.bound));
             }
-            self.hashed.clear();
-        }
-        let mut candidates = candidate_keys(query);
-        if candidates.is_empty() {
+            plan.unbound_relations(pending.bound.mask()).next()
+        };
+        if self.hashed.is_empty() {
             // A query with no conjuncts left but remaining relations (e.g. a
             // single-relation scan): fall back to an attribute-level key of
             // the first remaining relation.
-            if let Some(rel) = query.relations().first() {
-                if let Ok(schema) = catalog.require_schema(rel) {
-                    if let Some(attr) = schema.attribute(0) {
-                        candidates.push(IndexKey::attribute(rel.clone(), attr));
-                    }
-                }
-            }
+            let schema = first_relation.and_then(|rel| catalog.require_schema(rel).ok());
+            let key = schema.and_then(|s| Some(IndexKey::attribute(s.relation(), s.attribute(0)?)));
+            let key = key.ok_or(EngineError::NoCandidateKey)?;
+            self.levels.push(key.level());
+            self.hashed.push(key.hashed());
         }
-        if candidates.is_empty() {
-            return Err(EngineError::NoCandidateKey);
-        }
-        self.levels.extend(candidates.iter().map(IndexKey::level));
-        self.hashed.extend(candidates.iter().map(IndexKey::hashed));
         Ok(())
     }
 }
@@ -320,15 +324,14 @@ fn place_and_send<E: EffectEnv>(
     config: &EngineConfig,
     catalog: &Catalog,
     from: Id,
-    mut pending: PendingQuery,
+    pending: PendingQuery,
     is_input: bool,
     scratch: &mut DispatchScratch,
 ) -> Result<(), EngineError> {
     // Each candidate is interned exactly once: the ring identifier computed
     // here serves the rates loop, the candidate table, the piggy-backed RIC
     // information *and* the final send — no key is hashed twice.
-    let emitted_by = std::mem::take(&mut pending.emitted_by);
-    scratch.load_candidates(&pending.query, emitted_by.child_keys(), catalog)?;
+    scratch.load_candidates(&pending, catalog)?;
     let DispatchScratch { levels, hashed, rates, ric_order } = scratch;
     if !is_input && config.rewritten_value_level_only && levels.contains(&IndexLevel::Value) {
         // Section 3 base algorithm: rewritten queries always go to the
@@ -390,7 +393,7 @@ fn place_and_send<E: EffectEnv>(
     // unsplit run. Replicated copies are the split's cost, booked as
     // fan-out. The last copy moves the pending query; earlier ones clone it
     // (the unsplit common case never clones).
-    let mut cells = env.splits().route_query(&key, pending.id).unwrap_or_default();
+    let mut cells = env.splits().route_query(&key, pending.query.id).unwrap_or_default();
     env.note_query_fanout(cells.len().saturating_sub(1) as u64);
     let last = cells.pop().unwrap_or(key);
     for sub in cells {

@@ -9,10 +9,22 @@
 //!
 //! Tuple arrivals ([`handle_new_tuple`]) contact stored queries through the
 //! node's value-partitioned trigger index (`O(matching)` probes; see
-//! [`crate::trigger_index`]) and rewrite each contacted entry with its
-//! compiled trigger program; query arrivals walk one binary-searched run of
+//! [`crate::trigger_index`]); query arrivals walk one binary-searched run of
 //! the publication-ordered stored and retained tuples, the publication span
 //! they could combine with ([`admissible_pub_span`]).
+//!
+//! # A rewrite is a binding
+//!
+//! A stored query is its input query plus the tuples bound so far
+//! ([`PendingQuery`]), read through the input query's
+//! [`RewritePlan`](rjoin_query::RewritePlan): compiled at the entry's first
+//! trigger (or carried from the parent), shared by every descendant. A
+//! tuple triggers an entry when the plan admits it to an unbound slot and
+//! it joins every bound slot — exactly when `rjoin_query::rewrite` of the
+//! rewritten query would not mismatch. A complete binding is projected into
+//! the answer row; a partial one becomes a child with one more bound slot,
+//! in one allocation. No rewritten [`JoinQuery`](rjoin_query::JoinQuery) is
+//! built.
 //!
 //! The handlers never remove a stored query. Section 5's rule — a rewritten
 //! query whose window a tuple exceeds is deleted — is carried out by the
@@ -28,18 +40,15 @@
 
 use crate::cell;
 use crate::config::EngineConfig;
-use crate::messages::{EmittedBy, PendingQuery, QueryId};
-use crate::node_state::{key_run, NodeState, ProgramCache, StoredQuery};
+use crate::messages::{PendingQuery, QueryId};
+use crate::node_state::{ensure_plan, key_run, NodeState, StoredQuery};
 use crate::ric::RIC_WINDOW;
 use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
 use rjoin_net::SimTime;
-use rjoin_query::{
-    compile_subjoin, project_select, shape_fingerprint, CompiledTrigger, IndexLevel, JoinQuery,
-    RewriteResult,
-};
-use rjoin_relation::{Catalog, Schema, Timestamp, Tuple, Value};
-use std::sync::{Arc, Mutex};
+use rjoin_query::{project_select, IndexLevel, Trigger};
+use rjoin_relation::{Catalog, Timestamp, Tuple, Value};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// An outgoing action produced by a local handler.
@@ -115,79 +124,28 @@ fn fan_out(
     }
 }
 
-/// Returns the stored entry's compiled trigger program for the schema's
-/// relation, compiling (or fetching from the engine-wide cache, keyed by
-/// the query's shape fingerprint — constants erased, so every rewritten
-/// query of one shape finds the same program) on first use. `slot`/`query`
-/// are disjoint borrows of one [`StoredQuery`].
-///
-/// Returns `None` when the query cannot be compiled — exactly the queries
-/// `rjoin_query::rewrite` would error on (unknown attribute, orphaned
-/// residue from unchecked construction), which map to "not triggered". A
-/// query that does not even reference the relation (a ring-collision
-/// contact) is turned away before it is fingerprinted or the engine-wide
-/// cache is locked, and a failed compile leaves no key behind in the cache.
-fn ensure_program<'a>(
-    slot: &'a mut Option<CompiledTrigger>,
-    query: &JoinQuery,
-    schema: &Schema,
-    cache: &Mutex<ProgramCache>,
-    counters: &mut CompileCounters,
-) -> Option<&'a CompiledTrigger> {
-    let cached = slot.as_ref().is_some_and(|p| p.relation() == schema.relation());
-    if !cached {
-        if !query.references_relation(schema.relation()) {
-            return None;
-        }
-        let fp = shape_fingerprint(query);
-        let mut cache = cache.lock().expect("program cache lock poisoned");
-        let hit = cache
-            .get(&fp.0)
-            .and_then(|bucket| bucket.iter().find(|p| p.matches_source(query, schema.relation())));
-        let shared = match hit {
-            Some(shared) => {
-                counters.cache_hits += 1;
-                Arc::clone(shared)
-            }
-            None => {
-                let shared = Arc::new(compile_subjoin(query, schema).ok()?);
-                counters.programs_compiled += 1;
-                cache.entry(fp.0).or_default().push(Arc::clone(&shared));
-                shared
-            }
-        };
-        *slot = Some(CompiledTrigger::new(shared, query, schema).ok()?);
-    }
-    slot.as_ref()
-}
-
 /// Applies one tuple to one stored query following the trigger rules:
 /// publication-time filter, window validity (Section 5), duplicate
-/// elimination (Section 4) and the rewriting step itself.
+/// elimination (Section 4) and the binding step itself.
 ///
 /// `start_rule` computes the `start` parameter of the produced rewritten
 /// query from the stored query's own `start` and the tuple's publication
 /// time (the rule differs between Procedure 2 and Procedure 3).
 ///
 /// For shared entries (a non-empty subscriber table) the `WHERE` clause is
-/// rewritten **once** and the table rides along untouched: a child is
+/// evaluated **once** and the table rides along untouched: a child is
 /// produced whenever the entry triggers (passing the entry's time filter
 /// means at least one subscriber is served), and eligibility and `SELECT`
 /// projection are applied per subscriber only when the clause completes
 /// ([`fan_out`]).
 ///
-/// `schema` is the schema of `tuple`'s relation, resolved once per delivery
-/// by the caller (not per stored query). `programs` is the engine-wide
-/// compiled-program cache; `counters` are the node's compile counters,
-/// threaded in as a split borrow so the caller can keep iterating its
-/// stored-query bucket. Produced actions go straight onto `actions`.
-#[allow(clippy::too_many_arguments)]
+/// `counters` are the node's compile counters, threaded in as a split
+/// borrow so the caller can keep iterating its stored-query bucket.
+/// Produced actions go straight onto `actions`.
 fn try_trigger(
     stored: &mut StoredQuery,
     tuple: &Arc<Tuple>,
-    schema: &Schema,
     ctx: &ProcCtx<'_>,
-    programs: &Mutex<ProgramCache>,
     counters: &mut CompileCounters,
     actions: &mut Vec<Action>,
     start_rule: impl Fn(Option<Timestamp>, Timestamp) -> Option<Timestamp>,
@@ -204,7 +162,7 @@ fn try_trigger(
     // can fit anymore); input queries (start = None) never expire.
     let window = *pending.query.window();
     if window.use_windows() {
-        if let Some(start) = pending.window_start {
+        if let Some(start) = pending.window_start() {
             if !window.within(start, tuple.pub_time()) {
                 return TriggerOutcome::NotTriggered;
             }
@@ -216,7 +174,7 @@ fn try_trigger(
         // buckets are transitive, so the pairwise test is already exact for
         // them.) The entry itself stays stored: other tuples may still fit.
         if matches!(window, rjoin_query::WindowSpec::Sliding { .. }) {
-            if let (Some(min), Some(max)) = (pending.window_min, pending.window_max) {
+            if let (Some(min), Some(max)) = (pending.window_min(), pending.window_max()) {
                 let p = tuple.pub_time();
                 if !window.within(min.min(p), max.max(p)) {
                     return TriggerOutcome::NotTriggered;
@@ -224,36 +182,35 @@ fn try_trigger(
             }
         }
     }
+    if !ensure_plan(pending, ctx.catalog, counters) {
+        return TriggerOutcome::NotTriggered;
+    }
+    let plan = pending.plan().expect("attached above");
+    let slot = plan.trigger_slot(pending.bound.mask(), tuple.relation());
     // Duplicate elimination for DISTINCT queries (never shared, so the
-    // projection is always the single subscriber's).
+    // projection is always the single subscriber's): the tuple's
+    // projection on the attributes the rewritten query names of its
+    // relation — none when it names none.
     if let Some(dedup) = stored.dedup.as_mut() {
-        if !dedup.admit(&stored.pending.query, tuple, schema) {
+        let offsets = slot.map_or(&[][..], |slot| plan.dedup_offsets(slot));
+        if !dedup.admit_projection(offsets.iter().map(|&at| tuple.value(at).cloned()).collect()) {
             return TriggerOutcome::NotTriggered;
         }
     }
-    // `program` and `pending` are disjoint fields of `stored`, so the
-    // compiled program can be cached on the entry while its query is
-    // borrowed.
-    let query = &stored.pending.query;
-    let Some(program) = ensure_program(&mut stored.program, query, schema, programs, counters)
-    else {
-        return TriggerOutcome::NotTriggered;
-    };
+    let Some(slot) = slot else { return TriggerOutcome::NotTriggered };
     counters.compiled_rewrites += 1;
-    let pending = &stored.pending;
-    match program.execute(query, tuple) {
-        Ok(RewriteResult::Complete(row)) => {
+    match plan.trigger(&pending.bound, slot, tuple) {
+        Trigger::Mismatch => TriggerOutcome::NotTriggered,
+        Trigger::Answer(row) => {
             let before = actions.len();
             // The primary rode every earlier step whatever its insertion
             // time (nothing is filtered on the way), so it is checked
             // against the whole combination like any other subscriber.
-            let earliest = pending.window_min.map_or(tuple.pub_time(), |m| m.min(tuple.pub_time()));
-            if earliest >= pending.insert_time {
-                actions.push(Action::DeliverAnswer {
-                    query: pending.id,
-                    owner: pending.owner,
-                    row,
-                });
+            let earliest =
+                pending.window_min().map_or(tuple.pub_time(), |m| m.min(tuple.pub_time()));
+            if earliest >= pending.query.insert_time {
+                let (query, owner) = (pending.query.id, pending.query.owner);
+                actions.push(Action::DeliverAnswer { query, owner, row });
             }
             fan_out(pending, earliest, tuple, ctx.catalog, actions);
             if actions.len() == before {
@@ -262,14 +219,12 @@ fn try_trigger(
                 TriggerOutcome::Triggered
             }
         }
-        Ok(RewriteResult::Partial(q1)) => {
-            let new_start = start_rule(pending.window_start, tuple.pub_time());
-            let mut child = pending.triggered_child(q1, new_start, tuple);
-            child.emitted_by = EmittedBy::program(program.shared());
+        Trigger::Child => {
+            let new_start = start_rule(pending.window_start(), tuple.pub_time());
+            let child = pending.triggered_child(slot, tuple, new_start);
             actions.push(Action::Reindex { pending: Box::new(child) });
             TriggerOutcome::Triggered
         }
-        Ok(RewriteResult::Mismatch) | Err(_) => TriggerOutcome::NotTriggered,
     }
 }
 
@@ -330,7 +285,6 @@ pub fn handle_new_tuple(
     let queries = &mut state.queries;
     let sharing = &mut state.sharing;
     let tindex = &mut state.trigger_index;
-    let programs = Arc::clone(&state.programs);
     let counters = &mut state.compile;
     if let (Some(schema), Some(bucket)) = (schema, state.stored_queries.get(&ring)) {
         let walk = Instant::now();
@@ -342,17 +296,10 @@ pub fn handle_new_tuple(
         tindex.collect_candidates(bucket, tuple.as_ref(), schema, &mut candidates);
         for handle in candidates.drain(..) {
             let Some(stored) = queries.get_mut(handle) else { continue };
-            let primary = stored.pending.id;
+            let primary = stored.pending.query.id;
             let before = actions.len();
-            let outcome = try_trigger(
-                stored,
-                tuple,
-                schema,
-                ctx,
-                &programs,
-                counters,
-                &mut actions,
-                |start, pub_time| {
+            let outcome =
+                try_trigger(stored, tuple, ctx, counters, &mut actions, |start, pub_time| {
                     // Procedure 2 rules (Section 5): a rewritten query created
                     // by triggering an *input* query records the tuple's
                     // publication time as its window start; a rewritten query
@@ -362,8 +309,7 @@ pub fn handle_new_tuple(
                         None => Some(pub_time),
                         Some(existing) => Some(existing),
                     }
-                },
-            );
+                });
             if let TriggerOutcome::Triggered = outcome {
                 record_sharing(sharing, primary, &actions[before..]);
             }
@@ -403,13 +349,16 @@ pub fn handle_new_tuple(
 fn handle_query_arrival(
     state: &mut NodeState,
     ctx: &ProcCtx<'_>,
-    pending: PendingQuery,
+    mut pending: PendingQuery,
     key: &HashedKey,
     level: IndexLevel,
 ) -> Vec<Action> {
     let ring = key.ring();
-    let mut stored = StoredQuery::new(pending, key.clone(), level);
     let mut actions = Vec::new();
+    if !state.adopt(&mut pending, ctx.catalog) {
+        return actions;
+    }
+    let mut stored = StoredQuery::new(pending, key.clone(), level);
 
     // Both buckets are publication-ordered with their keys inline, so each
     // walk is one binary-searched run over the publication span the query
@@ -423,7 +372,6 @@ fn handle_query_arrival(
     // never the clock: the clock is driver-dependent (a burst publish parks
     // it at the last publication; a shard's clock can run ahead of `at`),
     // while the delivery tick is part of the deterministic message schedule.
-    let programs = Arc::clone(&state.programs);
     let counters = &mut state.compile;
     let sharing = &mut state.sharing;
     let (lo, hi) = admissible_pub_span(&stored.pending);
@@ -438,22 +386,9 @@ fn handle_query_arrival(
     let walk = Instant::now();
     let runs = value_run.into_iter().chain(retained_run);
     for (tuple, _) in runs.flat_map(|(bucket, run)| bucket.range(run)) {
-        // Stored tuples under one ring key can come from different
-        // relations, so the schema lookup cannot be hoisted out of the
-        // loop the way the tuple-delivery walk hoists it.
-        let Some(schema) = ctx.catalog.schema(tuple.relation()) else {
-            continue;
-        };
         let before = actions.len();
-        let outcome = try_trigger(
-            &mut stored,
-            tuple,
-            schema,
-            ctx,
-            &programs,
-            counters,
-            &mut actions,
-            |start, pub_time| {
+        let outcome =
+            try_trigger(&mut stored, tuple, ctx, counters, &mut actions, |start, pub_time| {
                 // Procedure 3 rule (Section 5): the produced rewritten query's
                 // start is the *maximum* of the stored query's start and the
                 // stored tuple's publication time. For input queries (start =
@@ -462,10 +397,9 @@ fn handle_query_arrival(
                     None => Some(pub_time),
                     Some(existing) => Some(existing.max(pub_time)),
                 }
-            },
-        );
+            });
         if let TriggerOutcome::Triggered = outcome {
-            record_sharing(sharing, stored.pending.id, &actions[before..]);
+            record_sharing(sharing, stored.pending.query.id, &actions[before..]);
         }
         // A stored tuple outside the window simply does not trigger; the
         // query itself stays, waiting for newer tuples.
@@ -502,17 +436,17 @@ fn admissible_pub_span(pending: &PendingQuery) -> (Timestamp, Timestamp) {
             // the window start, and within `duration - 1` of both ends of
             // the partial combination's contribution span.
             let reach = duration.saturating_sub(1);
-            if let Some(start) = pending.window_start {
+            if let Some(start) = pending.window_start() {
                 lo = lo.max(start.saturating_sub(reach));
                 hi = hi.min(start.saturating_add(reach));
             }
-            if let (Some(min), Some(max)) = (pending.window_min, pending.window_max) {
+            if let (Some(min), Some(max)) = (pending.window_min(), pending.window_max()) {
                 lo = lo.max(max.saturating_sub(reach));
                 hi = hi.min(min.saturating_add(reach));
             }
         }
         rjoin_query::WindowSpec::Tumbling { duration, .. } => {
-            if let Some(start) = pending.window_start {
+            if let Some(start) = pending.window_start() {
                 if duration == 0 {
                     // `within` rejects everything for a zero-length bucket.
                     return (1, 0);
@@ -539,7 +473,7 @@ pub fn handle_index_query(
     key: &HashedKey,
     level: IndexLevel,
 ) -> Vec<Action> {
-    if pending.hypercube.is_some() {
+    if pending.query.hypercube.is_some() {
         return cell::handle_hypercube_arrival(state, ctx, pending, key, level);
     }
     handle_query_arrival(state, ctx, pending, key, level)
@@ -565,7 +499,7 @@ pub fn handle_eval(
     let horizon = RIC_WINDOW + 2 * ctx.config.network_delay.max(1);
     state.eval_ric.record(key.ring(), ctx.now, horizon);
     debug_assert!(
-        pending.hypercube.is_none(),
+        pending.query.hypercube.is_none(),
         "a hypercube cell joins locally and never emits Eval messages"
     );
     handle_query_arrival(state, ctx, pending, key, level)
@@ -576,7 +510,7 @@ mod tests {
     use super::*;
     use crate::messages::QueryId;
     use rjoin_dht::Id;
-    use rjoin_query::{parse_query, rewrite, IndexKey};
+    use rjoin_query::{parse_query, rewrite, IndexKey, RewriteResult};
     use rjoin_relation::Schema;
 
     fn catalog() -> Catalog {
@@ -642,6 +576,19 @@ mod tests {
         Arc::new(Tuple::new(rel, values.iter().map(|v| Value::from(*v)).collect(), pub_time))
     }
 
+    /// `input` with its plan attached and `tuples` bound in order, with
+    /// window start `start`: the rewritten query the rewrite cascade
+    /// reaches by triggering `input` with them.
+    fn bind(mut input: PendingQuery, tuples: &[Arc<Tuple>], start: u64) -> PendingQuery {
+        let query = Arc::clone(&input.query.query);
+        let plan = rjoin_query::RewritePlan::new(query, &catalog()).unwrap();
+        input.query.plan.set(Arc::new(plan));
+        for tuple in tuples {
+            input = input.child(tuple, Some(start));
+        }
+        input
+    }
+
     #[test]
     fn input_query_triggered_by_matching_tuple() {
         let catalog = catalog();
@@ -670,8 +617,9 @@ mod tests {
         assert_eq!(actions.len(), 1);
         match &actions[0] {
             Action::Reindex { pending } => {
-                assert_eq!(pending.query.join_count(), 0);
-                assert_eq!(pending.query.relations(), &["S".to_string()]);
+                let child = pending.rewritten().unwrap();
+                assert_eq!(child.join_count(), 0);
+                assert_eq!(child.relations(), &["S".to_string()]);
             }
             other => panic!("unexpected action {other:?}"),
         }
@@ -690,11 +638,12 @@ mod tests {
         let config = config();
         let mut state = NodeState::new(Id(1));
         let cell = HashedKey::new("hcube+0000000000000001+0");
-        let mut replica = pending(
+        let replica = pending(
             "SELECT R.B, S.B, J.B FROM R, S, J WHERE R.A = S.A AND S.C = J.C AND J.A = R.C",
             0,
         );
-        replica.hypercube = Some(crate::HypercubeRef { base: cell.clone(), cells: 1 });
+        let cube = crate::HypercubeRef { base: cell.clone(), cells: 1 };
+        let replica = replica.with_hypercube(Some(cube));
         handle_index_query(
             &mut state,
             &ctx(&catalog, &config, 1),
@@ -792,10 +741,9 @@ mod tests {
         assert!(actions.is_empty());
         assert_eq!(state.stored_tuple_count(), 1);
 
-        // A rewritten query "SELECT 6, M.A FROM M WHERE M.C = 2" arrives.
+        // A rewritten query "SELECT 2, M.A FROM M WHERE M.C = 2" arrives.
         let input = pending("SELECT S.B, M.A FROM S, M WHERE S.B = M.C", 0);
-        let rewritten =
-            input.child(parse_query("SELECT 6, M.A FROM M WHERE M.C = 2").unwrap(), Some(1));
+        let rewritten = bind(input, &[tuple("S", [6, 2, 0], 1)], 1);
         let actions = handle_eval(
             &mut state,
             &ctx(&catalog, &config, 5),
@@ -806,7 +754,7 @@ mod tests {
         assert_eq!(actions.len(), 1);
         match &actions[0] {
             Action::DeliverAnswer { row, owner, .. } => {
-                assert_eq!(row, &vec![Value::from(6), Value::from(9)]);
+                assert_eq!(row, &vec![Value::from(2), Value::from(9)]);
                 assert_eq!(*owner, Id(42));
             }
             other => panic!("unexpected action {other:?}"),
@@ -824,10 +772,7 @@ mod tests {
         // A rewritten query with a 10-tuple window that started at time 5.
         let input =
             pending("SELECT R.B, S.B FROM R, S WHERE R.A = S.A WINDOW SLIDING 10 TUPLES", 0);
-        let rewritten = input.child(
-            parse_query("SELECT 9, S.B FROM S WHERE S.A = 7 WINDOW SLIDING 10 TUPLES").unwrap(),
-            Some(5),
-        );
+        let rewritten = bind(input, &[tuple("R", [7, 9, 0], 5)], 5);
         deliver(&mut state, &catalog, &config, 6, eval(rewritten, &key));
         assert_eq!(state.stored_rewritten_count(), 1);
 
@@ -854,13 +799,7 @@ mod tests {
             "SELECT R.B, S.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 10 TUPLES",
             0,
         );
-        let rewritten = input.child(
-            parse_query(
-                "SELECT 9, S.B, J.A FROM S, J WHERE S.A = 7 AND S.B = J.B WINDOW SLIDING 10 TUPLES",
-            )
-            .unwrap(),
-            Some(5),
-        );
+        let rewritten = bind(input, &[tuple("R", [7, 9, 0], 5)], 5);
         handle_eval(&mut state, &ctx(&catalog, &config, 6), rewritten, &key.hashed(), key.level());
 
         let actions = handle_new_tuple(
@@ -874,7 +813,7 @@ mod tests {
         match &actions[0] {
             Action::Reindex { pending } => {
                 // Procedure 2 (incoming tuple): start is inherited unchanged.
-                assert_eq!(pending.window_start, Some(5));
+                assert_eq!(pending.window_start(), Some(5));
             }
             other => panic!("unexpected action {other:?}"),
         }
@@ -898,13 +837,7 @@ mod tests {
             "SELECT R.B, S.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 50 TUPLES",
             0,
         );
-        let rewritten = input.child(
-            parse_query(
-                "SELECT 9, S.B, J.A FROM S, J WHERE S.A = 7 AND S.B = J.B WINDOW SLIDING 50 TUPLES",
-            )
-            .unwrap(),
-            Some(5),
-        );
+        let rewritten = bind(input, &[tuple("R", [7, 9, 0], 5)], 5);
         let actions = handle_eval(
             &mut state,
             &ctx(&catalog, &config, 25),
@@ -916,7 +849,7 @@ mod tests {
         match &actions[0] {
             Action::Reindex { pending } => {
                 // Procedure 3: start = max(start(q1), pubT(τ)) = max(5, 20).
-                assert_eq!(pending.window_start, Some(20));
+                assert_eq!(pending.window_start(), Some(20));
             }
             other => panic!("unexpected action {other:?}"),
         }
@@ -945,13 +878,7 @@ mod tests {
             "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
             0,
         );
-        let mut rewritten = input.child(
-            parse_query(
-                "SELECT 9, J.A FROM S, J WHERE S.A = 7 AND S.B = J.B WINDOW SLIDING 8 TUPLES",
-            )
-            .unwrap(),
-            Some(10),
-        );
+        let mut rewritten = bind(input, &[tuple("R", [7, 9, 0], 10)], 10);
         rewritten.note_contribution(10);
         // Procedure 3 picks up the stored tuple: start = max(10, 5) = 10,
         // but the true span is now [5, 10].
@@ -967,8 +894,8 @@ mod tests {
             Action::Reindex { pending } => pending.clone(),
             other => panic!("unexpected action {other:?}"),
         };
-        assert_eq!(child.window_start, Some(10), "paper rule: start = max(start, pubT)");
-        assert_eq!((child.window_min, child.window_max), (Some(5), Some(10)));
+        assert_eq!(child.window_start(), Some(10), "paper rule: start = max(start, pubT)");
+        assert_eq!((child.window_min(), child.window_max()), (Some(5), Some(10)));
 
         // A J tuple published at 13: pairwise |10 - 13| + 1 = 4 <= 8 passes,
         // but the combination's span [5, 13] = 9 exceeds the window.
@@ -1002,8 +929,7 @@ mod tests {
         let mut state = NodeState::new(Id(1));
         let key = IndexKey::value("S", "B", Value::from(2));
         let input = pending("SELECT DISTINCT R.A, S.A FROM R, S WHERE R.B = S.B", 0);
-        let rewritten = input
-            .child(parse_query("SELECT DISTINCT 1, S.A FROM S WHERE S.B = 2").unwrap(), Some(1));
+        let rewritten = bind(input, &[tuple("R", [1, 2, 0], 1)], 1);
         handle_eval(&mut state, &ctx(&catalog, &config, 2), rewritten, &key.hashed(), key.level());
 
         // Two tuples with the same projection on S's referenced attributes
@@ -1121,10 +1047,10 @@ mod tests {
         match &actions[0] {
             Action::Reindex { pending } => {
                 assert_eq!(pending.subscriber_count(), 2);
-                assert_eq!(pending.id, QueryId { owner: Id(10), seq: 10 });
+                assert_eq!(pending.query.id, QueryId { owner: Id(10), seq: 10 });
                 // Primary SELECT: R.B resolved to 9.
                 assert_eq!(
-                    pending.query.select()[0],
+                    pending.select_items().unwrap()[0],
                     rjoin_query::SelectItem::Const(Value::from(9))
                 );
                 // The subscriber rides as merged; R.C is still an attribute
@@ -1255,7 +1181,7 @@ mod tests {
             panic!("one child expected, got {actions:?}");
         };
         assert_eq!(child.subscriber_count(), 1, "the ineligible primary is no longer served");
-        assert_eq!(child.window_min, Some(5));
+        assert_eq!(child.window_min(), Some(5));
         assert_eq!(state.sharing().evals_saved, 0, "one subscriber served, nothing saved");
 
         // An S tuple published at 12 completes the join — after *both*
@@ -1303,18 +1229,12 @@ mod tests {
         let mut state = NodeState::new(Id(1));
         let key = IndexKey::value("J", "B", Value::from(3));
         let rewritten = |owner: u64, start: u64| {
-            pending_from(
+            let input = pending_from(
                 owner,
                 "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
                 0,
-            )
-            .child(
-                parse_query(
-                    "SELECT 9, J.A FROM S, J WHERE S.A = 7 AND S.B = J.B WINDOW SLIDING 8 TUPLES",
-                )
-                .unwrap(),
-                Some(start),
-            )
+            );
+            bind(input, &[tuple("R", [7, 9, 0], start)], start)
         };
         // Two structurally identical entries with different window starts:
         // they register two distinct slots under the same ring key.
@@ -1440,10 +1360,9 @@ mod tests {
         }
     }
 
-    /// The program cache is keyed by sub-join fingerprint and confirmed
-    /// structurally: two stored queries that differ only in `SELECT` share
-    /// one compiled program (one compile, one cache hit, two compiled
-    /// rewrites).
+    /// Plans are per query, not per shape: two stored queries that differ
+    /// only in `SELECT` each compile their own plan at their first trigger
+    /// (two compiles, two triggers) and reuse it from then on.
     #[test]
     fn fingerprint_twins_share_one_compiled_program() {
         let catalog = catalog();
@@ -1454,34 +1373,38 @@ mod tests {
         let b = pending_from(20, "SELECT R.C, S.C FROM R, S WHERE R.A = S.A", 0);
         handle_index_query(&mut state, &ctx(&catalog, &config, 0), a, &key.hashed(), key.level());
         handle_index_query(&mut state, &ctx(&catalog, &config, 0), b, &key.hashed(), key.level());
-        let actions = handle_new_tuple(
-            &mut state,
-            &ctx(&catalog, &config, 5),
-            &tuple("R", [7, 9, 0], 5),
-            &key.hashed(),
-            IndexLevel::Attribute,
-        );
-        assert_eq!(actions.len(), 2);
+        assert_eq!(state.compile_counters().programs_compiled, 0, "nothing compiles on arrival");
+        for pub_time in [5, 6] {
+            let actions = handle_new_tuple(
+                &mut state,
+                &ctx(&catalog, &config, pub_time),
+                &tuple("R", [7, 9, 0], pub_time),
+                &key.hashed(),
+                IndexLevel::Attribute,
+            );
+            assert_eq!(actions.len(), 2);
+        }
         let counters = state.compile_counters();
-        assert_eq!(counters.programs_compiled, 1, "{counters:?}");
-        assert_eq!(counters.cache_hits, 1, "{counters:?}");
-        assert_eq!(counters.compiled_rewrites, 2, "{counters:?}");
+        assert_eq!(counters.programs_compiled, 2, "{counters:?}");
+        assert_eq!(counters.cache_hits, 2, "{counters:?}");
+        assert_eq!(counters.compiled_rewrites, 4, "{counters:?}");
+        assert_eq!(state.inputs.len(), 2, "two input queries registered");
     }
 
-    /// Programs are cached by shape: two rewritten queries that bound the same
-    /// relation to different values hold the very same program, yet each
-    /// emits its own child — and each child names that program, so dispatch
-    /// can instantiate its candidate keys instead of deriving them.
+    /// Every descendant of an input query reads through the input query's
+    /// one plan: two rewritten queries that bound the same relation to
+    /// different values hold the very same plan, yet each emits its own
+    /// child — the one `rewrite` derives — and each child's candidate keys,
+    /// instantiated from the plan's per-mask memo, are `candidate_keys` of
+    /// that child.
     #[test]
     fn rewritten_queries_of_one_shape_share_one_program_and_emit_their_own_children() {
         let catalog = catalog();
         let config = config();
         let mut state = NodeState::new(Id(1));
-        let input = pending("SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B", 0);
-        let rewritten = |bound: i64| {
-            let sql = format!("SELECT 9, J.A FROM S, J WHERE S.A = {bound} AND S.B = J.B");
-            input.child(parse_query(&sql).unwrap(), Some(1))
-        };
+        let input =
+            bind(pending("SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B", 0), &[], 0);
+        let rewritten = |bound: i64| input.child(&tuple("R", [bound, 9, 0], 1), Some(1));
         let mut children = Vec::new();
         for (bound, joined) in [(7, 3), (8, 4)] {
             let key = IndexKey::value("S", "A", Value::from(bound));
@@ -1498,28 +1421,33 @@ mod tests {
             let [Action::Reindex { pending: child }] = actions.as_slice() else {
                 panic!("one child expected, got {actions:?}");
             };
-            let expected = rewrite(&rewritten(bound).query, &s_tuple, catalog.schema("S").unwrap());
-            assert_eq!(expected.unwrap(), RewriteResult::Partial(child.query.clone()));
+            let parent = rewritten(bound).rewritten().unwrap();
+            let expected = rewrite(&parent, &s_tuple, catalog.schema("S").unwrap());
+            assert_eq!(expected.unwrap(), RewriteResult::Partial(child.rewritten().unwrap()));
             children.push(child.clone());
         }
-        assert_ne!(children[0].query, children[1].query, "each emits its own child");
+        assert_ne!(children[0].rewritten(), children[1].rewritten(), "each emits its own child");
 
-        let programs: Vec<_> = state
+        let plans: Vec<_> = state
             .stored_queries
             .values()
             .flat_map(|bucket| &bucket.handles)
-            .map(|handle| state.queries.get(*handle).unwrap().program.as_ref().unwrap().shared())
+            .map(|handle| state.queries.get(*handle).unwrap().pending.plan().unwrap())
             .collect();
-        assert_eq!(programs.len(), 2);
-        assert!(Arc::ptr_eq(programs[0], programs[1]), "one shape, one program");
+        assert_eq!(plans.len(), 2);
+        assert!(Arc::ptr_eq(plans[0], plans[1]), "one query, one plan");
+        assert!(Arc::ptr_eq(plans[0], input.plan().unwrap()), "carried, not compiled");
         let counters = state.compile_counters();
-        assert_eq!((counters.programs_compiled, counters.cache_hits), (1, 1), "{counters:?}");
+        assert_eq!(counters.programs_compiled, 0, "{counters:?}");
 
         for child in &children {
-            let templates = child.emitted_by.child_keys().expect("the child names its emitter");
-            let instantiated: Vec<_> =
-                templates.iter().map(|key| key.instantiate(&child.query).unwrap()).collect();
-            assert_eq!(instantiated, rjoin_query::candidate_keys(&child.query));
+            let plan = child.plan().expect("a child carries its plan");
+            let keys: Vec<_> = plan
+                .keys(child.bound.mask())
+                .iter()
+                .map(|key| key.index_key(plan, &child.bound))
+                .collect();
+            assert_eq!(keys, rjoin_query::candidate_keys(&child.rewritten().unwrap()));
         }
     }
 
@@ -1535,21 +1463,25 @@ mod tests {
         let config = config();
         let schema = catalog.schema("S").unwrap();
         let key = IndexKey::value("S", "A", Value::from(7));
-        let input = pending(
+        // Binding R to `(7, 9, c)` leaves `S.A = 7 [AND S.C = c] AND S.B = J.B`.
+        let unpinned = pending(
             "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
             0,
         );
-        let window = *input.query.window();
+        let pinned = pending(
+            "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND R.C = S.C AND S.B = J.B \
+             WINDOW SLIDING 8 TUPLES",
+            0,
+        );
+        let window = *unpinned.query.window();
         // The live entries a linear walk would contact: `(query, window start)`.
-        type Walked = Vec<(JoinQuery, u64)>;
+        type Walked = Vec<(rjoin_query::JoinQuery, u64)>;
         let eval = |state: &mut NodeState, walked: &mut Walked, pinned_c: Option<i64>, start| {
-            let pin = pinned_c.map(|c| format!(" AND S.C = {c}")).unwrap_or_default();
-            let sql = format!(
-                "SELECT 9, J.A FROM S, J WHERE S.A = 7{pin} AND S.B = J.B WINDOW SLIDING 8 TUPLES"
-            );
-            let query = parse_query(&sql).unwrap();
-            let mut child = input.child(query.clone(), Some(start));
+            let input = if pinned_c.is_some() { &pinned } else { &unpinned };
+            let r = tuple("R", [7, 9, pinned_c.unwrap_or(0)], start);
+            let mut child = bind(input.clone(), &[r], start);
             child.note_contribution(start);
+            let query = child.rewritten().unwrap();
             handle_eval(state, &ctx(&catalog, &config, start), child, &key.hashed(), key.level());
             walked.push((query, start));
         };
@@ -1569,7 +1501,7 @@ mod tests {
                 .iter()
                 .map(|action| match action {
                     Action::Reindex { pending } => {
-                        (pending.query.to_string(), pending.window_start)
+                        (pending.rewritten().unwrap().to_string(), pending.window_start())
                     }
                     other => panic!("a partial join only re-indexes, got {other:?}"),
                 })
@@ -1677,12 +1609,13 @@ mod tests {
             for (input_sql, sql) in shapes {
                 let input = pending(&format!("{input_sql}{window}"), 13);
                 let query = parse_query(&format!("{sql}{window}")).unwrap();
-                let mut child = input.child(query.clone(), Some(START));
+                let mut child = bind(input.clone(), &[tuple("R", [7, 9, 0], START)], START);
                 child.note_contribution(START);
+                assert_eq!(child.rewritten().unwrap(), query);
                 let window_spec = *query.window();
                 let mut expected: Vec<String> = visible
                     .iter()
-                    .filter(|&&p| p >= input.insert_time && window_spec.within(START, p))
+                    .filter(|&&p| p >= input.query.insert_time && window_spec.within(START, p))
                     .filter_map(|&p| match rewrite(&query, &s_tuple(p), schema).unwrap() {
                         RewriteResult::Complete(row) => Some(format!("answer {row:?}")),
                         RewriteResult::Partial(q1) => {
@@ -1706,8 +1639,8 @@ mod tests {
                         Action::DeliverAnswer { row, .. } => format!("answer {row:?}"),
                         Action::Reindex { pending } => format!(
                             "child {} from {}",
-                            pending.query,
-                            pending.window_start.unwrap()
+                            pending.rewritten().unwrap(),
+                            pending.window_start().unwrap()
                         ),
                     })
                     .collect();
@@ -1726,43 +1659,44 @@ mod tests {
         }
     }
 
-    /// `ensure_program` keeps the engine-wide cache clean: a contact by a
-    /// relation the query does not reference returns before the cache is
-    /// touched at all (shown on a poisoned lock — taking it would panic),
-    /// and a failed compile leaves no empty bucket behind.
+    /// A query whose plan does not compile gets none (and a rewritten one
+    /// is refused on arrival); copies of one query that arrive separately,
+    /// as two wire hops deliver them, are pointed at one input query and
+    /// compile one plan between them.
     #[test]
     fn irrelevant_contacts_and_failed_compiles_leave_the_program_cache_alone() {
         let catalog = catalog();
-        let query = parse_query("SELECT R.B, S.B FROM R, S WHERE R.A = S.A").unwrap();
+        let mut state = NodeState::new(Id(1));
         let mut counters = CompileCounters::new();
-
-        let poisoned = Arc::new(Mutex::new(ProgramCache::default()));
-        let holder = Arc::clone(&poisoned);
-        let _ = std::thread::spawn(move || {
-            let _guard = holder.lock().unwrap();
-            panic!("poisoning the program cache lock on purpose");
-        })
-        .join();
-        assert!(poisoned.is_poisoned());
-        let mut slot = None;
-        let foreign = catalog.schema("M").unwrap();
-        assert!(ensure_program(&mut slot, &query, foreign, &poisoned, &mut counters).is_none());
-        assert!(slot.is_none());
-
-        let cache = Mutex::new(ProgramCache::default());
-        let r = catalog.schema("R").unwrap();
-        assert!(ensure_program(&mut slot, &query, r, &cache, &mut counters).is_some());
-        assert_eq!(cache.lock().unwrap().len(), 1);
-        // `S.Z` does not exist: the query references S but cannot compile.
-        let broken = parse_query("SELECT S.Z FROM S, R WHERE S.Z = R.A").unwrap();
-        let s_schema = catalog.schema("S").unwrap();
-        let mut broken_slot = None;
-        assert!(
-            ensure_program(&mut broken_slot, &broken, s_schema, &cache, &mut counters).is_none()
+        // `S.Z` does not exist: the query cannot compile.
+        let broken = PendingQuery::input(
+            QueryId { owner: Id(42), seq: 2 },
+            Id(42),
+            0,
+            rjoin_query::JoinQuery::new(
+                false,
+                vec![rjoin_query::SelectItem::Attr(rjoin_query::QualifiedAttr::new("S", "Z"))],
+                vec!["S".into(), "R".into()],
+                vec![],
+                rjoin_query::WindowSpec::None,
+            )
+            .unwrap(),
         );
-        assert!(ensure_program(&mut slot, &query, foreign, &cache, &mut counters).is_none());
-        assert_eq!(cache.lock().unwrap().len(), 1, "no dead keys");
-        assert_eq!(slot.as_ref().map(|p| p.relation()), Some("R"), "the slot is not clobbered");
-        assert_eq!((counters.programs_compiled, counters.cache_hits), (1, 0));
+        assert!(!ensure_plan(&broken, &catalog, &mut counters));
+        assert!(broken.plan().is_none());
+        let mut broken_child = broken.child(&tuple("R", [1, 2, 3], 1), Some(1));
+        assert!(!state.adopt(&mut broken_child, &catalog), "a rewritten query needs its plan");
+
+        let sql = "SELECT R.B, S.B FROM R, S WHERE R.A = S.A";
+        let r = tuple("R", [1, 2, 3], 1);
+        let mut one = pending_from(7, sql, 0).child(&r, Some(1));
+        let mut two = pending_from(7, sql, 0).child(&r, Some(1));
+        assert!(!Arc::ptr_eq(&one.query, &two.query));
+        assert!(state.adopt(&mut one, &catalog));
+        assert!(state.adopt(&mut two, &catalog));
+        assert!(Arc::ptr_eq(&one.query, &two.query), "one input query per id");
+        assert!(Arc::ptr_eq(one.plan().unwrap(), two.plan().unwrap()));
+        let counters = state.compile_counters();
+        assert_eq!((counters.programs_compiled, counters.cache_hits), (1, 1), "{counters:?}");
     }
 }

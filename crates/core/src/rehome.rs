@@ -136,9 +136,9 @@ impl NodeState {
     /// ring's own in publication order.
     pub fn absorb(&mut self, drained: DrainedState, share: bool) {
         for mut stored in drained.queries {
-            // The fingerprint slot is tied to the previous node's slab
-            // handle; the shared path recomputes and re-registers it here.
-            stored.fingerprint = None;
+            // The registry slot is tied to the previous node's slab
+            // handle; the shared path re-registers the entry here.
+            stored.registered = false;
             self.store_query_shared(stored, share);
         }
         for (ring, bucket) in drained.tuples {

@@ -41,14 +41,15 @@ enum Slot<T> {
 }
 
 /// Slots per chunk of the arena.
-const CHUNK: usize = 64;
+const CHUNK: usize = 16;
 
 /// A generational arena with O(1) insert/remove and stable handles.
 ///
 /// The arena grows a chunk of [`CHUNK`] slots at a time and never moves a
-/// slot: entries are wide (a stored query is several hundred bytes) and
+/// slot: entries are wide (a stored query is over a hundred bytes) and
 /// mostly written once, so doubling one contiguous vector would copy every
-/// entry again each time a node's store grew.
+/// entry again each time a node's store grew. Chunks are small, so a node
+/// leaves at most a few slots unused.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
     chunks: Vec<Vec<Slot<T>>>,

@@ -524,7 +524,7 @@ impl RJoinEngine {
         let drained = state.drain_misplaced(|ring| ring != base_ring);
         let (splits, mut moved) = (&self.splits, DrainedState::default());
         for stored in drained.queries {
-            for sub in splits.route_query(&key, stored.pending.id).into_iter().flatten() {
+            for sub in splits.route_query(&key, stored.pending.query.id).into_iter().flatten() {
                 moved.queries.push(StoredQuery { key: sub, ..stored.clone() });
             }
         }

@@ -63,9 +63,9 @@ pub struct ExperimentStats {
     /// tuple copies routed into cell spaces (hypercube-side counters stay
     /// zero for purely acyclic workloads).
     pub planner: PlannerCounters,
-    /// How the compiled rewrite hot loop behaved: programs compiled, cache
-    /// hits, rewrites run by a program and per-delivery eval time (hypercube
-    /// cells add their join time to the latter and nothing to the rest).
+    /// How the plan-driven trigger loop behaved: plans compiled, plan
+    /// reuses, triggers run on a plan and per-delivery eval time (hypercube
+    /// cells add their plan use and join time, and run no trigger).
     pub compile: CompileCounters,
     /// How the O(active) state machinery behaved: live/peak occupancy per
     /// store, scheduled expiry deadlines, and reclamations, all of them

@@ -27,8 +27,10 @@
 //! **Every** site that pushes a stored-query handle onto a bucket of
 //! `NodeState::stored_queries` must `insert` it here, and every site that
 //! unlinks one (the expiry pop) must `remove` it with the same entry —
-//! the pin is a pure function of the entry's query, key text and dedup
-//! state, none of which mutate while it is stored, so removal recomputes
+//! the pin is a pure function of the entry's query, bound tuples, key text
+//! and dedup state, none of which mutate while it is stored (a rewritten
+//! query's plan is attached before it is stored; an input query's pins are
+//! read without one), so removal recomputes
 //! the pin and finds the one vector the insertion filed the handle under
 //! (or an unpartitioned bucket, and nothing to unfile). Whole-ring teardown
 //! (`drain_misplaced`) drops the bucket and tells the index with `forget`.
@@ -44,8 +46,7 @@
 //!
 //! The answer of a tuple arrival is defined entry by entry: every stored
 //! query of the bucket rewritten with the tuple by `rjoin_query::rewrite`,
-//! the reference semantics the compiled trigger programs are tested
-//! against. A skipped entry differs from a contacted one in one way only:
+//! the reference semantics the plan-driven trigger is tested against. A skipped entry differs from a contacted one in one way only:
 //! no `Mismatch` rewrite runs. By construction the skipped entry's pinned
 //! constant filter rejects the tuple, so `rewrite` returns `Mismatch`: the
 //! contact would have produced no action and mutated nothing (entries
@@ -96,7 +97,19 @@ fn entry_pin(stored: &StoredQuery) -> Option<Pin<'_>> {
     let key_attr = parts.next();
     let key_frag = parts.next();
     let mut fallback = None;
-    for (attr, value) in probe_pins(&stored.pending.query, key_rel) {
+    let pending = &stored.pending;
+    // The rewritten query's selections over the key relation, in `WHERE`
+    // order: read off the input query while nothing is bound, through the
+    // plan once something is (a bound query without one — it did not
+    // compile — is never triggered, so it can sit in the residual list).
+    let (unbound, bound) = match pending.plan() {
+        _ if pending.is_input() => (Some(probe_pins(&pending.query, key_rel)), None),
+        Some(plan) => (None, Some(plan.pins(&pending.bound))),
+        None => return None,
+    };
+    let bound = bound.into_iter().flatten().filter(|(_, attr, _)| attr.relation == *key_rel);
+    let pins = unbound.into_iter().flatten().chain(bound.map(|(_, attr, value)| (attr, value)));
+    for (attr, value) in pins {
         let vacuous = key_attr == Some(attr.attribute.as_str())
             && key_frag.is_some_and(|frag| value.is_key_fragment(frag));
         let pin = Pin { relation: &attr.relation, attribute: &attr.attribute, value, vacuous };

@@ -73,13 +73,13 @@ impl OneCell {
     }
 
     fn register(&mut self, query: &JoinQuery, insert_time: Timestamp) {
-        let mut pending = PendingQuery::input(
+        let pending = PendingQuery::input(
             QueryId { owner: Id(7), seq: 0 },
             Id(7),
             insert_time,
             query.clone(),
-        );
-        pending.hypercube = Some(HypercubeRef { base: self.key.clone(), cells: 1 });
+        )
+        .with_hypercube(Some(HypercubeRef { base: self.key.clone(), cells: 1 }));
         let msg =
             RJoinMessage::IndexQuery { pending, key: self.key.clone(), level: IndexLevel::Value };
         self.deliver(msg);

@@ -666,7 +666,7 @@ fn trigger_chain_blocks(subscribers: u64) -> (u64, usize) {
 #[test]
 fn a_trigger_allocates_the_same_blocks_for_one_subscriber_and_for_sixty_four() {
     // The first run warms what is allocated once per process or thread (the
-    // interned keys, the program cache).
+    // interned keys, the query's plan).
     trigger_chain_blocks(2);
     let (two, answers_two) = trigger_chain_blocks(2);
     let (many, answers_many) = trigger_chain_blocks(65);

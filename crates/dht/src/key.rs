@@ -78,19 +78,24 @@ thread_local! {
     /// hashes of the same key skip both the SHA-1 digest and the `Arc<str>`
     /// allocation. Thread-local (rather than shared) keeps the lookup
     /// lock-free under the simulator's worker threads.
-    static INTERN_TABLE: RefCell<HashMap<Arc<str>, Id, BuildHasherDefault<StrHasher>>> =
+    static INTERN_TABLE: RefCell<HashMap<Arc<str>, HashedKey, BuildHasherDefault<StrHasher>>> =
         RefCell::new(HashMap::default());
 }
 
 /// A canonical index-key string together with its ring identifier.
 ///
 /// Construction hashes the string once ([`Id::hash_key`]); cloning is an
-/// `Arc` reference bump. Equality compares the text (so distinct keys are
-/// distinct even under a — cosmically unlikely — 64-bit digest collision),
-/// while hashing uses the precomputed ring identifier, which is consistent
-/// because equal texts always produce equal identifiers.
+/// `Arc` reference bump, and the handle is one pointer wide (stored queries
+/// and messages each carry one). Equality compares the text (so distinct
+/// keys are distinct even under a — cosmically unlikely — 64-bit digest
+/// collision), while hashing uses the precomputed ring identifier, which is
+/// consistent because equal texts always produce equal identifiers.
 #[derive(Debug, Clone)]
-pub struct HashedKey {
+pub struct HashedKey(Arc<KeyParts>);
+
+/// What a [`HashedKey`] points at.
+#[derive(Debug)]
+struct KeyParts {
     text: Arc<str>,
     id: Id,
     /// Partition coordinates `(p, s)` for sub-keys of a split hot key
@@ -123,7 +128,7 @@ impl HashedKey {
     pub fn new(text: impl Into<Arc<str>>) -> Self {
         let text = text.into();
         let id = Id::hash_key(&text);
-        HashedKey { text, id, partition: None }
+        HashedKey(Arc::new(KeyParts { text, id, partition: None }))
     }
 
     /// Like [`HashedKey::new`], but memoized through a per-thread intern
@@ -135,39 +140,38 @@ impl HashedKey {
     pub fn intern(text: &str) -> Self {
         INTERN_TABLE.with(|table| {
             let mut table = table.borrow_mut();
-            if let Some((cached, id)) = table.get_key_value(text) {
-                return HashedKey { text: Arc::clone(cached), id: *id, partition: None };
+            if let Some(cached) = table.get(text) {
+                return cached.clone();
             }
             if table.len() >= INTERN_CAPACITY {
                 table.clear();
             }
-            let text: Arc<str> = Arc::from(text);
-            let id = Id::hash_key(&text);
-            table.insert(Arc::clone(&text), id);
-            HashedKey { text, id, partition: None }
+            let key = HashedKey::new(text);
+            table.insert(Arc::clone(&key.0.text), key.clone());
+            key
         })
     }
 
     /// The canonical key string.
     pub fn as_str(&self) -> &str {
-        &self.text
+        &self.0.text
     }
 
     /// The interned string, shareable without copying.
     pub fn text(&self) -> &Arc<str> {
-        &self.text
+        &self.0.text
     }
 
     /// The precomputed ring identifier: `Hash(text)` for unsplit keys, the
     /// partition-salted identifier for sub-keys of a split hot key.
     pub fn id(&self) -> Id {
-        self.id
+        self.0.id
     }
 
     /// The ring identifier as a raw `u64`, the map key used throughout the
     /// hot path.
     pub fn ring(&self) -> u64 {
-        self.id.0
+        self.0.id.0
     }
 
     /// Sub-key `part` of `parts` of this key: same interned text, ring
@@ -181,17 +185,17 @@ impl HashedKey {
         assert!(parts >= 2, "a split needs at least two partitions");
         assert!(part < parts, "partition index out of range");
         let base = self.base_ring();
-        HashedKey {
-            text: Arc::clone(&self.text),
+        HashedKey(Arc::new(KeyParts {
+            text: Arc::clone(&self.0.text),
             id: Id(salt_partition(base, part, parts)),
             partition: Some((part, parts)),
-        }
+        }))
     }
 
     /// The partition coordinates `(p, s)` of a sub-key, `None` for unsplit
     /// keys.
     pub fn partition(&self) -> Option<(u32, u32)> {
-        self.partition
+        self.0.partition
     }
 
     /// The ring identifier of the *unsplit* base key — `ring()` for
@@ -199,9 +203,9 @@ impl HashedKey {
     /// aggregation key that folds all partitions of one logical hot key
     /// back together (telemetry, split-map lookups).
     pub fn base_ring(&self) -> u64 {
-        match self.partition {
-            None => self.id.0,
-            Some(_) => Id::hash_key(&self.text).0,
+        match self.0.partition {
+            None => self.0.id.0,
+            Some(_) => Id::hash_key(&self.0.text).0,
         }
     }
 }
@@ -210,7 +214,8 @@ impl PartialEq for HashedKey {
     fn eq(&self, other: &Self) -> bool {
         // Fast path on the digest; fall back to the text (and the partition
         // coordinates) so behaviour is correct even under digest collisions.
-        self.id == other.id && self.partition == other.partition && self.text == other.text
+        let (a, b) = (&*self.0, &*other.0);
+        a.id == b.id && a.partition == b.partition && a.text == b.text
     }
 }
 
@@ -220,7 +225,7 @@ impl std::hash::Hash for HashedKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // Equal texts imply equal ids, so hashing the id alone is consistent
         // with `Eq` — and free, because the id was computed at construction.
-        state.write_u64(self.id.0);
+        state.write_u64(self.0.id.0);
     }
 }
 
@@ -232,14 +237,15 @@ impl PartialOrd for HashedKey {
 
 impl Ord for HashedKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.text.cmp(&other.text).then_with(|| self.partition.cmp(&other.partition))
+        let (a, b) = (&*self.0, &*other.0);
+        a.text.cmp(&b.text).then_with(|| a.partition.cmp(&b.partition))
     }
 }
 
 impl fmt::Display for HashedKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.text)?;
-        if let Some((part, parts)) = self.partition {
+        f.write_str(&self.0.text)?;
+        if let Some((part, parts)) = self.0.partition {
             write!(f, "[{part}/{parts}]")?;
         }
         Ok(())
@@ -269,17 +275,17 @@ const PARTITION_SEP: char = '\u{1f}';
 // is re-derived on deserialization, so neither form carries redundancy.
 impl Serialize for HashedKey {
     fn serialize_json(&self) -> JsonValue {
-        match self.partition {
-            None => JsonValue::Str(self.text.to_string()),
+        match self.0.partition {
+            None => JsonValue::Str(self.0.text.to_string()),
             Some((part, parts)) => {
-                JsonValue::Str(format!("{}{PARTITION_SEP}{part}/{parts}", self.text))
+                JsonValue::Str(format!("{}{PARTITION_SEP}{part}/{parts}", self.0.text))
             }
         }
     }
 
     fn serialize_bin(&self, out: &mut Vec<u8>) {
-        bin::write_str(out, &self.text);
-        self.partition.serialize_bin(out);
+        bin::write_str(out, &self.0.text);
+        self.0.partition.serialize_bin(out);
     }
 }
 

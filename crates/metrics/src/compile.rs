@@ -1,29 +1,33 @@
-//! Counters for compiled predicate-program evaluation.
+//! Counters for plan-driven query evaluation.
 
 use serde::{Deserialize, Serialize};
 
-/// Counters describing how the compiled rewrite hot loop behaved.
+/// Counters describing how the plan-driven trigger loop behaved.
 ///
-/// Each node maintains one instance; the engine sums them into the run-level
+/// A query is evaluated through its input query's plan, compiled once and
+/// shared by every query it spawns (see `rjoin_query::RewritePlan`). Each
+/// node maintains one instance; the engine sums them into the run-level
 /// statistics snapshot. All counters are cumulative over a run:
 ///
-/// * `programs_compiled` — `WHERE`-side programs compiled from scratch (one
-///   per distinct sub-join shape × trigger relation seen on the node; a
-///   shape is the sub-join with its constants erased),
-/// * `cache_hits` — stored queries that reused a program already in the
-///   shape-keyed cache instead of compiling their own,
-/// * `compiled_rewrites` — per-tuple rewrites executed by a compiled
-///   program,
+/// * `programs_compiled` — plans compiled: at most one per input query on
+///   each node that needs one (a query's first trigger; a rewritten query
+///   that arrived over a wire, which carries no plan; a hypercube cell's
+///   first arrival),
+/// * `cache_hits` — plan reuses: every other time a query needed its plan
+///   (each trigger, each arrival of a rewritten query) and found it
+///   compiled already,
+/// * `compiled_rewrites` — per-tuple triggers run on a plan (the tuple's
+///   slot was free, whether it then joined or not),
 /// * `eval_nanos` — wall-clock nanoseconds spent walking stored-query
-///   buckets per delivery (rewrites plus trigger bookkeeping) and joining
-///   inside hypercube cells.
+///   buckets per delivery (triggers plus bookkeeping) and joining inside
+///   hypercube cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompileCounters {
-    /// Predicate programs compiled from scratch.
+    /// Plans compiled.
     pub programs_compiled: u64,
-    /// Program reuses served by the shape-keyed cache.
+    /// Plan reuses.
     pub cache_hits: u64,
-    /// Per-tuple rewrites executed by compiled programs.
+    /// Per-tuple triggers run on a plan.
     pub compiled_rewrites: u64,
     /// Nanoseconds spent in per-delivery evaluation walks.
     pub eval_nanos: u64,

@@ -89,16 +89,47 @@ impl fmt::Display for Conjunct {
     }
 }
 
-/// One step of a compiled `WHERE` rewrite template (see
+/// A borrowed view of one `WHERE` conjunct: what a rewritten query that is
+/// never built as a [`JoinQuery`] (`RewritePlan::conjuncts`) shows of its
+/// clause, and what signatures are rendered from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ConjunctRef<'a> {
+    /// An equi-join predicate between two unbound relations.
+    Join(&'a QualifiedAttr, &'a QualifiedAttr),
+    /// A selection predicate: written by the user, or a join predicate one
+    /// side of which a bound tuple resolved.
+    Const(&'a QualifiedAttr, &'a Value),
+}
+
+impl<'a> From<&'a Conjunct> for ConjunctRef<'a> {
+    fn from(conjunct: &'a Conjunct) -> Self {
+        match conjunct {
+            Conjunct::JoinEq(a, b) => ConjunctRef::Join(a, b),
+            Conjunct::ConstEq(a, v) => ConjunctRef::Const(a, v),
+        }
+    }
+}
+
+impl ConjunctRef<'_> {
+    /// The owned conjunct.
+    pub(crate) fn to_conjunct(self) -> Conjunct {
+        match self {
+            ConjunctRef::Join(a, b) => Conjunct::JoinEq(a.clone(), b.clone()),
+            ConjunctRef::Const(a, v) => Conjunct::ConstEq(a.clone(), v.clone()),
+        }
+    }
+}
+
+/// One `WHERE` step of a compiled rewrite (see
 /// [`crate::compile_subjoin`]).
 ///
-/// A trigger program pre-computes, per source conjunct, what the rewrite of
-/// a tuple of the trigger relation does to it: constant and self-join
+/// A compiled program pre-computes, per source conjunct, what the rewrite
+/// of a tuple of the trigger relation does to it: constant and self-join
 /// conjuncts over the trigger relation become up-front filters (they never
 /// reach the emitted child), and everything else becomes one `EmitStep` in
 /// source order. Steps name source conjuncts by **slot** (their position in
-/// the stored query's `WHERE` clause), never by value, so one template
-/// serves every query of the same shape whatever constants it carries.
+/// the query's `WHERE` clause), never by value: the program reads the
+/// values out of the query it runs against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EmitStep {
     /// Re-emit the stored query's conjunct at this slot unchanged — it does

@@ -85,6 +85,12 @@ pub enum QueryError {
         /// The `SELECT` item that can no longer be resolved.
         attr: QualifiedAttr,
     },
+    /// The query joins more relations than a rewrite plan has slot bits
+    /// for (64).
+    TooManyRelations {
+        /// The number of relations in `FROM`.
+        count: usize,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -133,6 +139,9 @@ impl fmt::Display for QueryError {
                     "WHERE clause is fully resolved but SELECT item `{attr}` is still an \
                      attribute reference"
                 )
+            }
+            QueryError::TooManyRelations { count } => {
+                write!(f, "the query joins {count} relations; a rewrite plan binds at most 64")
             }
         }
     }

@@ -22,7 +22,8 @@
 //! collide on the same 64-bit fingerprint. The canonical string itself is
 //! available via [`subjoin_signature`] for diagnostics and tests.
 
-use crate::ast::{Conjunct, JoinQuery, QualifiedAttr};
+use crate::ast::{ConjunctRef, JoinQuery, QualifiedAttr};
+use crate::join_plan::{Bindings, RewritePlan};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -40,15 +41,27 @@ impl fmt::Display for Fingerprint {
     }
 }
 
+/// A sub-join whose signature is wanted: a query as written, or a rewritten
+/// query seen as its input query's plan plus the tuples bound so far (never
+/// built as a [`JoinQuery`]). Both render the same signature when they
+/// denote the same rewritten query.
+#[derive(Debug, Clone, Copy)]
+pub enum SubJoin<'a> {
+    /// A query as written.
+    Query(&'a JoinQuery),
+    /// The rewritten query `bindings` make of the plan's input query.
+    Bound(&'a RewritePlan, &'a Bindings),
+}
+
 fn push_attr(out: &mut String, attr: &QualifiedAttr) {
     out.push_str(&attr.relation);
     out.push('.');
     out.push_str(&attr.attribute);
 }
 
-fn push_conjunct(out: &mut String, c: &Conjunct) {
+fn push_conjunct(out: &mut String, c: ConjunctRef<'_>) {
     match c {
-        Conjunct::JoinEq(a, b) => {
+        ConjunctRef::Join(a, b) => {
             let (first, second) = if (&a.relation, &a.attribute) <= (&b.relation, &b.attribute) {
                 (a, b)
             } else {
@@ -59,7 +72,7 @@ fn push_conjunct(out: &mut String, c: &Conjunct) {
             out.push('=');
             push_attr(out, second);
         }
-        Conjunct::ConstEq(a, v) => {
+        ConjunctRef::Const(a, v) => {
             out.push_str("c:");
             push_attr(out, a);
             out.push('=');
@@ -70,9 +83,33 @@ fn push_conjunct(out: &mut String, c: &Conjunct) {
 
 /// Appends the canonical signature to `out`. Per-conjunct strings are
 /// rendered into a per-thread scratch pool (fingerprints are computed at
-/// every stored-entry first trigger, so the assembly must not allocate on
-/// repeat calls) and the pool entries are emitted in sorted order.
-fn write_signature(query: &JoinQuery, out: &mut String) {
+/// every shared store, so the assembly must not allocate on repeat calls)
+/// and the pool entries are emitted in sorted order.
+fn write_signature(sub: SubJoin<'_>, out: &mut String) {
+    match sub {
+        SubJoin::Query(query) => write_parts(
+            out,
+            query,
+            query.relations().iter().map(|r| r.as_str()),
+            query.conjuncts().iter().map(ConjunctRef::from),
+        ),
+        SubJoin::Bound(plan, bound) => write_parts(
+            out,
+            plan.query(),
+            plan.unbound_relations(bound.mask()).map(|r| r.as_str()),
+            plan.conjuncts(bound),
+        ),
+    }
+}
+
+/// [`write_signature`] over the parts of a sub-join: `query` supplies the
+/// semantics flag and the window.
+fn write_parts<'a>(
+    out: &mut String,
+    query: &JoinQuery,
+    relations: impl Iterator<Item = &'a str>,
+    conjuncts: impl Iterator<Item = ConjunctRef<'a>>,
+) {
     use std::cell::RefCell;
     use std::fmt::Write;
     thread_local! {
@@ -81,7 +118,7 @@ fn write_signature(query: &JoinQuery, out: &mut String) {
 
     out.push_str(if query.distinct() { "D|" } else { "B|" });
 
-    let mut relations: Vec<&str> = query.relations().iter().map(|r| r.as_str()).collect();
+    let mut relations: Vec<&str> = relations.collect();
     relations.sort_unstable();
     for (i, r) in relations.iter().enumerate() {
         if i > 0 {
@@ -93,13 +130,14 @@ fn write_signature(query: &JoinQuery, out: &mut String) {
 
     CONJ_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
-        let n = query.conjuncts().len();
-        if pool.len() < n {
-            pool.resize_with(n, String::new);
-        }
-        for (buf, c) in pool.iter_mut().zip(query.conjuncts()) {
-            buf.clear();
-            push_conjunct(buf, c);
+        let mut n = 0;
+        for c in conjuncts {
+            if pool.len() == n {
+                pool.push(String::new());
+            }
+            pool[n].clear();
+            push_conjunct(&mut pool[n], c);
+            n += 1;
         }
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by(|&a, &b| pool[a].cmp(&pool[b]));
@@ -118,16 +156,16 @@ fn write_signature(query: &JoinQuery, out: &mut String) {
 /// conjunct order, join-side order and `SELECT` list differences.
 pub fn subjoin_signature(query: &JoinQuery) -> String {
     let mut out = String::with_capacity(64);
-    write_signature(query, &mut out);
+    write_signature(SubJoin::Query(query), &mut out);
     out
 }
 
-/// Whether two queries have byte-identical canonical signatures — the
+/// Whether two sub-joins have byte-identical canonical signatures — the
 /// structural confirmation behind a fingerprint match. Equivalent to
-/// `subjoin_signature(a) == subjoin_signature(b)` but renders both sides
-/// into per-thread scratch buffers, so the comparison does not allocate
-/// after warm-up (it runs on every candidate sharing merge).
-pub fn subjoin_signature_eq(a: &JoinQuery, b: &JoinQuery) -> bool {
+/// comparing their [`subjoin_signature`]s but renders both sides into
+/// per-thread scratch buffers, so the comparison does not allocate after
+/// warm-up (it runs on every candidate sharing merge).
+pub fn subjoin_eq(a: SubJoin<'_>, b: SubJoin<'_>) -> bool {
     use std::cell::RefCell;
     thread_local! {
         static EQ_BUFS: RefCell<(String, String)> =
@@ -165,37 +203,19 @@ impl std::hash::Hasher for Fnv {
     }
 }
 
-/// A digest of a query's sub-join **shape**: `FROM`, window, semantics flag
-/// and the `WHERE` conjuncts in source order with every constant erased —
-/// exactly what [`SubJoinProgram::matches_source`] compares, which makes it
-/// the key compiled programs are cached under. Unlike [`fingerprint`] it is
-/// order-sensitive (a program's slots are positional) and value-blind (all
-/// rewritten queries that bound the same relations in the same order share
-/// one program), and it never renders the query to text.
-///
-/// [`SubJoinProgram::matches_source`]: crate::SubJoinProgram::matches_source
-pub fn shape_fingerprint(query: &JoinQuery) -> Fingerprint {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = Fnv::default();
-    query.distinct().hash(&mut hasher);
-    query.window().hash(&mut hasher);
-    query.relations().hash(&mut hasher);
-    for conjunct in query.conjuncts() {
-        match conjunct {
-            Conjunct::JoinEq(a, b) => (a, b).hash(&mut hasher),
-            Conjunct::ConstEq(a, _) => a.hash(&mut hasher),
-        }
-    }
-    Fingerprint(hasher.finish())
-}
-
 /// Computes the sub-join [`Fingerprint`] of a query: an FNV-1a 64-bit hash
 /// of [`subjoin_signature`]. Deterministic across processes and runs (no
 /// per-process hasher randomness), so fingerprints can travel in messages
-/// and be compared across nodes. The signature is assembled in a per-thread
+/// and be compared across nodes.
+pub fn fingerprint(query: &JoinQuery) -> Fingerprint {
+    subjoin_fingerprint(SubJoin::Query(query))
+}
+
+/// [`fingerprint`] of any [`SubJoin`]: a bound rewritten query hashes like
+/// the [`JoinQuery`] it denotes. The signature is assembled in a per-thread
 /// scratch buffer, so computing a fingerprint does not allocate after
 /// warm-up.
-pub fn fingerprint(query: &JoinQuery) -> Fingerprint {
+pub fn subjoin_fingerprint(sub: SubJoin<'_>) -> Fingerprint {
     use std::cell::RefCell;
     thread_local! {
         static SIG_BUF: RefCell<String> = const { RefCell::new(String::new()) };
@@ -204,7 +224,7 @@ pub fn fingerprint(query: &JoinQuery) -> Fingerprint {
         use std::hash::Hasher;
         let mut buf = buf.borrow_mut();
         buf.clear();
-        write_signature(query, &mut buf);
+        write_signature(sub, &mut buf);
         let mut hasher = Fnv::default();
         hasher.write(buf.as_bytes());
         Fingerprint(hasher.finish())
@@ -259,21 +279,38 @@ mod tests {
         assert_ne!(fingerprint(&a), fingerprint(&c));
     }
 
+    /// What the shape fingerprint keyed — a rewritten query's structure
+    /// with its constants erased — is now the bound mask of its input
+    /// query's plan: one memo entry serves every binding of a mask, whatever
+    /// the bound values, and a bound query's signature is the one of the
+    /// query it denotes.
     #[test]
     fn shape_fingerprint_erases_constants_but_not_structure() {
-        let a = parse_query("SELECT R.A FROM R, S WHERE R.A = S.B AND S.C = 5").unwrap();
-        let other_constant = parse_query("SELECT S.B FROM R, S WHERE R.A = S.B AND S.C = 'x'");
-        assert_eq!(shape_fingerprint(&a), shape_fingerprint(&other_constant.unwrap()));
-        for different in [
-            "SELECT R.A FROM R, S WHERE S.C = 5 AND R.A = S.B",
-            "SELECT R.A FROM R, S WHERE R.A = S.B AND S.B = 5",
-            "SELECT R.A FROM R, S WHERE R.A = S.B AND R.C = S.C",
-            "SELECT R.A FROM S, R WHERE R.A = S.B AND S.C = 5",
-            "SELECT DISTINCT R.A FROM R, S WHERE R.A = S.B AND S.C = 5",
-            "SELECT R.A FROM R, S WHERE R.A = S.B AND S.C = 5 WINDOW SLIDING 10 TUPLES",
-        ] {
-            assert_ne!(shape_fingerprint(&a), shape_fingerprint(&parse_query(different).unwrap()));
+        use crate::{Bindings, RewritePlan};
+        use rjoin_relation::{Catalog, Schema, Tuple, Value};
+        use std::sync::Arc;
+        let mut catalog = Catalog::new();
+        for rel in ["R", "S", "T"] {
+            catalog.register(Schema::new(rel, ["A", "B", "C"]).unwrap()).unwrap();
         }
+        let q = parse_query("SELECT T.A FROM R, S, T WHERE R.A = S.B AND S.C = T.C AND S.A = 5");
+        let plan = RewritePlan::new(Arc::new(q.unwrap()), &catalog).unwrap();
+        let r = |a: i64| Arc::new(Tuple::new("R", vec![Value::from(a); 3], 0));
+        let (one, two) = (Bindings::default().with(0, &r(1)), Bindings::default().with(0, &r(2)));
+        let keys = plan.keys(1);
+        assert!(std::ptr::eq(keys.as_ptr(), plan.keys(1).as_ptr()), "memoised per mask");
+        assert_ne!(
+            keys.iter().map(|k| k.index_key(&plan, &one)).collect::<Vec<_>>(),
+            keys.iter().map(|k| k.index_key(&plan, &two)).collect::<Vec<_>>(),
+            "the bound values fill in"
+        );
+        assert_ne!(plan.keys(1).to_vec(), plan.keys(2).to_vec(), "another mask, another shape");
+        for bound in [&one, &two] {
+            let built = plan.materialize(bound);
+            assert_eq!(subjoin_fingerprint(SubJoin::Bound(&plan, bound)), fingerprint(&built));
+            assert!(subjoin_eq(SubJoin::Bound(&plan, bound), SubJoin::Query(&built)));
+        }
+        assert!(!subjoin_eq(SubJoin::Bound(&plan, &one), SubJoin::Bound(&plan, &two)));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Positional join plans: a query compiled once into slots and column
-//! offsets, for joins that bind whole tuples instead of rewriting the AST.
+//! offsets, joined by binding whole tuples instead of rewriting the AST.
 //!
 //! [`rewrite`](crate::rewrite()) is the paper's step: bind one tuple, get a
-//! smaller query back, ship it to the next key. A join that happens entirely
-//! inside one node — a hypercube cell (`rjoin_core`'s `cell` module) joining
-//! an arriving tuple with the tuples that reached the cell before it — never
-//! ships the intermediate query, so building, cloning and dropping one per
-//! bound tuple is pure overhead. A [`JoinPlan`] is the query with that
-//! overhead compiled away, once per query:
+//! smaller query back, ship it to the next key. Building, cloning and
+//! dropping that smaller query per bound tuple is pure overhead: everything
+//! it holds is the input query plus the values of the tuples bound so far.
+//! A [`JoinPlan`] is the query with that overhead compiled away, once per
+//! query:
 //!
 //! * the `FROM` list becomes numbered **slots**;
 //! * every attribute reference becomes a [`SlotColumn`] — a slot and the
@@ -18,22 +17,54 @@
 //! * every `SELECT` item becomes a slot column or a constant, read straight
 //!   off the bound tuples.
 //!
-//! A join over a plan holds one tuple reference per bound slot. An arrival
-//! is [admitted](JoinPlan::admit) by its slot's constant filters; a candidate
-//! for another slot [joins](JoinPlan::joins) when it agrees with every bound
-//! slot on every edge between them; the [pins](JoinPlan::pins) — the values
-//! the bound tuples and the constants force on the columns of unbound slots,
-//! in the order the rewritten query would list them as `ConstEq` conjuncts —
-//! are what an index is probed with; a full binding is
-//! [projected](JoinPlan::project) into the answer row. Such a join returns
-//! the same bag of rows as the stepwise rewrite cascade over the same
-//! tuples (property-tested in `tests/join_plan.rs` over chains, stars,
-//! triangles, 4-cycles, 4-cliques and disconnected shapes, every window kind
-//! and arrival order).
+//! A join over a plan holds one tuple reference per bound slot (a
+//! [`Bound`]). An arrival is [admitted](JoinPlan::admit) by its slot's
+//! constant filters; a candidate for another slot [joins](JoinPlan::joins)
+//! when it agrees with every bound slot on every edge between them; the
+//! [pins](JoinPlan::pins) — the values the bound tuples and the constants
+//! force on the columns of unbound slots, in the order the rewritten query
+//! would list them as `ConstEq` conjuncts — are what an index is probed
+//! with; a full binding is [projected](JoinPlan::project) into the answer
+//! row. Such a join returns the same bag of rows as the stepwise rewrite
+//! cascade over the same tuples (property-tested in `tests/join_plan.rs`
+//! over chains, stars, triangles, 4-cycles, 4-cliques and disconnected
+//! shapes, every window kind and arrival order).
+//!
+//! # Rewritten queries are plans plus bindings
+//!
+//! Two joins run on plans. A hypercube cell (`rjoin_core`'s `cell` module)
+//! binds the tuples routed to it depth-first on the stack. The rewrite
+//! pipeline of Procedures 2–3 ships its partial joins from node to node: a
+//! rewritten query there is its input query's [`RewritePlan`] plus
+//! [`Bindings`] — one shared tuple per bound slot, kept in one small
+//! allocation. A trigger is [`admit`](JoinPlan::admit) +
+//! [`joins`](JoinPlan::joins) on the tuple's slot; a complete binding
+//! becomes an answer through [`project`](JoinPlan::project); a partial one
+//! becomes a child with one more bound slot ([`Bindings::with`]).
+//!
+//! Everything else the pipeline needs of a rewritten query depends only on
+//! *which* slots are bound, never on the values: the [`RewritePlan`]
+//! derives it per bound mask. The child's candidate index keys are
+//! memoised per mask, in exactly [`candidate_keys`](crate::candidate_keys)
+//! order, with value-level keys reading their value from a constant or a
+//! bound column ([`PlanKey`]); the trigger-index pins
+//! ([`RewritePlan::pins`]) and the sub-join signature
+//! ([`SubJoin::Bound`](crate::SubJoin)) are read off the plan's conjuncts;
+//! a `DISTINCT` query's duplicate filter projects a tuple on offsets fixed
+//! per slot ([`RewritePlan::dedup_offsets`]). [`RewritePlan::materialize`]
+//! builds the [`JoinQuery`] a binding denotes — the rewrite cascade's
+//! result, which property tests compare it with.
 
-use crate::ast::{Conjunct, JoinQuery, QualifiedAttr, SelectItem};
+use crate::ast::{Conjunct, ConjunctRef, JoinQuery, QualifiedAttr, SelectItem};
+use crate::keys::{intern_with, keys_of, write_key_text, IndexKey, IndexLevel};
 use crate::{QueryError, WindowSpec};
-use rjoin_relation::{AttrIndex, Catalog, Name, Tuple, Value};
+use rjoin_dht::HashedKey;
+use rjoin_relation::{write_prefixed, AttrIndex, Catalog, DecodedTable, Name, Tuple, Value};
+use serde::bin::BinError;
+use serde::json::{JsonError, JsonValue};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// A column of one plan slot: the relation at position `slot` of the `FROM`
 /// list, and the offset of the attribute in that relation's schema.
@@ -63,12 +94,139 @@ enum PlanItem {
     Const(Value),
 }
 
+/// The tuples bound to a plan's slots so far. Every bound tuple must have
+/// been [admitted](JoinPlan::admit) to its slot, which is what makes the
+/// plan's column offsets safe to read.
+pub trait Bound {
+    /// The tuple bound to `slot`, `None` while it is unbound.
+    fn tuple(&self, slot: usize) -> Option<&Tuple>;
+}
+
+impl Bound for Vec<Option<&Tuple>> {
+    fn tuple(&self, slot: usize) -> Option<&Tuple> {
+        self[slot]
+    }
+}
+
+/// `base` with one more slot bound: what a trigger projects before any
+/// child is built.
+struct BoundWith<'a, B: ?Sized> {
+    base: &'a B,
+    slot: usize,
+    tuple: &'a Tuple,
+}
+
+impl<B: Bound + ?Sized> Bound for BoundWith<'_, B> {
+    fn tuple(&self, slot: usize) -> Option<&Tuple> {
+        if slot == self.slot {
+            Some(self.tuple)
+        } else {
+            self.base.tuple(slot)
+        }
+    }
+}
+
+/// The tuples a rewritten query has bound: a slot mask and one shared tuple
+/// per set bit, in slot order, in one allocation (nothing at all while no
+/// slot is bound).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Bindings {
+    mask: u64,
+    tuples: Box<[Arc<Tuple>]>,
+}
+
+impl Bindings {
+    /// The bound slots, one bit each.
+    pub fn mask(&self) -> u64 {
+        self.mask
+    }
+
+    /// Whether no slot is bound (an input query).
+    pub fn is_empty(&self) -> bool {
+        self.mask == 0
+    }
+
+    /// The bound tuples, in slot order.
+    pub fn tuples(&self) -> &[Arc<Tuple>] {
+        &self.tuples
+    }
+
+    /// These bindings plus `tuple` at `slot` (unbound here): the one
+    /// allocation a child costs.
+    ///
+    /// # Panics
+    /// Panics when `slot` is already bound or not below 64.
+    pub fn with(&self, slot: usize, tuple: &Arc<Tuple>) -> Self {
+        let bit = 1u64 << slot;
+        assert_eq!(self.mask & bit, 0, "slot {slot} is bound already");
+        let at = (self.mask & (bit - 1)).count_ones() as usize;
+        let mut tuples = Vec::with_capacity(self.tuples.len() + 1);
+        tuples.extend_from_slice(&self.tuples[..at]);
+        tuples.push(Arc::clone(tuple));
+        tuples.extend_from_slice(&self.tuples[at..]);
+        Bindings { mask: self.mask | bit, tuples: tuples.into_boxed_slice() }
+    }
+}
+
+impl Bound for Bindings {
+    fn tuple(&self, slot: usize) -> Option<&Tuple> {
+        let bit = 1u64.checked_shl(slot as u32)?;
+        if self.mask & bit == 0 {
+            return None;
+        }
+        Some(&self.tuples[(self.mask & (bit - 1)).count_ones() as usize])
+    }
+}
+
+/// The JSON form of [`Bindings`] (the binary one is the mask, then each
+/// tuple length-prefixed, in slot order).
+#[derive(Serialize, Deserialize)]
+struct WireBindings {
+    mask: u64,
+    tuples: Vec<Arc<Tuple>>,
+}
+
+impl Serialize for Bindings {
+    fn serialize_json(&self) -> JsonValue {
+        WireBindings { mask: self.mask, tuples: self.tuples.to_vec() }.serialize_json()
+    }
+
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        serde::bin::write_varint(out, self.mask);
+        for tuple in self.tuples.iter() {
+            write_prefixed(out, &**tuple);
+        }
+    }
+}
+
+/// The tuples bound in queries this process decoded (see
+/// [`DecodedTable`]): a tuple is bound into the `Eval` of every query it
+/// extends, and shared, not copied, by every stored query that holds it.
+static DECODED_TUPLES: DecodedTable<Tuple, 16384> = DecodedTable::new();
+
+impl Bindings {
+    fn from_wire(wire: WireBindings) -> Option<Self> {
+        (wire.mask.count_ones() as usize == wire.tuples.len())
+            .then(|| Bindings { mask: wire.mask, tuples: wire.tuples.into_boxed_slice() })
+    }
+}
+
+impl Deserialize for Bindings {
+    fn deserialize_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Bindings::from_wire(WireBindings::deserialize_json(v)?)
+            .ok_or_else(|| JsonError("bindings: one tuple per mask bit".into()))
+    }
+
+    fn deserialize_bin(input: &mut &[u8]) -> Result<Self, BinError> {
+        let mask = serde::bin::read_varint(input)?;
+        let tuples = (0..mask.count_ones())
+            .map(|_| DECODED_TUPLES.read(input))
+            .collect::<Result<Box<[_]>, _>>()?;
+        Ok(Bindings { mask, tuples })
+    }
+}
+
 /// A query compiled into slots and column offsets (see the module docs).
-///
-/// Joins driven by a plan keep their bound tuples in a slice with one entry
-/// per slot (`bound[slot]`, `None` while unbound); every tuple in it must
-/// have been [admitted](JoinPlan::admit) to its slot, which is what makes
-/// the plan's column offsets safe to read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinPlan {
     relations: Vec<Name>,
@@ -91,6 +249,9 @@ impl JoinPlan {
     /// [`JoinQuery::new`] rejects too).
     pub fn new(query: &JoinQuery, catalog: &Catalog) -> Result<Self, QueryError> {
         let relations = query.relations().to_vec();
+        for relation in &relations {
+            catalog.require_schema(relation).map_err(QueryError::Relation)?;
+        }
         let mut arity = vec![0; relations.len()];
         let mut column = |attr: &QualifiedAttr| -> Result<SlotColumn, QueryError> {
             let slot = relations
@@ -151,13 +312,18 @@ impl JoinPlan {
         columns
     }
 
+    /// The slot of `relation`, if it is in `FROM`.
+    fn slot_of(&self, relation: &str) -> Option<usize> {
+        self.relations.iter().position(|r| *r == *relation)
+    }
+
     /// The slot `tuple` binds, if it can contribute to an answer at all: its
     /// relation is in `FROM`, it carries every column the plan reads from
     /// it, and it passes its slot's constant filters. Everything else about
     /// a tuple is checked by [`joins`](Self::joins) once the tuples it
     /// combines with are known.
     pub fn admit(&self, tuple: &Tuple) -> Option<usize> {
-        let slot = self.relations.iter().position(|r| *r == *tuple.relation())?;
+        let slot = self.slot_of(tuple.relation())?;
         let values = tuple.values();
         let admitted = values.len() >= self.arity[slot]
             && self.conjuncts.iter().all(|conjunct| match conjunct {
@@ -169,10 +335,11 @@ impl JoinPlan {
 
     /// Whether `tuple`, admitted to `slot`, agrees with every bound slot on
     /// every join edge between them.
-    pub fn joins(&self, slot: usize, tuple: &Tuple, bound: &[Option<&Tuple>]) -> bool {
+    pub fn joins<B: Bound + ?Sized>(&self, slot: usize, tuple: &Tuple, bound: &B) -> bool {
         let values = tuple.values();
         let agrees = |here: &SlotColumn, there: &SlotColumn| {
-            bound[there.slot]
+            bound
+                .tuple(there.slot)
                 .is_none_or(|other| other.values()[there.offset] == values[here.offset])
         };
         self.conjuncts.iter().all(|conjunct| match conjunct {
@@ -188,14 +355,14 @@ impl JoinPlan {
     /// rewrite cascade would have produced by binding the same tuples. A
     /// tuple can only extend the binding if it carries every pinned value
     /// of its slot.
-    pub fn pins<'a>(
+    pub fn pins<'a, B: Bound + ?Sized>(
         &'a self,
-        bound: &'a [Option<&'a Tuple>],
+        bound: &'a B,
     ) -> impl Iterator<Item = (SlotColumn, &'a Value)> + 'a {
         self.conjuncts.iter().filter_map(move |conjunct| match conjunct {
-            PlanConjunct::Const(at, value) if bound[at.slot].is_none() => Some((*at, value)),
+            PlanConjunct::Const(at, value) if bound.tuple(at.slot).is_none() => Some((*at, value)),
             PlanConjunct::Const(..) => None,
-            PlanConjunct::Join(a, b) => match (bound[a.slot], bound[b.slot]) {
+            PlanConjunct::Join(a, b) => match (bound.tuple(a.slot), bound.tuple(b.slot)) {
                 (Some(tuple), None) => Some((*b, &tuple.values()[a.offset])),
                 (None, Some(tuple)) => Some((*a, &tuple.values()[b.offset])),
                 _ => None,
@@ -207,18 +374,419 @@ impl JoinPlan {
     ///
     /// # Panics
     /// Panics when a slot the `SELECT` list reads is unbound.
-    pub fn project(&self, bound: &[Option<&Tuple>]) -> Vec<Value> {
+    pub fn project<B: Bound + ?Sized>(&self, bound: &B) -> Vec<Value> {
         self.select
             .iter()
             .map(|item| match item {
                 PlanItem::Column(at) => {
-                    bound[at.slot].expect("projected from a full binding").values()[at.offset]
+                    bound.tuple(at.slot).expect("projected from a full binding").values()[at.offset]
                         .clone()
                 }
                 PlanItem::Const(value) => value.clone(),
             })
             .collect()
     }
+}
+
+/// Where a value of a rewritten query comes from: a constant of the input
+/// query (the `ConstEq` conjunct at this index of its `WHERE` clause) or a
+/// column of a bound tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PlanValue {
+    /// The constant of the input query's conjunct at this index.
+    Const(u32),
+    /// A column of a bound slot.
+    Column {
+        /// The slot.
+        slot: u32,
+        /// The column offset.
+        offset: u32,
+    },
+}
+
+impl PlanValue {
+    fn column(at: SlotColumn) -> Self {
+        PlanValue::Column { slot: at.slot as u32, offset: at.offset as u32 }
+    }
+}
+
+/// One candidate index key of every rewritten query with one bound mask,
+/// in [`candidate_keys`](crate::candidate_keys) order (see
+/// [`RewritePlan::keys`]).
+///
+/// Which keys a query has, their levels and their order depend on its
+/// `WHERE` clause's shape alone — the sort never gets to compare two values,
+/// because an attribute has at most one value-level candidate — so an
+/// attribute-level candidate is interned once and a value-level one only
+/// lacks its value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanKey(KeyKind);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum KeyKind {
+    /// An attribute-level candidate, interned.
+    Attribute(HashedKey),
+    /// The value-level candidate `relation + attribute + value`.
+    Value {
+        /// The attribute: side `attr % 2` (left first) of the input query's
+        /// conjunct `attr / 2`.
+        attr: u32,
+        /// Where the value comes from.
+        value: PlanValue,
+    },
+}
+
+impl PlanKey {
+    /// The level of the candidate.
+    pub fn level(&self) -> IndexLevel {
+        match self.0 {
+            KeyKind::Attribute(_) => IndexLevel::Attribute,
+            KeyKind::Value { .. } => IndexLevel::Value,
+        }
+    }
+
+    /// The interned candidate of the query `bound` makes of `plan`'s input
+    /// query (written straight into the scratch buffer the intern probe
+    /// reads: no [`IndexKey`] is built).
+    pub fn hashed<B: Bound + ?Sized>(&self, plan: &RewritePlan, bound: &B) -> HashedKey {
+        match &self.0 {
+            KeyKind::Attribute(hashed) => hashed.clone(),
+            KeyKind::Value { attr, value } => {
+                let (attr, value) = (plan.attr(*attr), plan.value(*value, bound));
+                intern_with(|buf| {
+                    write_key_text(buf, &attr.relation, &attr.attribute, Some(value));
+                })
+            }
+        }
+    }
+
+    /// The candidate as an [`IndexKey`].
+    pub fn index_key<B: Bound + ?Sized>(&self, plan: &RewritePlan, bound: &B) -> IndexKey {
+        match &self.0 {
+            KeyKind::Attribute(hashed) => {
+                let (relation, attribute) =
+                    hashed.as_str().split_once('+').expect("an attribute key is `R+A`");
+                IndexKey::attribute(relation, attribute)
+            }
+            KeyKind::Value { attr, value } => {
+                let attr = plan.attr(*attr);
+                IndexKey::value(&attr.relation, &attr.attribute, plan.value(*value, bound).clone())
+            }
+        }
+    }
+}
+
+/// What a tuple does to a rewritten query ([`RewritePlan::trigger`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Trigger {
+    /// The tuple does not extend the binding.
+    Mismatch,
+    /// The tuple completes the binding: the answer row.
+    Answer(Vec<Value>),
+    /// The tuple extends the binding: the child binds its slot too.
+    Child,
+}
+
+/// Slot counts up to which every bound mask's candidate keys are memoised
+/// (one lazily filled entry per mask); wider plans derive them per call.
+const MEMO_SLOTS: usize = 8;
+
+/// An input query's plan for the rewrite pipeline: its [`JoinPlan`], and
+/// what every rewritten query it spawns derives from the bound mask alone
+/// (see the module docs). Compiled once per query and shared by every
+/// descendant.
+#[derive(Debug)]
+pub struct RewritePlan {
+    plan: JoinPlan,
+    query: Arc<JoinQuery>,
+    /// Per slot: the columns a `DISTINCT` query's duplicate filter projects
+    /// a tuple of the slot on, ascending (nothing for other queries).
+    dedup: Box<[Box<[AttrIndex]>]>,
+    /// Per bound mask (plans of at most `MEMO_SLOTS` slots): the candidate
+    /// keys, filled at first use.
+    keys: Box<[OnceLock<Box<[PlanKey]>>]>,
+}
+
+impl RewritePlan {
+    /// Compiles `query` against `catalog` (see [`JoinPlan::new`]; a plan
+    /// binds at most 64 slots).
+    pub fn new(query: Arc<JoinQuery>, catalog: &Catalog) -> Result<Self, QueryError> {
+        let slots = query.relations().len();
+        if slots > 64 {
+            return Err(QueryError::TooManyRelations { count: slots });
+        }
+        let plan = JoinPlan::new(&query, catalog)?;
+        // Only a `DISTINCT` query's duplicate filter projects.
+        let mut dedup = vec![Vec::new(); if query.distinct() { slots } else { 0 }];
+        if query.distinct() {
+            let columns = plan.conjuncts.iter().flat_map(|conjunct| match conjunct {
+                PlanConjunct::Const(at, _) => [Some(at), None],
+                PlanConjunct::Join(a, b) => [Some(a), Some(b)],
+            });
+            let selected = plan.select.iter().filter_map(|item| match item {
+                PlanItem::Column(at) => Some(at),
+                PlanItem::Const(_) => None,
+            });
+            for at in columns.flatten().chain(selected) {
+                dedup[at.slot].push(at.offset);
+            }
+        }
+        let dedup = dedup
+            .into_iter()
+            .map(|mut offsets| {
+                offsets.sort_unstable();
+                offsets.dedup();
+                offsets.into_boxed_slice()
+            })
+            .collect();
+        let memo = if slots <= MEMO_SLOTS { 1 << slots } else { 0 };
+        let keys = (0..memo).map(|_| OnceLock::new()).collect();
+        Ok(RewritePlan { plan, query, dedup, keys })
+    }
+
+    /// The compiled plan.
+    pub fn plan(&self) -> &JoinPlan {
+        &self.plan
+    }
+
+    /// The input query.
+    pub fn query(&self) -> &Arc<JoinQuery> {
+        &self.query
+    }
+
+    /// The mask with every slot bound.
+    fn full_mask(&self) -> u64 {
+        u64::MAX >> (64 - self.plan.relations.len())
+    }
+
+    /// Whether `bound` can be a binding of this plan: every bound slot
+    /// exists and its tuple is [admitted](JoinPlan::admit) to it — what the
+    /// plan's column offsets rely on. Bindings built from
+    /// [`trigger`](Self::trigger) always are; ones that arrived from
+    /// elsewhere are checked.
+    pub fn holds(&self, bound: &Bindings) -> bool {
+        let full = self.full_mask();
+        bound.mask() & !full == 0
+            && (0..self.plan.relations.len()).all(|slot| match bound.tuple(slot) {
+                Some(tuple) => self.plan.admit(tuple) == Some(slot),
+                None => true,
+            })
+    }
+
+    /// The slot a tuple of `relation` binds in a rewritten query whose bound
+    /// slots are `mask`: its relation's, unless that is bound already (the
+    /// rewritten query no longer mentions it) or not in `FROM`.
+    pub fn trigger_slot(&self, mask: u64, relation: &str) -> Option<usize> {
+        self.plan.slot_of(relation).filter(|slot| mask & (1 << slot) == 0)
+    }
+
+    /// One rewrite step: `tuple` triggers the rewritten query `bound` makes
+    /// of the input query at its [`trigger_slot`](Self::trigger_slot)
+    /// `slot`. It mismatches unless the plan admits it to the slot and it
+    /// joins every bound slot — exactly when
+    /// [`rewrite`](crate::rewrite()) of that query would not mismatch; a
+    /// binding it completes is an answer row, any other a child with `slot`
+    /// bound too.
+    pub fn trigger(&self, bound: &Bindings, slot: usize, tuple: &Tuple) -> Trigger {
+        let plan = &self.plan;
+        if plan.admit(tuple) != Some(slot) || !plan.joins(slot, tuple, bound) {
+            return Trigger::Mismatch;
+        }
+        if bound.mask() | 1 << slot == self.full_mask() {
+            Trigger::Answer(plan.project(&BoundWith { base: bound, slot, tuple }))
+        } else {
+            Trigger::Child
+        }
+    }
+
+    /// The columns a `DISTINCT` query's duplicate filter projects a tuple of
+    /// `slot` on: every attribute of the slot's relation its `SELECT` list
+    /// or `WHERE` clause names, in schema order. While the slot is unbound
+    /// every such reference survives the rewrite (a join with a bound slot
+    /// becomes a selection on the same column), so the projection Section 4's
+    /// duplicate elimination takes of any rewritten query is this one (empty
+    /// for a query that is not `DISTINCT`).
+    pub fn dedup_offsets(&self, slot: usize) -> &[AttrIndex] {
+        self.dedup.get(slot).map_or(&[], |offsets| offsets)
+    }
+
+    /// The relations of the unbound slots, in `FROM` order: the rewritten
+    /// query's `FROM` list.
+    pub fn unbound_relations(&self, mask: u64) -> impl Iterator<Item = &Name> + '_ {
+        let bound = move |slot: usize| mask & (1 << slot) != 0;
+        self.plan.relations.iter().enumerate().filter(move |(s, _)| !bound(*s)).map(|(_, r)| r)
+    }
+
+    /// The attribute side `index % 2` of the input query's conjunct
+    /// `index / 2` names (a selection has one side).
+    fn attr(&self, index: u32) -> &QualifiedAttr {
+        match &self.query.conjuncts()[index as usize / 2] {
+            Conjunct::JoinEq(a, _) if index.is_multiple_of(2) => a,
+            Conjunct::JoinEq(_, b) => b,
+            Conjunct::ConstEq(a, _) => a,
+        }
+    }
+
+    /// The first conjunct side that names `relation.attribute` (see
+    /// [`attr`](Self::attr)); every candidate key names one.
+    fn attr_index(&self, relation: &str, attribute: &str) -> u32 {
+        let sides = self.query.conjuncts().iter().enumerate().flat_map(|(i, c)| match c {
+            Conjunct::JoinEq(a, b) => [Some((2 * i, a)), Some((2 * i + 1, b))],
+            Conjunct::ConstEq(a, _) => [Some((2 * i, a)), None],
+        });
+        let found =
+            sides.flatten().find(|(_, a)| a.relation == *relation && a.attribute == *attribute);
+        found.expect("a candidate key names a conjunct attribute").0 as u32
+    }
+
+    /// The value `source` denotes for the bound tuples `bound`.
+    fn value<'a, B: Bound + ?Sized>(&'a self, source: PlanValue, bound: &'a B) -> &'a Value {
+        match source {
+            PlanValue::Const(index) => match &self.plan.conjuncts[index as usize] {
+                PlanConjunct::Const(_, value) => value,
+                PlanConjunct::Join(..) => unreachable!("a constant source names a selection"),
+            },
+            PlanValue::Column { slot, offset } => {
+                let tuple = bound.tuple(slot as usize).expect("a column source is bound");
+                &tuple.values()[offset as usize]
+            }
+        }
+    }
+
+    /// The rewritten query's `WHERE` clause when the slots `free` rejects
+    /// are bound, conjunct by conjunct in `WHERE` order: a join between two
+    /// unbound slots, or a selection — the column it pins and where its
+    /// value comes from.
+    fn rewritten<'a>(
+        &'a self,
+        free: impl Fn(usize) -> bool + 'a,
+    ) -> impl Iterator<Item = Rewritten<'a>> + 'a {
+        let conjuncts = self.query.conjuncts().iter().zip(&self.plan.conjuncts).enumerate();
+        conjuncts.filter_map(move |(index, pair)| match pair {
+            (Conjunct::ConstEq(attr, _), PlanConjunct::Const(at, _)) if free(at.slot) => {
+                Some(Rewritten::Pin(attr, *at, PlanValue::Const(index as u32)))
+            }
+            (Conjunct::JoinEq(a, b), PlanConjunct::Join(ca, cb)) => {
+                match (free(ca.slot), free(cb.slot)) {
+                    (true, true) => Some(Rewritten::Join(a, b)),
+                    (false, true) => Some(Rewritten::Pin(b, *cb, PlanValue::column(*ca))),
+                    (true, false) => Some(Rewritten::Pin(a, *ca, PlanValue::column(*cb))),
+                    (false, false) => None,
+                }
+            }
+            _ => None,
+        })
+    }
+
+    /// The `WHERE` clause of the query `bound` makes of the input query, in
+    /// `WHERE` order: what [`rewrite`](crate::rewrite()) would have left of
+    /// it after binding the same tuples.
+    pub(crate) fn conjuncts<'a, B: Bound + ?Sized>(
+        &'a self,
+        bound: &'a B,
+    ) -> impl Iterator<Item = ConjunctRef<'a>> + 'a {
+        self.rewritten(|slot| bound.tuple(slot).is_none()).map(|conjunct| match conjunct {
+            Rewritten::Join(a, b) => ConjunctRef::Join(a, b),
+            Rewritten::Pin(attr, _, source) => ConjunctRef::Const(attr, self.value(source, bound)),
+        })
+    }
+
+    /// The selections of that clause, in `WHERE` order, with the column
+    /// each pins: [`JoinPlan::pins`] with the attribute named. A trigger
+    /// index partitions stored queries by the first pin of the slot the key
+    /// relation binds.
+    pub fn pins<'a, B: Bound + ?Sized>(
+        &'a self,
+        bound: &'a B,
+    ) -> impl Iterator<Item = (SlotColumn, &'a QualifiedAttr, &'a Value)> + 'a {
+        self.rewritten(|slot| bound.tuple(slot).is_none()).filter_map(|conjunct| match conjunct {
+            Rewritten::Pin(attr, at, source) => Some((at, attr, self.value(source, bound))),
+            Rewritten::Join(..) => None,
+        })
+    }
+
+    /// The candidate index keys of every rewritten query whose bound slots
+    /// are `mask`, in [`candidate_keys`](crate::candidate_keys) order.
+    /// Memoised per mask.
+    pub fn keys(&self, mask: u64) -> Cow<'_, [PlanKey]> {
+        match self.keys.get(mask as usize) {
+            Some(memo) => Cow::Borrowed(memo.get_or_init(|| self.derive_keys(mask))),
+            None => Cow::Owned(self.derive_keys(mask).into_vec()),
+        }
+    }
+
+    /// [`keys`](Self::keys), derived: [`candidate_keys`]' derivation run on
+    /// the rewritten clause with each value replaced by its source's number,
+    /// read back out of the value-level keys.
+    ///
+    /// [`candidate_keys`]: crate::candidate_keys
+    fn derive_keys(&self, mask: u64) -> Box<[PlanKey]> {
+        let mut sources = Vec::new();
+        let numbered: Vec<Conjunct> = self
+            .rewritten(|slot| mask & (1 << slot) == 0)
+            .map(|conjunct| match conjunct {
+                Rewritten::Join(a, b) => Conjunct::JoinEq(a.clone(), b.clone()),
+                Rewritten::Pin(attr, _, source) => {
+                    sources.push(source);
+                    Conjunct::ConstEq(attr.clone(), Value::from(sources.len() as i64 - 1))
+                }
+            })
+            .collect();
+        let keys: Vec<PlanKey> = keys_of(&numbered)
+            .into_iter()
+            .map(|key| match key {
+                IndexKey::Value { relation, attribute, value: Value::Int(n) } => {
+                    PlanKey(KeyKind::Value {
+                        attr: self.attr_index(&relation, &attribute),
+                        value: sources[n as usize],
+                    })
+                }
+                key => PlanKey(KeyKind::Attribute(key.hashed())),
+            })
+            .collect();
+        keys.into_boxed_slice()
+    }
+
+    /// The `SELECT` list of the query `bound` makes of the input query:
+    /// items of bound slots resolved to constants.
+    pub fn select_at<B: Bound + ?Sized>(&self, bound: &B) -> Vec<SelectItem> {
+        self.query
+            .select()
+            .iter()
+            .zip(&self.plan.select)
+            .map(|(item, compiled)| match compiled {
+                PlanItem::Column(at) => match bound.tuple(at.slot) {
+                    Some(tuple) => SelectItem::Const(tuple.values()[at.offset].clone()),
+                    None => item.clone(),
+                },
+                PlanItem::Const(_) => item.clone(),
+            })
+            .collect()
+    }
+
+    /// The query `bound` makes of the input query, built: the query the
+    /// rewrite cascade reaches by binding the same tuples one at a time.
+    pub fn materialize<B: Bound + ?Sized>(&self, bound: &B) -> JoinQuery {
+        let mask = (0..self.plan.relations.len())
+            .filter(|slot| bound.tuple(*slot).is_some())
+            .fold(0, |mask, slot| mask | 1 << slot);
+        JoinQuery::from_parts_unchecked(
+            self.query.distinct(),
+            self.select_at(bound),
+            self.unbound_relations(mask).cloned().collect(),
+            self.conjuncts(bound).map(ConjunctRef::to_conjunct).collect(),
+            *self.query.window(),
+        )
+    }
+}
+
+/// One conjunct of a rewritten query's `WHERE` clause, by where it comes
+/// from (see `RewritePlan::rewritten`).
+enum Rewritten<'a> {
+    /// A join between two unbound slots.
+    Join(&'a QualifiedAttr, &'a QualifiedAttr),
+    /// A selection on an unbound slot's column, and its value's source.
+    Pin(&'a QualifiedAttr, SlotColumn, PlanValue),
 }
 
 #[cfg(test)]
@@ -261,7 +829,7 @@ mod tests {
         );
         assert_eq!(plan.join_columns(), [at(0, 0), at(1, 0), at(1, 2), at(2, 1)]);
         let (r, s, t) = (tuple("R", [1, 0, 0]), tuple("S", [1, 4, 9]), tuple("T", [0, 9, 5]));
-        assert_eq!(plan.project(&[Some(&r), Some(&s), Some(&t)]), [5, 7, 1].map(Value::from));
+        assert_eq!(plan.project(&vec![Some(&r), Some(&s), Some(&t)]), [5, 7, 1].map(Value::from));
     }
 
     #[test]
@@ -284,7 +852,7 @@ mod tests {
         .unwrap();
         let plan = JoinPlan::new(&q, &catalog()).unwrap();
         let r = tuple("R", [1, 0, 2]);
-        let bound = [Some(&r), None, None];
+        let bound = vec![Some(&r), None, None];
         let pins: Vec<_> = plan.pins(&bound).collect();
         // In `WHERE` order: R pins S.A and T.C, the constant pins T.A.
         let (one, two, three) = (Value::from(1), Value::from(2), Value::from(3));
@@ -293,7 +861,7 @@ mod tests {
         assert!(!plan.joins(1, &tuple("S", [2, 5, 0]), &bound));
         // With S bound too, T must agree with both.
         let s = tuple("S", [1, 5, 0]);
-        let bound = [Some(&r), Some(&s), None];
+        let bound = vec![Some(&r), Some(&s), None];
         assert!(plan.joins(2, &tuple("T", [3, 5, 2]), &bound));
         assert!(!plan.joins(2, &tuple("T", [3, 6, 2]), &bound));
         assert!(!plan.joins(2, &tuple("T", [3, 5, 1]), &bound));

@@ -127,7 +127,12 @@ impl IndexKey {
 }
 
 /// Appends the canonical text of the key `relation + attribute [+ value]`.
-fn write_key_text(out: &mut String, relation: &str, attribute: &str, value: Option<&Value>) {
+pub(crate) fn write_key_text(
+    out: &mut String,
+    relation: &str,
+    attribute: &str,
+    value: Option<&Value>,
+) {
     out.push_str(relation);
     out.push('+');
     out.push_str(attribute);
@@ -138,7 +143,7 @@ fn write_key_text(out: &mut String, relation: &str, attribute: &str, value: Opti
 }
 
 /// Interns the key text `write` assembles in the per-thread scratch buffer.
-fn intern_with(write: impl FnOnce(&mut String)) -> HashedKey {
+pub(crate) fn intern_with(write: impl FnOnce(&mut String)) -> HashedKey {
     use std::cell::RefCell;
     thread_local! {
         static KEY_BUF: RefCell<String> = const { RefCell::new(String::new()) };
@@ -253,7 +258,7 @@ pub fn candidate_keys(query: &JoinQuery) -> Vec<IndexKey> {
     keys_of(query.conjuncts())
 }
 
-fn keys_of(conjuncts: &[Conjunct]) -> Vec<IndexKey> {
+pub(crate) fn keys_of(conjuncts: &[Conjunct]) -> Vec<IndexKey> {
     // Each conjunct mentions at most two attributes, which bounds the
     // distinct-attribute universe the union-find can see.
     let mut uf = AttrUnionFind::with_capacity(conjuncts.len() * 2);
@@ -302,109 +307,6 @@ fn keys_of(conjuncts: &[Conjunct]) -> Vec<IndexKey> {
     keys.sort();
     keys.dedup();
     keys
-}
-
-/// One candidate index key of **every** query of one shape (same `WHERE`
-/// clause up to its constants): position `i` of a template list is position
-/// `i` of [`candidate_keys`] of any such query.
-///
-/// Which keys a query has, their levels and their order depend on the shape
-/// alone — the sort never gets to compare two values, because an attribute
-/// has at most one value-level candidate. Attribute-level candidates are
-/// therefore fully static (interned once, when the template is built) and a
-/// value-level candidate only lacks the constant, which it reads from a fixed
-/// `WHERE` slot of the query it is instantiated for. A compiled program
-/// ([`crate::SubJoinProgram::child_keys`]) carries the templates of the
-/// children it emits, so re-indexing a rewritten query instantiates them
-/// instead of re-deriving its candidates from scratch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KeyTemplate {
-    /// An attribute-level candidate and its interned form.
-    Attribute {
-        /// The candidate.
-        key: IndexKey,
-        /// `key.hashed()`.
-        hashed: HashedKey,
-    },
-    /// The value-level candidate `relation + attribute + v`, with `v` the
-    /// constant of the query's `ConstEq` conjunct at `slot`.
-    Value {
-        /// Relation name.
-        relation: Name,
-        /// Attribute name.
-        attribute: Name,
-        /// Position of the conjunct that supplies the value.
-        slot: usize,
-    },
-}
-
-impl KeyTemplate {
-    /// The level of the candidate.
-    pub fn level(&self) -> IndexLevel {
-        match self {
-            KeyTemplate::Attribute { .. } => IndexLevel::Attribute,
-            KeyTemplate::Value { .. } => IndexLevel::Value,
-        }
-    }
-
-    /// The constant a value-level candidate takes from `query`; `None` for
-    /// attribute-level candidates — and for a `query` that is not of the
-    /// template's shape (no `ConstEq` at the slot).
-    fn value_in<'q>(&self, query: &'q JoinQuery) -> Option<&'q Value> {
-        let KeyTemplate::Value { slot, .. } = self else { return None };
-        match query.conjuncts().get(*slot)? {
-            Conjunct::ConstEq(_, value) => Some(value),
-            Conjunct::JoinEq(..) => None,
-        }
-    }
-
-    /// The candidate for `query`, or `None` when `query` is not of the
-    /// template's shape.
-    pub fn instantiate(&self, query: &JoinQuery) -> Option<IndexKey> {
-        match self {
-            KeyTemplate::Attribute { key, .. } => Some(key.clone()),
-            KeyTemplate::Value { relation, attribute, .. } => {
-                Some(IndexKey::value(relation, attribute, self.value_in(query)?.clone()))
-            }
-        }
-    }
-
-    /// `self.instantiate(query)?.hashed()` without building the key: the
-    /// static part is already interned or written straight into the scratch
-    /// buffer the intern probe reads.
-    pub fn hashed(&self, query: &JoinQuery) -> Option<HashedKey> {
-        match self {
-            KeyTemplate::Attribute { hashed, .. } => Some(hashed.clone()),
-            KeyTemplate::Value { relation, attribute, .. } => {
-                let value = self.value_in(query)?;
-                Some(intern_with(|buf| write_key_text(buf, relation, attribute, Some(value))))
-            }
-        }
-    }
-}
-
-/// The candidate-key templates of every query whose `WHERE` clause has the
-/// shape of `conjuncts`: runs [`candidate_keys`]' derivation once on a copy
-/// of the clause whose constants are replaced by their own slot numbers, and
-/// reads the slots back out of the value-level keys.
-pub(crate) fn key_templates(conjuncts: &[Conjunct]) -> Vec<KeyTemplate> {
-    let numbered: Vec<Conjunct> = conjuncts
-        .iter()
-        .enumerate()
-        .map(|(slot, conjunct)| match conjunct {
-            Conjunct::ConstEq(attr, _) => Conjunct::ConstEq(attr.clone(), Value::from(slot as i64)),
-            join @ Conjunct::JoinEq(..) => join.clone(),
-        })
-        .collect();
-    keys_of(&numbered)
-        .into_iter()
-        .map(|key| match key {
-            IndexKey::Value { relation, attribute, value: Value::Int(slot) } => {
-                KeyTemplate::Value { relation, attribute, slot: slot as usize }
-            }
-            key => KeyTemplate::Attribute { hashed: key.hashed(), key },
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -12,15 +12,15 @@
 //! * [`rewrite`] — the incremental rewriting step at the heart of RJoin:
 //!   substituting an incoming tuple into a query produces either a smaller
 //!   query, a complete answer, or a mismatch,
-//! * [`compile_trigger`] / [`compile_subjoin`] — compilation of that
-//!   rewriting step into flat predicate programs,
-//! * [`JoinPlan`] — a whole query compiled into slots and column offsets,
-//!   for joins that bind tuple references inside one node (hypercube
-//!   cells) instead of rewriting the query once per bound tuple,
-//! * [`IndexKey`] / [`candidate_keys`] / [`KeyTemplate`] — derivation of the
-//!   attribute-level and value-level DHT keys under which queries and
-//!   tuples are indexed (Sections 3 and 6 of the paper), per query or once
-//!   per query shape,
+//! * [`compile_subjoin`] — compilation of that rewriting step into a flat
+//!   predicate program (the rewrite's compiled oracle),
+//! * [`JoinPlan`] / [`RewritePlan`] — a whole query compiled once into
+//!   slots and column offsets, joined by binding tuple references instead
+//!   of rewriting the query once per bound tuple: a rewritten query is its
+//!   input query's plan plus [`Bindings`],
+//! * [`IndexKey`] / [`candidate_keys`] — derivation of the attribute-level
+//!   and value-level DHT keys under which queries and tuples are indexed
+//!   (Sections 3 and 6 of the paper),
 //! * [`plan`] — join-graph shape classification (GYO
 //!   ear-removal, acyclic vs cyclic) and the per-query cost model choosing
 //!   between the paper's pipeline-of-rewrites and a one-shot hypercube
@@ -29,35 +29,29 @@
 //! * [`fingerprint`] / [`subjoin_signature`] — canonical fingerprints of a
 //!   query's sub-join structure (`FROM` + `WHERE` + window, `SELECT`
 //!   abstracted away), the collision test used by shared multi-query
-//!   evaluation.
+//!   evaluation; [`SubJoin`] renders the same signature for a rewritten
+//!   query seen through its plan.
 //!
-//! # The compile pipeline
+//! # Two representations of a rewritten query
 //!
-//! Query evaluation goes through three representations:
+//! 1. **AST** — [`JoinQuery`], produced by [`parse_query`] or by a
+//!    [`rewrite`] step. Constructor-validated ([`JoinQuery::new`]) for user
+//!    input; unchecked for internal construction.
+//! 2. **Plan plus bindings** — the input query compiled once into a
+//!    [`RewritePlan`]: every attribute reference checked against the `FROM`
+//!    list and resolved to a slot and column offset, constants and join
+//!    edges in `WHERE` order. A rewritten query is that plan plus the tuples
+//!    bound so far; a trigger is offset checks, an answer a projection, and
+//!    everything that depends only on *which* slots are bound — the
+//!    candidate keys above all — is derived once per bound mask.
 //!
-//! 1. **AST** — [`JoinQuery`], produced by [`parse_query`] or by a rewrite
-//!    step. Constructor-validated ([`JoinQuery::new`]) for user input;
-//!    unchecked for engine-internal construction.
-//! 2. **Validated IR** — at compile time every attribute reference is
-//!    checked against the `FROM` list (orphaned residue from unchecked
-//!    construction is rejected) and resolved to a column offset against the
-//!    catalog schema, yielding flat [`EmitStep`]/[`SelectStep`] sequences.
-//! 3. **Program** — a [`SubJoinProgram`] (the projection-agnostic and
-//!    constant-agnostic `WHERE` rewrite template: one per sub-join *shape*,
-//!    shared by every query that differs only in the values it was
-//!    rewritten with — see [`shape_fingerprint`]) paired with a per-query
-//!    `SELECT` plan in a [`CompiledTrigger`]. Executing a tuple for a
-//!    stored query is then a linear scan: pre-folded constant filters
-//!    first, then self-join filters, then template emission — no AST walk,
-//!    no string comparison, no schema lookup. The program also carries the
-//!    candidate index keys of the children it emits as [`KeyTemplate`]s.
-//!
-//! The AST interpreter ([`rewrite`]) remains the semantics oracle: the
-//! engine never runs it, property tests assert program results (and the
-//! hypercube cells' [`JoinPlan`] bindings) are byte-identical to it, and
-//! shared sub-join evaluation
-//! projects each subscriber's `SELECT` list with the name-based
-//! [`project_select`] once, when the shared `WHERE` clause completes.
+//! The AST interpreter ([`rewrite`]) is the semantics oracle: the engine
+//! never runs it, and property tests assert that the plan's triggers,
+//! answers, children, candidate keys, pins and signatures (and the
+//! compiled programs' results) are those of the rewrite cascade. Shared
+//! sub-join evaluation projects each subscriber's `SELECT` list with the
+//! name-based [`project_select`] once, when the shared `WHERE` clause
+//! completes.
 //!
 //! # Example
 //!
@@ -91,15 +85,13 @@ mod rewrite;
 mod window;
 
 pub use ast::{Conjunct, EmitStep, JoinQuery, QualifiedAttr, SelectItem, SelectStep};
-pub use compile::{compile_subjoin, compile_trigger, probe_pins, CompiledTrigger, SubJoinProgram};
+pub use compile::{compile_subjoin, probe_pins, SubJoinProgram};
 pub use error::QueryError;
 pub use fingerprint::{
-    fingerprint, shape_fingerprint, subjoin_signature, subjoin_signature_eq, Fingerprint,
+    fingerprint, subjoin_eq, subjoin_fingerprint, subjoin_signature, Fingerprint, SubJoin,
 };
-pub use join_plan::{JoinPlan, SlotColumn};
-pub use keys::{
-    candidate_keys, tuple_index_key_iter, tuple_index_keys, IndexKey, IndexLevel, KeyTemplate,
-};
+pub use join_plan::{Bindings, Bound, JoinPlan, PlanKey, RewritePlan, SlotColumn, Trigger};
+pub use keys::{candidate_keys, tuple_index_key_iter, tuple_index_keys, IndexKey, IndexLevel};
 pub use parser::parse_query;
 pub use plan::{
     allocate_shares, classify_shape, plan_query, HypercubeAxis, HypercubePlan, JoinGraph,

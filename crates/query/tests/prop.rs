@@ -3,11 +3,10 @@
 
 use proptest::prelude::*;
 use rjoin_query::{
-    candidate_keys, compile_subjoin, compile_trigger, parse_query, rewrite, shape_fingerprint,
-    CompiledTrigger, Conjunct, IndexLevel, JoinQuery, QualifiedAttr, RewriteResult, SelectItem,
-    WindowSpec,
+    candidate_keys, compile_subjoin, parse_query, rewrite, Bindings, Conjunct, IndexLevel,
+    JoinQuery, QualifiedAttr, RewritePlan, RewriteResult, SelectItem, Trigger, WindowSpec,
 };
-use rjoin_relation::{Schema, Tuple, Value};
+use rjoin_relation::{Catalog, Schema, Tuple, Value};
 use std::sync::Arc;
 
 /// Strategy producing random chain-join queries over relations `R0..R5` with
@@ -98,6 +97,36 @@ fn tuple_of(relation: &str, values: &[i64]) -> Tuple {
 
 fn schema_for(relation: &str) -> Schema {
     Schema::new(relation, ["A0", "A1", "A2", "A3"]).unwrap()
+}
+
+/// `R0..R5`, each with the attributes of [`schema_for`].
+fn catalog() -> Catalog {
+    let mut catalog = Catalog::new();
+    for i in 0..6 {
+        catalog.register(schema_for(&format!("R{i}"))).unwrap();
+    }
+    catalog
+}
+
+/// One rewrite step on the plan, as the rewrite cascade reports it: the
+/// answer row, the child (bindings plus the tuple) built, or a mismatch —
+/// with the child's bindings.
+fn plan_step(
+    plan: &RewritePlan,
+    bound: &Bindings,
+    tuple: &Arc<Tuple>,
+) -> (RewriteResult, Option<Bindings>) {
+    let Some(slot) = plan.trigger_slot(bound.mask(), tuple.relation()) else {
+        return (RewriteResult::Mismatch, None);
+    };
+    match plan.trigger(bound, slot, tuple) {
+        Trigger::Mismatch => (RewriteResult::Mismatch, None),
+        Trigger::Answer(row) => (RewriteResult::Complete(row), None),
+        Trigger::Child => {
+            let child = bound.with(slot, tuple);
+            (RewriteResult::Partial(plan.materialize(&child)), Some(child))
+        }
+    }
 }
 
 fn arb_tuple_for(relation: String) -> impl Strategy<Value = Tuple> {
@@ -215,7 +244,7 @@ proptest! {
                 0,
             );
             let interpreted = rewrite(&current, &tuple, &schema).unwrap();
-            let program = compile_trigger(&current, &schema).unwrap();
+            let program = compile_subjoin(&current, &schema).unwrap();
             let compiled = program.execute(&current, &tuple).unwrap();
             prop_assert_eq!(&compiled, &interpreted);
             match interpreted {
@@ -225,87 +254,66 @@ proptest! {
         }
     }
 
-    /// Programs are per shape: driving two copies of one query through the
-    /// same relations but **different tuples** yields, step by step, two
-    /// queries of one shape with different constants. A program compiled
-    /// from the first serves the second — `matches_source` and the shape
-    /// fingerprint agree they are the same — and, run for the second, it
-    /// produces exactly what the interpreter produces for the second: the
-    /// same mismatches, byte-identical children and answer rows.
+    /// One plan serves every query its input query spawns: driving two
+    /// bindings of one input query through the same relations but
+    /// **different tuples** yields, step by step, two rewritten queries of
+    /// one shape with different constants. The input query's plan, run on
+    /// either binding, produces exactly what the interpreter produces for
+    /// the query that binding denotes: the same mismatches, byte-identical
+    /// children and answer rows.
     #[test]
     fn a_program_serves_every_query_of_its_shape(
         query in arb_query(),
         steps in arb_steps(),
         other_values in proptest::collection::vec(proptest::collection::vec(0i64..5, 4), 12),
     ) {
-        let (mut ours, mut theirs) = (query.clone(), query);
+        let catalog = catalog();
+        let plan = RewritePlan::new(Arc::new(query.clone()), &catalog).unwrap();
+        let (mut ours, mut theirs) = (Bindings::default(), Bindings::default());
         for (step, (rel_pick, values)) in steps.into_iter().enumerate() {
-            prop_assert_eq!(shape_fingerprint(&ours), shape_fingerprint(&theirs));
-            let relation = ours.relations()[rel_pick % ours.relations().len()].clone();
+            let relations: Vec<_> = plan.unbound_relations(ours.mask()).cloned().collect();
+            let relation = relations[rel_pick % relations.len()].clone();
             let schema = schema_for(&relation);
-            let shared = Arc::new(compile_subjoin(&ours, &schema).unwrap());
-            prop_assert!(shared.matches_source(&theirs, &relation));
-            for (query, tuple) in [
-                (&ours, tuple_of(&relation, &values)),
-                (&theirs, tuple_of(&relation, &values)),
-                (&theirs, tuple_of(&relation, &other_values[step])),
-            ] {
-                let trigger = CompiledTrigger::new(Arc::clone(&shared), query, &schema).unwrap();
-                let compiled = trigger.execute(query, &tuple).unwrap();
-                prop_assert_eq!(compiled, rewrite(query, &tuple, &schema).unwrap());
+            let mut next = Vec::new();
+            for (bound, values) in [(&ours, &values), (&theirs, &values), (&theirs, &other_values[step])] {
+                let tuple = Arc::new(tuple_of(&relation, values));
+                let (planned, child) = plan_step(&plan, bound, &tuple);
+                prop_assert_eq!(&planned, &rewrite(&plan.materialize(bound), &tuple, &schema).unwrap());
+                next.push(child);
             }
-            // Advance both copies over the same relation with their own
-            // tuples; stop as soon as either leaves the common shape.
-            let ours_next = rewrite(&ours, &tuple_of(&relation, &values), &schema).unwrap();
-            let theirs_next =
-                rewrite(&theirs, &tuple_of(&relation, &other_values[step]), &schema).unwrap();
-            match (ours_next, theirs_next) {
-                (RewriteResult::Partial(a), RewriteResult::Partial(b)) => (ours, theirs) = (a, b),
+            // Advance both over the same relation with their own tuples;
+            // stop as soon as either leaves the common shape.
+            match (next.swap_remove(0), next.swap_remove(1)) {
+                (Some(a), Some(b)) => (ours, theirs) = (a, b),
                 _ => break,
             }
         }
     }
 
-    /// The key templates a program carries for its children are
+    /// The candidate keys a plan memoises for a child's bound mask are
     /// `candidate_keys(child)`, element for element and in the same order,
-    /// and interning through the template equals interning the key.
+    /// and interning through the plan equals interning the key.
     #[test]
     fn child_key_templates_equal_candidate_keys_of_the_child(
         query in arb_query(),
         steps in arb_steps(),
     ) {
-        let mut current = query;
+        let plan = RewritePlan::new(Arc::new(query), &catalog()).unwrap();
+        let mut bound = Bindings::default();
         for (rel_pick, values) in steps {
-            let relation = current.relations()[rel_pick % current.relations().len()].clone();
-            let schema = schema_for(&relation);
-            let program = compile_trigger(&current, &schema).unwrap();
-            let tuple = tuple_of(&relation, &values);
-            let RewriteResult::Partial(child) = program.execute(&current, &tuple).unwrap() else {
-                break;
-            };
-            let expected = candidate_keys(&child);
-            let templates = program.shared().child_keys();
-            prop_assert_eq!(templates.len(), expected.len());
-            for (template, key) in templates.iter().zip(&expected) {
-                prop_assert_eq!(template.level(), key.level());
-                prop_assert_eq!(template.instantiate(&child), Some(key.clone()));
-                prop_assert_eq!(template.hashed(&child), Some(key.hashed()));
+            let relations: Vec<_> = plan.unbound_relations(bound.mask()).cloned().collect();
+            let relation = relations[rel_pick % relations.len()].clone();
+            let tuple = Arc::new(tuple_of(&relation, &values));
+            let (_, Some(child)) = plan_step(&plan, &bound, &tuple) else { break };
+            let expected = candidate_keys(&plan.materialize(&child));
+            let keys = plan.keys(child.mask());
+            prop_assert_eq!(keys.len(), expected.len());
+            for (planned, key) in keys.iter().zip(&expected) {
+                prop_assert_eq!(planned.level(), key.level());
+                prop_assert_eq!(&planned.index_key(&plan, &child), key);
+                prop_assert_eq!(planned.hashed(&plan, &child), key.hashed());
             }
-            // A value-level template finds nothing in a query without the
-            // constant it names.
-            let bare = JoinQuery::new(
-                false,
-                child.select().to_vec(),
-                child.relations().to_vec(),
-                Vec::new(),
-                WindowSpec::None,
-            )
-            .unwrap();
-            for template in templates.iter().filter(|t| t.level() == IndexLevel::Value) {
-                prop_assert_eq!(template.instantiate(&bare), None);
-                prop_assert_eq!(template.hashed(&bare), None);
-            }
-            current = child;
+            bound = child;
         }
     }
 

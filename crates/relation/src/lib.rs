@@ -29,6 +29,7 @@
 //! ```
 
 mod catalog;
+mod decoded;
 mod error;
 mod name;
 mod schema;
@@ -36,6 +37,7 @@ mod tuple;
 mod value;
 
 pub use catalog::Catalog;
+pub use decoded::{write_prefixed, DecodedTable};
 pub use error::RelationError;
 pub use name::Name;
 pub use schema::{AttrIndex, Schema};

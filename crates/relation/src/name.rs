@@ -138,7 +138,38 @@ impl Deserialize for Name {
     }
 
     fn deserialize_bin(input: &mut &[u8]) -> Result<Self, BinError> {
-        bin::read_str(input).map(Name::from)
+        bin::read_str(input).map(Name::intern)
+    }
+}
+
+/// Upper bound on the per-thread table [`Name::intern`] keeps. The names of
+/// a workload are its relations and attributes, a few dozen; the cap only
+/// guards against a stream of distinct names, and clears the table when hit.
+const INTERN_CAPACITY: usize = 1 << 12;
+
+impl Name {
+    /// `Name::from(text)` through a per-thread table: a reader decoding a
+    /// frame sees the same few names over and over, and a repeat costs a
+    /// probe and a reference count instead of an allocation (and, when the
+    /// decoded message is dropped, a free).
+    fn intern(text: &str) -> Self {
+        use std::cell::RefCell;
+        use std::collections::HashSet;
+        thread_local! {
+            static NAMES: RefCell<HashSet<Name>> = RefCell::new(HashSet::new());
+        }
+        NAMES.with(|names| {
+            let mut names = names.borrow_mut();
+            if let Some(known) = names.get(text) {
+                return known.clone();
+            }
+            if names.len() >= INTERN_CAPACITY {
+                names.clear();
+            }
+            let name = Name::from(text);
+            names.insert(name.clone());
+            name
+        })
     }
 }
 

@@ -64,7 +64,13 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 ///   `ct_validity` (both are constants now).
 /// * 6 — `Configure` carries `EngineConfig`, which lost
 ///   `successor_list_len` (the simulated Chord ring's is a constant now).
-pub const FORMAT_VERSION: u8 = 6;
+/// * 7 — a `PendingQuery` is its input query (id, owner, insertion time,
+///   the query length-prefixed, the hypercube reference) plus its window
+///   span and the tuples bound so far (a slot mask, then each tuple
+///   length-prefixed) instead of the rewritten query; `original_joins` is
+///   gone. The prefixes let a receiver share what it decoded before
+///   (`rjoin_relation::DecodedTable`).
+pub const FORMAT_VERSION: u8 = 7;
 
 /// Bytes of the length prefix.
 const PREFIX_LEN: usize = 4;

@@ -331,7 +331,11 @@ fn handle_configured(rt: &mut NodeRuntime, id: Id, msg: ServiceMessage, stats: &
         }
         ServiceMessage::Absorb { transfer } => {
             stats.processed.fetch_add(1, Ordering::Relaxed);
-            rt.state.absorb(transfer.into_drained(), rt.config.share_subjoins);
+            let mut drained = transfer.into_drained();
+            // Re-homed queries crossed the wire without their plans; one
+            // that can never trigger is not taken in.
+            drained.queries.retain_mut(|stored| rt.state.adopt(&mut stored.pending, &rt.catalog));
+            rt.state.absorb(drained, rt.config.share_subjoins);
         }
         ServiceMessage::View { mut view } => {
             view.normalize();

@@ -99,7 +99,7 @@ impl ServiceMessage {
 }
 
 /// A stored query on the wire: the serializable identity of a
-/// [`StoredQuery`]. Caches (compiled trigger programs, sub-join
+/// [`StoredQuery`]. Caches (the input query's plan, sub-join
 /// fingerprints) and the `DISTINCT` duplicate filter are rebuilt at the
 /// receiver — per-query answer *sets* are unaffected.
 #[derive(Debug, Clone, Serialize, Deserialize)]

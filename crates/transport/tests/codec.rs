@@ -174,6 +174,8 @@ fn arb_subscribers() -> impl Strategy<Value = SubscriberTable> {
     proptest::collection::vec(group, 0..4).prop_map(SubscriberTable::from_groups)
 }
 
+/// A pending query with up to two of its input query's slots bound (the
+/// bound tuples take the slot's relation).
 fn arb_pending() -> impl Strategy<Value = PendingQuery> {
     (
         arb_query_id(),
@@ -181,15 +183,19 @@ fn arb_pending() -> impl Strategy<Value = PendingQuery> {
         (any::<u64>(), proptest::option::of(any::<u64>()), proptest::option::of(0u64..50)),
         arb_subscribers(),
         proptest::option::of((arb_key(), 0u32..64)),
+        proptest::collection::vec(arb_tuple(), 0..3),
     )
-        .prop_map(|(id, query, (insert_time, start, min), subscribers, cube)| {
+        .prop_map(|(id, query, (insert_time, start, min), subscribers, cube, bound)| {
             let mut pending = PendingQuery::input(id, id.owner, insert_time, query);
-            pending.window_start = start;
-            pending.window_min = min;
-            pending.window_max = min.map(|m| m + 3);
+            for (slot, tuple) in bound.into_iter().enumerate() {
+                if let Some(relation) = pending.query.relations().get(slot) {
+                    let tuple = Tuple::new(relation.clone(), tuple.values().to_vec(), 1);
+                    pending = pending.child(&Arc::new(tuple), start);
+                }
+            }
+            pending.set_window(start, min.map(|m| (m, m + 3)));
             pending.subscribers = subscribers;
-            pending.hypercube = cube.map(|(base, cells)| HypercubeRef { base, cells });
-            pending
+            pending.with_hypercube(cube.map(|(base, cells)| HypercubeRef { base, cells }))
         })
 }
 
@@ -483,4 +489,45 @@ fn the_frame_size_cap_holds_in_both_directions() {
     let mut out = b"kept".to_vec();
     assert!(matches!(encode_frame(&mut out, huge.as_str()), Err(TransportError::TooLarge { .. })));
     assert_eq!(out, b"kept", "a refused frame leaves the buffer as it was");
+}
+
+/// An `Eval` for a rewritten query with two bound tuples travels as its
+/// input query plus the slot mask and the tuples, and comes back as the
+/// same rewritten query: same input query, same bindings, nothing else.
+#[test]
+fn an_eval_with_two_bound_tuples_round_trips() {
+    let query = rjoin_query::parse_query(
+        "SELECT R0.A1, R2.A0 FROM R0, R1, R2 WHERE R0.A0 = R1.A0 AND R1.A1 = R2.A1",
+    )
+    .unwrap();
+    let id = QueryId { owner: Id(7), seq: 3 };
+    let r0 = Arc::new(Tuple::new("R0", vec![Value::from(1), Value::from("x")], 4));
+    let r2 = Arc::new(Tuple::new("R2", vec![Value::from(9), Value::from(5)], 6));
+    let pending =
+        PendingQuery::input(id, id.owner, 2, query).child(&r0, Some(4)).child(&r2, Some(4));
+    assert_eq!(pending.bound.mask(), 0b101);
+    let msg = ServiceMessage::Engine {
+        at: 11,
+        msg: RJoinMessage::Eval {
+            pending,
+            key: IndexKey::attribute("R1", "A0").hashed(),
+            level: IndexLevel::Attribute,
+            carried_ric: Vec::new(),
+        },
+    };
+    let back = decode(&frame_of(&msg)).expect("read").expect("one frame");
+    assert_eq!(json(&back), json(&msg));
+    let ServiceMessage::Engine { msg: RJoinMessage::Eval { pending: back, .. }, .. } = back else {
+        panic!("an Eval frame decodes as an Eval");
+    };
+    assert_eq!(back.bound.mask(), 0b101);
+    assert_eq!(
+        back.bound.tuples().iter().map(|t| (**t).clone()).collect::<Vec<_>>(),
+        [(*r0).clone(), (*r2).clone()]
+    );
+    assert!(back.plan().is_none(), "the plan stays behind");
+    let ServiceMessage::Engine { msg: RJoinMessage::Eval { pending, .. }, .. } = msg else {
+        unreachable!()
+    };
+    assert_eq!(back.query, pending.query);
 }
