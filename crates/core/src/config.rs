@@ -83,7 +83,8 @@ pub struct EngineConfig {
     /// Number of threads that run the rounds of
     /// [`RJoinEngine::run_until_quiescent_parallel`](crate::RJoinEngine::run_until_quiescent_parallel),
     /// decoupled from the shard count. `None` (the default) resolves at
-    /// drain time to the machine's available parallelism. The shards are
+    /// the engine's first parallel drain to the machine's available
+    /// parallelism, once per engine. The shards are
     /// dealt into that many contiguous chunks (never more than one per
     /// shard), one per thread; `1` runs every round on the calling thread.
     /// The choice never changes results — only how many threads run the
@@ -246,7 +247,7 @@ mod tests {
         assert_eq!(c.shards, 1, "the default network is one shard");
         assert_eq!(EngineConfig::default().with_shards(8).shards, 8);
         assert_eq!(EngineConfig::default().with_shards(0).shards, 1, "shards clamp to >= 1");
-        assert_eq!(c.workers, None, "worker count resolves at drain time by default");
+        assert_eq!(c.workers, None, "worker count resolves at the first parallel drain by default");
         assert_eq!(EngineConfig::default().with_workers(3).workers, Some(3));
         assert_eq!(EngineConfig::default().with_workers(0).workers, Some(1));
         assert!(c.hot_key_threshold.is_none(), "splitting is opt-in: the default is the paper");

@@ -65,6 +65,9 @@ pub struct RJoinEngine {
     pub(crate) sl: NodeLoadMap,
     /// Cumulative drive-loop counters (all zero until a drain runs a round).
     pub(crate) shard_runtime: ShardRuntimeStats,
+    /// The thread count of parallel drains, resolved at the first one
+    /// ([`resolve_workers`] reads the machine's parallelism from the OS).
+    workers: Option<usize>,
     /// Active hot-key splits. Mutated only between drains (split activation
     /// is a quiescent-point operation, like membership churn); read-only
     /// during drains, which keeps the rounds' concurrent dispatch
@@ -122,6 +125,7 @@ impl RJoinEngine {
             qpl: NodeLoadMap::new(),
             sl: NodeLoadMap::new(),
             shard_runtime: ShardRuntimeStats::default(),
+            workers: None,
             splits: SplitMap::new(),
             split_counters: SplitCounters::new(),
             hypercubes: HypercubeMap::default(),
@@ -450,7 +454,8 @@ impl RJoinEngine {
     /// thread count is an execution choice only: every observable — answers,
     /// loads, traffic — is identical for every shard and thread count.
     pub fn run_until_quiescent_parallel(&mut self) -> Result<u64, EngineError> {
-        self.quiesce(resolve_workers(&self.config))
+        let workers = *self.workers.get_or_insert_with(|| resolve_workers(&self.config));
+        self.quiesce(workers)
     }
 
     /// Runs rounds on `workers` threads until nothing is in flight, then

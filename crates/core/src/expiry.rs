@@ -34,7 +34,8 @@
 
 use crate::cell::Cell;
 use crate::node_state::{NodeState, StoredQuery};
-use crate::slab::{Handle, Slab};
+use crate::slab::Handle;
+use crate::trigger_index::Bucket;
 use rjoin_net::SimTime;
 use rjoin_query::WindowSpec;
 use rjoin_relation::Timestamp;
@@ -162,30 +163,6 @@ pub(crate) fn query_expiry_deadline(stored: &StoredQuery) -> Option<Timestamp> {
     window_deadline(stored.pending.query.window(), stored.pending.window_start()?)
 }
 
-/// Unlinks `handle` from its ring bucket in O(1): `expected_pos` is the
-/// entry's maintained [`StoredQuery::bucket_pos`], verified before use (a
-/// positional scan remains as a defensive fallback for externally mutated
-/// buckets). The entry `swap_remove` moves into the freed slot gets its
-/// `bucket_pos` fixed up, preserving the invariant for later unlinks.
-fn unlink_from_bucket(
-    bucket: &mut Vec<Handle>,
-    queries: &mut Slab<StoredQuery>,
-    handle: Handle,
-    expected_pos: usize,
-) {
-    let pos = match bucket.get(expected_pos) {
-        Some(h) if *h == handle => Some(expected_pos),
-        _ => bucket.iter().position(|h| *h == handle),
-    };
-    let Some(pos) = pos else { return };
-    bucket.swap_remove(pos);
-    if let Some(&moved) = bucket.get(pos) {
-        if let Some(entry) = queries.get_mut(moved) {
-            entry.bucket_pos = pos as u32;
-        }
-    }
-}
-
 impl NodeState {
     /// Expires state ahead of one delivery at tick `at`: when `at` starts a
     /// new tick, the tuples of the earlier ticks become the publication
@@ -241,10 +218,8 @@ impl NodeState {
         let Some(expired) = self.queries.remove(handle) else { return 0 };
         let ring = expired.key.ring();
         if let Some(bucket) = self.stored_queries.get_mut(&ring) {
-            let pos = expired.bucket_pos as usize;
-            unlink_from_bucket(&mut bucket.handles, &mut self.queries, handle, pos);
-            self.trigger_index.remove(bucket, handle, &expired);
-            if bucket.handles.is_empty() {
+            self.trigger_index.remove(bucket, handle, &expired, &mut self.queries);
+            if bucket.is_empty() {
                 self.stored_queries.remove(&ring);
             }
         }
@@ -298,8 +273,8 @@ impl NodeState {
         let queries = self
             .stored_queries
             .values()
-            .flat_map(|bucket| &bucket.handles)
-            .filter_map(|h| self.queries.get(*h))
+            .flat_map(Bucket::handles)
+            .filter_map(|h| self.queries.get(h))
             .filter(|stored| overdue(query_expiry_deadline(stored)))
             .count();
         let in_cells =

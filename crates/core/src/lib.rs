@@ -27,7 +27,9 @@
 //! * **A rewritten query is its input query plus bound tuples** — a
 //!   [`PendingQuery`] holds the input query ([`InputQuery`], one `Arc`
 //!   shared by every query it spawns), one `Arc<Tuple>` per bound `FROM`
-//!   slot ([`rjoin_query::Bindings`], one allocation) and its window span.
+//!   slot ([`rjoin_query::Bindings`]: one thin pointer to one allocation)
+//!   and its window `start` (the contribution span is read off the bound
+//!   tuples).
 //!   Everything a rewritten `JoinQuery` used to be built for is read
 //!   through the input query's [`rjoin_query::RewritePlan`], compiled once
 //!   per query at its first trigger (never at submission) and carried by
@@ -36,9 +38,9 @@
 //!   partial one becomes a child with one more bound slot, and a child's
 //!   candidate keys come from the plan's memo for its bound mask. The plan
 //!   never travels: a node that receives a query over a wire compiles it
-//!   once per query ([`NodeState::adopt`]). A stored query is under a
-//!   hundred bytes plus its bindings, where a rewritten `JoinQuery` was
-//!   close to a kilobyte.
+//!   once per query ([`NodeState::adopt`]). A stored query is a 56-byte
+//!   slab entry plus its binding's `8 + 8 × bound` bytes, where a rewritten
+//!   `JoinQuery` was close to a kilobyte.
 //! * **Interned key identities** — every index key is converted once into a
 //!   [`rjoin_dht::HashedKey`] (one pointer to the canonical string and the
 //!   ring identifier from a single SHA-1). Messages carry the interned key, and

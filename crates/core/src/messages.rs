@@ -361,11 +361,12 @@ static DECODED_QUERIES: DecodedTable<JoinQuery, 4096> = DecodedTable::new();
 pub struct PendingQuery {
     /// The (primary) input query, shared by every descendant.
     pub query: Arc<InputQuery>,
-    /// The window state: [`window_start`](Self::window_start),
-    /// [`window_min`](Self::window_min) and
-    /// [`window_max`](Self::window_max), stored without `Option` tags (a
-    /// stored query is mostly this struct).
-    span: Span,
+    /// The window `start` parameter, [`NO_START`] for none (see
+    /// [`window_start`](Self::window_start)), stored without an `Option`
+    /// tag: a stored query is mostly this struct. The contribution span
+    /// ([`window_min`](Self::window_min),
+    /// [`window_max`](Self::window_max)) is read off the bound tuples.
+    start: Timestamp,
     /// The tuples bound to the input query's `FROM` slots so far (none for
     /// an input query).
     pub bound: Bindings,
@@ -386,7 +387,7 @@ impl PendingQuery {
                 hypercube: None,
                 plan: PlanRef::default(),
             }),
-            span: Span::NONE,
+            start: NO_START,
             bound: Bindings::default(),
             subscribers: SubscriberTable::default(),
         }
@@ -457,7 +458,7 @@ impl PendingQuery {
     ) -> Self {
         PendingQuery {
             query: Arc::clone(&self.query),
-            span: Span { start: window_start.unwrap_or(Span::ABSENT), ..self.span },
+            start: window_start.unwrap_or(NO_START),
             bound: self.bound.with(slot, tuple),
             subscribers: SubscriberTable::default(),
         }
@@ -473,11 +474,10 @@ impl PendingQuery {
     }
 
     /// The descendant `tuple` produced by binding it to `slot`:
-    /// [`child_at`](Self::child_at) plus the tuple's contribution — the span
-    /// grows by its publication time and every subscriber group binds it.
-    /// Whoever was submitted after the tuple was published stops being
-    /// served from here on, which takes no work here: `window_min` is the
-    /// whole filter.
+    /// [`child_at`](Self::child_at), with every subscriber group binding the
+    /// tuple too. Whoever was submitted after the tuple was published stops
+    /// being served from here on, which takes no work here: `window_min`,
+    /// which now counts the tuple, is the whole filter.
     pub fn triggered_child(
         &self,
         slot: usize,
@@ -486,48 +486,32 @@ impl PendingQuery {
     ) -> Self {
         let mut child = self.child_at(slot, tuple, window_start);
         child.subscribers = self.subscribers.bound_with(tuple);
-        child.note_contribution(tuple.pub_time());
         child
-    }
-
-    /// Records one more contributing tuple's publication time, keeping the
-    /// exact `[window_min, window_max]` span of the partial combination up
-    /// to date (called on every child the rewriting procedures produce).
-    pub fn note_contribution(&mut self, pub_time: Timestamp) {
-        let span = &mut self.span;
-        span.max = if span.min == Span::ABSENT { pub_time } else { span.max.max(pub_time) };
-        span.min = span.min.min(pub_time);
     }
 
     /// The window `start` parameter (Section 5): publication time of the
     /// tuple that created this rewritten query. `None` for input queries.
     pub fn window_start(&self) -> Option<Timestamp> {
-        (self.span.start != Span::ABSENT).then_some(self.span.start)
+        (self.start != NO_START).then_some(self.start)
     }
 
     /// Earliest publication time among the tuples that contributed to this
-    /// rewritten query. Together with [`window_max`](Self::window_max) this
-    /// tracks the exact span of the partial combination, which the Section 5
-    /// `start` parameter alone cannot: `start` follows the *first* (Proc. 2)
-    /// or *latest* (Proc. 3) contribution, so a combination that picks up an
-    /// older stored/ALTT tuple late would pass the pairwise `|start - now|`
-    /// test while its true span already exceeds the window. `None` until a
-    /// tuple contributes.
+    /// rewritten query — its bound tuples. Together with
+    /// [`window_max`](Self::window_max) this is the exact span of the
+    /// partial combination, which the Section 5 `start` parameter alone is
+    /// not: `start` follows the *first* (Proc. 2) or *latest* (Proc. 3)
+    /// contribution, so a combination that picks up an older stored/ALTT
+    /// tuple late would pass the pairwise `|start - now|` test while its
+    /// true span already exceeds the window. `None` until a tuple
+    /// contributes.
     pub fn window_min(&self) -> Option<Timestamp> {
-        (self.span.min != Span::ABSENT).then_some(self.span.min)
+        self.bound.tuples().iter().map(|tuple| tuple.pub_time()).min()
     }
 
     /// Latest publication time among the contributing tuples (see
     /// [`window_min`](Self::window_min)).
     pub fn window_max(&self) -> Option<Timestamp> {
-        (self.span.min != Span::ABSENT).then_some(self.span.max)
-    }
-
-    /// Sets the window state outright: `start`, and the `(min, max)`
-    /// contribution span (`None` before any contribution).
-    pub fn set_window(&mut self, start: Option<Timestamp>, span: Option<(Timestamp, Timestamp)>) {
-        let (min, max) = span.unwrap_or((Span::ABSENT, 0));
-        self.span = Span { start: start.unwrap_or(Span::ABSENT), min, max };
+        self.bound.tuples().iter().map(|tuple| tuple.pub_time()).max()
     }
 
     /// Merges a structurally identical `twin` — same key, signature and
@@ -563,27 +547,16 @@ impl PendingQuery {
     }
 }
 
-/// A pending query's window state, `Span::ABSENT` standing for "none" (no
-/// publication reaches it): the `start` parameter, and the publication span
-/// `[min, max]` of the contributing tuples (`max` is meaningful only once
-/// `min` is present).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct Span {
-    start: Timestamp,
-    min: Timestamp,
-    max: Timestamp,
-}
+/// A pending query's window `start` standing for "none": no publication
+/// reaches it.
+const NO_START: Timestamp = Timestamp::MAX;
 
-impl Span {
-    const ABSENT: Timestamp = Timestamp::MAX;
-    const NONE: Span = Span { start: Span::ABSENT, min: Span::ABSENT, max: 0 };
-}
-
-/// A cached or piggy-backed RIC observation about one candidate key.
+/// A piggy-backed RIC observation about one candidate key.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RicInfo {
-    /// The candidate key, interned (string hashed onto the ring once).
-    pub key: HashedKey,
+    /// The candidate key's ring id: the candidate table's key, so the
+    /// receiver never interns the key text.
+    pub ring: u64,
     /// Estimated number of tuple arrivals per RIC window.
     pub rate: u64,
     /// Simulation time at which the estimate was taken.

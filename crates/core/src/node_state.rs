@@ -25,7 +25,7 @@ use crate::cell::Cell;
 use crate::dedup::DedupFilter;
 use crate::expiry::{query_expiry_deadline, window_deadline, DeadlineHeap, ExpiryToken};
 use crate::messages::{InputQuery, PendingQuery, QueryId};
-use crate::ric::RicEntry;
+use crate::ric::CandidateTable;
 use crate::shared::SubJoinRegistry;
 use crate::slab::{Handle, Slab};
 use crate::trigger_index::{Bucket, TriggerIndex};
@@ -41,6 +41,13 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A query (input or rewritten) stored at a node, waiting for tuples.
+///
+/// A node holds millions of these under the paper's workloads, so the
+/// entry is kept to seven words (56 bytes on 64-bit targets): the pending
+/// query's four (input query, bindings, subscriber table, window start),
+/// the key, the boxed dedup filter, and the bucket position with the level
+/// and registry flag packed beside it. Its heap share is the binding's one
+/// allocation and one slot of one trigger-index list.
 #[derive(Debug, Clone)]
 pub struct StoredQuery {
     /// The query and its metadata.
@@ -54,8 +61,9 @@ pub struct StoredQuery {
     /// Whether the entry was filed in the sub-join registry (stored through
     /// the shared path); its fingerprint is recomputed to unfile it.
     pub(crate) registered: bool,
-    /// The entry's current position in its ring bucket, kept up to date by
-    /// every bucket mutation (`swap_remove` sites fix the moved entry), so
+    /// The entry's position in the one trigger-index list that files it
+    /// (see [`crate::trigger_index`]), kept up to date by every list
+    /// mutation (the entry `swap_remove` moves gets its position fixed), so
     /// unlinking one handle is O(1) instead of an O(bucket) rescan.
     pub(crate) bucket_pos: u32,
 }
@@ -159,7 +167,8 @@ pub struct NodeState {
     /// Slab of queries stored at this node.
     pub(crate) queries: Slab<StoredQuery>,
     /// Handles of stored queries, grouped by the ring id of the key they
-    /// are indexed under, each group with its trigger-index partition.
+    /// are indexed under, each group filing every handle once, in its
+    /// trigger-index list.
     pub(crate) stored_queries: RingMap<Bucket>,
     /// Stored value-level tuples by index-key ring id, each bucket in
     /// publication order (keyed by publication time).
@@ -194,10 +203,7 @@ pub struct NodeState {
     /// in at snapshot time by [`state_counters`](Self::state_counters)).
     pub(crate) state_counters: StateCounters,
     /// Candidate table: cached RIC information per candidate-key ring id.
-    pub(crate) candidate_table: RingMap<RicEntry>,
-    /// The clock at which the candidate table is next swept for entries
-    /// past [`RIC_VALIDITY`].
-    pub(crate) ric_sweep_at: SimTime,
+    pub(crate) candidate_table: CandidateTable,
     /// Tracker of tuple arrivals used to answer RIC requests.
     ///
     /// Behind a shared lock because it is the one piece of node state read
@@ -228,7 +234,7 @@ pub struct NodeState {
     pub(crate) compile: CompileCounters,
     /// Value-partitioned trigger index over `stored_queries` (see
     /// [`crate::trigger_index`] for the maintenance contract): every site
-    /// that links or unlinks a bucket handle mirrors the change here, so a
+    /// that links or unlinks a bucket handle does it through here, so a
     /// tuple arrival probes O(matching) entries instead of O(bucket).
     pub(crate) trigger_index: TriggerIndex,
     /// Scratch buffer reused by [`advance_expiry`](Self::advance_expiry).
@@ -351,17 +357,15 @@ impl NodeState {
         self.store_query_handle(stored);
     }
 
-    fn store_query_handle(&mut self, mut stored: StoredQuery) -> Handle {
+    fn store_query_handle(&mut self, stored: StoredQuery) -> Handle {
         if !stored.pending.is_input() {
             self.rewritten_count += 1;
         }
         let ring = stored.key.ring();
         let deadline = query_expiry_deadline(&stored);
-        let bucket = self.stored_queries.entry(ring).or_default();
-        stored.bucket_pos = bucket.handles.len() as u32;
         let handle = self.queries.insert(stored);
-        bucket.handles.push(handle);
-        self.trigger_index.insert(bucket, handle, &self.queries);
+        let bucket = self.stored_queries.entry(ring).or_default();
+        self.trigger_index.insert(bucket, handle, &mut self.queries);
         let stored = self.queries.get(handle).expect("inserted above");
         if stored.pending.query.hypercube.is_some() {
             // A hypercube replica opens its ring as a cell. Cell keys are
@@ -518,8 +522,8 @@ impl NodeState {
         let entries = || {
             self.stored_queries
                 .values()
-                .flat_map(|bucket| bucket.handles.iter())
-                .map(|h| self.queries.get(*h).expect("bucket handles are live"))
+                .flat_map(Bucket::handles)
+                .map(|h| self.queries.get(h).expect("bucket handles are live"))
         };
         let queries = entries().count();
         let rewritten = entries().filter(|s| !s.pending.is_input()).count();
@@ -659,7 +663,7 @@ mod tests {
 
         // One stored copy carrying both subscribers.
         assert_eq!(state.stored_query_count(), 1);
-        let bucket = &state.stored_queries.get(&k.ring()).unwrap().handles;
+        let bucket: Vec<_> = state.stored_queries.get(&k.ring()).unwrap().handles().collect();
         assert_eq!(bucket.len(), 1);
         let entry = state.queries.get(bucket[0]).unwrap();
         assert_eq!(entry.pending.subscriber_count(), 2);
@@ -717,11 +721,11 @@ mod tests {
             0,
             "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
         );
+        // The R tuple published at `pub_time`, the S tuple at 10.
         let rewritten = |pub_time: u64| {
-            let mut child = bound(input.clone(), &[("R", [1, 9, 0]), ("S", [1, 3, 0])], 10);
-            child.note_contribution(pub_time);
-            child.note_contribution(10);
-            child
+            let r = Arc::new(Tuple::new("R", [1, 9, 0].map(Value::from).to_vec(), pub_time));
+            let s = Arc::new(Tuple::new("S", [1, 3, 0].map(Value::from).to_vec(), 10));
+            bound(input.clone(), &[], 10).child(&r, Some(10)).child(&s, Some(10))
         };
         // Same structure, same window_start (10), but spans [5,10] vs [9,10].
         let g1 = rewritten(5);

@@ -362,7 +362,7 @@ fn place_and_send<E: EffectEnv>(
             hashed
                 .iter()
                 .zip(rates.iter())
-                .map(|(k, r)| RicInfo { key: k.clone(), rate: *r, observed_at: now })
+                .map(|(k, r)| RicInfo { ring: k.ring(), rate: *r, observed_at: now })
                 .collect()
         } else {
             Vec::new()

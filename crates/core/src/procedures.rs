@@ -509,6 +509,7 @@ pub fn handle_eval(
 mod tests {
     use super::*;
     use crate::messages::QueryId;
+    use crate::trigger_index::Bucket;
     use rjoin_dht::Id;
     use rjoin_query::{parse_query, rewrite, IndexKey, RewriteResult};
     use rjoin_relation::Schema;
@@ -878,8 +879,7 @@ mod tests {
             "SELECT R.B, J.A FROM R, S, J WHERE R.A = S.A AND S.B = J.B WINDOW SLIDING 8 TUPLES",
             0,
         );
-        let mut rewritten = bind(input, &[tuple("R", [7, 9, 0], 10)], 10);
-        rewritten.note_contribution(10);
+        let rewritten = bind(input, &[tuple("R", [7, 9, 0], 10)], 10);
         // Procedure 3 picks up the stored tuple: start = max(10, 5) = 10,
         // but the true span is now [5, 10].
         let actions = handle_eval(
@@ -1350,8 +1350,8 @@ mod tests {
         assert!(actions.is_empty(), "an unresolvable SELECT must not trigger: {actions:?}");
         assert_eq!(state.stored_query_count(), 1);
         for bucket in state.stored_queries.values() {
-            for handle in &bucket.handles {
-                let stored = state.queries.get(*handle).unwrap();
+            for handle in bucket.handles() {
+                let stored = state.queries.get(handle).unwrap();
                 assert!(
                     !stored.pending.query.relations().is_empty(),
                     "no empty-FROM query may ever be stored"
@@ -1431,8 +1431,8 @@ mod tests {
         let plans: Vec<_> = state
             .stored_queries
             .values()
-            .flat_map(|bucket| &bucket.handles)
-            .map(|handle| state.queries.get(*handle).unwrap().pending.plan().unwrap())
+            .flat_map(Bucket::handles)
+            .map(|handle| state.queries.get(handle).unwrap().pending.plan().unwrap())
             .collect();
         assert_eq!(plans.len(), 2);
         assert!(Arc::ptr_eq(plans[0], plans[1]), "one query, one plan");
@@ -1479,8 +1479,7 @@ mod tests {
         let eval = |state: &mut NodeState, walked: &mut Walked, pinned_c: Option<i64>, start| {
             let input = if pinned_c.is_some() { &pinned } else { &unpinned };
             let r = tuple("R", [7, 9, pinned_c.unwrap_or(0)], start);
-            let mut child = bind(input.clone(), &[r], start);
-            child.note_contribution(start);
+            let child = bind(input.clone(), &[r], start);
             let query = child.rewritten().unwrap();
             handle_eval(state, &ctx(&catalog, &config, start), child, &key.hashed(), key.level());
             walked.push((query, start));
@@ -1526,10 +1525,11 @@ mod tests {
         eval(s, w, None, 10);
         assert_eq!(probe(s, w, 5, 11), 1, "the lone entry fires");
         eval(s, w, None, 11);
-        assert_eq!(s.probe_counters().index_entries_high_water, 0, "nothing filed so far");
+        let high_water = |s: &NodeState| s.probe_counters().index_entries_high_water;
+        assert_eq!(high_water(s), 0, "no bucket partitioned so far");
         eval(s, w, Some(5), 12);
         eval(s, w, Some(6), 13);
-        assert_eq!(s.probe_counters().index_entries_high_water, 4, "partitioned");
+        assert_eq!(high_water(s), 4, "all four entries in the partitioned bucket");
         assert_eq!(probe(s, w, 5, 14), 3, "two vacuous pins and C = 5");
         assert_eq!(probe(s, w, 6, 15), 3, "two vacuous pins and C = 6");
         assert_eq!(probe(s, w, 1, 16), 2, "no pinned slice matches");
@@ -1609,8 +1609,7 @@ mod tests {
             for (input_sql, sql) in shapes {
                 let input = pending(&format!("{input_sql}{window}"), 13);
                 let query = parse_query(&format!("{sql}{window}")).unwrap();
-                let mut child = bind(input.clone(), &[tuple("R", [7, 9, 0], START)], START);
-                child.note_contribution(START);
+                let child = bind(input.clone(), &[tuple("R", [7, 9, 0], START)], START);
                 assert_eq!(child.rewritten().unwrap(), query);
                 let window_spec = *query.window();
                 let mut expected: Vec<String> = visible

@@ -96,7 +96,7 @@ impl NodeState {
         let buckets: Vec<_> = self.stored_queries.extract_if(|ring, _| !keep(*ring)).collect();
         for (ring, bucket) in buckets {
             self.trigger_index.forget(&bucket);
-            for handle in bucket.handles {
+            for handle in bucket.handles() {
                 let stored = self.queries.remove(handle).expect("bucket handles are live");
                 self.unregister_query(ring, &stored, handle);
                 drained.queries.push(stored);

@@ -114,10 +114,16 @@ impl RicTracker {
 /// receive one rewritten query and never another. So instead of a deque per
 /// key it is one log per node in arrival order: recording is a push, nothing
 /// is allocated or probed per key, and a read scans the retention horizon.
+/// A drain delivers many `Eval`s to a node per tick, so the clocks are kept
+/// run-length encoded beside the keys: an arrival costs the eight bytes of
+/// its key.
 #[derive(Debug, Clone, Default)]
 pub struct ArrivalLog {
-    /// `(key, clock)`, clock non-decreasing.
-    arrivals: VecDeque<(u64, SimTime)>,
+    /// The keys, in arrival order.
+    keys: VecDeque<u64>,
+    /// `(clock, arrivals)` runs over `keys`, in arrival order (clock
+    /// non-decreasing).
+    clocks: VecDeque<(SimTime, u32)>,
 }
 
 impl ArrivalLog {
@@ -127,20 +133,35 @@ impl ArrivalLog {
     /// the node's own clock.
     pub fn record(&mut self, key: u64, now: SimTime, horizon: SimTime) {
         let cutoff = now.saturating_sub(horizon);
-        while self.arrivals.front().is_some_and(|&(_, clock)| clock < cutoff) {
-            self.arrivals.pop_front();
+        while let Some(&(clock, arrivals)) = self.clocks.front() {
+            if clock >= cutoff {
+                break;
+            }
+            self.clocks.pop_front();
+            self.keys.drain(..arrivals as usize);
         }
-        self.arrivals.push_back((key, now));
+        match self.clocks.back_mut() {
+            Some((clock, arrivals)) if *clock == now && *arrivals < u32::MAX => *arrivals += 1,
+            _ => self.clocks.push_back((now, 1)),
+        }
+        self.keys.push_back(key);
     }
 
     /// Arrivals under `key` during `(now - window, now]` —
     /// [`RicTracker::rate_at`]'s answer.
     pub fn rate_at(&self, key: u64, now: SimTime, window: SimTime) -> u64 {
         let lower = now.saturating_sub(window).saturating_add(1).min(now);
-        self.arrivals
-            .iter()
-            .filter(|&&(k, clock)| k == key && (lower..=now).contains(&clock))
-            .count() as u64
+        let mut keys = self.keys.iter();
+        let mut count = 0;
+        for &(clock, arrivals) in &self.clocks {
+            let run = keys.by_ref().take(arrivals as usize);
+            if (lower..=now).contains(&clock) {
+                count += run.filter(|&&k| k == key).count() as u64;
+            } else {
+                run.for_each(drop);
+            }
+        }
+        count
     }
 }
 
@@ -153,27 +174,113 @@ pub struct RicEntry {
     pub observed_at: SimTime,
 }
 
-impl NodeState {
-    /// Drops every candidate-table entry past [`RIC_VALIDITY`], once per
-    /// horizon: an entry no [`cached_ric`](Self::cached_ric) call at or
-    /// after `now` would serve again. Between sweeps the table holds at most
-    /// two horizons' worth of observations.
-    fn reclaim_stale_ric(&mut self, now: SimTime) {
-        if now >= self.ric_sweep_at {
-            self.candidate_table.retain(|_, e| now.saturating_sub(e.observed_at) <= RIC_VALIDITY);
-            self.ric_sweep_at = now.saturating_add(RIC_VALIDITY).saturating_add(1);
+/// How often (in ticks) a candidate table drops its entries past
+/// [`RIC_VALIDITY`]: between two sweeps it holds at most
+/// `RIC_VALIDITY + RIC_SWEEP` ticks' worth of observations.
+const RIC_SWEEP: SimTime = RIC_VALIDITY / 4;
+
+/// A packed observation time meaning "too far past the base to encode":
+/// read as stale, and newer than every encodable time.
+const FAR_PAST_BASE: u64 = u32::MAX as u64;
+
+/// A node's candidate table (Section 7): the most recent RIC observation
+/// per candidate-key ring id.
+///
+/// # Layout and retention
+///
+/// An entry is one `u64` next to its ring id (16 bytes a slot; a full
+/// `(rate, time)` pair would take 24): the rate, saturated at `u32::MAX`,
+/// in the high half, and in the low half the observation time relative to
+/// the table's `base`. An observation older than the base is stale for
+/// every read the table serves, so it is dropped at the door. The top of
+/// the low half, [`FAR_PAST_BASE`], stands for an observation more than
+/// `2³² − 2` ticks past the base — one stamped by a clock that far ahead
+/// of this node's — which reads as stale and goes at the next sweep.
+///
+/// Every update first sweeps the table if [`RIC_SWEEP`] ticks passed
+/// since the last sweep: entries past [`RIC_VALIDITY`] go, and the base
+/// moves up to `now − RIC_VALIDITY`, under every retained entry. So the
+/// table holds at most `RIC_VALIDITY + RIC_SWEEP` ticks' worth of entries,
+/// and every encodable time lies within `2³²` ticks of the node's clock:
+/// at 100 ms ticks the TCP plane would need 13 years between two updates
+/// to leave that range, and a clock lifted to a client's publication time
+/// sweeps and rebases at its next update.
+///
+/// Reads never run behind the table's updates (a node's clock is
+/// monotone), so the entries a sweep drops are ones no later read would
+/// serve, and [`cached_ric`](NodeState::cached_ric) serves exactly what a
+/// table of full `(rate, time)` pairs swept at any other period would, for
+/// every rate below `2³²` and every time the low half encodes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CandidateTable {
+    entries: RingMap<u64>,
+    /// The time packed observation times count from.
+    base: SimTime,
+    /// The clock at which the table is next swept.
+    sweep_at: SimTime,
+}
+
+/// The packed entry for `rate` observed at `observed_at`, counted from
+/// `base`; `None` when that is before the base.
+fn pack(base: SimTime, rate: u64, observed_at: SimTime) -> Option<u64> {
+    let time = observed_at.checked_sub(base)?.min(FAR_PAST_BASE);
+    Some(rate.min(u32::MAX as u64) << 32 | time)
+}
+
+/// The entry `packed` (counted from `base`) stands for; `None` for one far
+/// past the base.
+fn unpack(base: SimTime, packed: u64) -> Option<RicEntry> {
+    match packed & FAR_PAST_BASE {
+        FAR_PAST_BASE => None,
+        time => Some(RicEntry { rate: packed >> 32, observed_at: base + time }),
+    }
+}
+
+impl CandidateTable {
+    /// Drops every entry past [`RIC_VALIDITY`] at `now` — no read at or
+    /// after `now` would serve it — and rebases the rest to
+    /// `now − RIC_VALIDITY`, once per [`RIC_SWEEP`] ticks.
+    fn sweep(&mut self, now: SimTime) {
+        if now < self.sweep_at {
+            return;
         }
+        let (old, base) = (self.base, now.saturating_sub(RIC_VALIDITY));
+        self.entries.retain(|_, packed| match unpack(old, *packed) {
+            Some(entry) if now.saturating_sub(entry.observed_at) <= RIC_VALIDITY => {
+                *packed = pack(base, entry.rate, entry.observed_at).expect("at or past the base");
+                true
+            }
+            _ => false,
+        });
+        self.base = base;
+        self.sweep_at = now.saturating_add(RIC_SWEEP);
     }
 
+    /// Number of entries held (test support).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Forgets the entry of ring `ring`.
+    pub(crate) fn remove(&mut self, ring: u64) {
+        self.entries.remove(&ring);
+    }
+}
+
+impl NodeState {
     /// Merges the RIC observations piggy-backed on a message handled at
     /// clock `now` into the candidate table, keeping the most recent
     /// estimate per key (Section 7).
     pub fn merge_ric(&mut self, infos: &[RicInfo], now: SimTime) {
-        self.reclaim_stale_ric(now);
+        let table = &mut self.candidate_table;
+        table.sweep(now);
         for info in infos {
-            let fresh = RicEntry { rate: info.rate, observed_at: info.observed_at };
-            let entry = self.candidate_table.entry(info.key.ring()).or_insert(fresh);
-            if info.observed_at >= entry.observed_at {
+            // Older than the base: stale for every read from here on.
+            let Some(fresh) = pack(table.base, info.rate, info.observed_at) else { continue };
+            let entry = table.entries.entry(info.ring).or_insert(fresh);
+            // The low half orders observations, the far marker last.
+            if fresh & FAR_PAST_BASE >= *entry & FAR_PAST_BASE {
                 *entry = fresh;
             }
         }
@@ -182,21 +289,26 @@ impl NodeState {
     /// Looks up a cached RIC estimate that is still valid at `now`: observed
     /// no more than [`RIC_VALIDITY`] ticks earlier.
     pub fn cached_ric(&self, key: u64, now: SimTime) -> Option<RicEntry> {
-        let entry = self.candidate_table.get(&key)?;
-        (now.saturating_sub(entry.observed_at) <= RIC_VALIDITY).then_some(*entry)
+        let table = &self.candidate_table;
+        let entry = unpack(table.base, *table.entries.get(&key)?)?;
+        (now.saturating_sub(entry.observed_at) <= RIC_VALIDITY).then_some(entry)
     }
 
     /// Caches one RIC estimate, just observed, for a candidate key.
     pub fn cache_ric(&mut self, ring: u64, entry: RicEntry) {
-        self.reclaim_stale_ric(entry.observed_at);
-        self.candidate_table.insert(ring, entry);
+        let table = &mut self.candidate_table;
+        table.sweep(entry.observed_at);
+        match pack(table.base, entry.rate, entry.observed_at) {
+            Some(packed) => table.entries.insert(ring, packed),
+            None => table.entries.remove(&ring),
+        };
     }
 }
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::messages::RicInfo;
-    use rjoin_dht::{HashedKey, Id};
+    use rjoin_dht::{HashedKey, Id, RingMap};
 
     fn k(text: &str) -> u64 {
         HashedKey::new(text).ring()
@@ -285,7 +397,8 @@ mod tests {
                 );
             }
         }
-        assert_eq!(log.arrivals.len(), 3, "arrivals before 60 - 45 left with the horizon");
+        assert_eq!(log.keys.len(), 3, "arrivals before 60 - 45 left with the horizon");
+        assert_eq!(log.clocks, [(50, 2), (60, 1)], "one run per clock");
     }
 
     #[test]
@@ -304,40 +417,137 @@ mod tests {
     #[test]
     fn candidate_table_keeps_most_recent_and_respects_validity() {
         let mut state = NodeState::new(Id(7));
-        let k = HashedKey::new("R+A");
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 5, observed_at: 10 }], 10);
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 9, observed_at: 20 }], 20);
-        state.merge_ric(&[RicInfo { key: k.clone(), rate: 1, observed_at: 15 }], 21); // older, ignored
-        let entry = state.cached_ric(k.ring(), 25).unwrap();
+        let k = HashedKey::new("R+A").ring();
+        state.merge_ric(&[RicInfo { ring: k, rate: 5, observed_at: 10 }], 10);
+        state.merge_ric(&[RicInfo { ring: k, rate: 9, observed_at: 20 }], 20);
+        state.merge_ric(&[RicInfo { ring: k, rate: 1, observed_at: 15 }], 21); // older, ignored
+        let entry = state.cached_ric(k, 25).unwrap();
         assert_eq!(entry.rate, 9);
         assert_eq!(entry.observed_at, 20);
         // The validity horizon rejects stale entries.
-        assert!(state.cached_ric(k.ring(), 20 + RIC_VALIDITY).is_some());
-        assert!(state.cached_ric(k.ring(), 21 + RIC_VALIDITY).is_none());
+        assert!(state.cached_ric(k, 20 + RIC_VALIDITY).is_some());
+        assert!(state.cached_ric(k, 21 + RIC_VALIDITY).is_none());
         assert!(state.cached_ric(HashedKey::new("unknown").ring(), 0).is_none());
     }
 
     /// Entries past the validity horizon are reclaimed by later touches of
     /// the table: over three horizons of one fresh key per tick it never
-    /// holds more than two horizons' worth, and every read answers as if
-    /// nothing had been dropped.
+    /// holds more than `RIC_VALIDITY + RIC_SWEEP` ticks' worth (1.25
+    /// horizons), and every read answers as if nothing had been dropped.
     #[test]
     fn candidate_table_reclaims_entries_past_validity() {
         let mut state = NodeState::new(Id(7));
-        let keys: Vec<HashedKey> =
-            (0..=3 * RIC_VALIDITY).map(|t| HashedKey::new(format!("R+A+i:{t}"))).collect();
+        let keys: Vec<u64> =
+            (0..=3 * RIC_VALIDITY).map(|t| HashedKey::new(format!("R+A+i:{t}")).ring()).collect();
+        let mut most = 0;
         for now in 1..=3 * RIC_VALIDITY {
-            let fresh = &keys[now as usize];
+            let fresh = keys[now as usize];
             if now % 2 == 0 {
-                state.cache_ric(fresh.ring(), RicEntry { rate: now, observed_at: now });
+                state.cache_ric(fresh, RicEntry { rate: now, observed_at: now });
             } else {
-                state
-                    .merge_ric(&[RicInfo { key: fresh.clone(), rate: now, observed_at: now }], now);
+                state.merge_ric(&[RicInfo { ring: fresh, rate: now, observed_at: now }], now);
             }
-            assert!(state.candidate_table.len() as u64 <= 2 * RIC_VALIDITY + 1, "at {now}");
+            let held = state.candidate_table.len() as u64;
+            assert!(held <= RIC_VALIDITY + RIC_SWEEP, "{held} entries at {now}");
+            most = most.max(held);
             for seen in 1..=now {
-                let cached = state.cached_ric(keys[seen as usize].ring(), now);
+                let cached = state.cached_ric(keys[seen as usize], now);
                 assert_eq!(cached.map(|e| e.rate), (now - seen <= RIC_VALIDITY).then_some(seen));
+            }
+        }
+        assert_eq!(most, RIC_VALIDITY + RIC_SWEEP, "swept once per RIC_SWEEP ticks, no sooner");
+    }
+
+    /// An observation too far past the table's base to encode reads as
+    /// stale at every tick — never as fresh — keeps older observations out
+    /// until the next sweep, and goes with it; one just inside the range
+    /// is served exactly.
+    #[test]
+    fn an_observation_far_past_the_base_reads_as_stale() {
+        let mut state = NodeState::new(Id(7));
+        let (far, near) = (HashedKey::new("R+A").ring(), HashedKey::new("R+B").ring());
+        state.merge_ric(&[RicInfo { ring: near, rate: 3, observed_at: 10 }], 10);
+        let edge = u32::MAX as u64 - 1;
+        let infos = [
+            RicInfo { ring: far, rate: 7, observed_at: 1 << 40 },
+            RicInfo { ring: near, rate: 4, observed_at: edge },
+        ];
+        state.merge_ric(&infos, 11);
+        for now in [11, 1 << 40, (1 << 40) + RIC_VALIDITY, u64::MAX] {
+            assert_eq!(state.cached_ric(far, now), None, "read at {now}");
+        }
+        assert_eq!(state.cached_ric(near, 11), Some(RicEntry { rate: 4, observed_at: edge }));
+        state.merge_ric(&[RicInfo { ring: far, rate: 8, observed_at: 12 }], 12);
+        assert_eq!(state.cached_ric(far, 12), None, "the far observation is the newer one");
+        state.merge_ric(&[], 11 + RIC_SWEEP);
+        assert_eq!(state.candidate_table.len(), 1, "the sweep drops the far entry");
+        state.merge_ric(&[RicInfo { ring: far, rate: 8, observed_at: 12 }], 12 + RIC_SWEEP);
+        assert_eq!(
+            state.cached_ric(far, 12 + RIC_SWEEP),
+            Some(RicEntry { rate: 8, observed_at: 12 })
+        );
+    }
+
+    /// The candidate table as full `(rate, time)` pairs, swept once per
+    /// horizon: what the packed table must serve.
+    #[derive(Default)]
+    struct FullTable {
+        entries: RingMap<RicEntry>,
+        sweep_at: SimTime,
+    }
+
+    impl FullTable {
+        fn sweep(&mut self, now: SimTime) {
+            if now >= self.sweep_at {
+                self.entries.retain(|_, e| now.saturating_sub(e.observed_at) <= RIC_VALIDITY);
+                self.sweep_at = now.saturating_add(RIC_VALIDITY).saturating_add(1);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// On a clock that never runs backwards — simulator ticks, 100 ms
+        /// TCP ticks, and jumps to a client's publication time — merges of
+        /// piggy-backed observations (fresh, stale, slightly ahead),
+        /// estimates cached at the clock and reads at the clock see exactly
+        /// what the full-pair table serves.
+        #[test]
+        fn the_packed_table_serves_what_full_pairs_serve(
+            ops in proptest::collection::vec((0u8..8, 0u64..6, 0u64..700, 0u64..1_000), 1..200),
+        ) {
+            let mut state = NodeState::new(Id(7));
+            let mut full = FullTable::default();
+            let mut now: SimTime = 0;
+            for (op, key, offset, rate) in ops {
+                match op {
+                    // The clock moves: a tick, a stretch, or a jump.
+                    0 => now += offset,
+                    1 => now += offset * 1_000_000_007,
+                    // A merge of an observation at most 700 ticks old, or
+                    // a few ticks ahead of this node's clock.
+                    2 | 3 => {
+                        let observed_at = if op == 2 { now.saturating_sub(offset) } else { now + offset % 4 };
+                        let info = RicInfo { ring: key, rate, observed_at };
+                        state.merge_ric(std::slice::from_ref(&info), now);
+                        full.sweep(now);
+                        let entry = full.entries.entry(key).or_insert(RicEntry { rate, observed_at });
+                        if observed_at >= entry.observed_at {
+                            *entry = RicEntry { rate, observed_at };
+                        }
+                    }
+                    4 => {
+                        state.cache_ric(key, RicEntry { rate, observed_at: now });
+                        full.sweep(now);
+                        full.entries.insert(key, RicEntry { rate, observed_at: now });
+                    }
+                    _ => {}
+                }
+                for key in 0..6 {
+                    let expected = full.entries.get(&key).copied().filter(|e| {
+                        now.saturating_sub(e.observed_at) <= RIC_VALIDITY
+                    });
+                    proptest::prop_assert_eq!(state.cached_ric(key, now), expected);
+                }
             }
         }
     }

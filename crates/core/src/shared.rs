@@ -52,7 +52,7 @@
 //!   iff *every* tuple in it was published at or after the subscriber's
 //!   insertion time, i.e. iff `insert_time ≤` the **earliest contributing
 //!   publication time**. That minimum is already tracked on every rewritten
-//!   query (`window_min`, kept by `note_contribution`), so nobody is
+//!   query (`window_min`, read off its bound tuples), so nobody is
 //!   filtered on the way: everyone rides along, and eligibility is one
 //!   comparison per subscriber at fan-out (a prefix of each group, which is
 //!   sorted by insertion time). The primary is judged the same way. The

@@ -34,25 +34,24 @@ pub struct Handle {
     generation: u32,
 }
 
-#[derive(Debug, Clone)]
-enum Slot<T> {
-    Occupied { generation: u32, value: T },
-    Vacant { generation: u32 },
-}
-
 /// Slots per chunk of the arena.
 const CHUNK: usize = 16;
 
 /// A generational arena with O(1) insert/remove and stable handles.
 ///
 /// The arena grows a chunk of [`CHUNK`] slots at a time and never moves a
-/// slot: entries are wide (a stored query is over a hundred bytes) and
-/// mostly written once, so doubling one contiguous vector would copy every
-/// entry again each time a node's store grew. Chunks are small, so a node
-/// leaves at most a few slots unused.
+/// slot: entries are wide (a stored query is 72 bytes) and mostly written
+/// once, so doubling one contiguous vector would copy every entry again
+/// each time a node's store grew. Chunks are small, so a node leaves at
+/// most a few slots unused. A slot is an `Option<T>` — no wider than `T`
+/// when `T` has a niche, as a stored query does — and the slots'
+/// generations sit in one array of their own, so a generation costs four
+/// bytes, not a word of padding next to each entry.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
-    chunks: Vec<Vec<Slot<T>>>,
+    chunks: Vec<Vec<Option<T>>>,
+    /// The generation of every slot ever handed out, by slot index.
+    generations: Vec<u32>,
     free: Vec<u32>,
     len: usize,
     high_water: usize,
@@ -60,7 +59,13 @@ pub struct Slab<T> {
 
 impl<T> Default for Slab<T> {
     fn default() -> Self {
-        Slab { chunks: Vec::new(), free: Vec::new(), len: 0, high_water: 0 }
+        Slab {
+            chunks: Vec::new(),
+            generations: Vec::new(),
+            free: Vec::new(),
+            len: 0,
+            high_water: 0,
+        }
     }
 }
 
@@ -81,12 +86,13 @@ impl<T> Slab<T> {
         self.high_water
     }
 
-    fn slot(&self, index: u32) -> Option<&Slot<T>> {
-        self.chunks.get(index as usize / CHUNK)?.get(index as usize % CHUNK)
-    }
-
-    fn slot_mut(&mut self, index: u32) -> Option<&mut Slot<T>> {
-        self.chunks.get_mut(index as usize / CHUNK)?.get_mut(index as usize % CHUNK)
+    /// The slot behind `handle`, if the handle is of its current generation.
+    fn slot_mut(&mut self, handle: Handle) -> Option<&mut Option<T>> {
+        if *self.generations.get(handle.index as usize)? != handle.generation {
+            return None;
+        }
+        let index = handle.index as usize;
+        self.chunks.get_mut(index / CHUNK)?.get_mut(index % CHUNK)
     }
 
     /// Inserts a value and returns its stable handle.
@@ -95,23 +101,20 @@ impl<T> Slab<T> {
         self.high_water = self.high_water.max(self.len);
         match self.free.pop() {
             Some(index) => {
-                let slot = self.slot_mut(index).expect("free list points inside the arena");
-                let generation = match slot {
-                    Slot::Vacant { generation } => *generation,
-                    Slot::Occupied { .. } => unreachable!("free list points at occupied slot"),
-                };
-                *slot = Slot::Occupied { generation, value };
-                Handle { index, generation }
+                let i = index as usize;
+                let slot = &mut self.chunks[i / CHUNK][i % CHUNK];
+                debug_assert!(slot.is_none(), "free list points at an occupied slot");
+                *slot = Some(value);
+                Handle { index, generation: self.generations[i] }
             }
             None => {
                 if self.chunks.last().is_none_or(|chunk| chunk.len() == CHUNK) {
                     self.chunks.push(Vec::with_capacity(CHUNK));
                 }
-                let full_chunks = self.chunks.len() - 1;
-                let chunk = self.chunks.last_mut().expect("pushed above");
-                let index = u32::try_from(full_chunks * CHUNK + chunk.len())
+                let index = u32::try_from(self.generations.len())
                     .expect("slab capacity exceeds u32 indices");
-                chunk.push(Slot::Occupied { generation: 0, value });
+                self.chunks.last_mut().expect("pushed above").push(Some(value));
+                self.generations.push(0);
                 Handle { index, generation: 0 }
             }
         }
@@ -119,22 +122,16 @@ impl<T> Slab<T> {
 
     /// The entry behind `handle`, if it is still live.
     pub fn get(&self, handle: Handle) -> Option<&T> {
-        match self.slot(handle.index) {
-            Some(Slot::Occupied { generation, value }) if *generation == handle.generation => {
-                Some(value)
-            }
-            _ => None,
+        if *self.generations.get(handle.index as usize)? != handle.generation {
+            return None;
         }
+        let index = handle.index as usize;
+        self.chunks.get(index / CHUNK)?.get(index % CHUNK)?.as_ref()
     }
 
     /// Mutable access to the entry behind `handle`, if it is still live.
     pub fn get_mut(&mut self, handle: Handle) -> Option<&mut T> {
-        match self.slot_mut(handle.index) {
-            Some(Slot::Occupied { generation, value }) if *generation == handle.generation => {
-                Some(value)
-            }
-            _ => None,
-        }
+        self.slot_mut(handle)?.as_mut()
     }
 
     /// Whether `handle` still resolves to a live entry.
@@ -147,20 +144,12 @@ impl<T> Slab<T> {
     /// is bumped, so every outstanding copy of the handle goes stale
     /// atomically — including after the slot is reused.
     pub fn remove(&mut self, handle: Handle) -> Option<T> {
-        let slot = self.slot_mut(handle.index)?;
-        match slot {
-            Slot::Occupied { generation, .. } if *generation == handle.generation => {
-                let next_generation = generation.wrapping_add(1);
-                let old = std::mem::replace(slot, Slot::Vacant { generation: next_generation });
-                self.free.push(handle.index);
-                self.len -= 1;
-                match old {
-                    Slot::Occupied { value, .. } => Some(value),
-                    Slot::Vacant { .. } => unreachable!("matched occupied above"),
-                }
-            }
-            _ => None,
-        }
+        let value = self.slot_mut(handle)?.take()?;
+        let generation = &mut self.generations[handle.index as usize];
+        *generation = generation.wrapping_add(1);
+        self.free.push(handle.index);
+        self.len -= 1;
+        Some(value)
     }
 }
 

@@ -514,7 +514,7 @@ impl RJoinEngine {
         // operation, so walking the node map here is safe and cheap.
         for shard in &mut self.shards {
             for state in shard.nodes.values_mut() {
-                state.candidate_table.remove(&base_ring);
+                state.candidate_table.remove(base_ring);
             }
         }
         let owner = self.network.owner_of(key.id())?;

@@ -539,13 +539,15 @@ fn subscriber_tables_survive_rehoming() {
     }
 }
 
-/// The table replaced a `Vec` of subscribers in `PendingQuery`; a stored
-/// query must not have grown for it (sizes of the parent commit, 64-bit).
+/// The subscriber table is one pointer in `PendingQuery` (null while
+/// nothing merged): a stored query stays four words of pending query —
+/// input query, bindings, table, window start — plus its key, dedup filter
+/// and bucket position (64-bit).
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn the_subscriber_table_does_not_grow_a_stored_query() {
-    assert!(std::mem::size_of::<PendingQuery>() <= 264, "{}", std::mem::size_of::<PendingQuery>());
-    assert!(std::mem::size_of::<StoredQuery>() <= 456, "{}", std::mem::size_of::<StoredQuery>());
+    assert!(std::mem::size_of::<PendingQuery>() <= 32, "{}", std::mem::size_of::<PendingQuery>());
+    assert!(std::mem::size_of::<StoredQuery>() <= 56, "{}", std::mem::size_of::<StoredQuery>());
 }
 
 // ------------------------------------------------------ allocation counting

@@ -25,7 +25,8 @@ pub struct ProbeCounters {
     pub residual_probed: u64,
     /// Total length of the buckets the probes covered.
     pub bucket_len_total: u64,
-    /// Peak number of handles held by the index at once.
+    /// Peak number of stored queries in partitioned buckets at once (the
+    /// entries the index tells apart by pin; each is filed once).
     pub index_entries_high_water: u64,
 }
 

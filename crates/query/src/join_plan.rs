@@ -63,7 +63,12 @@ use rjoin_relation::{write_prefixed, AttrIndex, Catalog, DecodedTable, Name, Tup
 use serde::bin::BinError;
 use serde::json::{JsonError, JsonValue};
 use serde::{Deserialize, Serialize};
+use std::alloc::Layout;
 use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::fmt;
+use std::marker::PhantomData;
+use std::ptr::NonNull;
 use std::sync::{Arc, OnceLock};
 
 /// A column of one plan slot: the relation at position `slot` of the `FROM`
@@ -127,28 +132,92 @@ impl<B: Bound + ?Sized> Bound for BoundWith<'_, B> {
 }
 
 /// The tuples a rewritten query has bound: a slot mask and one shared tuple
-/// per set bit, in slot order, in one allocation (nothing at all while no
-/// slot is bound).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// per set bit, in slot order.
+///
+/// A stored rewritten query is mostly this and its window span, so the
+/// representation is one thin pointer (8 bytes inline, null while no slot
+/// is bound) to a single allocation that holds the mask followed by the
+/// tuple handles: `8 + 8 × bound` heap bytes, no length word (the mask's
+/// popcount is the length).
 pub struct Bindings {
-    mask: u64,
-    tuples: Box<[Arc<Tuple>]>,
+    /// The mask, followed by `mask.count_ones()` initialized `Arc<Tuple>`s;
+    /// `None` for the empty binding (no allocation).
+    ptr: Option<NonNull<u64>>,
+    _owns: PhantomData<Arc<Tuple>>,
+}
+
+// SAFETY: a `Bindings` exclusively owns its allocation and the
+// `Arc<Tuple>`s in it, which are `Send + Sync` themselves (asserted below);
+// nothing is shared through the raw pointer.
+unsafe impl Send for Bindings {}
+// SAFETY: as above; `&Bindings` only hands out `&Arc<Tuple>`.
+unsafe impl Sync for Bindings {}
+
+const _: () = {
+    const fn owns_send_sync<T: Send + Sync>() {}
+    owns_send_sync::<Arc<Tuple>>()
+};
+
+/// The layout of a binding of `n` tuples, and the offset of the first one.
+fn bindings_layout(n: usize) -> (Layout, usize) {
+    Layout::new::<u64>()
+        .extend(Layout::array::<Arc<Tuple>>(n).expect("at most 64 slots"))
+        .expect("at most 64 slots")
 }
 
 impl Bindings {
+    /// A binding of the slots in `mask`, the `i`-th bound one (in slot
+    /// order) to `tuple(i)`: the one allocation a binding costs.
+    fn build(mask: u64, mut tuple: impl FnMut(usize) -> Arc<Tuple>) -> Self {
+        if mask == 0 {
+            return Bindings::default();
+        }
+        let n = mask.count_ones() as usize;
+        let (layout, offset) = bindings_layout(n);
+        // SAFETY: the layout is non-zero-sized (it holds the mask). The mask
+        // is written first and every tuple slot after it before the pointer
+        // escapes; a panic in `tuple` leaks the allocation, never exposes it.
+        unsafe {
+            let raw = std::alloc::alloc(layout);
+            let Some(header) = NonNull::new(raw.cast::<u64>()) else {
+                std::alloc::handle_alloc_error(layout)
+            };
+            header.as_ptr().write(mask);
+            let tuples = raw.add(offset).cast::<Arc<Tuple>>();
+            for i in 0..n {
+                tuples.add(i).write(tuple(i));
+            }
+            Bindings { ptr: Some(header), _owns: PhantomData }
+        }
+    }
+
+    /// A binding of the slots in `mask` to `tuples`, in slot order; `None`
+    /// unless there is one tuple per set bit.
+    fn from_parts(mask: u64, tuples: Vec<Arc<Tuple>>) -> Option<Self> {
+        let mut tuples =
+            (mask.count_ones() as usize == tuples.len()).then(|| tuples.into_iter())?;
+        Some(Bindings::build(mask, |_| tuples.next().expect("one tuple per mask bit")))
+    }
+
     /// The bound slots, one bit each.
     pub fn mask(&self) -> u64 {
-        self.mask
+        // SAFETY: a live pointer always points at the initialized mask.
+        self.ptr.map_or(0, |header| unsafe { header.as_ptr().read() })
     }
 
     /// Whether no slot is bound (an input query).
     pub fn is_empty(&self) -> bool {
-        self.mask == 0
+        self.ptr.is_none()
     }
 
     /// The bound tuples, in slot order.
     pub fn tuples(&self) -> &[Arc<Tuple>] {
-        &self.tuples
+        let Some(header) = self.ptr else { return &[] };
+        let n = self.mask().count_ones() as usize;
+        let (_, offset) = bindings_layout(n);
+        // SAFETY: `build` initialized `n` tuples at `offset`, and they live
+        // as long as `self`.
+        unsafe { std::slice::from_raw_parts(header.as_ptr().cast::<u8>().add(offset).cast(), n) }
     }
 
     /// These bindings plus `tuple` at `slot` (unbound here): the one
@@ -158,23 +227,72 @@ impl Bindings {
     /// Panics when `slot` is already bound or not below 64.
     pub fn with(&self, slot: usize, tuple: &Arc<Tuple>) -> Self {
         let bit = 1u64 << slot;
-        assert_eq!(self.mask & bit, 0, "slot {slot} is bound already");
-        let at = (self.mask & (bit - 1)).count_ones() as usize;
-        let mut tuples = Vec::with_capacity(self.tuples.len() + 1);
-        tuples.extend_from_slice(&self.tuples[..at]);
-        tuples.push(Arc::clone(tuple));
-        tuples.extend_from_slice(&self.tuples[at..]);
-        Bindings { mask: self.mask | bit, tuples: tuples.into_boxed_slice() }
+        let mask = self.mask();
+        assert_eq!(mask & bit, 0, "slot {slot} is bound already");
+        let at = (mask & (bit - 1)).count_ones() as usize;
+        let tuples = self.tuples();
+        Bindings::build(mask | bit, |i| match i.cmp(&at) {
+            Ordering::Less => Arc::clone(&tuples[i]),
+            Ordering::Equal => Arc::clone(tuple),
+            Ordering::Greater => Arc::clone(&tuples[i - 1]),
+        })
+    }
+}
+
+impl Default for Bindings {
+    fn default() -> Self {
+        Bindings { ptr: None, _owns: PhantomData }
+    }
+}
+
+impl Drop for Bindings {
+    fn drop(&mut self) {
+        let Some(header) = self.ptr else { return };
+        let n = self.mask().count_ones() as usize;
+        let (layout, offset) = bindings_layout(n);
+        // SAFETY: `build` made the allocation with this layout and
+        // initialized `n` tuples at `offset`; they are dropped exactly once
+        // here, through the pointer the allocation returned.
+        unsafe {
+            let tuples = header.as_ptr().cast::<u8>().add(offset).cast::<Arc<Tuple>>();
+            std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(tuples, n));
+            std::alloc::dealloc(header.as_ptr().cast(), layout);
+        }
+    }
+}
+
+impl Clone for Bindings {
+    fn clone(&self) -> Self {
+        let tuples = self.tuples();
+        Bindings::build(self.mask(), |i| Arc::clone(&tuples[i]))
+    }
+}
+
+impl PartialEq for Bindings {
+    fn eq(&self, other: &Self) -> bool {
+        self.mask() == other.mask() && self.tuples() == other.tuples()
+    }
+}
+
+impl Eq for Bindings {}
+
+impl fmt::Debug for Bindings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Bindings")
+            .field("mask", &self.mask())
+            .field("tuples", &self.tuples())
+            .finish()
     }
 }
 
 impl Bound for Bindings {
     fn tuple(&self, slot: usize) -> Option<&Tuple> {
         let bit = 1u64.checked_shl(slot as u32)?;
-        if self.mask & bit == 0 {
+        let mask = self.mask();
+        if mask & bit == 0 {
             return None;
         }
-        Some(&self.tuples[(self.mask & (bit - 1)).count_ones() as usize])
+        Some(&self.tuples()[(mask & (bit - 1)).count_ones() as usize])
     }
 }
 
@@ -188,12 +306,12 @@ struct WireBindings {
 
 impl Serialize for Bindings {
     fn serialize_json(&self) -> JsonValue {
-        WireBindings { mask: self.mask, tuples: self.tuples.to_vec() }.serialize_json()
+        WireBindings { mask: self.mask(), tuples: self.tuples().to_vec() }.serialize_json()
     }
 
     fn serialize_bin(&self, out: &mut Vec<u8>) {
-        serde::bin::write_varint(out, self.mask);
-        for tuple in self.tuples.iter() {
+        serde::bin::write_varint(out, self.mask());
+        for tuple in self.tuples() {
             write_prefixed(out, &**tuple);
         }
     }
@@ -204,16 +322,10 @@ impl Serialize for Bindings {
 /// extends, and shared, not copied, by every stored query that holds it.
 static DECODED_TUPLES: DecodedTable<Tuple, 16384> = DecodedTable::new();
 
-impl Bindings {
-    fn from_wire(wire: WireBindings) -> Option<Self> {
-        (wire.mask.count_ones() as usize == wire.tuples.len())
-            .then(|| Bindings { mask: wire.mask, tuples: wire.tuples.into_boxed_slice() })
-    }
-}
-
 impl Deserialize for Bindings {
     fn deserialize_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Bindings::from_wire(WireBindings::deserialize_json(v)?)
+        let WireBindings { mask, tuples } = WireBindings::deserialize_json(v)?;
+        Bindings::from_parts(mask, tuples)
             .ok_or_else(|| JsonError("bindings: one tuple per mask bit".into()))
     }
 
@@ -221,8 +333,8 @@ impl Deserialize for Bindings {
         let mask = serde::bin::read_varint(input)?;
         let tuples = (0..mask.count_ones())
             .map(|_| DECODED_TUPLES.read(input))
-            .collect::<Result<Box<[_]>, _>>()?;
-        Ok(Bindings { mask, tuples })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Bindings::from_parts(mask, tuples).expect("one tuple read per mask bit"))
     }
 }
 
@@ -830,6 +942,30 @@ mod tests {
         assert_eq!(plan.join_columns(), [at(0, 0), at(1, 0), at(1, 2), at(2, 1)]);
         let (r, s, t) = (tuple("R", [1, 0, 0]), tuple("S", [1, 4, 9]), tuple("T", [0, 9, 5]));
         assert_eq!(plan.project(&vec![Some(&r), Some(&s), Some(&t)]), [5, 7, 1].map(Value::from));
+    }
+
+    /// A binding is one thin pointer; it reads back the tuples it was built
+    /// from in slot order, and clones and drops hold and release exactly
+    /// one reference per bound tuple.
+    #[test]
+    fn bindings_are_one_thin_pointer_that_owns_its_tuples() {
+        assert_eq!(std::mem::size_of::<Bindings>(), 8);
+        let (r, t) = (Arc::new(tuple("R", [1, 2, 3])), Arc::new(tuple("T", [7, 8, 9])));
+        let none = Bindings::default();
+        assert!(none.is_empty() && none.mask() == 0 && none.tuples().is_empty());
+        let one = none.with(2, &t);
+        let two = one.with(0, &r);
+        assert_eq!((one.mask(), two.mask()), (0b100, 0b101));
+        assert_eq!(two.tuples(), [Arc::clone(&r), Arc::clone(&t)]);
+        assert_eq!((two.tuple(0), two.tuple(1), two.tuple(2)), (Some(&*r), None, Some(&*t)));
+        assert_eq!(two.tuple(64), None);
+        assert_eq!(Arc::strong_count(&t), 3, "held by `one` and `two`");
+        let copy = two.clone();
+        assert_eq!(copy, two);
+        assert_ne!(copy, one);
+        assert_eq!(Arc::strong_count(&r), 3);
+        drop((one, two, copy));
+        assert_eq!((Arc::strong_count(&r), Arc::strong_count(&t)), (1, 1));
     }
 
     #[test]

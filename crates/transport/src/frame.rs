@@ -70,7 +70,11 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 ///   length-prefixed) instead of the rewritten query; `original_joins` is
 ///   gone. The prefixes let a receiver share what it decoded before
 ///   (`rjoin_relation::DecodedTable`).
-pub const FORMAT_VERSION: u8 = 7;
+/// * 8 — an `Eval`'s piggy-backed RIC observations carry the candidate
+///   key's ring id (a `u64`) instead of the key text, and a `PendingQuery`
+///   carries only the window `start` of its span: the contribution span
+///   `[min, max]` is read off its bound tuples.
+pub const FORMAT_VERSION: u8 = 8;
 
 /// Bytes of the length prefix.
 const PREFIX_LEN: usize = 4;

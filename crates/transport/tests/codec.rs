@@ -180,20 +180,20 @@ fn arb_pending() -> impl Strategy<Value = PendingQuery> {
     (
         arb_query_id(),
         arb_query(),
-        (any::<u64>(), proptest::option::of(any::<u64>()), proptest::option::of(0u64..50)),
+        (any::<u64>(), proptest::option::of(any::<u64>()), 0u64..50),
         arb_subscribers(),
         proptest::option::of((arb_key(), 0u32..64)),
         proptest::collection::vec(arb_tuple(), 0..3),
     )
-        .prop_map(|(id, query, (insert_time, start, min), subscribers, cube, bound)| {
+        .prop_map(|(id, query, (insert_time, start, published), subscribers, cube, bound)| {
             let mut pending = PendingQuery::input(id, id.owner, insert_time, query);
             for (slot, tuple) in bound.into_iter().enumerate() {
                 if let Some(relation) = pending.query.relations().get(slot) {
-                    let tuple = Tuple::new(relation.clone(), tuple.values().to_vec(), 1);
+                    let pub_time = published + slot as u64;
+                    let tuple = Tuple::new(relation.clone(), tuple.values().to_vec(), pub_time);
                     pending = pending.child(&Arc::new(tuple), start);
                 }
             }
-            pending.set_window(start, min.map(|m| (m, m + 3)));
             pending.subscribers = subscribers;
             pending.with_hypercube(cube.map(|(base, cells)| HypercubeRef { base, cells }))
         })
@@ -215,17 +215,16 @@ fn arb_engine_message() -> impl Strategy<Value = RJoinMessage> {
             key,
             level,
         }),
-        (keyed(), proptest::collection::vec((arb_key(), any::<u64>(), 0u64..99), 0..4)).prop_map(
-            |((pending, key), ric)| RJoinMessage::Eval {
+        (keyed(), proptest::collection::vec((any::<u64>(), any::<u64>(), 0u64..99), 0..4))
+            .prop_map(|((pending, key), ric)| RJoinMessage::Eval {
                 pending,
                 key,
                 level: IndexLevel::Value,
                 carried_ric: ric
                     .into_iter()
-                    .map(|(key, rate, observed_at)| RicInfo { key, rate, observed_at })
+                    .map(|(ring, rate, observed_at)| RicInfo { ring, rate, observed_at })
                     .collect(),
-            }
-        ),
+            }),
         (arb_query_id(), proptest::collection::vec(arb_value(), 0..6), any::<u64>())
             .prop_map(|(query, row, produced_at)| RJoinMessage::Answer { query, row, produced_at }),
     ]
