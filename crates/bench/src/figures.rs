@@ -689,6 +689,28 @@ mod tests {
         );
     }
 
+    /// Figure 2's ordering at reduced scale: at the last tuple point RJoin
+    /// costs less than Random, and Random less than Worst, in traffic,
+    /// query-processing load and storage load per node. The figure runs
+    /// `EngineConfig::default()`, which has no ALTT and misses answers;
+    /// ROADMAP item 2 moves this guard to the complete configuration.
+    #[test]
+    fn fig2_orders_rjoin_below_random_below_worst_at_reduced_scale() {
+        let tables = fig2(Scale::Reduced);
+        for table in &tables {
+            assert_eq!(&table.headers()[1..4], ["worst", "random", "rjoin"]);
+            let last = table.rows().last().expect("a tuple point");
+            let [worst, random, rjoin] =
+                [1, 2, 3].map(|column| last[column].parse::<f64>().expect("a number"));
+            assert!(
+                rjoin < random && random < worst,
+                "{}: rjoin {rjoin}, random {random}, worst {worst} at {} tuples",
+                table.title(),
+                last[0]
+            );
+        }
+    }
+
     #[test]
     fn fig9_reports_both_configurations() {
         let tables = fig9(Scale::Smoke);

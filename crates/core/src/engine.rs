@@ -15,8 +15,8 @@ use crate::stats::ExperimentStats;
 use crate::traffic_class;
 use rjoin_dht::{HashedKey, Id, RingBuildHasher};
 use rjoin_metrics::{
-    CompileCounters, Distribution, LoadMap, PlannerCounters, ProbeCounters, ShardRuntimeStats,
-    SharingCounters, SplitCounters, StateCounters,
+    CompileCounters, Distribution, LoadMap, PlannerCounters, ProbeCounters, RicCounters,
+    ShardRuntimeStats, SharingCounters, SplitCounters, StateCounters,
 };
 use rjoin_net::{root_lineage, Network, NetworkConfig, SimTime, TrafficStats};
 use rjoin_query::plan;
@@ -534,6 +534,18 @@ impl RJoinEngine {
         total
     }
 
+    /// RIC placement counters summed across all live nodes: the candidates
+    /// of rewritten queries' RIC-aware dispatches, and how many of them the
+    /// candidate tables served, a chained RIC request asked, or no request
+    /// needed to ask.
+    pub fn ric_counters(&self) -> RicCounters {
+        let mut total = RicCounters::new();
+        for state in self.nodes() {
+            total.merge(&state.ric_counters());
+        }
+        total
+    }
+
     /// Total number of queries (input + rewritten) currently stored across
     /// all live nodes. A shared entry counts once regardless of how many
     /// subscribers ride on it — this is the stored-query load that sharing
@@ -608,6 +620,7 @@ impl RJoinEngine {
             compile: self.compile_counters(),
             state: self.state_counters(),
             probe: self.probe_counters(),
+            ric: self.ric_counters(),
         }
     }
 }

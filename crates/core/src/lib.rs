@@ -279,6 +279,7 @@ pub mod pipeline {
         choose_candidate, dispatch_query_in, perform_actions_in, EffectEnv,
     };
     pub use crate::procedures::Action;
+    pub use rjoin_metrics::RicCounters;
 }
 
 /// Traffic classes used when accounting messages, so that the share of

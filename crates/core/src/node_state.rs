@@ -31,7 +31,7 @@ use crate::slab::{Handle, Slab};
 use crate::trigger_index::{Bucket, TriggerIndex};
 use crate::{ArrivalLog, RicTracker};
 use rjoin_dht::{HashedKey, Id, RingMap};
-use rjoin_metrics::{CompileCounters, ProbeCounters, SharingCounters, StateCounters};
+use rjoin_metrics::{CompileCounters, ProbeCounters, RicCounters, SharingCounters, StateCounters};
 use rjoin_net::SimTime;
 use rjoin_query::{subjoin_eq, subjoin_fingerprint, IndexLevel, RewritePlan};
 use rjoin_relation::{Catalog, Timestamp, Tuple};
@@ -204,6 +204,10 @@ pub struct NodeState {
     pub(crate) state_counters: StateCounters,
     /// Candidate table: cached RIC information per candidate-key ring id.
     pub(crate) candidate_table: CandidateTable,
+    /// Where this node's RIC-aware dispatches of rewritten queries took
+    /// their candidates' rates from: the candidate table, a chained RIC
+    /// request, or nowhere (left unasked).
+    pub(crate) ric_counters: RicCounters,
     /// Tracker of tuple arrivals used to answer RIC requests.
     ///
     /// Behind a shared lock because it is the one piece of node state read
@@ -260,6 +264,16 @@ impl NodeState {
     /// Snapshot of this node's trigger-index probe counters.
     pub fn probe_counters(&self) -> ProbeCounters {
         self.trigger_index.counters()
+    }
+
+    /// Snapshot of this node's RIC placement counters.
+    pub fn ric_counters(&self) -> RicCounters {
+        self.ric_counters
+    }
+
+    /// Adds one RIC-aware dispatch's counters to this node's.
+    pub fn note_ric(&mut self, dispatch: &RicCounters) {
+        self.ric_counters.merge(dispatch);
     }
 
     /// Locked access to this node's RIC tracker.

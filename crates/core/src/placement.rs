@@ -8,6 +8,22 @@
 //! are generic over an [`EffectEnv`], so the simulator's effect phase and
 //! the TCP node process run the same code.
 //!
+//! # Asking only what can change the choice
+//!
+//! RIC-aware placement learns a candidate's rate from the dispatcher's
+//! candidate table (Section 7) or by asking the candidate's owner on one
+//! chained RIC request (Section 6). A rewritten query's dispatch reads the
+//! table for every candidate first, and then asks only while an answer can
+//! still change [`choose_candidate`]'s choice: never for a lone candidate,
+//! and no further once a known candidate sits at the floor — rate 0, and
+//! value level or no value-level candidate unknown. The choice is made
+//! among the known candidates, so it lies in the tie pool that asking every
+//! candidate would give, for no more RIC messages. Only rates that were
+//! read are cached and piggy-backed. An input query still asks every
+//! uncached candidate: its placement decides where a stream's queries are
+//! installed. Each node counts where its dispatches' rates came from in
+//! [`RicCounters`].
+//!
 //! # Two tiers of load balancing
 //!
 //! Placement is the upper half of a two-tier balancing story:
@@ -49,6 +65,7 @@ use crate::traffic_class;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rjoin_dht::{HashedKey, Id};
+use rjoin_metrics::RicCounters;
 use rjoin_net::{KeyRouter, SimTime, Transport};
 use rjoin_query::{candidate_keys, IndexKey, IndexLevel, RewritePlan};
 use rjoin_relation::Catalog;
@@ -67,14 +84,19 @@ pub fn split_effective_rate(partition_rates: &[u64]) -> u64 {
 /// (estimated) rate of incoming tuples of each candidate.
 ///
 /// `candidates` (the level of each candidate key — all a strategy looks at)
-/// and `rates` are parallel slices. Returns the index of the chosen
-/// candidate.
+/// and `rates` are parallel slices: the candidates whose rate is known (a
+/// rewritten query's dispatch leaves out the ones it did not need to ask).
+/// Returns the index of the chosen candidate.
 ///
 /// * [`PlacementStrategy::RicAware`] — lowest rate wins; ties are broken in
 ///   favour of *value-level* candidates (Section 3 indexes rewritten queries
 ///   at the value level by default because it both spreads load better and
-///   guarantees that an earlier-stored tuple can still be found), then by
-///   first occurrence;
+///   guarantees that an earlier-stored tuple can still be found), then
+///   uniformly at random among the remaining tie pool. Rates are never
+///   below 0, so once a known candidate has rate 0 and is at the value
+///   level, or no value-level rate is unknown, the choice among the known
+///   candidates lies in the full tie pool whatever the unknown rates are:
+///   the floor at which dispatch stops asking;
 /// * [`PlacementStrategy::Worst`] — highest rate wins (the adversarial
 ///   baseline of Figure 2);
 /// * [`PlacementStrategy::Random`] — uniform random;
@@ -156,6 +178,9 @@ pub trait EffectEnv {
 
     /// Caches an RIC observation in `node`'s candidate table.
     fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry);
+
+    /// Adds one dispatch's [`RicCounters`] to `node`'s (the dispatcher's).
+    fn note_ric(&mut self, node: Id, dispatch: &RicCounters);
 
     /// The rate of incoming tuples `owner` observed for key `ring` during
     /// the [`RIC_WINDOW`](crate::RIC_WINDOW) ticks ending at `now` (the
@@ -255,13 +280,14 @@ pub fn dispatch_query_in<E: EffectEnv>(
 }
 
 /// The buffers one dispatch fills and the next one reuses: the candidates'
-/// levels, their interned keys and their rates, position for position, and
-/// the order the RIC chain visits them in.
+/// levels, their interned keys, their rates and whether each rate is known,
+/// position for position, and the order the RIC chain visits them in.
 #[derive(Default)]
 struct DispatchScratch {
     levels: Vec<IndexLevel>,
     hashed: Vec<HashedKey>,
     rates: Vec<u64>,
+    known: Vec<bool>,
     ric_order: Vec<(u64, usize)>,
 }
 
@@ -332,7 +358,7 @@ fn place_and_send<E: EffectEnv>(
     // here serves the rates loop, the candidate table, the piggy-backed RIC
     // information *and* the final send — no key is hashed twice.
     scratch.load_candidates(&pending, catalog)?;
-    let DispatchScratch { levels, hashed, rates, ric_order } = scratch;
+    let DispatchScratch { levels, hashed, .. } = scratch;
     if !is_input && config.rewritten_value_level_only && levels.contains(&IndexLevel::Value) {
         // Section 3 base algorithm: rewritten queries always go to the
         // value level (each rewrite introduces at least one value-level
@@ -344,25 +370,34 @@ fn place_and_send<E: EffectEnv>(
 
     let strategy = config.placement;
     let now = env.now();
-    rates.clear();
-    rates.resize(hashed.len(), 0);
+    scratch.rates.clear();
+    scratch.rates.resize(scratch.hashed.len(), 0);
+    scratch.known.clear();
+    scratch.known.resize(scratch.hashed.len(), true);
 
     if matches!(strategy, PlacementStrategy::RicAware | PlacementStrategy::Worst) {
-        clockwise_from(from, hashed, ric_order);
-        collect_rates(env, config, from, hashed, rates, ric_order)?;
+        clockwise_from(from, &scratch.hashed, &mut scratch.ric_order);
+        // Only a rewritten query's RIC-aware dispatch stops asking once no
+        // answer can change its choice. An input query collects every rate:
+        // its placement decides where the stream's queries are installed.
+        let stop_at_floor = !is_input && strategy == PlacementStrategy::RicAware;
+        scratch.collect_rates(env, config, from, stop_at_floor)?;
+        scratch.drop_unasked();
     }
+    let DispatchScratch { levels, hashed, rates, known, .. } = scratch;
 
     let chosen = env.choose(levels, rates, strategy);
     let level = levels[chosen];
     let key = hashed[chosen].clone();
     let class = if is_input { traffic_class::QUERY_INDEX } else { traffic_class::EVAL };
 
+    // Only rates that were read travel: a lone candidate nobody asked
+    // carries nothing.
     let carried_ric: Vec<RicInfo> =
         if !is_input && config.reuse_ric && strategy == PlacementStrategy::RicAware {
-            hashed
-                .iter()
-                .zip(rates.iter())
-                .map(|(k, r)| RicInfo { ring: k.ring(), rate: *r, observed_at: now })
+            (0..hashed.len())
+                .filter(|&i| known[i])
+                .map(|i| RicInfo { ring: hashed[i].ring(), rate: rates[i], observed_at: now })
                 .collect()
         } else {
             Vec::new()
@@ -412,85 +447,150 @@ fn clockwise_from(from: Id, hashed: &[HashedKey], order: &mut Vec<(u64, usize)>)
     order.sort_unstable();
 }
 
-/// Fills `rates` with every candidate's rate (Sections 6 and 7): cached RIC
-/// information where the candidate table allows it, otherwise one chained
-/// RIC request that visits the candidates in `order` (`(_, index)` pairs
-/// into `hashed` and `rates`). Each rate lands in its candidate's slot, so
-/// the order moves RIC messages, never the rates or the placement.
-fn collect_rates<E: EffectEnv>(
-    env: &mut E,
-    config: &EngineConfig,
-    from: Id,
-    hashed: &[HashedKey],
-    rates: &mut [u64],
-    order: &[(u64, usize)],
-) -> Result<(), EngineError> {
-    let strategy = config.placement;
-    let now = env.now();
-    let mut prev_hop = from;
-    let mut requests = 0usize;
-    for &(_, i) in order {
-        let (hkey, slot) = (&hashed[i], &mut rates[i]);
-        // Reuse cached RIC information when allowed (Section 7). Cached
-        // entries for split candidates are always split-aware: both
-        // paths cache under the base ring identifier, and activation
-        // purges every pre-split entry for the key, so whatever is
-        // cached here was computed from the per-cell rates below.
-        if strategy == PlacementStrategy::RicAware && config.reuse_ric {
-            if let Some(entry) = env.cached_ric(from, hkey.ring(), now) {
-                *slot = entry.rate;
+impl DispatchScratch {
+    /// Learns the candidates' rates (Sections 6 and 7) into `rates`,
+    /// marking each rate it learned in `known`.
+    ///
+    /// It reads the candidate table for every candidate first (Section 7's
+    /// reuse), then sends one chained RIC request that visits the uncached
+    /// candidates in `ric_order` (`(_, index)` pairs). Each rate lands in
+    /// its candidate's slot, so the order moves RIC messages, never the
+    /// rates or the placement. The last candidate contacted replies.
+    ///
+    /// With `stop_at_floor` (a rewritten query's RIC-aware dispatch) the
+    /// chain stops asking as soon as no answer can change the choice of
+    /// [`choose_candidate`]: when there is a single candidate, or when a
+    /// known candidate sits at the floor — rate 0 (no rate is lower), and
+    /// value level or no value-level candidate still unknown (value level
+    /// wins ties). The candidates it leaves unasked stay unknown, and the
+    /// choice, the candidate table and the piggy-backed RIC information
+    /// see only known rates. The choice then lands in the tie pool that
+    /// asking every candidate would give, and the chain is a prefix of
+    /// that full chain, so it charges no more RIC messages. The dispatch
+    /// is counted in the dispatcher's [`RicCounters`].
+    fn collect_rates<E: EffectEnv>(
+        &mut self,
+        env: &mut E,
+        config: &EngineConfig,
+        from: Id,
+        stop_at_floor: bool,
+    ) -> Result<(), EngineError> {
+        let DispatchScratch { levels, hashed, rates, known, ric_order } = self;
+        let strategy = config.placement;
+        let reuse = strategy == PlacementStrategy::RicAware && config.reuse_ric;
+        let now = env.now();
+        let mut count =
+            RicCounters { dispatches: 1, candidates: hashed.len() as u64, ..RicCounters::new() };
+        known.fill(false);
+        if reuse {
+            // Cached entries for split candidates are always split-aware:
+            // both paths cache under the base ring identifier, and
+            // activation purges every pre-split entry for the key, so
+            // whatever is cached here was computed from the per-cell rates
+            // below.
+            for (i, hkey) in hashed.iter().enumerate() {
+                if let Some(entry) = env.cached_ric(from, hkey.ring(), now) {
+                    rates[i] = entry.rate;
+                    known[i] = true;
+                    count.served += 1;
+                }
+            }
+        }
+        let mut prev_hop = from;
+        let mut requests = 0usize;
+        for &(_, i) in ric_order.iter() {
+            if known[i] {
                 continue;
             }
-        }
-        // Split-aware candidate rate: for a split hot key the unit that
-        // carries load is one *cell*, so the candidate's effective
-        // rate is the maximum over its sub-keys (see
-        // `placement::split_effective_rate`) — which is what makes a
-        // freshly split key attractive again. Each cell owner is one
-        // more chained RIC hop.
-        let parts = env.splits().get(hkey.ring()).map(|e| e.grid.cells());
-        let rate = match parts {
-            None => {
-                let owner = if strategy == PlacementStrategy::RicAware {
-                    // Chained RIC request: previous hop forwards the
-                    // request to the next candidate (k * O(log N)
-                    // messages total); the route ends at its owner.
-                    requests += 1;
-                    env.net().charge_route(prev_hop, hkey.id(), traffic_class::RIC)?.owner
-                } else {
-                    env.net().owner_of(hkey.id())?
-                };
-                prev_hop = owner;
-                env.observed_rate(owner, hkey.ring(), now)
+            if stop_at_floor && (hashed.len() == 1 || at_floor(levels, rates, known)) {
+                break;
             }
-            Some(parts) => {
-                let mut partition_rates = Vec::with_capacity(parts as usize);
-                for p in 0..parts {
-                    let sub = hkey.split_part(p, parts);
-                    let owner = env.net().owner_of(sub.id())?;
-                    partition_rates.push(env.observed_rate(owner, sub.ring(), now));
-                    if strategy == PlacementStrategy::RicAware {
-                        env.net().charge_route(prev_hop, sub.id(), traffic_class::RIC)?;
-                        prev_hop = owner;
+            let hkey = &hashed[i];
+            // Split-aware candidate rate: for a split hot key the unit that
+            // carries load is one *cell*, so the candidate's effective
+            // rate is the maximum over its sub-keys (see
+            // `placement::split_effective_rate`) — which is what makes a
+            // freshly split key attractive again. Each cell owner is one
+            // more chained RIC hop.
+            let parts = env.splits().get(hkey.ring()).map(|e| e.grid.cells());
+            let rate = match parts {
+                None => {
+                    let owner = if strategy == PlacementStrategy::RicAware {
+                        // Chained RIC request: previous hop forwards the
+                        // request to the next candidate (k * O(log N)
+                        // messages total); the route ends at its owner.
                         requests += 1;
-                    }
+                        env.net().charge_route(prev_hop, hkey.id(), traffic_class::RIC)?.owner
+                    } else {
+                        env.net().owner_of(hkey.id())?
+                    };
+                    prev_hop = owner;
+                    env.observed_rate(owner, hkey.ring(), now)
                 }
-                split_effective_rate(&partition_rates)
+                Some(parts) => {
+                    let mut partition_rates = Vec::with_capacity(parts as usize);
+                    for p in 0..parts {
+                        let sub = hkey.split_part(p, parts);
+                        let owner = env.net().owner_of(sub.id())?;
+                        partition_rates.push(env.observed_rate(owner, sub.ring(), now));
+                        if strategy == PlacementStrategy::RicAware {
+                            env.net().charge_route(prev_hop, sub.id(), traffic_class::RIC)?;
+                            prev_hop = owner;
+                            requests += 1;
+                        }
+                    }
+                    split_effective_rate(&partition_rates)
+                }
+            };
+            rates[i] = rate;
+            known[i] = true;
+            count.asked += 1;
+            if reuse {
+                env.cache_ric(from, hkey.ring(), RicEntry { rate, observed_at: now });
             }
-        };
-        *slot = rate;
-        if strategy == PlacementStrategy::RicAware && config.reuse_ric {
-            env.cache_ric(from, hkey.ring(), RicEntry { rate, observed_at: now });
+            // The Worst baseline uses oracle knowledge: no traffic is
+            // charged for it (it exists only to bound the design space).
         }
-        // The Worst baseline uses oracle knowledge: no traffic is
-        // charged for it (it exists only to bound the design space).
+        if strategy == PlacementStrategy::RicAware && requests > 0 {
+            // The last contacted candidate returns the collected RIC
+            // information (and every candidate's address) in one hop.
+            env.net().charge_direct(prev_hop, traffic_class::RIC);
+        }
+        if stop_at_floor {
+            count.unasked = count.candidates - count.served - count.asked;
+            env.note_ric(from, &count);
+        }
+        Ok(())
     }
-    if strategy == PlacementStrategy::RicAware && requests > 0 {
-        // The last contacted candidate returns the collected RIC
-        // information (and every candidate's address) in one hop.
-        env.net().charge_direct(prev_hop, traffic_class::RIC);
+
+    /// Drops the candidates [`collect_rates`](Self::collect_rates) left
+    /// unasked, so the choice sees known rates only. A lone candidate
+    /// nobody asked stays: it is chosen without a rate.
+    fn drop_unasked(&mut self) {
+        let DispatchScratch { levels, hashed, rates, known, .. } = self;
+        if known.contains(&true) && known.contains(&false) {
+            retain_known(levels, known);
+            retain_known(hashed, known);
+            retain_known(rates, known);
+            known.retain(|known| *known);
+        }
     }
-    Ok(())
+}
+
+/// Keeps the items of `items` whose flag in the parallel `known` is set.
+fn retain_known<T>(items: &mut Vec<T>, known: &[bool]) {
+    let mut keep = known.iter();
+    items.retain(|_| *keep.next().expect("parallel to the candidates"));
+}
+
+/// Whether a known candidate sits at the floor no answer can go below: its
+/// rate is 0, and it is at the value level or no value-level candidate's
+/// rate is still unknown. [`choose_candidate`]'s RIC-aware choice among the
+/// known candidates then lands in the tie pool of all of them.
+fn at_floor(levels: &[IndexLevel], rates: &[u64], known: &[bool]) -> bool {
+    let value_unknown = (0..levels.len()).any(|i| !known[i] && levels[i] == IndexLevel::Value);
+    (0..levels.len())
+        .any(|i| known[i] && rates[i] == 0 && (levels[i] == IndexLevel::Value || !value_unknown))
 }
 
 #[cfg(test)]
@@ -586,38 +686,69 @@ mod tests {
         assert_eq!(split_effective_rate(&[]), 0);
     }
 
-    /// One dispatch's rate collection on a fresh 64-node engine in which
-    /// every candidate's owner has seen `i % 3` arrivals under candidate
-    /// `i`: the rates, the candidate the placement chooses and the RIC
-    /// messages charged, with the chain visiting the candidates in the
-    /// order `order` builds.
-    fn ric_walk(
+    /// A dispatcher's view of one rewritten query's candidates: candidate
+    /// `i` is at level `levels[i]`, its owner has seen `rates[i]` arrivals
+    /// under its key, and the dispatcher's candidate table holds that rate
+    /// if `cached[i]`.
+    struct Fixture {
+        keys: Vec<HashedKey>,
+        levels: Vec<IndexLevel>,
+        rates: Vec<u64>,
+        cached: Vec<bool>,
         from_index: usize,
-        keys: &[HashedKey],
+    }
+
+    /// What one dispatch's rate collection did.
+    #[derive(Debug)]
+    struct Walk {
+        /// `(ring, rate)` of every candidate whose rate became known, in
+        /// candidate order.
+        known: Vec<(u64, u64)>,
+        /// The ring of the chosen candidate.
+        chosen: u64,
+        /// RIC messages charged.
+        ric_msgs: u64,
+        /// The dispatcher's RIC counters after the dispatch.
+        counters: RicCounters,
+    }
+
+    /// One rewritten query's RIC-aware rate collection and choice on a
+    /// fresh 64-node engine set up as `fixture` says, with the chain
+    /// visiting the candidates in the order `order` builds.
+    fn ric_walk(
+        fixture: &Fixture,
+        stop_at_floor: bool,
         order: impl Fn(Id, &[HashedKey], &mut Vec<(u64, usize)>),
-    ) -> (Vec<u64>, usize, u64) {
+    ) -> Walk {
         let config = EngineConfig::default();
         let mut engine = RJoinEngine::simulated(config.clone(), Catalog::new(), 64);
         engine.advance_time(10);
         let now = engine.now();
-        for (i, key) in keys.iter().enumerate() {
+        let from = engine.node_ids()[fixture.from_index];
+        let shard = engine.network.shard_of(from);
+        for (i, key) in fixture.keys.iter().enumerate() {
             let owner = engine.network.owner_of(key.id()).unwrap();
-            for _ in 0..i % 3 {
+            for _ in 0..fixture.rates[i] {
                 engine.node_state(owner).unwrap().ric().record_arrival_bounded(
                     key.ring(),
                     now,
                     1_000,
                 );
             }
+            if fixture.cached[i] {
+                let entry = RicEntry { rate: fixture.rates[i], observed_at: now };
+                engine.shards[shard].nodes.get_mut(&from).unwrap().cache_ric(key.ring(), entry);
+            }
         }
-        let from = engine.node_ids()[from_index];
-        let levels: Vec<IndexLevel> = (0..keys.len())
-            .map(|i| if i % 2 == 0 { IndexLevel::Value } else { IndexLevel::Attribute })
-            .collect();
-        let mut visit = Vec::new();
-        order(from, keys, &mut visit);
-        let mut rates = vec![0; keys.len()];
-        let shard = engine.network.shard_of(from);
+        let n = fixture.keys.len();
+        let mut scratch = DispatchScratch {
+            levels: fixture.levels.clone(),
+            hashed: fixture.keys.clone(),
+            rates: vec![0; n],
+            known: vec![true; n],
+            ric_order: Vec::new(),
+        };
+        order(from, &scratch.hashed, &mut scratch.ric_order);
         let mut env = ShardEnv {
             handle: &mut engine.network.root_handle(from),
             nodes: &mut engine.shards[shard].nodes,
@@ -628,9 +759,31 @@ mod tests {
             lineage: root_lineage(0),
             decisions: 0,
         };
-        collect_rates(&mut env, &config, from, keys, &mut rates, &visit).unwrap();
-        let chosen = env.choose(&levels, &rates, config.placement);
-        (rates, chosen, engine.traffic().total_sent_class(traffic_class::RIC))
+        scratch.collect_rates(&mut env, &config, from, stop_at_floor).unwrap();
+        scratch.drop_unasked();
+        let chosen = env.choose(&scratch.levels, &scratch.rates, config.placement);
+        let known = (0..scratch.hashed.len())
+            .filter(|&i| scratch.known[i])
+            .map(|i| (scratch.hashed[i].ring(), scratch.rates[i]))
+            .collect();
+        Walk {
+            known,
+            chosen: scratch.hashed[chosen].ring(),
+            ric_msgs: engine.traffic().total_sent_class(traffic_class::RIC),
+            counters: engine.node_state(from).unwrap().ric_counters(),
+        }
+    }
+
+    /// The rings of the candidates RIC-aware placement may choose once
+    /// every rate is known: the minima, narrowed to the value-level ones if
+    /// any minimum is at the value level.
+    fn full_tie_pool(keys: &[HashedKey], levels: &[IndexLevel], rates: &[u64]) -> Vec<u64> {
+        let min = *rates.iter().min().unwrap();
+        let minima: Vec<usize> = (0..rates.len()).filter(|&i| rates[i] == min).collect();
+        let value_minima: Vec<usize> =
+            minima.iter().copied().filter(|&i| levels[i] == IndexLevel::Value).collect();
+        let pool = if value_minima.is_empty() { minima } else { value_minima };
+        pool.into_iter().map(|i| keys[i].ring()).collect()
     }
 
     /// Visiting the candidates clockwise from the dispatcher collects the
@@ -638,28 +791,86 @@ mod tests {
     /// candidate order, and charges fewer RIC messages over the sixteen
     /// dispatches. Chord hop counts are not monotone in ring distance, so
     /// one dispatch may pay a hop more than the candidate-order chain; the
-    /// saving is in the total.
+    /// saving is in the total. Every owner has seen at least one arrival,
+    /// so no candidate is at the floor and both chains visit every
+    /// candidate.
     #[test]
     fn ring_order_ric_walk_moves_messages_not_placement() {
         let (mut ring_total, mut listed_total) = (0, 0);
         for round in 0..16 {
-            let keys: Vec<HashedKey> =
-                (0..2 + round % 7).map(|i| HashedKey::new(format!("R{round}+A+{i}"))).collect();
-            let from_index = round * 5 % 64;
-            let (ring_rates, ring_chosen, ring_msgs) = ric_walk(from_index, &keys, clockwise_from);
-            let (listed_rates, listed_chosen, listed_msgs) =
-                ric_walk(from_index, &keys, |_, keys, order| {
-                    order.extend((0..keys.len()).map(|i| (0, i)));
-                });
-            assert_eq!(ring_rates, listed_rates, "round {round}: the order moves no rate");
-            assert!(ring_rates.iter().any(|&rate| rate > 0), "round {round}: rates are observed");
-            assert_eq!(ring_chosen, listed_chosen, "round {round}: the order moves no placement");
-            ring_total += ring_msgs;
-            listed_total += listed_msgs;
+            let n = 2 + round % 7;
+            let fixture = Fixture {
+                keys: (0..n).map(|i| HashedKey::new(format!("R{round}+A+{i}"))).collect(),
+                levels: (0..n)
+                    .map(|i| if i % 2 == 0 { IndexLevel::Value } else { IndexLevel::Attribute })
+                    .collect(),
+                rates: (0..n).map(|i| 1 + i as u64 % 3).collect(),
+                cached: vec![false; n],
+                from_index: round * 5 % 64,
+            };
+            let ring = ric_walk(&fixture, true, clockwise_from);
+            let listed = ric_walk(&fixture, true, |_, keys, order| {
+                order.extend((0..keys.len()).map(|i| (0, i)));
+            });
+            assert_eq!(ring.known.len(), n, "round {round}: the chain asks every candidate");
+            assert_eq!(ring.known, listed.known, "round {round}: the order moves no rate");
+            let rates: Vec<u64> = ring.known.iter().map(|(_, rate)| *rate).collect();
+            assert_eq!(rates, fixture.rates, "round {round}: rates are observed");
+            assert_eq!(ring.chosen, listed.chosen, "round {round}: the order moves no placement");
+            ring_total += ring.ric_msgs;
+            listed_total += listed.ric_msgs;
         }
         assert!(
             ring_total < listed_total,
             "the clockwise chain charged {ring_total} RIC messages, candidate order {listed_total}"
         );
+    }
+
+    proptest::proptest! {
+        /// A rewritten query's dispatch that stops asking at the floor
+        /// chooses a candidate in the tie pool asking every candidate gives,
+        /// charges no more RIC messages than that full collection, reads
+        /// only rates it was served or asked for, and counts every
+        /// candidate once: served, asked or unasked.
+        #[test]
+        fn stopping_at_the_floor_keeps_the_choice_in_the_full_tie_pool(
+            candidates in proptest::collection::vec((proptest::bool::ANY, 0u64..3, proptest::bool::ANY), 1..7),
+            from_index in 0usize..64,
+            round in 0u32..1_000,
+        ) {
+            let n = candidates.len();
+            let fixture = Fixture {
+                keys: (0..n).map(|i| HashedKey::new(format!("P{round}+A+{i}"))).collect(),
+                levels: candidates
+                    .iter()
+                    .map(|(value, ..)| if *value { IndexLevel::Value } else { IndexLevel::Attribute })
+                    .collect(),
+                rates: candidates.iter().map(|(_, rate, _)| *rate).collect(),
+                cached: candidates.iter().map(|(.., cached)| *cached).collect(),
+                from_index,
+            };
+            let stopped = ric_walk(&fixture, true, clockwise_from);
+            let full = ric_walk(&fixture, false, clockwise_from);
+            let all: Vec<(u64, u64)> =
+                fixture.keys.iter().zip(&fixture.rates).map(|(k, r)| (k.ring(), *r)).collect();
+            proptest::prop_assert_eq!(&full.known, &all);
+            let pool = full_tie_pool(&fixture.keys, &fixture.levels, &fixture.rates);
+            proptest::prop_assert!(
+                pool.contains(&stopped.chosen),
+                "chose {} outside the full tie pool {:?}", stopped.chosen, pool
+            );
+            proptest::prop_assert!(stopped.ric_msgs <= full.ric_msgs);
+            // Every known rate is a true rate.
+            proptest::prop_assert!(stopped.known.iter().all(|pair| all.contains(pair)));
+
+            let c = stopped.counters;
+            let cached = fixture.cached.iter().filter(|c| **c).count() as u64;
+            proptest::prop_assert_eq!((c.dispatches, c.candidates), (1, n as u64));
+            proptest::prop_assert_eq!(c.served + c.asked + c.unasked, c.candidates);
+            proptest::prop_assert_eq!(c.served, cached);
+            proptest::prop_assert_eq!(stopped.known.len() as u64, c.served + c.asked);
+            proptest::prop_assert_eq!(c.asked > 0, stopped.ric_msgs > 0);
+            proptest::prop_assert_eq!(full.counters, RicCounters::new(), "full collection is not counted");
+        }
     }
 }

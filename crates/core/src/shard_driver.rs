@@ -58,6 +58,7 @@ use crate::split::SplitMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rjoin_dht::{Id, RingBuildHasher};
+use rjoin_metrics::RicCounters;
 use rjoin_net::{lineage_seed, Lineage, ShardHandle, SimTime, Transport};
 use rjoin_query::IndexLevel;
 use rjoin_relation::Catalog;
@@ -110,6 +111,12 @@ impl<'n> EffectEnv for ShardEnv<'_, 'n> {
     fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry) {
         if let Some(state) = self.nodes.get_mut(&node) {
             state.cache_ric(ring, entry);
+        }
+    }
+
+    fn note_ric(&mut self, node: Id, dispatch: &RicCounters) {
+        if let Some(state) = self.nodes.get_mut(&node) {
+            state.note_ric(dispatch);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Aggregated statistics of an engine run, in the units the paper reports.
 
 use rjoin_metrics::{
-    CompileCounters, Distribution, PlannerCounters, ProbeCounters, ShardRuntimeStats,
+    CompileCounters, Distribution, PlannerCounters, ProbeCounters, RicCounters, ShardRuntimeStats,
     SharingCounters, SplitCounters, StateCounters,
 };
 use serde::{Deserialize, Serialize};
@@ -77,6 +77,11 @@ pub struct ExperimentStats {
     /// handles. `candidates_probed / bucket_len_total` is the direct measure
     /// of what the value-partitioned trigger index saves.
     pub probe: ProbeCounters,
+    /// Where RIC-aware placement of rewritten queries took its candidates'
+    /// rates from: served by the candidate tables, asked on a chained RIC
+    /// request, or left unasked because no rate could change the choice.
+    /// `asked` is what costs RIC messages.
+    pub ric: RicCounters,
 }
 
 impl ExperimentStats {
@@ -143,6 +148,7 @@ mod tests {
             compile: CompileCounters::default(),
             state: StateCounters::default(),
             probe: ProbeCounters::default(),
+            ric: RicCounters::default(),
         }
     }
 

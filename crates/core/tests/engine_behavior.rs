@@ -49,6 +49,38 @@ fn ric_reuse_reduces_ric_traffic() {
     );
 }
 
+/// On a `paper_4way`-shaped run (4-way chains over the paper's schema, 256
+/// nodes, an ALTT covering the run) every candidate of a rewritten query's
+/// RIC-aware dispatch is counted once, on every node: served by the
+/// candidate table, asked on the chained RIC request, or left unasked. A
+/// run that asks pays RIC traffic, and the floor rule leaves candidates
+/// unasked. Prints the run's counters (`--nocapture`).
+#[test]
+fn ric_counters_count_every_candidate_once() {
+    let scenario =
+        Scenario { nodes: 256, queries: 500, tuples: 60, seed: 7, ..Scenario::paper_default() };
+    let catalog = scenario.workload_schema().build_catalog();
+    let config = EngineConfig::default().with_altt(1_000_000);
+    let mut engine = RJoinEngine::simulated(config, catalog, scenario.nodes);
+    drive(&mut engine, &scenario);
+    for id in engine.node_ids() {
+        let c = engine.node_state(*id).unwrap().ric_counters();
+        assert_eq!(c.served + c.asked + c.unasked, c.candidates, "node {id:?}: {c:?}");
+        assert!(c.candidates >= c.dispatches, "node {id:?}: {c:?}");
+    }
+    let stats = engine.stats();
+    let c = stats.ric;
+    assert_eq!(c, engine.ric_counters());
+    assert_eq!(c.served + c.asked + c.unasked, c.candidates, "{c:?}");
+    assert!(c.served > 0 && c.asked > 0 && c.unasked > 0, "{c:?}");
+    assert!(stats.traffic_ric > 0, "asking costs RIC messages: {c:?}");
+    println!(
+        "{} rewritten dispatches, {} candidates: {} served, {} asked, {} unasked; \
+         {} RIC messages",
+        c.dispatches, c.candidates, c.served, c.asked, c.unasked, stats.traffic_ric
+    );
+}
+
 #[test]
 fn traffic_classes_sum_to_total() {
     let scenario = Scenario { nodes: 32, queries: 120, tuples: 60, ..Scenario::small_test() };

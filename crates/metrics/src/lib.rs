@@ -31,7 +31,9 @@
 //!   behaved (occupancy and high water per store, expiry pops),
 //! * [`ProbeCounters`] — how the value-partitioned trigger index narrowed
 //!   tuple-arrival probes (candidates vs bucket length, residual share,
-//!   index size high water).
+//!   index size high water),
+//! * [`RicCounters`] — where RIC-aware placement took its candidates' rates
+//!   from (candidate table, chained RIC request, or left unasked).
 
 mod compile;
 mod counters;
@@ -39,6 +41,7 @@ mod distribution;
 mod planner;
 mod probe;
 mod report;
+mod ric;
 mod series;
 mod shard;
 mod sharing;
@@ -51,6 +54,7 @@ pub use distribution::Distribution;
 pub use planner::PlannerCounters;
 pub use probe::ProbeCounters;
 pub use report::Table;
+pub use ric::RicCounters;
 pub use series::CumulativeSeries;
 pub use shard::ShardRuntimeStats;
 pub use sharing::SharingCounters;

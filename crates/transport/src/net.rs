@@ -23,7 +23,7 @@ use crate::peers::PeerLinks;
 use crate::view::ClusterView;
 use crate::wire::ServiceMessage;
 use rand::rngs::StdRng;
-use rjoin_core::pipeline::{choose_candidate, EffectEnv};
+use rjoin_core::pipeline::{choose_candidate, EffectEnv, RicCounters};
 use rjoin_core::split::SplitMap;
 use rjoin_core::{NodeState, PlacementStrategy, RJoinMessage, RicEntry, RIC_WINDOW};
 use rjoin_dht::{DhtError, Id, LookupResult};
@@ -208,6 +208,14 @@ impl EffectEnv for NetEnv<'_> {
         if let Some(state) = &mut self.state {
             if state.id == node {
                 state.cache_ric(ring, entry);
+            }
+        }
+    }
+
+    fn note_ric(&mut self, node: Id, dispatch: &RicCounters) {
+        if let Some(state) = &mut self.state {
+            if state.id == node {
+                state.note_ric(dispatch);
             }
         }
     }
