@@ -23,9 +23,8 @@ pub struct AnswerRecord {
 pub struct AnswerLog {
     records: Vec<AnswerRecord>,
     per_query: HashMap<QueryId, Vec<usize>>,
-    /// Rows delivered so far for the queries fed through
-    /// [`record_distinct`](Self::record_distinct); a query's answers all go
-    /// through one of the two `record*` calls, so `record` leaves it alone.
+    /// Rows delivered so far for each query marked `SELECT DISTINCT`
+    /// ([`mark_distinct`](Self::mark_distinct)).
     seen_rows: HashMap<QueryId, HashSet<Vec<Value>>>,
 }
 
@@ -35,23 +34,24 @@ impl AnswerLog {
         Self::default()
     }
 
-    /// Records one delivered answer.
-    pub fn record(&mut self, record: AnswerRecord) {
-        self.per_query.entry(record.query).or_default().push(self.records.len());
-        self.records.push(record);
+    /// Marks `query`, at its submission, as a `SELECT DISTINCT` query:
+    /// [`record`](Self::record) drops its repeated rows from then on.
+    pub fn mark_distinct(&mut self, query: QueryId) {
+        self.seen_rows.entry(query).or_default();
     }
 
-    /// Records an answer only if the same row has not been delivered for the
-    /// same query before. This is the querying node's local filter used for
-    /// `SELECT DISTINCT` queries (set semantics, Section 4): the in-network
-    /// projection filter removes most duplicates close to where they would
-    /// be produced, and this owner-side filter removes the remainder (rows
-    /// that are produced through different rewriting paths). Returns whether
-    /// the row was new.
-    pub fn record_distinct(&mut self, record: AnswerRecord) -> bool {
-        let seen = self.seen_rows.entry(record.query).or_default();
-        if !seen.insert(record.row.clone()) {
-            return false;
+    /// Records one delivered answer, unless it repeats a row already
+    /// delivered for the same `DISTINCT` query. That is the querying node's
+    /// filter for set semantics (Section 4): the in-network projection
+    /// filter removes most duplicates close to where they would be
+    /// produced, and this owner-side filter removes the remainder (rows
+    /// that are produced through different rewriting paths). Returns
+    /// whether the answer was recorded.
+    pub fn record(&mut self, record: AnswerRecord) -> bool {
+        if let Some(seen) = self.seen_rows.get_mut(&record.query) {
+            if !seen.insert(record.row.clone()) {
+                return false;
+            }
         }
         self.per_query.entry(record.query).or_default().push(self.records.len());
         self.records.push(record);
@@ -159,12 +159,18 @@ mod tests {
     #[test]
     fn record_distinct_filters_repeated_rows() {
         let mut log = AnswerLog::new();
-        assert!(log.record_distinct(record(1, vec![1, 2], 0, 0)));
-        assert!(!log.record_distinct(record(1, vec![1, 2], 5, 6)));
-        assert!(log.record_distinct(record(1, vec![3], 5, 6)));
-        assert!(log.record_distinct(record(2, vec![1, 2], 5, 6)), "other queries are independent");
+        log.mark_distinct(qid(1));
+        log.mark_distinct(qid(2));
+        assert!(log.record(record(1, vec![1, 2], 0, 0)));
+        assert!(!log.record(record(1, vec![1, 2], 5, 6)));
+        assert!(log.record(record(1, vec![3], 5, 6)));
+        assert!(log.record(record(2, vec![1, 2], 5, 6)), "other queries are independent");
         assert_eq!(log.count_for(qid(1)), 2);
         assert!(!log.has_duplicate_rows(qid(1)));
+        // A query not marked DISTINCT keeps its repeated rows.
+        assert!(log.record(record(3, vec![1, 2], 0, 0)));
+        assert!(log.record(record(3, vec![1, 2], 5, 6)));
+        assert!(log.has_duplicate_rows(qid(3)));
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::error::EngineError;
 use crate::messages::{HypercubeRef, PendingQuery, QueryId, RJoinMessage};
 use crate::node_id::NodeId;
 use crate::node_state::NodeState;
-use crate::placement::dispatch_query_in;
-use crate::shard_driver::{resolve_workers, run_rounds, EngineShard, RicDirectory, ShardEnv};
+use crate::placement::{dispatch_query_in, DispatchEnv, RicDirectory};
+use crate::shard_driver::{resolve_workers, run_rounds, EngineShard};
 use crate::split::{HypercubeMap, SplitMap};
 use crate::stats::ExperimentStats;
 use crate::traffic_class;
@@ -19,10 +19,9 @@ use rjoin_metrics::{
     ShardRuntimeStats, SharingCounters, SplitCounters, StateCounters,
 };
 use rjoin_net::{root_lineage, Network, NetworkConfig, SimTime, TrafficStats};
-use rjoin_query::plan;
-use rjoin_query::{tuple_index_key_iter, IndexLevel, JoinQuery};
+use rjoin_query::{plan_query, tuple_index_key_iter, IndexLevel, JoinQuery, QueryPlan};
 use rjoin_relation::{Catalog, Timestamp, Tuple};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Per-key load maps are keyed by precomputed ring identifiers, so they use
@@ -56,9 +55,6 @@ pub struct RJoinEngine {
     pub(crate) ric_dir: RicDirectory,
     next_query_seq: u64,
     pub(crate) answers: AnswerLog,
-    /// Queries submitted with `SELECT DISTINCT`: their answers pass through
-    /// the owner-side duplicate filter.
-    pub(crate) distinct_queries: HashSet<QueryId>,
     /// Cumulative query-processing load per node (paper definition).
     pub(crate) qpl: NodeLoadMap,
     /// Cumulative storage-load additions per node (paper definition).
@@ -121,7 +117,6 @@ impl RJoinEngine {
             ric_dir: RicDirectory::default(),
             next_query_seq: 0,
             answers: AnswerLog::new(),
-            distinct_queries: HashSet::new(),
             qpl: NodeLoadMap::new(),
             sl: NodeLoadMap::new(),
             shard_runtime: ShardRuntimeStats::default(),
@@ -267,7 +262,7 @@ impl RJoinEngine {
         let hypercube = self.plan_submission(&query, id)?;
         self.next_query_seq += 1;
         if query.distinct() {
-            self.distinct_queries.insert(id);
+            self.answers.mark_distinct(id);
         }
         let pending =
             PendingQuery::input(id, origin, self.network.now(), query).with_hypercube(hypercube);
@@ -275,18 +270,18 @@ impl RJoinEngine {
         // placement draws from the lineage of the first of them.
         let lineage = root_lineage(self.network.next_root());
         let shard = self.network.shard_of(origin);
-        let mut env = ShardEnv {
-            handle: &mut self.network.root_handle(origin),
-            nodes: &mut self.shards[shard].nodes,
-            ric_dir: &self.ric_dir,
-            splits: &self.splits,
-            query_fanout: &mut self.split_counters.query_fanout,
-            engine_seed: self.config.seed,
+        let mut handle = self.network.root_handle(origin);
+        let mut env = DispatchEnv::simulated(
+            &mut handle,
+            self.shards[shard].nodes.get_mut(&origin),
+            &self.ric_dir,
+            &self.splits,
+            self.config.seed,
             lineage,
-            decisions: 0,
-        };
-        dispatch_query_in(&mut env, &self.config, &self.catalog, origin, pending, true)?;
-        Ok(id)
+        );
+        let done = dispatch_query_in(&mut env, &self.config, &self.catalog, origin, pending, true);
+        self.split_counters.query_fanout += env.fanout;
+        done.map(|()| id)
     }
 
     /// Runs the two-plan cost model for a validated query about to be
@@ -299,16 +294,8 @@ impl RJoinEngine {
         query: &JoinQuery,
         id: QueryId,
     ) -> Result<Option<HypercubeRef>, EngineError> {
-        let graph = plan::JoinGraph::build(query);
-        // A shape the pipeline cannot run (no pipeline cost) always takes
-        // the hypercube; otherwise the cheaper plan wins.
-        let hc_plan = (!graph.classes.is_empty())
-            .then(|| graph.hypercube_plan(self.config.hypercube_cells.max(2)))
-            .filter(|hc| {
-                let pipe = plan::pipeline_cost(query, graph.shape());
-                pipe.is_none_or(|pipe| plan::hypercube_cost(hc) < pipe)
-            });
-        let Some(hc_plan) = hc_plan else {
+        let QueryPlan::Hypercube(hc_plan) = plan_query(query, self.config.hypercube_cells.max(2))
+        else {
             self.planner_counters.pipeline_plans += 1;
             return Ok(None);
         };

@@ -266,20 +266,18 @@ pub use stats::ExperimentStats;
 /// *effect* phase ([`perform_actions_in`](pipeline::perform_actions_in) /
 /// [`dispatch_query_in`](pipeline::dispatch_query_in), from the
 /// `placement` module: answer delivery and the complete Sections 6–7
-/// placement pipeline, generic over an [`EffectEnv`](pipeline::EffectEnv)
-/// that supplies the transport, clock, RIC reads and randomness). The
-/// embedded engine drives both phases over the simulated network; a
-/// networked deployment (the `rjoin_transport` crate) drives the *same*
-/// functions over TCP — one node process per [`NodeState`] built with
+/// placement pipeline, run against one [`DispatchEnv`](pipeline::DispatchEnv)
+/// that holds the transport, the dispatching node's state, the RIC trackers
+/// the process can read and the tie-break seed). The embedded engine drives
+/// both phases over the simulated network; a networked deployment (the
+/// `rjoin_transport` crate) drives the *same* functions in the same
+/// environment over TCP — one node process per [`NodeState`] built with
 /// [`standalone_node_state`](pipeline::standalone_node_state), so the two
 /// modes can never drift apart in algorithm or cost accounting.
 pub mod pipeline {
     pub use crate::delivery::{handle_node_msg, standalone_node_state, LoadDelta, TickEffect};
-    pub use crate::placement::{
-        choose_candidate, dispatch_query_in, perform_actions_in, EffectEnv,
-    };
+    pub use crate::placement::{dispatch_query_in, perform_actions_in, DispatchEnv};
     pub use crate::procedures::Action;
-    pub use rjoin_metrics::RicCounters;
 }
 
 /// Traffic classes used when accounting messages, so that the share of

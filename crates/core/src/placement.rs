@@ -5,8 +5,11 @@
 //! keys, RIC collection and caching, the choice among the candidates
 //! ([`choose_candidate`]), piggy-backing, the send — and
 //! [`perform_actions_in`] applies a node handler's actions through it. Both
-//! are generic over an [`EffectEnv`], so the simulator's effect phase and
-//! the TCP node process run the same code.
+//! run against one [`DispatchEnv`] — the transport, the dispatching node's
+//! state, the RIC trackers the process can read, the hot-key splits and the
+//! tie-break seed — so the simulator's effect phase, the TCP node process
+//! and the TCP client run the same code; they differ only in which
+//! trackers they can read.
 //!
 //! # Asking only what can change the choice
 //!
@@ -15,14 +18,19 @@
 //! chained RIC request (Section 6). A rewritten query's dispatch reads the
 //! table for every candidate first, and then asks only while an answer can
 //! still change [`choose_candidate`]'s choice: never for a lone candidate,
-//! and no further once a known candidate sits at the floor — rate 0, and
-//! value level or no value-level candidate unknown. The choice is made
-//! among the known candidates, so it lies in the tie pool that asking every
+//! and no further once a read candidate sits at the floor — rate 0, and
+//! value level or no value-level candidate still unasked. The choice is
+//! made among the asked candidates, so it lies in the tie pool that asking every
 //! candidate would give, for no more RIC messages. Only rates that were
 //! read are cached and piggy-backed. An input query still asks every
 //! uncached candidate: its placement decides where a stream's queries are
 //! installed. Each node counts where its dispatches' rates came from in
 //! [`RicCounters`].
+//!
+//! A rate whose owner's tracker the process cannot read — over TCP, that
+//! of any candidate another node owns — is unknown. It counts as 0 in the
+//! choice, but it is never cached, never piggy-backed and never settles the
+//! choice at the floor, so the next dispatch asks again.
 //!
 //! # Two tiers of load balancing
 //!
@@ -58,19 +66,21 @@
 use crate::config::{EngineConfig, PlacementStrategy};
 use crate::error::EngineError;
 use crate::messages::{PendingQuery, RJoinMessage, RicInfo};
+use crate::node_state::NodeState;
 use crate::procedures::Action;
-use crate::ric::RicEntry;
+use crate::ric::{RicEntry, RicTracker, RIC_WINDOW};
 use crate::split::SplitMap;
 use crate::traffic_class;
 use rand::rngs::StdRng;
-use rand::Rng;
-use rjoin_dht::{HashedKey, Id};
+use rand::{Rng, SeedableRng};
+use rjoin_dht::{HashedKey, Id, RingBuildHasher};
 use rjoin_metrics::RicCounters;
-use rjoin_net::{KeyRouter, SimTime, Transport};
+use rjoin_net::{lineage_seed, Lineage, SimTime, Transport};
 use rjoin_query::{candidate_keys, IndexKey, IndexLevel, RewritePlan};
 use rjoin_relation::Catalog;
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// The effective rate of a split candidate key, given the observed rates of
 /// its partitions: the maximum — the per-node burden a query copy stored at
@@ -152,64 +162,133 @@ pub fn choose_candidate(
     }
 }
 
-/// The engine-global context an effect phase runs against: the transport it
-/// sends through, the RIC information it reads, and the randomness its
-/// placement decisions draw from.
+/// Every node's RIC tracker, by node: what the simulator's dispatches read
+/// a remote candidate's rate from (each tracker behind its own lock). The
+/// engine builds it at construction and keeps it in step with membership.
+pub(crate) type RicDirectory = HashMap<Id, Arc<Mutex<RicTracker>>, RingBuildHasher>;
+
+/// What one dispatch runs against, in the simulator and over TCP alike: the
+/// transport it sends through, the dispatching node's state (its candidate
+/// table, its [`RicCounters`] and its own RIC tracker), the RIC trackers of
+/// the other nodes that this process can read, the hot-key splits, a count
+/// of the extra copies split keys cost, and the seed of its tie-breaks.
 ///
-/// The simulator's implementation is one shard's environment (per-decision
-/// RNG derived from the triggering message's lineage, RIC rates read
-/// through the pure [`RicTracker::rate_at`](crate::RicTracker::rate_at));
-/// the TCP node process supplies its own. Keeping the *entire* Sections 6–7
-/// dispatch logic in [`dispatch_query_in`], generic over this trait, is
-/// what guarantees the two can never drift apart in cost accounting or
-/// placement rules.
-pub trait EffectEnv {
-    /// The transport this environment sends through.
-    type Net: Transport<RJoinMessage>;
+/// The simulator reads every node's tracker through the pure
+/// [`RicTracker::rate_at`], so its rates are true. A TCP node process reads
+/// only its own tracker, and the cluster client, which has no node state,
+/// reads none. A rate the process cannot read is *unknown*: it counts as 0
+/// in the dispatch's choice, but it is never cached, never piggy-backed
+/// and never settles the choice at the floor.
+///
+/// Each tie-break draws from a fresh RNG seeded by `(seed, lineage,
+/// decision index)`: in the simulator the lineage is the triggering
+/// delivery's, so a decision does not depend on execution order or shard
+/// count; a TCP process passes a lineage of its own (see
+/// `rjoin_transport`).
+pub struct DispatchEnv<'a, T: Transport<RJoinMessage>> {
+    net: &'a mut T,
+    /// The dispatching node's state; `None` at the TCP client.
+    state: Option<&'a mut NodeState>,
+    /// The trackers readable besides the dispatcher's own (`None`: none).
+    trackers: Option<&'a RicDirectory>,
+    /// The engine's hot-key split registry (`None` over TCP, which never
+    /// splits). Frozen while the rounds run: splits only activate at
+    /// quiescence.
+    splits: Option<&'a SplitMap>,
+    /// Extra query copies sent to partitions of split keys.
+    pub(crate) fanout: u64,
+    seed: u64,
+    lineage: Lineage,
+    /// Placement decisions made so far.
+    decisions: u64,
+}
 
-    /// The transport handle.
-    fn net(&mut self) -> &mut Self::Net;
+impl<'a, T: Transport<RJoinMessage>> DispatchEnv<'a, T> {
+    /// An environment that reads no RIC tracker but the dispatching node's
+    /// own, through `state`, and sees no split key: a TCP node process's,
+    /// or the cluster client's with no `state`.
+    pub fn new(
+        net: &'a mut T,
+        state: Option<&'a mut NodeState>,
+        seed: u64,
+        lineage: Lineage,
+    ) -> Self {
+        DispatchEnv {
+            net,
+            state,
+            trackers: None,
+            splits: None,
+            fanout: 0,
+            seed,
+            lineage,
+            decisions: 0,
+        }
+    }
 
-    /// The clock placement decisions and answers are stamped with.
-    fn now(&self) -> SimTime;
+    /// The simulator's environment: every node's tracker is readable and
+    /// the engine's split registry applies.
+    pub(crate) fn simulated(
+        net: &'a mut T,
+        state: Option<&'a mut NodeState>,
+        trackers: &'a RicDirectory,
+        splits: &'a SplitMap,
+        seed: u64,
+        lineage: Lineage,
+    ) -> Self {
+        DispatchEnv {
+            trackers: Some(trackers),
+            splits: Some(splits),
+            ..Self::new(net, state, seed, lineage)
+        }
+    }
 
-    /// A still-valid cached RIC estimate from `node`'s candidate table.
-    fn cached_ric(&self, node: Id, ring: u64, now: SimTime) -> Option<RicEntry>;
+    fn now(&self) -> SimTime {
+        self.net.now()
+    }
 
-    /// Caches an RIC observation in `node`'s candidate table.
-    fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry);
-
-    /// Adds one dispatch's [`RicCounters`] to `node`'s (the dispatcher's).
-    fn note_ric(&mut self, node: Id, dispatch: &RicCounters);
+    /// A still-valid entry of the dispatcher's candidate table.
+    fn cached_ric(&self, ring: u64, now: SimTime) -> Option<RicEntry> {
+        self.state.as_ref()?.cached_ric(ring, now)
+    }
 
     /// The rate of incoming tuples `owner` observed for key `ring` during
-    /// the [`RIC_WINDOW`](crate::RIC_WINDOW) ticks ending at `now` (the
-    /// content of one RIC request).
-    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime) -> u64;
+    /// the [`RIC_WINDOW`] ticks ending at `now` (the content of one RIC
+    /// request), or `None` if this process cannot read `owner`'s tracker.
+    fn observed_rate(&self, owner: Id, ring: u64, now: SimTime) -> Option<u64> {
+        match &self.state {
+            Some(state) if state.id == owner => Some(state.ric().rate_at(ring, now, RIC_WINDOW)),
+            _ => {
+                let tracker = self.trackers?.get(&owner)?;
+                Some(tracker.lock().expect("ric lock").rate_at(ring, now, RIC_WINDOW))
+            }
+        }
+    }
 
-    /// Applies the placement strategy, drawing any random tie-breaks from
-    /// this environment's randomness source.
+    /// Applies the placement strategy, drawing any random tie-break from
+    /// this decision's RNG.
     fn choose(
         &mut self,
         candidates: &[IndexLevel],
         rates: &[u64],
         strategy: PlacementStrategy,
-    ) -> usize;
+    ) -> usize {
+        let seed = lineage_seed(self.seed, self.lineage, self.decisions);
+        self.decisions += 1;
+        choose_candidate(candidates, rates, strategy, &mut StdRng::seed_from_u64(seed))
+    }
 
-    /// The engine's hot-key split registry (read-only during drains).
-    fn splits(&self) -> &SplitMap;
-
-    /// Books `extra` additional query copies sent because the chosen key
-    /// was split (a query registers at every partition).
-    fn note_query_fanout(&mut self, extra: u64);
+    /// The number of cells `ring` is split into, if it is split.
+    fn split_cells(&self, ring: u64) -> Option<u32> {
+        self.splits?.get(ring).map(|entry| entry.grid.cells())
+    }
 }
 
 /// Applies the actions a node handler produced: answers travel by
 /// `sendDirect`, rewritten queries are re-indexed through the full
-/// placement pipeline. Generic over [`EffectEnv`] so the simulator and the
-/// TCP node process share it verbatim.
-pub fn perform_actions_in<E: EffectEnv>(
-    env: &mut E,
+/// placement pipeline. The simulator and the TCP node process share it
+/// verbatim.
+pub fn perform_actions_in<T: Transport<RJoinMessage>>(
+    env: &mut DispatchEnv<'_, T>,
     config: &EngineConfig,
     catalog: &Catalog,
     from: Id,
@@ -219,7 +298,7 @@ pub fn perform_actions_in<E: EffectEnv>(
         match action {
             Action::DeliverAnswer { query, owner, row } => {
                 let produced_at = env.now();
-                env.net().send_direct(
+                env.net.send_direct(
                     from,
                     owner,
                     RJoinMessage::Answer { query, row, produced_at },
@@ -238,8 +317,8 @@ pub fn perform_actions_in<E: EffectEnv>(
 /// there, charging RIC traffic according to Sections 6 and 7. The complete
 /// dispatch pipeline — candidate derivation, RIC collection and caching,
 /// placement, piggy-backing, send — shared by every driver.
-pub fn dispatch_query_in<E: EffectEnv>(
-    env: &mut E,
+pub fn dispatch_query_in<T: Transport<RJoinMessage>>(
+    env: &mut DispatchEnv<'_, T>,
     config: &EngineConfig,
     catalog: &Catalog,
     from: Id,
@@ -270,7 +349,7 @@ pub fn dispatch_query_in<E: EffectEnv>(
         // by `multiSend` to the cell owners. The simulated transports
         // resolve every owner before sending, so a failed lookup installs
         // no cell rather than a partial cube, which would under-answer.
-        env.net().multi_send(from, copies, traffic_class::QUERY_INDEX)?;
+        env.net.multi_send(from, copies, traffic_class::QUERY_INDEX)?;
         return Ok(());
     }
     DISPATCH_SCRATCH.with(|scratch| {
@@ -280,15 +359,30 @@ pub fn dispatch_query_in<E: EffectEnv>(
 }
 
 /// The buffers one dispatch fills and the next one reuses: the candidates'
-/// levels, their interned keys, their rates and whether each rate is known,
-/// position for position, and the order the RIC chain visits them in.
+/// levels, their interned keys, their rates and what the dispatch learned
+/// of each, position for position, and the order the RIC chain visits them
+/// in.
 #[derive(Default)]
 struct DispatchScratch {
     levels: Vec<IndexLevel>,
     hashed: Vec<HashedKey>,
     rates: Vec<u64>,
-    known: Vec<bool>,
+    learned: Vec<Learned>,
     ric_order: Vec<(u64, usize)>,
+}
+
+/// What a dispatch learned of one candidate's rate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Learned {
+    /// Not asked: the candidate is left out of the choice.
+    Unasked,
+    /// Served by the candidate table or read from its owner's tracker: the
+    /// rate is in the choice, cached, piggy-backed, and can settle the
+    /// choice at the floor.
+    Read,
+    /// Asked, but its owner's tracker is not readable here: the rate is
+    /// unknown and counts as 0 in the choice, and in nothing else.
+    Unreadable,
 }
 
 thread_local! {
@@ -345,8 +439,8 @@ impl DispatchScratch {
 
 /// [`dispatch_query_in`] for a pipeline-planned query: candidate keys, RIC
 /// collection and caching, placement, piggy-backing, send.
-fn place_and_send<E: EffectEnv>(
-    env: &mut E,
+fn place_and_send<T: Transport<RJoinMessage>>(
+    env: &mut DispatchEnv<'_, T>,
     config: &EngineConfig,
     catalog: &Catalog,
     from: Id,
@@ -372,8 +466,8 @@ fn place_and_send<E: EffectEnv>(
     let now = env.now();
     scratch.rates.clear();
     scratch.rates.resize(scratch.hashed.len(), 0);
-    scratch.known.clear();
-    scratch.known.resize(scratch.hashed.len(), true);
+    scratch.learned.clear();
+    scratch.learned.resize(scratch.hashed.len(), Learned::Read);
 
     if matches!(strategy, PlacementStrategy::RicAware | PlacementStrategy::Worst) {
         clockwise_from(from, &scratch.hashed, &mut scratch.ric_order);
@@ -384,26 +478,18 @@ fn place_and_send<E: EffectEnv>(
         scratch.collect_rates(env, config, from, stop_at_floor)?;
         scratch.drop_unasked();
     }
-    let DispatchScratch { levels, hashed, rates, known, .. } = scratch;
-
-    let chosen = env.choose(levels, rates, strategy);
-    let level = levels[chosen];
-    let key = hashed[chosen].clone();
+    let chosen = env.choose(&scratch.levels, &scratch.rates, strategy);
+    let level = scratch.levels[chosen];
+    let key = scratch.hashed[chosen].clone();
     let class = if is_input { traffic_class::QUERY_INDEX } else { traffic_class::EVAL };
-
-    // Only rates that were read travel: a lone candidate nobody asked
-    // carries nothing.
     let carried_ric: Vec<RicInfo> =
         if !is_input && config.reuse_ric && strategy == PlacementStrategy::RicAware {
-            (0..hashed.len())
-                .filter(|&i| known[i])
-                .map(|i| RicInfo { ring: hashed[i].ring(), rate: rates[i], observed_at: now })
-                .collect()
+            scratch.carried_ric(now)
         } else {
             Vec::new()
         };
 
-    let send_copy = |env: &mut E, sub: HashedKey, pending: PendingQuery, ric: Vec<RicInfo>| {
+    let send_copy = |env: &mut DispatchEnv<'_, T>, sub: HashedKey, pending, ric| {
         let sub_id = sub.id();
         let msg = if is_input {
             RJoinMessage::IndexQuery { pending, key: sub, level }
@@ -414,10 +500,10 @@ fn place_and_send<E: EffectEnv>(
             // After the RIC exchange the chooser knows the address of every
             // candidate node (for split candidates: of every partition
             // owner), so each copy travels in one hop.
-            let owner = env.net().owner_of(sub_id)?;
-            env.net().send_direct(from, owner, msg, class);
+            let owner = env.net.owner_of(sub_id)?;
+            env.net.send_direct(from, owner, msg, class);
         } else {
-            env.net().send(from, sub_id, msg, class)?;
+            env.net.send(from, sub_id, msg, class)?;
         }
         Ok::<(), EngineError>(())
     };
@@ -428,8 +514,11 @@ fn place_and_send<E: EffectEnv>(
     // unsplit run. Replicated copies are the split's cost, booked as
     // fan-out. The last copy moves the pending query; earlier ones clone it
     // (the unsplit common case never clones).
-    let mut cells = env.splits().route_query(&key, pending.query.id).unwrap_or_default();
-    env.note_query_fanout(cells.len().saturating_sub(1) as u64);
+    let mut cells = env
+        .splits
+        .and_then(|splits| splits.route_query(&key, pending.query.id))
+        .unwrap_or_default();
+    env.fanout += cells.len().saturating_sub(1) as u64;
     let last = cells.pop().unwrap_or(key);
     for sub in cells {
         send_copy(env, sub, pending.clone(), carried_ric.clone())?;
@@ -449,39 +538,41 @@ fn clockwise_from(from: Id, hashed: &[HashedKey], order: &mut Vec<(u64, usize)>)
 
 impl DispatchScratch {
     /// Learns the candidates' rates (Sections 6 and 7) into `rates`,
-    /// marking each rate it learned in `known`.
+    /// marking in `learned` how it learned each.
     ///
     /// It reads the candidate table for every candidate first (Section 7's
     /// reuse), then sends one chained RIC request that visits the uncached
     /// candidates in `ric_order` (`(_, index)` pairs). Each rate lands in
     /// its candidate's slot, so the order moves RIC messages, never the
-    /// rates or the placement. The last candidate contacted replies.
+    /// rates or the placement. The last candidate contacted replies. A
+    /// rate whose owner's tracker this process cannot read stays 0 and
+    /// [`Learned::Unreadable`]: it is not cached.
     ///
     /// With `stop_at_floor` (a rewritten query's RIC-aware dispatch) the
     /// chain stops asking as soon as no answer can change the choice of
     /// [`choose_candidate`]: when there is a single candidate, or when a
-    /// known candidate sits at the floor — rate 0 (no rate is lower), and
-    /// value level or no value-level candidate still unknown (value level
-    /// wins ties). The candidates it leaves unasked stay unknown, and the
-    /// choice, the candidate table and the piggy-backed RIC information
-    /// see only known rates. The choice then lands in the tie pool that
-    /// asking every candidate would give, and the chain is a prefix of
-    /// that full chain, so it charges no more RIC messages. The dispatch
-    /// is counted in the dispatcher's [`RicCounters`].
-    fn collect_rates<E: EffectEnv>(
+    /// read candidate sits at the floor — rate 0 (no rate is lower), and
+    /// value level or no value-level candidate still unasked (value level
+    /// wins ties). The candidates it leaves unasked stay out of the choice,
+    /// the candidate table and the piggy-backed RIC information. The choice
+    /// then lands in the tie pool that asking every candidate would give,
+    /// and the chain is a prefix of that full chain, so it charges no more
+    /// RIC messages. The dispatch is counted in the dispatcher's
+    /// [`RicCounters`].
+    fn collect_rates<T: Transport<RJoinMessage>>(
         &mut self,
-        env: &mut E,
+        env: &mut DispatchEnv<'_, T>,
         config: &EngineConfig,
         from: Id,
         stop_at_floor: bool,
     ) -> Result<(), EngineError> {
-        let DispatchScratch { levels, hashed, rates, known, ric_order } = self;
+        let DispatchScratch { levels, hashed, rates, learned, ric_order } = self;
         let strategy = config.placement;
         let reuse = strategy == PlacementStrategy::RicAware && config.reuse_ric;
         let now = env.now();
         let mut count =
             RicCounters { dispatches: 1, candidates: hashed.len() as u64, ..RicCounters::new() };
-        known.fill(false);
+        learned.fill(Learned::Unasked);
         if reuse {
             // Cached entries for split candidates are always split-aware:
             // both paths cache under the base ring identifier, and
@@ -489,9 +580,9 @@ impl DispatchScratch {
             // whatever is cached here was computed from the per-cell rates
             // below.
             for (i, hkey) in hashed.iter().enumerate() {
-                if let Some(entry) = env.cached_ric(from, hkey.ring(), now) {
+                if let Some(entry) = env.cached_ric(hkey.ring(), now) {
                     rates[i] = entry.rate;
-                    known[i] = true;
+                    learned[i] = Learned::Read;
                     count.served += 1;
                 }
             }
@@ -499,10 +590,10 @@ impl DispatchScratch {
         let mut prev_hop = from;
         let mut requests = 0usize;
         for &(_, i) in ric_order.iter() {
-            if known[i] {
+            if learned[i] != Learned::Unasked {
                 continue;
             }
-            if stop_at_floor && (hashed.len() == 1 || at_floor(levels, rates, known)) {
+            if stop_at_floor && (hashed.len() == 1 || at_floor(levels, rates, learned)) {
                 break;
             }
             let hkey = &hashed[i];
@@ -512,93 +603,117 @@ impl DispatchScratch {
             // `placement::split_effective_rate`) — which is what makes a
             // freshly split key attractive again. Each cell owner is one
             // more chained RIC hop.
-            let parts = env.splits().get(hkey.ring()).map(|e| e.grid.cells());
-            let rate = match parts {
+            let rate = match env.split_cells(hkey.ring()) {
                 None => {
                     let owner = if strategy == PlacementStrategy::RicAware {
                         // Chained RIC request: previous hop forwards the
                         // request to the next candidate (k * O(log N)
                         // messages total); the route ends at its owner.
                         requests += 1;
-                        env.net().charge_route(prev_hop, hkey.id(), traffic_class::RIC)?.owner
+                        env.net.charge_route(prev_hop, hkey.id(), traffic_class::RIC)?.owner
                     } else {
-                        env.net().owner_of(hkey.id())?
+                        // The Worst baseline uses oracle knowledge: no
+                        // traffic is charged for it (it exists only to
+                        // bound the design space).
+                        env.net.owner_of(hkey.id())?
                     };
                     prev_hop = owner;
                     env.observed_rate(owner, hkey.ring(), now)
                 }
                 Some(parts) => {
                     let mut partition_rates = Vec::with_capacity(parts as usize);
+                    let mut readable = true;
                     for p in 0..parts {
                         let sub = hkey.split_part(p, parts);
-                        let owner = env.net().owner_of(sub.id())?;
-                        partition_rates.push(env.observed_rate(owner, sub.ring(), now));
+                        let owner = env.net.owner_of(sub.id())?;
+                        match env.observed_rate(owner, sub.ring(), now) {
+                            Some(rate) => partition_rates.push(rate),
+                            None => readable = false,
+                        }
                         if strategy == PlacementStrategy::RicAware {
-                            env.net().charge_route(prev_hop, sub.id(), traffic_class::RIC)?;
+                            env.net.charge_route(prev_hop, sub.id(), traffic_class::RIC)?;
                             prev_hop = owner;
                             requests += 1;
                         }
                     }
-                    split_effective_rate(&partition_rates)
+                    readable.then(|| split_effective_rate(&partition_rates))
                 }
             };
-            rates[i] = rate;
-            known[i] = true;
             count.asked += 1;
-            if reuse {
-                env.cache_ric(from, hkey.ring(), RicEntry { rate, observed_at: now });
+            let Some(rate) = rate else {
+                learned[i] = Learned::Unreadable;
+                continue;
+            };
+            rates[i] = rate;
+            learned[i] = Learned::Read;
+            if let Some(state) = env.state.as_mut().filter(|_| reuse) {
+                state.cache_ric(hkey.ring(), RicEntry { rate, observed_at: now });
             }
-            // The Worst baseline uses oracle knowledge: no traffic is
-            // charged for it (it exists only to bound the design space).
         }
         if strategy == PlacementStrategy::RicAware && requests > 0 {
             // The last contacted candidate returns the collected RIC
             // information (and every candidate's address) in one hop.
-            env.net().charge_direct(prev_hop, traffic_class::RIC);
+            env.net.charge_direct(prev_hop, traffic_class::RIC);
         }
         if stop_at_floor {
             count.unasked = count.candidates - count.served - count.asked;
-            env.note_ric(from, &count);
+            if let Some(state) = env.state.as_mut() {
+                state.note_ric(&count);
+            }
         }
         Ok(())
     }
 
     /// Drops the candidates [`collect_rates`](Self::collect_rates) left
-    /// unasked, so the choice sees known rates only. A lone candidate
+    /// unasked, so the choice sees learned rates only. A lone candidate
     /// nobody asked stays: it is chosen without a rate.
     fn drop_unasked(&mut self) {
-        let DispatchScratch { levels, hashed, rates, known, .. } = self;
-        if known.contains(&true) && known.contains(&false) {
-            retain_known(levels, known);
-            retain_known(hashed, known);
-            retain_known(rates, known);
-            known.retain(|known| *known);
+        let DispatchScratch { levels, hashed, rates, learned, .. } = self;
+        let unasked = learned.iter().filter(|l| **l == Learned::Unasked).count();
+        if unasked > 0 && unasked < learned.len() {
+            retain_asked(levels, learned);
+            retain_asked(hashed, learned);
+            retain_asked(rates, learned);
+            learned.retain(|l| *l != Learned::Unasked);
         }
+    }
+
+    /// The rates this dispatch read, observed at `now`, as the chosen
+    /// query carries them (Section 7's piggy-backing): a rate that was not
+    /// read, or a lone candidate nobody asked, carries nothing.
+    fn carried_ric(&self, now: SimTime) -> Vec<RicInfo> {
+        (0..self.hashed.len())
+            .filter(|&i| self.learned[i] == Learned::Read)
+            .map(|i| RicInfo { ring: self.hashed[i].ring(), rate: self.rates[i], observed_at: now })
+            .collect()
     }
 }
 
-/// Keeps the items of `items` whose flag in the parallel `known` is set.
-fn retain_known<T>(items: &mut Vec<T>, known: &[bool]) {
-    let mut keep = known.iter();
-    items.retain(|_| *keep.next().expect("parallel to the candidates"));
+/// Keeps the items of `items` whose candidate in the parallel `learned` was
+/// served or asked.
+fn retain_asked<T>(items: &mut Vec<T>, learned: &[Learned]) {
+    let mut keep = learned.iter();
+    items.retain(|_| *keep.next().expect("parallel to the candidates") != Learned::Unasked);
 }
 
-/// Whether a known candidate sits at the floor no answer can go below: its
-/// rate is 0, and it is at the value level or no value-level candidate's
-/// rate is still unknown. [`choose_candidate`]'s RIC-aware choice among the
-/// known candidates then lands in the tie pool of all of them.
-fn at_floor(levels: &[IndexLevel], rates: &[u64], known: &[bool]) -> bool {
-    let value_unknown = (0..levels.len()).any(|i| !known[i] && levels[i] == IndexLevel::Value);
-    (0..levels.len())
-        .any(|i| known[i] && rates[i] == 0 && (levels[i] == IndexLevel::Value || !value_unknown))
+/// Whether a read candidate sits at the floor no answer can go below: its
+/// rate is 0, and it is at the value level or no value-level candidate is
+/// still unasked. [`choose_candidate`]'s RIC-aware choice among the asked
+/// candidates then lands in the tie pool of all of them.
+fn at_floor(levels: &[IndexLevel], rates: &[u64], learned: &[Learned]) -> bool {
+    let value_unasked =
+        (0..levels.len()).any(|i| learned[i] == Learned::Unasked && levels[i] == IndexLevel::Value);
+    (0..levels.len()).any(|i| {
+        learned[i] == Learned::Read
+            && rates[i] == 0
+            && (levels[i] == IndexLevel::Value || !value_unasked)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::RJoinEngine;
-    use crate::shard_driver::ShardEnv;
-    use rand::SeedableRng;
     use rjoin_net::root_lineage;
 
     fn candidates() -> Vec<IndexLevel> {
@@ -689,21 +804,30 @@ mod tests {
     /// A dispatcher's view of one rewritten query's candidates: candidate
     /// `i` is at level `levels[i]`, its owner has seen `rates[i]` arrivals
     /// under its key, and the dispatcher's candidate table holds that rate
-    /// if `cached[i]`.
+    /// if `cached[i]`. The dispatch can read every owner's tracker if
+    /// `remote_readable`, as in the simulator, else only its own, as over
+    /// TCP.
     struct Fixture {
         keys: Vec<HashedKey>,
         levels: Vec<IndexLevel>,
         rates: Vec<u64>,
         cached: Vec<bool>,
         from_index: usize,
+        remote_readable: bool,
     }
 
     /// What one dispatch's rate collection did.
     #[derive(Debug)]
     struct Walk {
-        /// `(ring, rate)` of every candidate whose rate became known, in
+        /// `(ring, rate)` of every candidate whose rate was read, in
         /// candidate order.
-        known: Vec<(u64, u64)>,
+        read: Vec<(u64, u64)>,
+        /// The rings of the candidates the dispatcher owns itself.
+        own: Vec<u64>,
+        /// The rings the dispatcher's candidate table holds afterwards.
+        cached: Vec<u64>,
+        /// The rings of the rates the chosen query would carry.
+        carried: Vec<u64>,
         /// The ring of the chosen candidate.
         chosen: u64,
         /// RIC messages charged.
@@ -726,8 +850,12 @@ mod tests {
         let now = engine.now();
         let from = engine.node_ids()[fixture.from_index];
         let shard = engine.network.shard_of(from);
+        let mut own = Vec::new();
         for (i, key) in fixture.keys.iter().enumerate() {
             let owner = engine.network.owner_of(key.id()).unwrap();
+            if owner == from {
+                own.push(key.ring());
+            }
             for _ in 0..fixture.rates[i] {
                 engine.node_state(owner).unwrap().ric().record_arrival_bounded(
                     key.ring(),
@@ -745,29 +873,37 @@ mod tests {
             levels: fixture.levels.clone(),
             hashed: fixture.keys.clone(),
             rates: vec![0; n],
-            known: vec![true; n],
+            learned: vec![Learned::Read; n],
             ric_order: Vec::new(),
         };
         order(from, &scratch.hashed, &mut scratch.ric_order);
-        let mut env = ShardEnv {
-            handle: &mut engine.network.root_handle(from),
-            nodes: &mut engine.shards[shard].nodes,
-            ric_dir: &engine.ric_dir,
-            splits: &engine.splits,
-            query_fanout: &mut engine.split_counters.query_fanout,
-            engine_seed: config.seed,
-            lineage: root_lineage(0),
-            decisions: 0,
+        let mut handle = engine.network.root_handle(from);
+        let state = engine.shards[shard].nodes.get_mut(&from);
+        let mut env = if fixture.remote_readable {
+            let (dir, splits) = (&engine.ric_dir, &engine.splits);
+            DispatchEnv::simulated(&mut handle, state, dir, splits, config.seed, root_lineage(0))
+        } else {
+            DispatchEnv::new(&mut handle, state, config.seed, root_lineage(0))
         };
         scratch.collect_rates(&mut env, &config, from, stop_at_floor).unwrap();
         scratch.drop_unasked();
         let chosen = env.choose(&scratch.levels, &scratch.rates, config.placement);
-        let known = (0..scratch.hashed.len())
-            .filter(|&i| scratch.known[i])
+        let read = (0..scratch.hashed.len())
+            .filter(|&i| scratch.learned[i] == Learned::Read)
             .map(|i| (scratch.hashed[i].ring(), scratch.rates[i]))
             .collect();
+        let carried = scratch.carried_ric(now).iter().map(|info| info.ring).collect();
+        let table = engine.node_state(from).unwrap();
+        let cached = fixture
+            .keys
+            .iter()
+            .map(HashedKey::ring)
+            .filter(|&r| table.cached_ric(r, now).is_some());
         Walk {
-            known,
+            read,
+            own,
+            cached: cached.collect(),
+            carried,
             chosen: scratch.hashed[chosen].ring(),
             ric_msgs: engine.traffic().total_sent_class(traffic_class::RIC),
             counters: engine.node_state(from).unwrap().ric_counters(),
@@ -807,14 +943,15 @@ mod tests {
                 rates: (0..n).map(|i| 1 + i as u64 % 3).collect(),
                 cached: vec![false; n],
                 from_index: round * 5 % 64,
+                remote_readable: true,
             };
             let ring = ric_walk(&fixture, true, clockwise_from);
             let listed = ric_walk(&fixture, true, |_, keys, order| {
                 order.extend((0..keys.len()).map(|i| (0, i)));
             });
-            assert_eq!(ring.known.len(), n, "round {round}: the chain asks every candidate");
-            assert_eq!(ring.known, listed.known, "round {round}: the order moves no rate");
-            let rates: Vec<u64> = ring.known.iter().map(|(_, rate)| *rate).collect();
+            assert_eq!(ring.read.len(), n, "round {round}: the chain asks every candidate");
+            assert_eq!(ring.read, listed.read, "round {round}: the order moves no rate");
+            let rates: Vec<u64> = ring.read.iter().map(|(_, rate)| *rate).collect();
             assert_eq!(rates, fixture.rates, "round {round}: rates are observed");
             assert_eq!(ring.chosen, listed.chosen, "round {round}: the order moves no placement");
             ring_total += ring.ric_msgs;
@@ -848,12 +985,13 @@ mod tests {
                 rates: candidates.iter().map(|(_, rate, _)| *rate).collect(),
                 cached: candidates.iter().map(|(.., cached)| *cached).collect(),
                 from_index,
+                remote_readable: true,
             };
             let stopped = ric_walk(&fixture, true, clockwise_from);
             let full = ric_walk(&fixture, false, clockwise_from);
             let all: Vec<(u64, u64)> =
                 fixture.keys.iter().zip(&fixture.rates).map(|(k, r)| (k.ring(), *r)).collect();
-            proptest::prop_assert_eq!(&full.known, &all);
+            proptest::prop_assert_eq!(&full.read, &all);
             let pool = full_tie_pool(&fixture.keys, &fixture.levels, &fixture.rates);
             proptest::prop_assert!(
                 pool.contains(&stopped.chosen),
@@ -861,16 +999,56 @@ mod tests {
             );
             proptest::prop_assert!(stopped.ric_msgs <= full.ric_msgs);
             // Every known rate is a true rate.
-            proptest::prop_assert!(stopped.known.iter().all(|pair| all.contains(pair)));
+            proptest::prop_assert!(stopped.read.iter().all(|pair| all.contains(pair)));
 
             let c = stopped.counters;
             let cached = fixture.cached.iter().filter(|c| **c).count() as u64;
             proptest::prop_assert_eq!((c.dispatches, c.candidates), (1, n as u64));
             proptest::prop_assert_eq!(c.served + c.asked + c.unasked, c.candidates);
             proptest::prop_assert_eq!(c.served, cached);
-            proptest::prop_assert_eq!(stopped.known.len() as u64, c.served + c.asked);
+            proptest::prop_assert_eq!(stopped.read.len() as u64, c.served + c.asked);
             proptest::prop_assert_eq!(c.asked > 0, stopped.ric_msgs > 0);
             proptest::prop_assert_eq!(full.counters, RicCounters::new(), "full collection is not counted");
+        }
+
+        /// A dispatch that can read no tracker but its own, as over TCP,
+        /// caches and piggy-backs only the rates of the candidates the
+        /// dispatcher owns, and chooses as if every other candidate's rate
+        /// were 0.
+        #[test]
+        fn an_unreadable_rate_is_unknown_not_zero(
+            candidates in proptest::collection::vec((proptest::bool::ANY, 0u64..3), 1..7),
+            from_index in 0usize..64,
+            round in 0u32..1_000,
+            stop_at_floor in proptest::bool::ANY,
+        ) {
+            let n = candidates.len();
+            let fixture = Fixture {
+                keys: (0..n).map(|i| HashedKey::new(format!("U{round}+A+{i}"))).collect(),
+                levels: candidates
+                    .iter()
+                    .map(|(value, _)| if *value { IndexLevel::Value } else { IndexLevel::Attribute })
+                    .collect(),
+                rates: candidates.iter().map(|(_, rate)| *rate).collect(),
+                cached: vec![false; n],
+                from_index,
+                remote_readable: false,
+            };
+            let walk = ric_walk(&fixture, stop_at_floor, clockwise_from);
+            proptest::prop_assert!(walk.read.iter().all(|(ring, _)| walk.own.contains(ring)));
+            proptest::prop_assert!(walk.cached.iter().all(|ring| walk.own.contains(ring)));
+            proptest::prop_assert!(walk.carried.iter().all(|ring| walk.own.contains(ring)));
+            let seen: Vec<u64> = fixture
+                .keys
+                .iter()
+                .zip(&fixture.rates)
+                .map(|(key, rate)| if walk.own.contains(&key.ring()) { *rate } else { 0 })
+                .collect();
+            let pool = full_tie_pool(&fixture.keys, &fixture.levels, &seen);
+            proptest::prop_assert!(
+                pool.contains(&walk.chosen),
+                "chose {} outside the all-zero tie pool {:?}", walk.chosen, pool
+            );
         }
     }
 }

@@ -17,7 +17,7 @@
 //! 2. **effect phase** — load accounting, answer buffering and the full
 //!    Sections 6–7 dispatch pipeline ([`dispatch_query_in`] via
 //!    [`perform_actions_in`]), shared verbatim with the TCP node process
-//!    through the [`EffectEnv`] trait.
+//!    through one [`DispatchEnv`] per effect.
 //!
 //! Engine-global observations are funneled through per-shard buffers —
 //! answers tagged `(at, node, lineage)`, per-node loads, traffic — and folded
@@ -29,8 +29,9 @@
 //!
 //! * **per-decision randomness** — placement tie-breaks draw from a fresh
 //!   RNG seeded by `(engine seed, triggering lineage, decision index)`;
-//! * **pure RIC reads** — a rate request reads the owner's tracker through
-//!   the non-pruning [`RicTracker::rate_at`](crate::RicTracker::rate_at).
+//! * **pure RIC reads** — a rate request reads the owner's tracker, through
+//!   the engine's [`RicDirectory`], with the non-pruning
+//!   [`RicTracker::rate_at`](crate::RicTracker::rate_at).
 //!   Every handler of the round's tick has run on every shard before any
 //!   effect phase starts, and no shard has handled a later tick, so the
 //!   read never waits and returns the same count whichever thread makes it.
@@ -47,106 +48,18 @@
 //! on the machine nor on the thread count.
 
 use crate::answers::AnswerRecord;
-use crate::config::{EngineConfig, PlacementStrategy};
+use crate::config::EngineConfig;
 use crate::delivery::{handle_node_msg, TickEffect};
 use crate::engine::{KeyLoadMap, NodeLoadMap, NodeMap, RJoinEngine};
 use crate::error::EngineError;
 use crate::messages::RJoinMessage;
-use crate::placement::{choose_candidate, perform_actions_in, EffectEnv};
-use crate::ric::{RicEntry, RicTracker, RIC_WINDOW};
+use crate::placement::{perform_actions_in, DispatchEnv, RicDirectory};
 use crate::split::SplitMap;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rjoin_dht::{Id, RingBuildHasher};
-use rjoin_metrics::RicCounters;
-use rjoin_net::{lineage_seed, Lineage, ShardHandle, SimTime, Transport};
-use rjoin_query::IndexLevel;
+use rjoin_dht::Id;
+use rjoin_net::{Lineage, ShardHandle, SimTime};
 use rjoin_relation::Catalog;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-
-/// Directory of every node's RIC tracker, the one piece of node state
-/// readable across shards (each tracker behind its own lock). Built at
-/// construction and kept in step with membership.
-pub(crate) type RicDirectory = HashMap<Id, Arc<Mutex<RicTracker>>, RingBuildHasher>;
-
-/// The [`EffectEnv`] of the simulator: one shard's transport handle and
-/// node states, pure RIC reads through the directory, per-decision RNG.
-pub(crate) struct ShardEnv<'e, 'n> {
-    pub(crate) handle: &'e mut ShardHandle<'n, RJoinMessage>,
-    pub(crate) nodes: &'e mut NodeMap,
-    pub(crate) ric_dir: &'e RicDirectory,
-    /// The engine's hot-key split registry — frozen while the rounds run
-    /// (splits only activate at quiescence), so shared read-only access
-    /// across threads is race-free and deterministic.
-    pub(crate) splits: &'e SplitMap,
-    /// Where the extra query copies sent to partitions of split keys are
-    /// counted.
-    pub(crate) query_fanout: &'e mut u64,
-    pub(crate) engine_seed: u64,
-    /// Lineage of the delivery whose effects are being applied (of the
-    /// submission's first root, outside a round).
-    pub(crate) lineage: Lineage,
-    /// Placement decisions made so far within this effect.
-    pub(crate) decisions: u64,
-}
-
-impl<'n> EffectEnv for ShardEnv<'_, 'n> {
-    type Net = ShardHandle<'n, RJoinMessage>;
-
-    fn net(&mut self) -> &mut Self::Net {
-        self.handle
-    }
-
-    fn now(&self) -> SimTime {
-        Transport::<RJoinMessage>::now(&*self.handle)
-    }
-
-    fn cached_ric(&self, node: Id, ring: u64, now: SimTime) -> Option<RicEntry> {
-        // The dispatching node always lives on this shard.
-        self.nodes.get(&node).and_then(|s| s.cached_ric(ring, now))
-    }
-
-    fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry) {
-        if let Some(state) = self.nodes.get_mut(&node) {
-            state.cache_ric(ring, entry);
-        }
-    }
-
-    fn note_ric(&mut self, node: Id, dispatch: &RicCounters) {
-        if let Some(state) = self.nodes.get_mut(&node) {
-            state.note_ric(dispatch);
-        }
-    }
-
-    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime) -> u64 {
-        self.ric_dir
-            .get(&owner)
-            .map(|tracker| tracker.lock().expect("ric lock").rate_at(ring, now, RIC_WINDOW))
-            .unwrap_or(0)
-    }
-
-    fn choose(
-        &mut self,
-        candidates: &[IndexLevel],
-        rates: &[u64],
-        strategy: PlacementStrategy,
-    ) -> usize {
-        let seed = lineage_seed(self.engine_seed, self.lineage, self.decisions);
-        self.decisions += 1;
-        let mut rng = StdRng::seed_from_u64(seed);
-        choose_candidate(candidates, rates, strategy, &mut rng)
-    }
-
-    fn splits(&self) -> &SplitMap {
-        self.splits
-    }
-
-    fn note_query_fanout(&mut self, extra: u64) {
-        *self.query_fanout += extra;
-    }
-}
+use std::sync::Barrier;
 
 /// What the engine keeps next to one shard of its network, for its
 /// lifetime: the shard's node states (moved only when a node joins or
@@ -244,19 +157,17 @@ impl RoundShard<'_, '_> {
                         continue;
                     }
                     self.handle.begin_effect(lineage);
-                    let mut env = ShardEnv {
-                        handle: &mut self.handle,
-                        nodes,
-                        ric_dir: ctx.ric_dir,
-                        splits: ctx.splits,
-                        query_fanout: &mut tally.query_fanout,
-                        engine_seed: ctx.config.seed,
+                    let mut env = DispatchEnv::simulated(
+                        &mut self.handle,
+                        nodes.get_mut(&node),
+                        ctx.ric_dir,
+                        ctx.splits,
+                        ctx.config.seed,
                         lineage,
-                        decisions: 0,
-                    };
-                    if let Err(e) =
-                        perform_actions_in(&mut env, ctx.config, ctx.catalog, node, actions)
-                    {
+                    );
+                    let done = perform_actions_in(&mut env, ctx.config, ctx.catalog, node, actions);
+                    tally.query_fanout += env.fanout;
+                    if let Err(e) = done {
                         tally.error = Some(e);
                         return false;
                     }
@@ -410,11 +321,7 @@ pub(crate) fn run_rounds(
     // runs.
     answers.sort_by_key(|(key, _)| *key);
     for (_, record) in answers {
-        if engine.distinct_queries.contains(&record.query) {
-            engine.answers.record_distinct(record);
-        } else {
-            engine.answers.record(record);
-        }
+        engine.answers.record(record);
     }
     match error {
         Some(e) => Err(e),

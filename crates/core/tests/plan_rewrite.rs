@@ -26,6 +26,29 @@ use std::sync::Arc;
 
 const RELATIONS: usize = 5;
 
+/// The `DISTINCT` projection read off the rewritten query itself: the
+/// tuple's values on the attributes of its relation that the query's
+/// `SELECT` list or `WHERE` clause names, in schema order, `None` where the
+/// tuple is short.
+fn reference_projection(query: &JoinQuery, tuple: &Tuple, schema: &Schema) -> Vec<Option<Value>> {
+    let selected = query.select().iter().filter_map(|item| match item {
+        SelectItem::Attr(attr) => Some(attr),
+        _ => None,
+    });
+    let constrained = query.conjuncts().iter().flat_map(|conjunct| match conjunct {
+        Conjunct::JoinEq(a, b) => [Some(a), Some(b)],
+        Conjunct::ConstEq(a, _) => [Some(a), None],
+    });
+    let mut wanted: Vec<usize> = selected
+        .chain(constrained.flatten())
+        .filter(|attr| attr.relation == tuple.relation())
+        .filter_map(|attr| schema.index_of(&attr.attribute))
+        .collect();
+    wanted.sort_unstable();
+    wanted.dedup();
+    wanted.into_iter().map(|at| tuple.value(at).cloned()).collect()
+}
+
 fn catalog() -> Catalog {
     let mut catalog = Catalog::new();
     for i in 0..RELATIONS {
@@ -129,7 +152,7 @@ proptest! {
                     let projection = offsets.iter().map(|&at| t.value(at).cloned()).collect();
                     prop_assert_eq!(
                         planned.admit_projection(projection),
-                        reference.admit(&current, t, schema)
+                        reference.admit_projection(reference_projection(&current, t, schema))
                     );
                 }
             }

@@ -47,7 +47,7 @@ pub mod wire;
 
 pub use clock::ServiceClock;
 pub use error::TransportError;
-pub use net::{NetEnv, ServiceNet};
+pub use net::ServiceNet;
 pub use node::{NodeBoot, NodeProcess, NodeStats};
 pub use service::{Cluster, ClusterConfig};
 pub use view::{ClusterView, Member};

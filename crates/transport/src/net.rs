@@ -1,5 +1,14 @@
-//! The TCP implementation of the engine's [`Transport`] trait, and the
-//! [`EffectEnv`] both node workers and the cluster client dispatch through.
+//! The TCP implementation of the engine's [`Transport`] trait.
+//!
+//! Node workers and the cluster client dispatch through a [`ServiceNet`] in
+//! the engine's one [`DispatchEnv`](rjoin_core::pipeline::DispatchEnv), the
+//! environment the simulator's effect phase runs in. Over TCP it reads no
+//! RIC tracker but the dispatching node's own, so a remote candidate's rate
+//! is unknown: it counts as 0 in the choice and is neither cached nor
+//! piggy-backed. Tie-breaks are seeded from a lineage of the process's own:
+//! a node's identifier salted with its count of handled frames, the
+//! client's salted with its submission count, so a process's choices
+//! depend only on the order messages reach it.
 //!
 //! # Guarantees (and non-guarantees)
 //!
@@ -22,13 +31,9 @@ use crate::error::TransportError;
 use crate::peers::PeerLinks;
 use crate::view::ClusterView;
 use crate::wire::ServiceMessage;
-use rand::rngs::StdRng;
-use rjoin_core::pipeline::{choose_candidate, EffectEnv, RicCounters};
-use rjoin_core::split::SplitMap;
-use rjoin_core::{NodeState, PlacementStrategy, RJoinMessage, RicEntry, RIC_WINDOW};
+use rjoin_core::RJoinMessage;
 use rjoin_dht::{DhtError, Id, LookupResult};
 use rjoin_net::{account_route, KeyRouter, SimTime, TrafficClass, TrafficStats, Transport};
-use rjoin_query::IndexLevel;
 use std::sync::Arc;
 
 /// The networked transport of one process: a membership view to route by,
@@ -162,83 +167,4 @@ impl Transport<RJoinMessage> for ServiceNet {
     fn charge_direct(&mut self, from: Id, class: TrafficClass) {
         self.traffic.record_sent(from, class);
     }
-}
-
-/// The [`EffectEnv`] of a networked process: placement dispatch over a
-/// [`ServiceNet`].
-///
-/// RIC information is strictly local: a node answers rate queries about
-/// keys *it* owns from its own tracker and treats every remote candidate
-/// as rate 0 (no synchronous cross-node RIC exchange — placement quality
-/// degrades gracefully, answer correctness is unaffected, which is the
-/// property the record/replay harness checks). The cluster client runs the
-/// same environment with no node state at all.
-pub struct NetEnv<'a> {
-    /// The transport to send through.
-    pub net: &'a mut ServiceNet,
-    /// Placement randomness.
-    pub rng: &'a mut StdRng,
-    /// Hot-key splits (always empty in networked mode: splitting is a
-    /// quiescent-point simulator feature).
-    pub splits: &'a SplitMap,
-    /// The local node state, when dispatching from a ring member (`None`
-    /// at the client).
-    pub state: Option<&'a mut NodeState>,
-}
-
-impl EffectEnv for NetEnv<'_> {
-    type Net = ServiceNet;
-
-    fn net(&mut self) -> &mut ServiceNet {
-        self.net
-    }
-
-    fn now(&self) -> SimTime {
-        self.net.clock.now()
-    }
-
-    fn cached_ric(&self, node: Id, ring: u64, now: SimTime) -> Option<RicEntry> {
-        match &self.state {
-            Some(state) if state.id == node => state.cached_ric(ring, now),
-            _ => None,
-        }
-    }
-
-    fn cache_ric(&mut self, node: Id, ring: u64, entry: RicEntry) {
-        if let Some(state) = &mut self.state {
-            if state.id == node {
-                state.cache_ric(ring, entry);
-            }
-        }
-    }
-
-    fn note_ric(&mut self, node: Id, dispatch: &RicCounters) {
-        if let Some(state) = &mut self.state {
-            if state.id == node {
-                state.note_ric(dispatch);
-            }
-        }
-    }
-
-    fn observed_rate(&mut self, owner: Id, ring: u64, now: SimTime) -> u64 {
-        match &self.state {
-            Some(state) if state.id == owner => state.ric().rate_at(ring, now, RIC_WINDOW),
-            _ => 0,
-        }
-    }
-
-    fn choose(
-        &mut self,
-        candidates: &[IndexLevel],
-        rates: &[u64],
-        strategy: PlacementStrategy,
-    ) -> usize {
-        choose_candidate(candidates, rates, strategy, self.rng)
-    }
-
-    fn splits(&self) -> &SplitMap {
-        self.splits
-    }
-
-    fn note_query_fanout(&mut self, _extra: u64) {}
 }

@@ -24,17 +24,15 @@
 use crate::clock::ServiceClock;
 use crate::error::TransportError;
 use crate::frame::FrameReader;
-use crate::net::{NetEnv, ServiceNet};
+use crate::net::ServiceNet;
 use crate::view::{ClusterView, Member};
 use crate::wire::{ServiceMessage, StateTransfer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rjoin_core::pipeline::{
-    handle_node_msg, perform_actions_in, standalone_node_state, TickEffect,
+    handle_node_msg, perform_actions_in, standalone_node_state, DispatchEnv, TickEffect,
 };
-use rjoin_core::split::SplitMap;
 use rjoin_core::{DrainedState, EngineConfig, RJoinMessage};
 use rjoin_dht::Id;
+use rjoin_net::child_lineage;
 use rjoin_relation::Catalog;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -188,8 +186,6 @@ struct NodeRuntime {
     catalog: Catalog,
     state: rjoin_core::NodeState,
     net: ServiceNet,
-    rng: StdRng,
-    splits: SplitMap,
     /// Counted sends beyond the transport's own (Absorb transfers).
     extra_sent: u64,
 }
@@ -198,12 +194,9 @@ impl NodeRuntime {
     fn new(id: Id, boot: NodeBoot) -> Self {
         let clock = Arc::new(ServiceClock::new(boot.tick));
         let net = ServiceNet::new(id, boot.view, clock, boot.config.network_delay.max(1));
-        let rng = StdRng::seed_from_u64(boot.config.seed ^ id.0);
         NodeRuntime {
             state: standalone_node_state(id, &boot.config),
             catalog: boot.catalog,
-            rng,
-            splits: SplitMap::new(),
             extra_sent: 0,
             net,
             config: boot.config,
@@ -307,7 +300,7 @@ fn handle_configured(rt: &mut NodeRuntime, id: Id, msg: ServiceMessage, stats: &
     match msg {
         ServiceMessage::Engine { at, msg } => {
             rt.net.clock.observe(at);
-            stats.processed.fetch_add(1, Ordering::Relaxed);
+            let handled = stats.processed.fetch_add(1, Ordering::Relaxed);
             if matches!(msg, RJoinMessage::Answer { .. }) {
                 // Answers are addressed to query owners (clients); one
                 // reaching a ring node is a routing bug upstream, not a
@@ -318,12 +311,10 @@ fn handle_configured(rt: &mut NodeRuntime, id: Id, msg: ServiceMessage, stats: &
             let t = rt.net.clock.now();
             let effect = handle_node_msg(&mut rt.state, &rt.catalog, &rt.config, t, t, id, msg);
             if let TickEffect::Node { actions, .. } = effect {
-                let mut env = NetEnv {
-                    net: &mut rt.net,
-                    rng: &mut rt.rng,
-                    splits: &rt.splits,
-                    state: Some(&mut rt.state),
-                };
+                // Placement draws from this node's lineage of the frame.
+                let lineage = child_lineage(u128::from(id.0), handled);
+                let mut env =
+                    DispatchEnv::new(&mut rt.net, Some(&mut rt.state), rt.config.seed, lineage);
                 if perform_actions_in(&mut env, &rt.config, &rt.catalog, id, actions).is_err() {
                     stats.dispatch_errors.fetch_add(1, Ordering::Relaxed);
                 }

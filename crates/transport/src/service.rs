@@ -40,24 +40,21 @@
 use crate::clock::ServiceClock;
 use crate::error::TransportError;
 use crate::frame::FrameReader;
-use crate::net::{NetEnv, ServiceNet};
+use crate::net::ServiceNet;
 use crate::node::{NodeBoot, NodeProcess, NodeStats};
 use crate::view::{ClusterView, Member};
 use crate::wire::ServiceMessage;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rjoin_core::pipeline::dispatch_query_in;
-use rjoin_core::split::SplitMap;
+use rjoin_core::pipeline::{dispatch_query_in, DispatchEnv};
 use rjoin_core::{
     traffic_class, AnswerLog, AnswerRecord, EngineConfig, EngineError, NodeId, PendingQuery,
     QueryId, RJoinMessage,
 };
 use rjoin_dht::Id;
-use rjoin_net::Transport;
+use rjoin_net::{child_lineage, Transport};
 use rjoin_query::plan::{self, QueryShape};
 use rjoin_query::{tuple_index_keys, JoinQuery, QueryError};
 use rjoin_relation::{Catalog, Tuple, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -91,7 +88,6 @@ impl Default for ClusterConfig {
 #[derive(Debug, Default)]
 struct ClientInbox {
     answers: AnswerLog,
-    distinct: HashSet<QueryId>,
     /// Counted frames received (the client side of the conservation
     /// equation).
     received: u64,
@@ -105,8 +101,6 @@ pub struct Cluster {
     cluster_cfg: ClusterConfig,
     client_id: Id,
     net: ServiceNet,
-    rng: StdRng,
-    splits: SplitMap,
     nodes: HashMap<Id, NodeProcess>,
     node_seq: usize,
     /// Tells the client's accept loop to exit (it holds the inbox alive).
@@ -179,15 +173,12 @@ impl Cluster {
 
         let delay = config.network_delay.max(1);
         let net = ServiceNet::new(client_id, view, clock, delay);
-        let rng = StdRng::seed_from_u64(config.seed ^ client_id.0);
         Ok(Cluster {
             config,
             catalog,
             cluster_cfg,
             client_id,
             net,
-            rng,
-            splits: SplitMap::new(),
             nodes,
             node_seq: n,
             stopping,
@@ -241,11 +232,12 @@ impl Cluster {
         let id = QueryId { owner: self.client_id, seq: self.next_query_seq };
         self.next_query_seq += 1;
         if query.distinct() {
-            self.inbox.lock().expect("client inbox").distinct.insert(id);
+            self.inbox.lock().expect("client inbox").answers.mark_distinct(id);
         }
         let pending = PendingQuery::input(id, self.client_id, self.net.clock.now(), query);
-        let mut env =
-            NetEnv { net: &mut self.net, rng: &mut self.rng, splits: &self.splits, state: None };
+        // Placement draws from the client's lineage of this submission.
+        let lineage = child_lineage(u128::from(self.client_id.0), id.seq);
+        let mut env = DispatchEnv::new(&mut self.net, None, self.config.seed, lineage);
         let dispatched =
             dispatch_query_in(&mut env, &self.config, &self.catalog, self.client_id, pending, true);
         self.net.flush()?;
@@ -509,11 +501,7 @@ fn read_client_connection(
                 inbox.received += 1;
                 if let RJoinMessage::Answer { query, row, produced_at } = msg {
                     let record = AnswerRecord { query, row, produced_at, received_at: clock.now() };
-                    if inbox.distinct.contains(&query) {
-                        inbox.answers.record_distinct(record);
-                    } else {
-                        inbox.answers.record(record);
-                    }
+                    inbox.answers.record(record);
                 }
             }
             ServiceMessage::Pong { token, sent, processed } => {
