@@ -10,12 +10,12 @@
 //! tuples routed to it, and the join itself is an **index-probe cascade
 //! over tuple references**, driven by each arriving tuple ([`Cell::join`]):
 //!
-//! * **The plan.** At the cell's first arrival the cell takes its
-//!   replica's plan — the input query's [`RewritePlan`], compiled once per
-//!   query on each node like any pipeline query's — whose [`JoinPlan`] has
-//!   a slot per relation, constant filters and join edges as column
-//!   offsets, the `SELECT` list as columns or constants. No query AST is
-//!   built, cloned or dropped per tuple afterwards.
+//! * **The plan.** The cell opens with its replica's plan — the input
+//!   query's [`RewritePlan`], compiled where the query entered the process
+//!   like any pipeline query's — whose [`JoinPlan`] has a slot per
+//!   relation, constant filters and join edges as column offsets, the
+//!   `SELECT` list as columns or constants. No query AST is built, cloned
+//!   or dropped per tuple.
 //! * **The probe.** An arrival that passes its slot's constant filters is
 //!   bound to its slot, and every remaining slot is bound depth-first by
 //!   probing the index with the [pins](JoinPlan::pins) the bound tuples
@@ -42,11 +42,10 @@
 //! waits for it — physical removal never decides an answer (the cascade
 //! tests the window on every candidate), it only bounds state by the window
 //! instead of the epoch.
-//!
-//! The plan needs the catalog, so it is attached at the first arrival, not
-//! when the cell opens: churn re-homes a cell through `NodeState::absorb`,
-//! which has no catalog at hand, so absorbed tuples are appended un-filed
-//! and filed at the cell's next arrival.
+//! Every stored query carries its plan (`NodeState::adopt` gives one to
+//! any query that arrives without it), so a cell opens indexed and files
+//! each tuple as it is stored — a churn re-home through
+//! `NodeState::absorb` included.
 //!
 //! # A cell in its node
 //!
@@ -62,14 +61,13 @@
 //! it from exactly those two.
 
 use crate::messages::PendingQuery;
-use crate::node_state::ensure_plan;
 use crate::node_state::{NodeState, StoredQuery};
 use crate::procedures::{Action, ProcCtx};
 use crate::slab::Handle;
 use crate::trigger_index::{value_digest, TriggerIndex};
 use rjoin_dht::{HashedKey, RingMap};
 use rjoin_net::SimTime;
-use rjoin_query::{IndexLevel, JoinPlan, JoinQuery, RewritePlan, SlotColumn, WindowSpec};
+use rjoin_query::{IndexLevel, JoinPlan, RewritePlan, SlotColumn, WindowSpec};
 use rjoin_relation::{Timestamp, Tuple, Value};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -77,7 +75,7 @@ use std::time::Instant;
 
 /// One stored tuple copy, the tick from which its removal is unobservable
 /// (`SimTime::MAX` for unwindowed queries), and the plan slot it is filed
-/// under (`None` until filed, and for a tuple the plan does not admit).
+/// under (`None` for a tuple the plan does not admit).
 #[derive(Debug, Clone)]
 struct Entry {
     tuple: Arc<Tuple>,
@@ -98,33 +96,36 @@ struct Column {
 pub(crate) struct Cell {
     /// The input-query replica's handle in the node's query slab.
     pub(crate) replica: Handle,
-    /// The replica's window: what a stored tuple's eviction deadline is
-    /// derived from.
-    pub(crate) window: WindowSpec,
-    /// The replica's plan, attached at the cell's first arrival.
-    plan: Option<Arc<RewritePlan>>,
+    /// The replica's plan.
+    plan: Arc<RewritePlan>,
     entries: VecDeque<Entry>,
     /// Arrival number of `entries.front()`.
     base: u64,
-    /// How many entries, from the front, are filed in `columns`.
-    indexed: usize,
-    /// One index per join column of the plan (empty until it is compiled).
+    /// One index per join column of the plan.
     columns: Vec<Column>,
 }
 
 impl Cell {
-    /// An empty cell for the replica `query` (its plan and index columns are
-    /// built at the first arrival).
-    pub(crate) fn new(replica: Handle, query: &JoinQuery) -> Self {
+    /// An empty cell for the replica `replica`, read through its `plan`:
+    /// one index column per join column.
+    pub(crate) fn new(replica: Handle, plan: &Arc<RewritePlan>) -> Self {
+        let columns = plan.plan().join_columns();
         Cell {
             replica,
-            window: *query.window(),
-            plan: None,
+            plan: Arc::clone(plan),
             entries: VecDeque::new(),
             base: 0,
-            indexed: 0,
-            columns: Vec::new(),
+            columns: columns
+                .into_iter()
+                .map(|at| Column { at, by_value: RingMap::default() })
+                .collect(),
         }
+    }
+
+    /// The replica's window: what a stored tuple's eviction deadline is
+    /// derived from.
+    pub(crate) fn window(&self) -> &WindowSpec {
+        self.plan.plan().window()
     }
 
     /// Number of tuples currently stored.
@@ -143,13 +144,19 @@ impl Cell {
         self.entries.iter().map(|e| e.deadline)
     }
 
-    /// Appends a tuple (un-filed until the cell's next arrival).
+    /// Appends a tuple, filed under its slot's join columns.
     pub(crate) fn push(&mut self, tuple: Arc<Tuple>, deadline: SimTime) {
-        self.entries.push_back(Entry { tuple, deadline, slot: None });
+        let arrival = self.base + self.entries.len() as u64;
+        let slot = self.plan.plan().admit(&tuple);
+        for column in self.columns.iter_mut().filter(|c| Some(c.at.slot) == slot) {
+            let digest = value_digest(&tuple.values()[column.at.offset]);
+            column.by_value.entry(digest).or_default().push_back(arrival);
+        }
+        self.entries.push_back(Entry { tuple, deadline, slot });
     }
 
     /// Joins an arriving copy of the cell with every combination of the
-    /// tuples stored before it, through the replica's `plan`, handing each
+    /// tuples stored before it, through the replica's plan, handing each
     /// answer row to `emit` and booking each index probe in `probes`.
     /// Returns whether the copy must be stored for later arrivals: it was
     /// admitted to a slot of a plan with more than one (a one-relation
@@ -158,20 +165,17 @@ impl Cell {
     /// A tuple the plan does not admit — of a relation the replica does not
     /// join, or failing one of its constant selections — joins nothing.
     pub(crate) fn join(
-        &mut self,
-        plan: &Arc<RewritePlan>,
+        &self,
         tuple: &Tuple,
         probes: &mut TriggerIndex,
         emit: impl FnMut(Vec<Value>),
     ) -> bool {
-        self.open(plan);
-        self.index_pending();
-        let plan = self.plan.as_deref().expect("opened above").plan();
+        let plan = self.plan.plan();
         let Some(slot) = plan.admit(tuple) else { return false };
         let mut bound = vec![None; plan.relations().len()];
         bound[slot] = Some(tuple);
         let unbound = bound.len() - 1;
-        let mut cascade = Cascade { cell: &*self, plan, bound, unbound, probes, emit };
+        let mut cascade = Cascade { cell: self, plan, bound, unbound, probes, emit };
         if unbound == 0 {
             (cascade.emit)(plan.project(&cascade.bound));
             return false;
@@ -180,48 +184,13 @@ impl Cell {
         true
     }
 
-    /// Keeps the replica's plan and opens one index column per join column,
-    /// once.
-    fn open(&mut self, plan: &Arc<RewritePlan>) {
-        if self.plan.is_none() {
-            self.columns = plan
-                .plan()
-                .join_columns()
-                .into_iter()
-                .map(|at| Column { at, by_value: RingMap::default() })
-                .collect();
-            self.plan = Some(Arc::clone(plan));
-        }
-    }
-
-    /// Files every appended-but-unfiled tuple under its slot's join columns.
-    /// A no-op when the index is current or the plan is not compiled yet.
-    fn index_pending(&mut self) {
-        let Some(plan) = self.plan.as_deref().map(RewritePlan::plan) else { return };
-        while self.indexed < self.entries.len() {
-            let arrival = self.base + self.indexed as u64;
-            let entry = &mut self.entries[self.indexed];
-            entry.slot = plan.admit(&entry.tuple);
-            if let Some(slot) = entry.slot {
-                for column in self.columns.iter_mut().filter(|c| c.at.slot == slot) {
-                    let digest = value_digest(&entry.tuple.values()[column.at.offset]);
-                    column.by_value.entry(digest).or_default().push_back(arrival);
-                }
-            }
-            self.indexed += 1;
-        }
-    }
-
     /// Removes front tuples whose deadline is at or before `now` from store
     /// and index; returns how many were removed.
     pub(crate) fn evict_due(&mut self, now: SimTime) -> usize {
         let mut evicted = 0;
         while self.entries.front().is_some_and(|e| e.deadline <= now) {
             let entry = self.entries.pop_front().expect("front checked above");
-            if self.indexed > 0 {
-                self.indexed -= 1;
-                self.unfile(&entry);
-            }
+            self.unfile(&entry);
             self.base += 1;
             evicted += 1;
         }
@@ -343,21 +312,19 @@ impl<'a, F: FnMut(Vec<Value>)> Cascade<'a, F> {
 /// coordination. `DISTINCT` collapses owner-side: equal *rows* can complete
 /// in different cells.
 ///
-/// A cell runs no trigger, so it books no rewrite counter; attaching the
-/// replica's plan books a compile or a reuse, its time goes to
-/// `eval_nanos` and its index probes to the probe counters.
+/// A cell runs no trigger, so it books no rewrite counter; its time goes
+/// to `eval_nanos` and its index probes to the probe counters.
 ///
 /// A tuple that can never contribute — published before the query was
 /// submitted, of a relation the query does not join, or failing one of the
 /// replica's own constant selections — is neither joined nor stored.
 pub(crate) fn handle_cell_arrival(
     state: &mut NodeState,
-    ctx: &ProcCtx<'_>,
     tuple: &Arc<Tuple>,
     ring: u64,
 ) -> Vec<Action> {
     let mut actions = Vec::new();
-    let Some(cell) = state.cells.get_mut(&ring) else { return actions };
+    let Some(cell) = state.cells.get(&ring) else { return actions };
     let Some(replica) = state.queries.get(cell.replica).map(|stored| &stored.pending) else {
         return actions;
     };
@@ -366,11 +333,9 @@ pub(crate) fn handle_cell_arrival(
     }
     let walk = Instant::now();
     let (query, owner) = (replica.query.id, replica.query.owner);
-    // A replica that does not compile joins nothing.
-    let stores = ensure_plan(replica, ctx.catalog, &mut state.compile)
-        && cell.join(replica.plan().expect("attached"), tuple, &mut state.trigger_index, |row| {
-            actions.push(Action::DeliverAnswer { query, owner, row })
-        });
+    let stores = cell.join(tuple, &mut state.trigger_index, |row| {
+        actions.push(Action::DeliverAnswer { query, owner, row })
+    });
     state.compile.eval_nanos += walk.elapsed().as_nanos() as u64;
     if stores {
         state.store_tuple(ring, Arc::clone(tuple));
@@ -385,6 +350,8 @@ pub(crate) fn handle_cell_arrival(
 /// ([`handle_cell_arrival`]) — so a late registration produces exactly the
 /// answers the cell would have produced had it been there first.
 /// `DISTINCT` collapses owner-side, so the replica carries no dedup filter.
+/// A replica [`NodeState::adopt`] refuses is dropped, as a pipeline query
+/// is, and opens no cell.
 pub(crate) fn handle_hypercube_arrival(
     state: &mut NodeState,
     ctx: &ProcCtx<'_>,
@@ -393,14 +360,16 @@ pub(crate) fn handle_hypercube_arrival(
     level: IndexLevel,
 ) -> Vec<Action> {
     let ring = key.ring();
-    state.adopt(&mut pending, ctx.catalog);
+    if !state.adopt(&mut pending, ctx.catalog) {
+        return Vec::new();
+    }
     let mut replica = StoredQuery::new(pending, key.clone(), level);
     replica.dedup = None;
     let early = state.take_stored_tuples(ring);
     state.store_query(replica);
     let mut actions = Vec::new();
     for tuple in &early {
-        actions.append(&mut handle_cell_arrival(state, ctx, tuple, ring));
+        actions.append(&mut handle_cell_arrival(state, tuple, ring));
     }
     actions
 }
@@ -425,13 +394,11 @@ mod tests {
 
     const TRIANGLE: &str = "SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B AND T.C = R.C";
 
-    /// A cell of `sql` with its plan attached and nothing stored yet.
-    fn compiled_cell(sql: &str) -> (Cell, Arc<RewritePlan>) {
+    /// A cell of `sql` with nothing stored yet.
+    fn compiled_cell(sql: &str) -> Cell {
         let q = parse_query(sql).unwrap();
-        let mut cell = Cell::new(crate::slab::Slab::default().insert(()), &q);
         let plan = Arc::new(RewritePlan::new(Arc::new(q), &catalog()).unwrap());
-        cell.open(&plan);
-        (cell, plan)
+        Cell::new(crate::slab::Slab::default().insert(()), &plan)
     }
 
     fn at(slot: usize, offset: usize) -> SlotColumn {
@@ -447,17 +414,17 @@ mod tests {
 
     /// Drives one arrival through the cell's join; returns the answer rows
     /// and `(probes, candidates)` booked by it.
-    fn arrive(cell: &mut Cell, q: &Arc<RewritePlan>, t: &Tuple) -> (Vec<Vec<Value>>, u64, u64) {
+    fn arrive(cell: &Cell, t: &Tuple) -> (Vec<Vec<Value>>, u64, u64) {
         let mut probes = TriggerIndex::default();
         let mut rows = Vec::new();
-        cell.join(q, t, &mut probes, |row| rows.push(row));
+        cell.join(t, &mut probes, |row| rows.push(row));
         let counters = probes.counters();
         (rows, counters.indexed_probes, counters.candidates_probed)
     }
 
     #[test]
     fn one_column_per_join_attribute() {
-        let (cell, _) = compiled_cell(TRIANGLE);
+        let cell = compiled_cell(TRIANGLE);
         let columns: Vec<SlotColumn> = cell.columns.iter().map(|c| c.at).collect();
         // R.A, S.A, S.B, T.B, T.C, R.C as (slot, offset).
         assert_eq!(columns, [at(0, 0), at(1, 0), at(1, 1), at(2, 1), at(2, 2), at(0, 2)]);
@@ -465,7 +432,7 @@ mod tests {
 
     #[test]
     fn probe_picks_the_shortest_pinned_list() {
-        let (mut cell, q) = compiled_cell(TRIANGLE);
+        let mut cell = compiled_cell(TRIANGLE);
         cell.push(tuple("T", [0, 5, 9], 1), SimTime::MAX);
         cell.push(tuple("T", [0, 5, 8], 2), SimTime::MAX);
         cell.push(tuple("T", [0, 6, 9], 3), SimTime::MAX);
@@ -476,33 +443,32 @@ mod tests {
         // list is probed first. T.B = 5 then pins S.B = 5 next to S.A = 1
         // (three each, the first pin wins), T.B = 6 pins S.B = 6, which no
         // tuple carries: that branch ends without candidates.
-        let (rows, probes, candidates) = arrive(&mut cell, &q, &tuple("R", [1, 0, 9], 7));
+        let (rows, probes, candidates) = arrive(&cell, &tuple("R", [1, 0, 9], 7));
         assert_eq!(rows, vec![vec![Value::from(1)]; 3]);
         assert_eq!((probes, candidates), (3, 2 + 3));
         assert_eq!(filed(&cell, at(2, 2), 9), [0, 2], "T.C = 9");
         // A pinned value nobody carries kills the arrival's only branch.
-        let (rows, probes, candidates) = arrive(&mut cell, &q, &tuple("R", [2, 0, 9], 8));
+        let (rows, probes, candidates) = arrive(&cell, &tuple("R", [2, 0, 9], 8));
         assert!(rows.is_empty());
         assert_eq!((probes, candidates), (1, 0));
 
         // A slot no join edge reaches from the bound ones is scanned: its
         // own tuples are the candidates, but finding them visits the store.
-        let (mut cell, q) = compiled_cell("SELECT R.A, T.C FROM R, S, T WHERE R.A = S.A");
+        let mut cell = compiled_cell("SELECT R.A, T.C FROM R, S, T WHERE R.A = S.A");
         cell.push(tuple("T", [0, 0, 3], 1), SimTime::MAX);
         cell.push(tuple("R", [1, 0, 0], 2), SimTime::MAX);
         cell.push(tuple("T", [0, 0, 4], 3), SimTime::MAX);
-        let (rows, probes, candidates) = arrive(&mut cell, &q, &tuple("S", [1, 0, 0], 4));
+        let (rows, probes, candidates) = arrive(&cell, &tuple("S", [1, 0, 0], 4));
         assert_eq!(rows.len(), 2);
         assert_eq!((probes, candidates), (2, 1 + 3));
     }
 
     #[test]
     fn eviction_pops_store_and_index_from_the_front() {
-        let (mut cell, _) = compiled_cell(TRIANGLE);
+        let mut cell = compiled_cell(TRIANGLE);
         cell.push(tuple("S", [1, 2, 0], 1), 10);
         cell.push(tuple("S", [1, 3, 0], 2), 30);
         cell.push(tuple("S", [1, 2, 0], 3), 20);
-        cell.index_pending();
         let s_a = at(1, 0);
         assert_eq!(filed(&cell, s_a, 1), [0, 1, 2]);
 
@@ -520,27 +486,27 @@ mod tests {
         assert!(cell.columns.iter().all(|c| c.by_value.is_empty()), "empty lists are dropped");
         // Arrival numbers keep counting after the store drained.
         cell.push(tuple("S", [1, 2, 0], 40), SimTime::MAX);
-        cell.index_pending();
         assert_eq!(filed(&cell, s_a, 1), [3]);
     }
 
     #[test]
     fn unindexed_tuples_survive_eviction_and_re_homing() {
-        let (mut cell, _) = compiled_cell(TRIANGLE);
+        let mut cell = compiled_cell(TRIANGLE);
+        // A tuple too short for its slot is not admitted: stored, unfiled.
+        let short = |pub_time| Arc::new(Tuple::new("R", vec![Value::from(1)], pub_time));
         cell.push(tuple("R", [1, 0, 2], 1), 5);
-        cell.index_pending();
-        // Appended without a catalog at hand (the absorb path).
-        cell.push(tuple("R", [1, 0, 3], 2), 6);
+        cell.push(short(2), 6);
+        assert_eq!(filed(&cell, at(0, 0), 1), [0], "only the admitted tuple is filed");
         assert_eq!(cell.evict_due(6), 2, "an unfiled tuple is evicted without touching the index");
+        assert!(cell.columns.iter().all(|c| c.by_value.is_empty()));
         cell.push(tuple("R", [4, 0, 2], 7), SimTime::MAX);
         cell.push(tuple("S", [4, 1, 0], 8), SimTime::MAX);
-        let (r_a, s_a) = (at(0, 0), at(1, 0));
-        assert!(filed(&cell, r_a, 4).is_empty(), "not filed yet");
-        cell.index_pending();
+        cell.push(short(9), SimTime::MAX);
         // Each tuple is filed under its own slot's columns only.
+        let (r_a, s_a) = (at(0, 0), at(1, 0));
         assert_eq!(filed(&cell, r_a, 4), [2]);
         assert_eq!(filed(&cell, s_a, 4), [3]);
         let moved: Vec<u64> = cell.into_tuples().iter().map(|t| t.pub_time()).collect();
-        assert_eq!(moved, [7, 8], "re-homed in arrival order");
+        assert_eq!(moved, [7, 8, 9], "re-homed in arrival order");
     }
 }

@@ -244,32 +244,35 @@ impl RJoinEngine {
         self.network.in_flight()
     }
 
-    /// Submits a continuous query from node `origin`. The query is validated
-    /// against the catalog, planned (pipeline of rewrites vs hypercube
-    /// placement, `rjoin_query::plan`) and indexed in the network; returns
-    /// its id.
+    /// Submits a continuous query from node `origin`. The query's plan is
+    /// compiled against the catalog ([`PendingQuery::submitted`]; a query
+    /// that does not compile is refused with the compile's error, booked on
+    /// `origin`'s compile counters otherwise), the query is planned
+    /// (pipeline of rewrites vs hypercube placement, `rjoin_query::plan`)
+    /// and indexed in the network; returns its id.
     pub fn submit_query(
         &mut self,
         origin: impl Into<NodeId>,
         query: JoinQuery,
     ) -> Result<QueryId, EngineError> {
         let origin = origin.into().id();
-        if self.node_state(origin).is_none() {
+        let shard = self.network.shard_of(origin);
+        let Some(state) = self.shards[shard].nodes.get_mut(&origin) else {
             return Err(EngineError::UnknownNode { id: origin });
-        }
-        query.validate(&self.catalog)?;
+        };
         let id = QueryId { owner: origin, seq: self.next_query_seq };
-        let hypercube = self.plan_submission(&query, id)?;
+        let pending =
+            PendingQuery::submitted(id, origin, self.network.now(), query, &self.catalog)?;
+        state.compile.programs_compiled += 1;
+        let hypercube = self.plan_submission(&pending.query, id)?;
         self.next_query_seq += 1;
-        if query.distinct() {
+        if pending.query.distinct() {
             self.answers.mark_distinct(id);
         }
-        let pending =
-            PendingQuery::input(id, origin, self.network.now(), query).with_hypercube(hypercube);
+        let pending = pending.with_hypercube(hypercube);
         // Outside any round, the query's messages are roots, and its
         // placement draws from the lineage of the first of them.
         let lineage = root_lineage(self.network.next_root());
-        let shard = self.network.shard_of(origin);
         let mut handle = self.network.root_handle(origin);
         let mut env = DispatchEnv::simulated(
             &mut handle,

@@ -32,13 +32,14 @@
 //!   tuples).
 //!   Everything a rewritten `JoinQuery` used to be built for is read
 //!   through the input query's [`rjoin_query::RewritePlan`], compiled once
-//!   per query at its first trigger (never at submission) and carried by
-//!   every descendant: a trigger is the plan's `admit` + `joins` on the
-//!   tuple's slot, a complete binding is projected into the answer row, a
-//!   partial one becomes a child with one more bound slot, and a child's
-//!   candidate keys come from the plan's memo for its bound mask. The plan
-//!   never travels: a node that receives a query over a wire compiles it
-//!   once per query ([`NodeState::adopt`]). A stored query is a 56-byte
+//!   per query at submission ([`PendingQuery::submitted`]) and carried by
+//!   every descendant; an input query is read through it too, with nothing
+//!   bound. A trigger is the plan's `admit` + `joins` on the tuple's slot,
+//!   a complete binding is projected into the answer row, a partial one
+//!   becomes a child with one more bound slot, and a query's candidate
+//!   keys come from the plan's memo for its bound mask. The plan never
+//!   travels: a node that receives a query over a wire compiles it once
+//!   per query ([`NodeState::adopt`]). A stored query is a 56-byte
 //!   slab entry plus its binding's `8 + 8 × bound` bytes, where a rewritten
 //!   `JoinQuery` was close to a kilobyte.
 //! * **Interned key identities** — every index key is converted once into a

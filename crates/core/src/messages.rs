@@ -2,8 +2,8 @@
 
 use rjoin_dht::{HashedKey, Id};
 use rjoin_net::SimTime;
-use rjoin_query::{Bindings, IndexLevel, JoinQuery, RewritePlan, SelectItem, SubJoin};
-use rjoin_relation::{write_prefixed, DecodedTable, Timestamp, Tuple, Value};
+use rjoin_query::{Bindings, IndexLevel, JoinQuery, QueryError, RewritePlan, SelectItem, SubJoin};
+use rjoin_relation::{write_prefixed, Catalog, DecodedTable, Timestamp, Tuple, Value};
 use serde::bin::BinError;
 use serde::json::{JsonError, JsonValue};
 use serde::{Deserialize, Serialize};
@@ -224,10 +224,11 @@ impl HypercubeRef {
 /// The compiled plan of an input query, for as long as the query stays
 /// inside one process: every descendant of an input query shares it.
 ///
-/// A cache, not part of the query: it always compares equal and is never
-/// serialized. A query that crossed a wire arrives without it, and the
-/// receiving node attaches its own (compiled once per [`QueryId`], see
-/// [`NodeState::adopt`](crate::NodeState::adopt)).
+/// Compiled where the query enters a process — at submission
+/// ([`PendingQuery::submitted`]) or, for a query that arrives without one,
+/// at [`NodeState::adopt`](crate::NodeState::adopt), once per [`QueryId`]
+/// on each node — and read by everything after. Not part of the query: it
+/// always compares equal and is never serialized.
 #[derive(Debug, Clone, Default)]
 pub struct PlanRef(OnceLock<Arc<RewritePlan>>);
 
@@ -277,8 +278,9 @@ pub struct InputQuery {
     /// cell-local: a cell's partials are transient, so only input-query
     /// replicas ever carry it into a node's store.
     pub hypercube: Option<HypercubeRef>,
-    /// The plan of `query` (a process-local cache; empty until the first
-    /// trigger and after any wire hop).
+    /// The plan of `query`, compiled where the query entered this process
+    /// (empty only until then: after [`PendingQuery::input`] and after a
+    /// wire hop).
     pub plan: PlanRef,
 }
 
@@ -345,8 +347,9 @@ static DECODED_QUERIES: DecodedTable<JoinQuery, 4096> = DecodedTable::new();
 /// A rewritten query is never built: it is its input query
 /// ([`query`](Self::query), shared by every descendant) plus the tuples
 /// bound so far ([`bound`](Self::bound), one per bound `FROM` slot), read
-/// through the input query's [`RewritePlan`].
-/// [`rewritten`](Self::rewritten) builds the [`JoinQuery`] it denotes.
+/// through the input query's [`RewritePlan`] — an input query too, with
+/// nothing bound ([`RewritePlan::materialize`] builds the [`JoinQuery`]
+/// either denotes).
 ///
 /// With shared sub-join evaluation enabled, one `PendingQuery` can serve
 /// several input queries whose rewritten sub-join structure is identical:
@@ -376,7 +379,8 @@ pub struct PendingQuery {
 }
 
 impl PendingQuery {
-    /// Wraps a freshly submitted input query.
+    /// Wraps a freshly submitted input query, without its plan: the node
+    /// it is handed to compiles one at [`adopt`](crate::NodeState::adopt).
     pub fn input(id: QueryId, owner: Id, insert_time: Timestamp, query: JoinQuery) -> Self {
         PendingQuery {
             query: Arc::new(InputQuery {
@@ -393,6 +397,25 @@ impl PendingQuery {
         }
     }
 
+    /// A query entering the network at submission: [`input`](Self::input)
+    /// with its plan compiled against `catalog`, the one place a submitted
+    /// query is compiled. Compiling checks everything
+    /// [`JoinQuery::validate`] does, and more (a plan binds at most 64
+    /// relations), so a query that could never trigger is refused here
+    /// with the compile's error.
+    pub fn submitted(
+        id: QueryId,
+        owner: Id,
+        insert_time: Timestamp,
+        query: JoinQuery,
+        catalog: &Catalog,
+    ) -> Result<Self, QueryError> {
+        let pending = PendingQuery::input(id, owner, insert_time, query);
+        let plan = RewritePlan::new(Arc::clone(&pending.query.query), catalog)?;
+        pending.query.plan.set(Arc::new(plan));
+        Ok(pending)
+    }
+
     /// The input query planned into `hypercube`'s cells (see
     /// [`InputQuery::hypercube`]).
     pub fn with_hypercube(mut self, hypercube: Option<HypercubeRef>) -> Self {
@@ -405,40 +428,24 @@ impl PendingQuery {
         self.bound.is_empty()
     }
 
-    /// The plan this query is read through, once attached.
-    pub fn plan(&self) -> Option<&Arc<RewritePlan>> {
-        self.query.plan.get()
+    /// The plan this query is read through.
+    ///
+    /// # Panics
+    /// Panics before the query entered a process: a query built by
+    /// [`input`](Self::input) or decoded off a wire gets its plan at
+    /// [`NodeState::adopt`](crate::NodeState::adopt).
+    pub fn plan(&self) -> &Arc<RewritePlan> {
+        self.query.plan.get().expect("a query's plan is compiled where it enters the process")
     }
 
-    /// The rewritten query this one denotes, built (the input query itself
-    /// when nothing is bound); `None` when tuples are bound but no plan is
-    /// attached to read them through.
-    pub fn rewritten(&self) -> Option<JoinQuery> {
-        match self.plan() {
-            _ if self.bound.is_empty() => Some(JoinQuery::clone(&self.query)),
-            Some(plan) => Some(plan.materialize(&self.bound)),
-            None => None,
-        }
+    /// The rewritten sub-join, for signatures.
+    pub fn subjoin(&self) -> SubJoin<'_> {
+        SubJoin::Bound(self.plan(), &self.bound)
     }
 
-    /// The rewritten sub-join, for signatures (`None` as for
-    /// [`rewritten`](Self::rewritten)).
-    pub fn subjoin(&self) -> Option<SubJoin<'_>> {
-        match self.plan() {
-            _ if self.bound.is_empty() => Some(SubJoin::Query(&self.query)),
-            Some(plan) => Some(SubJoin::Bound(plan, &self.bound)),
-            None => None,
-        }
-    }
-
-    /// The `SELECT` list of the rewritten query (`None` as for
-    /// [`rewritten`](Self::rewritten)).
-    pub fn select_items(&self) -> Option<Vec<SelectItem>> {
-        match self.plan() {
-            _ if self.bound.is_empty() => Some(self.query.select().to_vec()),
-            Some(plan) => Some(plan.select_at(&self.bound)),
-            None => None,
-        }
+    /// The `SELECT` list of the rewritten query.
+    pub fn select_items(&self) -> Vec<SelectItem> {
+        self.plan().select_at(&self.bound)
     }
 
     /// Derives the pending metadata of the descendant that binds `tuple` to
@@ -524,7 +531,7 @@ impl PendingQuery {
             id: twin.query.id,
             owner: twin.query.owner,
             insert_time: twin.query.insert_time,
-            select: twin.select_items().expect("a confirmed twin reads through its plan"),
+            select: twin.select_items(),
         };
         self.subscribers.merge(newcomer, twin.subscribers);
     }
@@ -675,12 +682,17 @@ mod tests {
         assert!(!child.is_input());
         assert!(Arc::ptr_eq(&child.query, &p.query), "the input query is shared");
         assert_eq!(child.bound.mask(), 0b01);
-        assert_eq!(child.rewritten(), Some(rewritten));
+        assert_eq!(child.plan().materialize(&child.bound), rewritten);
     }
 
     fn twin(owner: u64, insert_time: Timestamp) -> PendingQuery {
         let q = parse_query("SELECT S.B FROM R, S WHERE R.A = S.A").unwrap();
-        PendingQuery::input(QueryId { owner: Id(owner), seq: 0 }, Id(owner), insert_time, q)
+        planned(PendingQuery::input(
+            QueryId { owner: Id(owner), seq: 0 },
+            Id(owner),
+            insert_time,
+            q,
+        ))
     }
 
     fn r_tuple(pub_time: Timestamp) -> Arc<Tuple> {

@@ -33,7 +33,10 @@ use crate::{ArrivalLog, RicTracker};
 use rjoin_dht::{HashedKey, Id, RingMap};
 use rjoin_metrics::{CompileCounters, ProbeCounters, RicCounters, SharingCounters, StateCounters};
 use rjoin_net::SimTime;
-use rjoin_query::{subjoin_eq, subjoin_fingerprint, IndexLevel, RewritePlan};
+use rjoin_query::{
+    signature_fingerprint, subjoin_fingerprint, subjoin_matches, write_subjoin_signature,
+    IndexLevel, RewritePlan,
+};
 use rjoin_relation::{Catalog, Timestamp, Tuple};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -114,29 +117,6 @@ pub(crate) fn key_run(list: &TupleList, lo: Timestamp, hi: Timestamp) -> Range<u
 /// The input queries of the queries a node holds, by id (see
 /// [`NodeState::adopt`]).
 pub(crate) type InputRegistry = HashMap<QueryId, Arc<InputQuery>>;
-
-/// Makes sure `pending` carries the plan it is read through: compiled
-/// against `catalog` at first use (counted in `counters`; every other use
-/// counts as a reuse) and kept by its input query for every query that
-/// shares it. `false` when the query does not compile — one
-/// `rjoin_query::rewrite` would fail on for every tuple.
-pub(crate) fn ensure_plan(
-    pending: &PendingQuery,
-    catalog: &Catalog,
-    counters: &mut CompileCounters,
-) -> bool {
-    let input = &pending.query;
-    if input.plan.get().is_some() {
-        counters.cache_hits += 1;
-        return true;
-    }
-    let Ok(plan) = RewritePlan::new(Arc::clone(&input.query), catalog) else {
-        return false;
-    };
-    counters.programs_compiled += 1;
-    input.plan.set(Arc::new(plan));
-    true
-}
 
 /// The complete RJoin-level state of one network node.
 ///
@@ -231,8 +211,8 @@ pub struct NodeState {
     pub(crate) subjoins: SubJoinRegistry,
     /// Counters of the work the sub-join registry saved on this node.
     pub(crate) sharing: SharingCounters,
-    /// The input queries of the queries that reached this node over a
-    /// wire or as input queries, by id (see [`adopt`](Self::adopt)).
+    /// The input queries of the queries that reached this node without
+    /// their plan, by id (see [`adopt`](Self::adopt)).
     pub(crate) inputs: InputRegistry,
     /// Counters of the plan-driven trigger loop on this node.
     pub(crate) compile: CompileCounters,
@@ -243,6 +223,9 @@ pub struct NodeState {
     pub(crate) trigger_index: TriggerIndex,
     /// Scratch buffer reused by [`advance_expiry`](Self::advance_expiry).
     pub(crate) expiry_scratch: Vec<ExpiryToken>,
+    /// Scratch buffer the shared path renders a stored query's sub-join
+    /// signature into, once for its fingerprint and its twin's check.
+    signature: String,
     /// Incremental count of stored *rewritten* queries.
     pub(crate) rewritten_count: usize,
     /// Incremental count of stored value-level tuples (plain buckets and
@@ -287,29 +270,36 @@ impl NodeState {
         Arc::clone(&self.ric)
     }
 
-    /// Takes in a query that arrived here: one without its plan (an input
-    /// query, or any query that crossed a wire) is pointed at this node's
-    /// copy of its input query, registered by the first to arrive, so every
-    /// query of one input query on the node shares one `JoinQuery` and one
-    /// plan, however many copies the wire delivers. A rewritten query also
-    /// gets its plan, compiled against `catalog` if it is the first: its
-    /// trigger-index pin and signature read its bound tuples through it.
-    /// Returns `false` for a rewritten query that can never trigger: its
-    /// plan does not compile, or — for one that came without its plan — a
-    /// bound tuple does not fit its slot.
+    /// Takes in a query that arrived here. One that comes with its plan
+    /// (it never left this process) is taken as it is. One without (it
+    /// crossed a wire, or was built by [`PendingQuery::input`] and handed
+    /// to the node directly) is pointed at this node's copy of its input
+    /// query, registered by the first to arrive with the plan compiled
+    /// against `catalog` (counted in the node's [`CompileCounters`]; every
+    /// later arrival counts a reuse): every query of one input query on the
+    /// node shares one `JoinQuery` and one plan, however many copies the
+    /// wire delivers. Returns `false` for a query that can never trigger:
+    /// its plan does not compile, or a bound tuple does not fit its slot.
     pub fn adopt(&mut self, pending: &mut PendingQuery, catalog: &Catalog) -> bool {
-        let foreign = pending.plan().is_none();
-        if foreign {
-            match self.inputs.entry(pending.query.id) {
-                Entry::Occupied(known) => pending.query = Arc::clone(known.get()),
-                Entry::Vacant(slot) => {
-                    slot.insert(Arc::clone(&pending.query));
-                }
+        if pending.query.plan.get().is_some() {
+            return true;
+        }
+        match self.inputs.entry(pending.query.id) {
+            Entry::Occupied(known) => {
+                pending.query = Arc::clone(known.get());
+                self.compile.cache_hits += 1;
+            }
+            Entry::Vacant(slot) => {
+                let input = &pending.query;
+                let Ok(plan) = RewritePlan::new(Arc::clone(&input.query), catalog) else {
+                    return false;
+                };
+                input.plan.set(Arc::new(plan));
+                self.compile.programs_compiled += 1;
+                slot.insert(Arc::clone(input));
             }
         }
-        pending.is_input()
-            || (ensure_plan(pending, catalog, &mut self.compile)
-                && (!foreign || pending.plan().is_some_and(|plan| plan.holds(&pending.bound))))
+        pending.plan().holds(&pending.bound)
     }
 
     /// Read access to this node's `Eval`-arrival log (the query-side heat
@@ -351,9 +341,8 @@ impl NodeState {
     /// `handle`, on ring `ring`): drops its registry slot, if that still
     /// points at it, and debits the rewritten-query count.
     pub(crate) fn unregister_query(&mut self, ring: u64, removed: &StoredQuery, handle: Handle) {
-        if let Some(fp) =
-            removed.pending.subjoin().filter(|_| removed.registered).map(subjoin_fingerprint)
-        {
+        if removed.registered {
+            let fp = subjoin_fingerprint(removed.pending.subjoin());
             let window = (
                 removed.pending.window_start(),
                 removed.pending.window_min(),
@@ -385,7 +374,7 @@ impl NodeState {
             // A hypercube replica opens its ring as a cell. Cell keys are
             // per-query, so a cell never sees a second replica.
             debug_assert!(!self.cells.contains_key(&ring), "one replica per hypercube cell");
-            self.cells.entry(ring).or_insert_with(|| Cell::new(handle, &stored.pending.query));
+            self.cells.entry(ring).or_insert_with(|| Cell::new(handle, stored.pending.plan()));
         }
         if let Some(deadline) = deadline {
             self.deadlines.insert(deadline, ExpiryToken::Query(handle));
@@ -407,14 +396,14 @@ impl NodeState {
     /// **no** new stored copy is created. Returns whether the query was
     /// merged.
     pub fn store_query_shared(&mut self, mut stored: StoredQuery, share: bool) -> bool {
-        // Bound tuples with no plan to read them through have no signature.
-        let fp = match stored.pending.subjoin() {
-            Some(sub) if share && !stored.pending.query.distinct() => subjoin_fingerprint(sub),
-            _ => {
-                self.store_query(stored);
-                return false;
-            }
-        };
+        if !share || stored.pending.query.distinct() {
+            self.store_query(stored);
+            return false;
+        }
+        let mut signature = std::mem::take(&mut self.signature);
+        signature.clear();
+        write_subjoin_signature(stored.pending.subjoin(), &mut signature);
+        let fp = signature_fingerprint(&signature);
         let ring = stored.key.ring();
         let ws = stored.pending.window_start();
         let window = (ws, stored.pending.window_min(), stored.pending.window_max());
@@ -438,11 +427,7 @@ impl NodeState {
                 && entry.pending.window_min() == stored.pending.window_min()
                 && entry.pending.window_max() == stored.pending.window_max()
                 && !entry.pending.query.distinct()
-                && entry
-                    .pending
-                    .subjoin()
-                    .zip(stored.pending.subjoin())
-                    .is_some_and(|(a, b)| subjoin_eq(a, b))
+                && subjoin_matches(entry.pending.subjoin(), &signature)
         });
         let merged = match twin {
             Some(entry) => {
@@ -459,6 +444,7 @@ impl NodeState {
             }
         };
         self.subjoins = subjoins;
+        self.signature = signature;
         merged
     }
 
@@ -470,7 +456,7 @@ impl NodeState {
         self.tuple_peak = self.tuple_peak.max(self.tuple_count);
         let pub_time = tuple.pub_time();
         if let Some(cell) = self.cells.get_mut(&key) {
-            let deadline = window_deadline(&cell.window, pub_time);
+            let deadline = window_deadline(cell.window(), pub_time);
             let becomes_front = cell.len() == 0;
             cell.push(tuple, deadline.unwrap_or(SimTime::MAX));
             // Eviction is front-only: one token for the front, re-armed by
@@ -575,7 +561,13 @@ mod tests {
         } else {
             "SELECT R.A FROM R, S WHERE R.A = S.A"
         };
-        PendingQuery::input(QueryId { owner: Id(1), seq: 0 }, Id(1), 0, parse_query(sql).unwrap())
+        let input = PendingQuery::input(
+            QueryId { owner: Id(1), seq: 0 },
+            Id(1),
+            0,
+            parse_query(sql).unwrap(),
+        );
+        bound(input, &[], 0)
     }
 
     fn tuple(pub_time: u64) -> Arc<Tuple> {
@@ -590,8 +582,7 @@ mod tests {
         for rel in ["R", "S", "J", "T"] {
             catalog.register(rjoin_relation::Schema::new(rel, ["A", "B", "C"]).unwrap()).unwrap();
         }
-        let plan = RewritePlan::new(Arc::clone(&input.query.query), &catalog).unwrap();
-        input.query.plan.set(Arc::new(plan));
+        assert!(NodeState::default().adopt(&mut input, &catalog), "the query compiles");
         for (relation, values) in tuples {
             let tuple = Tuple::new(*relation, values.map(Value::from).to_vec(), start);
             input = input.child(&Arc::new(tuple), Some(start));
@@ -653,12 +644,8 @@ mod tests {
     }
 
     fn input_from(owner: u64, insert_time: u64, sql: &str) -> PendingQuery {
-        PendingQuery::input(
-            QueryId { owner: Id(owner), seq: owner },
-            Id(owner),
-            insert_time,
-            parse_query(sql).unwrap(),
-        )
+        let id = QueryId { owner: Id(owner), seq: owner };
+        bound(PendingQuery::input(id, Id(owner), insert_time, parse_query(sql).unwrap()), &[], 0)
     }
 
     #[test]

@@ -76,7 +76,7 @@ use rand::{Rng, SeedableRng};
 use rjoin_dht::{HashedKey, Id, RingBuildHasher};
 use rjoin_metrics::RicCounters;
 use rjoin_net::{lineage_seed, Lineage, SimTime, Transport};
-use rjoin_query::{candidate_keys, IndexKey, IndexLevel, RewritePlan};
+use rjoin_query::{IndexKey, IndexLevel};
 use rjoin_relation::Catalog;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -390,12 +390,8 @@ thread_local! {
 }
 
 impl DispatchScratch {
-    /// Loads the candidate keys of `pending`'s rewritten query in
-    /// [`candidate_keys`] order: from its plan's per-mask memo once tuples
-    /// are bound (a plan is compiled here only for a query that crossed a
-    /// wire and was dispatched without being stored), from the input query
-    /// itself otherwise — input queries are dispatched before any plan
-    /// exists.
+    /// Loads the candidate keys of `pending`'s rewritten query (an input
+    /// query's too: nothing bound), in order, from its plan's per-mask memo.
     fn load_candidates(
         &mut self,
         pending: &PendingQuery,
@@ -403,30 +399,16 @@ impl DispatchScratch {
     ) -> Result<(), EngineError> {
         self.levels.clear();
         self.hashed.clear();
-        let compiled;
-        let first_relation = if pending.is_input() {
-            let candidates = candidate_keys(&pending.query);
-            self.levels.extend(candidates.iter().map(IndexKey::level));
-            self.hashed.extend(candidates.iter().map(IndexKey::hashed));
-            pending.query.relations().first()
-        } else {
-            let plan = match pending.plan() {
-                Some(plan) => plan,
-                None => {
-                    compiled = RewritePlan::new(Arc::clone(&pending.query.query), catalog)?;
-                    &compiled
-                }
-            };
-            for key in plan.keys(pending.bound.mask()).iter() {
-                self.levels.push(key.level());
-                self.hashed.push(key.hashed(plan, &pending.bound));
-            }
-            plan.unbound_relations(pending.bound.mask()).next()
-        };
+        let (plan, bound) = (pending.plan(), &pending.bound);
+        for key in plan.keys(bound.mask()).iter() {
+            self.levels.push(key.level());
+            self.hashed.push(key.hashed(plan, bound));
+        }
         if self.hashed.is_empty() {
             // A query with no conjuncts left but remaining relations (e.g. a
             // single-relation scan): fall back to an attribute-level key of
             // the first remaining relation.
+            let first_relation = plan.unbound_relations(bound.mask()).next();
             let schema = first_relation.and_then(|rel| catalog.require_schema(rel).ok());
             let key = schema.and_then(|s| Some(IndexKey::attribute(s.relation(), s.attribute(0)?)));
             let key = key.ok_or(EngineError::NoCandidateKey)?;

@@ -17,8 +17,9 @@
 //!
 //! A stored query is its input query plus the tuples bound so far
 //! ([`PendingQuery`]), read through the input query's
-//! [`RewritePlan`](rjoin_query::RewritePlan): compiled at the entry's first
-//! trigger (or carried from the parent), shared by every descendant. A
+//! [`RewritePlan`](rjoin_query::RewritePlan): compiled where the query
+//! entered the process (at submission, or at [`NodeState::adopt`] for one
+//! that arrived without it), shared by every descendant. A
 //! tuple triggers an entry when the plan admits it to an unbound slot and
 //! it joins every bound slot — exactly when `rjoin_query::rewrite` of the
 //! rewritten query would not mismatch. A complete binding is projected into
@@ -41,7 +42,7 @@
 use crate::cell;
 use crate::config::EngineConfig;
 use crate::messages::{PendingQuery, QueryId};
-use crate::node_state::{ensure_plan, key_run, NodeState, StoredQuery};
+use crate::node_state::{key_run, NodeState, StoredQuery};
 use crate::ric::RIC_WINDOW;
 use rjoin_dht::HashedKey;
 use rjoin_metrics::{CompileCounters, SharingCounters};
@@ -182,10 +183,7 @@ fn try_trigger(
             }
         }
     }
-    if !ensure_plan(pending, ctx.catalog, counters) {
-        return TriggerOutcome::NotTriggered;
-    }
-    let plan = pending.plan().expect("attached above");
+    let plan = pending.plan();
     let slot = plan.trigger_slot(pending.bound.mask(), tuple.relation());
     // Duplicate elimination for DISTINCT queries (never shared, so the
     // projection is always the single subscriber's): the tuple's
@@ -265,7 +263,7 @@ pub fn handle_new_tuple(
     // only reads a publication's index keys, so nothing would ever read a
     // RIC entry for it.
     if state.cells.contains_key(&ring) {
-        return cell::handle_cell_arrival(state, ctx, tuple, ring);
+        return cell::handle_cell_arrival(state, tuple, ring);
     }
     // The node observes the arrival for RIC purposes regardless of level;
     // the retention horizon keeps the per-key history bounded without being
@@ -573,6 +571,11 @@ mod tests {
         )
     }
 
+    /// The rewritten query `pending` denotes, built.
+    fn materialized(pending: &PendingQuery) -> rjoin_query::JoinQuery {
+        pending.plan().materialize(&pending.bound)
+    }
+
     fn tuple(rel: &str, values: [i64; 3], pub_time: u64) -> Arc<Tuple> {
         Arc::new(Tuple::new(rel, values.iter().map(|v| Value::from(*v)).collect(), pub_time))
     }
@@ -618,7 +621,7 @@ mod tests {
         assert_eq!(actions.len(), 1);
         match &actions[0] {
             Action::Reindex { pending } => {
-                let child = pending.rewritten().unwrap();
+                let child = materialized(pending);
                 assert_eq!(child.join_count(), 0);
                 assert_eq!(child.relations(), &["S".to_string()]);
             }
@@ -1050,7 +1053,7 @@ mod tests {
                 assert_eq!(pending.query.id, QueryId { owner: Id(10), seq: 10 });
                 // Primary SELECT: R.B resolved to 9.
                 assert_eq!(
-                    pending.select_items().unwrap()[0],
+                    pending.select_items()[0],
                     rjoin_query::SelectItem::Const(Value::from(9))
                 );
                 // The subscriber rides as merged; R.C is still an attribute
@@ -1326,19 +1329,18 @@ mod tests {
     /// Regression for the `Partial`-with-empty-`FROM` wart: a trigger that
     /// resolves the whole `WHERE` clause but leaves a `SELECT` attribute
     /// unresolvable must not re-index (and thus never store) an empty-`FROM`
-    /// child.
+    /// child. Such a query has no plan: submission refuses it, and so does
+    /// a node it reaches without one.
     #[test]
     fn orphan_select_never_stores_an_empty_from_child() {
         let catalog = catalog();
         let config = config();
         let mut state = NodeState::new(Id(1));
         let key = IndexKey::attribute("R", "A");
-        let p = PendingQuery::input(
-            QueryId { owner: Id(42), seq: 9 },
-            Id(42),
-            0,
-            orphan_select_query(),
-        );
+        let id = QueryId { owner: Id(42), seq: 9 };
+        let refused = PendingQuery::submitted(id, Id(42), 0, orphan_select_query(), &catalog);
+        assert!(matches!(refused, Err(rjoin_query::QueryError::UnknownQueryRelation { .. })));
+        let p = PendingQuery::input(id, Id(42), 0, orphan_select_query());
         handle_index_query(&mut state, &ctx(&catalog, &config, 0), p, &key.hashed(), key.level());
         let actions = handle_new_tuple(
             &mut state,
@@ -1348,7 +1350,7 @@ mod tests {
             IndexLevel::Attribute,
         );
         assert!(actions.is_empty(), "an unresolvable SELECT must not trigger: {actions:?}");
-        assert_eq!(state.stored_query_count(), 1);
+        assert_eq!(state.stored_query_count(), 0, "refused on arrival: it has no plan");
         for bucket in state.stored_queries.values() {
             for handle in bucket.handles() {
                 let stored = state.queries.get(handle).unwrap();
@@ -1360,9 +1362,10 @@ mod tests {
         }
     }
 
-    /// Plans are per query, not per shape: two stored queries that differ
-    /// only in `SELECT` each compile their own plan at their first trigger
-    /// (two compiles, two triggers) and reuse it from then on.
+    /// Plans are per query, not per shape: two input queries that differ
+    /// only in `SELECT`, handed to the node without their plans, each
+    /// compile their own on arrival (two compiles), and every trigger runs
+    /// on it: nothing more is compiled or looked up.
     #[test]
     fn fingerprint_twins_share_one_compiled_program() {
         let catalog = catalog();
@@ -1373,7 +1376,7 @@ mod tests {
         let b = pending_from(20, "SELECT R.C, S.C FROM R, S WHERE R.A = S.A", 0);
         handle_index_query(&mut state, &ctx(&catalog, &config, 0), a, &key.hashed(), key.level());
         handle_index_query(&mut state, &ctx(&catalog, &config, 0), b, &key.hashed(), key.level());
-        assert_eq!(state.compile_counters().programs_compiled, 0, "nothing compiles on arrival");
+        assert_eq!(state.compile_counters().programs_compiled, 2, "each compiles on arrival");
         for pub_time in [5, 6] {
             let actions = handle_new_tuple(
                 &mut state,
@@ -1386,7 +1389,7 @@ mod tests {
         }
         let counters = state.compile_counters();
         assert_eq!(counters.programs_compiled, 2, "{counters:?}");
-        assert_eq!(counters.cache_hits, 2, "{counters:?}");
+        assert_eq!(counters.cache_hits, 0, "{counters:?}");
         assert_eq!(counters.compiled_rewrites, 4, "{counters:?}");
         assert_eq!(state.inputs.len(), 2, "two input queries registered");
     }
@@ -1421,33 +1424,37 @@ mod tests {
             let [Action::Reindex { pending: child }] = actions.as_slice() else {
                 panic!("one child expected, got {actions:?}");
             };
-            let parent = rewritten(bound).rewritten().unwrap();
+            let parent = materialized(&rewritten(bound));
             let expected = rewrite(&parent, &s_tuple, catalog.schema("S").unwrap());
-            assert_eq!(expected.unwrap(), RewriteResult::Partial(child.rewritten().unwrap()));
+            assert_eq!(expected.unwrap(), RewriteResult::Partial(materialized(child)));
             children.push(child.clone());
         }
-        assert_ne!(children[0].rewritten(), children[1].rewritten(), "each emits its own child");
+        assert_ne!(
+            materialized(&children[0]),
+            materialized(&children[1]),
+            "each emits its own child"
+        );
 
         let plans: Vec<_> = state
             .stored_queries
             .values()
             .flat_map(Bucket::handles)
-            .map(|handle| state.queries.get(handle).unwrap().pending.plan().unwrap())
+            .map(|handle| state.queries.get(handle).unwrap().pending.plan())
             .collect();
         assert_eq!(plans.len(), 2);
         assert!(Arc::ptr_eq(plans[0], plans[1]), "one query, one plan");
-        assert!(Arc::ptr_eq(plans[0], input.plan().unwrap()), "carried, not compiled");
+        assert!(Arc::ptr_eq(plans[0], input.plan()), "carried, not compiled");
         let counters = state.compile_counters();
         assert_eq!(counters.programs_compiled, 0, "{counters:?}");
 
         for child in &children {
-            let plan = child.plan().expect("a child carries its plan");
+            let plan = child.plan();
             let keys: Vec<_> = plan
                 .keys(child.bound.mask())
                 .iter()
                 .map(|key| key.index_key(plan, &child.bound))
                 .collect();
-            assert_eq!(keys, rjoin_query::candidate_keys(&child.rewritten().unwrap()));
+            assert_eq!(keys, rjoin_query::candidate_keys(&materialized(child)));
         }
     }
 
@@ -1480,7 +1487,7 @@ mod tests {
             let input = if pinned_c.is_some() { &pinned } else { &unpinned };
             let r = tuple("R", [7, 9, pinned_c.unwrap_or(0)], start);
             let child = bind(input.clone(), &[r], start);
-            let query = child.rewritten().unwrap();
+            let query = materialized(&child);
             handle_eval(state, &ctx(&catalog, &config, start), child, &key.hashed(), key.level());
             walked.push((query, start));
         };
@@ -1500,7 +1507,7 @@ mod tests {
                 .iter()
                 .map(|action| match action {
                     Action::Reindex { pending } => {
-                        (pending.rewritten().unwrap().to_string(), pending.window_start())
+                        (materialized(pending).to_string(), pending.window_start())
                     }
                     other => panic!("a partial join only re-indexes, got {other:?}"),
                 })
@@ -1610,7 +1617,7 @@ mod tests {
                 let input = pending(&format!("{input_sql}{window}"), 13);
                 let query = parse_query(&format!("{sql}{window}")).unwrap();
                 let child = bind(input.clone(), &[tuple("R", [7, 9, 0], START)], START);
-                assert_eq!(child.rewritten().unwrap(), query);
+                assert_eq!(materialized(&child), query);
                 let window_spec = *query.window();
                 let mut expected: Vec<String> = visible
                     .iter()
@@ -1638,7 +1645,7 @@ mod tests {
                         Action::DeliverAnswer { row, .. } => format!("answer {row:?}"),
                         Action::Reindex { pending } => format!(
                             "child {} from {}",
-                            pending.rewritten().unwrap(),
+                            materialized(pending),
                             pending.window_start().unwrap()
                         ),
                     })
@@ -1658,15 +1665,14 @@ mod tests {
         }
     }
 
-    /// A query whose plan does not compile gets none (and a rewritten one
-    /// is refused on arrival); copies of one query that arrive separately,
-    /// as two wire hops deliver them, are pointed at one input query and
-    /// compile one plan between them.
+    /// A query whose plan does not compile gets none and is refused on
+    /// arrival, input and rewritten alike; copies of one query that arrive
+    /// separately, as two wire hops deliver them, are pointed at one input
+    /// query and compile one plan between them.
     #[test]
     fn irrelevant_contacts_and_failed_compiles_leave_the_program_cache_alone() {
         let catalog = catalog();
         let mut state = NodeState::new(Id(1));
-        let mut counters = CompileCounters::new();
         // `S.Z` does not exist: the query cannot compile.
         let broken = PendingQuery::input(
             QueryId { owner: Id(42), seq: 2 },
@@ -1681,10 +1687,11 @@ mod tests {
             )
             .unwrap(),
         );
-        assert!(!ensure_plan(&broken, &catalog, &mut counters));
-        assert!(broken.plan().is_none());
         let mut broken_child = broken.child(&tuple("R", [1, 2, 3], 1), Some(1));
+        assert!(!state.adopt(&mut broken.clone(), &catalog), "an input query needs its plan");
+        assert!(broken.query.plan.get().is_none());
         assert!(!state.adopt(&mut broken_child, &catalog), "a rewritten query needs its plan");
+        assert_eq!(*state.compile_counters(), CompileCounters::new(), "nothing compiled");
 
         let sql = "SELECT R.B, S.B FROM R, S WHERE R.A = S.A";
         let r = tuple("R", [1, 2, 3], 1);
@@ -1694,7 +1701,7 @@ mod tests {
         assert!(state.adopt(&mut one, &catalog));
         assert!(state.adopt(&mut two, &catalog));
         assert!(Arc::ptr_eq(&one.query, &two.query), "one input query per id");
-        assert!(Arc::ptr_eq(one.plan().unwrap(), two.plan().unwrap()));
+        assert!(Arc::ptr_eq(one.plan(), two.plan()));
         let counters = state.compile_counters();
         assert_eq!((counters.programs_compiled, counters.cache_hits), (1, 1), "{counters:?}");
     }

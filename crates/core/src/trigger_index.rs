@@ -80,7 +80,6 @@ use crate::node_state::StoredQuery;
 use crate::slab::{Handle, Slab};
 use rjoin_dht::{RingHasher, RingMap};
 use rjoin_metrics::ProbeCounters;
-use rjoin_query::probe_pins;
 use rjoin_relation::{Name, Schema, Tuple, Value};
 use std::hash::{Hash, Hasher};
 
@@ -115,17 +114,9 @@ fn entry_pin(stored: &StoredQuery) -> Option<Pin<'_>> {
     let mut fallback = None;
     let pending = &stored.pending;
     // The rewritten query's selections over the key relation, in `WHERE`
-    // order: read off the input query while nothing is bound, through the
-    // plan once something is (a bound query without one — it did not
-    // compile — is never triggered, so it can sit in the residual list).
-    let (unbound, bound) = match pending.plan() {
-        _ if pending.is_input() => (Some(probe_pins(&pending.query, key_rel)), None),
-        Some(plan) => (None, Some(plan.pins(&pending.bound))),
-        None => return None,
-    };
-    let bound = bound.into_iter().flatten().filter(|(_, attr, _)| attr.relation == *key_rel);
-    let pins = unbound.into_iter().flatten().chain(bound.map(|(_, attr, value)| (attr, value)));
-    for (attr, value) in pins {
+    // order, read through its plan.
+    let pins = pending.plan().pins(&pending.bound).filter(|(_, attr, _)| attr.relation == *key_rel);
+    for (_, attr, value) in pins {
         let vacuous = key_attr == Some(attr.attribute.as_str())
             && key_frag.is_some_and(|frag| value.is_key_fragment(frag));
         let pin = Pin { relation: &attr.relation, attribute: &attr.attribute, value, vacuous };
@@ -628,7 +619,12 @@ mod tests {
     fn stored(sql: &str, key: &str) -> StoredQuery {
         let owner = Id(1);
         let query = parse_query(sql).unwrap();
-        let pending = PendingQuery::input(QueryId { owner, seq: 0 }, owner, 0, query);
+        let mut catalog = rjoin_relation::Catalog::new();
+        for relation in ["R", "S"] {
+            catalog.register(Schema::new(relation, ["A", "B", "C"]).unwrap()).unwrap();
+        }
+        let id = QueryId { owner, seq: 0 };
+        let pending = PendingQuery::submitted(id, owner, 0, query, &catalog).unwrap();
         let level =
             if key.matches('+').count() == 2 { IndexLevel::Value } else { IndexLevel::Attribute };
         StoredQuery::new(pending, HashedKey::new(key), level)

@@ -3,7 +3,7 @@
 //! centralized oracle's — exactly where the configuration is complete
 //! (value-level rewrites, or an ALTT that covers the run), as a sound,
 //! duplicate-free sub-bag elsewhere — while the compile counters show one
-//! plan per input query at work.
+//! plan per input query, compiled at submission, at work.
 //!
 //! Every run is repeated at each of `common::shard_counts()`.
 
@@ -115,35 +115,34 @@ fn run_triangles(shards: usize) -> RJoinEngine {
     engine
 }
 
-/// The counters reflect the path each query takes. A pipeline query
-/// compiles one plan, at its first trigger, and every later trigger of it
-/// or of a descendant — which carries the plan — reuses it. Hypercube cells
-/// join through their replica's plan (one per query on each node hosting
-/// its cells) and run no trigger, while the eval timer and the probe
+/// The counters reflect the path each query takes. Every query compiles
+/// one plan, where it enters the engine: at submission, booked on its
+/// origin node. No query crosses a wire in the simulator, so no node ever
+/// adopts one without its plan: nothing is compiled or looked up after
+/// submission. A pipeline query's triggers, and its descendants', which
+/// carry the plan, all run on it. Hypercube cells join through their
+/// replica's plan and run no trigger, while the eval timer and the probe
 /// counters cover them.
 #[test]
 fn compile_counters_reflect_the_configured_path() {
+    let triangles = Scenario::cyclic_test().generate_queries().len() as u64;
     for shards in shard_counts() {
         let cells = run_triangles(shards);
         assert!(cells.planner_counters().any_hypercube());
         assert!(!cells.answers().is_empty(), "triangles must answer (shards={shards})");
         let c = cells.compile_counters();
         let tag = format!("shards={shards}: {c:?}");
-        assert!(c.programs_compiled > 0, "cells take their replica's plan: {tag}");
-        assert!(c.cache_hits > 0, "later arrivals reuse it: {tag}");
+        assert_eq!(c.programs_compiled, triangles, "cells take their replica's plan: {tag}");
+        assert_eq!(c.cache_hits, 0, "no replica arrives without its plan: {tag}");
         assert_eq!(c.compiled_rewrites, 0, "{tag}");
         assert!(c.eval_nanos > 0, "the cell joins must be timed: {tag}");
         assert!(cells.probe_counters().candidates_probed > 0, "{tag}");
 
         let (pipeline, qids) = run(EngineConfig::default(), shards);
         let c = pipeline.compile_counters();
-        assert!(c.programs_compiled > 0, "shards={shards}: {c:?}");
-        assert!(
-            c.programs_compiled <= qids.len() as u64,
-            "at most one plan per input query: {c:?}"
-        );
-        assert!(c.cache_hits > c.programs_compiled, "triggers reuse the plans: {c:?}");
-        assert!(c.compiled_rewrites > 0, "shards={shards}: {c:?}");
+        assert_eq!(c.programs_compiled, qids.len() as u64, "one plan per input query: {c:?}");
+        assert_eq!(c.cache_hits, 0, "no query arrives without its plan: {c:?}");
+        assert!(c.compiled_rewrites > c.programs_compiled, "triggers reuse the plans: {c:?}");
         assert!(c.eval_nanos > 0, "the trigger walks must be timed: {c:?}");
         assert_eq!(pipeline.stats().compile, c, "stats snapshot must carry the counters");
     }

@@ -201,6 +201,48 @@ fn invalid_queries_and_tuples_are_rejected() {
     assert!(engine.publish_tuple(node, t).is_err());
 }
 
+/// A chain query over `n` relations `C0 … C{n-1}` of one attribute, and
+/// their catalog.
+fn chain(n: usize) -> (Catalog, rjoin_query::JoinQuery) {
+    let mut catalog = Catalog::new();
+    for i in 0..n {
+        catalog.register(Schema::new(format!("C{i}"), ["A"]).unwrap()).unwrap();
+    }
+    let from: Vec<String> = (0..n).map(|i| format!("C{i}")).collect();
+    let joins: Vec<String> = (1..n).map(|i| format!("C{}.A = C{i}.A", i - 1)).collect();
+    let sql = format!("SELECT C0.A FROM {} WHERE {}", from.join(", "), joins.join(" AND "));
+    (catalog, parse_query(&sql).unwrap())
+}
+
+/// A query whose plan cannot compile is refused at submission with the
+/// compile's error, instead of being accepted and never answered: a
+/// 65-relation chain passes every check `JoinQuery::validate` makes, but a
+/// plan binds at most 64 relations.
+#[test]
+fn a_query_whose_plan_cannot_compile_is_refused_at_submission() {
+    let (catalog, query) = chain(65);
+    assert!(query.validate(&catalog).is_ok());
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, 8);
+    let node = engine.node_ids()[0];
+    let refused = engine.submit_query(node, query);
+    assert!(
+        matches!(
+            refused,
+            Err(EngineError::Query(rjoin_query::QueryError::TooManyRelations { count: 65 }))
+        ),
+        "{refused:?}"
+    );
+    assert_eq!(engine.in_flight(), 0, "nothing was dispatched");
+    assert_eq!(engine.compile_counters().programs_compiled, 0);
+
+    // One relation fewer compiles, and is accepted.
+    let (catalog, query) = chain(64);
+    let mut engine = RJoinEngine::simulated(EngineConfig::default(), catalog, 8);
+    let node = engine.node_ids()[0];
+    engine.submit_query(node, query).unwrap();
+    assert_eq!(engine.compile_counters().programs_compiled, 1);
+}
+
 #[test]
 fn node_failure_after_indexing_loses_messages_but_not_the_engine() {
     let scenario = Scenario { nodes: 32, queries: 60, tuples: 30, ..Scenario::small_test() };

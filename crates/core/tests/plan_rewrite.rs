@@ -9,8 +9,8 @@
 //!
 //! * the same outcome — mismatch, the same answer row, or a child that is
 //!   the same query;
-//! * the child's candidate keys, from the plan's per-mask memo, in
-//!   `candidate_keys` order;
+//! * the input query's candidate keys and each child's, from the plan's
+//!   per-mask memo, in `candidate_keys` order;
 //! * the trigger-index pins of the tuple's relation, in `WHERE` order, and
 //!   the sub-join fingerprint;
 //! * the same `DISTINCT` duplicate admissions.
@@ -123,6 +123,10 @@ proptest! {
         let plan = RewritePlan::new(Arc::new(query.clone()), &catalog).unwrap();
         let mut current = query;
         let mut bound = Bindings::default();
+        // The input query's own candidate keys, nothing bound: the engine
+        // places input queries through the plan too.
+        let keys: Vec<_> = plan.keys(0).iter().map(|key| key.index_key(&plan, &bound)).collect();
+        prop_assert_eq!(keys, candidate_keys(&current));
         for (pick, values, other) in steps {
             prop_assert_eq!(&plan.materialize(&bound), &current);
             prop_assert_eq!(

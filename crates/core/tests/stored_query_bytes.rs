@@ -52,8 +52,9 @@ static COUNTING: Counting = Counting;
 /// the candidate tables.
 const MAX_BYTES_PER_STORED_QUERY: usize = 200;
 
-/// The bound over the whole stream, plans compiled at first trigger
-/// included.
+/// The bound over the whole stream (the plans are compiled at
+/// submission, before it starts; each plan's per-mask key memo fills as
+/// the stream first reaches a mask).
 const MAX_BYTES_PER_STORED_QUERY_WHOLE_STREAM: usize = 249;
 
 fn stored_queries(engine: &RJoinEngine) -> usize {
@@ -94,7 +95,7 @@ fn a_stored_query_costs_at_most_200_heap_bytes() {
     let (marginal, whole) = (per_query((1, 2)), per_query((0, 2)));
     println!(
         "{stored} queries stored over the second half: {marginal} heap bytes per stored query \
-         ({whole} over the whole stream, plans compiled at first trigger included)"
+         ({whole} over the whole stream)"
     );
     assert!(
         marginal <= MAX_BYTES_PER_STORED_QUERY,

@@ -4,18 +4,21 @@ use serde::{Deserialize, Serialize};
 
 /// Counters describing how the plan-driven trigger loop behaved.
 ///
-/// A query is evaluated through its input query's plan, compiled once and
-/// shared by every query it spawns (see `rjoin_query::RewritePlan`). Each
-/// node maintains one instance; the engine sums them into the run-level
-/// statistics snapshot. All counters are cumulative over a run:
+/// A query is evaluated through its input query's plan, compiled once where
+/// the query enters a process and shared by every query it spawns (see
+/// `rjoin_query::RewritePlan`). Each node maintains one instance; the
+/// engine sums them into the run-level statistics snapshot. All counters
+/// are cumulative over a run:
 ///
-/// * `programs_compiled` — plans compiled: at most one per input query on
-///   each node that needs one (a query's first trigger; a rewritten query
-///   that arrived over a wire, which carries no plan; a hypercube cell's
-///   first arrival),
-/// * `cache_hits` — plan reuses: every other time a query needed its plan
-///   (each trigger, each arrival of a rewritten query) and found it
-///   compiled already,
+/// * `programs_compiled` — plans compiled at ingress: one per submitted
+///   query (the simulated engine books it on the origin node; the TCP
+///   client keeps no counters), plus one per input query on each node
+///   that receives a query of it without its plan (over a wire, or built
+///   without one) — at most one per input query on each such node,
+/// * `cache_hits` — plans reused at ingress: each later arrival, at the
+///   same node, of a query without its plan whose input query the node
+///   knows already (never in the simulator, where every query carries its
+///   plan; triggers read the plan without a lookup and count nothing),
 /// * `compiled_rewrites` — per-tuple triggers run on a plan (the tuple's
 ///   slot was free, whether it then joined or not),
 /// * `eval_nanos` — wall-clock nanoseconds spent walking stored-query

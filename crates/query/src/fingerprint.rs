@@ -103,7 +103,9 @@ fn write_signature(sub: SubJoin<'_>, out: &mut String) {
 }
 
 /// [`write_signature`] over the parts of a sub-join: `query` supplies the
-/// semantics flag and the window.
+/// semantics flag and the window. Allocates nothing after warm-up: the
+/// relations are sorted on the stack (up to [`STACK_RELATIONS`] of them),
+/// the conjuncts in a per-thread pool of strings.
 fn write_parts<'a>(
     out: &mut String,
     query: &JoinQuery,
@@ -118,7 +120,20 @@ fn write_parts<'a>(
 
     out.push_str(if query.distinct() { "D|" } else { "B|" });
 
-    let mut relations: Vec<&str> = relations.collect();
+    let (mut stack, mut spilled) = ([""; STACK_RELATIONS], Vec::new());
+    let mut n = 0;
+    for relation in relations {
+        if n < STACK_RELATIONS {
+            stack[n] = relation;
+        } else {
+            if spilled.is_empty() {
+                spilled.extend_from_slice(&stack);
+            }
+            spilled.push(relation);
+        }
+        n += 1;
+    }
+    let relations = if spilled.is_empty() { &mut stack[..n] } else { &mut spilled[..] };
     relations.sort_unstable();
     for (i, r) in relations.iter().enumerate() {
         if i > 0 {
@@ -139,18 +154,20 @@ fn write_parts<'a>(
             push_conjunct(&mut pool[n], c);
             n += 1;
         }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by(|&a, &b| pool[a].cmp(&pool[b]));
-        for (i, &c) in order.iter().enumerate() {
+        pool[..n].sort_unstable();
+        for (i, conjunct) in pool[..n].iter().enumerate() {
             if i > 0 {
                 out.push('&');
             }
-            out.push_str(&pool[c]);
+            out.push_str(conjunct);
         }
     });
     out.push('|');
     let _ = write!(out, "{}", query.window());
 }
+
+/// Relations a signature sorts without allocating.
+const STACK_RELATIONS: usize = 16;
 
 /// The canonical string form of a query's sub-join structure. Stable across
 /// conjunct order, join-side order and `SELECT` list differences.
@@ -160,25 +177,27 @@ pub fn subjoin_signature(query: &JoinQuery) -> String {
     out
 }
 
-/// Whether two sub-joins have byte-identical canonical signatures — the
-/// structural confirmation behind a fingerprint match. Equivalent to
-/// comparing their [`subjoin_signature`]s but renders both sides into
-/// per-thread scratch buffers, so the comparison does not allocate after
-/// warm-up (it runs on every candidate sharing merge).
-pub fn subjoin_eq(a: SubJoin<'_>, b: SubJoin<'_>) -> bool {
+/// Appends `sub`'s canonical signature to `out`: rendered once, it gives
+/// the sub-join's fingerprint ([`signature_fingerprint`]) and the
+/// structural confirmation of a fingerprint match ([`subjoin_matches`]).
+pub fn write_subjoin_signature(sub: SubJoin<'_>, out: &mut String) {
+    write_signature(sub, out);
+}
+
+/// Whether `sub` renders exactly `signature` — the structural confirmation
+/// behind a fingerprint match (it runs on every candidate sharing merge).
+/// Renders into a per-thread scratch buffer, so the comparison does not
+/// allocate after warm-up.
+pub fn subjoin_matches(sub: SubJoin<'_>, signature: &str) -> bool {
     use std::cell::RefCell;
     thread_local! {
-        static EQ_BUFS: RefCell<(String, String)> =
-            const { RefCell::new((String::new(), String::new())) };
+        static MATCH_BUF: RefCell<String> = const { RefCell::new(String::new()) };
     }
-    EQ_BUFS.with(|bufs| {
-        let mut bufs = bufs.borrow_mut();
-        let (left, right) = &mut *bufs;
-        left.clear();
-        right.clear();
-        write_signature(a, left);
-        write_signature(b, right);
-        left == right
+    MATCH_BUF.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        buf.clear();
+        write_signature(sub, &mut buf);
+        *buf == signature
     })
 }
 
@@ -221,14 +240,20 @@ pub fn subjoin_fingerprint(sub: SubJoin<'_>) -> Fingerprint {
         static SIG_BUF: RefCell<String> = const { RefCell::new(String::new()) };
     }
     SIG_BUF.with(|buf| {
-        use std::hash::Hasher;
         let mut buf = buf.borrow_mut();
         buf.clear();
         write_signature(sub, &mut buf);
-        let mut hasher = Fnv::default();
-        hasher.write(buf.as_bytes());
-        Fingerprint(hasher.finish())
+        signature_fingerprint(&buf)
     })
+}
+
+/// The [`Fingerprint`] of a rendered signature (see
+/// [`write_subjoin_signature`]).
+pub fn signature_fingerprint(signature: &str) -> Fingerprint {
+    use std::hash::Hasher;
+    let mut hasher = Fnv::default();
+    hasher.write(signature.as_bytes());
+    Fingerprint(hasher.finish())
 }
 
 #[cfg(test)]
@@ -308,9 +333,12 @@ mod tests {
         for bound in [&one, &two] {
             let built = plan.materialize(bound);
             assert_eq!(subjoin_fingerprint(SubJoin::Bound(&plan, bound)), fingerprint(&built));
-            assert!(subjoin_eq(SubJoin::Bound(&plan, bound), SubJoin::Query(&built)));
+            assert!(subjoin_matches(SubJoin::Bound(&plan, bound), &subjoin_signature(&built)));
         }
-        assert!(!subjoin_eq(SubJoin::Bound(&plan, &one), SubJoin::Bound(&plan, &two)));
+        let mut two_signature = String::new();
+        write_subjoin_signature(SubJoin::Bound(&plan, &two), &mut two_signature);
+        assert_eq!(signature_fingerprint(&two_signature), fingerprint(&plan.materialize(&two)));
+        assert!(!subjoin_matches(SubJoin::Bound(&plan, &one), &two_signature));
     }
 
     #[test]

@@ -361,17 +361,17 @@ impl JoinPlan {
     /// [`JoinQuery::new`] rejects too).
     pub fn new(query: &JoinQuery, catalog: &Catalog) -> Result<Self, QueryError> {
         let relations = query.relations().to_vec();
-        for relation in &relations {
-            catalog.require_schema(relation).map_err(QueryError::Relation)?;
-        }
+        let schemas = relations
+            .iter()
+            .map(|relation| catalog.require_schema(relation).map_err(QueryError::Relation))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut arity = vec![0; relations.len()];
         let mut column = |attr: &QualifiedAttr| -> Result<SlotColumn, QueryError> {
             let slot = relations
                 .iter()
                 .position(|r| *r == attr.relation)
                 .ok_or_else(|| QueryError::UnknownQueryRelation { attr: attr.clone() })?;
-            let schema = catalog.require_schema(&attr.relation).map_err(QueryError::Relation)?;
-            let offset = schema
+            let offset = schemas[slot]
                 .index_of(&attr.attribute)
                 .ok_or_else(|| QueryError::UnknownAttribute { attr: attr.clone() })?;
             arity[slot] = arity[slot].max(offset + 1);
@@ -614,10 +614,15 @@ pub struct RewritePlan {
     /// Per slot: the columns a `DISTINCT` query's duplicate filter projects
     /// a tuple of the slot on, ascending (nothing for other queries).
     dedup: Box<[Box<[AttrIndex]>]>,
-    /// Per bound mask (plans of at most `MEMO_SLOTS` slots): the candidate
-    /// keys, filled at first use.
-    keys: Box<[OnceLock<Box<[PlanKey]>>]>,
+    /// Per non-empty bound mask `m`, at `m - 1` (plans of at most
+    /// `MEMO_SLOTS` slots): the candidate keys, filled at first use. The
+    /// table itself is made at the first rewritten query's placement: many
+    /// plans never place one (a query whose twin it merged into triggers).
+    keys: OnceLock<Box<[KeyMemo]>>,
 }
+
+/// One bound mask's candidate keys, derived at first use.
+type KeyMemo = OnceLock<Box<[PlanKey]>>;
 
 impl RewritePlan {
     /// Compiles `query` against `catalog` (see [`JoinPlan::new`]; a plan
@@ -651,9 +656,7 @@ impl RewritePlan {
                 offsets.into_boxed_slice()
             })
             .collect();
-        let memo = if slots <= MEMO_SLOTS { 1 << slots } else { 0 };
-        let keys = (0..memo).map(|_| OnceLock::new()).collect();
-        Ok(RewritePlan { plan, query, dedup, keys })
+        Ok(RewritePlan { plan, query, dedup, keys: OnceLock::new() })
     }
 
     /// The compiled plan.
@@ -819,9 +822,15 @@ impl RewritePlan {
 
     /// The candidate index keys of every rewritten query whose bound slots
     /// are `mask`, in [`candidate_keys`](crate::candidate_keys) order.
-    /// Memoised per mask.
+    /// Memoised per mask, except the empty one: the query with nothing bound
+    /// is the input query, placed once.
     pub fn keys(&self, mask: u64) -> Cow<'_, [PlanKey]> {
-        match self.keys.get(mask as usize) {
+        let slots = self.plan.relations.len();
+        let memo = self.keys.get_or_init(|| {
+            let masks = if slots <= MEMO_SLOTS { (1 << slots) - 1 } else { 0 };
+            (0..masks).map(|_| OnceLock::new()).collect()
+        });
+        match memo.get(mask.wrapping_sub(1) as usize) {
             Some(memo) => Cow::Borrowed(memo.get_or_init(|| self.derive_keys(mask))),
             None => Cow::Owned(self.derive_keys(mask).into_vec()),
         }
@@ -833,18 +842,21 @@ impl RewritePlan {
     ///
     /// [`candidate_keys`]: crate::candidate_keys
     fn derive_keys(&self, mask: u64) -> Box<[PlanKey]> {
-        let mut sources = Vec::new();
-        let numbered: Vec<Conjunct> = self
-            .rewritten(|slot| mask & (1 << slot) == 0)
-            .map(|conjunct| match conjunct {
-                Rewritten::Join(a, b) => Conjunct::JoinEq(a.clone(), b.clone()),
-                Rewritten::Pin(attr, _, source) => {
-                    sources.push(source);
-                    Conjunct::ConstEq(attr.clone(), Value::from(sources.len() as i64 - 1))
-                }
+        let rewritten: Vec<Rewritten> = self.rewritten(|slot| mask & (1 << slot) == 0).collect();
+        let sources: Vec<PlanValue> = rewritten
+            .iter()
+            .filter_map(|conjunct| match conjunct {
+                Rewritten::Pin(_, _, source) => Some(*source),
+                Rewritten::Join(..) => None,
             })
             .collect();
-        let keys: Vec<PlanKey> = keys_of(&numbered)
+        let numbers: Vec<Value> = (0..sources.len() as i64).map(Value::from).collect();
+        let mut number = numbers.iter();
+        let numbered = rewritten.iter().map(|conjunct| match *conjunct {
+            Rewritten::Join(a, b) => ConjunctRef::Join(a, b),
+            Rewritten::Pin(attr, ..) => ConjunctRef::Const(attr, number.next().expect("one each")),
+        });
+        let keys: Vec<PlanKey> = keys_of(numbered)
             .into_iter()
             .map(|key| match key {
                 IndexKey::Value { relation, attribute, value: Value::Int(n) } => {

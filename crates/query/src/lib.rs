@@ -41,14 +41,20 @@
 //!    [`RewritePlan`]: every attribute reference checked against the `FROM`
 //!    list and resolved to a slot and column offset, constants and join
 //!    edges in `WHERE` order. A rewritten query is that plan plus the tuples
-//!    bound so far; a trigger is offset checks, an answer a projection, and
-//!    everything that depends only on *which* slots are bound — the
-//!    candidate keys above all — is derived once per bound mask.
+//!    bound so far, and an input query is the plan with nothing bound; a
+//!    trigger is offset checks, an answer a projection, and everything that
+//!    depends only on *which* slots are bound — the candidate keys above
+//!    all — is derived once per bound mask.
 //!
-//! The AST interpreter ([`rewrite`]) is the semantics oracle: the engine
-//! never runs it, and property tests assert that the plan's triggers,
-//! answers, children, candidate keys, pins and signatures (and the
-//! compiled programs' results) are those of the rewrite cascade. Shared
+//! The engine reads only the plan: a query's plan is compiled where the
+//! query enters a process, and every reader goes through it, the input
+//! query's placement and trigger-index pins included. What the AST side
+//! computes is kept as the reference the plan is tested against, and for
+//! the benchmark's layer probes: the interpreter ([`rewrite`]) is the
+//! semantics oracle, and property tests assert that the plan's triggers,
+//! answers, children, candidate keys ([`candidate_keys`]), pins
+//! ([`probe_pins`]) and signatures (and the results of the compiled
+//! programs, [`compile_subjoin`]) are those of the rewrite cascade. Shared
 //! sub-join evaluation projects each subscriber's `SELECT` list with the
 //! name-based [`project_select`] once, when the shared `WHERE` clause
 //! completes.
@@ -88,7 +94,8 @@ pub use ast::{Conjunct, EmitStep, JoinQuery, QualifiedAttr, SelectItem, SelectSt
 pub use compile::{compile_subjoin, probe_pins, SubJoinProgram};
 pub use error::QueryError;
 pub use fingerprint::{
-    fingerprint, subjoin_eq, subjoin_fingerprint, subjoin_signature, Fingerprint, SubJoin,
+    fingerprint, signature_fingerprint, subjoin_fingerprint, subjoin_matches, subjoin_signature,
+    write_subjoin_signature, Fingerprint, SubJoin,
 };
 pub use join_plan::{Bindings, Bound, JoinPlan, PlanKey, RewritePlan, SlotColumn, Trigger};
 pub use keys::{candidate_keys, tuple_index_key_iter, tuple_index_keys, IndexKey, IndexLevel};

@@ -152,10 +152,16 @@ impl JoinGraph {
             let mut changed = false;
             // (a) Remove every vertex contained in at most one live edge.
             for v in 0..self.classes.len() {
-                let holders: Vec<usize> =
-                    (0..edges.len()).filter(|&e| alive[e] && edges[e].contains(&v)).collect();
-                if holders.len() == 1 {
-                    edges[holders[0]].retain(|&x| x != v);
+                let only_holder = {
+                    let mut holders =
+                        (0..edges.len()).filter(|&e| alive[e] && edges[e].contains(&v));
+                    match (holders.next(), holders.next()) {
+                        (Some(holder), None) => Some(holder),
+                        _ => None,
+                    }
+                };
+                if let Some(holder) = only_holder {
+                    edges[holder].retain(|&x| x != v);
                     changed = true;
                 }
             }
@@ -191,8 +197,17 @@ impl JoinGraph {
     /// its load proxy (more participating attributes ⇒ more tuples
     /// partitioned along that axis).
     pub fn hypercube_plan(&self, cell_budget: u32) -> HypercubePlan {
+        self.plan_with(self.shares(cell_budget))
+    }
+
+    /// The shares [`hypercube_plan`](Self::hypercube_plan) allocates.
+    fn shares(&self, cell_budget: u32) -> Vec<u32> {
         let loads: Vec<u64> = self.classes.iter().map(|c| c.members.len() as u64).collect();
-        let shares = allocate_shares(cell_budget, &loads);
+        allocate_shares(cell_budget, &loads)
+    }
+
+    /// The hypercube plan with one axis per class, of these `shares`.
+    fn plan_with(&self, shares: Vec<u32>) -> HypercubePlan {
         HypercubePlan {
             axes: self
                 .classes
@@ -327,16 +342,13 @@ pub fn plan_query(query: &JoinQuery, cell_budget: u32) -> QueryPlan {
         return QueryPlan::Rewrite;
     }
     let shape = graph.shape();
-    let plan = graph.hypercube_plan(cell_budget);
+    // The plan's cost is its cell count: the axes are only built for the
+    // plan that wins.
+    let shares = graph.shares(cell_budget);
+    let cells = u64::from(shares.iter().product::<u32>());
     match pipeline_cost(query, shape) {
-        None => QueryPlan::Hypercube(plan),
-        Some(pipe) => {
-            if hypercube_cost(&plan) < pipe {
-                QueryPlan::Hypercube(plan)
-            } else {
-                QueryPlan::Rewrite
-            }
-        }
+        Some(pipe) if cells >= pipe => QueryPlan::Rewrite,
+        _ => QueryPlan::Hypercube(graph.plan_with(shares)),
     }
 }
 

@@ -217,24 +217,28 @@ impl Cluster {
         &self.qids
     }
 
-    /// Submits a continuous query from the client: validated, planned on
-    /// the rewrite pipeline, and indexed in the network through the same
-    /// dispatch code path the simulated engine runs.
+    /// Submits a continuous query from the client: its plan compiled
+    /// ([`PendingQuery::submitted`], as the simulated engine does; a query
+    /// that does not compile is refused with the compile's error), planned
+    /// on the rewrite pipeline, and indexed in the network through the same
+    /// dispatch code path the simulated engine runs. The plan stays in the
+    /// client: each node compiles its own when the query arrives.
     ///
     /// Cyclic join graphs are rejected with [`QueryError::CyclicShape`]:
     /// hypercube placement is a simulator-only plan in this release.
     pub fn submit_query(&mut self, query: JoinQuery) -> Result<QueryId, TransportError> {
-        query.validate(&self.catalog).map_err(EngineError::from)?;
-        let graph = plan::JoinGraph::build(&query);
+        let id = QueryId { owner: self.client_id, seq: self.next_query_seq };
+        let now = self.net.clock.now();
+        let pending = PendingQuery::submitted(id, self.client_id, now, query, &self.catalog)
+            .map_err(EngineError::from)?;
+        let graph = plan::JoinGraph::build(&pending.query);
         if !graph.classes.is_empty() && graph.shape() == QueryShape::Cyclic {
             return Err(EngineError::Query(QueryError::CyclicShape).into());
         }
-        let id = QueryId { owner: self.client_id, seq: self.next_query_seq };
         self.next_query_seq += 1;
-        if query.distinct() {
+        if pending.query.distinct() {
             self.inbox.lock().expect("client inbox").answers.mark_distinct(id);
         }
-        let pending = PendingQuery::input(id, self.client_id, self.net.clock.now(), query);
         // Placement draws from the client's lineage of this submission.
         let lineage = child_lineage(u128::from(self.client_id.0), id.seq);
         let mut env = DispatchEnv::new(&mut self.net, None, self.config.seed, lineage);
@@ -525,6 +529,39 @@ mod tests {
         catalog.register(Schema::new("r", ["a", "b"]).expect("schema")).expect("register");
         catalog.register(Schema::new("s", ["b", "c"]).expect("schema")).expect("register");
         catalog
+    }
+
+    /// A query whose plan cannot compile is refused at submission with the
+    /// compile's error: a 65-relation chain passes every check
+    /// `JoinQuery::validate` makes, but a plan binds at most 64 relations.
+    #[test]
+    fn a_query_whose_plan_cannot_compile_is_refused_at_submission() {
+        let mut catalog = Catalog::new();
+        for i in 0..65 {
+            catalog
+                .register(Schema::new(format!("r{i}"), ["a"]).expect("schema"))
+                .expect("register");
+        }
+        let from: Vec<String> = (0..65).map(|i| format!("r{i}")).collect();
+        let chain: Vec<String> = (1..65).map(|i| format!("r{}.a = r{i}.a", i - 1)).collect();
+        let sql = format!("SELECT r0.a FROM {} WHERE {}", from.join(", "), chain.join(" AND "));
+        let query = rjoin_query::parse_query(&sql).expect("parse");
+        assert!(query.validate(&catalog).is_ok());
+        let config = EngineConfig::default();
+        let mut cluster =
+            Cluster::launch(config, catalog, 1, ClusterConfig::default()).expect("launch");
+        let refused = cluster.submit_query(query);
+        assert!(
+            matches!(
+                refused,
+                Err(TransportError::Engine(EngineError::Query(QueryError::TooManyRelations {
+                    count: 65
+                })))
+            ),
+            "{refused:?}"
+        );
+        assert!(cluster.query_ids().is_empty(), "nothing was submitted");
+        cluster.shutdown();
     }
 
     #[test]

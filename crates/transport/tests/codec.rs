@@ -524,7 +524,7 @@ fn an_eval_with_two_bound_tuples_round_trips() {
         back.bound.tuples().iter().map(|t| (**t).clone()).collect::<Vec<_>>(),
         [(*r0).clone(), (*r2).clone()]
     );
-    assert!(back.plan().is_none(), "the plan stays behind");
+    assert!(back.query.plan.get().is_none(), "the plan stays behind");
     let ServiceMessage::Engine { msg: RJoinMessage::Eval { pending, .. }, .. } = msg else {
         unreachable!()
     };
