@@ -34,8 +34,8 @@ use rjoin_dht::{HashedKey, Id, RingMap};
 use rjoin_metrics::{CompileCounters, ProbeCounters, RicCounters, SharingCounters, StateCounters};
 use rjoin_net::SimTime;
 use rjoin_query::{
-    signature_fingerprint, subjoin_fingerprint, subjoin_matches, write_subjoin_signature,
-    IndexLevel, RewritePlan,
+    signature_fingerprint, subjoin_fingerprint, subjoin_matches, subjoin_signature, IndexLevel,
+    RewritePlan,
 };
 use rjoin_relation::{Catalog, Timestamp, Tuple};
 use std::collections::hash_map::Entry;
@@ -223,9 +223,6 @@ pub struct NodeState {
     pub(crate) trigger_index: TriggerIndex,
     /// Scratch buffer reused by [`advance_expiry`](Self::advance_expiry).
     pub(crate) expiry_scratch: Vec<ExpiryToken>,
-    /// Scratch buffer the shared path renders a stored query's sub-join
-    /// signature into, once for its fingerprint and its twin's check.
-    signature: String,
     /// Incremental count of stored *rewritten* queries.
     pub(crate) rewritten_count: usize,
     /// Incremental count of stored value-level tuples (plain buckets and
@@ -400,9 +397,9 @@ impl NodeState {
             self.store_query(stored);
             return false;
         }
-        let mut signature = std::mem::take(&mut self.signature);
-        signature.clear();
-        write_subjoin_signature(stored.pending.subjoin(), &mut signature);
+        // Rendered once: its fingerprint finds the candidate twin, and the
+        // twin's own rendering is checked against it.
+        let signature = subjoin_signature(stored.pending.subjoin());
         let fp = signature_fingerprint(&signature);
         let ring = stored.key.ring();
         let ws = stored.pending.window_start();
@@ -444,7 +441,6 @@ impl NodeState {
             }
         };
         self.subjoins = subjoins;
-        self.signature = signature;
         merged
     }
 

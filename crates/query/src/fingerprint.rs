@@ -20,7 +20,8 @@
 //! so that identical sub-joins produced by different input queries — or by
 //! the same rewriting step applied to equivalent queries on different nodes —
 //! collide on the same 64-bit fingerprint. The canonical string itself is
-//! available via [`subjoin_signature`] for diagnostics and tests.
+//! [`subjoin_signature`]; a shared store renders it once for both the
+//! fingerprint and the check that a fingerprint match is a real twin.
 
 use crate::ast::{ConjunctRef, JoinQuery, QualifiedAttr};
 use crate::join_plan::{Bindings, RewritePlan};
@@ -103,9 +104,7 @@ fn write_signature(sub: SubJoin<'_>, out: &mut String) {
 }
 
 /// [`write_signature`] over the parts of a sub-join: `query` supplies the
-/// semantics flag and the window. Allocates nothing after warm-up: the
-/// relations are sorted on the stack (up to [`STACK_RELATIONS`] of them),
-/// the conjuncts in a per-thread pool of strings.
+/// semantics flag and the window.
 fn write_parts<'a>(
     out: &mut String,
     query: &JoinQuery,
@@ -120,20 +119,7 @@ fn write_parts<'a>(
 
     out.push_str(if query.distinct() { "D|" } else { "B|" });
 
-    let (mut stack, mut spilled) = ([""; STACK_RELATIONS], Vec::new());
-    let mut n = 0;
-    for relation in relations {
-        if n < STACK_RELATIONS {
-            stack[n] = relation;
-        } else {
-            if spilled.is_empty() {
-                spilled.extend_from_slice(&stack);
-            }
-            spilled.push(relation);
-        }
-        n += 1;
-    }
-    let relations = if spilled.is_empty() { &mut stack[..n] } else { &mut spilled[..] };
+    let mut relations: Vec<&str> = relations.collect();
     relations.sort_unstable();
     for (i, r) in relations.iter().enumerate() {
         if i > 0 {
@@ -166,34 +152,27 @@ fn write_parts<'a>(
     let _ = write!(out, "{}", query.window());
 }
 
-/// Relations a signature sorts without allocating.
-const STACK_RELATIONS: usize = 16;
-
-/// The canonical string form of a query's sub-join structure. Stable across
-/// conjunct order, join-side order and `SELECT` list differences.
-pub fn subjoin_signature(query: &JoinQuery) -> String {
+/// The canonical string form of a sub-join's structure. Stable across
+/// conjunct order, join-side order and `SELECT` list differences. Rendered
+/// once, it gives both the sub-join's fingerprint
+/// ([`signature_fingerprint`]) and the structural confirmation of a
+/// fingerprint match ([`subjoin_matches`]).
+pub fn subjoin_signature(sub: SubJoin<'_>) -> String {
     let mut out = String::with_capacity(64);
-    write_signature(SubJoin::Query(query), &mut out);
+    write_signature(sub, &mut out);
     out
 }
 
-/// Appends `sub`'s canonical signature to `out`: rendered once, it gives
-/// the sub-join's fingerprint ([`signature_fingerprint`]) and the
-/// structural confirmation of a fingerprint match ([`subjoin_matches`]).
-pub fn write_subjoin_signature(sub: SubJoin<'_>, out: &mut String) {
-    write_signature(sub, out);
+thread_local! {
+    /// The per-thread buffer [`subjoin_fingerprint`] and [`subjoin_matches`]
+    /// render a signature into, so neither allocates after warm-up.
+    static SIG_BUF: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
 }
 
 /// Whether `sub` renders exactly `signature` — the structural confirmation
 /// behind a fingerprint match (it runs on every candidate sharing merge).
-/// Renders into a per-thread scratch buffer, so the comparison does not
-/// allocate after warm-up.
 pub fn subjoin_matches(sub: SubJoin<'_>, signature: &str) -> bool {
-    use std::cell::RefCell;
-    thread_local! {
-        static MATCH_BUF: RefCell<String> = const { RefCell::new(String::new()) };
-    }
-    MATCH_BUF.with(|buf| {
+    SIG_BUF.with(|buf| {
         let mut buf = buf.borrow_mut();
         buf.clear();
         write_signature(sub, &mut buf);
@@ -231,14 +210,8 @@ pub fn fingerprint(query: &JoinQuery) -> Fingerprint {
 }
 
 /// [`fingerprint`] of any [`SubJoin`]: a bound rewritten query hashes like
-/// the [`JoinQuery`] it denotes. The signature is assembled in a per-thread
-/// scratch buffer, so computing a fingerprint does not allocate after
-/// warm-up.
+/// the [`JoinQuery`] it denotes.
 pub fn subjoin_fingerprint(sub: SubJoin<'_>) -> Fingerprint {
-    use std::cell::RefCell;
-    thread_local! {
-        static SIG_BUF: RefCell<String> = const { RefCell::new(String::new()) };
-    }
     SIG_BUF.with(|buf| {
         let mut buf = buf.borrow_mut();
         buf.clear();
@@ -247,8 +220,7 @@ pub fn subjoin_fingerprint(sub: SubJoin<'_>) -> Fingerprint {
     })
 }
 
-/// The [`Fingerprint`] of a rendered signature (see
-/// [`write_subjoin_signature`]).
+/// The [`Fingerprint`] of a rendered [`subjoin_signature`].
 pub fn signature_fingerprint(signature: &str) -> Fingerprint {
     use std::hash::Hasher;
     let mut hasher = Fnv::default();
@@ -266,7 +238,7 @@ mod tests {
         let a = parse_query("SELECT R.A FROM R, S WHERE R.A = S.B").unwrap();
         let b = parse_query("SELECT S.B, R.C FROM R, S WHERE R.A = S.B").unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b));
-        assert_eq!(subjoin_signature(&a), subjoin_signature(&b));
+        assert_eq!(subjoin_signature(SubJoin::Query(&a)), subjoin_signature(SubJoin::Query(&b)));
     }
 
     #[test]
@@ -333,10 +305,12 @@ mod tests {
         for bound in [&one, &two] {
             let built = plan.materialize(bound);
             assert_eq!(subjoin_fingerprint(SubJoin::Bound(&plan, bound)), fingerprint(&built));
-            assert!(subjoin_matches(SubJoin::Bound(&plan, bound), &subjoin_signature(&built)));
+            assert!(subjoin_matches(
+                SubJoin::Bound(&plan, bound),
+                &subjoin_signature(SubJoin::Query(&built))
+            ));
         }
-        let mut two_signature = String::new();
-        write_subjoin_signature(SubJoin::Bound(&plan, &two), &mut two_signature);
+        let two_signature = subjoin_signature(SubJoin::Bound(&plan, &two));
         assert_eq!(signature_fingerprint(&two_signature), fingerprint(&plan.materialize(&two)));
         assert!(!subjoin_matches(SubJoin::Bound(&plan, &one), &two_signature));
     }
@@ -344,6 +318,6 @@ mod tests {
     #[test]
     fn signature_shape_is_documented() {
         let q = parse_query("SELECT R.A FROM S, R WHERE S.B = R.A").unwrap();
-        assert_eq!(subjoin_signature(&q), "B|R,S|j:R.A=S.B|WINDOW NONE");
+        assert_eq!(subjoin_signature(SubJoin::Query(&q)), "B|R,S|j:R.A=S.B|WINDOW NONE");
     }
 }

@@ -614,15 +614,10 @@ pub struct RewritePlan {
     /// Per slot: the columns a `DISTINCT` query's duplicate filter projects
     /// a tuple of the slot on, ascending (nothing for other queries).
     dedup: Box<[Box<[AttrIndex]>]>,
-    /// Per non-empty bound mask `m`, at `m - 1` (plans of at most
-    /// `MEMO_SLOTS` slots): the candidate keys, filled at first use. The
-    /// table itself is made at the first rewritten query's placement: many
-    /// plans never place one (a query whose twin it merged into triggers).
-    keys: OnceLock<Box<[KeyMemo]>>,
+    /// Per bound mask (plans of at most `MEMO_SLOTS` slots): the candidate
+    /// keys, filled at first use.
+    keys: Box<[OnceLock<Box<[PlanKey]>>]>,
 }
-
-/// One bound mask's candidate keys, derived at first use.
-type KeyMemo = OnceLock<Box<[PlanKey]>>;
 
 impl RewritePlan {
     /// Compiles `query` against `catalog` (see [`JoinPlan::new`]; a plan
@@ -656,7 +651,9 @@ impl RewritePlan {
                 offsets.into_boxed_slice()
             })
             .collect();
-        Ok(RewritePlan { plan, query, dedup, keys: OnceLock::new() })
+        let memo = if slots <= MEMO_SLOTS { 1 << slots } else { 0 };
+        let keys = (0..memo).map(|_| OnceLock::new()).collect();
+        Ok(RewritePlan { plan, query, dedup, keys })
     }
 
     /// The compiled plan.
@@ -822,15 +819,9 @@ impl RewritePlan {
 
     /// The candidate index keys of every rewritten query whose bound slots
     /// are `mask`, in [`candidate_keys`](crate::candidate_keys) order.
-    /// Memoised per mask, except the empty one: the query with nothing bound
-    /// is the input query, placed once.
+    /// Memoised per mask.
     pub fn keys(&self, mask: u64) -> Cow<'_, [PlanKey]> {
-        let slots = self.plan.relations.len();
-        let memo = self.keys.get_or_init(|| {
-            let masks = if slots <= MEMO_SLOTS { (1 << slots) - 1 } else { 0 };
-            (0..masks).map(|_| OnceLock::new()).collect()
-        });
-        match memo.get(mask.wrapping_sub(1) as usize) {
+        match self.keys.get(mask as usize) {
             Some(memo) => Cow::Borrowed(memo.get_or_init(|| self.derive_keys(mask))),
             None => Cow::Owned(self.derive_keys(mask).into_vec()),
         }
@@ -842,21 +833,18 @@ impl RewritePlan {
     ///
     /// [`candidate_keys`]: crate::candidate_keys
     fn derive_keys(&self, mask: u64) -> Box<[PlanKey]> {
-        let rewritten: Vec<Rewritten> = self.rewritten(|slot| mask & (1 << slot) == 0).collect();
-        let sources: Vec<PlanValue> = rewritten
-            .iter()
-            .filter_map(|conjunct| match conjunct {
-                Rewritten::Pin(_, _, source) => Some(*source),
-                Rewritten::Join(..) => None,
+        let mut sources = Vec::new();
+        let numbered: Vec<Conjunct> = self
+            .rewritten(|slot| mask & (1 << slot) == 0)
+            .map(|conjunct| match conjunct {
+                Rewritten::Join(a, b) => Conjunct::JoinEq(a.clone(), b.clone()),
+                Rewritten::Pin(attr, _, source) => {
+                    sources.push(source);
+                    Conjunct::ConstEq(attr.clone(), Value::from(sources.len() as i64 - 1))
+                }
             })
             .collect();
-        let numbers: Vec<Value> = (0..sources.len() as i64).map(Value::from).collect();
-        let mut number = numbers.iter();
-        let numbered = rewritten.iter().map(|conjunct| match *conjunct {
-            Rewritten::Join(a, b) => ConjunctRef::Join(a, b),
-            Rewritten::Pin(attr, ..) => ConjunctRef::Const(attr, number.next().expect("one each")),
-        });
-        let keys: Vec<PlanKey> = keys_of(numbered)
+        let keys: Vec<PlanKey> = keys_of(&numbered)
             .into_iter()
             .map(|key| match key {
                 IndexKey::Value { relation, attribute, value: Value::Int(n) } => {

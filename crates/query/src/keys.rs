@@ -12,7 +12,7 @@
 //! conjuncts, all explicit relation-attribute-value selection triples, and
 //! all triples *implied* by the `WHERE` clause.
 
-use crate::ast::{ConjunctRef, JoinQuery, QualifiedAttr};
+use crate::ast::{Conjunct, JoinQuery, QualifiedAttr};
 use rjoin_dht::HashedKey;
 use rjoin_relation::{Name, Schema, Tuple, Value};
 use serde::{Deserialize, Serialize};
@@ -255,13 +255,10 @@ impl<'q> AttrUnionFind<'q> {
 /// value-level candidates listed after attribute-level ones for the same
 /// relation/attribute.
 pub fn candidate_keys(query: &JoinQuery) -> Vec<IndexKey> {
-    keys_of(query.conjuncts().iter().map(ConjunctRef::from))
+    keys_of(query.conjuncts())
 }
 
-/// [`candidate_keys`] of a `WHERE` clause, conjunct by conjunct.
-pub(crate) fn keys_of<'a>(
-    conjuncts: impl ExactSizeIterator<Item = ConjunctRef<'a>>,
-) -> Vec<IndexKey> {
+pub(crate) fn keys_of(conjuncts: &[Conjunct]) -> Vec<IndexKey> {
     // Each conjunct mentions at most two attributes, which bounds the
     // distinct-attribute universe the union-find can see.
     let mut uf = AttrUnionFind::with_capacity(conjuncts.len() * 2);
@@ -272,14 +269,14 @@ pub(crate) fn keys_of<'a>(
     let mut keys: Vec<IndexKey> = Vec::new();
     for conjunct in conjuncts {
         match conjunct {
-            ConjunctRef::Join(a, b) => {
+            Conjunct::JoinEq(a, b) => {
                 keys.push(IndexKey::attribute(&a.relation, &a.attribute));
                 keys.push(IndexKey::attribute(&b.relation, &b.attribute));
                 let ia = uf.id(a);
                 let ib = uf.id(b);
                 uf.union(ia, ib);
             }
-            ConjunctRef::Const(a, v) => {
+            Conjunct::ConstEq(a, v) => {
                 let ia = uf.id(a);
                 pending_consts.push((ia, v));
             }

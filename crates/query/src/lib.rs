@@ -95,7 +95,7 @@ pub use compile::{compile_subjoin, probe_pins, SubJoinProgram};
 pub use error::QueryError;
 pub use fingerprint::{
     fingerprint, signature_fingerprint, subjoin_fingerprint, subjoin_matches, subjoin_signature,
-    write_subjoin_signature, Fingerprint, SubJoin,
+    Fingerprint, SubJoin,
 };
 pub use join_plan::{Bindings, Bound, JoinPlan, PlanKey, RewritePlan, SlotColumn, Trigger};
 pub use keys::{candidate_keys, tuple_index_key_iter, tuple_index_keys, IndexKey, IndexLevel};

@@ -324,10 +324,10 @@ pub fn pipeline_cost(query: &JoinQuery, shape: QueryShape) -> Option<u64> {
     }
 }
 
-/// The hypercube's one-shot placement cost: one replicated query copy per
-/// cell.
-pub fn hypercube_cost(plan: &HypercubePlan) -> u64 {
-    u64::from(plan.cells())
+/// The one-shot placement cost of a hypercube plan with these `shares`:
+/// one replicated query copy per cell.
+pub fn hypercube_cost(shares: &[u32]) -> u64 {
+    u64::from(shares.iter().product::<u32>())
 }
 
 /// Chooses the evaluation plan for `query` under a hypercube cell budget:
@@ -342,12 +342,10 @@ pub fn plan_query(query: &JoinQuery, cell_budget: u32) -> QueryPlan {
         return QueryPlan::Rewrite;
     }
     let shape = graph.shape();
-    // The plan's cost is its cell count: the axes are only built for the
-    // plan that wins.
+    // The axes are built only for the plan that wins.
     let shares = graph.shares(cell_budget);
-    let cells = u64::from(shares.iter().product::<u32>());
     match pipeline_cost(query, shape) {
-        Some(pipe) if cells >= pipe => QueryPlan::Rewrite,
+        Some(pipe) if hypercube_cost(&shares) >= pipe => QueryPlan::Rewrite,
         _ => QueryPlan::Hypercube(graph.plan_with(shares)),
     }
 }
@@ -492,7 +490,7 @@ mod tests {
         let chain = parse_query("SELECT R.A FROM R, S, T WHERE R.A = S.A AND S.B = T.B").unwrap();
         assert_eq!(pipeline_cost(&chain, QueryShape::Acyclic), Some(3));
         let plan = JoinGraph::build(&triangle()).hypercube_plan(8);
-        assert_eq!(hypercube_cost(&plan), 8);
+        assert_eq!(hypercube_cost(&plan.shares()), 8);
     }
 
     #[test]
